@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint bench bench-check bench-baseline bench-drift model-check scenarios scenario-matrix smoke worker-smoke worker-tcp-smoke server-smoke fleet-smoke ci
+.PHONY: build test race vet lint bench model-check scenarios scenario-matrix smoke worker-smoke worker-tcp-smoke server-smoke fleet-smoke ci
 
 build:
 	$(GO) build ./...
@@ -20,47 +20,18 @@ lint:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 
-# Runs every benchmark once. BenchmarkConcurrentJobs sweeps shard counts
-# {1, 2, GOMAXPROCS} and writes the perf-trajectory record BENCH_jobs.json,
-# anchored at the repo root no matter which package directory go test uses
-# (see benchJobsPath in bench_test.go; AIMES_BENCH_OUT overrides it).
+# The paper-figure, ablation and leaf micro-benchmarks, once each. The
+# repository's benchmark — end-to-end metrics and the per-layer ledger — is
+# the bench/ program (see bench/README.md): go run ./bench -workload <name>.
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
-	@echo "--- BENCH_jobs.json"
-	@cat BENCH_jobs.json
-
-# Perf-regression gate: rerun the concurrent-jobs shard sweep (including the
-# skewed-load stealing point and the worker-backend codec points) and compare
-# against the committed BENCH_baseline.json (fails on a >25% jobs/s drop at
-# any shard count both recorded, a skewed-load ratio under 0.70 on multi-core
-# machines, worker-backend throughput under 0.35 of the local peak, a binary
-# codec win under 1.2x the JSON workers, over 5000 parent-side allocations
-# per job on the wire hot path, or predictive placement under 0.9 of the
-# least-loaded heuristic's throughput).
-bench-check:
-	$(GO) test -bench BenchmarkConcurrentJobs -benchtime 3x -run '^$$' .
-	$(GO) run ./cmd/bench-check -min-worker-ratio 0.35 -min-codec-speedup 1.2 -max-worker-allocs 5000 -min-predictive-ratio 0.9
-
-# Refresh the committed baseline from a fresh sweep on this machine.
-bench-baseline:
-	$(GO) test -bench BenchmarkConcurrentJobs -benchtime 3x -run '^$$' .
-	$(GO) run ./cmd/bench-check -update
-
-# Slow-regression check: every BenchmarkConcurrentJobs run appends one record
-# to BENCH_history.jsonl; this reruns the sweep and flags the newest record
-# drifting >25% below the median of the last 20 comparable runs — the kind of
-# erosion no single-run gate sees.
-bench-drift:
-	$(GO) test -bench BenchmarkConcurrentJobs -benchtime 3x -run '^$$' .
-	$(GO) run ./cmd/bench-check -drift 20
 
 # Cost-model fidelity gate: run the deterministic validation battery
 # (internal/modelcheck) and compare its prediction error against the
 # committed MODEL_baseline.json — refresh after a deliberate model change
-# with `go run ./cmd/model-check -update`. The run also appends a
-# model-fidelity record to the shared BENCH_history.jsonl trajectory.
+# with `go run ./cmd/model-check -update`.
 model-check:
-	$(GO) run ./cmd/model-check -history BENCH_history.jsonl
+	$(GO) run ./cmd/model-check
 
 # Validate and run every example scenario.
 scenarios: build
@@ -114,4 +85,4 @@ server-smoke:
 fleet-smoke:
 	timeout 300 ./scripts/fleet_smoke.sh
 
-ci: lint race bench-check model-check scenarios scenario-matrix worker-smoke worker-tcp-smoke server-smoke fleet-smoke
+ci: lint race model-check scenarios scenario-matrix worker-smoke worker-tcp-smoke server-smoke fleet-smoke

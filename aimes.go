@@ -238,10 +238,10 @@ type EnvConfig struct {
 // Backend seam, either in-process (BackendLocal, the default) or as a child
 // OS process (BackendWorker, see WithWorkers) — so jobs placed on different
 // shards execute truly in parallel with no shared engine lock. Submit
-// places jobs onto shards (JobConfig.Placement), and every job's trace tees
-// through its shard's recorder into one aggregate trace. Submit/Wait/Cancel
-// are safe for concurrent use from multiple goroutines; the blocking Run*
-// methods are shims over them.
+// places jobs onto shards (JobConfig.Placement), and every job's trace is
+// stored once, in its shard's log; Recorder and ShardRecorder are read-time
+// views over those logs. Submit/Wait/Cancel are safe for concurrent use from
+// multiple goroutines; the blocking Run* methods are shims over them.
 type Environment struct {
 	shards   []*shardEnv
 	picker   *shard.Picker
@@ -284,13 +284,6 @@ type Environment struct {
 	// rest un-enacted, which is what makes them safe to migrate.
 	steal bool
 
-	// agg is the aggregate execution trace: every shard's job records,
-	// entity-qualified by job namespace. Shards buffer their records locally
-	// (no cross-shard lock on the simulation hot path) and Recorder drains
-	// the buffers on demand; aggMu serializes the drains.
-	aggMu sync.Mutex
-	agg   *trace.Recorder
-
 	// subs is the live-trace subscription list (Subscribe), copy-on-write so
 	// the per-record fanout on the simulation hot path is one atomic load.
 	subMu sync.Mutex
@@ -307,7 +300,7 @@ type Environment struct {
 // shardEnv is the environment's frontend for one simulation shard: the
 // backend handle plus everything the orchestration layer keeps on its side
 // of the seam — the mutex serializing backend access, the admission queue,
-// the live-job registry, load accounting, and the shard trace buffer. On
+// the live-job registry, load accounting, and the shard trace log. On
 // virtual-time backends all engine access (enactment, stepping,
 // cancellation) runs under mu; the wall-clock engine serializes through its
 // own Sync instead.
@@ -327,10 +320,11 @@ type shardEnv struct {
 	wcfg     backend.Config
 	restarts atomic.Int32
 
-	// rec is the shard's frontend trace: every record of this shard's jobs,
-	// entity-qualified by namespace, fed by the backend sink. Its observer
-	// buffers into pendingAgg and fans out to live subscriptions.
-	rec *trace.Recorder
+	// log is the shard's trace store — the only copy the environment keeps:
+	// the most recent traceRetention raw records of this shard's jobs, each
+	// with its job's namespace, fed by the backend sink. Guarded by the
+	// shard's engine serialization.
+	log *trace.Log
 
 	mu sync.Mutex
 
@@ -377,13 +371,13 @@ type shardEnv struct {
 	// it), so they need no atomics.
 	lastDoneEvents int64
 	lastDoneJobs   int64
-
-	// pendingAgg buffers this shard's trace records for the environment
-	// aggregate. Appends run under the shard's engine serialization, so the
-	// simulation hot path takes no cross-shard lock; Environment.Recorder
-	// drains the buffer under sync.
-	pendingAgg []trace.Record
 }
+
+// traceRetention is the number of most recent trace records a shard keeps.
+// The largest single-environment trace in the repository (a paper-matrix
+// epoch, ~115 k records on one shard) is 9x under it; at the bound a shard's
+// log holds about 75 MB.
+const traceRetention = 1 << 20
 
 // sync runs fn serialized with the shard backend's callbacks: under the
 // engine's Sync on wall-clock backends, under the shard mutex otherwise.
@@ -399,16 +393,23 @@ func (sh *shardEnv) sync(fn func()) {
 }
 
 // JobTrace implements backend.Sink: it routes one raw trace record of a job
-// to the job's event stream and, entity-qualified, into the shard trace
-// (which buffers for the environment aggregate and live subscriptions). It
-// runs under the shard's engine serialization.
+// to the job's event stream, stores it once in the shard log, and — only
+// while a live subscription is open — qualifies its entity and fans it out.
+// It runs under the shard's engine serialization, so concurrent shards never
+// contend here.
 func (sh *shardEnv) JobTrace(key int, ns string, rec trace.Record) {
 	j := sh.jobs[key]
 	if j == nil {
 		return
 	}
 	j.publish(rec)
-	sh.rec.Record(rec.Time, trace.QualifyEntity(rec.Entity, ns), rec.State, rec.Detail)
+	sh.log.Append(rec, ns)
+	if subs := sh.env.subs.Load(); subs != nil && len(*subs) > 0 {
+		rec.Entity = trace.QualifyEntity(rec.Entity, ns)
+		for _, s := range *subs {
+			s.push(rec)
+		}
+	}
 }
 
 // JobDone implements backend.Sink: the backend finished a job (completed,
@@ -528,8 +529,9 @@ const (
 	// BackendLocal runs every shard in-process — the default, bit-identical
 	// to the environments of releases before the backend seam existed.
 	BackendLocal BackendKind = "local"
-	// BackendWorker runs every shard as a child OS process (one per shard)
-	// speaking a length-prefixed JSON protocol over stdio. See WithWorkers.
+	// BackendWorker runs every shard out of process — a child OS process or
+	// a connection to a TCP worker host — speaking the framed wire protocol
+	// (see WithWireCodec). See WithWorkers and WithWorkerPool.
 	BackendWorker BackendKind = "worker"
 )
 
@@ -781,7 +783,6 @@ func NewEnv(opts ...Option) (*Environment, error) {
 		kind:      o.kind,
 		resources: names,
 		steal:     o.steal && n > 1, // a single shard has no peers to steal from
-		agg:       trace.NewRecorder(),
 	}
 	env.model = model.New(model.Config{Shards: n, Backend: string(o.kind)})
 	env.picker.SetModel(&placementModel{env})
@@ -828,22 +829,11 @@ func (e *Environment) newShard(k int, o *envOptions) (*shardEnv, error) {
 	sh := &shardEnv{
 		id:   k,
 		env:  e,
-		rec:  trace.NewRecorder(),
+		log:  trace.NewLog(traceRetention),
 		jobs: make(map[int]*Job),
 	}
 	sh.lastWindow.Store(admitWindow)
 	sh.peakWindow.Store(admitWindow)
-	// Buffer the shard's qualified records for the environment aggregate and
-	// fan them out to live subscriptions. Runs under the shard's own
-	// serialization, so concurrent shards never contend here.
-	sh.rec.Observe(func(r trace.Record) {
-		sh.pendingAgg = append(sh.pendingAgg, r)
-		if subs := e.subs.Load(); subs != nil {
-			for _, s := range *subs {
-				s.push(r)
-			}
-		}
-	})
 	cfg := backend.Config{
 		Shard:    k,
 		Seed:     shard.Seed(o.seed, k),
@@ -1114,6 +1104,11 @@ type ShardLoad struct {
 	Window   int     // current admission window (0 without work stealing)
 	Restarts int     // worker respawns for this shard (0 on the local backend)
 
+	// TraceDropped counts the shard's trace records evicted to keep its log
+	// at the retention (see Recorder); 0 until the shard has recorded more
+	// than about a million.
+	TraceDropped int64
+
 	// PredictedCost is the cost model's predicted completion (virtual
 	// seconds) of placing one more typical job — the shard's fitted mean
 	// demand — on this shard right now: fitted queue wait + current backlog
@@ -1151,6 +1146,7 @@ func (e *Environment) Loads() []ShardLoad {
 		sh.sync(func() {
 			out[k].Running = sh.running
 			out[k].Queued = len(sh.queue)
+			out[k].TraceDropped = sh.log.Dropped()
 		})
 	}
 	return out
@@ -1546,39 +1542,45 @@ func (e *Environment) ShardBundle(k int) *Bundle {
 	return e.shards[k].local.Bundle()
 }
 
-// Recorder exposes the aggregate execution trace: every job's pilot, unit
-// and strategy transitions, teed from the per-shard recorders. Each call
-// drains the shards' buffered records into the aggregate with an ordered
-// merge by per-shard virtual time — within a shard records keep their
-// engine order, and across shards the drained batch interleaves by
-// timestamp (ties resolve by shard index), so a single drain after a run
-// reads as one coherent timeline even though shards keep independent
-// virtual clocks. The ordering holds per drain: a later drain's records
-// append after an earlier drain's regardless of timestamps, so either
-// drain once at the end, or analyze through the time-sorted accessors
-// (ByEntity, ByState). Read it only while no job is running; live
-// consumers should Subscribe or stream Job.Events instead.
-func (e *Environment) Recorder() *Recorder {
-	e.aggMu.Lock()
-	defer e.aggMu.Unlock()
-	var pending []trace.Record
-	for _, sh := range e.shards {
-		sh.sync(func() {
-			pending = append(pending, sh.pendingAgg...)
-			sh.pendingAgg = nil
-		})
+// Recorder returns the aggregate execution trace: every job's pilot, unit
+// and strategy transitions on every shard, entity-qualified by job
+// namespace. It is a read-time view: each call snapshots the shard logs and
+// merges them by virtual time into a fresh Recorder — always fully
+// time-sorted, with equal timestamps resolving to the lowest shard index and
+// then to the shard's engine order (shards keep independent virtual clocks,
+// so the merge reads as one coherent timeline). A snapshot is safe to take
+// while jobs run and does not change afterwards. Each shard retains its most
+// recent records (about a million; ShardLoad.TraceDropped counts the ones
+// evicted), so on a long-lived environment the view is the recent past, not
+// all of history. Live consumers should Subscribe or stream Job.Events.
+func (e *Environment) Recorder() *Recorder { return traceView(e.shards) }
+
+// ShardRecorder returns shard k's trace (that shard's jobs only), or nil
+// when k is out of range: the same time-sorted snapshot of the most recent
+// records as Recorder, over one shard. It works on every backend: the shard
+// log is kept on the environment side of the seam, fed by the backend's
+// event stream.
+func (e *Environment) ShardRecorder(k int) *Recorder {
+	if k < 0 || k >= len(e.shards) {
+		return nil
 	}
-	// Merge by record time: concatenated in shard order, one stable sort
-	// interleaves the shards' timelines with ties resolving to the lowest
-	// shard index (and preserves each shard's internal order on equal
-	// timestamps — which also absorbs the one worker-backend edge where a
-	// completion dispatched mid-response admits a job whose later-stamped
-	// records land before the response's remaining earlier ones).
-	sort.SliceStable(pending, func(i, j int) bool { return pending[i].Time < pending[j].Time })
-	for _, r := range pending {
-		e.agg.Record(r.Time, r.Entity, r.State, r.Detail)
+	return traceView(e.shards[k : k+1])
+}
+
+// traceView snapshots the shards' logs, each under its shard's engine
+// serialization, qualifying entities as it reads, and merges them by record
+// time. Concatenated in shard order, one stable sort interleaves the shards'
+// timelines and preserves each shard's internal order on equal timestamps —
+// which also absorbs the one worker-backend edge where a completion
+// dispatched mid-response admits a job whose later-stamped records land
+// before the response's remaining earlier ones.
+func traceView(shards []*shardEnv) *Recorder {
+	var recs []trace.Record
+	for _, sh := range shards {
+		sh.sync(func() { recs = sh.log.Snapshot(recs) })
 	}
-	return e.agg
+	sort.SliceStable(recs, func(i, j int) bool { return recs[i].Time < recs[j].Time })
+	return trace.RecorderOf(recs)
 }
 
 // TraceSub is one live subscription to the environment's aggregate trace
@@ -1598,9 +1600,12 @@ type TraceSub struct {
 // environment's event buffer); when the consumer lags, records are dropped
 // and counted rather than stalling any simulation shard. Records from
 // different shards interleave in arrival order (shards keep independent
-// virtual clocks). This is the same stream the worker backend feeds over
-// the wire, so dashboards see one environment regardless of where shards
-// run. Close the subscription when done.
+// virtual clocks); they are the records a later Recorder snapshot holds,
+// field for field, and nothing recorded before Subscribe is replayed. This
+// is the same stream the worker backend feeds over the wire, so dashboards
+// see one environment regardless of where shards run. Entities are
+// qualified per record only while a subscription is open, so close it when
+// done.
 func (e *Environment) Subscribe(buf int) *TraceSub {
 	if buf <= 0 {
 		buf = e.eventBuf
@@ -1660,18 +1665,6 @@ func (s *TraceSub) push(r trace.Record) {
 	default:
 		s.dropped.Add(1)
 	}
-}
-
-// ShardRecorder exposes shard k's trace (that shard's jobs only, entity-
-// qualified), or nil when k is out of range. The same read contract as
-// Recorder applies. It works on every backend: the shard trace is
-// maintained on the environment side of the seam, fed by the backend's
-// event stream.
-func (e *Environment) ShardRecorder(k int) *Recorder {
-	if k < 0 || k >= len(e.shards) {
-		return nil
-	}
-	return e.shards[k].rec
 }
 
 // Resources returns the testbed resource names.

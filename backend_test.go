@@ -1,9 +1,9 @@
 // Backend-seam battery: the local-vs-worker parity matrix (the same seeded,
 // pinned multi-tenant scenario must produce identical reports on both
 // backends), worker crash containment (a killed worker fails only its own
-// shard's jobs, descriptively), the adaptive admission window, steal-aware
-// staged placement with coherent wait feedback, and the ordered
-// aggregate-trace merge with live subscriptions.
+// shard's jobs, descriptively), the adaptive admission window, and
+// steal-aware staged placement with coherent wait feedback. (The trace views
+// and live subscriptions are in trace_test.go.)
 package aimes_test
 
 import (
@@ -568,61 +568,4 @@ func TestStagedPlacementFollowsLoad(t *testing.T) {
 		}
 		prevWaits += len(r.PilotWaits)
 	}
-}
-
-// TestAggregateMergeAndSubscribe checks the ordered aggregate-trace drain
-// (merged by per-shard virtual time) and the bounded live subscription.
-func TestAggregateMergeAndSubscribe(t *testing.T) {
-	env, err := aimes.NewEnv(aimes.WithSeed(606), aimes.WithShards(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub := env.Subscribe(1 << 14)
-	received := 0
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for range sub.C() {
-			received++
-		}
-	}()
-	cfg := aimes.StrategyConfig{Binding: aimes.LateBinding, Scheduler: aimes.SchedBackfill, Pilots: 2}
-	var jobs []*aimes.Job
-	for k := 0; k < 2; k++ {
-		for i := 0; i < 2; i++ {
-			w, err := aimes.GenerateWorkload(aimes.BagOfTasks(6, aimes.UniformDuration()), int64(10*k+i))
-			if err != nil {
-				t.Fatal(err)
-			}
-			j, err := env.Submit(context.Background(), w, aimes.JobConfig{
-				StrategyConfig: cfg, Placement: aimes.PlacePinned, Shard: k,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			jobs = append(jobs, j)
-		}
-	}
-	waitAllDeadline(t, jobs, 60*time.Second)
-
-	rec := env.Recorder()
-	records := rec.Records()
-	if len(records) == 0 {
-		t.Fatal("aggregate drained no records")
-	}
-	for i := 1; i < len(records); i++ {
-		if records[i].Time < records[i-1].Time {
-			t.Fatalf("aggregate record %d out of order: %v after %v (merge by virtual time broken)",
-				i, records[i].Time, records[i-1].Time)
-		}
-	}
-	if n := rec.Len(); env.Recorder().Len() != n {
-		t.Fatal("second drain duplicated records")
-	}
-	sub.Close()
-	<-done
-	if received+int(sub.Dropped()) < len(records) {
-		t.Fatalf("subscription saw %d records (+%d dropped), aggregate has %d", received, sub.Dropped(), len(records))
-	}
-	sub.Close() // idempotent
 }

@@ -34,7 +34,7 @@ type SubmitRequest struct {
 	// Adaptive, when non-nil, enables runtime adaptation.
 	Adaptive *aimes.AdaptiveConfig `json:"adaptive,omitempty"`
 
-	// Placement is "", "round-robin", "least-loaded" or "pinned".
+	// Placement is "", "round-robin", "least-loaded", "pinned" or "predictive".
 	Placement string `json:"placement,omitempty"`
 	// Shard is the target shard for pinned placement.
 	Shard int `json:"shard,omitempty"`
@@ -99,6 +99,8 @@ func PlacementString(p aimes.Placement) string {
 		return "least-loaded"
 	case aimes.PlacePinned:
 		return "pinned"
+	case aimes.PlacePredictive:
+		return "predictive"
 	}
 	return fmt.Sprintf("placement(%d)", int(p))
 }
@@ -113,8 +115,10 @@ func ParsePlacement(s string) (aimes.Placement, error) {
 		return aimes.PlaceLeastLoaded, nil
 	case "pinned":
 		return aimes.PlacePinned, nil
+	case "predictive":
+		return aimes.PlacePredictive, nil
 	}
-	return 0, fmt.Errorf("unknown placement %q (want round-robin, least-loaded or pinned)", s)
+	return 0, fmt.Errorf("unknown placement %q (want round-robin, least-loaded, pinned or predictive)", s)
 }
 
 // MigrateString converts a migration policy to its wire form.

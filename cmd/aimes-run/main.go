@@ -142,10 +142,11 @@ func run(appFile, wlFile string, tasks int, duration, binding string, pilots int
 			return err
 		}
 		defer f.Close()
-		if err := env.Recorder().WriteCSV(f); err != nil {
+		rec := env.Recorder()
+		if err := rec.WriteCSV(f); err != nil {
 			return err
 		}
-		fmt.Printf("trace: %d records written to %s\n", env.Recorder().Len(), traceOut)
+		fmt.Printf("trace: %d records written to %s\n", rec.Len(), traceOut)
 	}
 	return nil
 }

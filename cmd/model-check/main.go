@@ -9,17 +9,12 @@
 //	go run ./cmd/model-check                     # gate against the baseline
 //	go run ./cmd/model-check -update             # refresh the baseline
 //	go run ./cmd/model-check -v                  # also print every sample
-//	go run ./cmd/model-check -history BENCH_history.jsonl  # append a trajectory record
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
-	"strings"
-	"time"
 
 	"aimes/internal/model"
 	"aimes/internal/modelcheck"
@@ -28,7 +23,6 @@ import (
 func main() {
 	baseline := flag.String("baseline", "MODEL_baseline.json", "committed fidelity baseline")
 	update := flag.Bool("update", false, "rewrite the baseline from this run instead of gating")
-	history := flag.String("history", "", "append a model-fidelity record to this JSONL trajectory log")
 	verbose := flag.Bool("v", false, "print every scored sample")
 	flag.Parse()
 
@@ -42,12 +36,6 @@ func main() {
 		for _, s := range samples {
 			fmt.Printf("  %-10s job %-2d shard %d: predicted %8.1f observed %8.1f rel %.4f\n",
 				s.Workload, s.Job, s.Shard, s.Predicted, s.Observed, s.RelError())
-		}
-	}
-
-	if *history != "" {
-		if err := appendHistory(*history, fid); err != nil {
-			fatal("history: %v", err)
 		}
 	}
 
@@ -73,43 +61,6 @@ func main() {
 	}
 	fmt.Printf("model-check: within baseline (mean <= %.4f, worst <= %.4f)\n",
 		b.MaxMeanRelError, b.MaxWorstRelError)
-}
-
-// appendHistory adds one compact JSONL record to the shared bench trajectory
-// log, alongside the throughput records BenchmarkConcurrentJobs appends;
-// readers distinguish them by the "kind" key.
-func appendHistory(path string, fid model.Fidelity) error {
-	rec := map[string]any{
-		"time":           time.Now().UTC().Format(time.RFC3339),
-		"commit":         commit(),
-		"kind":           "model-fidelity",
-		"samples":        fid.Samples,
-		"mean_rel_error": fid.MeanRelError,
-		"max_rel_error":  fid.MaxRelError,
-	}
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(append(line, '\n')); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// commit identifies the commit a history record was measured at, or
-// "unknown" outside a usable git checkout.
-func commit() string {
-	out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
-	if err != nil {
-		return "unknown"
-	}
-	return strings.TrimSpace(string(out))
 }
 
 func fatal(format string, args ...any) {

@@ -169,6 +169,10 @@ func (m *metrics) render(w io.Writer, env *aimes.Environment, inflight map[strin
 		func(l aimes.ShardLoad) string { return fmt.Sprintf("%g", l.PredictedCost) })
 	shardGauge("aimes_model_rel_error", "Cost model's EWMA of relative prediction error per shard.",
 		func(l aimes.ShardLoad) string { return fmt.Sprintf("%g", l.ModelError) })
+	fmt.Fprintf(w, "# HELP aimes_trace_dropped_total Trace records evicted from the shard's retention-bounded log.\n# TYPE aimes_trace_dropped_total counter\n")
+	for _, l := range loads {
+		fmt.Fprintf(w, "aimes_trace_dropped_total{shard=\"%d\"} %d\n", l.Shard, l.TraceDropped)
+	}
 
 	steal := env.StealStats()
 	fmt.Fprintf(w, "# HELP aimes_steal_migrations_total Queued jobs migrated across shards by work stealing.\n# TYPE aimes_steal_migrations_total counter\naimes_steal_migrations_total %d\n", steal.Migrations)

@@ -34,10 +34,13 @@ type Recorder struct {
 // NewRecorder returns an empty recorder.
 func NewRecorder() *Recorder { return &Recorder{} }
 
+// RecorderOf returns a recorder holding recs, which it takes ownership of.
+func RecorderOf(recs []Record) *Recorder { return &Recorder{records: recs} }
+
 // Observe registers fn to run synchronously on every appended record, in
-// registration order. Observers back live consumers of the trace — event
-// streams and aggregate (tee) recorders — and run under the same engine
-// serialization as Record itself, so they need no locking of their own.
+// registration order. Observers back live consumers of the trace (event
+// streams) and run under the same engine serialization as Record itself,
+// so they need no locking of their own.
 func (r *Recorder) Observe(fn func(Record)) {
 	r.observers = append(r.observers, fn)
 }

@@ -148,7 +148,7 @@ func TestConcurrentJobsSharedEnvironment(t *testing.T) {
 			t.Fatalf("aggregate unit entity %q not job-scoped", rec.Entity)
 		}
 	}
-	// Every shard's own trace tees into the aggregate.
+	// The aggregate is the shards' traces and nothing else.
 	total := 0
 	for k := 0; k < env.Shards(); k++ {
 		total += env.ShardRecorder(k).Len()
