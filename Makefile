@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint bench model-check scenarios scenario-matrix smoke worker-smoke worker-tcp-smoke server-smoke fleet-smoke ci
+.PHONY: build test race vet lint bench profile model-check scenarios scenario-matrix smoke worker-smoke worker-tcp-smoke server-smoke fleet-smoke ci
 
 build:
 	$(GO) build ./...
@@ -25,6 +25,21 @@ lint:
 # the bench/ program (see bench/README.md): go run ./bench -workload <name>.
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
+
+# Where the time and the allocations go: CPU and allocation profiles of the
+# paper's matrix (Table I experiments 1-4 x sizes 8..2048, the job mix of the
+# benchmark's paper-matrix workload; BenchmarkFigure2 runs it, BenchmarkTableI
+# only its 8-task column), as top-30 text tables in profile/ (git-ignored). A
+# perf change names its layer from these tables, before and after. bench/
+# itself has no profile flag.
+profile:
+	mkdir -p profile
+	$(GO) test -run '^$$' -bench 'BenchmarkFigure2$$' -benchtime 3x \
+		-o profile/aimes.test -cpuprofile profile/cpu.prof -memprofile profile/mem.prof .
+	$(GO) tool pprof -top -nodecount 30 profile/aimes.test profile/cpu.prof > profile/cpu.txt
+	$(GO) tool pprof -top -nodecount 30 -sample_index=alloc_objects profile/aimes.test profile/mem.prof > profile/alloc_objects.txt
+	$(GO) tool pprof -top -nodecount 30 -sample_index=alloc_space profile/aimes.test profile/mem.prof > profile/alloc_space.txt
+	@head -20 profile/cpu.txt
 
 # Cost-model fidelity gate: run the deterministic validation battery
 # (internal/modelcheck) and compare its prediction error against the

@@ -280,6 +280,9 @@ func (e *Execution) Enact() error {
 	}
 
 	descs := unitDescriptions(e.workload)
+	// A unit that runs straight through records seven transitions: NEW,
+	// SCHEDULING, STAGING_INPUT, AGENT_QUEUED, EXECUTING, STAGING_OUTPUT, DONE.
+	e.rec.Grow(7*len(descs) + 32)
 	e.um.OnCompletion(func() { e.finish() })
 	if err := e.um.Submit(descs); err != nil {
 		e.pm.CancelAll()

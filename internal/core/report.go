@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 	"io"
-	"sort"
+	"strings"
 	"time"
 
 	"aimes/internal/sim"
@@ -131,31 +131,30 @@ func buildReport(e *Execution) *Report {
 // every unit entity, each EXECUTING / STAGING_* record opens a span that the
 // entity's next record closes. Restarted units therefore contribute one span
 // per attempt — middleware self-introspection, not approximation.
+//
+// One engine wrote the unit records and engines fire in time order, so each
+// entity's records are already in time order: one pass that remembers every
+// entity's latest record suffices.
 func componentSpans(rec *trace.Recorder, since sim.Time) (exec, stage []trace.Span) {
-	perEntity := make(map[string][]trace.Record)
-	for _, record := range rec.Records() {
-		if record.Time < since {
-			continue
-		}
-		if len(record.Entity) < 5 || record.Entity[:5] != "unit." {
-			continue
-		}
-		perEntity[record.Entity] = append(perEntity[record.Entity], record)
+	type open struct {
+		at    sim.Time
+		state string
 	}
-	for _, records := range perEntity {
-		sort.SliceStable(records, func(i, j int) bool { return records[i].Time < records[j].Time })
-		for i, record := range records {
-			if i+1 >= len(records) {
-				continue
-			}
-			span := trace.Span{Start: record.Time, End: records[i+1].Time}
-			switch record.State {
+	last := make(map[string]open)
+	for _, record := range rec.Records() {
+		if record.Time < since || !strings.HasPrefix(record.Entity, "unit.") {
+			continue
+		}
+		if prev, ok := last[record.Entity]; ok {
+			span := trace.Span{Start: prev.at, End: record.Time}
+			switch prev.state {
 			case "EXECUTING":
 				exec = append(exec, span)
 			case "STAGING_INPUT", "STAGING_OUTPUT":
 				stage = append(stage, span)
 			}
 		}
+		last[record.Entity] = open{record.Time, record.State}
 	}
 	return exec, stage
 }

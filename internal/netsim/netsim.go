@@ -8,6 +8,7 @@ package netsim
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"aimes/internal/sim"
@@ -16,6 +17,11 @@ import (
 // Link is a shared network link with a fixed capacity. All active transfers
 // receive an equal share of the bandwidth; shares are recomputed whenever a
 // transfer starts or finishes (progressive filling with a single bottleneck).
+//
+// Every such change moves every completion time, so only the earliest
+// completion of the latest computation can ever fire. The link therefore
+// keeps one pending engine event — that completion — however many transfers
+// are active.
 type Link struct {
 	eng       sim.Engine
 	name      string
@@ -23,9 +29,19 @@ type Link struct {
 	latency   time.Duration
 	maxActive int // 0 = unlimited
 
+	// A link lives as long as its site, so a slot vacated in either queue
+	// is cleared (slices.Delete does): a stale pointer in a backing array
+	// would pin the transfer's onDone closure and, through it, the whole
+	// unit graph of a job that finished long ago.
 	active     []*Transfer
 	pending    []*Transfer
 	lastUpdate sim.Time
+
+	// next is the active transfer that finishes first at the current fair
+	// share, doneEvent its completion; both nil while nothing flows.
+	next      *Transfer
+	doneEvent *sim.Event
+	complete  func() // doneEvent's callback, built once
 
 	totalBytes     float64
 	completedCount int
@@ -40,19 +56,24 @@ func NewLink(eng sim.Engine, name string, bandwidth float64, latency time.Durati
 	if latency < 0 {
 		panic(fmt.Sprintf("netsim: link %q negative latency %v", name, latency))
 	}
-	return &Link{
+	l := &Link{
 		eng:        eng,
 		name:       name,
 		bandwidth:  bandwidth,
 		latency:    latency,
 		lastUpdate: eng.Now(),
 	}
+	l.complete = func() {
+		l.doneEvent = nil
+		l.finish(l.next)
+	}
+	return l
 }
 
 // SetMaxConcurrent bounds the number of simultaneously flowing transfers;
-// additional transfers queue FIFO. Real staging tools (GridFTP, scp fan-out)
-// run a bounded stream pool; the bound also keeps fluid-model rescheduling
-// cheap with thousands of files. Zero means unlimited.
+// additional transfers queue FIFO. It models the bounded stream pool real
+// staging tools (GridFTP, scp fan-out) run: files beyond the pool wait their
+// turn instead of thinning every stream's share. Zero means unlimited.
 func (l *Link) SetMaxConcurrent(n int) {
 	if n < 0 {
 		panic(fmt.Sprintf("netsim: negative concurrency bound %d", n))
@@ -114,7 +135,6 @@ type Transfer struct {
 	onDone    func()
 	canceled  bool
 	latEvent  *sim.Event
-	doneEvent *sim.Event
 }
 
 // Size returns the transfer payload in bytes.
@@ -156,7 +176,11 @@ func (l *Link) admit(t *Transfer) {
 func (l *Link) admitPending() {
 	for len(l.pending) > 0 && (l.maxActive == 0 || len(l.active) < l.maxActive) {
 		t := l.pending[0]
+		l.pending[0] = nil
 		l.pending = l.pending[1:]
+		if len(l.pending) == 0 {
+			l.pending = nil
+		}
 		l.admit(t)
 	}
 }
@@ -175,18 +199,14 @@ func (l *Link) Cancel(t *Transfer) bool {
 	}
 	for i, p := range l.pending {
 		if p == t {
-			l.pending = append(l.pending[:i], l.pending[i+1:]...)
+			l.pending = slices.Delete(l.pending, i, i+1)
 			return true
 		}
 	}
 	for i, a := range l.active {
 		if a == t {
 			l.settle()
-			l.active = append(l.active[:i], l.active[i+1:]...)
-			if t.doneEvent != nil {
-				l.eng.Cancel(t.doneEvent)
-				t.doneEvent = nil
-			}
+			l.active = slices.Delete(l.active, i, i+1)
 			l.reschedule()
 			l.admitPending()
 			return true
@@ -214,32 +234,35 @@ func (l *Link) settle() {
 	l.lastUpdate = now
 }
 
-// reschedule recomputes each active transfer's completion event for the new
-// fair-share rate.
+// reschedule replaces the link's completion event with that of the active
+// transfer that finishes first at the new fair-share rate — the first in
+// admission order on a tie.
 func (l *Link) reschedule() {
 	l.lastUpdate = l.eng.Now()
+	if l.doneEvent != nil {
+		l.eng.Cancel(l.doneEvent)
+		l.doneEvent = nil
+	}
+	l.next = nil
 	if len(l.active) == 0 {
 		return
 	}
 	rate := l.bandwidth / float64(len(l.active))
+	var soonest time.Duration
 	for _, t := range l.active {
-		if t.doneEvent != nil {
-			l.eng.Cancel(t.doneEvent)
-		}
 		eta := time.Duration(t.remaining / rate * float64(time.Second))
-		tt := t
-		t.doneEvent = l.eng.Schedule(eta, func() {
-			tt.doneEvent = nil
-			l.finish(tt)
-		})
+		if l.next == nil || eta < soonest {
+			l.next, soonest = t, eta
+		}
 	}
+	l.doneEvent = l.eng.Schedule(soonest, l.complete)
 }
 
 func (l *Link) finish(t *Transfer) {
 	l.settle()
 	for i, a := range l.active {
 		if a == t {
-			l.active = append(l.active[:i], l.active[i+1:]...)
+			l.active = slices.Delete(l.active, i, i+1)
 			break
 		}
 	}

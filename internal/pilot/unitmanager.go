@@ -2,6 +2,8 @@ package pilot
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 
 	"aimes/internal/netsim"
 )
@@ -20,6 +22,13 @@ type Unit struct {
 	committed bool
 
 	transfer *netsim.Transfer
+
+	// Ready-set bookkeeping (see UnitManager.ready): the unit's submission
+	// index, how many of its dependencies are not DONE yet, and the units
+	// waiting on this one.
+	index      int
+	openDeps   int
+	dependents []*Unit
 }
 
 // Name returns the unit name from its description.
@@ -154,21 +163,33 @@ func (Backfill) Name() string { return "backfill" }
 
 // Place implements Scheduler.
 func (Backfill) Place(ready []*Unit, pilots []*Pilot, committed map[*Pilot]int) []Assignment {
-	var out []Assignment
-	free := make(map[*Pilot]int, len(pilots))
+	type slot struct {
+		pilot *Pilot
+		free  int
+	}
+	var buf [8]slot
+	slots := buf[:0]
+	total := 0 // free cores over all active pilots
 	for _, p := range pilots {
 		if p.State() == PilotActive {
-			free[p] = p.desc.Cores - committed[p]
+			free := p.desc.Cores - committed[p]
+			slots = append(slots, slot{p, free})
+			if free > 0 {
+				total += free
+			}
 		}
 	}
+	var out []Assignment
 	for _, u := range ready {
-		for _, p := range pilots {
-			if p.State() != PilotActive {
-				continue
-			}
-			if free[p] >= u.desc.Cores {
-				free[p] -= u.desc.Cores
-				out = append(out, Assignment{Unit: u, Pilot: p})
+		if total <= 0 {
+			// Every unit needs at least one core: nothing further fits.
+			break
+		}
+		for i := range slots {
+			if slots[i].free >= u.desc.Cores {
+				slots[i].free -= u.desc.Cores
+				total -= u.desc.Cores
+				out = append(out, Assignment{Unit: u, Pilot: slots[i].pilot})
 				break
 			}
 		}
@@ -186,6 +207,16 @@ type UnitManager struct {
 	units     []*Unit
 	byName    map[string]*Unit
 	committed map[*Pilot]int
+
+	// ready holds, in submission order, the units in UnitScheduling with no
+	// open dependency — what the scheduler is offered. It is maintained at
+	// the transitions that change it, never rebuilt from units. Units
+	// finalized while waiting stay in it until the next place; readyStale
+	// says there are some.
+	ready      []*Unit
+	readyStale bool
+	// onPlace, when set by a test, sees the ready list of every place.
+	onPlace func(ready []*Unit)
 
 	placeQueued bool
 	doneCount   int
@@ -252,31 +283,55 @@ func (um *UnitManager) Submit(descs []UnitDescription) error {
 		if _, dup := um.byName[d.Name]; dup {
 			return fmt.Errorf("pilot: duplicate unit %q", d.Name)
 		}
-		// Input producers imply dependencies; union them with explicit Deps.
-		deps := map[string]bool{}
-		for _, dep := range d.Deps {
-			deps[dep] = true
+		deps, err := um.dependencies(d)
+		if err != nil {
+			return err
 		}
-		for _, f := range d.Inputs {
-			if f.Producer != "" {
-				deps[f.Producer] = true
+		d.Deps = deps
+		u := &Unit{desc: d, id: "unit." + d.Name, um: um, index: len(um.units)}
+		for _, dep := range deps {
+			if producer := um.byName[dep]; producer.state != UnitDone {
+				u.openDeps++
+				producer.dependents = append(producer.dependents, u)
 			}
 		}
-		d.Deps = d.Deps[:0:0]
-		for dep := range deps {
-			if _, ok := um.byName[dep]; !ok {
-				return fmt.Errorf("pilot: unit %q depends on unknown unit %q (submit producers first)", d.Name, dep)
-			}
-			d.Deps = append(d.Deps, dep)
-		}
-		u := &Unit{desc: d, id: "unit." + d.Name, um: um}
 		um.units = append(um.units, u)
 		um.byName[d.Name] = u
 		u.transition(UnitNew, "")
 		u.transition(UnitScheduling, "")
+		if u.openDeps == 0 {
+			um.ready = append(um.ready, u) // the highest index so far
+		}
 	}
 	um.schedulePlace()
 	return nil
+}
+
+// dependencies returns the units d waits for: its explicit Deps, then the
+// producers of its inputs, each once, all of which must have been submitted.
+func (um *UnitManager) dependencies(d UnitDescription) ([]string, error) {
+	names := d.Deps[:len(d.Deps):len(d.Deps)] // appending copies: d.Deps is the caller's
+	for _, f := range d.Inputs {
+		if f.Producer != "" {
+			names = append(names, f.Producer)
+		}
+	}
+	if len(names) == 0 {
+		return nil, nil
+	}
+	seen := make(map[string]bool, len(names))
+	deps := make([]string, 0, len(names))
+	for _, dep := range names {
+		if seen[dep] {
+			continue
+		}
+		if _, ok := um.byName[dep]; !ok {
+			return nil, fmt.Errorf("pilot: unit %q depends on unknown unit %q (submit producers first)", d.Name, dep)
+		}
+		seen[dep] = true
+		deps = append(deps, dep)
+	}
+	return deps, nil
 }
 
 // CancelAll cancels every non-final unit.
@@ -296,6 +351,9 @@ func (um *UnitManager) Cancel(u *Unit) {
 		u.transfer = nil
 	}
 	u.pilotCommitRelease()
+	if u.state == UnitScheduling {
+		um.readyStale = true
+	}
 	u.finalize(UnitCanceled, "")
 }
 
@@ -311,30 +369,15 @@ func (um *UnitManager) schedulePlace() {
 	})
 }
 
-// eligible returns units awaiting placement whose dependencies are done.
-func (um *UnitManager) eligible() []*Unit {
-	var out []*Unit
-	for _, u := range um.units {
-		if u.state != UnitScheduling {
-			continue
-		}
-		ok := true
-		for _, dep := range u.desc.Deps {
-			if d := um.byName[dep]; d == nil || d.state != UnitDone {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			out = append(out, u)
-		}
-	}
-	return out
-}
-
-// place runs the scheduler and enacts its assignments.
+// place runs the scheduler over the ready units and enacts its assignments.
 func (um *UnitManager) place() {
-	ready := um.eligible()
+	if um.readyStale {
+		um.compactReady()
+	}
+	ready := um.ready
+	if um.onPlace != nil {
+		um.onPlace(ready)
+	}
 	if len(ready) == 0 {
 		um.failIfOrphaned()
 		return
@@ -343,7 +386,32 @@ func (um *UnitManager) place() {
 	for _, as := range assignments {
 		um.bind(as.Unit, as.Pilot)
 	}
+	// At most len(assignments) units were bound. The schedulers assign in
+	// ready order, so they are normally the head of the list; when the head
+	// holds that many bound units, those are all of them.
+	n := 0
+	for n < len(assignments) && n < len(ready) && ready[n].state != UnitScheduling {
+		n++
+	}
+	if n == len(assignments) {
+		um.ready = ready[n:]
+	} else {
+		um.compactReady()
+	}
 	um.failIfOrphaned()
+}
+
+// compactReady drops the units that left UnitScheduling from the ready list.
+func (um *UnitManager) compactReady() {
+	um.ready = slices.DeleteFunc(um.ready, func(u *Unit) bool { return u.state != UnitScheduling })
+	um.readyStale = false
+}
+
+// makeReady puts a unit in UnitScheduling with no open dependency on the
+// ready list, at its place in submission order.
+func (um *UnitManager) makeReady(u *Unit) {
+	i := sort.Search(len(um.ready), func(i int) bool { return um.ready[i].index > u.index })
+	um.ready = slices.Insert(um.ready, i, u)
 }
 
 // bind attaches a unit to a pilot and starts input staging.
@@ -452,6 +520,7 @@ func (um *UnitManager) returnUnit(u *Unit, reason string) {
 	u.pilotCommitRelease()
 	u.pilot = nil
 	u.transition(UnitScheduling, reason)
+	um.makeReady(u) // it was bound, so its dependencies are done
 	um.schedulePlace()
 }
 
@@ -465,7 +534,13 @@ func (um *UnitManager) unitFinal(u *Unit) {
 	u.pilotCommitRelease()
 	um.doneCount++
 	if u.state == UnitDone {
-		// Dependents may have become eligible.
+		for _, d := range u.dependents {
+			d.openDeps--
+			if d.openDeps == 0 && d.state == UnitScheduling {
+				um.makeReady(d)
+			}
+		}
+		u.dependents = nil
 		um.schedulePlace()
 	}
 	if um.doneCount == len(um.units) {
@@ -487,6 +562,7 @@ func (um *UnitManager) failIfOrphaned() {
 			return
 		}
 	}
+	um.readyStale = true // every unit still on the ready list fails here
 	for _, u := range um.units {
 		if u.state == UnitScheduling || u.state == UnitStagingInput || u.state == UnitAgentQueued {
 			if u.transfer != nil && u.pilot != nil {

@@ -82,7 +82,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, tn Tenant)
 		return
 	}
 	s.logf("job %s: tenant %s submitted (state %s, shard %d)", rec.id, tn.Name, rec.job.State(), rec.job.Shard())
-	writeJSON(w, http.StatusCreated, rec.info())
+	writeJSON(w, http.StatusCreated, s.reg.info(rec))
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request, tn Tenant) {
@@ -113,7 +113,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request, tn Tenant) {
 		case <-s.stop:
 		}
 	}
-	writeJSON(w, http.StatusOK, rec.info())
+	writeJSON(w, http.StatusOK, s.reg.info(rec))
 }
 
 // parseWait accepts a Go duration ("30s") or "1"/"true" for the default.
@@ -141,7 +141,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request, tn Tenant)
 	}
 	rec.job.Cancel(reason)
 	s.logf("job %s: tenant %s canceled (%s)", rec.id, tn.Name, reason)
-	writeJSON(w, http.StatusOK, rec.info())
+	writeJSON(w, http.StatusOK, s.reg.info(rec))
 }
 
 // handleJobEvents streams one job's events as SSE: a "dropped" event for

@@ -42,6 +42,9 @@ type jobRecord struct {
 	job       *aimes.Job
 	submitted time.Time
 	fan       *fanout
+	// settled, guarded by registry.mu, says the job's end has been
+	// accounted: quota slot released, outcome counted.
+	settled bool
 }
 
 func newRegistry(env *aimes.Environment, met *metrics, replay, buf, retain int) *registry {
@@ -165,16 +168,25 @@ func (r *registry) submit(tn Tenant, req *client.SubmitRequest) (*jobRecord, err
 			})
 		}
 		<-j.Done()
-		r.finish(rec)
+		// The terminal snapshot goes out after the last event, with the
+		// job's accounts settled if no handler did so first.
+		rec.fan.finish(r.info(rec))
 	}()
 	return rec, nil
 }
 
-// finish moves rec from live to finished, publishes the terminal snapshot
-// to its fanout, bumps counters and trims retention.
-func (r *registry) finish(rec *jobRecord) {
-	info := rec.info()
+// settle accounts for rec's end exactly once: it releases the tenant's quota
+// slot, bumps the outcome counters and trims retention. The drainer runs it
+// when the event stream closes, but a client learns of the end from whichever
+// handler first reports a final state, and may act on it at once — resubmit
+// under MaxInFlight 1, read /metrics — so that handler settles first (info).
+func (r *registry) settle(rec *jobRecord) {
 	r.mu.Lock()
+	defer r.mu.Unlock()
+	if rec.settled {
+		return
+	}
+	rec.settled = true
 	live := r.live[rec.tenant]
 	for i, lr := range live {
 		if lr == rec {
@@ -187,8 +199,17 @@ func (r *registry) finish(rec *jobRecord) {
 	}
 	r.met.finished(rec.tenant, rec.job.State(), rec.job.EventsDropped())
 	r.trimLocked()
-	r.mu.Unlock()
-	rec.fan.finish(info)
+}
+
+// info snapshots rec for a response or the terminal SSE event. A snapshot
+// that says the job is over is never handed out before the job's accounts
+// are settled.
+func (r *registry) info(rec *jobRecord) client.JobInfo {
+	info := rec.info()
+	if info.Final {
+		r.settle(rec)
+	}
+	return info
 }
 
 // trimLocked evicts the oldest finished jobs beyond the retention bound.
@@ -234,7 +255,7 @@ func (r *registry) list(tn Tenant) []client.JobInfo {
 	r.mu.Unlock()
 	out := make([]client.JobInfo, len(recs))
 	for i, rec := range recs {
-		out[i] = rec.info()
+		out[i] = r.info(rec)
 	}
 	return out
 }

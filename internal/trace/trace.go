@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
@@ -52,6 +53,12 @@ func (r *Recorder) Record(t sim.Time, entity, state, detail string) {
 	for _, fn := range r.observers {
 		fn(rec)
 	}
+}
+
+// Grow makes room for n more records, so a writer that knows how many it is
+// about to append pays for one allocation instead of repeated doubling.
+func (r *Recorder) Grow(n int) {
+	r.records = slices.Grow(r.records, n)
 }
 
 // Len reports the number of records.

@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"net/http/httptest"
 	"reflect"
 	"strings"
@@ -367,6 +368,56 @@ func TestServerQuotaAndMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	alice.Wait(ctx, a3.ID)
+}
+
+// TestServerResubmitAfterWait is the regression test for accounting that
+// trailed the answer: Wait returned as soon as the job was done, but the
+// tenant's quota slot and counters were released later, by the registry's
+// drainer goroutine, so a client that resubmitted at once could be refused
+// on its own finished job. Whoever reports the end now settles it first.
+func TestServerResubmitAfterWait(t *testing.T) {
+	env, err := aimes.NewEnv(aimes.WithSeed(20260928))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, hs := testDaemon(t, env, map[string]server.Tenant{
+		"token": {Name: "solo", Quota: server.Quota{MaxInFlight: 1}},
+	})
+	c := client.New(hs.URL, "token")
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	w, err := aimes.GenerateWorkload(aimes.BagOfTasks(8, aimes.UniformDuration()), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := aimes.StrategyConfig{Binding: aimes.LateBinding, Scheduler: aimes.SchedBackfill, Pilots: 2}
+
+	const rounds = 200
+	for i := 1; i <= rounds; i++ {
+		info, err := c.Submit(ctx, w, client.SubmitOptions{Config: cfg})
+		if err != nil {
+			t.Fatalf("submission %d, right after the previous job's Wait returned: %v", i, err)
+		}
+		if _, err := c.Wait(ctx, info.ID); err != nil {
+			t.Fatalf("wait %d: %v", i, err)
+		}
+		if i%20 != 0 {
+			continue
+		}
+		metrics, err := c.Metrics(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range []string{
+			fmt.Sprintf(`aimes_jobs_completed_total{tenant="solo"} %d`, i),
+			`aimes_jobs_inflight{tenant="solo"} 0`,
+			`aimes_jobs_rejected_total{tenant="solo"} 0`,
+		} {
+			if !strings.Contains(metrics, want) {
+				t.Fatalf("/metrics read right after Wait %d misses %q\n%s", i, want, metrics)
+			}
+		}
+	}
 }
 
 // TestServerReattach covers the disconnect/reconnect contract: a client
