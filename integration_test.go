@@ -277,29 +277,33 @@ func TestRealTimePilotExecution(t *testing.T) {
 	sys := pilot.NewSystem(eng, sess, links, trace.NewRecorder(), cfg, nil)
 	pm := pilot.NewPilotManager(sys)
 	um := pilot.NewUnitManager(sys, pilot.Backfill{})
-	p, err := pm.Submit(pilot.PilotDescription{
-		Resource: "localhost", Cores: 2, Walltime: time.Minute,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	um.AddPilot(p)
 	done := make(chan struct{})
-	um.OnCompletion(func() {
-		pm.CancelAll()
-		close(done)
-	})
-	descs := make([]pilot.UnitDescription, 6)
-	for i := range descs {
-		descs[i] = pilot.UnitDescription{
-			Name:     string(rune('a' + i)),
-			Cores:    1,
-			Duration: 5 * time.Millisecond,
+	// The pilot layer keeps its state lock-free; on the wall-clock engine its
+	// entry points run serialized with the timer callbacks.
+	eng.Sync(func() {
+		p, err := pm.Submit(pilot.PilotDescription{
+			Resource: "localhost", Cores: 2, Walltime: time.Minute,
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if err := um.Submit(descs); err != nil {
-		t.Fatal(err)
-	}
+		um.AddPilot(p)
+		um.OnCompletion(func() {
+			pm.CancelAll()
+			close(done)
+		})
+		descs := make([]pilot.UnitDescription, 6)
+		for i := range descs {
+			descs[i] = pilot.UnitDescription{
+				Name:     string(rune('a' + i)),
+				Cores:    1,
+				Duration: 5 * time.Millisecond,
+			}
+		}
+		if err := um.Submit(descs); err != nil {
+			t.Fatal(err)
+		}
+	})
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):

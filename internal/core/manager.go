@@ -359,11 +359,19 @@ func (m *Manager) ExecuteAndWait(w *skeleton.Workload, s Strategy) (*Report, err
 // unitDescriptions converts skeleton tasks to compute-unit descriptions.
 func unitDescriptions(w *skeleton.Workload) []pilot.UnitDescription {
 	descs := make([]pilot.UnitDescription, 0, len(w.Tasks))
+	files := 0
 	for _, t := range w.Tasks {
-		inputs := make([]pilot.InputFile, 0, len(t.Inputs))
+		files += len(t.Inputs)
+	}
+	// Every unit's inputs are carved from one slab; the capped slices keep
+	// an append to one unit's list out of the next unit's.
+	slab := make([]pilot.InputFile, 0, files)
+	for _, t := range w.Tasks {
+		first := len(slab)
 		for _, f := range t.Inputs {
-			inputs = append(inputs, pilot.InputFile{Bytes: f.Bytes, Producer: f.Producer})
+			slab = append(slab, pilot.InputFile{Bytes: f.Bytes, Producer: f.Producer})
 		}
+		inputs := slab[first:len(slab):len(slab)]
 		descs = append(descs, pilot.UnitDescription{
 			Name:        t.ID,
 			Cores:       t.Cores,

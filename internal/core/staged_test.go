@@ -183,3 +183,28 @@ func TestStagedVersusIntegratedLocality(t *testing.T) {
 		t.Fatalf("integrated Ts %v not below staged Ts %v (locality lost)", rInt.Ts, rStaged.Ts)
 	}
 }
+
+// TestUnitDescriptionsCarveInputsFromOneSlab: every unit gets exactly its
+// task's inputs, and growing one unit's list cannot reach into the next
+// unit's, although they share an array.
+func TestUnitDescriptionsCarveInputsFromOneSlab(t *testing.T) {
+	w, err := skeleton.Generate(stagedApp(), 85)
+	if err != nil {
+		t.Fatal(err)
+	}
+	descs := unitDescriptions(w)
+	for i, task := range w.Tasks {
+		in := descs[i].Inputs
+		if len(in) != len(task.Inputs) || cap(in) != len(in) {
+			t.Fatalf("unit %s: %d inputs with capacity %d, task has %d", task.ID, len(in), cap(in), len(task.Inputs))
+		}
+		for k, f := range task.Inputs {
+			if in[k].Bytes != f.Bytes || in[k].Producer != f.Producer {
+				t.Fatalf("unit %s input %d = %+v, task has %+v", task.ID, k, in[k], f)
+			}
+		}
+	}
+	if a := testing.AllocsPerRun(10, func() { unitDescriptions(w) }); a != 2 {
+		t.Errorf("unitDescriptions allocates %.0f objects for %d tasks, want 2 (the units and the slab)", a, len(w.Tasks))
+	}
+}

@@ -31,17 +31,16 @@ type Link struct {
 
 	// A link lives as long as its site, so a slot vacated in either queue
 	// is cleared (slices.Delete does): a stale pointer in a backing array
-	// would pin the transfer's onDone closure and, through it, the whole
-	// unit graph of a job that finished long ago.
+	// would pin the transfer's done handler — a unit — and, through it, the
+	// whole unit graph of a job that finished long ago.
 	active     []*Transfer
 	pending    []*Transfer
 	lastUpdate sim.Time
 
 	// next is the active transfer that finishes first at the current fair
-	// share, doneEvent its completion; both nil while nothing flows.
+	// share (nil while nothing flows), doneEvent its completion.
 	next      *Transfer
-	doneEvent *sim.Event
-	complete  func() // doneEvent's callback, built once
+	doneEvent sim.Event
 
 	totalBytes     float64
 	completedCount int
@@ -63,10 +62,7 @@ func NewLink(eng sim.Engine, name string, bandwidth float64, latency time.Durati
 		latency:    latency,
 		lastUpdate: eng.Now(),
 	}
-	l.complete = func() {
-		l.doneEvent = nil
-		l.finish(l.next)
-	}
+	l.doneEvent.Init(sim.Func(func() { l.finish(l.next) }))
 	return l
 }
 
@@ -132,9 +128,9 @@ type Transfer struct {
 	remaining float64
 	started   sim.Time
 	ended     sim.Time
-	onDone    func()
+	done      sim.Handler // fired when the last byte arrives; may be nil
 	canceled  bool
-	latEvent  *sim.Event
+	latEvent  sim.Event // the link latency elapsing; its handler is the transfer
 }
 
 // Size returns the transfer payload in bytes.
@@ -149,19 +145,35 @@ func (t *Transfer) Ended() sim.Time { return t.ended }
 // Start begins a transfer of size bytes. onDone fires when the last byte
 // arrives. Zero-size transfers still pay the link latency.
 func (l *Link) Start(size int64, onDone func()) *Transfer {
+	if onDone == nil {
+		return l.StartFor(size, nil)
+	}
+	return l.StartFor(size, sim.Func(onDone))
+}
+
+// StartFor is Start for a caller that starts transfers by the thousand: done
+// is a handler it already has, where Start would need a closure per transfer.
+func (l *Link) StartFor(size int64, done sim.Handler) *Transfer {
 	if size < 0 {
 		panic(fmt.Sprintf("netsim: negative transfer size %d", size))
 	}
-	t := &Transfer{link: l, size: size, remaining: float64(size), onDone: onDone}
-	t.latEvent = l.eng.Schedule(l.latency, func() {
-		t.latEvent = nil
-		if l.maxActive > 0 && len(l.active) >= l.maxActive {
-			l.pending = append(l.pending, t)
-			return
-		}
-		l.admit(t)
-	})
+	t := &Transfer{link: l, size: size, remaining: float64(size), done: done}
+	t.latEvent.Init((*arrival)(t))
+	l.eng.Arm(&t.latEvent, l.latency)
 	return t
+}
+
+// arrival is a Transfer as the handler of its latency event.
+type arrival Transfer
+
+func (a *arrival) Fire() {
+	t := (*Transfer)(a)
+	l := t.link
+	if l.maxActive > 0 && len(l.active) >= l.maxActive {
+		l.pending = append(l.pending, t)
+		return
+	}
+	l.admit(t)
 }
 
 // admit starts moving a transfer's bytes.
@@ -192,9 +204,7 @@ func (l *Link) Cancel(t *Transfer) bool {
 		return false
 	}
 	t.canceled = true
-	if t.latEvent != nil {
-		l.eng.Cancel(t.latEvent)
-		t.latEvent = nil
+	if l.eng.Cancel(&t.latEvent) {
 		return true
 	}
 	for i, p := range l.pending {
@@ -239,10 +249,7 @@ func (l *Link) settle() {
 // admission order on a tie.
 func (l *Link) reschedule() {
 	l.lastUpdate = l.eng.Now()
-	if l.doneEvent != nil {
-		l.eng.Cancel(l.doneEvent)
-		l.doneEvent = nil
-	}
+	l.eng.Cancel(&l.doneEvent)
 	l.next = nil
 	if len(l.active) == 0 {
 		return
@@ -255,7 +262,7 @@ func (l *Link) reschedule() {
 			l.next, soonest = t, eta
 		}
 	}
-	l.doneEvent = l.eng.Schedule(soonest, l.complete)
+	l.eng.Arm(&l.doneEvent, soonest)
 }
 
 func (l *Link) finish(t *Transfer) {
@@ -272,8 +279,8 @@ func (l *Link) finish(t *Transfer) {
 	l.completedCount++
 	l.reschedule()
 	l.admitPending()
-	if t.onDone != nil {
-		t.onDone()
+	if t.done != nil {
+		t.done.Fire()
 	}
 }
 

@@ -19,20 +19,19 @@ type agent struct {
 	cores int
 	used  int
 
-	backlog     []*Unit
-	dispatching bool
-	dispatchEv  *sim.Event
-	execEvents  map[*Unit]*sim.Event
-	down        bool
+	backlog []*Unit // backlog[head:] is the unit queue, oldest first
+	head    int
+
+	dispatchEv sim.Event
+	next       *Unit // what dispatchEv will launch; nil while the dispatcher is idle
+
+	running []*Unit // executing units, at their Unit.execSlot
+	down    bool
 }
 
 func newAgent(sys *System, p *Pilot) *agent {
-	a := &agent{
-		sys:        sys,
-		pilot:      p,
-		cores:      p.desc.Cores,
-		execEvents: make(map[*Unit]*sim.Event),
-	}
+	a := &agent{sys: sys, pilot: p, cores: p.desc.Cores}
+	a.dispatchEv.Init(sim.Func(a.dispatch))
 	return a
 }
 
@@ -43,43 +42,50 @@ func (a *agent) enqueue(u *Unit) {
 	if a.down {
 		return
 	}
+	if a.head > len(a.backlog)/2 { // mostly vacated, or drained: slide the queue down
+		n := copy(a.backlog, a.backlog[a.head:])
+		clear(a.backlog[n:])
+		a.backlog, a.head = a.backlog[:n], 0
+	}
 	a.backlog = append(a.backlog, u)
 	a.kick()
 }
 
 // kick starts the dispatcher if idle.
 func (a *agent) kick() {
-	if a.down || a.dispatching {
+	if a.down || a.next != nil {
 		return
 	}
-	u := a.pickNext()
-	if u == nil {
-		return
+	if a.next = a.pickNext(); a.next != nil {
+		a.sys.eng.Arm(&a.dispatchEv, a.sys.cfg.AgentDispatchOverhead)
 	}
-	a.dispatching = true
-	a.dispatchEv = a.sys.eng.Schedule(a.sys.cfg.AgentDispatchOverhead, func() {
-		a.dispatchEv = nil
-		a.dispatching = false
-		if a.down || u.state != UnitAgentQueued {
-			a.kick()
-			return
-		}
-		a.launch(u)
-		a.kick()
-	})
 }
 
-// pickNext removes and returns the first backlog unit that fits the free
-// cores (in-agent backfill over the unit queue).
+// dispatch is dispatchEv firing: the unit launches unless it left the queue.
+func (a *agent) dispatch() {
+	u := a.next
+	a.next = nil
+	if !a.down && u.state == UnitAgentQueued {
+		a.launch(u)
+	}
+	a.kick()
+}
+
+// pickNext removes and returns the first queued unit that fits the free
+// cores (in-agent backfill over the unit queue), dropping entries that left
+// UnitAgentQueued — canceled, or rescheduled elsewhere — as it passes them.
+// Units that do not fit keep their place; taking the head is O(1).
 func (a *agent) pickNext() *Unit {
-	for i, u := range a.backlog {
-		if u.state != UnitAgentQueued {
-			// Canceled or rescheduled elsewhere; drop lazily.
-			a.backlog = append(a.backlog[:i], a.backlog[i+1:]...)
-			return a.pickNext()
+	q, free := a.backlog, a.freeCores()
+	for i := a.head; i < len(q); i++ {
+		u := q[i]
+		if u.state == UnitAgentQueued && u.desc.Cores > free {
+			continue
 		}
-		if u.desc.Cores <= a.freeCores() {
-			a.backlog = append(a.backlog[:i], a.backlog[i+1:]...)
+		copy(q[a.head+1:i+1], q[a.head:i])
+		q[a.head] = nil
+		a.head++
+		if u.state == UnitAgentQueued {
 			return u
 		}
 	}
@@ -100,17 +106,29 @@ func (a *agent) launch(u *Unit) {
 			fails = true
 		}
 	}
-	unit := u
-	a.execEvents[u] = a.sys.eng.Schedule(duration, func() {
-		delete(a.execEvents, unit)
-		a.used -= unit.desc.Cores
-		if fails {
-			a.failed(unit)
-		} else {
-			a.completed(unit)
-		}
-		a.kick()
-	})
+	u.execFails, u.execSlot = fails, len(a.running)
+	a.running = append(a.running, u)
+	a.sys.eng.Arm(&u.execEv, duration)
+}
+
+// execution is a Unit as the handler of its execution event.
+type execution Unit
+
+func (x *execution) Fire() {
+	u := (*Unit)(x)
+	a := u.pilot.agent
+	last := len(a.running) - 1
+	a.running[u.execSlot] = a.running[last]
+	a.running[u.execSlot].execSlot = u.execSlot
+	a.running[last] = nil
+	a.running = a.running[:last]
+	a.used -= u.desc.Cores
+	if u.execFails {
+		a.failed(u)
+	} else {
+		a.completed(u)
+	}
+	a.kick()
 }
 
 // completed moves a unit to output staging after successful execution.
@@ -147,26 +165,24 @@ func (a *agent) shutdown(cause string) {
 		return
 	}
 	a.down = true
-	if a.dispatchEv != nil {
-		a.sys.eng.Cancel(a.dispatchEv)
-		a.dispatchEv = nil
-		a.dispatching = false
-	}
-	var victims []*Unit
-	for u, ev := range a.execEvents {
-		a.sys.eng.Cancel(ev)
+	// The unit the dispatcher held is in neither list below: it stays bound
+	// and UnitManager.reclaimBound picks it up when the pilot goes final.
+	a.sys.eng.Cancel(&a.dispatchEv)
+	a.next = nil
+	victims := a.running
+	a.running = nil
+	for _, u := range victims {
+		a.sys.eng.Cancel(&u.execEv)
 		a.used -= u.desc.Cores
-		victims = append(victims, u)
 	}
-	// Map iteration order is randomized; sort for deterministic replay.
+	// running is in no meaningful order; sort for deterministic replay.
 	sort.Slice(victims, func(i, j int) bool { return victims[i].id < victims[j].id })
-	a.execEvents = make(map[*Unit]*sim.Event)
-	for _, u := range a.backlog {
+	for _, u := range a.backlog[a.head:] {
 		if u.state == UnitAgentQueued {
 			victims = append(victims, u)
 		}
 	}
-	a.backlog = nil
+	a.backlog, a.head = nil, 0
 	for _, u := range victims {
 		u.um.returnUnit(u, "pilot "+a.pilot.id+" "+cause)
 	}

@@ -39,6 +39,10 @@ type LinkResolver func(resource string) *netsim.Link
 
 // System bundles the shared dependencies of pilot and unit managers: the
 // engine, the SAGA session, staging links, instrumentation and RNG.
+//
+// Their state is lock-free and the events they own panic if armed twice: on a
+// RealTime engine, calls into a PilotManager or UnitManager from outside an
+// engine callback must run under sim.Locked (RealTime.Sync).
 type System struct {
 	eng     sim.Engine
 	session *saga.Session

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 
 	"aimes/internal/netsim"
+	"aimes/internal/sim"
 )
 
 // Unit is one compute unit under management.
@@ -22,6 +24,12 @@ type Unit struct {
 	committed bool
 
 	transfer *netsim.Transfer
+
+	// The unit's run on its pilot's agent: the event that ends it, whether
+	// it ends in an injected failure, and the unit's index in agent.running.
+	execEv    sim.Event
+	execFails bool
+	execSlot  int
 
 	// Ready-set bookkeeping (see UnitManager.ready): the unit's submission
 	// index, how many of its dependencies are not DONE yet, and the units
@@ -72,12 +80,24 @@ func (u *Unit) stageOutput() {
 		return
 	}
 	link := u.um.sys.links(u.pilot.desc.Resource)
-	u.transition(UnitStagingOutput, fmt.Sprintf("%d bytes", u.desc.OutputBytes))
-	unit := u
-	u.transfer = link.Start(u.desc.OutputBytes, func() {
-		unit.transfer = nil
-		unit.finalize(UnitDone, "")
-	})
+	var buf [32]byte
+	detail := append(strconv.AppendInt(buf[:0], u.desc.OutputBytes, 10), " bytes"...)
+	u.transition(UnitStagingOutput, string(detail))
+	u.transfer = link.StartFor(u.desc.OutputBytes, (*staging)(u))
+}
+
+// staging is a Unit as the handler of its staging transfer's last byte;
+// which way the data went is in the unit's state.
+type staging Unit
+
+func (s *staging) Fire() {
+	u := (*Unit)(s)
+	u.transfer = nil
+	if u.state == UnitStagingOutput {
+		u.finalize(UnitDone, "")
+		return
+	}
+	u.um.staged(u)
 }
 
 // Scheduler places eligible units onto pilots. Implementations must not
@@ -218,6 +238,7 @@ type UnitManager struct {
 	// onPlace, when set by a test, sees the ready list of every place.
 	onPlace func(ready []*Unit)
 
+	placeEv     sim.Event // the coalesced place, due now while placeQueued
 	placeQueued bool
 	doneCount   int
 	onDone      []func()
@@ -225,12 +246,17 @@ type UnitManager struct {
 
 // NewUnitManager creates a unit manager with the given scheduler.
 func NewUnitManager(sys *System, sched Scheduler) *UnitManager {
-	return &UnitManager{
+	um := &UnitManager{
 		sys:       sys,
 		scheduler: sched,
 		byName:    make(map[string]*Unit),
 		committed: make(map[*Pilot]int),
 	}
+	um.placeEv.Init(sim.Func(func() {
+		um.placeQueued = false
+		um.place()
+	}))
+	return um
 }
 
 // Scheduler returns the active unit scheduler.
@@ -289,6 +315,7 @@ func (um *UnitManager) Submit(descs []UnitDescription) error {
 		}
 		d.Deps = deps
 		u := &Unit{desc: d, id: "unit." + d.Name, um: um, index: len(um.units)}
+		u.execEv.Init((*execution)(u))
 		for _, dep := range deps {
 			if producer := um.byName[dep]; producer.state != UnitDone {
 				u.openDeps++
@@ -363,10 +390,7 @@ func (um *UnitManager) schedulePlace() {
 		return
 	}
 	um.placeQueued = true
-	um.sys.eng.Schedule(0, func() {
-		um.placeQueued = false
-		um.place()
-	})
+	um.sys.eng.Arm(&um.placeEv, 0)
 }
 
 // place runs the scheduler over the ready units and enacts its assignments.
@@ -424,17 +448,15 @@ func (um *UnitManager) bind(u *Unit, p *Pilot) {
 	um.committed[p] += u.desc.Cores
 
 	bytes := um.stageInBytes(u, p)
-	u.transition(UnitStagingInput, fmt.Sprintf("%s, %d bytes", p.id, bytes))
+	var buf [96]byte
+	detail := append(append(buf[:0], p.id...), ", "...)
+	detail = append(strconv.AppendInt(detail, bytes, 10), " bytes"...)
+	u.transition(UnitStagingInput, string(detail))
 	if bytes <= 0 {
 		um.staged(u)
 		return
 	}
-	link := um.sys.links(p.desc.Resource)
-	unit := u
-	u.transfer = link.Start(bytes, func() {
-		unit.transfer = nil
-		um.staged(unit)
-	})
+	u.transfer = um.sys.links(p.desc.Resource).StartFor(bytes, (*staging)(u))
 }
 
 // stageInBytes computes the payload that must cross the WAN for a unit bound

@@ -9,7 +9,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"runtime"
@@ -48,20 +47,46 @@ func (t Time) String() string {
 // Forever is a Time beyond any reachable simulation horizon.
 const Forever = Time(math.MaxInt64)
 
-// Event is a scheduled callback. It can be canceled before it fires.
+// Handler is what an event runs when it fires. The struct that owns the event
+// implements it, so the owner rides in the event without a closure.
+type Handler interface {
+	Fire()
+}
+
+// Func adapts a function to Handler. A func value is pointer-shaped, so the
+// conversion allocates nothing.
+type Func func()
+
+// Fire calls f.
+func (f Func) Fire() { f() }
+
+// Event is a callback an Engine fires at a point in time. It can be canceled
+// before it fires.
+//
+// Schedule and At allocate one per call, which is fine for a handful of events
+// per job. A component that arms an event per unit of work embeds the Event in
+// the struct its callback touches, gives it a Handler once with Init, and
+// queues it with Engine.Arm: that allocates nothing. An event is re-armed only
+// once it has fired or been canceled, and its holder must not be copied while
+// it is pending — the queue keeps a pointer to it.
 type Event struct {
-	when     Time
-	seq      uint64
-	index    int // heap index, -1 when not queued
-	fn       func()
+	when Time
+	seq  uint64
+	// slot is where Sim queued the event: i+1 at heap[i], -(i+1) at lane[i],
+	// 0 when it is not queued (so the zero Event is idle).
+	slot     int
+	h        Handler
 	canceled bool
 }
+
+// Init fixes what the event runs when it fires; its owner calls it once.
+func (e *Event) Init(h Handler) { e.h = h }
 
 // When reports the virtual time at which the event fires (or would have
 // fired, if canceled).
 func (e *Event) When() Time { return e.when }
 
-// Canceled reports whether Cancel was called on the event.
+// Canceled reports whether the event was canceled since it was last armed.
 func (e *Event) Canceled() bool { return e.canceled }
 
 // Engine schedules callbacks in (virtual or real) time. Implementations
@@ -77,6 +102,10 @@ type Engine interface {
 	// At arranges for fn to run at the absolute time t. If t is in the past
 	// it runs as soon as possible.
 	At(t Time, fn func()) *Event
+	// Arm queues ev, which the caller owns and has given a Handler with
+	// Init, to fire at delay from Now, ordered exactly as Schedule would
+	// order it. It panics if ev is still pending.
+	Arm(ev *Event, delay time.Duration)
 	// Cancel prevents a pending event from firing. Canceling a fired or
 	// already-canceled event is a no-op. Cancel reports whether the event was
 	// pending.
@@ -115,45 +144,26 @@ type Quiescer interface {
 	Runnable() bool
 }
 
-// eventQueue is a min-heap ordered by (when, seq).
-type eventQueue []*Event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].when != q[j].when {
-		return q[i].when < q[j].when
-	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-func (q *eventQueue) Push(x any) {
-	ev := x.(*Event)
-	ev.index = len(*q)
-	*q = append(*q, ev)
-}
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*q = old[:n-1]
-	return ev
-}
-
 // Sim is the deterministic discrete-event Engine. It is not safe for
 // concurrent use: a single goroutine owns a Sim, and all scheduled callbacks
 // run on that goroutine inside Run/Step.
+//
+// Events fire in (when, seq) order, seq being the order they were armed in;
+// the queue's two parts together keep that one order. Events armed for a later
+// time sit in heap, a binary min-heap on (when, seq). Events armed for the
+// current instant — zero-delay continuations, a large share of all events — go
+// to lane, a FIFO: such an event has the highest seq so far, so it fires after
+// the heap's events due now and before any later one. The clock moves only
+// when a heap event fires with the lane empty, so every lane event is due now.
 type Sim struct {
-	now     Time
-	queue   eventQueue
-	seq     uint64
-	fired   uint64
-	running bool
+	now      Time
+	heap     []*Event
+	lane     []*Event // lane[laneHead:] is live; a canceled slot holds nil
+	laneHead int
+	pending  int
+	seq      uint64
+	fired    uint64
+	running  bool
 }
 
 // NewSim returns an empty simulation positioned at the epoch.
@@ -170,25 +180,14 @@ var (
 func (s *Sim) Now() Time { return s.now }
 
 // Pending reports the number of queued (not yet fired, not canceled) events.
-func (s *Sim) Pending() int {
-	n := 0
-	for _, ev := range s.queue {
-		if !ev.canceled {
-			n++
-		}
-	}
-	return n
-}
+func (s *Sim) Pending() int { return s.pending }
 
 // Fired reports the number of callbacks executed so far.
 func (s *Sim) Fired() uint64 { return s.fired }
 
 // Schedule implements Engine.
 func (s *Sim) Schedule(delay time.Duration, fn func()) *Event {
-	if delay < 0 {
-		delay = 0
-	}
-	return s.At(s.now.Add(delay), fn)
+	return s.At(s.now.Add(delay), fn) // armAt clamps a negative delay to now
 }
 
 // At implements Engine.
@@ -196,13 +195,38 @@ func (s *Sim) At(t Time, fn func()) *Event {
 	if fn == nil {
 		panic("sim: At called with nil callback")
 	}
+	ev := &Event{h: Func(fn)}
+	s.armAt(ev, t)
+	return ev
+}
+
+// Arm implements Engine.
+func (s *Sim) Arm(ev *Event, delay time.Duration) { s.armAt(ev, s.now.Add(delay)) }
+
+// armAt is the one way into the queue.
+func (s *Sim) armAt(ev *Event, t Time) {
+	if ev.h == nil {
+		panic("sim: event armed before Init gave it a handler")
+	}
+	if ev.slot != 0 {
+		panic("sim: event armed while still pending")
+	}
 	if t < s.now {
 		t = s.now
 	}
-	ev := &Event{when: t, seq: s.seq, fn: fn, index: -1}
+	ev.when, ev.seq, ev.canceled = t, s.seq, false
 	s.seq++
-	heap.Push(&s.queue, ev)
-	return ev
+	s.pending++
+	if t == s.now {
+		if s.laneHead == len(s.lane) { // drained: start over in the same array
+			s.lane, s.laneHead = s.lane[:0], 0
+		}
+		s.lane = append(s.lane, ev)
+		ev.slot = -len(s.lane)
+		return
+	}
+	s.heap = append(s.heap, ev)
+	s.up(len(s.heap) - 1)
 }
 
 // Cancel implements Engine.
@@ -211,35 +235,60 @@ func (s *Sim) Cancel(ev *Event) bool {
 		return false
 	}
 	ev.canceled = true
-	if ev.index >= 0 {
-		heap.Remove(&s.queue, ev.index)
-		ev.index = -1
-		return true
+	switch {
+	case ev.slot > 0:
+		s.remove(ev.slot - 1)
+	case ev.slot < 0:
+		s.lane[-ev.slot-1] = nil
+	default:
+		return false // already fired
 	}
-	return false
+	ev.slot = 0
+	s.pending--
+	return true
+}
+
+// head returns the event Step would fire, nil if there is none.
+func (s *Sim) head() *Event {
+	for s.laneHead < len(s.lane) && s.lane[s.laneHead] == nil {
+		s.laneHead++ // canceled
+	}
+	laneEmpty := s.laneHead == len(s.lane)
+	if len(s.heap) > 0 && (laneEmpty || s.heap[0].when <= s.now) {
+		return s.heap[0]
+	}
+	if laneEmpty {
+		return nil
+	}
+	return s.lane[s.laneHead]
 }
 
 // Step fires the single earliest pending event. It reports false when the
 // queue is empty.
 func (s *Sim) Step() bool {
-	for len(s.queue) > 0 {
-		ev := heap.Pop(&s.queue).(*Event)
-		if ev.canceled {
-			continue
-		}
-		if ev.when > s.now {
-			s.now = ev.when
-		}
-		s.fired++
-		ev.fn()
-		return true
+	ev := s.head()
+	if ev == nil {
+		return false
 	}
-	return false
+	if ev.slot > 0 {
+		s.remove(0)
+	} else {
+		s.lane[s.laneHead] = nil
+		s.laneHead++
+	}
+	ev.slot = 0
+	s.pending--
+	if ev.when > s.now {
+		s.now = ev.when
+	}
+	s.fired++
+	ev.h.Fire()
+	return true
 }
 
 // Runnable implements Quiescer: it reports whether a Step would fire an
-// event, discarding canceled queue heads but firing nothing.
-func (s *Sim) Runnable() bool { return s.peek() != nil }
+// event, firing nothing.
+func (s *Sim) Runnable() bool { return s.pending > 0 }
 
 // StepN implements BatchStepper: it fires up to n pending events and reports
 // how many fired. A return below n means the queue drained.
@@ -260,37 +309,15 @@ func (s *Sim) Run() Time {
 	return s.now
 }
 
-// RunUntil fires events up to and including time limit. Events scheduled
-// after limit stay queued; the clock is left at min(limit, last fired event).
+// RunUntil fires every event due at or before limit and returns the clock,
+// which stays at the last event fired: it does not jump to limit.
 func (s *Sim) RunUntil(limit Time) Time {
 	s.runGuard()
 	defer func() { s.running = false }()
-	for len(s.queue) > 0 {
-		next := s.peek()
-		if next == nil {
-			break
-		}
-		if next.when > limit {
-			break
-		}
+	for next := s.head(); next != nil && next.when <= limit; next = s.head() {
 		s.Step()
 	}
-	if s.now < limit && len(s.queue) == 0 {
-		// Clock does not advance past the last event when idle.
-		return s.now
-	}
 	return s.now
-}
-
-func (s *Sim) peek() *Event {
-	for len(s.queue) > 0 {
-		if s.queue[0].canceled {
-			heap.Pop(&s.queue)
-			continue
-		}
-		return s.queue[0]
-	}
-	return nil
 }
 
 func (s *Sim) runGuard() {
@@ -298,6 +325,65 @@ func (s *Sim) runGuard() {
 		panic("sim: Run called reentrantly from a callback")
 	}
 	s.running = true
+}
+
+// before is the firing order: earlier time first, arming order on a tie.
+func before(a, b *Event) bool {
+	return a.when < b.when || (a.when == b.when && a.seq < b.seq)
+}
+
+// up moves heap[i] toward the root until its parent fires before it.
+func (s *Sim) up(i int) {
+	ev := s.heap[i]
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !before(ev, s.heap[parent]) {
+			break
+		}
+		s.heap[i] = s.heap[parent]
+		s.heap[i].slot = i + 1
+		i = parent
+	}
+	s.heap[i] = ev
+	ev.slot = i + 1
+}
+
+// down moves heap[i] toward the leaves until it fires before both children.
+func (s *Sim) down(i int) {
+	ev, n := s.heap[i], len(s.heap)
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n && before(s.heap[r], s.heap[child]) {
+			child = r
+		}
+		if !before(s.heap[child], ev) {
+			break
+		}
+		s.heap[i] = s.heap[child]
+		s.heap[i].slot = i + 1
+		i = child
+	}
+	s.heap[i] = ev
+	ev.slot = i + 1
+}
+
+// remove takes heap[i] out of the heap; the caller clears its slot.
+func (s *Sim) remove(i int) {
+	n := len(s.heap) - 1
+	last := s.heap[n]
+	s.heap[n] = nil
+	s.heap = s.heap[:n]
+	if i == n {
+		return
+	}
+	s.heap[i] = last
+	s.down(i)
+	if last.slot == i+1 {
+		s.up(i)
+	}
 }
 
 // RealTime is an Engine that schedules callbacks on wall-clock timers.
@@ -335,15 +421,29 @@ func (r *RealTime) Schedule(delay time.Duration, fn func()) *Event {
 	if fn == nil {
 		panic("sim: Schedule called with nil callback")
 	}
+	ev := &Event{h: Func(fn)}
+	r.Arm(ev, delay)
+	return ev
+}
+
+// Arm implements Engine using time.AfterFunc.
+func (r *RealTime) Arm(ev *Event, delay time.Duration) {
+	if ev.h == nil {
+		panic("sim: event armed before Init gave it a handler")
+	}
 	if delay < 0 {
 		delay = 0
 	}
 	r.state.Lock()
 	defer r.state.Unlock()
-	ev := &Event{when: r.Now().Add(delay), seq: r.seq, index: -1}
+	if _, pending := r.timers[ev]; pending {
+		panic("sim: event armed while still pending")
+	}
+	ev.when, ev.seq, ev.canceled = r.Now().Add(delay), r.seq, false
 	r.seq++
 	r.wg.Add(1)
-	timer := time.AfterFunc(delay, func() {
+	var timer *time.Timer
+	timer = time.AfterFunc(delay, func() {
 		defer r.wg.Done()
 		r.run.Lock()
 		r.owner.Store(goid())
@@ -351,17 +451,19 @@ func (r *RealTime) Schedule(delay time.Duration, fn func()) *Event {
 			r.owner.Store(0)
 			r.run.Unlock()
 		}()
+		// The event may have been canceled, and armed again, while this
+		// timer waited for the run lock: only the timer on record fires.
 		r.state.Lock()
-		canceled := ev.canceled
-		delete(r.timers, ev)
-		r.state.Unlock()
-		if canceled {
-			return
+		live := r.timers[ev] == timer
+		if live {
+			delete(r.timers, ev)
 		}
-		fn()
+		r.state.Unlock()
+		if live {
+			ev.h.Fire()
+		}
 	})
 	r.timers[ev] = timer
-	return ev
 }
 
 // At implements Engine.

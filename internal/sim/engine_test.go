@@ -3,6 +3,7 @@ package sim
 import (
 	"math/rand"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -398,5 +399,112 @@ func TestSimRunnable(t *testing.T) {
 	}
 	if !s.Step() || s.Runnable() {
 		t.Fatal("drained engine still runnable after firing the last event")
+	}
+}
+
+// counter is an event's owner in the shape the tree uses: the event is a
+// field, the owner its handler.
+type counter struct {
+	ev    Event
+	fired int
+}
+
+func (c *counter) Fire() { c.fired++ }
+
+// TestOwnedEventAllocatesNothing pins the point of Arm: once the queue has
+// its capacity, arming and firing a caller-owned event allocates nothing, on
+// the same-instant lane and on the heap alike.
+func TestOwnedEventAllocatesNothing(t *testing.T) {
+	for _, delay := range []time.Duration{0, time.Second} {
+		s := NewSim()
+		c := &counter{}
+		c.ev.Init(c)
+		s.Schedule(time.Hour, func() {}) // a later event the round trip sifts past
+		round := func() {
+			s.Arm(&c.ev, delay)
+			s.Step()
+		}
+		round()
+		if a := testing.AllocsPerRun(100, round); a != 0 {
+			t.Errorf("Arm(%v) + Step allocates %.0f objects, want 0", delay, a)
+		}
+		if c.fired != 102 || s.Pending() != 1 {
+			t.Errorf("delay %v: fired %d times with %d pending, want 102 and 1", delay, c.fired, s.Pending())
+		}
+	}
+}
+
+// TestLaneFiresAfterHeapEventsOfTheSameInstant is the ordering rule in one
+// picture: an event armed for now fires after every event already queued for
+// this instant and before anything later.
+func TestLaneFiresAfterHeapEventsOfTheSameInstant(t *testing.T) {
+	s := NewSim()
+	var order []string
+	mark := func(name string) func() { return func() { order = append(order, name) } }
+	s.Schedule(time.Second, func() {
+		order = append(order, "a")
+		s.Schedule(0, mark("a0")) // now, but armed after b
+		s.Schedule(time.Nanosecond, mark("later"))
+	})
+	s.Schedule(time.Second, mark("b"))
+	s.Run()
+	if got := strings.Join(order, " "); got != "a b a0 later" {
+		t.Fatalf("fired %q, want %q", got, "a b a0 later")
+	}
+}
+
+// TestPendingCountsLaneAndHeap checks the counter against arm, cancel and
+// fire on both parts of the queue.
+func TestPendingCountsLaneAndHeap(t *testing.T) {
+	s := NewSim()
+	lane := s.Schedule(0, func() {})
+	s.Schedule(0, func() {})
+	heap := s.Schedule(time.Second, func() {})
+	if s.Pending() != 3 {
+		t.Fatalf("Pending = %d, want 3", s.Pending())
+	}
+	if !s.Cancel(lane) || !s.Cancel(heap) || s.Cancel(lane) || s.Pending() != 1 {
+		t.Fatalf("after canceling one of each: Pending = %d, want 1", s.Pending())
+	}
+	if !s.Step() || s.Pending() != 0 || s.Runnable() || s.Step() {
+		t.Fatalf("after firing the last: Pending = %d, Runnable = %v", s.Pending(), s.Runnable())
+	}
+}
+
+// TestRealTimeArm covers the caller-owned call on the wall-clock engine:
+// fire, re-arm from the callback, cancel, re-arm after cancel. Run it with
+// -race: the event's fields are written under the engine's lock while timer
+// goroutines read them.
+func TestRealTimeArm(t *testing.T) {
+	r := NewRealTime()
+	var mu sync.Mutex
+	fired := 0
+	var ev Event
+	ev.Init(Func(func() {
+		mu.Lock()
+		fired++
+		again := fired < 3
+		mu.Unlock()
+		if again {
+			r.Arm(&ev, time.Millisecond)
+		}
+	}))
+	r.Arm(&ev, time.Millisecond)
+	r.Wait()
+	if fired != 3 || r.Cancel(&ev) {
+		t.Fatalf("fired %d times (want 3), or a fired event canceled", fired)
+	}
+
+	r.Arm(&ev, time.Hour)
+	if !r.Cancel(&ev) || !ev.Canceled() {
+		t.Fatal("pending owned event did not cancel")
+	}
+	r.Arm(&ev, time.Millisecond) // fired is 3: it fires once more and stops
+	if ev.Canceled() {
+		t.Fatal("re-armed event still reads canceled")
+	}
+	r.Wait()
+	if fired != 4 {
+		t.Fatalf("fired %d times after cancel and re-arm, want 4", fired)
 	}
 }
