@@ -77,7 +77,7 @@ smoke:
 worker-smoke:
 	$(GO) build -o /tmp/aimes-worker ./cmd/aimes-worker
 	timeout 120 $(GO) run ./examples/workers
-	$(GO) test -race -count=1 -run 'TestBackendParity|TestWorker' .
+	./scripts/go_test_run.sh 'TestBackendParity|TestWorker' .
 
 # TCP-transport smoke: host shards with a real `aimes-worker serve` process
 # on a loopback port and run the parity matrix and crash containment against

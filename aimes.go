@@ -22,12 +22,15 @@
 //
 //	env, err := aimes.NewEnv(aimes.WithSeed(42))
 //	if err != nil { ... }
-//	app := aimes.BagOfTasks(128, aimes.UniformDuration())
-//	report, err := env.RunApp(app, aimes.StrategyConfig{
+//	w, err := aimes.GenerateWorkload(aimes.BagOfTasks(128, aimes.UniformDuration()), 42)
+//	if err != nil { ... }
+//	job, err := env.Submit(ctx, w, aimes.JobConfig{StrategyConfig: aimes.StrategyConfig{
 //		Binding:   aimes.LateBinding,
 //		Scheduler: aimes.SchedBackfill,
 //		Pilots:    3,
-//	})
+//	}})
+//	if err != nil { ... }
+//	report, err := job.Wait(ctx)
 //	report.WriteSummary(os.Stdout)
 //
 // # Concurrent jobs
@@ -44,8 +47,9 @@
 //
 // On the virtual-time engine, time advances while any goroutine blocks in
 // Job.Wait (whoever waits, pumps — so N tenants need no dedicated driver);
-// on the wall-clock engine (WithRealTime) time advances on its own. The
-// blocking Run* methods are thin shims over Submit+Wait.
+// on the wall-clock engine (WithRealTime) time advances on its own.
+// RunStaged is the one helper over Submit+Wait: it executes a multistage
+// workload stage by stage, feeding observed queue waits back between stages.
 //
 // # Sharding
 //
@@ -66,13 +70,15 @@
 // Each shard runs on an execution backend — the narrow seam between the
 // environment's orchestration (placement, admission, stealing, waiting) and
 // the shard's engine stack. BackendLocal (the default) runs shards
-// in-process; BackendWorker (WithWorkers) runs each shard as a child OS
-// process speaking a framed JSON protocol over stdio, so a multi-tenant
+// in-process; BackendWorker (WithWorkerPool) runs each shard out of process —
+// a child OS process on stdio or a connection to a TCP worker host — speaking
+// a length-framed protocol whose codec is negotiated at connect (compact
+// binary by default, JSON on request; see WithWireCodec), so a multi-tenant
 // workload scales past one process's heap and GC. The same seeded, pinned
-// workload produces identical reports on both backends; see WithWorkers for
-// the caveats.
+// workload produces identical reports on both backends; see WithWorkerPool
+// for the caveats.
 //
-// See examples/ for complete programs and EXPERIMENTS.md for the paper
+// See examples/ for complete programs and cmd/aimes-experiments for the paper
 // reproduction.
 package aimes
 
@@ -218,30 +224,17 @@ type (
 // for the paper's XSEDE and NERSC machines.
 var DefaultTestbed = site.DefaultTestbed
 
-// EnvConfig configures a simulated execution environment.
-//
-// Deprecated: use NewEnv with functional options (WithSeed, WithSites,
-// WithPilotConfig). EnvConfig remains as a convenience for existing callers.
-type EnvConfig struct {
-	// Seed drives all randomness; runs with equal seeds are identical.
-	Seed int64
-	// Sites overrides DefaultTestbed when non-nil.
-	Sites []SiteConfig
-	// Pilot overrides the default middleware configuration when non-nil.
-	Pilot *PilotConfig
-}
-
 // Environment is a ready-to-use multi-tenant execution environment,
 // partitioned into one or more parallel simulation shards. Each shard runs
 // on an execution backend — a complete, independent stack (engine, resource
 // testbed, SAGA session, bundle, execution manager) behind the narrow
-// Backend seam, either in-process (BackendLocal, the default) or as a child
-// OS process (BackendWorker, see WithWorkers) — so jobs placed on different
+// Backend seam, either in-process (BackendLocal, the default) or out of
+// process (BackendWorker, see WithWorkerPool) — so jobs placed on different
 // shards execute truly in parallel with no shared engine lock. Submit
 // places jobs onto shards (JobConfig.Placement), and every job's trace is
 // stored once, in its shard's log; Recorder and ShardRecorder are read-time
 // views over those logs. Submit/Wait/Cancel are safe for concurrent use from
-// multiple goroutines; the blocking Run* methods are shims over them.
+// multiple goroutines.
 type Environment struct {
 	shards   []*shardEnv
 	picker   *shard.Picker
@@ -425,21 +418,17 @@ func (sh *shardEnv) JobDone(key int, report *core.Report) {
 type Option func(*envOptions)
 
 type envOptions struct {
-	seed         int64
-	sites        []SiteConfig
-	pilot        *PilotConfig
-	realTime     bool
-	eventBuf     int
-	shards       int
-	shardsSet    bool
-	steal        bool
-	kind         BackendKind
-	workerCmd    []string
-	workerAddr   string
-	workerSecret string
-	wireCodec    string
-	maxFrame     int
-	pool         *WorkerPool
+	seed      int64
+	sites     []SiteConfig
+	pilot     *PilotConfig
+	realTime  bool
+	eventBuf  int
+	shards    int
+	shardsSet bool
+	steal     bool
+	wireCodec string
+	maxFrame  int
+	pool      *WorkerPool // non-nil selects the worker backend
 }
 
 // WithSeed sets the seed driving all randomness; environments with equal
@@ -461,8 +450,8 @@ func WithPilotConfig(cfg PilotConfig) Option {
 // WithRealTime runs the environment on the wall-clock engine: batch queues,
 // staging links and agents fire on real timers, and jobs complete without
 // anyone pumping. Intended for small, fast testbeds (see examples/realtime).
-// Mutually exclusive with the worker backend (WithWorkers), whose protocol
-// is virtual-time by construction.
+// Mutually exclusive with the worker backend (WithWorkerPool), whose
+// protocol is virtual-time by construction.
 func WithRealTime() Option { return func(o *envOptions) { o.realTime = true } }
 
 // WithEventBuffer sets the default per-job Events channel capacity (default
@@ -521,7 +510,7 @@ func WithShards(n int) Option {
 // descriptor the backend has never seen.
 func WithWorkStealing() Option { return func(o *envOptions) { o.steal = true } }
 
-// BackendKind selects a shard execution backend (see WithBackend).
+// BackendKind names a shard execution backend (see Environment.Backend).
 type BackendKind string
 
 // Shard execution backends.
@@ -531,80 +520,9 @@ const (
 	BackendLocal BackendKind = "local"
 	// BackendWorker runs every shard out of process — a child OS process or
 	// a connection to a TCP worker host — speaking the framed wire protocol
-	// (see WithWireCodec). See WithWorkers and WithWorkerPool.
+	// (see WithWireCodec). Selected by WithWorkerPool.
 	BackendWorker BackendKind = "worker"
 )
-
-// WithBackend selects the execution backend shards run on. BackendLocal
-// needs no configuration. BackendWorker spawns one child process per shard;
-// see WithWorkers (which implies it) for command resolution and caveats.
-func WithBackend(kind BackendKind) Option {
-	return func(o *envOptions) { o.kind = kind }
-}
-
-// WithWorkers partitions the environment into n shards, each running as a
-// child OS process — WithBackend(BackendWorker) plus WithShards(n). Worker
-// shards put each simulation on its own heap and GC, and are the stepping
-// stone to multi-host execution: everything that crosses the process
-// boundary is a serializable descriptor, trace record, or report.
-//
-// The worker command resolves, in order: WithWorkerCommand, the
-// $AIMES_WORKER environment variable, an "aimes-worker" binary on $PATH
-// (see cmd/aimes-worker), and finally the current executable itself when
-// the program called WorkerMain at the top of main (tests and examples
-// self-host this way).
-//
-// Determinism: the same seeded, pinned workload produces reports identical
-// to the local backend's — each worker hosts the identical shard stack with
-// the identical derived seed. Two caveats: with WithWorkStealing, admission
-// from the queue is batch-granular over the wire (a completion admits the
-// next queued job when the step batch returns, not mid-batch), so
-// stealing-mode trajectories may differ between backends — pinned,
-// non-migratable tenants are unaffected; and Bundle/NewMonitor expose a
-// static local mirror of the testbed rather than the workers' live wait
-// histories (Derive and staged-execution feedback do cross the wire).
-//
-// Mutually exclusive with WithRealTime. A crashed worker fails its own
-// shard's jobs with a descriptive error; other shards keep running.
-func WithWorkers(n int) Option {
-	return func(o *envOptions) {
-		o.kind = BackendWorker
-		o.shards = n
-		o.shardsSet = true
-	}
-}
-
-// WithWorkerCommand sets the command spawned for each worker shard. The
-// command must speak the worker protocol on stdin/stdout: cmd/aimes-worker
-// does, and so does any binary that calls WorkerMain first thing in main.
-func WithWorkerCommand(path string, args ...string) Option {
-	return func(o *envOptions) { o.workerCmd = append([]string{path}, args...) }
-}
-
-// WithWorkerAddr runs worker shards against a TCP worker host instead of
-// spawning child processes: every shard dials addr — an `aimes-worker serve
-// --listen` host, possibly on another machine — and runs its own
-// authenticated connection there. Implies WithBackend(BackendWorker);
-// combine with WithShards to size the environment.
-//
-// The connection authenticates with a shared secret (WithWorkerSecret or
-// $AIMES_WORKER_SECRET; NewEnv fails without one) but is NOT encrypted —
-// no TLS yet — so keep it on trusted networks. See the README's wire
-// protocol section.
-func WithWorkerAddr(addr string) Option {
-	return func(o *envOptions) {
-		o.workerAddr = addr
-		o.kind = BackendWorker
-	}
-}
-
-// WithWorkerSecret sets the shared secret for the TCP worker handshake,
-// overriding $AIMES_WORKER_SECRET. It has no effect on process workers
-// (stdio pipes need no authentication). With WithWorkerPool it is the
-// fallback when WorkerPool.Secret is empty.
-func WithWorkerSecret(secret string) Option {
-	return func(o *envOptions) { o.workerSecret = secret }
-}
 
 // WorkerEndpoint is one place a fleet can host worker shards: a TCP worker
 // host (`aimes-worker serve`) when Addr is set, or spawned child processes
@@ -620,12 +538,10 @@ type WorkerEndpoint struct {
 	Command []string
 }
 
-// WorkerPool is the consolidated worker-fleet configuration — the one
-// place to express what WithWorkers, WithWorkerCommand, WithWorkerAddr and
-// WithWorkerSecret used to spread over four options, plus what they could
-// not express at all: several endpoints (N hosts × M shards), mixed TCP and
-// process endpoints in one environment, and a fleet lifecycle (liveness
-// probes, live respawn within a restart budget, cordon/drain).
+// WorkerPool is the worker-fleet configuration: where shards run (N hosts ×
+// M shards, TCP and process endpoints mixed freely in one environment) and
+// the fleet lifecycle (liveness probes, live respawn within a restart
+// budget, cordon/drain).
 //
 // Shard k starts on endpoint k mod len(Endpoints); when a worker dies and
 // MaxRestarts allows, it is respawned with the same shard seed — on its
@@ -634,21 +550,24 @@ type WorkerEndpoint struct {
 // WithWorkerPool.
 type WorkerPool struct {
 	// Endpoints lists where shards run. Empty means one process-mode
-	// endpoint (spawn children from Command or the resolution chain) — the
-	// exact shape the legacy options configured.
+	// endpoint (spawn children from Command or the resolution chain).
 	Endpoints []WorkerEndpoint
 	// Secret is the shared TCP handshake secret, required when any
-	// endpoint has an Addr (falls back to WithWorkerSecret,
-	// $AIMES_WORKER_SECRET, then $AIMES_WORKER_SECRET_FILE).
+	// endpoint has an Addr (falls back to $AIMES_WORKER_SECRET, then
+	// $AIMES_WORKER_SECRET_FILE). The connection authenticates with it but
+	// is NOT encrypted — no TLS yet — so keep it on trusted networks.
 	Secret string
 	// Command is the default worker command for process-mode endpoints
-	// (per-endpoint Command wins; nil falls back to $AIMES_WORKER, an
-	// aimes-worker on $PATH, then WorkerMain self-exec).
+	// (per-endpoint Command wins). It must speak the worker protocol on
+	// stdin/stdout: cmd/aimes-worker does, and so does any binary that
+	// calls WorkerMain first thing in main. Nil resolves, in order:
+	// $AIMES_WORKER, an "aimes-worker" binary on $PATH, and finally the
+	// current executable itself when the program called WorkerMain (tests
+	// and examples self-host this way).
 	Command []string
-	// MaxRestarts bounds live respawns per shard. 0 — the default, and
-	// what the legacy single-endpoint options configure — disables respawn:
-	// a dead worker terminally fails its shard's jobs, exactly the
-	// pre-fleet contract.
+	// MaxRestarts bounds live respawns per shard. 0 — the default —
+	// disables respawn: a dead worker terminally fails its shard's jobs
+	// with a descriptive error while other shards keep running.
 	MaxRestarts int
 	// HealthInterval is the per-worker liveness-probe period (a ping
 	// opcode over the session). 0 disables probing; worker death still
@@ -657,10 +576,10 @@ type WorkerPool struct {
 	HealthInterval time.Duration
 }
 
-// WithWorkerPool configures the worker fleet in one option — endpoints,
-// secret, restart budget, health probing — and implies
-// WithBackend(BackendWorker). Combine with WithShards to size the
-// environment:
+// WithWorkerPool runs every shard out of process on the given worker fleet —
+// endpoints, secret, restart budget, health probing — the one way to ask
+// for the worker backend. The zero WorkerPool spawns one child process per
+// shard; combine with WithShards to size the environment:
 //
 //	env, err := aimes.NewEnv(aimes.WithShards(8),
 //		aimes.WithWorkerPool(aimes.WorkerPool{
@@ -673,18 +592,23 @@ type WorkerPool struct {
 //			HealthInterval: 5 * time.Second,
 //		}))
 //
-// The legacy options remain as shims over a single-endpoint pool with
-// MaxRestarts 0: WithWorkerCommand(cmd) ≡ WorkerPool{Command: cmd},
-// WithWorkerAddr(a) + WithWorkerSecret(s) ≡ WorkerPool{Endpoints:
-// []WorkerEndpoint{{Addr: a}}, Secret: s}. Mixing WithWorkerPool with
-// WithWorkerAddr or WithWorkerCommand is rejected as ambiguous;
-// WithWorkerSecret composes (it is the Secret fallback).
+// Worker shards put each simulation on its own heap and GC, and are the
+// stepping stone to multi-host execution: everything that crosses the
+// process boundary is a serializable descriptor, trace record, or report.
+//
+// Determinism: the same seeded, pinned workload produces reports identical
+// to the local backend's — each worker hosts the identical shard stack with
+// the identical derived seed. Two caveats: with WithWorkStealing, admission
+// from the queue is batch-granular over the wire (a completion admits the
+// next queued job when the step batch returns, not mid-batch), so
+// stealing-mode trajectories may differ between backends — pinned,
+// non-migratable tenants are unaffected; and Bundle/NewMonitor expose a
+// static local mirror of the testbed rather than the workers' live wait
+// histories (Derive and staged-execution feedback do cross the wire).
+//
+// Mutually exclusive with WithRealTime.
 func WithWorkerPool(p WorkerPool) Option {
-	return func(o *envOptions) {
-		cp := p
-		o.pool = &cp
-		o.kind = BackendWorker
-	}
+	return func(o *envOptions) { o.pool = &p }
 }
 
 // Wire codecs for WithWireCodec.
@@ -718,17 +642,16 @@ func WithMaxFrame(n int) Option {
 //
 //	env, err := aimes.NewEnv(aimes.WithSeed(42), aimes.WithSites(sites...))
 func NewEnv(opts ...Option) (*Environment, error) {
-	o := envOptions{kind: BackendLocal}
+	var o envOptions
 	for _, opt := range opts {
 		opt(&o)
 	}
 	if o.eventBuf <= 0 {
 		o.eventBuf = 1024
 	}
-	switch o.kind {
-	case BackendLocal, BackendWorker:
-	default:
-		return nil, fmt.Errorf("aimes: unknown backend %q (want BackendLocal or BackendWorker)", o.kind)
+	kind := BackendLocal
+	if o.pool != nil {
+		kind = BackendWorker
 	}
 	if o.shardsSet {
 		if o.shards < 1 {
@@ -747,7 +670,7 @@ func NewEnv(opts ...Option) (*Environment, error) {
 		return nil, fmt.Errorf("aimes: unknown wire codec %q (want CodecJSON, CodecBinary, or empty for negotiated)", o.wireCodec)
 	}
 	var pcfg backend.PoolConfig
-	if o.kind == BackendWorker {
+	if kind == BackendWorker {
 		if o.realTime {
 			return nil, fmt.Errorf("aimes: the worker backend is virtual-time by construction (the parent drives each worker's engine over the wire); WithRealTime requires BackendLocal")
 		}
@@ -780,13 +703,13 @@ func NewEnv(opts ...Option) (*Environment, error) {
 		stealer:   shard.NewStealer(n),
 		eventBuf:  o.eventBuf,
 		realTime:  o.realTime,
-		kind:      o.kind,
+		kind:      kind,
 		resources: names,
 		steal:     o.steal && n > 1, // a single shard has no peers to steal from
 	}
-	env.model = model.New(model.Config{Shards: n, Backend: string(o.kind)})
+	env.model = model.New(model.Config{Shards: n, Backend: string(kind)})
 	env.picker.SetModel(&placementModel{env})
-	if o.kind == BackendWorker {
+	if kind == BackendWorker {
 		pool, err := backend.NewPool(pcfg)
 		if err != nil {
 			return nil, err
@@ -841,7 +764,7 @@ func (e *Environment) newShard(k int, o *envOptions) (*shardEnv, error) {
 		Pilot:    o.pilot,
 		RealTime: o.realTime,
 	}
-	switch o.kind {
+	switch e.kind {
 	case BackendWorker:
 		w, err := e.pool.Dial(k, cfg, sh, func(cause error) {
 			e.shardDied(sh, cause)
@@ -876,24 +799,13 @@ func (e *Environment) newShard(k int, o *envOptions) (*shardEnv, error) {
 	return sh, nil
 }
 
-// buildPoolConfig turns the worker options — WithWorkerPool, or the legacy
-// single-endpoint options acting as shims over it — into the fleet
-// configuration the backend pool dials from. The legacy options configure
-// exactly one endpoint with MaxRestarts 0, preserving the pre-fleet crash
-// contract (a dead worker terminally fails its shard's jobs).
+// buildPoolConfig turns WithWorkerPool's configuration into the fleet
+// configuration the backend pool dials from.
 func buildPoolConfig(o *envOptions) (backend.PoolConfig, error) {
 	cfg := backend.PoolConfig{
 		Options: backend.WorkerOptions{Codec: o.wireCodec, MaxFrame: o.maxFrame},
 	}
 	p := o.pool
-	if p == nil {
-		p = &WorkerPool{Command: o.workerCmd}
-		if o.workerAddr != "" {
-			p.Endpoints = []WorkerEndpoint{{Addr: o.workerAddr}}
-		}
-	} else if o.workerAddr != "" || o.workerCmd != nil {
-		return cfg, fmt.Errorf("aimes: WithWorkerPool combined with WithWorkerAddr/WithWorkerCommand is ambiguous: put every endpoint and command in the pool")
-	}
 	cfg.MaxRestarts, cfg.HealthInterval = p.MaxRestarts, p.HealthInterval
 	if cfg.MaxRestarts < 0 {
 		return cfg, fmt.Errorf("aimes: WorkerPool.MaxRestarts %d is negative", p.MaxRestarts)
@@ -904,9 +816,6 @@ func buildPoolConfig(o *envOptions) (backend.PoolConfig, error) {
 		eps = []WorkerEndpoint{{Command: p.Command}}
 	}
 	secret := p.Secret
-	if secret == "" {
-		secret = o.workerSecret
-	}
 	needsSecret := false
 	for _, ep := range eps {
 		if ep.Addr != "" {
@@ -927,7 +836,7 @@ func buildPoolConfig(o *envOptions) (backend.PoolConfig, error) {
 			}
 		}
 		if secret == "" {
-			return cfg, fmt.Errorf("aimes: a TCP worker endpoint needs a shared secret: set WorkerPool.Secret, pass WithWorkerSecret, set $AIMES_WORKER_SECRET, or point $AIMES_WORKER_SECRET_FILE at a file holding the value the worker host serves with")
+			return cfg, fmt.Errorf("aimes: a TCP worker endpoint needs a shared secret: set WorkerPool.Secret, set $AIMES_WORKER_SECRET, or point $AIMES_WORKER_SECRET_FILE at a file holding the value the worker host serves with")
 		}
 	}
 
@@ -958,8 +867,8 @@ func buildPoolConfig(o *envOptions) (backend.PoolConfig, error) {
 	return cfg, nil
 }
 
-// resolveWorkerCommand finds the worker executable when WithWorkerCommand
-// was not given: $AIMES_WORKER, then aimes-worker on $PATH, then — if this
+// resolveWorkerCommand finds the worker executable when the pool names no
+// command: $AIMES_WORKER, then aimes-worker on $PATH, then — if this
 // program registered itself via WorkerMain — the current executable.
 func resolveWorkerCommand() ([]string, error) {
 	if cmd := os.Getenv("AIMES_WORKER"); cmd != "" {
@@ -975,7 +884,7 @@ func resolveWorkerCommand() ([]string, error) {
 		}
 		return []string{self}, nil
 	}
-	return nil, fmt.Errorf("aimes: no worker command: pass WithWorkerCommand, set $AIMES_WORKER, install aimes-worker on $PATH (go build ./cmd/aimes-worker), or call aimes.WorkerMain at the top of main to self-host workers")
+	return nil, fmt.Errorf("aimes: no worker command: set WorkerPool.Command or $AIMES_WORKER, install aimes-worker on $PATH (go build ./cmd/aimes-worker), or call aimes.WorkerMain at the top of main to self-host workers")
 }
 
 // nopSink discards backend events; the query mirror never enacts, so it
@@ -997,7 +906,7 @@ var workerMainArmed atomic.Bool
 //
 //	func main() {
 //		aimes.WorkerMain()
-//		env, _ := aimes.NewEnv(aimes.WithWorkers(4))
+//		env, _ := aimes.NewEnv(aimes.WithShards(4), aimes.WithWorkerPool(aimes.WorkerPool{}))
 //		...
 //	}
 //
@@ -1005,20 +914,6 @@ var workerMainArmed atomic.Bool
 func WorkerMain() {
 	workerMainArmed.Store(true)
 	backend.ServeIfWorker()
-}
-
-// NewSimulatedEnvironment builds a deterministic simulated environment.
-//
-// Deprecated: use NewEnv(WithSeed(...), ...).
-func NewSimulatedEnvironment(cfg EnvConfig) (*Environment, error) {
-	opts := []Option{WithSeed(cfg.Seed)}
-	if cfg.Sites != nil {
-		opts = append(opts, WithSites(cfg.Sites...))
-	}
-	if cfg.Pilot != nil {
-		opts = append(opts, WithPilotConfig(*cfg.Pilot))
-	}
-	return NewEnv(opts...)
 }
 
 // Shards reports the number of parallel simulation shards.
@@ -1216,26 +1111,6 @@ func (e *Environment) DrainEndpoint(name string) error {
 	return e.pool.Drain(name)
 }
 
-// KillWorker severs shard k's worker connection immediately — the chaos
-// hook for exercising the fleet's failure paths. What happens next depends
-// on the environment's restart budget (WorkerPool.MaxRestarts):
-//
-//   - With restarts remaining, the kill triggers a live respawn, not a
-//     terminal shard failure: a replacement worker is dialed with the same
-//     shard seed, the shard's queued (never-enacted, descriptor-only) jobs
-//     are replayed onto it in order, and only the jobs that were already
-//     enacted fail — their pilots and events live in the dead worker's
-//     engine and cannot be reconstructed. That enacted-jobs-still-fail
-//     contract holds on every respawn.
-//   - With the budget spent (or MaxRestarts 0, which every legacy
-//     single-endpoint option configures), the shard fails terminally: all
-//     its jobs — queued and enacted — fail with a descriptive error, and
-//     other shards keep running. This is the pre-fleet containment
-//     behavior.
-//
-// A killed child process trips the transport watcher at once; a killed TCP
-// connection surfaces on the shard's next wire operation or liveness
-// probe. KillWorker errors on local shards and out-of-range indices.
 // ChaosEvent is one scheduled fault injection against a shard's simulation
 // stack — see the backend package for the action vocabulary (site outages,
 // queue surges, pilot preemption, WAN degradation, kill-worker).
@@ -1263,6 +1138,24 @@ func (e *Environment) InjectChaos(k int, ev ChaosEvent) error {
 	return err
 }
 
+// KillWorker severs shard k's worker connection immediately — the chaos
+// hook for exercising the fleet's failure paths. What happens next depends
+// on the environment's restart budget (WorkerPool.MaxRestarts):
+//
+//   - With restarts remaining, the kill triggers a live respawn, not a
+//     terminal shard failure: a replacement worker is dialed with the same
+//     shard seed, the shard's queued (never-enacted, descriptor-only) jobs
+//     are replayed onto it in order, and only the jobs that were already
+//     enacted fail — their pilots and events live in the dead worker's
+//     engine and cannot be reconstructed. That enacted-jobs-still-fail
+//     contract holds on every respawn.
+//   - With the budget spent (or MaxRestarts 0, the default), the shard
+//     fails terminally: all its jobs — queued and enacted — fail with a
+//     descriptive error, and other shards keep running.
+//
+// A killed child process trips the transport watcher at once; a killed TCP
+// connection surfaces on the shard's next wire operation or liveness
+// probe. KillWorker errors on local shards and out-of-range indices.
 func (e *Environment) KillWorker(k int) error {
 	if k < 0 || k >= len(e.shards) {
 		return fmt.Errorf("aimes: shard %d out of range [0,%d)", k, len(e.shards))
@@ -1320,8 +1213,8 @@ func (e *Environment) shardDied(sh *shardEnv, cause error) {
 		}
 		if err != nil {
 			// Terminal: no replacement worker, so the queued jobs fail with
-			// the original crash cause — the contained failure the legacy
-			// single-endpoint options (MaxRestarts 0) always produce.
+			// the original crash cause — the contained failure MaxRestarts 0
+			// always produces.
 			for _, j := range jobs {
 				if j.sh.Load() != sh || JobState(j.state.Load()) != JobQueued {
 					continue
@@ -1688,18 +1581,6 @@ func (e *Environment) Derive(w *Workload, cfg StrategyConfig) (Strategy, error) 
 	return s, err
 }
 
-// Run enacts a pre-derived strategy for a workload and blocks until the
-// instrumented report is ready — a shim over Submit+Wait.
-func (e *Environment) Run(w *Workload, s Strategy) (*Report, error) {
-	return e.runJob(w, JobConfig{Strategy: &s})
-}
-
-// RunWorkload derives a strategy from the config and enacts it, blocking
-// until completion — a shim over Submit+Wait.
-func (e *Environment) RunWorkload(w *Workload, cfg StrategyConfig) (*Report, error) {
-	return e.runJob(w, JobConfig{StrategyConfig: cfg})
-}
-
 // RunStaged executes a multistage workload one stage at a time, re-deriving
 // the strategy before each stage and feeding observed queue waits back into
 // the enacting shard's bundle (paper §V, workflow decomposition). Each
@@ -1769,43 +1650,6 @@ func (e *Environment) feedStaged(k int, reports []*Report, fed []int) {
 		sh.sync(func() { _ = sh.be.Feedback(report) })
 	}
 	fed[k] = len(reports)
-}
-
-// RunAdaptive enacts a strategy with runtime adaptation: if no pilot
-// activates within the patience window, the execution manager widens onto
-// additional resources (paper §V, "dynamic execution"). A shim over
-// Submit+Wait with JobConfig.Adaptive set.
-func (e *Environment) RunAdaptive(w *Workload, s Strategy, acfg AdaptiveConfig) (*Report, error) {
-	return e.runJob(w, JobConfig{Strategy: &s, Adaptive: &acfg})
-}
-
-// RunApp generates the application (seeded from shard 0's stream, which
-// carries the environment seed), then derives and enacts a strategy — the
-// one-call entry point.
-func (e *Environment) RunApp(app AppSpec, cfg StrategyConfig) (*Report, error) {
-	sh := e.shards[0]
-	var (
-		seed int64
-		err  error
-	)
-	sh.sync(func() { seed, err = sh.be.AppSeed() })
-	if err != nil {
-		return nil, err
-	}
-	w, err := skeleton.Generate(app, seed)
-	if err != nil {
-		return nil, err
-	}
-	return e.RunWorkload(w, cfg)
-}
-
-// runJob is the blocking Submit+Wait composition behind the Run* shims.
-func (e *Environment) runJob(w *Workload, cfg JobConfig) (*Report, error) {
-	j, err := e.Submit(context.Background(), w, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return j.Wait(context.Background())
 }
 
 // NewMonitor starts a bundle monitor on shard 0's engine and bundle (note

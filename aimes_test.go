@@ -2,6 +2,7 @@ package aimes_test
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -9,22 +10,44 @@ import (
 	"aimes"
 )
 
+// runJob submits w and waits for its report — the blocking composition most
+// facade tests want.
+func runJob(t testing.TB, env *aimes.Environment, w *aimes.Workload, cfg aimes.JobConfig) *aimes.Report {
+	t.Helper()
+	j, err := env.Submit(context.Background(), w, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	report, err := j.Wait(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return report
+}
+
+// runApp generates app from seed, derives a strategy from cfg and runs it.
+func runApp(t testing.TB, env *aimes.Environment, app aimes.AppSpec, seed int64, cfg aimes.StrategyConfig) *aimes.Report {
+	t.Helper()
+	w, err := aimes.GenerateWorkload(app, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return runJob(t, env, w, aimes.JobConfig{StrategyConfig: cfg})
+}
+
 func TestQuickstartFlow(t *testing.T) {
-	env, err := aimes.NewSimulatedEnvironment(aimes.EnvConfig{Seed: 42})
+	env, err := aimes.NewEnv(aimes.WithSeed(42))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(env.Resources()) != 5 {
 		t.Fatalf("resources = %v", env.Resources())
 	}
-	report, err := env.RunApp(aimes.BagOfTasks(32, aimes.UniformDuration()), aimes.StrategyConfig{
+	report := runApp(t, env, aimes.BagOfTasks(32, aimes.UniformDuration()), 42, aimes.StrategyConfig{
 		Binding:   aimes.LateBinding,
 		Scheduler: aimes.SchedBackfill,
 		Pilots:    3,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if report.UnitsDone != 32 {
 		t.Fatalf("done = %d, want 32", report.UnitsDone)
 	}
@@ -39,16 +62,13 @@ func TestQuickstartFlow(t *testing.T) {
 
 func TestEnvironmentDeterminism(t *testing.T) {
 	run := func() *aimes.Report {
-		env, err := aimes.NewSimulatedEnvironment(aimes.EnvConfig{Seed: 7})
+		env, err := aimes.NewEnv(aimes.WithSeed(7))
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := env.RunApp(aimes.BagOfTasks(16, aimes.GaussianDuration()), aimes.StrategyConfig{
+		r := runApp(t, env, aimes.BagOfTasks(16, aimes.GaussianDuration()), 7, aimes.StrategyConfig{
 			Binding: aimes.EarlyBinding, Scheduler: aimes.SchedDirect, Pilots: 1,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		return r
 	}
 	a, b := run(), run()
@@ -58,7 +78,7 @@ func TestEnvironmentDeterminism(t *testing.T) {
 }
 
 func TestDeriveThenRun(t *testing.T) {
-	env, err := aimes.NewSimulatedEnvironment(aimes.EnvConfig{Seed: 3})
+	env, err := aimes.NewEnv(aimes.WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,17 +95,14 @@ func TestDeriveThenRun(t *testing.T) {
 	if s.Pilots != 3 || s.PilotCores != 22 {
 		t.Fatalf("strategy = %+v", s)
 	}
-	report, err := env.Run(w, s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	report := runJob(t, env, w, aimes.JobConfig{Strategy: &s})
 	if report.UnitsDone != 64 {
 		t.Fatalf("done = %d", report.UnitsDone)
 	}
 }
 
 func TestBundleQueriesThroughFacade(t *testing.T) {
-	env, err := aimes.NewSimulatedEnvironment(aimes.EnvConfig{Seed: 1})
+	env, err := aimes.NewEnv(aimes.WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,15 +121,13 @@ func TestBundleQueriesThroughFacade(t *testing.T) {
 }
 
 func TestTraceThroughFacade(t *testing.T) {
-	env, err := aimes.NewSimulatedEnvironment(aimes.EnvConfig{Seed: 9})
+	env, err := aimes.NewEnv(aimes.WithSeed(9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := env.RunApp(aimes.BagOfTasks(8, aimes.UniformDuration()), aimes.StrategyConfig{
+	runApp(t, env, aimes.BagOfTasks(8, aimes.UniformDuration()), 9, aimes.StrategyConfig{
 		Binding: aimes.EarlyBinding, Scheduler: aimes.SchedDirect, Pilots: 1,
-	}); err != nil {
-		t.Fatal(err)
-	}
+	})
 	rec := env.Recorder()
 	if rec.Len() == 0 {
 		t.Fatal("empty trace")
@@ -124,7 +139,7 @@ func TestTraceThroughFacade(t *testing.T) {
 
 func TestCustomSites(t *testing.T) {
 	sites := aimes.DefaultTestbed()[:2]
-	env, err := aimes.NewSimulatedEnvironment(aimes.EnvConfig{Seed: 5, Sites: sites})
+	env, err := aimes.NewEnv(aimes.WithSeed(5), aimes.WithSites(sites...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +156,7 @@ func TestCustomSites(t *testing.T) {
 }
 
 func TestValidate(t *testing.T) {
-	env, err := aimes.NewSimulatedEnvironment(aimes.EnvConfig{Seed: 5})
+	env, err := aimes.NewEnv(aimes.WithSeed(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,23 +216,20 @@ func TestMultistageAppThroughFacade(t *testing.T) {
 				OutputBytes: aimes.ConstantSpec(1 << 10), Inputs: aimes.MapOneToOne},
 		},
 	}
-	env, err := aimes.NewSimulatedEnvironment(aimes.EnvConfig{Seed: 11})
+	env, err := aimes.NewEnv(aimes.WithSeed(11))
 	if err != nil {
 		t.Fatal(err)
 	}
-	report, err := env.RunApp(app, aimes.StrategyConfig{
+	report := runApp(t, env, app, 11, aimes.StrategyConfig{
 		Binding: aimes.LateBinding, Scheduler: aimes.SchedBackfill, Pilots: 2,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if report.UnitsDone != 16 {
 		t.Fatalf("done = %d, want 16", report.UnitsDone)
 	}
 }
 
 func TestMonitorThroughFacade(t *testing.T) {
-	env, err := aimes.NewSimulatedEnvironment(aimes.EnvConfig{Seed: 13})
+	env, err := aimes.NewEnv(aimes.WithSeed(13))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,11 +241,9 @@ func TestMonitorThroughFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Running a workload advances virtual time, so the monitor polls.
-	if _, err := env.RunApp(aimes.BagOfTasks(8, aimes.UniformDuration()), aimes.StrategyConfig{
+	runApp(t, env, aimes.BagOfTasks(8, aimes.UniformDuration()), 13, aimes.StrategyConfig{
 		Binding: aimes.EarlyBinding, Scheduler: aimes.SchedDirect, Pilots: 1,
-	}); err != nil {
-		t.Fatal(err)
-	}
+	})
 	m.Stop()
 	if fired != 1 {
 		t.Fatalf("monitor fired %d times, want 1 (edge-triggered)", fired)

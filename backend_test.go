@@ -113,6 +113,19 @@ func tcpWorkerHost(t *testing.T) (addr, secret string) {
 	return ln.Addr().String(), secret
 }
 
+// processWorkers runs n shards as self-hosted child worker processes (the
+// test binary re-executed through WorkerMain).
+func processWorkers(n int) []aimes.Option {
+	return []aimes.Option{aimes.WithShards(n), aimes.WithWorkerPool(aimes.WorkerPool{})}
+}
+
+// tcpWorkers runs n shards on the TCP worker host at addr.
+func tcpWorkers(n int, addr, secret string) []aimes.Option {
+	return []aimes.Option{aimes.WithShards(n), aimes.WithWorkerPool(aimes.WorkerPool{
+		Endpoints: []aimes.WorkerEndpoint{{Addr: addr}}, Secret: secret,
+	})}
+}
+
 // TestBackendParity is the acceptance matrix for the backend seam: the same
 // seeded, pinned workload mix must produce identical per-job reports —
 // strategies, TTC decompositions, pilot waits, allocation accounting — on
@@ -128,12 +141,10 @@ func TestBackendParity(t *testing.T) {
 		name string
 		opts []aimes.Option
 	}{
-		{"stdio/json", []aimes.Option{aimes.WithWorkers(3), aimes.WithWireCodec(aimes.CodecJSON)}},
-		{"stdio/binary", []aimes.Option{aimes.WithWorkers(3), aimes.WithWireCodec(aimes.CodecBinary)}},
-		{"tcp/json", []aimes.Option{aimes.WithShards(3), aimes.WithWorkerAddr(addr),
-			aimes.WithWorkerSecret(secret), aimes.WithWireCodec(aimes.CodecJSON)}},
-		{"tcp/binary", []aimes.Option{aimes.WithShards(3), aimes.WithWorkerAddr(addr),
-			aimes.WithWorkerSecret(secret), aimes.WithWireCodec(aimes.CodecBinary)}},
+		{"stdio/json", append(processWorkers(3), aimes.WithWireCodec(aimes.CodecJSON))},
+		{"stdio/binary", append(processWorkers(3), aimes.WithWireCodec(aimes.CodecBinary))},
+		{"tcp/json", append(tcpWorkers(3, addr, secret), aimes.WithWireCodec(aimes.CodecJSON))},
+		{"tcp/binary", append(tcpWorkers(3, addr, secret), aimes.WithWireCodec(aimes.CodecBinary))},
 	}
 	for _, combo := range combos {
 		t.Run(combo.name, func(t *testing.T) {
@@ -170,7 +181,7 @@ func TestWireCodecValidation(t *testing.T) {
 	}
 	// Secretless TCP config must fail fast and say what to set.
 	t.Setenv("AIMES_WORKER_SECRET", "")
-	if _, err := aimes.NewEnv(aimes.WithShards(1), aimes.WithWorkerAddr("127.0.0.1:1")); err == nil {
+	if _, err := aimes.NewEnv(tcpWorkers(1, "127.0.0.1:1", "")...); err == nil {
 		t.Fatal("TCP worker config without a secret accepted")
 	} else if !strings.Contains(err.Error(), "AIMES_WORKER_SECRET") {
 		t.Fatalf("secretless error not actionable: %v", err)
@@ -185,8 +196,7 @@ func TestTCPWorkerCrashFailsOnlyItsShard(t *testing.T) {
 		t.Skip("runs a TCP worker host")
 	}
 	addr, secret := tcpWorkerHost(t)
-	env, err := aimes.NewEnv(aimes.WithSeed(99), aimes.WithShards(2),
-		aimes.WithWorkerAddr(addr), aimes.WithWorkerSecret(secret))
+	env, err := aimes.NewEnv(append(tcpWorkers(2, addr, secret), aimes.WithSeed(99))...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +243,7 @@ func TestWorkerCrashFailsOnlyItsShard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker processes")
 	}
-	env, err := aimes.NewEnv(aimes.WithSeed(99), aimes.WithWorkers(2))
+	env, err := aimes.NewEnv(append(processWorkers(2), aimes.WithSeed(99))...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,16 +296,13 @@ func TestWorkerCrashFailsOnlyItsShard(t *testing.T) {
 }
 
 // TestWorkerBackendValidation covers the option surface: worker + real time
-// is rejected, unknown backends are rejected, and a worker environment
-// still validates workloads without crossing the seam.
+// is rejected, and a worker environment still validates workloads without
+// crossing the seam.
 func TestWorkerBackendValidation(t *testing.T) {
-	if _, err := aimes.NewEnv(aimes.WithWorkers(2), aimes.WithRealTime()); err == nil {
-		t.Fatal("WithWorkers + WithRealTime was not rejected")
+	if _, err := aimes.NewEnv(append(processWorkers(2), aimes.WithRealTime())...); err == nil {
+		t.Fatal("WithWorkerPool + WithRealTime was not rejected")
 	}
-	if _, err := aimes.NewEnv(aimes.WithBackend("fancy")); err == nil {
-		t.Fatal("unknown backend was not rejected")
-	}
-	env, err := aimes.NewEnv(aimes.WithSeed(5), aimes.WithWorkers(1))
+	env, err := aimes.NewEnv(append(processWorkers(1), aimes.WithSeed(5))...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +346,7 @@ func TestWorkerBackendWithStealing(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker processes")
 	}
-	env, err := aimes.NewEnv(aimes.WithSeed(515), aimes.WithWorkers(2), aimes.WithWorkStealing())
+	env, err := aimes.NewEnv(append(processWorkers(2), aimes.WithSeed(515), aimes.WithWorkStealing())...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,17 +56,22 @@ func (c *Client) Submit(ctx context.Context, w *aimes.Workload, opts SubmitOptio
 	if err := w.WriteMiddlewareJSON(&wl); err != nil {
 		return nil, fmt.Errorf("client: encoding workload: %w", err)
 	}
-	req := &SubmitRequest{
-		Workload:    wl.Bytes(),
-		Config:      opts.Config,
-		Strategy:    opts.Strategy,
-		Adaptive:    opts.Adaptive,
-		Placement:   PlacementString(opts.Placement),
-		Shard:       opts.Shard,
-		Migrate:     MigrateString(opts.Migrate),
-		EventBuffer: opts.EventBuffer,
+	return c.SubmitRaw(ctx, opts.request(wl.Bytes()))
+}
+
+// request is the wire form of a submission of workload (interchange JSON)
+// with these options.
+func (o SubmitOptions) request(workload []byte) *SubmitRequest {
+	return &SubmitRequest{
+		Workload:    workload,
+		Config:      o.Config,
+		Strategy:    o.Strategy,
+		Adaptive:    o.Adaptive,
+		Placement:   PlacementString(o.Placement),
+		Shard:       o.Shard,
+		Migrate:     MigrateString(o.Migrate),
+		EventBuffer: o.EventBuffer,
 	}
-	return c.SubmitRaw(ctx, req)
 }
 
 // SubmitRaw sends a pre-built SubmitRequest (workload already in interchange

@@ -59,11 +59,12 @@ validate parses and checks the scenario file without running it,
          reporting every problem found (exit 1 when invalid)
 
 run flags:
+  -v        print one line per job
   -assert   evaluate the scenario's assertions; exit 1 listing each
             failed assertion by index with observed vs expected values
   -backend  shard backend: "local" (in-process, the default) or "worker"
-            (child worker processes); fleet scenarios always run on the
-            worker backend`)
+            (child worker processes); fleet scenarios run on the worker
+            backend under either`)
 }
 
 // parseWithFile parses flags that may appear before or after the single
@@ -117,7 +118,7 @@ func validateCmd(args []string) error {
 func runCmd(args []string) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	var (
-		verbose   = fs.Bool("v", false, "print the derived strategy before the report")
+		verbose   = fs.Bool("v", false, "print one line per job")
 		seed      = fs.Int64("seed", 0, "override the scenario seed")
 		traceOut  = fs.String("trace", "", "write the full state trace as CSV to this file")
 		doAssert  = fs.Bool("assert", false, "evaluate the scenario's assertions and fail on any unmet one")
@@ -135,31 +136,18 @@ func runCmd(args []string) error {
 		s.Seed = *seed
 	}
 
-	// Fleet scenarios and explicit -backend worker go through the full
-	// environment (worker processes, fleet lifecycle); everything else runs
-	// on the direct single-stack path.
-	var out *scenario.Outcome
-	if s.Fleet != nil || *backendFl == "worker" {
-		o, err := scenario.RunEnv(s, scenario.EnvOptions{Backend: "worker"})
-		if err != nil {
-			return err
-		}
-		out = o
-		if err := writeOutcome(o, *verbose); err != nil {
-			return err
-		}
-	} else {
-		res, err := scenario.Run(s)
-		if err != nil {
-			return err
-		}
-		out = res.Outcome()
-		if *verbose {
-			fmt.Printf("derived: %s\n", res.Strategy)
-		}
-		if err := res.WriteSummary(os.Stdout); err != nil {
-			return err
-		}
+	// Fleet scenarios need real worker processes, so the default backend
+	// does not apply to them; everything else runs where -backend points.
+	backend := *backendFl
+	if s.Fleet != nil && backend == "local" {
+		backend = "worker"
+	}
+	out, err := scenario.Run(s, scenario.EnvOptions{Backend: backend})
+	if err != nil {
+		return err
+	}
+	if err := writeOutcome(out, *verbose); err != nil {
+		return err
 	}
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
@@ -181,10 +169,11 @@ func runCmd(args []string) error {
 	return nil
 }
 
-// writeOutcome prints the environment-path summary: per-job outcomes, the
-// applied timeline, and the fleet accounting.
+// writeOutcome prints the run's summary: the applied timeline, the job
+// outcomes — a lone job's full TTC report, a tally otherwise — and the fleet
+// and dynamics accounting. verbose adds one line per job.
 func writeOutcome(o *scenario.Outcome, verbose bool) error {
-	fmt.Printf("scenario: %s (environment run, %d job(s))\n", o.Scenario.Name, len(o.Jobs))
+	fmt.Printf("scenario: %s\n", o.Scenario.Name)
 	if o.Scenario.Description != "" {
 		fmt.Printf("  %s\n", o.Scenario.Description)
 	}
@@ -194,25 +183,24 @@ func writeOutcome(o *scenario.Outcome, verbose bool) error {
 			fmt.Printf("  %s\n", a)
 		}
 	}
-	done, failed, canceled := 0, 0, 0
-	for _, j := range o.Jobs {
-		switch j.State {
-		case "done":
-			done++
-		case "failed":
-			failed++
-		case "canceled":
-			canceled++
+	if len(o.Jobs) == 1 && o.Jobs[0].Report != nil {
+		if err := o.Jobs[0].Report.WriteSummary(os.Stdout); err != nil {
+			return err
 		}
+	} else {
+		tally := map[string]int{}
+		for _, j := range o.Jobs {
+			tally[j.State]++
+		}
+		fmt.Printf("jobs: %d done, %d failed, %d canceled\n", tally["done"], tally["failed"], tally["canceled"])
 	}
-	fmt.Printf("jobs: %d done, %d failed, %d canceled\n", done, failed, canceled)
-	if verbose {
-		for i, j := range o.Jobs {
-			if j.Report != nil {
-				fmt.Printf("job %d (%s): %d units done, TTC %s\n", i, j.State, j.Report.UnitsDone, j.Report.TTC)
-			} else {
-				fmt.Printf("job %d (%s): %s\n", i, j.State, j.Err)
-			}
+	for i, j := range o.Jobs {
+		switch {
+		case j.Report == nil:
+			// A job without a report has only its error to show.
+			fmt.Printf("job %d (%s): %s\n", i, j.State, j.Err)
+		case verbose:
+			fmt.Printf("job %d (%s): %d units done, TTC %s\n", i, j.State, j.Report.UnitsDone, j.Report.TTC)
 		}
 	}
 	if o.Scenario.Fleet != nil {

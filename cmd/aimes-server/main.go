@@ -105,39 +105,29 @@ func main() {
 		}
 		secret = strings.TrimSpace(string(b))
 	} // empty falls back to $AIMES_WORKER_SECRET{,_FILE} inside NewEnv
+	pool := aimes.WorkerPool{
+		Secret:         secret,
+		MaxRestarts:    *maxRestarts,
+		HealthInterval: *healthInterval,
+	}
+	addrs := *workerEndpoints
+	if addrs == "" {
+		addrs = *workerAddr
+	}
+	for _, a := range strings.Split(addrs, ",") {
+		if a = strings.TrimSpace(a); a != "" {
+			pool.Endpoints = append(pool.Endpoints, aimes.WorkerEndpoint{Addr: a})
+		}
+	}
 	switch {
-	case *workerEndpoints != "":
-		pool := aimes.WorkerPool{
-			Secret:         secret,
-			MaxRestarts:    *maxRestarts,
-			HealthInterval: *healthInterval,
-		}
-		for _, a := range strings.Split(*workerEndpoints, ",") {
-			if a = strings.TrimSpace(a); a != "" {
-				pool.Endpoints = append(pool.Endpoints, aimes.WorkerEndpoint{Addr: a})
-			}
-		}
-		if len(pool.Endpoints) == 0 {
-			fail("-worker-endpoints %q names no endpoints", *workerEndpoints)
-		}
+	case len(pool.Endpoints) > 0:
 		opts = append(opts, aimes.WithWorkerPool(pool))
-	case *workerAddr != "":
-		opts = append(opts, aimes.WithWorkerPool(aimes.WorkerPool{
-			Endpoints:      []aimes.WorkerEndpoint{{Addr: *workerAddr}},
-			Secret:         secret,
-			MaxRestarts:    *maxRestarts,
-			HealthInterval: *healthInterval,
-		}))
+	case addrs != "":
+		fail("-worker-endpoints/-worker-addr %q names no endpoints", addrs)
 	case *workers > 0:
-		opts = append(opts, aimes.WithWorkers(*workers))
-		if *maxRestarts > 0 || *healthInterval > 0 {
-			// Self-hosted process workers get the fleet lifecycle too: an
-			// empty endpoint list means one process-mode endpoint.
-			opts = append(opts, aimes.WithWorkerPool(aimes.WorkerPool{
-				MaxRestarts:    *maxRestarts,
-				HealthInterval: *healthInterval,
-			}))
-		}
+		// Self-hosted process workers: an empty endpoint list means one
+		// process-mode endpoint spawning this binary.
+		opts = append(opts, aimes.WithShards(*workers), aimes.WithWorkerPool(pool))
 	}
 
 	env, err := aimes.NewEnv(opts...)

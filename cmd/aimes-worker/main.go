@@ -1,5 +1,5 @@
 // Command aimes-worker hosts simulation shards for a sharded aimes
-// Environment built with WithWorkers / WithWorkerAddr.
+// Environment built with WithWorkerPool.
 //
 // With no arguments it serves one shard on stdin/stdout as a child OS
 // process of the parent environment — the stdio transport. The parent
@@ -9,8 +9,8 @@
 // codec negotiated at init. Logs go to stderr, which the parent passes
 // through. This mode is never run by hand:
 //
-//	env, _ := aimes.NewEnv(aimes.WithWorkers(4),
-//		aimes.WithWorkerCommand("aimes-worker"))
+//	env, _ := aimes.NewEnv(aimes.WithShards(4),
+//		aimes.WithWorkerPool(aimes.WorkerPool{Command: []string{"aimes-worker"}}))
 //
 // With the serve subcommand it hosts shards over TCP instead, one
 // independent shard per authenticated connection — the first step toward a
@@ -22,14 +22,16 @@
 // and on the client side:
 //
 //	env, _ := aimes.NewEnv(aimes.WithShards(4),
-//		aimes.WithWorkerAddr("fleet-3:9464"),
-//		aimes.WithWorkerSecret(secret))
+//		aimes.WithWorkerPool(aimes.WorkerPool{
+//			Endpoints: []aimes.WorkerEndpoint{{Addr: "fleet-3:9464"}},
+//			Secret:    secret,
+//		}))
 //
 // The serve secret resolves in precedence order: --secret, --secret-file,
 // $AIMES_WORKER_SECRET, then a file named by $AIMES_WORKER_SECRET_FILE.
 // File contents are trimmed of surrounding whitespace. The NewEnv side
-// honors the same two environment variables when WithWorkerSecret is not
-// given. Connections authenticate with the shared secret (HMAC
+// honors the same two environment variables when WorkerPool.Secret is
+// empty. Connections authenticate with the shared secret (HMAC
 // challenge/response; the secret never crosses the wire) but are not
 // encrypted — no TLS yet — so serve on trusted networks only.
 //

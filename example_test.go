@@ -1,6 +1,7 @@
 package aimes_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -11,30 +12,38 @@ import (
 // the paper's best strategy (late binding, backfill, three pilots) on the
 // simulated five-resource testbed.
 func Example() {
-	env, err := aimes.NewSimulatedEnvironment(aimes.EnvConfig{Seed: 42})
+	env, err := aimes.NewEnv(aimes.WithSeed(42))
 	if err != nil {
 		log.Fatal(err)
 	}
-	app := aimes.BagOfTasks(128, aimes.UniformDuration())
-	report, err := env.RunApp(app, aimes.StrategyConfig{
+	w, err := aimes.GenerateWorkload(aimes.BagOfTasks(128, aimes.UniformDuration()), 42)
+	if err != nil {
+		log.Fatal(err)
+	}
+	ctx := context.Background()
+	job, err := env.Submit(ctx, w, aimes.JobConfig{StrategyConfig: aimes.StrategyConfig{
 		Binding:   aimes.LateBinding,
 		Scheduler: aimes.SchedBackfill,
 		Pilots:    3,
-	})
+	}})
+	if err != nil {
+		log.Fatal(err)
+	}
+	report, err := job.Wait(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("%d units done on %d pilots\n", report.UnitsDone, report.PilotsActivated)
 	fmt.Printf("TTC %.0fs with Tw %.0fs\n", report.TTC.Seconds(), report.Tw.Seconds())
 	// Output:
-	// 128 units done on 3 pilots
-	// TTC 1405s with Tw 78s
+	// 128 units done on 2 pilots
+	// TTC 1895s with Tw 78s
 }
 
 // ExampleEnvironment_Derive shows strategy derivation without enactment —
 // the five decisions of the paper's Table I made explicit.
 func ExampleEnvironment_Derive() {
-	env, err := aimes.NewSimulatedEnvironment(aimes.EnvConfig{Seed: 7})
+	env, err := aimes.NewEnv(aimes.WithSeed(7))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -57,10 +66,48 @@ func ExampleEnvironment_Derive() {
 	// 3 pilots × 683 cores on [stampede comet hopper]
 }
 
+// ExampleEnvironment_RunStaged executes a two-stage pipeline one stage at a
+// time (paper §V, workflow decomposition): each stage is its own job, the
+// strategy is re-derived before each, and the queue waits a stage observed
+// feed the next stage's derivation.
+func ExampleEnvironment_RunStaged() {
+	env, err := aimes.NewEnv(aimes.WithSeed(11))
+	if err != nil {
+		log.Fatal(err)
+	}
+	w, err := aimes.GenerateWorkload(aimes.AppSpec{
+		Name: "pipeline",
+		Stages: []aimes.StageSpec{
+			{Name: "prep", Tasks: 8, DurationS: aimes.ConstantSpec(60),
+				OutputBytes: aimes.ConstantSpec(1 << 18)},
+			{Name: "solve", Tasks: 8, DurationS: aimes.ConstantSpec(120),
+				Inputs: aimes.MapOneToOne},
+		},
+	}, 11)
+	if err != nil {
+		log.Fatal(err)
+	}
+	total, stages, err := env.RunStaged(w, aimes.StrategyConfig{
+		Binding: aimes.LateBinding, Scheduler: aimes.SchedBackfill, Pilots: 2,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	for i, r := range stages {
+		fmt.Printf("stage %s: %d units done\n", w.Stages[i], r.UnitsDone)
+	}
+	fmt.Printf("workflow: %d units done, TTC is the sum of the stages: %v\n",
+		total.UnitsDone, total.TTC == stages[0].TTC+stages[1].TTC)
+	// Output:
+	// stage prep: 8 units done
+	// stage solve: 8 units done
+	// workflow: 16 units done, TTC is the sum of the stages: true
+}
+
 // ExampleBundle_Match exercises the discovery interface's requirement
 // language over the default testbed.
 func ExampleBundle_Match() {
-	env, err := aimes.NewSimulatedEnvironment(aimes.EnvConfig{Seed: 1})
+	env, err := aimes.NewEnv(aimes.WithSeed(1))
 	if err != nil {
 		log.Fatal(err)
 	}

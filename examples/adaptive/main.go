@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -16,6 +17,7 @@ import (
 func main() {
 	const tasks = 64
 	app := aimes.BagOfTasks(tasks, aimes.UniformDuration())
+	ctx := context.Background()
 
 	for _, adaptive := range []bool{false, true} {
 		// Seed 1437 is a run whose randomly chosen single resource draws a
@@ -45,15 +47,18 @@ func main() {
 			log.Fatal(err)
 		}
 
-		var report *aimes.Report
+		cfg := aimes.JobConfig{Strategy: &strategy}
 		if adaptive {
-			report, err = env.RunAdaptive(w, strategy, aimes.AdaptiveConfig{
+			cfg.Adaptive = &aimes.AdaptiveConfig{
 				Patience:       15 * time.Minute,
 				MaxExtraPilots: 2,
-			})
-		} else {
-			report, err = env.Run(w, strategy)
+			}
 		}
+		job, err := env.Submit(ctx, w, cfg)
+		if err != nil {
+			log.Fatal(err)
+		}
+		report, err := job.Wait(ctx)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -38,6 +39,7 @@ func main() {
 
 	const tasks = 256
 	const reps = 5
+	ctx := context.Background()
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', tabwriter.AlignRight)
 	fmt.Fprintln(tw, "strategy\tmean TTC\tmean Tw\tmean Tx\tmean Ts\t")
 	for _, s := range strategies {
@@ -47,7 +49,15 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			report, err := env.RunApp(aimes.BagOfTasks(tasks, s.dur), s.cfg)
+			w, err := aimes.GenerateWorkload(aimes.BagOfTasks(tasks, s.dur), 7000+rep)
+			if err != nil {
+				log.Fatal(err)
+			}
+			job, err := env.Submit(ctx, w, aimes.JobConfig{StrategyConfig: s.cfg})
+			if err != nil {
+				log.Fatal(err)
+			}
+			report, err := job.Wait(ctx)
 			if err != nil {
 				log.Fatal(err)
 			}

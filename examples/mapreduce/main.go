@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -48,11 +49,16 @@ func main() {
 	fmt.Println("workload:", w.Summary())
 	fmt.Println("stages:  ", w.Stages)
 
-	report, err := env.RunWorkload(w, aimes.StrategyConfig{
+	ctx := context.Background()
+	job, err := env.Submit(ctx, w, aimes.JobConfig{StrategyConfig: aimes.StrategyConfig{
 		Binding:   aimes.LateBinding,
 		Scheduler: aimes.SchedBackfill,
 		Pilots:    2,
-	})
+	}})
+	if err != nil {
+		log.Fatal(err)
+	}
+	report, err := job.Wait(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -70,11 +71,16 @@ func main() {
 	}
 	fmt.Println("DAG written to montage-dag.dot")
 
-	report, err := env.RunWorkload(w, aimes.StrategyConfig{
+	ctx := context.Background()
+	job, err := env.Submit(ctx, w, aimes.JobConfig{StrategyConfig: aimes.StrategyConfig{
 		Binding:   aimes.LateBinding,
 		Scheduler: aimes.SchedBackfill,
 		Pilots:    2,
-	})
+	}})
+	if err != nil {
+		log.Fatal(err)
+	}
+	report, err := job.Wait(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}

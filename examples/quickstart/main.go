@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -23,15 +24,24 @@ func main() {
 
 	// The paper's experimental workload: single-core tasks, 15 minutes
 	// each, 1 MB in / 2 KB out.
-	app := aimes.BagOfTasks(128, aimes.UniformDuration())
+	w, err := aimes.GenerateWorkload(aimes.BagOfTasks(128, aimes.UniformDuration()), 42)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// Late binding over three pilots: tasks flow to whichever pilot
 	// becomes active first, normalizing the unpredictable queue wait.
-	report, err := env.RunApp(app, aimes.StrategyConfig{
+	// Submit returns at once; Wait drives the simulation to completion.
+	ctx := context.Background()
+	job, err := env.Submit(ctx, w, aimes.JobConfig{StrategyConfig: aimes.StrategyConfig{
 		Binding:   aimes.LateBinding,
 		Scheduler: aimes.SchedBackfill,
 		Pilots:    3,
-	})
+	}})
+	if err != nil {
+		log.Fatal(err)
+	}
+	report, err := job.Wait(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,6 @@
 // Out-of-process shards: the same multi-tenant environment as
 // examples/concurrent, but every simulation shard runs as a child OS
-// process (the worker backend) speaking a framed JSON protocol over stdio.
+// process (the worker backend) speaking the framed wire protocol over stdio.
 // The program self-hosts its workers — aimes.WorkerMain() at the top of
 // main turns a spawned copy of this binary into a shard worker — so no
 // separate aimes-worker binary is needed. A live trace subscription
@@ -24,7 +24,8 @@ func main() {
 	aimes.WorkerMain()
 
 	const workers = 2
-	env, err := aimes.NewEnv(aimes.WithSeed(404), aimes.WithWorkers(workers))
+	env, err := aimes.NewEnv(aimes.WithSeed(404), aimes.WithShards(workers),
+		aimes.WithWorkerPool(aimes.WorkerPool{}))
 	if err != nil {
 		log.Fatal(err)
 	}

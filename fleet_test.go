@@ -377,18 +377,9 @@ func TestFleetFailoverAcrossEndpoints(t *testing.T) {
 	}
 }
 
-// TestWorkerPoolValidation covers the consolidated option's refusal paths
+// TestWorkerPoolValidation covers the worker-pool option's refusal paths
 // and the fleet accessors on the local backend.
 func TestWorkerPoolValidation(t *testing.T) {
-	// Mixing the pool with the legacy single-endpoint options is ambiguous.
-	if _, err := aimes.NewEnv(aimes.WithWorkerPool(aimes.WorkerPool{}),
-		aimes.WithWorkerAddr("127.0.0.1:1")); err == nil || !strings.Contains(err.Error(), "ambiguous") {
-		t.Fatalf("pool+WithWorkerAddr: %v", err)
-	}
-	if _, err := aimes.NewEnv(aimes.WithWorkerPool(aimes.WorkerPool{}),
-		aimes.WithWorkerCommand("aimes-worker")); err == nil || !strings.Contains(err.Error(), "ambiguous") {
-		t.Fatalf("pool+WithWorkerCommand: %v", err)
-	}
 	// A negative budget is nonsense.
 	if _, err := aimes.NewEnv(aimes.WithWorkerPool(aimes.WorkerPool{MaxRestarts: -1})); err == nil {
 		t.Fatal("negative MaxRestarts accepted")

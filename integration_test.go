@@ -36,16 +36,13 @@ output = constant 4096
 	if err != nil {
 		t.Fatal(err)
 	}
-	env, err := aimes.NewSimulatedEnvironment(aimes.EnvConfig{Seed: 21})
+	env, err := aimes.NewEnv(aimes.WithSeed(21))
 	if err != nil {
 		t.Fatal(err)
 	}
-	report, err := env.RunApp(app, aimes.StrategyConfig{
+	report := runApp(t, env, app, 21, aimes.StrategyConfig{
 		Binding: aimes.LateBinding, Scheduler: aimes.SchedBackfill, Pilots: 2,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if report.UnitsDone != 16 {
 		t.Fatalf("done = %d, want 16", report.UnitsDone)
 	}
@@ -62,16 +59,13 @@ func TestFailureInjectionThroughFacade(t *testing.T) {
 		UnitFailureProb:       0.3,
 		DefaultMaxRestarts:    5,
 	}
-	env, err := aimes.NewSimulatedEnvironment(aimes.EnvConfig{Seed: 33, Pilot: &pcfg})
+	env, err := aimes.NewEnv(aimes.WithSeed(33), aimes.WithPilotConfig(pcfg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	report, err := env.RunApp(aimes.BagOfTasks(64, aimes.UniformDuration()), aimes.StrategyConfig{
+	report := runApp(t, env, aimes.BagOfTasks(64, aimes.UniformDuration()), 33, aimes.StrategyConfig{
 		Binding: aimes.LateBinding, Scheduler: aimes.SchedBackfill, Pilots: 3,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if report.UnitsDone != 64 {
 		t.Fatalf("done = %d, want 64 (restarts should absorb failures)", report.UnitsDone)
 	}
@@ -82,15 +76,13 @@ func TestFailureInjectionThroughFacade(t *testing.T) {
 
 // TestTraceExportFormats exercises the introspection exporters end to end.
 func TestTraceExportFormats(t *testing.T) {
-	env, err := aimes.NewSimulatedEnvironment(aimes.EnvConfig{Seed: 44})
+	env, err := aimes.NewEnv(aimes.WithSeed(44))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := env.RunApp(aimes.BagOfTasks(4, aimes.UniformDuration()), aimes.StrategyConfig{
+	runApp(t, env, aimes.BagOfTasks(4, aimes.UniformDuration()), 44, aimes.StrategyConfig{
 		Binding: aimes.EarlyBinding, Scheduler: aimes.SchedDirect, Pilots: 1,
-	}); err != nil {
-		t.Fatal(err)
-	}
+	})
 	var csv, jsonBuf bytes.Buffer
 	if err := env.Recorder().WriteCSV(&csv); err != nil {
 		t.Fatal(err)
@@ -118,15 +110,11 @@ func TestTraceExportFormats(t *testing.T) {
 func TestStrategyComparisonInvariants(t *testing.T) {
 	for seed := int64(50); seed < 54; seed++ {
 		run := func(cfg aimes.StrategyConfig) *aimes.Report {
-			env, err := aimes.NewSimulatedEnvironment(aimes.EnvConfig{Seed: seed})
+			env, err := aimes.NewEnv(aimes.WithSeed(seed))
 			if err != nil {
 				t.Fatal(err)
 			}
-			r, err := env.RunApp(aimes.BagOfTasks(32, aimes.UniformDuration()), cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return r
+			return runApp(t, env, aimes.BagOfTasks(32, aimes.UniformDuration()), seed, cfg)
 		}
 		early := run(aimes.StrategyConfig{
 			Binding: aimes.EarlyBinding, Scheduler: aimes.SchedDirect, Pilots: 1})
@@ -153,9 +141,9 @@ func TestStrategyComparisonInvariants(t *testing.T) {
 	}
 }
 
-// TestRunAdaptiveThroughFacade exercises the runtime-adaptation API.
-func TestRunAdaptiveThroughFacade(t *testing.T) {
-	env, err := aimes.NewSimulatedEnvironment(aimes.EnvConfig{Seed: 60})
+// TestAdaptiveThroughFacade exercises the runtime-adaptation API.
+func TestAdaptiveThroughFacade(t *testing.T) {
+	env, err := aimes.NewEnv(aimes.WithSeed(60))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,13 +157,10 @@ func TestRunAdaptiveThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	report, err := env.RunAdaptive(w, s, aimes.AdaptiveConfig{
+	report := runJob(t, env, w, aimes.JobConfig{Strategy: &s, Adaptive: &aimes.AdaptiveConfig{
 		Patience:       5 * time.Minute,
 		MaxExtraPilots: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}})
 	if report.UnitsDone != 16 {
 		t.Fatalf("done = %d", report.UnitsDone)
 	}
@@ -184,7 +169,7 @@ func TestRunAdaptiveThroughFacade(t *testing.T) {
 // TestChoosePilotCountThroughFacade exercises the heuristic via primed
 // bundle history.
 func TestChoosePilotCountThroughFacade(t *testing.T) {
-	env, err := aimes.NewSimulatedEnvironment(aimes.EnvConfig{Seed: 61})
+	env, err := aimes.NewEnv(aimes.WithSeed(61))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,18 +192,15 @@ func TestChoosePilotCountThroughFacade(t *testing.T) {
 // TestSequentialRunsShareEnvironment verifies an environment survives
 // multiple workload executions with a consistent clock and trace.
 func TestSequentialRunsShareEnvironment(t *testing.T) {
-	env, err := aimes.NewSimulatedEnvironment(aimes.EnvConfig{Seed: 70})
+	env, err := aimes.NewEnv(aimes.WithSeed(70))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var prevLen int
 	for i := 0; i < 3; i++ {
-		report, err := env.RunApp(aimes.BagOfTasks(8, aimes.UniformDuration()), aimes.StrategyConfig{
+		report := runApp(t, env, aimes.BagOfTasks(8, aimes.UniformDuration()), 70, aimes.StrategyConfig{
 			Binding: aimes.LateBinding, Scheduler: aimes.SchedBackfill, Pilots: 2,
 		})
-		if err != nil {
-			t.Fatalf("run %d: %v", i, err)
-		}
 		if report.UnitsDone != 8 {
 			t.Fatalf("run %d: done = %d", i, report.UnitsDone)
 		}

@@ -20,7 +20,6 @@ package backend
 import (
 	"aimes/internal/core"
 	"aimes/internal/pilot"
-	"aimes/internal/sim"
 	"aimes/internal/site"
 	"aimes/internal/skeleton"
 	"aimes/internal/trace"
@@ -101,13 +100,6 @@ type Backend interface {
 	// backend's bundle without enacting anything. It consumes backend
 	// randomness exactly as an enacting derivation would.
 	Derive(w *skeleton.Workload, cfg core.StrategyConfig) (core.Strategy, error)
-	// AppSeed draws a workload-generation seed from the backend's seeded
-	// randomness (the RunApp path).
-	AppSeed() (int64, error)
-	// Now reports the backend engine's current time. For Worker it is the
-	// time at the last response — exact, since a worker's engine only
-	// advances inside calls.
-	Now() (sim.Time, error)
 	// Steppable reports whether the engine advances only when stepped
 	// (virtual time). A non-steppable (wall-clock) backend completes jobs
 	// on its own and Step must not be called.

@@ -195,7 +195,7 @@ func TestLocalBackendLifecycle(t *testing.T) {
 	if err := l.Incomplete(99); err == nil || !strings.Contains(err.Error(), "99") {
 		t.Fatalf("unknown-key diagnostic: %v", err)
 	}
-	if now, _ := l.Now(); now <= 0 {
+	if now := l.Engine().Now(); now <= 0 {
 		t.Fatalf("engine time %v after a full run", now)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"aimes/internal/core"
-	"aimes/internal/sim"
 	"aimes/internal/skeleton"
 )
 
@@ -27,8 +26,7 @@ type Worker struct {
 	s     *session
 	sink  Sink
 
-	now     atomic.Int64 // engine time at the last response, ns
-	drained atomic.Bool  // conservative Runnable cache: true only right after a drained Step
+	drained atomic.Bool // conservative Runnable cache: true only right after a drained Step
 }
 
 var (
@@ -108,7 +106,6 @@ func (w *Worker) call(req *request) (*response, error) {
 	if err := w.s.exchange(req, &resp); err != nil {
 		return nil, err
 	}
-	w.now.Store(resp.Now)
 	if req.Op == opStep {
 		// Record the drain verdict BEFORE dispatching events: a dispatched
 		// completion can admit and enact a queued job (a nested call), which
@@ -235,19 +232,6 @@ func (w *Worker) Derive(wl *skeleton.Workload, cfg core.StrategyConfig) (core.St
 	}
 	return *resp.Strategy, nil
 }
-
-// AppSeed implements Backend.
-func (w *Worker) AppSeed() (int64, error) {
-	resp, err := w.call(&request{Op: opAppSeed})
-	if err != nil {
-		return 0, err
-	}
-	return resp.Seed, nil
-}
-
-// Now implements Backend: the engine time at the last response. Exact, not
-// stale — a worker's engine only advances while serving a call.
-func (w *Worker) Now() (sim.Time, error) { return sim.Time(w.now.Load()), nil }
 
 // Steppable implements Backend (the worker protocol is virtual-time only).
 func (w *Worker) Steppable() bool { return true }

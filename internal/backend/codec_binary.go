@@ -57,11 +57,11 @@ func (c *binaryCodec) intern(b []byte) string {
 }
 
 // Request opcodes (byte form of the op strings). Zero is reserved for the
-// string fallback so an op outside the table still round-trips.
+// string fallback so an op outside the table still round-trips; 8 was the
+// retired appseed op and stays unassigned.
 var opCodes = map[string]byte{
 	opInit: 1, opEnact: 2, opStep: 3, opCancel: 4, opIncomplete: 5,
-	opFeedback: 6, opDerive: 7, opAppSeed: 8, opClose: 9, opPing: 10,
-	opInject: 11,
+	opFeedback: 6, opDerive: 7, opClose: 9, opPing: 10, opInject: 11,
 }
 
 var opNames = func() map[byte]string {
@@ -226,8 +226,6 @@ func (c *binaryCodec) AppendResponse(dst []byte, resp *response) ([]byte, error)
 	}
 	dst = append(dst, bits)
 	dst = binary.AppendVarint(dst, int64(resp.Fired))
-	dst = binary.AppendVarint(dst, resp.Seed)
-	dst = binary.AppendVarint(dst, resp.Now)
 	var err error
 	if resp.Enacted != nil {
 		if dst, err = appendWireJSON(dst, resp.Enacted); err != nil {
@@ -279,8 +277,6 @@ func (c *binaryCodec) DecodeResponse(data []byte, resp *response) error {
 	bits := r.byte()
 	resp.Drained = bits&respDrained != 0
 	resp.Fired = int(r.varint())
-	resp.Seed = r.varint()
-	resp.Now = r.varint()
 	if bits&respHasEnacted != 0 {
 		resp.Enacted = new(Enacted)
 		r.json(resp.Enacted)

@@ -107,7 +107,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 
 		resp := &response{
 			ID: id, Err: errS, Diag: diag, Codec: codecName,
-			Fired: int(fired), Drained: drained, Seed: seed, Now: now,
+			Fired: int(fired), Drained: drained,
 		}
 		if blobs&2 != 0 {
 			rec := trace.WireRecord{Time: sim.Time(tns), Entity: entity, State: state, Detail: detail}

@@ -3,6 +3,7 @@ package backend
 import (
 	"fmt"
 	"math/rand"
+	"time"
 
 	"aimes/internal/bundle"
 	"aimes/internal/core"
@@ -49,6 +50,11 @@ type Local struct {
 }
 
 var _ Backend = (*Local)(nil)
+
+// emergentWarmup is how long a virtual-time stack with any emergent site
+// runs its background load before it accepts work, matching the experiment
+// harness. Every job time on such a shard is offset by it.
+const emergentWarmup = 72 * time.Hour
 
 // NewLocal builds one shard stack. Shard construction order (testbed, SAGA
 // adaptors, bundle, manager RNG) is load-bearing for determinism — change it
@@ -101,6 +107,17 @@ func NewLocal(cfg Config, sink Sink) (*Local, error) {
 	}
 	if q, ok := eng.(sim.Quiescer); ok {
 		l.quiescer = q
+	}
+	// Emergent queues need a warm-up so the background load has filled the
+	// machines before the first job arrives; otherwise pilots land on empty
+	// systems. Virtual time only: a wall-clock engine cannot skip ahead.
+	if vt, ok := eng.(*sim.Sim); ok {
+		for _, c := range configs {
+			if c.Mode == site.Emergent {
+				vt.RunUntil(vt.Now().Add(emergentWarmup))
+				break
+			}
+		}
 	}
 	return l, nil
 }
@@ -213,12 +230,6 @@ func (l *Local) Feedback(r *core.Report) error {
 func (l *Local) Derive(w *skeleton.Workload, cfg core.StrategyConfig) (core.Strategy, error) {
 	return core.Derive(w, l.bndl, cfg, l.rng)
 }
-
-// AppSeed implements Backend.
-func (l *Local) AppSeed() (int64, error) { return l.rng.Int63(), nil }
-
-// Now implements Backend.
-func (l *Local) Now() (sim.Time, error) { return l.eng.Now(), nil }
 
 // Steppable implements Backend.
 func (l *Local) Steppable() bool { return l.stepper != nil }

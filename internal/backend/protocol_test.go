@@ -62,8 +62,8 @@ func TestConnectNegotiatesBinary(t *testing.T) {
 		if err != nil {
 			t.Fatalf("codec %q: %v", choice, err)
 		}
-		if seed, err := w.AppSeed(); err != nil || seed == 0 {
-			t.Fatalf("codec %q: AppSeed = %d, %v", choice, seed, err)
+		if fired, drained, err := w.Step(1); err != nil || fired != 0 || !drained {
+			t.Fatalf("codec %q: Step on an idle shard = %d, %v, %v", choice, fired, drained, err)
 		}
 		if err := w.Close(); err != nil {
 			t.Fatalf("codec %q: close: %v", choice, err)
@@ -157,7 +157,7 @@ func TestJSONFallbackAgainstOldWorker(t *testing.T) {
 			if err := readFrame(r, &req); err != nil {
 				return
 			}
-			if err := writeFrame(w, &response{ID: req.ID, Seed: 424242}); err != nil {
+			if err := writeFrame(w, &response{ID: req.ID, Fired: 424242}); err != nil {
 				return
 			}
 		}
@@ -166,8 +166,8 @@ func TestJSONFallbackAgainstOldWorker(t *testing.T) {
 	if err != nil {
 		t.Fatalf("fallback connect: %v", err)
 	}
-	if seed, err := w.AppSeed(); err != nil || seed != 424242 {
-		t.Fatalf("post-fallback call: %d, %v (the session must still be on JSON)", seed, err)
+	if fired, _, err := w.Step(1); err != nil || fired != 424242 {
+		t.Fatalf("post-fallback call: %d, %v (the session must still be on JSON)", fired, err)
 	}
 
 	_, err = Connect(scriptedServer(t, echo), WorkerOptions{Codec: CodecBinary}, Config{Shard: 0, Seed: 1}, &collectSink{}, nil)
@@ -243,7 +243,7 @@ func TestFrameCorruptionFailsShardNotProcess(t *testing.T) {
 			}
 			// The session is dead, not wedged: later calls fail fast with the
 			// same cause instead of touching the broken stream.
-			if _, err2 := wk.AppSeed(); err2 == nil || err2.Error() != err.Error() {
+			if _, _, err2 := wk.Step(64); err2 == nil || err2.Error() != err.Error() {
 				t.Fatalf("post-corruption call: %v, want the dead-session error %q", err2, err)
 			}
 			// The death callback (the environment's fail-the-shard hook) fired
@@ -296,8 +296,8 @@ func TestTCPHandshake(t *testing.T) {
 	if err != nil {
 		t.Fatalf("connect after rejections: %v", err)
 	}
-	if seed, err := w.AppSeed(); err != nil || seed == 0 {
-		t.Fatalf("AppSeed over TCP: %d, %v", seed, err)
+	if fired, drained, err := w.Step(1); err != nil || fired != 0 || !drained {
+		t.Fatalf("Step over TCP: %d, %v, %v", fired, drained, err)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatalf("close: %v", err)

@@ -94,7 +94,6 @@ const (
 	opIncomplete = "incomplete"
 	opFeedback   = "feedback"
 	opDerive     = "derive"
-	opAppSeed    = "appseed"
 	opClose      = "close"
 	opPing       = "ping"
 	opInject     = "inject"
@@ -142,10 +141,8 @@ type response struct {
 	Enacted  *Enacted       `json:"enacted,omitempty"`
 	Fired    int            `json:"fired,omitempty"`
 	Drained  bool           `json:"drained,omitempty"`
-	Seed     int64          `json:"seed,omitempty"`
 	Strategy *core.Strategy `json:"strategy,omitempty"`
 	Diag     string         `json:"diag,omitempty"`
-	Now      int64          `json:"now,omitempty"` // engine time after the op, ns
 
 	// Codec echoes the wire codec the worker accepted for every frame after
 	// the init exchange. Only the init response carries it; absent means the

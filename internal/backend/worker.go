@@ -132,10 +132,6 @@ func (h *host) run() error {
 		default:
 			h.handleOp(&req, &resp)
 		}
-		if h.local != nil {
-			now, _ := h.local.Now()
-			resp.Now = int64(now)
-		}
 		ev := h.sink.flush()
 		resp.Events = ev
 		err = h.writeResponse(&resp)
@@ -244,8 +240,6 @@ func (h *host) handleOp(req *request, resp *response) {
 		} else {
 			resp.Strategy = &s
 		}
-	case opAppSeed:
-		resp.Seed, _ = h.local.AppSeed()
 	case opInject:
 		if req.Chaos == nil {
 			resp.Err = "backend: inject frame without a chaos event"

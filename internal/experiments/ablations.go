@@ -228,10 +228,9 @@ func AblationAdaptive(w io.Writer, ntasks, reps, workers int) error {
 				defer func() { <-sem }()
 				spec := RunSpec{Exp: def, NTasks: ntasks, Rep: rep, PrimeHistory: 128}
 				if adaptive {
-					results[rep] = RunAdaptive(spec, acfg)
-				} else {
-					results[rep] = Run(spec)
+					spec.Adaptive = &acfg
 				}
+				results[rep] = Run(spec)
 			}(r)
 		}
 		wg.Wait()

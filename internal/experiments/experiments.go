@@ -136,6 +136,9 @@ type RunSpec struct {
 	// AutoPilots lets the execution manager choose the pilot count from
 	// bundle history instead of the experiment's fixed value.
 	AutoPilots bool
+	// Adaptive, when non-nil, enacts with runtime strategy adaptation; the
+	// result's label gains " adaptive".
+	Adaptive *core.AdaptiveConfig
 	// Warmup advances the simulation before enactment so emergent-mode
 	// background load reaches steady state. Defaults to 72 virtual hours
 	// when any site is emergent; ignored (zero) for modeled sites.
@@ -248,16 +251,29 @@ func (r *Result) fill(report *core.Report) {
 // Run executes one spec on a fresh simulated testbed.
 func Run(spec RunSpec) Result {
 	res := Result{Exp: spec.Exp.ID, Label: spec.Exp.Label(), NTasks: spec.NTasks, Rep: spec.Rep}
-	seed := spec.seed()
-	env, err := buildEnv(spec, seed)
+	if spec.Adaptive != nil {
+		res.Label += " adaptive"
+	}
+	report, err := run(spec)
 	if err != nil {
 		res.Err = err.Error()
 		return res
 	}
+	res.fill(report)
+	return res
+}
+
+// run builds the spec's environment and workload, derives the strategy and
+// executes it — statically, or adaptively when spec.Adaptive is set.
+func run(spec RunSpec) (*core.Report, error) {
+	seed := spec.seed()
+	env, err := buildEnv(spec, seed)
+	if err != nil {
+		return nil, err
+	}
 	w, err := skeleton.Generate(skeleton.BagOfTasks(spec.NTasks, spec.Exp.Duration.Spec()), seed)
 	if err != nil {
-		res.Err = err.Error()
-		return res
+		return nil, err
 	}
 	cfg := spec.Exp.StrategyConfig()
 	if spec.Selection != nil {
@@ -267,50 +283,18 @@ func Run(spec RunSpec) Result {
 		cfg.Pilots = 0
 		cfg.AutoPilots = true
 	}
-	report, err := env.mgr.DeriveAndExecute(w, cfg)
-	if err != nil {
-		res.Err = err.Error()
-		return res
-	}
-	res.fill(report)
-	return res
-}
-
-// RunAdaptive executes one spec with runtime strategy adaptation enabled.
-func RunAdaptive(spec RunSpec, acfg core.AdaptiveConfig) Result {
-	res := Result{Exp: spec.Exp.ID, Label: spec.Exp.Label() + " adaptive", NTasks: spec.NTasks, Rep: spec.Rep}
-	seed := spec.seed()
-	env, err := buildEnv(spec, seed)
-	if err != nil {
-		res.Err = err.Error()
-		return res
-	}
-	w, err := skeleton.Generate(skeleton.BagOfTasks(spec.NTasks, spec.Exp.Duration.Spec()), seed)
-	if err != nil {
-		res.Err = err.Error()
-		return res
-	}
-	cfg := spec.Exp.StrategyConfig()
-	if spec.Selection != nil {
-		cfg.Selection = *spec.Selection
+	if spec.Adaptive == nil {
+		return env.mgr.DeriveAndExecute(w, cfg)
 	}
 	s, err := core.Derive(w, env.bndl, cfg, env.rng)
 	if err != nil {
-		res.Err = err.Error()
-		return res
+		return nil, err
 	}
-	exec, err := env.mgr.ExecuteAdaptive(w, s, acfg)
+	exec, err := env.mgr.ExecuteAdaptive(w, s, *spec.Adaptive)
 	if err != nil {
-		res.Err = err.Error()
-		return res
+		return nil, err
 	}
-	report, err := env.mgr.WaitFor(exec)
-	if err != nil {
-		res.Err = err.Error()
-		return res
-	}
-	res.fill(report)
-	return res
+	return env.mgr.WaitFor(exec)
 }
 
 // primeBundle replays archived wait observations into each resource's

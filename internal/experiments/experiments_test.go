@@ -256,13 +256,13 @@ func TestPaperShapeSmall(t *testing.T) {
 	}
 }
 
-func TestRunAdaptiveSpec(t *testing.T) {
+func TestRunSpecAdaptive(t *testing.T) {
 	def := Definition{
 		ID: 99, Duration: Uniform15m,
 		Binding: core.LateBinding, Scheduler: core.SchedBackfill, Pilots: 1,
 	}
-	res := RunAdaptive(RunSpec{Exp: def, NTasks: 8, Rep: 0, PrimeHistory: 64},
-		core.AdaptiveConfig{Patience: 10 * time.Minute, MaxExtraPilots: 2})
+	res := Run(RunSpec{Exp: def, NTasks: 8, Rep: 0, PrimeHistory: 64,
+		Adaptive: &core.AdaptiveConfig{Patience: 10 * time.Minute, MaxExtraPilots: 2}})
 	if res.Err != "" {
 		t.Fatalf("adaptive run failed: %s", res.Err)
 	}

@@ -31,7 +31,7 @@ func AblationOutages(w io.Writer, ntasks, reps, workers int) error {
 		for _, binding := range []string{"early", "late"} {
 			var ttc stats.Summary
 			done, resched := 0, 0
-			results := make([]*scenario.Result, reps)
+			results := make([]*scenario.Outcome, reps)
 			errs := make([]error, reps)
 			var wg sync.WaitGroup
 			sem := make(chan struct{}, poolSize(workers))
@@ -42,7 +42,7 @@ func AblationOutages(w io.Writer, ntasks, reps, workers int) error {
 					sem <- struct{}{}
 					defer func() { <-sem }()
 					s := outageScenario(binding, ntasks, outages, int64(10_000+rep))
-					results[rep], errs[rep] = scenario.Run(s)
+					results[rep], errs[rep] = scenario.Run(s, scenario.EnvOptions{})
 				}(r)
 			}
 			wg.Wait()
@@ -52,8 +52,13 @@ func AblationOutages(w io.Writer, ntasks, reps, workers int) error {
 						binding, outages, r, errs[r])
 				}
 				res := results[r]
-				ttc.Add(res.Report.TTC.Seconds())
-				done += res.Report.UnitsDone
+				job := res.Jobs[0]
+				if job.Report == nil {
+					return fmt.Errorf("outage ablation (%s, %d outages, rep %d): job %s: %s",
+						binding, outages, r, job.State, job.Err)
+				}
+				ttc.Add(job.Report.TTC.Seconds())
+				done += job.Report.UnitsDone
 				resched += res.Rescheduled
 			}
 			if _, err := fmt.Fprintf(w, "%7d  %-7s  %9.0f  %7.0f  %10d  %11d\n",

@@ -31,8 +31,8 @@ const (
 	AssertFleet = "fleet"
 	// AssertModel bounds the cost model's prediction error over the run's
 	// completed jobs: Field selects mean_rel_error (default) or
-	// max_rel_error, Min/Max bound it. Requires a fleet section — the
-	// environment runner is what records per-job predictions.
+	// max_rel_error, Min/Max bound it. Requires a fleet section — its job
+	// fan-out is the population the predictions are scored over.
 	AssertModel = "model"
 	// AssertLatency bounds a percentile of per-unit latency (seconds from a
 	// unit's first trace record to its DONE record): Percentile selects
@@ -189,7 +189,7 @@ func (a Assertion) validate(s *Scenario) []error {
 			fail("model assertion needs min and/or max")
 		}
 		if s.Fleet == nil {
-			fail("model assertion requires a fleet section (per-job predictions are recorded by the environment runner)")
+			fail("model assertion requires a fleet section (predictions are scored over its job fan-out)")
 		}
 	case AssertLatency:
 		if a.Percentile == nil {
@@ -216,13 +216,12 @@ type JobOutcome struct {
 	// worker).
 	Report *core.Report
 	// Predicted is the cost model's predicted completion in seconds,
-	// recorded when the job was enacted (0 on the direct runner, which has
-	// no environment and so no model).
+	// recorded when the job was enacted.
 	Predicted float64
 }
 
-// FleetOutcome summarizes the worker fleet after the run (zero on the
-// direct and local-backend paths).
+// FleetOutcome summarizes the worker fleet after the run (zero on the local
+// backend).
 type FleetOutcome struct {
 	Restarts           int
 	Replayed           int64
@@ -384,7 +383,7 @@ func (a Assertion) check(o *Outcome) error {
 			n++
 		}
 		if n == 0 {
-			return fmt.Errorf("model: no completed job carried a prediction (run via the environment runner with completed jobs)")
+			return fmt.Errorf("model: no completed job carried a prediction")
 		}
 		field, v := a.Field, sum/float64(n)
 		if field == "" {

@@ -176,8 +176,8 @@ func TestValidateAssertionRejects(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "requires a fleet section") {
 		t.Fatalf("fleetless fleet assertion: %v", err)
 	}
-	// Same for a model assertion: per-job predictions are recorded by the
-	// environment runner, which fleetless scenarios need not route through.
+	// Same for a model assertion: it scores predictions over the fleet's job
+	// fan-out.
 	err = mutate(t, func(s *Scenario) {
 		s.Assertions = []Assertion{{Kind: AssertModel, Max: floatp(1)}}
 	})

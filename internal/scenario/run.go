@@ -12,17 +12,18 @@ import (
 	"aimes/internal/sim"
 )
 
-// EnvOptions configures the environment runner.
+// EnvOptions configures Run.
 type EnvOptions struct {
 	// Backend selects the shard backend: "local" (in-process) or "worker"
 	// (child worker processes). Empty defaults to "worker" for fleet
 	// scenarios — the only backend that can host one — and "local"
 	// otherwise.
 	Backend string
-	// Timeout bounds the wall-clock wait per job (default 2 minutes; the
-	// engine runs in virtual time, so this only trips on a wedged run).
-	Timeout time.Duration
 }
+
+// waitTimeout bounds the wall-clock wait for the run's jobs. The engine runs
+// in virtual time, so it only trips on a wedged run.
+const waitTimeout = 2 * time.Minute
 
 func (o EnvOptions) backend(s *Scenario) string {
 	if o.Backend != "" {
@@ -34,31 +35,26 @@ func (o EnvOptions) backend(s *Scenario) string {
 	return "local"
 }
 
-func (o EnvOptions) timeout() time.Duration {
-	if o.Timeout <= 0 {
-		return 2 * time.Minute
-	}
-	return o.Timeout
-}
-
-// RunEnv executes the scenario through a full execution Environment — the
-// job API, shard placement, and (on the worker backend) real worker
-// processes and the fleet lifecycle — instead of the direct single-stack
-// path. This is the only runner for fleet scenarios: kill-worker severs the
-// target worker's transport at the event's virtual time, so the respawn and
-// replay machinery is exercised at a deterministic trajectory point, and
-// endpoint events (cordon/uncordon/drain) reach the pool control plane.
+// Run executes the scenario through a full execution Environment — the job
+// API, shard placement, and (on the worker backend) real worker processes
+// and the fleet lifecycle. The jobs are pinned to the scenario's shard, so
+// the run adopts that shard's derived seed and namespace. Fleet events reach
+// the real control plane: kill-worker severs the target worker's transport
+// at the event's virtual time, so the respawn and replay machinery is
+// exercised at a deterministic trajectory point, and endpoint events
+// (cordon/uncordon/drain) reach the pool.
 //
 // Testbed chaos and kill-worker events are injected before submission.
 // Endpoint events are applied after every submission and before any
 // waiting; since virtual time only advances while a waiter pumps, they too
 // land deterministically — always before any job has made progress.
-func RunEnv(s *Scenario, opts EnvOptions) (*Outcome, error) {
+//
+// A job that cannot complete (say, an outage that never recovers wedging an
+// early-binding workload) is not a runner error: its JobOutcome is "failed"
+// with the backend's pilot/unit state summary in Err.
+func Run(s *Scenario, opts EnvOptions) (*Outcome, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
-	}
-	if s.Testbed.BackgroundUtil > 0 {
-		return nil, fmt.Errorf("scenario %s: emergent testbeds (background_util) run through the direct runner", s.Name)
 	}
 	kind := opts.backend(s)
 	if kind != "local" && kind != "worker" {
@@ -81,10 +77,11 @@ func RunEnv(s *Scenario, opts EnvOptions) (*Outcome, error) {
 		envOpts = append(envOpts,
 			aimes.WithShards(f.workers()), aimes.WithWorkStealing(),
 			aimes.WithWorkerPool(aimes.WorkerPool{Endpoints: eps, MaxRestarts: f.MaxRestarts}))
-	} else if kind == "worker" {
-		envOpts = append(envOpts, aimes.WithWorkers(s.Shard+1))
 	} else {
 		envOpts = append(envOpts, aimes.WithShards(s.Shard+1))
+		if kind == "worker" {
+			envOpts = append(envOpts, aimes.WithWorkerPool(aimes.WorkerPool{}))
+		}
 	}
 	env, err := aimes.NewEnv(envOpts...)
 	if err != nil {
@@ -125,8 +122,8 @@ func RunEnv(s *Scenario, opts EnvOptions) (*Outcome, error) {
 		ac := a.config()
 		jcfg.Adaptive = &ac
 	}
-	// Job 0 reuses the direct path's workload seed, so a one-job local-env
-	// run reproduces Run's trajectory; fan-out jobs draw distinct mixes.
+	// Job 0's workload is seeded like its shard; fan-out jobs draw distinct
+	// mixes.
 	wseed := shard.Seed(s.seed(), s.Shard)
 	handles := make([]*aimes.Job, 0, jobs)
 	for i := 0; i < jobs; i++ {
@@ -171,7 +168,7 @@ func RunEnv(s *Scenario, opts EnvOptions) (*Outcome, error) {
 		})
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), opts.timeout())
+	ctx, cancel := context.WithTimeout(context.Background(), waitTimeout)
 	defer cancel()
 	outcome := &Outcome{Scenario: s}
 	for i, j := range handles {
@@ -194,7 +191,7 @@ func RunEnv(s *Scenario, opts EnvOptions) (*Outcome, error) {
 
 	rec := env.Recorder()
 	outcome.Recorder = rec
-	outcome.Applied = append(appliedFrom(rec, 0), applied...)
+	outcome.Applied = append(appliedFrom(rec), applied...)
 	outcome.PilotsLost, outcome.Rescheduled = dynamicsFrom(rec)
 	fleet := env.Fleet()
 	outcome.Fleet = FleetOutcome{Restarts: fleet.Restarts, Replayed: fleet.Replayed}

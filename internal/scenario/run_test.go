@@ -4,6 +4,7 @@ import (
 	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"aimes"
 )
@@ -16,79 +17,64 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// TestRunEnvLocalParity pins the two runners together: a non-fleet scenario
-// through RunEnv on the local backend must reproduce the direct path's
-// report — same shard seed, same workload seed, same chaos trajectory.
-func TestRunEnvLocalParity(t *testing.T) {
-	src := `{
-	  "name": "parity",
-	  "seed": 21,
-	  "workload": {"tasks": 24, "duration": "5m"},
-	  "strategy": {"binding": "late", "pilots": 2, "resources": ["stampede", "comet"]},
-	  "testbed": {"sites": [
-	    {"name": "stampede", "median_wait": "1m"},
-	    {"name": "comet", "median_wait": "1m"}
-	  ]},
-	  "events": [
-	    {"at": "2m", "action": "queue-surge", "target": "stampede", "wait_factor": 5, "duration": "20m"}
-	  ]
-	}`
-	s, err := ParseString(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err := Run(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := ParseString(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	env, err := RunEnv(s2, EnvOptions{Backend: "local"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(env.Jobs) != 1 || env.Jobs[0].State != "done" || env.Jobs[0].Report == nil {
-		t.Fatalf("env outcome %+v", env.Jobs)
-	}
-	if env.Jobs[0].Report.TTC != direct.Report.TTC || env.Jobs[0].Report.UnitsDone != direct.Report.UnitsDone {
-		t.Fatalf("env run diverged from direct run:\nenv:    %+v\ndirect: %+v",
-			*env.Jobs[0].Report, *direct.Report)
-	}
-	if len(env.Applied) != len(direct.Applied) {
-		t.Fatalf("applied timelines diverge: env %v, direct %v", env.Applied, direct.Applied)
-	}
-}
-
-// TestRunEnvRejects covers the env runner's refusal paths.
-func TestRunEnvRejects(t *testing.T) {
+// TestRunRejects covers the runner's refusal paths.
+func TestRunRejects(t *testing.T) {
 	s, err := ParseString(fleetScenario)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunEnv(s, EnvOptions{Backend: "local"}); err == nil ||
+	if _, err := Run(s, EnvOptions{Backend: "local"}); err == nil ||
 		!strings.Contains(err.Error(), "worker backend") {
 		t.Fatalf("fleet on local backend: %v", err)
 	}
-	if _, err := RunEnv(s, EnvOptions{Backend: "bogus"}); err == nil ||
+	if _, err := Run(s, EnvOptions{Backend: "bogus"}); err == nil ||
 		!strings.Contains(err.Error(), "unknown backend") {
 		t.Fatalf("unknown backend: %v", err)
 	}
-	if _, err := Run(s); err == nil || !strings.Contains(err.Error(), "RunEnv") {
-		t.Fatalf("fleet on the direct runner: %v", err)
+	// What `aimes-scenario run -backend wroker` passes for a fleetless
+	// scenario: a typo is refused, not run on the local backend.
+	plain, err := ParseString(validScenario)
+	if err != nil {
+		t.Fatal(err)
 	}
-	em, err := ParseString(`{
-	  "name": "emergent", "workload": {"tasks": 4},
-	  "strategy": {"binding": "late"},
-	  "testbed": {"background_util": 0.5}
+	if _, err := Run(plain, EnvOptions{Backend: "wroker"}); err == nil ||
+		!strings.Contains(err.Error(), `unknown backend "wroker"`) {
+		t.Fatalf("mistyped backend on a fleetless scenario: %v", err)
+	}
+}
+
+// TestRunEmergentTestbed runs an emergent testbed (full batch simulation
+// under background load, 72 virtual hours of warm-up inside the backend)
+// with an emergent queue-surge burst to completion, and checks that
+// applied-event times are relative to enactment, not to the warm-up.
+func TestRunEmergentTestbed(t *testing.T) {
+	s, err := ParseString(`{
+	  "name": "emergent-surge",
+	  "seed": 7,
+	  "workload": {"tasks": 16, "duration": "5m"},
+	  "strategy": {"binding": "late", "pilots": 2, "resources": ["stampede", "comet"]},
+	  "testbed": {"sites": ["stampede", "comet"], "background_util": 0.5},
+	  "events": [
+	    {"at": "2m", "action": "queue-surge", "target": "stampede", "jobs": 8, "job_nodes": 4, "job_runtime": "10m"}
+	  ]
 	}`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunEnv(em, EnvOptions{Backend: "local"}); err == nil ||
-		!strings.Contains(err.Error(), "direct runner") {
-		t.Fatalf("emergent through env runner: %v", err)
+	o, report := runLocal(t, s)
+	if report.UnitsDone != 16 {
+		t.Fatalf("units done = %d, want 16", report.UnitsDone)
+	}
+	// The job was enacted at the warm-up's last background event, a little
+	// short of the 72nd hour.
+	if epoch := o.Recorder.Records()[0].Time.Duration(); epoch < 71*time.Hour || epoch > 72*time.Hour {
+		t.Fatalf("first trace record at %v, want the end of the 72h warm-up", epoch)
+	}
+	if len(o.Applied) != 1 || o.Applied[0].Action != ActionSurge {
+		t.Fatalf("applied events = %v", o.Applied)
+	}
+	if at := o.Applied[0].At.Duration(); at != 2*time.Minute {
+		t.Fatalf("surge applied at %v, want 2m after enactment", at)
 	}
 }
 
@@ -124,7 +110,7 @@ func TestKillWorkerInBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o, err := RunEnv(s, EnvOptions{})
+	o, err := Run(s, EnvOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +153,7 @@ func TestKillWorkerPastBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o, err := RunEnv(s, EnvOptions{})
+	o, err := Run(s, EnvOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

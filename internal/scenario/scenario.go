@@ -114,8 +114,8 @@ var knownActions = map[Action]bool{
 }
 
 // fleetActions reach the worker-fleet control plane instead of the
-// simulated testbed; they require a fleet section and the environment
-// runner (RunEnv) on the worker backend.
+// simulated testbed; they require a fleet section, and so the worker
+// backend.
 var fleetActions = map[Action]bool{
 	ActionKillWorker: true,
 	ActionCordon:     true,
@@ -263,8 +263,7 @@ type TestbedSpec struct {
 // stack: Workers worker shards (work stealing on) spread across Endpoints
 // named endpoints "ep0".."ep<n-1>", with the jobs pinned to the scenario's
 // shard so kill-worker lands on a deterministic mix of enacted and queued
-// jobs. Fleet scenarios run only through the environment runner on the
-// worker backend.
+// jobs. Fleet scenarios run only on the worker backend.
 type FleetSpec struct {
 	// Workers is the worker-shard count, at least 2 (default 2).
 	Workers int `json:"workers,omitempty"`
@@ -308,12 +307,11 @@ type Scenario struct {
 	Name        string `json:"name"`
 	Description string `json:"description,omitempty"`
 	Seed        int64  `json:"seed,omitempty"`
-	// Shard is the simulation shard the scenario targets: the run executes
-	// under the shard-qualified namespace "s<Shard>-j1", so its pilot IDs
-	// and trace entities line up with an Environment that runs the same
-	// workload pinned to that shard (see aimes.WithShards). The shard's
-	// seed is derived the same way the environment derives it, so shard 0
-	// (the default) reproduces the classic single-engine trajectories.
+	// Shard is the simulation shard the scenario targets: its jobs are
+	// pinned there and run under the shard-qualified namespace
+	// "s<Shard>-j<n>" on the shard's derived seed (see aimes.WithShards), so
+	// shard 0 (the default) reproduces the classic single-engine
+	// trajectories.
 	Shard    int          `json:"shard,omitempty"`
 	Workload WorkloadSpec `json:"workload"`
 	Strategy StrategySpec `json:"strategy"`

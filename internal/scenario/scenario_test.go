@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"aimes/internal/core"
 )
 
 const validScenario = `{
@@ -134,6 +136,20 @@ func TestUnknownSite(t *testing.T) {
 	}
 }
 
+// runLocal runs s on the local backend and returns the outcome with its
+// single job's report.
+func runLocal(t *testing.T, s *Scenario) (*Outcome, *core.Report) {
+	t.Helper()
+	o, err := Run(s, EnvOptions{Backend: "local"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(o.Jobs) != 1 || o.Jobs[0].State != "done" || o.Jobs[0].Report == nil {
+		t.Fatalf("outcome %+v", o.Jobs)
+	}
+	return o, o.Jobs[0].Report
+}
+
 // TestRunOutage drives a full outage scenario through the DES and checks the
 // dynamics accounting: the pilot on the failed resource dies, its units
 // reschedule onto survivors, and nothing is lost.
@@ -160,13 +176,10 @@ func TestRunOutage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Report.UnitsDone != 32 {
+	res, report := runLocal(t, s)
+	if report.UnitsDone != 32 {
 		t.Fatalf("units done = %d, want 32 (failed %d, canceled %d)",
-			res.Report.UnitsDone, res.Report.UnitsFailed, res.Report.UnitsCanceled)
+			report.UnitsDone, report.UnitsFailed, report.UnitsCanceled)
 	}
 	if res.PilotsLost != 1 {
 		t.Fatalf("pilots lost = %d, want 1", res.PilotsLost)
@@ -178,28 +191,25 @@ func TestRunOutage(t *testing.T) {
 		t.Fatalf("applied events = %v", res.Applied)
 	}
 	// The failed resource must not have completed the whole workload.
-	if res.Report.UnitsByResource["stampede"] == 32 {
+	if report.UnitsByResource["stampede"] == 32 {
 		t.Fatal("all units credited to the failed resource")
 	}
 }
 
 // TestRunDeterministic checks that equal seeds give identical outcomes.
 func TestRunDeterministic(t *testing.T) {
-	run := func() *Result {
+	run := func() (*Outcome, *core.Report) {
 		s, err := ParseString(validScenario)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Run(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+		return runLocal(t, s)
 	}
-	a, b := run(), run()
-	if a.Report.TTC != b.Report.TTC || a.Rescheduled != b.Rescheduled || a.PilotsLost != b.PilotsLost {
+	a, ar := run()
+	b, br := run()
+	if ar.TTC != br.TTC || a.Rescheduled != b.Rescheduled || a.PilotsLost != b.PilotsLost {
 		t.Fatalf("nondeterministic: TTC %v vs %v, resched %d vs %d, lost %d vs %d",
-			a.Report.TTC, b.Report.TTC, a.Rescheduled, b.Rescheduled, a.PilotsLost, b.PilotsLost)
+			ar.TTC, br.TTC, a.Rescheduled, b.Rescheduled, a.PilotsLost, b.PilotsLost)
 	}
 }
 
@@ -216,27 +226,24 @@ func TestRunWANDegradation(t *testing.T) {
 	    {"name": "comet", "median_wait": "1m"}
 	  ]}%s
 	}`
-	parse := func(events string) *Result {
+	parse := func(events string) *core.Report {
 		s, err := ParseString(strings.Replace(base, "%s", events, 1))
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Run(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+		_, report := runLocal(t, s)
+		return report
 	}
 	clean := parse("")
 	degraded := parse(`, "events": [
 	  {"at": "0s", "action": "degrade-wan", "target": "gordon", "bandwidth_factor": 0.05},
 	  {"at": "0s", "action": "degrade-wan", "target": "comet", "bandwidth_factor": 0.05}
 	]`)
-	if degraded.Report.UnitsDone != 32 {
-		t.Fatalf("degraded run lost units: %d done", degraded.Report.UnitsDone)
+	if degraded.UnitsDone != 32 {
+		t.Fatalf("degraded run lost units: %d done", degraded.UnitsDone)
 	}
-	if degraded.Report.Ts <= clean.Report.Ts {
-		t.Fatalf("degraded staging %v not above clean %v", degraded.Report.Ts, clean.Report.Ts)
+	if degraded.Ts <= clean.Ts {
+		t.Fatalf("degraded staging %v not above clean %v", degraded.Ts, clean.Ts)
 	}
 }
 
@@ -255,25 +262,26 @@ func TestShardTargeting(t *testing.T) {
 	    {"name": "comet", "median_wait": "1m"}
 	  ]}
 	}`
-	run := func(shard int) *Result {
+	type result struct {
+		*Outcome
+		Report *core.Report
+	}
+	run := func(shard int) result {
 		s, err := ParseString(fmt.Sprintf(base, shard))
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Run(s)
-		if err != nil {
-			t.Fatal(err)
+		o, report := runLocal(t, s)
+		if report.UnitsDone != 16 {
+			t.Fatalf("shard %d: units done = %d", shard, report.UnitsDone)
 		}
-		if res.Report.UnitsDone != 16 {
-			t.Fatalf("shard %d: units done = %d", shard, res.Report.UnitsDone)
-		}
-		return res
+		return result{o, report}
 	}
 	s0, s2, s2b := run(0), run(2), run(2)
 
 	// Pilot IDs and em/unit entities carry the target shard's namespace,
 	// matching the environment aggregate's convention for a pinned job.
-	for shard, res := range map[int]*Result{0: s0, 2: s2} {
+	for shard, res := range map[int]result{0: s0, 2: s2} {
 		want := fmt.Sprintf("s%d-j1-", shard)
 		found := false
 		for _, rec := range res.Recorder.Records() {

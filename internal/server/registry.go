@@ -75,6 +75,29 @@ func quotaExceeded(format string, args ...any) *apiError {
 	return &apiError{code: 429, msg: fmt.Sprintf(format, args...)}
 }
 
+// jobConfig is the request's execution knobs as the in-process submission
+// they stand for: every aimes.JobConfig field reachable over HTTP is set
+// here and nowhere else.
+func jobConfig(req *client.SubmitRequest) (aimes.JobConfig, error) {
+	placement, err := client.ParsePlacement(req.Placement)
+	if err != nil {
+		return aimes.JobConfig{}, err
+	}
+	migrate, err := client.ParseMigrate(req.Migrate)
+	if err != nil {
+		return aimes.JobConfig{}, err
+	}
+	return aimes.JobConfig{
+		StrategyConfig: req.Config,
+		Strategy:       req.Strategy,
+		Adaptive:       req.Adaptive,
+		Placement:      placement,
+		Shard:          req.Shard,
+		Migrate:        migrate,
+		EventBuffer:    req.EventBuffer,
+	}, nil
+}
+
 // submit admits one workload for tn: quota check and environment Submit
 // form one critical section under the registry lock, so two racing
 // submissions can never both squeeze under the same quota.
@@ -86,24 +109,9 @@ func (r *registry) submit(tn Tenant, req *client.SubmitRequest) (*jobRecord, err
 	if err != nil {
 		return nil, badRequest("submit: %v", err)
 	}
-	placement, err := client.ParsePlacement(req.Placement)
+	cfg, err := jobConfig(req)
 	if err != nil {
 		return nil, badRequest("submit: %v", err)
-	}
-	migrate, err := client.ParseMigrate(req.Migrate)
-	if err != nil {
-		return nil, badRequest("submit: %v", err)
-	}
-	cfg := aimes.JobConfig{
-		StrategyConfig: req.Config,
-		Strategy:       req.Strategy,
-		Placement:      placement,
-		Shard:          req.Shard,
-		Migrate:        migrate,
-		EventBuffer:    req.EventBuffer,
-	}
-	if req.Adaptive != nil {
-		cfg.Adaptive = req.Adaptive
 	}
 
 	r.mu.Lock()

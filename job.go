@@ -152,7 +152,7 @@ type JobConfig struct {
 	// positive.
 	EventBuffer int
 	// Placement selects the shard the job runs on: PlaceRoundRobin (the
-	// zero value), PlaceLeastLoaded, or PlacePinned.
+	// zero value), PlaceLeastLoaded, PlacePredictive, or PlacePinned.
 	Placement Placement
 	// Shard is the target shard index when Placement is PlacePinned
 	// (0 <= Shard < Environment.Shards()); ignored otherwise.

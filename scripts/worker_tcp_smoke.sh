@@ -35,4 +35,4 @@ done
 echo "worker host at $addr"
 
 AIMES_TEST_WORKER_ADDR="$addr" AIMES_TEST_WORKER_SECRET="$secret" \
-    "$GO" test -race -count=1 -run 'TestBackendParity|TestTCPWorkerCrash' -v .
+    ./scripts/go_test_run.sh 'TestBackendParity|TestTCPWorkerCrash' .

@@ -189,7 +189,7 @@ func TestServerParity(t *testing.T) {
 		opts []aimes.Option
 	}{
 		{"local", []aimes.Option{aimes.WithShards(nShards)}},
-		{"worker", []aimes.Option{aimes.WithWorkers(nShards)}},
+		{"worker", processWorkers(nShards)},
 	}
 	for _, be := range backends {
 		t.Run(be.name, func(t *testing.T) {

@@ -26,10 +26,10 @@ import (
 // must hold on: n in-process shards, or n worker children.
 var traceBackends = []struct {
 	name string
-	opt  func(n int) aimes.Option
+	opts func(n int) []aimes.Option
 }{
-	{"local", aimes.WithShards},
-	{"worker", aimes.WithWorkers},
+	{"local", func(n int) []aimes.Option { return []aimes.Option{aimes.WithShards(n)} }},
+	{"worker", processWorkers},
 }
 
 // traceEventBuffer is large enough that no job of these tests drops an event
@@ -78,7 +78,7 @@ func requireTimeSorted(t *testing.T, what string, recs []aimes.TraceRecord) {
 func TestRecorderSortedAcrossReads(t *testing.T) {
 	for _, b := range traceBackends {
 		t.Run(b.name, func(t *testing.T) {
-			env, err := aimes.NewEnv(aimes.WithSeed(1407), b.opt(2))
+			env, err := aimes.NewEnv(append(b.opts(2), aimes.WithSeed(1407))...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -135,8 +135,8 @@ func TestRecorderIsMergeOfShardsAndEvents(t *testing.T) {
 		for _, shards := range []int{1, 2} {
 			for seed := int64(1); seed <= 8; seed++ {
 				t.Run(fmt.Sprintf("%s/%dshards/seed%d", b.name, shards, seed), func(t *testing.T) {
-					env, err := aimes.NewEnv(aimes.WithSeed(seed), b.opt(shards),
-						aimes.WithEventBuffer(traceEventBuffer))
+					env, err := aimes.NewEnv(append(b.opts(shards), aimes.WithSeed(seed),
+						aimes.WithEventBuffer(traceEventBuffer))...)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -213,7 +213,7 @@ func TestSubscriptionIsTailOfShardView(t *testing.T) {
 	for _, b := range traceBackends {
 		t.Run(b.name, func(t *testing.T) {
 			const shards = 2
-			env, err := aimes.NewEnv(aimes.WithSeed(733), b.opt(shards))
+			env, err := aimes.NewEnv(append(b.opts(shards), aimes.WithSeed(733))...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -267,7 +267,7 @@ func TestSubscriptionIsTailOfShardView(t *testing.T) {
 func TestRecorderMidRun(t *testing.T) {
 	for _, b := range traceBackends {
 		t.Run(b.name, func(t *testing.T) {
-			env, err := aimes.NewEnv(aimes.WithSeed(2112), b.opt(2))
+			env, err := aimes.NewEnv(append(b.opts(2), aimes.WithSeed(2112))...)
 			if err != nil {
 				t.Fatal(err)
 			}
