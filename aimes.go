@@ -239,7 +239,6 @@ type Environment struct {
 	shards   []*shardEnv
 	picker   *shard.Picker
 	stealer  *shard.Stealer
-	eventBuf int
 	realTime bool
 	kind     BackendKind
 
@@ -277,11 +276,6 @@ type Environment struct {
 	// rest un-enacted, which is what makes them safe to migrate.
 	steal bool
 
-	// subs is the live-trace subscription list (Subscribe), copy-on-write so
-	// the per-record fanout on the simulation hot path is one atomic load.
-	subMu sync.Mutex
-	subs  atomic.Pointer[[]*TraceSub]
-
 	// jobMu serializes shard placement and global job-ID allocation.
 	jobMu  sync.Mutex
 	jobSeq int
@@ -298,9 +292,8 @@ type Environment struct {
 // cancellation) runs under mu; the wall-clock engine serializes through its
 // own Sync instead.
 type shardEnv struct {
-	id  int
-	env *Environment
-	be  backend.Backend
+	id int
+	be backend.Backend
 
 	local     *backend.Local    // non-nil for the in-process backend
 	syncer    sim.Syncer        // wall-clock callback serialization; nil → mu
@@ -315,8 +308,8 @@ type shardEnv struct {
 
 	// log is the shard's trace store — the only copy the environment keeps:
 	// the most recent traceRetention raw records of this shard's jobs, each
-	// with its job's namespace, fed by the backend sink. Guarded by the
-	// shard's engine serialization.
+	// threaded into its job's stream, fed by the backend sink. It has its own
+	// lock, so readers stay outside the shard's engine serialization.
 	log *trace.Log
 
 	mu sync.Mutex
@@ -385,23 +378,13 @@ func (sh *shardEnv) sync(fn func()) {
 	fn()
 }
 
-// JobTrace implements backend.Sink: it routes one raw trace record of a job
-// to the job's event stream, stores it once in the shard log, and — only
-// while a live subscription is open — qualifies its entity and fans it out.
-// It runs under the shard's engine serialization, so concurrent shards never
-// contend here.
+// JobTrace implements backend.Sink: it stores one raw trace record of a job
+// in the shard log, threaded into the job's stream. Nothing else happens per
+// record: every consumer reads the log through a cursor of its own. It runs
+// under the shard's engine serialization.
 func (sh *shardEnv) JobTrace(key int, ns string, rec trace.Record) {
-	j := sh.jobs[key]
-	if j == nil {
-		return
-	}
-	j.publish(rec)
-	sh.log.Append(rec, ns)
-	if subs := sh.env.subs.Load(); subs != nil && len(*subs) > 0 {
-		rec.Entity = trace.QualifyEntity(rec.Entity, ns)
-		for _, s := range *subs {
-			s.push(rec)
-		}
+	if j := sh.jobs[key]; j != nil {
+		sh.log.Append(j.stream, ns, rec)
 	}
 }
 
@@ -422,7 +405,6 @@ type envOptions struct {
 	sites     []SiteConfig
 	pilot     *PilotConfig
 	realTime  bool
-	eventBuf  int
 	shards    int
 	shardsSet bool
 	steal     bool
@@ -453,12 +435,6 @@ func WithPilotConfig(cfg PilotConfig) Option {
 // Mutually exclusive with the worker backend (WithWorkerPool), whose
 // protocol is virtual-time by construction.
 func WithRealTime() Option { return func(o *envOptions) { o.realTime = true } }
-
-// WithEventBuffer sets the default per-job Events channel capacity (default
-// 1024; nonpositive values fall back to it). When a job's consumer falls
-// behind, excess events are dropped and counted (Job.EventsDropped) rather
-// than stalling the simulation.
-func WithEventBuffer(n int) Option { return func(o *envOptions) { o.eventBuf = n } }
 
 // WithShards partitions the environment into n parallel simulation shards.
 // Each shard is a complete, independent engine stack (engine, testbed, SAGA
@@ -646,9 +622,6 @@ func NewEnv(opts ...Option) (*Environment, error) {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	if o.eventBuf <= 0 {
-		o.eventBuf = 1024
-	}
 	kind := BackendLocal
 	if o.pool != nil {
 		kind = BackendWorker
@@ -701,7 +674,6 @@ func NewEnv(opts ...Option) (*Environment, error) {
 	env := &Environment{
 		picker:    shard.NewPicker(n),
 		stealer:   shard.NewStealer(n),
-		eventBuf:  o.eventBuf,
 		realTime:  o.realTime,
 		kind:      kind,
 		resources: names,
@@ -751,7 +723,6 @@ func (e *Environment) mirrorLocal() *backend.Local {
 func (e *Environment) newShard(k int, o *envOptions) (*shardEnv, error) {
 	sh := &shardEnv{
 		id:   k,
-		env:  e,
 		log:  trace.NewLog(traceRetention),
 		jobs: make(map[int]*Job),
 	}
@@ -1038,10 +1009,10 @@ func (e *Environment) Loads() []ShardLoad {
 		out[k].PredictedCost = e.model.Predict(k, e.model.TypicalCost(k),
 			float64(sh.pendingCost.Load())/1000).Total
 		out[k].ModelError = e.model.RelError(k)
+		out[k].TraceDropped = sh.log.Dropped()
 		sh.sync(func() {
 			out[k].Running = sh.running
 			out[k].Queued = len(sh.queue)
-			out[k].TraceDropped = sh.log.Dropped()
 		})
 	}
 	return out
@@ -1445,7 +1416,7 @@ func (e *Environment) ShardBundle(k int) *Bundle {
 // while jobs run and does not change afterwards. Each shard retains its most
 // recent records (about a million; ShardLoad.TraceDropped counts the ones
 // evicted), so on a long-lived environment the view is the recent past, not
-// all of history. Live consumers should Subscribe or stream Job.Events.
+// all of history. Live consumers should Subscribe or range over Job.Events.
 func (e *Environment) Recorder() *Recorder { return traceView(e.shards) }
 
 // ShardRecorder returns shard k's trace (that shard's jobs only), or nil
@@ -1460,104 +1431,44 @@ func (e *Environment) ShardRecorder(k int) *Recorder {
 	return traceView(e.shards[k : k+1])
 }
 
-// traceView snapshots the shards' logs, each under its shard's engine
-// serialization, qualifying entities as it reads, and merges them by record
-// time. Concatenated in shard order, one stable sort interleaves the shards'
-// timelines and preserves each shard's internal order on equal timestamps —
-// which also absorbs the one worker-backend edge where a completion
-// dispatched mid-response admits a job whose later-stamped records land
-// before the response's remaining earlier ones.
+// traceView snapshots the shards' logs, qualifying entities as it reads, and
+// merges them by record time. Concatenated in shard order, one stable sort
+// interleaves the shards' timelines and preserves each shard's internal order
+// on equal timestamps — which also absorbs the one worker-backend edge where
+// a completion dispatched mid-response admits a job whose later-stamped
+// records land before the response's remaining earlier ones.
 func traceView(shards []*shardEnv) *Recorder {
 	var recs []trace.Record
 	for _, sh := range shards {
-		sh.sync(func() { recs = sh.log.Snapshot(recs) })
+		recs = sh.log.Snapshot(recs)
 	}
 	sort.SliceStable(recs, func(i, j int) bool { return recs[i].Time < recs[j].Time })
 	return trace.RecorderOf(recs)
 }
 
-// TraceSub is one live subscription to the environment's aggregate trace
-// (see Subscribe).
-type TraceSub struct {
-	env *Environment
-	ch  chan TraceRecord
+// TraceSub is a cursor over the stored trace (Subscribe, Job.Subscribe): a
+// position in the shard logs, not a buffer. Read copies the next batch out
+// without blocking, Ready receives when there is more, C ranges over the
+// records, Dropped counts exactly the records the logs' retention evicted
+// before the cursor reached them, Close detaches it.
+type TraceSub = trace.Cursor
 
-	mu      sync.Mutex
-	closed  bool
-	dropped atomic.Int64
-}
-
-// Subscribe opens a bounded live stream of the aggregate trace: every
-// entity-qualified record of every shard's jobs, delivered as it is
-// recorded. buf is the channel capacity (nonpositive falls back to the
-// environment's event buffer); when the consumer lags, records are dropped
-// and counted rather than stalling any simulation shard. Records from
-// different shards interleave in arrival order (shards keep independent
-// virtual clocks); they are the records a later Recorder snapshot holds,
-// field for field, and nothing recorded before Subscribe is replayed. This
-// is the same stream the worker backend feeds over the wire, so dashboards
-// see one environment regardless of where shards run. Entities are
-// qualified per record only while a subscription is open, so close it when
-// done.
-func (e *Environment) Subscribe(buf int) *TraceSub {
-	if buf <= 0 {
-		buf = e.eventBuf
+// Subscribe opens a live stream of the aggregate trace: every
+// entity-qualified record of every shard's jobs from now on (nothing recorded
+// before is replayed), as a cursor over the shard logs, the one place records
+// are stored. Recording a transition never waits for or copies to a
+// subscriber; a subscriber loses records only by falling a whole retention
+// window (2^20 records per shard) behind. Records from different shards
+// interleave in arrival order (shards keep independent virtual clocks); they
+// are the records a later Recorder snapshot holds, field for field, whether
+// shards run in process or in workers. Close ends a range over C once it has
+// caught up.
+func (e *Environment) Subscribe() *TraceSub {
+	logs := make([]*trace.Log, len(e.shards))
+	for k, sh := range e.shards {
+		logs[k] = sh.log
 	}
-	s := &TraceSub{env: e, ch: make(chan TraceRecord, buf)}
-	e.subMu.Lock()
-	defer e.subMu.Unlock()
-	var cur []*TraceSub
-	if p := e.subs.Load(); p != nil {
-		cur = *p
-	}
-	next := make([]*TraceSub, len(cur)+1)
-	copy(next, cur)
-	next[len(cur)] = s
-	e.subs.Store(&next)
-	return s
-}
-
-// C returns the subscription's record channel. It is closed by Close.
-func (s *TraceSub) C() <-chan TraceRecord { return s.ch }
-
-// Dropped reports how many records were dropped because the channel was
-// full.
-func (s *TraceSub) Dropped() int64 { return s.dropped.Load() }
-
-// Close ends the subscription and closes its channel. Idempotent.
-func (s *TraceSub) Close() {
-	e := s.env
-	e.subMu.Lock()
-	if p := e.subs.Load(); p != nil {
-		next := make([]*TraceSub, 0, len(*p))
-		for _, o := range *p {
-			if o != s {
-				next = append(next, o)
-			}
-		}
-		e.subs.Store(&next)
-	}
-	e.subMu.Unlock()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.closed {
-		s.closed = true
-		close(s.ch)
-	}
-}
-
-// push delivers one record without ever blocking a simulation shard.
-func (s *TraceSub) push(r trace.Record) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return
-	}
-	select {
-	case s.ch <- r:
-	default:
-		s.dropped.Add(1)
-	}
+	return trace.Tail(logs...)
 }
 
 // Resources returns the testbed resource names.

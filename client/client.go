@@ -37,13 +37,12 @@ func (c *Client) WithHTTPClient(hc *http.Client) *Client {
 // SubmitOptions mirrors the execution knobs of aimes.JobConfig for a remote
 // submission.
 type SubmitOptions struct {
-	Config      aimes.StrategyConfig
-	Strategy    *aimes.Strategy
-	Adaptive    *aimes.AdaptiveConfig
-	Placement   aimes.Placement
-	Shard       int
-	Migrate     aimes.MigratePolicy
-	EventBuffer int
+	Config    aimes.StrategyConfig
+	Strategy  *aimes.Strategy
+	Adaptive  *aimes.AdaptiveConfig
+	Placement aimes.Placement
+	Shard     int
+	Migrate   aimes.MigratePolicy
 }
 
 // Submit sends w to the daemon and returns the admitted job's info (its
@@ -63,14 +62,13 @@ func (c *Client) Submit(ctx context.Context, w *aimes.Workload, opts SubmitOptio
 // with these options.
 func (o SubmitOptions) request(workload []byte) *SubmitRequest {
 	return &SubmitRequest{
-		Workload:    workload,
-		Config:      o.Config,
-		Strategy:    o.Strategy,
-		Adaptive:    o.Adaptive,
-		Placement:   PlacementString(o.Placement),
-		Shard:       o.Shard,
-		Migrate:     MigrateString(o.Migrate),
-		EventBuffer: o.EventBuffer,
+		Workload:  workload,
+		Config:    o.Config,
+		Strategy:  o.Strategy,
+		Adaptive:  o.Adaptive,
+		Placement: PlacementString(o.Placement),
+		Shard:     o.Shard,
+		Migrate:   MigrateString(o.Migrate),
 	}
 }
 

@@ -40,7 +40,7 @@ func (s *EventStream) Final() *JobInfo {
 }
 
 // Dropped reports the cumulative number of events the server says this
-// stream missed: replay-ring gaps on attach plus slow-consumer drops.
+// stream missed: the daemon's trace log had already evicted them.
 func (s *EventStream) Dropped() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -66,10 +66,10 @@ func (s *EventStream) Err() error {
 func (s *EventStream) Close() { s.cancel() }
 
 // Events subscribes to one job's event stream. Events with Seq < from are
-// skipped server-side; pass 0 (or 1) for everything the server still
-// retains — if the replay ring has already evicted early events the gap is
-// surfaced through Dropped. The stream ends with the job: C closes and
-// Final carries the terminal snapshot including the report.
+// skipped server-side; pass 0 (or 1) for everything the server still retains
+// — the whole job, unless the shard has logged 2^20 newer records since, when
+// the gap is surfaced through Dropped. The stream ends with the job: C closes
+// and Final carries the terminal snapshot including the report.
 func (c *Client) Events(ctx context.Context, id string, from int64) (*EventStream, error) {
 	path := "/v1/jobs/" + url.PathEscape(id) + "/events"
 	if from > 0 {

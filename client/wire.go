@@ -40,9 +40,6 @@ type SubmitRequest struct {
 	Shard int `json:"shard,omitempty"`
 	// Migrate is "", "auto", "allow" or "never".
 	Migrate string `json:"migrate,omitempty"`
-	// EventBuffer overrides the per-job event channel capacity on the
-	// daemon (0 = the environment default).
-	EventBuffer int `json:"event_buffer,omitempty"`
 }
 
 // JobInfo is the server's snapshot of one job: returned by submit, get,
@@ -61,16 +58,18 @@ type JobInfo struct {
 	Error string `json:"error,omitempty"`
 	// Report is the final execution report (Final && State == "done" only).
 	Report *aimes.Report `json:"report,omitempty"`
-	// EventsDropped counts events the daemon's own bounded per-job event
-	// buffer dropped before fanout (aimes.Job.EventsDropped).
+	// EventsDropped counts the job's events that readers on the daemon found
+	// already evicted from the shard's trace log (aimes.Job.EventsDropped): 0
+	// unless the job is older than the shard's most recent 2^20 records.
 	EventsDropped int64 `json:"events_dropped,omitempty"`
 }
 
 // Event is one job state transition on the wire — a job's aimes.Event, or
 // an environment-wide trace record on the /v1/events stream (Seq 0, Job "").
 type Event struct {
-	// Seq is the event's 1-based position in the job's stream; reconnecting
-	// clients resume with ?from=Seq+1 (or the Last-Event-ID header).
+	// Seq is the event's 1-based position in the job's trace, the same on
+	// every read; reconnecting clients resume with ?from=Seq+1 (or the
+	// Last-Event-ID header).
 	Seq    int64         `json:"seq,omitempty"`
 	Job    string        `json:"job,omitempty"` // opaque job ID
 	Time   time.Duration `json:"time"`          // simulation/wall offset, ns
@@ -85,7 +84,8 @@ type ErrorBody struct {
 }
 
 // Dropped is the payload of an SSE "dropped" event: the cumulative count of
-// events this stream has lost (replay-ring gaps plus slow-consumer drops).
+// events the daemon's trace log — the one store every stream reads — had
+// evicted before this stream reached them.
 type Dropped struct {
 	Count int64 `json:"count"`
 }

@@ -52,7 +52,6 @@ var jobConfigWire = map[string]string{
 	"StrategyConfig": "Config",
 	"Strategy":       "Strategy",
 	"Adaptive":       "Adaptive",
-	"EventBuffer":    "EventBuffer",
 	"Placement":      "Placement",
 	"Shard":          "Shard",
 	"Migrate":        "Migrate",

@@ -131,7 +131,7 @@ func run(appFile, wlFile string, tasks int, duration, binding string, pilots int
 	}
 	<-streamed
 	if dropped := job.EventsDropped(); dropped > 0 {
-		fmt.Fprintf(os.Stderr, "(%d events dropped; the consumer lagged the stream buffer)\n", dropped)
+		fmt.Fprintf(os.Stderr, "(%d events dropped: the trace log evicted them before they were read)\n", dropped)
 	}
 	if err := report.WriteSummary(os.Stdout); err != nil {
 		return err

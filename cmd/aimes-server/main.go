@@ -66,7 +66,6 @@ func main() {
 		maxInflight = flag.Int("max-inflight", 0, "default per-tenant max in-flight jobs (0 = unlimited)")
 		maxQueued   = flag.Int("max-queued", 0, "default per-tenant max queued descriptors (0 = unlimited)")
 
-		replay       = flag.Int("replay", 1024, "per-job SSE replay ring capacity")
 		retain       = flag.Int("retain", 4096, "finished jobs retained for reattach before eviction")
 		drainTimeout = flag.Duration("drain-timeout", 60*time.Second, "graceful-shutdown bound for draining in-flight jobs")
 		quiet        = flag.Bool("quiet", false, "suppress per-job logging")
@@ -135,7 +134,7 @@ func main() {
 		fail("%v", err)
 	}
 
-	cfg := server.Config{Env: env, Auth: auth, Replay: *replay, Retain: *retain, Logf: logf}
+	cfg := server.Config{Env: env, Auth: auth, Retain: *retain, Logf: logf}
 	if *quiet {
 		cfg.Logf = nil
 	}

@@ -33,7 +33,7 @@ func main() {
 	fmt.Printf("environment: %d shards on the %q backend\n", env.Shards(), env.Backend())
 
 	// Live aggregate trace across all worker processes.
-	sub := env.Subscribe(1 << 14)
+	sub := env.Subscribe()
 	var pilotEvents, unitEvents int
 	var drain sync.WaitGroup
 	drain.Add(1)

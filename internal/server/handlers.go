@@ -144,10 +144,11 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request, tn Tenant)
 	writeJSON(w, http.StatusOK, s.reg.info(rec))
 }
 
-// handleJobEvents streams one job's events as SSE: a "dropped" event for
-// any replay gap, retained events from ?from (or Last-Event-ID + 1), live
-// events as they fire, and a terminal "done" event carrying the job's final
-// snapshot including the report.
+// handleJobEvents streams one job's events as SSE from ?from (or
+// Last-Event-ID + 1): what the shard's trace log retains — the whole job,
+// unless it is older than the log's window, when a "dropped" event says how
+// many are gone — then live events, then a terminal "done" event with the
+// final snapshot and report. A finished job replays the same way.
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request, tn Tenant) {
 	rec := s.reg.get(tn, r.PathValue("id"))
 	if rec == nil {
@@ -168,114 +169,14 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request, tn Tena
 		}
 	}
 
-	sub, replay, missed, done, final := rec.fan.attach(from, s.reg.buf)
-	if sub != nil {
-		defer rec.fan.detach(sub)
-	}
-	sse, err := newSSEWriter(w)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	dropped := missed
-	if dropped > 0 {
-		s.met.addSSEDropped("job", dropped)
-		if sse.event("dropped", 0, client.Dropped{Count: dropped}) != nil {
-			return
-		}
-	}
-	for _, ev := range replay {
-		if sse.event("job", ev.Seq, ev) != nil {
-			return
-		}
-	}
-	if done {
-		sse.event("done", 0, final)
-		return
-	}
-
-	heartbeat := time.NewTicker(15 * time.Second)
-	defer heartbeat.Stop()
-	for {
-		select {
-		case ev, ok := <-sub.ch:
-			if !ok {
-				// Fanout finished: surface what this subscriber lost, then
-				// hand over the terminal snapshot.
-				if n := rec.fan.subDropped(sub); n > 0 {
-					dropped += n
-					s.met.addSSEDropped("job", n)
-					if sse.event("dropped", 0, client.Dropped{Count: dropped}) != nil {
-						return
-					}
-				}
-				if info, ok := rec.fan.finalInfo(); ok {
-					sse.event("done", 0, info)
-				}
-				return
-			}
-			if sse.event("job", ev.Seq, ev) != nil {
-				return
-			}
-		case <-heartbeat.C:
-			if sse.comment("ping") != nil {
-				return
-			}
-		case <-r.Context().Done():
-			return
-		case <-s.stop:
-			return
-		}
-	}
+	s.stream(w, r, rec.job.Subscribe(from), rec)
 }
 
 // handleEnvEvents streams the environment-wide live trace
-// (Environment.Subscribe): every shard's pilot and unit transitions. The
-// subscription buffer is bounded; drops are surfaced as "dropped" events
-// with the cumulative count.
+// (Environment.Subscribe): every shard's pilot and unit transitions from now
+// on, until the client disconnects or the daemon stops.
 func (s *Server) handleEnvEvents(w http.ResponseWriter, r *http.Request, tn Tenant) {
-	sub := s.env.Subscribe(s.reg.buf)
-	defer sub.Close()
-	sse, err := newSSEWriter(w)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	heartbeat := time.NewTicker(15 * time.Second)
-	defer heartbeat.Stop()
-	var lastDropped int64
-	for {
-		select {
-		case rec, ok := <-sub.C():
-			if !ok {
-				return
-			}
-			if n := sub.Dropped(); n > lastDropped {
-				s.met.addSSEDropped("env", n-lastDropped)
-				lastDropped = n
-				if sse.event("dropped", 0, client.Dropped{Count: n}) != nil {
-					return
-				}
-			}
-			ev := client.Event{
-				Time:   rec.Time.Duration(),
-				Entity: rec.Entity,
-				State:  rec.State,
-				Detail: rec.Detail,
-			}
-			if sse.event("trace", 0, ev) != nil {
-				return
-			}
-		case <-heartbeat.C:
-			if sse.comment("ping") != nil {
-				return
-			}
-		case <-r.Context().Done():
-			return
-		case <-s.stop:
-			return
-		}
-	}
+	s.stream(w, r, s.env.Subscribe(), nil)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

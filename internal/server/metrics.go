@@ -25,8 +25,8 @@ type metrics struct {
 	// inside the trailing rateWindow.
 	window []time.Time
 
-	sseJobDropped int64 // job-stream SSE events lost (ring gaps + slow subscribers)
-	sseEnvDropped int64 // env-stream records lost (Subscribe buffer + slow subscribers)
+	sseJobDropped int64 // job-stream events evicted from the trace log before an SSE reader reached them
+	sseEnvDropped int64 // env-stream records evicted from the trace logs before an SSE reader reached them
 }
 
 type tenantCounters struct {
@@ -35,7 +35,7 @@ type tenantCounters struct {
 	failed        int64
 	canceled      int64
 	rejected      int64 // quota 429s
-	eventsDropped int64 // per-job bounded-buffer drops, accumulated at completion
+	eventsDropped int64 // Job.EventsDropped, accumulated at completion
 }
 
 const rateWindow = 60 * time.Second
@@ -95,9 +95,6 @@ func (m *metrics) pruneLocked(now time.Time) {
 }
 
 func (m *metrics) addSSEDropped(stream string, n int64) {
-	if n == 0 {
-		return
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if stream == "env" {
@@ -141,7 +138,7 @@ func (m *metrics) render(w io.Writer, env *aimes.Environment, inflight map[strin
 	counter("aimes_jobs_failed_total", "Jobs that failed, per tenant.", func(c tenantCounters) int64 { return c.failed })
 	counter("aimes_jobs_canceled_total", "Jobs canceled, per tenant.", func(c tenantCounters) int64 { return c.canceled })
 	counter("aimes_jobs_rejected_total", "Submissions rejected at admission (quota), per tenant.", func(c tenantCounters) int64 { return c.rejected })
-	counter("aimes_job_events_dropped_total", "Per-job event-buffer drops accumulated at completion, per tenant.", func(c tenantCounters) int64 { return c.eventsDropped })
+	counter("aimes_job_events_dropped_total", "Job events that readers found already evicted from the shard's trace log (its most recent 2^20 records), accumulated at job completion, per tenant.", func(c tenantCounters) int64 { return c.eventsDropped })
 
 	fmt.Fprintf(w, "# HELP aimes_jobs_inflight Live (non-final) jobs, per tenant.\n# TYPE aimes_jobs_inflight gauge\n")
 	for _, name := range names {
@@ -207,7 +204,7 @@ func (m *metrics) render(w io.Writer, env *aimes.Environment, inflight map[strin
 		}
 	}
 
-	fmt.Fprintf(w, "# HELP aimes_sse_dropped_total Events lost to SSE subscribers (replay-ring gaps and slow consumers), by stream kind.\n# TYPE aimes_sse_dropped_total counter\n")
+	fmt.Fprintf(w, "# HELP aimes_sse_dropped_total Events SSE streams could not deliver because the trace log had evicted them (replay of an old job, or a consumer a whole retention window behind), by stream kind.\n# TYPE aimes_sse_dropped_total counter\n")
 	fmt.Fprintf(w, "aimes_sse_dropped_total{stream=\"job\"} %d\n", jobDropped)
 	fmt.Fprintf(w, "aimes_sse_dropped_total{stream=\"env\"} %d\n", envDropped)
 }

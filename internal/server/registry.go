@@ -6,6 +6,7 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -14,16 +15,14 @@ import (
 	"aimes/client"
 )
 
-// registry owns the daemon's job table: opaque job IDs → live aimes.Job
-// handles plus their event fanouts, persisting finished jobs in memory so a
-// client that disconnects mid-run can reattach by ID and still collect the
-// final report. It is also the admission point where tenant quotas bite.
+// registry owns the daemon's job table: opaque job IDs → aimes.Job handles,
+// persisting finished jobs in memory so a client that disconnects mid-run can
+// reattach by ID and still collect the events and the final report. It is
+// also the admission point where tenant quotas bite.
 type registry struct {
 	env *aimes.Environment
 	met *metrics
 
-	replay int // per-job replay ring capacity
-	buf    int // per-SSE-subscriber channel buffer
 	retain int // finished jobs kept before the oldest are evicted
 
 	mu    sync.Mutex
@@ -31,8 +30,8 @@ type registry struct {
 	order []*jobRecord            // submission order, for List and retention
 	live  map[string][]*jobRecord // tenant → live (non-final) jobs
 
-	// wg tracks the per-job pump and event-drain goroutines so Shutdown
-	// can wait for them after the environment drains.
+	// wg tracks the per-job pump goroutines so Shutdown can wait for them
+	// after the environment drains.
 	wg sync.WaitGroup
 }
 
@@ -41,18 +40,15 @@ type jobRecord struct {
 	tenant    string
 	job       *aimes.Job
 	submitted time.Time
-	fan       *fanout
 	// settled, guarded by registry.mu, says the job's end has been
 	// accounted: quota slot released, outcome counted.
 	settled bool
 }
 
-func newRegistry(env *aimes.Environment, met *metrics, replay, buf, retain int) *registry {
+func newRegistry(env *aimes.Environment, met *metrics, retain int) *registry {
 	return &registry{
 		env:    env,
 		met:    met,
-		replay: replay,
-		buf:    buf,
 		retain: retain,
 		jobs:   make(map[string]*jobRecord),
 		live:   make(map[string][]*jobRecord),
@@ -94,7 +90,6 @@ func jobConfig(req *client.SubmitRequest) (aimes.JobConfig, error) {
 		Placement:      placement,
 		Shard:          req.Shard,
 		Migrate:        migrate,
-		EventBuffer:    req.EventBuffer,
 	}, nil
 }
 
@@ -147,47 +142,30 @@ func (r *registry) submit(tn Tenant, req *client.SubmitRequest) (*jobRecord, err
 		tenant:    tn.Name,
 		job:       j,
 		submitted: time.Now(),
-		fan:       newFanout(r.replay),
 	}
 	r.jobs[rec.id] = rec
 	r.order = append(r.order, rec)
 	r.live[tn.Name] = append(r.live[tn.Name], rec)
 	r.met.submitted(tn.Name)
 
-	// Two goroutines per job. The pump holds a Wait for the job's whole
+	// One goroutine per job, the pump: it holds a Wait for the job's whole
 	// life — on virtual-time shards Wait is what advances the engine, so
-	// jobs make progress whether or not any client is attached. The
-	// drainer moves the job's bounded event stream into the fanout and,
-	// when the stream closes, records the terminal state.
-	r.wg.Add(2)
+	// jobs make progress whether or not any client is attached — and settles
+	// the job's accounts when it ends, if no handler did so first.
+	r.wg.Add(1)
 	go func() {
 		defer r.wg.Done()
 		_, _ = j.Wait(context.Background())
-	}()
-	go func() {
-		defer r.wg.Done()
-		for ev := range j.Events() {
-			rec.fan.publish(client.Event{
-				Job:    rec.id,
-				Time:   ev.Time,
-				Entity: ev.Entity,
-				State:  ev.State,
-				Detail: ev.Detail,
-			})
-		}
-		<-j.Done()
-		// The terminal snapshot goes out after the last event, with the
-		// job's accounts settled if no handler did so first.
-		rec.fan.finish(r.info(rec))
+		r.settle(rec)
 	}()
 	return rec, nil
 }
 
 // settle accounts for rec's end exactly once: it releases the tenant's quota
-// slot, bumps the outcome counters and trims retention. The drainer runs it
-// when the event stream closes, but a client learns of the end from whichever
-// handler first reports a final state, and may act on it at once — resubmit
-// under MaxInFlight 1, read /metrics — so that handler settles first (info).
+// slot, bumps the outcome counters and trims retention. The pump runs it when
+// Wait returns, but a client learns of the end from whichever handler first
+// reports a final state, and may act on it at once — resubmit under
+// MaxInFlight 1, read /metrics — so that handler settles first (info).
 func (r *registry) settle(rec *jobRecord) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -195,14 +173,8 @@ func (r *registry) settle(rec *jobRecord) {
 		return
 	}
 	rec.settled = true
-	live := r.live[rec.tenant]
-	for i, lr := range live {
-		if lr == rec {
-			r.live[rec.tenant] = append(live[:i], live[i+1:]...)
-			break
-		}
-	}
-	if len(r.live[rec.tenant]) == 0 {
+	live := slices.DeleteFunc(r.live[rec.tenant], func(lr *jobRecord) bool { return lr == rec })
+	if r.live[rec.tenant] = live; len(live) == 0 {
 		delete(r.live, rec.tenant)
 	}
 	r.met.finished(rec.tenant, rec.job.State(), rec.job.EventsDropped())
@@ -221,22 +193,21 @@ func (r *registry) info(rec *jobRecord) client.JobInfo {
 }
 
 // trimLocked evicts the oldest finished jobs beyond the retention bound.
-// Live jobs are never evicted.
+// Live jobs are never evicted. (DeleteFunc clears the vacated tail, so the
+// evicted records are not kept reachable from the slice's spare capacity.)
 func (r *registry) trimLocked() {
-	if r.retain <= 0 || len(r.order) <= r.retain {
+	excess := len(r.order) - r.retain
+	if r.retain <= 0 || excess <= 0 {
 		return
 	}
-	kept := r.order[:0]
-	excess := len(r.order) - r.retain
-	for _, rec := range r.order {
-		if excess > 0 && rec.job.State().Final() {
-			delete(r.jobs, rec.id)
-			excess--
-			continue
+	r.order = slices.DeleteFunc(r.order, func(rec *jobRecord) bool {
+		if excess == 0 || !rec.job.State().Final() {
+			return false
 		}
-		kept = append(kept, rec)
-	}
-	r.order = kept
+		delete(r.jobs, rec.id)
+		excess--
+		return true
+	})
 }
 
 // get resolves id for tn. Unknown IDs and other tenants' jobs are equally

@@ -58,7 +58,7 @@ func TestJobConfigAppliesEveryRequestField(t *testing.T) {
 	    "EstTx": 1000000000, "EstTs": 2000000000, "EstTrp": 3000000000
 	  },
 	  "adaptive": {"Patience": 60000000000, "MaxExtraPilots": 2, "ReplaceLostPilots": true, "MaxReplacements": 1},
-	  "placement": "pinned", "shard": 1, "migrate": "allow", "event_buffer": 64
+	  "placement": "pinned", "shard": 1, "migrate": "allow"
 	}`), &req); err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestJobConfigAppliesEveryRequestField(t *testing.T) {
 	if missing := unset(reflect.ValueOf(cfg), "JobConfig"); len(missing) > 0 {
 		t.Errorf("jobConfig left these fields unset from a request that sets every knob: %v", missing)
 	}
-	if cfg.Placement != aimes.PlacePinned || cfg.Shard != 1 || cfg.Migrate != aimes.MigrateAllow || cfg.EventBuffer != 64 {
+	if cfg.Placement != aimes.PlacePinned || cfg.Shard != 1 || cfg.Migrate != aimes.MigrateAllow {
 		t.Errorf("placement knobs: %+v", cfg)
 	}
 	if !reflect.DeepEqual(cfg.StrategyConfig, req.Config) || cfg.Strategy != req.Strategy || cfg.Adaptive != req.Adaptive {

@@ -2,7 +2,8 @@
 // multi-tenant HTTP front end over one sharded aimes.Environment. It
 // exposes the async Job API remotely — submit, wait (long-poll), cancel,
 // list — streams per-job events and the environment-wide trace as
-// Server-Sent Events with bounded replay and drop accounting, enforces
+// Server-Sent Events read straight from the shards' trace logs (replay from
+// any sequence number the log still retains, exact drop accounting), enforces
 // per-tenant admission quotas behind static bearer-token auth, and serves
 // hand-rolled Prometheus text metrics on /metrics.
 //
@@ -19,7 +20,8 @@
 //
 // Jobs are registered under opaque IDs and retained in memory after
 // finishing, so a client that disconnects mid-run can reattach by ID and
-// still collect events (replayed by sequence number) and the final report.
+// still collect events (replayed by sequence number from the shard's trace
+// log, which keeps its most recent 2^20 records) and the final report.
 package server
 
 import (
@@ -40,11 +42,6 @@ type Config struct {
 	// Auth maps bearer tokens to tenants and quotas.
 	Auth *Auth
 
-	// Replay is the per-job SSE replay ring capacity (default 1024): how
-	// many trailing events a reconnecting client can recover.
-	Replay int
-	// SubBuffer is each SSE subscriber's channel buffer (default 256).
-	SubBuffer int
 	// Retain bounds how many jobs (live + finished) the registry keeps
 	// before evicting the oldest finished ones (default 4096).
 	Retain int
@@ -75,12 +72,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Auth == nil || len(cfg.Auth.tenants) == 0 {
 		return nil, fmt.Errorf("server: Config.Auth with at least one tenant is required")
 	}
-	if cfg.Replay <= 0 {
-		cfg.Replay = 1024
-	}
-	if cfg.SubBuffer <= 0 {
-		cfg.SubBuffer = 256
-	}
 	if cfg.Retain <= 0 {
 		cfg.Retain = 4096
 	}
@@ -95,7 +86,7 @@ func New(cfg Config) (*Server, error) {
 	if s.logf == nil {
 		s.logf = func(string, ...any) {}
 	}
-	s.reg = newRegistry(cfg.Env, s.met, cfg.Replay, cfg.SubBuffer, cfg.Retain)
+	s.reg = newRegistry(cfg.Env, s.met, cfg.Retain)
 	s.routes()
 	return s, nil
 }
@@ -114,8 +105,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
 	err := s.env.Drain(ctx)
 	if err == nil {
-		// All jobs final: their fanouts have delivered "done" events, and
-		// the registry goroutines are unwinding.
+		// All jobs final: wait for the pumps to settle their accounts.
 		s.reg.wg.Wait()
 	}
 	s.stopOnce.Do(func() { close(s.stop) })

@@ -3,148 +3,44 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
-	"sync"
+	"time"
 
+	"aimes"
 	"aimes/client"
 )
 
-// fanout is one job's event distribution point: it assigns sequence
-// numbers, keeps a bounded replay ring so reconnecting subscribers can
-// resume from their last seq, and fans live events out to any number of SSE
-// subscribers with non-blocking sends (a slow subscriber loses events to
-// its own drop counter, never stalls the job). All methods are safe for
-// concurrent use.
-type fanout struct {
-	mu sync.Mutex
-
-	next  int64 // seq the next event gets (first event is 1)
-	ring  []client.Event
-	start int // ring[start] is the oldest retained event (circular)
-	count int
-
-	subs map[*fanSub]struct{}
-
-	done  bool
-	final client.JobInfo
-}
-
-// fanSub is one subscriber: a buffered channel plus a count of events the
-// fanout could not deliver to it.
-type fanSub struct {
-	ch      chan client.Event
-	dropped int64 // guarded by the fanout's mu
-}
-
-func newFanout(replay int) *fanout {
-	if replay < 1 {
-		replay = 1
+// writeEvent writes one Server-Sent Event with a JSON payload, unflushed. id
+// is optional (>0 only).
+func writeEvent(w io.Writer, name string, id int64, payload any) error {
+	data, err := json.Marshal(payload)
+	if err != nil {
+		return err
 	}
-	return &fanout{next: 1, ring: make([]client.Event, replay), subs: make(map[*fanSub]struct{})}
-}
-
-// publish stamps ev with the next sequence number, retains it in the replay
-// ring and delivers it to every live subscriber.
-func (f *fanout) publish(ev client.Event) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	ev.Seq = f.next
-	f.next++
-	i := (f.start + f.count) % len(f.ring)
-	f.ring[i] = ev
-	if f.count < len(f.ring) {
-		f.count++
-	} else {
-		f.start = (f.start + 1) % len(f.ring)
-	}
-	for s := range f.subs {
-		select {
-		case s.ch <- ev:
-		default:
-			s.dropped++
+	if id > 0 {
+		if _, err := fmt.Fprintf(w, "id: %d\n", id); err != nil {
+			return err
 		}
 	}
+	_, err = fmt.Fprintf(w, "event: %s\ndata: %s\n\n", name, data)
+	return err
 }
 
-// finish marks the stream complete with the job's terminal snapshot and
-// closes every subscriber channel. Later attaches replay and see done
-// immediately.
-func (f *fanout) finish(info client.JobInfo) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.done {
-		return
-	}
-	f.done = true
-	f.final = info
-	for s := range f.subs {
-		close(s.ch)
-		delete(f.subs, s)
-	}
-}
-
-// attach subscribes from sequence number from (0 and 1 both mean "from the
-// beginning"). It returns the events still retained with seq >= from, the
-// number lost to ring eviction before that, and — when the stream already
-// finished — a nil subscription plus the terminal snapshot.
-func (f *fanout) attach(from int64, buf int) (sub *fanSub, replay []client.Event, missed int64, done bool, final client.JobInfo) {
-	if from < 1 {
-		from = 1
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	oldest := f.next - int64(f.count)
-	if from < oldest {
-		missed = oldest - from
-		from = oldest
-	}
-	for i := 0; i < f.count; i++ {
-		ev := f.ring[(f.start+i)%len(f.ring)]
-		if ev.Seq >= from {
-			replay = append(replay, ev)
-		}
-	}
-	if f.done {
-		return nil, replay, missed, true, f.final
-	}
-	sub = &fanSub{ch: make(chan client.Event, buf)}
-	f.subs[sub] = struct{}{}
-	return sub, replay, missed, false, client.JobInfo{}
-}
-
-func (f *fanout) detach(s *fanSub) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if _, ok := f.subs[s]; ok {
-		delete(f.subs, s)
-		close(s.ch)
-	}
-}
-
-// subDropped reads s's drop counter under the fanout lock.
-func (f *fanout) subDropped(s *fanSub) int64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return s.dropped
-}
-
-// finalInfo returns the terminal snapshot (valid once done).
-func (f *fanout) finalInfo() (client.JobInfo, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.final, f.done
-}
-
-// sseWriter emits the Server-Sent-Events wire format.
-type sseWriter struct {
-	w http.ResponseWriter
-	f http.Flusher
-}
-
-func newSSEWriter(w http.ResponseWriter) (*sseWriter, error) {
+// stream writes what sub reads to w as SSE until the client goes away, the
+// daemon stops, or — job streams only — the job has ended and its last event
+// and the terminal "done" snapshot were written. sub is a cursor over the
+// shard logs, so nothing is held here beyond one batch: each batch is written
+// and flushed once, after a "dropped" event with the cumulative count whenever
+// the cursor found records already evicted. rec is the job whose events sub
+// reads ("job" events, Seq as the SSE id), or nil for the environment-wide
+// trace ("trace" events, no id).
+func (s *Server) stream(w http.ResponseWriter, r *http.Request, sub *aimes.TraceSub, rec *jobRecord) {
+	defer sub.Close()
 	f, ok := w.(http.Flusher)
 	if !ok {
-		return nil, fmt.Errorf("server: response writer cannot stream (no http.Flusher)")
+		writeError(w, http.StatusInternalServerError, "server: response writer cannot stream (no http.Flusher)")
+		return
 	}
 	h := w.Header()
 	h.Set("Content-Type", "text/event-stream")
@@ -153,32 +49,53 @@ func newSSEWriter(w http.ResponseWriter) (*sseWriter, error) {
 	h.Set("X-Accel-Buffering", "no") // defeat proxy buffering
 	w.WriteHeader(http.StatusOK)
 	f.Flush()
-	return &sseWriter{w: w, f: f}, nil
-}
 
-// event writes one SSE event with a JSON payload. id is optional (>0 only).
-func (s *sseWriter) event(name string, id int64, payload any) error {
-	data, err := json.Marshal(payload)
-	if err != nil {
-		return err
+	name, kind := "trace", "env"
+	if rec != nil {
+		name, kind = "job", "job"
 	}
-	if id > 0 {
-		if _, err := fmt.Fprintf(s.w, "id: %d\n", id); err != nil {
-			return err
+	heartbeat := time.NewTicker(15 * time.Second)
+	defer heartbeat.Stop()
+	var buf [64]aimes.TraceRecord
+	var dropped int64
+	for {
+		n, seq, done := sub.Read(buf[:])
+		if d := sub.Dropped(); d > dropped {
+			s.met.addSSEDropped(kind, d-dropped)
+			dropped = d
+			if writeEvent(w, "dropped", 0, client.Dropped{Count: d}) != nil {
+				return
+			}
+		}
+		for i, tr := range buf[:n] {
+			ev := client.Event{Time: tr.Time.Duration(), Entity: tr.Entity, State: tr.State, Detail: tr.Detail}
+			if rec != nil {
+				ev.Seq, ev.Job = seq+int64(i), rec.id
+			}
+			if writeEvent(w, name, ev.Seq, ev) != nil {
+				return
+			}
+		}
+		if done && rec != nil {
+			writeEvent(w, "done", 0, s.reg.info(rec))
+		}
+		f.Flush()
+		if done {
+			return
+		}
+		if n == len(buf) {
+			continue
+		}
+		select {
+		case <-sub.Ready():
+		case <-heartbeat.C:
+			if _, err := io.WriteString(w, ": ping\n\n"); err != nil {
+				return
+			}
+		case <-r.Context().Done():
+			return
+		case <-s.stop:
+			return
 		}
 	}
-	if _, err := fmt.Fprintf(s.w, "event: %s\ndata: %s\n\n", name, data); err != nil {
-		return err
-	}
-	s.f.Flush()
-	return nil
-}
-
-// comment writes a heartbeat comment line keeping idle connections alive.
-func (s *sseWriter) comment(text string) error {
-	if _, err := fmt.Fprintf(s.w, ": %s\n\n", text); err != nil {
-		return err
-	}
-	s.f.Flush()
-	return nil
 }

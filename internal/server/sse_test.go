@@ -1,159 +1,186 @@
 package server
 
 import (
-	"slices"
 	"testing"
 	"time"
 
-	"aimes/client"
+	"aimes"
+	"aimes/internal/trace"
 )
 
-// seqs extracts the sequence numbers of a replay.
-func seqs(evs []client.Event) []int64 {
-	out := make([]int64, len(evs))
-	for i, ev := range evs {
-		out[i] = ev.Seq
+// The SSE routes keep no events of their own: a stream is a cursor
+// (aimes.TraceSub) over the shard's trace log. These tests restate, against
+// that cursor, what the per-job replay ring and its subscriber channels used
+// to promise a reconnecting or slow client. The log evicts whole segments of
+// seg records, so the cases count in segments where the ring counted events.
+const seg = 1024
+
+// publish appends n records of one job to l.
+func publish(l *trace.Log, s *trace.Stream, n int) {
+	for i := 0; i < n; i++ {
+		l.Append(s, "s0-j1", aimes.TraceRecord{Entity: "unit.x", State: "S"})
 	}
-	return out
 }
 
-// TestFanoutAttach is the replay-ring contract a reconnecting SSE client
-// (Last-Event-ID) relies on: attach(from) replays exactly the retained
-// events with seq >= from, and counts the ones the ring already evicted.
+// drain reads sub until it has nothing more, checking the sequence numbers
+// are dense, and returns the first one and the count.
+func drain(t *testing.T, sub *aimes.TraceSub) (first, n int64, done bool) {
+	t.Helper()
+	var buf [300]aimes.TraceRecord
+	for {
+		got, seq, d := sub.Read(buf[:])
+		if got > 0 {
+			if n == 0 {
+				first = seq
+			} else if seq != first+n {
+				t.Fatalf("batch starts at seq %d, the previous one ended at %d", seq, first+n-1)
+			}
+			n += int64(got)
+		}
+		if d || got < len(buf) {
+			return first, n, d
+		}
+	}
+}
+
+// TestFanoutAttach is the replay contract a reconnecting SSE client
+// (?from=, Last-Event-ID) relies on: a cursor attached at from replays
+// exactly the retained events with seq >= from, and counts the ones the log
+// already evicted.
 func TestFanoutAttach(t *testing.T) {
 	cases := []struct {
 		name       string
-		ring       int   // replay capacity
-		published  int   // events published before attaching
+		window     int   // log retention, records
+		published  int   // events logged before attaching
 		from       int64 // attach point
-		wantReplay []int64
+		wantFirst  int64 // first replayed seq (when any)
+		wantReplay int64 // number replayed
 		wantMissed int64
 	}{
-		{"empty stream", 4, 0, 0, nil, 0},
-		{"from zero means the beginning", 4, 3, 0, []int64{1, 2, 3}, 0},
-		{"from one means the beginning", 4, 3, 1, []int64{1, 2, 3}, 0},
-		{"resume mid-ring", 4, 4, 3, []int64{3, 4}, 0},
-		{"resume past the newest", 4, 4, 5, nil, 0},
-		{"ring exactly full", 4, 4, 1, []int64{1, 2, 3, 4}, 0},
-		{"one eviction", 4, 5, 1, []int64{2, 3, 4, 5}, 1},
-		{"wrapped twice, from the beginning", 4, 10, 0, []int64{7, 8, 9, 10}, 6},
-		{"wrapped, resume inside the evicted range", 4, 10, 5, []int64{7, 8, 9, 10}, 2},
-		{"wrapped, resume at the oldest retained", 4, 10, 7, []int64{7, 8, 9, 10}, 0},
-		{"wrapped, resume inside the ring", 4, 10, 9, []int64{9, 10}, 0},
-		{"capacity below one is one", 0, 3, 0, []int64{3}, 2},
+		{"empty stream", 4 * seg, 0, 0, 0, 0, 0},
+		{"from zero means the beginning", 4 * seg, 3, 0, 1, 3, 0},
+		{"from one means the beginning", 4 * seg, 3, 1, 1, 3, 0},
+		{"resume mid-ring", 4 * seg, 4 * seg, 2*seg + 1, 2*seg + 1, 2 * seg, 0},
+		{"resume past the newest", 4 * seg, 4 * seg, 4*seg + 1, 0, 0, 0},
+		{"ring exactly full", 4 * seg, 4 * seg, 1, 1, 4 * seg, 0},
+		{"one eviction", 4 * seg, 4*seg + 1, 1, seg + 1, 3*seg + 1, seg},
+		{"wrapped twice, from the beginning", 4 * seg, 10 * seg, 0, 6*seg + 1, 4 * seg, 6 * seg},
+		{"wrapped, resume inside the evicted range", 4 * seg, 10 * seg, 5*seg + 1, 6*seg + 1, 4 * seg, seg},
+		{"wrapped, resume at the oldest retained", 4 * seg, 10 * seg, 6*seg + 1, 6*seg + 1, 4 * seg, 0},
+		{"wrapped, resume inside the ring", 4 * seg, 10 * seg, 8*seg + 1, 8*seg + 1, 2 * seg, 0},
+		{"capacity below one is one", 0, seg + 3, 0, seg + 1, 3, seg},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			f := newFanout(tc.ring)
-			for i := 0; i < tc.published; i++ {
-				f.publish(client.Event{Entity: "unit"})
+			l, s := trace.NewLog(tc.window), new(trace.Stream)
+			publish(l, s, tc.published)
+			sub := s.Cursor(tc.from)
+			defer sub.Close()
+			first, n, done := drain(t, sub)
+			if done {
+				t.Fatal("a live stream reports done")
 			}
-			sub, replay, missed, done, _ := f.attach(tc.from, 1)
-			if sub == nil || done {
-				t.Fatalf("attach to a live stream: sub %v, done %v", sub, done)
+			if n != tc.wantReplay || (n > 0 && first != tc.wantFirst) {
+				t.Errorf("replayed %d events from seq %d, want %d from %d", n, first, tc.wantReplay, tc.wantFirst)
 			}
-			if got := seqs(replay); !slices.Equal(got, tc.wantReplay) {
-				t.Errorf("replay = %v, want %v", got, tc.wantReplay)
-			}
-			if missed != tc.wantMissed {
-				t.Errorf("missed = %d, want %d", missed, tc.wantMissed)
+			if got := sub.Dropped(); got != tc.wantMissed {
+				t.Errorf("Dropped = %d, want %d", got, tc.wantMissed)
 			}
 			// The live tail continues where the replay ended.
-			f.publish(client.Event{})
-			if ev := <-sub.ch; ev.Seq != int64(tc.published)+1 {
-				t.Errorf("first live event has seq %d, want %d", ev.Seq, tc.published+1)
+			publish(l, s, 1)
+			select {
+			case <-sub.Ready():
+			case <-time.After(5 * time.Second):
+				t.Fatal("no wake-up after an append")
+			}
+			if first, n, _ := drain(t, sub); n != 1 || first != int64(tc.published)+1 {
+				t.Errorf("live tail delivered %d events from seq %d, want seq %d", n, first, tc.published+1)
 			}
 		})
 	}
 }
 
-// TestFanoutSlowSubscriber: a subscriber whose buffer is full loses events
-// to its own drop counter; publish never blocks and other subscribers are
-// unaffected.
+// TestFanoutSlowSubscriber: a reader that stalls never blocks Append, learns
+// exactly what it lost when it reads again, and a reader that keeps up is
+// unaffected by it.
 func TestFanoutSlowSubscriber(t *testing.T) {
-	f := newFanout(8)
-	slow, _, _, _, _ := f.attach(0, 2)
-	fast, _, _, _, _ := f.attach(0, 16)
-	published := make(chan struct{})
-	go func() {
-		defer close(published)
-		for i := 0; i < 10; i++ {
-			f.publish(client.Event{})
+	l, s := trace.NewLog(2*seg), new(trace.Stream)
+	slow, fast := s.Cursor(0), s.Cursor(0)
+	var fastGot int64
+	for i := 0; i < 5; i++ {
+		published := make(chan struct{})
+		go func() {
+			defer close(published)
+			publish(l, s, seg)
+		}()
+		select {
+		case <-published:
+		case <-time.After(5 * time.Second):
+			t.Fatal("Append blocked on a reader that does not read")
 		}
-	}()
-	select {
-	case <-published:
-	case <-time.After(5 * time.Second):
-		t.Fatal("publish blocked on a full subscriber buffer")
+		_, n, _ := drain(t, fast)
+		fastGot += n
 	}
-	if got := f.subDropped(slow); got != 8 {
-		t.Errorf("slow subscriber dropped %d, want 8 (10 published into a buffer of 2)", got)
+	if fastGot != 5*seg || fast.Dropped() != 0 {
+		t.Errorf("the reader that kept up got %d events and dropped %d, want %d and 0", fastGot, fast.Dropped(), 5*seg)
 	}
-	if got := f.subDropped(fast); got != 0 {
-		t.Errorf("fast subscriber dropped %d, want 0", got)
+	// What the stalled reader gets is the retained tail, in order, after
+	// learning how much went before it.
+	first, n, _ := drain(t, slow)
+	if got := slow.Dropped(); got != 3*seg {
+		t.Errorf("the stalled reader dropped %d, want %d (5 segments through a window of 2)", got, 3*seg)
 	}
-	// What the slow subscriber did get is the head of the stream, in order.
-	for want := int64(1); want <= 2; want++ {
-		if ev := <-slow.ch; ev.Seq != want {
-			t.Errorf("slow subscriber got seq %d, want %d", ev.Seq, want)
-		}
+	if first != 3*seg+1 || n != 2*seg {
+		t.Errorf("the stalled reader got %d events from seq %d, want %d from %d", n, first, 2*seg, 3*seg+1)
 	}
-	if len(fast.ch) != 10 {
-		t.Errorf("fast subscriber holds %d events, want 10", len(fast.ch))
+	// A closed cursor is done once drained, and stops counting.
+	slow.Close()
+	slow.Close() // idempotent
+	publish(l, s, 3*seg)
+	if got := slow.Dropped(); got != 3*seg {
+		t.Errorf("a closed cursor kept counting drops: %d", got)
 	}
-	// A detached subscriber's channel closes and it stops counting.
-	f.detach(slow)
-	if _, open := <-slow.ch; open {
-		t.Error("detach left the channel open")
-	}
-	f.detach(slow) // idempotent
-	f.publish(client.Event{})
-	if got := f.subDropped(slow); got != 8 {
-		t.Errorf("detached subscriber kept counting drops: %d", got)
+	if s.Missed() != 3*seg {
+		t.Errorf("the job's EventsDropped is %d, want the stalled reader's %d", s.Missed(), 3*seg)
 	}
 }
 
-// TestFanoutFinish: finish closes every live subscriber exactly once, and a
-// late attach gets the replay, done, and the terminal snapshot instead of a
-// subscription.
+// TestFanoutFinish: the end of the job reaches every attached reader after
+// its last event, and a reader attaching after the end replays what the log
+// still retains and is done at once.
 func TestFanoutFinish(t *testing.T) {
-	f := newFanout(4)
-	a, _, _, _, _ := f.attach(0, 8)
-	b, _, _, _, _ := f.attach(0, 8)
-	for i := 0; i < 6; i++ {
-		f.publish(client.Event{})
+	l, s := trace.NewLog(seg), new(trace.Stream)
+	a, b := s.Cursor(0), s.Cursor(0)
+	publish(l, s, seg+6)
+	if _, _, done := drain(t, a); done {
+		t.Fatal("stream reports done before the job ended")
 	}
-	if _, done := f.finalInfo(); done {
-		t.Fatal("stream reports done before finish")
+	select {
+	case <-b.Ready(): // the appends' wake-up, so the next one is the end's
+	default:
 	}
-	final := client.JobInfo{ID: "job-7", State: "done"}
-	f.finish(final)
-	f.finish(client.JobInfo{ID: "other"}) // a second finish is a no-op
-	for name, sub := range map[string]*fanSub{"a": a, "b": b} {
-		n := 0
-		for range sub.ch { // terminates only if the channel was closed
-			n++
-		}
-		if n != 6 {
-			t.Errorf("subscriber %s drained %d events before close, want 6", name, n)
-		}
+	s.End()
+	s.End() // ending twice is harmless
+	if first, n, done := drain(t, a); n != 0 || !done {
+		t.Errorf("reader a, caught up before the end: %d more events from seq %d, done %v", n, first, done)
 	}
-	f.detach(a) // detaching after finish must not double-close
+	select {
+	case <-b.Ready():
+	default:
+		t.Error("the end did not wake reader b")
+	}
+	if first, n, done := drain(t, b); first != seg+1 || n != 6 || !done || b.Dropped() != seg {
+		t.Errorf("reader b, stalled until the end: %d events from seq %d, done %v, dropped %d; want 6 from %d, done, %d",
+			n, first, done, b.Dropped(), seg+1, seg)
+	}
+	a.Close() // closing after the end must be harmless
 
-	sub, replay, missed, done, got := f.attach(0, 8)
-	if sub != nil || !done {
-		t.Fatalf("late attach: sub %v, done %v; want no subscription and done", sub, done)
+	late := s.Cursor(0)
+	first, n, done := drain(t, late)
+	if !done || first != seg+1 || n != 6 {
+		t.Errorf("late attach: %d events from seq %d, done %v; want 6 from %d and done", n, first, done, seg+1)
 	}
-	if want := []int64{3, 4, 5, 6}; !slices.Equal(seqs(replay), want) {
-		t.Errorf("late replay = %v, want %v", seqs(replay), want)
-	}
-	if missed != 2 {
-		t.Errorf("late attach missed %d, want 2", missed)
-	}
-	if got.ID != final.ID || got.State != final.State {
-		t.Errorf("late attach snapshot %+v, want the first finish's %+v", got, final)
-	}
-	if info, done := f.finalInfo(); !done || info.ID != final.ID {
-		t.Errorf("finalInfo = %+v, %v", info, done)
+	if late.Dropped() != seg {
+		t.Errorf("late attach missed %d, want %d", late.Dropped(), seg)
 	}
 }

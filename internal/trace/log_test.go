@@ -17,13 +17,10 @@ func TestLogRetention(t *testing.T) {
 		{2*logSegment + 1, 3 * logSegment}, // rounds up to whole segments
 		{0, logSegment},                    // never less than one segment
 	} {
-		l := NewLog(tc.retain)
+		l, s := NewLog(tc.retain), new(Stream)
 		total := 10 * tc.want
 		for i := 0; i < total; i++ {
-			l.Append(Record{Time: sim.Time(i), Entity: "unit.x", State: "S", Detail: fmt.Sprint(i)}, "s0-j1")
-		}
-		if l.Len() != tc.want {
-			t.Fatalf("retain %d: Len = %d, want %d", tc.retain, l.Len(), tc.want)
+			l.Append(s, "s0-j1", Record{Time: sim.Time(i), Entity: "unit.x", State: "S", Detail: fmt.Sprint(i)})
 		}
 		if got, want := l.Dropped(), int64(total-tc.want); got != want {
 			t.Fatalf("retain %d: Dropped = %d, want %d", tc.retain, got, want)
@@ -40,9 +37,9 @@ func TestLogRetention(t *testing.T) {
 			}
 		}
 		// One more append evicts the oldest segment whole.
-		l.Append(Record{Time: sim.Time(total)}, "s0-j1")
-		if got, want := l.Len(), tc.want-logSegment+1; got != want {
-			t.Fatalf("retain %d: Len after one more append = %d, want %d", tc.retain, got, want)
+		l.Append(s, "s0-j1", Record{Time: sim.Time(total)})
+		if got, want := len(l.Snapshot(nil)), tc.want-logSegment+1; got != want {
+			t.Fatalf("retain %d: %d records retained after one more append, want %d", tc.retain, got, want)
 		}
 		if got, want := l.Dropped(), int64(total-tc.want+logSegment); got != want {
 			t.Fatalf("retain %d: Dropped after one more append = %d, want %d", tc.retain, got, want)
@@ -53,9 +50,9 @@ func TestLogRetention(t *testing.T) {
 // TestLogSnapshotAppends checks that Snapshot extends dst (the aggregate view
 // concatenates shards this way) and leaves the log's own records raw.
 func TestLogSnapshotAppends(t *testing.T) {
-	l := NewLog(logSegment)
-	l.Append(Record{Time: at(1), Entity: "em", State: "ENACTING"}, "s1-j2")
-	l.Append(Record{Time: at(2), Entity: "pilot.s1-j2.a", State: "NEW"}, "s1-j2")
+	l, s := NewLog(logSegment), new(Stream)
+	l.Append(s, "s1-j2", Record{Time: at(1), Entity: "em", State: "ENACTING"})
+	l.Append(s, "s1-j2", Record{Time: at(2), Entity: "pilot.s1-j2.a", State: "NEW"})
 	head := Record{Time: at(0), Entity: "em.s0-j1", State: "DONE"}
 	for pass := 0; pass < 2; pass++ { // a second read sees the same records
 		got := l.Snapshot([]Record{head})
@@ -71,14 +68,18 @@ func TestLogSnapshotAppends(t *testing.T) {
 // TestLogAppendAllocs pins the hot-path contract: Append allocates once per
 // new segment (plus the segment list's own growth) and never per record, and
 // not at all once the retention is reached, where the evicted segment becomes
-// the new tail.
+// the new tail — with a reader attached to the stream and one to the log's
+// tail, neither of which ever reads.
 func TestLogAppendAllocs(t *testing.T) {
 	rec := Record{Time: at(1), Entity: "unit.t0004", State: "EXECUTING"}
 	const segs = 8
 	fill := func(l *Log) func() {
+		s := new(Stream)
+		s.Cursor(1)
+		Tail(l)
 		return func() {
 			for i := 0; i < segs*logSegment; i++ {
-				l.Append(rec, "s0-j3")
+				l.Append(s, "s0-j3", rec)
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package aimes
 import (
 	"context"
 	"fmt"
+	"iter"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -66,13 +67,16 @@ func (s JobState) String() string {
 // Final reports whether the state is terminal.
 func (s JobState) Final() bool { return s >= JobDone }
 
-// Event is one state transition streamed live from a job's trace: pilot
+// Event is one state transition of a job, read from its trace: pilot
 // transitions ("pilot.stampede.s0-j3-1" → ACTIVE), unit transitions
 // ("unit.task-0007" → EXECUTING) and execution-manager strategy transitions
 // ("em" → ENACTING/MIGRATED/ADAPTED/CANCELED/DONE).
 type Event struct {
 	// Job is the originating job's sequence number (Job.ID).
 	Job int
+	// Seq is the event's position in its job's trace, dense from 1 and the
+	// same on every read: a gap between two events is exactly what was lost.
+	Seq int64
 	// Time is the engine time of the transition (offset from the job's
 	// shard epoch; shards keep independent clocks).
 	Time time.Duration
@@ -148,9 +152,6 @@ type JobConfig struct {
 	// Adaptive, when non-nil, enables runtime strategy adaptation (extra
 	// pilots on slow activation, lost-pilot replacement).
 	Adaptive *AdaptiveConfig
-	// EventBuffer overrides the environment's per-job Events capacity when
-	// positive.
-	EventBuffer int
 	// Placement selects the shard the job runs on: PlaceRoundRobin (the
 	// zero value), PlaceLeastLoaded, PlacePredictive, or PlacePinned.
 	Placement Placement
@@ -178,10 +179,11 @@ type Job struct {
 	// stable.
 	sh atomic.Pointer[shardEnv]
 
-	state        atomic.Int32
-	events       chan Event
-	eventsClosed atomic.Bool
-	dropped      atomic.Int64
+	state atomic.Int32
+
+	// stream is the job's thread through its shard's trace log. Allocated
+	// apart from the Job: the log's entries point at it while retained.
+	stream *trace.Stream
 
 	// mu guards the admission/handoff fields and the terminal outcome.
 	// Lock order: a shard's engine lock is always taken before a job's mu,
@@ -236,10 +238,6 @@ func (e *Environment) Submit(ctx context.Context, w *Workload, cfg JobConfig) (*
 	}
 	if e.draining.Load() {
 		return nil, fmt.Errorf("aimes: Submit rejected: environment is draining (shutting down)")
-	}
-	buf := cfg.EventBuffer
-	if buf <= 0 {
-		buf = e.eventBuf
 	}
 	// Validate before placement, so rejected submissions perturb neither the
 	// round-robin cursor nor any ID sequence. (Derivation itself can still
@@ -297,7 +295,7 @@ func (e *Environment) Submit(ctx context.Context, w *Workload, cfg JobConfig) (*
 		cfg:          cfg,
 		cost:         cost,
 		migratable:   migratable,
-		events:       make(chan Event, buf),
+		stream:       new(trace.Stream),
 		done:         make(chan struct{}),
 		migratedFrom: -1,
 	}
@@ -760,15 +758,40 @@ func (j *Job) Err() error {
 	}
 }
 
-// Events returns the job's live event stream: every pilot, unit and strategy
-// transition, in order, closed when the job ends. The channel is buffered;
-// if a consumer falls behind, excess events are dropped (EventsDropped) so
-// the simulation never blocks on a slow reader.
-func (j *Job) Events() <-chan Event { return j.events }
+// Events ranges over the job's events — every pilot, unit and strategy
+// transition, in order, from the first — blocking for the next while the job
+// runs and ending after the last once it has ended. Each call is an
+// independent reader; one started after the job finished replays it. The
+// events are read from the shard's trace log, the one place they are stored:
+// the simulation never waits for a reader, and a reader loses events only
+// when they leave the log's window (the shard's most recent 2^20 records)
+// before it gets to them — a gap in Event.Seq, counted by EventsDropped.
+func (j *Job) Events() iter.Seq[Event] {
+	return func(yield func(Event) bool) {
+		sub := j.Subscribe(1)
+		defer sub.Close()
+		read := int64(0)
+		for r := range sub.C() {
+			// What the cursor lost, it lost before this record: Seq is dense.
+			if read++; !yield(Event{Job: j.id, Seq: read + sub.Dropped(), Time: r.Time.Duration(),
+				Entity: r.Entity, State: r.State, Detail: r.Detail}) {
+				return
+			}
+		}
+	}
+}
 
-// EventsDropped reports how many events were dropped because the Events
-// buffer was full.
-func (j *Job) EventsDropped() int64 { return j.dropped.Load() }
+// Subscribe is the non-blocking form of Events, for a reader that multiplexes
+// the stream with other work or resumes where an earlier one stopped: a
+// cursor at sequence number from (below 1 means the beginning) whose Read
+// returns raw records and the Seq of the first, and reports done once the
+// job has ended and its last record was read. Close it when done.
+func (j *Job) Subscribe(from int64) *TraceSub { return j.stream.Cursor(from) }
+
+// EventsDropped reports how many of the job's events its readers, all
+// together, found already evicted from the shard's trace log: 0 unless the
+// shard logged 2^20 newer records before a reader got to them.
+func (j *Job) EventsDropped() int64 { return j.stream.Missed() }
 
 // Wait blocks until the job completes and returns its report. On a
 // virtual-time environment the waiting goroutine pumps the job's shard
@@ -941,22 +964,6 @@ func (j *Job) finished() bool {
 	}
 }
 
-// publish streams one trace record to the job's event channel, dropping
-// rather than blocking when the consumer lags. It runs under the engine's
-// callback serialization (the backend sink).
-func (j *Job) publish(r trace.Record) {
-	if j.eventsClosed.Load() {
-		return
-	}
-	ev := Event{Job: j.id, Time: r.Time.Duration(), Entity: r.Entity,
-		State: r.State, Detail: r.Detail}
-	select {
-	case j.events <- ev:
-	default:
-		j.dropped.Add(1)
-	}
-}
-
 // complete records the terminal outcome exactly once and releases waiters
 // and event consumers. Every completion path — backend completion events,
 // pump drains, cancels, handoff landings, worker deaths — runs under the
@@ -1023,9 +1030,8 @@ func (j *Job) complete(r *Report, err error) {
 		sh.running--
 		j.env.admitNextLocked(sh)
 	}
-	j.eventsClosed.Store(true)
-	close(j.events)
 	close(j.done)
+	j.stream.End() // after done: a reader that sees the end finds the outcome set
 }
 
 // pumpBatch bounds how many events one Wait iteration fires on a local

@@ -6,10 +6,12 @@
 package aimes_test
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
@@ -372,9 +374,9 @@ func TestServerQuotaAndMetrics(t *testing.T) {
 
 // TestServerResubmitAfterWait is the regression test for accounting that
 // trailed the answer: Wait returned as soon as the job was done, but the
-// tenant's quota slot and counters were released later, by the registry's
-// drainer goroutine, so a client that resubmitted at once could be refused
-// on its own finished job. Whoever reports the end now settles it first.
+// tenant's quota slot and counters were released later, by a registry
+// goroutine, so a client that resubmitted at once could be refused on its
+// own finished job. Whoever reports the end now settles it first.
 func TestServerResubmitAfterWait(t *testing.T) {
 	env, err := aimes.NewEnv(aimes.WithSeed(20260928))
 	if err != nil {
@@ -422,7 +424,7 @@ func TestServerResubmitAfterWait(t *testing.T) {
 
 // TestServerReattach covers the disconnect/reconnect contract: a client
 // that walks away mid-run can come back with nothing but the job ID, renew
-// its event stream from the replay ring (by sequence number) and still
+// its event stream from the shard's trace log (by sequence number) and still
 // collect the final report.
 func TestServerReattach(t *testing.T) {
 	env, err := aimes.NewEnv(aimes.WithSeed(99), aimes.WithShards(2))
@@ -474,7 +476,7 @@ func TestServerReattach(t *testing.T) {
 	}
 
 	// Third connection: replay the whole finished stream. Sequence numbers
-	// must be contiguous from 1 (replay ring intact), and the terminal
+	// must be contiguous from 1 (the log retains the whole job), and the terminal
 	// "done" event must carry the same report.
 	replay, err := c.Events(ctx, info.ID, 0)
 	if err != nil {
@@ -569,5 +571,77 @@ func TestServerDrain(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "draining") {
 		t.Fatalf("drain rejection not descriptive: %v", err)
+	}
+}
+
+// TestServerReplayWholeJob: the events of a job are stored once, in its
+// shard's trace log, so a job that finished with no stream attached replays
+// whole — a 2048-task job logs some twenty thousand events, twenty times what
+// a per-job replay ring used to keep — and a raw reconnect resumes after the
+// Last-Event-ID it sends.
+func TestServerReplayWholeJob(t *testing.T) {
+	env, err := aimes.NewEnv(aimes.WithSeed(2048), aimes.WithShards(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, hs := testDaemon(t, env, map[string]server.Tenant{"tok": {Name: "late"}})
+	c := client.New(hs.URL, "tok")
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+
+	w, err := aimes.GenerateWorkload(aimes.BagOfTasks(2048, aimes.UniformDuration()), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := c.Submit(ctx, w, client.SubmitOptions{
+		Config: aimes.StrategyConfig{Binding: aimes.LateBinding, Scheduler: aimes.SchedBackfill, Pilots: 3},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	report, err := c.Wait(ctx, info.ID)
+	if err != nil || report.UnitsDone != 2048 {
+		t.Fatalf("job: %+v, %v", report, err)
+	}
+
+	replay, err := c.Events(ctx, info.ID, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var last int64
+	for ev := range replay.C {
+		if ev.Seq != last+1 {
+			t.Fatalf("replay gap: event %d follows %d", ev.Seq, last)
+		}
+		last = ev.Seq
+	}
+	if replay.Err() != nil || replay.Dropped() != 0 {
+		t.Fatalf("replay ended with error %v, %d dropped", replay.Err(), replay.Dropped())
+	}
+	if last < 4*2048 {
+		t.Fatalf("replay delivered %d events; a 2048-task job logs several per task", last)
+	}
+	if fin := replay.Final(); fin == nil || !reflect.DeepEqual(fin.Report, report) || fin.EventsDropped != 0 {
+		t.Fatalf("replay final snapshot: %+v", fin)
+	}
+
+	// A bare SSE reconnect: the header alone says where to resume.
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, hs.URL+"/v1/jobs/"+info.ID+"/events", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Authorization", "Bearer tok")
+	req.Header.Set("Last-Event-ID", "40")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	first, err := bufio.NewReader(resp.Body).ReadString('\n')
+	if err != nil || first != "id: 41\n" {
+		t.Fatalf("stream resumed after Last-Event-ID 40 starts with %q (%v), want \"id: 41\"", first, err)
+	}
+	if again, err := c.Job(ctx, info.ID); err != nil || again.EventsDropped != 0 {
+		t.Fatalf("after both replays: %+v, %v", again, err)
 	}
 }

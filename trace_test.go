@@ -32,10 +32,6 @@ var traceBackends = []struct {
 	{"worker", processWorkers},
 }
 
-// traceEventBuffer is large enough that no job of these tests drops an event
-// and no subscription drops a record (both are asserted).
-const traceEventBuffer = 1 << 15
-
 func submitPinnedBag(t *testing.T, env *aimes.Environment, shard, tasks int, seed int64) *aimes.Job {
 	t.Helper()
 	w, err := aimes.GenerateWorkload(aimes.BagOfTasks(tasks, aimes.UniformDuration()), seed)
@@ -135,8 +131,7 @@ func TestRecorderIsMergeOfShardsAndEvents(t *testing.T) {
 		for _, shards := range []int{1, 2} {
 			for seed := int64(1); seed <= 8; seed++ {
 				t.Run(fmt.Sprintf("%s/%dshards/seed%d", b.name, shards, seed), func(t *testing.T) {
-					env, err := aimes.NewEnv(append(b.opts(shards), aimes.WithSeed(seed),
-						aimes.WithEventBuffer(traceEventBuffer))...)
+					env, err := aimes.NewEnv(append(b.opts(shards), aimes.WithSeed(seed))...)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -175,11 +170,14 @@ func TestRecorderIsMergeOfShardsAndEvents(t *testing.T) {
 					owned := 0
 					for _, j := range jobs {
 						if d := j.EventsDropped(); d != 0 {
-							t.Fatalf("job %d dropped %d events; raise traceEventBuffer", j.ID(), d)
+							t.Fatalf("job %d dropped %d events", j.ID(), d)
 						}
 						ns := j.Namespace()
 						var want []aimes.TraceRecord
 						for ev := range j.Events() {
+							if ev.Job != j.ID() || ev.Seq != int64(len(want)+1) {
+								t.Fatalf("job %d: event %d carries job %d, seq %d", j.ID(), len(want)+1, ev.Job, ev.Seq)
+							}
 							want = append(want, aimes.TraceRecord{Time: sim.Time(ev.Time),
 								Entity: trace.QualifyEntity(ev.Entity, ns), State: ev.State, Detail: ev.Detail})
 						}
@@ -208,7 +206,7 @@ func TestRecorderIsMergeOfShardsAndEvents(t *testing.T) {
 // is enacted and has records in its shard's log, none has advanced yet — and
 // requires what it then receives to equal, field for field, the tail of each
 // shard's later view: the live stream and the stored trace are the same
-// records, although only the stream's are qualified on the hot path.
+// records, because the stream is a cursor over the log the view snapshots.
 func TestSubscriptionIsTailOfShardView(t *testing.T) {
 	for _, b := range traceBackends {
 		t.Run(b.name, func(t *testing.T) {
@@ -228,7 +226,7 @@ func TestSubscriptionIsTailOfShardView(t *testing.T) {
 					t.Fatalf("shard %d logged nothing at enactment; the subscription would not open mid-run", k)
 				}
 			}
-			sub := env.Subscribe(traceEventBuffer)
+			sub := env.Subscribe()
 			var streamed [shards][]aimes.TraceRecord
 			done := make(chan struct{})
 			go func() {
@@ -246,7 +244,7 @@ func TestSubscriptionIsTailOfShardView(t *testing.T) {
 			<-done
 			sub.Close() // idempotent
 			if d := sub.Dropped(); d != 0 {
-				t.Fatalf("subscription dropped %d records; raise traceEventBuffer", d)
+				t.Fatalf("subscription dropped %d records", d)
 			}
 			for k := range streamed {
 				view := env.ShardRecorder(k).Records()
