@@ -94,13 +94,13 @@ func (l *Local) chaosRecord(action, target, detail string) {
 	if target != "" {
 		msg = target + ": " + detail
 	}
-	keys := make([]int, 0, len(l.recs))
-	for k := range l.recs {
+	keys := make([]int, 0, len(l.traces))
+	for k := range l.traces {
 		keys = append(keys, k)
 	}
 	sort.Ints(keys)
 	for _, k := range keys {
-		l.recs[k].Record(l.eng.Now(), "chaos", strings.ToUpper(action), msg)
+		l.traces[k].Record(l.eng.Now(), "chaos", strings.ToUpper(action), msg)
 	}
 }
 

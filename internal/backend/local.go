@@ -40,11 +40,11 @@ type Local struct {
 
 	jobSeq int
 	execs  map[int]*core.Execution
-	// recs keeps each live job's recorder so injected chaos (chaos.go) can
-	// log applied faults into the job traces; surgeSeq numbers emergent
-	// surge jobs; sever, when set by a worker serve loop, cuts the hosting
-	// transport for the kill-worker action.
-	recs     map[int]*trace.Recorder
+	// traces keeps each live job's way into the sink so injected chaos
+	// (chaos.go) can log applied faults into the job traces; surgeSeq numbers
+	// emergent surge jobs; sever, when set by a worker serve loop, cuts the
+	// hosting transport for the kill-worker action.
+	traces   map[int]*jobTrace
 	surgeSeq int
 	sever    func()
 }
@@ -93,11 +93,11 @@ func NewLocal(cfg Config, sink Sink) (*Local, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x414D4553)) // "AMES"
 	l := &Local{
 		id: cfg.Shard, eng: eng, testbed: tb, bndl: b,
-		mgr:   core.NewManager(eng, b, sess, links, pcfg, nil, rng),
-		rng:   rng,
-		sink:  sink,
-		execs: make(map[int]*core.Execution),
-		recs:  make(map[int]*trace.Recorder),
+		mgr:    core.NewManager(eng, b, sess, links, pcfg, trace.Discard, rng), // every job brings its jobTrace
+		rng:    rng,
+		sink:   sink,
+		execs:  make(map[int]*core.Execution),
+		traces: make(map[int]*jobTrace),
 	}
 	if st, ok := eng.(sim.Stepper); ok {
 		l.stepper = st
@@ -141,9 +141,23 @@ func (l *Local) EngineSyncer() sim.Syncer {
 	return nil
 }
 
-// Enact implements Backend. The internal order — resolve, namespace,
-// recorder, MIGRATED record, prepare, enact, sequence bump — mirrors the
-// pre-seam enactment exactly.
+// jobTrace is one job's trace.Sink: every record the job's execution, pilots
+// and units write goes straight to Sink.JobTrace under the job's key and
+// namespace. Nothing is kept here — the report is accumulated, not replayed
+// (core.buildReport) — so the shard's log is a record's only copy.
+type jobTrace struct {
+	sink Sink
+	key  int
+	ns   string
+}
+
+func (j *jobTrace) Record(t sim.Time, entity, state, detail string) {
+	j.sink.JobTrace(j.key, j.ns, trace.Record{Time: t, Entity: entity, State: state, Detail: detail})
+}
+
+// Enact implements Backend. The internal order — resolve, namespace, trace
+// sink, MIGRATED record, prepare, enact, sequence bump — mirrors the pre-seam
+// enactment exactly.
 func (l *Local) Enact(d *Descriptor) (*Enacted, error) {
 	s, err := l.mgr.Resolve(&d.Descriptor)
 	if err != nil {
@@ -151,8 +165,7 @@ func (l *Local) Enact(d *Descriptor) (*Enacted, error) {
 	}
 	ns := shard.Namespace(l.id, l.jobSeq+1)
 	key := d.Key
-	rec := trace.NewRecorder()
-	rec.Observe(func(r trace.Record) { l.sink.JobTrace(key, ns, r) })
+	rec := &jobTrace{sink: l.sink, key: key, ns: ns}
 	if d.MigratedFrom >= 0 {
 		rec.Record(l.eng.Now(), "em", trace.StateMigrated, fmt.Sprintf("from s%d", d.MigratedFrom))
 	}
@@ -175,10 +188,10 @@ func (l *Local) Enact(d *Descriptor) (*Enacted, error) {
 	}
 	l.jobSeq++
 	l.execs[key] = exec
-	l.recs[key] = rec
+	l.traces[key] = rec
 	exec.OnComplete(func(r *core.Report) {
 		delete(l.execs, key)
-		delete(l.recs, key)
+		delete(l.traces, key)
 		l.sink.JobDone(key, r)
 	})
 	return &Enacted{Namespace: ns, Strategy: s}, nil

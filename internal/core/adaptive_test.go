@@ -12,6 +12,7 @@ import (
 	"aimes/internal/saga"
 	"aimes/internal/sim"
 	"aimes/internal/site"
+	"aimes/internal/trace"
 )
 
 // slowFastEnv builds a testbed where the initially chosen resource is
@@ -42,9 +43,10 @@ func slowFastEnv(t *testing.T, seed int64) *env {
 	}
 	b := bundle.New(tb.Sites())
 	links := func(resource string) *netsim.Link { return tb.Site(resource).Link() }
-	mgr := NewManager(eng, b, sess, links, pilot.DefaultConfig(), nil,
+	rec := trace.NewRecorder()
+	mgr := NewManager(eng, b, sess, links, pilot.DefaultConfig(), rec,
 		rand.New(rand.NewSource(seed)))
-	return &env{eng: eng, tb: tb, bndl: b, mgr: mgr}
+	return &env{eng: eng, tb: tb, bndl: b, mgr: mgr, rec: rec}
 }
 
 func TestAdaptiveAddsPilotWhenStuck(t *testing.T) {
@@ -87,7 +89,7 @@ func TestAdaptiveAddsPilotWhenStuck(t *testing.T) {
 		t.Fatalf("TTC %v: adaptation did not rescue the run", report.TTC)
 	}
 	// The trace records the adaptation.
-	if _, ok := e.mgr.Recorder().First("em", "ADAPTED"); !ok {
+	if _, ok := e.rec.First("em", "ADAPTED"); !ok {
 		t.Fatal("trace missing ADAPTED record")
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"aimes/internal/site"
 	"aimes/internal/skeleton"
 	"aimes/internal/stats"
+	"aimes/internal/trace"
 )
 
 // env assembles a complete simulated environment around the default
@@ -24,9 +25,15 @@ type env struct {
 	tb   *site.Testbed
 	bndl *bundle.Bundle
 	mgr  *Manager
+	rec  *trace.Recorder // the manager's shared sink
 }
 
 func newEnv(t *testing.T, seed int64) *env {
+	t.Helper()
+	return newEnvWith(t, seed, pilot.DefaultConfig())
+}
+
+func newEnvWith(t *testing.T, seed int64, pcfg pilot.Config) *env {
 	t.Helper()
 	eng := sim.NewSim()
 	tb, err := site.NewTestbed(eng, site.DefaultTestbed(), sim.NewRNG(seed))
@@ -39,9 +46,9 @@ func newEnv(t *testing.T, seed int64) *env {
 	}
 	b := bundle.New(tb.Sites())
 	links := func(resource string) *netsim.Link { return tb.Site(resource).Link() }
-	mgr := NewManager(eng, b, sess, links, pilot.DefaultConfig(), nil,
-		rand.New(rand.NewSource(seed)))
-	return &env{eng: eng, tb: tb, bndl: b, mgr: mgr}
+	rec := trace.NewRecorder()
+	mgr := NewManager(eng, b, sess, links, pcfg, rec, rand.New(rand.NewSource(seed)))
+	return &env{eng: eng, tb: tb, bndl: b, mgr: mgr, rec: rec}
 }
 
 func botWorkload(t *testing.T, n int, seed int64) *skeleton.Workload {
@@ -222,7 +229,7 @@ func TestExecuteLateBindingEndToEnd(t *testing.T) {
 	}
 	// All pilots canceled afterwards — not wasting allocation.
 	// (CancelAll fires inside finish.)
-	em, ok := e.mgr.Recorder().First("em", "DONE")
+	em, ok := e.rec.First("em", "DONE")
 	if !ok {
 		t.Fatal("missing EM DONE record")
 	}
@@ -395,7 +402,7 @@ func TestPrepareEnactBoundary(t *testing.T) {
 	if e.eng.Pending() != 0 {
 		t.Fatalf("preparation scheduled %d events", e.eng.Pending())
 	}
-	if got := e.mgr.Recorder().Len(); got != 0 {
+	if got := e.rec.Len(); got != 0 {
 		t.Fatalf("preparation recorded %d trace records", got)
 	}
 	if exec.Pilots() != nil || exec.Units() != nil {

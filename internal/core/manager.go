@@ -19,31 +19,27 @@ import (
 // execution strategy, and enacts it through the pilot layer (§III-D,
 // Figure 1 steps 1–6). One manager serves many executions, sequentially or
 // concurrently on a shared engine: each execution gets its own pilot system
-// and may get its own trace recorder and pilot-ID namespace (ExecOptions),
-// so tenants sharing the testbed stay observably separate.
+// and may get its own trace sink and pilot-ID namespace (ExecOptions), so
+// tenants sharing the testbed stay observably separate.
 type Manager struct {
 	eng     sim.Engine
 	bundle  *bundle.Bundle
 	session *saga.Session
 	links   pilot.LinkResolver
 	cfg     pilot.Config
-	rec     *trace.Recorder
+	rec     trace.Sink
 	rng     *rand.Rand
 }
 
-// NewManager wires an execution manager. The recorder may be nil, in which
-// case a fresh one is created per execution.
+// NewManager wires an execution manager. rec receives the trace of every
+// execution that brings no sink of its own (ExecOptions.Recorder): a
+// trace.Recorder to read it afterwards, trace.Discard when nobody will — no
+// report needs it.
 func NewManager(eng sim.Engine, b *bundle.Bundle, session *saga.Session,
-	links pilot.LinkResolver, cfg pilot.Config, rec *trace.Recorder, rng *rand.Rand) *Manager {
-	if rec == nil {
-		rec = trace.NewRecorder()
-	}
+	links pilot.LinkResolver, cfg pilot.Config, rec trace.Sink, rng *rand.Rand) *Manager {
 	return &Manager{eng: eng, bundle: b, session: session, links: links,
 		cfg: cfg, rec: rec, rng: rng}
 }
-
-// Recorder exposes the shared trace recorder.
-func (m *Manager) Recorder() *trace.Recorder { return m.rec }
 
 // Engine exposes the engine the manager enacts on.
 func (m *Manager) Engine() sim.Engine { return m.eng }
@@ -53,13 +49,13 @@ func (m *Manager) Bundle() *bundle.Bundle { return m.bundle }
 
 // ExecOptions scopes one execution inside a shared environment. The zero
 // value reproduces the classic single-tenant behavior: the manager's shared
-// recorder and un-namespaced pilot IDs.
+// sink and un-namespaced pilot IDs.
 type ExecOptions struct {
 	// Recorder receives this execution's trace. Nil uses the manager's
-	// shared recorder. Multi-tenant callers pass a per-job recorder (and tee
-	// it into an aggregate one via trace.Recorder.Observe if desired) so
-	// reports and event streams never mix tenants.
-	Recorder *trace.Recorder
+	// shared sink. A backend passes a sink that forwards each record to
+	// its shard's log and keeps none: the report needs no trace to replay
+	// (see buildReport), so nothing else would read a second copy.
+	Recorder trace.Sink
 	// Namespace scopes pilot IDs, e.g. "s0-j3" → "pilot.stampede.s0-j3-1".
 	Namespace string
 }
@@ -72,7 +68,7 @@ type ExecOptions struct {
 // handed to a different shard's manager.
 type Execution struct {
 	m           *Manager
-	rec         *trace.Recorder
+	rec         trace.Sink
 	ns          string
 	workload    *skeleton.Workload
 	strategy    Strategy
@@ -103,10 +99,6 @@ func (e *Execution) Canceled() bool { return e.canceled }
 
 // Report returns the final report, or nil while running.
 func (e *Execution) Report() *Report { return e.report }
-
-// Recorder returns this execution's trace recorder (the manager's shared one
-// unless ExecOptions provided a per-execution recorder).
-func (e *Execution) Recorder() *trace.Recorder { return e.rec }
 
 // OnComplete registers a callback fired once with the final report.
 func (e *Execution) OnComplete(fn func(*Report)) {
@@ -280,9 +272,6 @@ func (e *Execution) Enact() error {
 	}
 
 	descs := unitDescriptions(e.workload)
-	// A unit that runs straight through records seven transitions: NEW,
-	// SCHEDULING, STAGING_INPUT, AGENT_QUEUED, EXECUTING, STAGING_OUTPUT, DONE.
-	e.rec.Grow(7*len(descs) + 32)
 	e.um.OnCompletion(func() { e.finish() })
 	if err := e.um.Submit(descs); err != nil {
 		e.pm.CancelAll()
@@ -336,11 +325,11 @@ func (e *Execution) IncompleteError() error {
 		return fmt.Errorf("core: engine drained with the workload still queued, never enacted")
 	}
 	pilots := make(map[string]int)
-	for _, p := range e.pm.Pilots() {
+	for p := range e.pm.All() {
 		pilots[p.State().String()]++
 	}
 	units := make(map[string]int)
-	for _, u := range e.um.Units() {
+	for u := range e.um.All() {
 		units[u.State().String()]++
 	}
 	return fmt.Errorf("core: engine drained but workload incomplete (pilots %v, units %v)", pilots, units)

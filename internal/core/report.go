@@ -3,11 +3,10 @@ package core
 import (
 	"fmt"
 	"io"
-	"strings"
 	"time"
 
+	"aimes/internal/pilot"
 	"aimes/internal/sim"
-	"aimes/internal/trace"
 )
 
 // Report is the instrumented outcome of one execution: TTC and its
@@ -60,9 +59,11 @@ type Report struct {
 	Efficiency float64
 }
 
-// buildReport derives the report from the execution's own trace.
+// buildReport assembles the report from what the execution's managers
+// accumulated while it ran; the trace is not consulted. Tx and Ts are the
+// unit manager's cover accumulators (pilot.UnitManager.Covered), which count
+// this execution's units only — whoever else writes to the same recorder.
 func buildReport(e *Execution) *Report {
-	rec := e.rec
 	r := &Report{
 		Strategy:        e.strategy,
 		TTC:             e.ended.Sub(e.started),
@@ -73,7 +74,7 @@ func buildReport(e *Execution) *Report {
 
 	// Pilot activation: Tw = start → first ACTIVE.
 	firstActive := sim.Forever
-	for _, p := range e.pm.Pilots() {
+	for p := range e.pm.All() {
 		if p.ActiveAt() > 0 {
 			r.PilotsActivated++
 			r.PilotWaits[p.ID()] = p.Wait()
@@ -88,27 +89,25 @@ func buildReport(e *Execution) *Report {
 		r.Tw = firstActive.Sub(e.started)
 	}
 
-	// Tx and Ts from per-entity state spans in the trace.
-	execSpans, stageSpans := componentSpans(rec, e.started)
-	r.Tx = trace.UnionDuration(execSpans).Duration()
-	r.Ts = trace.UnionDuration(stageSpans).Duration()
+	r.Tx, r.Ts = e.um.Covered()
 
-	for _, u := range e.um.Units() {
-		switch u.State().String() {
-		case "DONE":
+	for u := range e.um.All() {
+		switch u.State() {
+		case pilot.UnitDone:
 			r.UnitsDone++
-			r.BusyCoreHours += u.Description().Duration.Hours() * float64(u.Description().Cores)
+			d := u.Description()
+			r.BusyCoreHours += d.Duration.Hours() * float64(d.Cores)
 			if p := u.Pilot(); p != nil {
 				r.UnitsByResource[p.Resource()]++
 			}
-		case "FAILED":
+		case pilot.UnitFailed:
 			r.UnitsFailed++
-		case "CANCELED":
+		case pilot.UnitCanceled:
 			r.UnitsCanceled++
 		}
 		r.TotalRestarts += u.Attempts()
 	}
-	for _, p := range e.pm.Pilots() {
+	for p := range e.pm.All() {
 		if p.ActiveAt() == 0 {
 			continue
 		}
@@ -125,38 +124,6 @@ func buildReport(e *Execution) *Report {
 		r.Throughput = float64(r.UnitsDone) / r.TTC.Hours()
 	}
 	return r
-}
-
-// componentSpans extracts execution and staging spans from the trace: for
-// every unit entity, each EXECUTING / STAGING_* record opens a span that the
-// entity's next record closes. Restarted units therefore contribute one span
-// per attempt — middleware self-introspection, not approximation.
-//
-// One engine wrote the unit records and engines fire in time order, so each
-// entity's records are already in time order: one pass that remembers every
-// entity's latest record suffices.
-func componentSpans(rec *trace.Recorder, since sim.Time) (exec, stage []trace.Span) {
-	type open struct {
-		at    sim.Time
-		state string
-	}
-	last := make(map[string]open)
-	for _, record := range rec.Records() {
-		if record.Time < since || !strings.HasPrefix(record.Entity, "unit.") {
-			continue
-		}
-		if prev, ok := last[record.Entity]; ok {
-			span := trace.Span{Start: prev.at, End: record.Time}
-			switch prev.state {
-			case "EXECUTING":
-				exec = append(exec, span)
-			case "STAGING_INPUT", "STAGING_OUTPUT":
-				stage = append(stage, span)
-			}
-		}
-		last[record.Entity] = open{record.Time, record.State}
-	}
-	return exec, stage
 }
 
 // WriteSummary prints a human-readable report.

@@ -3,13 +3,46 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
+	"aimes/internal/pilot"
 	"aimes/internal/sim"
 	"aimes/internal/trace"
 )
+
+// componentSpans is where buildReport took Tx and Ts from until the unit
+// manager accumulated them (pilot.UnitManager.Covered): replay the trace —
+// for every unit entity, each EXECUTING / STAGING_* record opens a span that
+// the entity's next record closes — and take trace.UnionDuration of each
+// list. It is the reference the accumulators are held to below. Entities are
+// keyed by name, so it is only right for a recorder one execution wrote.
+func componentSpans(rec *trace.Recorder, since sim.Time) (exec, stage []trace.Span) {
+	type open struct {
+		at    sim.Time
+		state string
+	}
+	last := make(map[string]open)
+	for _, record := range rec.Records() {
+		if record.Time < since || !strings.HasPrefix(record.Entity, "unit.") {
+			continue
+		}
+		if prev, ok := last[record.Entity]; ok {
+			span := trace.Span{Start: prev.at, End: record.Time}
+			switch prev.state {
+			case "EXECUTING":
+				exec = append(exec, span)
+			case "STAGING_INPUT", "STAGING_OUTPUT":
+				stage = append(stage, span)
+			}
+		}
+		last[record.Entity] = open{record.Time, record.State}
+	}
+	return exec, stage
+}
 
 // componentSpansSorting is componentSpans as it was before it became a
 // single pass: copy every unit record into a per-entity slice, sort each by
@@ -135,5 +168,148 @@ func TestComponentSpansMatchesSortingImplementation(t *testing.T) {
 	}
 	if spans == 0 {
 		t.Fatal("the generator produced no span")
+	}
+}
+
+// disturbedRun enacts one seeded bag on a fresh environment, with a recorder
+// of its own, under the disturbances the seed draws — units failing mid-run
+// and restarting, a pilot preempted seconds after it activates (while units
+// stage their inputs to it) and perhaps replaced, an extra pilot added for
+// want of an active one, the whole execution canceled part-way — and runs the
+// engine dry.
+func disturbedRun(t *testing.T, seed int64) (*Execution, *trace.Recorder) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	pcfg := pilot.DefaultConfig()
+	if rng.Intn(2) == 0 {
+		pcfg.UnitFailureProb = 0.2
+	}
+	e := newEnvWith(t, seed, pcfg)
+	w := botWorkload(t, 16<<rng.Intn(4), seed)
+	s, err := Derive(w, e.bndl, StrategyConfig{
+		Binding: LateBinding, Scheduler: SchedBackfill, Pilots: 1 + rng.Intn(3), Selection: SelectRandom,
+	}, e.mgr.rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := trace.NewRecorder()
+	acfg := AdaptiveConfig{
+		Patience:          time.Duration(1+rng.Intn(30)) * time.Minute,
+		MaxExtraPilots:    1,
+		ReplaceLostPilots: rng.Intn(2) == 0,
+	}
+	ex, err := e.mgr.ExecuteAdaptiveWith(w, s, acfg, ExecOptions{Recorder: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rng.Intn(3) > 0 {
+		after := time.Duration(rng.Intn(40)) * time.Second
+		for _, p := range ex.Pilots() {
+			p.OnState(func(p *pilot.Pilot) {
+				if p.State() == pilot.PilotActive {
+					e.eng.Schedule(after, func() { ex.PreemptPilot(p.Resource(), "test") })
+				}
+			})
+		}
+	}
+	if rng.Intn(4) == 0 {
+		e.eng.Schedule(time.Duration(10+rng.Intn(110))*time.Minute, func() { ex.Cancel("test") })
+	}
+	e.eng.Run()
+	if !ex.Done() {
+		t.Fatalf("seed %d: %v", seed, ex.IncompleteError())
+	}
+	return ex, rec
+}
+
+// TestAccumulatedCoversMatchReplay is the proof that accumulating Tx and Ts
+// at the unit transitions changed no report: over seeded disturbed runs the
+// accumulators equal the replay of the execution's own trace to the
+// nanosecond. It also checks that the runs were disturbed in every way that
+// reopens or cuts short a span.
+func TestAccumulatedCoversMatchReplay(t *testing.T) {
+	var restarts, lostStaging, lostExecuting, canceled, extra int
+	for seed := int64(1); seed <= 60; seed++ {
+		ex, rec := disturbedRun(t, seed)
+		report := ex.Report()
+		execSpans, stageSpans := componentSpans(rec, ex.started)
+		if want := trace.UnionDuration(execSpans).Duration(); report.Tx != want {
+			t.Errorf("seed %d: accumulated Tx %v, replay %v", seed, report.Tx, want)
+		}
+		if want := trace.UnionDuration(stageSpans).Duration(); report.Ts != want {
+			t.Errorf("seed %d: accumulated Ts %v, replay %v", seed, report.Ts, want)
+		}
+		restarts += report.TotalRestarts
+		canceled += report.UnitsCanceled
+		extra += report.ExtraPilots
+		state := make(map[string]string)
+		for _, r := range rec.Records() {
+			if r.State == "SCHEDULING" && strings.HasSuffix(r.Detail, " lost") {
+				switch state[r.Entity] {
+				case "STAGING_INPUT":
+					lostStaging++
+				case "EXECUTING":
+					lostExecuting++
+				}
+			}
+			state[r.Entity] = r.State
+		}
+	}
+	if restarts == 0 || lostStaging == 0 || lostExecuting == 0 || canceled == 0 || extra == 0 {
+		t.Errorf("the runs lack a disturbance: %d restarts, %d units reclaimed mid-staging, %d mid-execution, %d canceled, %d extra pilots",
+			restarts, lostStaging, lostExecuting, canceled, extra)
+	}
+}
+
+// TestConcurrentExecutionsOnSharedRecorder: two bags enacted on one manager
+// without a recorder of their own — every bag names its tasks alike — report
+// what they report with a private recorder each. The replay keyed open spans
+// by entity name, so the second bag, started while the first ran, closed and
+// reopened the first's spans.
+func TestConcurrentExecutionsOnSharedRecorder(t *testing.T) {
+	run := func(private bool) [2]*Report {
+		e := newEnv(t, 5)
+		var execs [2]*Execution
+		start := func(k int) {
+			w := botWorkload(t, 64, int64(k+1))
+			s, err := Derive(w, e.bndl, StrategyConfig{
+				Binding: LateBinding, Scheduler: SchedBackfill, Pilots: 3, Selection: SelectRandom,
+			}, e.mgr.rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var opts ExecOptions
+			if private {
+				opts.Recorder = trace.NewRecorder()
+			}
+			if execs[k], err = e.mgr.ExecuteWith(w, s, opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		start(0)
+		e.eng.At(sim.Time(5*time.Minute), func() {
+			if execs[0].Done() {
+				t.Fatal("the first bag finished before the second started")
+			}
+			start(1)
+		})
+		e.eng.Run()
+		var reports [2]*Report
+		for k, ex := range execs {
+			if !ex.Done() {
+				t.Fatalf("bag %d: %v", k, ex.IncompleteError())
+			}
+			reports[k] = ex.Report()
+		}
+		return reports
+	}
+	shared, private := run(false), run(true)
+	for k := range shared {
+		if !reflect.DeepEqual(shared[k], private[k]) {
+			t.Errorf("bag %d on the shared recorder reports\n%+v\nwith a recorder of its own\n%+v", k, shared[k], private[k])
+		}
+	}
+	if shared[0].Ts == 0 || shared[1].Ts == 0 {
+		t.Errorf("no staging to conflate: Ts %v and %v", shared[0].Ts, shared[1].Ts)
 	}
 }

@@ -4,6 +4,14 @@
 // implicit when coupling an application to resources: early or late binding
 // of tasks to pilots, the unit scheduler, the number of pilots, their size,
 // and their walltime (Table I), plus the resource-selection policy.
+//
+// An execution's report — TTC and its overlapping components Tw, Tx, Ts — is
+// assembled from what its pilot and unit managers accumulated while it ran
+// (buildReport): pilot activation times, unit end states, and the unit
+// manager's execution and staging covers. The trace an execution writes
+// (ExecOptions.Recorder, a trace.Sink) is for whoever reads it afterwards;
+// an execution enacted by a backend writes it straight to the shard's log
+// and holds no recorder of its own.
 package core
 
 import (

@@ -21,6 +21,7 @@ import (
 	"aimes/internal/sim"
 	"aimes/internal/site"
 	"aimes/internal/skeleton"
+	"aimes/internal/trace"
 )
 
 // Sizes are the paper's application sizes: 2^3 .. 2^11 tasks.
@@ -214,7 +215,9 @@ func buildEnv(spec RunSpec, seed int64) (*runEnv, error) {
 		pcfg = *spec.PilotConfig
 	}
 	rng := rand.New(rand.NewSource(seed ^ 0x5DEECE66D))
-	mgr := core.NewManager(eng, b, sess, links, pcfg, nil, rng)
+	// Results come from reports, which are accumulated as the run goes:
+	// nothing reads a trace here, so none is kept.
+	mgr := core.NewManager(eng, b, sess, links, pcfg, trace.Discard, rng)
 
 	// Emergent queues need a warmup so the background load has filled the
 	// machines; otherwise pilots land on empty systems.

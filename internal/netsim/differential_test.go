@@ -13,6 +13,7 @@ import (
 // makes, on an engine of its own.
 type subject struct {
 	eng      *sim.Sim
+	link     *Link // nil for the reference
 	start    func(size int64, onDone func()) (cancel func() bool)
 	setBW    func(float64)
 	setMax   func(int)
@@ -23,7 +24,8 @@ func newSubject(bandwidth float64, latency time.Duration) subject {
 	eng := sim.NewSim()
 	l := NewLink(eng, "wan", bandwidth, latency)
 	return subject{
-		eng: eng,
+		eng:  eng,
+		link: l,
 		start: func(size int64, onDone func()) func() bool {
 			t := l.Start(size, onDone)
 			return func() bool { return l.Cancel(t) }
@@ -35,6 +37,44 @@ func newSubject(bandwidth float64, latency time.Duration) subject {
 				l.Completed(), l.TotalBytes(), l.Active(), l.Pending())
 		},
 	}
+}
+
+// newIntoSubject is the link driven the way the unit manager drives it:
+// through StartInto, into transfers the caller owns and starts again once
+// they are idle — the one that just finished (before its onDone runs, which
+// may start the follow-up into it) or one that was canceled. reused counts
+// the starts into a transfer that finished and into one that was canceled.
+func newIntoSubject(bandwidth float64, latency time.Duration, reused *[2]int) subject {
+	s := newSubject(bandwidth, latency)
+	l := s.link
+	type idle struct {
+		t        *Transfer
+		canceled int // 1 if it was canceled, 0 if it finished
+	}
+	var pool []idle
+	s.start = func(size int64, onDone func()) func() bool {
+		t := new(Transfer)
+		if n := len(pool); n > 0 {
+			t = pool[n-1].t
+			reused[pool[n-1].canceled]++
+			pool = pool[:n-1]
+		}
+		mine := true // t still carries this transfer
+		l.StartInto(t, size, sim.Func(func() {
+			mine = false
+			pool = append(pool, idle{t, 0})
+			onDone()
+		}))
+		return func() bool {
+			if !mine {
+				return false
+			}
+			mine = false
+			pool = append(pool, idle{t, 1})
+			return l.Cancel(t)
+		}
+	}
+	return s
 }
 
 func newRefSubject(bandwidth float64, latency time.Duration) subject {
@@ -154,44 +194,59 @@ func load(s subject, ops []op) *[]completion {
 // completion event per link changed nothing a simulation can observe: on
 // seeded random scripts the link and the per-transfer-event reference fire
 // the same callbacks at the same times in the same order, agree on every
-// counter after every engine step, and fire the same number of events.
+// counter after every engine step, and fire the same number of events —
+// whether the link allocates each transfer (Start) or is handed transfers
+// that carried earlier ones (StartInto).
 func TestOneEventPerLinkMatchesPerTransferEvents(t *testing.T) {
+	var reused [2]int
+	for _, into := range []bool{false, true} {
+		matchReference(t, into, &reused)
+	}
+	if reused[0] == 0 || reused[1] == 0 {
+		t.Fatalf("StartInto reused %d finished and %d canceled transfers, want some of each", reused[0], reused[1])
+	}
+}
+
+func matchReference(t *testing.T, into bool, reused *[2]int) {
 	latencies := []time.Duration{0, 10 * time.Millisecond, time.Second}
 	for seed := int64(1); seed <= 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		latency := latencies[rng.Intn(len(latencies))]
 		ops := script(rng, 250)
 		got, want := newSubject(1e6, latency), newRefSubject(1e6, latency)
+		if into {
+			got = newIntoSubject(1e6, latency, reused)
+		}
 		gotLog, wantLog := load(got, ops), load(want, ops)
 		for step := 0; ; step++ {
 			g, w := got.eng.Step(), want.eng.Step()
 			if g != w {
-				t.Fatalf("seed %d step %d: link stepped=%v, reference stepped=%v", seed, step, g, w)
+				t.Fatalf("into=%v seed %d step %d: link stepped=%v, reference stepped=%v", into, seed, step, g, w)
 			}
 			if !g {
 				break
 			}
 			if got.eng.Now() != want.eng.Now() {
-				t.Fatalf("seed %d step %d: link at %v, reference at %v", seed, step, got.eng.Now(), want.eng.Now())
+				t.Fatalf("into=%v seed %d step %d: link at %v, reference at %v", into, seed, step, got.eng.Now(), want.eng.Now())
 			}
 			if gc, wc := got.counters(), want.counters(); gc != wc {
-				t.Fatalf("seed %d step %d (%v): link %s, reference %s", seed, step, got.eng.Now(), gc, wc)
+				t.Fatalf("into=%v seed %d step %d (%v): link %s, reference %s", into, seed, step, got.eng.Now(), gc, wc)
 			}
 			if len(*gotLog) != len(*wantLog) {
-				t.Fatalf("seed %d step %d (%v): link completed %d transfers, reference %d",
-					seed, step, got.eng.Now(), len(*gotLog), len(*wantLog))
+				t.Fatalf("into=%v seed %d step %d (%v): link completed %d transfers, reference %d",
+					into, seed, step, got.eng.Now(), len(*gotLog), len(*wantLog))
 			}
 		}
 		if len(*gotLog) == 0 {
-			t.Fatalf("seed %d: script completed no transfer", seed)
+			t.Fatalf("into=%v seed %d: script completed no transfer", into, seed)
 		}
 		for i, w := range *wantLog {
 			if g := (*gotLog)[i]; g != w {
-				t.Fatalf("seed %d completion %d: link %+v, reference %+v", seed, i, g, w)
+				t.Fatalf("into=%v seed %d completion %d: link %+v, reference %+v", into, seed, i, g, w)
 			}
 		}
 		if got.eng.Fired() != want.eng.Fired() {
-			t.Fatalf("seed %d: link fired %d events, reference %d", seed, got.eng.Fired(), want.eng.Fired())
+			t.Fatalf("into=%v seed %d: link fired %d events, reference %d", into, seed, got.eng.Fired(), want.eng.Fired())
 		}
 	}
 }
@@ -246,5 +301,47 @@ func TestShareChangeAllocatesConstant(t *testing.T) {
 	}
 	if a8 != a64 {
 		t.Errorf("start+finish allocates %.0f objects with 8 active transfers but %.0f with 64", a8, a64)
+	}
+}
+
+// TestStartIntoPanicsWhileInFlight: a transfer carries one data movement at a
+// time. Starting into it while it waits out the latency, queues behind the
+// concurrency bound or moves bytes is a bug in the caller; once it has
+// finished or been canceled it is free again.
+func TestStartIntoPanicsWhileInFlight(t *testing.T) {
+	eng := sim.NewSim()
+	l := NewLink(eng, "wan", 1e6, time.Second)
+	l.SetMaxConcurrent(1)
+	var first, second Transfer
+	finished := 0
+	count := sim.Func(func() { finished++ })
+	refused := func(tr *Transfer) (panicked bool) {
+		defer func() { panicked = recover() != nil }()
+		l.StartInto(tr, 1, count)
+		return false
+	}
+	l.StartInto(&first, 1e6, count)
+	l.StartInto(&second, 1e6, count)
+	if !refused(&first) {
+		t.Fatal("started into a transfer waiting out the link latency")
+	}
+	eng.Step()
+	eng.Step()
+	if l.Active() != 1 || l.Pending() != 1 {
+		t.Fatalf("active=%d pending=%d, want 1 and 1", l.Active(), l.Pending())
+	}
+	if !refused(&first) || !refused(&second) {
+		t.Fatal("started into an active or a pending transfer")
+	}
+	if !l.Cancel(&second) || refused(&second) {
+		t.Fatal("a canceled transfer is not free to start again")
+	}
+	eng.Run()
+	if finished != 2 || refused(&first) {
+		t.Fatalf("%d transfers finished, want 2; or a finished transfer is not free to start again", finished)
+	}
+	eng.Run()
+	if finished != 3 || l.Completed() != 3 {
+		t.Fatalf("finished=%d completed=%d, want 3 and 3", finished, l.Completed())
 	}
 }

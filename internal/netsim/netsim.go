@@ -121,7 +121,8 @@ func (l *Link) Estimate(size int64) time.Duration {
 	return l.latency + time.Duration(float64(size)/l.bandwidth*float64(time.Second))
 }
 
-// Transfer is one in-flight data movement.
+// Transfer is one data movement over a link. Its holder may embed it and
+// start it again once it has finished or been canceled (Link.StartInto).
 type Transfer struct {
 	link      *Link
 	size      int64
@@ -129,8 +130,8 @@ type Transfer struct {
 	started   sim.Time
 	ended     sim.Time
 	done      sim.Handler // fired when the last byte arrives; may be nil
-	canceled  bool
-	latEvent  sim.Event // the link latency elapsing; its handler is the transfer
+	inFlight  bool        // from StartInto until the last byte arrives or Cancel
+	latEvent  sim.Event   // the link latency elapsing; its handler is the transfer
 }
 
 // Size returns the transfer payload in bytes.
@@ -145,22 +146,31 @@ func (t *Transfer) Ended() sim.Time { return t.ended }
 // Start begins a transfer of size bytes. onDone fires when the last byte
 // arrives. Zero-size transfers still pay the link latency.
 func (l *Link) Start(size int64, onDone func()) *Transfer {
-	if onDone == nil {
-		return l.StartFor(size, nil)
+	var done sim.Handler
+	if onDone != nil {
+		done = sim.Func(onDone)
 	}
-	return l.StartFor(size, sim.Func(onDone))
+	t := new(Transfer)
+	l.StartInto(t, size, done)
+	return t
 }
 
-// StartFor is Start for a caller that starts transfers by the thousand: done
-// is a handler it already has, where Start would need a closure per transfer.
-func (l *Link) StartFor(size int64, done sim.Handler) *Transfer {
+// StartInto is Start for a caller that starts transfers by the thousand: t is
+// a transfer it owns — embedded in the struct done touches — and done a
+// handler it already has, where Start allocates a transfer and wraps a
+// closure. t may have carried an earlier transfer; StartInto panics if that
+// one is still in flight, and t must not be copied while this one is.
+func (l *Link) StartInto(t *Transfer, size int64, done sim.Handler) {
 	if size < 0 {
 		panic(fmt.Sprintf("netsim: negative transfer size %d", size))
 	}
-	t := &Transfer{link: l, size: size, remaining: float64(size), done: done}
+	if t.inFlight {
+		panic(fmt.Sprintf("netsim: link %q: transfer started while still in flight", l.name))
+	}
+	t.link, t.size, t.remaining, t.done = l, size, float64(size), done
+	t.started, t.ended, t.inFlight = 0, 0, true
 	t.latEvent.Init((*arrival)(t))
 	l.eng.Arm(&t.latEvent, l.latency)
-	return t
 }
 
 // arrival is a Transfer as the handler of its latency event.
@@ -198,12 +208,12 @@ func (l *Link) admitPending() {
 }
 
 // Cancel aborts a transfer; its onDone never fires. It reports whether the
-// transfer was still pending or active.
+// transfer was in flight: waiting out the latency, pending or active.
 func (l *Link) Cancel(t *Transfer) bool {
-	if t == nil || t.canceled || t.ended != 0 {
+	if t == nil || !t.inFlight {
 		return false
 	}
-	t.canceled = true
+	t.inFlight = false
 	if l.eng.Cancel(&t.latEvent) {
 		return true
 	}
@@ -275,6 +285,7 @@ func (l *Link) finish(t *Transfer) {
 	}
 	t.ended = l.eng.Now()
 	t.remaining = 0
+	t.inFlight = false
 	l.totalBytes += float64(t.size)
 	l.completedCount++
 	l.reschedule()

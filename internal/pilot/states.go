@@ -8,8 +8,12 @@
 // per-pilot agent that stages data, dispatches units with a realistic
 // serialized overhead, executes them, restarts failures, and honors
 // walltime. Every state transition of every pilot and unit is timestamped
-// through trace.Recorder — the "self-introspection" the paper calls out as
-// missing from other pilot systems.
+// into a trace.Sink — the "self-introspection" the paper calls out as
+// missing from other pilot systems — and the one place that writes a unit's
+// transitions (Unit.transition) also accumulates, per UnitManager, how long
+// at least one unit was executing and at least one was staging: the Tx and
+// Ts of the paper's TTC decomposition (UnitManager.Covered), so a report
+// never replays the trace.
 package pilot
 
 import (
@@ -31,7 +35,7 @@ const (
 	PilotFailed                      // resource-level failure
 )
 
-var pilotStateNames = map[PilotState]string{
+var pilotStateNames = [...]string{
 	PilotNew:       "NEW",
 	PilotLaunching: "LAUNCHING",
 	PilotPending:   "PENDING",
@@ -42,8 +46,8 @@ var pilotStateNames = map[PilotState]string{
 }
 
 func (s PilotState) String() string {
-	if n, ok := pilotStateNames[s]; ok {
-		return n
+	if s >= 0 && int(s) < len(pilotStateNames) {
+		return pilotStateNames[s]
 	}
 	return fmt.Sprintf("PilotState(%d)", int(s))
 }
@@ -69,7 +73,7 @@ const (
 	UnitCanceled                       // canceled by the application
 )
 
-var unitStateNames = map[UnitState]string{
+var unitStateNames = [...]string{
 	UnitNew:           "NEW",
 	UnitScheduling:    "SCHEDULING",
 	UnitStagingInput:  "STAGING_INPUT",
@@ -82,8 +86,8 @@ var unitStateNames = map[UnitState]string{
 }
 
 func (s UnitState) String() string {
-	if n, ok := unitStateNames[s]; ok {
-		return n
+	if s >= 0 && int(s) < len(unitStateNames) {
+		return unitStateNames[s]
 	}
 	return fmt.Sprintf("UnitState(%d)", int(s))
 }

@@ -2,7 +2,9 @@ package pilot
 
 import (
 	"fmt"
+	"iter"
 	"math/rand"
+	"slices"
 	"time"
 
 	"aimes/internal/netsim"
@@ -47,21 +49,19 @@ type System struct {
 	eng     sim.Engine
 	session *saga.Session
 	links   LinkResolver
-	rec     *trace.Recorder
+	rec     trace.Sink
 	cfg     Config
 	rng     *rand.Rand
 	seq     int
 	ns      string // pilot-ID namespace, e.g. "s0-j3" (empty outside multi-tenant runs)
 }
 
-// NewSystem creates the shared pilot-system context. The recorder may be
-// shared with the execution manager so the whole run lands in one trace. rng
-// may be nil when UnitFailureProb is zero.
+// NewSystem creates the shared pilot-system context. rec receives every
+// pilot and unit transition; it may be shared with the execution manager so
+// the whole run lands in one trace. rng may be nil when UnitFailureProb is
+// zero.
 func NewSystem(eng sim.Engine, session *saga.Session, links LinkResolver,
-	rec *trace.Recorder, cfg Config, rng *rand.Rand) *System {
-	if rec == nil {
-		rec = trace.NewRecorder()
-	}
+	rec trace.Sink, cfg Config, rng *rand.Rand) *System {
 	if cfg.DefaultMaxRestarts <= 0 {
 		cfg.DefaultMaxRestarts = 3
 	}
@@ -86,9 +86,6 @@ func (s *System) pilotID(resource string) string {
 	}
 	return fmt.Sprintf("pilot.%s.%s-%d", resource, s.ns, s.seq)
 }
-
-// Recorder exposes the trace recorder.
-func (s *System) Recorder() *trace.Recorder { return s.rec }
 
 // Engine exposes the engine.
 func (s *System) Engine() sim.Engine { return s.eng }
@@ -182,6 +179,10 @@ type PilotManager struct {
 func NewPilotManager(sys *System) *PilotManager {
 	return &PilotManager{sys: sys}
 }
+
+// All iterates over the pilots in submission order without copying them; the
+// caller must not submit while it does.
+func (pm *PilotManager) All() iter.Seq[*Pilot] { return slices.Values(pm.pilots) }
 
 // Pilots returns all pilots in submission order.
 func (pm *PilotManager) Pilots() []*Pilot {

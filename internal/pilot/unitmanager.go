@@ -2,9 +2,12 @@ package pilot
 
 import (
 	"fmt"
+	"iter"
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
+	"time"
 
 	"aimes/internal/netsim"
 	"aimes/internal/sim"
@@ -23,7 +26,9 @@ type Unit struct {
 	// pilot's committed cores.
 	committed bool
 
-	transfer *netsim.Transfer
+	// xfer is the unit's staging transfer, input or output: a unit never
+	// stages both ways at once.
+	xfer netsim.Transfer
 
 	// The unit's run on its pilot's agent: the event that ends it, whether
 	// it ends in an injected failure, and the unit's index in agent.running.
@@ -54,9 +59,25 @@ func (u *Unit) Pilot() *Pilot { return u.pilot }
 // Attempts reports how many failed execution attempts occurred.
 func (u *Unit) Attempts() int { return u.attempts }
 
+// transition is the only writer of unit.* records, and so also where the
+// manager's Tx and Ts accumulators (UnitManager.Covered) are kept.
 func (u *Unit) transition(state UnitState, detail string) {
+	um, now := u.um, u.um.sys.eng.Now()
+	if c := um.coverOf(u.state); c != nil {
+		c.leave(now)
+	}
+	if c := um.coverOf(state); c != nil {
+		c.enter(now)
+	}
 	u.state = state
-	u.um.sys.rec.Record(u.um.sys.eng.Now(), u.id, state.String(), detail)
+	um.sys.rec.Record(now, u.id, state.String(), detail)
+}
+
+// abandonStaging cancels the unit's staging transfer if one is in flight.
+func (u *Unit) abandonStaging() {
+	if u.pilot != nil {
+		u.um.sys.links(u.pilot.desc.Resource).Cancel(&u.xfer)
+	}
 }
 
 // finalize moves the unit to a terminal state and notifies the manager.
@@ -79,11 +100,13 @@ func (u *Unit) stageOutput() {
 		u.finalize(UnitDone, "")
 		return
 	}
-	link := u.um.sys.links(u.pilot.desc.Resource)
-	var buf [32]byte
-	detail := append(strconv.AppendInt(buf[:0], u.desc.OutputBytes, 10), " bytes"...)
-	u.transition(UnitStagingOutput, string(detail))
-	u.transfer = link.StartFor(u.desc.OutputBytes, (*staging)(u))
+	um, bytes := u.um, u.desc.OutputBytes
+	if d := &um.outDetail; d.text == "" || d.bytes != bytes {
+		var buf [32]byte
+		d.bytes, d.text = bytes, string(append(strconv.AppendInt(buf[:0], bytes, 10), " bytes"...))
+	}
+	u.transition(UnitStagingOutput, um.outDetail.text)
+	um.sys.links(u.pilot.desc.Resource).StartInto(&u.xfer, bytes, (*staging)(u))
 }
 
 // staging is a Unit as the handler of its staging transfer's last byte;
@@ -92,7 +115,6 @@ type staging Unit
 
 func (s *staging) Fire() {
 	u := (*Unit)(s)
-	u.transfer = nil
 	if u.state == UnitStagingOutput {
 		u.finalize(UnitDone, "")
 		return
@@ -207,6 +229,9 @@ func (Backfill) Place(ready []*Unit, pilots []*Pilot, committed map[*Pilot]int) 
 		}
 		for i := range slots {
 			if slots[i].free >= u.desc.Cores {
+				if out == nil { // at most one unit per free core fits
+					out = make([]Assignment, 0, min(len(ready), total))
+				}
 				slots[i].free -= u.desc.Cores
 				total -= u.desc.Cores
 				out = append(out, Assignment{Unit: u, Pilot: slots[i].pilot})
@@ -242,6 +267,65 @@ type UnitManager struct {
 	placeQueued bool
 	doneCount   int
 	onDone      []func()
+
+	// execCover and stageCover cover the time at least one unit spent in
+	// UnitExecuting and in either staging state: the report's Tx and Ts.
+	execCover, stageCover cover
+
+	// The details of the last STAGING_INPUT and STAGING_OUTPUT records. The
+	// units of a bag move the same payload, so nearly every unit reuses them.
+	inDetail struct {
+		pilot *Pilot
+		bytes int64
+		text  string
+	}
+	outDetail struct {
+		bytes int64
+		text  string
+	}
+}
+
+// cover accumulates the union of the spans a set of units spends in a state,
+// at the transitions into and out of it. Engines fire in time order and
+// sim.Time is integer nanoseconds, so the total equals trace.Union over the
+// same spans exactly.
+type cover struct {
+	open  int      // units in the state now
+	since sim.Time // when open last left 0
+	total sim.Time // covered time, up to the last return of open to 0
+}
+
+func (c *cover) enter(now sim.Time) {
+	if c.open == 0 {
+		c.since = now
+	}
+	c.open++
+}
+
+func (c *cover) leave(now sim.Time) {
+	c.open--
+	if c.open == 0 {
+		c.total += now - c.since
+	}
+}
+
+// coverOf returns the accumulator a unit in state s counts in, or nil.
+func (um *UnitManager) coverOf(s UnitState) *cover {
+	switch s {
+	case UnitExecuting:
+		return &um.execCover
+	case UnitStagingInput, UnitStagingOutput:
+		return &um.stageCover
+	}
+	return nil
+}
+
+// Covered reports the time during which at least one unit was executing and
+// at least one was staging, input or output — the unions of the units'
+// per-attempt spans, the paper's Tx and Ts — up to the last instant no unit
+// was: the whole run once every unit is final.
+func (um *UnitManager) Covered() (executing, staging time.Duration) {
+	return um.execCover.total.Duration(), um.stageCover.total.Duration()
 }
 
 // NewUnitManager creates a unit manager with the given scheduler.
@@ -249,7 +333,6 @@ func NewUnitManager(sys *System, sched Scheduler) *UnitManager {
 	um := &UnitManager{
 		sys:       sys,
 		scheduler: sched,
-		byName:    make(map[string]*Unit),
 		committed: make(map[*Pilot]int),
 	}
 	um.placeEv.Init(sim.Func(func() {
@@ -287,6 +370,10 @@ func (um *UnitManager) Units() []*Unit {
 	return cp
 }
 
+// All iterates over the managed units in submission order without copying
+// them; the caller must not submit while it does.
+func (um *UnitManager) All() iter.Seq[*Unit] { return slices.Values(um.units) }
+
 // Unit returns the named unit, or nil.
 func (um *UnitManager) Unit(name string) *Unit { return um.byName[name] }
 
@@ -300,9 +387,28 @@ func (um *UnitManager) Done() bool {
 	return len(um.units) > 0 && um.doneCount == len(um.units)
 }
 
-// Submit accepts unit descriptions for execution.
+// Submit accepts unit descriptions for execution. The units of one call are
+// carved from one slab and their trace ids from one string, so while any of
+// them is reachable all are.
 func (um *UnitManager) Submit(descs []UnitDescription) error {
+	if um.byName == nil {
+		um.byName = make(map[string]*Unit, len(descs))
+	}
+	um.units = slices.Grow(um.units, len(descs))
+	um.ready = slices.Grow(um.ready, len(descs))
+	slab := make([]Unit, len(descs))
+	idBytes := 0
 	for _, d := range descs {
+		idBytes += len("unit.") + len(d.Name)
+	}
+	var ids strings.Builder
+	ids.Grow(idBytes)
+	for _, d := range descs {
+		ids.WriteString("unit.")
+		ids.WriteString(d.Name)
+	}
+	id := ids.String()
+	for i, d := range descs {
 		if err := d.Validate(); err != nil {
 			return err
 		}
@@ -314,7 +420,10 @@ func (um *UnitManager) Submit(descs []UnitDescription) error {
 			return err
 		}
 		d.Deps = deps
-		u := &Unit{desc: d, id: "unit." + d.Name, um: um, index: len(um.units)}
+		u := &slab[i]
+		u.desc, u.um, u.index = d, um, len(um.units)
+		n := len("unit.") + len(d.Name)
+		u.id, id = id[:n], id[n:]
 		u.execEv.Init((*execution)(u))
 		for _, dep := range deps {
 			if producer := um.byName[dep]; producer.state != UnitDone {
@@ -373,10 +482,7 @@ func (um *UnitManager) Cancel(u *Unit) {
 	if u.state.Final() {
 		return
 	}
-	if u.transfer != nil && u.pilot != nil {
-		um.sys.links(u.pilot.desc.Resource).Cancel(u.transfer)
-		u.transfer = nil
-	}
+	u.abandonStaging()
 	u.pilotCommitRelease()
 	if u.state == UnitScheduling {
 		um.readyStale = true
@@ -448,15 +554,18 @@ func (um *UnitManager) bind(u *Unit, p *Pilot) {
 	um.committed[p] += u.desc.Cores
 
 	bytes := um.stageInBytes(u, p)
-	var buf [96]byte
-	detail := append(append(buf[:0], p.id...), ", "...)
-	detail = append(strconv.AppendInt(detail, bytes, 10), " bytes"...)
-	u.transition(UnitStagingInput, string(detail))
+	if d := &um.inDetail; d.pilot != p || d.bytes != bytes {
+		var buf [96]byte
+		text := append(append(buf[:0], p.id...), ", "...)
+		text = append(strconv.AppendInt(text, bytes, 10), " bytes"...)
+		d.pilot, d.bytes, d.text = p, bytes, string(text)
+	}
+	u.transition(UnitStagingInput, um.inDetail.text)
 	if bytes <= 0 {
 		um.staged(u)
 		return
 	}
-	u.transfer = um.sys.links(p.desc.Resource).StartFor(bytes, (*staging)(u))
+	um.sys.links(p.desc.Resource).StartInto(&u.xfer, bytes, (*staging)(u))
 }
 
 // stageInBytes computes the payload that must cross the WAN for a unit bound
@@ -525,10 +634,7 @@ func (um *UnitManager) reclaimBound(p *Pilot) {
 		}
 		switch u.state {
 		case UnitStagingInput, UnitAgentQueued:
-			if u.transfer != nil {
-				um.sys.links(p.desc.Resource).Cancel(u.transfer)
-				u.transfer = nil
-			}
+			u.abandonStaging()
 			um.returnUnit(u, "pilot "+p.id+" "+cause)
 		}
 	}
@@ -587,10 +693,7 @@ func (um *UnitManager) failIfOrphaned() {
 	um.readyStale = true // every unit still on the ready list fails here
 	for _, u := range um.units {
 		if u.state == UnitScheduling || u.state == UnitStagingInput || u.state == UnitAgentQueued {
-			if u.transfer != nil && u.pilot != nil {
-				um.sys.links(u.pilot.desc.Resource).Cancel(u.transfer)
-				u.transfer = nil
-			}
+			u.abandonStaging()
 			u.pilotCommitRelease()
 			u.finalize(UnitFailed, "no pilots available")
 		}

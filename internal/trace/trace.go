@@ -1,15 +1,21 @@
 // Package trace implements the self-introspection layer of the middleware:
 // every pilot and unit state transition is recorded with a virtual timestamp,
-// and span algebra (interval unions) turns those records into the
+// and span algebra (interval unions) turns such records into the
 // overlap-aware TTC decomposition of the paper's Figure 3, where
 // TTC < Tw + Tx + Ts because the components overlap.
+//
+// The middleware writes to a Sink. A Recorder is the sink that keeps what it
+// is given, for analysis after a run; an execution backend's sink forwards
+// each record to its shard's Log — the one stored copy — and keeps nothing.
+// A report's Tx and Ts are not computed from either: pilot.UnitManager
+// accumulates the same unions while the units change state, and Union is the
+// reference its totals are tested against.
 package trace
 
 import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"slices"
 	"sort"
 	"strings"
 
@@ -24,12 +30,23 @@ type Record struct {
 	Detail string   `json:"detail,omitempty"`
 }
 
+// Sink is where the middleware writes its state transitions.
+type Sink interface {
+	Record(t sim.Time, entity, state, detail string)
+}
+
+// Discard is the Sink of a run whose trace nobody reads.
+var Discard Sink = discard{}
+
+type discard struct{}
+
+func (discard) Record(sim.Time, string, string, string) {}
+
 // Recorder accumulates state-transition records. It is not safe for
 // concurrent use; in simulations all callbacks are serialized by the engine,
 // and each simulation run owns its Recorder.
 type Recorder struct {
-	records   []Record
-	observers []func(Record)
+	records []Record
 }
 
 // NewRecorder returns an empty recorder.
@@ -38,27 +55,9 @@ func NewRecorder() *Recorder { return &Recorder{} }
 // RecorderOf returns a recorder holding recs, which it takes ownership of.
 func RecorderOf(recs []Record) *Recorder { return &Recorder{records: recs} }
 
-// Observe registers fn to run synchronously on every appended record, in
-// registration order. Observers back live consumers of the trace (event
-// streams) and run under the same engine serialization as Record itself,
-// so they need no locking of their own.
-func (r *Recorder) Observe(fn func(Record)) {
-	r.observers = append(r.observers, fn)
-}
-
 // Record appends a state transition at time t.
 func (r *Recorder) Record(t sim.Time, entity, state, detail string) {
-	rec := Record{Time: t, Entity: entity, State: state, Detail: detail}
-	r.records = append(r.records, rec)
-	for _, fn := range r.observers {
-		fn(rec)
-	}
-}
-
-// Grow makes room for n more records, so a writer that knows how many it is
-// about to append pays for one allocation instead of repeated doubling.
-func (r *Recorder) Grow(n int) {
-	r.records = slices.Grow(r.records, n)
+	r.records = append(r.records, Record{Time: t, Entity: entity, State: state, Detail: detail})
 }
 
 // Len reports the number of records.

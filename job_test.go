@@ -3,6 +3,7 @@ package aimes_test
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -370,5 +371,58 @@ func TestSubmitContextCancelsJob(t *testing.T) {
 	}
 	if r.UnitsDone+r.UnitsCanceled != 2 {
 		t.Fatalf("unit accounting off: %+v", r)
+	}
+}
+
+// TestJobAllocationBudget pins what one job costs from Submit to Wait on a
+// local shard, per unit: at most two objects — the units are one slab, their
+// ids one string, their transfers and events inside the slab, their staging
+// details shared, and the report is accumulated where the units change state,
+// not replayed from a second copy of the trace — and a ceiling on the bytes
+// 1.25 times what this test measured (1 115 B per unit), most of which is the
+// shard log's entries: seven records of 72 B per unit. The least of three
+// jobs counts, so another test's leftovers cannot fail it.
+func TestJobAllocationBudget(t *testing.T) {
+	const units, maxObjects, maxBytes = 512, 2.0, 1394.0
+	env, err := aimes.NewEnv(aimes.WithSeed(7), aimes.WithShards(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer env.Close()
+	w, err := aimes.GenerateWorkload(aimes.BagOfTasks(units, aimes.UniformDuration()), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := aimes.JobConfig{StrategyConfig: aimes.StrategyConfig{
+		Binding: aimes.LateBinding, Scheduler: aimes.SchedBackfill, Pilots: 3}}
+	run := func() (objects, bytes float64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		j, err := env.Submit(context.Background(), w, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		report, err := j.Wait(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if report.UnitsDone != units {
+			t.Fatalf("%d of %d units done", report.UnitsDone, units)
+		}
+		return float64(after.Mallocs-before.Mallocs) / units, float64(after.TotalAlloc-before.TotalAlloc) / units
+	}
+	run() // the first job also pays for what the environment sets up lazily
+	objects, bytes := run()
+	for i := 0; i < 2; i++ {
+		o, b := run()
+		objects, bytes = min(objects, o), min(bytes, b)
+	}
+	t.Logf("%.2f objects and %.0f bytes per unit", objects, bytes)
+	if objects > maxObjects {
+		t.Errorf("a job allocates %.2f objects per unit, want at most %.0f", objects, maxObjects)
+	}
+	if bytes > maxBytes {
+		t.Errorf("a job allocates %.0f bytes per unit, want at most %.0f", bytes, maxBytes)
 	}
 }

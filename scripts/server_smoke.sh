@@ -38,8 +38,8 @@ bob        bob-smoke-token   1
 EOF
 
 # A big pinned-shape workload (keeps alice's first job in flight while her
-# second submission arrives) and a small one, both in the middleware
-# interchange format wrapped in a submit request.
+# second submission arrives: see run_leg) and a small one, both in the
+# middleware interchange format wrapped in a submit request.
 gen_submit() { # gen_submit NAME TASKS > file
     awk -v name="$1" -v n="$2" 'BEGIN {
         printf "{\"workload\":{\"name\":\"%s\",\"stages\":[\"s\"],\"tasks\":[", name
@@ -48,7 +48,7 @@ gen_submit() { # gen_submit NAME TASKS > file
         printf "]},\"config\":{\"Binding\":1,\"Scheduler\":1,\"Pilots\":2}}"
     }'
 }
-gen_submit big 8192 >"$work/big.json"
+gen_submit big 16384 >"$work/big.json"
 gen_submit small 64 >"$work/small.json"
 
 json_field() { # json_field FIELD < response (pretty-printed "field": "value")
@@ -83,14 +83,16 @@ run_leg() { # run_leg LABEL [extra aimes-server flags...]
     code=$(curl -s -o /dev/null -w '%{http_code}' "$base/v1/jobs")
     [ "$code" = 401 ] || fail "$label: unauthenticated list got $code, want 401"
 
-    # Alice fills her quota with the big job...
-    curl -s -H "$alice" -X POST --data-binary @"$work/big.json" "$base/v1/jobs" >"$work/a1.json"
+    # Alice fills her quota with the big job, so her second submission is a
+    # 429 quota rejection. Both go out from one curl process on one
+    # connection, the second the moment the first is answered: the big job is
+    # in flight for tens of milliseconds, less than a second process may take
+    # to start.
+    code=$(curl -s -H "$alice" -X POST --data-binary @"$work/big.json" -o "$work/a1.json" "$base/v1/jobs" \
+        --next -s -H "$alice" -X POST --data-binary @"$work/small.json" -o "$work/reject.json" \
+        -w '%{http_code}' "$base/v1/jobs")
     id_a=$(json_field id <"$work/a1.json")
     [ -n "$id_a" ] || fail "$label: no job id in submit response: $(cat "$work/a1.json")"
-
-    # ...so her immediate second submission is a 429 quota rejection...
-    code=$(curl -s -o "$work/reject.json" -w '%{http_code}' \
-        -H "$alice" -X POST --data-binary @"$work/small.json" "$base/v1/jobs")
     [ "$code" = 429 ] || fail "$label: alice's 2nd submit got $code, want 429: $(cat "$work/reject.json")"
     grep -q 'quota' "$work/reject.json" || fail "$label: 429 body does not mention quota"
 
