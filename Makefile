@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint bench profile model-check scenarios scenario-matrix smoke worker-smoke worker-tcp-smoke server-smoke fleet-smoke ci
+.PHONY: build test race vet lint bench profile experiments model-check scenarios scenario-matrix smoke worker-smoke worker-tcp-smoke server-smoke fleet-smoke ci
 
 build:
 	$(GO) build ./...
@@ -27,11 +27,14 @@ bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
 
 # Where the time and the allocations go: CPU and allocation profiles of the
-# paper's matrix (Table I experiments 1-4 x sizes 8..2048, the job mix of the
-# benchmark's paper-matrix workload; BenchmarkFigure2 runs it, BenchmarkTableI
-# only its 8-task column), as top-30 text tables in profile/ (git-ignored). A
-# perf change names its layer from these tables, before and after. bench/
-# itself has no profile flag.
+# paper's matrix (Table I experiments 1-4 x sizes 8..2048; BenchmarkFigure2
+# runs it, BenchmarkTableI only its 8-task column), as top-30 text tables in
+# profile/ (git-ignored). The profiled path is the one the benchmark's
+# paper-matrix workload measures — the harness runs every cell as NewEnv,
+# Submit, Wait, so the tables show shardEnv.pump, StepN and trace.Log.Append —
+# plus what the harness adds per run: a fresh environment and the workload's
+# generation. A perf change names its layer from these tables, before and
+# after. bench/ itself has no profile flag.
 profile:
 	mkdir -p profile
 	$(GO) test -run '^$$' -bench 'BenchmarkFigure2$$' -benchtime 3x \
@@ -40,6 +43,12 @@ profile:
 	$(GO) tool pprof -top -nodecount 30 -sample_index=alloc_objects profile/aimes.test profile/mem.prof > profile/alloc_objects.txt
 	$(GO) tool pprof -top -nodecount 30 -sample_index=alloc_space profile/aimes.test profile/mem.prof > profile/alloc_space.txt
 	@head -20 profile/cpu.txt
+
+# The paper's own acceptance test on the full matrix: every Table I cell at 4
+# repetitions (~1 s); exits non-zero on a failed run or a violated shape
+# criterion (late binding wins, Tw dominates, Ts minor, early variance high).
+experiments:
+	$(GO) run ./cmd/aimes-experiments -reps 4 >/dev/null
 
 # Cost-model fidelity gate: run the deterministic validation battery
 # (internal/modelcheck) and compare its prediction error against the
@@ -100,4 +109,4 @@ server-smoke:
 fleet-smoke:
 	timeout 300 ./scripts/fleet_smoke.sh
 
-ci: lint race model-check scenarios scenario-matrix worker-smoke worker-tcp-smoke server-smoke fleet-smoke
+ci: lint race experiments model-check scenarios scenario-matrix worker-smoke worker-tcp-smoke server-smoke fleet-smoke

@@ -1,6 +1,6 @@
 // Benchmark harness regenerating every table and figure of the paper's
 // evaluation (Table I, Figures 2, 3a–d, 4a–b) plus the ablations of
-// DESIGN.md. Run with:
+// experiments.Ablations (README, "aimes-experiments"). Run with:
 //
 //	go test -bench=. -benchmem
 //
@@ -139,96 +139,19 @@ func BenchmarkFigure4(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationPilotCount sweeps pilot counts 1..5 (A1).
-func BenchmarkAblationPilotCount(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		if err := experiments.AblationPilotCount(&buf, 256, benchReps, 0); err != nil {
-			b.Fatal(err)
-		}
-		logOnce(b, i, &buf)
-	}
-}
-
-// BenchmarkAblationEmergentWaits cross-validates the stochastic wait model
-// against the full batch-scheduler simulation (A2).
-func BenchmarkAblationEmergentWaits(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		if err := experiments.AblationEmergentWaits(&buf, 64, 3, 0); err != nil {
-			b.Fatal(err)
-		}
-		logOnce(b, i, &buf)
-	}
-}
-
-// BenchmarkAblationPrediction compares random vs predictive resource
-// selection (A3).
-func BenchmarkAblationPrediction(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		if err := experiments.AblationPrediction(&buf, 256, benchReps, 0); err != nil {
-			b.Fatal(err)
-		}
-		logOnce(b, i, &buf)
-	}
-}
-
-// BenchmarkAblationFailures measures restart cost under failure injection
-// (A4).
-func BenchmarkAblationFailures(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		if err := experiments.AblationFailures(&buf, 128, benchReps, 0); err != nil {
-			b.Fatal(err)
-		}
-		logOnce(b, i, &buf)
-	}
-}
-
-// BenchmarkAblationThroughput reports the throughput metric across all four
-// strategies (A5).
-func BenchmarkAblationThroughput(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		if err := experiments.AblationThroughput(&buf, 256, benchReps, 0); err != nil {
-			b.Fatal(err)
-		}
-		logOnce(b, i, &buf)
-	}
-}
-
-// BenchmarkAblationHeterogeneous runs non-uniform (lognormal) task sizes
-// (A6).
-func BenchmarkAblationHeterogeneous(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		if err := experiments.AblationHeterogeneous(&buf, 256, benchReps, 0); err != nil {
-			b.Fatal(err)
-		}
-		logOnce(b, i, &buf)
-	}
-}
-
-// BenchmarkAblationAdaptive compares static vs adaptive execution (A7).
-func BenchmarkAblationAdaptive(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		if err := experiments.AblationAdaptive(&buf, 128, benchReps, 0); err != nil {
-			b.Fatal(err)
-		}
-		logOnce(b, i, &buf)
-	}
-}
-
-// BenchmarkAblationAutoPilots compares fixed vs heuristic pilot counts (A8).
-func BenchmarkAblationAutoPilots(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		if err := experiments.AblationAutoPilots(&buf, 256, benchReps, 0); err != nil {
-			b.Fatal(err)
-		}
-		logOnce(b, i, &buf)
+// BenchmarkAblation regenerates every table of the ablation registry, one
+// sub-benchmark per entry (-bench 'Ablation/pilots' for one).
+func BenchmarkAblation(b *testing.B) {
+	for _, a := range experiments.Ablations {
+		b.Run(a.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				var buf bytes.Buffer
+				if err := a.Run(&buf, a.Tasks, benchReps, 0); err != nil {
+					b.Fatal(err)
+				}
+				logOnce(b, i, &buf)
+			}
+		})
 	}
 }
 
@@ -302,28 +225,5 @@ func BenchmarkSingleRun2048(b *testing.B) {
 		if res.Err != "" {
 			b.Fatal(res.Err)
 		}
-	}
-}
-
-// BenchmarkAblationEfficiency reports allocation consumption across
-// strategies (A9).
-func BenchmarkAblationEfficiency(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		if err := experiments.AblationEfficiency(&buf, 256, benchReps, 0); err != nil {
-			b.Fatal(err)
-		}
-		logOnce(b, i, &buf)
-	}
-}
-
-// BenchmarkAblationStaged compares integrated vs staged enactment (A10).
-func BenchmarkAblationStaged(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		if err := experiments.AblationStaged(&buf, benchReps, 0); err != nil {
-			b.Fatal(err)
-		}
-		logOnce(b, i, &buf)
 	}
 }

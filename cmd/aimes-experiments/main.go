@@ -1,6 +1,6 @@
 // Command aimes-experiments regenerates the paper's evaluation: Table I,
 // Figures 2, 3(a-d) and 4(a-b), the raw per-run CSV, and the ablations of
-// DESIGN.md.
+// experiments.Ablations (README, "aimes-experiments").
 //
 // Usage:
 //
@@ -12,13 +12,18 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"aimes/internal/experiments"
 )
+
+// errUsage marks a flag combination the command rejects.
+var errUsage = errors.New("usage")
 
 func main() {
 	var (
@@ -28,7 +33,7 @@ func main() {
 		fig2     = flag.Bool("fig2", false, "regenerate Figure 2 only")
 		fig3     = flag.Int("fig3", 0, "regenerate one Figure 3 panel (experiment 1-4)")
 		fig4     = flag.Bool("fig4", false, "regenerate Figure 4 only")
-		ablation = flag.String("ablation", "", "run one ablation: pilots, emergent, predict, failures, throughput, hetero, adaptive, autok, efficiency, staged, outages")
+		ablation = flag.String("ablation", "", "run one ablation: "+strings.Join(ablationNames(), ", "))
 		csvOut   = flag.String("csv", "", "write raw per-run results as CSV to this file")
 		check    = flag.Bool("check", true, "verify the paper's shape criteria")
 	)
@@ -36,17 +41,28 @@ func main() {
 
 	if err := run(*reps, *workers, *table1, *fig2, *fig3, *fig4, *ablation, *csvOut, *check); err != nil {
 		fmt.Fprintln(os.Stderr, "aimes-experiments:", err)
+		if errors.Is(err, errUsage) {
+			flag.Usage()
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
 }
 
 func run(reps, workers int, table1, fig2 bool, fig3 int, fig4 bool, ablation, csvOut string, check bool) error {
 	out := os.Stdout
+	if csvOut != "" && (table1 || ablation != "") {
+		return fmt.Errorf("%w: -csv writes the matrix's per-run results; -table1 and -ablation run no matrix", errUsage)
+	}
 	switch {
 	case table1:
 		return experiments.WriteTableI(out)
 	case ablation != "":
-		return runAblation(ablation, reps, workers)
+		a, err := findAblation(ablation)
+		if err != nil {
+			return err
+		}
+		return a.Run(out, a.Tasks, reps, workers)
 	}
 
 	// Select the experiments actually needed.
@@ -59,13 +75,7 @@ func run(reps, workers int, table1, fig2 bool, fig3 int, fig4 bool, ablation, cs
 		}
 		defs = []experiments.Definition{d}
 	case fig4:
-		for _, id := range []int{1, 3} {
-			d, err := experiments.Experiment(id)
-			if err != nil {
-				return err
-			}
-			defs = append(defs, d)
-		}
+		defs = []experiments.Definition{experiments.TableI[0], experiments.TableI[2]}
 	default:
 		defs = experiments.TableI
 	}
@@ -147,31 +157,20 @@ func run(reps, workers int, table1, fig2 bool, fig3 int, fig4 bool, ablation, cs
 	return nil
 }
 
-func runAblation(name string, reps, workers int) error {
-	out := os.Stdout
-	switch name {
-	case "pilots":
-		return experiments.AblationPilotCount(out, 256, reps, workers)
-	case "emergent":
-		return experiments.AblationEmergentWaits(out, 64, (reps+1)/2, workers)
-	case "predict":
-		return experiments.AblationPrediction(out, 256, reps, workers)
-	case "failures":
-		return experiments.AblationFailures(out, 128, reps, workers)
-	case "throughput":
-		return experiments.AblationThroughput(out, 256, reps, workers)
-	case "hetero":
-		return experiments.AblationHeterogeneous(out, 256, reps, workers)
-	case "adaptive":
-		return experiments.AblationAdaptive(out, 128, reps, workers)
-	case "autok":
-		return experiments.AblationAutoPilots(out, 256, reps, workers)
-	case "efficiency":
-		return experiments.AblationEfficiency(out, 256, reps, workers)
-	case "staged":
-		return experiments.AblationStaged(out, reps, workers)
-	case "outages":
-		return experiments.AblationOutages(out, 128, reps, workers)
+func ablationNames() []string {
+	names := make([]string, len(experiments.Ablations))
+	for i, a := range experiments.Ablations {
+		names[i] = a.Name
 	}
-	return fmt.Errorf("unknown ablation %q", name)
+	return names
+}
+
+// findAblation resolves an -ablation value against the registry.
+func findAblation(name string) (experiments.Ablation, error) {
+	for _, a := range experiments.Ablations {
+		if a.Name == name {
+			return a, nil
+		}
+	}
+	return experiments.Ablation{}, fmt.Errorf("%w: unknown ablation %q (want one of %s)", errUsage, name, strings.Join(ablationNames(), ", "))
 }

@@ -2,6 +2,7 @@ package aimes_test
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -211,37 +212,27 @@ func TestSequentialRunsShareEnvironment(t *testing.T) {
 	}
 }
 
-// TestAblationOutputsWellFormed smoke-tests every ablation table end to end
-// with minimal repetitions.
+// TestAblationOutputsWellFormed runs every entry of the ablation registry end
+// to end at its smallest size with minimal repetitions: a numbered title, a
+// header and at least one row.
 func TestAblationOutputsWellFormed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ablations need simulation time")
 	}
-	cases := []struct {
-		name string
-		fn   func(*bytes.Buffer) error
-		want string
-	}{
-		{"pilots", func(b *bytes.Buffer) error { return experiments.AblationPilotCount(b, 64, 2, 0) }, "pilot-count sweep"},
-		{"predict", func(b *bytes.Buffer) error { return experiments.AblationPrediction(b, 64, 2, 0) }, "predicted-wait"},
-		{"failures", func(b *bytes.Buffer) error { return experiments.AblationFailures(b, 32, 2, 0) }, "fail_prob"},
-		{"throughput", func(b *bytes.Buffer) error { return experiments.AblationThroughput(b, 64, 2, 0) }, "units/hour"},
-		{"hetero", func(b *bytes.Buffer) error { return experiments.AblationHeterogeneous(b, 64, 2, 0) }, "lognormal"},
-		{"adaptive", func(b *bytes.Buffer) error { return experiments.AblationAdaptive(b, 32, 2, 0) }, "adaptive"},
-		{"autok", func(b *bytes.Buffer) error { return experiments.AblationAutoPilots(b, 64, 2, 0) }, "auto-k"},
-		{"efficiency", func(b *bytes.Buffer) error { return experiments.AblationEfficiency(b, 64, 2, 0) }, "core_hours"},
-	}
-	for _, c := range cases {
+	for i, a := range experiments.Ablations {
 		var buf bytes.Buffer
-		if err := c.fn(&buf); err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		if !strings.Contains(buf.String(), c.want) {
-			t.Fatalf("%s output missing %q:\n%s", c.name, c.want, buf.String())
+		if err := a.Run(&buf, a.Small, 2, 0); err != nil {
+			t.Fatalf("%s: %v", a.Name, err)
 		}
 		lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 		if len(lines) < 3 {
-			t.Fatalf("%s produced %d lines", c.name, len(lines))
+			t.Fatalf("%s produced %d lines:\n%s", a.Name, len(lines), buf.String())
+		}
+		if want := fmt.Sprintf("Ablation A%d: ", i+1); !strings.HasPrefix(lines[0], want) {
+			t.Errorf("%s: title %q, want it to start %q", a.Name, lines[0], want)
+		}
+		if a.Small > 0 && !strings.Contains(lines[0], fmt.Sprintf("%d tasks", a.Small)) {
+			t.Errorf("%s: title %q does not name its %d tasks", a.Name, lines[0], a.Small)
 		}
 	}
 }

@@ -29,7 +29,6 @@ import (
 type Local struct {
 	id       int
 	eng      sim.Engine
-	stepper  sim.Stepper
 	batch    sim.BatchStepper
 	quiescer sim.Quiescer
 	testbed  *site.Testbed
@@ -52,13 +51,16 @@ type Local struct {
 var _ Backend = (*Local)(nil)
 
 // emergentWarmup is how long a virtual-time stack with any emergent site
-// runs its background load before it accepts work, matching the experiment
-// harness. Every job time on such a shard is offset by it.
+// runs its background load before it accepts work. Every job time on such a
+// shard is offset by it. This is the warm-up rule for every consumer: the
+// scenario runner and the experiment harness get it by building an
+// Environment.
 const emergentWarmup = 72 * time.Hour
 
-// NewLocal builds one shard stack. Shard construction order (testbed, SAGA
-// adaptors, bundle, manager RNG) is load-bearing for determinism — change it
-// and every golden trajectory moves.
+// NewLocal builds one shard stack, and is the only place outside tests that
+// wires one. Shard construction order (testbed, SAGA adaptors, bundle,
+// manager RNG) is load-bearing for determinism — change it and every golden
+// trajectory moves.
 func NewLocal(cfg Config, sink Sink) (*Local, error) {
 	var eng sim.Engine
 	if cfg.RealTime {
@@ -93,14 +95,11 @@ func NewLocal(cfg Config, sink Sink) (*Local, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x414D4553)) // "AMES"
 	l := &Local{
 		id: cfg.Shard, eng: eng, testbed: tb, bndl: b,
-		mgr:    core.NewManager(eng, b, sess, links, pcfg, trace.Discard, rng), // every job brings its jobTrace
+		mgr:    core.NewManager(eng, b, sess, links, pcfg, rng),
 		rng:    rng,
 		sink:   sink,
 		execs:  make(map[int]*core.Execution),
 		traces: make(map[int]*jobTrace),
-	}
-	if st, ok := eng.(sim.Stepper); ok {
-		l.stepper = st
 	}
 	if bs, ok := eng.(sim.BatchStepper); ok {
 		l.batch = bs
@@ -125,9 +124,6 @@ func NewLocal(cfg Config, sink Sink) (*Local, error) {
 // Bundle exposes the shard's resource bundle (in-process callers only; a
 // worker shard's bundle lives in the worker).
 func (l *Local) Bundle() *bundle.Bundle { return l.bndl }
-
-// Testbed exposes the shard's testbed.
-func (l *Local) Testbed() *site.Testbed { return l.testbed }
 
 // Engine exposes the shard's engine (bundle monitors attach here).
 func (l *Local) Engine() sim.Engine { return l.eng }
@@ -170,20 +166,14 @@ func (l *Local) Enact(d *Descriptor) (*Enacted, error) {
 		rec.Record(l.eng.Now(), "em", trace.StateMigrated, fmt.Sprintf("from s%d", d.MigratedFrom))
 	}
 
-	opts := core.ExecOptions{Recorder: rec, Namespace: ns}
-	var exec *core.Execution
-	if d.Adaptive != nil {
-		exec, err = l.mgr.ExecuteAdaptiveWith(d.Workload, s, *d.Adaptive, opts)
-	} else {
-		// The prepared→enacted crossing stays explicit: right up to Enact
-		// the job held no engine state, which is why queued jobs can
-		// migrate between backends.
-		exec, err = l.mgr.PrepareWith(d.Workload, s, opts)
-		if err == nil {
-			err = exec.Enact()
-		}
-	}
+	// The prepared→enacted crossing stays explicit: right up to Enact the job
+	// held no engine state, which is why queued jobs can migrate between
+	// backends.
+	exec, err := l.mgr.Prepare(d.Workload, s, core.ExecOptions{Recorder: rec, Namespace: ns, Adaptive: d.Adaptive})
 	if err != nil {
+		return nil, err
+	}
+	if err := exec.Enact(); err != nil {
 		return nil, err
 	}
 	l.jobSeq++
@@ -199,21 +189,11 @@ func (l *Local) Enact(d *Descriptor) (*Enacted, error) {
 
 // Step implements Backend.
 func (l *Local) Step(max int) (int, bool, error) {
-	if l.batch != nil {
-		fired := l.batch.StepN(max)
-		return fired, fired < max, nil
-	}
-	if l.stepper == nil {
+	if l.batch == nil {
 		return 0, false, fmt.Errorf("backend: engine is not steppable")
 	}
-	fired := 0
-	for fired < max {
-		if !l.stepper.Step() {
-			return fired, true, nil
-		}
-		fired++
-	}
-	return fired, false, nil
+	fired := l.batch.StepN(max)
+	return fired, fired < max, nil
 }
 
 // Cancel implements Backend.
@@ -245,7 +225,7 @@ func (l *Local) Derive(w *skeleton.Workload, cfg core.StrategyConfig) (core.Stra
 }
 
 // Steppable implements Backend.
-func (l *Local) Steppable() bool { return l.stepper != nil }
+func (l *Local) Steppable() bool { return l.batch != nil }
 
 // Runnable implements Quiescent when the engine can answer without firing.
 func (l *Local) Runnable() bool {

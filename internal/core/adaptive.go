@@ -47,24 +47,12 @@ func (c AdaptiveConfig) Validate() error {
 	return nil
 }
 
-// ExecuteAdaptive enacts a strategy with runtime adaptation. The returned
-// Execution behaves like Execute's; extra pilots appear in the report's
+// adapt arms runtime adaptation on a just-enacted execution (Enact's last
+// step, for ExecOptions.Adaptive). Extra pilots appear in the report's
 // ExtraPilots count and in the trace as "em"/"ADAPTED" records.
-func (m *Manager) ExecuteAdaptive(w *skeleton.Workload, s Strategy, acfg AdaptiveConfig) (*Execution, error) {
-	return m.ExecuteAdaptiveWith(w, s, acfg, ExecOptions{})
-}
-
-// ExecuteAdaptiveWith is ExecuteAdaptive with per-execution scoping.
-func (m *Manager) ExecuteAdaptiveWith(w *skeleton.Workload, s Strategy, acfg AdaptiveConfig, opts ExecOptions) (*Execution, error) {
-	if err := acfg.Validate(); err != nil {
-		return nil, err
-	}
+func (e *Execution) adapt(acfg AdaptiveConfig) {
 	if acfg.MaxExtraPilots == 0 {
 		acfg.MaxExtraPilots = 2
-	}
-	e, err := m.ExecuteWith(w, s, opts)
-	if err != nil {
-		return nil, err
 	}
 	e.scheduleAdaptation(acfg, acfg.MaxExtraPilots)
 	if acfg.ReplaceLostPilots {
@@ -77,7 +65,6 @@ func (m *Manager) ExecuteAdaptiveWith(w *skeleton.Workload, s Strategy, acfg Ada
 			e.watchPilot(p)
 		}
 	}
-	return e, nil
 }
 
 // watchPilot arms lost-pilot replacement for one pilot. Replacement fires on
@@ -86,7 +73,7 @@ func (m *Manager) ExecuteAdaptiveWith(w *skeleton.Workload, s Strategy, acfg Ada
 func (e *Execution) watchPilot(p *pilot.Pilot) {
 	e.m.eng.Schedule(0, func() {
 		// Deferred a tick so a pilot that fails synchronously during Submit
-		// does not replan before Execute returns.
+		// does not replan before Enact returns.
 		p.OnState(func(p *pilot.Pilot) { e.pilotLost(p) })
 		if p.State() == pilot.PilotFailed {
 			e.pilotLost(p)

@@ -43,10 +43,8 @@ func slowFastEnv(t *testing.T, seed int64) *env {
 	}
 	b := bundle.New(tb.Sites())
 	links := func(resource string) *netsim.Link { return tb.Site(resource).Link() }
-	rec := trace.NewRecorder()
-	mgr := NewManager(eng, b, sess, links, pilot.DefaultConfig(), rec,
-		rand.New(rand.NewSource(seed)))
-	return &env{eng: eng, tb: tb, bndl: b, mgr: mgr, rec: rec}
+	mgr := NewManager(eng, b, sess, links, pilot.DefaultConfig(), rand.New(rand.NewSource(seed)))
+	return &env{eng: eng, tb: tb, bndl: b, mgr: mgr, rec: trace.NewRecorder()}
 }
 
 func TestAdaptiveAddsPilotWhenStuck(t *testing.T) {
@@ -65,13 +63,10 @@ func TestAdaptiveAddsPilotWhenStuck(t *testing.T) {
 		PilotCores:    16,
 		PilotWalltime: 8 * time.Hour,
 	}
-	exec, err := e.mgr.ExecuteAdaptive(w, s, AdaptiveConfig{
+	exec := e.enact(t, w, s, ExecOptions{Recorder: e.rec, Adaptive: &AdaptiveConfig{
 		Patience:       10 * time.Minute,
 		MaxExtraPilots: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}})
 	e.eng.Run()
 	if !exec.Done() {
 		t.Fatal("execution incomplete")
@@ -105,13 +100,10 @@ func TestAdaptiveDoesNotFireWhenHealthy(t *testing.T) {
 		PilotCores:    16,
 		PilotWalltime: 2 * time.Hour,
 	}
-	exec, err := e.mgr.ExecuteAdaptive(w, s, AdaptiveConfig{
+	exec := e.enact(t, w, s, ExecOptions{Recorder: e.rec, Adaptive: &AdaptiveConfig{
 		Patience:       30 * time.Minute, // fast activates at ~2m
 		MaxExtraPilots: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}})
 	e.eng.Run()
 	if exec.Report().ExtraPilots != 0 {
 		t.Fatalf("extra pilots = %d, want 0", exec.Report().ExtraPilots)
@@ -132,13 +124,10 @@ func TestAdaptiveBudgetExhausts(t *testing.T) {
 	// Patience so short that both adaptation rounds fire before any
 	// activation; only one other resource exists, so exactly one extra
 	// pilot can be added.
-	exec, err := e.mgr.ExecuteAdaptive(w, s, AdaptiveConfig{
+	exec := e.enact(t, w, s, ExecOptions{Recorder: e.rec, Adaptive: &AdaptiveConfig{
 		Patience:       30 * time.Second,
 		MaxExtraPilots: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}})
 	e.eng.Run()
 	if exec.Report().ExtraPilots != 1 {
 		t.Fatalf("extra pilots = %d, want 1 (pool exhausted)", exec.Report().ExtraPilots)
@@ -152,13 +141,16 @@ func TestAdaptiveConfigValidation(t *testing.T) {
 		Binding: LateBinding, Scheduler: SchedBackfill, Pilots: 1,
 		Resources: []string{"fast"}, PilotCores: 8, PilotWalltime: time.Hour,
 	}
-	if _, err := e.mgr.ExecuteAdaptive(w, s, AdaptiveConfig{Patience: 0}); err == nil {
+	if _, err := e.mgr.Prepare(w, s, ExecOptions{Recorder: e.rec, Adaptive: &AdaptiveConfig{Patience: 0}}); err == nil {
 		t.Fatal("zero patience accepted")
 	}
-	if _, err := e.mgr.ExecuteAdaptive(w, s, AdaptiveConfig{
+	if _, err := e.mgr.Prepare(w, s, ExecOptions{Recorder: e.rec, Adaptive: &AdaptiveConfig{
 		Patience: time.Minute, MaxExtraPilots: -1,
-	}); err == nil {
+	}}); err == nil {
 		t.Fatal("negative budget accepted")
+	}
+	if e.eng.Pending() != 0 || e.rec.Len() != 0 {
+		t.Fatalf("a rejected configuration reached the engine: %d events, %d records", e.eng.Pending(), e.rec.Len())
 	}
 }
 

@@ -25,7 +25,7 @@ type env struct {
 	tb   *site.Testbed
 	bndl *bundle.Bundle
 	mgr  *Manager
-	rec  *trace.Recorder // the manager's shared sink
+	rec  *trace.Recorder // what run hands its execution as ExecOptions.Recorder
 }
 
 func newEnv(t *testing.T, seed int64) *env {
@@ -46,9 +46,42 @@ func newEnvWith(t *testing.T, seed int64, pcfg pilot.Config) *env {
 	}
 	b := bundle.New(tb.Sites())
 	links := func(resource string) *netsim.Link { return tb.Site(resource).Link() }
-	rec := trace.NewRecorder()
-	mgr := NewManager(eng, b, sess, links, pcfg, rec, rand.New(rand.NewSource(seed)))
-	return &env{eng: eng, tb: tb, bndl: b, mgr: mgr, rec: rec}
+	mgr := NewManager(eng, b, sess, links, pcfg, rand.New(rand.NewSource(seed)))
+	return &env{eng: eng, tb: tb, bndl: b, mgr: mgr, rec: trace.NewRecorder()}
+}
+
+// enact takes one execution down the manager's only path: Prepare, then
+// Enact.
+func (e *env) enact(t *testing.T, w *skeleton.Workload, s Strategy, opts ExecOptions) *Execution {
+	t.Helper()
+	ex, err := e.mgr.Prepare(w, s, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ex.Enact(); err != nil {
+		t.Fatal(err)
+	}
+	return ex
+}
+
+// wait steps the engine until ex is done, one event at a time as a backend's
+// pump does — stepping rather than draining, so periodic components such as
+// bundle monitors cannot keep it from returning.
+func (e *env) wait(t *testing.T, ex *Execution) *Report {
+	t.Helper()
+	for !ex.Done() && e.eng.Step() {
+	}
+	if !ex.Done() {
+		t.Fatal(ex.IncompleteError())
+	}
+	return ex.Report()
+}
+
+// run enacts a strategy for a workload, its trace going to e.rec, and waits
+// for the report.
+func (e *env) run(t *testing.T, w *skeleton.Workload, s Strategy) *Report {
+	t.Helper()
+	return e.wait(t, e.enact(t, w, s, ExecOptions{Recorder: e.rec}))
 }
 
 func botWorkload(t *testing.T, n int, seed int64) *skeleton.Workload {
@@ -178,10 +211,7 @@ func TestExecuteEarlyBindingEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	report, err := e.mgr.ExecuteAndWait(w, s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	report := e.run(t, w, s)
 	if report.UnitsDone != 64 || report.UnitsFailed != 0 {
 		t.Fatalf("units %d done %d failed", report.UnitsDone, report.UnitsFailed)
 	}
@@ -217,10 +247,7 @@ func TestExecuteLateBindingEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	report, err := e.mgr.ExecuteAndWait(w, s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	report := e.run(t, w, s)
 	if report.UnitsDone != 128 {
 		t.Fatalf("done %d, want 128", report.UnitsDone)
 	}
@@ -247,10 +274,7 @@ func runStrategy(t *testing.T, seed int64, n int, cfg StrategyConfig) *Report {
 	if err != nil {
 		t.Fatal(err)
 	}
-	report, err := e.mgr.ExecuteAndWait(w, s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	report := e.run(t, w, s)
 	return report
 }
 
@@ -304,10 +328,7 @@ func TestReportSummaryOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	report, err := e.mgr.ExecuteAndWait(w, s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	report := e.run(t, w, s)
 	var buf bytes.Buffer
 	if err := report.WriteSummary(&buf); err != nil {
 		t.Fatal(err)
@@ -323,14 +344,21 @@ func TestReportSummaryOutput(t *testing.T) {
 func TestExecuteValidatesStrategy(t *testing.T) {
 	e := newEnv(t, 6)
 	w := botWorkload(t, 8, 6)
-	if _, err := e.mgr.Execute(w, Strategy{}); err == nil {
+	if _, err := e.mgr.Prepare(w, Strategy{}, ExecOptions{Recorder: e.rec}); err == nil {
 		t.Fatal("zero strategy accepted")
 	}
 	bad := Strategy{
 		Binding: EarlyBinding, Scheduler: SchedDirect, Pilots: 1,
 		Resources: []string{"atlantis"}, PilotCores: 8, PilotWalltime: time.Hour,
 	}
-	if _, err := e.mgr.Execute(w, bad); err == nil {
+	if _, err := e.mgr.Prepare(w, bad, ExecOptions{}); err == nil {
+		t.Fatal("execution without a trace sink accepted")
+	}
+	ex, err := e.mgr.Prepare(w, bad, ExecOptions{Recorder: e.rec})
+	if err == nil {
+		err = ex.Enact()
+	}
+	if err == nil {
 		t.Fatal("unknown resource accepted")
 	}
 }
@@ -363,10 +391,7 @@ func TestUnitsByResourceBreakdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	report, err := e.mgr.ExecuteAndWait(w, s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	report := e.run(t, w, s)
 	total := 0
 	for resource, n := range report.UnitsByResource {
 		if n <= 0 {
@@ -381,8 +406,7 @@ func TestUnitsByResourceBreakdown(t *testing.T) {
 
 // TestPrepareEnactBoundary covers the queued-vs-enacted split migration
 // relies on: a prepared execution holds no engine state and draws no
-// randomness, Enact crosses the line exactly once, and Enacted answers
-// which side of it the execution is on.
+// randomness, and Enact crosses the line exactly once.
 func TestPrepareEnactBoundary(t *testing.T) {
 	e := newEnv(t, 5)
 	w := botWorkload(t, 8, 5)
@@ -392,11 +416,11 @@ func TestPrepareEnactBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exec, err := e.mgr.PrepareWith(w, s, ExecOptions{})
+	exec, err := e.mgr.Prepare(w, s, ExecOptions{Recorder: e.rec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if exec.Enacted() {
+	if exec.enacted {
 		t.Fatal("prepared execution reports enacted")
 	}
 	if e.eng.Pending() != 0 {
@@ -405,13 +429,13 @@ func TestPrepareEnactBoundary(t *testing.T) {
 	if got := e.rec.Len(); got != 0 {
 		t.Fatalf("preparation recorded %d trace records", got)
 	}
-	if exec.Pilots() != nil || exec.Units() != nil {
+	if exec.Pilots() != nil || exec.um != nil {
 		t.Fatal("prepared execution exposes pilots or units")
 	}
 	if err := exec.Enact(); err != nil {
 		t.Fatal(err)
 	}
-	if !exec.Enacted() {
+	if !exec.enacted {
 		t.Fatal("enacted execution reports prepared")
 	}
 	if e.eng.Pending() == 0 {
@@ -420,11 +444,7 @@ func TestPrepareEnactBoundary(t *testing.T) {
 	if err := exec.Enact(); err == nil {
 		t.Fatal("double Enact accepted")
 	}
-	r, err := e.mgr.WaitFor(exec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.UnitsDone != 8 {
+	if r := e.wait(t, exec); r.UnitsDone != 8 {
 		t.Fatalf("units done %d, want 8", r.UnitsDone)
 	}
 }
@@ -440,14 +460,14 @@ func TestCancelPreparedExecution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exec, err := e.mgr.PrepareWith(w, s, ExecOptions{})
+	exec, err := e.mgr.Prepare(w, s, ExecOptions{Recorder: e.rec})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var got *Report
 	exec.OnComplete(func(r *Report) { got = r })
 	exec.Cancel("tenant gave up")
-	if !exec.Done() || !exec.Canceled() {
+	if !exec.Done() || !exec.canceled {
 		t.Fatal("canceled prepared execution not done")
 	}
 	if got == nil || got.UnitsCanceled != 5 || got.UnitsDone != 0 {

@@ -7,7 +7,7 @@ import (
 // Descriptor is the serializable form of a job before enactment: the
 // workload, the strategy derivation knobs (or a pre-derived strategy to
 // enact verbatim), and the optional runtime-adaptation policy. It is the
-// queued half of the queued-vs-enacted distinction that PrepareWith makes
+// queued half of the queued-vs-enacted distinction that Prepare makes
 // explicit — a descriptor holds no engine state, no randomness and no trace,
 // so it can be handed to any manager: another shard's during cross-shard
 // migration, or another process's over the worker-backend wire protocol.

@@ -42,7 +42,7 @@ type Report struct {
 	// PilotsActivated counts pilots that became active before completion.
 	PilotsActivated int
 	// ExtraPilots counts pilots added by runtime adaptation
-	// (Manager.ExecuteAdaptive).
+	// (ExecOptions.Adaptive).
 	ExtraPilots int
 
 	// Throughput is completed units per hour of TTC.

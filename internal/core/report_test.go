@@ -198,10 +198,7 @@ func disturbedRun(t *testing.T, seed int64) (*Execution, *trace.Recorder) {
 		MaxExtraPilots:    1,
 		ReplaceLostPilots: rng.Intn(2) == 0,
 	}
-	ex, err := e.mgr.ExecuteAdaptiveWith(w, s, acfg, ExecOptions{Recorder: rec})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ex := e.enact(t, w, s, ExecOptions{Recorder: rec, Adaptive: &acfg})
 	if rng.Intn(3) > 0 {
 		after := time.Duration(rng.Intn(40)) * time.Second
 		for _, p := range ex.Pilots() {
@@ -262,13 +259,14 @@ func TestAccumulatedCoversMatchReplay(t *testing.T) {
 }
 
 // TestConcurrentExecutionsOnSharedRecorder: two bags enacted on one manager
-// without a recorder of their own — every bag names its tasks alike — report
-// what they report with a private recorder each. The replay keyed open spans
+// into one recorder — every bag names its tasks alike — report what they
+// report with a private recorder each. The replay keyed open spans
 // by entity name, so the second bag, started while the first ran, closed and
 // reopened the first's spans.
 func TestConcurrentExecutionsOnSharedRecorder(t *testing.T) {
 	run := func(private bool) [2]*Report {
 		e := newEnv(t, 5)
+		shared := trace.NewRecorder()
 		var execs [2]*Execution
 		start := func(k int) {
 			w := botWorkload(t, 64, int64(k+1))
@@ -278,13 +276,11 @@ func TestConcurrentExecutionsOnSharedRecorder(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var opts ExecOptions
+			opts := ExecOptions{Recorder: shared}
 			if private {
 				opts.Recorder = trace.NewRecorder()
 			}
-			if execs[k], err = e.mgr.ExecuteWith(w, s, opts); err != nil {
-				t.Fatal(err)
-			}
+			execs[k] = e.enact(t, w, s, opts)
 		}
 		start(0)
 		e.eng.At(sim.Time(5*time.Minute), func() {

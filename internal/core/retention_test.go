@@ -40,15 +40,7 @@ func runWithSentinel(t *testing.T, e *env, log *trace.Log, n int, seed int64, co
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, err := e.mgr.ExecuteWith(w, s, ExecOptions{Recorder: rec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	report, err := e.mgr.WaitFor(ex)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.UnitsDone != n {
+	if report := e.wait(t, e.enact(t, w, s, ExecOptions{Recorder: rec})); report.UnitsDone != n {
 		t.Fatalf("job of %d tasks finished %d", n, report.UnitsDone)
 	}
 }

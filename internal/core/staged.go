@@ -1,41 +1,10 @@
 package core
 
 import (
-	"fmt"
 	"time"
 
 	"aimes/internal/skeleton"
 )
-
-// ExecuteStaged runs a multistage workload one stage at a time, re-deriving
-// the execution strategy before each stage from the bundle's current state —
-// the paper's §V direction of decomposing (Swift) workflows "to adapt to
-// resource availability and capabilities". Between stages, observed pilot
-// queue waits are fed back into the bundle's predictive history, so later
-// stages benefit from what earlier stages learned about the resources.
-//
-// The aggregate report sums per-stage TTCs (stages serialize by definition)
-// and merges component times and counters; Strategy records the last stage's
-// strategy.
-func (m *Manager) ExecuteStaged(w *skeleton.Workload, cfg StrategyConfig) (*Report, []*Report, error) {
-	if len(w.Stages) == 0 {
-		return nil, nil, fmt.Errorf("core: workload has no stages")
-	}
-	var stageReports []*Report
-	for _, sub := range StageWorkloads(w) {
-		s, err := Derive(sub, m.bundle, cfg, m.rng)
-		if err != nil {
-			return nil, stageReports, fmt.Errorf("core: stage %q: %w", sub.Stages[0], err)
-		}
-		report, err := m.ExecuteAndWait(sub, s)
-		if err != nil {
-			return nil, stageReports, fmt.Errorf("core: stage %q: %w", sub.Stages[0], err)
-		}
-		m.FeedbackWaits(report)
-		stageReports = append(stageReports, report)
-	}
-	return MergeStaged(stageReports), stageReports, nil
-}
 
 // MergeStaged merges per-stage reports into the aggregate: TTCs sum (stages
 // serialize by definition), counters and component times accumulate, and

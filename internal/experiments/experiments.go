@@ -1,27 +1,24 @@
 // Package experiments defines and runs the paper's evaluation: the four
 // experiments of Table I over bag-of-task skeletons of 8–2048 tasks, plus
-// the ablations listed in DESIGN.md. Each run builds a fresh simulated
-// five-resource testbed, derives the experiment's execution strategy,
-// enacts it through the execution manager, and reports the TTC
-// decomposition. Independent runs fan out over a worker pool.
+// the ablations of the Ablations registry (README, "aimes-experiments").
+// The evaluation runs on the middleware it evaluates: each run is a fresh
+// single-shard aimes.Environment over the simulated five-resource testbed,
+// one Submit and one Wait, and the job's report is the TTC decomposition.
+// Independent runs fan out over a worker pool.
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
 	"sync"
-	"time"
 
-	"aimes/internal/bundle"
+	"aimes"
 	"aimes/internal/core"
-	"aimes/internal/netsim"
 	"aimes/internal/pilot"
-	"aimes/internal/saga"
-	"aimes/internal/sim"
 	"aimes/internal/site"
 	"aimes/internal/skeleton"
-	"aimes/internal/trace"
 )
 
 // Sizes are the paper's application sizes: 2^3 .. 2^11 tasks.
@@ -140,10 +137,6 @@ type RunSpec struct {
 	// Adaptive, when non-nil, enacts with runtime strategy adaptation; the
 	// result's label gains " adaptive".
 	Adaptive *core.AdaptiveConfig
-	// Warmup advances the simulation before enactment so emergent-mode
-	// background load reaches steady state. Defaults to 72 virtual hours
-	// when any site is emergent; ignored (zero) for modeled sites.
-	Warmup time.Duration
 }
 
 // seed derives the deterministic run seed.
@@ -176,64 +169,27 @@ type Result struct {
 	Err         string
 }
 
-// runEnv is one fully wired simulated environment.
-type runEnv struct {
-	eng  *sim.Sim
-	bndl *bundle.Bundle
-	mgr  *core.Manager
-	rng  *rand.Rand
-}
-
-// buildEnv assembles the testbed, session, bundle and manager for one run.
-func buildEnv(spec RunSpec, seed int64) (*runEnv, error) {
-	eng := sim.NewSim()
-	configs := spec.Sites
-	if configs == nil {
-		configs = site.DefaultTestbed()
+// newEnv builds the spec's environment: one shard — a run is one job — on
+// the run's seed, with the spec's testbed, middleware configuration and
+// archived wait history. The caller closes it.
+func newEnv(spec RunSpec) (*aimes.Environment, error) {
+	// No sites is WithSites' default too: the five-resource testbed.
+	opts := []aimes.Option{aimes.WithSeed(spec.seed()), aimes.WithShards(1), aimes.WithSites(spec.Sites...)}
+	if spec.PilotConfig != nil {
+		opts = append(opts, aimes.WithPilotConfig(*spec.PilotConfig))
 	}
-	tb, err := site.NewTestbed(eng, configs, sim.NewRNG(seed))
+	env, err := aimes.NewEnv(opts...)
 	if err != nil {
 		return nil, err
 	}
-	sess := saga.NewSession()
-	for _, s := range tb.Sites() {
-		sess.Register(saga.NewBatchAdaptor(eng, s))
-	}
-	b := bundle.New(tb.Sites())
 	if spec.PrimeHistory > 0 {
-		primeBundle(b, configs, spec.PrimeHistory, seed)
-	}
-	links := func(resource string) *netsim.Link {
-		s := tb.Site(resource)
-		if s == nil {
-			return nil
+		configs := spec.Sites
+		if configs == nil {
+			configs = site.DefaultTestbed()
 		}
-		return s.Link()
+		primeBundle(env.Bundle(), configs, spec.PrimeHistory, spec.seed())
 	}
-	pcfg := pilot.DefaultConfig()
-	if spec.PilotConfig != nil {
-		pcfg = *spec.PilotConfig
-	}
-	rng := rand.New(rand.NewSource(seed ^ 0x5DEECE66D))
-	// Results come from reports, which are accumulated as the run goes:
-	// nothing reads a trace here, so none is kept.
-	mgr := core.NewManager(eng, b, sess, links, pcfg, trace.Discard, rng)
-
-	// Emergent queues need a warmup so the background load has filled the
-	// machines; otherwise pilots land on empty systems.
-	warmup := spec.Warmup
-	if warmup == 0 {
-		for _, c := range configs {
-			if c.Mode == site.Emergent {
-				warmup = 72 * time.Hour
-				break
-			}
-		}
-	}
-	if warmup > 0 {
-		eng.RunUntil(sim.Time(warmup))
-	}
-	return &runEnv{eng: eng, bndl: b, mgr: mgr, rng: rng}, nil
+	return env, nil
 }
 
 // fill copies a report into a result.
@@ -266,15 +222,16 @@ func Run(spec RunSpec) Result {
 	return res
 }
 
-// run builds the spec's environment and workload, derives the strategy and
-// executes it — statically, or adaptively when spec.Adaptive is set.
+// run builds the spec's environment and workload and runs the workload as
+// one job: the shard derives the strategy and enacts it — statically, or
+// adaptively when spec.Adaptive is set.
 func run(spec RunSpec) (*core.Report, error) {
-	seed := spec.seed()
-	env, err := buildEnv(spec, seed)
+	env, err := newEnv(spec)
 	if err != nil {
 		return nil, err
 	}
-	w, err := skeleton.Generate(skeleton.BagOfTasks(spec.NTasks, spec.Exp.Duration.Spec()), seed)
+	defer env.Close()
+	w, err := skeleton.Generate(skeleton.BagOfTasks(spec.NTasks, spec.Exp.Duration.Spec()), spec.seed())
 	if err != nil {
 		return nil, err
 	}
@@ -286,24 +243,22 @@ func run(spec RunSpec) (*core.Report, error) {
 		cfg.Pilots = 0
 		cfg.AutoPilots = true
 	}
-	if spec.Adaptive == nil {
-		return env.mgr.DeriveAndExecute(w, cfg)
-	}
-	s, err := core.Derive(w, env.bndl, cfg, env.rng)
+	return runJob(env, w, aimes.JobConfig{StrategyConfig: cfg, Adaptive: spec.Adaptive})
+}
+
+// runJob is one Submit and one Wait.
+func runJob(env *aimes.Environment, w *skeleton.Workload, cfg aimes.JobConfig) (*core.Report, error) {
+	j, err := env.Submit(context.Background(), w, cfg)
 	if err != nil {
 		return nil, err
 	}
-	exec, err := env.mgr.ExecuteAdaptive(w, s, *spec.Adaptive)
-	if err != nil {
-		return nil, err
-	}
-	return env.mgr.WaitFor(exec)
+	return j.Wait(context.Background())
 }
 
 // primeBundle replays archived wait observations into each resource's
 // predictive history, sampled from the site's own wait model (standing in
 // for historical trace data a bundle agent would have accumulated).
-func primeBundle(b *bundle.Bundle, configs []site.Config, n int, seed int64) {
+func primeBundle(b *aimes.Bundle, configs []site.Config, n int, seed int64) {
 	for _, cfg := range configs {
 		r := b.Resource(cfg.Name)
 		if r == nil || cfg.Mode != site.Modeled {
@@ -316,29 +271,35 @@ func primeBundle(b *bundle.Bundle, configs []site.Config, n int, seed int64) {
 	}
 }
 
-// RunAll executes specs over a worker pool and returns results in spec
-// order. workers <= 0 uses GOMAXPROCS.
-func RunAll(specs []RunSpec, workers int) []Result {
+// pool calls fn(0) … fn(n-1) from at most workers goroutines (GOMAXPROCS
+// when workers <= 0) and returns once every call has.
+func pool(n, workers int, fn func(i int)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	results := make([]Result, len(specs))
 	var wg sync.WaitGroup
-	jobs := make(chan int)
+	next := make(chan int)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range jobs {
-				results[i] = Run(specs[i])
+			for i := range next {
+				fn(i)
 			}
 		}()
 	}
-	for i := range specs {
-		jobs <- i
+	for i := 0; i < n; i++ {
+		next <- i
 	}
-	close(jobs)
+	close(next)
 	wg.Wait()
+}
+
+// RunAll executes specs over a worker pool and returns results in spec
+// order. workers <= 0 uses GOMAXPROCS.
+func RunAll(specs []RunSpec, workers int) []Result {
+	results := make([]Result, len(specs))
+	pool(len(specs), workers, func(i int) { results[i] = Run(specs[i]) })
 	return results
 }
 

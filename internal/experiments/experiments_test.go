@@ -2,13 +2,53 @@ package experiments
 
 import (
 	"bytes"
+	"context"
+	"encoding/csv"
 	"strings"
 	"testing"
 	"time"
 
+	"aimes"
 	"aimes/internal/core"
 	"aimes/internal/site"
 )
+
+// TestHarnessIsTheEnvironment: the harness has no stack of its own. A run's
+// result is, field for field, the report of the same workload and strategy
+// configuration submitted by hand to an environment of the run's seed.
+func TestHarnessIsTheEnvironment(t *testing.T) {
+	for _, def := range TableI {
+		spec := RunSpec{Exp: def, NTasks: 64, Rep: 1}
+		got := Run(spec)
+		if got.Err != "" {
+			t.Fatalf("exp %d: %s", def.ID, got.Err)
+		}
+
+		env, err := aimes.NewEnv(aimes.WithSeed(spec.seed()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := aimes.GenerateWorkload(aimes.BagOfTasks(64, def.Duration.Spec()), spec.seed())
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, err := env.Submit(context.Background(), w, aimes.JobConfig{StrategyConfig: def.StrategyConfig()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		report, err := j.Wait(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		env.Close()
+
+		want := Result{Exp: def.ID, Label: def.Label(), NTasks: 64, Rep: 1}
+		want.fill(report)
+		if got != want {
+			t.Errorf("exp %d: the harness reports\n%+v\nthe environment\n%+v", def.ID, got, want)
+		}
+	}
+}
 
 func TestTableIDefinitions(t *testing.T) {
 	if len(TableI) != 4 {
@@ -173,6 +213,31 @@ func TestAggregateAndEmitters(t *testing.T) {
 	}
 }
 
+// TestWriteCSVQuotesFreeText: a failed run's error text — here with a comma,
+// a quote and a line break, as Execution.IncompleteError's state maps have —
+// stays one field of its record.
+func TestWriteCSVQuotesFreeText(t *testing.T) {
+	failed := Result{Exp: 3, Label: "Late Uniform 3 Pilots", NTasks: 8, Rep: 2,
+		Err: "core: engine drained but workload incomplete (pilots map[ACTIVE:1, \"FAILED\":2],\nunits map[NEW:8])"}
+	var buf bytes.Buffer
+	if err := WriteCSV(&buf, []Result{{Exp: 1, Label: "Early Uniform 1 Pilot", NTasks: 8, TTC: 1234.56}, failed}); err != nil {
+		t.Fatal(err)
+	}
+	records, err := csv.NewReader(&buf).ReadAll() // rejects a record whose field count differs from the header's
+	if err != nil {
+		t.Fatalf("%v\n%s", err, buf.String())
+	}
+	if len(records) != 3 || len(records[0]) != 15 {
+		t.Fatalf("%d records of %d fields, want 3 of 15", len(records), len(records[0]))
+	}
+	if got := records[1][4]; got != "1234.6" {
+		t.Errorf("ttc_s = %q, want 1234.6", got)
+	}
+	if got := records[2]; got[1] != failed.Label || got[14] != failed.Err {
+		t.Errorf("the failed run read back as label %q, err %q", got[1], got[14])
+	}
+}
+
 func TestAggregateCountsFailures(t *testing.T) {
 	results := []Result{
 		{Exp: 1, NTasks: 8, TTC: 100},
@@ -289,10 +354,12 @@ func TestRunWithAutoPilots(t *testing.T) {
 	}
 }
 
+// TestRunEmergentWarmup: an emergent testbed gets the environment's warm-up
+// (backend.NewLocal's rule; the harness has none of its own) and runs.
 func TestRunEmergentWarmup(t *testing.T) {
 	def, _ := Experiment(3)
 	emergent := site.EmergentTestbed(site.DefaultTestbed(), 0.85, nil)
-	res := Run(RunSpec{Exp: def, NTasks: 8, Rep: 0, Sites: emergent, Warmup: 24 * time.Hour})
+	res := Run(RunSpec{Exp: def, NTasks: 8, Rep: 0, Sites: emergent})
 	if res.Err != "" {
 		t.Fatalf("emergent run failed: %s", res.Err)
 	}

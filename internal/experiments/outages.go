@@ -3,14 +3,12 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"aimes/internal/scenario"
-	"aimes/internal/stats"
 )
 
-// AblationOutages compares early and late binding under increasing outage
+// ablationOutages compares early and late binding under increasing outage
 // rates — the experiment the paper gestures at (§V, "dynamic resources")
 // but never runs. Each run drives the scenario engine: a compressed-wait
 // testbed, a fixed pilot placement, and k hard outages injected mid-run
@@ -20,54 +18,29 @@ import (
 // every outage serializes a full re-run behind a fresh queue wait; late
 // binding only loses the failed pilot's share and backfills the returned
 // units onto surviving pilots immediately.
-func AblationOutages(w io.Writer, ntasks, reps, workers int) error {
-	if _, err := fmt.Fprintf(w, "Ablation A11: mid-run outages, %d tasks, early vs late binding (seconds)\n", ntasks); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintln(w, "outages  binding   mean_ttc      p90  units_done  rescheduled"); err != nil {
-		return err
-	}
+func ablationOutages(w io.Writer, ntasks, reps, workers int) error {
+	var arms []arm[*scenario.Outcome]
 	for _, outages := range []int{0, 1, 2} {
 		for _, binding := range []string{"early", "late"} {
-			var ttc stats.Summary
-			done, resched := 0, 0
-			results := make([]*scenario.Outcome, reps)
-			errs := make([]error, reps)
-			var wg sync.WaitGroup
-			sem := make(chan struct{}, poolSize(workers))
-			for r := 0; r < reps; r++ {
-				wg.Add(1)
-				go func(rep int) {
-					defer wg.Done()
-					sem <- struct{}{}
-					defer func() { <-sem }()
-					s := outageScenario(binding, ntasks, outages, int64(10_000+rep))
-					results[rep], errs[rep] = scenario.Run(s, scenario.EnvOptions{})
-				}(r)
-			}
-			wg.Wait()
-			for r := 0; r < reps; r++ {
-				if errs[r] != nil {
-					return fmt.Errorf("outage ablation (%s, %d outages, rep %d): %w",
-						binding, outages, r, errs[r])
-				}
-				res := results[r]
-				job := res.Jobs[0]
-				if job.Report == nil {
-					return fmt.Errorf("outage ablation (%s, %d outages, rep %d): job %s: %s",
-						binding, outages, r, job.State, job.Err)
-				}
-				ttc.Add(job.Report.TTC.Seconds())
-				done += job.Report.UnitsDone
-				resched += res.Rescheduled
-			}
-			if _, err := fmt.Fprintf(w, "%7d  %-7s  %9.0f  %7.0f  %10d  %11d\n",
-				outages, binding, ttc.Mean(), ttc.Percentile(90), done, resched); err != nil {
-				return err
-			}
+			arms = append(arms, arm[*scenario.Outcome]{fmt.Sprintf("%7d  %-7s", outages, binding),
+				func(rep int) (*scenario.Outcome, error) {
+					out, err := scenario.Run(outageScenario(binding, ntasks, outages, int64(10_000+rep)), scenario.EnvOptions{})
+					if err == nil && out.Jobs[0].Report == nil {
+						err = fmt.Errorf("job %s: %s", out.Jobs[0].State, out.Jobs[0].Err)
+					}
+					return out, err
+				}})
 		}
 	}
-	return nil
+	return sweep(w,
+		fmt.Sprintf("Ablation A11: mid-run outages, %d tasks, early vs late binding (seconds)", ntasks),
+		"outages  binding   mean_ttc      p90  units_done  rescheduled", reps, workers, arms,
+		func(rs []*scenario.Outcome) string {
+			t := over(rs, func(o *scenario.Outcome) float64 { return o.Jobs[0].Report.TTC.Seconds() })
+			return fmt.Sprintf("%9.0f  %7.0f  %10.0f  %11.0f", t.Mean(), t.Percentile(90),
+				over(rs, func(o *scenario.Outcome) float64 { return float64(o.Jobs[0].Report.UnitsDone) }).Sum(),
+				over(rs, func(o *scenario.Outcome) float64 { return float64(o.Rescheduled) }).Sum())
+		})
 }
 
 // outageScenario builds one ablation run: both arms share the testbed, the

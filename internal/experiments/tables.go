@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"encoding/csv"
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 
 	"aimes/internal/stats"
 )
@@ -195,20 +197,31 @@ func WriteFigure4(w io.Writer, agg map[int]map[int]*Cell) error {
 	return nil
 }
 
-// WriteCSV streams raw results for external analysis.
+// csvHeader names WriteCSV's columns.
+var csvHeader = []string{"exp", "label", "ntasks", "rep", "ttc_s", "tw_s", "tx_s", "ts_s",
+	"done", "failed", "restarts", "throughput_per_h", "core_hours", "efficiency", "err"}
+
+// WriteCSV streams raw results for external analysis, one record per run. A
+// failed run's error text is free-form — commas, quotes, line breaks — so the
+// fields are quoted as encoding/csv quotes them.
 func WriteCSV(w io.Writer, results []Result) error {
-	if _, err := fmt.Fprintln(w, "exp,label,ntasks,rep,ttc_s,tw_s,tx_s,ts_s,done,failed,restarts,throughput_per_h,core_hours,efficiency,err"); err != nil {
+	cw := csv.NewWriter(w)
+	if err := cw.Write(csvHeader); err != nil {
 		return err
 	}
+	fixed := func(v float64, prec int) string { return strconv.FormatFloat(v, 'f', prec, 64) }
 	for _, r := range results {
-		if _, err := fmt.Fprintf(w, "%d,%s,%d,%d,%.1f,%.1f,%.1f,%.1f,%d,%d,%d,%.1f,%.2f,%.3f,%s\n",
-			r.Exp, r.Label, r.NTasks, r.Rep, r.TTC, r.Tw, r.Tx, r.Ts,
-			r.UnitsDone, r.UnitsFailed, r.Restarts, r.Throughput,
-			r.CoreHours, r.Efficiency, r.Err); err != nil {
+		if err := cw.Write([]string{
+			strconv.Itoa(r.Exp), r.Label, strconv.Itoa(r.NTasks), strconv.Itoa(r.Rep),
+			fixed(r.TTC, 1), fixed(r.Tw, 1), fixed(r.Tx, 1), fixed(r.Ts, 1),
+			strconv.Itoa(r.UnitsDone), strconv.Itoa(r.UnitsFailed), strconv.Itoa(r.Restarts),
+			fixed(r.Throughput, 1), fixed(r.CoreHours, 2), fixed(r.Efficiency, 3), r.Err,
+		}); err != nil {
 			return err
 		}
 	}
-	return nil
+	cw.Flush()
+	return cw.Error()
 }
 
 // CheckShape verifies the paper's qualitative results against aggregated

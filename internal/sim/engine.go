@@ -112,20 +112,13 @@ type Engine interface {
 	Cancel(ev *Event) bool
 }
 
-// Stepper is implemented by engines whose time only advances when a driver
-// fires events explicitly (Sim). Engines that advance on their own (RealTime)
-// do not implement it; pumps use the distinction to decide between stepping
-// virtual time and blocking on wall-clock completion.
-type Stepper interface {
-	// Step fires the single earliest pending event, reporting false when the
-	// queue is empty.
-	Step() bool
-}
-
-// BatchStepper is implemented by steppable engines that can fire a bounded
-// batch of events in one call. Pumps that drive the engine under an external
-// lock (the sharded environment's per-shard pump) use it to amortize the
-// per-call overhead of Step while still yielding the lock between batches.
+// BatchStepper is implemented by engines whose time only advances when a
+// driver fires events explicitly (Sim), a bounded batch per call. Engines that
+// advance on their own (RealTime) do not implement it; a backend uses the
+// distinction to decide between stepping virtual time and waiting on
+// wall-clock completion. The pump that drives the engine under an external
+// lock (the sharded environment's per-shard pump) yields the lock between
+// batches.
 type BatchStepper interface {
 	// StepN fires up to n pending events and reports how many fired; a
 	// return below n means the queue drained.
@@ -171,7 +164,6 @@ func NewSim() *Sim { return &Sim{} }
 
 var (
 	_ Engine       = (*Sim)(nil)
-	_ Stepper      = (*Sim)(nil)
 	_ BatchStepper = (*Sim)(nil)
 	_ Quiescer     = (*Sim)(nil)
 )

@@ -35,13 +35,6 @@ type Sink interface {
 	Record(t sim.Time, entity, state, detail string)
 }
 
-// Discard is the Sink of a run whose trace nobody reads.
-var Discard Sink = discard{}
-
-type discard struct{}
-
-func (discard) Record(sim.Time, string, string, string) {}
-
 // Recorder accumulates state-transition records. It is not safe for
 // concurrent use; in simulations all callbacks are serialized by the engine,
 // and each simulation run owns its Recorder.
