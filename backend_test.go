@@ -35,6 +35,18 @@ type jobOutcome struct {
 	Namespace string
 	Shard     int
 	Report    *aimes.Report
+	Strategy  aimes.Strategy
+	State     aimes.JobState
+	Err       string // the terminal error's text, "" for none
+}
+
+// outcomeOf snapshots a finished job.
+func outcomeOf(j *aimes.Job) jobOutcome {
+	o := jobOutcome{Namespace: j.Namespace(), Shard: j.Shard(), Report: j.Report(), Strategy: j.Strategy(), State: j.State()}
+	if err := j.Err(); err != nil {
+		o.Err = err.Error()
+	}
+	return o
 }
 
 // runParityScenario runs the same seeded multi-tenant scenario — three
@@ -88,9 +100,74 @@ func runParityScenario(t *testing.T, opts ...aimes.Option) []jobOutcome {
 	wg.Wait()
 	var out []jobOutcome
 	for _, j := range jobs {
-		out = append(out, jobOutcome{Namespace: j.Namespace(), Shard: j.Shard(), Report: j.Report()})
+		out = append(out, outcomeOf(j))
 	}
 	return out
+}
+
+// runParityEdgeCases drives the three backend operations the steady-state
+// scenario never sends — Cancel, Feedback, Incomplete — at points that do not
+// depend on pump granularity, and returns the outcomes in a fixed order: a
+// job canceled while enacted (before anyone steps its shard), the stages and
+// the total of a staged execution (Feedback between stages), and an
+// early-binding job wedged by an outage that never recovers (the engine
+// drains, and the diagnostic names the states it wedged in).
+func runParityEdgeCases(t *testing.T, opts ...aimes.Option) []jobOutcome {
+	t.Helper()
+	env, err := aimes.NewEnv(append([]aimes.Option{aimes.WithSeed(20260929)}, opts...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer env.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	late := aimes.StrategyConfig{Binding: aimes.LateBinding, Scheduler: aimes.SchedBackfill, Pilots: 2}
+	var out []jobOutcome
+
+	w, err := aimes.GenerateWorkload(aimes.BagOfTasks(16, aimes.UniformDuration()), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doomed, err := env.Submit(ctx, w, aimes.JobConfig{StrategyConfig: late, Placement: aimes.PlacePinned, Shard: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	doomed.Cancel("parity: canceled while enacted")
+	if _, err := doomed.Wait(ctx); err != nil {
+		t.Errorf("canceled job: %v", err)
+	}
+	out = append(out, outcomeOf(doomed))
+
+	staged, err := aimes.GenerateWorkload(aimes.AppSpec{Name: "staged", Stages: []aimes.StageSpec{
+		{Name: "a", Tasks: 6, InputBytes: aimes.ConstantSpec(1 << 20), DurationS: aimes.ConstantSpec(120), OutputBytes: aimes.ConstantSpec(1 << 20)},
+		{Name: "b", Tasks: 6, Inputs: aimes.MapOneToOne, DurationS: aimes.ConstantSpec(90), OutputBytes: aimes.ConstantSpec(1 << 10)},
+	}}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total, stages, err := env.RunStaged(staged, late)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range append(stages, total) {
+		out = append(out, jobOutcome{Report: r})
+	}
+
+	if err := env.InjectChaos(2, aimes.ChaosEvent{Action: "outage", Target: "stampede", After: 20 * time.Second}); err != nil {
+		t.Fatal(err)
+	}
+	wedged, err := env.Submit(ctx, w, aimes.JobConfig{
+		StrategyConfig: aimes.StrategyConfig{Binding: aimes.EarlyBinding, Scheduler: aimes.SchedDirect, Pilots: 1,
+			Selection: aimes.SelectFixed, FixedResources: []string{"stampede"}},
+		Placement: aimes.PlacePinned, Shard: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := wedged.Wait(ctx); err == nil {
+		t.Error("the early-binding job survived an outage that never recovers")
+	}
+	return append(out, outcomeOf(wedged))
 }
 
 // tcpWorkerHost returns the address and secret of a TCP worker host for the
@@ -127,15 +204,20 @@ func tcpWorkers(n int, addr, secret string) []aimes.Option {
 }
 
 // TestBackendParity is the acceptance matrix for the backend seam: the same
-// seeded, pinned workload mix must produce identical per-job reports —
-// strategies, TTC decompositions, pilot waits, allocation accounting — on
-// the in-process backend and on worker shards over every transport × codec
-// combination.
+// seeded, pinned workload mix must produce identical per-job outcomes —
+// strategies, TTC decompositions, pilot waits, allocation accounting, final
+// states and diagnostics — on the in-process backend and on worker shards
+// over every transport × codec combination, for the steady-state scenario
+// and for the edge cases that send the remaining wire operations.
 func TestBackendParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker processes")
 	}
-	local := runParityScenario(t, aimes.WithShards(3))
+	local := append(runParityScenario(t, aimes.WithShards(3)), runParityEdgeCases(t, aimes.WithShards(3))...)
+	if n := len(local); local[0].Strategy.Pilots != 2 || local[n-1].State != aimes.JobFailed || !strings.Contains(local[n-1].Err, "incomplete") ||
+		local[n-5].State != aimes.JobCanceled || local[n-5].Report.UnitsCanceled != 16 {
+		t.Fatalf("edge cases on the local backend: canceled %+v, wedged %+v", local[n-5], local[n-1])
+	}
 	addr, secret := tcpWorkerHost(t)
 	combos := []struct {
 		name string
@@ -148,7 +230,7 @@ func TestBackendParity(t *testing.T) {
 	}
 	for _, combo := range combos {
 		t.Run(combo.name, func(t *testing.T) {
-			worker := runParityScenario(t, combo.opts...)
+			worker := append(runParityScenario(t, combo.opts...), runParityEdgeCases(t, combo.opts...)...)
 			if len(local) != len(worker) {
 				t.Fatalf("local ran %d jobs, worker %d", len(local), len(worker))
 			}
@@ -159,9 +241,16 @@ func TestBackendParity(t *testing.T) {
 				if local[i].Shard != worker[i].Shard {
 					t.Errorf("job %d: shard %d (local) vs %d (worker)", i+1, local[i].Shard, worker[i].Shard)
 				}
+				if !reflect.DeepEqual(local[i].Strategy, worker[i].Strategy) {
+					t.Errorf("job %d: strategy %+v (local) vs %+v (worker)", i+1, local[i].Strategy, worker[i].Strategy)
+				}
+				if local[i].State != worker[i].State || local[i].Err != worker[i].Err {
+					t.Errorf("job %d: ended %v %q (local) vs %v %q (worker)", i+1,
+						local[i].State, local[i].Err, worker[i].State, worker[i].Err)
+				}
 				if !reflect.DeepEqual(local[i].Report, worker[i].Report) {
 					t.Errorf("job %d: reports diverge across backends:\nlocal:  %+v\nworker: %+v",
-						i+1, *local[i].Report, *worker[i].Report)
+						i+1, local[i].Report, worker[i].Report)
 				}
 			}
 		})

@@ -28,7 +28,6 @@ type EventStream struct {
 	err     error
 	final   *JobInfo
 	dropped int64
-	lastSeq int64
 }
 
 // Final returns the job's terminal snapshot, non-nil only after C closed
@@ -45,14 +44,6 @@ func (s *EventStream) Dropped() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.dropped
-}
-
-// LastSeq is the sequence number of the last event received — pass LastSeq+1
-// as from to a new Events call to resume after a disconnect.
-func (s *EventStream) LastSeq() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lastSeq
 }
 
 // Err reports why the stream ended, nil for a clean end (job done or Close).
@@ -168,11 +159,6 @@ func (s *EventStream) dispatch(ctx context.Context, event, data string) error {
 		if err := json.Unmarshal([]byte(data), &ev); err != nil {
 			return fmt.Errorf("client: bad %s event %q: %w", event, data, err)
 		}
-		s.mu.Lock()
-		if ev.Seq > s.lastSeq {
-			s.lastSeq = ev.Seq
-		}
-		s.mu.Unlock()
 		select {
 		case s.ch <- ev:
 		case <-ctx.Done():

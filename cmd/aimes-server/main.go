@@ -8,7 +8,7 @@
 //	aimes-server -listen :9470 -token-file tokens.txt
 //	aimes-server -listen :9470 -token-file tokens.txt -workers 4
 //	aimes-server -listen :9470 -token-file tokens.txt \
-//	    -worker-addr host:9464 -worker-secret-file secret.txt
+//	    -worker-endpoints host:9464 -worker-secret-file secret.txt
 //
 // The token file holds one "tenant token [max_inflight [max_queued]]" line
 // per tenant ('#' comments allowed); omitted columns fall back to the
@@ -55,8 +55,7 @@ func main() {
 		steal  = flag.Bool("steal", false, "enable cross-shard work stealing")
 
 		workers          = flag.Int("workers", 0, "run N shards as self-hosted worker processes (0 = in-process local backend)")
-		workerAddr       = flag.String("worker-addr", "", "dial a TCP worker host (aimes-worker serve) instead of local shards")
-		workerEndpoints  = flag.String("worker-endpoints", "", "comma-separated TCP worker hosts forming a fleet; shards spread across them round-robin (overrides -worker-addr)")
+		workerEndpoints  = flag.String("worker-endpoints", "", "comma-separated TCP worker hosts (aimes-worker serve) to run shards on instead of in process; shards spread across them round-robin")
 		workerSecret     = flag.String("worker-secret", "", "shared handshake secret for TCP worker hosts (prefer -worker-secret-file)")
 		workerSecretFile = flag.String("worker-secret-file", "", "file holding the TCP worker handshake secret")
 		wireCodec        = flag.String("wire-codec", "", "worker wire codec: json, binary, or empty for negotiated")
@@ -109,11 +108,7 @@ func main() {
 		MaxRestarts:    *maxRestarts,
 		HealthInterval: *healthInterval,
 	}
-	addrs := *workerEndpoints
-	if addrs == "" {
-		addrs = *workerAddr
-	}
-	for _, a := range strings.Split(addrs, ",") {
+	for _, a := range strings.Split(*workerEndpoints, ",") {
 		if a = strings.TrimSpace(a); a != "" {
 			pool.Endpoints = append(pool.Endpoints, aimes.WorkerEndpoint{Addr: a})
 		}
@@ -121,8 +116,8 @@ func main() {
 	switch {
 	case len(pool.Endpoints) > 0:
 		opts = append(opts, aimes.WithWorkerPool(pool))
-	case addrs != "":
-		fail("-worker-endpoints/-worker-addr %q names no endpoints", addrs)
+	case *workerEndpoints != "":
+		fail("-worker-endpoints %q names no endpoints", *workerEndpoints)
 	case *workers > 0:
 		// Self-hosted process workers: an empty endpoint list means one
 		// process-mode endpoint spawning this binary.

@@ -69,7 +69,6 @@ func serve(args []string) {
 	listen := fs.String("listen", "", "TCP address to listen on, e.g. :9464 or 127.0.0.1:9464")
 	secret := fs.String("secret", "", "shared handshake secret (prefer --secret-file; falls back to $AIMES_WORKER_SECRET, then $AIMES_WORKER_SECRET_FILE)")
 	secretFile := fs.String("secret-file", "", "file holding the shared handshake secret (surrounding whitespace trimmed)")
-	maxFrame := fs.Int("max-frame", 0, "per-frame size limit in bytes (0 = protocol default; must match the clients')")
 	quiet := fs.Bool("quiet", false, "suppress per-connection log lines")
 	_ = fs.Parse(args)
 	if *listen == "" {
@@ -86,11 +85,7 @@ func serve(args []string) {
 	if *quiet {
 		logf = nil
 	}
-	err = backend.ListenAndServe(*listen, backend.ServeConfig{
-		Secret:   key,
-		MaxFrame: *maxFrame,
-		Logf:     logf,
-	})
+	err = backend.ListenAndServe(*listen, backend.ServeConfig{Secret: key, Logf: logf})
 	fmt.Fprintf(os.Stderr, "aimes-worker serve: %v\n", err)
 	os.Exit(1)
 }
@@ -112,15 +107,5 @@ func resolveSecret(flagSecret, flagFile string) (string, error) {
 		}
 		return strings.TrimSpace(string(b)), nil
 	}
-	if s := os.Getenv("AIMES_WORKER_SECRET"); s != "" {
-		return s, nil
-	}
-	if path := os.Getenv("AIMES_WORKER_SECRET_FILE"); path != "" {
-		b, err := os.ReadFile(path)
-		if err != nil {
-			return "", fmt.Errorf("reading $AIMES_WORKER_SECRET_FILE: %v", err)
-		}
-		return strings.TrimSpace(string(b)), nil
-	}
-	return "", nil
+	return backend.SecretFromEnv()
 }

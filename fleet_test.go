@@ -377,6 +377,71 @@ func TestFleetFailoverAcrossEndpoints(t *testing.T) {
 	}
 }
 
+// TestDrainEndpointMovesItsShards drains one of two process-mode endpoints:
+// the endpoint is cordoned and its worker severed, and the shard recovers as
+// from a crash — enacted jobs fail naming the shard, the queued descriptor
+// replays on a respawn placed on the other endpoint — while the shard that
+// was never on the drained endpoint does not notice.
+func TestDrainEndpointMovesItsShards(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns worker processes")
+	}
+	env, err := aimes.NewEnv(aimes.WithSeed(1212), aimes.WithShards(2), aimes.WithWorkStealing(),
+		aimes.WithWorkerPool(aimes.WorkerPool{
+			Endpoints:   []aimes.WorkerEndpoint{{Name: "a"}, {Name: "b"}},
+			MaxRestarts: 1,
+		}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer env.Close()
+	fillers := sealAndFill(t, env, 0)
+	w, cfg := probeWorkload(t)
+	probe, err := env.Submit(context.Background(), w, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Shard = 1
+	bystander, err := env.Submit(context.Background(), w, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if probe.State() != aimes.JobQueued || bystander.State() != aimes.JobRunning {
+		t.Fatalf("probe %v, bystander %v; want queued behind shard 0's window, running on shard 1", probe.State(), bystander.State())
+	}
+
+	if err := env.DrainEndpoint("nope"); err == nil {
+		t.Fatal("drain of an unknown endpoint succeeded")
+	}
+	if err := env.DrainEndpoint("a"); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	for i, f := range fillers {
+		if _, err := f.Wait(ctx); err == nil || !strings.Contains(err.Error(), "s0") {
+			t.Fatalf("enacted filler %d on the drained endpoint ended with %v, want a failure naming s0", i, err)
+		}
+	}
+	for name, j := range map[string]*aimes.Job{"replayed probe": probe, "bystander": bystander} {
+		if r, err := j.Wait(ctx); err != nil || r.UnitsDone != 12 {
+			t.Fatalf("%s: %+v, %v", name, r, err)
+		}
+	}
+	fleet := env.Fleet()
+	if fleet.Restarts != 1 || fleet.Replayed != 1 {
+		t.Fatalf("fleet after the drain: %d restarts, %d replayed; want 1 and 1", fleet.Restarts, fleet.Replayed)
+	}
+	for _, ep := range fleet.Endpoints {
+		if want := map[string]aimes.EndpointStatus{
+			"a": {Name: "a", Cordoned: true},
+			"b": {Name: "b", Shards: 2, Restarts: 1},
+		}[ep.Name]; ep != want {
+			t.Fatalf("endpoint %s is %+v, want %+v", ep.Name, ep, want)
+		}
+	}
+}
+
 // TestWorkerPoolValidation covers the worker-pool option's refusal paths
 // and the fleet accessors on the local backend.
 func TestWorkerPoolValidation(t *testing.T) {

@@ -9,11 +9,6 @@ import (
 
 	"aimes"
 	"aimes/internal/experiments"
-	"aimes/internal/netsim"
-	"aimes/internal/pilot"
-	"aimes/internal/saga"
-	"aimes/internal/sim"
-	"aimes/internal/trace"
 )
 
 // TestFullPipelineTextConfig drives the complete pipeline from a text-format
@@ -233,58 +228,6 @@ func TestAblationOutputsWellFormed(t *testing.T) {
 		}
 		if a.Small > 0 && !strings.Contains(lines[0], fmt.Sprintf("%d tasks", a.Small)) {
 			t.Errorf("%s: title %q does not name its %d tasks", a.Name, lines[0], a.Small)
-		}
-	}
-}
-
-// TestRealTimePilotExecution proves the middleware is engine-agnostic: the
-// same pilot system executes a workload on the wall-clock engine with the
-// local SAGA adaptor.
-func TestRealTimePilotExecution(t *testing.T) {
-	eng := sim.NewRealTime()
-	sess := saga.NewSession()
-	sess.Register(saga.NewLocalAdaptor(eng, 2))
-	loop := netsim.NewLink(eng, "loopback", 1e9, time.Millisecond)
-	links := func(string) *netsim.Link { return loop }
-	cfg := pilot.Config{AgentDispatchOverhead: time.Millisecond, DefaultMaxRestarts: 1}
-	sys := pilot.NewSystem(eng, sess, links, trace.NewRecorder(), cfg, nil)
-	pm := pilot.NewPilotManager(sys)
-	um := pilot.NewUnitManager(sys, pilot.Backfill{})
-	done := make(chan struct{})
-	// The pilot layer keeps its state lock-free; on the wall-clock engine its
-	// entry points run serialized with the timer callbacks.
-	eng.Sync(func() {
-		p, err := pm.Submit(pilot.PilotDescription{
-			Resource: "localhost", Cores: 2, Walltime: time.Minute,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		um.AddPilot(p)
-		um.OnCompletion(func() {
-			pm.CancelAll()
-			close(done)
-		})
-		descs := make([]pilot.UnitDescription, 6)
-		for i := range descs {
-			descs[i] = pilot.UnitDescription{
-				Name:     string(rune('a' + i)),
-				Cores:    1,
-				Duration: 5 * time.Millisecond,
-			}
-		}
-		if err := um.Submit(descs); err != nil {
-			t.Fatal(err)
-		}
-	})
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("real-time workload did not complete")
-	}
-	for _, u := range um.Units() {
-		if u.State() != pilot.UnitDone {
-			t.Fatalf("unit %s state %v", u.Name(), u.State())
 		}
 	}
 }

@@ -7,10 +7,11 @@
 // Everything that crosses the seam is plain data — job descriptors
 // (core.Descriptor), trace records, reports — or one of a small set of
 // synchronous calls, so a shard can live in the same process (Local, the
-// default, bit-identical to the pre-seam engine stack) or in a child OS
-// process speaking a length-prefixed JSON protocol over stdio (Worker,
-// spawned from cmd/aimes-worker or any binary that calls Serve). The
-// environment keeps all cross-shard state — queues, windows, migration,
+// default, bit-identical to the pre-seam engine stack) or out of process
+// (Worker): a child OS process on stdio or a TCP worker host, speaking a
+// length-framed protocol whose payload codec is negotiated at connect —
+// compact binary by default, JSON on request (see wire.go for the layers).
+// The environment keeps all cross-shard state — queues, windows, migration,
 // load accounting — on its side of the seam, which is why the two-phase
 // descriptor handoff of cross-shard work stealing routes through any
 // backend unchanged: a queued job is a descriptor the backend has never
@@ -65,11 +66,11 @@ type Sink interface {
 	JobDone(key int, report *core.Report)
 }
 
-// Backend is one shard's execution substrate. All methods except Close
-// must be called under the shard's serialization (the environment's
-// per-shard lock); they are not individually thread-safe. Close is the one
-// exception: the environment tears backends down without taking shard
-// locks, so Close must tolerate racing in-flight calls (Worker
+// Backend is one shard's execution substrate. All methods except Dead and
+// Close must be called under the shard's serialization (the environment's
+// per-shard lock); they are not individually thread-safe. Close is an
+// exception because the environment tears backends down without taking
+// shard locks, so it must tolerate racing in-flight calls (Worker
 // self-serializes its wire; Local's Close is a no-op). Every method can
 // report a transport error — Local never does, Worker does when the child
 // process died, and the environment treats such an error as the death of
@@ -82,7 +83,8 @@ type Backend interface {
 	Enact(d *Descriptor) (*Enacted, error)
 	// Step fires up to max engine events, reporting how many fired and
 	// whether the event queue drained. Completions and trace records flow
-	// to the sink before Step returns.
+	// to the sink before Step returns. Only virtual-time backends step: a
+	// wall-clock Local completes jobs on its own timers.
 	Step(max int) (fired int, drained bool, err error)
 	// Cancel aborts job key: non-final units are canceled, pilots torn
 	// down, and the completion (with a canceled-units report) flows to the
@@ -100,21 +102,21 @@ type Backend interface {
 	// backend's bundle without enacting anything. It consumes backend
 	// randomness exactly as an enacting derivation would.
 	Derive(w *skeleton.Workload, cfg core.StrategyConfig) (core.Strategy, error)
-	// Steppable reports whether the engine advances only when stepped
-	// (virtual time). A non-steppable (wall-clock) backend completes jobs
-	// on its own and Step must not be called.
-	Steppable() bool
+	// Runnable reports, without firing anything, whether a Step would fire
+	// an event — the non-blocking query half of the pump seam. It may err
+	// toward true (Worker answers from cached drain state: false only right
+	// after a Step that drained the engine), never toward false.
+	Runnable() bool
+	// Inject validates a chaos event against this shard and schedules its
+	// application ev.After from now in the shard's virtual time.
+	Inject(ev ChaosEvent) error
+	// Dead reports whether the backend has failed for good: true once a
+	// Worker's session broke (the fleet replaces the whole Worker), never
+	// for Local. Unlike the rest it is safe to call from any goroutine.
+	Dead() bool
 	// Close releases the backend: a no-op for Local, an orderly shutdown
 	// (then kill) of the child process for Worker.
 	Close() error
-}
-
-// Quiescent is implemented by backends that can report, without firing
-// anything, whether a Step would fire an event — the non-blocking query
-// half of the pump seam. Worker implements it from cached drain state:
-// conservative (may report runnable when drained), never the reverse.
-type Quiescent interface {
-	Runnable() bool
 }
 
 // Config assembles one shard's stack, locally or in a worker process. All

@@ -76,8 +76,8 @@ func TestFrameRoundTrip(t *testing.T) {
 	if _, err := readFrameInto(bytes.NewReader(huge), nil, DefaultMaxFrame); err == nil || err == io.EOF {
 		t.Fatalf("oversized frame length: got %v", err)
 	}
-	// The limit is configurable at transport construction; a frame over a
-	// small limit fails on both the write and the read side.
+	// A frame over the limit fails on both the write and the read side (a
+	// small one here; sessions and hosts pass DefaultMaxFrame).
 	if err := finishFrame(buf, 8); err == nil {
 		t.Fatal("oversized frame encoded under a small limit")
 	}

@@ -50,18 +50,12 @@ func (ev ChaosEvent) killRunning() bool {
 	return ev.KillRunning == nil || *ev.KillRunning
 }
 
-// Injector is the optional backend capability for scheduled fault
-// injection. Local implements it directly; Worker forwards over the wire.
-type Injector interface {
-	Inject(ev ChaosEvent) error
-}
-
 // SetSever arms the kill-worker chaos action: fn must sever the worker's
 // transport so the parent observes a dead shard. The serve loop sets it on
 // every hosted shard; in-process shards leave it nil and reject kill-worker.
 func (l *Local) SetSever(fn func()) { l.sever = fn }
 
-// Inject implements Injector: it validates the event against this shard and
+// Inject implements Backend: it validates the event against this shard and
 // schedules its application After from now in virtual time. Events injected
 // before enactment land at deterministic trajectory points, which is what
 // makes chaos scenarios assertable.

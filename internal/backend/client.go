@@ -29,10 +29,7 @@ type Worker struct {
 	drained atomic.Bool // conservative Runnable cache: true only right after a drained Step
 }
 
-var (
-	_ Backend   = (*Worker)(nil)
-	_ Quiescent = (*Worker)(nil)
-)
+var _ Backend = (*Worker)(nil)
 
 // WorkerOptions tunes the session Connect builds; the zero value is the
 // production default.
@@ -41,16 +38,6 @@ type WorkerOptions struct {
 	// demands binary (Connect fails against a worker that cannot speak it),
 	// and "" negotiates binary with a silent JSON fallback.
 	Codec string
-	// MaxFrame overrides the per-frame size limit (0 means
-	// DefaultMaxFrame). Both sides of a connection must agree.
-	MaxFrame int
-}
-
-// SpawnWorker starts argv as a shard worker child over stdio with default
-// options — the original worker-backend entry point, kept as the
-// convenience form of Connect.
-func SpawnWorker(argv []string, cfg Config, sink Sink, onDeath func(error)) (*Worker, error) {
-	return Connect(&ProcessTransport{Argv: argv}, WorkerOptions{}, cfg, sink, onDeath)
 }
 
 // Connect dials a shard worker over tr, performs the init exchange
@@ -67,7 +54,7 @@ func Connect(tr Transport, opt WorkerOptions, cfg Config, sink Sink, onDeath fun
 	if err != nil {
 		return nil, err
 	}
-	s := newSession(cfg.Shard, opt.MaxFrame, onDeath)
+	s := newSession(cfg.Shard, onDeath)
 	conn, err := tr.Dial(cfg.Shard, s.peerDied)
 	if err != nil {
 		return nil, err
@@ -187,8 +174,7 @@ func (w *Worker) Step(max int) (int, bool, error) {
 	return resp.Fired, w.drained.Load(), nil
 }
 
-// Cancel implements Backend.
-// Inject implements Injector: the chaos event crosses the wire and is
+// Inject implements Backend: the chaos event crosses the wire and is
 // scheduled on the worker's engine. The injection schedules future engine
 // work, so the drained cache is invalidated like any other mutation.
 func (w *Worker) Inject(ev ChaosEvent) error {
@@ -197,6 +183,7 @@ func (w *Worker) Inject(ev ChaosEvent) error {
 	return err
 }
 
+// Cancel implements Backend.
 func (w *Worker) Cancel(key int, reason string) error {
 	w.drained.Store(false)
 	_, err := w.call(&request{Op: opCancel, Key: key, Reason: reason})
@@ -233,10 +220,7 @@ func (w *Worker) Derive(wl *skeleton.Workload, cfg core.StrategyConfig) (core.St
 	return *resp.Strategy, nil
 }
 
-// Steppable implements Backend (the worker protocol is virtual-time only).
-func (w *Worker) Steppable() bool { return true }
-
-// Runnable implements Quiescent from cached drain state: false only when
+// Runnable implements Backend from cached drain state: false only when
 // the last wire operation was a Step that drained the engine, so a false
 // verdict is always authoritative while true merely means "ask".
 func (w *Worker) Runnable() bool { return !w.drained.Load() }
@@ -261,9 +245,9 @@ func (w *Worker) Close() error {
 // wire operation, which notifies the same callback in-band.
 func (w *Worker) Kill() error { return w.s.conn.Kill() }
 
-// Dead reports whether the worker's session has failed. Once true it stays
-// true — a dead session never recovers; the fleet layer replaces the whole
-// Worker. The admission and migration paths consult it so queued descriptors
+// Dead implements Backend: whether the worker's session has failed. Once
+// true it stays true — a dead session never recovers; the fleet layer
+// replaces the whole Worker. The admission and migration paths consult it so queued descriptors
 // are parked for replay instead of being enacted into a broken wire.
 func (w *Worker) Dead() bool { return w.s.deadErr() != nil }
 

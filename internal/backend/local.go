@@ -27,15 +27,14 @@ import (
 // (Serve wraps a Local), which is what makes local and worker runs of the
 // same pinned workload report identically.
 type Local struct {
-	id       int
-	eng      sim.Engine
-	batch    sim.BatchStepper
-	quiescer sim.Quiescer
-	testbed  *site.Testbed
-	bndl     *bundle.Bundle
-	mgr      *core.Manager
-	rng      *rand.Rand
-	sink     Sink
+	id      int
+	eng     sim.Engine
+	vt      *sim.Sim // eng when it is the virtual-time engine, which is stepped; nil on the wall clock
+	testbed *site.Testbed
+	bndl    *bundle.Bundle
+	mgr     *core.Manager
+	rng     *rand.Rand
+	sink    Sink
 
 	jobSeq int
 	execs  map[int]*core.Execution
@@ -62,11 +61,15 @@ const emergentWarmup = 72 * time.Hour
 // manager RNG) is load-bearing for determinism — change it and every golden
 // trajectory moves.
 func NewLocal(cfg Config, sink Sink) (*Local, error) {
-	var eng sim.Engine
+	var (
+		eng sim.Engine
+		vt  *sim.Sim
+	)
 	if cfg.RealTime {
 		eng = sim.NewRealTime()
 	} else {
-		eng = sim.NewSim()
+		vt = sim.NewSim()
+		eng = vt
 	}
 	configs := cfg.Sites
 	if configs == nil {
@@ -94,23 +97,17 @@ func NewLocal(cfg Config, sink Sink) (*Local, error) {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x414D4553)) // "AMES"
 	l := &Local{
-		id: cfg.Shard, eng: eng, testbed: tb, bndl: b,
+		id: cfg.Shard, eng: eng, vt: vt, testbed: tb, bndl: b,
 		mgr:    core.NewManager(eng, b, sess, links, pcfg, rng),
 		rng:    rng,
 		sink:   sink,
 		execs:  make(map[int]*core.Execution),
 		traces: make(map[int]*jobTrace),
 	}
-	if bs, ok := eng.(sim.BatchStepper); ok {
-		l.batch = bs
-	}
-	if q, ok := eng.(sim.Quiescer); ok {
-		l.quiescer = q
-	}
 	// Emergent queues need a warm-up so the background load has filled the
 	// machines before the first job arrives; otherwise pilots land on empty
 	// systems. Virtual time only: a wall-clock engine cannot skip ahead.
-	if vt, ok := eng.(*sim.Sim); ok {
+	if vt != nil {
 		for _, c := range configs {
 			if c.Mode == site.Emergent {
 				vt.RunUntil(vt.Now().Add(emergentWarmup))
@@ -127,15 +124,6 @@ func (l *Local) Bundle() *bundle.Bundle { return l.bndl }
 
 // Engine exposes the shard's engine (bundle monitors attach here).
 func (l *Local) Engine() sim.Engine { return l.eng }
-
-// EngineSyncer returns the engine's Sync serialization when the engine runs
-// callbacks concurrently (wall-clock), nil for single-driver virtual time.
-func (l *Local) EngineSyncer() sim.Syncer {
-	if s, ok := l.eng.(sim.Syncer); ok {
-		return s
-	}
-	return nil
-}
 
 // jobTrace is one job's trace.Sink: every record the job's execution, pilots
 // and units write goes straight to Sink.JobTrace under the job's key and
@@ -189,10 +177,10 @@ func (l *Local) Enact(d *Descriptor) (*Enacted, error) {
 
 // Step implements Backend.
 func (l *Local) Step(max int) (int, bool, error) {
-	if l.batch == nil {
-		return 0, false, fmt.Errorf("backend: engine is not steppable")
+	if l.vt == nil {
+		return 0, false, fmt.Errorf("backend: the wall-clock engine is not stepped")
 	}
-	fired := l.batch.StepN(max)
+	fired := l.vt.StepN(max)
 	return fired, fired < max, nil
 }
 
@@ -224,16 +212,11 @@ func (l *Local) Derive(w *skeleton.Workload, cfg core.StrategyConfig) (core.Stra
 	return core.Derive(w, l.bndl, cfg, l.rng)
 }
 
-// Steppable implements Backend.
-func (l *Local) Steppable() bool { return l.batch != nil }
+// Runnable implements Backend: the engine's own answer when it has one.
+func (l *Local) Runnable() bool { return l.vt == nil || l.vt.Runnable() }
 
-// Runnable implements Quiescent when the engine can answer without firing.
-func (l *Local) Runnable() bool {
-	if l.quiescer == nil {
-		return true
-	}
-	return l.quiescer.Runnable()
-}
+// Dead implements Backend: an in-process stack never dies.
+func (l *Local) Dead() bool { return false }
 
 // Close implements Backend (a no-op: the stack is garbage).
 func (l *Local) Close() error { return nil }

@@ -43,7 +43,7 @@ func pipeWorker(t *testing.T) Transport {
 		cr, sw := io.Pipe() // client reads ← server writes
 		sr, cw := io.Pipe() // server reads ← client writes
 		go func() {
-			if err := serveStream(sr, sw, 0, severStreams(sr, sw)); err != nil {
+			if err := serveStream(sr, sw, severStreams(sr, sw)); err != nil {
 				sw.CloseWithError(err)
 				return
 			}

@@ -19,11 +19,10 @@ import (
 // construction, drain caching and event replay live in Worker, one layer
 // up.
 type session struct {
-	shard    int
-	conn     Conn
-	in       *bufio.Reader
-	cod      codec
-	maxFrame int
+	shard int
+	conn  Conn
+	in    *bufio.Reader
+	cod   codec
 
 	// mu serializes the wire (encode, write, read, decode). It is never
 	// held while the caller dispatches a response's events: a sink callback
@@ -39,13 +38,12 @@ type session struct {
 	deathOnce sync.Once
 }
 
-func newSession(shard, maxFrame int, onDeath func(error)) *session {
+func newSession(shard int, onDeath func(error)) *session {
 	return &session{
-		shard:    shard,
-		cod:      jsonCodec{},
-		maxFrame: frameLimit(maxFrame),
-		onDeath:  onDeath,
-		wbuf:     make([]byte, 0, 4096),
+		shard:   shard,
+		cod:     jsonCodec{},
+		onDeath: onDeath,
+		wbuf:    make([]byte, 0, 4096),
 	}
 }
 
@@ -102,9 +100,9 @@ func (s *session) exchange(req *request, resp *response) error {
 	var err error
 	s.wbuf = s.wbuf[:4]
 	if s.wbuf, err = s.cod.AppendRequest(s.wbuf, req); err == nil {
-		if err = finishFrame(s.wbuf, s.maxFrame); err == nil {
+		if err = finishFrame(s.wbuf, DefaultMaxFrame); err == nil {
 			if _, err = s.conn.Write(s.wbuf); err == nil {
-				if s.rbuf, err = readFrameInto(s.in, s.rbuf, s.maxFrame); err == nil {
+				if s.rbuf, err = readFrameInto(s.in, s.rbuf, DefaultMaxFrame); err == nil {
 					err = s.cod.DecodeResponse(s.rbuf, resp)
 				}
 			}

@@ -9,6 +9,7 @@ import (
 	"net"
 	"os"
 	"os/exec"
+	"strings"
 	"time"
 )
 
@@ -143,6 +144,26 @@ type TCPTransport struct {
 	Secret string
 	// DialTimeout bounds dialing plus the handshake (0 means 10s).
 	DialTimeout time.Duration
+}
+
+// SecretFromEnv is the handshake secret's fallback for both ends of a TCP
+// connection when none is configured: $AIMES_WORKER_SECRET, then the
+// whitespace-trimmed contents of the file $AIMES_WORKER_SECRET_FILE names —
+// so neither side needs the secret in its environment listing. Empty when
+// neither is set.
+func SecretFromEnv() (string, error) {
+	if s := os.Getenv("AIMES_WORKER_SECRET"); s != "" {
+		return s, nil
+	}
+	path := os.Getenv("AIMES_WORKER_SECRET_FILE")
+	if path == "" {
+		return "", nil
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return "", fmt.Errorf("reading $AIMES_WORKER_SECRET_FILE: %w", err)
+	}
+	return strings.TrimSpace(string(b)), nil
 }
 
 func (t *TCPTransport) Dial(shard int, onDeath func(error)) (Conn, error) {

@@ -30,8 +30,8 @@ import (
 // replay them into its sink before the call returns, preserving the local
 // backend's callback order.
 
-// DefaultMaxFrame bounds a single frame when the transport does not set its
-// own limit. Sizing: the largest legitimate frames are an enact request
+// DefaultMaxFrame bounds a single frame, on both ends of every connection.
+// Sizing: the largest legitimate frames are an enact request
 // carrying a workload descriptor (a 2048-task workload is ~1 MB — workloads
 // ride as JSON blobs in both codecs) and a Step response whose events carry
 // a full wire batch of trace records (a 512-event batch is well under
@@ -39,14 +39,6 @@ import (
 // headroom over both while still catching a corrupt or hostile length
 // prefix before it turns into a multi-gigabyte allocation.
 const DefaultMaxFrame = 256 << 20
-
-// frameLimit resolves a configured frame-size limit (0 means the default).
-func frameLimit(limit int) int {
-	if limit <= 0 {
-		return DefaultMaxFrame
-	}
-	return limit
-}
 
 // finishFrame patches the 4-byte length header reserved at the front of buf
 // and enforces the frame-size limit. Callers build a frame by appending the

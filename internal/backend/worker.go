@@ -61,22 +61,21 @@ func (s *bufSink) recycle(ev []wireEvent) {
 // order (the engine is single-threaded by design; serialization is the
 // parent's job).
 type host struct {
-	in       *bufio.Reader
-	out      io.Writer
-	cod      codec
-	maxFrame int
-	sink     bufSink
-	local    *Local
-	sever    func()
-	wbuf     []byte
-	rbuf     []byte
+	in    *bufio.Reader
+	out   io.Writer
+	cod   codec
+	sink  bufSink
+	local *Local
+	sever func()
+	wbuf  []byte
+	rbuf  []byte
 }
 
 // Serve runs one shard worker over a request/response byte stream — the
 // child half of the worker backend, on the parent's stdio pipes. It returns
 // nil on an orderly close or EOF (parent gone), an error on a protocol
 // violation.
-func Serve(r io.Reader, w io.Writer) error { return serveStream(r, w, 0, severStreams(r, w)) }
+func Serve(r io.Reader, w io.Writer) error { return serveStream(r, w, severStreams(r, w)) }
 
 // severStreams arms the kill-worker chaos action for a stream pair: closing
 // both ends makes the parent observe a dead worker and makes this serve
@@ -92,14 +91,13 @@ func severStreams(r io.Reader, w io.Writer) func() {
 	}
 }
 
-func serveStream(r io.Reader, w io.Writer, maxFrame int, sever func()) error {
+func serveStream(r io.Reader, w io.Writer, sever func()) error {
 	h := &host{
-		in:       bufio.NewReaderSize(r, 1<<16),
-		out:      w,
-		cod:      jsonCodec{},
-		maxFrame: frameLimit(maxFrame),
-		wbuf:     make([]byte, 0, 4096),
-		sever:    sever,
+		in:    bufio.NewReaderSize(r, 1<<16),
+		out:   w,
+		cod:   jsonCodec{},
+		wbuf:  make([]byte, 0, 4096),
+		sever: sever,
 	}
 	return h.run()
 }
@@ -107,7 +105,7 @@ func serveStream(r io.Reader, w io.Writer, maxFrame int, sever func()) error {
 func (h *host) run() error {
 	for {
 		var err error
-		if h.rbuf, err = readFrameInto(h.in, h.rbuf, h.maxFrame); err != nil {
+		if h.rbuf, err = readFrameInto(h.in, h.rbuf, DefaultMaxFrame); err != nil {
 			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 				return nil
 			}
@@ -261,7 +259,7 @@ func (h *host) writeResponse(resp *response) error {
 	if h.wbuf, err = h.cod.AppendResponse(h.wbuf, resp); err != nil {
 		return err
 	}
-	if err := finishFrame(h.wbuf, h.maxFrame); err != nil {
+	if err := finishFrame(h.wbuf, DefaultMaxFrame); err != nil {
 		return err
 	}
 	_, err = h.out.Write(h.wbuf)
@@ -289,9 +287,6 @@ type ServeConfig struct {
 	// Secret is the shared handshake secret; serving refuses to start
 	// without one.
 	Secret string
-	// MaxFrame overrides the per-frame size limit (0 means
-	// DefaultMaxFrame). Both sides of a connection must agree.
-	MaxFrame int
 	// Logf, when non-nil, receives one line per connection event.
 	Logf func(format string, args ...any)
 }
@@ -339,7 +334,7 @@ func ServeListener(ln net.Listener, cfg ServeConfig) error {
 				return
 			}
 			logf("aimes-worker: %s: shard connected", nc.RemoteAddr())
-			if err := serveStream(nc, nc, cfg.MaxFrame, func() { nc.Close() }); err != nil {
+			if err := serveStream(nc, nc, func() { nc.Close() }); err != nil {
 				logf("aimes-worker: %s: shard failed: %v", nc.RemoteAddr(), err)
 				return
 			}

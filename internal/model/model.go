@@ -101,9 +101,6 @@ func New(cfg Config) *CostModel {
 	return m
 }
 
-// Shards reports the shard count the model covers.
-func (m *CostModel) Shards() int { return len(m.fits) }
-
 // Observation is one completed job's measured outcome, fed back into the
 // shard's fit. All times are virtual seconds.
 type Observation struct {

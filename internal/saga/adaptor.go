@@ -165,181 +165,3 @@ func (a *BatchAdaptor) Cancel(job Job) bool {
 	})
 	return canceled
 }
-
-// localJob implements Job for the local adaptor.
-type localJob struct {
-	id        string
-	desc      Description
-	state     State
-	detail    string
-	submitted sim.Time
-	started   sim.Time
-	ended     sim.Time
-	cb        StateCallback
-	endEvent  *sim.Event
-	startEv   *sim.Event
-}
-
-func (j *localJob) ID() string               { return j.id }
-func (j *localJob) State() State             { return j.state }
-func (j *localJob) Detail() string           { return j.detail }
-func (j *localJob) Description() Description { return j.desc }
-func (j *localJob) Resource() string         { return "localhost" }
-func (j *localJob) SubmittedAt() sim.Time    { return j.submitted }
-func (j *localJob) StartedAt() sim.Time      { return j.started }
-func (j *localJob) EndedAt() sim.Time        { return j.ended }
-
-func (j *localJob) transition(state State, detail string) {
-	j.state = state
-	j.detail = detail
-	if j.cb != nil {
-		j.cb(j, state)
-	}
-}
-
-// LocalAdaptor executes jobs immediately on a local core pool with no queue
-// wait — SAGA's "fork" adaptor. Under a RealTime engine the delays are real,
-// which is how the examples run workloads on the user's machine.
-type LocalAdaptor struct {
-	eng         sim.Engine
-	cores       int
-	free        int
-	seq         int
-	backlog     []*localJob
-	dispatching bool
-	redispatch  bool
-}
-
-// NewLocalAdaptor returns a local executor with the given core count.
-func NewLocalAdaptor(eng sim.Engine, cores int) *LocalAdaptor {
-	if cores <= 0 {
-		panic(fmt.Sprintf("saga: local adaptor with %d cores", cores))
-	}
-	return &LocalAdaptor{eng: eng, cores: cores, free: cores}
-}
-
-var _ Service = (*LocalAdaptor)(nil)
-
-// Resource implements Service.
-func (a *LocalAdaptor) Resource() string { return "localhost" }
-
-// Submit implements Service. Under a RealTime engine the caller's goroutine
-// races with timer callbacks (the zero-delay Pending transition can fire
-// before Submit returns), so the mutable job/backlog state is only touched
-// under the engine's callback serialization.
-func (a *LocalAdaptor) Submit(d Description, cb StateCallback) (Job, error) {
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
-	if d.Cores > a.cores {
-		return nil, fmt.Errorf("saga: localhost has %d cores, job wants %d", a.cores, d.Cores)
-	}
-	var j *localJob
-	sim.Locked(a.eng, func() {
-		a.seq++
-		j = &localJob{
-			id:        fmt.Sprintf("localhost.%04d", a.seq),
-			desc:      d,
-			state:     New,
-			cb:        cb,
-			submitted: a.eng.Now(),
-		}
-		// Transition to Pending on a fresh callback so the caller sees states
-		// only after Submit returns.
-		j.startEv = a.eng.Schedule(0, func() {
-			j.startEv = nil
-			j.transition(Pending, "")
-			a.backlog = append(a.backlog, j)
-			a.dispatch()
-		})
-	})
-	return j, nil
-}
-
-// Cancel implements Service. The body runs under the engine's callback
-// serialization for the same reason as Submit's.
-func (a *LocalAdaptor) Cancel(job Job) bool {
-	j, ok := job.(*localJob)
-	if !ok {
-		return false
-	}
-	var canceled bool
-	sim.Locked(a.eng, func() {
-		if j.state.Final() {
-			return
-		}
-		if j.startEv != nil {
-			a.eng.Cancel(j.startEv)
-			j.startEv = nil
-		}
-		if j.endEvent != nil {
-			a.eng.Cancel(j.endEvent)
-			j.endEvent = nil
-			a.free += j.desc.Cores
-		}
-		for i, b := range a.backlog {
-			if b == j {
-				a.backlog = append(a.backlog[:i], a.backlog[i+1:]...)
-				break
-			}
-		}
-		j.ended = a.eng.Now()
-		j.transition(Canceled, "")
-		a.dispatch()
-		canceled = true
-	})
-	return canceled
-}
-
-// dispatch starts backlogged jobs that fit the free cores. Reentrant calls
-// from callbacks collapse into a rescan by the outermost invocation.
-func (a *LocalAdaptor) dispatch() {
-	if a.dispatching {
-		a.redispatch = true
-		return
-	}
-	a.dispatching = true
-	defer func() { a.dispatching = false }()
-	for {
-		a.redispatch = false
-		a.dispatchOnce()
-		if !a.redispatch {
-			return
-		}
-	}
-}
-
-func (a *LocalAdaptor) dispatchOnce() {
-	pending := a.backlog
-	a.backlog = nil
-	var rest []*localJob
-	for _, j := range pending {
-		if j.state != Pending {
-			continue // canceled during this scan
-		}
-		if j.desc.Cores > a.free {
-			rest = append(rest, j)
-			continue
-		}
-		a.free -= j.desc.Cores
-		j.started = a.eng.Now()
-		j.transition(Running, "")
-		hold := j.desc.Runtime
-		final := Done
-		detail := ""
-		if j.desc.Runtime > j.desc.Walltime {
-			hold = j.desc.Walltime
-			final = Failed
-			detail = "walltime"
-		}
-		job := j
-		j.endEvent = a.eng.Schedule(hold, func() {
-			job.endEvent = nil
-			a.free += job.desc.Cores
-			job.ended = a.eng.Now()
-			job.transition(final, detail)
-			a.dispatch()
-		})
-	}
-	a.backlog = append(rest, a.backlog...)
-}

@@ -1,75 +1,32 @@
 package saga
 
 import (
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
+	"aimes/internal/batch"
 	"aimes/internal/sim"
+	"aimes/internal/site"
 )
-
-// TestRealTimeLocalAdaptorRace is the regression test for the data race
-// between LocalAdaptor.Submit (running on the caller's goroutine) and the
-// RealTime engine's timer callbacks (which nil j.startEv and mutate the
-// backlog). Run with -race: many goroutines submit short jobs concurrently
-// while others cancel, so submissions, cancellations and the zero-delay
-// Pending/dispatch callbacks interleave heavily.
-func TestRealTimeLocalAdaptorRace(t *testing.T) {
-	eng := sim.NewRealTime()
-	a := NewLocalAdaptor(eng, 8)
-
-	const (
-		goroutines = 8
-		perG       = 16
-	)
-	var terminal atomic.Int64
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < perG; i++ {
-				j, err := a.Submit(Description{
-					Executable: "noop",
-					Cores:      1,
-					Walltime:   time.Minute,
-					Runtime:    time.Duration(i%3) * time.Millisecond,
-				}, func(_ Job, s State) {
-					if s.Final() {
-						terminal.Add(1)
-					}
-				})
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				// Interleave cancels with in-flight zero-delay callbacks:
-				// some land before the Pending transition, some after the
-				// job already finished.
-				if i%4 == g%4 {
-					a.Cancel(j)
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	eng.Wait()
-
-	if got, want := terminal.Load(), int64(goroutines*perG); got != want {
-		t.Fatalf("terminal callbacks = %d, want %d (every job must end exactly once)", got, want)
-	}
-}
 
 // TestRealTimeSyncReentrant verifies that Sync'd entry points may be called
 // from inside engine callbacks without deadlocking — the pattern adaptors
 // hit when a state callback submits a follow-up job.
 func TestRealTimeSyncReentrant(t *testing.T) {
 	eng := sim.NewRealTime()
-	a := NewLocalAdaptor(eng, 2)
+	s, err := site.New(eng, site.Config{
+		Name: "fast", Nodes: 2, CoresPerNode: 1, Architecture: "beowulf",
+		WaitModel:     batch.WaitModel{MedianWait: time.Millisecond, Sigma: 0.1, MinWait: time.Millisecond, MaxWait: 5 * time.Millisecond},
+		SubmitLatency: time.Millisecond,
+		BandwidthMBps: 1000, NetLatency: time.Millisecond,
+	}, sim.NewRNG(1).Child("site"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := NewBatchAdaptor(eng, s)
 
 	done := make(chan struct{})
-	_, err := a.Submit(Description{
+	_, err = a.Submit(Description{
 		Executable: "first", Cores: 1, Walltime: time.Minute, Runtime: time.Millisecond,
 	}, func(_ Job, s State) {
 		if s != Done {

@@ -2,8 +2,7 @@
 // RADICAL-SAGA (the reference implementation of the OGF SAGA standard): a
 // uniform job-submission API with per-resource adaptors. The pilot system
 // submits pilot jobs through this layer without knowing whether the target is
-// a simulated PBS/Slurm machine, a stochastic queue model, or an in-process
-// local executor.
+// a simulated PBS/Slurm machine or a stochastic queue model.
 package saga
 
 import (

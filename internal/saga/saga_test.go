@@ -174,92 +174,20 @@ func TestBatchAdaptorCancelRunning(t *testing.T) {
 	}
 }
 
-func TestLocalAdaptorRunsJobs(t *testing.T) {
-	eng := sim.NewSim()
-	a := NewLocalAdaptor(eng, 4)
-	var doneAt [3]sim.Time
-	for i := 0; i < 3; i++ {
-		idx := i
-		_, err := a.Submit(Description{
-			Executable: "sleep", Cores: 2, Walltime: time.Hour, Runtime: 10 * time.Second,
-		}, func(j Job, s State) {
-			if s == Done {
-				doneAt[idx] = eng.Now()
-			}
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	eng.Run()
-	// 4 cores, 2 per job: two run immediately, the third waits.
-	if doneAt[0] != sim.Time(10*time.Second) || doneAt[1] != sim.Time(10*time.Second) {
-		t.Fatalf("first two done at %v/%v, want 10s", doneAt[0], doneAt[1])
-	}
-	if doneAt[2] != sim.Time(20*time.Second) {
-		t.Fatalf("third done at %v, want 20s", doneAt[2])
-	}
-}
-
-func TestLocalAdaptorWalltime(t *testing.T) {
-	eng := sim.NewSim()
-	a := NewLocalAdaptor(eng, 4)
-	job, err := a.Submit(Description{
-		Executable: "spin", Cores: 1, Walltime: 5 * time.Second, Runtime: time.Hour,
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.Run()
-	if job.State() != Failed || job.Detail() != "walltime" {
-		t.Fatalf("state %v detail %q", job.State(), job.Detail())
-	}
-}
-
-func TestLocalAdaptorCancel(t *testing.T) {
-	eng := sim.NewSim()
-	a := NewLocalAdaptor(eng, 1)
-	running, _ := a.Submit(Description{Cores: 1, Walltime: time.Hour, Runtime: time.Hour}, nil)
-	queued, _ := a.Submit(Description{Cores: 1, Walltime: time.Hour, Runtime: time.Second}, nil)
-	eng.Schedule(time.Minute, func() {
-		if !a.Cancel(running) {
-			t.Error("cancel running failed")
-		}
-	})
-	eng.Run()
-	if running.State() != Canceled {
-		t.Fatalf("running job state %v", running.State())
-	}
-	if queued.State() != Done {
-		t.Fatalf("queued job state %v, want DONE after cancel freed the core", queued.State())
-	}
-	if queued.StartedAt() != sim.Time(time.Minute) {
-		t.Fatalf("queued started at %v, want 1m", queued.StartedAt())
-	}
-}
-
-func TestLocalAdaptorRejects(t *testing.T) {
-	eng := sim.NewSim()
-	a := NewLocalAdaptor(eng, 2)
-	if _, err := a.Submit(Description{Cores: 4, Walltime: time.Hour, Runtime: time.Second}, nil); err == nil {
-		t.Fatal("oversubscription accepted")
-	}
-}
-
 func TestSessionRegistry(t *testing.T) {
 	eng := sim.NewSim()
 	sess := NewSession()
-	local := NewLocalAdaptor(eng, 2)
-	sess.Register(local)
-	got, err := sess.Service("localhost")
-	if err != nil || got != local {
+	a := NewBatchAdaptor(eng, testSite(t, eng))
+	sess.Register(a)
+	got, err := sess.Service("stampede")
+	if err != nil || got != a {
 		t.Fatalf("lookup failed: %v", err)
 	}
 	if _, err := sess.Service("nope"); err == nil {
 		t.Fatal("unknown resource lookup succeeded")
 	}
 	rs := sess.Resources()
-	if len(rs) != 1 || rs[0] != "localhost" {
+	if len(rs) != 1 || rs[0] != "stampede" {
 		t.Fatalf("resources = %v", rs)
 	}
 	defer func() {
@@ -267,7 +195,7 @@ func TestSessionRegistry(t *testing.T) {
 			t.Fatal("duplicate registration did not panic")
 		}
 	}()
-	sess.Register(NewLocalAdaptor(eng, 2))
+	sess.Register(NewBatchAdaptor(eng, testSite(t, eng)))
 }
 
 func TestStateStrings(t *testing.T) {
@@ -279,27 +207,5 @@ func TestStateStrings(t *testing.T) {
 	}
 	if State(42).String() != "State(42)" {
 		t.Fatal("unknown state formatting wrong")
-	}
-}
-
-func TestRealTimeLocalAdaptor(t *testing.T) {
-	// The same adaptor code must work on the wall-clock engine.
-	eng := sim.NewRealTime()
-	a := NewLocalAdaptor(eng, 2)
-	done := make(chan struct{})
-	_, err := a.Submit(Description{
-		Executable: "sleep", Cores: 1, Walltime: time.Minute, Runtime: 5 * time.Millisecond,
-	}, func(_ Job, s State) {
-		if s == Done {
-			close(done)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("job did not complete in real time")
 	}
 }

@@ -79,9 +79,6 @@ func NewPicker(n int) *Picker {
 	return &Picker{n: n}
 }
 
-// Shards reports the number of shards the picker places onto.
-func (p *Picker) Shards() int { return p.n }
-
 // SetModel wires the analytical cost model the Predictive policy consults.
 // Call it once at environment construction, before any Pick.
 func (p *Picker) SetModel(m PlacementModel) { p.model = m }

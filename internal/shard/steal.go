@@ -33,9 +33,6 @@ func NewStealer(n int) *Stealer {
 	}
 }
 
-// Shards reports the number of shards the stealer coordinates.
-func (s *Stealer) Shards() int { return len(s.queued) }
-
 // NoteQueued adjusts shard k's count of queued migratable jobs. The
 // environment calls it under shard k's engine lock whenever a migratable job
 // enters or leaves k's admission queue.
@@ -92,16 +89,3 @@ func (s *Stealer) CountForeignPump() { s.foreignPumps.Add(1) }
 
 // ForeignPumps reports how many foreign event batches waiters fired.
 func (s *Stealer) ForeignPumps() int64 { return s.foreignPumps.Load() }
-
-// ShouldMigrate reports whether moving a job of the given cost (expected
-// core-seconds, in the same unit as the loads) from origin to dest reduces
-// imbalance enough to pay for the handoff: the destination must remain
-// strictly better off than the origin even after receiving the job. The
-// margin makes stealing self-limiting — once loads are within one job of
-// each other, nothing moves, so jobs cannot ping-pong between shards.
-func ShouldMigrate(originLoad, destLoad, cost float64) bool {
-	if cost <= 0 {
-		cost = 1
-	}
-	return destLoad+cost <= originLoad-cost
-}

@@ -45,41 +45,6 @@ func TestStealerCounters(t *testing.T) {
 	}
 }
 
-func TestShouldMigrateMargin(t *testing.T) {
-	cases := []struct {
-		origin, dest, cost float64
-		want               bool
-	}{
-		{origin: 10, dest: 0, cost: 2, want: true},   // clear win
-		{origin: 4, dest: 0, cost: 2, want: true},    // exactly at the margin
-		{origin: 3, dest: 0, cost: 2, want: false},   // within one job of balance
-		{origin: 10, dest: 10, cost: 2, want: false}, // balanced
-		{origin: 2, dest: 0, cost: 0, want: true},    // zero cost clamps to 1
-		{origin: 1, dest: 0, cost: 0, want: false},
-	}
-	for _, c := range cases {
-		if got := ShouldMigrate(c.origin, c.dest, c.cost); got != c.want {
-			t.Fatalf("ShouldMigrate(%v, %v, %v) = %v, want %v", c.origin, c.dest, c.cost, got, c.want)
-		}
-	}
-	// Self-limiting: applying the verdict repeatedly converges instead of
-	// ping-ponging a job between two shards forever.
-	origin, dest, cost := 10.0, 0.0, 1.0
-	for moves := 0; ; moves++ {
-		if moves > 10 {
-			t.Fatal("migration did not converge")
-		}
-		if !ShouldMigrate(origin, dest, cost) {
-			if ShouldMigrate(dest, origin, cost) {
-				t.Fatalf("ping-pong at origin=%v dest=%v", origin, dest)
-			}
-			break
-		}
-		origin -= cost
-		dest += cost
-	}
-}
-
 func TestNewStealerPanicsOnZeroShards(t *testing.T) {
 	defer func() {
 		if recover() == nil {

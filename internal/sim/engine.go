@@ -112,31 +112,6 @@ type Engine interface {
 	Cancel(ev *Event) bool
 }
 
-// BatchStepper is implemented by engines whose time only advances when a
-// driver fires events explicitly (Sim), a bounded batch per call. Engines that
-// advance on their own (RealTime) do not implement it; a backend uses the
-// distinction to decide between stepping virtual time and waiting on
-// wall-clock completion. The pump that drives the engine under an external
-// lock (the sharded environment's per-shard pump) yields the lock between
-// batches.
-type BatchStepper interface {
-	// StepN fires up to n pending events and reports how many fired; a
-	// return below n means the queue drained.
-	StepN(n int) int
-}
-
-// Quiescer is implemented by steppable engines that can report, without
-// firing anything, whether a Step would fire an event. It is the
-// non-blocking query half of the StepN pump seam that cross-shard work
-// stealing builds on: a waiter distinguishes a drained-but-blocked engine
-// (nothing runnable although the workload is incomplete) from a merely busy
-// one before deciding to migrate work or pump another shard, without
-// perturbing the event queue it inspects.
-type Quiescer interface {
-	// Runnable reports whether at least one non-canceled event is pending.
-	Runnable() bool
-}
-
 // Sim is the deterministic discrete-event Engine. It is not safe for
 // concurrent use: a single goroutine owns a Sim, and all scheduled callbacks
 // run on that goroutine inside Run/Step.
@@ -162,11 +137,7 @@ type Sim struct {
 // NewSim returns an empty simulation positioned at the epoch.
 func NewSim() *Sim { return &Sim{} }
 
-var (
-	_ Engine       = (*Sim)(nil)
-	_ BatchStepper = (*Sim)(nil)
-	_ Quiescer     = (*Sim)(nil)
-)
+var _ Engine = (*Sim)(nil)
 
 // Now returns the current virtual time.
 func (s *Sim) Now() Time { return s.now }
@@ -278,12 +249,18 @@ func (s *Sim) Step() bool {
 	return true
 }
 
-// Runnable implements Quiescer: it reports whether a Step would fire an
-// event, firing nothing.
+// Runnable reports whether a Step would fire an event, firing nothing — the
+// non-blocking query half of the StepN pump seam that cross-shard work
+// stealing builds on: a waiter tells a drained-but-blocked engine (nothing
+// runnable although the workload is incomplete) from a merely busy one
+// without perturbing the event queue it inspects.
 func (s *Sim) Runnable() bool { return s.pending > 0 }
 
-// StepN implements BatchStepper: it fires up to n pending events and reports
-// how many fired. A return below n means the queue drained.
+// StepN fires up to n pending events and reports how many fired; a return
+// below n means the queue drained. Only a Sim is stepped: its time advances
+// when a driver fires events, a bounded batch per call, so a pump that drives
+// it under an external lock (the sharded environment's per-shard pump) yields
+// the lock between batches; RealTime advances on its own.
 func (s *Sim) StepN(n int) int {
 	fired := 0
 	for fired < n && s.Step() {

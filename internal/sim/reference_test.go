@@ -141,11 +141,11 @@ func (s *refSim) Step() bool {
 	return false
 }
 
-// Runnable implements Quiescer: it reports whether a Step would fire an
+// Runnable mirrors Sim.Runnable: it reports whether a Step would fire an
 // event, discarding canceled queue heads but firing nothing.
 func (s *refSim) Runnable() bool { return s.peek() != nil }
 
-// StepN implements BatchStepper: it fires up to n pending events and reports
+// StepN mirrors Sim.StepN: it fires up to n pending events and reports
 // how many fired. A return below n means the queue drained.
 func (s *refSim) StepN(n int) int {
 	fired := 0

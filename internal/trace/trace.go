@@ -13,10 +13,11 @@
 package trace
 
 import (
+	"encoding/csv"
 	"encoding/json"
-	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 
 	"aimes/internal/sim"
@@ -105,19 +106,22 @@ func (r *Recorder) WriteJSON(w io.Writer) error {
 	return enc.Encode(r.records)
 }
 
-// WriteCSV streams the records as CSV with a header row.
+// WriteCSV streams the records as CSV with a header row. Fields are quoted
+// as needed: a detail is free text (a cancel reason arrives from the client).
 func (r *Recorder) WriteCSV(w io.Writer) error {
-	if _, err := io.WriteString(w, "time_s,entity,state,detail\n"); err != nil {
+	cw := csv.NewWriter(w)
+	if err := cw.Write([]string{"time_s", "entity", "state", "detail"}); err != nil {
 		return err
 	}
 	for _, rec := range r.records {
-		detail := strings.ReplaceAll(rec.Detail, ",", ";")
-		if _, err := fmt.Fprintf(w, "%.3f,%s,%s,%s\n",
-			rec.Time.Seconds(), rec.Entity, rec.State, detail); err != nil {
+		if err := cw.Write([]string{
+			strconv.FormatFloat(rec.Time.Seconds(), 'f', 3, 64), rec.Entity, rec.State, rec.Detail,
+		}); err != nil {
 			return err
 		}
 	}
-	return nil
+	cw.Flush()
+	return cw.Error()
 }
 
 // StateMigrated is the execution-manager ("em") trace state recorded when a

@@ -2,10 +2,11 @@ package trace
 
 import (
 	"bytes"
+	"encoding/csv"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"sort"
-	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -61,19 +62,29 @@ func TestRecorderJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRecorderCSV round-trips a free-text detail — a comma, a quote and a
+// newline, as a client-supplied cancel reason may hold — through csv.Reader:
+// every row keeps the header's field count and the detail comes back intact.
 func TestRecorderCSV(t *testing.T) {
+	const detail = "user said \"stop\", twice\nthen left"
 	r := NewRecorder()
-	r.Record(at(1), "a", "S1", "x,y")
+	r.Record(at(1), "em", "CANCELED", detail)
+	r.Record(at(2), "unit.a", "DONE", "")
 	var buf bytes.Buffer
 	if err := r.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
-	if !strings.HasPrefix(out, "time_s,entity,state,detail\n") {
-		t.Fatalf("missing header: %q", out)
+	rows, err := csv.NewReader(&buf).ReadAll() // errors on a row of another width
+	if err != nil {
+		t.Fatalf("not CSV: %v\n%s", err, buf.String())
 	}
-	if !strings.Contains(out, "1.000,a,S1,x;y") {
-		t.Fatalf("row not found or comma not escaped: %q", out)
+	want := [][]string{
+		{"time_s", "entity", "state", "detail"},
+		{"1.000", "em", "CANCELED", detail},
+		{"2.000", "unit.a", "DONE", ""},
+	}
+	if !reflect.DeepEqual(rows, want) {
+		t.Fatalf("rows %q, want %q", rows, want)
 	}
 }
 

@@ -164,6 +164,6 @@ done
 [ -n "$addr" ] || fail "worker host never reported its address"
 echo "[tcp] worker host at $addr"
 
-run_leg tcp -shards 2 -worker-addr "$addr" -worker-secret-file "$work/secret.txt"
+run_leg tcp -shards 2 -worker-endpoints "$addr" -worker-secret-file "$work/secret.txt"
 
 echo "server_smoke: OK"

@@ -1,0 +1,59 @@
+#!/bin/sh
+# uncovered.sh [coverprofile] — product functions no test reaches.
+#
+# One `go test -count=1 -coverpkg=./... -coverprofile` run over the whole
+# module (or the given profile, to re-read one), then every function at 0 %
+# outside cmd/, examples/ and bench/ is printed: code only a main package can
+# reach, or nothing can. It fails when one of them is surface somebody else
+# calls — an exported function or method of an exported type in package aimes
+# or client, or a handle* route of internal/server — so a public name is
+# either exercised by a test or deleted, and the list a shrink PR starts from
+# does not have to be compiled by hand.
+set -eu
+cd "$(dirname "$0")/.."
+GO=${GO:-go}
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+
+profile=${1:-}
+if [ -z "$profile" ]; then
+    profile=$tmp/cover.out
+    if ! "$GO" test -count=1 -coverpkg=./... -coverprofile="$profile" ./... >"$tmp/test.log" 2>&1; then
+        cat "$tmp/test.log"
+        exit 1
+    fi
+fi
+module=$("$GO" list -m)
+
+"$GO" tool cover -func="$profile" | awk '$NF == "0.0%" { print $1, $2 }' | sort -u >"$tmp/zero"
+: >"$tmp/public"
+while read -r loc fn; do
+    path=${loc#"$module"/}
+    path=${path%%:*}
+    line=${loc#*:}
+    line=${line%%:*}
+    case $path in cmd/* | examples/* | bench/*) continue ;; esac
+    mark=' '
+    case $(dirname "$path") in
+    . | client)
+        # Exported only if the name and, for a method, the receiver's type
+        # are: the declaration is on the line the profile names.
+        if sed -n "${line}p" "$path" |
+            grep -Eq '^func (\(([A-Za-z_][A-Za-z0-9_]* )?\*?[A-Z][A-Za-z0-9_]*\) )?[A-Z]'; then
+            mark='!'
+        fi
+        ;;
+    internal/server)
+        case $fn in handle*) mark='!' ;; esac
+        ;;
+    esac
+    printf '%s %s:%s %s\n' "$mark" "$path" "$line" "$fn"
+    [ "$mark" = ' ' ] || echo "$path:$line $fn" >>"$tmp/public"
+done <"$tmp/zero"
+
+if [ -s "$tmp/public" ]; then
+    echo "uncovered: public surface no test reaches (marked ! above) — test it or delete it:" >&2
+    cat "$tmp/public" >&2
+    exit 1
+fi
+echo "uncovered: every exported name of aimes and client and every server route is reached by a test"

@@ -645,3 +645,67 @@ func TestServerReplayWholeJob(t *testing.T) {
 		t.Fatalf("after both replays: %+v, %v", again, err)
 	}
 }
+
+// TestServerEnvEvents: GET /v1/events through client.EnvEvents is
+// Environment.Subscribe over HTTP — a stream opened before any job exists
+// delivers, record for record, what a Recorder snapshot holds once the jobs
+// are done (one shard, so arrival order is the snapshot's order), carries no
+// Seq and no terminal event, and ends cleanly when the subscriber closes it.
+func TestServerEnvEvents(t *testing.T) {
+	env, err := aimes.NewEnv(aimes.WithSeed(31), aimes.WithShards(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, hs := testDaemon(t, env, map[string]server.Tenant{"tok": {Name: "watcher"}})
+	c := client.New(hs.URL, "tok")
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	if _, err := client.New(hs.URL, "wrong").EnvEvents(ctx); err == nil {
+		t.Fatal("EnvEvents with an unknown token succeeded")
+	}
+	stream, err := c.EnvEvents(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		w, err := aimes.GenerateWorkload(aimes.BagOfTasks(6, aimes.UniformDuration()), int64(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		info, err := c.Submit(ctx, w, client.SubmitOptions{Config: parityCfgs[0]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Wait(ctx, info.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	want := env.Recorder().Records()
+	if len(want) == 0 {
+		t.Fatal("two finished jobs recorded nothing")
+	}
+	for i, rec := range want {
+		select {
+		case ev, ok := <-stream.C:
+			if !ok {
+				t.Fatalf("stream ended after %d of %d records: %v", i, len(want), stream.Err())
+			}
+			if ev.Seq != 0 || ev.Job != "" {
+				t.Fatalf("environment event %d carries seq %d, job %q", i, ev.Seq, ev.Job)
+			}
+			if ev.Time != rec.Time.Duration() || ev.Entity != rec.Entity || ev.State != rec.State || ev.Detail != rec.Detail {
+				t.Fatalf("event %d is %+v, the recorder holds %+v", i, ev, rec)
+			}
+		case <-ctx.Done():
+			t.Fatalf("timed out after %d of %d records", i, len(want))
+		}
+	}
+	stream.Close()
+	for range stream.C {
+	}
+	if stream.Err() != nil || stream.Final() != nil || stream.Dropped() != 0 {
+		t.Fatalf("closed stream: err %v, final %+v, dropped %d", stream.Err(), stream.Final(), stream.Dropped())
+	}
+}

@@ -438,6 +438,72 @@ func TestPinnedSealingBlocksMigrants(t *testing.T) {
 	}
 }
 
+// TestStalledJobWithNoOpenShardFails wedges a sealed shard's whole admission
+// window — four early-binding tenants whose only pilot sits in a queue an
+// outage took offline for good — and queues a migratable job behind it while
+// the only other shard is sealed too. The engine drains with the job still a
+// descriptor: nothing can ever admit it and no shard can take it, so its
+// waiter must fail it with that diagnosis rather than spin; the wedged
+// tenants then fail with the backend's own.
+func TestStalledJobWithNoOpenShardFails(t *testing.T) {
+	env, err := aimes.NewEnv(aimes.WithSeed(808), aimes.WithShards(2), aimes.WithWorkStealing())
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := aimes.GenerateWorkload(aimes.BagOfTasks(4, aimes.UniformDuration()), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	sealer, err := env.Submit(ctx, w, aimes.JobConfig{StrategyConfig: stealCfg, Placement: aimes.PlacePinned, Shard: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := env.InjectChaos(0, aimes.ChaosEvent{Action: "outage", Target: "stampede", After: 20 * time.Second}); err != nil {
+		t.Fatal(err)
+	}
+	var wedged []*aimes.Job
+	for i := 0; i < 4; i++ {
+		j, err := env.Submit(ctx, w, aimes.JobConfig{
+			StrategyConfig: aimes.StrategyConfig{Binding: aimes.EarlyBinding, Scheduler: aimes.SchedDirect, Pilots: 1,
+				Selection: aimes.SelectFixed, FixedResources: []string{"stampede"}},
+			Placement: aimes.PlacePinned, Shard: 0,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wedged = append(wedged, j)
+	}
+	stalled, err := env.Submit(ctx, w, skewedJob())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stalled.State() != aimes.JobQueued {
+		t.Fatalf("fifth job on the sealed shard is %v, want queued behind its window of 4", stalled.State())
+	}
+
+	_, err = stalled.Wait(ctx)
+	if err == nil || !strings.Contains(err.Error(), "behind 4 wedged jobs and no open shard") {
+		t.Fatalf("stalled job ended with %v, want the no-open-shard diagnosis", err)
+	}
+	if stalled.State() != aimes.JobFailed || stalled.Migrated() || stalled.Namespace() != "" {
+		t.Fatalf("stalled job: state %v, migrated %v, namespace %q; want failed where it queued, never enacted",
+			stalled.State(), stalled.Migrated(), stalled.Namespace())
+	}
+	if l := env.Loads()[0]; l.Queued != 0 || l.Running != 4 {
+		t.Fatalf("shard 0 after the failure: %d queued, %d running; want 0 and the 4 wedged tenants", l.Queued, l.Running)
+	}
+	for i, j := range wedged {
+		if _, err := j.Wait(ctx); err == nil || !strings.Contains(err.Error(), "incomplete") {
+			t.Fatalf("wedged tenant %d ended with %v, want the backend's drained-but-incomplete diagnostic", i, err)
+		}
+	}
+	if r, err := sealer.Wait(ctx); err != nil || r.UnitsDone != 4 {
+		t.Fatalf("the other shard's tenant: %+v, %v", r, err)
+	}
+}
+
 // TestQueuedJobCancel cancels jobs that are still queued behind the
 // admission window: they must complete immediately in JobCanceled with every
 // unit accounted as canceled and without ever enacting (empty namespace, no
