@@ -32,18 +32,23 @@ lint:
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
 
-# Where the time and the allocations go: CPU and allocation profiles of the
-# paper's matrix (Table I experiments 1-4 x sizes 8..2048; BenchmarkFigure2
-# runs it, BenchmarkTableI only its 8-task column), as top-30 text tables in
-# profile/ (git-ignored). The profiled path is the one the benchmark's
-# paper-matrix workload measures — the harness runs every cell as NewEnv,
-# Submit, Wait, so the tables show shardEnv.pump, StepN and trace.Log.Append —
-# plus what the harness adds per run: a fresh environment and the workload's
-# generation. A perf change names its layer from these tables, before and
-# after. bench/ itself has no profile flag.
+# Where the time and the allocations go: CPU and allocation profiles of one
+# root benchmark, BENCH=<regexp>, as top-30 text tables in profile/
+# (git-ignored). The default is the paper's matrix (Table I experiments 1-4 x
+# sizes 8..2048; BenchmarkFigure2 runs it, BenchmarkTableI only its 8-task
+# column): the path the benchmark's paper-matrix workload measures — the
+# harness runs every cell as NewEnv, Submit, Wait, so the tables show
+# shardEnv.pump, StepN and trace.Log.Append — plus what the harness adds per
+# run: a fresh environment and the workload's generation.
+# BENCH=BenchmarkServiceJobSSE is the service-stream path (client, daemon, SSE)
+# and BENCH=BenchmarkWorkerJob the parent side of fleet-mixed's wire; those
+# want BENCHTIME=500x or so. A perf change names its layer from these tables,
+# before and after. bench/ itself has no profile flag.
+BENCH ?= BenchmarkFigure2$$
+BENCHTIME ?= 3x
 profile:
 	mkdir -p profile
-	$(GO) test -run '^$$' -bench 'BenchmarkFigure2$$' -benchtime 3x \
+	$(GO) test -run '^$$' -bench '$(BENCH)' -benchtime $(BENCHTIME) \
 		-o profile/aimes.test -cpuprofile profile/cpu.prof -memprofile profile/mem.prof .
 	$(GO) tool pprof -top -nodecount 30 profile/aimes.test profile/cpu.prof > profile/cpu.txt
 	$(GO) tool pprof -top -nodecount 30 -sample_index=alloc_objects profile/aimes.test profile/mem.prof > profile/alloc_objects.txt

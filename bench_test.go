@@ -12,12 +12,17 @@ package aimes_test
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
+	"net/http/httptest"
 	"testing"
 	"time"
 
+	"aimes"
+	"aimes/client"
 	"aimes/internal/batch"
 	"aimes/internal/experiments"
+	"aimes/internal/server"
 	"aimes/internal/sim"
 	"aimes/internal/trace"
 )
@@ -224,6 +229,81 @@ func BenchmarkSingleRun2048(b *testing.B) {
 		res := experiments.Run(experiments.RunSpec{Exp: def, NTasks: 2048, Rep: i})
 		if res.Err != "" {
 			b.Fatal(res.Err)
+		}
+	}
+}
+
+// BenchmarkServiceJobSSE is the service path one job at a time — client →
+// httptest daemon → 2 local shards, a 12-task job submitted and followed over
+// SSE to its terminal snapshot — so `make profile BENCH=BenchmarkServiceJobSSE`
+// shows what the benchmark's service-stream workload pays per job.
+func BenchmarkServiceJobSSE(b *testing.B) {
+	env, err := aimes.NewEnv(aimes.WithSeed(7741), aimes.WithShards(2))
+	if err != nil {
+		b.Fatal(err)
+	}
+	auth, err := server.NewAuth(map[string]server.Tenant{"tok": {Name: "bench"}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv, err := server.New(server.Config{Env: env, Auth: auth})
+	if err != nil {
+		b.Fatal(err)
+	}
+	hs := httptest.NewServer(srv.Handler())
+	defer func() {
+		hs.Close()
+		srv.Shutdown(context.Background())
+	}()
+	w, err := aimes.GenerateWorkload(aimes.BagOfTasks(12, aimes.UniformDuration()), 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c, ctx := client.New(hs.URL, "tok"), context.Background()
+	opt := client.SubmitOptions{Config: aimes.StrategyConfig{Binding: aimes.LateBinding, Scheduler: aimes.SchedBackfill, Pilots: 2}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		info, err := c.Submit(ctx, w, opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		es, err := c.Events(ctx, info.ID, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for range es.C {
+		}
+		if fin := es.Final(); fin == nil || fin.Report == nil || fin.Report.UnitsDone != 12 {
+			b.Fatalf("job %s: final snapshot %+v (%v)", info.ID, fin, es.Err())
+		}
+	}
+}
+
+// BenchmarkWorkerJob is the wire path one job at a time: a 64-task job on one
+// stdio worker shard (this binary re-executed through WorkerMain), every
+// record decoded from a Step response on this side — the parent's share of
+// the benchmark's fleet-mixed workload.
+func BenchmarkWorkerJob(b *testing.B) {
+	env, err := aimes.NewEnv(append(processWorkers(1), aimes.WithSeed(7741))...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer env.Close()
+	w, err := aimes.GenerateWorkload(aimes.BagOfTasks(64, aimes.UniformDuration()), 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := aimes.JobConfig{StrategyConfig: aimes.StrategyConfig{Binding: aimes.LateBinding, Scheduler: aimes.SchedBackfill, Pilots: 2}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j, err := env.Submit(context.Background(), w, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if r, err := j.Wait(context.Background()); err != nil || r.UnitsDone != 64 {
+			b.Fatalf("job: %+v, %v", r, err)
 		}
 	}
 }

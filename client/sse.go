@@ -2,13 +2,13 @@ package client
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/url"
 	"strconv"
-	"strings"
 	"sync"
 )
 
@@ -117,34 +117,44 @@ func (c *Client) stream(ctx context.Context, path string) (*EventStream, error) 
 
 // consume parses the SSE wire format: "event:"/"data:" lines accumulate
 // until a blank line dispatches them; ":" lines are heartbeat comments.
+// Lines are read in place (ReadSlice) and what outlives one — the event
+// name, the data — is copied into buffers reused for the whole stream.
 func (s *EventStream) consume(ctx context.Context, r *bufio.Reader) error {
-	var event string
-	var data strings.Builder
+	var event, data, spill []byte
+	var tab internTable
 	for {
-		line, err := r.ReadString('\n')
+		line, err := r.ReadSlice('\n')
+		if err == bufio.ErrBufferFull { // a line longer than r's buffer
+			spill = spill[:0]
+			for err == bufio.ErrBufferFull {
+				spill = append(spill, line...)
+				line, err = r.ReadSlice('\n')
+			}
+			spill = append(spill, line...)
+			line = spill
+		}
 		if err != nil {
 			return err
 		}
-		line = strings.TrimRight(line, "\r\n")
+		line = bytes.TrimRight(line, "\r\n")
 		switch {
-		case line == "":
-			if err := s.dispatch(ctx, event, data.String()); err != nil {
+		case len(line) == 0:
+			if err := s.dispatch(ctx, &tab, event, data); err != nil {
 				if err == errStreamDone {
 					return nil
 				}
 				return err
 			}
-			event = ""
-			data.Reset()
-		case strings.HasPrefix(line, ":"):
+			event, data = event[:0], data[:0]
+		case line[0] == ':':
 			// heartbeat comment
-		case strings.HasPrefix(line, "event:"):
-			event = strings.TrimSpace(line[len("event:"):])
-		case strings.HasPrefix(line, "data:"):
-			if data.Len() > 0 {
-				data.WriteByte('\n')
+		case bytes.HasPrefix(line, []byte("event:")):
+			event = append(event[:0], bytes.TrimSpace(line[len("event:"):])...)
+		case bytes.HasPrefix(line, []byte("data:")):
+			if len(data) > 0 {
+				data = append(data, '\n')
 			}
-			data.WriteString(strings.TrimPrefix(strings.TrimSpace(line[len("data:"):]), " "))
+			data = append(data, bytes.TrimSpace(line[len("data:"):])...)
 		}
 	}
 }
@@ -152,12 +162,15 @@ func (s *EventStream) consume(ctx context.Context, r *bufio.Reader) error {
 // errStreamDone signals a clean, server-terminated stream.
 var errStreamDone = fmt.Errorf("done")
 
-func (s *EventStream) dispatch(ctx context.Context, event, data string) error {
-	switch event {
+func (s *EventStream) dispatch(ctx context.Context, tab *internTable, event, data []byte) error {
+	switch string(event) {
 	case "job", "trace":
 		var ev Event
-		if err := json.Unmarshal([]byte(data), &ev); err != nil {
-			return fmt.Errorf("client: bad %s event %q: %w", event, data, err)
+		if !tab.decodeEvent(data, &ev) {
+			var err error
+			if ev, err = unmarshalEvent(data); err != nil {
+				return fmt.Errorf("client: bad %s event %q: %w", event, data, err)
+			}
 		}
 		select {
 		case s.ch <- ev:
@@ -166,7 +179,7 @@ func (s *EventStream) dispatch(ctx context.Context, event, data string) error {
 		}
 	case "dropped":
 		var d Dropped
-		if err := json.Unmarshal([]byte(data), &d); err != nil {
+		if err := json.Unmarshal(data, &d); err != nil {
 			return fmt.Errorf("client: bad dropped event %q: %w", data, err)
 		}
 		s.mu.Lock()
@@ -174,7 +187,7 @@ func (s *EventStream) dispatch(ctx context.Context, event, data string) error {
 		s.mu.Unlock()
 	case "done":
 		var info JobInfo
-		if err := json.Unmarshal([]byte(data), &info); err != nil {
+		if err := json.Unmarshal(data, &info); err != nil {
 			return fmt.Errorf("client: bad done event %q: %w", data, err)
 		}
 		s.mu.Lock()
@@ -183,4 +196,95 @@ func (s *EventStream) dispatch(ctx context.Context, event, data string) error {
 		return errStreamDone // clean end; the server closes after done
 	}
 	return nil
+}
+
+// unmarshalEvent is encoding/json's decoding of an event payload: the
+// reference decodeEvent must agree with (FuzzDecodeEvent) and the path of
+// every payload it declines. Out of line, so that the Event dispatch decodes
+// into does not escape to the heap on the fast path.
+func unmarshalEvent(data []byte) (ev Event, err error) {
+	err = json.Unmarshal(data, &ev)
+	return ev, err
+}
+
+// internTable deduplicates the strings of one stream: a job's events repeat
+// one job ID and a few dozen entities, states and details. Capped like the
+// worker codec's table — a stream of unique strings resets it.
+type internTable map[string]string
+
+func (t *internTable) intern(b []byte) string {
+	if s, ok := (*t)[string(b)]; ok || len(b) == 0 {
+		return s
+	}
+	if *t == nil || len(*t) >= 4096 {
+		*t = make(internTable, 64)
+	}
+	s := string(b)
+	(*t)[s] = s
+	return s
+}
+
+// eventKeys is Event's JSON object in the order the server writes it.
+var eventKeys = [...]string{`"seq":`, `"job":`, `"time":`, `"entity":`, `"state":`, `"detail":`}
+
+// decodeEvent decodes the event payloads aimes-server writes: the known keys
+// in order, each at most once, no whitespace, integers of at most 18 digits,
+// strings of printable ASCII with no escapes. It reports false — with ev in
+// an unspecified state — for anything else, valid JSON or not, and the caller
+// falls back to encoding/json; when it reports true, ev is what json.Unmarshal
+// into a zero Event yields.
+func (t *internTable) decodeEvent(b []byte, ev *Event) bool {
+	if len(b) == 0 || b[0] != '{' {
+		return false
+	}
+	b = b[1:]
+	ints := [len(eventKeys)]*int64{0: &ev.Seq, 2: (*int64)(&ev.Time)}
+	strs := [len(eventKeys)]*string{1: &ev.Job, 3: &ev.Entity, 4: &ev.State, 5: &ev.Detail}
+	for i, key := range eventKeys {
+		if len(b) < len(key) || string(b[:len(key)]) != key {
+			continue
+		}
+		b = b[len(key):]
+		end := 0
+		if ints[i] != nil { // -?(0|[1-9][0-9]*)
+			neg := len(b) > 0 && b[0] == '-'
+			if neg {
+				b = b[1:]
+			}
+			var n int64
+			for end < len(b) && b[end] >= '0' && b[end] <= '9' {
+				n = n*10 + int64(b[end]-'0')
+				end++
+			}
+			if end == 0 || end > 18 || (b[0] == '0' && end > 1) {
+				return false
+			}
+			if neg {
+				n = -n
+			}
+			*ints[i] = n
+		} else {
+			if len(b) == 0 || b[0] != '"' {
+				return false
+			}
+			for end = 1; end < len(b) && b[end] != '"'; end++ {
+				if c := b[end]; c < 0x20 || c > 0x7e || c == '\\' {
+					return false
+				}
+			}
+			if end == len(b) {
+				return false
+			}
+			*strs[i] = t.intern(b[1:end])
+			end++
+		}
+		if b = b[end:]; len(b) == 1 && b[0] == '}' {
+			return true
+		}
+		if len(b) == 0 || b[0] != ',' {
+			return false
+		}
+		b = b[1:]
+	}
+	return false
 }

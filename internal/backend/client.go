@@ -88,6 +88,14 @@ func Connect(tr Transport, opt WorkerOptions, cfg Config, sink Sink, onDeath fun
 // completion that admits and enacts the next queued job). An
 // operation-level error (Err in the response) is returned alongside the
 // response; a transport error has already marked the session dead.
+//
+// That nested call is why the events are fully decoded before the first one
+// is dispatched, and owned by this call: the nested exchange refills the
+// session's read buffer, which an outer decode still in progress would be
+// borrowing from (binReader.bytes borrows), and decodes its own batch, which
+// would overwrite a resp.Events or record slab shared across calls. Decoding
+// straight into the sink, or reusing either, hands the rest of the outer
+// batch to the sink corrupted.
 func (w *Worker) call(req *request) (*response, error) {
 	var resp response
 	if err := w.s.exchange(req, &resp); err != nil {

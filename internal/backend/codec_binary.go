@@ -23,8 +23,9 @@ import (
 // says never matter.
 //
 // A binaryCodec instance is stateful — the decode side interns entity,
-// state and namespace strings, because a shard emits the same few dozen of
-// them millions of times — so each session side owns a fresh instance.
+// state, detail and namespace strings, because a shard emits the same few
+// dozen of them millions of times — so each session side owns a fresh
+// instance.
 type binaryCodec struct {
 	strings map[string]string
 }
@@ -268,6 +269,15 @@ func (c *binaryCodec) AppendResponse(dst []byte, resp *response) ([]byte, error)
 	return dst, nil
 }
 
+// decodeChunk is how many events (and trace records) DecodeResponse
+// reserves at a time.
+const decodeChunk = 1024
+
+// DecodeResponse materialises the response's events: one []wireEvent and
+// one []trace.WireRecord slab per batch, strings interned, nothing shared
+// with data or with an earlier call. They stay materialised on purpose —
+// see Worker.call for why neither the slices nor data can be reused while
+// the events are dispatched.
 func (c *binaryCodec) DecodeResponse(data []byte, resp *response) error {
 	r := binReader{data: data}
 	resp.ID = r.uvarint()
@@ -289,16 +299,21 @@ func (c *binaryCodec) DecodeResponse(data []byte, resp *response) error {
 	if r.err != nil {
 		return r.finish()
 	}
-	// Bound the pre-allocation by what the payload could physically hold
-	// (each event is at least 4 bytes), so a corrupt count cannot force a
-	// huge allocation before decoding fails.
+	// The count is the peer's word. An event is at least 4 bytes, which
+	// rejects a count the payload cannot hold, but at 56 bytes a wireEvent
+	// that alone would let a forged count in a 256 MB frame reserve
+	// gigabytes: Events and the record slab grow a chunk at a time, so a
+	// real batch (at most a few hundred events) costs one allocation each
+	// and a corrupt count costs one chunk before its first field fails.
 	if max := uint64(len(r.data)/4 + 1); n > max {
 		return fmt.Errorf("backend: decoding frame: event count %d exceeds payload", n)
 	}
-	if n > 0 {
-		resp.Events = make([]wireEvent, n)
-	}
-	for i := range resp.Events {
+	resp.Events = nil
+	var recs []trace.WireRecord // this batch's records; Rec points into it
+	for i := 0; i < int(n); i++ {
+		if i == len(resp.Events) {
+			resp.Events = append(resp.Events, make([]wireEvent, min(int(n)-i, decodeChunk))...)
+		}
 		ev := &resp.Events[i]
 		code := r.byte()
 		if code == 0 {
@@ -312,7 +327,10 @@ func (c *binaryCodec) DecodeResponse(data []byte, resp *response) error {
 		ev.NS = c.intern(r.bytes())
 		ebits := r.byte()
 		if ebits&evHasRec != 0 {
-			ev.Rec = new(trace.WireRecord)
+			if len(recs) == 0 {
+				recs = make([]trace.WireRecord, min(int(n)-i, decodeChunk))
+			}
+			ev.Rec, recs = &recs[0], recs[1:]
 			if r.err == nil {
 				rest, err := ev.Rec.DecodeWire(r.data, c.intern)
 				if err != nil {

@@ -25,9 +25,14 @@ type metrics struct {
 	// inside the trailing rateWindow.
 	window []time.Time
 
-	sseJobDropped int64 // job-stream events evicted from the trace log before an SSE reader reached them
-	sseEnvDropped int64 // env-stream records evicted from the trace logs before an SSE reader reached them
+	sseJob, sseEnv sseCounters // the two kinds of SSE stream
 }
+
+// sseCounters is what SSE streams wrote, added once per batch: events
+// delivered, flushes (one per batch, so events/flushes is the batch size),
+// body bytes, and events the trace log had evicted before a stream reached
+// them.
+type sseCounters struct{ events, flushes, bytes, dropped int64 }
 
 type tenantCounters struct {
 	submitted     int64
@@ -94,14 +99,17 @@ func (m *metrics) pruneLocked(now time.Time) {
 	}
 }
 
-func (m *metrics) addSSEDropped(stream string, n int64) {
+func (m *metrics) addSSE(stream string, c sseCounters) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	t := &m.sseJob
 	if stream == "env" {
-		m.sseEnvDropped += n
-	} else {
-		m.sseJobDropped += n
+		t = &m.sseEnv
 	}
+	t.events += c.events
+	t.flushes += c.flushes
+	t.bytes += c.bytes
+	t.dropped += c.dropped
 }
 
 // render writes the full exposition. env supplies live per-shard state and
@@ -120,7 +128,7 @@ func (m *metrics) render(w io.Writer, env *aimes.Environment, inflight map[strin
 	for _, name := range names {
 		snap[name] = *m.tenants[name]
 	}
-	jobDropped, envDropped := m.sseJobDropped, m.sseEnvDropped
+	sseJob, sseEnv := m.sseJob, m.sseEnv
 	uptime := now.Sub(m.start).Seconds()
 	m.mu.Unlock()
 
@@ -204,9 +212,14 @@ func (m *metrics) render(w io.Writer, env *aimes.Environment, inflight map[strin
 		}
 	}
 
-	fmt.Fprintf(w, "# HELP aimes_sse_dropped_total Events SSE streams could not deliver because the trace log had evicted them (replay of an old job, or a consumer a whole retention window behind), by stream kind.\n# TYPE aimes_sse_dropped_total counter\n")
-	fmt.Fprintf(w, "aimes_sse_dropped_total{stream=\"job\"} %d\n", jobDropped)
-	fmt.Fprintf(w, "aimes_sse_dropped_total{stream=\"env\"} %d\n", envDropped)
+	sse := func(metric, help string, value func(sseCounters) int64) {
+		fmt.Fprintf(w, "# HELP %s %s, by stream kind.\n# TYPE %s counter\n", metric, help, metric)
+		fmt.Fprintf(w, "%s{stream=\"job\"} %d\n%s{stream=\"env\"} %d\n", metric, value(sseJob), metric, value(sseEnv))
+	}
+	sse("aimes_sse_events_total", "Events written to SSE streams", func(c sseCounters) int64 { return c.events })
+	sse("aimes_sse_flushes_total", "Writes to SSE streams, each one batch of events encoded, written and flushed together", func(c sseCounters) int64 { return c.flushes })
+	sse("aimes_sse_bytes_total", "Body bytes written to SSE streams", func(c sseCounters) int64 { return c.bytes })
+	sse("aimes_sse_dropped_total", "Events SSE streams could not deliver because the trace log had evicted them (replay of an old job, or a consumer a whole retention window behind)", func(c sseCounters) int64 { return c.dropped })
 }
 
 // labelEscape escapes a Prometheus label value (backslash, quote, newline).

@@ -1,10 +1,12 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"time"
 
 	"aimes"
@@ -27,14 +29,55 @@ func writeEvent(w io.Writer, name string, id int64, payload any) error {
 	return err
 }
 
+// appendEvent appends ev as the SSE event writeEvent(w, name, ev.Seq, ev)
+// writes, byte for byte (TestAppendEventMatchesJSON), without the boxing,
+// the reflection and the two Fprintf: a stream is made of these.
+func appendEvent(dst []byte, name string, ev *client.Event) []byte {
+	if ev.Seq > 0 {
+		dst = append(strconv.AppendInt(append(dst, "id: "...), ev.Seq, 10), '\n')
+	}
+	dst = append(append(append(dst, "event: "...), name...), "\ndata: {"...)
+	if ev.Seq != 0 {
+		dst = append(strconv.AppendInt(append(dst, `"seq":`...), ev.Seq, 10), ',')
+	}
+	if ev.Job != "" {
+		dst = append(appendJSONString(append(dst, `"job":`...), ev.Job), ',')
+	}
+	dst = strconv.AppendInt(append(dst, `"time":`...), int64(ev.Time), 10)
+	dst = appendJSONString(append(dst, `,"entity":`...), ev.Entity)
+	dst = appendJSONString(append(dst, `,"state":`...), ev.State)
+	if ev.Detail != "" {
+		dst = appendJSONString(append(dst, `,"detail":`...), ev.Detail)
+	}
+	return append(dst, "}\n\n"...)
+}
+
+// appendJSONString quotes s as encoding/json does. Printable ASCII that json
+// passes through is copied; anything it would escape (quotes, backslashes,
+// HTML characters, control bytes, U+2028/9, invalid UTF-8) is left to it.
+func appendJSONString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			quoted, _ := json.Marshal(s) // a string always marshals
+			return append(dst, quoted...)
+		}
+	}
+	return append(append(append(dst, '"'), s...), '"')
+}
+
+// eventSizeHint is about what one encoded event takes: a job ID, an entity, a
+// state and sometimes a detail come to 130–190 bytes.
+const eventSizeHint = 192
+
 // stream writes what sub reads to w as SSE until the client goes away, the
 // daemon stops, or — job streams only — the job has ended and its last event
 // and the terminal "done" snapshot were written. sub is a cursor over the
-// shard logs, so nothing is held here beyond one batch: each batch is written
-// and flushed once, after a "dropped" event with the cumulative count whenever
-// the cursor found records already evicted. rec is the job whose events sub
-// reads ("job" events, Seq as the SSE id), or nil for the environment-wide
-// trace ("trace" events, no id).
+// shard logs, so nothing is held here beyond one batch (at most 64 records):
+// each is encoded into one reused buffer, after a "dropped" event with the
+// cumulative count whenever the cursor found records already evicted, and
+// costs one Write, one Flush and one metrics update, whatever its size. rec
+// is the job whose events sub reads ("job" events, Seq as the SSE id), or nil
+// for the environment-wide trace ("trace" events, no id).
 func (s *Server) stream(w http.ResponseWriter, r *http.Request, sub *aimes.TraceSub, rec *jobRecord) {
 	defer sub.Close()
 	f, ok := w.(http.Flusher)
@@ -57,29 +100,36 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request, sub *aimes.Trace
 	heartbeat := time.NewTicker(15 * time.Second)
 	defer heartbeat.Stop()
 	var buf [64]aimes.TraceRecord
+	var out bytes.Buffer // one iteration's bytes: written and flushed once
 	var dropped int64
 	for {
 		n, seq, done := sub.Read(buf[:])
+		c := sseCounters{events: int64(n), flushes: 1}
 		if d := sub.Dropped(); d > dropped {
-			s.met.addSSEDropped(kind, d-dropped)
-			dropped = d
-			if writeEvent(w, "dropped", 0, client.Dropped{Count: d}) != nil {
-				return
-			}
+			c.dropped, dropped = d-dropped, d
+			writeEvent(&out, "dropped", 0, client.Dropped{Count: d})
 		}
+		out.Grow(n * eventSizeHint) // one allocation for a stream's largest batch, not a doubling series
+		b := out.AvailableBuffer()
 		for i, tr := range buf[:n] {
 			ev := client.Event{Time: tr.Time.Duration(), Entity: tr.Entity, State: tr.State, Detail: tr.Detail}
 			if rec != nil {
 				ev.Seq, ev.Job = seq+int64(i), rec.id
 			}
-			if writeEvent(w, name, ev.Seq, ev) != nil {
+			b = appendEvent(b, name, &ev)
+		}
+		out.Write(b)
+		if done && rec != nil {
+			writeEvent(&out, "done", 0, s.reg.info(rec))
+		}
+		if c.bytes = int64(out.Len()); c.bytes > 0 {
+			if _, err := w.Write(out.Bytes()); err != nil {
 				return
 			}
+			f.Flush()
+			s.met.addSSE(kind, c)
+			out.Reset()
 		}
-		if done && rec != nil {
-			writeEvent(w, "done", 0, s.reg.info(rec))
-		}
-		f.Flush()
 		if done {
 			return
 		}
@@ -89,9 +139,7 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request, sub *aimes.Trace
 		select {
 		case <-sub.Ready():
 		case <-heartbeat.C:
-			if _, err := io.WriteString(w, ": ping\n\n"); err != nil {
-				return
-			}
+			out.WriteString(": ping\n\n")
 		case <-r.Context().Done():
 			return
 		case <-s.stop:

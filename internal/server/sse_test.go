@@ -1,10 +1,21 @@
 package server
 
 import (
+	"bytes"
+	"context"
+	"fmt"
+	"io"
+	"math"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
 	"aimes"
+	"aimes/client"
+	"aimes/internal/sim"
 	"aimes/internal/trace"
 )
 
@@ -182,5 +193,155 @@ func TestFanoutFinish(t *testing.T) {
 	}
 	if late.Dropped() != seg {
 		t.Errorf("late attach missed %d, want %d", late.Dropped(), seg)
+	}
+}
+
+// TestAppendEventMatchesJSON holds the append-style encoder to the one it
+// replaced on the hot path: for seeded events over every awkward field value
+// — each omitempty field empty and not, negative and 19-digit numbers,
+// strings with characters encoding/json escapes, replaces or passes through —
+// appendEvent writes the bytes writeEvent (json.Marshal + Fprintf) writes.
+func TestAppendEventMatchesJSON(t *testing.T) {
+	texts := []string{
+		"", "em", "unit.stage-0.00017", "STAGING_INPUT", "cores=2 walltime=39m34.661971199s", "~ |{}[]:,",
+		`say "hi"`, `back\slash`, "a<b", "a>b", "R&D", "2 pilot(s) × 2 cores", "tab\there", "nul\x00", "del\x7f",
+		"line\u2028sep", "para\u2029sep", "bad\xffutf8", "\xc3", "日本語", strings.Repeat("x", 300) + "&",
+	}
+	numbers := []int64{0, 1, -1, 7, 1234567890123, math.MaxInt64, math.MinInt64, -1000000000000000000}
+	rng := rand.New(rand.NewSource(22))
+	pick := func() string { return texts[rng.Intn(len(texts))] }
+	var got []byte
+	var want bytes.Buffer
+	for i := 0; i < 5000; i++ {
+		ev := client.Event{Time: time.Duration(numbers[rng.Intn(len(numbers))]), Entity: pick(), State: pick(), Detail: pick()}
+		name := "trace" // an env-stream record: no Seq, no Job
+		if i%3 != 0 {
+			name, ev.Seq, ev.Job = "job", numbers[rng.Intn(len(numbers))], pick()
+		}
+		got = appendEvent(got[:0], name, &ev)
+		want.Reset()
+		if err := writeEvent(&want, name, ev.Seq, ev); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("event %+v:\nappendEvent %q\nwriteEvent  %q", ev, got, want.Bytes())
+		}
+	}
+}
+
+// discardResponse is a ResponseWriter that keeps nothing and calls flushed
+// after every Flush.
+type discardResponse struct {
+	header  http.Header
+	bytes   int
+	flushes int
+	flushed func(flushes int)
+}
+
+func (d *discardResponse) Header() http.Header         { return d.header }
+func (d *discardResponse) WriteHeader(int)             {}
+func (d *discardResponse) Write(p []byte) (int, error) { d.bytes += len(p); return len(p), nil }
+func (d *discardResponse) Flush()                      { d.flushes++; d.flushed(d.flushes) }
+
+// TestStreamAllocatesPerBatch pins the server's side of an SSE stream: the
+// cost of a stream does not grow with the events it carries — a 64-record
+// batch is encoded, written, flushed and counted without allocating.
+func TestStreamAllocatesPerBatch(t *testing.T) {
+	srv := &Server{met: newMetrics(), stop: make(chan struct{})}
+	rec := &jobRecord{id: "j-7af2d8e65c6eda5b58c40ad8"}
+	streamOf := func(batches int) (allocs float64, bytes int) {
+		l, s := trace.NewLog(1<<20), new(trace.Stream)
+		for i := 0; i < 64*batches; i++ {
+			l.Append(s, "s0-j1", aimes.TraceRecord{Time: 1e9 * sim.Time(i), Entity: fmt.Sprintf("unit.stage-0.%05d", i%48), State: "EXECUTING", Detail: "pilot.comet.s0-j1-2"})
+		}
+		allocs = testing.AllocsPerRun(5, func() {
+			ctx, cancel := context.WithCancel(context.Background())
+			w := &discardResponse{header: http.Header{}}
+			w.flushed = func(flushes int) {
+				if flushes == 1+batches { // the header's flush, then one per batch
+					cancel()
+				}
+			}
+			srv.stream(w, httptest.NewRequest("GET", "/v1/jobs/j/events", nil).WithContext(ctx), s.Cursor(0), rec)
+			if w.flushes != 1+batches {
+				t.Fatalf("%d flushes for %d batches", w.flushes-1, batches)
+			}
+			bytes = w.bytes
+		})
+		return allocs, bytes
+	}
+	small, smallBytes := streamOf(2)
+	big, bigBytes := streamOf(34)
+	if perEvent := (big - small) / (64 * 32); perEvent > 0.001 {
+		t.Errorf("a stream of 34 batches costs %.0f allocations and one of 2 costs %.0f: %.3f per event, want 0", big, small, perEvent)
+	}
+	if bigBytes <= smallBytes*16 {
+		t.Errorf("streams wrote %d and %d bytes: the larger one did not carry its events", smallBytes, bigBytes)
+	}
+}
+
+// TestSSEMetricsCountBatches follows one job over SSE and reads the stream's
+// own account of it on /metrics: every event and every body byte the client
+// received is counted, in fewer flushes than events.
+func TestSSEMetricsCountBatches(t *testing.T) {
+	env, err := aimes.NewEnv(aimes.WithSeed(7), aimes.WithShards(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	auth, err := NewAuth(map[string]Tenant{"tok": {Name: "alice"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(Config{Env: env, Auth: auth})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv.Handler())
+	defer func() {
+		hs.Close()
+		srv.Shutdown(context.Background())
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	info, err := client.New(hs.URL, "tok").SubmitRaw(ctx, bagRequest(t, 12, 600, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	get := func(path string) []byte {
+		req, _ := http.NewRequestWithContext(ctx, "GET", hs.URL+path, nil)
+		req.Header.Set("Authorization", "Bearer tok")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return body
+	}
+	body := get("/v1/jobs/" + info.ID + "/events")
+	events := int64(bytes.Count(body, []byte("event: job\n")))
+	if events < 50 || !bytes.Contains(body, []byte("event: done\n")) {
+		t.Fatalf("followed %d events; stream ends %q", events, body[max(0, len(body)-80):])
+	}
+	srv.met.mu.Lock()
+	got := srv.met.sseJob
+	srv.met.mu.Unlock()
+	if got.events != events || got.bytes != int64(len(body)) || got.flushes < 1 || got.flushes > events {
+		t.Errorf("metrics count %+v; the client read %d events in %d bytes", got, events, len(body))
+	}
+	page := string(get("/metrics"))
+	for _, line := range []string{
+		fmt.Sprintf(`aimes_sse_events_total{stream="job"} %d`, events),
+		fmt.Sprintf(`aimes_sse_bytes_total{stream="job"} %d`, len(body)),
+		fmt.Sprintf(`aimes_sse_flushes_total{stream="job"} %d`, got.flushes),
+		`aimes_sse_events_total{stream="env"} 0`,
+		`aimes_sse_dropped_total{stream="job"} 0`,
+	} {
+		if !strings.Contains(page, line+"\n") {
+			t.Errorf("/metrics lacks %q", line)
+		}
 	}
 }

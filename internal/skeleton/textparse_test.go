@@ -229,3 +229,43 @@ func TestParseWorkloadJSONRejects(t *testing.T) {
 		}
 	}
 }
+
+// TestParseWorkloadJSONAllocations pins the submit path's conversion: what
+// ParseWorkloadJSON allocates beyond encoding/json's own decoding is a fixed
+// handful of objects per workload — the task slice, one file slab, the ID set —
+// not two lists per task. The ceiling is per task and covers the decoding
+// too, measured on the bag-of-tasks documents the service benchmark submits
+// (one input and one output per task): 10.5 per task at 8 tasks and 9.1 at
+// 16, where appending file by file cost 12.8 and 11.2.
+func TestParseWorkloadJSONAllocations(t *testing.T) {
+	for _, n := range []int{8, 16} {
+		w, err := Generate(BagOfTasks(n, Constant(60)), 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf strings.Builder
+		if err := w.WriteMiddlewareJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		doc := buf.String()
+		back, err := ParseWorkloadJSON(strings.NewReader(doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, task := range back.Tasks {
+			if len(task.Inputs) != 1 || len(task.Outputs) != 1 || cap(task.Inputs) != 1 || cap(task.Outputs) != 1 || task.Deps != nil {
+				t.Fatalf("task %d: %d/%d inputs, %d/%d outputs, deps %v: lists must be exact and an empty one nil",
+					i, len(task.Inputs), cap(task.Inputs), len(task.Outputs), cap(task.Outputs), task.Deps)
+			}
+		}
+		perTask := testing.AllocsPerRun(50, func() {
+			if _, err := ParseWorkloadJSON(strings.NewReader(doc)); err != nil {
+				t.Fatal(err)
+			}
+		}) / float64(n)
+		t.Logf("%d tasks: %.1f allocations per task", n, perTask)
+		if perTask > 11 {
+			t.Errorf("%d tasks: %.1f allocations per task, want at most 11", n, perTask)
+		}
+	}
+}

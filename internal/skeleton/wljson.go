@@ -78,7 +78,28 @@ func ParseWorkloadJSON(r io.Reader) (*Workload, error) {
 	if len(doc.Tasks) == 0 {
 		return nil, fmt.Errorf("skeleton: workload %q has no tasks", doc.Name)
 	}
-	w := &Workload{Name: doc.Name, Stages: doc.Stages}
+	w := &Workload{Name: doc.Name, Stages: doc.Stages, Tasks: make([]Task, 0, len(doc.Tasks))}
+	files := 0
+	for i := range doc.Tasks {
+		files += len(doc.Tasks[i].Inputs) + len(doc.Tasks[i].Outputs)
+	}
+	// Every task's files are carved from one slab; the capped slices keep an
+	// append to one task's list out of the next one's, and a task without
+	// files keeps a nil list.
+	slab := make([]File, 0, files)
+	convert := func(taskID, kind string, list []wlFileJSON) ([]File, error) {
+		if len(list) == 0 {
+			return nil, nil
+		}
+		first := len(slab)
+		for _, f := range list {
+			if f.Bytes < 0 {
+				return nil, fmt.Errorf("skeleton: task %q %s %q has negative size", taskID, kind, f.Name)
+			}
+			slab = append(slab, File(f))
+		}
+		return slab[first:len(slab):len(slab)], nil
+	}
 	ids := make(map[string]bool, len(doc.Tasks))
 	for _, tj := range doc.Tasks {
 		if tj.ID == "" {
@@ -102,17 +123,12 @@ func ParseWorkloadJSON(r io.Reader) (*Workload, error) {
 			Duration: time.Duration(tj.DurationS * float64(time.Second)),
 			Deps:     tj.Deps,
 		}
-		for _, f := range tj.Inputs {
-			if f.Bytes < 0 {
-				return nil, fmt.Errorf("skeleton: task %q input %q has negative size", tj.ID, f.Name)
-			}
-			t.Inputs = append(t.Inputs, File{Name: f.Name, Bytes: f.Bytes, Producer: f.Producer})
+		var err error
+		if t.Inputs, err = convert(tj.ID, "input", tj.Inputs); err != nil {
+			return nil, err
 		}
-		for _, f := range tj.Outputs {
-			if f.Bytes < 0 {
-				return nil, fmt.Errorf("skeleton: task %q output %q has negative size", tj.ID, f.Name)
-			}
-			t.Outputs = append(t.Outputs, File{Name: f.Name, Bytes: f.Bytes, Producer: f.Producer})
+		if t.Outputs, err = convert(tj.ID, "output", tj.Outputs); err != nil {
+			return nil, err
 		}
 		w.Tasks = append(w.Tasks, t)
 	}
