@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race uncovered vet lint bench profile experiments model-check scenarios scenario-matrix smoke worker-smoke worker-tcp-smoke server-smoke fleet-smoke ci
+.PHONY: build test race wall-clock uncovered vet lint bench profile experiments model-check scenarios scenario-matrix smoke worker-smoke worker-tcp-smoke server-smoke fleet-smoke ci
 
 build:
 	$(GO) build ./...
@@ -10,6 +10,16 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The tests whose outcome depends on the wall clock — WithRealTime's pacer,
+# a Submit context expiring, monitors against a live waiter — race-enabled,
+# ten times over (the script pins -count=1 and fails on a pattern that matches
+# nothing), and the daemon's goroutine bound once.
+wall-clock:
+	for i in 1 2 3 4 5 6 7 8 9 10; do \
+		./scripts/go_test_run.sh 'RealTime|SubmitContextCancelsJob|MonitorUnderConcurrentWait' . || exit 1; \
+	done
+	./scripts/go_test_run.sh TestDaemonFootprint ./internal/server
 
 # Product functions no test reaches, from one whole-module coverage run
 # (~20 s); fails when one is an exported name of package aimes or client or an
@@ -120,4 +130,4 @@ server-smoke:
 fleet-smoke:
 	timeout 300 ./scripts/fleet_smoke.sh
 
-ci: lint race uncovered experiments model-check scenarios scenario-matrix worker-smoke worker-tcp-smoke server-smoke fleet-smoke
+ci: lint race wall-clock uncovered experiments model-check scenarios scenario-matrix worker-smoke worker-tcp-smoke server-smoke fleet-smoke

@@ -16,7 +16,7 @@
 // models), WAN links for staging, and per-resource submission overheads.
 // Everything runs on a deterministic discrete-event engine, so experiments
 // that took the authors a year of production time replay in milliseconds —
-// or on a wall-clock engine for local real-time execution.
+// or, with that engine held to the wall clock, in real time.
 //
 // # Quick start
 //
@@ -45,9 +45,9 @@
 //	r1, _ := j1.Wait(ctx)
 //	r2, _ := j2.Wait(ctx)
 //
-// On the virtual-time engine, time advances while any goroutine blocks in
-// Job.Wait (whoever waits, pumps — so N tenants need no dedicated driver);
-// on the wall-clock engine (WithRealTime) time advances on its own.
+// Time advances while any goroutine blocks in Job.Wait (whoever waits, pumps
+// — so N tenants need no dedicated driver); with WithRealTime the same engine
+// is held to the wall clock instead, and jobs complete with nobody waiting.
 // RunStaged is the one helper over Submit+Wait: it executes a multistage
 // workload stage by stage, feeding observed queue waits back between stages.
 //
@@ -238,11 +238,10 @@ var DefaultTestbed = site.DefaultTestbed
 // (fleet.go: what happens when a worker dies?) and the trace hub
 // (tracehub.go: where does a record live, and who reads it?).
 type Environment struct {
-	shards   []*shardEnv
-	picker   *shard.Picker
-	stealer  *shard.Stealer
-	realTime bool
-	kind     BackendKind
+	shards  []*shardEnv
+	picker  *shard.Picker
+	stealer *shard.Stealer
+	kind    BackendKind
 
 	// model is the analytical cost-model twin (internal/model): per-shard
 	// EWMA fits of drain rate, queue wait and event demand, refitted on
@@ -302,11 +301,11 @@ func NewEnv(opts ...Option) (*Environment, error) {
 			return nil, fmt.Errorf("aimes: WithShards(%d): shard count must be at least 1", o.shards)
 		}
 		if o.realTime && o.shards > 1 {
-			return nil, fmt.Errorf("aimes: WithShards(%d) with WithRealTime: the wall-clock engine advances on its own timers, so a real-time environment runs exactly one shard", o.shards)
+			return nil, fmt.Errorf("aimes: WithShards(%d) with WithRealTime: a wall-clock environment runs exactly one shard, paced by one clock", o.shards)
 		}
 	}
 	if o.steal && o.realTime {
-		return nil, fmt.Errorf("aimes: WithWorkStealing with WithRealTime: work stealing migrates queued jobs between shard engines pumped in virtual time; the wall-clock engine runs a single self-advancing shard")
+		return nil, fmt.Errorf("aimes: WithWorkStealing with WithRealTime: work stealing migrates queued jobs between shards their waiters pump; a wall-clock environment runs a single shard, paced by the clock")
 	}
 	switch o.wireCodec {
 	case "", CodecJSON, CodecBinary:
@@ -316,7 +315,7 @@ func NewEnv(opts ...Option) (*Environment, error) {
 	var pcfg backend.PoolConfig
 	if kind == BackendWorker {
 		if o.realTime {
-			return nil, fmt.Errorf("aimes: the worker backend is virtual-time by construction (the parent drives each worker's engine over the wire); WithRealTime requires BackendLocal")
+			return nil, fmt.Errorf("aimes: WithWorkerPool with WithRealTime: the parent steps each worker's engine over the wire as fast as its waiters pump; pacing on the wall clock requires BackendLocal")
 		}
 		if os.Getenv(backend.WorkerEnv) != "" {
 			return nil, fmt.Errorf("aimes: a worker process may not spawn workers of its own (call aimes.WorkerMain at the top of main so the child serves instead of re-running the program)")
@@ -345,7 +344,6 @@ func NewEnv(opts ...Option) (*Environment, error) {
 	env := &Environment{
 		picker:    shard.NewPicker(n),
 		stealer:   shard.NewStealer(n),
-		realTime:  o.realTime,
 		kind:      kind,
 		resources: names,
 		steal:     o.steal && n > 1, // a single shard has no peers to steal from
@@ -383,11 +381,12 @@ func (e *Environment) Shards() int { return len(e.shards) }
 // Backend reports the execution backend the environment's shards run on.
 func (e *Environment) Backend() BackendKind { return e.kind }
 
-// Close releases the environment's backends: a no-op for local shards, an
-// orderly shutdown of the worker fleet — probers stop, every live session
-// closes — for worker shards. Jobs still running on worker shards fail as
-// their workers exit. Close is idempotent; environments on the local
-// backend need not call it.
+// Close releases the environment's backends: an orderly shutdown of the
+// worker fleet — probers stop, every live session closes — for worker
+// shards, the end of the pacer's goroutine for a wall-clock shard, a no-op
+// otherwise. Jobs still running on worker shards fail as their workers
+// exit; on a wall-clock shard they stop where they are. Close is idempotent;
+// virtual-time environments on the local backend need not call it.
 func (e *Environment) Close() error {
 	if !e.closed.CompareAndSwap(false, true) {
 		return nil
@@ -401,6 +400,7 @@ func (e *Environment) Close() error {
 	}
 	var first error
 	for _, sh := range e.shards {
+		sh.pace.stop()
 		if err := sh.be.Close(); err != nil && first == nil {
 			first = err
 		}
@@ -525,7 +525,9 @@ func (e *Environment) Derive(w *Workload, cfg StrategyConfig) (s Strategy, err e
 
 // NewMonitor starts a bundle monitor on shard 0's engine and bundle (note
 // that on a virtual-time shard time only advances while one of its jobs
-// runs and a client waits on it). On the worker backend the monitor
+// runs and a client waits on it). It, Monitor.Subscribe and Monitor.Stop are
+// safe to call while jobs run; a subscriber runs under the shard's
+// serialization and must not call them. On the worker backend the monitor
 // attaches to the environment's static mirror — its engine never advances,
 // so threshold subscriptions never fire; monitor inside the worker
 // processes is future work.
@@ -534,7 +536,7 @@ func (e *Environment) NewMonitor(interval time.Duration) *Monitor {
 	if l == nil {
 		return nil
 	}
-	return bundle.NewMonitor(l.Engine(), l.Bundle(), interval)
+	return bundle.NewMonitor(l.Engine(), l.Bundle(), interval, e.shards[0].sync)
 }
 
 // Validate checks a workload/strategy-config pair against the environment

@@ -249,3 +249,48 @@ func TestMonitorThroughFacade(t *testing.T) {
 		t.Fatalf("monitor fired %d times, want 1 (edge-triggered)", fired)
 	}
 }
+
+// TestMonitorUnderConcurrentWait: NewMonitor, Subscribe and Stop arm, extend
+// and cancel what the shard's engine fires, so they serialize with a waiter
+// pumping it. Run under -race: the monitors come and go on one goroutine
+// while another waits on a 512-task job of the same shard.
+func TestMonitorUnderConcurrentWait(t *testing.T) {
+	env, err := aimes.NewEnv(aimes.WithSeed(13), aimes.WithShards(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer env.Close()
+	w, err := aimes.GenerateWorkload(aimes.BagOfTasks(512, aimes.UniformDuration()), 13)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := env.Submit(context.Background(), w, aimes.JobConfig{StrategyConfig: aimes.StrategyConfig{
+		Binding: aimes.LateBinding, Scheduler: aimes.SchedBackfill, Pilots: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waited := make(chan error, 1)
+	go func() {
+		_, err := j.Wait(context.Background())
+		waited <- err
+	}()
+	fired := 0 // written by subscribers, under the shard's serialization
+	for monitors := 0; ; monitors++ {
+		m := env.NewMonitor(time.Minute)
+		if err := m.Subscribe(aimes.Condition{
+			Resource: "gordon", Metric: "free_nodes", Op: ">", Threshold: 1,
+		}, func(aimes.MonitorEvent) { fired++ }); err != nil {
+			t.Fatal(err)
+		}
+		m.Stop()
+		select {
+		case err := <-waited:
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("%d monitors started and stopped during the wait, %d events", monitors+1, fired)
+			return
+		default:
+		}
+	}
+}

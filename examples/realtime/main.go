@@ -1,7 +1,7 @@
-// Real-time execution: the middleware is engine-agnostic, so the identical
-// Job API that drives year-scale simulated experiments also runs on the
-// wall-clock engine — batch queues, staging links and agents fire on real
-// timers, and jobs complete without anyone pumping.
+// Real-time execution: the middleware cannot tell how its engine's clock is
+// driven, so the identical Job API that drives year-scale simulated
+// experiments also runs on the wall clock — batch queues, staging links and
+// agents take as long as they say, and jobs complete without anyone pumping.
 //
 // This program builds a two-site millisecond-scale testbed with
 // aimes.WithRealTime(), submits two concurrent jobs, streams one job's

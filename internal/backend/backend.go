@@ -83,8 +83,7 @@ type Backend interface {
 	Enact(d *Descriptor) (*Enacted, error)
 	// Step fires up to max engine events, reporting how many fired and
 	// whether the event queue drained. Completions and trace records flow
-	// to the sink before Step returns. Only virtual-time backends step: a
-	// wall-clock Local completes jobs on its own timers.
+	// to the sink before Step returns.
 	Step(max int) (fired int, drained bool, err error)
 	// Cancel aborts job key: non-final units are canceled, pilots torn
 	// down, and the completion (with a canceled-units report) flows to the
@@ -131,7 +130,4 @@ type Config struct {
 	Sites []site.Config `json:"-"`
 	// Pilot overrides the default middleware configuration when non-nil.
 	Pilot *pilot.Config `json:"pilot,omitempty"`
-	// RealTime selects the wall-clock engine (Local only; the worker
-	// protocol is virtual-time by construction).
-	RealTime bool `json:"real_time,omitempty"`
 }

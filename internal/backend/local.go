@@ -28,8 +28,7 @@ import (
 // same pinned workload report identically.
 type Local struct {
 	id      int
-	eng     sim.Engine
-	vt      *sim.Sim // eng when it is the virtual-time engine, which is stepped; nil on the wall clock
+	eng     *sim.Sim
 	testbed *site.Testbed
 	bndl    *bundle.Bundle
 	mgr     *core.Manager
@@ -49,8 +48,8 @@ type Local struct {
 
 var _ Backend = (*Local)(nil)
 
-// emergentWarmup is how long a virtual-time stack with any emergent site
-// runs its background load before it accepts work. Every job time on such a
+// emergentWarmup is how long a stack with any emergent site runs its
+// background load before it accepts work. Every job time on such a
 // shard is offset by it. This is the warm-up rule for every consumer: the
 // scenario runner and the experiment harness get it by building an
 // Environment.
@@ -61,16 +60,7 @@ const emergentWarmup = 72 * time.Hour
 // manager RNG) is load-bearing for determinism — change it and every golden
 // trajectory moves.
 func NewLocal(cfg Config, sink Sink) (*Local, error) {
-	var (
-		eng sim.Engine
-		vt  *sim.Sim
-	)
-	if cfg.RealTime {
-		eng = sim.NewRealTime()
-	} else {
-		vt = sim.NewSim()
-		eng = vt
-	}
+	eng := sim.NewSim()
 	configs := cfg.Sites
 	if configs == nil {
 		configs = site.DefaultTestbed()
@@ -97,7 +87,7 @@ func NewLocal(cfg Config, sink Sink) (*Local, error) {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x414D4553)) // "AMES"
 	l := &Local{
-		id: cfg.Shard, eng: eng, vt: vt, testbed: tb, bndl: b,
+		id: cfg.Shard, eng: eng, testbed: tb, bndl: b,
 		mgr:    core.NewManager(eng, b, sess, links, pcfg, rng),
 		rng:    rng,
 		sink:   sink,
@@ -106,13 +96,11 @@ func NewLocal(cfg Config, sink Sink) (*Local, error) {
 	}
 	// Emergent queues need a warm-up so the background load has filled the
 	// machines before the first job arrives; otherwise pilots land on empty
-	// systems. Virtual time only: a wall-clock engine cannot skip ahead.
-	if vt != nil {
-		for _, c := range configs {
-			if c.Mode == site.Emergent {
-				vt.RunUntil(vt.Now().Add(emergentWarmup))
-				break
-			}
+	// systems. A wall-clock environment starts pacing after this returns.
+	for _, c := range configs {
+		if c.Mode == site.Emergent {
+			eng.RunUntil(eng.Now().Add(emergentWarmup))
+			break
 		}
 	}
 	return l, nil
@@ -122,8 +110,9 @@ func NewLocal(cfg Config, sink Sink) (*Local, error) {
 // worker shard's bundle lives in the worker).
 func (l *Local) Bundle() *bundle.Bundle { return l.bndl }
 
-// Engine exposes the shard's engine (bundle monitors attach here).
-func (l *Local) Engine() sim.Engine { return l.eng }
+// Engine exposes the shard's engine (bundle monitors attach here, and a
+// wall-clock shard's pacer drives it).
+func (l *Local) Engine() *sim.Sim { return l.eng }
 
 // jobTrace is one job's trace.Sink: every record the job's execution, pilots
 // and units write goes straight to Sink.JobTrace under the job's key and
@@ -177,10 +166,7 @@ func (l *Local) Enact(d *Descriptor) (*Enacted, error) {
 
 // Step implements Backend.
 func (l *Local) Step(max int) (int, bool, error) {
-	if l.vt == nil {
-		return 0, false, fmt.Errorf("backend: the wall-clock engine is not stepped")
-	}
-	fired := l.vt.StepN(max)
+	fired := l.eng.StepN(max)
 	return fired, fired < max, nil
 }
 
@@ -212,8 +198,8 @@ func (l *Local) Derive(w *skeleton.Workload, cfg core.StrategyConfig) (core.Stra
 	return core.Derive(w, l.bndl, cfg, l.rng)
 }
 
-// Runnable implements Backend: the engine's own answer when it has one.
-func (l *Local) Runnable() bool { return l.vt == nil || l.vt.Runnable() }
+// Runnable implements Backend: the engine's own answer.
+func (l *Local) Runnable() bool { return l.eng.Runnable() }
 
 // Dead implements Backend: an in-process stack never dies.
 func (l *Local) Dead() bool { return false }

@@ -67,7 +67,7 @@ func DefaultBackground(nodes int, target float64) BackgroundConfig {
 
 // Background feeds synthetic jobs into a Queue.
 type Background struct {
-	eng     sim.Engine
+	eng     *sim.Sim
 	queue   Queue
 	cfg     BackgroundConfig
 	rng     *rand.Rand
@@ -78,7 +78,7 @@ type Background struct {
 }
 
 // StartBackground begins Poisson arrivals into q. nodes caps sampled widths.
-func StartBackground(eng sim.Engine, q Queue, nodes int, cfg BackgroundConfig, rng *rand.Rand) (*Background, error) {
+func StartBackground(eng *sim.Sim, q Queue, nodes int, cfg BackgroundConfig, rng *rand.Rand) (*Background, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}

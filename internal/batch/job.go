@@ -126,7 +126,7 @@ func (j *Job) effectiveRuntime() time.Duration {
 func (j *Job) expectedEnd() sim.Time { return j.Started.Add(j.Walltime) }
 
 // Queue is the submission interface shared by the full batch simulator and
-// the stochastic queue model. Implementations run on a sim.Engine; all
+// the stochastic queue model. Implementations run on a sim.Sim; all
 // callbacks fire on engine callbacks.
 type Queue interface {
 	// Submit validates and enqueues the job. The job's OnStart/OnEnd

@@ -67,12 +67,11 @@ func (m WaitModel) SampleWait(r *rand.Rand, nodes, totalNodes int) time.Duration
 // start time (a sampled start is delayed until nodes are free) and walltime
 // limits, so pilot semantics are identical to the full System.
 type Stochastic struct {
-	eng     sim.Engine
-	name    string
-	nodes   int
-	model   WaitModel
-	rng     *rand.Rand
-	sampler func() time.Duration
+	eng   *sim.Sim
+	name  string
+	nodes int
+	model WaitModel
+	rng   *rand.Rand
 
 	free        int
 	queued      map[*Job]*sim.Event
@@ -91,7 +90,7 @@ type Stochastic struct {
 }
 
 // NewStochastic creates a model-driven queue for a machine of the given size.
-func NewStochastic(eng sim.Engine, name string, nodes int, model WaitModel, rng *rand.Rand) *Stochastic {
+func NewStochastic(eng *sim.Sim, name string, nodes int, model WaitModel, rng *rand.Rand) *Stochastic {
 	if nodes <= 0 {
 		panic(fmt.Sprintf("batch: stochastic queue %q has %d nodes", name, nodes))
 	}
@@ -101,24 +100,12 @@ func NewStochastic(eng sim.Engine, name string, nodes int, model WaitModel, rng 
 	if rng == nil {
 		panic("batch: stochastic queue requires an RNG")
 	}
-	q := newStochasticCore(eng, name, nodes, nil)
-	q.model = model
-	q.rng = rng
-	return q
-}
-
-// newStochasticCore builds the capacity/walltime machinery with an optional
-// custom wait sampler (used by Replay). When sampler is nil, waits come from
-// the WaitModel.
-func newStochasticCore(eng sim.Engine, name string, nodes int, sampler func() time.Duration) *Stochastic {
-	if nodes <= 0 {
-		panic(fmt.Sprintf("batch: queue %q has %d nodes", name, nodes))
-	}
 	return &Stochastic{
 		eng:        eng,
 		name:       name,
 		nodes:      nodes,
-		sampler:    sampler,
+		model:      model,
+		rng:        rng,
 		free:       nodes,
 		queued:     make(map[*Job]*sim.Event),
 		running:    make(map[*Job]*sim.Event),
@@ -153,12 +140,7 @@ func (q *Stochastic) Submit(j *Job) error {
 	}
 	j.State = JobQueued
 	j.Submitted = q.eng.Now()
-	var wait time.Duration
-	if q.sampler != nil {
-		wait = q.sampler()
-	} else {
-		wait = q.model.SampleWait(q.rng, j.Nodes, q.nodes)
-	}
+	wait := q.model.SampleWait(q.rng, j.Nodes, q.nodes)
 	if q.waitScale > 0 && q.waitScale != 1 {
 		wait = time.Duration(float64(wait) * q.waitScale)
 	}

@@ -280,97 +280,3 @@ func TestWaitModelBounds(t *testing.T) {
 		}
 	}
 }
-
-func TestReplayConsumesTraceInOrder(t *testing.T) {
-	eng := sim.NewSim()
-	waits := []time.Duration{10 * time.Second, 30 * time.Second, 20 * time.Second}
-	q := NewReplay(eng, "trace", 64, waits)
-	var started []sim.Time
-	for i := 0; i < 3; i++ {
-		j := mkJob("j", 1, time.Minute, time.Hour)
-		jj := j
-		j.OnStart = func(*Job) { started = append(started, jj.Started) }
-		if err := q.Submit(j); err != nil {
-			t.Fatal(err)
-		}
-	}
-	eng.Run()
-	want := []sim.Time{
-		sim.Time(10 * time.Second), sim.Time(30 * time.Second), sim.Time(20 * time.Second),
-	}
-	if len(started) != 3 {
-		t.Fatalf("started %d jobs", len(started))
-	}
-	for i := range want {
-		found := false
-		for _, s := range started {
-			if s == want[i] {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("no job started at %v; starts = %v", want[i], started)
-		}
-	}
-	if q.Consumed() != 3 {
-		t.Fatalf("consumed %d waits", q.Consumed())
-	}
-}
-
-func TestReplayWrapsAround(t *testing.T) {
-	eng := sim.NewSim()
-	q := NewReplay(eng, "trace", 64, []time.Duration{5 * time.Second})
-	for i := 0; i < 4; i++ {
-		if err := q.Submit(mkJob("j", 1, time.Minute, time.Hour)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	eng.Run()
-	if q.Consumed() != 4 {
-		t.Fatalf("consumed %d, want 4 (wrapped)", q.Consumed())
-	}
-	if len(q.WaitHistory()) != 4 {
-		t.Fatalf("history %d", len(q.WaitHistory()))
-	}
-}
-
-func TestReplayValidation(t *testing.T) {
-	eng := sim.NewSim()
-	for _, fn := range []func(){
-		func() { NewReplay(eng, "x", 8, nil) },
-		func() { NewReplay(eng, "x", 8, []time.Duration{-time.Second}) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("invalid replay construction did not panic")
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
-func TestReplayEnforcesCapacityAndWalltime(t *testing.T) {
-	eng := sim.NewSim()
-	q := NewReplay(eng, "trace", 2, []time.Duration{time.Second})
-	long := mkJob("long", 2, 2*time.Hour, time.Hour) // killed at walltime
-	next := mkJob("next", 2, time.Minute, time.Hour)
-	if err := q.Submit(long); err != nil {
-		t.Fatal(err)
-	}
-	if err := q.Submit(next); err != nil {
-		t.Fatal(err)
-	}
-	eng.Run()
-	if long.State != JobKilled {
-		t.Fatalf("long state %v", long.State)
-	}
-	// next's 1s wait elapsed long ago; it starts when capacity frees.
-	if next.Started <= long.Ended-sim.Time(time.Millisecond) && next.Started != long.Ended {
-		t.Fatalf("next started at %v before capacity freed at %v", next.Started, long.Ended)
-	}
-	if next.State != JobCompleted {
-		t.Fatalf("next state %v", next.State)
-	}
-}

@@ -27,7 +27,7 @@ type SystemConfig struct {
 // starts, nodes are held for the effective runtime, and walltime limits are
 // enforced. Queue waits emerge from contention.
 type System struct {
-	eng    sim.Engine
+	eng    *sim.Sim
 	cfg    SystemConfig
 	rng    *rand.Rand
 	policy Policy
@@ -52,7 +52,7 @@ type System struct {
 
 // NewSystem creates a batch system on the given engine. rng drives failure
 // injection; it may be nil when FailureProb is zero.
-func NewSystem(eng sim.Engine, cfg SystemConfig, rng *rand.Rand) *System {
+func NewSystem(eng *sim.Sim, cfg SystemConfig, rng *rand.Rand) *System {
 	if cfg.Nodes <= 0 {
 		panic(fmt.Sprintf("batch: system %q has %d nodes", cfg.Name, cfg.Nodes))
 	}

@@ -10,7 +10,7 @@ import (
 	"aimes/internal/site"
 )
 
-func testSites(t *testing.T, eng sim.Engine) []*site.Site {
+func testSites(t *testing.T, eng *sim.Sim) []*site.Site {
 	t.Helper()
 	tb, err := site.NewTestbed(eng, site.DefaultTestbed(), sim.NewRNG(1))
 	if err != nil {
@@ -222,27 +222,6 @@ func TestNormalQuantile(t *testing.T) {
 		}
 	}()
 	normalQuantile(0)
-}
-
-func TestEWMA(t *testing.T) {
-	e := NewEWMA(0.5)
-	if !math.IsNaN(e.Value()) {
-		t.Fatal("cold EWMA should be NaN")
-	}
-	e.Add(10)
-	if e.Value() != 10 {
-		t.Fatalf("first value %g, want 10", e.Value())
-	}
-	e.Add(20)
-	if e.Value() != 15 {
-		t.Fatalf("after 20: %g, want 15", e.Value())
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("bad alpha did not panic")
-		}
-	}()
-	NewEWMA(0)
 }
 
 func TestDiscoverTailoredBundle(t *testing.T) {

@@ -231,6 +231,9 @@ func sformat(f float64) string {
 	return s[len("x == "):]
 }
 
+// direct is the Monitor's sync for a test that owns the engine.
+func direct(fn func()) { fn() }
+
 func TestMonitorThresholds(t *testing.T) {
 	eng := sim.NewSim()
 	tb, err := site.NewTestbed(eng, site.DefaultTestbed(), sim.NewRNG(1))
@@ -238,7 +241,7 @@ func TestMonitorThresholds(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := New(tb.Sites())
-	m := NewMonitor(eng, b, time.Minute)
+	m := NewMonitor(eng, b, time.Minute, direct)
 	var events []Event
 	err = m.Subscribe(Condition{
 		Resource: "stampede", Metric: MetricQueuedJobs, Op: OpAbove, Threshold: 0.5,
@@ -275,7 +278,7 @@ func TestMonitorSustain(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := New(tb.Sites())
-	m := NewMonitor(eng, b, time.Minute)
+	m := NewMonitor(eng, b, time.Minute, direct)
 	fired := sim.Time(0)
 	err = m.Subscribe(Condition{
 		Resource: "gordon", Metric: MetricFreeNodes, Op: OpAbove, Threshold: 10,
@@ -302,7 +305,7 @@ func TestMonitorSubscribeValidation(t *testing.T) {
 	eng := sim.NewSim()
 	tb, _ := site.NewTestbed(eng, site.DefaultTestbed(), sim.NewRNG(1))
 	b := New(tb.Sites())
-	m := NewMonitor(eng, b, time.Minute)
+	m := NewMonitor(eng, b, time.Minute, direct)
 	if err := m.Subscribe(Condition{Resource: "nope", Metric: MetricFreeNodes, Op: OpAbove}, func(Event) {}); err == nil {
 		t.Fatal("unknown resource accepted")
 	}

@@ -48,14 +48,19 @@ type Event struct {
 	Value float64
 }
 
-// Subscriber receives condition events.
+// Subscriber receives condition events. It runs inside an engine callback,
+// so it must not call back into its Monitor's Subscribe or Stop.
 type Subscriber func(Event)
 
 // Monitor polls bundle resources on a fixed interval and notifies
 // subscribers on sustained threshold crossings. Events are edge-triggered:
 // after firing, a condition re-arms once the predicate turns false.
 type Monitor struct {
-	eng      sim.Engine
+	eng *sim.Sim
+	// sync runs a function serialized with eng's callbacks. Subscribe and Stop
+	// are called from goroutines that do not own the engine, and touch what
+	// its tick callback touches.
+	sync     func(func())
 	bundle   *Bundle
 	interval time.Duration
 	subs     []*subscription
@@ -70,13 +75,15 @@ type subscription struct {
 	fired bool
 }
 
-// NewMonitor creates a monitor polling at the given interval.
-func NewMonitor(eng sim.Engine, b *Bundle, interval time.Duration) *Monitor {
+// NewMonitor creates a monitor polling at the given interval. sync is how
+// the engine's owner serializes outside calls with the engine's callbacks;
+// arming the first tick already goes through it.
+func NewMonitor(eng *sim.Sim, b *Bundle, interval time.Duration, sync func(func())) *Monitor {
 	if interval <= 0 {
 		panic(fmt.Sprintf("bundle: non-positive monitor interval %v", interval))
 	}
-	m := &Monitor{eng: eng, bundle: b, interval: interval}
-	m.schedule()
+	m := &Monitor{eng: eng, sync: sync, bundle: b, interval: interval}
+	sync(m.schedule)
 	return m
 }
 
@@ -94,17 +101,19 @@ func (m *Monitor) Subscribe(cond Condition, sub Subscriber) error {
 	if cond.Op != OpAbove && cond.Op != OpBelow {
 		return fmt.Errorf("bundle: monitor: unknown operator %q", cond.Op)
 	}
-	m.subs = append(m.subs, &subscription{cond: cond, sub: sub, since: -1})
+	m.sync(func() { m.subs = append(m.subs, &subscription{cond: cond, sub: sub, since: -1}) })
 	return nil
 }
 
 // Stop halts polling.
 func (m *Monitor) Stop() {
-	m.stopped = true
-	if m.tick != nil {
-		m.eng.Cancel(m.tick)
-		m.tick = nil
-	}
+	m.sync(func() {
+		m.stopped = true
+		if m.tick != nil {
+			m.eng.Cancel(m.tick)
+			m.tick = nil
+		}
+	})
 }
 
 func (m *Monitor) schedule() {

@@ -84,38 +84,3 @@ func normalQuantile(p float64) float64 {
 			(((((b[0]*r+b[1])*r+b[2])*r+b[3])*r+b[4])*r + 1)
 	}
 }
-
-// EWMA is an exponentially weighted moving average used for utilization
-// forecasting in the monitoring interface.
-type EWMA struct {
-	alpha float64
-	value float64
-	warm  bool
-}
-
-// NewEWMA returns an EWMA with smoothing factor alpha in (0, 1].
-func NewEWMA(alpha float64) *EWMA {
-	if alpha <= 0 || alpha > 1 {
-		panic("bundle: EWMA alpha outside (0, 1]")
-	}
-	return &EWMA{alpha: alpha}
-}
-
-// Add folds in an observation and returns the new average.
-func (e *EWMA) Add(v float64) float64 {
-	if !e.warm {
-		e.value = v
-		e.warm = true
-		return v
-	}
-	e.value = e.alpha*v + (1-e.alpha)*e.value
-	return e.value
-}
-
-// Value returns the current average (NaN before any observation).
-func (e *EWMA) Value() float64 {
-	if !e.warm {
-		return math.NaN()
-	}
-	return e.value
-}

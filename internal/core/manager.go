@@ -23,7 +23,7 @@ import (
 // namespace (ExecOptions), so tenants sharing the testbed stay observably
 // separate.
 type Manager struct {
-	eng     sim.Engine
+	eng     *sim.Sim
 	bundle  *bundle.Bundle
 	session *saga.Session
 	links   pilot.LinkResolver
@@ -32,7 +32,7 @@ type Manager struct {
 }
 
 // NewManager wires an execution manager.
-func NewManager(eng sim.Engine, b *bundle.Bundle, session *saga.Session,
+func NewManager(eng *sim.Sim, b *bundle.Bundle, session *saga.Session,
 	links pilot.LinkResolver, cfg pilot.Config, rng *rand.Rand) *Manager {
 	return &Manager{eng: eng, bundle: b, session: session, links: links, cfg: cfg, rng: rng}
 }
@@ -121,8 +121,7 @@ func (e *Execution) PreemptPilot(resource, reason string) bool {
 // are torn down, and the execution completes immediately with a report that
 // accounts the canceled units. Canceling a prepared, never-enacted execution
 // completes it directly with every unit accounted as canceled. Canceling a
-// finished execution is a no-op. Must run under the engine's callback
-// serialization (sim.Locked) when the engine is concurrent.
+// finished execution is a no-op.
 func (e *Execution) Cancel(reason string) {
 	if e.done {
 		return

@@ -23,7 +23,7 @@ import (
 // keeps one pending engine event — that completion — however many transfers
 // are active.
 type Link struct {
-	eng       sim.Engine
+	eng       *sim.Sim
 	name      string
 	bandwidth float64 // bytes per second
 	latency   time.Duration
@@ -48,7 +48,7 @@ type Link struct {
 
 // NewLink creates a link. Bandwidth is in bytes/second; latency is the fixed
 // per-transfer setup cost (connection establishment, metadata round trips).
-func NewLink(eng sim.Engine, name string, bandwidth float64, latency time.Duration) *Link {
+func NewLink(eng *sim.Sim, name string, bandwidth float64, latency time.Duration) *Link {
 	if bandwidth <= 0 {
 		panic(fmt.Sprintf("netsim: link %q bandwidth %g must be positive", name, bandwidth))
 	}
@@ -294,28 +294,3 @@ func (l *Link) finish(t *Transfer) {
 		t.done.Fire()
 	}
 }
-
-// Network is a named collection of links, one per site plus one for the user
-// origin, resolved by name.
-type Network struct {
-	eng   sim.Engine
-	links map[string]*Link
-}
-
-// NewNetwork returns an empty network.
-func NewNetwork(eng sim.Engine) *Network {
-	return &Network{eng: eng, links: make(map[string]*Link)}
-}
-
-// AddLink creates and registers a link. It panics on duplicate names.
-func (n *Network) AddLink(name string, bandwidth float64, latency time.Duration) *Link {
-	if _, dup := n.links[name]; dup {
-		panic(fmt.Sprintf("netsim: duplicate link %q", name))
-	}
-	l := NewLink(n.eng, name, bandwidth, latency)
-	n.links[name] = l
-	return l
-}
-
-// Link returns the named link, or nil.
-func (n *Network) Link(name string) *Link { return n.links[name] }

@@ -124,24 +124,6 @@ func TestEstimate(t *testing.T) {
 	}
 }
 
-func TestNetworkRegistry(t *testing.T) {
-	eng := sim.NewSim()
-	n := NewNetwork(eng)
-	l := n.AddLink("stampede", mb, 0)
-	if n.Link("stampede") != l {
-		t.Fatal("lookup failed")
-	}
-	if n.Link("missing") != nil {
-		t.Fatal("missing link returned non-nil")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate link did not panic")
-		}
-	}()
-	n.AddLink("stampede", mb, 0)
-}
-
 func TestLinkValidation(t *testing.T) {
 	eng := sim.NewSim()
 	for _, fn := range []func(){

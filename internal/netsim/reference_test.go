@@ -12,7 +12,7 @@ import (
 // them. It is the reference the differential tests hold Link to — same
 // arithmetic, same admission order, one engine event per active transfer.
 type refLink struct {
-	eng       sim.Engine
+	eng       *sim.Sim
 	bandwidth float64
 	latency   time.Duration
 	maxActive int
@@ -35,7 +35,7 @@ type refTransfer struct {
 	doneEvent *sim.Event
 }
 
-func newRefLink(eng sim.Engine, bandwidth float64, latency time.Duration) *refLink {
+func newRefLink(eng *sim.Sim, bandwidth float64, latency time.Duration) *refLink {
 	return &refLink{eng: eng, bandwidth: bandwidth, latency: latency, lastUpdate: eng.Now()}
 }
 

@@ -98,13 +98,14 @@ func TestPlaceRoundTripAllocatesNothing(t *testing.T) {
 // TestUnitTripAllocatesItsStateOnly pins what one unit costs the engine. A
 // 512-unit bag goes through submit, place, input staging, dispatch,
 // execution and output staging on one 64-core pilot. Per unit that allocates
-// one object: the assignment list of the place its freed core triggers (the
-// bag is eight times the pilot). Everything else is per Submit — the slab of
-// units with their events and transfers inside, the string their trace ids
-// are cut from, the manager's pre-sized slices and map — or the amortized
-// growth of the recorder: no event, no transfer, no closure, no detail.
+// nothing: the place its freed core triggers (the bag is eight times the
+// pilot) appends to the manager's one assignment list. Everything is per
+// Submit — the slab of units with their events and transfers inside, the
+// string their trace ids are cut from, the manager's pre-sized slices and
+// map — or the amortized growth of the recorder: no event, no transfer, no
+// closure, no detail. (0.1 objects per unit measured; a list per place is 1.)
 func TestUnitTripAllocatesItsStateOnly(t *testing.T) {
-	const units, ceiling = 512, 2.0
+	const units, ceiling = 512, 0.5
 	h := newHarness(t, DefaultConfig(), 1)
 	descs := unitDescs(units, time.Minute)
 	for i := range descs {
@@ -133,7 +134,7 @@ func TestUnitTripAllocatesItsStateOnly(t *testing.T) {
 		t.Fatalf("%d units done over 6 runs, want %d", done, 6*units)
 	}
 	if perUnit := perRun / units; perUnit > ceiling {
-		t.Errorf("one unit's trip allocates %.1f objects, want at most %.0f", perUnit, ceiling)
+		t.Errorf("one unit's trip allocates %.1f objects, want at most %.1f", perUnit, ceiling)
 	} else {
 		t.Logf("%.1f allocations per unit", perUnit)
 	}

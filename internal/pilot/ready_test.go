@@ -236,7 +236,7 @@ func TestBackfillEarlyExitMatchesFullScan(t *testing.T) {
 		for i := range ready {
 			ready[i] = &Unit{desc: UnitDescription{Cores: 1 + rng.Intn(1+rng.Intn(20))}}
 		}
-		got, want := Backfill{}.Place(ready, pilots, committed), backfillFullScan(ready, pilots, committed)
+		got, want := Backfill{}.Place(nil, ready, pilots, committed), backfillFullScan(ready, pilots, committed)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("round %d: early exit assigns %d units, full scan %d", round, len(got), len(want))
 		}

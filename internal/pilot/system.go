@@ -41,12 +41,8 @@ type LinkResolver func(resource string) *netsim.Link
 
 // System bundles the shared dependencies of pilot and unit managers: the
 // engine, the SAGA session, staging links, instrumentation and RNG.
-//
-// Their state is lock-free and the events they own panic if armed twice: on a
-// RealTime engine, calls into a PilotManager or UnitManager from outside an
-// engine callback must run under sim.Locked (RealTime.Sync).
 type System struct {
-	eng     sim.Engine
+	eng     *sim.Sim
 	session *saga.Session
 	links   LinkResolver
 	rec     trace.Sink
@@ -60,7 +56,7 @@ type System struct {
 // pilot and unit transition; it may be shared with the execution manager so
 // the whole run lands in one trace. rng may be nil when UnitFailureProb is
 // zero.
-func NewSystem(eng sim.Engine, session *saga.Session, links LinkResolver,
+func NewSystem(eng *sim.Sim, session *saga.Session, links LinkResolver,
 	rec trace.Sink, cfg Config, rng *rand.Rand) *System {
 	if cfg.DefaultMaxRestarts <= 0 {
 		cfg.DefaultMaxRestarts = 3
@@ -86,9 +82,6 @@ func (s *System) pilotID(resource string) string {
 	}
 	return fmt.Sprintf("pilot.%s.%s-%d", resource, s.ns, s.seq)
 }
-
-// Engine exposes the engine.
-func (s *System) Engine() sim.Engine { return s.eng }
 
 // Pilot is one resource placeholder.
 type Pilot struct {

@@ -130,9 +130,10 @@ func (s *staging) Fire() {
 type Scheduler interface {
 	// Name identifies the scheduler in traces and configuration.
 	Name() string
-	// Place returns unit→pilot assignments. Units left unassigned remain
-	// eligible for the next call.
-	Place(ready []*Unit, pilots []*Pilot, committed map[*Pilot]int) []Assignment
+	// Place appends unit→pilot assignments to dst, which it is given empty,
+	// and returns it. Units left unassigned remain eligible for the next
+	// call.
+	Place(dst []Assignment, ready []*Unit, pilots []*Pilot, committed map[*Pilot]int) []Assignment
 }
 
 // Assignment binds one unit to one pilot.
@@ -150,7 +151,7 @@ type Direct struct{}
 func (Direct) Name() string { return "direct" }
 
 // Place implements Scheduler.
-func (Direct) Place(ready []*Unit, pilots []*Pilot, _ map[*Pilot]int) []Assignment {
+func (Direct) Place(dst []Assignment, ready []*Unit, pilots []*Pilot, _ map[*Pilot]int) []Assignment {
 	var target *Pilot
 	for _, p := range pilots {
 		if !p.State().Final() {
@@ -159,13 +160,13 @@ func (Direct) Place(ready []*Unit, pilots []*Pilot, _ map[*Pilot]int) []Assignme
 		}
 	}
 	if target == nil {
-		return nil
+		return dst
 	}
-	out := make([]Assignment, 0, len(ready))
+	dst = slices.Grow(dst, len(ready))
 	for _, u := range ready {
-		out = append(out, Assignment{Unit: u, Pilot: target})
+		dst = append(dst, Assignment{Unit: u, Pilot: target})
 	}
-	return out
+	return dst
 }
 
 // RoundRobin distributes units evenly across non-final pilots at submission
@@ -177,7 +178,7 @@ type RoundRobin struct{}
 func (RoundRobin) Name() string { return "round-robin" }
 
 // Place implements Scheduler.
-func (RoundRobin) Place(ready []*Unit, pilots []*Pilot, _ map[*Pilot]int) []Assignment {
+func (RoundRobin) Place(dst []Assignment, ready []*Unit, pilots []*Pilot, _ map[*Pilot]int) []Assignment {
 	var alive []*Pilot
 	for _, p := range pilots {
 		if !p.State().Final() {
@@ -185,13 +186,13 @@ func (RoundRobin) Place(ready []*Unit, pilots []*Pilot, _ map[*Pilot]int) []Assi
 		}
 	}
 	if len(alive) == 0 {
-		return nil
+		return dst
 	}
-	out := make([]Assignment, 0, len(ready))
+	dst = slices.Grow(dst, len(ready))
 	for i, u := range ready {
-		out = append(out, Assignment{Unit: u, Pilot: alive[i%len(alive)]})
+		dst = append(dst, Assignment{Unit: u, Pilot: alive[i%len(alive)]})
 	}
-	return out
+	return dst
 }
 
 // Backfill is the paper's late-binding scheduler: units stay with the unit
@@ -204,7 +205,7 @@ type Backfill struct{}
 func (Backfill) Name() string { return "backfill" }
 
 // Place implements Scheduler.
-func (Backfill) Place(ready []*Unit, pilots []*Pilot, committed map[*Pilot]int) []Assignment {
+func (Backfill) Place(dst []Assignment, ready []*Unit, pilots []*Pilot, committed map[*Pilot]int) []Assignment {
 	type slot struct {
 		pilot *Pilot
 		free  int
@@ -221,7 +222,6 @@ func (Backfill) Place(ready []*Unit, pilots []*Pilot, committed map[*Pilot]int) 
 			}
 		}
 	}
-	var out []Assignment
 	for _, u := range ready {
 		if total <= 0 {
 			// Every unit needs at least one core: nothing further fits.
@@ -229,17 +229,17 @@ func (Backfill) Place(ready []*Unit, pilots []*Pilot, committed map[*Pilot]int) 
 		}
 		for i := range slots {
 			if slots[i].free >= u.desc.Cores {
-				if out == nil { // at most one unit per free core fits
-					out = make([]Assignment, 0, min(len(ready), total))
+				if len(dst) == 0 { // at most one unit per free core fits
+					dst = slices.Grow(dst, min(len(ready), total))
 				}
 				slots[i].free -= u.desc.Cores
 				total -= u.desc.Cores
-				out = append(out, Assignment{Unit: u, Pilot: slots[i].pilot})
+				dst = append(dst, Assignment{Unit: u, Pilot: slots[i].pilot})
 				break
 			}
 		}
 	}
-	return out
+	return dst
 }
 
 // UnitManager accepts units, schedules them over pilots, manages data
@@ -262,6 +262,10 @@ type UnitManager struct {
 	readyStale bool
 	// onPlace, when set by a test, sees the ready list of every place.
 	onPlace func(ready []*Unit)
+	// assign is place's scratch, reused from one place to the next: a
+	// late-binding job places once per freed core, and a list per place
+	// would make its allocation count follow its event order.
+	assign []Assignment
 
 	placeEv     sim.Event // the coalesced place, due now while placeQueued
 	placeQueued bool
@@ -512,7 +516,8 @@ func (um *UnitManager) place() {
 		um.failIfOrphaned()
 		return
 	}
-	assignments := um.scheduler.Place(ready, um.pilots, um.committed)
+	assignments := um.scheduler.Place(um.assign[:0], ready, um.pilots, um.committed)
+	um.assign = assignments
 	for _, as := range assignments {
 		um.bind(as.Unit, as.Pilot)
 	}

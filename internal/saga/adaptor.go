@@ -43,7 +43,7 @@ func (j *batchJob) transition(state State, detail string) {
 // core requests to whole nodes and charging the site's submission latency.
 // It mirrors the role of SAGA's PBS/Slurm/GSISSH adaptors.
 type BatchAdaptor struct {
-	eng  sim.Engine
+	eng  *sim.Sim
 	site *site.Site
 	seq  int
 	// pendingCancel tracks jobs canceled during the submission latency
@@ -52,7 +52,7 @@ type BatchAdaptor struct {
 }
 
 // NewBatchAdaptor returns a Service submitting to the site's queue.
-func NewBatchAdaptor(eng sim.Engine, s *site.Site) *BatchAdaptor {
+func NewBatchAdaptor(eng *sim.Sim, s *site.Site) *BatchAdaptor {
 	return &BatchAdaptor{eng: eng, site: s, pendingCancel: make(map[*batchJob]bool)}
 }
 
@@ -61,8 +61,7 @@ var _ Service = (*BatchAdaptor)(nil)
 // Resource implements Service.
 func (a *BatchAdaptor) Resource() string { return a.site.Name() }
 
-// Submit implements Service. It is safe to call from outside engine
-// callbacks: the body runs under the engine's callback serialization.
+// Submit implements Service.
 func (a *BatchAdaptor) Submit(d Description, cb StateCallback) (Job, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
@@ -73,12 +72,6 @@ func (a *BatchAdaptor) Submit(d Description, cb StateCallback) (Job, error) {
 		return nil, fmt.Errorf("saga: %s: %d cores (%d nodes) exceed machine size %d nodes",
 			cfg.Name, d.Cores, nodes, cfg.Nodes)
 	}
-	var j *batchJob
-	sim.Locked(a.eng, func() { j = a.submit(d, cfg, nodes, cb) })
-	return j, nil
-}
-
-func (a *BatchAdaptor) submit(d Description, cfg site.Config, nodes int, cb StateCallback) *batchJob {
 	a.seq++
 	j := &batchJob{
 		id:        fmt.Sprintf("%s.%04d", cfg.Name, a.seq),
@@ -137,31 +130,25 @@ func (a *BatchAdaptor) submit(d Description, cfg site.Config, nodes int, cb Stat
 		}
 		j.transition(Pending, "")
 	})
-	return j
+	return j, nil
 }
 
-// Cancel implements Service. Like Submit, the body runs under the engine's
-// callback serialization.
+// Cancel implements Service.
 func (a *BatchAdaptor) Cancel(job Job) bool {
 	j, ok := job.(*batchJob)
 	if !ok {
 		return false
 	}
-	var canceled bool
-	sim.Locked(a.eng, func() {
-		if j.state.Final() {
-			return
+	if j.state.Final() {
+		return false
+	}
+	if j.inner == nil {
+		// Still inside the submission latency window.
+		if a.pendingCancel[j] {
+			return false
 		}
-		if j.inner == nil {
-			// Still inside the submission latency window.
-			if a.pendingCancel[j] {
-				return
-			}
-			a.pendingCancel[j] = true
-			canceled = true
-			return
-		}
-		canceled = a.site.Queue().Cancel(j.inner)
-	})
-	return canceled
+		a.pendingCancel[j] = true
+		return true
+	}
+	return a.site.Queue().Cancel(j.inner)
 }

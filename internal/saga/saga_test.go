@@ -9,7 +9,7 @@ import (
 	"aimes/internal/site"
 )
 
-func testSite(t *testing.T, eng sim.Engine) *site.Site {
+func testSite(t *testing.T, eng *sim.Sim) *site.Site {
 	t.Helper()
 	cfg := site.Config{
 		Name: "stampede", Nodes: 64, CoresPerNode: 16, Architecture: "beowulf",
@@ -103,6 +103,31 @@ func TestBatchAdaptorCoreToNodeRounding(t *testing.T) {
 	}
 	if _, err := a.Submit(pilotDesc(1024, time.Hour), nil); err != nil {
 		t.Fatalf("full-machine request rejected: %v", err)
+	}
+}
+
+// TestBatchAdaptorSubmitFromCallback: a state callback may submit a follow-up
+// job — the adaptor's entry points run inline wherever they are called from.
+func TestBatchAdaptorSubmitFromCallback(t *testing.T) {
+	eng := sim.NewSim()
+	a := NewBatchAdaptor(eng, testSite(t, eng))
+	desc := Description{Executable: "step", Cores: 1, Walltime: time.Hour, Runtime: time.Minute}
+	var second Job
+	_, err := a.Submit(desc, func(_ Job, s State) {
+		if s != Done {
+			return
+		}
+		var err error
+		if second, err = a.Submit(desc, nil); err != nil {
+			t.Error(err)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.Run()
+	if second == nil || second.State() != Done {
+		t.Fatalf("chained submission did not complete: %v", second)
 	}
 }
 

@@ -13,6 +13,8 @@ type engine interface {
 	Step() bool
 	StepN(n int) int
 	RunUntil(limit Time) Time
+	AdvanceTo(limit Time, max int) int
+	NextAt() (Time, bool)
 	Runnable() bool
 	Pending() int
 	Fired() uint64
@@ -165,7 +167,8 @@ func newWorld(eng engine, seed int64) *world {
 // Schedule, At (also in the past), Arm, re-arm after firing and after cancel,
 // Cancel of pending, fired and already-canceled events from outside and from
 // inside callbacks, zero-delay events made by callbacks, bursts on one
-// timestamp — through Step, StepN, RunUntil and Runnable, and compare Now,
+// timestamp — through Step, StepN, RunUntil, AdvanceTo (the one call that
+// moves the clock without firing) and Runnable, and compare Now, NextAt,
 // Pending, Fired and Runnable after every driver call and the firing log at
 // the end.
 func TestSimMatchesReferenceEngine(t *testing.T) {
@@ -174,7 +177,7 @@ func TestSimMatchesReferenceEngine(t *testing.T) {
 		driver := rand.New(rand.NewSource(-seed))
 		both := func(f func(w *world)) { f(got); f(want) }
 		for call := 0; ; call++ {
-			switch r := driver.Intn(12); {
+			switch r := driver.Intn(15); {
 			case r < 2:
 				// A burst on one timestamp, armed from outside any callback.
 				at, n := got.eng.Now().Add(delays[driver.Intn(len(delays))]), 1+driver.Intn(6)
@@ -198,14 +201,23 @@ func TestSimMatchesReferenceEngine(t *testing.T) {
 				if g, w := got.eng.StepN(n), want.eng.StepN(n); g != w {
 					t.Fatalf("seed %d call %d: StepN(%d) = %d, reference %d", seed, call, n, g, w)
 				}
-			default:
+			case r < 12:
 				limit := got.eng.Now().Add(delays[driver.Intn(len(delays))] - time.Millisecond)
 				if g, w := got.eng.RunUntil(limit), want.eng.RunUntil(limit); g != w {
 					t.Fatalf("seed %d call %d: RunUntil(%v) = %v, reference %v", seed, call, limit, g, w)
 				}
+			default:
+				limit, n := got.eng.Now().Add(delays[driver.Intn(len(delays))]-time.Millisecond), 1+driver.Intn(8)
+				if g, w := got.eng.AdvanceTo(limit, n), want.eng.AdvanceTo(limit, n); g != w {
+					t.Fatalf("seed %d call %d: AdvanceTo(%v, %d) = %d, reference %d", seed, call, limit, n, g, w)
+				}
 			}
 			if g, w := got.eng.Now(), want.eng.Now(); g != w {
 				t.Fatalf("seed %d call %d: Now = %v, reference %v", seed, call, g, w)
+			}
+			gAt, gOK := got.eng.NextAt()
+			if wAt, wOK := want.eng.NextAt(); gAt != wAt || gOK != wOK {
+				t.Fatalf("seed %d call %d: NextAt = %v, %v, reference %v, %v", seed, call, gAt, gOK, wAt, wOK)
 			}
 			if g, w := got.eng.Pending(), want.eng.Pending(); g != w {
 				t.Fatalf("seed %d call %d: Pending = %d, reference %d", seed, call, g, w)

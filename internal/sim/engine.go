@@ -2,19 +2,17 @@
 // the simulated execution substrate of this repository.
 //
 // All middleware components (pilot managers, agents, bundle agents, data
-// stagers) are written against the Engine interface so that the same code can
-// run either in deterministic virtual time (DES, used by the experiment
-// harness and benchmarks) or in real wall-clock time (used by the examples
-// that execute tasks locally).
+// stagers) schedule their work on one engine, Sim, in deterministic virtual
+// time. Whoever owns a Sim decides how its clock relates to the world: a
+// driver that fires events as fast as it can (Step, Run — the experiment
+// harness, the benchmarks, a waiting job's pump) or one that holds each event
+// back until the wall clock reaches it (NextAt and AdvanceTo — the
+// environment's WithRealTime pacer). The components cannot tell the two apart.
 package sim
 
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -60,13 +58,13 @@ type Func func()
 // Fire calls f.
 func (f Func) Fire() { f() }
 
-// Event is a callback an Engine fires at a point in time. It can be canceled
+// Event is a callback a Sim fires at a point in time. It can be canceled
 // before it fires.
 //
 // Schedule and At allocate one per call, which is fine for a handful of events
 // per job. A component that arms an event per unit of work embeds the Event in
 // the struct its callback touches, gives it a Handler once with Init, and
-// queues it with Engine.Arm: that allocates nothing. An event is re-armed only
+// queues it with Sim.Arm: that allocates nothing. An event is re-armed only
 // once it has fired or been canceled, and its holder must not be copied while
 // it is pending — the queue keeps a pointer to it.
 type Event struct {
@@ -89,32 +87,11 @@ func (e *Event) When() Time { return e.when }
 // Canceled reports whether the event was canceled since it was last armed.
 func (e *Event) Canceled() bool { return e.canceled }
 
-// Engine schedules callbacks in (virtual or real) time. Implementations
-// guarantee that callbacks never run concurrently with each other, so
-// components built on an Engine need no internal locking for state that is
-// only touched from callbacks.
-type Engine interface {
-	// Now returns the current time.
-	Now() Time
-	// Schedule arranges for fn to run at delay from Now. A negative delay is
-	// treated as zero. The returned Event may be passed to Cancel.
-	Schedule(delay time.Duration, fn func()) *Event
-	// At arranges for fn to run at the absolute time t. If t is in the past
-	// it runs as soon as possible.
-	At(t Time, fn func()) *Event
-	// Arm queues ev, which the caller owns and has given a Handler with
-	// Init, to fire at delay from Now, ordered exactly as Schedule would
-	// order it. It panics if ev is still pending.
-	Arm(ev *Event, delay time.Duration)
-	// Cancel prevents a pending event from firing. Canceling a fired or
-	// already-canceled event is a no-op. Cancel reports whether the event was
-	// pending.
-	Cancel(ev *Event) bool
-}
-
-// Sim is the deterministic discrete-event Engine. It is not safe for
-// concurrent use: a single goroutine owns a Sim, and all scheduled callbacks
-// run on that goroutine inside Run/Step.
+// Sim is the deterministic discrete-event engine. It is not safe for
+// concurrent use: one goroutine at a time owns a Sim, and all scheduled
+// callbacks run on that goroutine inside Run/Step/AdvanceTo. Callbacks
+// therefore never run concurrently with each other, so components built on a
+// Sim need no internal locking for state that is only touched from callbacks.
 //
 // Events fire in (when, seq) order, seq being the order they were armed in;
 // the queue's two parts together keep that one order. Events armed for a later
@@ -137,8 +114,6 @@ type Sim struct {
 // NewSim returns an empty simulation positioned at the epoch.
 func NewSim() *Sim { return &Sim{} }
 
-var _ Engine = (*Sim)(nil)
-
 // Now returns the current virtual time.
 func (s *Sim) Now() Time { return s.now }
 
@@ -148,12 +123,14 @@ func (s *Sim) Pending() int { return s.pending }
 // Fired reports the number of callbacks executed so far.
 func (s *Sim) Fired() uint64 { return s.fired }
 
-// Schedule implements Engine.
+// Schedule arranges for fn to run at delay from Now. A negative delay is
+// treated as zero. The returned Event may be passed to Cancel.
 func (s *Sim) Schedule(delay time.Duration, fn func()) *Event {
 	return s.At(s.now.Add(delay), fn) // armAt clamps a negative delay to now
 }
 
-// At implements Engine.
+// At arranges for fn to run at the absolute time t. If t is in the past it
+// runs as soon as possible.
 func (s *Sim) At(t Time, fn func()) *Event {
 	if fn == nil {
 		panic("sim: At called with nil callback")
@@ -163,7 +140,9 @@ func (s *Sim) At(t Time, fn func()) *Event {
 	return ev
 }
 
-// Arm implements Engine.
+// Arm queues ev, which the caller owns and has given a Handler with Init, to
+// fire at delay from Now, ordered exactly as Schedule would order it. It
+// panics if ev is still pending.
 func (s *Sim) Arm(ev *Event, delay time.Duration) { s.armAt(ev, s.now.Add(delay)) }
 
 // armAt is the one way into the queue.
@@ -192,7 +171,9 @@ func (s *Sim) armAt(ev *Event, t Time) {
 	s.up(len(s.heap) - 1)
 }
 
-// Cancel implements Engine.
+// Cancel prevents a pending event from firing. Canceling a fired or
+// already-canceled event is a no-op. Cancel reports whether the event was
+// pending.
 func (s *Sim) Cancel(ev *Event) bool {
 	if ev == nil || ev.canceled {
 		return false
@@ -257,10 +238,10 @@ func (s *Sim) Step() bool {
 func (s *Sim) Runnable() bool { return s.pending > 0 }
 
 // StepN fires up to n pending events and reports how many fired; a return
-// below n means the queue drained. Only a Sim is stepped: its time advances
-// when a driver fires events, a bounded batch per call, so a pump that drives
-// it under an external lock (the sharded environment's per-shard pump) yields
-// the lock between batches; RealTime advances on its own.
+// below n means the queue drained. Time advances when a driver fires events,
+// a bounded batch per call, so a pump that drives the Sim under an external
+// lock (the sharded environment's per-shard pump) yields the lock between
+// batches.
 func (s *Sim) StepN(n int) int {
 	fired := 0
 	for fired < n && s.Step() {
@@ -281,12 +262,41 @@ func (s *Sim) Run() Time {
 // RunUntil fires every event due at or before limit and returns the clock,
 // which stays at the last event fired: it does not jump to limit.
 func (s *Sim) RunUntil(limit Time) Time {
+	s.fireDue(limit, math.MaxInt)
+	return s.now
+}
+
+// NextAt reports when the earliest pending event is due; ok is false when
+// the queue is empty.
+func (s *Sim) NextAt() (t Time, ok bool) {
+	if ev := s.head(); ev != nil {
+		return ev.when, true
+	}
+	return 0, false
+}
+
+// AdvanceTo is RunUntil for a driver that owns the clock, in bounded steps: it
+// fires at most max events due at or before limit and reports how many fired.
+// Once none is left due (fired < max) the clock moves up to limit, so what the
+// driver arms next is timed from limit, not from the last event.
+func (s *Sim) AdvanceTo(limit Time, max int) (fired int) {
+	if fired = s.fireDue(limit, max); fired < max && limit > s.now {
+		s.now = limit
+	}
+	return fired
+}
+
+// fireDue fires up to max events due at or before limit, earliest first.
+func (s *Sim) fireDue(limit Time, max int) (fired int) {
 	s.runGuard()
 	defer func() { s.running = false }()
-	for next := s.head(); next != nil && next.when <= limit; next = s.head() {
+	for ; fired < max; fired++ {
+		if next := s.head(); next == nil || next.when > limit {
+			break
+		}
 		s.Step()
 	}
-	return s.now
+	return fired
 }
 
 func (s *Sim) runGuard() {
@@ -353,178 +363,4 @@ func (s *Sim) remove(i int) {
 	if last.slot == i+1 {
 		s.up(i)
 	}
-}
-
-// RealTime is an Engine that schedules callbacks on wall-clock timers.
-// Callbacks are serialized by a dedicated run mutex (never held while the
-// engine's own state lock is held), so a callback may freely call Schedule,
-// At and Cancel without deadlocking.
-//
-// Components built on an Engine keep their mutable state lock-free because
-// Engine callbacks never run concurrently — but under RealTime their *public*
-// entry points (Submit, Cancel, ...) run on arbitrary goroutines, racing with
-// timer callbacks. Such entry points must run under Sync (see Locked), which
-// serializes them with callback dispatch.
-type RealTime struct {
-	state  sync.Mutex   // guards seq and timers
-	run    sync.Mutex   // serializes user callbacks and Sync'd sections
-	owner  atomic.Int64 // goroutine currently holding run, for reentrancy
-	start  time.Time
-	seq    uint64
-	wg     sync.WaitGroup
-	timers map[*Event]*time.Timer
-}
-
-// NewRealTime returns a real-time engine whose epoch is the current instant.
-func NewRealTime() *RealTime {
-	return &RealTime{start: time.Now(), timers: make(map[*Event]*time.Timer)}
-}
-
-var _ Engine = (*RealTime)(nil)
-
-// Now returns the elapsed wall-clock time since the engine was created.
-func (r *RealTime) Now() Time { return Time(time.Since(r.start)) }
-
-// Schedule implements Engine using time.AfterFunc.
-func (r *RealTime) Schedule(delay time.Duration, fn func()) *Event {
-	if fn == nil {
-		panic("sim: Schedule called with nil callback")
-	}
-	ev := &Event{h: Func(fn)}
-	r.Arm(ev, delay)
-	return ev
-}
-
-// Arm implements Engine using time.AfterFunc.
-func (r *RealTime) Arm(ev *Event, delay time.Duration) {
-	if ev.h == nil {
-		panic("sim: event armed before Init gave it a handler")
-	}
-	if delay < 0 {
-		delay = 0
-	}
-	r.state.Lock()
-	defer r.state.Unlock()
-	if _, pending := r.timers[ev]; pending {
-		panic("sim: event armed while still pending")
-	}
-	ev.when, ev.seq, ev.canceled = r.Now().Add(delay), r.seq, false
-	r.seq++
-	r.wg.Add(1)
-	var timer *time.Timer
-	timer = time.AfterFunc(delay, func() {
-		defer r.wg.Done()
-		r.run.Lock()
-		r.owner.Store(goid())
-		defer func() {
-			r.owner.Store(0)
-			r.run.Unlock()
-		}()
-		// The event may have been canceled, and armed again, while this
-		// timer waited for the run lock: only the timer on record fires.
-		r.state.Lock()
-		live := r.timers[ev] == timer
-		if live {
-			delete(r.timers, ev)
-		}
-		r.state.Unlock()
-		if live {
-			ev.h.Fire()
-		}
-	})
-	r.timers[ev] = timer
-}
-
-// At implements Engine.
-func (r *RealTime) At(t Time, fn func()) *Event {
-	return r.Schedule(t.Sub(r.Now()), fn)
-}
-
-// Cancel implements Engine.
-func (r *RealTime) Cancel(ev *Event) bool {
-	if ev == nil {
-		return false
-	}
-	r.state.Lock()
-	defer r.state.Unlock()
-	if ev.canceled {
-		return false
-	}
-	ev.canceled = true
-	timer, ok := r.timers[ev]
-	if !ok {
-		return false // already fired
-	}
-	delete(r.timers, ev)
-	if timer.Stop() {
-		// The AfterFunc will never run; release its Wait slot here.
-		r.wg.Done()
-	}
-	return true
-}
-
-// Wait blocks until all pending timers have fired or been canceled. It is
-// intended for orderly shutdown in examples and tests.
-func (r *RealTime) Wait() { r.wg.Wait() }
-
-// Sync runs fn serialized with timer callbacks: while fn runs, no engine
-// callback runs, so fn may safely touch state that callbacks also mutate.
-// Sync is reentrant — calling it from inside a callback (or a nested Sync)
-// runs fn inline, so components may wrap their public entry points in Sync
-// without worrying about being invoked from an engine callback.
-func (r *RealTime) Sync(fn func()) {
-	id := goid()
-	if r.owner.Load() == id {
-		fn()
-		return
-	}
-	r.run.Lock()
-	r.owner.Store(id)
-	defer func() {
-		r.owner.Store(0)
-		r.run.Unlock()
-	}()
-	fn()
-}
-
-// Syncer is implemented by engines whose callbacks run concurrently with the
-// caller's goroutine and that therefore provide a serialization entry point.
-type Syncer interface {
-	Sync(fn func())
-}
-
-// Locked runs fn under the engine's callback serialization when the engine
-// provides one (RealTime); on single-goroutine engines (Sim) it runs fn
-// directly. Components use it to guard public entry points that mutate state
-// shared with their scheduled callbacks.
-func Locked(eng Engine, fn func()) {
-	if s, ok := eng.(Syncer); ok {
-		s.Sync(fn)
-		return
-	}
-	fn()
-}
-
-// goid returns the current goroutine's id by parsing the stack header
-// ("goroutine 123 [running]: ..."). The runtime exposes no API for this; the
-// parse is the standard fallback and only runs on RealTime entry points,
-// never on the DES hot path.
-func goid() int64 {
-	var buf [64]byte
-	n := runtime.Stack(buf[:], false)
-	s := string(buf[:n])
-	const prefix = "goroutine "
-	if len(s) <= len(prefix) {
-		return -1
-	}
-	s = s[len(prefix):]
-	end := 0
-	for end < len(s) && s[end] >= '0' && s[end] <= '9' {
-		end++
-	}
-	id, err := strconv.ParseInt(s[:end], 10, 64)
-	if err != nil {
-		return -1
-	}
-	return id
 }

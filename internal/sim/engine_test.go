@@ -2,9 +2,9 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
-	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -247,61 +247,48 @@ func TestTimeArithmetic(t *testing.T) {
 	}
 }
 
-func TestRealTimeFiresAndCancels(t *testing.T) {
-	r := NewRealTime()
-	var mu sync.Mutex
-	fired := 0
-	r.Schedule(time.Millisecond, func() {
-		mu.Lock()
-		fired++
-		mu.Unlock()
-	})
-	ev := r.Schedule(50*time.Millisecond, func() {
-		mu.Lock()
-		fired += 100
-		mu.Unlock()
-	})
-	time.Sleep(5 * time.Millisecond)
-	r.Cancel(ev)
-	r.Wait()
-	mu.Lock()
-	defer mu.Unlock()
-	if fired != 1 {
-		t.Fatalf("fired = %d, want 1", fired)
+// TestAdvanceTo pins what a wall-clock driver relies on: events due by the
+// limit fire in order, at their own times, max at most per call; once none is
+// left due the clock reads the limit, so what is armed next is timed from
+// there; the clock never runs backwards; NextAt names the time to sleep until.
+func TestAdvanceTo(t *testing.T) {
+	s := NewSim()
+	if _, ok := s.NextAt(); ok {
+		t.Fatal("NextAt on an empty queue reports an event")
 	}
-}
+	var got []Time
+	note := func() { got = append(got, s.Now()) }
+	for _, d := range []time.Duration{1, 2, 2, 3, 9} {
+		s.Schedule(d*time.Second, note)
+	}
+	gone := s.Schedule(2*time.Second, note)
+	s.Cancel(gone)
+	if at, ok := s.NextAt(); !ok || at != Time(time.Second) {
+		t.Fatalf("NextAt = %v, %v, want 1s", at, ok)
+	}
 
-func TestRealTimeSerializesCallbacks(t *testing.T) {
-	r := NewRealTime()
-	inside := 0
-	maxInside := 0
-	var mu sync.Mutex
-	for i := 0; i < 20; i++ {
-		r.Schedule(time.Millisecond, func() {
-			mu.Lock()
-			inside++
-			if inside > maxInside {
-				maxInside = inside
-			}
-			mu.Unlock()
-			time.Sleep(200 * time.Microsecond)
-			mu.Lock()
-			inside--
-			mu.Unlock()
-		})
+	limit := Time(5 * time.Second)
+	if n := s.AdvanceTo(limit, 3); n != 3 || s.Now() != Time(2*time.Second) {
+		t.Fatalf("AdvanceTo(5s, 3) fired %d and left the clock at %v, want 3 at 2s", n, s.Now())
 	}
-	r.Wait()
-	if maxInside != 1 {
-		t.Fatalf("observed %d concurrent callbacks, want 1", maxInside)
+	if n := s.AdvanceTo(limit, 3); n != 1 || s.Now() != limit {
+		t.Fatalf("AdvanceTo(5s, 3) again fired %d and left the clock at %v, want 1 at 5s", n, s.Now())
 	}
-}
+	want := []Time{Time(time.Second), Time(2 * time.Second), Time(2 * time.Second), Time(3 * time.Second)}
+	if !slices.Equal(got, want) {
+		t.Fatalf("fired at %v, want %v", got, want)
+	}
 
-func TestRealTimeNowAdvances(t *testing.T) {
-	r := NewRealTime()
-	t0 := r.Now()
-	time.Sleep(2 * time.Millisecond)
-	if !r.Now().After(t0) {
-		t.Fatal("Now did not advance")
+	s.Schedule(time.Second, note) // from 5s, not from the event at 3s
+	if at, _ := s.NextAt(); at != Time(6*time.Second) {
+		t.Fatalf("an event armed after the advance is due at %v, want 6s", at)
+	}
+	if n := s.AdvanceTo(Time(4*time.Second), 8); n != 0 || s.Now() != limit {
+		t.Fatalf("AdvanceTo into the past fired %d and moved the clock to %v", n, s.Now())
+	}
+	s.Schedule(0, note) // a same-instant event is due at any limit the clock has reached
+	if n := s.AdvanceTo(limit, 8); n != 1 || s.Pending() != 2 {
+		t.Fatalf("AdvanceTo(now) fired %d of the same-instant events, %d pending", n, s.Pending())
 	}
 }
 
@@ -468,43 +455,5 @@ func TestPendingCountsLaneAndHeap(t *testing.T) {
 	}
 	if !s.Step() || s.Pending() != 0 || s.Runnable() || s.Step() {
 		t.Fatalf("after firing the last: Pending = %d, Runnable = %v", s.Pending(), s.Runnable())
-	}
-}
-
-// TestRealTimeArm covers the caller-owned call on the wall-clock engine:
-// fire, re-arm from the callback, cancel, re-arm after cancel. Run it with
-// -race: the event's fields are written under the engine's lock while timer
-// goroutines read them.
-func TestRealTimeArm(t *testing.T) {
-	r := NewRealTime()
-	var mu sync.Mutex
-	fired := 0
-	var ev Event
-	ev.Init(Func(func() {
-		mu.Lock()
-		fired++
-		again := fired < 3
-		mu.Unlock()
-		if again {
-			r.Arm(&ev, time.Millisecond)
-		}
-	}))
-	r.Arm(&ev, time.Millisecond)
-	r.Wait()
-	if fired != 3 || r.Cancel(&ev) {
-		t.Fatalf("fired %d times (want 3), or a fired event canceled", fired)
-	}
-
-	r.Arm(&ev, time.Hour)
-	if !r.Cancel(&ev) || !ev.Canceled() {
-		t.Fatal("pending owned event did not cancel")
-	}
-	r.Arm(&ev, time.Millisecond) // fired is 3: it fires once more and stops
-	if ev.Canceled() {
-		t.Fatal("re-armed event still reads canceled")
-	}
-	r.Wait()
-	if fired != 4 {
-		t.Fatalf("fired %d times after cancel and re-arm, want 4", fired)
 	}
 }

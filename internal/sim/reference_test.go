@@ -186,6 +186,31 @@ func (s *refSim) RunUntil(limit Time) Time {
 	return s.now
 }
 
+// NextAt mirrors Sim.NextAt.
+func (s *refSim) NextAt() (Time, bool) {
+	if next := s.peek(); next != nil {
+		return next.when, true
+	}
+	return 0, false
+}
+
+// AdvanceTo mirrors Sim.AdvanceTo: RunUntil in steps of max, and the clock
+// reads limit once nothing is left due.
+func (s *refSim) AdvanceTo(limit Time, max int) int {
+	for fired := 0; ; fired++ {
+		if fired == max {
+			return fired
+		}
+		if next := s.peek(); next == nil || next.when > limit {
+			if s.now < limit {
+				s.now = limit
+			}
+			return fired
+		}
+		s.Step()
+	}
+}
+
 func (s *refSim) peek() *refEvent {
 	for len(s.queue) > 0 {
 		if s.queue[0].canceled {

@@ -7,7 +7,6 @@ package site
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"aimes/internal/batch"
@@ -101,12 +100,11 @@ type Site struct {
 	cfg   Config
 	queue batch.Queue
 	link  *netsim.Link
-	bg    *batch.Background
 }
 
 // New instantiates the site on the engine. rng must be namespaced per site so
 // that sites draw independent streams.
-func New(eng sim.Engine, cfg Config, rng *sim.RNG) (*Site, error) {
+func New(eng *sim.Sim, cfg Config, rng *sim.RNG) (*Site, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -121,13 +119,11 @@ func New(eng sim.Engine, cfg Config, rng *sim.RNG) (*Site, error) {
 			Policy:      cfg.Policy,
 			FailureProb: cfg.FailureProb,
 		}, rng.Stream("failures"))
-		bg, err := batch.StartBackground(eng, sys, cfg.Nodes,
-			batch.DefaultBackground(cfg.Nodes, cfg.BackgroundUtil), rng.Stream("background"))
-		if err != nil {
+		if _, err := batch.StartBackground(eng, sys, cfg.Nodes,
+			batch.DefaultBackground(cfg.Nodes, cfg.BackgroundUtil), rng.Stream("background")); err != nil {
 			return nil, err
 		}
 		s.queue = sys
-		s.bg = bg
 	default:
 		return nil, fmt.Errorf("site %s: unknown queue mode %d", cfg.Name, cfg.Mode)
 	}
@@ -149,13 +145,6 @@ func (s *Site) Queue() batch.Queue { return s.queue }
 
 // Link returns the WAN link used for staging.
 func (s *Site) Link() *netsim.Link { return s.link }
-
-// StopBackground halts emergent-mode arrivals (drains pending completions).
-func (s *Site) StopBackground() {
-	if s.bg != nil {
-		s.bg.Stop()
-	}
-}
 
 // SetOffline takes the site's queue out of service (see batch.Dynamic).
 // Submissions already in the adaptor's latency window fail on arrival; jobs
@@ -204,7 +193,7 @@ type Testbed struct {
 
 // NewTestbed instantiates all configs on the engine. Site RNG namespaces are
 // derived from the root RNG by site name.
-func NewTestbed(eng sim.Engine, configs []Config, root *sim.RNG) (*Testbed, error) {
+func NewTestbed(eng *sim.Sim, configs []Config, root *sim.RNG) (*Testbed, error) {
 	tb := &Testbed{sites: make(map[string]*Site)}
 	for _, cfg := range configs {
 		if _, dup := tb.sites[cfg.Name]; dup {
@@ -237,13 +226,6 @@ func (t *Testbed) Sites() []*Site {
 		out = append(out, t.sites[n])
 	}
 	return out
-}
-
-// SortedNames returns the site names sorted alphabetically.
-func (t *Testbed) SortedNames() []string {
-	cp := t.Names()
-	sort.Strings(cp)
-	return cp
 }
 
 // DefaultTestbed returns the five-resource configuration standing in for the

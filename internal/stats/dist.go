@@ -169,103 +169,6 @@ func (l LogNormal) Median() float64 { return math.Exp(l.Mu) }
 
 func (l LogNormal) String() string { return fmt.Sprintf("lognormal(%g, %g)", l.Mu, l.Sigma) }
 
-// Exponential is the exponential distribution with the given rate (1/mean).
-// Used for Poisson inter-arrival times of background batch jobs.
-type Exponential struct{ Rate float64 }
-
-// NewExponential returns an exponential distribution with the given rate. It
-// panics on non-positive rate.
-func NewExponential(rate float64) Exponential {
-	if rate <= 0 {
-		panic(fmt.Sprintf("stats: non-positive rate %g", rate))
-	}
-	return Exponential{Rate: rate}
-}
-
-// Sample implements Dist.
-func (e Exponential) Sample(r *rand.Rand) float64 { return r.ExpFloat64() / e.Rate }
-
-// Mean implements Dist.
-func (e Exponential) Mean() float64 { return 1 / e.Rate }
-
-func (e Exponential) String() string { return fmt.Sprintf("exponential(%g)", e.Rate) }
-
-// Weibull is the Weibull distribution with shape K and scale Lambda. A shape
-// below 1 gives the heavy-tailed behaviour typical of job runtimes.
-type Weibull struct{ K, Lambda float64 }
-
-// NewWeibull returns a Weibull distribution. It panics on non-positive
-// parameters.
-func NewWeibull(k, lambda float64) Weibull {
-	if k <= 0 || lambda <= 0 {
-		panic(fmt.Sprintf("stats: non-positive weibull parameters k=%g lambda=%g", k, lambda))
-	}
-	return Weibull{K: k, Lambda: lambda}
-}
-
-// Sample implements Dist via inverse-CDF sampling.
-func (w Weibull) Sample(r *rand.Rand) float64 {
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return w.Lambda * math.Pow(-math.Log(u), 1/w.K)
-}
-
-// Mean implements Dist.
-func (w Weibull) Mean() float64 { return w.Lambda * math.Gamma(1+1/w.K) }
-
-func (w Weibull) String() string { return fmt.Sprintf("weibull(%g, %g)", w.K, w.Lambda) }
-
-// Empirical samples uniformly from a fixed set of observed values, the
-// trace-driven mode of the bundle predictor.
-type Empirical struct{ values []float64 }
-
-// NewEmpirical returns a distribution over the given observations. It copies
-// the slice and panics if it is empty.
-func NewEmpirical(values []float64) Empirical {
-	if len(values) == 0 {
-		panic("stats: empirical distribution needs at least one value")
-	}
-	cp := make([]float64, len(values))
-	copy(cp, values)
-	return Empirical{values: cp}
-}
-
-// Sample implements Dist.
-func (e Empirical) Sample(r *rand.Rand) float64 {
-	return e.values[r.Intn(len(e.values))]
-}
-
-// Mean implements Dist.
-func (e Empirical) Mean() float64 {
-	sum := 0.0
-	for _, v := range e.values {
-		sum += v
-	}
-	return sum / float64(len(e.values))
-}
-
-func (e Empirical) String() string { return fmt.Sprintf("empirical(n=%d)", len(e.values)) }
-
-// Shifted adds a constant offset to another distribution, e.g. a minimum
-// service time under a stochastic component.
-type Shifted struct {
-	Base   Dist
-	Offset float64
-}
-
-// NewShifted wraps base so every sample is offset by off.
-func NewShifted(base Dist, off float64) Shifted { return Shifted{Base: base, Offset: off} }
-
-// Sample implements Dist.
-func (s Shifted) Sample(r *rand.Rand) float64 { return s.Base.Sample(r) + s.Offset }
-
-// Mean implements Dist.
-func (s Shifted) Mean() float64 { return s.Base.Mean() + s.Offset }
-
-func (s Shifted) String() string { return fmt.Sprintf("%v + %g", s.Base, s.Offset) }
-
 // Clamped restricts another distribution to [Low, High] by clamping samples.
 type Clamped struct {
 	Base      Dist

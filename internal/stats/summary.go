@@ -3,7 +3,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Summary accumulates observations and reports descriptive statistics. The
@@ -113,118 +112,9 @@ func (s *Summary) String() string {
 		s.N(), s.Mean(), s.Std(), s.Min(), s.Median(), s.Max())
 }
 
-// Histogram is a fixed-width-bin histogram over [Low, High). Values outside
-// the range land in saturating edge bins.
-type Histogram struct {
-	Low, High float64
-	Counts    []uint64
-	total     uint64
-}
-
-// NewHistogram creates a histogram with bins equal-width bins over
-// [low, high). It panics on a non-positive bin count or inverted range.
-func NewHistogram(low, high float64, bins int) *Histogram {
-	if bins <= 0 {
-		panic(fmt.Sprintf("stats: non-positive bin count %d", bins))
-	}
-	if high <= low {
-		panic(fmt.Sprintf("stats: inverted histogram range [%g, %g)", low, high))
-	}
-	return &Histogram{Low: low, High: high, Counts: make([]uint64, bins)}
-}
-
-// Add records a value.
-func (h *Histogram) Add(v float64) {
-	idx := int(float64(len(h.Counts)) * (v - h.Low) / (h.High - h.Low))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(h.Counts) {
-		idx = len(h.Counts) - 1
-	}
-	h.Counts[idx]++
-	h.total++
-}
-
-// Total reports the number of recorded values.
-func (h *Histogram) Total() uint64 { return h.total }
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.High - h.Low) / float64(len(h.Counts))
-	return h.Low + w*(float64(i)+0.5)
-}
-
-// Mode returns the center of the most populated bin, or NaN when empty.
-func (h *Histogram) Mode() float64 {
-	if h.total == 0 {
-		return math.NaN()
-	}
-	best := 0
-	for i, c := range h.Counts {
-		if c > h.Counts[best] {
-			best = i
-		}
-	}
-	return h.BinCenter(best)
-}
-
-// Welford is a streaming mean/variance accumulator (Welford's algorithm) for
-// contexts where storing all observations would be wasteful, such as
-// per-resource utilization history in bundle agents.
-type Welford struct {
-	n    uint64
-	mean float64
-	m2   float64
-}
-
-// Add records one observation.
-func (w *Welford) Add(v float64) {
-	w.n++
-	d := v - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (v - w.mean)
-}
-
-// N reports the observation count.
-func (w *Welford) N() uint64 { return w.n }
-
-// Mean returns the running mean, or NaN when empty.
-func (w *Welford) Mean() float64 {
-	if w.n == 0 {
-		return math.NaN()
-	}
-	return w.mean
-}
-
-// Variance returns the running sample variance, or 0 for n < 2.
-func (w *Welford) Variance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
-// Std returns the running sample standard deviation.
-func (w *Welford) Std() float64 { return math.Sqrt(w.Variance()) }
-
-// MeanStd computes the mean and sample standard deviation of values in one
-// pass without allocation.
+// MeanStd computes the mean and sample standard deviation of values without
+// copying them.
 func MeanStd(values []float64) (mean, std float64) {
-	var w Welford
-	for _, v := range values {
-		w.Add(v)
-	}
-	if w.n == 0 {
-		return math.NaN(), 0
-	}
-	return w.Mean(), w.Std()
-}
-
-// Sorted returns a sorted copy of values.
-func Sorted(values []float64) []float64 {
-	cp := make([]float64, len(values))
-	copy(cp, values)
-	sort.Float64s(cp)
-	return cp
+	s := Summary{values: values}
+	return s.Mean(), s.Std()
 }

@@ -55,79 +55,6 @@ func TestSummaryString(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	h.Add(-5) // saturates low bin
-	h.Add(50) // saturates high bin
-	if h.Total() != 12 {
-		t.Fatalf("Total = %d, want 12", h.Total())
-	}
-	if h.Counts[0] != 2 || h.Counts[9] != 2 {
-		t.Fatalf("edge bins = %d/%d, want 2/2", h.Counts[0], h.Counts[9])
-	}
-	if got := h.BinCenter(0); got != 0.5 {
-		t.Fatalf("BinCenter(0) = %g, want 0.5", got)
-	}
-}
-
-func TestHistogramMode(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	if !math.IsNaN(h.Mode()) {
-		t.Fatal("empty histogram mode should be NaN")
-	}
-	h.Add(3.2)
-	h.Add(3.4)
-	h.Add(7.1)
-	if got := h.Mode(); got != 3.5 {
-		t.Fatalf("Mode = %g, want 3.5", got)
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	for _, fn := range []func(){
-		func() { NewHistogram(0, 10, 0) },
-		func() { NewHistogram(10, 0, 5) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("bad histogram construction did not panic")
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
-func TestWelfordMatchesSummary(t *testing.T) {
-	vals := []float64{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5}
-	var w Welford
-	var s Summary
-	for _, v := range vals {
-		w.Add(v)
-		s.Add(v)
-	}
-	if math.Abs(w.Mean()-s.Mean()) > 1e-12 {
-		t.Fatalf("Welford mean %g vs summary %g", w.Mean(), s.Mean())
-	}
-	if math.Abs(w.Std()-s.Std()) > 1e-12 {
-		t.Fatalf("Welford std %g vs summary %g", w.Std(), s.Std())
-	}
-}
-
-func TestWelfordEmpty(t *testing.T) {
-	var w Welford
-	if !math.IsNaN(w.Mean()) {
-		t.Fatal("empty Welford mean should be NaN")
-	}
-	if w.Variance() != 0 || w.Std() != 0 {
-		t.Fatal("empty Welford variance should be 0")
-	}
-}
-
 func TestMeanStd(t *testing.T) {
 	mean, std := MeanStd([]float64{1, 2, 3})
 	if mean != 2 {
@@ -139,40 +66,6 @@ func TestMeanStd(t *testing.T) {
 	mean, std = MeanStd(nil)
 	if !math.IsNaN(mean) || std != 0 {
 		t.Fatal("empty MeanStd should be (NaN, 0)")
-	}
-}
-
-func TestSorted(t *testing.T) {
-	in := []float64{3, 1, 2}
-	out := Sorted(in)
-	if out[0] != 1 || out[1] != 2 || out[2] != 3 {
-		t.Fatalf("Sorted = %v", out)
-	}
-	if in[0] != 3 {
-		t.Fatal("Sorted mutated input")
-	}
-}
-
-// Property: Welford agrees with the two-pass Summary computation.
-func TestWelfordProperty(t *testing.T) {
-	prop := func(raw []int16) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		var w Welford
-		var s Summary
-		for _, r := range raw {
-			v := float64(r)
-			w.Add(v)
-			s.Add(v)
-		}
-		if math.Abs(w.Mean()-s.Mean()) > 1e-6 {
-			return false
-		}
-		return math.Abs(w.Std()-s.Std()) < 1e-6
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }
 

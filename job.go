@@ -319,7 +319,8 @@ func (j *Job) EventsDropped() int64 { return j.stream.Missed() }
 // virtual-time environment the waiting goroutine pumps the job's shard
 // (whoever waits, advances that shard's time — concurrent waiters interleave
 // on the same shard and run in parallel across shards); on a wall-clock
-// environment it blocks while timers fire. On a work-stealing environment
+// environment it blocks while the shard's pacer fires events as they come
+// due. On a work-stealing environment
 // the waiter additionally migrates its own still-queued job to a less loaded
 // shard, helps pump the busiest shard while its own is locked, and on its
 // way out hands one queued job from the busiest queue to an idle shard.
@@ -333,8 +334,9 @@ func (j *Job) Wait(ctx context.Context) (*Report, error) {
 		ctx = context.Background()
 	}
 	e := j.env
-	if e.realTime {
-		// The wall-clock engine fires on its own timers: nothing to pump.
+	if j.sh.Load().pace != nil {
+		// The shard's pacer fires events when the wall clock says so; a pump
+		// would fire them early.
 		select {
 		case <-j.done:
 		case <-ctx.Done():

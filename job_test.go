@@ -3,7 +3,9 @@ package aimes_test
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -204,7 +206,7 @@ func TestConcurrentJobsDeterminism(t *testing.T) {
 }
 
 // fastSites is a small testbed with millisecond-scale queue waits, usable on
-// the wall-clock engine.
+// the wall clock.
 func fastSites() []aimes.SiteConfig {
 	var sites []aimes.SiteConfig
 	for _, name := range []string{"alpha", "beta"} {
@@ -221,10 +223,10 @@ func fastSites() []aimes.SiteConfig {
 	return sites
 }
 
-// TestRealTimeJobsAndCancel drives the identical Job API on the wall-clock
-// engine: two tenants run concurrently on a fast testbed, one is canceled
+// TestRealTimeJobsAndCancel drives the identical Job API on the wall clock:
+// two tenants run concurrently on a fast testbed, one is canceled
 // mid-flight, and both handles resolve. Run under -race this exercises the
-// Submit/Wait/Cancel entry points against live timer callbacks.
+// Submit/Wait/Cancel entry points against the pacer firing events.
 func TestRealTimeJobsAndCancel(t *testing.T) {
 	env, err := aimes.NewEnv(
 		aimes.WithRealTime(),
@@ -332,6 +334,67 @@ func TestWaitContextExpiry(t *testing.T) {
 	}
 }
 
+// TestRealTimeMatchesVirtualTime: WithRealTime changes when events fire, not
+// which or in what order. The same seed and the same 16-task job give the
+// same report, field for field, and the same records the same virtual time
+// apart, whether a waiter pumps the shard or its pacer holds it to the wall
+// clock (where the whole run starts the few microseconds after the
+// environment's creation that Submit was called at).
+func TestRealTimeMatchesVirtualTime(t *testing.T) {
+	w, err := aimes.GenerateWorkload(aimes.AppSpec{
+		Name:   "bag",
+		Stages: []aimes.StageSpec{{Name: "s", Tasks: 16, DurationS: aimes.UniformSpec(0.01, 0.05)}},
+	}, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	run := func(clock ...aimes.Option) (*aimes.Report, []aimes.Event) {
+		env, err := aimes.NewEnv(append(clock,
+			aimes.WithSeed(11),
+			aimes.WithSites(fastSites()...),
+			aimes.WithPilotConfig(aimes.PilotConfig{AgentDispatchOverhead: 2 * time.Millisecond, DefaultMaxRestarts: 3}),
+		)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer env.Close()
+		j, err := env.Submit(ctx, w, aimes.JobConfig{StrategyConfig: aimes.StrategyConfig{
+			Binding: aimes.LateBinding, Scheduler: aimes.SchedBackfill, Pilots: 2}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := j.Wait(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r, slices.Collect(j.Events())
+	}
+	began := time.Now()
+	paced, pacedEvents := run(aimes.WithRealTime())
+	wall := time.Since(began)
+	virtual, events := run(aimes.WithShards(1))
+
+	if paced.UnitsDone != 16 || !reflect.DeepEqual(paced, virtual) {
+		t.Fatalf("reports differ:\nwall clock   %+v\nvirtual time %+v", paced, virtual)
+	}
+	if wall < virtual.TTC {
+		t.Fatalf("a job of TTC %v took %v on the wall clock", virtual.TTC, wall)
+	}
+	if len(pacedEvents) != len(events) || len(events) < 16*4 {
+		t.Fatalf("%d records on the wall clock, %d in virtual time", len(pacedEvents), len(events))
+	}
+	shift := pacedEvents[0].Time - events[0].Time
+	for i, want := range events {
+		got := pacedEvents[i]
+		got.Time -= shift
+		if got != want {
+			t.Fatalf("record %d: wall clock %+v (shifted by %v), virtual time %+v", i, got, shift, want)
+		}
+	}
+}
+
 // TestSubmitContextCancelsJob checks that the submission context bounds the
 // job's lifetime.
 func TestSubmitContextCancelsJob(t *testing.T) {
@@ -375,15 +438,17 @@ func TestSubmitContextCancelsJob(t *testing.T) {
 }
 
 // TestJobAllocationBudget pins what one job costs from Submit to Wait on a
-// local shard, per unit: at most two objects — the units are one slab, their
-// ids one string, their transfers and events inside the slab, their staging
-// details shared, and the report is accumulated where the units change state,
-// not replayed from a second copy of the trace — and a ceiling on the bytes
-// 1.25 times what this test measured (1 115 B per unit), most of which is the
-// shard log's entries: seven records of 72 B per unit. The least of three
-// jobs counts, so another test's leftovers cannot fail it.
+// local shard, per unit: at most 0.6 objects (0.40 measured; 0.77 with a list
+// per place) — the units are one slab, their ids one string, their transfers
+// and events inside the slab, their staging details shared, every place of
+// the job appends to one assignment list, and the report is accumulated where
+// the units change state, not replayed from a second copy of the trace — and
+// a ceiling on the bytes 1.25 times what this test measured (1 115 B per
+// unit), most of which is the shard log's entries: seven records of 72 B per
+// unit. The least of three jobs counts, so another test's leftovers cannot
+// fail it.
 func TestJobAllocationBudget(t *testing.T) {
-	const units, maxObjects, maxBytes = 512, 2.0, 1394.0
+	const units, maxObjects, maxBytes = 512, 0.6, 1394.0
 	env, err := aimes.NewEnv(aimes.WithSeed(7), aimes.WithShards(1))
 	if err != nil {
 		t.Fatal(err)
@@ -420,7 +485,7 @@ func TestJobAllocationBudget(t *testing.T) {
 	}
 	t.Logf("%.2f objects and %.0f bytes per unit", objects, bytes)
 	if objects > maxObjects {
-		t.Errorf("a job allocates %.2f objects per unit, want at most %.0f", objects, maxObjects)
+		t.Errorf("a job allocates %.2f objects per unit, want at most %.1f", objects, maxObjects)
 	}
 	if bytes > maxBytes {
 		t.Errorf("a job allocates %.0f bytes per unit, want at most %.0f", bytes, maxBytes)

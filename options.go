@@ -33,11 +33,15 @@ func WithPilotConfig(cfg PilotConfig) Option {
 	return func(o *envOptions) { c := cfg; o.pilot = &c }
 }
 
-// WithRealTime runs the environment on the wall-clock engine: batch queues,
-// staging links and agents fire on real timers, and jobs complete without
-// anyone pumping. Intended for small, fast testbeds (see examples/realtime).
-// Mutually exclusive with the worker backend (WithWorkerPool), whose
-// protocol is virtual-time by construction.
+// WithRealTime holds the environment's engine to the wall clock: the same
+// events fire in the same order as in virtual time, each when the time since
+// NewEnv reaches it (after any emergent-site warm-up, which still runs in
+// virtual time), so batch queues, staging links and agents take as long as
+// they say, and jobs complete without anyone pumping — Wait only blocks.
+// Intended for small, fast testbeds (see examples/realtime). One clock paces
+// one shard: mutually exclusive with WithShards(n > 1), WithWorkStealing and
+// the worker backend (WithWorkerPool), whose engines advance as fast as
+// their waiters step them.
 func WithRealTime() Option { return func(o *envOptions) { o.realTime = true } }
 
 // WithShards partitions the environment into n parallel simulation shards.
@@ -47,9 +51,10 @@ func WithRealTime() Option { return func(o *envOptions) { o.realTime = true } }
 // engine with no shared lock, and multi-tenant throughput scales with the
 // shard count up to the hardware's parallelism.
 //
-// The default is runtime.GOMAXPROCS(0) shards on the virtual-time engine and
-// exactly 1 with WithRealTime (wall-clock timers already run concurrently).
-// n must be at least 1; combining WithRealTime with n > 1 is rejected.
+// The default is runtime.GOMAXPROCS(0) shards in virtual time and exactly 1
+// with WithRealTime (on the wall clock nothing is gained by a second shard:
+// events wait for their time, not for a processor). n must be at least 1;
+// combining WithRealTime with n > 1 is rejected.
 //
 // Determinism is per-shard: the same environment seed and the same per-shard
 // submission order reproduce identical reports for the jobs of that shard,
@@ -83,8 +88,9 @@ func WithShards(n int) Option {
 // shards also keep the constant minimum admission window, so the tenant's
 // trajectory never depends on wall-clock drain measurements.
 //
-// Work stealing requires the virtual-time engine (combining it with
-// WithRealTime is rejected) and only has effect with at least two shards.
+// Work stealing moves jobs between shards that waiters pump, so combining it
+// with WithRealTime (one shard, paced by the clock) is rejected, and it only
+// has effect with at least two shards.
 // It composes with the worker backend: the same two-phase descriptor
 // handoff routes through the transport, because a queued job is a
 // descriptor the backend has never seen.

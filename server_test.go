@@ -262,7 +262,7 @@ func longWorkload(t *testing.T, name string, seed int64) *aimes.Workload {
 // TestServerQuotaAndMetrics is the multi-tenancy acceptance gate: two
 // tenants with quota 1 each; tenant A's second submission is rejected with
 // 429 while tenant B's is admitted, and /metrics reflects the per-tenant
-// counters. Runs on the wall-clock engine so the first job provably stays
+// counters. Runs on the wall clock so the first job provably stays
 // in flight across the second submission.
 func TestServerQuotaAndMetrics(t *testing.T) {
 	env := fastRealtimeEnv(t)

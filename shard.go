@@ -2,6 +2,7 @@ package aimes
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -16,17 +17,15 @@ import (
 // shardEnv is the environment's frontend for one simulation shard: the
 // backend handle plus everything the orchestration layer keeps on its side
 // of the seam — the mutex serializing backend access, the admission gate,
-// the live-job registry, load accounting, and the shard's trace log. On
-// virtual-time backends all engine access (enactment, stepping,
-// cancellation) runs under mu; the wall-clock engine serializes through its
-// own Sync instead.
+// the live-job registry, load accounting, and the shard's trace log. All
+// engine access (enactment, stepping, cancellation) runs under mu.
 type shardEnv struct {
 	id  int
 	env *Environment
 	be  backend.Backend
 
 	// local is the in-process stack (nil on worker shards), kept for what
-	// never crosses the seam: Bundle, NewMonitor and the wall-clock Sync.
+	// never crosses the seam: Bundle, NewMonitor and the wall-clock pacer.
 	local *backend.Local
 
 	// cfg is the backend configuration the shard was built from — kept so a
@@ -40,6 +39,10 @@ type shardEnv struct {
 	log *trace.Log
 
 	mu sync.Mutex
+
+	// pace holds the engine's clock to the wall clock on a WithRealTime
+	// shard; nil on every other, whose waiters pump.
+	pace *pacer
 
 	// jobs registers every live job currently owned by the shard (queued or
 	// enacted), keyed by the environment-global job ID — the routing table
@@ -86,11 +89,10 @@ func (e *Environment) newShard(k int, o *envOptions) (*shardEnv, error) {
 		jobs:  make(map[int]*Job),
 		batch: pumpBatch,
 		cfg: backend.Config{
-			Shard:    k,
-			Seed:     shard.Seed(o.seed, k),
-			Sites:    o.sites,
-			Pilot:    o.pilot,
-			RealTime: o.realTime,
+			Shard: k,
+			Seed:  shard.Seed(o.seed, k),
+			Sites: o.sites,
+			Pilot: o.pilot,
 		},
 	}
 	sh.adm.sh = sh
@@ -108,20 +110,114 @@ func (e *Environment) newShard(k int, o *envOptions) (*shardEnv, error) {
 		return nil, err
 	}
 	sh.be, sh.local = l, l
+	if o.realTime {
+		// From here on (past any warm-up NewLocal ran) the engine's clock
+		// follows the wall clock.
+		eng := l.Engine()
+		sh.pace = &pacer{mu: &sh.mu, eng: eng, base: eng.Now(), start: time.Now(), kick: make(chan struct{}, 1)}
+	}
 	return sh, nil
 }
 
-// sync runs fn serialized with the shard backend's callbacks: under the
-// engine's Sync on the wall-clock engine, under the shard mutex otherwise.
-// Every entry point that touches a shard's enactment state goes through it.
+// sync runs fn serialized with the shard backend's callbacks, under the
+// shard mutex. Every entry point that touches a shard's enactment state goes
+// through it. On a paced shard fn finds the engine's clock at the wall
+// clock, and what it armed or canceled reaches the pacer.
 func (sh *shardEnv) sync(fn func()) {
-	if sh.env.realTime {
-		sim.Locked(sh.local.Engine(), fn)
-		return
-	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	sh.pace.catchUp()
 	fn()
+	sh.pace.wake()
+}
+
+// pacer drives a WithRealTime shard's engine: the same discrete-event queue,
+// in the same (when, seq) order, with each event held back until the wall
+// clock reaches it. One goroutine per shard, alive only while events are
+// pending, does the firing, so jobs complete with nobody waiting. A nil
+// *pacer (every other shard) does nothing. mu, the shard's, guards the
+// engine and the two flags.
+type pacer struct {
+	mu  *sync.Mutex
+	eng *sim.Sim
+
+	// The engine reads base at wall-clock instant start, and advances with it.
+	base  sim.Time
+	start time.Time
+
+	// kick wakes run from its sleep: the head of the queue may have changed.
+	kick chan struct{}
+
+	running bool // a run goroutine is alive
+	closed  bool // Environment.Close: run exits and is not started again
+}
+
+func (p *pacer) now() sim.Time { return p.base.Add(time.Since(p.start)) }
+
+// catchUp fires what is due and moves the engine's clock up to the wall
+// clock. Runs under mu.
+func (p *pacer) catchUp() {
+	if p != nil {
+		p.eng.AdvanceTo(p.now(), math.MaxInt)
+	}
+}
+
+// wake makes sure somebody is firing the engine's pending events, and knows
+// about the ones just armed. Runs under mu.
+func (p *pacer) wake() {
+	switch {
+	case p == nil || p.closed:
+	case p.running:
+		p.nudge()
+	case p.eng.Pending() > 0:
+		p.running = true
+		go p.run()
+	}
+}
+
+// nudge ends run's sleep, now or when it next gets there.
+func (p *pacer) nudge() {
+	select {
+	case p.kick <- struct{}{}:
+	default: // one is already waiting
+	}
+}
+
+// run fires events as they come due, pumpBatch at most per lock hold, and
+// sleeps until the next is, or a kick. It returns when the queue drains.
+func (p *pacer) run() {
+	sleep := time.NewTimer(0)
+	defer sleep.Stop()
+	for {
+		p.mu.Lock()
+		fired := p.eng.AdvanceTo(p.now(), pumpBatch)
+		next, pending := p.eng.NextAt()
+		if p.closed || !pending {
+			p.running = false
+			p.mu.Unlock()
+			return
+		}
+		p.mu.Unlock()
+		if fired == pumpBatch {
+			continue // more may be due
+		}
+		sleep.Reset(next.Sub(p.now()))
+		select {
+		case <-sleep.C:
+		case <-p.kick:
+		}
+	}
+}
+
+// stop ends the pacer for good.
+func (p *pacer) stop() {
+	if p == nil {
+		return
+	}
+	p.mu.Lock()
+	p.closed = true
+	p.mu.Unlock()
+	p.nudge()
 }
 
 // liveJobs appends the shard's live jobs to dst, in no particular order.
