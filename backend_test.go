@@ -19,6 +19,7 @@ import (
 
 	"aimes"
 	"aimes/internal/backend"
+	"aimes/internal/site"
 )
 
 // TestMain lets this test binary serve as its own worker pool: a child
@@ -252,6 +253,66 @@ func TestBackendParity(t *testing.T) {
 					t.Errorf("job %d: reports diverge across backends:\nlocal:  %+v\nworker: %+v",
 						i+1, local[i].Report, worker[i].Report)
 				}
+			}
+		})
+	}
+}
+
+// runParityPolicy runs one pinned seeded job on a one-shard emergent testbed
+// whose batch systems schedule by the named policy, and returns its outcome
+// and the shard's whole trace.
+func runParityPolicy(t *testing.T, policy string, opts ...aimes.Option) (jobOutcome, []aimes.TraceRecord) {
+	t.Helper()
+	sites := site.EmergentTestbed(aimes.DefaultTestbed()[2:5], 0.85, policy)
+	env, err := aimes.NewEnv(append([]aimes.Option{aimes.WithSeed(20261003), aimes.WithSites(sites...)}, opts...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer env.Close()
+	w, err := aimes.GenerateWorkload(aimes.BagOfTasks(32, aimes.UniformDuration()), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	j, err := env.Submit(ctx, w, aimes.JobConfig{
+		StrategyConfig: aimes.StrategyConfig{Binding: aimes.LateBinding, Scheduler: aimes.SchedBackfill, Pilots: 3},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := j.Wait(ctx); err != nil {
+		t.Fatalf("policy %q: %v", policy, err)
+	}
+	return outcomeOf(j), env.Recorder().Records()
+}
+
+// TestBackendParityConservativePolicy is the parity row for a testbed no
+// default configuration sends: emergent sites under conservative backfilling.
+// The policy is a name in site.Config, so it reaches a worker's batch systems
+// as it reaches the local ones — same report, same trace, on stdio and TCP —
+// and it is the policy that ran: the default, EASY, schedules the same job
+// differently.
+func TestBackendParityConservativePolicy(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns worker processes")
+	}
+	local, localTrace := runParityPolicy(t, "conservative", aimes.WithShards(1))
+	if easy, _ := runParityPolicy(t, "", aimes.WithShards(1)); reflect.DeepEqual(easy.Report, local.Report) {
+		t.Fatalf("conservative and EASY backfilling report alike; the job does not tell them apart:\n%+v", local.Report)
+	}
+	addr, secret := tcpWorkerHost(t)
+	for name, opts := range map[string][]aimes.Option{
+		"stdio": processWorkers(1),
+		"tcp":   tcpWorkers(1, addr, secret),
+	} {
+		t.Run(name, func(t *testing.T) {
+			worker, workerTrace := runParityPolicy(t, "conservative", opts...)
+			if !reflect.DeepEqual(local, worker) {
+				t.Errorf("outcomes diverge across backends:\nlocal:  %+v %+v\nworker: %+v %+v", local, local.Report, worker, worker.Report)
+			}
+			if !reflect.DeepEqual(localTrace, workerTrace) {
+				t.Errorf("traces diverge across backends: %d records (local) vs %d (worker)", len(localTrace), len(workerTrace))
 			}
 		})
 	}

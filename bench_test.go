@@ -24,7 +24,6 @@ import (
 	"aimes/internal/experiments"
 	"aimes/internal/server"
 	"aimes/internal/sim"
-	"aimes/internal/trace"
 )
 
 // benchReps keeps bench iterations affordable while preserving the shapes.
@@ -199,21 +198,6 @@ func BenchmarkEASYBackfill(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		policy.Select(queue, 32, sim.Time(time.Duration(i)), running)
-	}
-}
-
-// BenchmarkSpanUnion measures the trace-analysis hot path.
-func BenchmarkSpanUnion(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	spans := make([]trace.Span, 4096)
-	for i := range spans {
-		start := sim.Time(time.Duration(rng.Intn(100000)) * time.Millisecond)
-		spans[i] = trace.Span{Start: start, End: start.Add(time.Duration(rng.Intn(60000)) * time.Millisecond)}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		trace.UnionDuration(spans)
 	}
 }
 

@@ -26,7 +26,7 @@ func main() {
 	verbose := flag.Bool("v", false, "print every scored sample")
 	flag.Parse()
 
-	fid, samples, err := modelcheck.Run(modelcheck.Options{})
+	fid, samples, err := modelcheck.Run()
 	if err != nil {
 		fatal("%v", err)
 	}

@@ -118,16 +118,18 @@ type Backend interface {
 	Close() error
 }
 
-// Config assembles one shard's stack, locally or in a worker process. All
-// fields are plain data; Sites with a custom batch policy cannot cross the
-// wire (see siteToWire).
+// Config assembles one shard's stack, locally or in a worker process. It is
+// plain data all the way down and is itself the init frame's payload (see
+// request.Init): what NewLocal is given here, a worker's NewLocal is given
+// there (TestInitFrameCarriesEveryConfigField).
 type Config struct {
 	// Shard is the shard index; it names the namespace ("s<shard>-j<seq>").
 	Shard int `json:"shard"`
 	// Seed is the shard-derived base seed (shard.Seed already applied).
 	Seed int64 `json:"seed"`
-	// Sites describes the testbed; nil means site.DefaultTestbed.
-	Sites []site.Config `json:"-"`
+	// Sites describes the testbed; nil means site.DefaultTestbed, which an
+	// explicit empty list does not (JSON null and [] on the wire).
+	Sites []site.Config `json:"sites"`
 	// Pilot overrides the default middleware configuration when non-nil.
 	Pilot *pilot.Config `json:"pilot,omitempty"`
 }

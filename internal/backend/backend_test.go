@@ -4,13 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"io"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
-	"aimes/internal/batch"
 	"aimes/internal/core"
 	"aimes/internal/site"
 	"aimes/internal/skeleton"
@@ -89,36 +89,65 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSiteWireRejectsCustomPolicy(t *testing.T) {
-	cfgs := site.DefaultTestbed()
-	for _, c := range cfgs {
-		if _, err := siteToWire(c); err != nil {
-			t.Fatalf("default testbed site %q does not cross the wire: %v", c.Name, err)
+// fillValue sets every field reachable from v to a non-zero value, distinct
+// where the type allows, so a dropped or crossed-over field shows up in a
+// comparison.
+func fillValue(t *testing.T, v reflect.Value, n *int) {
+	t.Helper()
+	*n++
+	switch v.Kind() {
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Int, reflect.Int64:
+		v.SetInt(int64(*n))
+	case reflect.Float64:
+		v.SetFloat(float64(*n) + 0.5)
+	case reflect.String:
+		v.SetString(fmt.Sprintf("s%d", *n))
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), 2, 2))
+		for i := 0; i < v.Len(); i++ {
+			fillValue(t, v.Index(i), n)
 		}
-	}
-	c := cfgs[0]
-	c.Policy = weirdPolicy{}
-	if _, err := siteToWire(c); err == nil {
-		t.Fatal("custom policy crossed the wire")
-	}
-	// Named policies round trip.
-	c.Policy = batch.Conservative{}
-	ws, err := siteToWire(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := wireToSite(ws)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Policy == nil || back.Policy.Name() != "conservative" {
-		t.Fatalf("policy round trip lost the policy: %+v", back.Policy)
+	case reflect.Pointer:
+		v.Set(reflect.New(v.Type().Elem()))
+		fillValue(t, v.Elem(), n)
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			fillValue(t, v.Field(i), n)
+		}
+	default:
+		t.Fatalf("fillValue: no rule for %s (kind %s); a Config field of this kind is not plain data", v.Type(), v.Kind())
 	}
 }
 
-type weirdPolicy struct{ batch.FCFS }
-
-func (weirdPolicy) Name() string { return "weird" }
+// TestInitFrameCarriesEveryConfigField is the worker half of the in-process
+// → wire parity contract: a Config with every field set — site.Config,
+// batch.WaitModel and pilot.Config included, found by reflection — goes
+// through the init request as the worker decodes it, and must arrive equal.
+// So does the difference between no site list (the default testbed) and an
+// empty one. A field that is not plain data cannot be added to any of the
+// four structs without failing here.
+func TestInitFrameCarriesEveryConfigField(t *testing.T) {
+	var full Config
+	n := 0
+	fillValue(t, reflect.ValueOf(&full).Elem(), &n)
+	if full.Pilot == nil || len(full.Sites) != 2 || full.Sites[1].WaitModel.MaxWait == 0 || full.Sites[1].Policy == "" {
+		t.Fatalf("fillValue left a field unset: %+v", full)
+	}
+	for name, want := range map[string]Config{
+		"every field": full,
+		"nil sites":   {Shard: 1, Seed: 2},
+		"empty sites": {Shard: 1, Seed: 2, Sites: []site.Config{}},
+	} {
+		for _, c := range []codec{jsonCodec{}, newBinaryCodec()} {
+			got := roundTripRequest(t, c, &request{ID: 1, Op: opInit, Init: &want, Codec: CodecBinary})
+			if got.Init == nil || !reflect.DeepEqual(*got.Init, want) {
+				t.Errorf("%s over %s: the worker decoded\n%+v\nwant\n%+v", name, c.Name(), got.Init, want)
+			}
+		}
+	}
+}
 
 // collectSink records sink callbacks in order for assertions.
 type collectSink struct {
@@ -230,7 +259,7 @@ func TestServeProtocol(t *testing.T) {
 	if resp := call(&request{Op: opStep, Max: 1}); resp.Err == "" {
 		t.Fatal("operation before init succeeded")
 	}
-	if resp := call(&request{Op: opInit, Init: &initConfig{Shard: 0, Seed: 42, DefTestb: true}}); resp.Err != "" {
+	if resp := call(&request{Op: opInit, Init: &Config{Shard: 0, Seed: 42}}); resp.Err != "" {
 		t.Fatalf("init: %s", resp.Err)
 	}
 	// Payload-carrying ops with the payload missing must answer with a

@@ -34,9 +34,9 @@ var _ Backend = (*Worker)(nil)
 // WorkerOptions tunes the session Connect builds; the zero value is the
 // production default.
 type WorkerOptions struct {
-	// Codec selects the wire codec: CodecJSON pins JSON, CodecBinary
-	// demands binary (Connect fails against a worker that cannot speak it),
-	// and "" negotiates binary with a silent JSON fallback.
+	// Codec selects the wire codec: CodecJSON pins JSON; "" and CodecBinary
+	// both mean binary, and Connect fails against a worker that does not
+	// echo it.
 	Codec string
 }
 
@@ -50,10 +50,6 @@ func Connect(tr Transport, opt WorkerOptions, cfg Config, sink Sink, onDeath fun
 		_, err := newCodec(opt.Codec)
 		return nil, err
 	}
-	ic, err := configToWire(cfg)
-	if err != nil {
-		return nil, err
-	}
 	s := newSession(cfg.Shard, onDeath)
 	conn, err := tr.Dial(cfg.Shard, s.peerDied)
 	if err != nil {
@@ -62,13 +58,15 @@ func Connect(tr Transport, opt WorkerOptions, cfg Config, sink Sink, onDeath fun
 	s.attach(conn)
 	w := &Worker{shard: cfg.Shard, s: s, sink: sink}
 
-	// Ask for binary unless the caller pinned JSON; the worker echoes what
-	// it accepted, and an echo we did not ask for is ignored.
-	if opt.Codec == "" || opt.Codec == CodecBinary {
-		ic.Codec = CodecBinary
+	// Ask for binary unless the caller pinned JSON, which is what the session
+	// speaks until told otherwise and so needs neither request nor echo.
+	wantBinary := opt.Codec != CodecJSON
+	req := &request{Op: opInit, Init: &cfg}
+	if wantBinary {
+		req.Codec = CodecBinary
 	}
-	resp, err := w.callTimeout(&request{Op: opInit, Init: ic}, spawnTimeout)
-	if err == nil && opt.Codec == CodecBinary && resp.Codec != CodecBinary {
+	resp, err := w.callTimeout(req, spawnTimeout)
+	if err == nil && wantBinary && resp.Codec != CodecBinary {
 		err = fmt.Errorf("worker did not accept the %q wire codec (echoed %q)", CodecBinary, resp.Codec)
 	}
 	if err != nil {
@@ -76,7 +74,7 @@ func Connect(tr Transport, opt WorkerOptions, cfg Config, sink Sink, onDeath fun
 		_ = conn.Kill()       // also unblocks a still-pending init read
 		return nil, fmt.Errorf("backend: initializing worker for shard %d: %w", cfg.Shard, err)
 	}
-	if ic.Codec != "" && resp.Codec == CodecBinary {
+	if wantBinary {
 		s.use(newBinaryCodec())
 	}
 	return w, nil
@@ -266,13 +264,7 @@ func (w *Worker) Dead() bool { return w.s.deadErr() != nil }
 // shard's serialization. Concurrency is safe — the session serializes the
 // wire — and a broken connection surfaces here exactly as on any other
 // exchange: the session goes dead and the death callback fires once.
-//
-// A pre-negotiation worker that answers "unknown operation" still proves
-// liveness, so an Err response is not a ping failure.
 func (w *Worker) Ping() error {
 	var resp response
-	if err := w.s.exchange(&request{Op: opPing}, &resp); err != nil {
-		return err
-	}
-	return nil
+	return w.s.exchange(&request{Op: opPing}, &resp)
 }

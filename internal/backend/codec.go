@@ -7,7 +7,7 @@ import "fmt"
 // name it accepted.
 const (
 	// CodecJSON is the field-named JSON payload encoding — debuggable with a
-	// pipe tee, interoperable with any worker since the first wire version.
+	// pipe tee, and what every session speaks during the init exchange.
 	CodecJSON = "json"
 	// CodecBinary is the compact binary payload encoding: varint integers,
 	// length-prefixed strings, native binary trace records, and JSON blobs
@@ -40,7 +40,7 @@ func newCodec(name string) (codec, error) {
 }
 
 // validCodecChoice reports whether name is acceptable in a configuration:
-// a concrete codec name, or empty for "negotiate binary, fall back to JSON".
+// a concrete codec name, or empty for the default, binary.
 func validCodecChoice(name string) bool {
 	return name == "" || name == CodecJSON || name == CodecBinary
 }

@@ -146,6 +146,7 @@ func (c *binaryCodec) AppendRequest(dst []byte, req *request) ([]byte, error) {
 	dst = binary.AppendVarint(dst, int64(req.Max))
 	dst = binary.AppendVarint(dst, int64(req.Key))
 	dst = appendWireString(dst, req.Reason)
+	dst = appendWireString(dst, req.Codec)
 	var err error
 	for _, blob := range []struct {
 		present bool
@@ -183,8 +184,9 @@ func (c *binaryCodec) DecodeRequest(data []byte, req *request) error {
 	req.Max = int(r.varint())
 	req.Key = int(r.varint())
 	req.Reason = string(r.bytes())
+	req.Codec = string(r.bytes())
 	if bits&reqHasInit != 0 {
-		req.Init = new(initConfig)
+		req.Init = new(Config)
 		r.json(req.Init)
 	}
 	if bits&reqHasDesc != 0 {

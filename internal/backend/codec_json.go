@@ -6,10 +6,9 @@ import (
 )
 
 // jsonCodec is the original payload encoding: one field-named JSON document
-// per frame. It is stateless, every worker since the first wire version
-// speaks it, and a pipe tee of the stream is human-readable — which is why
-// it stays the negotiation bootstrap (init frames are always JSON) and the
-// fallback when the peer does not offer the binary codec.
+// per frame. It is stateless and a pipe tee of the stream is human-readable
+// — which is why it is the negotiation bootstrap (init frames are always
+// JSON) and what a client can pin for debugging.
 type jsonCodec struct{}
 
 func (jsonCodec) Name() string { return CodecJSON }

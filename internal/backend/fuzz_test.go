@@ -70,7 +70,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 				t.Skip("invalid UTF-8 is normalized by the JSON codec")
 			}
 		}
-		req := &request{ID: id, Op: op, Max: int(maxv), Key: int(key), Reason: reason}
+		req := &request{ID: id, Op: op, Max: int(maxv), Key: int(key), Reason: reason, Codec: codecName}
 		if blobs&1 != 0 {
 			// The structured payloads travel as JSON blobs in both codecs, so
 			// fixed-but-rich values exercise them fully; the fuzzed scalars
@@ -79,11 +79,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ws, err := siteToWire(site.DefaultTestbed()[0])
-			if err != nil {
-				t.Fatal(err)
-			}
-			req.Init = &initConfig{Shard: int(key), Seed: seed, Codec: codecName, Sites: []wireSite{ws}}
+			req.Init = &Config{Shard: int(key), Seed: seed, Sites: site.DefaultTestbed()[:1]}
 			req.Desc = &Descriptor{
 				Key: int(key), MigratedFrom: -1,
 				Descriptor: core.Descriptor{

@@ -38,7 +38,7 @@ func TestPingOpcode(t *testing.T) {
 	if resp := call(&request{Op: opPing}); resp.Err != "" {
 		t.Fatalf("pre-init ping refused: %s", resp.Err)
 	}
-	if resp := call(&request{Op: opInit, Init: &initConfig{Shard: 0, Seed: 42}}); resp.Err != "" {
+	if resp := call(&request{Op: opInit, Init: &Config{Shard: 0, Seed: 42}}); resp.Err != "" {
 		t.Fatalf("init: %s", resp.Err)
 	}
 	if resp := call(&request{Op: opPing}); resp.Err != "" {

@@ -92,7 +92,7 @@ func TestHostRejectsUnknownCodec(t *testing.T) {
 		}
 		return &resp
 	}
-	resp := call(&request{ID: 1, Op: opInit, Init: &initConfig{Shard: 0, Seed: 1, DefTestb: true, Codec: "yaml"}})
+	resp := call(&request{ID: 1, Op: opInit, Init: &Config{Seed: 1}, Codec: "yaml"})
 	if resp.Err == "" {
 		t.Fatal("unknown codec accepted")
 	}
@@ -106,7 +106,7 @@ func TestHostRejectsUnknownCodec(t *testing.T) {
 	}
 	// The worker survives the refusal: a corrected init succeeds and the
 	// echo confirms the accepted codec.
-	resp = call(&request{ID: 2, Op: opInit, Init: &initConfig{Shard: 0, Seed: 1, DefTestb: true, Codec: CodecJSON}})
+	resp = call(&request{ID: 2, Op: opInit, Init: &Config{Seed: 1}, Codec: CodecJSON})
 	if resp.Err != "" {
 		t.Fatalf("corrected init failed: %s", resp.Err)
 	}
@@ -124,8 +124,9 @@ func TestHostRejectsUnknownCodec(t *testing.T) {
 	}
 }
 
-// scriptedServer answers the init exchange like a pre-negotiation worker
-// (plain JSON, no codec echo) and then hands the stream to script.
+// scriptedServer answers the init exchange in plain JSON without echoing a
+// codec — a peer that is not this tree's worker — and then hands the stream
+// to script.
 func scriptedServer(t *testing.T, script func(r io.Reader, w *io.PipeWriter)) Transport {
 	t.Helper()
 	return transportFunc(func(int, func(error)) (Conn, error) {
@@ -146,11 +147,11 @@ func scriptedServer(t *testing.T, script func(r io.Reader, w *io.PipeWriter)) Tr
 	})
 }
 
-// TestJSONFallbackAgainstOldWorker pins interoperability: a worker that
-// never heard of negotiation (no codec echo) keeps a default-codec client
-// on JSON, while a client that demands binary fails the connect
-// descriptively instead of speaking JSON at a peer expecting binary.
-func TestJSONFallbackAgainstOldWorker(t *testing.T) {
+// TestConnectRejectsWorkerWithoutBinary: binary is the wire's data codec, so
+// a peer that does not echo it fails Connect with an error naming the codec —
+// asked for by name or by default alike — instead of leaving the session on
+// JSON; a client that pinned JSON asked for nothing and still connects.
+func TestConnectRejectsWorkerWithoutBinary(t *testing.T) {
 	echo := func(r io.Reader, w *io.PipeWriter) {
 		for {
 			var req request
@@ -162,20 +163,22 @@ func TestJSONFallbackAgainstOldWorker(t *testing.T) {
 			}
 		}
 	}
-	w, err := Connect(scriptedServer(t, echo), WorkerOptions{}, Config{Shard: 0, Seed: 1}, &collectSink{}, nil)
-	if err != nil {
-		t.Fatalf("fallback connect: %v", err)
-	}
-	if fired, _, err := w.Step(1); err != nil || fired != 424242 {
-		t.Fatalf("post-fallback call: %d, %v (the session must still be on JSON)", fired, err)
+	for _, name := range []string{"", CodecBinary} {
+		_, err := Connect(scriptedServer(t, echo), WorkerOptions{Codec: name}, Config{Shard: 0, Seed: 1}, &collectSink{}, nil)
+		if err == nil {
+			t.Fatalf("codec %q connected to a worker that never echoed %q", name, CodecBinary)
+		}
+		if !strings.Contains(err.Error(), CodecBinary) {
+			t.Fatalf("codec %q: failure does not name the codec: %v", name, err)
+		}
 	}
 
-	_, err = Connect(scriptedServer(t, echo), WorkerOptions{Codec: CodecBinary}, Config{Shard: 0, Seed: 1}, &collectSink{}, nil)
-	if err == nil {
-		t.Fatal("strict binary connected to a JSON-only worker")
+	w, err := Connect(scriptedServer(t, echo), WorkerOptions{Codec: CodecJSON}, Config{Shard: 0, Seed: 1}, &collectSink{}, nil)
+	if err != nil {
+		t.Fatalf("pinned-JSON connect: %v", err)
 	}
-	if !strings.Contains(err.Error(), CodecBinary) {
-		t.Fatalf("strict-binary failure not descriptive: %v", err)
+	if fired, _, err := w.Step(1); err != nil || fired != 424242 {
+		t.Fatalf("pinned-JSON call: %d, %v", fired, err)
 	}
 }
 

@@ -4,12 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"time"
 
-	"aimes/internal/batch"
 	"aimes/internal/core"
-	"aimes/internal/pilot"
-	"aimes/internal/site"
 	"aimes/internal/skeleton"
 	"aimes/internal/trace"
 )
@@ -19,8 +15,9 @@ import (
 //   - Transport (transport.go): a byte stream to the worker — child-process
 //     stdio pipes, or TCP with a shared-secret handshake.
 //   - Frames (this file): 4-byte big-endian payload length + one payload.
-//   - Codec (codec.go): the payload encoding — field-named JSON or the
-//     compact binary form — negotiated at init, JSON until then.
+//   - Codec (codec.go): the payload encoding — the compact binary form, or
+//     field-named JSON when the client pins it — agreed in the init exchange,
+//     which itself is always JSON.
 //   - Session (session.go): request/response correlation, ordered event
 //     replay, crash detection.
 //
@@ -96,7 +93,16 @@ type request struct {
 	ID uint64 `json:"id"`
 	Op string `json:"op"`
 
-	Init     *initConfig          `json:"init,omitempty"`
+	// Init is the shard's Config as it is; plain data all the way down, so
+	// there is no wire form of it to keep in step.
+	Init *Config `json:"init,omitempty"`
+	// Codec rides the init request: the wire codec the client asks for on
+	// every frame after the init exchange (the exchange itself is always
+	// JSON, which is what lets the two sides agree at all). A worker that
+	// does not recognize the name rejects the init with a descriptive error
+	// rather than answering in a codec the client may not speak.
+	Codec string `json:"codec,omitempty"`
+
 	Desc     *Descriptor          `json:"desc,omitempty"`
 	Max      int                  `json:"max,omitempty"`
 	Key      int                  `json:"key,omitempty"`
@@ -137,123 +143,6 @@ type response struct {
 	Diag     string         `json:"diag,omitempty"`
 
 	// Codec echoes the wire codec the worker accepted for every frame after
-	// the init exchange. Only the init response carries it; absent means the
-	// worker predates negotiation and the session stays on JSON.
+	// the init exchange. Only the init response carries it.
 	Codec string `json:"codec,omitempty"`
-}
-
-// initConfig is Config in wire form: site.Config carries a batch.Policy
-// interface that cannot round-trip through JSON, so sites travel as
-// wireSite with the policy reduced to its registered name.
-type initConfig struct {
-	Shard    int           `json:"shard"`
-	Seed     int64         `json:"seed"`
-	Sites    []wireSite    `json:"sites,omitempty"`
-	Pilot    *pilot.Config `json:"pilot,omitempty"`
-	DefTestb bool          `json:"default_testbed"`
-
-	// Codec requests a wire codec for every frame after the init exchange
-	// (the init exchange itself is always JSON, which is what lets the two
-	// sides negotiate at all). Empty requests nothing — the session stays on
-	// JSON — and a worker that does not recognize the requested name rejects
-	// the init with a descriptive error rather than answering in a codec the
-	// client may not speak.
-	Codec string `json:"codec,omitempty"`
-}
-
-// wireSite mirrors site.Config field for field, with Policy reduced to its
-// name ("" means the batch package's default).
-type wireSite struct {
-	Name           string          `json:"name"`
-	Nodes          int             `json:"nodes"`
-	CoresPerNode   int             `json:"cores_per_node"`
-	Architecture   string          `json:"architecture,omitempty"`
-	Mode           site.QueueMode  `json:"mode"`
-	WaitModel      batch.WaitModel `json:"wait_model"`
-	PolicyName     string          `json:"policy,omitempty"`
-	BackgroundUtil float64         `json:"background_util,omitempty"`
-	SubmitLatency  time.Duration   `json:"submit_latency"`
-	BandwidthMBps  float64         `json:"bandwidth_mbps"`
-	NetLatency     time.Duration   `json:"net_latency"`
-	StorageGB      float64         `json:"storage_gb"`
-	FailureProb    float64         `json:"failure_prob,omitempty"`
-}
-
-// siteToWire flattens a site configuration for the wire. Custom policy
-// implementations (anything beyond the batch package's named ones) cannot
-// be reconstructed in the worker and are rejected here, at spawn time,
-// rather than failing obscurely in the child.
-func siteToWire(c site.Config) (wireSite, error) {
-	ws := wireSite{
-		Name: c.Name, Nodes: c.Nodes, CoresPerNode: c.CoresPerNode,
-		Architecture: c.Architecture, Mode: c.Mode, WaitModel: c.WaitModel,
-		BackgroundUtil: c.BackgroundUtil, SubmitLatency: c.SubmitLatency,
-		BandwidthMBps: c.BandwidthMBps, NetLatency: c.NetLatency,
-		StorageGB: c.StorageGB, FailureProb: c.FailureProb,
-	}
-	if c.Policy != nil {
-		switch c.Policy.(type) {
-		case batch.FCFS, batch.EASY, batch.Conservative:
-			ws.PolicyName = c.Policy.Name()
-		default:
-			return ws, fmt.Errorf("backend: site %q uses a custom batch policy %q, which cannot cross the worker wire (use a named policy or the local backend)", c.Name, c.Policy.Name())
-		}
-	}
-	return ws, nil
-}
-
-// wireToSite reconstructs a site configuration in the worker.
-func wireToSite(ws wireSite) (site.Config, error) {
-	c := site.Config{
-		Name: ws.Name, Nodes: ws.Nodes, CoresPerNode: ws.CoresPerNode,
-		Architecture: ws.Architecture, Mode: ws.Mode, WaitModel: ws.WaitModel,
-		BackgroundUtil: ws.BackgroundUtil, SubmitLatency: ws.SubmitLatency,
-		BandwidthMBps: ws.BandwidthMBps, NetLatency: ws.NetLatency,
-		StorageGB: ws.StorageGB, FailureProb: ws.FailureProb,
-	}
-	switch ws.PolicyName {
-	case "":
-	case "fcfs":
-		c.Policy = batch.FCFS{}
-	case "easy":
-		c.Policy = batch.EASY{}
-	case "conservative":
-		c.Policy = batch.Conservative{}
-	default:
-		return c, fmt.Errorf("backend: unknown batch policy %q on the wire", ws.PolicyName)
-	}
-	return c, nil
-}
-
-// configToWire converts a backend Config for the init frame.
-func configToWire(cfg Config) (*initConfig, error) {
-	ic := &initConfig{Shard: cfg.Shard, Seed: cfg.Seed, Pilot: cfg.Pilot, DefTestb: cfg.Sites == nil}
-	for _, c := range cfg.Sites {
-		ws, err := siteToWire(c)
-		if err != nil {
-			return nil, err
-		}
-		ic.Sites = append(ic.Sites, ws)
-	}
-	return ic, nil
-}
-
-// wireToConfig reconstructs a backend Config from the init frame. An
-// explicit (even empty) site list stays non-nil, so the worker's NewLocal
-// makes the same nil-means-default decision the local backend would — an
-// empty WithSites must not silently become the default testbed out of
-// process.
-func wireToConfig(ic *initConfig) (Config, error) {
-	cfg := Config{Shard: ic.Shard, Seed: ic.Seed, Pilot: ic.Pilot}
-	if !ic.DefTestb {
-		cfg.Sites = make([]site.Config, 0, len(ic.Sites))
-		for _, ws := range ic.Sites {
-			c, err := wireToSite(ws)
-			if err != nil {
-				return cfg, err
-			}
-			cfg.Sites = append(cfg.Sites, c)
-		}
-	}
-	return cfg, nil
 }

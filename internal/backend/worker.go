@@ -160,21 +160,17 @@ func (h *host) handleInit(req *request, resp *response) codec {
 		resp.Err = "backend: init frame without a config"
 		return h.cod
 	}
-	switch req.Init.Codec {
+	switch req.Codec {
 	case "", CodecJSON:
 		resp.Codec = CodecJSON
 	case CodecBinary:
 		resp.Codec = CodecBinary
 	default:
-		resp.Err = fmt.Sprintf("backend: worker does not support wire codec %q (supports %q, %q)", req.Init.Codec, CodecJSON, CodecBinary)
+		resp.Err = fmt.Sprintf("backend: worker does not support wire codec %q (supports %q, %q)", req.Codec, CodecJSON, CodecBinary)
 		return h.cod
 	}
-	cfg, err := wireToConfig(req.Init)
-	if err != nil {
-		resp.Err, resp.Codec = err.Error(), ""
-		return h.cod
-	}
-	if h.local, err = NewLocal(cfg, &h.sink); err != nil {
+	var err error
+	if h.local, err = NewLocal(*req.Init, &h.sink); err != nil {
 		resp.Err, resp.Codec = err.Error(), ""
 		return h.cod
 	}

@@ -2,29 +2,7 @@ package batch
 
 import "sort"
 
-// Dynamic is implemented by queues whose availability can change mid-run —
-// the resource volatility (outages, preemption, fluctuating load) that the
-// paper's execution strategies are meant to cope with and that the scenario
-// engine injects. An offline queue keeps accepting submissions (they model
-// pent-up demand) but stops starting jobs until it is brought back online.
-type Dynamic interface {
-	// SetOffline takes the queue out of service. When killRunning is true,
-	// running jobs are terminated with JobFailed (a hard outage); otherwise
-	// they run to completion on their nodes (a drain-style outage) while no
-	// new job starts.
-	SetOffline(killRunning bool)
-	// SetOnline restores service and resumes dispatching.
-	SetOnline()
-	// Offline reports whether the queue is currently out of service.
-	Offline() bool
-}
-
-var (
-	_ Dynamic = (*System)(nil)
-	_ Dynamic = (*Stochastic)(nil)
-)
-
-// SetOffline implements Dynamic.
+// SetOffline implements Queue.
 func (s *System) SetOffline(killRunning bool) {
 	if s.offline {
 		return
@@ -47,7 +25,7 @@ func (s *System) SetOffline(killRunning bool) {
 	}
 }
 
-// SetOnline implements Dynamic.
+// SetOnline implements Queue.
 func (s *System) SetOnline() {
 	if !s.offline {
 		return
@@ -56,10 +34,10 @@ func (s *System) SetOnline() {
 	s.dispatch()
 }
 
-// Offline implements Dynamic.
+// Offline implements Queue.
 func (s *System) Offline() bool { return s.offline }
 
-// SetOffline implements Dynamic.
+// SetOffline implements Queue.
 func (q *Stochastic) SetOffline(killRunning bool) {
 	if q.offline {
 		return
@@ -86,7 +64,7 @@ func (q *Stochastic) SetOffline(killRunning bool) {
 	}
 }
 
-// SetOnline implements Dynamic.
+// SetOnline implements Queue.
 func (q *Stochastic) SetOnline() {
 	if !q.offline {
 		return
@@ -95,7 +73,7 @@ func (q *Stochastic) SetOnline() {
 	q.drain()
 }
 
-// Offline implements Dynamic.
+// Offline implements Queue.
 func (q *Stochastic) Offline() bool { return q.offline }
 
 // SetWaitScale scales queue waits sampled for future submissions by factor —

@@ -128,6 +128,12 @@ func (j *Job) expectedEnd() sim.Time { return j.Started.Add(j.Walltime) }
 // Queue is the submission interface shared by the full batch simulator and
 // the stochastic queue model. Implementations run on a sim.Sim; all
 // callbacks fire on engine callbacks.
+//
+// A queue's availability can change mid-run — the resource volatility
+// (outages, preemption, fluctuating load) that the paper's execution
+// strategies are meant to cope with and that the scenario engine injects. An
+// offline queue keeps accepting submissions (they model pent-up demand) but
+// stops starting jobs until it is brought back online.
 type Queue interface {
 	// Submit validates and enqueues the job. The job's OnStart/OnEnd
 	// callbacks fire as it progresses.
@@ -140,6 +146,15 @@ type Queue interface {
 	// WaitHistory returns recently observed queue waits (seconds) of started
 	// jobs, most recent last, for predictive bundle queries.
 	WaitHistory() []float64
+	// SetOffline takes the queue out of service. When killRunning is true,
+	// running jobs are terminated with JobFailed (a hard outage); otherwise
+	// they run to completion on their nodes (a drain-style outage) while no
+	// new job starts.
+	SetOffline(killRunning bool)
+	// SetOnline restores service and resumes dispatching.
+	SetOnline()
+	// Offline reports whether the queue is currently out of service.
+	Offline() bool
 }
 
 // Snapshot is a point-in-time view of a batch system used by resource

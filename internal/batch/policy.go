@@ -1,6 +1,7 @@
 package batch
 
 import (
+	"fmt"
 	"sort"
 	"time"
 
@@ -15,6 +16,21 @@ type Policy interface {
 	// Select returns indices into queue (in start order) of jobs to launch
 	// now. Selected jobs must collectively fit within free nodes.
 	Select(queue []*Job, free int, now sim.Time, running []*Job) []int
+}
+
+// PolicyByName resolves a policy's configuration name — what its Name
+// returns — so a configuration can hold the name, which is plain data, and
+// not the interface. "" is the default, EASY backfilling.
+func PolicyByName(name string) (Policy, error) {
+	switch name {
+	case "", "easy":
+		return EASY{}, nil
+	case "fcfs":
+		return FCFS{}, nil
+	case "conservative":
+		return Conservative{}, nil
+	}
+	return nil, fmt.Errorf("batch: unknown policy %q (want \"fcfs\", \"easy\" or \"conservative\")", name)
 }
 
 // FCFS is strict first-come-first-served: jobs start in submission order and

@@ -123,9 +123,6 @@ func (q *Stochastic) Name() string { return q.name }
 // Nodes returns the machine size.
 func (q *Stochastic) Nodes() int { return q.nodes }
 
-// Model returns the wait model.
-func (q *Stochastic) Model() WaitModel { return q.model }
-
 // Submit implements Queue.
 func (q *Stochastic) Submit(j *Job) error {
 	if err := j.Validate(); err != nil {

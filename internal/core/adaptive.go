@@ -289,10 +289,3 @@ func expectedMinWait(hists []waitHist) (mean, p90 float64) {
 	}
 	return sum / float64(n), stats.Quantile(minima, 0.9)
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

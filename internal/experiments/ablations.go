@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"aimes"
-	"aimes/internal/batch"
 	"aimes/internal/core"
 	"aimes/internal/pilot"
 	"aimes/internal/site"
@@ -147,7 +146,7 @@ func ablationEmergentWaits(w io.Writer, ntasks, reps, workers int) error {
 	for _, sub := range []struct {
 		name  string
 		sites []site.Config
-	}{{"modeled", nil}, {"emergent", site.EmergentTestbed(site.DefaultTestbed(), 0.88, batch.EASY{})}} {
+	}{{"modeled", nil}, {"emergent", site.EmergentTestbed(site.DefaultTestbed(), 0.88, "")}} {
 		for _, def := range []Definition{TableI[0], TableI[2]} {
 			arms = append(arms, arm[Result]{fmt.Sprintf("%-11s  %-8s", sub.name, def.Binding),
 				runsOf(RunSpec{Exp: def, NTasks: ntasks, Sites: sub.sites})})

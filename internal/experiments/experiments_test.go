@@ -358,7 +358,7 @@ func TestRunWithAutoPilots(t *testing.T) {
 // (backend.NewLocal's rule; the harness has none of its own) and runs.
 func TestRunEmergentWarmup(t *testing.T) {
 	def, _ := Experiment(3)
-	emergent := site.EmergentTestbed(site.DefaultTestbed(), 0.85, nil)
+	emergent := site.EmergentTestbed(site.DefaultTestbed(), 0.85, "")
 	res := Run(RunSpec{Exp: def, NTasks: 8, Rep: 0, Sites: emergent})
 	if res.Err != "" {
 		t.Fatalf("emergent run failed: %s", res.Err)

@@ -25,66 +25,39 @@ import (
 	"aimes/internal/skeleton"
 )
 
-// Options tune the battery. Zero values take the documented defaults.
-type Options struct {
-	// Shards is the environment's shard count (default 2).
-	Shards int
-	// Warmup is the number of leading jobs per workload kind excluded from
-	// scoring (default 4).
-	Warmup int
-	// Scored is the number of scored jobs per workload kind (default 8).
-	Scored int
-	// Seed is the base deterministic seed (default 20260808).
-	Seed int64
-	// Timeout bounds the wall-clock wait per job (default 2 minutes; the
-	// engine runs in virtual time, so this only trips on a wedged run).
-	Timeout time.Duration
-	// Tasks is the task count per job (default 32).
-	Tasks int
-}
-
-func (o Options) withDefaults() Options {
-	if o.Shards <= 0 {
-		o.Shards = 2
-	}
-	if o.Warmup <= 0 {
-		o.Warmup = 4
-	}
-	if o.Scored <= 0 {
-		o.Scored = 8
-	}
-	if o.Seed == 0 {
-		o.Seed = 20260808
-	}
-	if o.Timeout <= 0 {
-		o.Timeout = 2 * time.Minute
-	}
-	if o.Tasks <= 0 {
-		o.Tasks = 32
-	}
-	return o
-}
+// The battery's shape. MODEL_baseline.json records the error of exactly this
+// run, so a change here is a change of baseline.
+const (
+	shards   = 2               // the environment's shard count
+	warmup   = 4               // leading jobs per workload kind excluded from scoring
+	scored   = 8               // scored jobs per workload kind
+	baseSeed = int64(20260808) // every environment and workload seed derives from it
+	tasks    = 32              // task count per job
+	// timeout bounds the wall-clock wait per job; the engine runs in virtual
+	// time, so it only trips on a wedged run.
+	timeout = 2 * time.Minute
+)
 
 // kind is one workload family of the battery.
 type kind struct {
 	name string
-	gen  func(tasks int, seed int64) (*skeleton.Workload, error)
+	gen  func(seed int64) (*skeleton.Workload, error)
 }
 
 // battery is the fixed workload mix: the paper's uniform and Gaussian task
 // bags plus the scenario engine's bounded-Pareto straggler mix, so the model
 // is scored on both homogeneous and heavy-tailed demand.
-func battery(tasks int) []kind {
+func battery() []kind {
 	return []kind{
-		{"uniform", func(n int, seed int64) (*skeleton.Workload, error) {
-			return aimes.GenerateWorkload(aimes.BagOfTasks(n, aimes.UniformDuration()), seed)
+		{"uniform", func(seed int64) (*skeleton.Workload, error) {
+			return aimes.GenerateWorkload(aimes.BagOfTasks(tasks, aimes.UniformDuration()), seed)
 		}},
-		{"gaussian", func(n int, seed int64) (*skeleton.Workload, error) {
-			return aimes.GenerateWorkload(aimes.BagOfTasks(n, aimes.GaussianDuration()), seed)
+		{"gaussian", func(seed int64) (*skeleton.Workload, error) {
+			return aimes.GenerateWorkload(aimes.BagOfTasks(tasks, aimes.GaussianDuration()), seed)
 		}},
-		{"heavy-tail", func(n int, seed int64) (*skeleton.Workload, error) {
+		{"heavy-tail", func(seed int64) (*skeleton.Workload, error) {
 			return workload.Generate(workload.Params{
-				Process: workload.HeavyTailed, Tasks: n,
+				Process: workload.HeavyTailed, Tasks: tasks,
 			}, seed)
 		}},
 	}
@@ -94,8 +67,7 @@ func battery(tasks int) []kind {
 // sample (for diagnostics and history records). Each workload kind gets a
 // fresh environment — and so a fresh, cold model — making the warmup
 // trajectory per-kind deterministic and independent of battery order.
-func Run(opts Options) (model.Fidelity, []model.Sample, error) {
-	opts = opts.withDefaults()
+func Run() (model.Fidelity, []model.Sample, error) {
 	cfg := aimes.JobConfig{
 		StrategyConfig: aimes.StrategyConfig{
 			Binding: aimes.LateBinding, Scheduler: aimes.SchedBackfill, Pilots: 2,
@@ -103,19 +75,19 @@ func Run(opts Options) (model.Fidelity, []model.Sample, error) {
 		Placement: aimes.PlacePredictive,
 	}
 	var samples []model.Sample
-	for ki, k := range battery(opts.Tasks) {
+	for ki, k := range battery() {
 		env, err := aimes.NewEnv(
-			aimes.WithSeed(opts.Seed+int64(ki)), aimes.WithShards(opts.Shards))
+			aimes.WithSeed(baseSeed+int64(ki)), aimes.WithShards(shards))
 		if err != nil {
 			return model.Fidelity{}, nil, fmt.Errorf("modelcheck %s: %w", k.name, err)
 		}
-		for i := 0; i < opts.Warmup+opts.Scored; i++ {
-			w, err := k.gen(opts.Tasks, opts.Seed+int64(1000*ki+i))
+		for i := 0; i < warmup+scored; i++ {
+			w, err := k.gen(baseSeed + int64(1000*ki+i))
 			if err != nil {
 				env.Close()
 				return model.Fidelity{}, nil, fmt.Errorf("modelcheck %s job %d: %w", k.name, i, err)
 			}
-			ctx, cancel := context.WithTimeout(context.Background(), opts.Timeout)
+			ctx, cancel := context.WithTimeout(context.Background(), timeout)
 			j, err := env.Submit(ctx, w, cfg)
 			if err != nil {
 				cancel()
@@ -128,7 +100,7 @@ func Run(opts Options) (model.Fidelity, []model.Sample, error) {
 				env.Close()
 				return model.Fidelity{}, nil, fmt.Errorf("modelcheck %s job %d: %w", k.name, i, err)
 			}
-			if i < opts.Warmup {
+			if i < warmup {
 				continue
 			}
 			samples = append(samples, model.Sample{

@@ -62,14 +62,8 @@ func TestPreemptReschedulesUnits(t *testing.T) {
 		t.Fatalf("units completed on surviving pilot = %d, want 16", onBeta)
 	}
 	// Preemption reason must be recoverable from the trace.
-	found := false
-	for _, rec := range h.rec.ByEntity(pilots[0].ID()) {
-		if rec.State == "FAILED" && rec.Detail == "preempted: spot reclaim" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("preemption reason missing from trace")
+	if rec, ok := h.rec.First(pilots[0].ID(), "FAILED"); !ok || rec.Detail != "preempted: spot reclaim" {
+		t.Fatalf("preemption reason missing from trace: %+v", rec)
 	}
 }
 

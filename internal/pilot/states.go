@@ -187,12 +187,3 @@ func (d UnitDescription) ExternalInputBytes() int64 {
 	}
 	return n
 }
-
-// TotalInputBytes totals all inputs.
-func (d UnitDescription) TotalInputBytes() int64 {
-	var n int64
-	for _, f := range d.Inputs {
-		n += f.Bytes
-	}
-	return n
-}

@@ -131,14 +131,6 @@ func (p *Pilot) Wait() time.Duration {
 	return p.activeAt.Sub(p.submittedAt)
 }
 
-// FreeCores reports the agent's uncommitted capacity; zero unless active.
-func (p *Pilot) FreeCores() int {
-	if p.agent == nil || p.state != PilotActive {
-		return 0
-	}
-	return p.agent.freeCores()
-}
-
 // OnState registers a callback fired after every subsequent state
 // transition. The execution manager uses it to watch for lost pilots and
 // replan (see core.AdaptiveConfig.ReplaceLostPilots).

@@ -291,8 +291,8 @@ type UnitManager struct {
 
 // cover accumulates the union of the spans a set of units spends in a state,
 // at the transitions into and out of it. Engines fire in time order and
-// sim.Time is integer nanoseconds, so the total equals trace.Union over the
-// same spans exactly.
+// sim.Time is integer nanoseconds, so the total equals the interval union
+// over the same spans exactly.
 type cover struct {
 	open  int      // units in the state now
 	since sim.Time // when open last left 0

@@ -3,7 +3,9 @@ package scenario
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -114,19 +116,6 @@ var fleetFields = map[string]func(f FleetOutcome) float64{
 	"endpoints_unhealthy": func(f FleetOutcome) float64 { return float64(f.EndpointsUnhealthy) },
 }
 
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
-	return keys
-}
-
 // validate checks one assertion against the scenario it belongs to,
 // returning every problem found.
 func (a Assertion) validate(s *Scenario) []error {
@@ -146,7 +135,7 @@ func (a Assertion) validate(s *Scenario) []error {
 		}
 	case AssertReport:
 		if _, ok := reportFields[a.Field]; !ok {
-			fail("unknown report field %q (known: %v)", a.Field, sortedKeys(reportFields))
+			fail("unknown report field %q (known: %v)", a.Field, slices.Sorted(maps.Keys(reportFields)))
 		}
 		if a.Min == nil && a.Max == nil {
 			fail("report assertion needs min and/or max")
@@ -173,7 +162,7 @@ func (a Assertion) validate(s *Scenario) []error {
 		}
 	case AssertFleet:
 		if _, ok := fleetFields[a.Field]; !ok {
-			fail("unknown fleet field %q (known: %v)", a.Field, sortedKeys(fleetFields))
+			fail("unknown fleet field %q (known: %v)", a.Field, slices.Sorted(maps.Keys(fleetFields)))
 		}
 		if a.Min == nil && a.Max == nil {
 			fail("fleet assertion needs min and/or max")
@@ -201,7 +190,7 @@ func (a Assertion) validate(s *Scenario) []error {
 			fail("latency assertion needs min and/or max (seconds)")
 		}
 	default:
-		fail("unknown assertion kind %q (known: %v)", a.Kind, sortedKeys(knownAssertKinds))
+		fail("unknown assertion kind %q (known: %v)", a.Kind, slices.Sorted(maps.Keys(knownAssertKinds)))
 	}
 	return errs
 }

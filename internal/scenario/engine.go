@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"aimes/internal/backend"
-	"aimes/internal/batch"
 	"aimes/internal/core"
 	"aimes/internal/sim"
 	"aimes/internal/site"
@@ -172,7 +171,7 @@ func (s *Scenario) siteConfigs() ([]site.Config, error) {
 		}
 	}
 	if s.Testbed.BackgroundUtil > 0 {
-		configs = site.EmergentTestbed(configs, s.Testbed.BackgroundUtil, batch.EASY{})
+		configs = site.EmergentTestbed(configs, s.Testbed.BackgroundUtil, "")
 	}
 	return configs, nil
 }

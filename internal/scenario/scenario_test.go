@@ -299,7 +299,7 @@ func TestShardTargeting(t *testing.T) {
 		if !found {
 			t.Fatalf("shard %d: no pilot records", shard)
 		}
-		if len(res.Recorder.ByEntity(fmt.Sprintf("em.s%d-j1", shard))) == 0 {
+		if _, ok := res.Recorder.First(fmt.Sprintf("em.s%d-j1", shard), "ENACTING"); !ok {
 			t.Fatalf("shard %d: no qualified em records", shard)
 		}
 	}

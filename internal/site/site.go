@@ -33,37 +33,40 @@ func (m QueueMode) String() string {
 	return "modeled"
 }
 
-// Config describes one resource.
+// Config describes one resource. It is plain data: it crosses the worker
+// wire as it is, so a field added here reaches an out-of-process shard
+// without further code.
 type Config struct {
 	// Name identifies the site (e.g. "stampede").
-	Name string
+	Name string `json:"name"`
 	// Nodes is the machine size in nodes.
-	Nodes int
+	Nodes int `json:"nodes"`
 	// CoresPerNode is the node width; core requests are rounded up to whole
 	// nodes, as on real machines.
-	CoresPerNode int
+	CoresPerNode int `json:"cores_per_node"`
 	// Architecture tags the machine type ("cray", "beowulf", "condor-pool").
-	Architecture string
+	Architecture string `json:"architecture,omitempty"`
 	// Mode selects modeled or emergent queue waits.
-	Mode QueueMode
+	Mode QueueMode `json:"mode"`
 	// WaitModel parameterizes modeled waits.
-	WaitModel batch.WaitModel
-	// Policy is the batch policy for emergent mode (default EASY).
-	Policy batch.Policy
+	WaitModel batch.WaitModel `json:"wait_model"`
+	// Policy names the batch policy for emergent mode: "fcfs", "easy",
+	// "conservative", or "" for the default, EASY (batch.PolicyByName).
+	Policy string `json:"policy,omitempty"`
 	// BackgroundUtil is the target background utilization for emergent mode.
-	BackgroundUtil float64
+	BackgroundUtil float64 `json:"background_util,omitempty"`
 	// SubmitLatency is the job-submission overhead (client → resource RM),
 	// e.g. GSISSH round trips.
-	SubmitLatency time.Duration
+	SubmitLatency time.Duration `json:"submit_latency"`
 	// BandwidthMBps is the WAN link capacity in MB/s shared by all staging.
-	BandwidthMBps float64
+	BandwidthMBps float64 `json:"bandwidth_mbps"`
 	// NetLatency is the fixed per-file transfer setup latency.
-	NetLatency time.Duration
+	NetLatency time.Duration `json:"net_latency"`
 	// StorageGB is the scratch capacity exposed through bundles.
-	StorageGB float64
+	StorageGB float64 `json:"storage_gb"`
 	// FailureProb is the per-job probability of an injected failure
 	// (emergent mode only; unit-level failures are injected by the agent).
-	FailureProb float64
+	FailureProb float64 `json:"failure_prob,omitempty"`
 }
 
 // Validate reports a descriptive error for malformed configurations.
@@ -76,6 +79,9 @@ func (c Config) Validate() error {
 	}
 	if c.BandwidthMBps <= 0 {
 		return fmt.Errorf("site %s: bandwidth %g MB/s must be positive", c.Name, c.BandwidthMBps)
+	}
+	if _, err := batch.PolicyByName(c.Policy); err != nil {
+		return fmt.Errorf("site %s: %w", c.Name, err)
 	}
 	if c.Mode == Modeled {
 		if err := c.WaitModel.Validate(); err != nil {
@@ -113,10 +119,14 @@ func New(eng *sim.Sim, cfg Config, rng *sim.RNG) (*Site, error) {
 	case Modeled:
 		s.queue = batch.NewStochastic(eng, cfg.Name, cfg.Nodes, cfg.WaitModel, rng.Stream("queue"))
 	case Emergent:
+		policy, err := batch.PolicyByName(cfg.Policy)
+		if err != nil {
+			return nil, fmt.Errorf("site %s: %w", cfg.Name, err)
+		}
 		sys := batch.NewSystem(eng, batch.SystemConfig{
 			Name:        cfg.Name,
 			Nodes:       cfg.Nodes,
-			Policy:      cfg.Policy,
+			Policy:      policy,
 			FailureProb: cfg.FailureProb,
 		}, rng.Stream("failures"))
 		if _, err := batch.StartBackground(eng, sys, cfg.Nodes,
@@ -146,32 +156,18 @@ func (s *Site) Queue() batch.Queue { return s.queue }
 // Link returns the WAN link used for staging.
 func (s *Site) Link() *netsim.Link { return s.link }
 
-// SetOffline takes the site's queue out of service (see batch.Dynamic).
+// SetOffline takes the site's queue out of service (see batch.Queue).
 // Submissions already in the adaptor's latency window fail on arrival; jobs
 // in the queue are held. When killRunning is true, running jobs — including
 // active pilots — terminate with a resource failure.
-func (s *Site) SetOffline(killRunning bool) {
-	if d, ok := s.queue.(batch.Dynamic); ok {
-		d.SetOffline(killRunning)
-	}
-}
+func (s *Site) SetOffline(killRunning bool) { s.queue.SetOffline(killRunning) }
 
 // SetOnline restores the site's queue to service; held jobs resume
 // dispatching.
-func (s *Site) SetOnline() {
-	if d, ok := s.queue.(batch.Dynamic); ok {
-		d.SetOnline()
-	}
-}
+func (s *Site) SetOnline() { s.queue.SetOnline() }
 
-// Online reports whether the site's queue is in service. Queues without
-// dynamics support are always online.
-func (s *Site) Online() bool {
-	if d, ok := s.queue.(batch.Dynamic); ok {
-		return !d.Offline()
-	}
-	return true
-}
+// Online reports whether the site's queue is in service.
+func (s *Site) Online() bool { return !s.queue.Offline() }
 
 // SetWaitScale injects a background-load surge on a modeled queue: future
 // sampled waits are multiplied by factor (1 restores nominal). It reports
@@ -285,8 +281,8 @@ func DefaultTestbed() []Config {
 }
 
 // EmergentTestbed converts configs to emergent-queue mode with the given
-// background utilization and policy, for the cross-validation ablation.
-func EmergentTestbed(configs []Config, util float64, policy batch.Policy) []Config {
+// background utilization and policy name, for the cross-validation ablation.
+func EmergentTestbed(configs []Config, util float64, policy string) []Config {
 	out := make([]Config, len(configs))
 	for i, c := range configs {
 		c.Mode = Emergent

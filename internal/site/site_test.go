@@ -29,6 +29,7 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Nodes = 0 },
 		func(c *Config) { c.CoresPerNode = 0 },
 		func(c *Config) { c.BandwidthMBps = 0 },
+		func(c *Config) { c.Policy = "shortest-first" },
 		func(c *Config) { c.WaitModel.MedianWait = 0 },
 		func(c *Config) { c.Mode = Emergent; c.BackgroundUtil = 0 },
 		func(c *Config) { c.Mode = Emergent; c.BackgroundUtil = 1.5 },
@@ -134,7 +135,7 @@ func TestDefaultTestbedHeterogeneous(t *testing.T) {
 }
 
 func TestEmergentTestbedConversion(t *testing.T) {
-	cfgs := EmergentTestbed(DefaultTestbed(), 0.85, batch.EASY{})
+	cfgs := EmergentTestbed(DefaultTestbed(), 0.85, "easy")
 	for _, c := range cfgs {
 		if c.Mode != Emergent {
 			t.Fatal("mode not converted")
@@ -144,6 +145,21 @@ func TestEmergentTestbedConversion(t *testing.T) {
 		}
 		if err := c.Validate(); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestPolicyByName: the name in the configuration is the policy the site's
+// batch system runs, and no name is EASY.
+func TestPolicyByName(t *testing.T) {
+	for name, want := range map[string]string{"": "easy", "easy": "easy", "fcfs": "fcfs", "conservative": "conservative"} {
+		cfg := EmergentTestbed(DefaultTestbed()[2:3], 0.7, name)[0]
+		s, err := New(sim.NewSim(), cfg, sim.NewRNG(1))
+		if err != nil {
+			t.Fatalf("policy %q: %v", name, err)
+		}
+		if got := s.Queue().(*batch.System).Policy().Name(); got != want {
+			t.Errorf("policy %q runs %q, want %q", name, got, want)
 		}
 	}
 }

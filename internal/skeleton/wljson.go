@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"time"
 )
 
@@ -120,7 +121,7 @@ func ParseWorkloadJSON(r io.Reader) (*Workload, error) {
 			Stage:    tj.Stage,
 			Index:    tj.Index,
 			Cores:    tj.Cores,
-			Duration: time.Duration(tj.DurationS * float64(time.Second)),
+			Duration: time.Duration(math.Round(tj.DurationS * float64(time.Second))),
 			Deps:     tj.Deps,
 		}
 		var err error

@@ -1,15 +1,14 @@
 // Package trace implements the self-introspection layer of the middleware:
-// every pilot and unit state transition is recorded with a virtual timestamp,
-// and span algebra (interval unions) turns such records into the
-// overlap-aware TTC decomposition of the paper's Figure 3, where
-// TTC < Tw + Tx + Ts because the components overlap.
+// every pilot and unit state transition is recorded with a virtual timestamp.
 //
 // The middleware writes to a Sink. A Recorder is the sink that keeps what it
 // is given, for analysis after a run; an execution backend's sink forwards
 // each record to its shard's Log — the one stored copy — and keeps nothing.
-// A report's Tx and Ts are not computed from either: pilot.UnitManager
-// accumulates the same unions while the units change state, and Union is the
-// reference its totals are tested against.
+// The overlap-aware TTC decomposition of the paper's Figure 3 (TTC < Tw + Tx
+// + Ts because the components overlap) is not computed from either:
+// pilot.UnitManager accumulates the interval unions while the units change
+// state, and the span algebra that replays them from a trace is the
+// test-side reference in internal/core/report_test.go.
 package trace
 
 import (
@@ -60,18 +59,6 @@ func (r *Recorder) Len() int { return len(r.records) }
 // Records returns the records in insertion order. The returned slice is the
 // recorder's backing store; callers must not modify it.
 func (r *Recorder) Records() []Record { return r.records }
-
-// ByEntity returns all records for one entity, in time order.
-func (r *Recorder) ByEntity(entity string) []Record {
-	var out []Record
-	for _, rec := range r.records {
-		if rec.Entity == entity {
-			out = append(out, rec)
-		}
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Time < out[j].Time })
-	return out
-}
 
 // ByState returns all records with the given state, in time order.
 func (r *Recorder) ByState(state string) []Record {
@@ -144,123 +131,4 @@ func QualifyEntity(entity, ns string) string {
 		return unit + ns + "." + entity[len(unit):]
 	}
 	return entity
-}
-
-// Span is a half-open interval [Start, End) in virtual time.
-type Span struct {
-	Start, End sim.Time
-}
-
-// Valid reports whether the span is well-formed (End >= Start).
-func (s Span) Valid() bool { return s.End >= s.Start }
-
-// Duration returns End - Start, or 0 for invalid spans.
-func (s Span) Duration() sim.Time {
-	if !s.Valid() {
-		return 0
-	}
-	return s.End - s.Start
-}
-
-// Overlaps reports whether s and o share any point.
-func (s Span) Overlaps(o Span) bool {
-	return s.Start < o.End && o.Start < s.End
-}
-
-// Union merges spans into a minimal set of disjoint spans and returns the
-// total covered time. Invalid and empty spans are ignored. This is how the
-// paper's Tw, Tx and Ts are computed from per-entity spans so that
-// concurrent activity is not double counted.
-func Union(spans []Span) (merged []Span, total sim.Time) {
-	var clean []Span
-	for _, s := range spans {
-		if s.Valid() && s.End > s.Start {
-			clean = append(clean, s)
-		}
-	}
-	if len(clean) == 0 {
-		return nil, 0
-	}
-	sort.Slice(clean, func(i, j int) bool {
-		if clean[i].Start != clean[j].Start {
-			return clean[i].Start < clean[j].Start
-		}
-		return clean[i].End < clean[j].End
-	})
-	cur := clean[0]
-	for _, s := range clean[1:] {
-		if s.Start <= cur.End {
-			if s.End > cur.End {
-				cur.End = s.End
-			}
-			continue
-		}
-		merged = append(merged, cur)
-		total += cur.Duration()
-		cur = s
-	}
-	merged = append(merged, cur)
-	total += cur.Duration()
-	return merged, total
-}
-
-// UnionDuration returns just the covered time of Union.
-func UnionDuration(spans []Span) sim.Time {
-	_, total := Union(spans)
-	return total
-}
-
-// Envelope returns the smallest span covering all valid spans, and false when
-// there are none.
-func Envelope(spans []Span) (Span, bool) {
-	found := false
-	var env Span
-	for _, s := range spans {
-		if !s.Valid() {
-			continue
-		}
-		if !found {
-			env = s
-			found = true
-			continue
-		}
-		if s.Start < env.Start {
-			env.Start = s.Start
-		}
-		if s.End > env.End {
-			env.End = s.End
-		}
-	}
-	return env, found
-}
-
-// SpansBetween extracts, for every entity matching the prefix, the span from
-// its first fromState record to its first toState record at or after it.
-// Entities missing either state are skipped.
-func SpansBetween(r *Recorder, entityPrefix, fromState, toState string) []Span {
-	starts := map[string]sim.Time{}
-	var order []string
-	for _, rec := range r.records {
-		if !strings.HasPrefix(rec.Entity, entityPrefix) || rec.State != fromState {
-			continue
-		}
-		if _, ok := starts[rec.Entity]; !ok {
-			starts[rec.Entity] = rec.Time
-			order = append(order, rec.Entity)
-		}
-	}
-	var spans []Span
-	for _, entity := range order {
-		from := starts[entity]
-		best := sim.Forever
-		for _, rec := range r.records {
-			if rec.Entity == entity && rec.State == toState && rec.Time >= from && rec.Time < best {
-				best = rec.Time
-			}
-		}
-		if best != sim.Forever {
-			spans = append(spans, Span{Start: from, End: best})
-		}
-	}
-	return spans
 }

@@ -142,7 +142,7 @@ func TestConcurrentJobsSharedEnvironment(t *testing.T) {
 		t.Fatal("aggregate recorder empty")
 	}
 	for _, j := range []*aimes.Job{jobs[0], jobs[n-1]} {
-		if len(env.Recorder().ByEntity("em."+j.Namespace())) == 0 {
+		if _, ok := env.Recorder().First("em."+j.Namespace(), "ENACTING"); !ok {
 			t.Fatalf("aggregate recorder has no records for em.%s", j.Namespace())
 		}
 	}

@@ -25,7 +25,7 @@ func modelBaselinePath() string {
 // `go run ./cmd/model-check -update` when a deliberate model change moves
 // the recorded error.
 func TestModelFidelity(t *testing.T) {
-	fid, samples, err := modelcheck.Run(modelcheck.Options{})
+	fid, samples, err := modelcheck.Run()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -113,18 +113,16 @@ const (
 // Wire codecs for WithWireCodec.
 const (
 	// CodecJSON pins the field-named JSON payload encoding — debuggable
-	// with a pipe tee, interoperable with every worker ever shipped.
+	// with a pipe tee.
 	CodecJSON = backend.CodecJSON
-	// CodecBinary demands the compact binary payload encoding; NewEnv fails
-	// against a worker that cannot speak it.
+	// CodecBinary is the compact binary payload encoding, the default.
 	CodecBinary = backend.CodecBinary
 )
 
 // WithWireCodec selects the worker wire codec. The default (empty string)
-// negotiates: the binary codec when the worker offers it, JSON otherwise —
-// so new parents interoperate with old workers. Pass CodecJSON to pin the
-// debuggable encoding or CodecBinary to fail fast instead of silently
-// falling back. No effect on the local backend.
+// and CodecBinary both mean the binary codec, and NewEnv fails against a
+// worker that does not accept it; pass CodecJSON to pin the debuggable
+// encoding. No effect on the local backend.
 func WithWireCodec(name string) Option {
 	return func(o *envOptions) { o.wireCodec = name }
 }

@@ -1,5 +1,6 @@
 #!/bin/sh
 # uncovered.sh [coverprofile] — product functions no test reaches.
+# uncovered.sh orphans        — internal/ functions only library tests reach.
 #
 # One `go test -count=1 -coverpkg=./... -coverprofile` run over the whole
 # module (or the given profile, to re-read one), then every function at 0 %
@@ -9,21 +10,50 @@
 # or client, or a handle* route of internal/server — so a public name is
 # either exercised by a test or deleted, and the list a shrink PR starts from
 # does not have to be compiled by hand.
+#
+# `orphans` is the same run plus one restricted to the packages that consume
+# the libraries — root, client, cmd/..., internal/server, internal/scenario,
+# internal/experiments — both still counting every package (-coverpkg=./...).
+# It prints every internal/ function the whole module's tests reach and the
+# consumers' tests do not: code kept alive by its own package's tests (or a
+# sibling library's), the candidates for the next shrink. Informational: what
+# only an untested main calls (cmd/skeleton-gen's writers) is on the list too,
+# and so is a library's own contract (a policy's Name, a String method).
 set -eu
 cd "$(dirname "$0")/.."
 GO=${GO:-go}
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
-profile=${1:-}
-if [ -z "$profile" ]; then
-    profile=$tmp/cover.out
-    if ! "$GO" test -count=1 -coverpkg=./... -coverprofile="$profile" ./... >"$tmp/test.log" 2>&1; then
+# cover PROFILE PACKAGES... writes a whole-module coverage profile of the
+# given packages' tests.
+cover() {
+    out=$1
+    shift
+    if ! "$GO" test -count=1 -coverpkg=./... -coverprofile="$out" "$@" >"$tmp/test.log" 2>&1; then
         cat "$tmp/test.log"
         exit 1
     fi
-fi
+}
+
+profile=${1:-}
 module=$("$GO" list -m)
+
+if [ "$profile" = orphans ]; then
+    cover "$tmp/all.out" ./...
+    cover "$tmp/consumers.out" . ./client ./cmd/... ./internal/server ./internal/scenario ./internal/experiments
+    "$GO" tool cover -func="$tmp/all.out" | awk '$NF != "0.0%" { print $1, $2 }' | sort -u >"$tmp/reached"
+    "$GO" tool cover -func="$tmp/consumers.out" | awk '$NF == "0.0%" { print $1, $2 }' | sort -u >"$tmp/unconsumed"
+    comm -12 "$tmp/reached" "$tmp/unconsumed" | sed "s|^$module/||" | grep '^internal/' >"$tmp/orphans" || true
+    cat "$tmp/orphans"
+    echo "orphans: $(wc -l <"$tmp/orphans") internal/ functions are reached by library tests only"
+    exit 0
+fi
+
+if [ -z "$profile" ]; then
+    profile=$tmp/cover.out
+    cover "$profile" ./...
+fi
 
 "$GO" tool cover -func="$profile" | awk '$NF == "0.0%" { print $1, $2 }' | sort -u >"$tmp/zero"
 : >"$tmp/public"

@@ -355,18 +355,12 @@ func TestMigrationHandoffSemantics(t *testing.T) {
 			migrated++
 			// The migration must be visible in the destination shard's trace
 			// as an em MIGRATED record naming the origin.
-			rec := env.ShardRecorder(j.Shard())
-			found := false
-			for _, r := range rec.ByEntity("em." + ns) {
-				if r.State == trace.StateMigrated {
-					if r.Detail != "from s0" {
-						t.Fatalf("job %d MIGRATED detail %q, want \"from s0\"", i, r.Detail)
-					}
-					found = true
-				}
-			}
+			r, found := env.ShardRecorder(j.Shard()).First("em."+ns, trace.StateMigrated)
 			if !found {
 				t.Fatalf("job %d migrated to shard %d without an em MIGRATED record", i, j.Shard())
+			}
+			if r.Detail != "from s0" {
+				t.Fatalf("job %d MIGRATED detail %q, want \"from s0\"", i, r.Detail)
 			}
 		}
 	}
