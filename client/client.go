@@ -47,15 +47,11 @@ type SubmitOptions struct {
 
 // Submit sends w to the daemon and returns the admitted job's info (its
 // opaque ID is the handle for Wait/Events/Cancel). The workload is encoded
-// in the middleware interchange format, so the daemon executes exactly the
-// tasks w describes. A quota rejection surfaces as a *StatusError with
-// code 429.
+// in the middleware interchange format, compact, into one buffer sized from
+// its tasks, so the daemon executes exactly the tasks w describes. A quota
+// rejection surfaces as a *StatusError with code 429.
 func (c *Client) Submit(ctx context.Context, w *aimes.Workload, opts SubmitOptions) (*JobInfo, error) {
-	var wl bytes.Buffer
-	if err := w.WriteMiddlewareJSON(&wl); err != nil {
-		return nil, fmt.Errorf("client: encoding workload: %w", err)
-	}
-	return c.SubmitRaw(ctx, opts.request(wl.Bytes()))
+	return c.SubmitRaw(ctx, opts.request(w.AppendMiddlewareJSON(nil)))
 }
 
 // request is the wire form of a submission of workload (interchange JSON)

@@ -44,9 +44,7 @@ func (s *Server) tenant(h func(http.ResponseWriter, *http.Request, Tenant)) http
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	json.NewEncoder(w).Encode(v)
 }
 
 func writeError(w http.ResponseWriter, code int, msg string) {
@@ -81,7 +79,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, tn Tenant)
 		writeAPIError(w, err)
 		return
 	}
-	s.logf("job %s: tenant %s submitted (state %s, shard %d)", rec.id, tn.Name, rec.job.State(), rec.job.Shard())
+	if s.logf != nil {
+		s.logf("job %s: tenant %s submitted (state %s, shard %d)", rec.id, tn.Name, rec.job.State(), rec.job.Shard())
+	}
 	writeJSON(w, http.StatusCreated, s.reg.info(rec))
 }
 
@@ -140,7 +140,9 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request, tn Tenant)
 		reason = "canceled by client"
 	}
 	rec.job.Cancel(reason)
-	s.logf("job %s: tenant %s canceled (%s)", rec.id, tn.Name, reason)
+	if s.logf != nil {
+		s.logf("job %s: tenant %s canceled (%s)", rec.id, tn.Name, reason)
+	}
 	writeJSON(w, http.StatusOK, s.reg.info(rec))
 }
 

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
@@ -13,6 +12,7 @@ import (
 
 	"aimes"
 	"aimes/client"
+	"aimes/internal/skeleton"
 )
 
 // registry owns the daemon's job table: opaque job IDs → aimes.Job handles,
@@ -100,7 +100,7 @@ func (r *registry) submit(tn Tenant, req *client.SubmitRequest) (*jobRecord, err
 	if len(req.Workload) == 0 {
 		return nil, badRequest("submit: missing workload")
 	}
-	w, err := aimes.ParseWorkloadJSON(bytes.NewReader(req.Workload))
+	w, err := skeleton.ParseWorkload(req.Workload)
 	if err != nil {
 		return nil, badRequest("submit: %v", err)
 	}

@@ -57,7 +57,7 @@ type Server struct {
 	reg  *registry
 	met  *metrics
 	mux  *http.ServeMux
-	logf func(string, ...any)
+	logf func(string, ...any) // nil: log nothing, and box no arguments
 
 	draining atomic.Bool
 	stop     chan struct{} // closed after drain: terminates SSE streams
@@ -82,9 +82,6 @@ func New(cfg Config) (*Server, error) {
 		mux:  http.NewServeMux(),
 		logf: cfg.Logf,
 		stop: make(chan struct{}),
-	}
-	if s.logf == nil {
-		s.logf = func(string, ...any) {}
 	}
 	s.reg = newRegistry(cfg.Env, s.met, cfg.Retain)
 	s.routes()

@@ -11,6 +11,7 @@ import (
 
 	"aimes"
 	"aimes/client"
+	"aimes/internal/skeleton"
 )
 
 // writeEvent writes one Server-Sent Event with a JSON payload, unflushed. id
@@ -41,28 +42,15 @@ func appendEvent(dst []byte, name string, ev *client.Event) []byte {
 		dst = append(strconv.AppendInt(append(dst, `"seq":`...), ev.Seq, 10), ',')
 	}
 	if ev.Job != "" {
-		dst = append(appendJSONString(append(dst, `"job":`...), ev.Job), ',')
+		dst = append(skeleton.AppendJSONString(append(dst, `"job":`...), ev.Job), ',')
 	}
 	dst = strconv.AppendInt(append(dst, `"time":`...), int64(ev.Time), 10)
-	dst = appendJSONString(append(dst, `,"entity":`...), ev.Entity)
-	dst = appendJSONString(append(dst, `,"state":`...), ev.State)
+	dst = skeleton.AppendJSONString(append(dst, `,"entity":`...), ev.Entity)
+	dst = skeleton.AppendJSONString(append(dst, `,"state":`...), ev.State)
 	if ev.Detail != "" {
-		dst = appendJSONString(append(dst, `,"detail":`...), ev.Detail)
+		dst = skeleton.AppendJSONString(append(dst, `,"detail":`...), ev.Detail)
 	}
 	return append(dst, "}\n\n"...)
-}
-
-// appendJSONString quotes s as encoding/json does. Printable ASCII that json
-// passes through is copied; anything it would escape (quotes, backslashes,
-// HTML characters, control bytes, U+2028/9, invalid UTF-8) is left to it.
-func appendJSONString(dst []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			quoted, _ := json.Marshal(s) // a string always marshals
-			return append(dst, quoted...)
-		}
-	}
-	return append(append(append(dst, '"'), s...), '"')
 }
 
 // eventSizeHint is about what one encoded event takes: a job ID, an entity, a

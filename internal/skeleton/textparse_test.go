@@ -1,7 +1,6 @@
 package skeleton
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -170,122 +169,6 @@ func TestParseTextJSONEquivalence(t *testing.T) {
 	for i := range a.Tasks {
 		if a.Tasks[i].Duration != b.Tasks[i].Duration || a.Tasks[i].ID != b.Tasks[i].ID {
 			t.Fatal("parsers produce different workloads")
-		}
-	}
-}
-
-func TestMiddlewareJSONRoundTrip(t *testing.T) {
-	app := multistageApp()
-	w, err := Generate(app, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	roundTrip := func() *Workload {
-		t.Helper()
-		var buf strings.Builder
-		if err := w.WriteMiddlewareJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		back, err := ParseWorkloadJSON(strings.NewReader(buf.String()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return back
-	}
-	back := roundTrip()
-	if back.Name != w.Name || back.TotalTasks() != w.TotalTasks() {
-		t.Fatalf("identity lost: %s/%d", back.Name, back.TotalTasks())
-	}
-	for i := range w.Tasks {
-		a, b := w.Tasks[i], back.Tasks[i]
-		if a.ID != b.ID || a.Duration != b.Duration || a.Stage != b.Stage {
-			t.Fatalf("task %d identity lost: %+v vs %+v", i, a, b)
-		}
-		if a.InputBytes() != b.InputBytes() || a.OutputBytes() != b.OutputBytes() {
-			t.Fatalf("task %d file sizes lost", i)
-		}
-		if len(a.Deps) != len(b.Deps) {
-			t.Fatalf("task %d deps lost", i)
-		}
-		for k := range a.Inputs {
-			if a.Inputs[k].Producer != b.Inputs[k].Producer {
-				t.Fatalf("task %d producer lost", i)
-			}
-		}
-	}
-	// Generated durations are whole seconds; a hand-written workload's need
-	// not be. duration_s is a float, and a conversion that truncates brings
-	// about one in fifty of these back a nanosecond short.
-	rng := rand.New(rand.NewSource(17))
-	for round := 0; round < 100; round++ {
-		for i := range w.Tasks {
-			w.Tasks[i].Duration = time.Minute + time.Duration(rng.Int63n(int64(29*time.Minute)))
-		}
-		for i, b := range roundTrip().Tasks {
-			if a := w.Tasks[i]; a.Duration != b.Duration {
-				t.Fatalf("round %d task %d: duration %d ns came back %d ns", round, i, a.Duration, b.Duration)
-			}
-		}
-	}
-}
-
-func TestParseWorkloadJSONRejects(t *testing.T) {
-	cases := []string{
-		``,
-		`{"name": "", "tasks": []}`,
-		`{"name": "x", "tasks": []}`,
-		`{"name": "x", "tasks": [{"id": "", "cores": 1}]}`,
-		`{"name": "x", "tasks": [{"id": "a", "cores": 0}]}`,
-		`{"name": "x", "tasks": [{"id": "a", "cores": 1}, {"id": "a", "cores": 1}]}`,
-		`{"name": "x", "tasks": [{"id": "a", "cores": 1, "duration_s": -1}]}`,
-		`{"name": "x", "tasks": [{"id": "a", "cores": 1, "deps": ["ghost"]}]}`,
-		`{"name": "x", "tasks": [{"id": "a", "cores": 1, "inputs": [{"name": "f", "bytes": -1}]}]}`,
-		`{"name": "x", "tasks": [{"id": "a", "cores": 1, "inputs": [{"name": "f", "bytes": 1, "producer": "ghost"}]}]}`,
-		`{"name": "x", "unknown": 1, "tasks": [{"id": "a", "cores": 1}]}`,
-	}
-	for i, c := range cases {
-		if _, err := ParseWorkloadJSON(strings.NewReader(c)); err == nil {
-			t.Fatalf("case %d parsed successfully", i)
-		}
-	}
-}
-
-// TestParseWorkloadJSONAllocations pins the submit path's conversion: what
-// ParseWorkloadJSON allocates beyond encoding/json's own decoding is a fixed
-// handful of objects per workload — the task slice, one file slab, the ID set —
-// not two lists per task. The ceiling is per task and covers the decoding
-// too, measured on the bag-of-tasks documents the service benchmark submits
-// (one input and one output per task): 10.5 per task at 8 tasks and 9.1 at
-// 16, where appending file by file cost 12.8 and 11.2.
-func TestParseWorkloadJSONAllocations(t *testing.T) {
-	for _, n := range []int{8, 16} {
-		w, err := Generate(BagOfTasks(n, Constant(60)), 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf strings.Builder
-		if err := w.WriteMiddlewareJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		doc := buf.String()
-		back, err := ParseWorkloadJSON(strings.NewReader(doc))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, task := range back.Tasks {
-			if len(task.Inputs) != 1 || len(task.Outputs) != 1 || cap(task.Inputs) != 1 || cap(task.Outputs) != 1 || task.Deps != nil {
-				t.Fatalf("task %d: %d/%d inputs, %d/%d outputs, deps %v: lists must be exact and an empty one nil",
-					i, len(task.Inputs), cap(task.Inputs), len(task.Outputs), cap(task.Outputs), task.Deps)
-			}
-		}
-		perTask := testing.AllocsPerRun(50, func() {
-			if _, err := ParseWorkloadJSON(strings.NewReader(doc)); err != nil {
-				t.Fatal(err)
-			}
-		}) / float64(n)
-		t.Logf("%d tasks: %.1f allocations per task", n, perTask)
-		if perTask > 11 {
-			t.Errorf("%d tasks: %.1f allocations per task, want at most 11", n, perTask)
 		}
 	}
 }

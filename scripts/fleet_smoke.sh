@@ -92,8 +92,8 @@ gen_submit() { # gen_submit NAME TASKS SHARD MIGRATE > file
     }'
 }
 
-json_field() { # json_field FIELD < response (pretty-printed "field": "value")
-    sed -n "s/.*\"$1\": \"\([^\"]*\)\".*/\1/p" | head -n 1
+json_field() { # json_field FIELD < response: the first "field":"value"
+    grep -o "\"$1\": *\"[^\"]*\"" | head -n 1 | sed 's/.*: *"\(.*\)"/\1/'
 }
 
 submit() { # submit NAME TASKS SHARD MIGRATE -> job id on stdout
@@ -110,7 +110,7 @@ wait_final() { # wait_final ID LABEL -> writes $work/final-LABEL.json
     i=0
     while :; do
         curl -s -H "$auth" "$base/v1/jobs/$1?wait=15s" >"$work/final-$2.json"
-        grep -q '"final": true' "$work/final-$2.json" && return 0
+        grep -q '"final": *true' "$work/final-$2.json" && return 0
         i=$((i + 1))
         [ $i -lt 20 ] || fail "job $1 ($2) never became final"
     done
@@ -161,7 +161,7 @@ echo "[fleet] 4 enacted jobs failed as contracted, 2 queued jobs replayed to com
 
 # The bystander shard never noticed.
 wait_final "$bystander" bystander
-grep -q '"state": "done"' "$work/final-bystander.json" || fail "bystander state: $(json_field state <"$work/final-bystander.json")"
+grep -q '"state": *"done"' "$work/final-bystander.json" || fail "bystander state: $(json_field state <"$work/final-bystander.json")"
 
 # The lifecycle is visible on /metrics: at least one respawn, both replays,
 # and host a marked unhealthy.
@@ -179,7 +179,7 @@ echo "[fleet] /metrics: restarts=$restarts replayed=$replayed, host a unhealthy"
 # shard 0's new home.
 fresh=$(submit fresh 48 0 never)
 wait_final "$fresh" fresh
-grep -q '"state": "done"' "$work/final-fresh.json" || fail "post-respawn submission state: $(json_field state <"$work/final-fresh.json")"
+grep -q '"state": *"done"' "$work/final-fresh.json" || fail "post-respawn submission state: $(json_field state <"$work/final-fresh.json")"
 echo "[fleet] post-respawn submission to the severed shard completed"
 
 kill -TERM "$srv"

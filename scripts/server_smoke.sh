@@ -51,8 +51,8 @@ gen_submit() { # gen_submit NAME TASKS > file
 gen_submit big 16384 >"$work/big.json"
 gen_submit small 64 >"$work/small.json"
 
-json_field() { # json_field FIELD < response (pretty-printed "field": "value")
-    sed -n "s/.*\"$1\": \"\([^\"]*\)\".*/\1/p" | head -n 1
+json_field() { # json_field FIELD < response: the first "field":"value"
+    grep -o "\"$1\": *\"[^\"]*\"" | head -n 1 | sed 's/.*: *"\(.*\)"/\1/'
 }
 
 run_leg() { # run_leg LABEL [extra aimes-server flags...]
@@ -115,14 +115,14 @@ run_leg() { # run_leg LABEL [extra aimes-server flags...]
     i=0
     while :; do
         curl -s -H "$alice" "$base/v1/jobs/$id_a?wait=15s" >"$work/a1-final.json"
-        grep -q '"final": true' "$work/a1-final.json" && break
+        grep -q '"final": *true' "$work/a1-final.json" && break
         i=$((i + 1))
         [ $i -lt 20 ] || fail "$label: job $id_a never became final"
     done
     grep -q '"report"' "$work/a1-final.json" || fail "$label: final snapshot has no report"
-    grep -q '"state": "done"' "$work/a1-final.json" || fail "$label: final state: $(json_field state <"$work/a1-final.json")"
+    grep -q '"state": *"done"' "$work/a1-final.json" || fail "$label: final state: $(json_field state <"$work/a1-final.json")"
     curl -s -H "$bob" "$base/v1/jobs/$id_b?wait=30s" >"$work/b1-final.json"
-    grep -q '"final": true' "$work/b1-final.json" || fail "$label: bob's job never became final"
+    grep -q '"final": *true' "$work/b1-final.json" || fail "$label: bob's job never became final"
     echo "[$label] reconnect-and-wait collected both final reports"
 
     # The admission story must be visible on /metrics.
