@@ -114,7 +114,7 @@ smoke:
 worker-smoke:
 	$(GO) build -o /tmp/aimes-worker ./cmd/aimes-worker
 	timeout 120 $(GO) run ./examples/workers
-	./scripts/go_test_run.sh 'TestBackendParity|TestBackendParityConservativePolicy|TestWorker|TestInitFrameCarriesEveryConfigField|TestConnectRejectsWorkerWithoutBinary' . ./internal/backend/
+	./scripts/go_test_run.sh 'TestBackendParity|TestBackendParityConservativePolicy|TestWorker|TestInitFrameCarriesEveryConfigField|TestFramesCarryEveryPayloadField|TestConnectRejectsWorkerWithoutBinary' . ./internal/backend/
 
 # TCP-transport smoke: host shards with a real `aimes-worker serve` process
 # on a loopback port and run the parity matrix and crash containment against

@@ -13,6 +13,7 @@ package aimes_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math/rand"
 	"net/http/httptest"
 	"testing"
@@ -264,30 +265,35 @@ func BenchmarkServiceJobSSE(b *testing.B) {
 	}
 }
 
-// BenchmarkWorkerJob is the wire path one job at a time: a 64-task job on one
-// stdio worker shard (this binary re-executed through WorkerMain), every
-// record decoded from a Step response on this side — the parent's share of
-// the benchmark's fleet-mixed workload.
+// BenchmarkWorkerJob is the wire path one job at a time, at each of the
+// benchmark's fleet-mixed sizes: a job on one stdio worker shard (this
+// binary re-executed through WorkerMain), its descriptor encoded here and
+// every record decoded from a Step response on this side — the parent's
+// share of fleet-mixed.
 func BenchmarkWorkerJob(b *testing.B) {
-	env, err := aimes.NewEnv(append(processWorkers(1), aimes.WithSeed(7741))...)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer env.Close()
-	w, err := aimes.GenerateWorkload(aimes.BagOfTasks(64, aimes.UniformDuration()), 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := aimes.JobConfig{StrategyConfig: aimes.StrategyConfig{Binding: aimes.LateBinding, Scheduler: aimes.SchedBackfill, Pilots: 2}}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		j, err := env.Submit(context.Background(), w, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if r, err := j.Wait(context.Background()); err != nil || r.UnitsDone != 64 {
-			b.Fatalf("job: %+v, %v", r, err)
-		}
+	for _, n := range []int{8, 64, 512} {
+		b.Run(fmt.Sprintf("tasks=%d", n), func(b *testing.B) {
+			env, err := aimes.NewEnv(append(processWorkers(1), aimes.WithSeed(7741))...)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer env.Close()
+			w, err := aimes.GenerateWorkload(aimes.BagOfTasks(n, aimes.UniformDuration()), 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cfg := aimes.JobConfig{StrategyConfig: aimes.StrategyConfig{Binding: aimes.LateBinding, Scheduler: aimes.SchedBackfill, Pilots: 2}}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				j, err := env.Submit(context.Background(), w, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if r, err := j.Wait(context.Background()); err != nil || r.UnitsDone != n {
+					b.Fatalf("job: %+v, %v", r, err)
+				}
+			}
+		})
 	}
 }

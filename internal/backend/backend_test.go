@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -109,6 +110,14 @@ func fillValue(t *testing.T, v reflect.Value, n *int) {
 		for i := 0; i < v.Len(); i++ {
 			fillValue(t, v.Index(i), n)
 		}
+	case reflect.Map:
+		v.Set(reflect.MakeMap(v.Type()))
+		for range 2 {
+			key, elem := reflect.New(v.Type().Key()).Elem(), reflect.New(v.Type().Elem()).Elem()
+			fillValue(t, key, n)
+			fillValue(t, elem, n)
+			v.SetMapIndex(key, elem)
+		}
 	case reflect.Pointer:
 		v.Set(reflect.New(v.Type().Elem()))
 		fillValue(t, v.Elem(), n)
@@ -145,6 +154,105 @@ func TestInitFrameCarriesEveryConfigField(t *testing.T) {
 			if got.Init == nil || !reflect.DeepEqual(*got.Init, want) {
 				t.Errorf("%s over %s: the worker decoded\n%+v\nwant\n%+v", name, c.Name(), got.Init, want)
 			}
+		}
+	}
+}
+
+// lists appends every slice and map reachable from v, each settable in
+// place, so a test can hollow one out and put it back.
+func lists(v reflect.Value, out *[]reflect.Value) {
+	switch v.Kind() {
+	case reflect.Slice:
+		*out = append(*out, v)
+		for i := 0; i < v.Len(); i++ {
+			lists(v.Index(i), out)
+		}
+	case reflect.Map:
+		*out = append(*out, v)
+	case reflect.Pointer:
+		if !v.IsNil() {
+			lists(v.Elem(), out)
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			lists(v.Field(i), out)
+		}
+	}
+}
+
+// TestFramesCarryEveryPayloadField is the job half of the wire parity
+// contract: the descriptor (workload, strategy, config, adaptive), the
+// enact result, the derived strategy, the strategy config and the report,
+// every field set by reflection, cross both codecs and arrive equal — and
+// again with each slice and map in turn nil, then empty. A value JSON
+// cannot encode (NaN, ±Inf) is an encode error in both.
+func TestFramesCarryEveryPayloadField(t *testing.T) {
+	var p struct {
+		Desc     Descriptor
+		Enacted  Enacted
+		Strategy core.Strategy
+		Config   core.StrategyConfig
+		Report   core.Report
+		Workload skeleton.Workload
+	}
+	n := 0
+	fillValue(t, reflect.ValueOf(&p).Elem(), &n)
+	if p.Desc.Adaptive == nil || len(p.Desc.Workload.Tasks[1].Deps) != 2 || len(p.Report.PilotWaits) != 2 || p.Report.Strategy.EstTrp == 0 {
+		t.Fatalf("fillValue left a field unset: %+v", p)
+	}
+	req := &request{ID: 1, Op: opEnact, Desc: &p.Desc, Report: &p.Report, Workload: &p.Workload, Config: &p.Config}
+	resp := &response{ID: 1, Enacted: &p.Enacted, Strategy: &p.Strategy, Events: []wireEvent{{Kind: eventDone, Key: 3, Report: &p.Report}}}
+	show := func(v any) string {
+		b, _ := json.Marshal(v)
+		return string(b)
+	}
+	check := func(variant string) {
+		t.Helper()
+		for _, c := range []codec{jsonCodec{}, newBinaryCodec()} {
+			if got := roundTripRequest(t, c, req); !reflect.DeepEqual(&got, req) {
+				t.Fatalf("%s over %s: the worker decoded\n%s\nwant\n%s", variant, c.Name(), show(got), show(req))
+			}
+			if got := roundTripResponse(t, c, resp); !reflect.DeepEqual(&got, resp) {
+				t.Fatalf("%s over %s: the parent decoded\n%s\nwant\n%s", variant, c.Name(), show(got), show(resp))
+			}
+		}
+	}
+	check("every field")
+	var all []reflect.Value
+	lists(reflect.ValueOf(&p).Elem(), &all)
+	for i, v := range all {
+		full := reflect.ValueOf(v.Interface())
+		v.Set(reflect.Zero(v.Type()))
+		check(fmt.Sprintf("%s %d nil", v.Type(), i))
+		if v.Kind() == reflect.Map {
+			v.Set(reflect.MakeMap(v.Type()))
+		} else {
+			v.Set(reflect.MakeSlice(v.Type(), 0, 0))
+		}
+		check(fmt.Sprintf("%s %d empty", v.Type(), i))
+		v.Set(full)
+	}
+
+	for _, tc := range []struct {
+		name string
+		poke func(f float64)
+	}{
+		{"report", func(f float64) { p.Report.Efficiency = f }},
+		{"walltime slack", func(f float64) { p.Desc.Config.WalltimeSlack = f }},
+	} {
+		for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			tc.poke(f)
+			for _, c := range []codec{jsonCodec{}, newBinaryCodec()} {
+				if _, err := c.AppendRequest(nil, req); err == nil {
+					t.Errorf("%s %v: %s encoded the request", tc.name, f, c.Name())
+				}
+			}
+			tc.poke(1.5)
+		}
+	}
+	for _, c := range []codec{jsonCodec{}, newBinaryCodec()} {
+		if _, err := c.AppendResponse(nil, &response{Events: []wireEvent{{Kind: eventDone, Report: &core.Report{Throughput: math.NaN()}}}}); err == nil {
+			t.Errorf("%s encoded a NaN report in a done event", c.Name())
 		}
 	}
 }

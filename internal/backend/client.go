@@ -58,16 +58,17 @@ func Connect(tr Transport, opt WorkerOptions, cfg Config, sink Sink, onDeath fun
 	s.attach(conn)
 	w := &Worker{shard: cfg.Shard, s: s, sink: sink}
 
-	// Ask for binary unless the caller pinned JSON, which is what the session
-	// speaks until told otherwise and so needs neither request nor echo.
+	// Ask for binary, by its versioned wire name, unless the caller pinned
+	// JSON, which is what the session speaks until told otherwise and so
+	// needs neither request nor echo.
 	wantBinary := opt.Codec != CodecJSON
 	req := &request{Op: opInit, Init: &cfg}
 	if wantBinary {
-		req.Codec = CodecBinary
+		req.Codec = binaryWire
 	}
 	resp, err := w.callTimeout(req, spawnTimeout)
-	if err == nil && wantBinary && resp.Codec != CodecBinary {
-		err = fmt.Errorf("worker did not accept the %q wire codec (echoed %q)", CodecBinary, resp.Codec)
+	if err == nil && wantBinary && resp.Codec != binaryWire {
+		err = fmt.Errorf("worker did not accept the %q wire codec (echoed %q)", binaryWire, resp.Codec)
 	}
 	if err != nil {
 		s.closing.Store(true) // suppress the death callback for a spawn that never worked

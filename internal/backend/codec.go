@@ -10,10 +10,16 @@ const (
 	// pipe tee, and what every session speaks during the init exchange.
 	CodecJSON = "json"
 	// CodecBinary is the compact binary payload encoding: varint integers,
-	// length-prefixed strings, native binary trace records, and JSON blobs
-	// for the cold structured payloads (descriptors, reports, strategies).
+	// length-prefixed strings, native binary trace records, descriptors,
+	// workloads, strategies and reports.
 	CodecBinary = "binary"
 )
+
+// binaryWire is the name binary is negotiated under: CodecBinary plus its
+// layout version, so a parent and a worker built with different payload
+// layouts fail the init exchange instead of misreading a job's frames. Bump
+// it with every layout change.
+const binaryWire = CodecBinary + "/2"
 
 // A codec encodes request and response payloads (the bytes inside a frame).
 // Encoders append to a caller-owned buffer so the hot path reuses one

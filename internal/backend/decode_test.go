@@ -1,11 +1,15 @@
 package backend
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
+	"time"
 
 	"aimes/internal/core"
 	"aimes/internal/sim"
@@ -41,7 +45,7 @@ func traceResponse(t testing.TB, n int) []byte {
 // TestDecodeResponseAllocatesPerBatch pins the parent side of the wire: once
 // the intern table has seen the shard's vocabulary, decoding a response costs
 // the event slice and the record slab — whatever the record count. (The
-// completion's report is a JSON blob and is counted apart.)
+// completion's report is counted apart.)
 func TestDecodeResponseAllocatesPerBatch(t *testing.T) {
 	c := newBinaryCodec()
 	decode := func(frame []byte) float64 {
@@ -70,41 +74,152 @@ func TestDecodeResponseAllocatesPerBatch(t *testing.T) {
 	}
 }
 
-// TestDecodeResponseForgedCount: an event count the frame cannot back up is
-// refused before anything is reserved, and one it could (a large frame whose
-// first event is corrupt) costs one chunk, not count × 56 bytes.
+// TestHostStepAllocatesPerBatch pins the worker side of the wire: a Step's
+// records go into the sink's reused slabs and out through the host's reused
+// frame buffer, so once those have grown a response costs the same objects
+// whether it carries 512 records or 4 096.
+func TestHostStepAllocatesPerBatch(t *testing.T) {
+	h := &host{out: io.Discard, cod: newBinaryCodec(), wbuf: make([]byte, 0, 4096)}
+	step := func(n int) float64 {
+		return testing.AllocsPerRun(10, func() {
+			for i := 0; i < n; i++ {
+				h.sink.JobTrace(1+i%2, "s0-j1", trace.Record{Time: sim.Time(i), Entity: "unit.task-07", State: "EXECUTING"})
+			}
+			if err := h.writeResponse(&response{ID: 1, Fired: n}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	step(4096) // grows the slabs and the frame buffer
+	if small, large := step(512), step(4096); small != large {
+		t.Errorf("a Step response allocates %.0f objects at 512 records and %.0f at 4096, want the same", small, large)
+	}
+}
+
+// allocated reports the bytes decode allocates and its verdict.
+func allocated(decode func() error) (uint64, error) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := decode()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc, err
+}
+
+// forgedCount is a frame forged at one count: prefix leads up to it and
+// suffix, well formed, follows it up to the first element that reserves
+// what the count claims.
+type forgedCount struct {
+	name           string
+	prefix, suffix []byte
+	size           int  // the fewest bytes an element can take
+	arena          bool // the count sizes a string arena, reserved whole
+}
+
+// checkForgedCounts runs every forged count twice. Beyond what the 16 bytes
+// after it can hold, it must be refused before anything is reserved. Within
+// what 4 MB of unreadable bytes (all 0xff) could hold, a list count must cost
+// under 1 MB — one chunk, not count × the element's size — and an arena
+// count at most the bytes it claims.
+func checkForgedCounts(t *testing.T, decode func([]byte) error, cases []forgedCount) {
+	t.Helper()
+	for _, tc := range cases {
+		for _, rest := range []int{16, 4 << 20} {
+			count, limit := uint64(1<<26), uint64(64<<10)
+			if rest > 16 {
+				count, limit = uint64((len(tc.suffix)+rest)/tc.size), 1<<20
+				if tc.arena {
+					limit = uint64(rest + 256<<10)
+				}
+			}
+			frame := binary.AppendUvarint(slices.Clone(tc.prefix), count)
+			frame = append(append(frame, tc.suffix...), bytes.Repeat([]byte{0xff}, rest)...)
+			got, err := allocated(func() error { return decode(frame) })
+			if err == nil {
+				t.Errorf("%s, count %d over %d bytes: decoded without error", tc.name, count, rest)
+			}
+			if got >= limit {
+				t.Errorf("%s, count %d over %d bytes: allocated %d bytes before failing, want under %d", tc.name, count, rest, got, limit)
+			}
+		}
+	}
+}
+
+// TestDecodeResponseForgedCount: an event, resource or map count the frame
+// cannot back up is refused before anything is reserved, and one it could (a
+// large frame whose first element is corrupt) costs one chunk, not count ×
+// the element's size.
 func TestDecodeResponseForgedCount(t *testing.T) {
-	header := func(count uint64) []byte {
-		b := binary.AppendUvarint(nil, 1) // ID
-		b = append(b, 0, 0, 0, 0)         // Err, Diag, Codec empty; no flags
-		b = binary.AppendVarint(b, 0)     // Fired
-		return binary.AppendUvarint(b, count)
+	header := func(bits byte) []byte {
+		return []byte{1, 0, 0, 0, bits, 0} // ID 1; Err, Diag, Codec empty; flags; Fired 0
 	}
-	allocated := func(frame []byte) (uint64, error) {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
+	// One done event (kind, key 0, no namespace) whose report has an empty
+	// arena, a zero strategy (nil resources) and ten zero scalars.
+	report := append(header(0), 1, eventCodes[eventDone], 0, 0, evHasReport)
+	decode := func(frame []byte) error {
 		var resp response
-		err := newBinaryCodec().DecodeResponse(frame, &resp)
-		runtime.ReadMemStats(&after)
-		return after.TotalAlloc - before.TotalAlloc, err
+		return newBinaryCodec().DecodeResponse(frame, &resp)
 	}
-	for _, tc := range []struct {
-		name    string
-		count   uint64
-		payload int // bytes after the count; the first is an unknown event kind
-	}{
-		{"count beyond the payload", 1 << 26, 16},
-		{"count the payload could hold", 1 << 20, 4 << 20},
-	} {
-		frame := append(header(tc.count), make([]byte, tc.payload)...)
-		frame[len(frame)-tc.payload] = 0xff
-		got, err := allocated(frame)
-		if err == nil {
-			t.Errorf("%s: decoded without error", tc.name)
-		}
-		if got >= 1<<20 {
-			t.Errorf("%s: allocated %d bytes before failing, want under 1 MB", tc.name, got)
-		}
+	checkForgedCounts(t, decode, []forgedCount{
+		{"event count", header(0), nil, 4, false},
+		{"enacted resources", append(header(respHasEnacted), 0, 0, 0, 0), nil, 1, false},
+		{"report pilot waits", append(slices.Clone(report), make([]byte, 20)...), nil, 2, false},
+		{"report arena", report, nil, 1, true},
+	})
+}
+
+// TestDecodeRequestForgedCount is the worker's side: a forged task, file,
+// string, list, map or arena count in a workload or a report costs at most
+// the payload it claims.
+func TestDecodeRequestForgedCount(t *testing.T) {
+	derive := []byte{opCodes[opDerive], 1, reqHasWorkload, 0, 0, 0, 0}
+	feedback := []byte{opCodes[opFeedback], 1, reqHasReport, 0, 0, 0, 0}
+	decode := func(frame []byte) error {
+		var req request
+		return newBinaryCodec().DecodeRequest(frame, &req)
+	}
+	at := func(head []byte, fields ...byte) []byte { return append(slices.Clone(head), fields...) }
+	// A workload's header after its task count (files, strings, arena), an
+	// empty name and nil stages, then a task's five scalars.
+	task := []byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0}
+	checkForgedCounts(t, decode, []forgedCount{
+		{"task count", derive, task[:5], 8, false},
+		{"file total", at(derive, 2), append(slices.Clone(task[1:]), 2), 3, false},
+		{"string total", at(derive, 2, 0), []byte{0, 0, 2}, 1, false},
+		{"arena bytes", at(derive, 2, 0, 0), nil, 1, true},
+		{"stage list beyond the string total", at(derive, 1, 0, 0, 0, 0), nil, 1, false},
+		{"stage list within a forged string total", at(derive, 1, 0), binary.AppendUvarint([]byte{0, 0}, 1<<20), 1, false},
+		{"file list beyond the file total", at(derive, append([]byte{2}, task...)...), nil, 3, false},
+		{"strategy resources", at(feedback, 0, 0, 0, 0), nil, 1, false},
+		{"report pilot waits", at(feedback, make([]byte, 20)...), nil, 2, false},
+	})
+}
+
+// TestDecodeRequestCopiesOutOfTheFrame: the host reads the next request into
+// the same buffer, so nothing a decoded descriptor holds may alias it. The
+// workload's files, deps and single lists all outgrow a decode chunk.
+func TestDecodeRequestCopiesOutOfTheFrame(t *testing.T) {
+	w, err := skeleton.Generate(skeleton.AppSpec{Name: "all-to-all", Stages: []skeleton.StageSpec{
+		{Name: "map", Tasks: decodeChunk + 100, DurationS: skeleton.Constant(60), InputBytes: skeleton.Constant(1 << 10), OutputBytes: skeleton.Constant(1 << 10), Inputs: skeleton.MapExternal},
+		{Name: "reduce", Tasks: 2, DurationS: skeleton.Constant(30), OutputBytes: skeleton.Constant(1 << 10), Inputs: skeleton.MapAllToAll},
+	}}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := &Descriptor{Key: 7, MigratedFrom: 1, Descriptor: core.Descriptor{
+		Workload: w, Strategy: &core.Strategy{Pilots: 2, Resources: []string{"stampede", "gordon"}},
+		Config: core.StrategyConfig{FixedResources: []string{"comet"}, WalltimeSlack: 1.15},
+	}}
+	frame, err := newBinaryCodec().AppendRequest(nil, &request{ID: 1, Op: opEnact, Desc: want, Report: &core.Report{PilotWaits: map[string]time.Duration{"s0-j7.p0": time.Minute}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var req request
+	if err := newBinaryCodec().DecodeRequest(frame, &req); err != nil {
+		t.Fatal(err)
+	}
+	clear(frame)
+	if !reflect.DeepEqual(req.Desc, want) || req.Report.PilotWaits["s0-j7.p0"] != time.Minute {
+		t.Fatalf("overwriting the frame changed the decoded request: %+v", req.Desc)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -92,21 +93,25 @@ func TestHostRejectsUnknownCodec(t *testing.T) {
 		}
 		return &resp
 	}
-	resp := call(&request{ID: 1, Op: opInit, Init: &Config{Seed: 1}, Codec: "yaml"})
-	if resp.Err == "" {
-		t.Fatal("unknown codec accepted")
-	}
-	for _, want := range []string{"yaml", CodecJSON, CodecBinary} {
-		if !strings.Contains(resp.Err, want) {
-			t.Errorf("rejection %q does not mention %q", resp.Err, want)
+	// The bare binary name is a parent built before the layouts were
+	// versioned: it would misread this worker's frames.
+	for _, name := range []string{"yaml", CodecBinary} {
+		resp := call(&request{ID: 1, Op: opInit, Init: &Config{Seed: 1}, Codec: name})
+		if resp.Err == "" {
+			t.Fatalf("codec %q accepted", name)
 		}
-	}
-	if resp.Codec != "" {
-		t.Fatalf("rejection echoed codec %q", resp.Codec)
+		for _, want := range []string{strconv.Quote(name), CodecJSON, binaryWire} {
+			if !strings.Contains(resp.Err, want) {
+				t.Errorf("rejection %q does not mention %q", resp.Err, want)
+			}
+		}
+		if resp.Codec != "" {
+			t.Fatalf("rejection echoed codec %q", resp.Codec)
+		}
 	}
 	// The worker survives the refusal: a corrected init succeeds and the
 	// echo confirms the accepted codec.
-	resp = call(&request{ID: 2, Op: opInit, Init: &Config{Seed: 1}, Codec: CodecJSON})
+	resp := call(&request{ID: 2, Op: opInit, Init: &Config{Seed: 1}, Codec: CodecJSON})
 	if resp.Err != "" {
 		t.Fatalf("corrected init failed: %s", resp.Err)
 	}
@@ -129,6 +134,12 @@ func TestHostRejectsUnknownCodec(t *testing.T) {
 // to script.
 func scriptedServer(t *testing.T, script func(r io.Reader, w *io.PipeWriter)) Transport {
 	t.Helper()
+	return scriptedInit(t, func(req *request) *response { return &response{ID: req.ID} }, script)
+}
+
+// scriptedInit is scriptedServer with the init answer given by answer.
+func scriptedInit(t *testing.T, answer func(*request) *response, script func(r io.Reader, w *io.PipeWriter)) Transport {
+	t.Helper()
 	return transportFunc(func(int, func(error)) (Conn, error) {
 		cr, sw := io.Pipe()
 		sr, cw := io.Pipe()
@@ -138,7 +149,7 @@ func scriptedServer(t *testing.T, script func(r io.Reader, w *io.PipeWriter)) Tr
 				sw.CloseWithError(fmt.Errorf("scripted server: bad init: %v", err))
 				return
 			}
-			if err := writeFrame(sw, &response{ID: req.ID}); err != nil {
+			if err := writeFrame(sw, answer(&req)); err != nil {
 				return
 			}
 			script(sr, sw)
@@ -170,6 +181,25 @@ func TestConnectRejectsWorkerWithoutBinary(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), CodecBinary) {
 			t.Fatalf("codec %q: failure does not name the codec: %v", name, err)
+		}
+	}
+
+	// A worker built before the payload layouts were versioned knows binary
+	// by its bare name only. It refuses the versioned name as it would any
+	// unknown codec, and one that echoed the bare name anyway is refused by
+	// the parent: the pair fails at the handshake, not mid-job.
+	for name, answer := range map[string]func(*request) *response{
+		"refuses": func(req *request) *response {
+			if req.Codec == CodecBinary {
+				return &response{ID: req.ID, Codec: CodecBinary}
+			}
+			return &response{ID: req.ID, Err: fmt.Sprintf("backend: worker does not support wire codec %q (supports %q, %q)", req.Codec, CodecJSON, CodecBinary)}
+		},
+		"echoes the bare name": func(req *request) *response { return &response{ID: req.ID, Codec: CodecBinary} },
+	} {
+		_, err := Connect(scriptedInit(t, answer, echo), WorkerOptions{Codec: CodecBinary}, Config{Shard: 0, Seed: 1}, &collectSink{}, nil)
+		if err == nil || !strings.Contains(err.Error(), binaryWire) {
+			t.Fatalf("a worker that %s: connect error %v, want one naming %q", name, err, binaryWire)
 		}
 	}
 

@@ -21,37 +21,31 @@ import (
 const WorkerEnv = "AIMES_WORKER_PROCESS"
 
 // bufSink collects a Local backend's outputs between frames; the serve loop
-// flushes it into every response so events ride back in order, and recycles
-// the slice once the response is encoded — the Step hot path allocates no
-// event storage in steady state.
+// encodes them into every response so events ride back in order, then
+// resets both slices for the next one — the Step hot path allocates no
+// event or record storage in steady state (TestHostStepAllocatesPerBatch).
 type bufSink struct {
 	events []wireEvent
+	// recs holds the records events point into. A pointer taken before recs
+	// grows stays valid: the old array keeps its values until the batch is
+	// encoded.
+	recs []trace.WireRecord
 }
 
 func (s *bufSink) JobTrace(key int, ns string, rec trace.Record) {
-	wr := trace.WireRecord(rec)
-	s.events = append(s.events, wireEvent{Kind: eventTrace, Key: key, NS: ns, Rec: &wr})
+	s.recs = append(s.recs, trace.WireRecord(rec))
+	s.events = append(s.events, wireEvent{Kind: eventTrace, Key: key, NS: ns, Rec: &s.recs[len(s.recs)-1]})
 }
 
 func (s *bufSink) JobDone(key int, report *core.Report) {
 	s.events = append(s.events, wireEvent{Kind: eventDone, Key: key, Report: report})
 }
 
-func (s *bufSink) flush() []wireEvent {
-	ev := s.events
-	s.events = nil
-	return ev
-}
-
-// recycle returns an encoded event batch's storage for reuse. The serve
-// loop is single-threaded, so no new events can have arrived between flush
-// and recycle; the guard keeps a future violation from dropping events.
-func (s *bufSink) recycle(ev []wireEvent) {
-	if s.events != nil || ev == nil {
-		return
-	}
-	clear(ev)
-	s.events = ev[:0]
+// reset empties the sink once its batch is encoded, keeping the storage and
+// dropping the reports it held.
+func (s *bufSink) reset() {
+	clear(s.events)
+	s.events, s.recs = s.events[:0], s.recs[:0]
 }
 
 // host is the server half of the session layer: one shard worker serving
@@ -130,11 +124,7 @@ func (h *host) run() error {
 		default:
 			h.handleOp(&req, &resp)
 		}
-		ev := h.sink.flush()
-		resp.Events = ev
-		err = h.writeResponse(&resp)
-		h.sink.recycle(ev)
-		if err != nil {
+		if err := h.writeResponse(&resp); err != nil {
 			return err
 		}
 		// A negotiated codec switch applies to the frames after the init
@@ -163,10 +153,10 @@ func (h *host) handleInit(req *request, resp *response) codec {
 	switch req.Codec {
 	case "", CodecJSON:
 		resp.Codec = CodecJSON
-	case CodecBinary:
-		resp.Codec = CodecBinary
+	case binaryWire:
+		resp.Codec = binaryWire
 	default:
-		resp.Err = fmt.Sprintf("backend: worker does not support wire codec %q (supports %q, %q)", req.Codec, CodecJSON, CodecBinary)
+		resp.Err = fmt.Sprintf("backend: worker does not support wire codec %q (supports %q, %q)", req.Codec, CodecJSON, binaryWire)
 		return h.cod
 	}
 	var err error
@@ -177,7 +167,7 @@ func (h *host) handleInit(req *request, resp *response) codec {
 	if h.sever != nil {
 		h.local.SetSever(h.sever)
 	}
-	if resp.Codec == CodecBinary {
+	if resp.Codec == binaryWire {
 		return newBinaryCodec()
 	}
 	return h.cod
@@ -247,12 +237,15 @@ func (h *host) handleOp(req *request, resp *response) {
 	}
 }
 
-// writeResponse encodes and writes one response as a single contiguous
-// frame (header and payload in one Write) from the host's reused buffer.
+// writeResponse encodes one response, with the events its operation put in
+// the sink, and writes it as a single contiguous frame (header and payload
+// in one Write) from the host's reused buffer.
 func (h *host) writeResponse(resp *response) error {
 	var err error
-	h.wbuf = h.wbuf[:4]
-	if h.wbuf, err = h.cod.AppendResponse(h.wbuf, resp); err != nil {
+	resp.Events = h.sink.events
+	h.wbuf, err = h.cod.AppendResponse(h.wbuf[:4], resp)
+	h.sink.reset()
+	if err != nil {
 		return err
 	}
 	if err := finishFrame(h.wbuf, DefaultMaxFrame); err != nil {
