@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -379,6 +380,33 @@ func TestStrategyStrings(t *testing.T) {
 		Resources: []string{"a", "b", "c"}, PilotCores: 10, PilotWalltime: time.Hour}
 	if !strings.Contains(s.String(), "late binding") {
 		t.Fatalf("strategy string %q", s.String())
+	}
+}
+
+// TestStrategyStringMatchesSprintf holds the ENACTING detail, built with
+// appends, to the fmt.Sprintf it replaced, byte for byte.
+func TestStrategyStringMatchesSprintf(t *testing.T) {
+	sprintf := func(s Strategy) string {
+		return fmt.Sprintf("%s binding, %s scheduler, %d pilot(s) × %d cores, walltime %s, on %v",
+			s.Binding, s.Scheduler, s.Pilots, s.PilotCores, s.PilotWalltime, s.Resources)
+	}
+	resources := [][]string{nil, {}, {"stampede"}, {"a", "b"}, {"comet", "gordon", "a-very-long-resource-name-that-outgrows-the-stack-buffer"}}
+	walltimes := []time.Duration{0, 500 * time.Millisecond, 90 * time.Second, 36 * time.Hour, -time.Minute}
+	for _, res := range resources {
+		for _, wt := range walltimes {
+			for _, b := range []Binding{EarlyBinding, LateBinding, Binding(7)} {
+				for _, sched := range []SchedulerKind{SchedDirect, SchedRoundRobin, SchedBackfill} {
+					s := Strategy{Binding: b, Scheduler: sched, Pilots: len(res), Resources: res,
+						PilotCores: 1 << (3 * len(res)), PilotWalltime: wt}
+					if len(res) == 2 {
+						s.Pilots, s.PilotCores = -3, 2048
+					}
+					if got, want := s.String(), sprintf(s); got != want {
+						t.Fatalf("String() = %q, Sprintf gives %q", got, want)
+					}
+				}
+			}
+		}
 	}
 }
 

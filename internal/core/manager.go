@@ -266,7 +266,8 @@ func (e *Execution) IncompleteError() error {
 	return fmt.Errorf("core: engine drained but workload incomplete (pilots %v, units %v)", pilots, units)
 }
 
-// unitDescriptions converts skeleton tasks to compute-unit descriptions.
+// unitDescriptions converts skeleton tasks to compute-unit descriptions. The
+// unit manager keeps the slice: each unit points at its element.
 func unitDescriptions(w *skeleton.Workload) []pilot.UnitDescription {
 	descs := make([]pilot.UnitDescription, 0, len(w.Tasks))
 	files := 0

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strconv"
 	"time"
 
 	"aimes/internal/bundle"
@@ -154,9 +155,22 @@ type Strategy struct {
 	EstTrp time.Duration
 }
 
+// String is the ENACTING record's detail, e.g. "late binding, backfill
+// scheduler, 3 pilot(s) × 8 cores, walltime 1h0m0s, on [a b c]".
 func (s Strategy) String() string {
-	return fmt.Sprintf("%s binding, %s scheduler, %d pilot(s) × %d cores, walltime %s, on %v",
-		s.Binding, s.Scheduler, s.Pilots, s.PilotCores, s.PilotWalltime, s.Resources)
+	var buf [128]byte
+	b := append(append(buf[:0], s.Binding.String()...), " binding, "...)
+	b = append(append(b, s.Scheduler.String()...), " scheduler, "...)
+	b = append(strconv.AppendInt(b, int64(s.Pilots), 10), " pilot(s) × "...)
+	b = append(strconv.AppendInt(b, int64(s.PilotCores), 10), " cores, walltime "...)
+	b = append(append(b, s.PilotWalltime.String()...), ", on ["...)
+	for i, r := range s.Resources {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = append(b, r...)
+	}
+	return string(append(b, ']'))
 }
 
 // Validate reports a descriptive error for malformed strategies.

@@ -127,8 +127,6 @@ type Transfer struct {
 	link      *Link
 	size      int64
 	remaining float64
-	started   sim.Time
-	ended     sim.Time
 	done      sim.Handler // fired when the last byte arrives; may be nil
 	inFlight  bool        // from StartInto until the last byte arrives or Cancel
 	latEvent  sim.Event   // the link latency elapsing; its handler is the transfer
@@ -136,12 +134,6 @@ type Transfer struct {
 
 // Size returns the transfer payload in bytes.
 func (t *Transfer) Size() int64 { return t.size }
-
-// Started returns when bytes began to flow (after latency); zero until then.
-func (t *Transfer) Started() sim.Time { return t.started }
-
-// Ended returns the completion time; zero until done.
-func (t *Transfer) Ended() sim.Time { return t.ended }
 
 // Start begins a transfer of size bytes. onDone fires when the last byte
 // arrives. Zero-size transfers still pay the link latency.
@@ -167,8 +159,7 @@ func (l *Link) StartInto(t *Transfer, size int64, done sim.Handler) {
 	if t.inFlight {
 		panic(fmt.Sprintf("netsim: link %q: transfer started while still in flight", l.name))
 	}
-	t.link, t.size, t.remaining, t.done = l, size, float64(size), done
-	t.started, t.ended, t.inFlight = 0, 0, true
+	t.link, t.size, t.remaining, t.done, t.inFlight = l, size, float64(size), done, true
 	t.latEvent.Init((*arrival)(t))
 	l.eng.Arm(&t.latEvent, l.latency)
 }
@@ -189,7 +180,6 @@ func (a *arrival) Fire() {
 // admit starts moving a transfer's bytes.
 func (l *Link) admit(t *Transfer) {
 	l.settle()
-	t.started = l.eng.Now()
 	l.active = append(l.active, t)
 	l.reschedule()
 }
@@ -283,7 +273,6 @@ func (l *Link) finish(t *Transfer) {
 			break
 		}
 	}
-	t.ended = l.eng.Now()
 	t.remaining = 0
 	t.inFlight = false
 	l.totalBytes += float64(t.size)

@@ -106,7 +106,7 @@ func (a *agent) launch(u *Unit) {
 			fails = true
 		}
 	}
-	u.execFails, u.execSlot = fails, len(a.running)
+	u.execFails, u.execSlot = fails, int32(len(a.running))
 	a.running = append(a.running, u)
 	a.sys.eng.Arm(&u.execEv, duration)
 }
@@ -145,7 +145,7 @@ func (a *agent) failed(u *Unit) {
 	if max == 0 {
 		max = a.sys.cfg.DefaultMaxRestarts
 	}
-	if u.attempts <= max {
+	if int(u.attempts) <= max {
 		// Inputs are already on the resource: requeue on this agent.
 		u.transition(UnitAgentQueued, "restart")
 		a.enqueue(u)

@@ -39,8 +39,7 @@ func TestPickNextMatchesScan(t *testing.T) {
 		for step := 0; step < 400; step++ {
 			switch r := rng.Intn(10); {
 			case r < 4:
-				u := &Unit{state: UnitAgentQueued}
-				u.desc.Cores = []int{1, 1, 1, 2, 4, 8}[rng.Intn(6)]
+				u := &Unit{state: UnitAgentQueued, desc: &UnitDescription{Cores: []int{1, 1, 1, 2, 4, 8}[rng.Intn(6)]}}
 				all = append(all, u)
 				a.enqueue(u)
 				old = append(old, u)

@@ -470,6 +470,52 @@ func TestUnitManagerValidation(t *testing.T) {
 	}
 }
 
+// TestSubmitIsAllOrNothing: a batch whose last description is rejected —
+// invalid, a duplicate within the batch, or a dependency on a unit never
+// submitted — leaves no unit, no ready entry, no name and no record behind,
+// and a valid batch after it, reusing its names, runs exactly its own units.
+func TestSubmitIsAllOrNothing(t *testing.T) {
+	for _, bad := range []UnitDescription{
+		{Name: nameOf(2), Cores: 0},
+		{Name: nameOf(0), Cores: 1},
+		{Name: nameOf(2), Cores: 1, Deps: []string{nameOf(0), "ghost"}},
+		{Name: nameOf(2), Cores: 1, Deps: []string{""}},
+		{Name: nameOf(2), Cores: 1, Inputs: []InputFile{{Bytes: 1, Producer: "ghost"}}},
+	} {
+		h := newHarness(t, DefaultConfig(), 18)
+		um := NewUnitManager(h.sys, Backfill{})
+		batch := append(unitDescs(2, time.Minute), bad)
+		if err := um.Submit(batch); err == nil {
+			t.Fatalf("batch ending in %+v accepted", bad)
+		}
+		if len(um.Units()) != 0 || len(um.ready) != 0 || len(um.byName) != 0 || h.rec.Len() != 0 {
+			t.Fatalf("rejected batch left %d units, %d ready, %d names and %d records",
+				len(um.Units()), len(um.ready), len(um.byName), h.rec.Len())
+		}
+		p, err := h.pm.Submit(PilotDescription{Resource: "alpha", Cores: 8, Walltime: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		um.AddPilot(p)
+		um.OnCompletion(func() { h.pm.Cancel(p) })
+		if err := um.Submit(unitDescs(3, time.Minute)); err != nil {
+			t.Fatal(err)
+		}
+		h.eng.Run()
+		if units := um.Units(); len(units) != 3 || !um.Done() {
+			t.Fatalf("%d units after the valid batch, done %v; want its 3", len(units), um.Done())
+		}
+		for _, u := range um.Units() {
+			if u.State() != UnitDone {
+				t.Fatalf("unit %s ended %v", u.Name(), u.State())
+			}
+		}
+		if got := len(h.rec.ByState(UnitNew.String())); got != 3+1 { // the units and the pilot
+			t.Fatalf("%d NEW records, want 4", got)
+		}
+	}
+}
+
 func TestUnitCancel(t *testing.T) {
 	h := newHarness(t, DefaultConfig(), 17)
 	um := NewUnitManager(h.sys, Direct{})

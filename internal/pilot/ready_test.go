@@ -234,7 +234,7 @@ func TestBackfillEarlyExitMatchesFullScan(t *testing.T) {
 		}
 		ready := make([]*Unit, rng.Intn(40))
 		for i := range ready {
-			ready[i] = &Unit{desc: UnitDescription{Cores: 1 + rng.Intn(1+rng.Intn(20))}}
+			ready[i] = &Unit{desc: &UnitDescription{Cores: 1 + rng.Intn(1+rng.Intn(20))}}
 		}
 		got, want := Backfill{}.Place(nil, ready, pilots, committed), backfillFullScan(ready, pilots, committed)
 		if !reflect.DeepEqual(got, want) {

@@ -1,10 +1,10 @@
 package pilot
 
 import (
-	"fmt"
 	"iter"
 	"math/rand"
 	"slices"
+	"strconv"
 	"time"
 
 	"aimes/internal/netsim"
@@ -77,10 +77,12 @@ func (s *System) SetNamespace(ns string) { s.ns = ns }
 
 // pilotID builds the namespaced trace identity of the seq'th pilot.
 func (s *System) pilotID(resource string) string {
-	if s.ns == "" {
-		return fmt.Sprintf("pilot.%s.%d", resource, s.seq)
+	var buf [64]byte
+	id := append(append(append(buf[:0], "pilot."...), resource...), '.')
+	if s.ns != "" {
+		id = append(append(id, s.ns...), '-')
 	}
-	return fmt.Sprintf("pilot.%s.%s-%d", resource, s.ns, s.seq)
+	return string(strconv.AppendInt(id, int64(s.seq), 10))
 }
 
 // Pilot is one resource placeholder.
@@ -99,8 +101,13 @@ type Pilot struct {
 	// onState fires after every transition (set by the managers).
 	onState []func(*Pilot)
 	// walltimeEv retires the pilot just before the resource would kill it.
-	walltimeEv *sim.Event
+	walltimeEv sim.Event
 }
+
+// walltime is a Pilot as the handler of its walltime event.
+type walltime Pilot
+
+func (w *walltime) Fire() { (*Pilot)(w).end(PilotDone, "walltime", "retired") }
 
 // ID returns the pilot identifier, e.g. "pilot.stampede.0".
 func (p *Pilot) ID() string { return p.id }
@@ -143,10 +150,7 @@ func (p *Pilot) transition(state PilotState, detail string) {
 	p.sys.rec.Record(p.sys.eng.Now(), p.id, state.String(), detail)
 	if state.Final() {
 		p.endedAt = p.sys.eng.Now()
-		if p.walltimeEv != nil {
-			p.sys.eng.Cancel(p.walltimeEv)
-			p.walltimeEv = nil
-		}
+		p.sys.eng.Cancel(&p.walltimeEv)
 	}
 	for _, cb := range p.onState {
 		cb(p)
@@ -193,7 +197,8 @@ func (pm *PilotManager) Submit(desc PilotDescription) (*Pilot, error) {
 		sys:         pm.sys,
 		submittedAt: pm.sys.eng.Now(),
 	}
-	p.transition(PilotNew, fmt.Sprintf("cores=%d walltime=%s", desc.Cores, desc.Walltime))
+	p.walltimeEv.Init((*walltime)(p))
+	p.transition(PilotNew, newDetail(desc))
 
 	jd := saga.Description{
 		Executable: "aimes-agent",
@@ -217,6 +222,13 @@ func (pm *PilotManager) Submit(desc PilotDescription) (*Pilot, error) {
 	return p, nil
 }
 
+// newDetail is a pilot's NEW record detail, e.g. "cores=8 walltime=1h0m0s".
+func newDetail(d PilotDescription) string {
+	var buf [64]byte
+	b := strconv.AppendInt(append(buf[:0], "cores="...), int64(d.Cores), 10)
+	return string(append(append(b, " walltime="...), d.Walltime.String()...))
+}
+
 func (pm *PilotManager) onJobState(p *Pilot, _ saga.Job, st saga.State) {
 	switch st {
 	case saga.Pending:
@@ -235,10 +247,7 @@ func (pm *PilotManager) onJobState(p *Pilot, _ saga.Job, st saga.State) {
 		if p.desc.Walltime <= margin {
 			margin = p.desc.Walltime / 2
 		}
-		p.walltimeEv = pm.sys.eng.Schedule(p.desc.Walltime-margin, func() {
-			p.walltimeEv = nil
-			pm.retire(p, "walltime")
-		})
+		pm.sys.eng.Arm(&p.walltimeEv, p.desc.Walltime-margin)
 		p.transition(PilotActive, "")
 	case saga.Done:
 		if !p.state.Final() {
@@ -265,33 +274,28 @@ func (pm *PilotManager) onJobState(p *Pilot, _ saga.Job, st saga.State) {
 	}
 }
 
-// endPilot finalizes a pilot the application (or the resource) is taking
-// down: the agent shuts down with the given unit-return cause, the pilot
+// end finalizes a pilot the application (or the resource) is taking down:
+// the agent shuts down with the given unit-return cause, the pilot
 // transitions to its terminal state FIRST — so the SAGA callback triggered by
 // the job cancellation finds it final and cannot double-fire a different
 // terminal transition — and the underlying job is canceled last.
-func (pm *PilotManager) endPilot(p *Pilot, state PilotState, detail, cause string) {
+func (p *Pilot) end(state PilotState, detail, cause string) {
 	if p.state.Final() {
 		return
 	}
 	p.shutdownAgent(cause)
 	p.transition(state, detail)
 	if p.job != nil {
-		if svc, err := pm.sys.session.Service(p.desc.Resource); err == nil {
+		if svc, err := p.sys.session.Service(p.desc.Resource); err == nil {
 			svc.Cancel(p.job)
 		}
 	}
 }
 
-// retire cancels the pilot job because the agent is shutting down cleanly.
-func (pm *PilotManager) retire(p *Pilot, reason string) {
-	pm.endPilot(p, PilotDone, reason, "retired")
-}
-
 // Cancel terminates a pilot. Units on it are returned to their unit manager
 // for rescheduling.
 func (pm *PilotManager) Cancel(p *Pilot) {
-	pm.endPilot(p, PilotCanceled, "user", "canceled")
+	p.end(PilotCanceled, "user", "canceled")
 }
 
 // Preempt kills a pilot as the resource would: the agent dies immediately,
@@ -299,7 +303,7 @@ func (pm *PilotManager) Cancel(p *Pilot) {
 // pilots, and the pilot ends PilotFailed. This models allocation preemption
 // (spot reclamation, admin kill) rather than an application-initiated Cancel.
 func (pm *PilotManager) Preempt(p *Pilot, reason string) {
-	pm.endPilot(p, PilotFailed, "preempted: "+reason, "lost")
+	p.end(PilotFailed, "preempted: "+reason, "lost")
 }
 
 // CancelAll terminates every non-final pilot — the paper's "all pilots are

@@ -15,32 +15,33 @@ import (
 
 // Unit is one compute unit under management.
 type Unit struct {
-	desc  UnitDescription
-	id    string // trace entity: "unit.<name>"
+	desc  *UnitDescription // the element of the slice Submit was given
+	id    string           // trace entity: "unit.<name>"
 	state UnitState
 	um    *UnitManager
 
 	pilot    *Pilot
-	attempts int
+	attempts int32
 	// committed reports whether this unit currently counts against its
 	// pilot's committed cores.
 	committed bool
+	// execFails reports whether the unit's run ends in an injected failure.
+	execFails bool
 
 	// xfer is the unit's staging transfer, input or output: a unit never
 	// stages both ways at once.
 	xfer netsim.Transfer
 
-	// The unit's run on its pilot's agent: the event that ends it, whether
-	// it ends in an injected failure, and the unit's index in agent.running.
-	execEv    sim.Event
-	execFails bool
-	execSlot  int
+	// The unit's run on its pilot's agent: the event that ends it and the
+	// unit's index in agent.running.
+	execEv   sim.Event
+	execSlot int32
 
 	// Ready-set bookkeeping (see UnitManager.ready): the unit's submission
 	// index, how many of its dependencies are not DONE yet, and the units
 	// waiting on this one.
-	index      int
-	openDeps   int
+	index      int32
+	openDeps   int32
 	dependents []*Unit
 }
 
@@ -48,7 +49,7 @@ type Unit struct {
 func (u *Unit) Name() string { return u.desc.Name }
 
 // Description returns the unit description.
-func (u *Unit) Description() UnitDescription { return u.desc }
+func (u *Unit) Description() UnitDescription { return *u.desc }
 
 // State returns the current state.
 func (u *Unit) State() UnitState { return u.state }
@@ -57,7 +58,7 @@ func (u *Unit) State() UnitState { return u.state }
 func (u *Unit) Pilot() *Pilot { return u.pilot }
 
 // Attempts reports how many failed execution attempts occurred.
-func (u *Unit) Attempts() int { return u.attempts }
+func (u *Unit) Attempts() int { return int(u.attempts) }
 
 // transition is the only writer of unit.* records, and so also where the
 // manager's Tx and Ts accumulators (UnitManager.Covered) are kept.
@@ -391,20 +392,29 @@ func (um *UnitManager) Done() bool {
 	return len(um.units) > 0 && um.doneCount == len(um.units)
 }
 
-// Submit accepts unit descriptions for execution. The units of one call are
-// carved from one slab and their trace ids from one string, so while any of
-// them is reachable all are.
+// Submit accepts unit descriptions for execution: all of them, or none and
+// an error. Each unit points at its element of descs, into which Submit writes
+// the unit's resolved dependencies, so the caller must not modify descs
+// afterwards. The units of one call are carved from one slab and their trace
+// ids from one string, so while any of them is reachable all are.
 func (um *UnitManager) Submit(descs []UnitDescription) error {
 	if um.byName == nil {
 		um.byName = make(map[string]*Unit, len(descs))
 	}
-	um.units = slices.Grow(um.units, len(descs))
-	um.ready = slices.Grow(um.ready, len(descs))
 	slab := make([]Unit, len(descs))
 	idBytes := 0
-	for _, d := range descs {
-		idBytes += len("unit.") + len(d.Name)
+	for i := range descs {
+		if err := um.admissible(&descs[i]); err != nil {
+			for _, d := range descs[:i] {
+				delete(um.byName, d.Name)
+			}
+			return err
+		}
+		um.byName[descs[i].Name] = &slab[i]
+		idBytes += len("unit.") + len(descs[i].Name)
 	}
+	um.units = slices.Grow(um.units, len(descs))
+	um.ready = slices.Grow(um.ready, len(descs))
 	var ids strings.Builder
 	ids.Grow(idBytes)
 	for _, d := range descs {
@@ -412,31 +422,20 @@ func (um *UnitManager) Submit(descs []UnitDescription) error {
 		ids.WriteString(d.Name)
 	}
 	id := ids.String()
-	for i, d := range descs {
-		if err := d.Validate(); err != nil {
-			return err
-		}
-		if _, dup := um.byName[d.Name]; dup {
-			return fmt.Errorf("pilot: duplicate unit %q", d.Name)
-		}
-		deps, err := um.dependencies(d)
-		if err != nil {
-			return err
-		}
-		d.Deps = deps
-		u := &slab[i]
-		u.desc, u.um, u.index = d, um, len(um.units)
+	for i := range descs {
+		d, u := &descs[i], &slab[i]
+		d.Deps = dependencies(d)
+		u.desc, u.um, u.index = d, um, int32(len(um.units))
 		n := len("unit.") + len(d.Name)
 		u.id, id = id[:n], id[n:]
 		u.execEv.Init((*execution)(u))
-		for _, dep := range deps {
+		for _, dep := range d.Deps {
 			if producer := um.byName[dep]; producer.state != UnitDone {
 				u.openDeps++
 				producer.dependents = append(producer.dependents, u)
 			}
 		}
 		um.units = append(um.units, u)
-		um.byName[d.Name] = u
 		u.transition(UnitNew, "")
 		u.transition(UnitScheduling, "")
 		if u.openDeps == 0 {
@@ -447,9 +446,39 @@ func (um *UnitManager) Submit(descs []UnitDescription) error {
 	return nil
 }
 
+// admissible reports why d cannot join the units submitted so far, or nil.
+func (um *UnitManager) admissible(d *UnitDescription) error {
+	if err := d.Validate(); err != nil {
+		return err
+	}
+	if _, dup := um.byName[d.Name]; dup {
+		return fmt.Errorf("pilot: duplicate unit %q", d.Name)
+	}
+	known := func(dep string) error {
+		if _, ok := um.byName[dep]; ok {
+			return nil
+		}
+		return fmt.Errorf("pilot: unit %q depends on unknown unit %q (submit producers first)", d.Name, dep)
+	}
+	for _, dep := range d.Deps {
+		if err := known(dep); err != nil {
+			return err
+		}
+	}
+	for _, f := range d.Inputs {
+		if f.Producer == "" {
+			continue
+		}
+		if err := known(f.Producer); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // dependencies returns the units d waits for: its explicit Deps, then the
-// producers of its inputs, each once, all of which must have been submitted.
-func (um *UnitManager) dependencies(d UnitDescription) ([]string, error) {
+// producers of its inputs, each once.
+func dependencies(d *UnitDescription) []string {
 	names := d.Deps[:len(d.Deps):len(d.Deps)] // appending copies: d.Deps is the caller's
 	for _, f := range d.Inputs {
 		if f.Producer != "" {
@@ -457,21 +486,17 @@ func (um *UnitManager) dependencies(d UnitDescription) ([]string, error) {
 		}
 	}
 	if len(names) == 0 {
-		return nil, nil
+		return nil
 	}
 	seen := make(map[string]bool, len(names))
 	deps := make([]string, 0, len(names))
 	for _, dep := range names {
-		if seen[dep] {
-			continue
+		if !seen[dep] {
+			seen[dep] = true
+			deps = append(deps, dep)
 		}
-		if _, ok := um.byName[dep]; !ok {
-			return nil, fmt.Errorf("pilot: unit %q depends on unknown unit %q (submit producers first)", d.Name, dep)
-		}
-		seen[dep] = true
-		deps = append(deps, dep)
 	}
-	return deps, nil
+	return deps
 }
 
 // CancelAll cancels every non-final unit.

@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"io"
+	rtmetrics "runtime/metrics"
 	"sort"
 	"strings"
 	"sync"
@@ -44,6 +45,16 @@ type tenantCounters struct {
 }
 
 const rateWindow = 60 * time.Second
+
+// processMetrics are the process's heap and goroutines, read at scrape time
+// from runtime/metrics, which, unlike runtime.ReadMemStats, does not stop the
+// world.
+var processMetrics = [...]struct{ name, kind, sample, help string }{
+	{"aimes_heap_objects_bytes", "gauge", "/memory/classes/heap/objects:bytes", "Heap bytes held by objects, live or not yet swept."},
+	{"aimes_heap_allocs_bytes_total", "counter", "/gc/heap/allocs:bytes", "Bytes allocated on the heap since the process started."},
+	{"aimes_gc_cycles_total", "counter", "/gc/cycles/total:gc-cycles", "Completed garbage-collection cycles."},
+	{"aimes_goroutines", "gauge", "/sched/goroutines:goroutines", "Live goroutines."},
+}
 
 func newMetrics() *metrics {
 	return &metrics{start: time.Now(), tenants: make(map[string]*tenantCounters)}
@@ -140,6 +151,14 @@ func (m *metrics) render(w io.Writer, env *aimes.Environment, inflight map[strin
 	}
 
 	fmt.Fprintf(w, "# HELP aimes_uptime_seconds Daemon uptime.\n# TYPE aimes_uptime_seconds gauge\naimes_uptime_seconds %g\n", uptime)
+	samples := make([]rtmetrics.Sample, len(processMetrics))
+	for i, pm := range processMetrics {
+		samples[i].Name = pm.sample
+	}
+	rtmetrics.Read(samples)
+	for i, pm := range processMetrics {
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %d\n", pm.name, pm.help, pm.name, pm.kind, pm.name, samples[i].Value.Uint64())
+	}
 
 	counter("aimes_jobs_submitted_total", "Jobs admitted, per tenant.", func(c tenantCounters) int64 { return c.submitted })
 	counter("aimes_jobs_completed_total", "Jobs finished successfully, per tenant.", func(c tenantCounters) int64 { return c.completed })

@@ -70,10 +70,11 @@ func (f Func) Fire() { f() }
 type Event struct {
 	when Time
 	seq  uint64
+	h    Handler
 	// slot is where Sim queued the event: i+1 at heap[i], -(i+1) at lane[i],
-	// 0 when it is not queued (so the zero Event is idle).
-	slot     int
-	h        Handler
+	// 0 when it is not queued (so the zero Event is idle). An int32 shares a
+	// word with canceled: every unit embeds two events.
+	slot     int32
 	canceled bool
 }
 
@@ -164,7 +165,7 @@ func (s *Sim) armAt(ev *Event, t Time) {
 			s.lane, s.laneHead = s.lane[:0], 0
 		}
 		s.lane = append(s.lane, ev)
-		ev.slot = -len(s.lane)
+		ev.slot = -int32(len(s.lane))
 		return
 	}
 	s.heap = append(s.heap, ev)
@@ -181,9 +182,9 @@ func (s *Sim) Cancel(ev *Event) bool {
 	ev.canceled = true
 	switch {
 	case ev.slot > 0:
-		s.remove(ev.slot - 1)
+		s.remove(int(ev.slot) - 1)
 	case ev.slot < 0:
-		s.lane[-ev.slot-1] = nil
+		s.lane[-int(ev.slot)-1] = nil
 	default:
 		return false // already fired
 	}
@@ -320,11 +321,11 @@ func (s *Sim) up(i int) {
 			break
 		}
 		s.heap[i] = s.heap[parent]
-		s.heap[i].slot = i + 1
+		s.heap[i].slot = int32(i + 1)
 		i = parent
 	}
 	s.heap[i] = ev
-	ev.slot = i + 1
+	ev.slot = int32(i + 1)
 }
 
 // down moves heap[i] toward the leaves until it fires before both children.
@@ -342,11 +343,11 @@ func (s *Sim) down(i int) {
 			break
 		}
 		s.heap[i] = s.heap[child]
-		s.heap[i].slot = i + 1
+		s.heap[i].slot = int32(i + 1)
 		i = child
 	}
 	s.heap[i] = ev
-	ev.slot = i + 1
+	ev.slot = int32(i + 1)
 }
 
 // remove takes heap[i] out of the heap; the caller clears its slot.
@@ -360,7 +361,7 @@ func (s *Sim) remove(i int) {
 	}
 	s.heap[i] = last
 	s.down(i)
-	if last.slot == i+1 {
+	if int(last.slot) == i+1 {
 		s.up(i)
 	}
 }

@@ -14,6 +14,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -310,6 +312,8 @@ func TestServerQuotaAndMetrics(t *testing.T) {
 			t.Errorf("/metrics missing %q\n%s", want, metrics)
 		}
 	}
+	process := processMetrics(t, metrics)
+	runtime.GC() // the daemon is this process: its GC counter must move
 
 	// A tenant cannot see, cancel or wait on another tenant's job.
 	if _, err := bob.Job(ctx, a1.ID); err == nil {
@@ -359,6 +363,20 @@ func TestServerQuotaAndMetrics(t *testing.T) {
 			t.Errorf("/metrics missing %q after cancel\n%s", want, metrics)
 		}
 	}
+	later := processMetrics(t, metrics)
+	for _, counter := range []string{"aimes_heap_allocs_bytes_total", "aimes_gc_cycles_total"} {
+		if later[counter] < process[counter] {
+			t.Errorf("%s fell from %g to %g", counter, process[counter], later[counter])
+		}
+	}
+	if later["aimes_gc_cycles_total"] == process["aimes_gc_cycles_total"] {
+		t.Errorf("aimes_gc_cycles_total stayed at %g across a runtime.GC", later["aimes_gc_cycles_total"])
+	}
+	for _, gauge := range []string{"aimes_heap_objects_bytes", "aimes_goroutines"} {
+		if later[gauge] <= 0 {
+			t.Errorf("%s = %g", gauge, later[gauge])
+		}
+	}
 
 	// After quota frees up, alice can submit again — and cancel it to
 	// leave the daemon idle for shutdown.
@@ -370,6 +388,28 @@ func TestServerQuotaAndMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	alice.Wait(ctx, a3.ID)
+}
+
+// processMetrics reads the process's heap, GC and goroutine metrics off a
+// /metrics page, failing the test for each one missing.
+func processMetrics(t *testing.T, page string) map[string]float64 {
+	t.Helper()
+	out := make(map[string]float64)
+	for _, name := range []string{"aimes_heap_objects_bytes", "aimes_heap_allocs_bytes_total", "aimes_gc_cycles_total", "aimes_goroutines"} {
+		for _, line := range strings.Split(page, "\n") {
+			if v, ok := strings.CutPrefix(line, name+" "); ok {
+				f, err := strconv.ParseFloat(v, 64)
+				if err != nil {
+					t.Fatalf("/metrics line %q: %v", line, err)
+				}
+				out[name] = f
+			}
+		}
+		if _, ok := out[name]; !ok {
+			t.Errorf("/metrics lacks %s\n%s", name, page)
+		}
+	}
+	return out
 }
 
 // TestServerResubmitAfterWait is the regression test for accounting that
