@@ -19,6 +19,7 @@ type Client struct {
 	base  string
 	token string
 	http  *http.Client
+	tab   internTable
 }
 
 // New returns a client for the daemon at base (e.g. "http://127.0.0.1:9470")
@@ -47,18 +48,29 @@ type SubmitOptions struct {
 
 // Submit sends w to the daemon and returns the admitted job's info (its
 // opaque ID is the handle for Wait/Events/Cancel). The workload is encoded
-// in the middleware interchange format, compact, into one buffer sized from
-// its tasks, so the daemon executes exactly the tasks w describes. A quota
-// rejection surfaces as a *StatusError with code 429.
+// in the middleware interchange format, compact, and the request around it,
+// into one buffer, so the daemon executes exactly the tasks w describes. A
+// quota rejection surfaces as a *StatusError with code 429.
 func (c *Client) Submit(ctx context.Context, w *aimes.Workload, opts SubmitOptions) (*JobInfo, error) {
-	return c.SubmitRaw(ctx, opts.request(w.AppendMiddlewareJSON(nil)))
+	req := opts.request()
+	return c.submit(ctx, submitHead(w), &req)
 }
 
-// request is the wire form of a submission of workload (interchange JSON)
-// with these options.
-func (o SubmitOptions) request(workload []byte) *SubmitRequest {
-	return &SubmitRequest{
-		Workload:  workload,
+// submitHead starts a submission of w with its document, appended first into
+// a buffer sized by a bound whose slack holds the rest, then moved up behind
+// the key.
+func submitHead(w *aimes.Workload) []byte {
+	doc := w.AppendMiddlewareJSON(nil)
+	body := append(doc, workloadKey...)
+	copy(body[len(workloadKey):], doc)
+	copy(body, workloadKey)
+	return body
+}
+
+// request is the wire form of a submission with these options, less its
+// workload.
+func (o SubmitOptions) request() SubmitRequest {
+	return SubmitRequest{
 		Config:    o.Config,
 		Strategy:  o.Strategy,
 		Adaptive:  o.Adaptive,
@@ -69,34 +81,40 @@ func (o SubmitOptions) request(workload []byte) *SubmitRequest {
 }
 
 // SubmitRaw sends a pre-built SubmitRequest (workload already in interchange
-// JSON form).
+// JSON form) as json.Marshal writes it, the workload compacted and checked.
 func (c *Client) SubmitRaw(ctx context.Context, req *SubmitRequest) (*JobInfo, error) {
-	body, err := json.Marshal(req)
+	doc, err := json.Marshal(req.Workload)
 	if err != nil {
 		return nil, fmt.Errorf("client: encoding submit request: %w", err)
 	}
-	var info JobInfo
-	if err := c.do(ctx, http.MethodPost, "/v1/jobs", body, &info); err != nil {
-		return nil, err
+	return c.submit(ctx, append([]byte(workloadKey), doc...), req)
+}
+
+// submit appends the rest of req to body, which holds its workload, and
+// posts it.
+func (c *Client) submit(ctx context.Context, body []byte, req *SubmitRequest) (*JobInfo, error) {
+	w := wire{out: body}
+	if w.submission(req); w.err != nil {
+		return nil, fmt.Errorf("client: encoding submit request: %w", w.err)
 	}
-	return &info, nil
+	return c.info(ctx, http.MethodPost, "/v1/jobs", w.out)
 }
 
 // Job fetches the current snapshot of one job.
 func (c *Client) Job(ctx context.Context, id string) (*JobInfo, error) {
-	var info JobInfo
-	if err := c.do(ctx, http.MethodGet, "/v1/jobs/"+url.PathEscape(id), nil, &info); err != nil {
-		return nil, err
-	}
-	return &info, nil
+	return c.info(ctx, http.MethodGet, "/v1/jobs/"+url.PathEscape(id), nil)
 }
 
 // List returns every job the tenant has submitted that the daemon still
 // retains (live jobs plus recently finished ones), oldest first.
 func (c *Client) List(ctx context.Context) ([]JobInfo, error) {
-	var jobs []JobInfo
-	if err := c.do(ctx, http.MethodGet, "/v1/jobs", nil, &jobs); err != nil {
+	b, err := c.do(ctx, http.MethodGet, "/v1/jobs", nil)
+	if err != nil {
 		return nil, err
+	}
+	var jobs []JobInfo
+	if err := json.Unmarshal(b, &jobs); err != nil {
+		return nil, fmt.Errorf("client: decoding GET /v1/jobs response: %w", err)
 	}
 	return jobs, nil
 }
@@ -109,11 +127,7 @@ func (c *Client) Cancel(ctx context.Context, id, reason string) (*JobInfo, error
 	if reason != "" {
 		path += "?reason=" + url.QueryEscape(reason)
 	}
-	var info JobInfo
-	if err := c.do(ctx, http.MethodDelete, path, nil, &info); err != nil {
-		return nil, err
-	}
-	return &info, nil
+	return c.info(ctx, http.MethodDelete, path, nil)
 }
 
 // Wait blocks until the job reaches a final state and returns its report —
@@ -124,8 +138,8 @@ func (c *Client) Cancel(ctx context.Context, id, reason string) (*JobInfo, error
 func (c *Client) Wait(ctx context.Context, id string) (*aimes.Report, error) {
 	path := "/v1/jobs/" + url.PathEscape(id) + "?wait=30s"
 	for {
-		var info JobInfo
-		if err := c.do(ctx, http.MethodGet, path, nil, &info); err != nil {
+		info, err := c.info(ctx, http.MethodGet, path, nil)
+		if err != nil {
 			return nil, err
 		}
 		if !info.Final {
@@ -210,32 +224,48 @@ func (c *Client) request(ctx context.Context, method, path string, body []byte) 
 	return req, nil
 }
 
-// do issues one request and decodes a JSON response into out (when non-nil).
+// info issues one request whose reply is a job snapshot.
+func (c *Client) info(ctx context.Context, method, path string, body []byte) (*JobInfo, error) {
+	b, err := c.do(ctx, method, path, body)
+	if err != nil {
+		return nil, err
+	}
+	info, err := c.tab.decodeInfo(b)
+	if err != nil {
+		return nil, fmt.Errorf("client: decoding %s %s response: %w", method, path, err)
+	}
+	return info, nil
+}
+
+// do issues one request and returns the body of a 2xx response, read whole.
 // Non-2xx responses decode the ErrorBody and return a *StatusError.
-func (c *Client) do(ctx context.Context, method, path string, body []byte, out any) error {
+func (c *Client) do(ctx context.Context, method, path string, body []byte) ([]byte, error) {
 	req, err := c.request(ctx, method, path, body)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	resp, err := c.http.Do(req)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode/100 != 2 {
 		b, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
 		var eb ErrorBody
 		if json.Unmarshal(b, &eb) == nil && eb.Error != "" {
-			return &StatusError{Code: resp.StatusCode, Message: eb.Error}
+			return nil, &StatusError{Code: resp.StatusCode, Message: eb.Error}
 		}
-		return &StatusError{Code: resp.StatusCode, Message: strings.TrimSpace(string(b))}
+		return nil, &StatusError{Code: resp.StatusCode, Message: strings.TrimSpace(string(b))}
 	}
-	if out == nil {
-		io.Copy(io.Discard, resp.Body)
-		return nil
+	var b []byte
+	if n := resp.ContentLength; n >= 0 && n <= 1<<20 { // a longer one is read as it comes
+		b = make([]byte, n)
+		_, err = io.ReadFull(resp.Body, b)
+	} else {
+		b, err = io.ReadAll(resp.Body)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		return fmt.Errorf("client: decoding %s %s response: %w", method, path, err)
+	if err != nil {
+		return nil, fmt.Errorf("client: reading %s %s response: %w", method, path, err)
 	}
-	return nil
+	return b, nil
 }

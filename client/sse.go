@@ -23,6 +23,7 @@ type EventStream struct {
 
 	ch     chan Event
 	cancel context.CancelFunc
+	tab    *internTable // the Client's
 
 	mu      sync.Mutex
 	err     error
@@ -100,7 +101,7 @@ func (c *Client) stream(ctx context.Context, path string) (*EventStream, error) 
 		}
 		return nil, &StatusError{Code: resp.StatusCode, Message: resp.Status}
 	}
-	s := &EventStream{ch: make(chan Event, 64), cancel: cancel}
+	s := &EventStream{ch: make(chan Event, 64), cancel: cancel, tab: &c.tab}
 	s.C = s.ch
 	go func() {
 		defer resp.Body.Close()
@@ -121,7 +122,6 @@ func (c *Client) stream(ctx context.Context, path string) (*EventStream, error) 
 // name, the data — is copied into buffers reused for the whole stream.
 func (s *EventStream) consume(ctx context.Context, r *bufio.Reader) error {
 	var event, data, spill []byte
-	var tab internTable
 	for {
 		line, err := r.ReadSlice('\n')
 		if err == bufio.ErrBufferFull { // a line longer than r's buffer
@@ -139,7 +139,7 @@ func (s *EventStream) consume(ctx context.Context, r *bufio.Reader) error {
 		line = bytes.TrimRight(line, "\r\n")
 		switch {
 		case len(line) == 0:
-			if err := s.dispatch(ctx, &tab, event, data); err != nil {
+			if err := s.dispatch(ctx, event, data); err != nil {
 				if err == errStreamDone {
 					return nil
 				}
@@ -162,11 +162,11 @@ func (s *EventStream) consume(ctx context.Context, r *bufio.Reader) error {
 // errStreamDone signals a clean, server-terminated stream.
 var errStreamDone = fmt.Errorf("done")
 
-func (s *EventStream) dispatch(ctx context.Context, tab *internTable, event, data []byte) error {
+func (s *EventStream) dispatch(ctx context.Context, event, data []byte) error {
 	switch string(event) {
 	case "job", "trace":
 		var ev Event
-		if !tab.decodeEvent(data, &ev) {
+		if !s.tab.decodeEvent(data, &ev) {
 			var err error
 			if ev, err = unmarshalEvent(data); err != nil {
 				return fmt.Errorf("client: bad %s event %q: %w", event, data, err)
@@ -186,12 +186,12 @@ func (s *EventStream) dispatch(ctx context.Context, tab *internTable, event, dat
 		s.dropped = d.Count
 		s.mu.Unlock()
 	case "done":
-		var info JobInfo
-		if err := json.Unmarshal(data, &info); err != nil {
+		info, err := s.tab.decodeInfo(data)
+		if err != nil {
 			return fmt.Errorf("client: bad done event %q: %w", data, err)
 		}
 		s.mu.Lock()
-		s.final = &info
+		s.final = info
 		s.mu.Unlock()
 		return errStreamDone // clean end; the server closes after done
 	}
@@ -207,84 +207,53 @@ func unmarshalEvent(data []byte) (ev Event, err error) {
 	return ev, err
 }
 
-// internTable deduplicates the strings of one stream: a job's events repeat
-// one job ID and a few dozen entities, states and details. Capped like the
-// worker codec's table — a stream of unique strings resets it.
-type internTable map[string]string
+// internTable deduplicates the strings that repeat across a Client's jobs and
+// streams: a stream's job ID, entities, states and details, a snapshot's
+// tenant, state and resource names. Capped; a run of unique strings resets it.
+type internTable struct {
+	mu sync.Mutex
+	m  map[string]string
+}
 
+// intern returns b as a string, the same one every time; t.mu held.
 func (t *internTable) intern(b []byte) string {
-	if s, ok := (*t)[string(b)]; ok || len(b) == 0 {
+	if s, ok := t.m[string(b)]; ok || len(b) == 0 {
 		return s
 	}
-	if *t == nil || len(*t) >= 4096 {
-		*t = make(internTable, 64)
+	if t.m == nil || len(t.m) >= 4096 {
+		t.m = make(map[string]string, 64)
 	}
 	s := string(b)
-	(*t)[s] = s
+	t.m[s] = s
 	return s
 }
 
-// eventKeys is Event's JSON object in the order the server writes it.
-var eventKeys = [...]string{`"seq":`, `"job":`, `"time":`, `"entity":`, `"state":`, `"detail":`}
-
-// decodeEvent decodes the event payloads aimes-server writes: the known keys
-// in order, each at most once, no whitespace, integers of at most 18 digits,
-// strings of printable ASCII with no escapes. It reports false — with ev in
-// an unspecified state — for anything else, valid JSON or not, and the caller
-// falls back to encoding/json; when it reports true, ev is what json.Unmarshal
-// into a zero Event yields.
+// decodeEvent decodes an event payload in the form AppendEvent writes it,
+// interning its strings. It reports false — with ev in an unspecified state
+// — for anything else, valid JSON or not, and the caller falls back to
+// encoding/json; when it reports true, ev is what json.Unmarshal into a zero
+// Event yields.
 func (t *internTable) decodeEvent(b []byte, ev *Event) bool {
-	if len(b) == 0 || b[0] != '{' {
-		return false
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	r := reader(b, t)
+	r.event(ev)
+	return r.ok && len(r.in.Rest()) == 0
+}
+
+// decodeInfo decodes a job snapshot — a reply's body, a "done" event's data —
+// in the form AppendJobInfo writes it, or, in any other, with encoding/json.
+func (t *internTable) decodeInfo(b []byte) (*JobInfo, error) {
+	info := new(JobInfo)
+	t.mu.Lock()
+	r := reader(b, t)
+	r.jobInfo(info)
+	t.mu.Unlock()
+	if !r.ok || !r.in.End() {
+		*info = JobInfo{}
+		if err := json.Unmarshal(b, info); err != nil {
+			return nil, err
+		}
 	}
-	b = b[1:]
-	ints := [len(eventKeys)]*int64{0: &ev.Seq, 2: (*int64)(&ev.Time)}
-	strs := [len(eventKeys)]*string{1: &ev.Job, 3: &ev.Entity, 4: &ev.State, 5: &ev.Detail}
-	for i, key := range eventKeys {
-		if len(b) < len(key) || string(b[:len(key)]) != key {
-			continue
-		}
-		b = b[len(key):]
-		end := 0
-		if ints[i] != nil { // -?(0|[1-9][0-9]*)
-			neg := len(b) > 0 && b[0] == '-'
-			if neg {
-				b = b[1:]
-			}
-			var n int64
-			for end < len(b) && b[end] >= '0' && b[end] <= '9' {
-				n = n*10 + int64(b[end]-'0')
-				end++
-			}
-			if end == 0 || end > 18 || (b[0] == '0' && end > 1) {
-				return false
-			}
-			if neg {
-				n = -n
-			}
-			*ints[i] = n
-		} else {
-			if len(b) == 0 || b[0] != '"' {
-				return false
-			}
-			for end = 1; end < len(b) && b[end] != '"'; end++ {
-				if c := b[end]; c < 0x20 || c > 0x7e || c == '\\' {
-					return false
-				}
-			}
-			if end == len(b) {
-				return false
-			}
-			*strs[i] = t.intern(b[1:end])
-			end++
-		}
-		if b = b[end:]; len(b) == 1 && b[0] == '}' {
-			return true
-		}
-		if len(b) == 0 || b[0] != ',' {
-			return false
-		}
-		b = b[1:]
-	}
-	return false
+	return info, nil
 }

@@ -6,9 +6,13 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -34,7 +38,7 @@ func captured(t testing.TB) (stream []byte, payloads [][]byte) {
 // would have seen.
 func collect(t *testing.T, stream []byte, bufSize int) (*EventStream, []Event, error) {
 	t.Helper()
-	s := &EventStream{ch: make(chan Event, 64)}
+	s := &EventStream{ch: make(chan Event, 64), tab: new(internTable)}
 	var got []Event
 	drained := make(chan struct{})
 	go func() {
@@ -119,7 +123,7 @@ func TestEventStreamAllocatesNothingPerEvent(t *testing.T) {
 		payload, _ := json.Marshal(ev)
 		fmt.Fprintf(&stream, "id: %d\nevent: job\ndata: %s\n\n", i, payload)
 	}
-	s := &EventStream{ch: make(chan Event, 64)}
+	s := &EventStream{ch: make(chan Event, 64), tab: new(internTable)}
 	stop := make(chan struct{})
 	defer close(stop)
 	go func() {
@@ -168,6 +172,12 @@ func FuzzDecodeEvent(f *testing.F) {
 		`{"entity":"a\"b"}`, `{"entity":"a\\b"}`, `{"entity":"\u0041"}`, `{"entity":"a\nb"}`, `{"entity":"é"}`, "{\"entity\":\"\xff\"}", "{\"entity\":\"a\tb\"}",
 		`{"entity":{"a":1}}`, `{"entity":["a"]}`, `{"entity":null}`, `{"Seq":1}`, `{"detail":"x"}`,
 		`{"seq":1,}`, `{"seq":1}x`, `{"seq":1`, `{"entity":"a`, `[]`, `null`, ``,
+		// Multi-byte text: read in place, but U+2028 (which json escapes) and
+		// invalid UTF-8 (which it replaces) are declined.
+		`{"seq":2,"job":"j-1","time":0,"entity":"em","state":"ENACTING","detail":"late binding, backfill scheduler, 2 pilot(s) × 2 cores"}`,
+		"{\"time\":0,\"entity\":\"line\xe2\x80\xa8sep\",\"state\":\"S\"}", "{\"time\":0,\"entity\":\"para\xe2\x80\xa9sep\",\"state\":\"S\"}",
+		"{\"time\":0,\"entity\":\"bad\xffutf8\",\"state\":\"S\"}", "{\"time\":0,\"entity\":\"cut\xe2\x80\",\"state\":\"S\"}",
+		"{\"time\":0,\"entity\":\"surrogate\xed\xa0\x80\",\"state\":\"S\"}", "{\"time\":0,\"entity\":\"clef\xf0\x9d\x84\x9e\",\"state\":\"S\"}",
 	} {
 		f.Add([]byte(s))
 	}
@@ -193,22 +203,149 @@ func FuzzDecodeEvent(f *testing.F) {
 }
 
 // TestDecodeEventTakesTheServersPayloads: the fast path is the path — every
-// all-ASCII payload of the captured stream is decoded without encoding/json.
+// payload of the captured stream, the ENACTING record's non-ASCII detail
+// ("×") included, is decoded without encoding/json, and so is its terminal
+// snapshot.
 func TestDecodeEventTakesTheServersPayloads(t *testing.T) {
-	_, payloads := captured(t)
+	stream, payloads := captured(t)
 	var tab internTable
-	declined := 0
 	for _, p := range payloads {
 		var got, want Event
 		if !tab.decodeEvent(p, &got) {
-			declined++
+			t.Errorf("declined %q", p)
 			continue
 		}
 		if err := json.Unmarshal(p, &want); err != nil || !reflect.DeepEqual(got, want) {
 			t.Errorf("decoded %q as %+v, want %+v (%v)", p, got, want, err)
 		}
 	}
-	if declined != 1 { // the ENACTING record's detail has a "×"
-		t.Errorf("%d of %d captured payloads declined, want 1", declined, len(payloads))
+	_, done, _ := bytes.Cut(stream, []byte("event: done\ndata: "))
+	done, _, _ = bytes.Cut(done, []byte("\n"))
+	var info JobInfo
+	r := reader(done, &tab)
+	if r.jobInfo(&info); !r.ok || !r.in.End() || info.Report == nil {
+		t.Errorf("declined the terminal snapshot %q", done)
+	}
+}
+
+// jobStreams serves the captured stream as the event stream of any job, with
+// the captured job's ID replaced by the one asked for.
+func jobStreams(t *testing.T) (base string) {
+	t.Helper()
+	stream, payloads := captured(t)
+	var first Event
+	if err := json.Unmarshal(payloads[0], &first); err != nil || first.Job == "" {
+		t.Fatalf("captured payload %q: job %q, %v", payloads[0], first.Job, err)
+	}
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		id := strings.TrimSuffix(strings.TrimPrefix(r.URL.Path, "/v1/jobs/"), "/events")
+		w.Header().Set("Content-Type", "text/event-stream")
+		w.Write(bytes.ReplaceAll(stream, []byte(first.Job), []byte(id)))
+	}))
+	t.Cleanup(hs.Close)
+	return hs.URL
+}
+
+// follow reads one job's stream to its end.
+func follow(t *testing.T, c *Client, id string) ([]Event, *JobInfo) {
+	es, err := c.Events(context.Background(), id, 0)
+	if err != nil {
+		t.Error(err)
+		return nil, nil
+	}
+	var got []Event
+	for ev := range es.C {
+		got = append(got, ev)
+	}
+	if es.Err() != nil {
+		t.Errorf("job %s: %v", id, es.Err())
+	}
+	return got, es.Final()
+}
+
+// TestConcurrentStreamsShareOneTable: streams a Client reads at the same time
+// share its intern table, and deliver exactly what a Client apiece delivers.
+// Run it under -race.
+func TestConcurrentStreamsShareOneTable(t *testing.T) {
+	base := jobStreams(t)
+	ids := []string{"j-7af2d8e65c6eda5b58c40ad8", "j-000000000000000000000001"}
+	wantEvents := make([][]Event, len(ids))
+	wantFinal := make([]*JobInfo, len(ids))
+	for i, id := range ids {
+		wantEvents[i], wantFinal[i] = follow(t, New(base, ""), id)
+	}
+	shared := New(base, "")
+	for round := 0; round < 5; round++ {
+		gotEvents := make([][]Event, len(ids))
+		gotFinal := make([]*JobInfo, len(ids))
+		var wg sync.WaitGroup
+		for i, id := range ids {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				gotEvents[i], gotFinal[i] = follow(t, shared, id)
+			}()
+		}
+		wg.Wait()
+		for i, id := range ids {
+			if len(gotEvents[i]) != 39 || !reflect.DeepEqual(gotEvents[i], wantEvents[i]) || !reflect.DeepEqual(gotFinal[i], wantFinal[i]) {
+				t.Fatalf("round %d, job %s: %d events, final %+v; a Client of its own read %d, final %+v",
+					round, id, len(gotEvents[i]), gotFinal[i], len(wantEvents[i]), wantFinal[i])
+			}
+		}
+	}
+}
+
+// TestSecondStreamInternsOnlyNewStrings pins the Client's table: once one
+// job's stream has been read, the next job's stream on the same Client
+// allocates one string — its job ID, the one it has not seen — beyond what
+// reading a stream costs at all, where a Client of its own pays for the whole
+// vocabulary again.
+func TestSecondStreamInternsOnlyNewStrings(t *testing.T) {
+	stream, payloads := captured(t)
+	var first Event
+	if err := json.Unmarshal(payloads[0], &first); err != nil {
+		t.Fatal(err)
+	}
+	events := stream[:bytes.Index(stream, []byte("event: done"))] // the snapshot has strings of its own
+	const jobs = 50
+	fresh := make([][]byte, jobs+1) // AllocsPerRun's warm-up reads one more
+	for i := range fresh {
+		fresh[i] = bytes.ReplaceAll(events, []byte(first.Job), []byte(fmt.Sprintf("j-%024d", i)))
+	}
+	s := &EventStream{ch: make(chan Event, 64)}
+	stop := make(chan struct{})
+	defer close(stop)
+	go func() {
+		for {
+			select {
+			case <-s.ch:
+			case <-stop:
+				return
+			}
+		}
+	}()
+	rd := bytes.NewReader(nil)
+	br := bufio.NewReader(rd)
+	read := func(stream []byte) {
+		rd.Reset(stream)
+		br.Reset(rd)
+		if err := s.consume(context.Background(), br); err != io.EOF {
+			t.Fatalf("consume: %v", err)
+		}
+	}
+	var c Client
+	s.tab = &c.tab
+	read(events)
+	seen := testing.AllocsPerRun(jobs, func() { read(events) })
+	next := 0
+	shared := testing.AllocsPerRun(jobs, func() { read(fresh[next]); next++ })
+	own := testing.AllocsPerRun(jobs, func() { s.tab = new(internTable); read(events) })
+	t.Logf("allocations per stream: %.2f for one already seen, %.2f for a new job on the same Client, %.2f on a Client of its own", seen, shared, own)
+	if shared-seen > 1.1 {
+		t.Errorf("a new job's stream on the same Client costs %.2f allocations more than one already seen, want 1 (its job ID)", shared-seen)
+	}
+	if own-seen < 20 {
+		t.Errorf("a stream on a Client of its own costs only %.2f allocations more than one already seen: the test exercises nothing", own-seen)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
 	"aimes"
 )
@@ -64,7 +65,8 @@ var jobConfigNotCarried = map[string]string{}
 // fill sets every field reachable from v to a non-zero value, distinct where
 // the type allows, so a dropped or crossed-over field shows up in a
 // comparison. The two policy enums get valid non-zero members (their wire
-// form is a checked string).
+// form is a checked string), a workload a valid document, a time one RFC
+// 3339 can write.
 func fill(t *testing.T, v reflect.Value, n *int) {
 	t.Helper()
 	*n++
@@ -74,6 +76,12 @@ func fill(t *testing.T, v reflect.Value, n *int) {
 		return
 	case aimes.MigratePolicy:
 		v.SetInt(int64(aimes.MigrateNever))
+		return
+	case json.RawMessage:
+		v.SetBytes(bagDocument(t))
+		return
+	case time.Time:
+		v.Set(reflect.ValueOf(time.Date(2026, 10, 15, 8, 30, 0, *n, time.UTC)))
 		return
 	}
 	switch v.Kind() {
@@ -89,6 +97,14 @@ func fill(t *testing.T, v reflect.Value, n *int) {
 		v.Set(reflect.MakeSlice(v.Type(), 2, 2))
 		for i := 0; i < v.Len(); i++ {
 			fill(t, v.Index(i), n)
+		}
+	case reflect.Map:
+		v.Set(reflect.MakeMap(v.Type()))
+		for i := 0; i < 2; i++ {
+			k, e := reflect.New(v.Type().Key()).Elem(), reflect.New(v.Type().Elem()).Elem()
+			fill(t, k, n)
+			fill(t, e, n)
+			v.SetMapIndex(k, e)
 		}
 	case reflect.Pointer:
 		v.Set(reflect.New(v.Type().Elem()))
@@ -134,7 +150,9 @@ func TestSubmitCarriesEveryJobConfigField(t *testing.T) {
 		of.Set(wv.Field(i))
 	}
 
-	body, err := json.Marshal(opts.request([]byte(`{}`)))
+	req := opts.request()
+	req.Workload = []byte(`{}`)
+	body, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)
 	}

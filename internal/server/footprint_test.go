@@ -13,6 +13,7 @@ import (
 	"aimes"
 	"aimes/client"
 	"aimes/internal/batch"
+	"aimes/internal/skeleton"
 )
 
 var lateBackfill = aimes.StrategyConfig{Binding: aimes.LateBinding, Scheduler: aimes.SchedBackfill, Pilots: 2}
@@ -46,7 +47,12 @@ func TestRegistryTrimReleasesEvicted(t *testing.T) {
 	const retain = 4
 	r := newRegistry(env, newMetrics(), retain)
 	for i := 0; i < 3*retain; i++ {
-		rec, err := r.submit(Tenant{Name: "solo"}, bagRequest(t, 4, 900, int64(i)))
+		req := bagRequest(t, 4, 900, int64(i))
+		w, err := skeleton.ParseWorkload(req.Workload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := r.submit(Tenant{Name: "solo"}, w, req)
 		if err != nil {
 			t.Fatal(err)
 		}

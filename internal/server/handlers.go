@@ -1,18 +1,22 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"strconv"
 	"time"
 
 	"aimes/client"
+	"aimes/internal/skeleton"
 )
 
 // maxSubmitBody bounds a submit request's body (workload JSON included).
 const maxSubmitBody = 64 << 20
+
+// infoSizeHint is about what one job snapshot takes with its report.
+const infoSizeHint = 1024
 
 func (s *Server) routes() {
 	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -41,17 +45,27 @@ func (s *Server) tenant(h func(http.ResponseWriter, *http.Request, Tenant)) http
 	})
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// writeJSON writes body and the newline json.Encoder ends a value with; after
+// an error encoding it, like json.Encoder, nothing.
+func writeJSON(w http.ResponseWriter, code int, body []byte, err error) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
+	if err == nil {
+		w.Write(append(body, '\n'))
+	}
 }
 
 func writeError(w http.ResponseWriter, code int, msg string) {
 	if code == http.StatusTooManyRequests {
 		w.Header().Set("Retry-After", "1")
 	}
-	writeJSON(w, code, client.ErrorBody{Error: msg})
+	writeJSON(w, code, append(skeleton.AppendJSONString([]byte(`{"error":`), msg), '}'), nil)
+}
+
+// writeInfo writes one job snapshot.
+func writeInfo(w http.ResponseWriter, code int, info client.JobInfo) {
+	body, err := client.AppendJobInfo(make([]byte, 0, infoSizeHint), &info)
+	writeJSON(w, code, body, err)
 }
 
 // writeAPIError maps registry errors onto HTTP statuses.
@@ -69,12 +83,22 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, tn Tenant)
 		writeError(w, http.StatusServiceUnavailable, "server is draining (shutting down); no new jobs are admitted")
 		return
 	}
-	var req client.SubmitRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, maxSubmitBody)).Decode(&req); err != nil {
+	body, err := readBody(w, r)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("submit: request body larger than the limit of %d MiB", maxSubmitBody>>20))
+		return
+	case err != nil:
 		writeError(w, http.StatusBadRequest, "submit: bad request body: "+err.Error())
 		return
 	}
-	rec, err := s.reg.submit(tn, &req)
+	req, wl, err := client.ParseSubmitRequest(body)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "submit: "+err.Error())
+		return
+	}
+	rec, err := s.reg.submit(tn, wl, req)
 	if err != nil {
 		writeAPIError(w, err)
 		return
@@ -82,13 +106,37 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, tn Tenant)
 	if s.logf != nil {
 		s.logf("job %s: tenant %s submitted (state %s, shard %d)", rec.id, tn.Name, rec.job.State(), rec.job.Shard())
 	}
-	writeJSON(w, http.StatusCreated, s.reg.info(rec))
+	writeInfo(w, http.StatusCreated, s.reg.info(rec))
+}
+
+// readBody reads a submit body whole, at most maxSubmitBody bytes of it: into
+// a buffer of its Content-Length when it declares one, else as it comes.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	switch n := r.ContentLength; {
+	case n > maxSubmitBody:
+		return nil, &http.MaxBytesError{Limit: maxSubmitBody}
+	case n >= 0:
+		b := make([]byte, n)
+		_, err := io.ReadFull(r.Body, b)
+		return b, err
+	}
+	return io.ReadAll(http.MaxBytesReader(w, r.Body, maxSubmitBody))
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request, tn Tenant) {
 	infos := s.reg.list(tn)
 	sortInfos(infos)
-	writeJSON(w, http.StatusOK, infos)
+	body := append(make([]byte, 0, len(infos)*infoSizeHint+2), '[')
+	var err error
+	for i := range infos {
+		if i > 0 {
+			body = append(body, ',')
+		}
+		if body, err = client.AppendJobInfo(body, &infos[i]); err != nil {
+			break
+		}
+	}
+	writeJSON(w, http.StatusOK, append(body, ']'), err)
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request, tn Tenant) {
@@ -113,7 +161,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request, tn Tenant) {
 		case <-s.stop:
 		}
 	}
-	writeJSON(w, http.StatusOK, s.reg.info(rec))
+	writeInfo(w, http.StatusOK, s.reg.info(rec))
 }
 
 // parseWait accepts a Go duration ("30s") or "1"/"true" for the default.
@@ -143,7 +191,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request, tn Tenant)
 	if s.logf != nil {
 		s.logf("job %s: tenant %s canceled (%s)", rec.id, tn.Name, reason)
 	}
-	writeJSON(w, http.StatusOK, s.reg.info(rec))
+	writeInfo(w, http.StatusOK, s.reg.info(rec))
 }
 
 // handleJobEvents streams one job's events as SSE from ?from (or

@@ -3,7 +3,10 @@ package server
 import (
 	"fmt"
 	"io"
+	"maps"
+	"net/http"
 	rtmetrics "runtime/metrics"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -27,6 +30,8 @@ type metrics struct {
 	window []time.Time
 
 	sseJob, sseEnv sseCounters // the two kinds of SSE stream
+
+	requests map[string]*histogram // request durations by route pattern
 }
 
 // sseCounters is what SSE streams wrote, added once per batch: events
@@ -46,6 +51,40 @@ type tenantCounters struct {
 
 const rateWindow = 60 * time.Second
 
+// requestBuckets bound the request-duration buckets, in seconds: from a fast
+// reply to a long-poll's 30 s.
+var requestBuckets = [...]float64{0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30}
+
+// histogram counts observations per bucket, the last past every bound.
+type histogram struct {
+	counts [len(requestBuckets) + 1]int64
+	sum    float64
+}
+
+// timed wraps the daemon's mux to add each request's duration to the
+// histogram of the route pattern it matched, but for the SSE streams, which
+// last as long as their job or subscriber.
+func (m *metrics) timed(mux http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		start := time.Now()
+		mux.ServeHTTP(w, r)
+		if r.Pattern == "" || strings.HasSuffix(r.Pattern, "/events") {
+			return
+		}
+		d := time.Since(start).Seconds()
+		i, _ := slices.BinarySearch(requestBuckets[:], d) // the first bound d does not exceed
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		h := m.requests[r.Pattern]
+		if h == nil {
+			h = new(histogram)
+			m.requests[r.Pattern] = h
+		}
+		h.counts[i]++
+		h.sum += d
+	})
+}
+
 // processMetrics are the process's heap and goroutines, read at scrape time
 // from runtime/metrics, which, unlike runtime.ReadMemStats, does not stop the
 // world.
@@ -57,7 +96,7 @@ var processMetrics = [...]struct{ name, kind, sample, help string }{
 }
 
 func newMetrics() *metrics {
-	return &metrics{start: time.Now(), tenants: make(map[string]*tenantCounters)}
+	return &metrics{start: time.Now(), tenants: make(map[string]*tenantCounters), requests: make(map[string]*histogram)}
 }
 
 func (m *metrics) tenant(name string) *tenantCounters {
@@ -140,6 +179,11 @@ func (m *metrics) render(w io.Writer, env *aimes.Environment, inflight map[strin
 		snap[name] = *m.tenants[name]
 	}
 	sseJob, sseEnv := m.sseJob, m.sseEnv
+	routes := slices.Sorted(maps.Keys(m.requests))
+	requests := make([]histogram, len(routes))
+	for i, route := range routes {
+		requests[i] = *m.requests[route]
+	}
 	uptime := now.Sub(m.start).Seconds()
 	m.mu.Unlock()
 
@@ -239,6 +283,20 @@ func (m *metrics) render(w io.Writer, env *aimes.Environment, inflight map[strin
 	sse("aimes_sse_flushes_total", "Writes to SSE streams, each one batch of events encoded, written and flushed together", func(c sseCounters) int64 { return c.flushes })
 	sse("aimes_sse_bytes_total", "Body bytes written to SSE streams", func(c sseCounters) int64 { return c.bytes })
 	sse("aimes_sse_dropped_total", "Events SSE streams could not deliver because the trace log had evicted them (replay of an old job, or a consumer a whole retention window behind)", func(c sseCounters) int64 { return c.dropped })
+
+	const hist = "aimes_http_request_duration_seconds"
+	fmt.Fprintf(w, "# HELP %s Time to serve one request, by route pattern (the SSE streams are not timed).\n# TYPE %s histogram\n", hist, hist)
+	for i, route := range routes {
+		h, label := requests[i], labelEscape(route)
+		var n int64
+		for b, le := range requestBuckets {
+			n += h.counts[b]
+			fmt.Fprintf(w, "%s_bucket{route=\"%s\",le=\"%g\"} %d\n", hist, label, le, n)
+		}
+		n += h.counts[len(requestBuckets)]
+		fmt.Fprintf(w, "%s_bucket{route=\"%s\",le=\"+Inf\"} %d\n%s_sum{route=\"%s\"} %g\n%s_count{route=\"%s\"} %d\n",
+			hist, label, n, hist, label, h.sum, hist, label, n)
+	}
 }
 
 // labelEscape escapes a Prometheus label value (backslash, quote, newline).

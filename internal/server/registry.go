@@ -12,7 +12,6 @@ import (
 
 	"aimes"
 	"aimes/client"
-	"aimes/internal/skeleton"
 )
 
 // registry owns the daemon's job table: opaque job IDs → aimes.Job handles,
@@ -93,17 +92,10 @@ func jobConfig(req *client.SubmitRequest) (aimes.JobConfig, error) {
 	}, nil
 }
 
-// submit admits one workload for tn: quota check and environment Submit
-// form one critical section under the registry lock, so two racing
-// submissions can never both squeeze under the same quota.
-func (r *registry) submit(tn Tenant, req *client.SubmitRequest) (*jobRecord, error) {
-	if len(req.Workload) == 0 {
-		return nil, badRequest("submit: missing workload")
-	}
-	w, err := skeleton.ParseWorkload(req.Workload)
-	if err != nil {
-		return nil, badRequest("submit: %v", err)
-	}
+// submit admits workload w, read from req, for tn: quota check and
+// environment Submit form one critical section under the registry lock, so
+// two racing submissions can never both squeeze under the same quota.
+func (r *registry) submit(tn Tenant, w *aimes.Workload, req *client.SubmitRequest) (*jobRecord, error) {
 	cfg, err := jobConfig(req)
 	if err != nil {
 		return nil, badRequest("submit: %v", err)

@@ -89,7 +89,7 @@ func New(cfg Config) (*Server, error) {
 }
 
 // Handler is the daemon's HTTP surface, ready to mount on an http.Server.
-func (s *Server) Handler() http.Handler { return s.mux }
+func (s *Server) Handler() http.Handler { return s.met.timed(s.mux) }
 
 // Shutdown drains the daemon gracefully: new submissions are refused with
 // 503 immediately, every in-flight job runs to its final state

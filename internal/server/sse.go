@@ -2,55 +2,22 @@ package server
 
 import (
 	"bytes"
-	"encoding/json"
-	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"time"
 
 	"aimes"
 	"aimes/client"
-	"aimes/internal/skeleton"
 )
 
-// writeEvent writes one Server-Sent Event with a JSON payload, unflushed. id
-// is optional (>0 only).
-func writeEvent(w io.Writer, name string, id int64, payload any) error {
-	data, err := json.Marshal(payload)
-	if err != nil {
-		return err
-	}
-	if id > 0 {
-		if _, err := fmt.Fprintf(w, "id: %d\n", id); err != nil {
-			return err
-		}
-	}
-	_, err = fmt.Fprintf(w, "event: %s\ndata: %s\n\n", name, data)
-	return err
-}
-
-// appendEvent appends ev as the SSE event writeEvent(w, name, ev.Seq, ev)
-// writes, byte for byte (TestAppendEventMatchesJSON), without the boxing,
-// the reflection and the two Fprintf: a stream is made of these.
+// appendEvent appends ev as an SSE event named name, its id ev.Seq when set
+// and its data what json.Marshal writes for ev: a stream is made of these.
 func appendEvent(dst []byte, name string, ev *client.Event) []byte {
 	if ev.Seq > 0 {
 		dst = append(strconv.AppendInt(append(dst, "id: "...), ev.Seq, 10), '\n')
 	}
-	dst = append(append(append(dst, "event: "...), name...), "\ndata: {"...)
-	if ev.Seq != 0 {
-		dst = append(strconv.AppendInt(append(dst, `"seq":`...), ev.Seq, 10), ',')
-	}
-	if ev.Job != "" {
-		dst = append(skeleton.AppendJSONString(append(dst, `"job":`...), ev.Job), ',')
-	}
-	dst = strconv.AppendInt(append(dst, `"time":`...), int64(ev.Time), 10)
-	dst = skeleton.AppendJSONString(append(dst, `,"entity":`...), ev.Entity)
-	dst = skeleton.AppendJSONString(append(dst, `,"state":`...), ev.State)
-	if ev.Detail != "" {
-		dst = skeleton.AppendJSONString(append(dst, `,"detail":`...), ev.Detail)
-	}
-	return append(dst, "}\n\n"...)
+	dst = append(append(append(dst, "event: "...), name...), "\ndata: "...)
+	return append(client.AppendEvent(dst, ev), "\n\n"...)
 }
 
 // eventSizeHint is about what one encoded event takes: a job ID, an entity, a
@@ -93,12 +60,12 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request, sub *aimes.Trace
 	for {
 		n, seq, done := sub.Read(buf[:])
 		c := sseCounters{events: int64(n), flushes: 1}
+		out.Grow(n*eventSizeHint + infoSizeHint) // one allocation for the largest batch and the end
+		b := out.AvailableBuffer()
 		if d := sub.Dropped(); d > dropped {
 			c.dropped, dropped = d-dropped, d
-			writeEvent(&out, "dropped", 0, client.Dropped{Count: d})
+			b = append(strconv.AppendInt(append(b, "event: dropped\ndata: {\"count\":"...), d, 10), "}\n\n"...)
 		}
-		out.Grow(n * eventSizeHint) // one allocation for a stream's largest batch, not a doubling series
-		b := out.AvailableBuffer()
 		for i, tr := range buf[:n] {
 			ev := client.Event{Time: tr.Time.Duration(), Entity: tr.Entity, State: tr.State, Detail: tr.Detail}
 			if rec != nil {
@@ -106,10 +73,13 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request, sub *aimes.Trace
 			}
 			b = appendEvent(b, name, &ev)
 		}
-		out.Write(b)
 		if done && rec != nil {
-			writeEvent(&out, "done", 0, s.reg.info(rec))
+			info := s.reg.info(rec) // left out if json cannot encode it (a NaN)
+			if e, err := client.AppendJobInfo(append(b, "event: done\ndata: "...), &info); err == nil {
+				b = append(e, "\n\n"...)
+			}
 		}
+		out.Write(b)
 		if c.bytes = int64(out.Len()); c.bytes > 0 {
 			if _, err := w.Write(out.Bytes()); err != nil {
 				return

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -196,16 +197,17 @@ func TestFanoutFinish(t *testing.T) {
 	}
 }
 
-// TestAppendEventMatchesJSON holds the append-style encoder to the one it
-// replaced on the hot path: for seeded events over every awkward field value
-// — each omitempty field empty and not, negative and 19-digit numbers,
-// strings with characters encoding/json escapes, replaces or passes through —
-// appendEvent writes the bytes writeEvent (json.Marshal + Fprintf) writes.
+// TestAppendEventMatchesJSON holds the append-style encoder to encoding/json:
+// for seeded events over every awkward field value — each omitempty field
+// empty and not, negative and 19-digit numbers, strings with characters
+// encoding/json escapes, replaces or passes through — appendEvent writes the
+// id line and the json.Marshal payload an SSE writer over encoding/json writes.
 func TestAppendEventMatchesJSON(t *testing.T) {
 	texts := []string{
 		"", "em", "unit.stage-0.00017", "STAGING_INPUT", "cores=2 walltime=39m34.661971199s", "~ |{}[]:,",
 		`say "hi"`, `back\slash`, "a<b", "a>b", "R&D", "2 pilot(s) × 2 cores", "tab\there", "nul\x00", "del\x7f",
 		"line\u2028sep", "para\u2029sep", "bad\xffutf8", "\xc3", "日本語", strings.Repeat("x", 300) + "&",
+		"clef \U0001d11e", "replacement \ufffd", "surrogate \xed\xa0\x80", "cut \xe2\x80",
 	}
 	numbers := []int64{0, 1, -1, 7, 1234567890123, math.MaxInt64, math.MinInt64, -1000000000000000000}
 	rng := rand.New(rand.NewSource(22))
@@ -219,12 +221,17 @@ func TestAppendEventMatchesJSON(t *testing.T) {
 			name, ev.Seq, ev.Job = "job", numbers[rng.Intn(len(numbers))], pick()
 		}
 		got = appendEvent(got[:0], name, &ev)
-		want.Reset()
-		if err := writeEvent(&want, name, ev.Seq, ev); err != nil {
+		data, err := json.Marshal(ev)
+		if err != nil {
 			t.Fatal(err)
 		}
+		want.Reset()
+		if ev.Seq > 0 {
+			fmt.Fprintf(&want, "id: %d\n", ev.Seq)
+		}
+		fmt.Fprintf(&want, "event: %s\ndata: %s\n\n", name, data)
 		if !bytes.Equal(got, want.Bytes()) {
-			t.Fatalf("event %+v:\nappendEvent %q\nwriteEvent  %q", ev, got, want.Bytes())
+			t.Fatalf("event %+v:\nappendEvent    %q\nencoding/json  %q", ev, got, want.Bytes())
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unicode/utf8"
 )
 
 // The middleware JSON interchange format — the original tool's output mode
@@ -65,7 +66,7 @@ func (w *Workload) AppendMiddlewareJSON(dst []byte) []byte {
 		dst = append(make([]byte, 0, len(dst)+n), dst...)
 	}
 	dst = AppendJSONString(append(dst, `{"name":`...), w.Name)
-	dst = appendStrings(append(dst, `,"stages":`...), w.Stages)
+	dst = AppendJSONStrings(append(dst, `,"stages":`...), w.Stages)
 	if len(w.Tasks) == 0 {
 		return append(dst, `,"tasks":null}`...)
 	}
@@ -79,7 +80,7 @@ func (w *Workload) AppendMiddlewareJSON(dst []byte) []byte {
 		dst = AppendJSONString(append(dst, `,"stage":`...), t.Stage)
 		dst = strconv.AppendInt(append(dst, `,"index":`...), int64(t.Index), 10)
 		dst = strconv.AppendInt(append(dst, `,"cores":`...), int64(t.Cores), 10)
-		dst = appendSeconds(append(dst, `,"duration_s":`...), t.Duration.Seconds())
+		dst = AppendJSONFloat(append(dst, `,"duration_s":`...), t.Duration.Seconds())
 		if len(t.Inputs) > 0 {
 			dst = appendFiles(append(dst, `,"inputs":`...), t.Inputs)
 		}
@@ -87,7 +88,7 @@ func (w *Workload) AppendMiddlewareJSON(dst []byte) []byte {
 			dst = appendFiles(append(dst, `,"outputs":`...), t.Outputs)
 		}
 		if len(t.Deps) > 0 {
-			dst = appendStrings(append(dst, `,"deps":`...), t.Deps)
+			dst = AppendJSONStrings(append(dst, `,"deps":`...), t.Deps)
 		}
 		dst = append(dst, '}')
 	}
@@ -118,7 +119,8 @@ func (w *Workload) middlewareJSONSize() int {
 	return n
 }
 
-func appendStrings(dst []byte, list []string) []byte {
+// AppendJSONStrings appends list as encoding/json writes a []string.
+func AppendJSONStrings(dst []byte, list []string) []byte {
 	if list == nil {
 		return append(dst, "null"...)
 	}
@@ -150,25 +152,45 @@ func appendFiles(dst []byte, files []File) []byte {
 }
 
 // AppendJSONString appends s quoted as encoding/json quotes it — the
-// interchange document's strings, and aimes-server's SSE payloads. Printable
-// ASCII that json passes through is copied; anything it would escape
-// (quotes, backslashes, HTML characters, control bytes, U+2028/9, invalid
-// UTF-8) is left to it.
+// interchange document's strings, and aimes-server's payloads. Text json
+// passes through (printable ASCII, valid multi-byte UTF-8) is copied;
+// anything it would escape (quotes, backslashes, HTML characters, control
+// bytes, DEL, U+2028/9, invalid UTF-8) is left to it.
 func AppendJSONString(dst []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			quoted, _ := json.Marshal(s) // a string always marshals
-			return append(dst, quoted...)
-		}
+	if plainLen(s, true, utf8.DecodeRuneInString) < len(s) {
+		quoted, _ := json.Marshal(s) // a string always marshals
+		return append(dst, quoted...)
 	}
 	return append(append(append(dst, '"'), s...), '"')
 }
 
-// appendSeconds formats f as encoding/json formats a float64: shortest
+// plainLen is the length of the longest prefix of s that encoding/json both
+// writes unescaped (when html, also without <, > and &) and reads unchanged:
+// printable ASCII but the quote and the backslash, and valid multi-byte UTF-8
+// but U+2028 and U+2029.
+func plainLen[T string | []byte](s T, html bool, decode func(T) (rune, int)) int {
+	for i := 0; i < len(s); {
+		if c := s[i]; c < utf8.RuneSelf {
+			if c < 0x20 || c > 0x7e || c == '"' || c == '\\' || html && (c == '<' || c == '>' || c == '&') {
+				return i
+			}
+			i++
+			continue
+		}
+		r, n := decode(s[i:])
+		if r == utf8.RuneError && n == 1 || r == '\u2028' || r == '\u2029' {
+			return i
+		}
+		i += n
+	}
+	return len(s)
+}
+
+// AppendJSONFloat formats f as encoding/json formats a float64: shortest
 // round-trip digits, in 'f' form from 1e-6 up to 1e21 and 'e' form outside
 // it, with a one-digit negative exponent written as one digit (1e-9, not
-// 1e-09).
-func appendSeconds(dst []byte, f float64) []byte {
+// 1e-09). json refuses NaN and the infinities; the caller checks for them.
+func AppendJSONFloat(dst []byte, f float64) []byte {
 	format := byte('f')
 	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'
@@ -193,27 +215,24 @@ func ParseWorkloadJSON(r io.Reader) (*Workload, error) {
 // ParseWorkload reads an interchange document and validates its structural
 // integrity (unique task IDs, resolvable dependencies, non-negative sizes);
 // nothing may follow the document but whitespace. The compact form
-// AppendMiddlewareJSON writes is read in two passes over b — the first
-// counts, the second fills one task slice, one file slab, one string-list
-// slab and one arena of string bytes, each of exact size and none aliasing
-// b. Anything else, an indented document included, is decoded by
-// encoding/json.
+// AppendMiddlewareJSON writes is read by JSONReader.Workload; anything else,
+// an indented document included, is decoded by encoding/json.
 func ParseWorkload(b []byte) (*Workload, error) {
-	w := readCompact(b)
-	if w == nil {
-		var err error
-		if w, err = decodeWorkload(b); err != nil {
-			return nil, err
+	r := JSONReader{b}
+	w, err := r.Workload()
+	if w == nil && err == nil || !r.End() {
+		if w, err = decodeWorkload(b); err == nil {
+			err = validate(w)
 		}
 	}
-	if err := validate(w); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	return w, nil
 }
 
 // decodeWorkload is encoding/json's reading of a document: the path of every
-// document readCompact declines, and the reference it is held to
+// document the compact reader declines, and the reference it is held to
 // (FuzzParseWorkload).
 func decodeWorkload(b []byte) (*Workload, error) {
 	var doc wlJSON
@@ -318,32 +337,40 @@ func validate(w *Workload) error {
 	return nil
 }
 
-// readCompact reads the document in exactly the form AppendMiddlewareJSON
-// writes it, in two passes over b, or returns nil for anything else.
-func readCompact(b []byte) *Workload {
-	count := compactReader{b: b}
+// Workload reads, at r's position, an interchange document in exactly the
+// form AppendMiddlewareJSON writes it, in two passes — the first counts, the
+// second fills one task slice, one file slab, one string-list slab and one
+// arena of string bytes, each of exact size and none aliasing r's input — and
+// validates it. A document in any other form returns nil, nil, for the
+// caller to hand its whole input to encoding/json.
+func (r *JSONReader) Workload() (*Workload, error) {
+	count := compactReader{JSONReader: *r}
 	if !count.doc() {
-		return nil
+		return nil, nil
 	}
 	fill := compactReader{
-		b:     b,
-		w:     &Workload{Tasks: make([]Task, 0, count.nTasks)},
-		files: make([]File, 0, count.nFiles),
-		lists: make([]string, 0, count.nLists),
+		JSONReader: *r,
+		w:          &Workload{Tasks: make([]Task, 0, count.nTasks)},
+		files:      make([]File, 0, count.nFiles),
+		lists:      make([]string, 0, count.nLists),
 	}
 	fill.arena.Grow(count.nText)
 	fill.doc() // the same bytes take the same path
-	return fill.w
+	*r = fill.JSONReader
+	if err := validate(fill.w); err != nil {
+		return nil, err
+	}
+	return fill.w, nil
 }
 
 // compactReader reads the grammar AppendMiddlewareJSON writes: the keys in
-// order, no whitespace inside the document, strings of printable ASCII with
-// no escapes, integers encoding/json would decode into their fields, every
-// list non-empty and stages possibly null. Its first pass (w nil) only counts
-// what the document holds; its second stores it, carving each task's lists
-// from the slabs and each string from the arena.
+// order, no whitespace inside the document, strings JSONReader.Str reads,
+// integers encoding/json would decode into their fields, every list non-empty
+// and stages possibly null. Its first pass (w nil) only counts what the
+// document holds; its second stores it, carving each task's lists from the
+// slabs and each string from the arena.
 type compactReader struct {
-	b []byte
+	JSONReader
 
 	// First pass: what the slabs and the arena must hold.
 	nTasks, nFiles, nLists, nText int
@@ -358,12 +385,9 @@ type compactReader struct {
 func (r *compactReader) doc() bool {
 	var name string
 	var stages []string
-	if !(r.lit(`{"name":`) && r.str(&name) &&
-		r.lit(`,"stages":`) && (r.lit("null") || r.strs(&stages)) &&
-		r.lit(`,"tasks":`) && r.list(r.task) && r.lit("}")) {
-		return false
-	}
-	if len(bytes.TrimLeft(r.b, " \t\r\n")) > 0 {
+	if !(r.Lit(`{"name":`) && r.str(&name) &&
+		r.Lit(`,"stages":`) && (r.Lit("null") || r.strs(&stages)) &&
+		r.Lit(`,"tasks":`) && r.List(r.task) && r.Lit("}")) {
 		return false
 	}
 	if r.w != nil {
@@ -375,17 +399,17 @@ func (r *compactReader) doc() bool {
 func (r *compactReader) task() bool {
 	var t Task
 	var s float64
-	if !(r.lit(`{"id":`) && r.str(&t.ID) &&
-		r.lit(`,"stage":`) && r.str(&t.Stage) &&
-		r.lit(`,"index":`) && r.int(&t.Index) &&
-		r.lit(`,"cores":`) && r.int(&t.Cores) &&
-		r.lit(`,"duration_s":`) && r.float(&s)) {
+	if !(r.Lit(`{"id":`) && r.str(&t.ID) &&
+		r.Lit(`,"stage":`) && r.str(&t.Stage) &&
+		r.Lit(`,"index":`) && ReadInt(&r.JSONReader, &t.Index) &&
+		r.Lit(`,"cores":`) && ReadInt(&r.JSONReader, &t.Cores) &&
+		r.Lit(`,"duration_s":`) && r.Float(&s)) {
 		return false
 	}
-	if r.lit(`,"inputs":`) && !r.fileList(&t.Inputs) ||
-		r.lit(`,"outputs":`) && !r.fileList(&t.Outputs) ||
-		r.lit(`,"deps":`) && !r.strs(&t.Deps) ||
-		!r.lit("}") {
+	if r.Lit(`,"inputs":`) && !r.fileList(&t.Inputs) ||
+		r.Lit(`,"outputs":`) && !r.fileList(&t.Outputs) ||
+		r.Lit(`,"deps":`) && !r.strs(&t.Deps) ||
+		!r.Lit("}") {
 		return false
 	}
 	t.Duration = seconds(s)
@@ -398,10 +422,10 @@ func (r *compactReader) task() bool {
 
 func (r *compactReader) file() bool {
 	var f File
-	if !(r.lit(`{"name":`) && r.str(&f.Name) &&
-		r.lit(`,"bytes":`) && r.int64(&f.Bytes)) ||
-		r.lit(`,"producer":`) && !r.str(&f.Producer) ||
-		!r.lit("}") {
+	if !(r.Lit(`{"name":`) && r.str(&f.Name) &&
+		r.Lit(`,"bytes":`) && ReadInt(&r.JSONReader, &f.Bytes)) ||
+		r.Lit(`,"producer":`) && !r.str(&f.Producer) ||
+		!r.Lit("}") {
 		return false
 	}
 	r.nFiles++
@@ -414,7 +438,7 @@ func (r *compactReader) file() bool {
 // fileList reads a list of files into dst, carved from the file slab.
 func (r *compactReader) fileList(dst *[]File) bool {
 	first := len(r.files)
-	if !r.list(r.file) {
+	if !r.List(r.file) {
 		return false
 	}
 	if r.w != nil {
@@ -426,7 +450,7 @@ func (r *compactReader) fileList(dst *[]File) bool {
 // strs reads a list of strings into dst, carved from the string-list slab.
 func (r *compactReader) strs(dst *[]string) bool {
 	first := len(r.lists)
-	if !r.list(func() bool {
+	if !r.List(func() bool {
 		var s string
 		if !r.str(&s) {
 			return false
@@ -445,47 +469,12 @@ func (r *compactReader) strs(dst *[]string) bool {
 	return true
 }
 
-// list reads a JSON array of at least one element, each read by elem.
-func (r *compactReader) list(elem func() bool) bool {
-	if !r.lit("[") {
-		return false
-	}
-	for elem() {
-		if r.lit("]") {
-			return true
-		}
-		if !r.lit(",") {
-			return false
-		}
-	}
-	return false
-}
-
-// lit consumes s if the input starts with it.
-func (r *compactReader) lit(s string) bool {
-	if len(r.b) < len(s) || string(r.b[:len(s)]) != s {
-		return false
-	}
-	r.b = r.b[len(s):]
-	return true
-}
-
 // str reads a string into dst: in the second pass, a slice of the arena.
 func (r *compactReader) str(dst *string) bool {
-	if len(r.b) == 0 || r.b[0] != '"' {
+	raw, ok := r.Str()
+	if !ok {
 		return false
 	}
-	end := 1
-	for ; end < len(r.b) && r.b[end] != '"'; end++ {
-		if c := r.b[end]; c < 0x20 || c > 0x7e || c == '\\' {
-			return false
-		}
-	}
-	if end == len(r.b) {
-		return false
-	}
-	raw := r.b[1:end]
-	r.b = r.b[end+1:]
 	r.nText += len(raw)
 	if r.w != nil {
 		// The arena only ever appends, so every string carved from it stays
@@ -497,27 +486,81 @@ func (r *compactReader) str(dst *string) bool {
 	return true
 }
 
-func (r *compactReader) int(dst *int) bool {
-	n, err := strconv.ParseInt(string(r.number()), 10, strconv.IntSize)
-	*dst = int(n)
-	return err == nil
+// JSONReader reads JSON in place, in the compact form encoding/json writes:
+// the caller names each key and punctuation mark it expects (Lit), strings
+// have no escapes, numbers are read as json reads them into their fields.
+// Each method consumes what it reads and reports whether the input held it;
+// after a false the caller leaves its whole input to encoding/json. The
+// interchange document's reader and package client's body readers use it.
+type JSONReader struct{ b []byte }
+
+// NewJSONReader returns a reader at the start of b.
+func NewJSONReader(b []byte) JSONReader { return JSONReader{b} }
+
+// Rest returns the input not yet consumed.
+func (r *JSONReader) Rest() []byte { return r.b }
+
+// End reports whether nothing but whitespace is left.
+func (r *JSONReader) End() bool { return len(bytes.TrimLeft(r.b, " \t\r\n")) == 0 }
+
+// Lit consumes s if the input starts with it.
+func (r *JSONReader) Lit(s string) bool {
+	if len(r.b) < len(s) || string(r.b[:len(s)]) != s {
+		return false
+	}
+	r.b = r.b[len(s):]
+	return true
 }
 
-func (r *compactReader) int64(dst *int64) bool {
+// Str reads a string of printable ASCII and valid multi-byte UTF-8 other
+// than U+2028/9, with no escapes, and returns its value: the bytes between
+// the quotes, which alias the input.
+func (r *JSONReader) Str() ([]byte, bool) {
+	if len(r.b) == 0 || r.b[0] != '"' {
+		return nil, false
+	}
+	end := 1 + plainLen(r.b[1:], false, utf8.DecodeRune)
+	if end == len(r.b) || r.b[end] != '"' {
+		return nil, false
+	}
+	raw := r.b[1:end]
+	r.b = r.b[end+1:]
+	return raw, true
+}
+
+// ReadInt reads an integer json would decode into a field of type T.
+func ReadInt[T ~int | ~int64](r *JSONReader, dst *T) bool {
 	n, err := strconv.ParseInt(string(r.number()), 10, 64)
-	*dst = n
-	return err == nil
+	*dst = T(n)
+	return err == nil && int64(*dst) == n
 }
 
-func (r *compactReader) float(dst *float64) bool {
+// Float reads a number json would decode into a float64.
+func (r *JSONReader) Float(dst *float64) bool {
 	f, err := strconv.ParseFloat(string(r.number()), 64)
 	*dst = f
 	return err == nil
 }
 
+// List reads a JSON array of at least one element, each read by elem.
+func (r *JSONReader) List(elem func() bool) bool {
+	if !r.Lit("[") {
+		return false
+	}
+	for elem() {
+		if r.Lit("]") {
+			return true
+		}
+		if !r.Lit(",") {
+			return false
+		}
+	}
+	return false
+}
+
 // number consumes a JSON number, -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?,
 // and returns it; nil, which strconv rejects, when the input holds none.
-func (r *compactReader) number() []byte {
+func (r *JSONReader) number() []byte {
 	b, i := r.b, 0
 	digits := func() bool {
 		start := i

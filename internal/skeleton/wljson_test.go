@@ -12,6 +12,16 @@ import (
 	"time"
 )
 
+// readCompact is the compact reader over the whole of b: nil when it
+// declines b, or when the workload fails validation.
+func readCompact(b []byte) *Workload {
+	r := JSONReader{b}
+	if w, _ := r.Workload(); r.End() {
+		return w
+	}
+	return nil
+}
+
 // referenceDoc is the interchange document as encoding/json sees it: what
 // AppendMiddlewareJSON must write byte for byte.
 func referenceDoc(w *Workload) wlJSON {
@@ -98,7 +108,7 @@ func TestAppendMiddlewareJSONMatchesJSON(t *testing.T) {
 	// Seconds no Duration reaches, on both sides of both format cut-offs.
 	for _, f := range []float64{0, 1e-9, 1e-7, 9.99e-7, 1e-6, 1.5e-6, 0.1, 60, 1e20, 9.99e20, 1e21, 1.5e21, 1e300, -1e-7, -1e21, math.SmallestNonzeroFloat64} {
 		want, _ := json.Marshal(f)
-		if got := appendSeconds(nil, f); string(got) != string(want) {
+		if got := AppendJSONFloat(nil, f); string(got) != string(want) {
 			t.Errorf("%g: got %s, want %s", f, got, want)
 		}
 	}
@@ -293,20 +303,26 @@ func FuzzParseWorkload(f *testing.F) {
 		f.Add(indented.Bytes())
 	}
 	f.Add([]byte(`{"name":"x","stages":["s"],"tasks":[{"id":"a","stage":"s","index":-0,"cores":1,"duration_s":1.5e-3}]}`))
+	// Multi-byte text: read in place, but U+2028 (which json escapes) and
+	// invalid UTF-8 (which it replaces) are declined.
+	for _, name := range []string{"2 pilot(s) × 2 cores", "line\xe2\x80\xa8sep", "bad\xffutf8", "cut\xc3"} {
+		f.Add([]byte(`{"name":"` + name + `","stages":null,"tasks":[{"id":"` + name + `","stage":"s","index":0,"cores":1,"duration_s":1}]}`))
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
-		fast := readCompact(b)
-		if fast == nil {
+		r := JSONReader{b}
+		fast, verdict := r.Workload()
+		if fast == nil && verdict == nil || !r.End() {
 			return
 		}
 		ref, err := decodeWorkload(b)
 		if err != nil {
 			t.Fatalf("compact reader accepted what encoding/json rejects (%v): %q", err, b)
 		}
-		if !reflect.DeepEqual(fast, ref) {
-			t.Fatalf("readers disagree on %q:\ncompact %+v\n   json %+v", b, fast, ref)
+		if refVerdict := validate(ref); fmt.Sprint(verdict) != fmt.Sprint(refVerdict) {
+			t.Fatalf("verdicts disagree on %q: %v vs %v", b, verdict, refVerdict)
 		}
-		if a, b := validate(fast), validate(ref); fmt.Sprint(a) != fmt.Sprint(b) {
-			t.Fatalf("verdicts disagree: %v vs %v", a, b)
+		if verdict == nil && !reflect.DeepEqual(fast, ref) {
+			t.Fatalf("readers disagree on %q:\ncompact %+v\n   json %+v", b, fast, ref)
 		}
 	})
 }

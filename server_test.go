@@ -314,6 +314,10 @@ func TestServerQuotaAndMetrics(t *testing.T) {
 	}
 	process := processMetrics(t, metrics)
 	runtime.GC() // the daemon is this process: its GC counter must move
+	// Every submission so far, the refused one too, took one POST /v1/jobs.
+	if submits := requestCount(t, metrics, "POST /v1/jobs"); submits != 3 {
+		t.Errorf("POST /v1/jobs histogram counts %g requests, want 3", submits)
+	}
 
 	// A tenant cannot see, cancel or wait on another tenant's job.
 	if _, err := bob.Job(ctx, a1.ID); err == nil {
@@ -388,6 +392,50 @@ func TestServerQuotaAndMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	alice.Wait(ctx, a3.ID)
+	if metrics, err = alice.Metrics(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if submits := requestCount(t, metrics, "POST /v1/jobs"); submits != 4 {
+		t.Errorf("POST /v1/jobs histogram counts %g requests after a fourth submission, want 4", submits)
+	}
+	if waits := requestCount(t, metrics, "GET /v1/jobs/{id}"); waits < 3 {
+		t.Errorf("GET /v1/jobs/{id} histogram counts %g requests, want at least the 3 waits made", waits)
+	}
+}
+
+// requestCount reads route's request-duration histogram off a /metrics page
+// and returns its count, failing the test unless the buckets are cumulative
+// and the +Inf one holds the count.
+func requestCount(t *testing.T, page, route string) float64 {
+	t.Helper()
+	const hist = "aimes_http_request_duration_seconds"
+	label := `{route="` + route + `"`
+	var buckets []float64
+	count := -1.0
+	for _, line := range strings.Split(page, "\n") {
+		name, rest, ok := strings.Cut(line, label)
+		if !ok {
+			continue
+		}
+		_, value, _ := strings.Cut(rest, "} ")
+		v, err := strconv.ParseFloat(value, 64)
+		if err != nil {
+			t.Fatalf("/metrics line %q: %v", line, err)
+		}
+		switch name {
+		case hist + "_bucket":
+			if len(buckets) > 0 && v < buckets[len(buckets)-1] {
+				t.Errorf("%s buckets are not cumulative: %q follows %g", route, line, buckets[len(buckets)-1])
+			}
+			buckets = append(buckets, v)
+		case hist + "_count":
+			count = v
+		}
+	}
+	if len(buckets) < 2 || count < 0 || !strings.Contains(page, hist+"_bucket"+label+`,le="+Inf"} `+strconv.FormatFloat(count, 'g', -1, 64)+"\n") {
+		t.Fatalf("/metrics has no histogram for %s whose +Inf bucket equals its count %g\n%s", route, count, page)
+	}
+	return count
 }
 
 // processMetrics reads the process's heap, GC and goroutine metrics off a
