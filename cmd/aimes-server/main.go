@@ -9,13 +9,15 @@
 //	aimes-server -listen :9470 -token-file tokens.txt -workers 4
 //	aimes-server -listen :9470 -token-file tokens.txt \
 //	    -worker-endpoints host:9464 -worker-secret-file secret.txt
+//	aimes-server -listen :9470 -token-file tokens.txt -pprof 127.0.0.1:6060
 //
 // The token file holds one "tenant token [max_inflight [max_queued]]" line
 // per tenant ('#' comments allowed); omitted columns fall back to the
 // -max-inflight/-max-queued defaults (0 = unlimited).
 //
 // On startup the daemon prints "listening on http://ADDR" to stdout
-// (resolved after binding, so -listen :0 works for scripts). SIGINT/SIGTERM
+// (resolved after binding, so -listen :0 works for scripts); with -pprof, a
+// "pprof on http://ADDR/debug/pprof/" line follows. SIGINT/SIGTERM
 // trigger a graceful shutdown: new submissions are refused with 503 while
 // every in-flight job drains to its final state (bounded by
 // -drain-timeout), then the environment and its workers are closed.
@@ -38,6 +40,7 @@ import (
 	"time"
 
 	"aimes"
+	"aimes/internal/profiling"
 	"aimes/internal/server"
 )
 
@@ -68,6 +71,7 @@ func main() {
 		retain       = flag.Int("retain", 4096, "finished jobs retained for reattach before eviction")
 		drainTimeout = flag.Duration("drain-timeout", 60*time.Second, "graceful-shutdown bound for draining in-flight jobs")
 		quiet        = flag.Bool("quiet", false, "suppress per-job logging")
+		pprofAddr    = flag.String("pprof", "", "serve net/http/pprof on this address, a listener of its own (off when empty)")
 	)
 	flag.Parse()
 
@@ -144,8 +148,17 @@ func main() {
 		env.Close()
 		fail("%v", err)
 	}
-	// Stdout, after binding: scripts parse this line to find a :0 port.
+	// Stdout, after binding: scripts parse these lines to find a :0 port.
 	fmt.Printf("aimes-server: listening on http://%s\n", ln.Addr())
+	if *pprofAddr != "" {
+		prof, err := profiling.Listen(*pprofAddr)
+		if err != nil {
+			env.Close()
+			fail("-pprof: %v", err)
+		}
+		defer prof.Close()
+		fmt.Printf("aimes-server: pprof on http://%s/debug/pprof/\n", prof.Addr())
+	}
 	tenants := auth.Tenants()
 	names := make([]string, len(tenants))
 	for i, tn := range tenants {

@@ -35,6 +35,10 @@
 // challenge/response; the secret never crosses the wire) but are not
 // encrypted — no TLS yet — so serve on trusted networks only.
 //
+// In either mode, -pprof ADDR also serves net/http/pprof on a listener of
+// its own and logs "pprof on http://ADDR/debug/pprof/" to stderr (off by
+// default): a stdio worker takes it as its one flag, serve with the others.
+//
 // Programs can instead self-host stdio workers without this binary by
 // calling aimes.WorkerMain() at the top of main.
 package main
@@ -47,6 +51,7 @@ import (
 	"strings"
 
 	"aimes/internal/backend"
+	"aimes/internal/profiling"
 )
 
 func main() {
@@ -54,9 +59,14 @@ func main() {
 		serve(os.Args[2:])
 		return
 	}
-	if len(os.Args) > 1 {
-		fmt.Fprintf(os.Stderr, "aimes-worker: unknown arguments %q: run with no arguments (stdio worker, spawned by an aimes Environment) or `aimes-worker serve --listen ADDR`\n", os.Args[1:])
+	fs := flag.NewFlagSet("aimes-worker", flag.ContinueOnError)
+	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (off when empty)")
+	if err := fs.Parse(os.Args[1:]); err != nil || fs.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "aimes-worker: unknown arguments %q: run with no arguments but -pprof (stdio worker, spawned by an aimes Environment) or `aimes-worker serve --listen ADDR`\n", os.Args[1:])
 		os.Exit(2)
+	}
+	if prof := servePprof("aimes-worker", *pprofAddr); prof != nil {
+		defer prof.Close()
 	}
 	if err := backend.Serve(os.Stdin, os.Stdout); err != nil {
 		fmt.Fprintf(os.Stderr, "aimes-worker: %v\n", err)
@@ -70,6 +80,7 @@ func serve(args []string) {
 	secret := fs.String("secret", "", "shared handshake secret (prefer --secret-file; falls back to $AIMES_WORKER_SECRET, then $AIMES_WORKER_SECRET_FILE)")
 	secretFile := fs.String("secret-file", "", "file holding the shared handshake secret (surrounding whitespace trimmed)")
 	quiet := fs.Bool("quiet", false, "suppress per-connection log lines")
+	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address, a listener of its own (off when empty)")
 	_ = fs.Parse(args)
 	if *listen == "" {
 		fmt.Fprintln(os.Stderr, "aimes-worker serve: --listen is required")
@@ -81,6 +92,7 @@ func serve(args []string) {
 		fmt.Fprintf(os.Stderr, "aimes-worker serve: %v\n", err)
 		os.Exit(2)
 	}
+	servePprof("aimes-worker serve", *pprofAddr) // serves until the process exits
 	logf := log.New(os.Stderr, "", log.LstdFlags).Printf
 	if *quiet {
 		logf = nil
@@ -88,6 +100,21 @@ func serve(args []string) {
 	err = backend.ListenAndServe(*listen, backend.ServeConfig{Secret: key, Logf: logf})
 	fmt.Fprintf(os.Stderr, "aimes-worker serve: %v\n", err)
 	os.Exit(1)
+}
+
+// servePprof starts the -pprof listener when addr is set (nil otherwise),
+// and exits if it cannot bind.
+func servePprof(who, addr string) *profiling.Server {
+	if addr == "" {
+		return nil
+	}
+	prof, err := profiling.Listen(addr)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "%s: -pprof: %v\n", who, err)
+		os.Exit(2)
+	}
+	fmt.Fprintf(os.Stderr, "%s: pprof on http://%s/debug/pprof/\n", who, prof.Addr())
+	return prof
 }
 
 // resolveSecret picks the handshake secret by precedence: --secret, then

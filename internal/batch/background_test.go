@@ -137,7 +137,7 @@ func TestPolicyProperty(t *testing.T) {
 			}
 		}
 		for _, p := range []Policy{FCFS{}, EASY{}, Conservative{}} {
-			picks := p.Select(queue, free, 0, running)
+			picks := p.AppendPicks(nil, queue, free, 0, running)
 			used := 0
 			seen := map[int]bool{}
 			for _, idx := range picks {
@@ -151,7 +151,7 @@ func TestPolicyProperty(t *testing.T) {
 				return false
 			}
 		}
-		fcfs := len(FCFS{}.Select(queue, free, 0, running))
+		fcfs := len(FCFS{}.AppendPicks(nil, queue, free, 0, running))
 		easy := len(EASY{}.Select(queue, free, 0, running))
 		return easy >= fcfs
 	}
@@ -176,12 +176,12 @@ func TestStochasticConservationProperty(t *testing.T) {
 				Runtime:  time.Duration(rng.Intn(600)+1) * time.Second,
 				Walltime: time.Duration(rng.Intn(600)+60) * time.Second,
 			}
-			j.OnEnd = func(jj *Job) {
+			j.Observer = observe{ended: func(jj *Job) {
 				if !jj.State.Final() {
-					t.Error("OnEnd fired in non-terminal state")
+					t.Error("Ended fired in non-terminal state")
 				}
 				ends++
-			}
+			}}
 			if err := q.Submit(j); err != nil {
 				return false
 			}
@@ -215,7 +215,7 @@ func systemConservationProp(t *testing.T) func(seed int64, n uint8, pIdx uint8) 
 				Runtime:  time.Duration(rng.Intn(600)+1) * time.Second,
 				Walltime: time.Duration(rng.Intn(600)+60) * time.Second,
 			}
-			j.OnEnd = func(*Job) { ends++ }
+			j.Observer = observe{ended: func(*Job) { ends++ }}
 			if err := sys.Submit(j); err != nil {
 				return false
 			}

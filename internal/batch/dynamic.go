@@ -1,6 +1,9 @@
 package batch
 
-import "sort"
+import (
+	"slices"
+	"strings"
+)
 
 // SetOffline implements Queue.
 func (s *System) SetOffline(killRunning bool) {
@@ -14,12 +17,9 @@ func (s *System) SetOffline(killRunning bool) {
 	victims := append([]*Job(nil), s.running...)
 	for _, j := range victims {
 		if j.State != JobRunning {
-			continue // an earlier victim's OnEnd callback got to it first
+			continue // an earlier victim's Ended callback got to it first
 		}
-		if j.endEvent != nil {
-			s.eng.Cancel(j.endEvent)
-			j.endEvent = nil
-		}
+		s.eng.Cancel(&j.ev)
 		s.release(j)
 		s.finish(j, JobFailed)
 	}
@@ -46,19 +46,13 @@ func (q *Stochastic) SetOffline(killRunning bool) {
 	if !killRunning {
 		return
 	}
-	// Map iteration order is randomized; sort for deterministic replay.
-	victims := make([]*Job, 0, len(q.running))
-	for j := range q.running {
-		victims = append(victims, j)
-	}
-	sort.Slice(victims, func(i, j int) bool { return victims[i].ID < victims[j].ID })
+	// The victims fail in ID order.
+	victims := slices.SortedFunc(slices.Values(q.running), func(a, b *Job) int { return strings.Compare(a.ID, b.ID) })
 	for _, j := range victims {
-		ev, ok := q.running[j]
-		if !ok {
-			continue // an earlier victim's OnEnd callback got to it first
+		if j.State != JobRunning {
+			continue // an earlier victim's Ended callback got to it first
 		}
-		q.eng.Cancel(ev)
-		delete(q.running, j)
+		q.eng.Cancel(&j.ev)
 		q.release(j)
 		q.finish(j, JobFailed)
 	}

@@ -16,6 +16,7 @@ package batch
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"aimes/internal/sim"
@@ -76,13 +77,24 @@ type Job struct {
 	Ended     sim.Time
 	State     JobState
 
-	// OnStart fires when the job transitions to JobRunning.
-	OnStart func(*Job)
-	// OnEnd fires exactly once when the job reaches any terminal state.
-	OnEnd func(*Job)
+	// Observer, when set, follows the job through its queue.
+	Observer Observer
 
-	endEvent *sim.Event
-	failAt   time.Duration // >0: injected failure offset from start
+	// The queue the job was submitted to keeps its state here. ev is its one
+	// event, re-Inited for each phase: the sampled wait of a Stochastic
+	// queue, then the end of its hold, which leaves it in endState.
+	queue    Queue
+	ev       sim.Event
+	endState JobState
+}
+
+// Observer follows a job through its queue. Started runs when the job
+// transitions to JobRunning; Ended runs exactly once, when it reaches any
+// terminal state. Both run on engine callbacks, after the job's state and
+// timestamps are updated.
+type Observer interface {
+	Started(*Job)
+	Ended(*Job)
 }
 
 // Wait returns the queue wait time. It is zero until the job has started;
@@ -125,6 +137,28 @@ func (j *Job) effectiveRuntime() time.Duration {
 // nodes; schedulers only know the user-declared walltime.
 func (j *Job) expectedEnd() sim.Time { return j.Started.Add(j.Walltime) }
 
+// remove deletes j from list, keeping the others in order and clearing the
+// vacated slot, so a queue that lives as long as its site pins no finished job.
+func remove(list []*Job, j *Job) []*Job {
+	if i := slices.Index(list, j); i >= 0 {
+		return slices.Delete(list, i, i+1)
+	}
+	return list
+}
+
+// waitHistory holds the most recent queue waits (seconds), oldest first, at
+// most cap(waits) of them: its array is allocated once, at the full length.
+type waitHistory struct{ waits []float64 }
+
+func newWaitHistory(n int) waitHistory { return waitHistory{make([]float64, 0, n)} }
+
+func (h *waitHistory) record(seconds float64) {
+	if len(h.waits) == cap(h.waits) {
+		h.waits = append(h.waits[:0], h.waits[1:]...)
+	}
+	h.waits = append(h.waits, seconds)
+}
+
 // Queue is the submission interface shared by the full batch simulator and
 // the stochastic queue model. Implementations run on a sim.Sim; all
 // callbacks fire on engine callbacks.
@@ -135,8 +169,8 @@ func (j *Job) expectedEnd() sim.Time { return j.Started.Add(j.Walltime) }
 // offline queue keeps accepting submissions (they model pent-up demand) but
 // stops starting jobs until it is brought back online.
 type Queue interface {
-	// Submit validates and enqueues the job. The job's OnStart/OnEnd
-	// callbacks fire as it progresses.
+	// Submit validates and enqueues the job. The job's Observer, if any,
+	// follows it from here.
 	Submit(j *Job) error
 	// Cancel removes a queued job or kills a running one. It reports whether
 	// the job was found in a non-terminal state.

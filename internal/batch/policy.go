@@ -10,12 +10,14 @@ import (
 
 // Policy selects which queued jobs to start given the current free nodes and
 // the set of running jobs. Implementations must not mutate their arguments.
+// EASY also has Select, the same choice in a fresh slice.
 type Policy interface {
 	// Name identifies the policy in traces and configuration.
 	Name() string
-	// Select returns indices into queue (in start order) of jobs to launch
-	// now. Selected jobs must collectively fit within free nodes.
-	Select(queue []*Job, free int, now sim.Time, running []*Job) []int
+	// AppendPicks appends to picks the indices into queue (in start order)
+	// of jobs to launch now, and returns it. Selected jobs must collectively
+	// fit within free nodes.
+	AppendPicks(picks []int, queue []*Job, free int, now sim.Time, running []*Job) []int
 }
 
 // PolicyByName resolves a policy's configuration name — what its Name
@@ -40,9 +42,8 @@ type FCFS struct{}
 // Name implements Policy.
 func (FCFS) Name() string { return "fcfs" }
 
-// Select implements Policy.
-func (FCFS) Select(queue []*Job, free int, _ sim.Time, _ []*Job) []int {
-	var picks []int
+// AppendPicks implements Policy.
+func (FCFS) AppendPicks(picks []int, queue []*Job, free int, _ sim.Time, _ []*Job) []int {
 	for i, j := range queue {
 		if j.Nodes > free {
 			break
@@ -64,9 +65,13 @@ type EASY struct{}
 // Name implements Policy.
 func (EASY) Name() string { return "easy" }
 
-// Select implements Policy.
-func (EASY) Select(queue []*Job, free int, now sim.Time, running []*Job) []int {
-	var picks []int
+// Select returns the indices of the jobs to launch now.
+func (p EASY) Select(queue []*Job, free int, now sim.Time, running []*Job) []int {
+	return p.AppendPicks(nil, queue, free, now, running)
+}
+
+// AppendPicks implements Policy.
+func (EASY) AppendPicks(picks []int, queue []*Job, free int, now sim.Time, running []*Job) []int {
 	i := 0
 	// FCFS prefix: start in order while jobs fit.
 	for ; i < len(queue); i++ {
@@ -139,13 +144,12 @@ type Conservative struct{}
 // Name implements Policy.
 func (Conservative) Name() string { return "conservative" }
 
-// Select implements Policy.
-func (Conservative) Select(queue []*Job, free int, now sim.Time, running []*Job) []int {
+// AppendPicks implements Policy.
+func (Conservative) AppendPicks(picks []int, queue []*Job, free int, now sim.Time, running []*Job) []int {
 	if len(queue) == 0 {
-		return nil
+		return picks
 	}
 	prof := newProfile(now, free, running)
-	var picks []int
 	for i, j := range queue {
 		start := prof.earliest(j.Nodes, j.Walltime)
 		prof.reserve(start, j.Nodes, j.Walltime)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"aimes/internal/sim"
@@ -73,16 +74,18 @@ type Stochastic struct {
 	model WaitModel
 	rng   *rand.Rand
 
-	free        int
-	queued      map[*Job]*sim.Event
-	running     map[*Job]*sim.Event
-	waiting     []*Job // sampled wait elapsed, blocked on capacity
-	waitHistory []float64
-	historyLen  int
-	draining    bool
-	redrain     bool
-	offline     bool
-	waitScale   float64 // surge factor for future samples; 0 or 1 = nominal
+	free int
+	// queued holds every job in JobQueued, in submission order; waiting the
+	// ones whose sampled wait is over but that are blocked on capacity, in
+	// the order their waits ended; running the jobs holding nodes.
+	queued    []*Job
+	waiting   []*Job
+	running   []*Job
+	history   waitHistory
+	draining  bool
+	redrain   bool
+	offline   bool
+	waitScale float64 // surge factor for future samples; 0 or 1 = nominal
 
 	created      sim.Time
 	lastEvent    sim.Time
@@ -101,17 +104,15 @@ func NewStochastic(eng *sim.Sim, name string, nodes int, model WaitModel, rng *r
 		panic("batch: stochastic queue requires an RNG")
 	}
 	return &Stochastic{
-		eng:        eng,
-		name:       name,
-		nodes:      nodes,
-		model:      model,
-		rng:        rng,
-		free:       nodes,
-		queued:     make(map[*Job]*sim.Event),
-		running:    make(map[*Job]*sim.Event),
-		historyLen: 512,
-		created:    eng.Now(),
-		lastEvent:  eng.Now(),
+		eng:       eng,
+		name:      name,
+		nodes:     nodes,
+		model:     model,
+		rng:       rng,
+		free:      nodes,
+		history:   newWaitHistory(512),
+		created:   eng.Now(),
+		lastEvent: eng.Now(),
 	}
 }
 
@@ -137,37 +138,48 @@ func (q *Stochastic) Submit(j *Job) error {
 	}
 	j.State = JobQueued
 	j.Submitted = q.eng.Now()
+	j.queue = q
 	wait := q.model.SampleWait(q.rng, j.Nodes, q.nodes)
 	if q.waitScale > 0 && q.waitScale != 1 {
 		wait = time.Duration(float64(wait) * q.waitScale)
 	}
-	job := j
-	q.queued[j] = q.eng.Schedule(wait, func() {
-		delete(q.queued, job)
-		q.waiting = append(q.waiting, job)
-		q.drain()
-	})
+	q.queued = append(q.queued, j)
+	j.ev.Init((*sampledWait)(j))
+	q.eng.Arm(&j.ev, wait)
 	return nil
+}
+
+// sampledWait is a Stochastic queue's job as the handler of its wait event.
+type sampledWait Job
+
+func (w *sampledWait) Fire() {
+	j := (*Job)(w)
+	q := j.queue.(*Stochastic)
+	q.waiting = append(q.waiting, j)
+	q.drain()
 }
 
 // Cancel implements Queue.
 func (q *Stochastic) Cancel(j *Job) bool {
-	if ev, ok := q.queued[j]; ok {
-		q.eng.Cancel(ev)
-		delete(q.queued, j)
+	if j.queue != Queue(q) {
+		return false
+	}
+	switch j.State {
+	case JobQueued:
+		if !q.eng.Cancel(&j.ev) {
+			// Its wait is over: it is waiting on capacity. A scan in progress
+			// drops canceled jobs itself, so have it scan once more.
+			if q.draining {
+				q.redrain = true
+			} else {
+				q.waiting = remove(q.waiting, j)
+			}
+		}
+		q.queued = remove(q.queued, j)
 		q.finish(j, JobCanceled)
 		return true
-	}
-	for i, w := range q.waiting {
-		if w == j {
-			q.waiting = append(q.waiting[:i], q.waiting[i+1:]...)
-			q.finish(j, JobCanceled)
-			return true
-		}
-	}
-	if ev, ok := q.running[j]; ok {
-		q.eng.Cancel(ev)
-		delete(q.running, j)
+	case JobRunning:
+		q.eng.Cancel(&j.ev)
 		q.release(j)
 		q.finish(j, JobCanceled)
 		q.drain()
@@ -187,21 +199,15 @@ func (q *Stochastic) Snapshot() Snapshot {
 			(float64(q.nodes) * elapsed)
 	}
 	demand := 0.0
-	count := 0
-	for j := range q.queued {
+	for _, j := range q.queued {
 		demand += float64(j.Nodes) * j.Walltime.Seconds()
-		count++
-	}
-	for _, j := range q.waiting {
-		demand += float64(j.Nodes) * j.Walltime.Seconds()
-		count++
 	}
 	return Snapshot{
 		Time:               now,
 		TotalNodes:         q.nodes,
 		FreeNodes:          q.free,
 		RunningJobs:        len(q.running),
-		QueuedJobs:         count,
+		QueuedJobs:         len(q.queued),
 		QueuedNodeSeconds:  demand,
 		Utilization:        util,
 		InstantUtilization: float64(busy) / float64(q.nodes),
@@ -209,11 +215,7 @@ func (q *Stochastic) Snapshot() Snapshot {
 }
 
 // WaitHistory implements Queue.
-func (q *Stochastic) WaitHistory() []float64 {
-	cp := make([]float64, len(q.waitHistory))
-	copy(cp, q.waitHistory)
-	return cp
-}
+func (q *Stochastic) WaitHistory() []float64 { return slices.Clone(q.history.waits) }
 
 // drain starts waiting jobs for which capacity is available, in order. A
 // guard collapses reentrant calls from job callbacks into a rescan by the
@@ -238,55 +240,73 @@ func (q *Stochastic) drain() {
 	}
 }
 
+// drainOnce scans the waiting jobs in order, in place: each that fits
+// starts, the others keep their order.
 func (q *Stochastic) drainOnce() {
 	now := q.eng.Now()
-	pending := q.waiting
-	q.waiting = nil
-	var rest []*Job
-	for _, j := range pending {
+	kept, scan := 0, len(q.waiting)
+	for i := 0; i < scan; i++ {
+		j := q.waiting[i]
 		if j.State != JobQueued {
-			continue // canceled by a callback during this scan
+			continue // canceled, perhaps by a callback during this scan
 		}
 		if j.Nodes > q.free {
-			rest = append(rest, j)
+			q.waiting[kept] = j
+			kept++
 			continue
 		}
-		q.accrue()
-		q.free -= j.Nodes
-		j.State = JobRunning
-		j.Started = now
-		q.recordWait(j.Started.Sub(j.Submitted).Seconds())
-
-		hold := j.effectiveRuntime()
-		terminal := JobCompleted
-		if j.Runtime > j.Walltime {
-			terminal = JobKilled
-		}
-		job, reason := j, terminal
-		q.running[j] = q.eng.Schedule(hold, func() {
-			delete(q.running, job)
-			q.release(job)
-			q.finish(job, reason)
-			q.drain()
-		})
-		if j.OnStart != nil {
-			j.OnStart(j)
-		}
+		q.start(j, now)
 	}
-	// Re-queue the blocked jobs ahead of any that arrived during the scan.
-	q.waiting = append(rest, q.waiting...)
+	// Jobs whose wait ended during the scan queue behind the blocked ones.
+	n := kept + copy(q.waiting[kept:], q.waiting[scan:])
+	clear(q.waiting[n:])
+	q.waiting = q.waiting[:n]
 }
 
+// start gives a job its nodes and arms the end of its hold.
+func (q *Stochastic) start(j *Job, now sim.Time) {
+	q.queued = remove(q.queued, j)
+	q.accrue()
+	q.free -= j.Nodes
+	j.State = JobRunning
+	j.Started = now
+	q.history.record(j.Started.Sub(j.Submitted).Seconds())
+
+	j.endState = JobCompleted
+	if j.Runtime > j.Walltime {
+		j.endState = JobKilled
+	}
+	q.running = append(q.running, j)
+	j.ev.Init((*stochasticHold)(j))
+	q.eng.Arm(&j.ev, j.effectiveRuntime())
+	if j.Observer != nil {
+		j.Observer.Started(j)
+	}
+}
+
+// stochasticHold is a Stochastic queue's job as the handler of its end event.
+type stochasticHold Job
+
+func (h *stochasticHold) Fire() {
+	j := (*Job)(h)
+	q := j.queue.(*Stochastic)
+	q.release(j)
+	q.finish(j, j.endState)
+	q.drain()
+}
+
+// release returns a running job's nodes to the pool.
 func (q *Stochastic) release(j *Job) {
 	q.accrue()
 	q.free += j.Nodes
+	q.running = remove(q.running, j)
 }
 
 func (q *Stochastic) finish(j *Job, state JobState) {
 	j.State = state
 	j.Ended = q.eng.Now()
-	if j.OnEnd != nil {
-		j.OnEnd(j)
+	if j.Observer != nil {
+		j.Observer.Ended(j)
 	}
 }
 
@@ -295,11 +315,4 @@ func (q *Stochastic) accrue() {
 	busy := q.nodes - q.free
 	q.busyNodeSecs += float64(busy) * now.Sub(q.lastEvent).Seconds()
 	q.lastEvent = now
-}
-
-func (q *Stochastic) recordWait(seconds float64) {
-	q.waitHistory = append(q.waitHistory, seconds)
-	if len(q.waitHistory) > q.historyLen {
-		q.waitHistory = q.waitHistory[len(q.waitHistory)-q.historyLen:]
-	}
 }

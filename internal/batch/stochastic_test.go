@@ -66,7 +66,7 @@ func TestStochasticWaitsAreHeavyTailed(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		j := mkJob("j", 1, time.Minute, 2*time.Minute)
 		jj := j
-		j.OnStart = func(*Job) { waits = append(waits, jj.Wait().Seconds()) }
+		j.Observer = observe{started: func(*Job) { waits = append(waits, jj.Wait().Seconds()) }}
 		if err := q.Submit(j); err != nil {
 			t.Fatal(err)
 		}
@@ -101,10 +101,10 @@ func TestStochasticWidthDependence(t *testing.T) {
 				return
 			}
 			j := mkJob("j", width, time.Second, time.Minute)
-			j.OnEnd = func(jj *Job) {
+			j.Observer = observe{ended: func(jj *Job) {
 				sum += jj.Wait().Seconds()
 				submit(i + 1)
-			}
+			}}
 			if err := q.Submit(j); err != nil {
 				t.Error(err)
 			}
@@ -170,14 +170,14 @@ func TestStochasticCancelRunning(t *testing.T) {
 		t.Fatal(err)
 	}
 	var cancelAt sim.Time
-	j.OnStart = func(*Job) {
+	j.Observer = observe{started: func(*Job) {
 		eng.Schedule(time.Minute, func() {
 			cancelAt = eng.Now()
 			if !q.Cancel(j) {
 				t.Error("cancel of running job failed")
 			}
 		})
-	}
+	}}
 	eng.Run()
 	if j.State != JobCanceled {
 		t.Fatalf("state %v, want CANCELED", j.State)

@@ -3,6 +3,7 @@ package batch
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"aimes/internal/sim"
@@ -37,6 +38,11 @@ type System struct {
 	running []*Job
 	offline bool
 
+	// dispatch's scratch, reused from one dispatch to the next: the policy's
+	// picks and the jobs they name.
+	picks   []int
+	started []*Job
+
 	dispatching bool
 	redispatch  bool
 
@@ -46,8 +52,7 @@ type System struct {
 	busyNodeSecs float64
 	startedJobs  int
 	finishedJobs int
-	waitHistory  []float64
-	historyLen   int
+	history      waitHistory
 }
 
 // NewSystem creates a batch system on the given engine. rng drives failure
@@ -66,14 +71,14 @@ func NewSystem(eng *sim.Sim, cfg SystemConfig, rng *rand.Rand) *System {
 		panic("batch: failure injection requires an RNG")
 	}
 	return &System{
-		eng:        eng,
-		cfg:        cfg,
-		rng:        rng,
-		policy:     cfg.Policy,
-		free:       cfg.Nodes,
-		created:    eng.Now(),
-		lastEvent:  eng.Now(),
-		historyLen: cfg.HistoryLen,
+		eng:       eng,
+		cfg:       cfg,
+		rng:       rng,
+		policy:    cfg.Policy,
+		free:      cfg.Nodes,
+		created:   eng.Now(),
+		lastEvent: eng.Now(),
+		history:   newWaitHistory(cfg.HistoryLen),
 	}
 }
 
@@ -102,6 +107,7 @@ func (s *System) Submit(j *Job) error {
 	}
 	j.State = JobQueued
 	j.Submitted = s.eng.Now()
+	j.queue = s
 	s.queue = append(s.queue, j)
 	s.dispatch()
 	return nil
@@ -109,21 +115,18 @@ func (s *System) Submit(j *Job) error {
 
 // Cancel implements Queue.
 func (s *System) Cancel(j *Job) bool {
+	if j.queue != Queue(s) {
+		return false
+	}
 	switch j.State {
 	case JobQueued:
-		for i, q := range s.queue {
-			if q == j {
-				s.queue = append(s.queue[:i], s.queue[i+1:]...)
-				break
-			}
-		}
+		// A job picked by the dispatch in progress has left the queue
+		// already; start skips it once it is canceled.
+		s.queue = remove(s.queue, j)
 		s.finish(j, JobCanceled)
 		return true
 	case JobRunning:
-		if j.endEvent != nil {
-			s.eng.Cancel(j.endEvent)
-			j.endEvent = nil
-		}
+		s.eng.Cancel(&j.ev)
 		s.release(j)
 		s.finish(j, JobCanceled)
 		s.dispatch()
@@ -160,11 +163,7 @@ func (s *System) Snapshot() Snapshot {
 }
 
 // WaitHistory implements Queue.
-func (s *System) WaitHistory() []float64 {
-	cp := make([]float64, len(s.waitHistory))
-	copy(cp, s.waitHistory)
-	return cp
-}
+func (s *System) WaitHistory() []float64 { return slices.Clone(s.history.waits) }
 
 // StartedJobs reports how many jobs have started so far.
 func (s *System) StartedJobs() int { return s.startedJobs }
@@ -187,9 +186,9 @@ func (s *System) dispatch() {
 	defer func() { s.dispatching = false }()
 	for {
 		s.redispatch = false
-		picks := s.policy.Select(s.queue, s.free, s.eng.Now(), s.running)
-		if len(picks) > 0 {
-			s.start(picks)
+		s.picks = s.policy.AppendPicks(s.picks[:0], s.queue, s.free, s.eng.Now(), s.running)
+		if len(s.picks) > 0 {
+			s.start(s.picks)
 		}
 		if !s.redispatch {
 			return
@@ -199,25 +198,22 @@ func (s *System) dispatch() {
 
 // start launches the queue jobs at the given indices.
 func (s *System) start(picks []int) {
-	started := make([]*Job, 0, len(picks))
-	picked := make(map[int]bool, len(picks))
+	started := s.started[:0]
 	for _, i := range picks {
-		if i < 0 || i >= len(s.queue) || picked[i] {
+		if i < 0 || i >= len(s.queue) || s.queue[i] == nil {
 			panic(fmt.Sprintf("batch: policy %s returned bad selection %v", s.policy.Name(), picks))
 		}
-		picked[i] = true
 		started = append(started, s.queue[i])
+		s.queue[i] = nil // picked
 	}
-	remaining := s.queue[:0]
-	for i, j := range s.queue {
-		if !picked[i] {
-			remaining = append(remaining, j)
-		}
-	}
-	s.queue = remaining
+	s.queue = slices.DeleteFunc(s.queue, func(j *Job) bool { return j == nil })
+	s.started = started
 
 	now := s.eng.Now()
 	for _, j := range started {
+		if j.State != JobQueued {
+			continue // canceled by the Started callback of a job before it
+		}
 		if j.Nodes > s.free {
 			panic(fmt.Sprintf("batch: policy %s overcommitted %s", s.policy.Name(), s.cfg.Name))
 		}
@@ -227,7 +223,7 @@ func (s *System) start(picks []int) {
 		j.Started = now
 		s.running = append(s.running, j)
 		s.startedJobs++
-		s.recordWait(j.Started.Sub(j.Submitted).Seconds())
+		s.history.record(j.Started.Sub(j.Submitted).Seconds())
 
 		hold := j.effectiveRuntime()
 		terminal := JobCompleted
@@ -241,38 +237,41 @@ func (s *System) start(picks []int) {
 				terminal = JobFailed
 			}
 		}
-		job, reason := j, terminal
-		j.endEvent = s.eng.Schedule(hold, func() {
-			job.endEvent = nil
-			s.release(job)
-			s.finish(job, reason)
-			s.dispatch()
-		})
-		if j.OnStart != nil {
-			j.OnStart(j)
+		j.endState = terminal
+		j.ev.Init((*systemHold)(j))
+		s.eng.Arm(&j.ev, hold)
+		if j.Observer != nil {
+			j.Observer.Started(j)
 		}
 	}
+	clear(started)
+}
+
+// systemHold is a System's job as the handler of its end event.
+type systemHold Job
+
+func (h *systemHold) Fire() {
+	j := (*Job)(h)
+	s := j.queue.(*System)
+	s.release(j)
+	s.finish(j, j.endState)
+	s.dispatch()
 }
 
 // release returns a running job's nodes to the pool.
 func (s *System) release(j *Job) {
 	s.accrue()
 	s.free += j.Nodes
-	for i, r := range s.running {
-		if r == j {
-			s.running = append(s.running[:i], s.running[i+1:]...)
-			return
-		}
-	}
+	s.running = remove(s.running, j)
 }
 
-// finish moves a job to a terminal state and fires OnEnd.
+// finish moves a job to a terminal state and tells its observer.
 func (s *System) finish(j *Job, state JobState) {
 	j.State = state
 	j.Ended = s.eng.Now()
 	s.finishedJobs++
-	if j.OnEnd != nil {
-		j.OnEnd(j)
+	if j.Observer != nil {
+		j.Observer.Ended(j)
 	}
 }
 
@@ -282,11 +281,4 @@ func (s *System) accrue() {
 	busy := s.cfg.Nodes - s.free
 	s.busyNodeSecs += float64(busy) * now.Sub(s.lastEvent).Seconds()
 	s.lastEvent = now
-}
-
-func (s *System) recordWait(seconds float64) {
-	s.waitHistory = append(s.waitHistory, seconds)
-	if len(s.waitHistory) > s.historyLen {
-		s.waitHistory = s.waitHistory[len(s.waitHistory)-s.historyLen:]
-	}
 }

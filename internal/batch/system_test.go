@@ -19,12 +19,29 @@ func mkJob(id string, nodes int, runtime, walltime time.Duration) *Job {
 	return &Job{ID: id, Nodes: nodes, Runtime: runtime, Walltime: walltime}
 }
 
+// observe adapts functions to Observer; either may be nil.
+type observe struct{ started, ended func(*Job) }
+
+func (o observe) Started(j *Job) {
+	if o.started != nil {
+		o.started(j)
+	}
+}
+
+func (o observe) Ended(j *Job) {
+	if o.ended != nil {
+		o.ended(j)
+	}
+}
+
 func TestSystemRunsSingleJob(t *testing.T) {
 	eng, sys := newTestSystem(t, 4, FCFS{})
 	j := mkJob("a", 2, 10*time.Second, 20*time.Second)
 	var started, ended sim.Time
-	j.OnStart = func(*Job) { started = eng.Now() }
-	j.OnEnd = func(*Job) { ended = eng.Now() }
+	j.Observer = observe{
+		started: func(*Job) { started = eng.Now() },
+		ended:   func(*Job) { ended = eng.Now() },
+	}
 	if err := sys.Submit(j); err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +132,7 @@ func TestSystemCancelQueued(t *testing.T) {
 	a := mkJob("a", 2, 100*time.Second, 200*time.Second)
 	b := mkJob("b", 2, 10*time.Second, 20*time.Second)
 	ended := false
-	b.OnEnd = func(*Job) { ended = true }
+	b.Observer = observe{ended: func(*Job) { ended = true }}
 	if err := sys.Submit(a); err != nil {
 		t.Fatal(err)
 	}
@@ -347,14 +364,14 @@ func TestSystemFailureInjection(t *testing.T) {
 	failed, completed := 0, 0
 	for i := 0; i < 200; i++ {
 		j := mkJob("j", 1, 100*time.Second, 200*time.Second)
-		j.OnEnd = func(j *Job) {
+		j.Observer = observe{ended: func(j *Job) {
 			switch j.State {
 			case JobFailed:
 				failed++
 			case JobCompleted:
 				completed++
 			}
-		}
+		}}
 		if err := sys.Submit(j); err != nil {
 			t.Fatal(err)
 		}

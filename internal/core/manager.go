@@ -200,8 +200,8 @@ func (e *Execution) Enact() error {
 	if e.ns != "" {
 		sys.SetNamespace(e.ns)
 	}
-	e.pm = pilot.NewPilotManager(sys)
-	e.um = pilot.NewUnitManager(sys, s.Scheduler.build())
+	e.pm = pilot.NewPilotManager(sys, len(s.Resources))
+	e.um = pilot.NewUnitManager(sys, s.Scheduler.build(), len(s.Resources))
 
 	// Randomize pilot submission order to decorrelate from resource order,
 	// as the paper's experiments did.

@@ -15,9 +15,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"strconv"
 	"time"
 
@@ -274,14 +275,14 @@ func selectResources(b *bundle.Bundle, cfg StrategyConfig, pilotCores int, rng *
 		name string
 		wait time.Duration
 	}
-	var pool []candidate
-	for _, r := range b.Resources() {
+	resources := b.Resources()
+	pool := make([]candidate, 0, len(resources))
+	for _, r := range resources {
 		info := r.Compute()
 		if info.TotalCores < pilotCores {
 			continue
 		}
-		c := candidate{name: info.Name, wait: info.SetupTime}
-		pool = append(pool, c)
+		pool = append(pool, candidate{name: info.Name, wait: info.SetupTime})
 	}
 	if len(pool) < cfg.Pilots {
 		return nil, fmt.Errorf("core: only %d resource(s) can host a %d-core pilot, need %d",
@@ -290,7 +291,7 @@ func selectResources(b *bundle.Bundle, cfg StrategyConfig, pilotCores int, rng *
 
 	switch cfg.Selection {
 	case SelectByPredictedWait:
-		sort.SliceStable(pool, func(i, j int) bool { return pool[i].wait < pool[j].wait })
+		slices.SortStableFunc(pool, func(x, y candidate) int { return cmp.Compare(x.wait, y.wait) })
 	default: // SelectRandom
 		if rng == nil {
 			return nil, fmt.Errorf("core: random selection requires an RNG")

@@ -32,9 +32,12 @@ type Link struct {
 	// A link lives as long as its site, so a slot vacated in either queue
 	// is cleared (slices.Delete does): a stale pointer in a backing array
 	// would pin the transfer's done handler — a unit — and, through it, the
-	// whole unit graph of a job that finished long ago.
+	// whole unit graph of a job that finished long ago. pending[pendHead:]
+	// is the FIFO of transfers waiting for a slot; it keeps a small array
+	// from one burst to the next (keepPending).
 	active     []*Transfer
 	pending    []*Transfer
+	pendHead   int
 	lastUpdate sim.Time
 
 	// next is the active transfer that finishes first at the current fair
@@ -106,7 +109,7 @@ func (l *Link) Active() int { return len(l.active) }
 
 // Pending reports the number of transfers queued behind the concurrency
 // bound.
-func (l *Link) Pending() int { return len(l.pending) }
+func (l *Link) Pending() int { return len(l.pending) - l.pendHead }
 
 // Completed reports how many transfers have finished.
 func (l *Link) Completed() int { return l.completedCount }
@@ -171,6 +174,11 @@ func (a *arrival) Fire() {
 	t := (*Transfer)(a)
 	l := t.link
 	if l.maxActive > 0 && len(l.active) >= l.maxActive {
+		if l.pendHead > 0 && len(l.pending) == cap(l.pending) { // room at the front: slide down
+			n := copy(l.pending, l.pending[l.pendHead:])
+			clear(l.pending[n:])
+			l.pending, l.pendHead = l.pending[:n], 0
+		}
 		l.pending = append(l.pending, t)
 		return
 	}
@@ -184,14 +192,21 @@ func (l *Link) admit(t *Transfer) {
 	l.reschedule()
 }
 
+// keepPending is the largest pending array a drained link keeps for its next
+// burst. A link lives as long as its site: a small job's burst reuses the
+// array, and one sized by a large job's burst is dropped once it drains.
+const keepPending = 256
+
 // admitPending fills freed slots from the FIFO queue.
 func (l *Link) admitPending() {
-	for len(l.pending) > 0 && (l.maxActive == 0 || len(l.active) < l.maxActive) {
-		t := l.pending[0]
-		l.pending[0] = nil
-		l.pending = l.pending[1:]
-		if len(l.pending) == 0 {
-			l.pending = nil
+	for l.pendHead < len(l.pending) && (l.maxActive == 0 || len(l.active) < l.maxActive) {
+		t := l.pending[l.pendHead]
+		l.pending[l.pendHead] = nil
+		if l.pendHead++; l.pendHead == len(l.pending) { // drained: start over
+			l.pending, l.pendHead = l.pending[:0], 0
+			if cap(l.pending) > keepPending {
+				l.pending = nil
+			}
 		}
 		l.admit(t)
 	}
@@ -207,11 +222,9 @@ func (l *Link) Cancel(t *Transfer) bool {
 	if l.eng.Cancel(&t.latEvent) {
 		return true
 	}
-	for i, p := range l.pending {
-		if p == t {
-			l.pending = slices.Delete(l.pending, i, i+1)
-			return true
-		}
+	if i := slices.Index(l.pending[l.pendHead:], t); i >= 0 {
+		l.pending = slices.Delete(l.pending, l.pendHead+i, l.pendHead+i+1)
+		return true
 	}
 	for i, a := range l.active {
 		if a == t {

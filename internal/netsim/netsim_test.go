@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -246,5 +247,58 @@ func TestCancelPendingQueuedTransfer(t *testing.T) {
 	}
 	if l.Completed() != 1 {
 		t.Fatalf("completed %d, want 1", l.Completed())
+	}
+}
+
+// fifoProbe is a transfer that logs its index when its last byte arrives.
+type fifoProbe struct {
+	xfer Transfer
+	id   int
+	log  *[]int
+}
+
+func (p *fifoProbe) Fire() { *p.log = append(*p.log, p.id) }
+
+// TestPendingFIFOAllocatesNothing sends 1 000 equal transfers through a link
+// that moves two at a time, in waves of 125 (a drained link keeps room for
+// up to keepPending), canceling every seventh pending one: the rest finish
+// in the order they were started, and once the first round has sized the
+// link's queues a round allocates nothing.
+func TestPendingFIFOAllocatesNothing(t *testing.T) {
+	const n, wave, latency = 1000, 125, 10 * time.Millisecond
+	eng := sim.NewSim()
+	l := NewLink(eng, "wan", 1e6, latency)
+	l.SetMaxConcurrent(2)
+	probes := make([]fifoProbe, n)
+	done, want := make([]int, 0, n), make([]int, 0, n)
+	round := func() {
+		done, want = done[:0], want[:0]
+		for w := 0; w < n; w += wave {
+			for i := w; i < w+wave; i++ {
+				probes[i].id, probes[i].log = i, &done
+				l.StartInto(&probes[i].xfer, 1000, &probes[i])
+			}
+			eng.RunUntil(eng.Now().Add(latency)) // all arrived: two move, the rest wait
+			if l.Active() != 2 || l.Pending() != wave-2 {
+				t.Fatalf("%d active, %d pending; want 2, %d", l.Active(), l.Pending(), wave-2)
+			}
+			for i := w; i < w+wave; i++ {
+				if i >= w+2 && i%7 == 3 {
+					if !l.Cancel(&probes[i].xfer) {
+						t.Fatalf("cancel of pending transfer %d failed", i)
+					}
+					continue
+				}
+				want = append(want, i)
+			}
+			eng.Run()
+		}
+		if !slices.Equal(done, want) {
+			t.Fatalf("transfers finished out of order:\n got %v\nwant %v", done, want)
+		}
+	}
+	round()
+	if allocs := testing.AllocsPerRun(3, round); allocs != 0 {
+		t.Errorf("a round of %d transfers allocates %.0f objects, want 0", n, allocs)
 	}
 }

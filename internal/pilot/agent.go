@@ -1,7 +1,8 @@
 package pilot
 
 import (
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"aimes/internal/sim"
@@ -11,7 +12,7 @@ import (
 // serialized with a per-unit overhead (Config.AgentDispatchOverhead),
 // reproducing the launch-rate limits of real pilot agents: with thousands of
 // units the stagger becomes visible as the steepening Tx gradient in the
-// paper's Figure 3.
+// paper's Figure 3. Each Pilot carries its agent, started on activation.
 type agent struct {
 	sys   *System
 	pilot *Pilot
@@ -29,11 +30,24 @@ type agent struct {
 	down    bool
 }
 
-func newAgent(sys *System, p *Pilot) *agent {
-	a := &agent{sys: sys, pilot: p, cores: p.desc.Cores}
-	a.dispatchEv.Init(sim.Func(a.dispatch))
-	return a
+// start readies the agent of an activated pilot. Its queue and run list
+// are sized once, for as many units as can be on it at a time: one per core,
+// and no more than the job has.
+func (a *agent) start(p *Pilot) {
+	n := p.desc.Cores
+	if p.um != nil {
+		n = min(n, len(p.um.units))
+	}
+	lists := make([]*Unit, 2*n)
+	a.sys, a.pilot, a.cores = p.sys, p, p.desc.Cores
+	a.backlog, a.running = lists[:0:n], lists[n:n]
+	a.dispatchEv.Init((*dispatcher)(a))
 }
+
+// dispatcher is an agent as the handler of its dispatch event.
+type dispatcher agent
+
+func (d *dispatcher) Fire() { (*agent)(d).dispatch() }
 
 func (a *agent) freeCores() int { return a.cores - a.used }
 
@@ -116,7 +130,7 @@ type execution Unit
 
 func (x *execution) Fire() {
 	u := (*Unit)(x)
-	a := u.pilot.agent
+	a := &u.pilot.agent
 	last := len(a.running) - 1
 	a.running[u.execSlot] = a.running[last]
 	a.running[u.execSlot].execSlot = u.execSlot
@@ -176,7 +190,7 @@ func (a *agent) shutdown(cause string) {
 		a.used -= u.desc.Cores
 	}
 	// running is in no meaningful order; sort for deterministic replay.
-	sort.Slice(victims, func(i, j int) bool { return victims[i].id < victims[j].id })
+	slices.SortFunc(victims, func(x, y *Unit) int { return strings.Compare(x.id, y.id) })
 	for _, u := range a.backlog[a.head:] {
 		if u.state == UnitAgentQueued {
 			victims = append(victims, u)

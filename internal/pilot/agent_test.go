@@ -79,7 +79,7 @@ func TestPickNextMatchesScan(t *testing.T) {
 // event on the engine's same-instant lane.
 func TestPlaceRoundTripAllocatesNothing(t *testing.T) {
 	h := newHarness(t, DefaultConfig(), 1)
-	um := NewUnitManager(h.sys, Backfill{})
+	um := NewUnitManager(h.sys, Backfill{}, 0)
 	round := func() {
 		um.schedulePlace()
 		um.schedulePlace() // coalesced
@@ -112,7 +112,7 @@ func TestUnitTripAllocatesItsStateOnly(t *testing.T) {
 	}
 	done := 0
 	perRun := testing.AllocsPerRun(5, func() {
-		um := NewUnitManager(h.sys, Backfill{})
+		um := NewUnitManager(h.sys, Backfill{}, 0)
 		p, err := h.pm.Submit(PilotDescription{Resource: "alpha", Cores: 64, Walltime: 24 * time.Hour})
 		if err != nil {
 			t.Fatal(err)

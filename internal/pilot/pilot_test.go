@@ -56,7 +56,7 @@ func newHarness(t *testing.T, cfg Config, seed int64) *harness {
 	links := func(resource string) *netsim.Link { return tb.Site(resource).Link() }
 	rec := trace.NewRecorder()
 	sys := NewSystem(eng, sess, links, rec, cfg, rand.New(rand.NewSource(seed)))
-	return &harness{eng: eng, tb: tb, sess: sess, sys: sys, rec: rec, pm: NewPilotManager(sys)}
+	return &harness{eng: eng, tb: tb, sess: sess, sys: sys, rec: rec, pm: NewPilotManager(sys, 0)}
 }
 
 func unitDescs(n int, dur time.Duration) []UnitDescription {
@@ -138,7 +138,7 @@ func TestPilotValidation(t *testing.T) {
 
 func TestEarlyBindingExecutesWorkload(t *testing.T) {
 	h := newHarness(t, DefaultConfig(), 4)
-	um := NewUnitManager(h.sys, Direct{})
+	um := NewUnitManager(h.sys, Direct{}, 0)
 	p, err := h.pm.Submit(PilotDescription{Resource: "alpha", Cores: 16, Walltime: 2 * time.Hour})
 	if err != nil {
 		t.Fatal(err)
@@ -178,7 +178,7 @@ func TestEarlyBindingExecutesWorkload(t *testing.T) {
 
 func TestEarlyBindingStagingOverlapsQueueWait(t *testing.T) {
 	h := newHarness(t, DefaultConfig(), 5)
-	um := NewUnitManager(h.sys, Direct{})
+	um := NewUnitManager(h.sys, Direct{}, 0)
 	p, _ := h.pm.Submit(PilotDescription{Resource: "alpha", Cores: 8, Walltime: 2 * time.Hour})
 	um.AddPilot(p)
 	if err := um.Submit(unitDescs(8, time.Minute)); err != nil {
@@ -203,7 +203,7 @@ func TestEarlyBindingStagingOverlapsQueueWait(t *testing.T) {
 
 func TestLateBindingBackfillUsesFirstActivePilot(t *testing.T) {
 	h := newHarness(t, DefaultConfig(), 6)
-	um := NewUnitManager(h.sys, Backfill{})
+	um := NewUnitManager(h.sys, Backfill{}, 0)
 	// Three pilots on sites with waits 60s, 120s, 180s.
 	for _, r := range []string{"alpha", "beta", "gamma"} {
 		p, err := h.pm.Submit(PilotDescription{Resource: r, Cores: 8, Walltime: 2 * time.Hour})
@@ -231,7 +231,7 @@ func TestLateBindingBackfillUsesFirstActivePilot(t *testing.T) {
 
 func TestLateBindingSpillsToLaterPilots(t *testing.T) {
 	h := newHarness(t, DefaultConfig(), 7)
-	um := NewUnitManager(h.sys, Backfill{})
+	um := NewUnitManager(h.sys, Backfill{}, 0)
 	for _, r := range []string{"alpha", "beta"} {
 		p, _ := h.pm.Submit(PilotDescription{Resource: r, Cores: 4, Walltime: 3 * time.Hour})
 		um.AddPilot(p)
@@ -257,7 +257,7 @@ func TestLateBindingSpillsToLaterPilots(t *testing.T) {
 
 func TestRoundRobinDistributesEvenly(t *testing.T) {
 	h := newHarness(t, DefaultConfig(), 8)
-	um := NewUnitManager(h.sys, RoundRobin{})
+	um := NewUnitManager(h.sys, RoundRobin{}, 0)
 	for _, r := range []string{"alpha", "beta", "gamma"} {
 		p, _ := h.pm.Submit(PilotDescription{Resource: r, Cores: 8, Walltime: 2 * time.Hour})
 		um.AddPilot(p)
@@ -282,7 +282,7 @@ func TestAgentDispatchOverheadSerializes(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.AgentDispatchOverhead = time.Second
 	h := newHarness(t, cfg, 9)
-	um := NewUnitManager(h.sys, Direct{})
+	um := NewUnitManager(h.sys, Direct{}, 0)
 	p, _ := h.pm.Submit(PilotDescription{Resource: "alpha", Cores: 64, Walltime: 2 * time.Hour})
 	um.AddPilot(p)
 	um.OnCompletion(func() { h.pm.CancelAll() })
@@ -307,7 +307,7 @@ func TestUnitFailureRestarts(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.UnitFailureProb = 0.4
 	h := newHarness(t, cfg, 10)
-	um := NewUnitManager(h.sys, Direct{})
+	um := NewUnitManager(h.sys, Direct{}, 0)
 	p, _ := h.pm.Submit(PilotDescription{Resource: "alpha", Cores: 32, Walltime: 12 * time.Hour})
 	um.AddPilot(p)
 	um.OnCompletion(func() { h.pm.CancelAll() })
@@ -332,7 +332,7 @@ func TestUnitFailureBudgetExhausted(t *testing.T) {
 	cfg.UnitFailureProb = 1.0 // every attempt fails
 	cfg.DefaultMaxRestarts = 2
 	h := newHarness(t, cfg, 11)
-	um := NewUnitManager(h.sys, Direct{})
+	um := NewUnitManager(h.sys, Direct{}, 0)
 	p, _ := h.pm.Submit(PilotDescription{Resource: "alpha", Cores: 8, Walltime: 12 * time.Hour})
 	um.AddPilot(p)
 	um.OnCompletion(func() { h.pm.CancelAll() })
@@ -352,7 +352,7 @@ func TestUnitFailureBudgetExhausted(t *testing.T) {
 
 func TestPilotWalltimeReschedulesUnits(t *testing.T) {
 	h := newHarness(t, DefaultConfig(), 12)
-	um := NewUnitManager(h.sys, Backfill{})
+	um := NewUnitManager(h.sys, Backfill{}, 0)
 	// alpha activates first with a walltime too short for the units; beta
 	// must pick them up after alpha retires.
 	pa, _ := h.pm.Submit(PilotDescription{Resource: "alpha", Cores: 8, Walltime: 10 * time.Minute})
@@ -379,7 +379,7 @@ func TestPilotWalltimeReschedulesUnits(t *testing.T) {
 
 func TestAllPilotsGoneFailsUnits(t *testing.T) {
 	h := newHarness(t, DefaultConfig(), 13)
-	um := NewUnitManager(h.sys, Backfill{})
+	um := NewUnitManager(h.sys, Backfill{}, 0)
 	p, _ := h.pm.Submit(PilotDescription{Resource: "alpha", Cores: 8, Walltime: 10 * time.Minute})
 	um.AddPilot(p)
 	if err := um.Submit(unitDescs(8, 2*time.Hour)); err != nil {
@@ -398,7 +398,7 @@ func TestAllPilotsGoneFailsUnits(t *testing.T) {
 
 func TestUnitDependencies(t *testing.T) {
 	h := newHarness(t, DefaultConfig(), 14)
-	um := NewUnitManager(h.sys, Backfill{})
+	um := NewUnitManager(h.sys, Backfill{}, 0)
 	p, _ := h.pm.Submit(PilotDescription{Resource: "alpha", Cores: 8, Walltime: 2 * time.Hour})
 	um.AddPilot(p)
 	um.OnCompletion(func() { h.pm.CancelAll() })
@@ -425,7 +425,7 @@ func TestUnitDependencies(t *testing.T) {
 
 func TestSamePilotDependencySkipsStaging(t *testing.T) {
 	h := newHarness(t, DefaultConfig(), 15)
-	um := NewUnitManager(h.sys, Direct{})
+	um := NewUnitManager(h.sys, Direct{}, 0)
 	p, _ := h.pm.Submit(PilotDescription{Resource: "alpha", Cores: 8, Walltime: 2 * time.Hour})
 	um.AddPilot(p)
 	um.OnCompletion(func() { h.pm.CancelAll() })
@@ -452,7 +452,7 @@ func TestSamePilotDependencySkipsStaging(t *testing.T) {
 
 func TestUnitManagerValidation(t *testing.T) {
 	h := newHarness(t, DefaultConfig(), 16)
-	um := NewUnitManager(h.sys, Direct{})
+	um := NewUnitManager(h.sys, Direct{}, 0)
 	if err := um.Submit([]UnitDescription{{Name: "", Cores: 1}}); err == nil {
 		t.Fatal("anonymous unit accepted")
 	}
@@ -483,7 +483,7 @@ func TestSubmitIsAllOrNothing(t *testing.T) {
 		{Name: nameOf(2), Cores: 1, Inputs: []InputFile{{Bytes: 1, Producer: "ghost"}}},
 	} {
 		h := newHarness(t, DefaultConfig(), 18)
-		um := NewUnitManager(h.sys, Backfill{})
+		um := NewUnitManager(h.sys, Backfill{}, 0)
 		batch := append(unitDescs(2, time.Minute), bad)
 		if err := um.Submit(batch); err == nil {
 			t.Fatalf("batch ending in %+v accepted", bad)
@@ -518,7 +518,7 @@ func TestSubmitIsAllOrNothing(t *testing.T) {
 
 func TestUnitCancel(t *testing.T) {
 	h := newHarness(t, DefaultConfig(), 17)
-	um := NewUnitManager(h.sys, Direct{})
+	um := NewUnitManager(h.sys, Direct{}, 0)
 	p, _ := h.pm.Submit(PilotDescription{Resource: "alpha", Cores: 8, Walltime: 2 * time.Hour})
 	um.AddPilot(p)
 	if err := um.Submit(unitDescs(4, time.Hour)); err != nil {
@@ -561,7 +561,7 @@ func TestWorkloadConservationProperty(t *testing.T) {
 			cfg.UnitFailureProb = 0.2
 		}
 		h := newHarness(t, cfg, 100+seed)
-		um := NewUnitManager(h.sys, schedulers[int(seed)%len(schedulers)])
+		um := NewUnitManager(h.sys, schedulers[int(seed)%len(schedulers)], 0)
 		pilots := 1 + rng.Intn(3)
 		resources := []string{"alpha", "beta", "gamma"}
 		for i := 0; i < pilots; i++ {
@@ -616,7 +616,7 @@ func TestWorkloadConservationProperty(t *testing.T) {
 // EXECUTING record is followed by another record for the same unit.
 func TestTraceSpanConsistencyProperty(t *testing.T) {
 	h := newHarness(t, DefaultConfig(), 999)
-	um := NewUnitManager(h.sys, Backfill{})
+	um := NewUnitManager(h.sys, Backfill{}, 0)
 	for _, r := range []string{"alpha", "beta"} {
 		p, _ := h.pm.Submit(PilotDescription{Resource: r, Cores: 8, Walltime: 2 * time.Hour})
 		um.AddPilot(p)
@@ -671,7 +671,7 @@ func TestMulticoreUnitsAgentBackfill(t *testing.T) {
 	// A 3-core unit at the head must not starve 1-core units that fit
 	// alongside already-running work (in-agent backfill).
 	h := newHarness(t, DefaultConfig(), 201)
-	um := NewUnitManager(h.sys, Direct{})
+	um := NewUnitManager(h.sys, Direct{}, 0)
 	p, _ := h.pm.Submit(PilotDescription{Resource: "alpha", Cores: 4, Walltime: 2 * time.Hour})
 	um.AddPilot(p)
 	um.OnCompletion(func() { h.pm.CancelAll() })

@@ -13,7 +13,7 @@ import (
 // ends PilotFailed with its reason preserved.
 func TestPreemptReschedulesUnits(t *testing.T) {
 	h := newHarness(t, DefaultConfig(), 3)
-	um := NewUnitManager(h.sys, Backfill{})
+	um := NewUnitManager(h.sys, Backfill{}, 0)
 
 	// Two pilots: alpha activates at ~61s, beta at ~121s (deterministic
 	// sigma-0 waits). 16 one-core units of 10m keep alpha busy well past
@@ -71,7 +71,7 @@ func TestPreemptReschedulesUnits(t *testing.T) {
 // it (early binding) must be reclaimed and rescheduled rather than stranded.
 func TestPreemptBeforeActivation(t *testing.T) {
 	h := newHarness(t, DefaultConfig(), 4)
-	um := NewUnitManager(h.sys, RoundRobin{})
+	um := NewUnitManager(h.sys, RoundRobin{}, 0)
 
 	var pilots []*Pilot
 	for _, r := range []string{"alpha", "beta"} {

@@ -81,7 +81,7 @@ func TestReadyListMatchesScan(t *testing.T) {
 				cfg.UnitFailureProb = 0.15
 				cfg.DefaultMaxRestarts = 2
 				h := newHarness(t, cfg, seed)
-				um := NewUnitManager(h.sys, sched)
+				um := NewUnitManager(h.sys, sched, 0)
 
 				places, offered := 0, 0
 				um.onPlace = func(ready []*Unit) {
@@ -174,7 +174,7 @@ func unitNames(us []*Unit) []string {
 // dependencies: explicit Deps first, then input producers, each once.
 func TestSubmitDependencyOrder(t *testing.T) {
 	h := newHarness(t, DefaultConfig(), 1)
-	um := NewUnitManager(h.sys, Backfill{})
+	um := NewUnitManager(h.sys, Backfill{}, 0)
 	descs := []UnitDescription{
 		{Name: "p", Cores: 1}, {Name: "q", Cores: 1}, {Name: "r", Cores: 1},
 		{Name: "u", Cores: 1, Deps: []string{"r", "p", "r"},

@@ -92,13 +92,15 @@ type Pilot struct {
 	state PilotState
 	job   saga.Job
 	sys   *System
-	agent *agent
+	agent agent // started when the pilot becomes active
 
 	submittedAt sim.Time
 	activeAt    sim.Time
 	endedAt     sim.Time
 
-	// onState fires after every transition (set by the managers).
+	// um, the unit manager the pilot serves, and then onState (OnState's
+	// callbacks) see every transition.
+	um      *UnitManager
 	onState []func(*Pilot)
 	// walltimeEv retires the pilot just before the resource would kill it.
 	walltimeEv sim.Event
@@ -152,6 +154,9 @@ func (p *Pilot) transition(state PilotState, detail string) {
 		p.endedAt = p.sys.eng.Now()
 		p.sys.eng.Cancel(&p.walltimeEv)
 	}
+	if p.um != nil {
+		p.um.pilotChanged(p)
+	}
 	for _, cb := range p.onState {
 		cb(p)
 	}
@@ -164,9 +169,10 @@ type PilotManager struct {
 	pilots []*Pilot
 }
 
-// NewPilotManager returns a manager on the shared system context.
-func NewPilotManager(sys *System) *PilotManager {
-	return &PilotManager{sys: sys}
+// NewPilotManager returns a manager on the shared system context, with room
+// for the given number of pilots.
+func NewPilotManager(sys *System, pilots int) *PilotManager {
+	return &PilotManager{sys: sys, pilots: make([]*Pilot, 0, pilots)}
 }
 
 // All iterates over the pilots in submission order without copying them; the
@@ -240,7 +246,7 @@ func (pm *PilotManager) onJobState(p *Pilot, _ saga.Job, st saga.State) {
 			return
 		}
 		p.activeAt = pm.sys.eng.Now()
-		p.agent = newAgent(pm.sys, p)
+		p.agent.start(p)
 		// Retire the pilot cleanly a moment before the resource's walltime
 		// kill, as real agents do.
 		margin := 5 * time.Second
@@ -318,7 +324,7 @@ func (pm *PilotManager) CancelAll() {
 // "lost") tags the returned units' trace records so consumers can tell
 // routine retirements from pilots lost to failures and preemption.
 func (p *Pilot) shutdownAgent(cause string) {
-	if p.agent != nil {
+	if p.agent.pilot != nil { // started
 		p.agent.shutdown(cause)
 	}
 }

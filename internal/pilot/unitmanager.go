@@ -333,28 +333,39 @@ func (um *UnitManager) Covered() (executing, staging time.Duration) {
 	return um.execCover.total.Duration(), um.stageCover.total.Duration()
 }
 
-// NewUnitManager creates a unit manager with the given scheduler.
-func NewUnitManager(sys *System, sched Scheduler) *UnitManager {
+// NewUnitManager creates a unit manager with the given scheduler, with room
+// for the given number of pilots.
+func NewUnitManager(sys *System, sched Scheduler, pilots int) *UnitManager {
 	um := &UnitManager{
 		sys:       sys,
 		scheduler: sched,
+		pilots:    make([]*Pilot, 0, pilots),
 		committed: make(map[*Pilot]int),
 	}
-	um.placeEv.Init(sim.Func(func() {
-		um.placeQueued = false
-		um.place()
-	}))
+	um.placeEv.Init((*placement)(um))
 	return um
+}
+
+// placement is a UnitManager as the handler of its place event.
+type placement UnitManager
+
+func (p *placement) Fire() {
+	um := (*UnitManager)(p)
+	um.placeQueued = false
+	um.place()
 }
 
 // Scheduler returns the active unit scheduler.
 func (um *UnitManager) Scheduler() Scheduler { return um.scheduler }
 
 // AddPilot registers a pilot with the manager and reacts to its state
-// changes.
+// changes. A pilot serves one unit manager.
 func (um *UnitManager) AddPilot(p *Pilot) {
+	if p.um != nil {
+		panic("pilot: " + p.id + " added to a second unit manager")
+	}
 	um.pilots = append(um.pilots, p)
-	p.onState = append(p.onState, func(p *Pilot) { um.pilotChanged(p) })
+	p.um = um
 	// If the pilot is already active (added late), pick up queued units.
 	if p.State() == PilotActive {
 		um.pilotChanged(p)
@@ -623,7 +634,7 @@ func (um *UnitManager) staged(u *Unit) {
 		return
 	}
 	u.transition(UnitAgentQueued, "")
-	if u.pilot.State() == PilotActive && u.pilot.agent != nil {
+	if u.pilot.State() == PilotActive {
 		u.pilot.agent.enqueue(u)
 	}
 	// Otherwise the unit waits; pilotChanged hands it to the agent on

@@ -2,31 +2,37 @@ package saga
 
 import (
 	"fmt"
+	"strconv"
 
 	"aimes/internal/batch"
 	"aimes/internal/sim"
 	"aimes/internal/site"
 )
 
-// batchJob implements Job for the batch adaptor.
+// batchJob implements Job for the batch adaptor. It carries the job it puts
+// on the site's queue, and observes it there, and the event that models the
+// submission round trip.
 type batchJob struct {
-	id        string
+	inner     batch.Job // on the queue once its state leaves batch.JobNew
+	sent      sim.Event // the submission latency elapsing
+	adaptor   *BatchAdaptor
 	desc      Description
-	resource  string
 	state     State
 	detail    string
 	submitted sim.Time
 	started   sim.Time
 	ended     sim.Time
-	inner     *batch.Job
 	cb        StateCallback
+	// cancelPending marks a job canceled during the submission latency
+	// window, before the batch system knows about it.
+	cancelPending bool
 }
 
-func (j *batchJob) ID() string               { return j.id }
+func (j *batchJob) ID() string               { return j.inner.ID }
 func (j *batchJob) State() State             { return j.state }
 func (j *batchJob) Detail() string           { return j.detail }
 func (j *batchJob) Description() Description { return j.desc }
-func (j *batchJob) Resource() string         { return j.resource }
+func (j *batchJob) Resource() string         { return j.adaptor.Resource() }
 func (j *batchJob) SubmittedAt() sim.Time    { return j.submitted }
 func (j *batchJob) StartedAt() sim.Time      { return j.started }
 func (j *batchJob) EndedAt() sim.Time        { return j.ended }
@@ -39,6 +45,29 @@ func (j *batchJob) transition(state State, detail string) {
 	}
 }
 
+// Started implements batch.Observer.
+func (j *batchJob) Started(*batch.Job) {
+	j.started = j.adaptor.eng.Now()
+	j.transition(Running, "")
+}
+
+// Ended implements batch.Observer.
+func (j *batchJob) Ended(bj *batch.Job) {
+	j.ended = j.adaptor.eng.Now()
+	switch bj.State {
+	case batch.JobCompleted:
+		j.transition(Done, "")
+	case batch.JobKilled:
+		j.transition(Failed, "walltime")
+	case batch.JobCanceled:
+		j.transition(Canceled, "")
+	case batch.JobFailed:
+		j.transition(Failed, "resource failure")
+	default:
+		j.transition(Failed, fmt.Sprintf("unexpected state %v", bj.State))
+	}
+}
+
 // BatchAdaptor submits jobs to a simulated site's batch queue, converting
 // core requests to whole nodes and charging the site's submission latency.
 // It mirrors the role of SAGA's PBS/Slurm/GSISSH adaptors.
@@ -46,14 +75,11 @@ type BatchAdaptor struct {
 	eng  *sim.Sim
 	site *site.Site
 	seq  int
-	// pendingCancel tracks jobs canceled during the submission latency
-	// window, before the batch system knows about them.
-	pendingCancel map[*batchJob]bool
 }
 
 // NewBatchAdaptor returns a Service submitting to the site's queue.
 func NewBatchAdaptor(eng *sim.Sim, s *site.Site) *BatchAdaptor {
-	return &BatchAdaptor{eng: eng, site: s, pendingCancel: make(map[*batchJob]bool)}
+	return &BatchAdaptor{eng: eng, site: s}
 }
 
 var _ Service = (*BatchAdaptor)(nil)
@@ -74,81 +100,79 @@ func (a *BatchAdaptor) Submit(d Description, cb StateCallback) (Job, error) {
 	}
 	a.seq++
 	j := &batchJob{
-		id:        fmt.Sprintf("%s.%04d", cfg.Name, a.seq),
+		adaptor:   a,
 		desc:      d,
-		resource:  cfg.Name,
 		state:     New,
 		cb:        cb,
 		submitted: a.eng.Now(),
 	}
+	j.inner = batch.Job{
+		ID:       jobID(cfg.Name, a.seq),
+		Nodes:    nodes,
+		Runtime:  d.Runtime,
+		Walltime: d.Walltime,
+		Observer: j,
+	}
 	// The submission latency models the client → resource-manager round
 	// trip; the job reaches the remote queue only after it elapses.
-	a.eng.Schedule(cfg.SubmitLatency, func() {
-		if a.pendingCancel[j] {
-			delete(a.pendingCancel, j)
-			j.ended = a.eng.Now()
-			j.transition(Canceled, "canceled before submission")
-			return
-		}
-		if !a.site.Online() {
-			// The resource manager is unreachable: the submission round trip
-			// fails, as it would against a dead head node.
-			j.ended = a.eng.Now()
-			j.transition(Failed, "resource offline")
-			return
-		}
-		inner := &batch.Job{
-			ID:       j.id,
-			Nodes:    nodes,
-			Runtime:  d.Runtime,
-			Walltime: d.Walltime,
-		}
-		inner.OnStart = func(*batch.Job) {
-			j.started = a.eng.Now()
-			j.transition(Running, "")
-		}
-		inner.OnEnd = func(bj *batch.Job) {
-			j.ended = a.eng.Now()
-			switch bj.State {
-			case batch.JobCompleted:
-				j.transition(Done, "")
-			case batch.JobKilled:
-				j.transition(Failed, "walltime")
-			case batch.JobCanceled:
-				j.transition(Canceled, "")
-			case batch.JobFailed:
-				j.transition(Failed, "resource failure")
-			default:
-				j.transition(Failed, fmt.Sprintf("unexpected state %v", bj.State))
-			}
-		}
-		j.inner = inner
-		if err := a.site.Queue().Submit(inner); err != nil {
-			j.ended = a.eng.Now()
-			j.transition(Failed, err.Error())
-			return
-		}
-		j.transition(Pending, "")
-	})
+	j.sent.Init((*submission)(j))
+	a.eng.Arm(&j.sent, cfg.SubmitLatency)
 	return j, nil
+}
+
+// jobID is the ID of an adaptor's seq'th job, "<resource>.<seq>" with seq
+// zero-padded to four digits.
+func jobID(resource string, seq int) string {
+	var buf [64]byte
+	id := append(append(buf[:0], resource...), '.')
+	for p := 1000; p > 1 && seq < p; p /= 10 {
+		id = append(id, '0')
+	}
+	return string(strconv.AppendInt(id, int64(seq), 10))
+}
+
+// submission is a batchJob as the handler of its submission latency event.
+type submission batchJob
+
+func (s *submission) Fire() {
+	j := (*batchJob)(s)
+	a := j.adaptor
+	if j.cancelPending {
+		j.ended = a.eng.Now()
+		j.transition(Canceled, "canceled before submission")
+		return
+	}
+	if !a.site.Online() {
+		// The resource manager is unreachable: the submission round trip
+		// fails, as it would against a dead head node.
+		j.ended = a.eng.Now()
+		j.transition(Failed, "resource offline")
+		return
+	}
+	if err := a.site.Queue().Submit(&j.inner); err != nil {
+		j.ended = a.eng.Now()
+		j.transition(Failed, err.Error())
+		return
+	}
+	j.transition(Pending, "")
 }
 
 // Cancel implements Service.
 func (a *BatchAdaptor) Cancel(job Job) bool {
 	j, ok := job.(*batchJob)
-	if !ok {
+	if !ok || j.adaptor != a {
 		return false
 	}
 	if j.state.Final() {
 		return false
 	}
-	if j.inner == nil {
+	if j.inner.State == batch.JobNew {
 		// Still inside the submission latency window.
-		if a.pendingCancel[j] {
+		if j.cancelPending {
 			return false
 		}
-		a.pendingCancel[j] = true
+		j.cancelPending = true
 		return true
 	}
-	return a.site.Queue().Cancel(j.inner)
+	return a.site.Queue().Cancel(&j.inner)
 }

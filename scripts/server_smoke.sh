@@ -4,7 +4,8 @@
 # the daemon on an ephemeral port with two quota-limited tenants, and drive
 # the HTTP surface with curl — admission vs 429 quota rejection, tenant
 # isolation, SSE event streaming, reconnect-and-wait by job ID, Prometheus
-# counters, and a graceful SIGTERM drain.
+# counters, the -pprof heap profile (local leg), and a graceful SIGTERM
+# drain.
 set -eu
 cd "$(dirname "$0")/.."
 GO=${GO:-go}
@@ -134,6 +135,17 @@ run_leg() { # run_leg LABEL [extra aimes-server flags...]
     grep -q 'aimes_jobs_completed_total{tenant="bob"} 1' "$work/metrics.txt" ||
         fail "$label: metrics missing bob's completion"
 
+    # Profiles on demand: -pprof serves net/http/pprof on a listener of its
+    # own, never on the API's.
+    pprof=$(sed -n 's#.*pprof on \(http://[^/]*\)/.*#\1#p' "$out" | head -n 1)
+    if [ -n "$pprof" ]; then
+        curl -s "$pprof/debug/pprof/heap?debug=1" >"$work/heap.txt"
+        grep -q '^heap profile:' "$work/heap.txt" || fail "$label: no heap profile from $pprof"
+        code=$(curl -s -o /dev/null -w '%{http_code}' -H "$alice" "$base/debug/pprof/heap?debug=1")
+        [ "$code" != 200 ] || fail "$label: the API listener serves /debug/pprof"
+        echo "[$label] heap profile from $pprof; the API listener answers $code"
+    fi
+
     # Graceful shutdown: SIGTERM drains and exits 0.
     kill -TERM "$srv"
     if ! wait "$srv"; then
@@ -143,7 +155,7 @@ run_leg() { # run_leg LABEL [extra aimes-server flags...]
     echo "[$label] SIGTERM drain complete"
 }
 
-run_leg local -shards 2
+run_leg local -shards 2 -pprof 127.0.0.1:0
 
 # TCP-worker leg: host the shards in a real `aimes-worker serve` process,
 # authenticated via --secret-file on both sides.
