@@ -301,6 +301,7 @@ func (f *fleet) shardDied(sh *shardEnv, cause error) {
 			// The replacement runs the identical stack from the identical
 			// seed: swap it in, and reopening the gate replays the queue
 			// FIFO through normal admission.
+			sh.pastWire = sh.wire()
 			sh.be = w
 			sh.restarts.Add(1)
 			f.replayed.Add(int64(sh.adm.depth()))

@@ -144,6 +144,12 @@ func TestRespawnDeterminism(t *testing.T) {
 	if got := chaos.Loads()[0].Restarts; got != 1 {
 		t.Fatalf("shard 0 restart count %d, want 1", got)
 	}
+	// The shard's wire counters span both of its workers: the dead one
+	// carried the fillers' records, the respawned one as many as the
+	// undisturbed run's.
+	if got, undisturbed := chaos.Loads()[0].Wire.Events, base.Loads()[0].Wire.Events; got <= undisturbed {
+		t.Fatalf("shard 0 counted %d wire events across the respawn, the undisturbed run %d: the dead worker's are lost", got, undisturbed)
+	}
 	if base.Fleet().Restarts != 0 {
 		t.Fatalf("undisturbed fleet reports %d restarts", base.Fleet().Restarts)
 	}

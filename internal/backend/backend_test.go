@@ -1,6 +1,7 @@
 package backend
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
@@ -57,7 +58,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err := finishFrame(buf, DefaultMaxFrame); err != nil {
 		t.Fatal(err)
 	}
-	payload, err := readFrameInto(bytes.NewReader(buf), nil, DefaultMaxFrame)
+	payload, err := readFrameInto(bufio.NewReader(bytes.NewReader(buf)), nil, DefaultMaxFrame)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,12 +70,12 @@ func TestFrameRoundTrip(t *testing.T) {
 		t.Fatalf("round trip %+v → %+v", in, out)
 	}
 	// A truncated stream surfaces as an error, not a hang or a zero value.
-	if _, err := readFrameInto(bytes.NewReader(buf[:len(buf)-3]), nil, DefaultMaxFrame); err == nil {
+	if _, err := readFrameInto(bufio.NewReader(bytes.NewReader(buf[:len(buf)-3])), nil, DefaultMaxFrame); err == nil {
 		t.Fatal("truncated frame decoded without error")
 	}
 	// A corrupt length prefix is caught before allocation.
 	huge := []byte{0xFF, 0xFF, 0xFF, 0xFF}
-	if _, err := readFrameInto(bytes.NewReader(huge), nil, DefaultMaxFrame); err == nil || err == io.EOF {
+	if _, err := readFrameInto(bufio.NewReader(bytes.NewReader(huge)), nil, DefaultMaxFrame); err == nil || err == io.EOF {
 		t.Fatalf("oversized frame length: got %v", err)
 	}
 	// A frame over the limit fails on both the write and the read side (a
@@ -85,7 +86,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err := finishFrame(buf, DefaultMaxFrame); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := readFrameInto(bytes.NewReader(buf), nil, 8); err == nil {
+	if _, err := readFrameInto(bufio.NewReader(bytes.NewReader(buf)), nil, 8); err == nil {
 		t.Fatal("oversized frame read under a small limit")
 	}
 }
@@ -212,8 +213,10 @@ func TestFramesCarryEveryPayloadField(t *testing.T) {
 			if got := roundTripRequest(t, c, req); !reflect.DeepEqual(&got, req) {
 				t.Fatalf("%s over %s: the worker decoded\n%s\nwant\n%s", variant, c.Name(), show(got), show(req))
 			}
-			if got := roundTripResponse(t, c, resp); !reflect.DeepEqual(&got, resp) {
-				t.Fatalf("%s over %s: the parent decoded\n%s\nwant\n%s", variant, c.Name(), show(got), show(resp))
+			want := *resp
+			want.Events = nil
+			if got, calls := roundTripResponse(t, c, resp); !reflect.DeepEqual(got, want) || !reflect.DeepEqual(calls, wantCalls(resp.Events)) {
+				t.Fatalf("%s over %s: the parent decoded\n%s\nand dispatched %+v\nwant\n%s", variant, c.Name(), show(got), calls, show(resp))
 			}
 		}
 	}

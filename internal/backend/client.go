@@ -66,7 +66,8 @@ func Connect(tr Transport, opt WorkerOptions, cfg Config, sink Sink, onDeath fun
 	if wantBinary {
 		req.Codec = binaryWire
 	}
-	resp, err := w.callTimeout(req, spawnTimeout)
+	var resp response
+	err = w.callTimeout(req, &resp, spawnTimeout)
 	if err == nil && wantBinary && resp.Codec != binaryWire {
 		err = fmt.Errorf("worker did not accept the %q wire codec (echoed %q)", binaryWire, resp.Codec)
 	}
@@ -81,24 +82,19 @@ func Connect(tr Transport, opt WorkerOptions, cfg Config, sink Sink, onDeath fun
 	return w, nil
 }
 
-// call performs one request/response exchange and then dispatches the
-// response's events into the sink — after the session releases the wire
-// lock, so a sink callback may legally issue a nested call (e.g. a
-// completion that admits and enacts the next queued job). An
-// operation-level error (Err in the response) is returned alongside the
-// response; a transport error has already marked the session dead.
-//
-// That nested call is why the events are fully decoded before the first one
-// is dispatched, and owned by this call: the nested exchange refills the
-// session's read buffer, which an outer decode still in progress would be
-// borrowing from (binReader.bytes borrows), and decodes its own batch, which
-// would overwrite a resp.Events or record slab shared across calls. Decoding
-// straight into the sink, or reusing either, hands the rest of the outer
-// batch to the sink corrupted.
-func (w *Worker) call(req *request) (*response, error) {
-	var resp response
-	if err := w.s.exchange(req, &resp); err != nil {
-		return nil, err
+// call performs one request/response exchange into resp and then hands the
+// response's events to the sink, in order, before it returns — outside the
+// wire lock, so a sink callback may legally issue a nested call (e.g. a
+// completion that admits and enacts the next queued job). The session
+// decodes them a chunk at a time into this call's own storage, from a frame
+// this call owns until its last event is out (session.dispatch): a nested
+// call reads and decodes elsewhere, and the parent allocates nothing per
+// batch or per record. An operation-level error (Err in the response) is
+// returned once the events are dispatched; a transport or decode error has
+// already marked the session dead.
+func (w *Worker) call(req *request, resp *response) error {
+	if err := w.s.exchange(req, resp); err != nil {
+		return err
 	}
 	if req.Op == opStep {
 		// Record the drain verdict BEFORE dispatching events: a dispatched
@@ -108,21 +104,13 @@ func (w *Worker) call(req *request) (*response, error) {
 		// not the response, for exactly this reason.
 		w.drained.Store(resp.Drained)
 	}
-	for i := range resp.Events {
-		ev := &resp.Events[i]
-		switch ev.Kind {
-		case eventTrace:
-			if ev.Rec != nil {
-				w.sink.JobTrace(ev.Key, ev.NS, ev.Rec.Record())
-			}
-		case eventDone:
-			w.sink.JobDone(ev.Key, ev.Report)
-		}
+	if err := w.s.dispatch(&resp.tail, w.sink); err != nil {
+		return err
 	}
 	if resp.Err != "" {
-		return &resp, errors.New(resp.Err)
+		return errors.New(resp.Err)
 	}
-	return &resp, nil
+	return nil
 }
 
 // spawnTimeout bounds the init exchange: a worker command that is not
@@ -137,29 +125,24 @@ const closeTimeout = 5 * time.Second
 // may not be speaking the protocol at all (init) or may be wedged (close).
 // On timeout the pending read stays blocked until the caller kills the
 // connection, which unblocks it and lets the call goroutine exit.
-func (w *Worker) callTimeout(req *request, d time.Duration) (*response, error) {
-	type result struct {
-		resp *response
-		err  error
-	}
-	ch := make(chan result, 1)
-	go func() {
-		resp, err := w.call(req)
-		ch <- result{resp, err}
-	}()
+func (w *Worker) callTimeout(req *request, resp *response, d time.Duration) error {
+	ch := make(chan error, 1)
+	var r response
+	go func() { ch <- w.call(req, &r) }()
 	select {
-	case r := <-ch:
-		return r.resp, r.err
+	case err := <-ch:
+		*resp = r
+		return err
 	case <-time.After(d):
-		return nil, fmt.Errorf("worker for shard %d did not answer within %v", w.shard, d)
+		return fmt.Errorf("worker for shard %d did not answer within %v", w.shard, d)
 	}
 }
 
 // Enact implements Backend.
 func (w *Worker) Enact(d *Descriptor) (*Enacted, error) {
 	w.drained.Store(false)
-	resp, err := w.call(&request{Op: opEnact, Desc: d})
-	if err != nil {
+	var resp response
+	if err := w.call(&request{Op: opEnact, Desc: d}, &resp); err != nil {
 		return nil, err
 	}
 	if resp.Enacted == nil {
@@ -174,8 +157,8 @@ func (w *Worker) Enact(d *Descriptor) (*Enacted, error) {
 // predates that — returning it would let a pump judge a runnable engine
 // drained and fail a just-enacted job as incomplete.
 func (w *Worker) Step(max int) (int, bool, error) {
-	resp, err := w.call(&request{Op: opStep, Max: max})
-	if err != nil {
+	var resp response
+	if err := w.call(&request{Op: opStep, Max: max}, &resp); err != nil {
 		return 0, false, err
 	}
 	return resp.Fired, w.drained.Load(), nil
@@ -186,21 +169,21 @@ func (w *Worker) Step(max int) (int, bool, error) {
 // work, so the drained cache is invalidated like any other mutation.
 func (w *Worker) Inject(ev ChaosEvent) error {
 	w.drained.Store(false)
-	_, err := w.call(&request{Op: opInject, Chaos: &ev})
-	return err
+	var resp response
+	return w.call(&request{Op: opInject, Chaos: &ev}, &resp)
 }
 
 // Cancel implements Backend.
 func (w *Worker) Cancel(key int, reason string) error {
 	w.drained.Store(false)
-	_, err := w.call(&request{Op: opCancel, Key: key, Reason: reason})
-	return err
+	var resp response
+	return w.call(&request{Op: opCancel, Key: key, Reason: reason}, &resp)
 }
 
 // Incomplete implements Backend.
 func (w *Worker) Incomplete(key int) error {
-	resp, err := w.call(&request{Op: opIncomplete, Key: key})
-	if err != nil {
+	var resp response
+	if err := w.call(&request{Op: opIncomplete, Key: key}, &resp); err != nil {
 		return err
 	}
 	if resp.Diag == "" {
@@ -211,14 +194,14 @@ func (w *Worker) Incomplete(key int) error {
 
 // Feedback implements Backend.
 func (w *Worker) Feedback(r *core.Report) error {
-	_, err := w.call(&request{Op: opFeedback, Report: r})
-	return err
+	var resp response
+	return w.call(&request{Op: opFeedback, Report: r}, &resp)
 }
 
 // Derive implements Backend.
 func (w *Worker) Derive(wl *skeleton.Workload, cfg core.StrategyConfig) (core.Strategy, error) {
-	resp, err := w.call(&request{Op: opDerive, Workload: wl, Config: &cfg})
-	if err != nil {
+	var resp response
+	if err := w.call(&request{Op: opDerive, Workload: wl, Config: &cfg}, &resp); err != nil {
 		return core.Strategy{}, err
 	}
 	if resp.Strategy == nil {
@@ -240,7 +223,8 @@ func (w *Worker) Runnable() bool { return !w.drained.Load() }
 // either way.
 func (w *Worker) Close() error {
 	w.s.closing.Store(true)
-	_, _ = w.callTimeout(&request{Op: opClose}, closeTimeout)
+	var resp response
+	_ = w.callTimeout(&request{Op: opClose}, &resp, closeTimeout)
 	_ = w.s.conn.CloseWrite()
 	return w.s.conn.Close()
 }
@@ -259,13 +243,25 @@ func (w *Worker) Kill() error { return w.s.conn.Kill() }
 func (w *Worker) Dead() bool { return w.s.deadErr() != nil }
 
 // Ping performs one liveness round trip over the session — the health
-// prober's probe. It bypasses call: a ping response never carries events
-// (the host answers it without touching the engine), so there is nothing to
-// dispatch, and the prober goroutine must not replay events outside the
-// shard's serialization. Concurrency is safe — the session serializes the
-// wire — and a broken connection surfaces here exactly as on any other
-// exchange: the session goes dead and the death callback fires once.
+// prober's probe. It bypasses dispatch: the host answers a ping without
+// touching the engine, so a reply carrying events or an operation's result
+// is a protocol violation, and it kills the session like a corrupt frame
+// would, instead of being decoded and dropped; the prober goroutine must
+// not replay events outside the shard's serialization anyway. Concurrency
+// is safe — the session serializes the wire — and a broken connection
+// surfaces here exactly as on any other exchange: the session goes dead and
+// the death callback fires once.
 func (w *Worker) Ping() error {
 	var resp response
-	return w.s.exchange(&request{Op: opPing}, &resp)
+	if err := w.s.exchange(&request{Op: opPing}, &resp); err != nil {
+		return err
+	}
+	if resp.tail.left > 0 || resp.Enacted != nil || resp.Strategy != nil {
+		return w.s.fail(fmt.Errorf("worker for shard %d answered a ping with events or a result (protocol violation)", w.shard))
+	}
+	return nil
 }
+
+// WireStats snapshots the session's wire counters: round trips, frame bytes
+// each way and events delivered since Connect.
+func (w *Worker) WireStats() WireStats { return w.s.stats() }

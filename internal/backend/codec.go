@@ -26,6 +26,9 @@ const binaryWire = CodecBinary + "/2"
 // allocation per session; decoders fill a caller-owned struct. A codec
 // instance may be stateful (the binary decoder interns strings across
 // frames) and belongs to exactly one side of one session.
+//
+// DecodeResponse decodes a response's fields and leaves its events in
+// resp.tail, which the session hands to the sink a chunk at a time.
 type codec interface {
 	Name() string
 	AppendRequest(dst []byte, req *request) ([]byte, error)

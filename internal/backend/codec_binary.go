@@ -30,9 +30,11 @@ import (
 // A binaryCodec instance is stateful — the decode side interns entity,
 // state, detail, namespace and resource strings, because a shard emits the
 // same few dozen of them millions of times — so each session side owns a
-// fresh instance. Strings unique to one payload (a workload's task and file
-// names, a report's pilot IDs) are carved from one arena per payload
-// instead, and nothing a decode returns aliases the frame.
+// fresh instance, and on the parent every use of it (a response's fields, a
+// chunk of its events) runs under the session's lock. Strings unique to one
+// payload (a workload's task and file names, a report's pilot IDs) are
+// carved from one arena per payload instead, and nothing a decode returns
+// aliases the frame.
 type binaryCodec struct {
 	strings map[string]string
 }
@@ -64,21 +66,13 @@ func (c *binaryCodec) intern(b []byte) string {
 	return s
 }
 
-// Request opcodes (byte form of the op strings). Zero is reserved for the
-// string fallback so an op outside the table still round-trips; 8 was the
-// retired appseed op and stays unassigned.
-var opCodes = map[string]byte{
-	opInit: 1, opEnact: 2, opStep: 3, opCancel: 4, opIncomplete: 5,
-	opFeedback: 6, opDerive: 7, opClose: 9, opPing: 10, opInject: 11,
+// Request opcodes: an op's index here is its byte on the wire. Zero is
+// reserved for the string fallback so an op outside the table still
+// round-trips; 8 was the retired appseed op and stays unassigned.
+var opNames = [...]string{
+	1: opInit, 2: opEnact, 3: opStep, 4: opCancel, 5: opIncomplete,
+	6: opFeedback, 7: opDerive, 9: opClose, 10: opPing, 11: opInject,
 }
-
-var opNames = func() map[byte]string {
-	m := make(map[byte]string, len(opCodes))
-	for name, code := range opCodes {
-		m[code] = name
-	}
-	return m
-}()
 
 // Presence bits for request pointer fields.
 const (
@@ -96,10 +90,6 @@ const (
 	respHasEnacted
 	respHasStrategy
 )
-
-// Event kind bytes; zero is the string fallback.
-var eventCodes = map[string]byte{eventTrace: 1, eventDone: 2}
-var eventNames = map[byte]string{1: eventTrace, 2: eventDone}
 
 // Presence bits for event pointer fields.
 const (
@@ -278,7 +268,7 @@ func appendDescriptor(dst []byte, d *Descriptor) ([]byte, error) {
 }
 
 func (c *binaryCodec) AppendRequest(dst []byte, req *request) ([]byte, error) {
-	if code, ok := opCodes[req.Op]; ok {
+	if code := wireCode(opNames[:], req.Op); code != 0 {
 		dst = append(dst, code)
 	} else {
 		dst = append(dst, 0)
@@ -336,8 +326,8 @@ func (c *binaryCodec) DecodeRequest(data []byte, req *request) error {
 	code := r.byte()
 	if code == 0 {
 		req.Op = string(r.bytes())
-	} else if name, ok := opNames[code]; ok {
-		req.Op = name
+	} else if known(opNames[:], code) {
+		req.Op = opNames[code]
 	} else if r.err == nil {
 		return fmt.Errorf("backend: decoding frame: unknown opcode %d", code)
 	}
@@ -399,7 +389,7 @@ func (c *binaryCodec) AppendResponse(dst []byte, resp *response) ([]byte, error)
 	var err error
 	for i := range resp.Events {
 		ev := &resp.Events[i]
-		if code, ok := eventCodes[ev.Kind]; ok {
+		if code := wireCode(eventNames[:], ev.Kind); code != 0 {
 			dst = append(dst, code)
 		} else {
 			dst = append(dst, 0)
@@ -427,15 +417,14 @@ func (c *binaryCodec) AppendResponse(dst []byte, resp *response) ([]byte, error)
 	return dst, nil
 }
 
-// decodeChunk is how many events (and trace records, and the tasks, files
-// and strings of a workload) a decoder reserves at a time.
+// decodeChunk is how many tasks, files and strings of a workload a decoder
+// reserves at a time.
 const decodeChunk = 1024
 
-// DecodeResponse materialises the response's events: one []wireEvent and
-// one []trace.WireRecord slab per batch, strings interned, nothing shared
-// with data or with an earlier call. They stay materialised on purpose —
-// see Worker.call for why neither the slices nor data can be reused while
-// the events are dispatched.
+// DecodeResponse decodes a response's fields and leaves its events where
+// they are, in the frame: the call that owns the frame decodes them a chunk
+// at a time into storage of its own (session.dispatch, readEvents), so the
+// parent keeps no event list or record slab at all.
 func (c *binaryCodec) DecodeResponse(data []byte, resp *response) error {
 	r := binReader{data: data}
 	resp.ID = r.uvarint()
@@ -454,58 +443,62 @@ func (c *binaryCodec) DecodeResponse(data []byte, resp *response) error {
 		c.readStrategy(&r, resp.Strategy)
 	}
 	n := r.uvarint()
-	if r.err != nil {
+	if r.err != nil || n == 0 {
 		return r.finish()
 	}
-	// The count is the peer's word. An event is at least 4 bytes, which
-	// rejects a count the payload cannot hold, but at 56 bytes a wireEvent
-	// that alone would let a forged count in a 256 MB frame reserve
-	// gigabytes: Events and the record slab grow a chunk at a time, so a
-	// real batch (at most a few hundred events) costs one allocation each
-	// and a corrupt count costs one chunk before its first field fails.
+	// The count is the peer's word, and an event is at least 4 bytes: a
+	// count the payload cannot hold is refused here. Nothing is reserved
+	// from it either way.
 	if max := uint64(len(r.data)/4 + 1); n > max {
 		return fmt.Errorf("backend: decoding frame: event count %d exceeds payload", n)
 	}
 	resp.Events = nil
-	var recs []trace.WireRecord // this batch's records; Rec points into it
-	for i := 0; i < int(n); i++ {
-		if i == len(resp.Events) {
-			resp.Events = append(resp.Events, make([]wireEvent, min(int(n)-i, decodeChunk))...)
-		}
-		ev := &resp.Events[i]
+	resp.tail = eventTail{left: int(n), bin: c, rd: binReader{data: r.data}}
+	return nil
+}
+
+// readEvents decodes the next up to len(dst) of t's events into dst, and
+// after the last one checks that the frame ends there. Its strings are
+// interned and its records copied out of the frame; only a completion's
+// report is allocated. On an error no event of dst is valid.
+func (c *binaryCodec) readEvents(t *eventTail, dst []event) (int, error) {
+	r := &t.rd
+	n := min(t.left, len(dst))
+	for i := range n {
+		ev := &dst[i]
 		code := r.byte()
 		if code == 0 {
-			ev.Kind = string(r.bytes())
-		} else if name, ok := eventNames[code]; ok {
-			ev.Kind = name
-		} else if r.err == nil {
-			return fmt.Errorf("backend: decoding frame: unknown event kind %d", code)
+			code = wireCode(eventNames[:], string(r.bytes()))
+		} else if !known(eventNames[:], code) && r.err == nil {
+			return 0, fmt.Errorf("backend: decoding frame: unknown event kind %d", code)
 		}
-		ev.Key = int(r.varint())
-		ev.NS = c.intern(r.bytes())
+		ev.key = int(r.varint())
+		ev.ns = c.intern(r.bytes())
+		ev.rec, ev.report = trace.Record{}, nil
 		ebits := r.byte()
-		if ebits&evHasRec != 0 {
-			if len(recs) == 0 {
-				recs = make([]trace.WireRecord, min(int(n)-i, decodeChunk))
+		if ebits&evHasRec != 0 && r.err == nil {
+			rest, err := (*trace.WireRecord)(&ev.rec).DecodeWire(r.data, c.intern)
+			if err != nil {
+				return 0, err
 			}
-			ev.Rec, recs = &recs[0], recs[1:]
-			if r.err == nil {
-				rest, err := ev.Rec.DecodeWire(r.data, c.intern)
-				if err != nil {
-					r.err = err
-				} else {
-					r.data = rest
-				}
-			}
+			r.data = rest
+		} else if code == kindTrace {
+			code = 0
 		}
 		if ebits&evHasReport != 0 {
-			ev.Report = c.readReport(&r)
+			ev.report = c.readReport(r)
 		}
 		if r.err != nil {
-			break
+			return 0, r.err
+		}
+		ev.kind = code
+	}
+	if t.left -= n; t.left == 0 {
+		if err := r.finish(); err != nil {
+			return 0, err
 		}
 	}
-	return r.finish()
+	return n, nil
 }
 
 func (c *binaryCodec) readDescriptor(r *binReader) *Descriptor {

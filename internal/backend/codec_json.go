@@ -28,10 +28,13 @@ func (jsonCodec) AppendResponse(dst []byte, resp *response) ([]byte, error) {
 	return appendJSONValue(dst, resp)
 }
 
+// DecodeResponse decodes the whole response, and hands its event list to
+// the same dispatch loop the binary codec's frames go through.
 func (jsonCodec) DecodeResponse(data []byte, resp *response) error {
 	if err := json.Unmarshal(data, resp); err != nil {
 		return fmt.Errorf("backend: decoding frame: %w", err)
 	}
+	resp.tail = eventTail{left: len(resp.Events), list: resp.Events}
 	return nil
 }
 

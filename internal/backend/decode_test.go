@@ -1,13 +1,16 @@
 package backend
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -17,12 +20,12 @@ import (
 	"aimes/internal/trace"
 )
 
-// traceResponse encodes a Step response carrying n trace records drawn from
-// a vocabulary the size a real shard's is (a few dozen entities, a handful
-// of states and details) and one completion.
-func traceResponse(t testing.TB, n int) []byte {
+// traceResponse encodes Step response id carrying n trace records drawn
+// from a vocabulary the size a real shard's is (a few dozen entities, a
+// handful of states and details) and one completion.
+func traceResponse(t testing.TB, n int, id uint64) []byte {
 	t.Helper()
-	resp := &response{ID: 9, Fired: n, Drained: true}
+	resp := &response{ID: id, Fired: n, Drained: true}
 	for i := 0; i < n; i++ {
 		rec := &trace.WireRecord{
 			Time:   sim.Time(i) * 1e9,
@@ -42,34 +45,138 @@ func traceResponse(t testing.TB, n int) []byte {
 	return buf
 }
 
-// TestDecodeResponseAllocatesPerBatch pins the parent side of the wire: once
-// the intern table has seen the shard's vocabulary, decoding a response costs
-// the event slice and the record slab — whatever the record count. (The
-// completion's report is counted apart.)
-func TestDecodeResponseAllocatesPerBatch(t *testing.T) {
-	c := newBinaryCodec()
-	decode := func(frame []byte) float64 {
-		return testing.AllocsPerRun(20, func() {
-			var resp response
-			if err := c.DecodeResponse(frame, &resp); err != nil {
-				t.Fatal(err)
+// sinkCall is one callback a sink received.
+type sinkCall struct {
+	done   bool
+	key    int
+	ns     string
+	rec    trace.Record
+	report *core.Report
+}
+
+// callSink records every callback, in order.
+type callSink struct{ calls []sinkCall }
+
+func (s *callSink) JobTrace(key int, ns string, rec trace.Record) {
+	s.calls = append(s.calls, sinkCall{key: key, ns: ns, rec: rec})
+}
+
+func (s *callSink) JobDone(key int, report *core.Report) {
+	s.calls = append(s.calls, sinkCall{done: true, key: key, report: report})
+}
+
+// wantCalls is what dispatching events must call, in order: JobTrace for a
+// trace event with a record, JobDone for a done event, nothing for the rest.
+func wantCalls(events []wireEvent) []sinkCall {
+	var out []sinkCall
+	for _, ev := range events {
+		switch {
+		case ev.Kind == eventTrace && ev.Rec != nil:
+			out = append(out, sinkCall{key: ev.Key, ns: ev.NS, rec: ev.Rec.Record()})
+		case ev.Kind == eventDone:
+			out = append(out, sinkCall{done: true, key: ev.Key, report: ev.Report})
+		}
+	}
+	return out
+}
+
+// decodeResponse is the parent's path from a read frame to the sink: c
+// decodes the fields, and a session dispatches the events.
+func decodeResponse(c codec, frame []byte) (response, []sinkCall, error) {
+	var resp response
+	if err := c.DecodeResponse(frame, &resp); err != nil {
+		return resp, nil, err
+	}
+	var sink callSink
+	err := (&session{}).dispatch(&resp.tail, &sink)
+	resp.Events, resp.tail = nil, eventTail{}
+	return resp, sink.calls, err
+}
+
+// countSink counts callbacks and keeps nothing, so it allocates nothing.
+type countSink struct{ traces, done int }
+
+func (s *countSink) JobTrace(int, string, trace.Record) { s.traces++ }
+func (s *countSink) JobDone(int, *core.Report)          { s.done++ }
+
+// fixedID writes id into b as a four-byte uvarint (overlong, which
+// binary.Uvarint reads like any other), so a canned frame's ID can be
+// patched in place.
+func fixedID(b []byte, id uint64) {
+	b[0], b[1], b[2], b[3] = byte(id)|0x80, byte(id>>7)|0x80, byte(id>>14)|0x80, byte(id>>21)&0x7f
+}
+
+// cannedFrame is a whole binary response frame, header first, whose ID is
+// four bytes wide for fixedID.
+func cannedFrame(t testing.TB, payload []byte) []byte {
+	t.Helper()
+	if payload[0] != 0 {
+		t.Fatal("canned payloads are encoded with ID 0")
+	}
+	frame := append(make([]byte, 8, 8+len(payload)), payload[1:]...)
+	if err := finishFrame(frame, DefaultMaxFrame); err != nil {
+		t.Fatal(err)
+	}
+	return frame
+}
+
+// cannedWorker accepts the binary codec at init and then answers every
+// request with the frame reply holds, its ID patched in: a peer that
+// allocates nothing per exchange, so an allocation count sees the parent.
+func cannedWorker(t *testing.T, reply *atomic.Pointer[[]byte]) Transport {
+	return scriptedInit(t, func(req *request) *response { return &response{ID: req.ID, Codec: req.Codec} },
+		func(r io.Reader, w *io.PipeWriter) {
+			in := bufio.NewReader(r)
+			var buf []byte
+			for {
+				var err error
+				if buf, err = readFrameInto(in, buf, DefaultMaxFrame); err != nil || len(buf) < 2 {
+					return
+				}
+				id, _ := binary.Uvarint(buf[1:]) // an opcode, then the ID
+				frame := *reply.Load()
+				fixedID(frame[4:], id)
+				if _, err := w.Write(frame); err != nil {
+					return
+				}
 			}
 		})
+}
+
+// TestWorkerStepAllocatesOnlyItsReport pins the parent side of the wire: a
+// Step through Worker.call — request, frame, fields, every event decoded
+// and dispatched — allocates nothing but the completion's report, whether
+// it carries 512 records or 4 096, once the read buffer has grown and the
+// intern table has seen the shard's vocabulary.
+func TestWorkerStepAllocatesOnlyItsReport(t *testing.T) {
+	var reply atomic.Pointer[[]byte]
+	sink := &countSink{}
+	w, err := Connect(cannedWorker(t, &reply), WorkerOptions{}, Config{Seed: 1}, sink, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	report := decode(traceResponse(t, 0)) // the done event alone: its report
-	for _, n := range []int{64, 512} {
-		frame := traceResponse(t, n)
-		var resp response
-		if err := c.DecodeResponse(frame, &resp); err != nil { // warms the table
+	defer w.Close()
+	for _, n := range []int{0, 512, 4096} {
+		frame := cannedFrame(t, traceResponse(t, n, 0))
+		reply.Store(&frame)
+		rep, err := appendReport(nil, &core.Report{UnitsDone: n})
+		if err != nil {
 			t.Fatal(err)
 		}
-		if len(resp.Events) != n+1 || resp.Events[n-1].Rec.State != "DONE" || resp.Events[n].Report.UnitsDone != n {
-			t.Fatalf("decoded %d events, last record %+v", len(resp.Events), resp.Events[n-1].Rec)
+		c := newBinaryCodec()
+		report := testing.AllocsPerRun(20, func() { c.readReport(&binReader{data: rep}) })
+		sink.traces, sink.done = 0, 0
+		got := testing.AllocsPerRun(10, func() {
+			if fired, drained, err := w.Step(n); err != nil || fired != n || !drained {
+				t.Fatalf("Step(%d) = %d, %v, %v", n, fired, drained, err)
+			}
+		})
+		if sink.traces != 11*n || sink.done != 11 {
+			t.Fatalf("%d-record Steps delivered %d records and %d completions over 11 calls", n, sink.traces, sink.done)
 		}
-		got := decode(frame) - report
-		t.Logf("%d records: %.0f allocations", n, got)
-		if got > 4 {
-			t.Errorf("decoding %d records costs %.0f allocations beyond the report's, want at most 4", n, got)
+		t.Logf("%d records: %.0f allocations, the report's %.0f", n, got, report)
+		if got != report {
+			t.Errorf("a %d-record Step costs %.0f allocations, want its report's %.0f", n, got, report)
 		}
 	}
 }
@@ -146,18 +253,19 @@ func checkForgedCounts(t *testing.T, decode func([]byte) error, cases []forgedCo
 
 // TestDecodeResponseForgedCount: an event, resource or map count the frame
 // cannot back up is refused before anything is reserved, and one it could (a
-// large frame whose first element is corrupt) costs one chunk, not count ×
-// the element's size.
+// large frame whose first element is corrupt) costs at most one chunk, not
+// count × the element's size. Events reserve nothing at all: they are
+// decoded into the dispatching call's own array.
 func TestDecodeResponseForgedCount(t *testing.T) {
 	header := func(bits byte) []byte {
 		return []byte{1, 0, 0, 0, bits, 0} // ID 1; Err, Diag, Codec empty; flags; Fired 0
 	}
 	// One done event (kind, key 0, no namespace) whose report has an empty
 	// arena, a zero strategy (nil resources) and ten zero scalars.
-	report := append(header(0), 1, eventCodes[eventDone], 0, 0, evHasReport)
+	report := append(header(0), 1, kindDone, 0, 0, evHasReport)
 	decode := func(frame []byte) error {
-		var resp response
-		return newBinaryCodec().DecodeResponse(frame, &resp)
+		_, _, err := decodeResponse(newBinaryCodec(), frame)
+		return err
 	}
 	checkForgedCounts(t, decode, []forgedCount{
 		{"event count", header(0), nil, 4, false},
@@ -171,8 +279,8 @@ func TestDecodeResponseForgedCount(t *testing.T) {
 // string, list, map or arena count in a workload or a report costs at most
 // the payload it claims.
 func TestDecodeRequestForgedCount(t *testing.T) {
-	derive := []byte{opCodes[opDerive], 1, reqHasWorkload, 0, 0, 0, 0}
-	feedback := []byte{opCodes[opFeedback], 1, reqHasReport, 0, 0, 0, 0}
+	derive := []byte{wireCode(opNames[:], opDerive), 1, reqHasWorkload, 0, 0, 0, 0}
+	feedback := []byte{wireCode(opNames[:], opFeedback), 1, reqHasReport, 0, 0, 0, 0}
 	decode := func(frame []byte) error {
 		var req request
 		return newBinaryCodec().DecodeRequest(frame, &req)
@@ -255,12 +363,13 @@ func (s *nestingSink) JobDone(key int, report *core.Report) {
 	}
 }
 
-// TestNestedEnactKeepsOuterBatch pins why DecodeResponse materialises a
-// batch that Worker.call owns: a dispatched JobDone enacts the next job, a
-// nested exchange on the same session that refills its read buffer and runs
+// TestNestedEnactKeepsOuterBatch pins why the call dispatching a response
+// owns its frame and its decode chunk: a dispatched JobDone enacts the next
+// job, a nested exchange on the same session that reads a frame and runs
 // the decoder again, and the rest of the outer batch must still reach the
-// sink as the worker sent it. The JSON codec borrows nothing, so it is the
-// reference: both codecs must deliver the same callbacks in the same order.
+// sink as the worker sent it. The JSON codec decodes a response whole, so
+// it is the reference: both codecs must deliver the same callbacks in the
+// same order.
 func TestNestedEnactKeepsOuterBatch(t *testing.T) {
 	desc := func(key, tasks int, seconds float64) *Descriptor {
 		w, err := skeleton.Generate(skeleton.BagOfTasks(tasks, skeleton.Constant(seconds)), int64(key))
@@ -315,6 +424,125 @@ func TestNestedEnactKeepsOuterBatch(t *testing.T) {
 	for key, r := range ref.done {
 		if !reflect.DeepEqual(bin.done[key], r) {
 			t.Errorf("job %d: report differs across codecs", key)
+		}
+	}
+}
+
+// nestAtSink records every callback and, at its nest-th completion, enacts
+// a job from inside the callback — a nested call on the same session.
+type nestAtSink struct {
+	callSink
+	w     *Worker
+	nest  int
+	dones int
+	err   error
+}
+
+func (s *nestAtSink) JobDone(key int, report *core.Report) {
+	s.callSink.JobDone(key, report)
+	if s.dones++; s.dones-1 == s.nest {
+		_, s.err = s.w.Enact(&Descriptor{Key: 9, MigratedFrom: -1})
+	}
+}
+
+// TestChunkedDispatchMatchesJSON is the dispatch loop's differential test.
+// Seeded Step batches of 0, K−1, K, K+1 and 4 096 events (K = eventChunk) —
+// records, completions, and events the sink is not given — cross a binary
+// session and a JSON one. Both must make the callbacks the events call for,
+// in order. A completion at a random place in the first chunk of the
+// largest batch enacts a job from inside its callback: that nested call's
+// reply is longer than the chunk, and the outer call has the rest of its
+// chunk to dispatch and most of its frame still to decode, so a nested call
+// that read into the outer call's frame, or decoded into its chunk, would
+// hand the rest of the batch over corrupted.
+func TestChunkedDispatchMatchesJSON(t *testing.T) {
+	rng := rand.New(rand.NewSource(20261016))
+	states := []string{"SCHEDULING", "STAGING_INPUT", "EXECUTING", "DONE"}
+	events := func(n int) []wireEvent {
+		evs := make([]wireEvent, n)
+		for i := range evs {
+			ev := wireEvent{Kind: eventTrace, Key: 1 + rng.Intn(4), NS: fmt.Sprintf("s0-j%d", 1+rng.Intn(4))}
+			switch r := rng.Intn(100); {
+			case r < 3:
+				ev.Kind, ev.Report = eventDone, &core.Report{UnitsDone: rng.Intn(100)}
+			case r == 3:
+				ev.Kind = "x" // a kind this build does not know
+			case r == 4: // a trace event without its record
+			default:
+				ev.Rec = &trace.WireRecord{Time: sim.Time(rng.Int63n(1e12)), Entity: fmt.Sprintf("unit.%04d", rng.Intn(64)), State: states[rng.Intn(len(states))]}
+				if rng.Intn(3) == 0 {
+					ev.Rec.Detail = fmt.Sprintf("pilot=s0-j1.p%d", rng.Intn(5))
+				}
+			}
+			evs[i] = ev
+		}
+		return evs
+	}
+	var batches [][]wireEvent
+	for _, n := range []int{0, eventChunk - 1, eventChunk, eventChunk + 1, 4096} {
+		batches = append(batches, events(n))
+	}
+	enacted := events(2*eventChunk + 3)
+
+	// The completion that nests sits at a random place in the largest
+	// batch's first chunk, short of its end.
+	big, pos := batches[len(batches)-1], rng.Intn(eventChunk-1)
+	big[pos] = wireEvent{Kind: eventDone, Key: 1, Report: &core.Report{UnitsDone: pos}}
+
+	// The reference: every event's call, in order, with the enact's calls
+	// spliced in after the completion that nests it.
+	var want []sinkCall
+	dones, nest, splice := 0, 0, 0
+	for bi, b := range batches {
+		for ei := range b {
+			if bi == len(batches)-1 && ei == pos {
+				nest, splice = dones, len(want)+1
+			}
+			for _, c := range wantCalls(b[ei : ei+1]) {
+				want = append(want, c)
+				if c.done {
+					dones++
+				}
+			}
+		}
+	}
+	want = slices.Insert(want, splice, wantCalls(enacted)...)
+
+	for _, name := range []string{CodecBinary, CodecJSON} {
+		step := 0
+		tr := scriptedWorker(t, func(req *request) *response {
+			switch req.Op {
+			case opEnact:
+				return &response{Enacted: &Enacted{Namespace: "s0-j9"}, Events: enacted}
+			case opStep:
+				b := batches[step]
+				step++
+				return &response{Fired: len(b), Events: b}
+			}
+			return &response{}
+		})
+		sink := &nestAtSink{nest: nest}
+		w, err := Connect(tr, WorkerOptions{Codec: name}, Config{Seed: 1}, sink, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sink.w = w
+		for _, b := range batches {
+			if fired, _, err := w.Step(len(b)); err != nil || fired != len(b) {
+				t.Fatalf("%s: Step = %d, %v", name, fired, err)
+			}
+		}
+		w.Kill()
+		if sink.err != nil {
+			t.Fatalf("%s: nested enact: %v", name, sink.err)
+		}
+		if !reflect.DeepEqual(sink.calls, want) {
+			for i := range want {
+				if i >= len(sink.calls) || !reflect.DeepEqual(sink.calls[i], want[i]) {
+					t.Fatalf("%s: call %d of %d is %+v, want %+v", name, i, len(want), sink.calls[min(i, len(sink.calls)-1)], want[i])
+				}
+			}
+			t.Fatalf("%s: %d calls, want %d", name, len(sink.calls), len(want))
 		}
 	}
 }

@@ -28,17 +28,20 @@ func roundTripRequest(t *testing.T, c codec, in *request) request {
 	return out
 }
 
-func roundTripResponse(t *testing.T, c codec, in *response) response {
+// roundTripResponse pushes in through one codec and the parent's dispatch
+// path, returning the decoded fields (Events left nil) and the callbacks
+// the events made.
+func roundTripResponse(t *testing.T, c codec, in *response) (response, []sinkCall) {
 	t.Helper()
 	buf, err := c.AppendResponse(nil, in)
 	if err != nil {
 		t.Fatalf("%s: encode response: %v", c.Name(), err)
 	}
-	var out response
-	if err := c.DecodeResponse(buf, &out); err != nil {
+	out, calls, err := decodeResponse(c, buf)
+	if err != nil {
 		t.Fatalf("%s: decode response: %v", c.Name(), err)
 	}
-	return out
+	return out, calls
 }
 
 // fuzzPayloads builds the structured payloads from fuzzed parts: up to 31
@@ -130,8 +133,9 @@ func encodesAlike(t *testing.T, encode func(codec) error) bool {
 
 // FuzzCodecRoundTrip is the codec-equivalence property behind negotiation:
 // for any frame value, decode(encode(v)) through the JSON codec and through
-// the binary codec yield the same value — so the codec a session lands on
-// is a wire-efficiency choice, never a semantics choice. The fuzzer drives
+// the binary codec yield the same value — a response's events as the
+// callbacks the parent's dispatch makes from them — so the codec a session
+// lands on is a wire-efficiency choice, never a semantics choice. The fuzzer drives
 // every frame shape: requests with and without structured payloads (their
 // task counts, durations, names, floats and nil-versus-empty lists fuzzed
 // too), responses with trace/done event batches, negotiation echoes, and
@@ -202,10 +206,13 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			resp.Strategy = &report.Strategy
 		}
 		if encodesAlike(t, func(c codec) error { _, err := c.AppendResponse(nil, resp); return err }) {
-			jresp := roundTripResponse(t, jsonCodec{}, resp)
-			bresp := roundTripResponse(t, newBinaryCodec(), resp)
+			jresp, jcalls := roundTripResponse(t, jsonCodec{}, resp)
+			bresp, bcalls := roundTripResponse(t, newBinaryCodec(), resp)
 			if !reflect.DeepEqual(jresp, bresp) {
 				t.Fatalf("response diverged across codecs:\njson:   %+v\nbinary: %+v", jresp, bresp)
+			}
+			if !reflect.DeepEqual(jcalls, bcalls) {
+				t.Fatalf("dispatch diverged across codecs:\njson:   %+v\nbinary: %+v", jcalls, bcalls)
 			}
 		}
 	})

@@ -1,15 +1,22 @@
 package backend
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"aimes/internal/core"
+	"aimes/internal/sim"
+	"aimes/internal/skeleton"
+	"aimes/internal/trace"
 )
 
 // testConn adapts an io.Pipe pair to the Conn seam for in-memory client
@@ -339,5 +346,278 @@ func TestTCPHandshake(t *testing.T) {
 	// Secretless hosting is refused outright.
 	if err := ServeListener(ln, ServeConfig{}); err == nil || !strings.Contains(err.Error(), "secret") {
 		t.Fatalf("secretless ServeListener: %v", err)
+	}
+}
+
+// scriptedWorker accepts whichever codec the client asks for at init, then
+// answers every request with what reply returns for it, encoded in that
+// codec under the request's ID. One Connect per transport.
+func scriptedWorker(t *testing.T, reply func(req *request) *response) Transport {
+	t.Helper()
+	var c codec = jsonCodec{}
+	return scriptedInit(t, func(req *request) *response {
+		if req.Codec == binaryWire {
+			c = newBinaryCodec()
+		}
+		return &response{ID: req.ID, Codec: req.Codec}
+	}, func(r io.Reader, w *io.PipeWriter) {
+		in := bufio.NewReader(r)
+		var buf []byte
+		for {
+			var err error
+			if buf, err = readFrameInto(in, buf, DefaultMaxFrame); err != nil {
+				return
+			}
+			var req request
+			if err := c.DecodeRequest(buf, &req); err != nil {
+				w.CloseWithError(err)
+				return
+			}
+			resp := reply(&req)
+			resp.ID = req.ID
+			frame, err := c.AppendResponse(make([]byte, 4), resp)
+			if err == nil {
+				err = finishFrame(frame, DefaultMaxFrame)
+			}
+			if err != nil {
+				w.CloseWithError(err)
+				return
+			}
+			if _, err := w.Write(frame); err != nil {
+				return
+			}
+		}
+	})
+}
+
+// awaitDeaths waits for the death callback's count to reach one, and fails
+// unless it stays there.
+func awaitDeaths(t *testing.T, deaths *atomic.Int32) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for deaths.Load() == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(10 * time.Millisecond)
+	if got := deaths.Load(); got != 1 {
+		t.Fatalf("death callback ran %d times, want 1", got)
+	}
+}
+
+// TestPingWithPayloadKillsSession: the host answers a ping without touching
+// its engine, so a ping reply carrying events, an enact result or a
+// strategy is a protocol violation. The session dies, the death callback
+// runs once, nothing reaches the sink, and later calls fail fast.
+func TestPingWithPayloadKillsSession(t *testing.T) {
+	rec := &trace.WireRecord{Entity: "unit.0001", State: "DONE"}
+	for name, payload := range map[string]response{
+		"events":   {Events: []wireEvent{{Kind: eventTrace, Key: 1, NS: "s0-j1", Rec: rec}}},
+		"enacted":  {Enacted: &Enacted{Namespace: "s0-j1"}},
+		"strategy": {Strategy: &core.Strategy{Pilots: 1}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			var deaths atomic.Int32
+			sink := &callSink{}
+			tr := scriptedWorker(t, func(req *request) *response {
+				if req.Op == opPing {
+					p := payload
+					return &p
+				}
+				return &response{}
+			})
+			w, err := Connect(tr, WorkerOptions{}, Config{Shard: 4, Seed: 1}, sink, func(error) { deaths.Add(1) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.Kill()
+			err = w.Ping()
+			if err == nil || !strings.Contains(err.Error(), "answered a ping") {
+				t.Fatalf("ping answered with %s: %v, want a protocol error", name, err)
+			}
+			if !w.Dead() {
+				t.Fatal("the session outlived a protocol violation")
+			}
+			if _, _, err2 := w.Step(1); err2 == nil || err2.Error() != err.Error() {
+				t.Fatalf("call after the violation: %v, want the dead-session error %q", err2, err)
+			}
+			if err2 := w.Ping(); err2 == nil || err2.Error() != err.Error() {
+				t.Fatalf("ping after the violation: %v, want the dead-session error %q", err2, err)
+			}
+			awaitDeaths(t, &deaths)
+			if len(sink.calls) != 0 {
+				t.Fatalf("a ping reply reached the sink: %+v", sink.calls)
+			}
+		})
+	}
+}
+
+// TestTruncatedChunkFailsSessionOnce: a Step response whose frame ends
+// inside its last event decodes one whole chunk before the failing one.
+// That chunk reaches the sink and no event of the failing one does; the
+// session dies with the decoder's error, the death callback runs once, and
+// later calls fail fast with the same error.
+func TestTruncatedChunkFailsSessionOnce(t *testing.T) {
+	resp := &response{Fired: 1}
+	for i := range eventChunk + 10 {
+		rec := &trace.WireRecord{Time: sim.Time(i), Entity: "unit.0001", State: "EXECUTING", Detail: "pilot=s0-j1.p0"}
+		resp.Events = append(resp.Events, wireEvent{Kind: eventTrace, Key: 1, NS: "s0-j1", Rec: rec})
+	}
+	payload, err := newBinaryCodec().AppendResponse(nil, resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := cannedFrame(t, payload[:len(payload)-3])
+	var reply atomic.Pointer[[]byte]
+	reply.Store(&frame)
+	var deaths atomic.Int32
+	sink := &countSink{}
+	w, err := Connect(cannedWorker(t, &reply), WorkerOptions{}, Config{Shard: 5, Seed: 1}, sink, func(error) { deaths.Add(1) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Kill()
+	_, _, err = w.Step(64)
+	if want := "backend: trace: wire record: truncated detail"; err == nil || err.Error() != want {
+		t.Fatalf("Step over a truncated frame: %v, want %q", err, want)
+	}
+	if sink.traces != eventChunk || sink.done != 0 {
+		t.Fatalf("the sink got %d records and %d completions, want the first chunk's %d records", sink.traces, sink.done, eventChunk)
+	}
+	if _, _, err2 := w.Step(64); err2 == nil || err2.Error() != err.Error() {
+		t.Fatalf("call after the corrupt frame: %v, want the dead-session error %q", err2, err)
+	}
+	awaitDeaths(t, &deaths)
+	if sink.traces != eventChunk {
+		t.Fatalf("a later call dispatched more records: %d", sink.traces)
+	}
+}
+
+// countingTransport counts the bytes its connections move, each way.
+type countingTransport struct {
+	Transport
+	read, written *atomic.Int64
+}
+
+func (t countingTransport) Dial(shard int, onDeath func(error)) (Conn, error) {
+	c, err := t.Transport.Dial(shard, onDeath)
+	if err != nil {
+		return nil, err
+	}
+	return &countingConn{Conn: c, t: t}, nil
+}
+
+type countingConn struct {
+	Conn
+	t countingTransport
+}
+
+func (c *countingConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.t.read.Add(int64(n))
+	return n, err
+}
+
+func (c *countingConn) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	c.t.written.Add(int64(n))
+	return n, err
+}
+
+// TestWireStatsMatchTransport: the session's counters agree with what the
+// connection under it moved, from the handshake on, and count every round
+// trip and every event the sink was given.
+func TestWireStatsMatchTransport(t *testing.T) {
+	var read, written atomic.Int64
+	sink := &collectSink{}
+	w, err := Connect(countingTransport{pipeWorker(t), &read, &written}, WorkerOptions{}, Config{Seed: 3}, sink, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	check := func(when string, roundTrips int64) {
+		t.Helper()
+		want := WireStats{RoundTrips: roundTrips, BytesSent: written.Load(), BytesReceived: read.Load(), Events: int64(len(sink.traces) + len(sink.done))}
+		if got := w.WireStats(); got != want {
+			t.Fatalf("%s: session counted %+v, the connection %+v", when, got, want)
+		}
+	}
+	check("after the handshake", 1)
+	wl, err := skeleton.Generate(skeleton.BagOfTasks(16, skeleton.Constant(60)), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Enact(&Descriptor{Key: 1, MigratedFrom: -1, Descriptor: core.Descriptor{
+		Workload: wl,
+		Config:   core.StrategyConfig{Binding: core.LateBinding, Scheduler: core.SchedBackfill, Pilots: 2},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	calls := int64(2)
+	for sink.done[1] == nil {
+		if _, _, err := w.Step(64); err != nil {
+			t.Fatal(err)
+		}
+		calls++
+	}
+	check("after a job", calls)
+	if st := w.WireStats(); st.Events < 16 || st.BytesReceived <= st.BytesSent {
+		t.Fatalf("a 16-task job's traffic: %+v", st)
+	}
+}
+
+// TestPingDuringDispatch: a ping from another goroutine may take the wire
+// between two chunks of a Step's dispatch — the prober does not wait for the
+// shard — and neither side may disturb the other's frame or events.
+func TestPingDuringDispatch(t *testing.T) {
+	batch := make([]wireEvent, 5*eventChunk+7)
+	for i := range batch {
+		batch[i] = wireEvent{Kind: eventTrace, Key: 1, NS: "s0-j1", Rec: &trace.WireRecord{Time: sim.Time(i), Entity: fmt.Sprintf("unit.%04d", i%48), State: "EXECUTING"}}
+	}
+	tr := scriptedWorker(t, func(req *request) *response {
+		if req.Op == opStep {
+			return &response{Fired: len(batch), Events: batch}
+		}
+		return &response{}
+	})
+	sink := &callSink{}
+	w, err := Connect(tr, WorkerOptions{}, Config{Seed: 1}, sink, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Kill()
+	stop := make(chan struct{})
+	pinged := make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				pinged <- nil
+				return
+			default:
+			}
+			if err := w.Ping(); err != nil {
+				pinged <- err
+				return
+			}
+		}
+	}()
+	const steps = 40
+	for range steps {
+		if _, _, err := w.Step(len(batch)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	if err := <-pinged; err != nil {
+		t.Fatalf("ping: %v", err)
+	}
+	want := wantCalls(batch)
+	if len(sink.calls) != steps*len(want) {
+		t.Fatalf("%d calls, want %d", len(sink.calls), steps*len(want))
+	}
+	for i, c := range sink.calls {
+		if !reflect.DeepEqual(c, want[i%len(want)]) {
+			t.Fatalf("call %d is %+v, want %+v", i, c, want[i%len(want)])
+		}
 	}
 }

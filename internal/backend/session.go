@@ -11,31 +11,54 @@ import (
 
 // session is the client half of the protocol's session layer: one
 // correlated request/response wire over a Conn, in whatever codec the init
-// exchange negotiated. It owns ID assignment and correlation, the pooled
-// frame buffers, the dead-session state, and the once-only death
-// notification that both in-band failures (a broken write, a desync, a
-// corrupt frame) and out-of-band ones (the process transport's watcher)
+// exchange negotiated. It owns ID assignment and correlation, the frame
+// buffers, the dead-session state, the wire counters, and the once-only
+// death notification that both in-band failures (a broken write, a desync,
+// a corrupt frame) and out-of-band ones (the process transport's watcher)
 // funnel into. What it does not know about is Backend semantics — request
-// construction, drain caching and event replay live in Worker, one layer
-// up.
+// construction and the drain cache live in Worker, one layer up.
 type session struct {
 	shard int
 	conn  Conn
 	in    *bufio.Reader
 	cod   codec
 
-	// mu serializes the wire (encode, write, read, decode). It is never
-	// held while the caller dispatches a response's events: a sink callback
-	// may legally issue a nested call.
+	// mu serializes the wire (encode, write, read, decode) and every use of
+	// the codec's intern table. It is never held while a response's events
+	// are handed to the sink: a sink callback may legally issue a nested
+	// call, or another goroutine a ping, between two chunks.
 	mu     sync.Mutex
 	nextID uint64
 	dead   error
 	wbuf   []byte // one frame, header-first; reused across calls
-	rbuf   []byte // response payload; reused across calls
+	// req and resp are the codec's side of one exchange: the caller's
+	// request is copied in and its response copied out, so neither escapes
+	// through the codec interface into an allocation per call.
+	req  request
+	resp response
+	// frames are read buffers no call owns. A call owns the one its
+	// response was read into until it has dispatched the last event, so a
+	// nested call reads into another; keepFrames of them are kept.
+	frames [][]byte
+
+	roundTrips, sent, received, events atomic.Int64
 
 	closing   atomic.Bool
 	onDeath   func(error)
 	deathOnce sync.Once
+}
+
+// keepFrames is how many read buffers a session keeps between calls: one
+// for a call, one for a call nested in its dispatch.
+const keepFrames = 2
+
+// WireStats counts one worker session's traffic from the parent's side. The
+// session adds to it once per exchange, never per record.
+type WireStats struct {
+	RoundTrips    int64 // request/response exchanges, the init exchange included
+	BytesSent     int64 // frame bytes written, 4-byte headers included
+	BytesReceived int64 // frame bytes read, 4-byte headers included
+	Events        int64 // events the responses carried: trace records and completions
 }
 
 func newSession(shard int, onDeath func(error)) *session {
@@ -82,11 +105,10 @@ func (s *session) notifyDeath(cause error) {
 
 // exchange performs one correlated round trip: assign the next ID, encode
 // and write the request as a single frame (one Write — one pipe syscall,
-// one TCP segment), read and decode the response, verify correlation. Any
-// failure — transport, codec, desync — marks the session dead, fails every
-// later call fast, and notifies the death callback so the environment fails
-// the shard's jobs instead of hanging their waiters; transports with their
-// own watcher converge on the same once-only notification.
+// one TCP segment), read the response and decode its fields, verify
+// correlation. The response's events stay in resp.tail, with the frame they
+// are read from, until dispatch hands them out. Any failure — transport,
+// codec, desync — marks the session dead (see fail).
 func (s *session) exchange(req *request, resp *response) error {
 	s.mu.Lock()
 	if s.dead != nil {
@@ -95,38 +117,128 @@ func (s *session) exchange(req *request, resp *response) error {
 		return err
 	}
 	s.nextID++
-	req.ID = s.nextID
+	s.req = *req
+	s.req.ID = s.nextID
+	var frame []byte
+	if n := len(s.frames); n > 0 {
+		frame, s.frames = s.frames[n-1], s.frames[:n-1]
+	}
 
 	var err error
 	s.wbuf = s.wbuf[:4]
-	if s.wbuf, err = s.cod.AppendRequest(s.wbuf, req); err == nil {
+	if s.wbuf, err = s.cod.AppendRequest(s.wbuf, &s.req); err == nil {
 		if err = finishFrame(s.wbuf, DefaultMaxFrame); err == nil {
 			if _, err = s.conn.Write(s.wbuf); err == nil {
-				if s.rbuf, err = readFrameInto(s.in, s.rbuf, DefaultMaxFrame); err == nil {
-					err = s.cod.DecodeResponse(s.rbuf, resp)
+				if frame, err = readFrameInto(s.in, frame, DefaultMaxFrame); err == nil {
+					err = s.cod.DecodeResponse(frame, &s.resp)
 				}
 			}
 		}
 	}
-	if err == nil && resp.ID != req.ID {
-		err = fmt.Errorf("worker response %d for request %d (protocol desync)", resp.ID, req.ID)
+	id := s.req.ID
+	*resp, s.req, s.resp = s.resp, request{}, response{}
+	if err == nil && resp.ID != id {
+		err = fmt.Errorf("worker response %d for request %d (protocol desync)", resp.ID, id)
 	}
-	if err == nil {
+	if err != nil {
+		resp.tail = eventTail{}
+		err = s.failLocked(err)
 		s.mu.Unlock()
-		return nil
+		go s.notifyDeath(err)
+		return err
 	}
-	if s.dead == nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			err = fmt.Errorf("worker for shard %d closed its connection", s.shard)
-		}
-		s.dead = fmt.Errorf("backend: %w", err)
+	s.roundTrips.Add(1)
+	s.sent.Add(int64(len(s.wbuf)))
+	s.received.Add(int64(4 + len(frame)))
+	s.events.Add(int64(resp.tail.left))
+	if resp.tail.left == 0 {
+		s.putFrame(frame)
+	} else {
+		resp.tail.frame = frame
 	}
-	err = s.dead
 	s.mu.Unlock()
-	// Notify on a fresh goroutine: the caller may hold its shard's lock,
-	// and the death handler takes it to fail the shard's jobs.
+	return nil
+}
+
+// dispatch hands a response's events to sink in wire order, a chunk at a
+// time: each chunk is decoded into this call's own array under the wire
+// lock, then dispatched without it. The chunk and the frame belong to this
+// call alone, so a sink callback's nested call (a completion that admits
+// and enacts the next queued job) reads and decodes into storage of its own
+// and cannot touch the rest of this batch. No event of a chunk that fails to
+// decode is dispatched; the failure kills the session.
+func (s *session) dispatch(t *eventTail, sink Sink) error {
+	var chunk [eventChunk]event
+	for t.left > 0 {
+		s.mu.Lock()
+		n, err := t.next(chunk[:])
+		if err != nil || t.left == 0 {
+			s.putFrame(t.frame)
+			t.frame = nil
+		}
+		if err != nil {
+			err = s.failLocked(err)
+		}
+		s.mu.Unlock()
+		if err != nil {
+			go s.notifyDeath(err)
+			return err
+		}
+		for i := range chunk[:n] {
+			ev := &chunk[i]
+			switch ev.kind {
+			case kindTrace:
+				sink.JobTrace(ev.key, ev.ns, ev.rec)
+			case kindDone:
+				sink.JobDone(ev.key, ev.report)
+			}
+		}
+	}
+	return nil
+}
+
+// eventChunk is how many events dispatch decodes at a time.
+const eventChunk = 64
+
+// putFrame keeps a read buffer for a later call. The caller holds mu.
+func (s *session) putFrame(frame []byte) {
+	if frame != nil && len(s.frames) < keepFrames {
+		s.frames = append(s.frames, frame[:0])
+	}
+}
+
+// fail marks the session dead for cause and notifies the death callback,
+// returning the sticky error every later call fails fast with.
+func (s *session) fail(cause error) error {
+	s.mu.Lock()
+	err := s.failLocked(cause)
+	s.mu.Unlock()
 	go s.notifyDeath(err)
 	return err
+}
+
+// failLocked records cause as the session's death unless it already died,
+// and returns the sticky error. The caller holds mu, and notifies on a fresh
+// goroutine once it is released: the caller may hold its shard's lock, and
+// the death handler takes it to fail the shard's jobs.
+func (s *session) failLocked(cause error) error {
+	if s.dead == nil {
+		if errors.Is(cause, io.EOF) || errors.Is(cause, io.ErrUnexpectedEOF) {
+			cause = fmt.Errorf("worker for shard %d closed its connection", s.shard)
+		}
+		s.dead = fmt.Errorf("backend: %w", cause)
+	}
+	return s.dead
+}
+
+// stats snapshots the session's wire counters.
+func (s *session) stats() WireStats {
+	return WireStats{
+		RoundTrips:    s.roundTrips.Load(),
+		BytesSent:     s.sent.Load(),
+		BytesReceived: s.received.Load(),
+		Events:        s.events.Load(),
+	}
 }
 
 // deadErr reports the sticky dead-session error, nil while the wire is

@@ -1,6 +1,7 @@
 package backend
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -54,13 +55,15 @@ func finishFrame(buf []byte, limit int) error {
 
 // readFrameInto reads one length-prefixed frame payload, reusing buf's
 // storage when it is large enough. It returns the payload slice (valid until
-// the next call with the same buf).
-func readFrameInto(r io.Reader, buf []byte, limit int) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// the next call with the same buf). The header is peeked out of r's buffer,
+// so reading a frame allocates nothing once buf has grown.
+func readFrameInto(r *bufio.Reader, buf []byte, limit int) ([]byte, error) {
+	hdr, err := r.Peek(4)
+	if err != nil {
 		return buf[:0], err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
+	_, _ = r.Discard(4) // cannot fail: Peek buffered the four bytes
 	if n > uint32(limit) {
 		return buf[:0], fmt.Errorf("backend: frame length %d exceeds the %d-byte limit", n, limit)
 	}
@@ -113,7 +116,8 @@ type request struct {
 	Chaos    *ChaosEvent          `json:"chaos,omitempty"`
 }
 
-// wireEvent is one ordered asynchronous output riding a response.
+// wireEvent is one ordered asynchronous output riding a response, as the
+// worker encodes it and the JSON codec decodes it.
 type wireEvent struct {
 	Kind   string            `json:"k"` // "t" (trace) or "d" (done)
 	Key    int               `json:"j"`
@@ -126,6 +130,76 @@ const (
 	eventTrace = "t"
 	eventDone  = "d"
 )
+
+// Event kinds as the parent dispatches them, and as the binary codec writes
+// them. Zero is an event the sink is not given: a kind this build does not
+// know, or a trace event without a record.
+const (
+	kindTrace byte = 1
+	kindDone  byte = 2
+)
+
+// eventNames maps an event kind to its name.
+var eventNames = [...]string{kindTrace: eventTrace, kindDone: eventDone}
+
+// wireCode returns name's index in names, or 0 when it has none.
+func wireCode(names []string, name string) byte {
+	for i, n := range names {
+		if n != "" && n == name {
+			return byte(i)
+		}
+	}
+	return 0
+}
+
+// known reports whether code names an entry of names.
+func known(names []string, code byte) bool {
+	return int(code) < len(names) && names[code] != ""
+}
+
+// event is one response event decoded for dispatch, into storage the
+// dispatching call owns (see session.dispatch).
+type event struct {
+	kind   byte
+	key    int
+	ns     string
+	rec    trace.Record
+	report *core.Report
+}
+
+// eventTail is what a response's call still has to dispatch once the codec
+// has decoded the response's fields: the binary codec leaves the events in
+// the frame, for readEvents to decode a chunk at a time; the JSON codec
+// leaves the list it decoded whole.
+type eventTail struct {
+	left  int    // events not yet handed out
+	frame []byte // the read buffer the call owns until left is 0
+	bin   *binaryCodec
+	rd    binReader   // binary: the frame from the next event on
+	list  []wireEvent // JSON: the events not yet handed out
+}
+
+// next fills dst with up to len(dst) of the tail's events and reports how
+// many. A binary tail decodes them under the caller's session lock (its
+// intern table is the session's); on a decode error none of them is valid.
+func (t *eventTail) next(dst []event) (int, error) {
+	if t.bin != nil {
+		return t.bin.readEvents(t, dst)
+	}
+	n := min(t.left, len(dst))
+	for i := range n {
+		w := &t.list[i]
+		ev := event{kind: wireCode(eventNames[:], w.Kind), key: w.Key, ns: w.NS, report: w.Report}
+		if w.Rec != nil {
+			ev.rec = w.Rec.Record()
+		} else if ev.kind == kindTrace {
+			ev.kind = 0
+		}
+		dst[i] = ev
+	}
+	t.list, t.left = t.list[n:], t.left-n
+	return n, nil
+}
 
 // response is one worker→parent frame, answering the request with the same
 // ID. Err carries operation-level failures (e.g. a derivation error) — the
@@ -145,4 +219,8 @@ type response struct {
 	// Codec echoes the wire codec the worker accepted for every frame after
 	// the init exchange. Only the init response carries it.
 	Codec string `json:"codec,omitempty"`
+
+	// tail is what the parent's decode leaves of Events for the call to
+	// dispatch; the worker's encode never looks at it.
+	tail eventTail
 }

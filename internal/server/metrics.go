@@ -237,10 +237,23 @@ func (m *metrics) render(w io.Writer, env *aimes.Environment, inflight map[strin
 		func(l aimes.ShardLoad) string { return fmt.Sprintf("%g", l.PredictedCost) })
 	shardGauge("aimes_model_rel_error", "Cost model's EWMA of relative prediction error per shard.",
 		func(l aimes.ShardLoad) string { return fmt.Sprintf("%g", l.ModelError) })
-	fmt.Fprintf(w, "# HELP aimes_trace_dropped_total Trace records evicted from the shard's retention-bounded log.\n# TYPE aimes_trace_dropped_total counter\n")
-	for _, l := range loads {
-		fmt.Fprintf(w, "aimes_trace_dropped_total{shard=\"%d\"} %d\n", l.Shard, l.TraceDropped)
+	shardCounter := func(metric, help string, value func(aimes.ShardLoad) int64) {
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", metric, help, metric)
+		for _, l := range loads {
+			fmt.Fprintf(w, "%s{shard=\"%d\"} %d\n", metric, l.Shard, value(l))
+		}
 	}
+	shardCounter("aimes_trace_dropped_total", "Trace records evicted from the shard's retention-bounded log.",
+		func(l aimes.ShardLoad) int64 { return l.TraceDropped })
+	shardCounter("aimes_wire_round_trips_total", "Request/response exchanges with the shard's worker (0 on local shards).",
+		func(l aimes.ShardLoad) int64 { return l.Wire.RoundTrips })
+	fmt.Fprintf(w, "# HELP aimes_wire_bytes_total Frame bytes exchanged with the shard's worker, by direction from this process (0 on local shards).\n# TYPE aimes_wire_bytes_total counter\n")
+	for _, l := range loads {
+		fmt.Fprintf(w, "aimes_wire_bytes_total{shard=\"%d\",direction=\"sent\"} %d\n", l.Shard, l.Wire.BytesSent)
+		fmt.Fprintf(w, "aimes_wire_bytes_total{shard=\"%d\",direction=\"received\"} %d\n", l.Shard, l.Wire.BytesReceived)
+	}
+	shardCounter("aimes_wire_events_total", "Trace records and completions the shard's worker delivered (0 on local shards).",
+		func(l aimes.ShardLoad) int64 { return l.Wire.Events })
 
 	steal := env.StealStats()
 	fmt.Fprintf(w, "# HELP aimes_steal_migrations_total Queued jobs migrated across shards by work stealing.\n# TYPE aimes_steal_migrations_total counter\naimes_steal_migrations_total %d\n", steal.Migrations)

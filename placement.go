@@ -1,6 +1,10 @@
 package aimes
 
-import "time"
+import (
+	"time"
+
+	"aimes/internal/backend"
+)
 
 // ShardLoad is one shard's point-in-time load snapshot (see Loads).
 type ShardLoad struct {
@@ -26,7 +30,15 @@ type ShardLoad struct {
 	// (|predicted − observed| / observed per completed job); 0 until the
 	// shard has scored a prediction.
 	ModelError float64
+
+	// Wire counts the traffic between this process and the shard's worker
+	// since the environment was created, across respawns: round trips,
+	// frame bytes each way, and events delivered. Zero on local shards.
+	Wire WireStats
 }
+
+// WireStats counts a worker shard's wire traffic (see ShardLoad.Wire).
+type WireStats = backend.WireStats
 
 // Loads snapshots every shard's queue depth, running-job count, admission
 // window and weighted effective load — the same seconds-to-drain signal
@@ -54,6 +66,7 @@ func (e *Environment) Loads() []ShardLoad {
 		sh.sync(func() {
 			out[k].Running = sh.adm.running
 			out[k].Queued = sh.adm.depth()
+			out[k].Wire = sh.wire()
 		})
 	}
 	return out

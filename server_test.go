@@ -261,6 +261,68 @@ func longWorkload(t *testing.T, name string, seed int64) *aimes.Workload {
 	return w
 }
 
+// TestServerExposesWireCounters: on a worker backend /metrics carries each
+// shard's wire counters — round trips, frame bytes each way, events — as
+// Loads reports them, and a local shard's are zero.
+func TestServerExposesWireCounters(t *testing.T) {
+	addr, secret := tcpWorkerHost(t)
+	env, err := aimes.NewEnv(tcpWorkers(1, addr, secret)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { env.Close() })
+	_, hs := testDaemon(t, env, map[string]server.Tenant{"token-w": {Name: "wire"}})
+	c := client.New(hs.URL, "token-w")
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	w, err := aimes.GenerateWorkload(aimes.BagOfTasks(16, aimes.UniformDuration()), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, err := c.Submit(ctx, w, client.SubmitOptions{Config: parityCfgs[0]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Wait(ctx, job.ID); err != nil {
+		t.Fatal(err)
+	}
+	// The shard may still be finishing its last Step when Wait returns.
+	var st aimes.WireStats
+	var page string
+	for i := 0; ; i++ {
+		st = env.Loads()[0].Wire
+		if page, err = c.Metrics(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if env.Loads()[0].Wire == st || i == 100 {
+			break
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if st.RoundTrips < 2 || st.Events < 16 || st.BytesSent == 0 || st.BytesReceived <= st.BytesSent {
+		t.Fatalf("a 16-task job over a worker shard counted %+v", st)
+	}
+	for _, want := range []string{
+		fmt.Sprintf(`aimes_wire_round_trips_total{shard="0"} %d`, st.RoundTrips),
+		fmt.Sprintf(`aimes_wire_bytes_total{shard="0",direction="sent"} %d`, st.BytesSent),
+		fmt.Sprintf(`aimes_wire_bytes_total{shard="0",direction="received"} %d`, st.BytesReceived),
+		fmt.Sprintf(`aimes_wire_events_total{shard="0"} %d`, st.Events),
+	} {
+		if !strings.Contains(page, want+"\n") {
+			t.Errorf("/metrics missing %q", want)
+		}
+	}
+
+	local, err := aimes.NewEnv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer local.Close()
+	if st := local.Loads()[0].Wire; st != (aimes.WireStats{}) {
+		t.Errorf("a local shard counted wire traffic: %+v", st)
+	}
+}
+
 // TestServerQuotaAndMetrics is the multi-tenancy acceptance gate: two
 // tenants with quota 1 each; tenant A's second submission is rejected with
 // 429 while tenant B's is admitted, and /metrics reflects the per-tenant

@@ -33,6 +33,9 @@ type shardEnv struct {
 	// restarts counts successful respawns of this shard's worker.
 	cfg      backend.Config
 	restarts atomic.Int32
+	// pastWire is the wire traffic of the shard's dead workers, which
+	// wire adds to the live one's. Guarded by mu.
+	pastWire backend.WireStats
 
 	// log is the shard's part of the environment's trace hub. It has its own
 	// lock, so readers stay outside the shard's engine serialization.
@@ -117,6 +120,20 @@ func (e *Environment) newShard(k int, o *envOptions) (*shardEnv, error) {
 		sh.pace = &pacer{mu: &sh.mu, eng: eng, base: eng.Now(), start: time.Now(), kick: make(chan struct{}, 1)}
 	}
 	return sh, nil
+}
+
+// wire is the shard's wire traffic since the environment was created: its
+// dead workers' and the live one's. The caller holds mu.
+func (sh *shardEnv) wire() backend.WireStats {
+	st := sh.pastWire
+	if w, ok := sh.be.(*backend.Worker); ok {
+		now := w.WireStats()
+		st.RoundTrips += now.RoundTrips
+		st.BytesSent += now.BytesSent
+		st.BytesReceived += now.BytesReceived
+		st.Events += now.Events
+	}
+	return st
 }
 
 // sync runs fn serialized with the shard backend's callbacks, under the
