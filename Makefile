@@ -10,6 +10,7 @@ test:
 
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=3 -run '^TestCursorMatchesOracle$$' ./internal/trace/
 
 # The tests whose outcome depends on the wall clock — WithRealTime's pacer,
 # a Submit context expiring, monitors against a live waiter — race-enabled,

@@ -237,6 +237,8 @@ func (m *metrics) render(w io.Writer, env *aimes.Environment, inflight map[strin
 		func(l aimes.ShardLoad) string { return fmt.Sprintf("%g", l.PredictedCost) })
 	shardGauge("aimes_model_rel_error", "Cost model's EWMA of relative prediction error per shard.",
 		func(l aimes.ShardLoad) string { return fmt.Sprintf("%g", l.ModelError) })
+	shardGauge("aimes_trace_retained_records", "Trace records the shard's retention-bounded log holds now; with aimes_trace_dropped_total, every record the shard appended.",
+		func(l aimes.ShardLoad) string { return fmt.Sprintf("%d", l.TraceRetained) })
 	shardCounter := func(metric, help string, value func(aimes.ShardLoad) int64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", metric, help, metric)
 		for _, l := range loads {

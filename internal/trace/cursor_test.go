@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -11,8 +12,8 @@ import (
 
 // The cursor's reference model: every append in order, and from it — by brute
 // force over positions — what a reader at a given point must be handed. The
-// log's own bookkeeping (thread links, per-stream eviction counts, the ring)
-// is nowhere in it.
+// log's own bookkeeping (thread links, per-stream eviction counts, the ring,
+// the streams' state vocabularies) is nowhere in it.
 type cursorOracle struct {
 	maxSegs  int
 	appended [][2]int64 // by position: the stream and the sequence number of each append
@@ -21,17 +22,50 @@ type cursorOracle struct {
 
 func streamNS(k int) string { return fmt.Sprintf("s0-j%d", k) }
 
-// record is what stream k's seq-th record looks like: the content names both,
-// so a record delivered out of place cannot pass for another.
+// oracleStates is the pool the streams draw their states from: more than a
+// stream's inline vocabulary holds, so every long stream spills.
+var oracleStates = func() []string {
+	states := make([]string, 19)
+	for i := range states {
+		states[i] = fmt.Sprintf("STATE_%02d", i)
+	}
+	return states
+}()
+
+// record is what stream k's seq-th record looks like: its time is its log
+// position, so a record delivered out of place cannot pass for another, and
+// two records in three carry a detail naming both. Stream k walks the state
+// pool in steps of k+1, meeting every state (19 is prime) in an order of its
+// own, so one code stands for different states in different streams.
 func (o *cursorOracle) record(k int, seq int64) Record {
-	return Record{Time: sim.Time(o.streams[k][seq-1]), Entity: "unit.x", State: "S", Detail: fmt.Sprintf("%d/%d", k, seq)}
+	rec := Record{Time: sim.Time(o.streams[k][seq-1]), Entity: "unit.x",
+		State: oracleStates[seq*int64(k+1)%int64(len(oracleStates))]}
+	if seq%3 != 0 {
+		rec.Detail = fmt.Sprintf("%d/%d", k, seq)
+	}
+	return rec
+}
+
+// qualified is the record at log position p as a tail cursor or Snapshot
+// hands it out.
+func (o *cursorOracle) qualified(p int64) Record {
+	k := int(o.appended[p][0])
+	rec := o.record(k, o.appended[p][1])
+	rec.Entity = QualifyEntity(rec.Entity, streamNS(k))
+	return rec
 }
 
 func (o *cursorOracle) append(l *Log, streams []*Stream, k int) {
 	o.streams[k] = append(o.streams[k], int64(len(o.appended)))
 	seq := int64(len(o.streams[k]))
 	o.appended = append(o.appended, [2]int64{int64(k), seq})
-	l.Append(streams[k], streamNS(k), o.record(k, seq))
+	rec := o.record(k, seq)
+	if seq%5 == 0 {
+		// The same text in a string of its own, as a respawned worker's
+		// session interns it afresh.
+		rec.State = strings.Clone(rec.State)
+	}
+	l.Append(streams[k], streamNS(k), rec)
 }
 
 // base is the oldest retained position: whole segments leave, oldest first,
@@ -39,6 +73,36 @@ func (o *cursorOracle) append(l *Log, streams []*Stream, k int) {
 func (o *cursorOracle) base() int64 {
 	started := (len(o.appended) + logSegment - 1) / logSegment
 	return int64(max(0, started-o.maxSegs)) * logSegment
+}
+
+// checkSnapshot requires Snapshot to be the oracle's retained window, record
+// for record.
+func (o *cursorOracle) checkSnapshot(t *testing.T, l *Log) {
+	t.Helper()
+	snap, base := l.Snapshot(nil), o.base()
+	if want := int64(len(o.appended)) - base; int64(len(snap)) != want {
+		t.Fatalf("snapshot holds %d records, oracle retains %d", len(snap), want)
+	}
+	for i, rec := range snap {
+		if want := o.qualified(base + int64(i)); rec != want {
+			t.Fatalf("snapshot[%d] is %+v, oracle says %+v", i, rec, want)
+		}
+	}
+}
+
+// checkVocabulary requires each stream's vocabulary to hold every state its
+// records used exactly once: a copy of a known text gets the known code.
+func (o *cursorOracle) checkVocabulary(t *testing.T, streams []*Stream) {
+	t.Helper()
+	for k, s := range streams {
+		used := make(map[string]bool)
+		for seq := range int64(len(o.streams[k])) {
+			used[o.record(k, seq+1).State] = true
+		}
+		if got := s.nstates + len(s.spill); got != len(used) {
+			t.Fatalf("stream %d: %d codes for %d distinct states", k, got, len(used))
+		}
+	}
 }
 
 // modelReader is one attached cursor and what the oracle expects of it.
@@ -76,10 +140,7 @@ func (r *modelReader) read(t *testing.T, o *cursorOracle, over bool) (done bool)
 			r.want = b
 		}
 		for p := r.want; p < int64(len(o.appended)) && len(want) < len(r.buf); p++ {
-			k := int(o.appended[p][0])
-			rec := o.record(k, o.appended[p][1])
-			rec.Entity = QualifyEntity(rec.Entity, streamNS(k))
-			want = append(want, rec)
+			want = append(want, o.qualified(p))
 		}
 		// A full batch from a tail cursor never says done; the next Read does.
 		exhausted = len(want) < len(r.buf)
@@ -110,11 +171,15 @@ func (r *modelReader) read(t *testing.T, o *cursorOracle, over bool) (done bool)
 // readers attaching at random moments, at random sequence numbers (before the
 // stream's first record, inside and outside the retained window, past its
 // newest), reading with random batch sizes at random lags — every append,
-// rarely enough to fall off the window, or not until the end. Every Read must
-// return exactly the oracle's records with the oracle's sequence number, and
-// Dropped must equal the oracle's count of records evicted before the reader
-// reached them; at the end every stream reader is done and its stream's
-// Missed is the sum of its readers' losses.
+// rarely enough to fall off the window, or not until the end. Each stream's
+// records carry states from a pool larger than its inline vocabulary, in an
+// order of its own, every fifth one a separate copy of its text, and a
+// detail or none. Every Read must return exactly the oracle's records with
+// the oracle's sequence number, every Snapshot taken along the way the
+// oracle's window, and Dropped must equal the oracle's count of records
+// evicted before the reader reached them; at the end every stream reader is
+// done, its stream's Missed is the sum of its readers' losses, and each
+// stream's vocabulary holds each state it used once.
 func TestCursorMatchesOracle(t *testing.T) {
 	for seed := int64(1); seed <= 24; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -160,7 +225,12 @@ func TestCursorMatchesOracle(t *testing.T) {
 						r.read(t, o, false)
 					}
 				}
+				if i%997 == 0 {
+					o.checkSnapshot(t, l)
+				}
 			}
+			o.checkSnapshot(t, l)
+			o.checkVocabulary(t, streams)
 			if got, want := l.Dropped(), o.base(); got != want {
 				t.Fatalf("log dropped %d records, oracle %d", got, want)
 			}

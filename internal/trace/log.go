@@ -2,22 +2,34 @@ package trace
 
 import (
 	"iter"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
+
+	"aimes/internal/sim"
 )
 
 // logSegment is the number of entries in one Log segment. A full segment is
 // never touched again until it is evicted, so appends never re-copy.
 const logSegment = 1024
 
-// entry is one stored record, the stream (job) that produced it, and the log
-// position of that stream's next record (0 while it is the newest): the thread
-// a stream cursor follows, so it never looks at another job's records.
+// maxLogSegs caps a Log's retention at about 2^31 records, so that a thread
+// link — written only while its source is retained, so shorter than the
+// window — fits in an entry's 32 bits.
+const maxLogSegs = math.MaxInt32 / logSegment
+
+// entry is one stored record, the stream (job) that produced it, and the
+// distance from it to that stream's next record (0 while it is the newest):
+// the thread a stream cursor follows, so it never looks at another job's
+// records. The record's state is stored as its code in the stream's
+// vocabulary (Stream.code), the rest as itself; record rebuilds the Record.
 type entry struct {
-	rec  Record
-	s    *Stream
-	next int64
+	time           sim.Time
+	entity, detail string
+	s              *Stream
+	next           int32
+	state          uint32
 }
 
 // Log is an append-only, retention-bounded store of raw (unqualified) trace
@@ -37,9 +49,13 @@ type Log struct {
 }
 
 // NewLog returns an empty log retaining the most recent retain records,
-// rounded up to whole segments.
+// rounded up to whole segments and capped at about 2^31 records.
 func NewLog(retain int) *Log {
-	return &Log{maxSegs: max(1, (retain+logSegment-1)/logSegment)}
+	segs := retain / logSegment
+	if retain%logSegment > 0 {
+		segs++
+	}
+	return &Log{maxSegs: min(max(1, segs), maxLogSegs)}
 }
 
 // Stream is one job's thread through a Log: its records carry dense 1-based
@@ -62,6 +78,45 @@ type Stream struct {
 	evicted int64 // of those, no longer retained; the oldest retained is number evicted+1
 	first   int64 // position of record evicted+1 (meaningful while evicted < n)
 	last    int64 // position of record n
+
+	// The stream's state vocabulary, append-only, guarded by log.mu: code i
+	// is states[i] below len(states), spill[i-len(states)] above. A job of
+	// the engine uses about a dozen states, so only a producer that sends
+	// more (a worker may send any string) allocates.
+	states  [16]string
+	nstates int
+	spill   []string
+}
+
+// code returns the code of state in the stream's vocabulary, adding it if it
+// is new. The engine's state strings are static and a worker session interns
+// its own, so a known state usually compares equal by pointer.
+func (s *Stream) code(state string) uint32 {
+	for i, v := range s.states[:s.nstates] {
+		if v == state {
+			return uint32(i)
+		}
+	}
+	for i, v := range s.spill {
+		if v == state {
+			return uint32(len(s.states) + i)
+		}
+	}
+	if s.nstates < len(s.states) {
+		s.states[s.nstates] = state
+		s.nstates++
+		return uint32(s.nstates - 1)
+	}
+	s.spill = append(s.spill, state)
+	return uint32(len(s.states) + len(s.spill) - 1)
+}
+
+// state returns the state a code stands for.
+func (s *Stream) state(code uint32) string {
+	if code < uint32(len(s.states)) {
+		return s.states[code]
+	}
+	return s.spill[code-uint32(len(s.states))]
 }
 
 // End marks the stream complete and wakes its cursors, which report done once
@@ -108,7 +163,7 @@ func (l *Log) Append(s *Stream, ns string, rec Record) {
 			// order, so an evicted entry is its stream's oldest retained one.
 			for i := range l.segs[slot] {
 				e := &l.segs[slot][i]
-				e.s.first = e.next
+				e.s.first = l.base + int64(i) + int64(e.next)
 				e.s.evicted++
 			}
 			l.base += logSegment
@@ -118,11 +173,12 @@ func (l *Log) Append(s *Stream, ns string, rec Record) {
 	if s.evicted == s.n {
 		s.first = pos
 	} else {
-		l.at(s.last).next = pos
+		// s.last is retained, so the link is shorter than the window.
+		l.at(s.last).next = int32(pos - s.last)
 	}
 	s.n++
 	s.last = pos
-	l.segs[slot][pos%logSegment] = entry{rec: rec, s: s}
+	l.segs[slot][pos%logSegment] = entry{time: rec.Time, entity: rec.Entity, detail: rec.Detail, s: s, state: s.code(rec.State)}
 	l.end++
 	wake(l.readers...)
 	l.mu.Unlock()
@@ -140,6 +196,14 @@ func (l *Log) Dropped() int64 {
 	return l.base
 }
 
+// Retained reports how many records the log holds now; with Dropped it
+// accounts for every record appended.
+func (l *Log) Retained() int64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.end - l.base
+}
+
 // Snapshot appends the retained records to dst, oldest first, each entity
 // qualified by its job's namespace, and returns the extended slice.
 func (l *Log) Snapshot(dst []Record) []Record {
@@ -152,8 +216,14 @@ func (l *Log) Snapshot(dst []Record) []Record {
 	return dst
 }
 
+// record rebuilds the stored record, its entity raw. The caller holds the
+// log's lock, which guards the stream's vocabulary.
+func (e *entry) record() Record {
+	return Record{Time: e.time, Entity: e.entity, State: e.s.state(e.state), Detail: e.detail}
+}
+
 func (e *entry) qualified() Record {
-	rec := e.rec
+	rec := e.record()
 	rec.Entity = QualifyEntity(rec.Entity, e.s.ns)
 	return rec
 }
@@ -286,15 +356,15 @@ func (c *Cursor) readStream(buf []Record, closed bool) (n int, seq int64, done b
 		// fallen off the window — along the thread from the oldest retained.
 		pos, k := s.first, s.evicted+1
 		if c.prev >= 0 && c.seq-1 > s.evicted {
-			pos, k = l.at(c.prev).next, c.seq
+			pos, k = c.prev, c.seq-1
 		}
 		for ; k < c.seq; k++ {
-			pos = l.at(pos).next
+			pos += int64(l.at(pos).next)
 		}
 		for k := range buf[:n] {
 			e := l.at(pos)
-			buf[k] = e.rec
-			c.prev, pos = pos, e.next
+			buf[k] = e.record()
+			c.prev, pos = pos, pos+int64(e.next)
 		}
 		c.seq += int64(n)
 	}

@@ -2,8 +2,10 @@ package trace
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"aimes/internal/sim"
 )
@@ -25,6 +27,9 @@ func TestLogRetention(t *testing.T) {
 		if got, want := l.Dropped(), int64(total-tc.want); got != want {
 			t.Fatalf("retain %d: Dropped = %d, want %d", tc.retain, got, want)
 		}
+		if got, want := l.Retained(), int64(tc.want); got != want || got+l.Dropped() != int64(total) {
+			t.Fatalf("retain %d: Retained = %d, want %d; with %d dropped of %d appended", tc.retain, got, want, l.Dropped(), total)
+		}
 		snap := l.Snapshot(nil)
 		if len(snap) != tc.want {
 			t.Fatalf("retain %d: snapshot holds %d records, want %d", tc.retain, len(snap), tc.want)
@@ -44,6 +49,38 @@ func TestLogRetention(t *testing.T) {
 		if got, want := l.Dropped(), int64(total-tc.want+logSegment); got != want {
 			t.Fatalf("retain %d: Dropped after one more append = %d, want %d", tc.retain, got, want)
 		}
+		if got := l.Retained() + l.Dropped(); got != int64(total+1) {
+			t.Fatalf("retain %d: %d retained + %d dropped of %d appended", tc.retain, l.Retained(), l.Dropped(), total+1)
+		}
+	}
+}
+
+// TestLogRetentionCap checks that no retention lets a thread link outgrow
+// an entry's 32-bit distance: a link spans less than the window, so the
+// window is capped below 2^31 records.
+func TestLogRetentionCap(t *testing.T) {
+	for _, retain := range []int{math.MaxInt32, math.MaxInt, -1} {
+		l := NewLog(retain)
+		if window := int64(l.maxSegs) * logSegment; l.maxSegs < 1 || window-1 > math.MaxInt32 {
+			t.Errorf("NewLog(%d) retains %d records; its longest link does not fit in an int32", retain, window)
+		}
+	}
+	if got := NewLog(math.MaxInt).maxSegs; got != maxLogSegs {
+		t.Errorf("NewLog(MaxInt) keeps %d segments, want the cap %d", got, maxLogSegs)
+	}
+}
+
+// TestLogEntryFootprint pins what one stored record costs: an entry is the
+// record's time, entity and detail, its stream, and two 32-bit words — the
+// link and the state's code in the stream's vocabulary — 56 bytes, where a
+// state string of its own made it 72. The stream, one per job, carries that
+// vocabulary: sixteen states inline.
+func TestLogEntryFootprint(t *testing.T) {
+	if got := unsafe.Sizeof(entry{}); got > 56 {
+		t.Errorf("a log entry is %d bytes, want at most 56", got)
+	}
+	if got := unsafe.Sizeof(Stream{}); got > 392 {
+		t.Errorf("a Stream is %d bytes, want at most 392", got)
 	}
 }
 

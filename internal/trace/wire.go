@@ -8,12 +8,13 @@ import (
 	"aimes/internal/sim"
 )
 
-// WireRecord is Record in the compact array encoding used on the
-// worker-backend wire: [time_ns, entity, state, detail], with the detail
-// element omitted when empty. Trace records dominate the byte volume of the
-// worker protocol — every pilot and unit transition crosses the pipe — so
-// the stream drops the per-record field names of the struct encoding while
-// staying plain JSON (debuggable with a pipe tee, no schema registry).
+// WireRecord is Record on the worker-backend wire. The default, binary codec
+// writes it with AppendWire and reads it with DecodeWire. Its JSON form, the
+// pinned JSON codec's, is the compact array [time_ns, entity, state, detail],
+// with the detail element omitted when empty: trace records dominate the
+// byte volume of the worker protocol — every pilot and unit transition
+// crosses the pipe — so the array drops the per-record field names of the
+// struct encoding while staying plain JSON (debuggable with a pipe tee).
 type WireRecord Record
 
 // MarshalJSON encodes the record as [time_ns, entity, state] or

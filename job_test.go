@@ -444,12 +444,12 @@ func TestSubmitContextCancelsJob(t *testing.T) {
 // inside the slab, their staging details shared, every place of the job
 // appends to one assignment list, and the report is accumulated where the
 // units change state, not replayed from a second copy of the trace — and at
-// most 1 000 bytes (932 measured; 1 102 while a unit held a copy of its
-// description), about half of which is the shard log's entries: seven records
-// of 72 B per unit. The least of three jobs counts, so another test's
-// leftovers cannot fail it.
+// most 880 bytes (836 measured; 932 with a state string in every log entry,
+// 1 102 while a unit held a copy of its description), about half of which is
+// the shard log's entries: seven records of 56 B per unit. The least of three
+// jobs counts, so another test's leftovers cannot fail it.
 func TestJobAllocationBudget(t *testing.T) {
-	const units, maxObjects, maxBytes = 512, 0.6, 1000.0
+	const units, maxObjects, maxBytes = 512, 0.6, 880.0
 	objects, bytes := leastJobCost(t, units, aimes.StrategyConfig{
 		Binding: aimes.LateBinding, Scheduler: aimes.SchedBackfill, Pilots: 3})
 	objects, bytes = objects/units, bytes/units

@@ -15,10 +15,13 @@ type ShardLoad struct {
 	Window   int     // current admission window (0 without work stealing)
 	Restarts int     // worker respawns for this shard (0 on the local backend)
 
-	// TraceDropped counts the shard's trace records evicted to keep its log
-	// at the retention (see Recorder); 0 until the shard has recorded more
-	// than about a million.
-	TraceDropped int64
+	// TraceRetained is how many trace records the shard's log holds now, and
+	// TraceDropped how many it evicted to keep the log at the retention (see
+	// Recorder); together they count every record the shard appended.
+	// TraceDropped is 0 until the shard has recorded more than about a
+	// million.
+	TraceRetained int64
+	TraceDropped  int64
 
 	// PredictedCost is the cost model's predicted completion (virtual
 	// seconds) of placing one more typical job — the shard's fitted mean
@@ -62,7 +65,7 @@ func (e *Environment) Loads() []ShardLoad {
 		out[k].PredictedCost = e.model.Predict(k, e.model.TypicalCost(k),
 			float64(sh.pendingCost.Load())/1000).Total
 		out[k].ModelError = e.model.RelError(k)
-		out[k].TraceDropped = sh.log.Dropped()
+		out[k].TraceRetained, out[k].TraceDropped = sh.log.Retained(), sh.log.Dropped()
 		sh.sync(func() {
 			out[k].Running = sh.adm.running
 			out[k].Queued = sh.adm.depth()

@@ -308,6 +308,12 @@ func TestRecorderMidRun(t *testing.T) {
 			waitAllDeadline(t, jobs, 120*time.Second)
 			close(stop)
 			readers.Wait()
+			// Retained and dropped account for every record a shard appended.
+			for _, l := range env.Loads() {
+				if n := int64(env.ShardRecorder(l.Shard).Len()); l.TraceRetained+l.TraceDropped != n {
+					t.Errorf("shard %d: %d records retained + %d dropped, its trace holds %d", l.Shard, l.TraceRetained, l.TraceDropped, n)
+				}
+			}
 		})
 	}
 }
