@@ -60,6 +60,39 @@ func TestQuickstartFlow(t *testing.T) {
 	}
 }
 
+// TestEarlyBindingRoundRobin: early binding over two pilots deals the units
+// out at submission, alternately — each pilot stages half of them.
+func TestEarlyBindingRoundRobin(t *testing.T) {
+	env, err := aimes.NewEnv(aimes.WithSeed(42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	report := runApp(t, env, aimes.BagOfTasks(8, aimes.UniformDuration()), 42, aimes.StrategyConfig{
+		Binding: aimes.EarlyBinding, Scheduler: aimes.SchedRoundRobin, Pilots: 2,
+	})
+	if n := report.UnitsDone + report.UnitsFailed; n != 8 {
+		t.Fatalf("%d units accounted, want 8", n)
+	}
+	pilotOf := map[string]string{} // unit → the pilot it first staged to
+	perPilot := map[string]int{}
+	for _, r := range env.Recorder().Records() {
+		if !strings.HasPrefix(r.Entity, "unit.") || r.State != "STAGING_INPUT" || pilotOf[r.Entity] != "" {
+			continue
+		}
+		pilot, _, _ := strings.Cut(r.Detail, ",")
+		pilotOf[r.Entity] = pilot
+		perPilot[pilot]++
+	}
+	if len(perPilot) != 2 {
+		t.Fatalf("units staged to %v, want two pilots", perPilot)
+	}
+	for pilot, n := range perPilot {
+		if n != 4 {
+			t.Fatalf("units staged per pilot %v, want 4 each (%s has %d)", perPilot, pilot, n)
+		}
+	}
+}
+
 func TestEnvironmentDeterminism(t *testing.T) {
 	run := func() *aimes.Report {
 		env, err := aimes.NewEnv(aimes.WithSeed(7))

@@ -287,19 +287,33 @@ func runParityPolicy(t *testing.T, policy string, opts ...aimes.Option) (jobOutc
 	return outcomeOf(j), env.Recorder().Records()
 }
 
-// TestBackendParityConservativePolicy is the parity row for a testbed no
-// default configuration sends: emergent sites under conservative backfilling.
-// The policy is a name in site.Config, so it reaches a worker's batch systems
-// as it reaches the local ones — same report, same trace, on stdio and TCP —
-// and it is the policy that ran: the default, EASY, schedules the same job
-// differently.
+// TestBackendParityConservativePolicy is the parity row for testbeds no
+// default configuration sends: emergent sites under conservative backfilling
+// and under FCFS. The policy is a name in site.Config, so it reaches a
+// worker's batch systems as it reaches the local ones — same report, same
+// trace, on stdio and TCP — and it is the policy that ran: the default, EASY,
+// and the two others each schedule the same job differently.
 func TestBackendParityConservativePolicy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker processes")
 	}
-	local, localTrace := runParityPolicy(t, "conservative", aimes.WithShards(1))
-	if easy, _ := runParityPolicy(t, "", aimes.WithShards(1)); reflect.DeepEqual(easy.Report, local.Report) {
-		t.Fatalf("conservative and EASY backfilling report alike; the job does not tell them apart:\n%+v", local.Report)
+	policies := []string{"conservative", "fcfs"}
+	type run struct {
+		outcome jobOutcome
+		trace   []aimes.TraceRecord
+	}
+	local := map[string]run{}
+	easy, _ := runParityPolicy(t, "", aimes.WithShards(1))
+	seen := map[string]jobOutcome{"easy": easy}
+	for _, policy := range policies {
+		o, trace := runParityPolicy(t, policy, aimes.WithShards(1))
+		for other, r := range seen {
+			if reflect.DeepEqual(r.Report, o.Report) {
+				t.Fatalf("%s and %s report alike; the job does not tell them apart:\n%+v", policy, other, o.Report)
+			}
+		}
+		seen[policy] = o
+		local[policy] = run{o, trace}
 	}
 	addr, secret := tcpWorkerHost(t)
 	for name, opts := range map[string][]aimes.Option{
@@ -307,12 +321,13 @@ func TestBackendParityConservativePolicy(t *testing.T) {
 		"tcp":   tcpWorkers(1, addr, secret),
 	} {
 		t.Run(name, func(t *testing.T) {
-			worker, workerTrace := runParityPolicy(t, "conservative", opts...)
-			if !reflect.DeepEqual(local, worker) {
-				t.Errorf("outcomes diverge across backends:\nlocal:  %+v %+v\nworker: %+v %+v", local, local.Report, worker, worker.Report)
-			}
-			if !reflect.DeepEqual(localTrace, workerTrace) {
-				t.Errorf("traces diverge across backends: %d records (local) vs %d (worker)", len(localTrace), len(workerTrace))
+			for _, policy := range policies {
+				worker, workerTrace := runParityPolicy(t, policy, opts...)
+				if want := local[policy]; !reflect.DeepEqual(want.outcome, worker) {
+					t.Errorf("%s: outcomes diverge across backends:\nlocal:  %+v %+v\nworker: %+v %+v", policy, want.outcome, want.outcome.Report, worker, worker.Report)
+				} else if !reflect.DeepEqual(want.trace, workerTrace) {
+					t.Errorf("%s: traces diverge across backends: %d records (local) vs %d (worker)", policy, len(want.trace), len(workerTrace))
+				}
 			}
 		})
 	}

@@ -97,19 +97,7 @@ type Dropped struct {
 }
 
 // PlacementString converts a placement policy to its wire form.
-func PlacementString(p aimes.Placement) string {
-	switch p {
-	case aimes.PlaceRoundRobin:
-		return "round-robin"
-	case aimes.PlaceLeastLoaded:
-		return "least-loaded"
-	case aimes.PlacePinned:
-		return "pinned"
-	case aimes.PlacePredictive:
-		return "predictive"
-	}
-	return fmt.Sprintf("placement(%d)", int(p))
-}
+func PlacementString(p aimes.Placement) string { return p.String() }
 
 // ParsePlacement converts the wire form back to a placement policy. The
 // empty string is round-robin, matching aimes.JobConfig's zero value.

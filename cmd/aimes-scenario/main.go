@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"aimes"
@@ -32,7 +33,7 @@ func main() {
 	var err error
 	switch cmd {
 	case "run":
-		err = runCmd(args)
+		err = runCmd(os.Stdout, args)
 	case "validate":
 		err = validateCmd(args)
 	case "-h", "--help", "help":
@@ -115,7 +116,8 @@ func validateCmd(args []string) error {
 	return nil
 }
 
-func runCmd(args []string) error {
+// runCmd runs the scenario the arguments name and prints its summary to out.
+func runCmd(out io.Writer, args []string) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	var (
 		verbose   = fs.Bool("v", false, "print one line per job")
@@ -142,11 +144,11 @@ func runCmd(args []string) error {
 	if s.Fleet != nil && backend == "local" {
 		backend = "worker"
 	}
-	out, err := scenario.Run(s, scenario.EnvOptions{Backend: backend})
+	o, err := scenario.Run(s, scenario.EnvOptions{Backend: backend})
 	if err != nil {
 		return err
 	}
-	if err := writeOutcome(out, *verbose); err != nil {
+	if err := writeOutcome(out, o, *verbose); err != nil {
 		return err
 	}
 	if *traceOut != "" {
@@ -155,36 +157,36 @@ func runCmd(args []string) error {
 			return err
 		}
 		defer f.Close()
-		if err := out.Recorder.WriteCSV(f); err != nil {
+		if err := o.Recorder.WriteCSV(f); err != nil {
 			return err
 		}
-		fmt.Printf("trace: %d records written to %s\n", out.Recorder.Len(), *traceOut)
+		fmt.Fprintf(out, "trace: %d records written to %s\n", o.Recorder.Len(), *traceOut)
 	}
 	if *doAssert {
-		if err := out.Assert(); err != nil {
+		if err := o.Assert(); err != nil {
 			return err
 		}
-		fmt.Printf("assertions: %d passed\n", len(s.Assertions))
+		fmt.Fprintf(out, "assertions: %d passed\n", len(s.Assertions))
 	}
 	return nil
 }
 
-// writeOutcome prints the run's summary: the applied timeline, the job
+// writeOutcome prints the run's summary to w: the applied timeline, the job
 // outcomes — a lone job's full TTC report, a tally otherwise — and the fleet
 // and dynamics accounting. verbose adds one line per job.
-func writeOutcome(o *scenario.Outcome, verbose bool) error {
-	fmt.Printf("scenario: %s\n", o.Scenario.Name)
+func writeOutcome(w io.Writer, o *scenario.Outcome, verbose bool) error {
+	fmt.Fprintf(w, "scenario: %s\n", o.Scenario.Name)
 	if o.Scenario.Description != "" {
-		fmt.Printf("  %s\n", o.Scenario.Description)
+		fmt.Fprintf(w, "  %s\n", o.Scenario.Description)
 	}
 	if len(o.Applied) > 0 {
-		fmt.Println("events applied:")
+		fmt.Fprintln(w, "events applied:")
 		for _, a := range o.Applied {
-			fmt.Printf("  %s\n", a)
+			fmt.Fprintf(w, "  %s\n", a)
 		}
 	}
 	if len(o.Jobs) == 1 && o.Jobs[0].Report != nil {
-		if err := o.Jobs[0].Report.WriteSummary(os.Stdout); err != nil {
+		if err := o.Jobs[0].Report.WriteSummary(w); err != nil {
 			return err
 		}
 	} else {
@@ -192,21 +194,21 @@ func writeOutcome(o *scenario.Outcome, verbose bool) error {
 		for _, j := range o.Jobs {
 			tally[j.State]++
 		}
-		fmt.Printf("jobs: %d done, %d failed, %d canceled\n", tally["done"], tally["failed"], tally["canceled"])
+		fmt.Fprintf(w, "jobs: %d done, %d failed, %d canceled\n", tally["done"], tally["failed"], tally["canceled"])
 	}
 	for i, j := range o.Jobs {
 		switch {
 		case j.Report == nil:
 			// A job without a report has only its error to show.
-			fmt.Printf("job %d (%s): %s\n", i, j.State, j.Err)
+			fmt.Fprintf(w, "job %d (%s): %s\n", i, j.State, j.Err)
 		case verbose:
-			fmt.Printf("job %d (%s): %d units done, TTC %s\n", i, j.State, j.Report.UnitsDone, j.Report.TTC)
+			fmt.Fprintf(w, "job %d (%s): %d units done, TTC %s\n", i, j.State, j.Report.UnitsDone, j.Report.TTC)
 		}
 	}
 	if o.Scenario.Fleet != nil {
-		fmt.Printf("fleet: %d restart(s), %d replayed, %d cordoned, %d unhealthy\n",
+		fmt.Fprintf(w, "fleet: %d restart(s), %d replayed, %d cordoned, %d unhealthy\n",
 			o.Fleet.Restarts, o.Fleet.Replayed, o.Fleet.EndpointsCordoned, o.Fleet.EndpointsUnhealthy)
 	}
-	fmt.Printf("dynamics: %d pilot(s) lost, %d unit reschedule(s)\n", o.PilotsLost, o.Rescheduled)
+	fmt.Fprintf(w, "dynamics: %d pilot(s) lost, %d unit reschedule(s)\n", o.PilotsLost, o.Rescheduled)
 	return nil
 }

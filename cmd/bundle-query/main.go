@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"text/tabwriter"
@@ -31,13 +32,13 @@ func main() {
 	)
 	flag.Parse()
 
-	if err := run(*match, *predict, *history, *seed); err != nil {
+	if err := run(os.Stdout, *match, *predict, *history, *seed); err != nil {
 		fmt.Fprintln(os.Stderr, "bundle-query:", err)
 		os.Exit(1)
 	}
 }
 
-func run(match string, predict bool, history int, seed int64) error {
+func run(out io.Writer, match string, predict bool, history int, seed int64) error {
 	env, err := aimes.NewEnv(aimes.WithSeed(seed))
 	if err != nil {
 		return err
@@ -50,14 +51,14 @@ func run(match string, predict bool, history int, seed int64) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%d resource(s) match %q:\n", len(resources), match)
+		fmt.Fprintf(out, "%d resource(s) match %q:\n", len(resources), match)
 		for _, r := range resources {
-			fmt.Println(" ", r.Name())
+			fmt.Fprintln(out, " ", r.Name())
 		}
 		return nil
 	}
 
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	tw := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	if predict {
 		fmt.Fprintln(tw, "resource\tmedian-bound\tp90-bound\tobservations")
 		for _, r := range b.Resources() {

@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -25,18 +26,18 @@ func main() {
 		config   = flag.String("config", "", "skeleton application config, JSON (.json) or text (default: generated bag-of-tasks)")
 		tasks    = flag.Int("tasks", 16, "bag-of-tasks size when no -config is given")
 		duration = flag.String("duration", "uniform", "task durations: uniform (15m) or gaussian (1-30m)")
-		format   = flag.String("format", "json", "output: shell, json (middleware interchange), json-compact, dot or summary")
+		format   = flag.String("format", "json", "output: shell, json (middleware interchange), dot or summary")
 		seed     = flag.Int64("seed", 1, "generation seed")
 	)
 	flag.Parse()
 
-	if err := run(*config, *tasks, *duration, *format, *seed); err != nil {
+	if err := run(os.Stdout, *config, *tasks, *duration, *format, *seed); err != nil {
 		fmt.Fprintln(os.Stderr, "skeleton-gen:", err)
 		os.Exit(1)
 	}
 }
 
-func run(config string, tasks int, duration, format string, seed int64) error {
+func run(out io.Writer, config string, tasks int, duration, format string, seed int64) error {
 	var app aimes.AppSpec
 	switch {
 	case config != "":
@@ -67,15 +68,13 @@ func run(config string, tasks int, duration, format string, seed int64) error {
 	}
 	switch format {
 	case "shell":
-		return w.WriteShell(os.Stdout)
+		return w.WriteShell(out)
 	case "json":
-		return w.WriteMiddlewareJSON(os.Stdout)
-	case "json-compact":
-		return w.WriteJSON(os.Stdout)
+		return w.WriteMiddlewareJSON(out)
 	case "dot":
-		return w.WriteDOT(os.Stdout)
+		return w.WriteDOT(out)
 	case "summary":
-		_, err := fmt.Println(w.Summary())
+		_, err := fmt.Fprintln(out, w.Summary())
 		return err
 	}
 	return fmt.Errorf("unknown format %q", format)

@@ -65,58 +65,41 @@ func DefaultBackground(nodes int, target float64) BackgroundConfig {
 	}
 }
 
-// Background feeds synthetic jobs into a Queue.
-type Background struct {
+// background feeds synthetic jobs into a Queue.
+type background struct {
 	eng     *sim.Sim
 	queue   Queue
 	cfg     BackgroundConfig
 	rng     *rand.Rand
 	nodes   int
-	next    *sim.Event
 	created int
-	stopped bool
 }
 
 // StartBackground begins Poisson arrivals into q. nodes caps sampled widths.
-func StartBackground(eng *sim.Sim, q Queue, nodes int, cfg BackgroundConfig, rng *rand.Rand) (*Background, error) {
+func StartBackground(eng *sim.Sim, q Queue, nodes int, cfg BackgroundConfig, rng *rand.Rand) error {
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	if rng == nil {
-		return nil, fmt.Errorf("batch: background requires an RNG")
+		return fmt.Errorf("batch: background requires an RNG")
 	}
-	b := &Background{eng: eng, queue: q, cfg: cfg, rng: rng, nodes: nodes}
+	b := &background{eng: eng, queue: q, cfg: cfg, rng: rng, nodes: nodes}
 	b.scheduleNext()
-	return b, nil
+	return nil
 }
 
-// Created reports how many background jobs have been submitted.
-func (b *Background) Created() int { return b.created }
-
-// Stop halts future arrivals.
-func (b *Background) Stop() {
-	b.stopped = true
-	if b.next != nil {
-		b.eng.Cancel(b.next)
-		b.next = nil
-	}
-}
-
-func (b *Background) scheduleNext() {
-	if b.stopped {
-		return
-	}
+func (b *background) scheduleNext() {
 	gap := time.Duration(b.rng.ExpFloat64() / b.cfg.ArrivalRate * float64(time.Second))
 	if b.cfg.Horizon > 0 && b.eng.Now().Add(gap).Sub(sim.Time(0)) > b.cfg.Horizon {
 		return
 	}
-	b.next = b.eng.Schedule(gap, func() {
+	b.eng.Schedule(gap, func() {
 		b.submitOne()
 		b.scheduleNext()
 	})
 }
 
-func (b *Background) submitOne() {
+func (b *background) submitOne() {
 	width := int(math.Round(b.cfg.Width.Sample(b.rng)))
 	if width < 1 {
 		width = 1

@@ -17,7 +17,7 @@ func TestDefaultBackgroundReachesTargetUtilization(t *testing.T) {
 	sys := NewSystem(eng, SystemConfig{Name: "hpc", Nodes: 512}, nil)
 	cfg := DefaultBackground(512, 0.85)
 	cfg.Horizon = 6 * 24 * time.Hour
-	if _, err := StartBackground(eng, sys, 512, cfg, rng); err != nil {
+	if err := StartBackground(eng, sys, 512, cfg, rng); err != nil {
 		t.Fatal(err)
 	}
 	var sampled []float64
@@ -29,64 +29,49 @@ func TestDefaultBackgroundReachesTargetUtilization(t *testing.T) {
 		})
 	}
 	eng.Run()
-	mean, _ := stats.MeanStd(sampled)
-	if math.Abs(mean-0.85) > 0.15 {
-		t.Fatalf("utilization %.2f, want ~0.85±0.15", mean)
+	util := mean(sampled)
+	if math.Abs(util-0.85) > 0.15 {
+		t.Fatalf("utilization %.2f, want ~0.85±0.15", util)
 	}
 }
 
 func TestBackgroundProducesQueueContention(t *testing.T) {
 	eng := sim.NewSim()
 	rng := rand.New(rand.NewSource(7))
-	sys := NewSystem(eng, SystemConfig{Name: "hpc", Nodes: 256}, nil)
+	sys := &recorder{System: NewSystem(eng, SystemConfig{Name: "hpc", Nodes: 256}, nil)}
 	cfg := DefaultBackground(256, 0.9)
 	cfg.Horizon = 4 * 24 * time.Hour
-	if _, err := StartBackground(eng, sys, 256, cfg, rng); err != nil {
+	if err := StartBackground(eng, sys, 256, cfg, rng); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run()
-	waits := sys.WaitHistory()
-	if len(waits) < 50 {
-		t.Fatalf("only %d jobs started", len(waits))
-	}
-	positive := 0
-	for _, w := range waits {
-		if w > 0 {
+	started, positive := 0, 0
+	for _, j := range sys.jobs {
+		if j.State == JobQueued {
+			continue
+		}
+		started++
+		if wait(j) > 0 {
 			positive++
 		}
+	}
+	if started < 50 {
+		t.Fatalf("only %d jobs started", started)
 	}
 	if positive == 0 {
 		t.Fatal("no job ever queued: machine under-loaded")
 	}
 }
 
-func TestBackgroundStop(t *testing.T) {
-	eng := sim.NewSim()
-	rng := rand.New(rand.NewSource(1))
-	sys := NewSystem(eng, SystemConfig{Name: "hpc", Nodes: 64}, nil)
-	cfg := DefaultBackground(64, 0.5)
-	bg, err := StartBackground(eng, sys, 64, cfg, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.Schedule(time.Hour, func() { bg.Stop() })
-	eng.RunUntil(sim.Time(2 * time.Hour))
-	after := bg.Created()
-	eng.Run()
-	if bg.Created() != after {
-		t.Fatal("arrivals continued after Stop")
-	}
-}
-
 func TestBackgroundValidation(t *testing.T) {
 	eng := sim.NewSim()
 	sys := NewSystem(eng, SystemConfig{Name: "hpc", Nodes: 64}, nil)
-	_, err := StartBackground(eng, sys, 64, BackgroundConfig{}, rand.New(rand.NewSource(1)))
+	err := StartBackground(eng, sys, 64, BackgroundConfig{}, rand.New(rand.NewSource(1)))
 	if err == nil {
 		t.Fatal("empty config accepted")
 	}
 	cfg := DefaultBackground(64, 0.5)
-	if _, err := StartBackground(eng, sys, 64, cfg, nil); err == nil {
+	if err := StartBackground(eng, sys, 64, cfg, nil); err == nil {
 		t.Fatal("nil RNG accepted")
 	}
 }
@@ -94,7 +79,7 @@ func TestBackgroundValidation(t *testing.T) {
 func TestBackgroundJobWidthsClamped(t *testing.T) {
 	eng := sim.NewSim()
 	rng := rand.New(rand.NewSource(2))
-	sys := NewSystem(eng, SystemConfig{Name: "hpc", Nodes: 8}, nil)
+	sys := &recorder{System: NewSystem(eng, SystemConfig{Name: "hpc", Nodes: 8}, nil)}
 	cfg := BackgroundConfig{
 		ArrivalRate:    1.0 / 60,
 		Width:          stats.NewConstant(1000), // far over machine size
@@ -102,12 +87,18 @@ func TestBackgroundJobWidthsClamped(t *testing.T) {
 		WalltimeFactor: stats.NewConstant(0.1), // below 1: clamped up
 		Horizon:        time.Hour,
 	}
-	if _, err := StartBackground(eng, sys, 8, cfg, rng); err != nil {
+	if err := StartBackground(eng, sys, 8, cfg, rng); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run()
-	if sys.StartedJobs() == 0 {
-		t.Fatal("no jobs started")
+	if len(sys.jobs) == 0 {
+		t.Fatal("no jobs submitted")
+	}
+	for _, j := range sys.jobs {
+		if j.Nodes != 8 || j.Walltime != j.Runtime || j.State != JobCompleted {
+			t.Fatalf("job %s: %d nodes, walltime %v for runtime %v, %v; want 8 nodes, walltime = runtime, COMPLETED",
+				j.ID, j.Nodes, j.Walltime, j.Runtime, j.State)
+		}
 	}
 }
 
@@ -177,7 +168,7 @@ func TestStochasticConservationProperty(t *testing.T) {
 				Walltime: time.Duration(rng.Intn(600)+60) * time.Second,
 			}
 			j.Observer = observe{ended: func(jj *Job) {
-				if !jj.State.Final() {
+				if jj.State < JobCompleted {
 					t.Error("Ended fired in non-terminal state")
 				}
 				ends++
@@ -234,4 +225,24 @@ func TestSystemConservationProperty(t *testing.T) {
 	if err := quick.Check(systemConservationProp(t), cfg); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// mean is the arithmetic mean of xs.
+func mean(xs []float64) float64 {
+	var s stats.Summary
+	for _, x := range xs {
+		s.Add(x)
+	}
+	return s.Mean()
+}
+
+// recorder is a batch system that keeps every job submitted to it.
+type recorder struct {
+	*System
+	jobs []*Job
+}
+
+func (r *recorder) Submit(j *Job) error {
+	r.jobs = append(r.jobs, j)
+	return r.System.Submit(j)
 }

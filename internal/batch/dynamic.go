@@ -80,11 +80,3 @@ func (q *Stochastic) SetWaitScale(factor float64) {
 	}
 	q.waitScale = factor
 }
-
-// WaitScale returns the current surge factor (1 when nominal).
-func (q *Stochastic) WaitScale() float64 {
-	if q.waitScale == 0 {
-		return 1
-	}
-	return q.waitScale
-}

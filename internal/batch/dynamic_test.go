@@ -97,15 +97,12 @@ func TestStochasticWaitScale(t *testing.T) {
 
 	base := submitJob(t, q, "a", 1, time.Second)
 	q.SetWaitScale(10)
-	if q.WaitScale() != 10 {
-		t.Fatalf("scale = %v", q.WaitScale())
-	}
 	surged := submitJob(t, q, "b", 1, time.Second)
 	q.SetWaitScale(1)
 	eng.Run()
 
-	baseWait := base.Wait()
-	surgedWait := surged.Wait()
+	baseWait := wait(base)
+	surgedWait := wait(surged)
 	if surgedWait < 9*baseWait {
 		t.Fatalf("surged wait %v not ~10× base wait %v", surgedWait, baseWait)
 	}

@@ -53,15 +53,6 @@ func (s JobState) String() string {
 	return fmt.Sprintf("JobState(%d)", int(s))
 }
 
-// Final reports whether the state is terminal.
-func (s JobState) Final() bool {
-	switch s {
-	case JobCompleted, JobKilled, JobCanceled, JobFailed:
-		return true
-	}
-	return false
-}
-
 // Job is a batch job: a request for Nodes nodes for up to Walltime, with an
 // actual computational duration of Runtime. For pilot jobs, Runtime is
 // effectively unbounded (the pilot runs until canceled or killed at
@@ -95,19 +86,6 @@ type Job struct {
 type Observer interface {
 	Started(*Job)
 	Ended(*Job)
-}
-
-// Wait returns the queue wait time. It is zero until the job has started;
-// for jobs canceled while queued it is the time spent queued.
-func (j *Job) Wait() time.Duration {
-	switch {
-	case j.State == JobQueued || j.State == JobNew:
-		return 0
-	case j.State == JobCanceled && j.Started == 0 && j.Ended >= j.Submitted:
-		return j.Ended.Sub(j.Submitted)
-	default:
-		return j.Started.Sub(j.Submitted)
-	}
 }
 
 // Validate reports a descriptive error for malformed job requests.
@@ -146,19 +124,6 @@ func remove(list []*Job, j *Job) []*Job {
 	return list
 }
 
-// waitHistory holds the most recent queue waits (seconds), oldest first, at
-// most cap(waits) of them: its array is allocated once, at the full length.
-type waitHistory struct{ waits []float64 }
-
-func newWaitHistory(n int) waitHistory { return waitHistory{make([]float64, 0, n)} }
-
-func (h *waitHistory) record(seconds float64) {
-	if len(h.waits) == cap(h.waits) {
-		h.waits = append(h.waits[:0], h.waits[1:]...)
-	}
-	h.waits = append(h.waits, seconds)
-}
-
 // Queue is the submission interface shared by the full batch simulator and
 // the stochastic queue model. Implementations run on a sim.Sim; all
 // callbacks fire on engine callbacks.
@@ -177,9 +142,6 @@ type Queue interface {
 	Cancel(j *Job) bool
 	// Snapshot returns current queue/utilization metrics for bundle queries.
 	Snapshot() Snapshot
-	// WaitHistory returns recently observed queue waits (seconds) of started
-	// jobs, most recent last, for predictive bundle queries.
-	WaitHistory() []float64
 	// SetOffline takes the queue out of service. When killRunning is true,
 	// running jobs are terminated with JobFailed (a hard outage); otherwise
 	// they run to completion on their nodes (a drain-style outage) while no

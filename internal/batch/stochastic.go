@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 	"time"
 
 	"aimes/internal/sim"
@@ -81,7 +80,6 @@ type Stochastic struct {
 	queued    []*Job
 	waiting   []*Job
 	running   []*Job
-	history   waitHistory
 	draining  bool
 	redrain   bool
 	offline   bool
@@ -110,7 +108,6 @@ func NewStochastic(eng *sim.Sim, name string, nodes int, model WaitModel, rng *r
 		model:     model,
 		rng:       rng,
 		free:      nodes,
-		history:   newWaitHistory(512),
 		created:   eng.Now(),
 		lastEvent: eng.Now(),
 	}
@@ -214,9 +211,6 @@ func (q *Stochastic) Snapshot() Snapshot {
 	}
 }
 
-// WaitHistory implements Queue.
-func (q *Stochastic) WaitHistory() []float64 { return slices.Clone(q.history.waits) }
-
 // drain starts waiting jobs for which capacity is available, in order. A
 // guard collapses reentrant calls from job callbacks into a rescan by the
 // outermost invocation. An offline queue holds waiting jobs without starting
@@ -270,7 +264,6 @@ func (q *Stochastic) start(j *Job, now sim.Time) {
 	q.free -= j.Nodes
 	j.State = JobRunning
 	j.Started = now
-	q.history.record(j.Started.Sub(j.Submitted).Seconds())
 
 	j.endState = JobCompleted
 	if j.Runtime > j.Walltime {

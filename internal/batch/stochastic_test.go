@@ -35,8 +35,8 @@ func TestStochasticRunsJob(t *testing.T) {
 	if j.State != JobCompleted {
 		t.Fatalf("state = %v, want COMPLETED", j.State)
 	}
-	if j.Wait() < 30*time.Second {
-		t.Fatalf("wait %v below model floor", j.Wait())
+	if wait(j) < 30*time.Second {
+		t.Fatalf("wait %v below model floor", wait(j))
 	}
 	if j.Ended.Sub(j.Started) != 10*time.Minute {
 		t.Fatalf("runtime %v, want 10m", j.Ended.Sub(j.Started))
@@ -66,7 +66,7 @@ func TestStochasticWaitsAreHeavyTailed(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		j := mkJob("j", 1, time.Minute, 2*time.Minute)
 		jj := j
-		j.Observer = observe{started: func(*Job) { waits = append(waits, jj.Wait().Seconds()) }}
+		j.Observer = observe{started: func(*Job) { waits = append(waits, wait(jj).Seconds()) }}
 		if err := q.Submit(j); err != nil {
 			t.Fatal(err)
 		}
@@ -76,12 +76,12 @@ func TestStochasticWaitsAreHeavyTailed(t *testing.T) {
 		t.Fatalf("observed %d waits, want 500", len(waits))
 	}
 	med := stats.Quantile(waits, 0.5)
-	mean, _ := stats.MeanStd(waits)
+	avg := mean(waits)
 	if med < 600 || med > 2400 {
 		t.Fatalf("median wait %gs implausible for 20m model", med)
 	}
-	if mean < med {
-		t.Fatalf("mean %g < median %g: not right-skewed", mean, med)
+	if avg < med {
+		t.Fatalf("mean %g < median %g: not right-skewed", avg, med)
 	}
 }
 
@@ -102,7 +102,7 @@ func TestStochasticWidthDependence(t *testing.T) {
 			}
 			j := mkJob("j", width, time.Second, time.Minute)
 			j.Observer = observe{ended: func(jj *Job) {
-				sum += jj.Wait().Seconds()
+				sum += wait(jj).Seconds()
 				submit(i + 1)
 			}}
 			if err := q.Submit(j); err != nil {
@@ -233,9 +233,6 @@ func TestStochasticSnapshotAndHistory(t *testing.T) {
 		t.Fatalf("demand %g, want %d", snap.QueuedNodeSeconds, 10*4*300)
 	}
 	eng.Run()
-	if len(q.WaitHistory()) != 10 {
-		t.Fatalf("history %d, want 10", len(q.WaitHistory()))
-	}
 	final := q.Snapshot()
 	if final.FreeNodes != final.TotalNodes || final.RunningJobs != 0 {
 		t.Fatal("machine not idle after drain")

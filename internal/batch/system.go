@@ -20,8 +20,6 @@ type SystemConfig struct {
 	// FailureProb is the per-job probability of an injected node failure
 	// killing the job at a uniform point of its runtime.
 	FailureProb float64
-	// HistoryLen bounds the wait-history ring buffer (default 512).
-	HistoryLen int
 }
 
 // System is a discrete-event batch scheduler: jobs queue, a policy decides
@@ -50,9 +48,6 @@ type System struct {
 	created      sim.Time
 	lastEvent    sim.Time
 	busyNodeSecs float64
-	startedJobs  int
-	finishedJobs int
-	history      waitHistory
 }
 
 // NewSystem creates a batch system on the given engine. rng drives failure
@@ -63,9 +58,6 @@ func NewSystem(eng *sim.Sim, cfg SystemConfig, rng *rand.Rand) *System {
 	}
 	if cfg.Policy == nil {
 		cfg.Policy = EASY{}
-	}
-	if cfg.HistoryLen <= 0 {
-		cfg.HistoryLen = 512
 	}
 	if cfg.FailureProb > 0 && rng == nil {
 		panic("batch: failure injection requires an RNG")
@@ -78,7 +70,6 @@ func NewSystem(eng *sim.Sim, cfg SystemConfig, rng *rand.Rand) *System {
 		free:      cfg.Nodes,
 		created:   eng.Now(),
 		lastEvent: eng.Now(),
-		history:   newWaitHistory(cfg.HistoryLen),
 	}
 }
 
@@ -89,9 +80,6 @@ func (s *System) Name() string { return s.cfg.Name }
 
 // Nodes returns the machine size.
 func (s *System) Nodes() int { return s.cfg.Nodes }
-
-// Policy returns the active scheduling policy.
-func (s *System) Policy() Policy { return s.policy }
 
 // Submit implements Queue.
 func (s *System) Submit(j *Job) error {
@@ -162,15 +150,6 @@ func (s *System) Snapshot() Snapshot {
 	}
 }
 
-// WaitHistory implements Queue.
-func (s *System) WaitHistory() []float64 { return slices.Clone(s.history.waits) }
-
-// StartedJobs reports how many jobs have started so far.
-func (s *System) StartedJobs() int { return s.startedJobs }
-
-// FinishedJobs reports how many jobs reached a terminal state.
-func (s *System) FinishedJobs() int { return s.finishedJobs }
-
 // dispatch runs the policy and starts selected jobs. It tolerates reentrant
 // calls from job callbacks by deferring to the outermost invocation. An
 // offline system queues submissions without starting anything.
@@ -222,8 +201,6 @@ func (s *System) start(picks []int) {
 		j.State = JobRunning
 		j.Started = now
 		s.running = append(s.running, j)
-		s.startedJobs++
-		s.history.record(j.Started.Sub(j.Submitted).Seconds())
 
 		hold := j.effectiveRuntime()
 		terminal := JobCompleted
@@ -269,7 +246,6 @@ func (s *System) release(j *Job) {
 func (s *System) finish(j *Job, state JobState) {
 	j.State = state
 	j.Ended = s.eng.Now()
-	s.finishedJobs++
 	if j.Observer != nil {
 		j.Observer.Ended(j)
 	}

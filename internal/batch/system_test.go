@@ -2,6 +2,7 @@ package batch
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -18,6 +19,9 @@ func newTestSystem(t *testing.T, nodes int, policy Policy) (*sim.Sim, *System) {
 func mkJob(id string, nodes int, runtime, walltime time.Duration) *Job {
 	return &Job{ID: id, Nodes: nodes, Runtime: runtime, Walltime: walltime}
 }
+
+// wait is the time j spent queued before it started.
+func wait(j *Job) time.Duration { return j.Started.Sub(j.Submitted) }
 
 // observe adapts functions to Observer; either may be nil.
 type observe struct{ started, ended func(*Job) }
@@ -55,8 +59,8 @@ func TestSystemRunsSingleJob(t *testing.T) {
 	if ended != sim.Time(10*time.Second) {
 		t.Fatalf("ended at %v, want 10s", ended)
 	}
-	if j.Wait() != 0 {
-		t.Fatalf("wait = %v, want 0", j.Wait())
+	if wait(j) != 0 {
+		t.Fatalf("wait = %v, want 0", wait(j))
 	}
 }
 
@@ -89,8 +93,8 @@ func TestSystemQueuesWhenFull(t *testing.T) {
 	if b.Started != sim.Time(100*time.Second) {
 		t.Fatalf("b started at %v, want 100s (after a)", b.Started)
 	}
-	if b.Wait() != 100*time.Second {
-		t.Fatalf("b wait = %v, want 100s", b.Wait())
+	if wait(b) != 100*time.Second {
+		t.Fatalf("b wait = %v, want 100s", wait(b))
 	}
 }
 
@@ -131,8 +135,9 @@ func TestSystemCancelQueued(t *testing.T) {
 	eng, sys := newTestSystem(t, 2, FCFS{})
 	a := mkJob("a", 2, 100*time.Second, 200*time.Second)
 	b := mkJob("b", 2, 10*time.Second, 20*time.Second)
-	ended := false
-	b.Observer = observe{ended: func(*Job) { ended = true }}
+	var aEnded, bEnded int
+	a.Observer = observe{ended: func(*Job) { aEnded++ }}
+	b.Observer = observe{ended: func(*Job) { bEnded++ }}
 	if err := sys.Submit(a); err != nil {
 		t.Fatal(err)
 	}
@@ -142,12 +147,16 @@ func TestSystemCancelQueued(t *testing.T) {
 	if !sys.Cancel(b) {
 		t.Fatal("cancel of queued job failed")
 	}
-	if b.State != JobCanceled || !ended {
-		t.Fatalf("state = %v ended=%v, want CANCELED true", b.State, ended)
+	if b.State != JobCanceled || bEnded != 1 {
+		t.Fatalf("state = %v ended %d times, want CANCELED once", b.State, bEnded)
 	}
 	eng.Run()
-	if sys.FinishedJobs() != 2 {
-		t.Fatalf("finished = %d, want 2", sys.FinishedJobs())
+	if a.State != JobCompleted || b.State != JobCanceled {
+		t.Fatalf("a %v, b %v; want COMPLETED and CANCELED", a.State, b.State)
+	}
+	// Each job ends exactly once: a canceled job is not finished again.
+	if aEnded != 1 || bEnded != 1 {
+		t.Fatalf("a ended %d times, b %d; want once each", aEnded, bEnded)
 	}
 }
 
@@ -340,20 +349,23 @@ func TestSystemSnapshot(t *testing.T) {
 	}
 }
 
+// TestSystemWaitHistory: on one node under FCFS, three 10-second jobs
+// submitted together wait 0, 10 and 20 seconds.
 func TestSystemWaitHistory(t *testing.T) {
 	eng, sys := newTestSystem(t, 1, FCFS{})
+	var jobs []*Job
 	for i := 0; i < 3; i++ {
-		if err := sys.Submit(mkJob("j", 1, 10*time.Second, 20*time.Second)); err != nil {
+		j := mkJob("j", 1, 10*time.Second, 20*time.Second)
+		if err := sys.Submit(j); err != nil {
 			t.Fatal(err)
 		}
+		jobs = append(jobs, j)
 	}
 	eng.Run()
-	h := sys.WaitHistory()
-	if len(h) != 3 {
-		t.Fatalf("history length %d, want 3", len(h))
-	}
-	if h[0] != 0 || h[1] != 10 || h[2] != 20 {
-		t.Fatalf("history %v, want [0 10 20]", h)
+	for i, j := range jobs {
+		if want := time.Duration(i) * 10 * time.Second; wait(j) != want {
+			t.Fatalf("job %d waited %v, want %v", i, wait(j), want)
+		}
 	}
 }
 
@@ -388,9 +400,6 @@ func TestSystemFailureInjection(t *testing.T) {
 func TestJobStateStrings(t *testing.T) {
 	if JobCompleted.String() != "COMPLETED" || JobState(99).String() == "" {
 		t.Fatal("state strings broken")
-	}
-	if !JobKilled.Final() || JobRunning.Final() {
-		t.Fatal("Final() broken")
 	}
 }
 
@@ -482,5 +491,22 @@ func TestPoliciesIgnoreExpiredButRunningJobs(t *testing.T) {
 		if b.Started < a.Ended {
 			t.Fatalf("%s: b started %v before a freed nodes at %v", policy.Name(), b.Started, a.Ended)
 		}
+	}
+}
+
+// TestPolicyByName: each configuration name, and no name, resolves to the
+// policy whose Name it is, and an unknown name is refused.
+func TestPolicyByName(t *testing.T) {
+	for name, want := range map[string]string{"": "easy", "easy": "easy", "fcfs": "fcfs", "conservative": "conservative"} {
+		p, err := PolicyByName(name)
+		if err != nil {
+			t.Fatalf("policy %q: %v", name, err)
+		}
+		if got := p.Name(); got != want {
+			t.Errorf("policy %q resolves to %q, want %q", name, got, want)
+		}
+	}
+	if _, err := PolicyByName("lottery"); err == nil || !strings.Contains(err.Error(), "lottery") {
+		t.Fatalf("unknown policy: err = %v, want one naming it", err)
 	}
 }

@@ -2,7 +2,8 @@
 // characterization of heterogeneous resources across compute, network and
 // storage categories, exposed through three interfaces — querying (on-demand
 // and predictive modes), monitoring (threshold subscriptions) and discovery
-// (requirement-expression matching, the paper's "future work" interface).
+// (requirement-expression matching over the bundle, Match — the paper's
+// "future work" interface; tailored bundles are not built).
 package bundle
 
 import (
@@ -115,20 +116,11 @@ func (r *Resource) EstimateTransfer(bytes int64) time.Duration {
 }
 
 // ObserveWait records one observed queue wait (seconds) into the predictive
-// history. The execution manager feeds pilot waits back; emergent sites also
-// contribute background-job waits via Refresh.
+// history. The execution manager feeds pilot waits back.
 func (r *Resource) ObserveWait(seconds float64) {
 	r.history = append(r.history, seconds)
 	if len(r.history) > r.maxHist {
 		r.history = r.history[len(r.history)-r.maxHist:]
-	}
-}
-
-// Refresh pulls the site queue's recent wait observations into the agent's
-// history (monitoring agents poll like this in the real system).
-func (r *Resource) Refresh() {
-	for _, w := range r.s.Queue().WaitHistory() {
-		r.ObserveWait(w)
 	}
 }
 
@@ -166,25 +158,8 @@ func New(sites []*site.Site) *Bundle {
 	return b
 }
 
-// Add registers another resource. It returns an error on duplicates.
-func (b *Bundle) Add(s *site.Site) error {
-	if _, dup := b.resources[s.Name()]; dup {
-		return fmt.Errorf("bundle: duplicate resource %q", s.Name())
-	}
-	b.resources[s.Name()] = NewResource(s)
-	b.order = append(b.order, s.Name())
-	return nil
-}
-
 // Resource returns the named entry, or nil.
 func (b *Bundle) Resource(name string) *Resource { return b.resources[name] }
-
-// Names returns resource names in registration order.
-func (b *Bundle) Names() []string {
-	cp := make([]string, len(b.order))
-	copy(cp, b.order)
-	return cp
-}
 
 // Resources returns all entries in registration order.
 func (b *Bundle) Resources() []*Resource {
@@ -205,15 +180,6 @@ func (b *Bundle) QueryAll() []ComputeInfo {
 		out = append(out, r.Compute())
 	}
 	return out
-}
-
-// TotalCores aggregates capacity across the bundle.
-func (b *Bundle) TotalCores() int {
-	n := 0
-	for _, r := range b.Resources() {
-		n += r.s.Config().Cores()
-	}
-	return n
 }
 
 // env builds the discovery-expression environment for a resource.
@@ -260,45 +226,6 @@ func (b *Bundle) Match(expr string) ([]*Resource, error) {
 		if ok {
 			out = append(out, r)
 		}
-	}
-	return out, nil
-}
-
-// Discover builds a tailored bundle from a requirement expression — the
-// paper's discovery interface: "let the user request resources based on
-// abstract requirements so that a tailored bundle can be created". The new
-// bundle shares the underlying resources (bundles never own resources), so
-// accumulated predictive history carries over.
-func (b *Bundle) Discover(expr string) (*Bundle, error) {
-	matched, err := b.Match(expr)
-	if err != nil {
-		return nil, err
-	}
-	if len(matched) == 0 {
-		return nil, fmt.Errorf("bundle: no resources satisfy %q", expr)
-	}
-	out := &Bundle{resources: make(map[string]*Resource)}
-	for _, r := range matched {
-		out.resources[r.Name()] = r
-		out.order = append(out.order, r.Name())
-	}
-	return out, nil
-}
-
-// Subset builds a bundle restricted to the named resources, sharing entries
-// with the parent. Unknown names are an error.
-func (b *Bundle) Subset(names []string) (*Bundle, error) {
-	out := &Bundle{resources: make(map[string]*Resource)}
-	for _, n := range names {
-		r := b.resources[n]
-		if r == nil {
-			return nil, fmt.Errorf("bundle: unknown resource %q (have %v)", n, b.order)
-		}
-		if _, dup := out.resources[n]; dup {
-			return nil, fmt.Errorf("bundle: duplicate resource %q in subset", n)
-		}
-		out.resources[n] = r
-		out.order = append(out.order, n)
 	}
 	return out, nil
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"aimes/internal/batch"
 	"aimes/internal/sim"
 	"aimes/internal/site"
 )
@@ -31,26 +30,13 @@ func TestBundleRegistry(t *testing.T) {
 	if b.Resource("nope") != nil {
 		t.Fatal("unknown resource non-nil")
 	}
-	if len(b.Names()) != 5 || len(b.Resources()) != 5 {
+	if len(b.Resources()) != 5 {
 		t.Fatal("accessors inconsistent")
 	}
-	if b.TotalCores() <= 0 {
-		t.Fatal("TotalCores not positive")
-	}
-}
-
-func TestBundleAddDuplicate(t *testing.T) {
-	eng := sim.NewSim()
-	sites := testSites(t, eng)
-	b := New(sites[:1])
-	if err := b.Add(sites[0]); err == nil {
-		t.Fatal("duplicate add accepted")
-	}
-	if err := b.Add(sites[1]); err != nil {
-		t.Fatal(err)
-	}
-	if b.Size() != 2 {
-		t.Fatalf("size %d, want 2", b.Size())
+	for _, r := range b.Resources() {
+		if b.Resource(r.Name()) != r {
+			t.Fatalf("%s: named lookup returns another entry", r.Name())
+		}
 	}
 }
 
@@ -130,34 +116,6 @@ func TestObserveWaitBoundsHistory(t *testing.T) {
 	}
 }
 
-func TestRefreshPullsQueueHistory(t *testing.T) {
-	eng := sim.NewSim()
-	cfg := site.Config{
-		Name: "m", Nodes: 16, CoresPerNode: 8,
-		WaitModel:     batch.WaitModel{MedianWait: time.Minute, Sigma: 0.5},
-		BandwidthMBps: 10,
-	}
-	s, err := site.New(eng, cfg, sim.NewRNG(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := New([]*site.Site{s})
-	// Run some jobs through the queue so WaitHistory populates.
-	for i := 0; i < 10; i++ {
-		if err := s.Queue().Submit(&batch.Job{
-			ID: "j", Nodes: 1, Runtime: time.Minute, Walltime: time.Hour,
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	eng.Run()
-	r := b.Resource("m")
-	r.Refresh()
-	if r.HistoryLen() != 10 {
-		t.Fatalf("history %d after refresh, want 10", r.HistoryLen())
-	}
-}
-
 func TestSetupTimeInComputeInfo(t *testing.T) {
 	eng := sim.NewSim()
 	b := New(testSites(t, eng))
@@ -222,45 +180,4 @@ func TestNormalQuantile(t *testing.T) {
 		}
 	}()
 	normalQuantile(0)
-}
-
-func TestDiscoverTailoredBundle(t *testing.T) {
-	eng := sim.NewSim()
-	b := New(testSites(t, eng))
-	// Seed history on one resource; the tailored bundle must share it.
-	b.Resource("gordon").ObserveWait(123)
-	sub, err := b.Discover("cores >= 16000 && cores <= 20000")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub.Size() != 1 || sub.Resource("gordon") == nil {
-		t.Fatalf("discovered %v", sub.Names())
-	}
-	if sub.Resource("gordon").HistoryLen() != 1 {
-		t.Fatal("tailored bundle does not share resource state")
-	}
-	if _, err := b.Discover("cores > 1e12"); err == nil {
-		t.Fatal("empty discovery did not error")
-	}
-	if _, err := b.Discover("cores >"); err == nil {
-		t.Fatal("bad expression did not error")
-	}
-}
-
-func TestSubset(t *testing.T) {
-	eng := sim.NewSim()
-	b := New(testSites(t, eng))
-	sub, err := b.Subset([]string{"comet", "hopper"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub.Size() != 2 || sub.Resource("comet") == nil || sub.Resource("hopper") == nil {
-		t.Fatalf("subset = %v", sub.Names())
-	}
-	if _, err := b.Subset([]string{"atlantis"}); err == nil {
-		t.Fatal("unknown name accepted")
-	}
-	if _, err := b.Subset([]string{"comet", "comet"}); err == nil {
-		t.Fatal("duplicate accepted")
-	}
 }

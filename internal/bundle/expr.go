@@ -2,6 +2,8 @@ package bundle
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strconv"
 	"strings"
 	"unicode"
@@ -82,10 +84,7 @@ type cmpExpr struct {
 func (e cmpExpr) Eval(env map[string]value) (bool, error) {
 	v, ok := env[e.field]
 	if !ok {
-		known := make([]string, 0, len(env))
-		for k := range env {
-			known = append(known, k)
-		}
+		known := slices.Sorted(maps.Keys(env))
 		return false, fmt.Errorf("unknown field %q (known: %s)", e.field, strings.Join(known, ", "))
 	}
 	if v.isStr != e.lit.isStr {

@@ -68,10 +68,10 @@ func TestAdaptiveAddsPilotWhenStuck(t *testing.T) {
 		MaxExtraPilots: 2,
 	}})
 	e.eng.Run()
-	if !exec.Done() {
+	if !exec.done {
 		t.Fatal("execution incomplete")
 	}
-	report := exec.Report()
+	report := exec.report
 	if report.ExtraPilots != 1 {
 		t.Fatalf("extra pilots = %d, want 1", report.ExtraPilots)
 	}
@@ -105,8 +105,8 @@ func TestAdaptiveDoesNotFireWhenHealthy(t *testing.T) {
 		MaxExtraPilots: 2,
 	}})
 	e.eng.Run()
-	if exec.Report().ExtraPilots != 0 {
-		t.Fatalf("extra pilots = %d, want 0", exec.Report().ExtraPilots)
+	if exec.report.ExtraPilots != 0 {
+		t.Fatalf("extra pilots = %d, want 0", exec.report.ExtraPilots)
 	}
 }
 
@@ -129,8 +129,8 @@ func TestAdaptiveBudgetExhausts(t *testing.T) {
 		MaxExtraPilots: 5,
 	}})
 	e.eng.Run()
-	if exec.Report().ExtraPilots != 1 {
-		t.Fatalf("extra pilots = %d, want 1 (pool exhausted)", exec.Report().ExtraPilots)
+	if exec.report.ExtraPilots != 1 {
+		t.Fatalf("extra pilots = %d, want 1 (pool exhausted)", exec.report.ExtraPilots)
 	}
 }
 

@@ -78,12 +78,6 @@ type Execution struct {
 	replaceBudget int
 }
 
-// Done reports whether the execution has completed.
-func (e *Execution) Done() bool { return e.done }
-
-// Report returns the final report, or nil while running.
-func (e *Execution) Report() *Report { return e.report }
-
 // OnComplete registers a callback fired once with the final report.
 func (e *Execution) OnComplete(fn func(*Report)) {
 	if e.done {

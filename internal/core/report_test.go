@@ -338,7 +338,7 @@ func disturbedRun(t *testing.T, seed int64) (*Execution, *trace.Recorder) {
 		e.eng.Schedule(time.Duration(10+rng.Intn(110))*time.Minute, func() { ex.Cancel("test") })
 	}
 	e.eng.Run()
-	if !ex.Done() {
+	if !ex.done {
 		t.Fatalf("seed %d: %v", seed, ex.IncompleteError())
 	}
 	return ex, rec
@@ -353,7 +353,7 @@ func TestAccumulatedCoversMatchReplay(t *testing.T) {
 	var restarts, lostStaging, lostExecuting, canceled, extra int
 	for seed := int64(1); seed <= 60; seed++ {
 		ex, rec := disturbedRun(t, seed)
-		report := ex.Report()
+		report := ex.report
 		execSpans, stageSpans := componentSpans(rec, ex.started)
 		if want := UnionDuration(execSpans).Duration(); report.Tx != want {
 			t.Errorf("seed %d: accumulated Tx %v, replay %v", seed, report.Tx, want)
@@ -409,7 +409,7 @@ func TestConcurrentExecutionsOnSharedRecorder(t *testing.T) {
 		}
 		start(0)
 		e.eng.At(sim.Time(5*time.Minute), func() {
-			if execs[0].Done() {
+			if execs[0].done {
 				t.Fatal("the first bag finished before the second started")
 			}
 			start(1)
@@ -417,10 +417,10 @@ func TestConcurrentExecutionsOnSharedRecorder(t *testing.T) {
 		e.eng.Run()
 		var reports [2]*Report
 		for k, ex := range execs {
-			if !ex.Done() {
+			if !ex.done {
 				t.Fatalf("bag %d: %v", k, ex.IncompleteError())
 			}
-			reports[k] = ex.Report()
+			reports[k] = ex.report
 		}
 		return reports
 	}

@@ -266,14 +266,6 @@ func (m *CostModel) RelError(k int) float64 {
 	return f.load(&f.relErr)
 }
 
-// Observations returns how many completed jobs shard k's fit has absorbed.
-func (m *CostModel) Observations(k int) int64 {
-	if k < 0 || k >= len(m.fits) {
-		return 0
-	}
-	return m.fits[k].n.Load()
-}
-
 // TypicalCost returns shard k's fitted mean job demand (core-seconds) — the
 // seed value until the shard completes a job. Monitoring uses it to render a
 // comparable "predicted cost of the next typical job" per shard.

@@ -13,8 +13,8 @@ func TestColdShardIsRankable(t *testing.T) {
 		m.Observe(Observation{Shard: 0, Cost: 900, Wait: 1800, TTC: 2700})
 		m.Observe(Observation{Shard: 1, Cost: 900, Wait: 1800, TTC: 2700})
 	}
-	if m.Observations(2) != 0 {
-		t.Fatalf("shard 2 should be cold, has %d observations", m.Observations(2))
+	if n := m.fits[2].n.Load(); n != 0 {
+		t.Fatalf("shard 2 should be cold, has %d observations", n)
 	}
 	// The cold shard must still produce a finite, comparable prediction.
 	p := m.Predict(2, 900, 0)

@@ -44,9 +44,6 @@ type Link struct {
 	// share (nil while nothing flows), doneEvent its completion.
 	next      *Transfer
 	doneEvent sim.Event
-
-	totalBytes     float64
-	completedCount int
 }
 
 // NewLink creates a link. Bandwidth is in bytes/second; latency is the fixed
@@ -98,24 +95,8 @@ func (l *Link) SetBandwidth(bandwidth float64) {
 // Name returns the link name.
 func (l *Link) Name() string { return l.name }
 
-// Bandwidth returns the configured capacity in bytes/second.
-func (l *Link) Bandwidth() float64 { return l.bandwidth }
-
-// Latency returns the fixed per-transfer setup latency.
-func (l *Link) Latency() time.Duration { return l.latency }
-
 // Active reports the number of transfers currently moving bytes.
 func (l *Link) Active() int { return len(l.active) }
-
-// Pending reports the number of transfers queued behind the concurrency
-// bound.
-func (l *Link) Pending() int { return len(l.pending) - l.pendHead }
-
-// Completed reports how many transfers have finished.
-func (l *Link) Completed() int { return l.completedCount }
-
-// TotalBytes reports the cumulative payload moved over the link.
-func (l *Link) TotalBytes() float64 { return l.totalBytes }
 
 // Estimate returns the transfer time for size bytes if the link were
 // otherwise idle — the "order of magnitude" estimate the paper's bundle
@@ -288,8 +269,6 @@ func (l *Link) finish(t *Transfer) {
 	}
 	t.remaining = 0
 	t.inFlight = false
-	l.totalBytes += float64(t.size)
-	l.completedCount++
 	l.reschedule()
 	l.admitPending()
 	if t.done != nil {

@@ -20,9 +20,6 @@ type refLink struct {
 	active     []*refTransfer
 	pending    []*refTransfer
 	lastUpdate sim.Time
-
-	totalBytes     float64
-	completedCount int
 }
 
 type refTransfer struct {
@@ -155,8 +152,6 @@ func (l *refLink) finish(t *refTransfer) {
 	}
 	t.ended = l.eng.Now()
 	t.remaining = 0
-	l.totalBytes += float64(t.size)
-	l.completedCount++
 	l.reschedule()
 	l.admitPending()
 	if t.onDone != nil {

@@ -153,10 +153,10 @@ func TestEarlyBindingExecutesWorkload(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.eng.Run()
-	if !um.Done() {
+	if !finished(um) {
 		t.Fatal("workload not done")
 	}
-	for _, u := range um.Units() {
+	for _, u := range um.units {
 		if u.State() != UnitDone {
 			t.Fatalf("unit %s state %v", u.Name(), u.State())
 		}
@@ -219,7 +219,7 @@ func TestLateBindingBackfillUsesFirstActivePilot(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.eng.Run()
-	for _, u := range um.Units() {
+	for _, u := range um.units {
 		if u.State() != UnitDone {
 			t.Fatalf("unit %s state %v", u.Name(), u.State())
 		}
@@ -244,7 +244,7 @@ func TestLateBindingSpillsToLaterPilots(t *testing.T) {
 	}
 	h.eng.Run()
 	byResource := map[string]int{}
-	for _, u := range um.Units() {
+	for _, u := range um.units {
 		if u.State() != UnitDone {
 			t.Fatalf("unit %s state %v", u.Name(), u.State())
 		}
@@ -268,7 +268,7 @@ func TestRoundRobinDistributesEvenly(t *testing.T) {
 	}
 	h.eng.Run()
 	byResource := map[string]int{}
-	for _, u := range um.Units() {
+	for _, u := range um.units {
 		byResource[u.Pilot().Resource()]++
 	}
 	for r, n := range byResource {
@@ -316,7 +316,7 @@ func TestUnitFailureRestarts(t *testing.T) {
 	}
 	h.eng.Run()
 	restarts := 0
-	for _, u := range um.Units() {
+	for _, u := range um.units {
 		if u.State() != UnitDone {
 			t.Fatalf("unit %s state %v (restarts should recover p=0.4)", u.Name(), u.State())
 		}
@@ -340,7 +340,7 @@ func TestUnitFailureBudgetExhausted(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.eng.Run()
-	for _, u := range um.Units() {
+	for _, u := range um.units {
 		if u.State() != UnitFailed {
 			t.Fatalf("unit %s state %v, want FAILED", u.Name(), u.State())
 		}
@@ -367,7 +367,7 @@ func TestPilotWalltimeReschedulesUnits(t *testing.T) {
 	if pa.State() != PilotDone {
 		t.Fatalf("alpha state %v, want DONE (walltime retirement)", pa.State())
 	}
-	for _, u := range um.Units() {
+	for _, u := range um.units {
 		if u.State() != UnitDone {
 			t.Fatalf("unit %s state %v", u.Name(), u.State())
 		}
@@ -386,12 +386,12 @@ func TestAllPilotsGoneFailsUnits(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.eng.Run()
-	for _, u := range um.Units() {
+	for _, u := range um.units {
 		if u.State() != UnitFailed {
 			t.Fatalf("unit %s state %v, want FAILED when no pilots remain", u.Name(), u.State())
 		}
 	}
-	if !um.Done() {
+	if !finished(um) {
 		t.Fatal("manager not done after all units failed")
 	}
 }
@@ -418,7 +418,7 @@ func TestUnitDependencies(t *testing.T) {
 	if consExec.Time <= prodDone.Time {
 		t.Fatalf("consumer executed at %v before producer done at %v", consExec.Time, prodDone.Time)
 	}
-	if um.Unit("consumer").State() != UnitDone {
+	if um.byName["consumer"].State() != UnitDone {
 		t.Fatal("consumer did not finish")
 	}
 }
@@ -488,9 +488,9 @@ func TestSubmitIsAllOrNothing(t *testing.T) {
 		if err := um.Submit(batch); err == nil {
 			t.Fatalf("batch ending in %+v accepted", bad)
 		}
-		if len(um.Units()) != 0 || len(um.ready) != 0 || len(um.byName) != 0 || h.rec.Len() != 0 {
+		if len(um.units) != 0 || len(um.ready) != 0 || len(um.byName) != 0 || h.rec.Len() != 0 {
 			t.Fatalf("rejected batch left %d units, %d ready, %d names and %d records",
-				len(um.Units()), len(um.ready), len(um.byName), h.rec.Len())
+				len(um.units), len(um.ready), len(um.byName), h.rec.Len())
 		}
 		p, err := h.pm.Submit(PilotDescription{Resource: "alpha", Cores: 8, Walltime: time.Hour})
 		if err != nil {
@@ -502,10 +502,10 @@ func TestSubmitIsAllOrNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 		h.eng.Run()
-		if units := um.Units(); len(units) != 3 || !um.Done() {
-			t.Fatalf("%d units after the valid batch, done %v; want its 3", len(units), um.Done())
+		if units := um.units; len(units) != 3 || !finished(um) {
+			t.Fatalf("%d units after the valid batch, done %v; want its 3", len(units), finished(um))
 		}
-		for _, u := range um.Units() {
+		for _, u := range um.units {
 			if u.State() != UnitDone {
 				t.Fatalf("unit %s ended %v", u.Name(), u.State())
 			}
@@ -527,7 +527,7 @@ func TestUnitCancel(t *testing.T) {
 	h.eng.Schedule(30*time.Second, func() { um.CancelAll() })
 	h.eng.Schedule(2*time.Minute, func() { h.pm.CancelAll() })
 	h.eng.Run()
-	for _, u := range um.Units() {
+	for _, u := range um.units {
 		if u.State() != UnitCanceled {
 			t.Fatalf("unit %s state %v, want CANCELED", u.Name(), u.State())
 		}
@@ -591,11 +591,11 @@ func TestWorkloadConservationProperty(t *testing.T) {
 			t.Fatal(err)
 		}
 		h.eng.Run()
-		if !um.Done() {
+		if !finished(um) {
 			t.Fatalf("seed %d: workload incomplete", seed)
 		}
 		terminal := 0
-		for _, u := range um.Units() {
+		for _, u := range um.units {
 			if !u.State().Final() {
 				t.Fatalf("seed %d: unit %s in state %v", seed, u.Name(), u.State())
 			}
@@ -690,9 +690,12 @@ func TestMulticoreUnitsAgentBackfill(t *testing.T) {
 	if narrowExec.Time >= wideBExec.Time {
 		t.Fatalf("narrow (%v) did not backfill ahead of wide-b (%v)", narrowExec.Time, wideBExec.Time)
 	}
-	for _, u := range um.Units() {
+	for _, u := range um.units {
 		if u.State() != UnitDone {
 			t.Fatalf("unit %s state %v", u.Name(), u.State())
 		}
 	}
 }
+
+// finished reports whether every unit of um is terminal.
+func finished(um *UnitManager) bool { return len(um.units) > 0 && um.doneCount == len(um.units) }

@@ -42,7 +42,7 @@ func TestPreemptReschedulesUnits(t *testing.T) {
 		t.Fatalf("preempted pilot state = %v, want FAILED", got)
 	}
 	done, failed, onBeta := 0, 0, 0
-	for _, u := range um.Units() {
+	for _, u := range um.units {
 		switch u.State() {
 		case UnitDone:
 			done++
@@ -94,7 +94,7 @@ func TestPreemptBeforeActivation(t *testing.T) {
 	h.eng.Run()
 
 	done := 0
-	for _, u := range um.Units() {
+	for _, u := range um.units {
 		if u.State() == UnitDone {
 			done++
 		} else {

@@ -72,10 +72,14 @@ func randomDAG(rng *rand.Rand, prefix string, n int, earlier []string) []UnitDes
 // the incrementally maintained ready list with the scan it replaced: the
 // same units in the same order.
 func TestReadyListMatchesScan(t *testing.T) {
-	schedulers := []Scheduler{Direct{}, RoundRobin{}, Backfill{}}
-	for _, sched := range schedulers {
+	schedulers := []struct {
+		name  string
+		sched Scheduler
+	}{{"direct", Direct{}}, {"round-robin", RoundRobin{}}, {"backfill", Backfill{}}}
+	for _, s := range schedulers {
+		sched := s.sched
 		for seed := int64(1); seed <= 25; seed++ {
-			t.Run(fmt.Sprintf("%s/%d", sched.Name(), seed), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/%d", s.name, seed), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
 				cfg := DefaultConfig()
 				cfg.UnitFailureProb = 0.15
@@ -132,7 +136,7 @@ func TestReadyListMatchesScan(t *testing.T) {
 				for k := rng.Intn(8); k > 0; k-- {
 					victim := first[rng.Intn(len(first))].Name
 					h.eng.Schedule(time.Duration(rng.Intn(2400))*time.Second, func() {
-						um.Cancel(um.Unit(victim))
+						um.Cancel(um.byName[victim])
 					})
 				}
 				h.eng.Run()
@@ -140,7 +144,7 @@ func TestReadyListMatchesScan(t *testing.T) {
 				if places == 0 || offered == 0 {
 					t.Fatalf("hook saw %d place() calls offering %d units", places, offered)
 				}
-				for _, u := range um.Units() {
+				for _, u := range um.units {
 					if !u.State().Final() {
 						t.Fatalf("unit %s left in %v", u.Name(), u.State())
 					}
@@ -183,10 +187,10 @@ func TestSubmitDependencyOrder(t *testing.T) {
 	if err := um.Submit(descs); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := um.Unit("u").Description().Deps, []string{"r", "p", "q"}; !reflect.DeepEqual(got, want) {
+	if got, want := um.byName["u"].Description().Deps, []string{"r", "p", "q"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("deps = %v, want %v", got, want)
 	}
-	if got := um.Unit("p").Description().Deps; len(got) != 0 {
+	if got := um.byName["p"].Description().Deps; len(got) != 0 {
 		t.Fatalf("independent unit has deps %v", got)
 	}
 }

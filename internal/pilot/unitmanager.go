@@ -129,8 +129,6 @@ func (s *staging) Fire() {
 // late binding uses Backfill (units flow to whichever active pilot has free
 // capacity).
 type Scheduler interface {
-	// Name identifies the scheduler in traces and configuration.
-	Name() string
 	// Place appends unit→pilot assignments to dst, which it is given empty,
 	// and returns it. Units left unassigned remain eligible for the next
 	// call.
@@ -147,9 +145,6 @@ type Assignment struct {
 // paper's early-binding scheduler (experiments 1 and 2 use it with a single
 // pilot).
 type Direct struct{}
-
-// Name implements Scheduler.
-func (Direct) Name() string { return "direct" }
 
 // Place implements Scheduler.
 func (Direct) Place(dst []Assignment, ready []*Unit, pilots []*Pilot, _ map[*Pilot]int) []Assignment {
@@ -175,9 +170,6 @@ func (Direct) Place(dst []Assignment, ready []*Unit, pilots []*Pilot, _ map[*Pil
 // discards as dominated, kept here for the ablation benchmarks).
 type RoundRobin struct{}
 
-// Name implements Scheduler.
-func (RoundRobin) Name() string { return "round-robin" }
-
 // Place implements Scheduler.
 func (RoundRobin) Place(dst []Assignment, ready []*Unit, pilots []*Pilot, _ map[*Pilot]int) []Assignment {
 	var alive []*Pilot
@@ -201,9 +193,6 @@ func (RoundRobin) Place(dst []Assignment, ready []*Unit, pilots []*Pilot, _ map[
 // The first pilot to clear its queue starts executing the workload; others
 // join as they activate.
 type Backfill struct{}
-
-// Name implements Scheduler.
-func (Backfill) Name() string { return "backfill" }
 
 // Place implements Scheduler.
 func (Backfill) Place(dst []Assignment, ready []*Unit, pilots []*Pilot, committed map[*Pilot]int) []Assignment {
@@ -379,28 +368,13 @@ func (um *UnitManager) Pilots() []*Pilot {
 	return cp
 }
 
-// Units returns all managed units in submission order.
-func (um *UnitManager) Units() []*Unit {
-	cp := make([]*Unit, len(um.units))
-	copy(cp, um.units)
-	return cp
-}
-
 // All iterates over the managed units in submission order without copying
 // them; the caller must not submit while it does.
 func (um *UnitManager) All() iter.Seq[*Unit] { return slices.Values(um.units) }
 
-// Unit returns the named unit, or nil.
-func (um *UnitManager) Unit(name string) *Unit { return um.byName[name] }
-
 // OnCompletion registers a callback fired once when every unit is terminal.
 func (um *UnitManager) OnCompletion(fn func()) {
 	um.onDone = append(um.onDone, fn)
-}
-
-// Done reports whether all units are terminal.
-func (um *UnitManager) Done() bool {
-	return len(um.units) > 0 && um.doneCount == len(um.units)
 }
 
 // Submit accepts unit descriptions for execution: all of them, or none and

@@ -13,29 +13,22 @@ import (
 // on the site's queue, and observes it there, and the event that models the
 // submission round trip.
 type batchJob struct {
-	inner     batch.Job // on the queue once its state leaves batch.JobNew
-	sent      sim.Event // the submission latency elapsing
-	adaptor   *BatchAdaptor
-	desc      Description
-	state     State
-	detail    string
-	submitted sim.Time
-	started   sim.Time
-	ended     sim.Time
-	cb        StateCallback
+	inner   batch.Job // on the queue once its state leaves batch.JobNew
+	sent    sim.Event // the submission latency elapsing
+	adaptor *BatchAdaptor
+	desc    Description
+	state   State
+	detail  string
+	cb      StateCallback
 	// cancelPending marks a job canceled during the submission latency
 	// window, before the batch system knows about it.
 	cancelPending bool
 }
 
 func (j *batchJob) ID() string               { return j.inner.ID }
-func (j *batchJob) State() State             { return j.state }
 func (j *batchJob) Detail() string           { return j.detail }
 func (j *batchJob) Description() Description { return j.desc }
 func (j *batchJob) Resource() string         { return j.adaptor.Resource() }
-func (j *batchJob) SubmittedAt() sim.Time    { return j.submitted }
-func (j *batchJob) StartedAt() sim.Time      { return j.started }
-func (j *batchJob) EndedAt() sim.Time        { return j.ended }
 
 func (j *batchJob) transition(state State, detail string) {
 	j.state = state
@@ -47,13 +40,11 @@ func (j *batchJob) transition(state State, detail string) {
 
 // Started implements batch.Observer.
 func (j *batchJob) Started(*batch.Job) {
-	j.started = j.adaptor.eng.Now()
 	j.transition(Running, "")
 }
 
 // Ended implements batch.Observer.
 func (j *batchJob) Ended(bj *batch.Job) {
-	j.ended = j.adaptor.eng.Now()
 	switch bj.State {
 	case batch.JobCompleted:
 		j.transition(Done, "")
@@ -100,11 +91,10 @@ func (a *BatchAdaptor) Submit(d Description, cb StateCallback) (Job, error) {
 	}
 	a.seq++
 	j := &batchJob{
-		adaptor:   a,
-		desc:      d,
-		state:     New,
-		cb:        cb,
-		submitted: a.eng.Now(),
+		adaptor: a,
+		desc:    d,
+		state:   New,
+		cb:      cb,
 	}
 	j.inner = batch.Job{
 		ID:       jobID(cfg.Name, a.seq),
@@ -138,19 +128,16 @@ func (s *submission) Fire() {
 	j := (*batchJob)(s)
 	a := j.adaptor
 	if j.cancelPending {
-		j.ended = a.eng.Now()
 		j.transition(Canceled, "canceled before submission")
 		return
 	}
 	if !a.site.Online() {
 		// The resource manager is unreachable: the submission round trip
 		// fails, as it would against a dead head node.
-		j.ended = a.eng.Now()
 		j.transition(Failed, "resource offline")
 		return
 	}
 	if err := a.site.Queue().Submit(&j.inner); err != nil {
-		j.ended = a.eng.Now()
 		j.transition(Failed, err.Error())
 		return
 	}

@@ -8,8 +8,6 @@ package saga
 import (
 	"fmt"
 	"time"
-
-	"aimes/internal/sim"
 )
 
 // State enumerates SAGA job states.
@@ -24,22 +22,6 @@ const (
 	Canceled              // canceled by the client
 	Failed                // terminated abnormally (includes walltime kills)
 )
-
-var stateNames = map[State]string{
-	New:      "NEW",
-	Pending:  "PENDING",
-	Running:  "RUNNING",
-	Done:     "DONE",
-	Canceled: "CANCELED",
-	Failed:   "FAILED",
-}
-
-func (s State) String() string {
-	if n, ok := stateNames[s]; ok {
-		return n
-	}
-	return fmt.Sprintf("State(%d)", int(s))
-}
 
 // Final reports whether the state is terminal.
 func (s State) Final() bool { return s == Done || s == Canceled || s == Failed }
@@ -80,19 +62,12 @@ func (d Description) Validate() error {
 type Job interface {
 	// ID is unique within the service.
 	ID() string
-	// State returns the current state.
-	State() State
 	// Detail explains terminal states (e.g. "walltime").
 	Detail() string
 	// Description returns the submitted description.
 	Description() Description
 	// Resource names the service the job went to.
 	Resource() string
-	// SubmittedAt/StartedAt/EndedAt return lifecycle timestamps (zero until
-	// reached).
-	SubmittedAt() sim.Time
-	StartedAt() sim.Time
-	EndedAt() sim.Time
 }
 
 // StateCallback observes job state transitions. Callbacks fire on engine
@@ -143,11 +118,4 @@ func (s *Session) Service(resource string) (Service, error) {
 		return svc, nil
 	}
 	return nil, fmt.Errorf("saga: unknown resource %q (known: %v)", resource, s.order)
-}
-
-// Resources returns registered resource names in registration order.
-func (s *Session) Resources() []string {
-	cp := make([]string, len(s.order))
-	copy(cp, s.order)
-	return cp
 }

@@ -32,12 +32,6 @@ func (t Time) Add(d time.Duration) Time { return t + Time(d) }
 // Sub returns the duration t-u.
 func (t Time) Sub(u Time) time.Duration { return time.Duration(t - u) }
 
-// Before reports whether t precedes u.
-func (t Time) Before(u Time) bool { return t < u }
-
-// After reports whether t follows u.
-func (t Time) After(u Time) bool { return t > u }
-
 func (t Time) String() string {
 	return fmt.Sprintf("T+%.3fs", t.Seconds())
 }
@@ -84,9 +78,6 @@ func (e *Event) Init(h Handler) { e.h = h }
 // When reports the virtual time at which the event fires (or would have
 // fired, if canceled).
 func (e *Event) When() Time { return e.when }
-
-// Canceled reports whether the event was canceled since it was last armed.
-func (e *Event) Canceled() bool { return e.canceled }
 
 // Sim is the deterministic discrete-event engine. It is not safe for
 // concurrent use: one goroutine at a time owns a Sim, and all scheduled

@@ -23,9 +23,6 @@ type refEvent struct {
 // fired, if canceled).
 func (e *refEvent) When() Time { return e.when }
 
-// Canceled reports whether Cancel was called on the event.
-func (e *refEvent) Canceled() bool { return e.canceled }
-
 // refQueue is a min-heap ordered by (when, seq).
 type refQueue []*refEvent
 

@@ -26,13 +26,6 @@ const (
 	Emergent
 )
 
-func (m QueueMode) String() string {
-	if m == Emergent {
-		return "emergent"
-	}
-	return "modeled"
-}
-
 // Config describes one resource. It is plain data: it crosses the worker
 // wire as it is, so a field added here reaches an out-of-process shard
 // without further code.
@@ -129,7 +122,7 @@ func New(eng *sim.Sim, cfg Config, rng *sim.RNG) (*Site, error) {
 			Policy:      policy,
 			FailureProb: cfg.FailureProb,
 		}, rng.Stream("failures"))
-		if _, err := batch.StartBackground(eng, sys, cfg.Nodes,
+		if err := batch.StartBackground(eng, sys, cfg.Nodes,
 			batch.DefaultBackground(cfg.Nodes, cfg.BackgroundUtil), rng.Stream("background")); err != nil {
 			return nil, err
 		}
@@ -207,13 +200,6 @@ func NewTestbed(eng *sim.Sim, configs []Config, root *sim.RNG) (*Testbed, error)
 
 // Site returns the named site, or nil.
 func (t *Testbed) Site(name string) *Site { return t.sites[name] }
-
-// Names returns the site names in registration order.
-func (t *Testbed) Names() []string {
-	cp := make([]string, len(t.order))
-	copy(cp, t.order)
-	return cp
-}
 
 // Sites returns all sites in registration order.
 func (t *Testbed) Sites() []*Site {

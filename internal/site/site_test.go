@@ -1,6 +1,7 @@
 package site
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -62,8 +63,9 @@ func TestNewModeledSite(t *testing.T) {
 	if s.Name() != "m" || s.Queue() == nil || s.Link() == nil {
 		t.Fatal("site incomplete")
 	}
-	if s.Link().Bandwidth() != 10e6 {
-		t.Fatalf("bandwidth %g, want 10e6 B/s", s.Link().Bandwidth())
+	// 10 MB/s: ten million bytes take one second past the setup latency.
+	if got := s.Link().Estimate(10e6) - modeledConfig().NetLatency; got != time.Second {
+		t.Fatalf("10e6 bytes move in %v, want 1s at 10e6 B/s", got)
 	}
 }
 
@@ -90,20 +92,17 @@ func TestTestbedRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	names := tb.Names()
-	if len(names) != 5 {
-		t.Fatalf("testbed has %d sites, want 5", len(names))
+	sites := tb.Sites()
+	if len(sites) != 5 {
+		t.Fatalf("testbed has %d sites, want 5", len(sites))
 	}
-	for _, n := range names {
-		if tb.Site(n) == nil {
-			t.Fatalf("site %q missing", n)
+	for _, s := range sites {
+		if tb.Site(s.Name()) != s {
+			t.Fatalf("site %q missing", s.Name())
 		}
 	}
 	if tb.Site("nope") != nil {
 		t.Fatal("unknown site returned non-nil")
-	}
-	if len(tb.Sites()) != 5 {
-		t.Fatal("accessors inconsistent")
 	}
 }
 
@@ -149,23 +148,24 @@ func TestEmergentTestbedConversion(t *testing.T) {
 	}
 }
 
-// TestPolicyByName: the name in the configuration is the policy the site's
-// batch system runs, and no name is EASY.
+// TestPolicyByName: every policy name, and no name, builds an emergent
+// site on the batch system, and an unknown name is refused. Which policy each
+// name resolves to is batch's TestPolicyByName; that the site's batch system
+// runs it is TestBackendParityConservativePolicy's check: each policy's job
+// reports differently from EASY's.
 func TestPolicyByName(t *testing.T) {
-	for name, want := range map[string]string{"": "easy", "easy": "easy", "fcfs": "fcfs", "conservative": "conservative"} {
+	for _, name := range []string{"", "easy", "fcfs", "conservative"} {
 		cfg := EmergentTestbed(DefaultTestbed()[2:3], 0.7, name)[0]
 		s, err := New(sim.NewSim(), cfg, sim.NewRNG(1))
 		if err != nil {
 			t.Fatalf("policy %q: %v", name, err)
 		}
-		if got := s.Queue().(*batch.System).Policy().Name(); got != want {
-			t.Errorf("policy %q runs %q, want %q", name, got, want)
+		if _, ok := s.Queue().(*batch.System); !ok {
+			t.Errorf("policy %q: queue is %T, want the batch system", name, s.Queue())
 		}
 	}
-}
-
-func TestQueueModeString(t *testing.T) {
-	if Modeled.String() != "modeled" || Emergent.String() != "emergent" {
-		t.Fatal("mode strings wrong")
+	cfg := EmergentTestbed(DefaultTestbed()[2:3], 0.7, "lottery")[0]
+	if _, err := New(sim.NewSim(), cfg, sim.NewRNG(1)); err == nil || !strings.Contains(err.Error(), "lottery") {
+		t.Fatalf("unknown policy: err = %v, want one naming it", err)
 	}
 }

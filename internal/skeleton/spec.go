@@ -273,13 +273,6 @@ func ParseJSON(r io.Reader) (AppSpec, error) {
 	return app, nil
 }
 
-// WriteJSON writes the spec as indented JSON.
-func (a AppSpec) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(a)
-}
-
 // BagOfTasks returns the paper's experimental workload: a single stage of n
 // single-core tasks with the given duration spec, a 1 MB input file and a
 // 2 KB output file per task.

@@ -1,6 +1,8 @@
 package skeleton
 
 import (
+	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -153,11 +155,11 @@ func TestParseTextJSONEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sb strings.Builder
-	if err := textApp.WriteJSON(&sb); err != nil {
+	doc, err := json.Marshal(textApp)
+	if err != nil {
 		t.Fatal(err)
 	}
-	jsonApp, err := ParseJSON(strings.NewReader(sb.String()))
+	jsonApp, err := ParseJSON(bytes.NewReader(doc))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -103,17 +103,6 @@ func (w *Workload) CoreSeconds() float64 {
 	return s
 }
 
-// MaxDuration returns the longest task duration.
-func (w *Workload) MaxDuration() time.Duration {
-	var d time.Duration
-	for _, t := range w.Tasks {
-		if t.Duration > d {
-			d = t.Duration
-		}
-	}
-	return d
-}
-
 // MeanDuration returns the mean task duration.
 func (w *Workload) MeanDuration() time.Duration {
 	if len(w.Tasks) == 0 {
@@ -316,32 +305,6 @@ func (w *Workload) WriteDOT(out io.Writer) error {
 		}
 	}
 	b.WriteString("}\n")
-	_, err := io.WriteString(out, b.String())
-	return err
-}
-
-// WriteJSON emits the concrete workload as JSON, the original tool's "JSON
-// structure to be used by a middleware designed to read it" output mode.
-func (w *Workload) WriteJSON(out io.Writer) error {
-	var b strings.Builder
-	b.WriteString("{\n")
-	fmt.Fprintf(&b, "  \"name\": %q,\n  \"tasks\": [\n", w.Name)
-	for i, t := range w.Tasks {
-		fmt.Fprintf(&b, "    {\"id\": %q, \"stage\": %q, \"cores\": %d, \"duration_s\": %.3f, \"input_bytes\": %d, \"output_bytes\": %d, \"deps\": [",
-			t.ID, t.Stage, t.Cores, t.Duration.Seconds(), t.InputBytes(), t.OutputBytes())
-		for k, d := range t.Deps {
-			if k > 0 {
-				b.WriteString(", ")
-			}
-			fmt.Fprintf(&b, "%q", d)
-		}
-		b.WriteString("]}")
-		if i < len(w.Tasks)-1 {
-			b.WriteString(",")
-		}
-		b.WriteString("\n")
-	}
-	b.WriteString("  ]\n}\n")
 	_, err := io.WriteString(out, b.String())
 	return err
 }

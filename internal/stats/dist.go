@@ -18,10 +18,6 @@ import (
 type Dist interface {
 	// Sample draws one value using the supplied source.
 	Sample(r *rand.Rand) float64
-	// Mean returns the analytical mean of the distribution.
-	Mean() float64
-	// String describes the distribution, e.g. "normal(900, 300)[60, 1800]".
-	String() string
 }
 
 // Constant is a degenerate distribution that always returns Value.
@@ -32,11 +28,6 @@ func NewConstant(v float64) Constant { return Constant{Value: v} }
 
 // Sample implements Dist.
 func (c Constant) Sample(*rand.Rand) float64 { return c.Value }
-
-// Mean implements Dist.
-func (c Constant) Mean() float64 { return c.Value }
-
-func (c Constant) String() string { return fmt.Sprintf("constant(%g)", c.Value) }
 
 // Uniform is the continuous uniform distribution on [Low, High).
 type Uniform struct{ Low, High float64 }
@@ -55,11 +46,6 @@ func (u Uniform) Sample(r *rand.Rand) float64 {
 	return u.Low + r.Float64()*(u.High-u.Low)
 }
 
-// Mean implements Dist.
-func (u Uniform) Mean() float64 { return (u.Low + u.High) / 2 }
-
-func (u Uniform) String() string { return fmt.Sprintf("uniform(%g, %g)", u.Low, u.High) }
-
 // Normal is the Gaussian distribution with the given mean and standard
 // deviation.
 type Normal struct{ Mu, Sigma float64 }
@@ -74,11 +60,6 @@ func NewNormal(mu, sigma float64) Normal {
 
 // Sample implements Dist.
 func (n Normal) Sample(r *rand.Rand) float64 { return n.Mu + n.Sigma*r.NormFloat64() }
-
-// Mean implements Dist.
-func (n Normal) Mean() float64 { return n.Mu }
-
-func (n Normal) String() string { return fmt.Sprintf("normal(%g, %g)", n.Mu, n.Sigma) }
 
 // TruncNormal is a Gaussian truncated (by resampling) to [Low, High]. This is
 // the task-duration distribution of the paper's experiments 2 and 4:
@@ -112,25 +93,6 @@ func (t TruncNormal) Sample(r *rand.Rand) float64 {
 	return math.Min(math.Max(t.Mu, t.Low), t.High)
 }
 
-// Mean implements Dist. It returns the analytical mean of the truncated
-// distribution using the standard two-sided truncation formula.
-func (t TruncNormal) Mean() float64 {
-	if t.Sigma == 0 {
-		return math.Min(math.Max(t.Mu, t.Low), t.High)
-	}
-	a := (t.Low - t.Mu) / t.Sigma
-	b := (t.High - t.Mu) / t.Sigma
-	den := stdCDF(b) - stdCDF(a)
-	if den <= 0 {
-		return math.Min(math.Max(t.Mu, t.Low), t.High)
-	}
-	return t.Mu + t.Sigma*(stdPDF(a)-stdPDF(b))/den
-}
-
-func (t TruncNormal) String() string {
-	return fmt.Sprintf("truncnormal(%g, %g)[%g, %g]", t.Mu, t.Sigma, t.Low, t.High)
-}
-
 // LogNormal is the log-normal distribution: exp(N(Mu, Sigma)). Batch-queue
 // wait times and job runtimes on production HPC machines are well described
 // by heavy-tailed log-normals, which is what makes the paper's
@@ -161,13 +123,8 @@ func (l LogNormal) Sample(r *rand.Rand) float64 {
 	return math.Exp(l.Mu + l.Sigma*r.NormFloat64())
 }
 
-// Mean implements Dist.
+// Mean returns the analytical mean, exp(Mu + Sigma²/2).
 func (l LogNormal) Mean() float64 { return math.Exp(l.Mu + l.Sigma*l.Sigma/2) }
-
-// Median returns exp(Mu).
-func (l LogNormal) Median() float64 { return math.Exp(l.Mu) }
-
-func (l LogNormal) String() string { return fmt.Sprintf("lognormal(%g, %g)", l.Mu, l.Sigma) }
 
 // Clamped restricts another distribution to [Low, High] by clamping samples.
 type Clamped struct {
@@ -186,25 +143,6 @@ func NewClamped(base Dist, low, high float64) Clamped {
 // Sample implements Dist.
 func (c Clamped) Sample(r *rand.Rand) float64 {
 	return math.Min(math.Max(c.Base.Sample(r), c.Low), c.High)
-}
-
-// Mean implements Dist. The clamped mean has no simple closed form for an
-// arbitrary base, so this reports the clamped base mean, which is exact for
-// bases whose mass already lies inside the bounds.
-func (c Clamped) Mean() float64 {
-	return math.Min(math.Max(c.Base.Mean(), c.Low), c.High)
-}
-
-func (c Clamped) String() string { return fmt.Sprintf("clamp(%v)[%g, %g]", c.Base, c.Low, c.High) }
-
-// stdPDF is the standard normal density.
-func stdPDF(x float64) float64 {
-	return math.Exp(-x*x/2) / math.Sqrt(2*math.Pi)
-}
-
-// stdCDF is the standard normal cumulative distribution function.
-func stdCDF(x float64) float64 {
-	return 0.5 * math.Erfc(-x/math.Sqrt2)
 }
 
 // Quantile returns the q-th empirical quantile (0 <= q <= 1) of values using

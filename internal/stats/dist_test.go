@@ -28,9 +28,6 @@ func TestConstant(t *testing.T) {
 			t.Fatal("constant returned non-constant value")
 		}
 	}
-	if d.Mean() != 42 {
-		t.Fatalf("Mean = %g, want 42", d.Mean())
-	}
 }
 
 func TestUniformBoundsAndMean(t *testing.T) {
@@ -44,9 +41,6 @@ func TestUniformBoundsAndMean(t *testing.T) {
 	}
 	if got := sampleMean(d, 20000, 3); math.Abs(got-15) > 0.2 {
 		t.Fatalf("uniform sample mean %g, want ~15", got)
-	}
-	if d.Mean() != 15 {
-		t.Fatalf("Mean = %g, want 15", d.Mean())
 	}
 }
 
@@ -62,11 +56,11 @@ func TestUniformInvertedPanics(t *testing.T) {
 func TestNormalMoments(t *testing.T) {
 	d := NewNormal(100, 15)
 	r := sampler(4)
-	samples := make([]float64, 50000)
-	for i := range samples {
-		samples[i] = d.Sample(r)
+	var s Summary
+	for i := 0; i < 50000; i++ {
+		s.Add(d.Sample(r))
 	}
-	mean, std := MeanStd(samples)
+	mean, std := s.Mean(), s.Std()
 	if math.Abs(mean-100) > 0.5 {
 		t.Fatalf("normal mean %g, want ~100", mean)
 	}
@@ -89,29 +83,30 @@ func TestTruncNormalRespectsBounds(t *testing.T) {
 }
 
 func TestTruncNormalMeanMatchesSamples(t *testing.T) {
-	d := NewTruncNormal(15, 5, 1, 30)
-	analytical := d.Mean()
-	empirical := sampleMean(d, 50000, 6)
-	if math.Abs(analytical-empirical) > 0.15 {
-		t.Fatalf("truncnormal analytical mean %g vs empirical %g", analytical, empirical)
+	// The two-sided truncation formula puts the mean of N(15, 5) on [1, 30]
+	// at 15.017; rejection sampling must reproduce it.
+	if got := sampleMean(NewTruncNormal(15, 5, 1, 30), 50000, 6); math.Abs(got-15.017) > 0.15 {
+		t.Fatalf("truncnormal empirical mean %g, want ~15.017", got)
 	}
 	// Symmetric truncation around mu leaves the mean at mu.
-	if math.Abs(NewTruncNormal(15, 5, 0, 30).Mean()-15) > 1e-9 {
-		t.Fatal("symmetric truncation should preserve the mean")
+	if got := sampleMean(NewTruncNormal(15, 5, 0, 30), 50000, 6); math.Abs(got-15) > 0.15 {
+		t.Fatalf("symmetric truncation: empirical mean %g, want ~15", got)
 	}
 }
 
 func TestTruncNormalDegenerateSigma(t *testing.T) {
+	// Every draw of N(50, 0) falls outside [1, 30]: Sample gives up
+	// rejecting and clamps mu.
 	d := NewTruncNormal(50, 0, 1, 30)
-	if got := d.Mean(); got != 30 {
-		t.Fatalf("degenerate mean %g, want clamped 30", got)
+	if got := d.Sample(sampler(1)); got != 30 {
+		t.Fatalf("degenerate sample %g, want clamped 30", got)
 	}
 }
 
 func TestLogNormalMedianAndMean(t *testing.T) {
 	d := LogNormalFromMedian(1200, 1.0)
-	if math.Abs(d.Median()-1200) > 1e-6 {
-		t.Fatalf("median %g, want 1200", d.Median())
+	if math.Abs(math.Exp(d.Mu)-1200) > 1e-6 {
+		t.Fatalf("median %g, want 1200", math.Exp(d.Mu))
 	}
 	r := sampler(7)
 	vals := make([]float64, 40000)
@@ -130,8 +125,8 @@ func TestLogNormalMedianAndMean(t *testing.T) {
 func TestLogNormalHeavyTail(t *testing.T) {
 	// Heavy tail: mean well above median for large sigma.
 	d := LogNormalFromMedian(1000, 1.5)
-	if d.Mean() < 2*d.Median() {
-		t.Fatalf("lognormal(σ=1.5) mean %g should exceed 2× median %g", d.Mean(), d.Median())
+	if d.Mean() < 2*1000 {
+		t.Fatalf("lognormal(σ=1.5) mean %g should exceed 2× median 1000", d.Mean())
 	}
 }
 
@@ -139,9 +134,6 @@ func TestClamped(t *testing.T) {
 	c := NewClamped(NewConstant(100), 0, 50)
 	if c.Sample(sampler(1)) != 50 {
 		t.Fatal("clamp did not apply")
-	}
-	if c.Mean() != 50 {
-		t.Fatalf("clamped mean %g, want 50", c.Mean())
 	}
 }
 
@@ -211,23 +203,6 @@ func TestQuantileMonotonicProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestDistStrings(t *testing.T) {
-	cases := []struct {
-		d    Dist
-		want string
-	}{
-		{NewConstant(5), "constant(5)"},
-		{NewUniform(1, 2), "uniform(1, 2)"},
-		{NewNormal(0, 1), "normal(0, 1)"},
-		{NewTruncNormal(15, 5, 1, 30), "truncnormal(15, 5)[1, 30]"},
-	}
-	for _, c := range cases {
-		if got := c.d.String(); got != c.want {
-			t.Fatalf("String() = %q, want %q", got, c.want)
-		}
 	}
 }
 

@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Summary accumulates observations and reports descriptive statistics. The
 // zero value is ready to use.
@@ -13,19 +10,6 @@ type Summary struct {
 
 // Add records one observation.
 func (s *Summary) Add(v float64) { s.values = append(s.values, v) }
-
-// AddAll records a batch of observations.
-func (s *Summary) AddAll(vs []float64) { s.values = append(s.values, vs...) }
-
-// N reports the number of observations.
-func (s *Summary) N() int { return len(s.values) }
-
-// Values returns a copy of the recorded observations.
-func (s *Summary) Values() []float64 {
-	cp := make([]float64, len(s.values))
-	copy(cp, s.values)
-	return cp
-}
 
 // Mean returns the arithmetic mean, or NaN when empty.
 func (s *Summary) Mean() float64 {
@@ -52,14 +36,6 @@ func (s *Summary) Std() float64 {
 		ss += d * d
 	}
 	return math.Sqrt(ss / float64(len(s.values)-1))
-}
-
-// SEM returns the standard error of the mean (Std/sqrt(n)).
-func (s *Summary) SEM() float64 {
-	if len(s.values) < 2 {
-		return 0
-	}
-	return s.Std() / math.Sqrt(float64(len(s.values)))
 }
 
 // Min returns the smallest observation, or NaN when empty.
@@ -90,9 +66,6 @@ func (s *Summary) Max() float64 {
 	return m
 }
 
-// Median returns the 50th percentile, or NaN when empty.
-func (s *Summary) Median() float64 { return s.Percentile(50) }
-
 // Percentile returns the p-th percentile (0..100) with linear interpolation.
 func (s *Summary) Percentile(p float64) float64 {
 	return Quantile(s.values, p/100)
@@ -105,16 +78,4 @@ func (s *Summary) Sum() float64 {
 		sum += v
 	}
 	return sum
-}
-
-func (s *Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.2f std=%.2f min=%.2f med=%.2f max=%.2f",
-		s.N(), s.Mean(), s.Std(), s.Min(), s.Median(), s.Max())
-}
-
-// MeanStd computes the mean and sample standard deviation of values without
-// copying them.
-func MeanStd(values []float64) (mean, std float64) {
-	s := Summary{values: values}
-	return s.Mean(), s.Std()
 }

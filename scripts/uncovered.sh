@@ -14,11 +14,14 @@
 # `orphans` is the same run plus one restricted to the packages that consume
 # the libraries — root, client, cmd/..., internal/server, internal/scenario,
 # internal/experiments — both still counting every package (-coverpkg=./...).
-# It prints every internal/ function the whole module's tests reach and the
+# It lists every internal/ function the whole module's tests reach and the
 # consumers' tests do not: code kept alive by its own package's tests (or a
-# sibling library's), the candidates for the next shrink. Informational: what
-# only an untested main calls (cmd/skeleton-gen's writers) is on the list too,
-# and so is a library's own contract (a policy's Name, a String method).
+# sibling library's). Such a function is reached from the product by a
+# consumer test, deleted, or named in scripts/orphans.allow as
+# "<file> <Recv.Func|Func> <reason>" (the receiver read off the declaration
+# line the profile names). The run fails on an orphan the allowlist does not
+# name, on an allowlist entry naming a function that is not an orphan (so the
+# list cannot go stale) and on an entry without a reason.
 set -eu
 cd "$(dirname "$0")/.."
 GO=${GO:-go}
@@ -45,8 +48,71 @@ if [ "$profile" = orphans ]; then
     "$GO" tool cover -func="$tmp/all.out" | awk '$NF != "0.0%" { print $1, $2 }' | sort -u >"$tmp/reached"
     "$GO" tool cover -func="$tmp/consumers.out" | awk '$NF == "0.0%" { print $1, $2 }' | sort -u >"$tmp/unconsumed"
     comm -12 "$tmp/reached" "$tmp/unconsumed" | sed "s|^$module/||" | grep '^internal/' >"$tmp/orphans" || true
-    cat "$tmp/orphans"
-    echo "orphans: $(wc -l <"$tmp/orphans") internal/ functions are reached by library tests only"
+    fail=0
+    # decls: "<file>:<line> <key>" for every function declared in internal/,
+    # the key being Recv.Func for a method and Func for a function, read off
+    # the declaration line the profile names.
+    grep -rn --include='*.go' --exclude='*_test.go' '^func ' internal | awk '{
+        split($0, f, ":"); file = f[1]; line = f[2]
+        text = substr($0, length(file) + length(line) + 3)
+        recv = ""
+        if (match(text, /^func \([^)]*\) /)) {
+            recv = substr(text, 7, RLENGTH - 8)
+            sub(/^.* /, "", recv); sub(/^\*/, "", recv); sub(/\[.*/, "", recv)
+            name = substr(text, RLENGTH + 1)
+        } else {
+            name = substr(text, 6)
+        }
+        sub(/[[(].*/, "", name)
+        print file ":" line, (recv == "" ? name : recv "." name)
+    }' >"$tmp/decls"
+    # An allowlist key Recv.Func names that method; a bare Func names every
+    # function and method of that name in the file, and then each of them
+    # must be an orphan. A line fails without a reason, when it names no
+    # function, or when a function it names is no longer an orphan (so the
+    # list cannot go stale); an orphan no line names fails too.
+    awk '
+    FILENAME == ARGV[1] {
+        if ($0 ~ /^[[:space:]]*(#|$)/) next
+        n++; afile[n] = $1; akey[n] = $2; aline[n] = FNR
+        if (NF < 3) { print "orphans.allow:" FNR ": no reason given: " $0 >"/dev/stderr"; bad = 1 }
+        next
+    }
+    FILENAME == ARGV[2] {
+        loc = $1; file = loc; sub(/:[0-9]+$/, "", file)
+        key[loc] = $2; bare = $2; sub(/^.*\./, "", bare)
+        for (i = 1; i <= n; i++)
+            if (afile[i] == file && (akey[i] == $2 || (akey[i] !~ /\./ && akey[i] == bare))) {
+                m[i]++; names[i, m[i]] = loc; by[loc] = 1
+            }
+        next
+    }
+    {
+        loc = $1; sub(/:$/, "", loc); orphan[loc] = 1
+        k = (loc in key) ? key[loc] : $2
+        printf "%s %s %s\n", ((loc in by) ? " " : "!"), loc, k
+        if (!(loc in by)) unallowed = unallowed "\n" loc " " k
+    }
+    END {
+        if (unallowed != "") {
+            print "orphans: reached by library tests only (marked ! above) — reach them from a consumer test, delete them, or allow them with a reason in scripts/orphans.allow:" unallowed >"/dev/stderr"
+            bad = 1
+        }
+        for (i = 1; i <= n; i++) {
+            if (!m[i]) {
+                print "orphans.allow:" aline[i] ": names no function: " afile[i] " " akey[i] >"/dev/stderr"
+                bad = 1
+            }
+            for (j = 1; j <= m[i]; j++)
+                if (!(names[i, j] in orphan)) {
+                    print "orphans.allow:" aline[i] ": names " names[i, j] " " key[names[i, j]] ", which is not an orphan (any more) — remove or narrow the line" >"/dev/stderr"
+                    bad = 1
+                }
+        }
+        exit bad
+    }' scripts/orphans.allow "$tmp/decls" "$tmp/orphans" || fail=1
+    [ "$fail" -eq 0 ] || exit 1
+    echo "orphans: $(wc -l <"$tmp/orphans") internal/ functions reached by library tests only, each allowed by scripts/orphans.allow"
     exit 0
 fi
 
