@@ -11,6 +11,7 @@ test:
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=3 -run '^TestCursorMatchesOracle$$' ./internal/trace/
+	$(GO) test -race -count=3 -run '^(TestRunningNeverExceedsAdmitWindow|TestSealedShardKeepsConstantWindow)$$' .
 
 # The tests whose outcome depends on the wall clock — WithRealTime's pacer,
 # a Submit context expiring, monitors against a live waiter — race-enabled,

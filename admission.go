@@ -1,21 +1,15 @@
 package aimes
 
-import (
-	"slices"
-	"sync/atomic"
-)
+import "slices"
 
-// admitWindow is the minimum admission window: how many jobs a shard keeps
-// enacted at once when work stealing is on, before the adaptive sizing has
-// any history. Everything beyond the window queues un-enacted and stays
-// migratable. Small enough that a skewed burst leaves most of its jobs
-// stealable, large enough that a shard always has concurrent tenants to
-// interleave. Sealed shards pin their window here permanently.
+// admitWindow is the admission window: how many jobs a shard keeps enacted
+// at once when work stealing is on. Everything beyond the window queues
+// un-enacted and stays migratable. Small enough that a skewed burst leaves
+// most of its jobs stealable, large enough that a shard always has
+// concurrent tenants to interleave. It is a constant, so what a shard
+// enacts when is a function of its submissions and completions, never of a
+// fitted rate.
 const admitWindow = 4
-
-// maxAdmitWindow caps the adaptive window, bounding how much work admission
-// can strand on one shard before stealing sees it.
-const maxAdmitWindow = 64
 
 // admission is one shard's admission gate: the queue of submitted jobs
 // awaiting enactment — still pure descriptors, which is what makes them
@@ -37,34 +31,6 @@ type admission struct {
 	running int
 	held    bool // shut by hold until release, whatever the window says
 	passing bool // an admit pass is on the stack (completions re-enter)
-
-	// The most recent and the largest window chosen, for StealStats.
-	lastWindow, peakWindow atomic.Int32
-}
-
-// window returns the shard's current admission window, sized by the cost
-// model from the shard's fitted per-job event demand (model.CostModel.Window):
-// keep roughly two pump batches' worth of drainable jobs enacted. Heavy
-// tenants burn far more than a batch of events per job and stay at the
-// minimum; a flood of tiny tenants retires several jobs per batch and would
-// trickle through a constant-size window, under-filling the shard between
-// admissions, so the window grows — capped by the work actually present
-// (running + queued) and by maxAdmitWindow. Every model input is a
-// virtual-event quantity (events fired between completions), never a wall
-// clock, so the chosen window at any engine point is deterministic and the
-// per-shard determinism contract survives adaptation; sealed shards (pinned,
-// non-migratable tenants) still pin the constant minimum as an extra
-// predictability guarantee — their window never consults the model at all.
-func (a *admission) window() int {
-	e, w := a.sh.env, admitWindow
-	if !e.stealer.Sealed(a.sh.id) {
-		w = e.model.Window(a.sh.id, a.sh.batch, admitWindow, maxAdmitWindow, a.running+len(a.queue))
-	}
-	a.lastWindow.Store(int32(w))
-	if int32(w) > a.peakWindow.Load() {
-		a.peakWindow.Store(int32(w))
-	}
-	return w
 }
 
 // open reports whether the shard may enact a job now: always without work
@@ -75,7 +41,7 @@ func (a *admission) open() bool {
 	if !e.steal {
 		return true
 	}
-	return !a.held && a.running < a.window() && !e.fleet.parked(a.sh)
+	return !a.held && a.running < admitWindow && !e.fleet.parked(a.sh)
 }
 
 // offer admits a newcomer — a submission, or a migrant landing: enacted at

@@ -3,8 +3,11 @@ package aimes
 import (
 	"context"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
+
+	"aimes/internal/backend"
 )
 
 // checkAdmission asserts, for every shard, what the admission gate exists to
@@ -143,4 +146,115 @@ func TestAdmissionKeepsQueueAndStealableCountInStep(t *testing.T) {
 	if e.stealer.Queued(0) != 0 || e.stealer.Queued(1) != 0 {
 		t.Fatalf("stealable counts %d, %d after every job ended", e.stealer.Queued(0), e.stealer.Queued(1))
 	}
+}
+
+// admitProbe wraps a shard's backend to see every admission: the gate calls
+// Enact under the shard's engine serialization, once per job it lets
+// through, before counting it running — so running+1 is what the shard
+// holds enacted if the call succeeds.
+type admitProbe struct {
+	backend.Backend
+	sh         *shardEnv
+	admissions int
+	peak       int
+	over       []int // running+1 at each admission past the window
+}
+
+func (p *admitProbe) Enact(d *backend.Descriptor) (*backend.Enacted, error) {
+	p.admissions++
+	n := p.sh.adm.running + 1
+	p.peak = max(p.peak, n)
+	if n > admitWindow {
+		p.over = append(p.over, n)
+	}
+	return p.Backend.Enact(d)
+}
+
+// TestRunningNeverExceedsAdmitWindow floods two stealing shards with 60
+// one-task jobs, every other one free to migrate, and checks at every
+// admission that no shard holds more than admitWindow jobs enacted.
+func TestRunningNeverExceedsAdmitWindow(t *testing.T) {
+	floodAdmitWindow(t, func(i int) JobConfig {
+		// Round-robin; every other job may migrate.
+		if i%2 == 0 {
+			return JobConfig{Migrate: MigrateNever}
+		}
+		return JobConfig{}
+	})
+}
+
+// TestSealedShardKeepsConstantWindow runs the same flood with every other
+// job pinned to shard 0 without migration, which seals it, interleaved with
+// least-loaded jobs that may migrate: the sealed shard, too, never holds
+// more than admitWindow jobs enacted, and fills exactly that window.
+func TestSealedShardKeepsConstantWindow(t *testing.T) {
+	e := floodAdmitWindow(t, func(i int) JobConfig {
+		if i%2 == 0 {
+			return JobConfig{Placement: PlacePinned, Shard: 0}
+		}
+		return JobConfig{Placement: PlaceLeastLoaded}
+	})
+	if !e.stealer.Sealed(0) {
+		t.Error("the pinned tenant did not seal shard 0")
+	}
+}
+
+// floodAdmitWindow submits 60 one-task jobs to two stealing shards, job i
+// configured by cfg(i), before anyone waits (nothing pumps until a waiter
+// does), so every shard fills its window; then it waits on every job at
+// once and checks, through a probe on each shard's backend, that no
+// admission took a shard past admitWindow and that each shard peaked at it.
+func floodAdmitWindow(t *testing.T, cfg func(i int) JobConfig) *Environment {
+	t.Helper()
+	e, err := NewEnv(WithSeed(314), WithShards(2), WithWorkStealing())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { e.Close() })
+	probes := make([]*admitProbe, len(e.shards))
+	for k, sh := range e.shards {
+		probes[k] = &admitProbe{Backend: sh.be, sh: sh}
+		sh.be = probes[k]
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	var jobs []*Job
+	for i := 0; i < 60; i++ {
+		w, err := GenerateWorkload(BagOfTasks(1, ConstantSpec(1)), int64(100+i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		jc := cfg(i)
+		jc.StrategyConfig = StrategyConfig{Binding: LateBinding, Scheduler: SchedBackfill, Pilots: 1}
+		j, err := e.Submit(ctx, w, jc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, j)
+	}
+	var wg sync.WaitGroup
+	for _, j := range jobs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if r, err := j.Wait(ctx); err != nil || r.UnitsDone != 1 {
+				t.Errorf("job %d: %v, report %+v", j.id, err, r)
+			}
+		}()
+	}
+	wg.Wait()
+	admissions := 0
+	for k, p := range probes {
+		admissions += p.admissions
+		if len(p.over) > 0 {
+			t.Errorf("shard %d enacted past the window of %d: %v", k, admitWindow, p.over)
+		}
+		if p.peak != admitWindow {
+			t.Errorf("shard %d peaked at %d enacted; the flood should fill its window of %d", k, p.peak, admitWindow)
+		}
+	}
+	if admissions != 60 {
+		t.Errorf("%d admissions for 60 jobs", admissions)
+	}
+	return e
 }

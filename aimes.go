@@ -244,9 +244,8 @@ type Environment struct {
 	kind    BackendKind
 
 	// model is the analytical cost-model twin (internal/model): per-shard
-	// EWMA fits of drain rate, queue wait and event demand, refitted on
-	// every completion and consulted by predictive placement, the migration
-	// benefit gate, and admission-window sizing. Always non-nil.
+	// EWMA fits of drain rate and queue wait, refitted on every completion
+	// and consulted by predictive placement. Always non-nil.
 	model *model.CostModel
 
 	// fleet owns the worker sessions and their recovery; nil on the local
@@ -348,7 +347,7 @@ func NewEnv(opts ...Option) (*Environment, error) {
 		resources: names,
 		steal:     o.steal && n > 1, // a single shard has no peers to steal from
 	}
-	env.model = model.New(model.Config{Shards: n, Backend: string(kind)})
+	env.model = model.New(model.Config{Shards: n})
 	env.picker.SetModel(&placementModel{env})
 	if kind == BackendWorker {
 		pool, err := backend.NewPool(pcfg)

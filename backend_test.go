@@ -1,8 +1,7 @@
 // Backend-seam battery: the local-vs-worker parity matrix (the same seeded,
 // pinned multi-tenant scenario must produce identical reports on both
 // backends), worker crash containment (a killed worker fails only its own
-// shard's jobs, descriptively), the adaptive admission window, and
-// steal-aware staged placement with coherent wait feedback. (The trace views
+// shard's jobs, descriptively), and steal-aware staged placement with coherent wait feedback. (The trace views
 // and live subscriptions are in trace_test.go.)
 package aimes_test
 
@@ -565,82 +564,6 @@ func TestWorkerBackendWithStealing(t *testing.T) {
 		if r.UnitsDone != 4 {
 			t.Fatalf("job %d finished %d units, want 4", i, r.UnitsDone)
 		}
-	}
-}
-
-// TestAdaptiveAdmissionWindow floods a stealing environment with tiny,
-// non-migratable jobs and checks that the admission window grows past the
-// constant floor (the ROADMAP's "very small jobs under-fill a shard" case),
-// that StealStats exposes the chosen windows, and that sealed shards stay
-// at the floor.
-func TestAdaptiveAdmissionWindow(t *testing.T) {
-	env, err := aimes.NewEnv(aimes.WithSeed(314), aimes.WithShards(2), aimes.WithWorkStealing())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := aimes.StrategyConfig{Binding: aimes.LateBinding, Scheduler: aimes.SchedBackfill, Pilots: 1}
-	var jobs []*aimes.Job
-	for i := 0; i < 60; i++ {
-		w, err := aimes.GenerateWorkload(aimes.BagOfTasks(1, aimes.ConstantSpec(1)), int64(100+i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		j, err := env.Submit(context.Background(), w, aimes.JobConfig{
-			StrategyConfig: cfg, Migrate: aimes.MigrateNever,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		jobs = append(jobs, j)
-	}
-	waitAllDeadline(t, jobs, 120*time.Second)
-	stats := env.StealStats()
-	if len(stats.Windows) != 2 || len(stats.PeakWindows) != 2 {
-		t.Fatalf("window telemetry %v / %v, want one entry per shard", stats.Windows, stats.PeakWindows)
-	}
-	grew := false
-	for k, peak := range stats.PeakWindows {
-		if peak < 4 {
-			t.Fatalf("shard %d peak window %d below the floor", k, peak)
-		}
-		if peak > 4 {
-			grew = true
-		}
-	}
-	if !grew {
-		t.Fatalf("tiny-job flood never grew any admission window past the floor: %+v", stats)
-	}
-}
-
-// TestSealedShardKeepsConstantWindow pins a non-migratable tenant (sealing
-// its shard) and floods it with tiny jobs: the sealed shard must stay at
-// the constant window no matter what the drain rate says, because its
-// determinism contract forbids wall-clock-dependent admission.
-func TestSealedShardKeepsConstantWindow(t *testing.T) {
-	env, err := aimes.NewEnv(aimes.WithSeed(217), aimes.WithShards(2), aimes.WithWorkStealing())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := aimes.StrategyConfig{Binding: aimes.LateBinding, Scheduler: aimes.SchedBackfill, Pilots: 1}
-	var jobs []*aimes.Job
-	for i := 0; i < 40; i++ {
-		w, err := aimes.GenerateWorkload(aimes.BagOfTasks(1, aimes.ConstantSpec(1)), int64(500+i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		j, err := env.Submit(context.Background(), w, aimes.JobConfig{
-			StrategyConfig: cfg,
-			Placement:      aimes.PlacePinned, Shard: 0, // pinned + MigrateAuto seals shard 0
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		jobs = append(jobs, j)
-	}
-	waitAllDeadline(t, jobs, 120*time.Second)
-	stats := env.StealStats()
-	if got := stats.PeakWindows[0]; got != 4 {
-		t.Fatalf("sealed shard 0 peak window %d, want the constant 4", got)
 	}
 }
 

@@ -12,8 +12,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"aimes/internal/model"
@@ -21,20 +23,30 @@ import (
 )
 
 func main() {
-	baseline := flag.String("baseline", "MODEL_baseline.json", "committed fidelity baseline")
-	update := flag.Bool("update", false, "rewrite the baseline from this run instead of gating")
-	verbose := flag.Bool("v", false, "print every scored sample")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "model-check:", err)
+		os.Exit(1)
+	}
+}
+
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("model-check", flag.ContinueOnError)
+	baseline := fs.String("baseline", "MODEL_baseline.json", "committed fidelity baseline")
+	update := fs.Bool("update", false, "rewrite the baseline from this run instead of gating")
+	verbose := fs.Bool("v", false, "print every scored sample")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	fid, samples, err := modelcheck.Run()
 	if err != nil {
-		fatal("%v", err)
+		return err
 	}
-	fmt.Printf("model-check: %d samples, mean rel error %.4f, worst %.4f\n",
+	fmt.Fprintf(out, "model-check: %d samples, mean rel error %.4f, worst %.4f\n",
 		fid.Samples, fid.MeanRelError, fid.MaxRelError)
 	if *verbose {
 		for _, s := range samples {
-			fmt.Printf("  %-10s job %-2d shard %d: predicted %8.1f observed %8.1f rel %.4f\n",
+			fmt.Fprintf(out, "  %-10s job %-2d shard %d: predicted %8.1f observed %8.1f rel %.4f\n",
 				s.Workload, s.Job, s.Shard, s.Predicted, s.Observed, s.RelError())
 		}
 	}
@@ -42,28 +54,21 @@ func main() {
 	if *update {
 		b, err := model.UpdateBaseline(*baseline, fid)
 		if err != nil {
-			fatal("update %s: %v", *baseline, err)
+			return fmt.Errorf("update %s: %w", *baseline, err)
 		}
-		fmt.Printf("model-check: wrote %s (mean <= %.4f, worst <= %.4f, samples >= %d)\n",
+		fmt.Fprintf(out, "model-check: wrote %s (mean <= %.4f, worst <= %.4f, samples >= %d)\n",
 			*baseline, b.MaxMeanRelError, b.MaxWorstRelError, b.MinSamples)
-		return
+		return nil
 	}
 
 	b, err := model.LoadBaseline(*baseline)
 	if err != nil {
-		fatal("%v (run with -update to record a baseline)", err)
+		return fmt.Errorf("%w (run with -update to record a baseline)", err)
 	}
 	if errs := b.Check(fid); len(errs) > 0 {
-		for _, e := range errs {
-			fmt.Fprintf(os.Stderr, "model-check: %v\n", e)
-		}
-		os.Exit(1)
+		return errors.Join(errs...)
 	}
-	fmt.Printf("model-check: within baseline (mean <= %.4f, worst <= %.4f)\n",
+	fmt.Fprintf(out, "model-check: within baseline (mean <= %.4f, worst <= %.4f)\n",
 		b.MaxMeanRelError, b.MaxWorstRelError)
-}
-
-func fatal(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "model-check: "+format+"\n", args...)
-	os.Exit(1)
+	return nil
 }

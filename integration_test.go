@@ -70,6 +70,35 @@ func TestFailureInjectionThroughFacade(t *testing.T) {
 	}
 }
 
+// TestDerivedWalltimeCoversAgentOverhead: a strategy derived without a
+// DispatchOverhead of its own budgets the environment's agent dispatch
+// overhead, so the one pilot of an early-bound 1024-task job outlives the
+// serialized launches of all its units.
+func TestDerivedWalltimeCoversAgentOverhead(t *testing.T) {
+	const overhead = 2 * time.Second
+	env, err := aimes.NewEnv(aimes.WithSeed(61), aimes.WithPilotConfig(aimes.PilotConfig{
+		AgentDispatchOverhead: overhead, DefaultMaxRestarts: 3,
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := aimes.GenerateWorkload(aimes.BagOfTasks(1024, aimes.UniformDuration()), 61)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := aimes.StrategyConfig{Binding: aimes.EarlyBinding, Scheduler: aimes.SchedDirect, Pilots: 1}
+	s, err := env.Derive(w, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.EstTrp != 1024*overhead {
+		t.Fatalf("EstTrp %v, want 1024 × %v = %v", s.EstTrp, overhead, 1024*overhead)
+	}
+	if r := runJob(t, env, w, aimes.JobConfig{StrategyConfig: cfg}); r.UnitsDone != 1024 {
+		t.Fatalf("%d of 1024 units done, %d failed: the pilot's walltime %v expired first", r.UnitsDone, r.UnitsFailed, s.PilotWalltime)
+	}
+}
+
 // TestTraceExportFormats exercises the introspection exporters end to end.
 func TestTraceExportFormats(t *testing.T) {
 	env, err := aimes.NewEnv(aimes.WithSeed(44))

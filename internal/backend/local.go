@@ -32,7 +32,6 @@ type Local struct {
 	testbed *site.Testbed
 	bndl    *bundle.Bundle
 	mgr     *core.Manager
-	rng     *rand.Rand
 	sink    Sink
 
 	jobSeq int
@@ -89,7 +88,6 @@ func NewLocal(cfg Config, sink Sink) (*Local, error) {
 	l := &Local{
 		id: cfg.Shard, eng: eng, testbed: tb, bndl: b,
 		mgr:    core.NewManager(eng, b, sess, links, pcfg, rng),
-		rng:    rng,
 		sink:   sink,
 		execs:  make(map[int]*core.Execution),
 		traces: make(map[int]*jobTrace),
@@ -195,7 +193,7 @@ func (l *Local) Feedback(r *core.Report) error {
 
 // Derive implements Backend.
 func (l *Local) Derive(w *skeleton.Workload, cfg core.StrategyConfig) (core.Strategy, error) {
-	return core.Derive(w, l.bndl, cfg, l.rng)
+	return l.mgr.Derive(w, cfg)
 }
 
 // Runnable implements Backend: the engine's own answer.

@@ -34,5 +34,15 @@ func (m *Manager) Resolve(d *Descriptor) (Strategy, error) {
 	if d.Strategy != nil {
 		return *d.Strategy, nil
 	}
-	return Derive(d.Workload, m.bundle, d.Config, m.rng)
+	return m.Derive(d.Workload, d.Config)
+}
+
+// Derive derives a strategy against the manager's bundle and randomness.
+// An unset DispatchOverhead is the manager's own agent dispatch overhead,
+// so the derived walltime covers the launch cost its pilots will pay.
+func (m *Manager) Derive(w *skeleton.Workload, cfg StrategyConfig) (Strategy, error) {
+	if cfg.DispatchOverhead <= 0 {
+		cfg.DispatchOverhead = m.cfg.AgentDispatchOverhead
+	}
+	return Derive(w, m.bundle, cfg, m.rng)
 }

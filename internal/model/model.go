@@ -1,16 +1,22 @@
 // Package model is the analytical twin of the sharded scheduler: a
 // per-shard cost model that predicts, from a job's expected demand and the
-// shard's live backlog, how long the job will take to complete there — so
-// placement, work stealing, and admission-window sizing can reason about
-// execution instead of only reacting to it.
+// shard's live backlog, how long the job will take to complete there. It has
+// one decision consumer, predictive placement (shard.Predictive); every
+// job's prediction is also kept and scored against its report
+// (Job.PredictedTTC, ShardLoad.PredictedCost and ModelError, the scenario
+// `model` assertion, cmd/model-check). Admission and work stealing are
+// reactive and do not read it: an ablation on the benchmark's
+// tenants-burst workload found neither a model-sized admission window nor
+// a model-gated migration faster than a constant window and the pending-cost
+// rule.
 //
 // The model follows the closed-form cost vocabulary of pilot systems (P*: A
 // Model of Pilot-Abstractions): a job's predicted completion decomposes into
 // the pilot queue wait, the backlog drain ahead of it, and its own service
 // time at the shard's effective drain rate. Every parameter is fitted online
 // from completed-job observations — an exponentially weighted moving average
-// per shard — and seeded from static per-backend defaults, so a shard with
-// zero completions is still rankable against its warmed-up peers.
+// per shard — and seeded from static defaults, so a shard with zero
+// completions is still rankable against its warmed-up peers.
 //
 // All quantities live in virtual time (the simulation's clock), which makes
 // the twin backend-agnostic: a local shard and a worker shard running the
@@ -30,19 +36,34 @@ import (
 type Config struct {
 	// Shards is the shard count the model covers (at least 1).
 	Shards int
-	// Backend tags the seed defaults: "local" or "worker" (see DefaultSeed).
+	// Backend is ignored: the cold-start fit no longer depends on the
+	// backend kind. It stays while the benchmark names it.
 	Backend string
-	// Alpha is the EWMA gain in (0, 1]; 0 selects DefaultAlpha.
-	Alpha float64
-	// Seed overrides the cold-start fit; the zero value selects
-	// DefaultSeed(Backend).
-	Seed Seed
 }
 
-// DefaultAlpha is the EWMA gain: each observation contributes a quarter of
-// the new estimate, so the fit follows workload shifts within a handful of
+// BackendLocal is the local backend's Config.Backend tag (ignored; see
+// Config.Backend).
+const BackendLocal = "local"
+
+// alpha is the EWMA gain: each observation contributes a quarter of the new
+// estimate, so the fit follows workload shifts within a handful of
 // completions without whipsawing on a single outlier.
-const DefaultAlpha = 0.25
+const alpha = 0.25
+
+// The cold-start fit every shard holds before it completes a job. It is
+// deliberately conservative: it makes a cold shard rankable against warm
+// peers (it competes on backlog, not on an invented speed advantage), and
+// with every shard at it, predicted completions rank shards purely by
+// pending cost — least-loaded placement.
+const (
+	// seedRate is the assumed drain rate, core-seconds per virtual second.
+	seedRate = 1.0
+	// seedWait mirrors the simulator's 30-minute median site wait.
+	seedWait = 1800
+	// seedCost is a typical job's demand in core-seconds (the 64-unit ×
+	// 15-minute reference workload at 1 core per unit).
+	seedCost = 64 * 15 * 60
+)
 
 // minCost floors job demand (core-seconds) so zero-cost descriptors cannot
 // produce zero service times or division blowups.
@@ -55,7 +76,6 @@ type fit struct {
 	n      atomic.Int64  // completed-job observations
 	rate   atomic.Uint64 // effective drain rate, core-seconds per virtual second (Float64bits)
 	wait   atomic.Uint64 // queue wait before first activation, virtual seconds
-	events atomic.Uint64 // engine events retired per completed job
 	cost   atomic.Uint64 // mean observed job demand, core-seconds
 	relErr atomic.Uint64 // EWMA of |predicted-observed|/observed per job
 }
@@ -64,16 +84,14 @@ func (f *fit) load(a *atomic.Uint64) float64     { return math.Float64frombits(a
 func (f *fit) store(a *atomic.Uint64, v float64) { a.Store(math.Float64bits(v)) }
 
 // ewma folds one observation into an estimate.
-func ewma(old, obs, alpha float64) float64 { return (1-alpha)*old + alpha*obs }
+func ewma(old, obs float64) float64 { return (1-alpha)*old + alpha*obs }
 
 // CostModel is the analytical twin: per-shard EWMA fits plus the prediction
 // arithmetic. Observe for one shard must be externally serialized (the
 // environment calls it under the shard's engine serialization); everything
 // else is safe for concurrent lock-free use.
 type CostModel struct {
-	fits  []fit
-	alpha float64
-	seed  Seed
+	fits []fit
 }
 
 // New builds a model over cfg.Shards shards, every fit at the cold-start
@@ -82,21 +100,12 @@ func New(cfg Config) *CostModel {
 	if cfg.Shards < 1 {
 		panic(fmt.Sprintf("model: New with %d shards: need at least one", cfg.Shards))
 	}
-	alpha := cfg.Alpha
-	if alpha <= 0 || alpha > 1 {
-		alpha = DefaultAlpha
-	}
-	seed := cfg.Seed
-	if seed == (Seed{}) {
-		seed = DefaultSeed(cfg.Backend)
-	}
-	m := &CostModel{fits: make([]fit, cfg.Shards), alpha: alpha, seed: seed}
+	m := &CostModel{fits: make([]fit, cfg.Shards)}
 	for k := range m.fits {
 		f := &m.fits[k]
-		f.store(&f.rate, seed.Rate)
-		f.store(&f.wait, seed.Wait)
-		f.store(&f.events, seed.EventsPerJob)
-		f.store(&f.cost, seed.Cost)
+		f.store(&f.rate, seedRate)
+		f.store(&f.wait, seedWait)
+		f.store(&f.cost, seedCost)
 	}
 	return m
 }
@@ -115,15 +124,10 @@ type Observation struct {
 	// TTC is the observed time-to-completion (enactment start to last unit
 	// terminal). Wait is contained in it.
 	TTC float64
-	// Events is how many engine events the shard fired since the last
-	// completion that saw the counter move — the event-demand signal
-	// feeding admission-window sizing. Shards fire events in batches, so
-	// several jobs can complete before the counter moves: EventsJobs says
-	// how many completions the delta covers (minimum 1), and the fit folds
-	// the per-job value once per covered job. 0 skips the events fit.
-	Events int64
-	// EventsJobs is the number of completions the Events delta spans.
-	EventsJobs int64
+	// Events and EventsJobs are ignored: they fed the admission-window
+	// sizing the model no longer does. They stay while the benchmark
+	// names them.
+	Events, EventsJobs int64
 	// Predicted is the completion time the model predicted when the job was
 	// enacted (0 when no prediction was recorded); it feeds the
 	// prediction-error gauge, never the fits.
@@ -143,28 +147,18 @@ func (m *CostModel) Observe(o Observation) {
 		cost = minCost
 	}
 	if o.Wait >= 0 && o.Wait <= o.TTC {
-		f.store(&f.wait, ewma(f.load(&f.wait), o.Wait, m.alpha))
+		f.store(&f.wait, ewma(f.load(&f.wait), o.Wait))
 		if exec := o.TTC - o.Wait; exec > 0 {
-			f.store(&f.rate, ewma(f.load(&f.rate), cost/exec, m.alpha))
+			f.store(&f.rate, ewma(f.load(&f.rate), cost/exec))
 		}
 	}
-	if o.Events > 0 {
-		jobs := o.EventsJobs
-		if jobs < 1 {
-			jobs = 1
-		}
-		// Fold the per-job value once per covered completion:
-		// 1-(1-α)^jobs is exactly jobs consecutive EWMA steps.
-		a := 1 - math.Pow(1-m.alpha, float64(jobs))
-		f.store(&f.events, ewma(f.load(&f.events), float64(o.Events)/float64(jobs), a))
-	}
-	f.store(&f.cost, ewma(f.load(&f.cost), cost, m.alpha))
+	f.store(&f.cost, ewma(f.load(&f.cost), cost))
 	if o.Predicted > 0 {
 		rel := math.Abs(o.Predicted-o.TTC) / o.TTC
 		if f.n.Load() == 0 {
 			f.store(&f.relErr, rel)
 		} else {
-			f.store(&f.relErr, ewma(f.load(&f.relErr), rel, m.alpha))
+			f.store(&f.relErr, ewma(f.load(&f.relErr), rel))
 		}
 	}
 	f.n.Add(1)
@@ -212,49 +206,6 @@ func (m *CostModel) Predict(k int, cost, pending float64) Prediction {
 	return p
 }
 
-// MigrationGain returns the predicted benefit of moving a queued job of the
-// given demand from origin to dest: predicted completion if it stays (its
-// cost is already inside originPending, so the stay term is the origin's
-// full backlog drain) minus predicted completion if it moves (the dest
-// backlog plus the job, plus the seeded handoff delay). Positive means
-// moving pays; the caller decides how much gain justifies a handoff
-// (ShouldMigrate applies the standard self-limiting margin).
-func (m *CostModel) MigrationGain(origin, dest int, cost, originPending, destPending float64) float64 {
-	stay := m.Predict(origin, 0, originPending)
-	move := m.Predict(dest, cost, destPending)
-	return (stay.Wait + stay.Queue) - (move.Total + m.seed.MigrationDelay)
-}
-
-// ShouldMigrate reports whether the model predicts enough benefit to pay for
-// handing a queued job of the given demand from origin to dest: the gain
-// must cover at least one service time of the job on the destination, so the
-// destination remains strictly better off even after receiving it. With
-// identical fits on both shards this reduces exactly to the classic
-// pending-cost rule (dest+cost <= origin-cost) — the reactive scheduler is
-// the model's degenerate case — and once the fits diverge, a faster shard
-// is allowed to absorb more than a slower one. originPending includes the
-// job itself (its cost is reserved on its current shard); destPending does
-// not.
-func (m *CostModel) ShouldMigrate(origin, dest int, cost, originPending, destPending float64) bool {
-	if cost < minCost {
-		cost = minCost
-	}
-	return m.MigrationGain(origin, dest, cost, originPending, destPending) >= m.Predict(dest, cost, 0).Service
-}
-
-// EventsPerJob returns shard k's fitted engine-event demand per job — how
-// many events the shard retires between consecutive completions.
-func (m *CostModel) EventsPerJob(k int) float64 {
-	if k < 0 || k >= len(m.fits) {
-		return m.seed.EventsPerJob
-	}
-	f := &m.fits[k]
-	if e := f.load(&f.events); e >= 1 {
-		return e
-	}
-	return 1
-}
-
 // RelError returns shard k's EWMA of relative prediction error
 // (|predicted − observed| / observed per completed job), or 0 before any
 // prediction has been scored.
@@ -271,36 +222,7 @@ func (m *CostModel) RelError(k int) float64 {
 // comparable "predicted cost of the next typical job" per shard.
 func (m *CostModel) TypicalCost(k int) float64 {
 	if k < 0 || k >= len(m.fits) {
-		return m.seed.Cost
+		return seedCost
 	}
 	return m.fits[k].load(&m.fits[k].cost)
-}
-
-// ShardModel is one shard's fit snapshot (see Snapshot).
-type ShardModel struct {
-	Shard        int
-	Observations int64
-	Rate         float64 // core-seconds per virtual second
-	Wait         float64 // virtual seconds
-	EventsPerJob float64
-	Cost         float64 // mean observed demand, core-seconds
-	RelError     float64
-}
-
-// Snapshot returns every shard's current fit.
-func (m *CostModel) Snapshot() []ShardModel {
-	out := make([]ShardModel, len(m.fits))
-	for k := range m.fits {
-		f := &m.fits[k]
-		out[k] = ShardModel{
-			Shard:        k,
-			Observations: f.n.Load(),
-			Rate:         f.load(&f.rate),
-			Wait:         f.load(&f.wait),
-			EventsPerJob: f.load(&f.events),
-			Cost:         f.load(&f.cost),
-			RelError:     f.load(&f.relErr),
-		}
-	}
-	return out
 }

@@ -44,46 +44,6 @@ func TestUniformFitsRankLikeLeastLoaded(t *testing.T) {
 	}
 }
 
-func TestMigrationGateDegeneratesToPendingRule(t *testing.T) {
-	m := New(Config{Shards: 2, Backend: BackendLocal})
-	cases := []struct {
-		origin, dest, cost float64
-		want               bool
-	}{
-		// dest + cost <= origin - cost: migrate.
-		{10000, 1000, 900, true},
-		{10000, 8200, 900, true}, // 8200+900 = 9100 == 10000-900: boundary migrates
-		{10000, 8300, 900, false},
-		{2000, 1900, 900, false}, // near-balanced: moving would just ping-pong
-		{1800, 0, 900, true},     // empty dest: exactly at the boundary (0+900 == 1800-900)
-	}
-	for i, c := range cases {
-		if got := m.ShouldMigrate(0, 1, c.cost, c.origin, c.dest); got != c.want {
-			t.Errorf("case %d: ShouldMigrate(origin=%.0f dest=%.0f cost=%.0f) = %v, want %v",
-				i, c.origin, c.dest, c.cost, got, c.want)
-		}
-	}
-}
-
-func TestMigrationGateFavorsFasterShard(t *testing.T) {
-	m := New(Config{Shards: 2, Backend: BackendLocal})
-	// Teach the model that shard 1 drains 4x faster than shard 0.
-	for i := 0; i < 50; i++ {
-		m.Observe(Observation{Shard: 0, Cost: 900, Wait: 0, TTC: 900})  // rate 1
-		m.Observe(Observation{Shard: 1, Cost: 3600, Wait: 0, TTC: 900}) // rate 4
-	}
-	// Equal pendings would never migrate under the pending rule, but the
-	// fast shard clears the backlog (and the job) so much sooner that the
-	// model approves the move.
-	if !m.ShouldMigrate(0, 1, 900, 4000, 4000) {
-		t.Fatal("model should migrate toward a 4x-faster shard at equal pending cost")
-	}
-	// And never in the other direction.
-	if m.ShouldMigrate(1, 0, 900, 4000, 4000) {
-		t.Fatal("model migrated toward the slower shard")
-	}
-}
-
 func TestHeavyTailedFitConverges(t *testing.T) {
 	// Adversarial input: Pareto-like costs spanning four orders of
 	// magnitude at a fixed true drain rate. The fitted rate must stay
@@ -98,62 +58,42 @@ func TestHeavyTailedFitConverges(t *testing.T) {
 		noise := 0.7 + 0.6*rng.Float64() // per-job drain jitter around the true rate
 		m.Observe(Observation{Shard: 0, Cost: cost, Wait: wait, TTC: wait + cost/(trueRate*noise)})
 	}
-	got := m.Snapshot()[0]
-	if math.IsNaN(got.Rate) || math.IsInf(got.Rate, 0) || got.Rate <= 0 {
-		t.Fatalf("heavy-tailed fit diverged: rate=%v", got.Rate)
+	f := &m.fits[0]
+	rate, wait := f.load(&f.rate), f.load(&f.wait)
+	if math.IsNaN(rate) || math.IsInf(rate, 0) || rate <= 0 {
+		t.Fatalf("heavy-tailed fit diverged: rate=%v", rate)
 	}
-	if got.Rate < trueRate/1.5 || got.Rate > trueRate*1.5 {
-		t.Fatalf("heavy-tailed fit off: rate=%.3f, true %.1f", got.Rate, trueRate)
+	if rate < trueRate/1.5 || rate > trueRate*1.5 {
+		t.Fatalf("heavy-tailed fit off: rate=%.3f, true %.1f", rate, trueRate)
 	}
-	if got.Wait < 0 || got.Wait > 10 {
-		t.Fatalf("wait fit escaped observed range: %.3f", got.Wait)
+	if wait < 0 || wait > 10 {
+		t.Fatalf("wait fit escaped observed range: %.3f", wait)
 	}
 }
 
 func TestObserveIgnoresGarbage(t *testing.T) {
 	m := New(Config{Shards: 1, Backend: BackendLocal})
-	before := m.Snapshot()[0]
+	f := &m.fits[0]
+	fit := func() [4]float64 {
+		return [4]float64{float64(f.n.Load()), f.load(&f.rate), f.load(&f.wait), f.load(&f.cost)}
+	}
+	before := fit()
 	m.Observe(Observation{Shard: -1, Cost: 900, TTC: 900})
 	m.Observe(Observation{Shard: 5, Cost: 900, TTC: 900})
 	m.Observe(Observation{Shard: 0, Cost: 900, TTC: 0})
 	m.Observe(Observation{Shard: 0, Cost: 900, TTC: -4})
-	after := m.Snapshot()[0]
-	if after != before {
-		t.Fatalf("garbage observations mutated the fit: %+v -> %+v", before, after)
+	if after := fit(); after != before {
+		t.Fatalf("garbage observations mutated the fit: %v -> %v", before, after)
 	}
 	// A wait beyond TTC is dropped from the wait/rate fit but the
 	// completion still counts toward cost and n.
 	m.Observe(Observation{Shard: 0, Cost: 900, Wait: 100, TTC: 50})
-	got := m.Snapshot()[0]
-	if got.Observations != 1 {
-		t.Fatalf("inconsistent wait should still count the completion, n=%d", got.Observations)
+	got := fit()
+	if got[0] != 1 {
+		t.Fatalf("inconsistent wait should still count the completion, n=%v", got[0])
 	}
-	if got.Rate != before.Rate || got.Wait != before.Wait {
+	if got[1] != before[1] || got[2] != before[2] {
 		t.Fatal("inconsistent wait leaked into the rate/wait fit")
-	}
-}
-
-func TestWindowTracksEventDemand(t *testing.T) {
-	m := New(Config{Shards: 1, Backend: BackendLocal})
-	const batch, floor, max = 64, 4, 64
-	// Cold: seed events-per-job >= batch, window pinned at the floor.
-	if w := m.Window(0, batch, floor, max, 100); w != floor {
-		t.Fatalf("cold window = %d, want floor %d", w, floor)
-	}
-	// A flood of tiny jobs (few events each) must open the window.
-	for i := 0; i < 60; i++ {
-		m.Observe(Observation{Shard: 0, Cost: 1, Wait: 0, TTC: 1, Events: 8})
-	}
-	w := m.Window(0, batch, floor, max, 100)
-	if w <= floor {
-		t.Fatalf("tiny-job window stuck at %d, want > floor %d", w, floor)
-	}
-	if w > max {
-		t.Fatalf("window %d exceeds cap %d", w, max)
-	}
-	// Never wider than the work available.
-	if got := m.Window(0, batch, floor, max, 6); got > 6 && got != floor {
-		t.Fatalf("window %d wider than present jobs 6", got)
 	}
 }
 

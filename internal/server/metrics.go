@@ -231,8 +231,6 @@ func (m *metrics) render(w io.Writer, env *aimes.Environment, inflight map[strin
 		func(l aimes.ShardLoad) string { return fmt.Sprintf("%d", l.Queued) })
 	shardGauge("aimes_shard_effective_load_seconds", "Weighted effective load per shard (estimated seconds to drain).",
 		func(l aimes.ShardLoad) string { return fmt.Sprintf("%g", l.Load) })
-	shardGauge("aimes_shard_admission_window", "Current adaptive admission window per shard (0 without work stealing).",
-		func(l aimes.ShardLoad) string { return fmt.Sprintf("%d", l.Window) })
 	shardGauge("aimes_model_predicted_cost", "Cost model's predicted completion (virtual seconds) of one more typical job per shard.",
 		func(l aimes.ShardLoad) string { return fmt.Sprintf("%g", l.PredictedCost) })
 	shardGauge("aimes_model_rel_error", "Cost model's EWMA of relative prediction error per shard.",
@@ -259,7 +257,7 @@ func (m *metrics) render(w io.Writer, env *aimes.Environment, inflight map[strin
 
 	steal := env.StealStats()
 	fmt.Fprintf(w, "# HELP aimes_steal_migrations_total Queued jobs migrated across shards by work stealing.\n# TYPE aimes_steal_migrations_total counter\naimes_steal_migrations_total %d\n", steal.Migrations)
-	fmt.Fprintf(w, "# HELP aimes_steal_vetoed_total Migration candidates the cost model's benefit gate refused.\n# TYPE aimes_steal_vetoed_total counter\naimes_steal_vetoed_total %d\n", steal.Vetoed)
+	fmt.Fprintf(w, "# HELP aimes_steal_vetoed_total Migration candidates the pending-cost rule refused under the submission lock after a concurrent reservation took the margin its pre-check saw.\n# TYPE aimes_steal_vetoed_total counter\naimes_steal_vetoed_total %d\n", steal.Vetoed)
 	fmt.Fprintf(w, "# HELP aimes_steal_foreign_pumps_total Pump batches run on behalf of other shards' jobs.\n# TYPE aimes_steal_foreign_pumps_total counter\naimes_steal_foreign_pumps_total %d\n", steal.ForeignPumps)
 
 	fleet := env.Fleet()

@@ -73,14 +73,12 @@ func (s *Stealer) CountMigration() { s.migrations.Add(1) }
 // Migrations reports how many queued jobs were handed off between shards.
 func (s *Stealer) Migrations() int64 { return s.migrations.Load() }
 
-// CountVeto records one migration candidate the cost model's benefit gate
-// refused: a queued job with a willing destination where the predicted gain
-// did not cover the handoff. Distinct from rounds that simply found no
-// candidate — a climbing veto count means imbalance exists but moving would
-// not pay.
+// CountVeto records one migration candidate the migration gate refused
+// after its pre-check had found a destination. Distinct from rounds that
+// simply found no candidate.
 func (s *Stealer) CountVeto() { s.vetoed.Add(1) }
 
-// Vetoes reports how many migration candidates the benefit gate refused.
+// Vetoes reports how many migration candidates the gate refused.
 func (s *Stealer) Vetoes() int64 { return s.vetoed.Load() }
 
 // CountForeignPump records one bounded event batch a waiter fired on a shard

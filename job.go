@@ -505,32 +505,15 @@ func (j *Job) complete(r *Report, err error) {
 		// Completed work feeds the observed-throughput side of weighted
 		// placement; canceled and failed jobs tell us nothing about rate.
 		sh.doneCost.Add(j.cost)
-		sh.doneJobs.Add(1)
 		if r != nil {
 			// Feed the analytical twin: the job's measured wait and
-			// completion refit the shard's drain rate and queue wait, and
-			// the events fired since the last completion that saw the
-			// counter move refit its per-job event demand. Events fire in
-			// batches, so the delta stays 0 for completions within one
-			// batch and then covers them all at once — EventsJobs tells
-			// the fit how many. (lastDoneEvents/lastDoneJobs are guarded
-			// by the shard serialization every completion path runs
-			// under.)
-			var delta, jobs int64
-			if fired := sh.eventsFired.Load(); fired > sh.lastDoneEvents {
-				delta = fired - sh.lastDoneEvents
-				jobs = sh.doneJobs.Load() - sh.lastDoneJobs
-				sh.lastDoneEvents = fired
-				sh.lastDoneJobs = sh.doneJobs.Load()
-			}
+			// completion refit the shard's drain rate and queue wait.
 			j.env.model.Observe(model.Observation{
-				Shard:      sh.id,
-				Cost:       float64(j.cost) / 1000,
-				Wait:       r.Tw.Seconds(),
-				TTC:        r.TTC.Seconds(),
-				Events:     delta,
-				EventsJobs: jobs,
-				Predicted:  predicted,
+				Shard:     sh.id,
+				Cost:      float64(j.cost) / 1000,
+				Wait:      r.Tw.Seconds(),
+				TTC:       r.TTC.Seconds(),
+				Predicted: predicted,
 			})
 		}
 	}

@@ -66,11 +66,10 @@ func WithShards(n int) Option {
 
 // WithWorkStealing enables cross-shard work stealing, so a skewed tenant mix
 // still saturates the hardware: Submit keeps a bounded number of jobs
-// enacted per shard (the admission window, sized adaptively from the
-// shard's observed drain rate and queue depth — see StealStats.Windows) and
-// queues the rest un-enacted. A queued job is a pure descriptor — no
-// pilots, no events, no randomness drawn — so it can be handed off to a
-// less-loaded shard with a migration-safe handoff: the destination assigns
+// enacted per shard (the admission window, four) and queues the rest
+// un-enacted. A queued job is a pure descriptor — no pilots, no events, no
+// randomness drawn — so it can be handed off to a less-loaded shard with a
+// migration-safe handoff: the destination assigns
 // a fresh namespace and derives the strategy from its own seeded
 // randomness, recording an "em" MIGRATED trace event. Waiters of queued
 // migratable jobs migrate them, completing waiters rebalance one queued job
@@ -84,9 +83,7 @@ func WithShards(n int) Option {
 // default; pinned jobs never migrate unless JobConfig.Migrate is
 // MigrateAllow, and a pinned non-migratable submission permanently seals its
 // shard against incoming migrants, preserving the per-shard determinism
-// contract for that tenant (see the Migrate policy for the caveats). Sealed
-// shards also keep the constant minimum admission window, so the tenant's
-// trajectory never depends on wall-clock drain measurements.
+// contract for that tenant (see the Migrate policy for the caveats).
 //
 // Work stealing moves jobs between shards that waiters pump, so combining it
 // with WithRealTime (one shard, paced by the clock) is rejected, and it only

@@ -12,7 +12,6 @@ type ShardLoad struct {
 	Running  int     // enacted, unfinished jobs
 	Queued   int     // submitted jobs awaiting admission (work stealing only)
 	Load     float64 // weighted effective load: estimated seconds to drain
-	Window   int     // current admission window (0 without work stealing)
 	Restarts int     // worker respawns for this shard (0 on the local backend)
 
 	// TraceRetained is how many trace records the shard's log holds now, and
@@ -43,8 +42,8 @@ type ShardLoad struct {
 // WireStats counts a worker shard's wire traffic (see ShardLoad.Wire).
 type WireStats = backend.WireStats
 
-// Loads snapshots every shard's queue depth, running-job count, admission
-// window and weighted effective load — the same seconds-to-drain signal
+// Loads snapshots every shard's queue depth, running-job count and
+// weighted effective load — the same seconds-to-drain signal
 // least-loaded placement and work stealing consult. The snapshot is not a
 // single atomic cut across shards; it is meant for monitoring and metrics
 // exposition, not coordination.
@@ -58,9 +57,6 @@ func (e *Environment) Loads() []ShardLoad {
 	}
 	e.jobMu.Unlock()
 	for k, sh := range e.shards {
-		if e.steal {
-			out[k].Window = int(sh.adm.lastWindow.Load())
-		}
 		out[k].Restarts = int(sh.restarts.Load())
 		out[k].PredictedCost = e.model.Predict(k, e.model.TypicalCost(k),
 			float64(sh.pendingCost.Load())/1000).Total

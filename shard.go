@@ -66,18 +66,7 @@ type shardEnv struct {
 	// events. Costs are in milli-core-seconds (Workload.CoreSeconds × 1000).
 	pendingCost atomic.Int64
 	doneCost    atomic.Int64
-	doneJobs    atomic.Int64
 	busyNanos   atomic.Int64
-	eventsFired atomic.Int64
-
-	// lastDoneEvents/lastDoneJobs are eventsFired and doneJobs at the last
-	// completion that saw the event counter move — the subtrahends for the
-	// per-job event-demand observation fed to the cost model (events fire
-	// in batches, so one delta can cover several completions). Guarded by
-	// the shard's engine serialization (every completion path runs under
-	// it), so they need no atomics.
-	lastDoneEvents int64
-	lastDoneJobs   int64
 }
 
 // newShard builds one shard frontend and its backend. Shard 0 keeps the
@@ -99,8 +88,6 @@ func (e *Environment) newShard(k int, o *envOptions) (*shardEnv, error) {
 		},
 	}
 	sh.adm.sh = sh
-	sh.adm.lastWindow.Store(admitWindow)
-	sh.adm.peakWindow.Store(admitWindow)
 	if e.kind == BackendWorker {
 		sh.batch = workerPumpBatch
 		if err := e.fleet.dial(sh); err != nil {
@@ -358,9 +345,6 @@ func (sh *shardEnv) pump(j *Job) (stalled bool) {
 // environment gets from it).
 func (sh *shardEnv) stepBatch() (fired int, drained bool, err error) {
 	start := time.Now()
-	defer func() {
-		sh.busyNanos.Add(time.Since(start).Nanoseconds())
-		sh.eventsFired.Add(int64(fired))
-	}()
+	defer func() { sh.busyNanos.Add(time.Since(start).Nanoseconds()) }()
 	return sh.be.Step(sh.batch)
 }

@@ -8,55 +8,46 @@ type StealStats struct {
 	// Migrations counts queued jobs handed off to another shard before
 	// enactment.
 	Migrations int64
-	// Vetoed counts migration candidates the cost model's benefit gate
-	// refused: a queued job had a willing destination, but the predicted
-	// gain did not cover the handoff. Distinct from rounds that found no
-	// candidate at all — a climbing Vetoed with flat Migrations means
-	// imbalance exists but moving would not pay.
+	// Vetoed counts migration candidates the pending-cost rule refused
+	// under the submission lock after its lock-free pre-check had found a
+	// destination: a concurrent submission or migration reserved the margin
+	// in between. Distinct from rounds that found no candidate at all.
 	Vetoed int64
 	// ForeignPumps counts bounded event batches waiters fired on a shard
 	// other than their own job's, while their own shard's lock was held by
 	// another waiter.
 	ForeignPumps int64
-	// Windows is each shard's most recently chosen admission window — the
-	// adaptive bound on enacted-at-once jobs, sized from the shard's
-	// observed drain rate and queue depth (admitWindow floor; sealed shards
-	// stay at the floor). Nil without WithWorkStealing.
-	Windows []int
-	// PeakWindows is each shard's largest window chosen so far. Nil without
-	// WithWorkStealing.
-	PeakWindows []int
 }
 
 // StealStats reports the environment's work-stealing activity.
 func (e *Environment) StealStats() StealStats {
-	s := StealStats{
+	return StealStats{
 		Migrations:   e.stealer.Migrations(),
 		Vetoed:       e.stealer.Vetoes(),
 		ForeignPumps: e.stealer.ForeignPumps(),
 	}
-	if e.steal {
-		for _, sh := range e.shards {
-			s.Windows = append(s.Windows, int(sh.adm.lastWindow.Load()))
-			s.PeakWindows = append(s.PeakWindows, int(sh.adm.peakWindow.Load()))
-		}
-	}
-	return s
+}
+
+// pays is the migration gate's pending-cost rule: moving a queued job of
+// the given cost off a shard with origin pending cost onto one with dest
+// pays when the destination, having received it, still holds no more than
+// the origin without it — dest + cost ≤ origin − cost — so a move never
+// just swaps which shard is the busier. Costs are milli-core-seconds (the
+// job's cost is inside origin); cost is floored at one, so a free job never
+// moves between equal shards.
+func pays(origin, dest, cost int64) bool {
+	cost = max(cost, 1)
+	return dest+cost <= origin-cost
 }
 
 // migrationCandidate is the lock-free pre-check for self-migration: is
-// there any open shard where the cost model predicts enough benefit to pay
-// for the handoff? Waiters of queued jobs poll it every pump iteration, so
-// it must not take the submission lock on a balanced system — the model's
-// fits and the pending counters are all atomic reads.
+// there any open shard the rule lets the job move to? Waiters of queued
+// jobs poll it every pump iteration, so it must not take the submission
+// lock on a balanced system — the pending counters are atomic reads.
 func (e *Environment) migrationCandidate(origin *shardEnv, cost int64) bool {
-	o := float64(origin.pendingCost.Load()) / 1000
-	c := float64(cost) / 1000
+	o := origin.pendingCost.Load()
 	for k, sh := range e.shards {
-		if sh == origin || e.stealer.Sealed(k) {
-			continue
-		}
-		if e.model.ShouldMigrate(origin.id, k, c, o, float64(sh.pendingCost.Load())/1000) {
+		if sh != origin && !e.stealer.Sealed(k) && pays(o, sh.pendingCost.Load(), cost) {
 			return true
 		}
 	}
@@ -91,30 +82,26 @@ func (e *Environment) migrateJob(j *Job, forced bool) bool {
 	}
 
 	// Decide and reserve under the submission lock. The destination is the
-	// shard where the model predicts this job would finish soonest; the
-	// benefit gate then demands the predicted gain cover the handoff
-	// (model.CostModel.ShouldMigrate), so a candidate with a willing
-	// destination can still be vetoed — counted separately from rounds that
-	// found no destination at all.
-	c := float64(j.cost) / 1000
+	// unsealed shard with the least pending cost; the rule is then checked
+	// again, since a concurrent reservation may have taken the margin the
+	// pre-check saw — that refusal is counted as a veto, separately from
+	// rounds that found no destination at all.
 	e.jobMu.Lock()
-	best, bestPred := -1, 0.0
+	var dest *shardEnv
+	var least int64
 	for k, sh := range e.shards {
 		if k == origin.id || e.stealer.Sealed(k) {
 			continue
 		}
-		p := e.model.Predict(k, c, float64(sh.pendingCost.Load())/1000).Total
-		if best < 0 || p < bestPred {
-			best, bestPred = k, p
+		if p := sh.pendingCost.Load(); dest == nil || p < least {
+			dest, least = sh, p
 		}
 	}
-	if best < 0 {
+	if dest == nil {
 		e.jobMu.Unlock()
 		return false
 	}
-	dest := e.shards[best]
-	if !forced && !e.model.ShouldMigrate(origin.id, dest.id, c,
-		float64(origin.pendingCost.Load())/1000, float64(dest.pendingCost.Load())/1000) {
+	if !forced && !pays(origin.pendingCost.Load(), least, j.cost) {
 		e.jobMu.Unlock()
 		e.stealer.CountVeto()
 		return false

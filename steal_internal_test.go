@@ -2,18 +2,57 @@ package aimes
 
 import (
 	"context"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
-
-	"aimes/internal/model"
 )
 
-// TestStealVetoIsCounted: a queued job has a destination where moving pays,
-// but the destination the handoff picks — the one predicted to finish the job
-// soonest — is slow enough that the benefit gate refuses it. The job stays,
-// and StealStats counts one veto and no migration.
+// TestPendingCostMigrationRule pins the migration gate at its boundary: a
+// queued job moves only when the destination, having received it, holds no
+// more pending cost than the origin without it (dest + cost ≤ origin −
+// cost), and a cost below one milli-core-second counts as one. The
+// lock-free pre-check waiters poll must agree with the rule.
+func TestPendingCostMigrationRule(t *testing.T) {
+	e, err := NewEnv(WithSeed(5), WithShards(2), WithWorkStealing())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	origin, dest := e.shards[0], e.shards[1]
+	for _, c := range []struct {
+		name               string
+		origin, dest, cost int64
+		want               bool
+	}{
+		{"equal", 10000, 8200, 900, true}, // 8200+900 == 10000-900
+		{"one unit over", 10000, 8201, 900, false},
+		{"one unit under", 10000, 8199, 900, true},
+		{"empty destination at the boundary", 1800, 0, 900, true},
+		{"cost below the floor, equal shards", 5000, 5000, 0, false},
+		{"cost below the floor, one unit apart", 5000, 4999, 0, false},
+		{"cost below the floor, two units apart", 5000, 4998, 0, true},
+	} {
+		if got := pays(c.origin, c.dest, c.cost); got != c.want {
+			t.Errorf("%s: pays(origin %d, dest %d, cost %d) = %v, want %v", c.name, c.origin, c.dest, c.cost, got, c.want)
+		}
+		origin.pendingCost.Store(c.origin)
+		dest.pendingCost.Store(c.dest)
+		if got := e.migrationCandidate(origin, c.cost); got != c.want {
+			t.Errorf("%s: the pre-check says %v, the rule %v", c.name, got, c.want)
+		}
+	}
+	origin.pendingCost.Store(0)
+	dest.pendingCost.Store(0)
+}
+
+// TestStealVetoIsCounted: a queued job's waiter finds a
+// destination the rule allows, but before it takes the submission lock a
+// concurrent submission reserves enough cost there to take the margin. The
+// locked re-check refuses the move: the job stays, and StealStats counts
+// one veto and no migration.
 func TestStealVetoIsCounted(t *testing.T) {
-	e, err := NewEnv(WithSeed(5), WithShards(3), WithWorkStealing())
+	e, err := NewEnv(WithSeed(5), WithShards(2), WithWorkStealing())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,38 +67,54 @@ func TestStealVetoIsCounted(t *testing.T) {
 		StrategyConfig: StrategyConfig{Binding: LateBinding, Scheduler: SchedBackfill, Pilots: 1},
 		Placement:      PlacePinned, Shard: 0, Migrate: MigrateAllow,
 	}
+	var jobs []*Job
 	for i := 0; i < 8; i++ {
-		if _, err := e.Submit(ctx, w, cfg); err != nil {
+		j, err := e.Submit(ctx, w, cfg)
+		if err != nil {
 			t.Fatal(err)
 		}
+		jobs = append(jobs, j)
 	}
-	origin := e.shards[0]
-	origin.mu.Lock()
-	if len(origin.adm.queue) == 0 {
-		origin.mu.Unlock()
-		t.Fatal("shard 0 queues no job")
+	origin, dest := e.shards[0], e.shards[1]
+	j := jobs[len(jobs)-1]
+	if j.State() != JobQueued || !e.migrationCandidate(origin, j.cost) {
+		t.Fatalf("job %v, pre-check %v: want a queued job the rule lets move", j.State(), e.migrationCandidate(origin, j.cost))
 	}
-	j := origin.adm.queue[0]
-	origin.mu.Unlock()
 
-	// Fit the shards (virtual seconds, for a job of j's demand c): staying
-	// on shard 0 takes 600; shard 1 finishes the job soonest (no wait, 360
-	// of service) but would itself need 720 to pay; shard 2 finishes it at
-	// 400 (300 wait, 100 service) and pays at 500.
-	c := float64(j.cost) / 1000
-	pending := float64(origin.pendingCost.Load()) / 1000
-	for i := 0; i < 200; i++ {
-		e.model.Observe(model.Observation{Shard: 0, Cost: pending, Wait: 0, TTC: 600})
-		e.model.Observe(model.Observation{Shard: 1, Cost: c, Wait: 0, TTC: 360})
-		e.model.Observe(model.Observation{Shard: 2, Cost: c, Wait: 300, TTC: 400})
+	// Hold the submission lock as a submission in progress would, and let
+	// the migration run until it waits for that lock, past its pre-check.
+	e.jobMu.Lock()
+	moved := make(chan bool)
+	go func() { moved <- e.migrateJob(j, false) }()
+	for !blockedIn("aimes.(*Environment).migrateJob", "[sync.Mutex.Lock") {
+		runtime.Gosched()
 	}
-	if !e.migrationCandidate(origin, j.cost) {
-		t.Fatal("no shard where moving pays: the fits do not set up a veto")
-	}
-	if e.migrateJob(j, false) {
+	reserved := origin.pendingCost.Load()
+	dest.pendingCost.Add(reserved) // the submission's reservation
+	e.jobMu.Unlock()
+	if <-moved {
 		t.Fatalf("job migrated to shard %d", j.Shard())
 	}
+	dest.pendingCost.Add(-reserved)
 	if s := e.StealStats(); s.Vetoed != 1 || s.Migrations != 0 || j.Shard() != 0 {
 		t.Fatalf("stats %+v, job on shard %d; want one veto, no migration, the job on shard 0", s, j.Shard())
 	}
+	for _, j := range jobs {
+		if _, err := j.Wait(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// blockedIn reports whether some goroutine whose stack passes through fn is
+// parked with the given wait reason.
+func blockedIn(fn, reason string) bool {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, reason) && strings.Contains(g, fn) {
+			return true
+		}
+	}
+	return false
 }
