@@ -11,7 +11,7 @@ test:
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=3 -run '^TestCursorMatchesOracle$$' ./internal/trace/
-	$(GO) test -race -count=3 -run '^(TestRunningNeverExceedsAdmitWindow|TestSealedShardKeepsConstantWindow)$$' .
+	$(GO) test -race -count=3 -run '^(TestRunningNeverExceedsAdmitWindow|TestSealedShardKeepsConstantWindow|TestLoadPlacementSkipsSealedShard)$$' .
 
 # The tests whose outcome depends on the wall clock — WithRealTime's pacer,
 # a Submit context expiring, monitors against a live waiter — race-enabled,
@@ -117,7 +117,7 @@ smoke:
 worker-smoke:
 	$(GO) build -o /tmp/aimes-worker ./cmd/aimes-worker
 	timeout 120 $(GO) run ./examples/workers
-	./scripts/go_test_run.sh 'TestBackendParity|TestBackendParityConservativePolicy|TestWorker|TestInitFrameCarriesEveryConfigField|TestFramesCarryEveryPayloadField|TestConnectRejectsWorkerWithoutBinary' . ./internal/backend/
+	./scripts/go_test_run.sh 'TestBackendParity|TestBackendParityEmergentTestbed|TestWorker|TestInitFrameCarriesEveryConfigField|TestFramesCarryEveryPayloadField|TestConnectRejectsWorkerWithoutBinary|TestConnectRejectsUnknownCodec' . ./internal/backend/
 
 # TCP-transport smoke: host shards with a real `aimes-worker serve` process
 # on a loopback port and run the parity matrix and crash containment against

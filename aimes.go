@@ -306,10 +306,8 @@ func NewEnv(opts ...Option) (*Environment, error) {
 	if o.steal && o.realTime {
 		return nil, fmt.Errorf("aimes: WithWorkStealing with WithRealTime: work stealing migrates queued jobs between shards their waiters pump; a wall-clock environment runs a single shard, paced by the clock")
 	}
-	switch o.wireCodec {
-	case "", CodecJSON, CodecBinary:
-	default:
-		return nil, fmt.Errorf("aimes: unknown wire codec %q (want CodecJSON, CodecBinary, or empty for negotiated)", o.wireCodec)
+	if err := backend.CheckCodec(o.wireCodec); err != nil {
+		return nil, fmt.Errorf("aimes: %w", err)
 	}
 	var pcfg backend.PoolConfig
 	if kind == BackendWorker {

@@ -257,12 +257,12 @@ func TestBackendParity(t *testing.T) {
 	}
 }
 
-// runParityPolicy runs one pinned seeded job on a one-shard emergent testbed
-// whose batch systems schedule by the named policy, and returns its outcome
-// and the shard's whole trace.
-func runParityPolicy(t *testing.T, policy string, opts ...aimes.Option) (jobOutcome, []aimes.TraceRecord) {
+// runParityEmergent runs one seeded job on a one-shard emergent testbed (its
+// batch systems run EASY backfilling under background load) and returns its
+// outcome and the shard's whole trace.
+func runParityEmergent(t *testing.T, opts ...aimes.Option) (jobOutcome, []aimes.TraceRecord) {
 	t.Helper()
-	sites := site.EmergentTestbed(aimes.DefaultTestbed()[2:5], 0.85, policy)
+	sites := site.EmergentTestbed(aimes.DefaultTestbed()[2:5], 0.85)
 	env, err := aimes.NewEnv(append([]aimes.Option{aimes.WithSeed(20261003), aimes.WithSites(sites...)}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
@@ -281,38 +281,24 @@ func runParityPolicy(t *testing.T, policy string, opts ...aimes.Option) (jobOutc
 		t.Fatal(err)
 	}
 	if _, err := j.Wait(ctx); err != nil {
-		t.Fatalf("policy %q: %v", policy, err)
+		t.Fatal(err)
 	}
 	return outcomeOf(j), env.Recorder().Records()
 }
 
-// TestBackendParityConservativePolicy is the parity row for testbeds no
-// default configuration sends: emergent sites under conservative backfilling
-// and under FCFS. The policy is a name in site.Config, so it reaches a
-// worker's batch systems as it reaches the local ones — same report, same
-// trace, on stdio and TCP — and it is the policy that ran: the default, EASY,
-// and the two others each schedule the same job differently.
-func TestBackendParityConservativePolicy(t *testing.T) {
+// TestBackendParityEmergentTestbed is the parity row for testbeds no
+// default configuration sends: emergent sites, whose queue waits come from
+// the batch system's simulation (warm-up, background load, EASY backfilling)
+// rather than a sampled model. The testbed crosses the wire as site.Config,
+// so a worker's batch systems run as the local ones do — same report, same
+// trace, on stdio and TCP.
+func TestBackendParityEmergentTestbed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker processes")
 	}
-	policies := []string{"conservative", "fcfs"}
-	type run struct {
-		outcome jobOutcome
-		trace   []aimes.TraceRecord
-	}
-	local := map[string]run{}
-	easy, _ := runParityPolicy(t, "", aimes.WithShards(1))
-	seen := map[string]jobOutcome{"easy": easy}
-	for _, policy := range policies {
-		o, trace := runParityPolicy(t, policy, aimes.WithShards(1))
-		for other, r := range seen {
-			if reflect.DeepEqual(r.Report, o.Report) {
-				t.Fatalf("%s and %s report alike; the job does not tell them apart:\n%+v", policy, other, o.Report)
-			}
-		}
-		seen[policy] = o
-		local[policy] = run{o, trace}
+	local, localTrace := runParityEmergent(t, aimes.WithShards(1))
+	if local.Report == nil || local.Report.UnitsDone != 32 {
+		t.Fatalf("local run: %+v", local)
 	}
 	addr, secret := tcpWorkerHost(t)
 	for name, opts := range map[string][]aimes.Option{
@@ -320,13 +306,11 @@ func TestBackendParityConservativePolicy(t *testing.T) {
 		"tcp":   tcpWorkers(1, addr, secret),
 	} {
 		t.Run(name, func(t *testing.T) {
-			for _, policy := range policies {
-				worker, workerTrace := runParityPolicy(t, policy, opts...)
-				if want := local[policy]; !reflect.DeepEqual(want.outcome, worker) {
-					t.Errorf("%s: outcomes diverge across backends:\nlocal:  %+v %+v\nworker: %+v %+v", policy, want.outcome, want.outcome.Report, worker, worker.Report)
-				} else if !reflect.DeepEqual(want.trace, workerTrace) {
-					t.Errorf("%s: traces diverge across backends: %d records (local) vs %d (worker)", policy, len(want.trace), len(workerTrace))
-				}
+			worker, workerTrace := runParityEmergent(t, opts...)
+			if !reflect.DeepEqual(local, worker) {
+				t.Errorf("outcomes diverge across backends:\nlocal:  %+v %+v\nworker: %+v %+v", local, local.Report, worker, worker.Report)
+			} else if !reflect.DeepEqual(localTrace, workerTrace) {
+				t.Errorf("traces diverge across backends: %d records (local) vs %d (worker)", len(localTrace), len(workerTrace))
 			}
 		})
 	}

@@ -94,9 +94,7 @@ func (c *Client) SubmitRaw(ctx context.Context, req *SubmitRequest) (*JobInfo, e
 // posts it.
 func (c *Client) submit(ctx context.Context, body []byte, req *SubmitRequest) (*JobInfo, error) {
 	w := wire{out: body}
-	if w.submission(req); w.err != nil {
-		return nil, fmt.Errorf("client: encoding submit request: %w", w.err)
-	}
+	w.submission(req)
 	return c.info(ctx, http.MethodPost, "/v1/jobs", w.out)
 }
 

@@ -27,14 +27,17 @@ func bagDocument(t testing.TB) []byte {
 // cut-offs, or need all seventeen digits.
 var edgeFloats = []float64{0, 1e-7, 9.99e-7, 1e-6, 0.1, 1e20, 9.99e20, 1e21, -1e21, 1.5e300, -1e-7, math.SmallestNonzeroFloat64, 8.000000000000002}
 
+// edgeInts sit on both sides of float64's exact-integer range and at the
+// ends of int64: a reader that went through float64 would round them.
+var edgeInts = []int64{0, 1, -1, 1<<53 - 1, 1 << 53, 1<<53 + 1, -(1 << 53) - 1, 1e15 + 1, 1e17 + 3, -1e18 - 7, math.MaxInt64 - 1, math.MaxInt64, math.MinInt64}
+
 // odd are strings with every kind of character encoding/json escapes,
 // replaces or passes through.
 var odd = []string{`a"b\c`, "<b>&amp;", "2 pilot(s) × 2 cores", "line\xe2\x80\xa8sep", "bad\xffutf8", "tab\tnul\x00", "日本語"}
 
 // codecRequests are submissions the table and the fuzz seeds share: every
 // optional part absent and present, lists nil, empty and full, strings json
-// escapes, negative durations and numbers, and WalltimeSlack at the float
-// cut-offs.
+// escapes, negative durations and numbers, and integers at the edges.
 func codecRequests(t testing.TB) []SubmitRequest {
 	doc := bagDocument(t)
 	reqs := []SubmitRequest{
@@ -42,8 +45,7 @@ func codecRequests(t testing.TB) []SubmitRequest {
 		{
 			Workload: doc,
 			Config: aimes.StrategyConfig{Binding: aimes.LateBinding, Scheduler: aimes.SchedBackfill, Pilots: 3,
-				AutoPilots: true, MaxPilots: 5, Selection: aimes.SelectFixed, FixedResources: append([]string{"comet"}, odd...),
-				WalltimeSlack: 1.15, DispatchOverhead: 250 * time.Millisecond},
+				AutoPilots: true, Selection: aimes.SelectFixed, FixedResources: append([]string{"comet"}, odd...)},
 			Strategy: &aimes.Strategy{Binding: aimes.LateBinding, Scheduler: aimes.SchedBackfill, Pilots: 2,
 				Resources: []string{"stampede", "comet"}, PilotCores: 16, PilotWalltime: time.Hour,
 				EstTx: -time.Second, EstTs: 1, EstTrp: math.MaxInt64},
@@ -51,13 +53,14 @@ func codecRequests(t testing.TB) []SubmitRequest {
 			Placement: "pinned", Shard: 7, Migrate: "never",
 		},
 		{
-			Workload: doc, Config: aimes.StrategyConfig{FixedResources: []string{}, DispatchOverhead: math.MinInt64},
+			Workload: doc, Config: aimes.StrategyConfig{FixedResources: []string{}, Pilots: math.MinInt},
 			Strategy: &aimes.Strategy{Resources: []string{}}, Adaptive: &aimes.AdaptiveConfig{}, Shard: -1,
 		},
 		{Workload: doc, Placement: odd[3], Migrate: odd[4]},
 	}
-	for _, f := range edgeFloats {
-		reqs = append(reqs, SubmitRequest{Workload: doc, Config: aimes.StrategyConfig{WalltimeSlack: f}})
+	for _, n := range edgeInts {
+		reqs = append(reqs, SubmitRequest{Workload: doc, Config: aimes.StrategyConfig{Pilots: int(n)},
+			Adaptive: &aimes.AdaptiveConfig{Patience: time.Duration(n)}})
 	}
 	return reqs
 }
@@ -169,11 +172,6 @@ func TestCodecMatchesJSON(t *testing.T) {
 			t.Errorf("%s: read as %+v (%v), encoding/json reads %+v (%v)", got, fast, werr, ref, err)
 		}
 	}
-	nan := SubmitRequest{Workload: bagDocument(t), Config: aimes.StrategyConfig{WalltimeSlack: math.NaN()}}
-	_, werr := json.Marshal(&nan)
-	if _, err := appendSubmission(nil, &nan); err == nil || werr == nil || err.Error() != werr.Error() {
-		t.Errorf("NaN WalltimeSlack: %v, encoding/json %v", err, werr)
-	}
 
 	var tab internTable
 	for _, info := range codecInfos() {
@@ -236,6 +234,24 @@ func hollow(v reflect.Value, empty bool) {
 	}
 }
 
+// TestSubmitBodyWithRetiredKeys: a body from a client that still sends the
+// strategy config's retired knobs (MaxPilots, WalltimeSlack,
+// DispatchOverhead) is not the form Submit writes, so encoding/json reads it
+// and ignores the three keys: it parses to the request without them.
+func TestSubmitBodyWithRetiredKeys(t *testing.T) {
+	doc := string(bagDocument(t))
+	old := workloadKey + doc + `,"config":{"Binding":1,"Scheduler":2,"Pilots":3,"AutoPilots":false,"MaxPilots":5,` +
+		`"Selection":0,"FixedResources":null,"WalltimeSlack":1.15,"DispatchOverhead":350000000}}`
+	req, w, err := ParseSubmitRequest([]byte(old))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := aimes.StrategyConfig{Binding: aimes.LateBinding, Scheduler: aimes.SchedBackfill, Pilots: 3}
+	if !reflect.DeepEqual(req.Config, want) || w == nil || w.TotalTasks() == 0 {
+		t.Fatalf("config %+v, workload %v; want %+v and the document's tasks", req.Config, w, want)
+	}
+}
+
 // TestCodecKnowsEveryField is the guard on the structs the codec spells out
 // field by field — SubmitRequest, JobInfo, and within them StrategyConfig,
 // Strategy, AdaptiveConfig and Report: with every field set by reflection,
@@ -280,7 +296,7 @@ func FuzzSubmitRequest(f *testing.F) {
 		}
 	}
 	doc := string(bagDocument(f))
-	cfg := `,"config":{"Binding":0,"Scheduler":0,"Pilots":0,"AutoPilots":false,"MaxPilots":0,"Selection":0,"FixedResources":null,"WalltimeSlack":0,"DispatchOverhead":0}`
+	cfg := `,"config":{"Binding":0,"Scheduler":0,"Pilots":0,"AutoPilots":false,"Selection":0,"FixedResources":null}`
 	for _, s := range []string{
 		workloadKey + doc + cfg + "}\n", workloadKey + doc + cfg + "}x", workloadKey + doc + cfg + "} {}",
 		workloadKey + doc + cfg + `,"shard":0}`, workloadKey + doc + cfg + `,"strategy":null}`, workloadKey + doc + cfg + `,"shard":1.0}`,

@@ -337,11 +337,8 @@ func (w *wire) submission(req *SubmitRequest) {
 	num(w, `,"Scheduler":`, &c.Scheduler)
 	num(w, `,"Pilots":`, &c.Pilots)
 	w.bool(`,"AutoPilots":`, &c.AutoPilots)
-	num(w, `,"MaxPilots":`, &c.MaxPilots)
 	num(w, `,"Selection":`, &c.Selection)
 	w.strs(`,"FixedResources":`, &c.FixedResources)
-	w.float(`,"WalltimeSlack":`, &c.WalltimeSlack)
-	num(w, `,"DispatchOverhead":`, &c.DispatchOverhead)
 	w.lit("}")
 	if ptr(w, `,"strategy":`, &req.Strategy) {
 		w.strategy(req.Strategy)

@@ -35,10 +35,7 @@ func main() {
 		aimes.WithRealTime(),
 		aimes.WithSeed(42),
 		aimes.WithSites(fastSite("left"), fastSite("right")),
-		aimes.WithPilotConfig(aimes.PilotConfig{
-			AgentDispatchOverhead: 2 * time.Millisecond,
-			DefaultMaxRestarts:    3,
-		}),
+		aimes.WithPilotConfig(aimes.PilotConfig{AgentDispatchOverhead: 2 * time.Millisecond}),
 	)
 	if err != nil {
 		log.Fatal(err)

@@ -142,7 +142,7 @@ func TestInitFrameCarriesEveryConfigField(t *testing.T) {
 	var full Config
 	n := 0
 	fillValue(t, reflect.ValueOf(&full).Elem(), &n)
-	if full.Pilot == nil || len(full.Sites) != 2 || full.Sites[1].WaitModel.MaxWait == 0 || full.Sites[1].Policy == "" {
+	if full.Pilot == nil || len(full.Sites) != 2 || full.Sites[1].WaitModel.MaxWait == 0 || full.Sites[1].StorageGB == 0 {
 		t.Fatalf("fillValue left a field unset: %+v", full)
 	}
 	for name, want := range map[string]Config{
@@ -153,7 +153,7 @@ func TestInitFrameCarriesEveryConfigField(t *testing.T) {
 		for _, c := range []codec{jsonCodec{}, newBinaryCodec()} {
 			got := roundTripRequest(t, c, &request{ID: 1, Op: opInit, Init: &want, Codec: CodecBinary})
 			if got.Init == nil || !reflect.DeepEqual(*got.Init, want) {
-				t.Errorf("%s over %s: the worker decoded\n%+v\nwant\n%+v", name, c.Name(), got.Init, want)
+				t.Errorf("%s over %T: the worker decoded\n%+v\nwant\n%+v", name, c, got.Init, want)
 			}
 		}
 	}
@@ -211,12 +211,12 @@ func TestFramesCarryEveryPayloadField(t *testing.T) {
 		t.Helper()
 		for _, c := range []codec{jsonCodec{}, newBinaryCodec()} {
 			if got := roundTripRequest(t, c, req); !reflect.DeepEqual(&got, req) {
-				t.Fatalf("%s over %s: the worker decoded\n%s\nwant\n%s", variant, c.Name(), show(got), show(req))
+				t.Fatalf("%s over %T: the worker decoded\n%s\nwant\n%s", variant, c, show(got), show(req))
 			}
 			want := *resp
 			want.Events = nil
 			if got, calls := roundTripResponse(t, c, resp); !reflect.DeepEqual(got, want) || !reflect.DeepEqual(calls, wantCalls(resp.Events)) {
-				t.Fatalf("%s over %s: the parent decoded\n%s\nand dispatched %+v\nwant\n%s", variant, c.Name(), show(got), calls, show(resp))
+				t.Fatalf("%s over %T: the parent decoded\n%s\nand dispatched %+v\nwant\n%s", variant, c, show(got), calls, show(resp))
 			}
 		}
 	}
@@ -236,26 +236,18 @@ func TestFramesCarryEveryPayloadField(t *testing.T) {
 		v.Set(full)
 	}
 
-	for _, tc := range []struct {
-		name string
-		poke func(f float64)
-	}{
-		{"report", func(f float64) { p.Report.Efficiency = f }},
-		{"walltime slack", func(f float64) { p.Desc.Config.WalltimeSlack = f }},
-	} {
-		for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-			tc.poke(f)
-			for _, c := range []codec{jsonCodec{}, newBinaryCodec()} {
-				if _, err := c.AppendRequest(nil, req); err == nil {
-					t.Errorf("%s %v: %s encoded the request", tc.name, f, c.Name())
-				}
+	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		p.Report.Efficiency = f
+		for _, c := range []codec{jsonCodec{}, newBinaryCodec()} {
+			if _, err := c.AppendRequest(nil, req); err == nil {
+				t.Errorf("report %v: %T encoded the request", f, c)
 			}
-			tc.poke(1.5)
 		}
+		p.Report.Efficiency = 1.5
 	}
 	for _, c := range []codec{jsonCodec{}, newBinaryCodec()} {
 		if _, err := c.AppendResponse(nil, &response{Events: []wireEvent{{Kind: eventDone, Report: &core.Report{Throughput: math.NaN()}}}}); err == nil {
-			t.Errorf("%s encoded a NaN report in a done event", c.Name())
+			t.Errorf("%T encoded a NaN report in a done event", c)
 		}
 	}
 }

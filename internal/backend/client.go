@@ -46,9 +46,8 @@ type WorkerOptions struct {
 // worker dies before Close — whether the transport observes it out of band
 // (a child process exiting) or a call finds the connection broken.
 func Connect(tr Transport, opt WorkerOptions, cfg Config, sink Sink, onDeath func(error)) (*Worker, error) {
-	if !validCodecChoice(opt.Codec) {
-		_, err := newCodec(opt.Codec)
-		return nil, err
+	if err := CheckCodec(opt.Codec); err != nil {
+		return nil, fmt.Errorf("backend: %w", err)
 	}
 	s := newSession(cfg.Shard, onDeath)
 	conn, err := tr.Dial(cfg.Shard, s.peerDied)

@@ -19,7 +19,7 @@ const (
 // layout version, so a parent and a worker built with different payload
 // layouts fail the init exchange instead of misreading a job's frames. Bump
 // it with every layout change.
-const binaryWire = CodecBinary + "/2"
+const binaryWire = CodecBinary + "/3"
 
 // A codec encodes request and response payloads (the bytes inside a frame).
 // Encoders append to a caller-owned buffer so the hot path reuses one
@@ -30,26 +30,18 @@ const binaryWire = CodecBinary + "/2"
 // DecodeResponse decodes a response's fields and leaves its events in
 // resp.tail, which the session hands to the sink a chunk at a time.
 type codec interface {
-	Name() string
 	AppendRequest(dst []byte, req *request) ([]byte, error)
 	DecodeRequest(data []byte, req *request) error
 	AppendResponse(dst []byte, resp *response) ([]byte, error)
 	DecodeResponse(data []byte, resp *response) error
 }
 
-// newCodec builds a fresh codec instance by negotiated name.
-func newCodec(name string) (codec, error) {
+// CheckCodec accepts a configuration's codec choice: a concrete codec name,
+// or empty for the default, binary.
+func CheckCodec(name string) error {
 	switch name {
-	case CodecJSON:
-		return jsonCodec{}, nil
-	case CodecBinary:
-		return newBinaryCodec(), nil
+	case "", CodecJSON, CodecBinary:
+		return nil
 	}
-	return nil, fmt.Errorf("backend: unknown wire codec %q (want %q or %q)", name, CodecJSON, CodecBinary)
-}
-
-// validCodecChoice reports whether name is acceptable in a configuration:
-// a concrete codec name, or empty for the default, binary.
-func validCodecChoice(name string) bool {
-	return name == "" || name == CodecJSON || name == CodecBinary
+	return fmt.Errorf("unknown wire codec %q (want %q, %q, or empty for the default, binary)", name, CodecJSON, CodecBinary)
 }

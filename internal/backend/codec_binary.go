@@ -43,8 +43,6 @@ func newBinaryCodec() *binaryCodec {
 	return &binaryCodec{strings: make(map[string]string, 64)}
 }
 
-func (*binaryCodec) Name() string { return binaryWire }
-
 // internMax caps the intern table; a pathological stream of unique strings
 // resets it rather than growing without bound.
 const internMax = 4096
@@ -228,11 +226,9 @@ func appendStrategy(dst []byte, s *core.Strategy) []byte {
 	return appendInts(dst, int64(s.PilotCores), int64(s.PilotWalltime), int64(s.EstTx), int64(s.EstTs), int64(s.EstTrp))
 }
 
-func appendStrategyConfig(dst []byte, cfg *core.StrategyConfig) ([]byte, error) {
-	dst = appendInts(dst, int64(cfg.Binding), int64(cfg.Scheduler), int64(cfg.Pilots), int64(flag(cfg.AutoPilots)),
-		int64(cfg.MaxPilots), int64(cfg.Selection), int64(cfg.DispatchOverhead))
-	dst = appendStrings(dst, cfg.FixedResources)
-	return appendFloats(dst, cfg.WalltimeSlack)
+func appendStrategyConfig(dst []byte, cfg *core.StrategyConfig) []byte {
+	dst = appendInts(dst, int64(cfg.Binding), int64(cfg.Scheduler), int64(cfg.Pilots), int64(flag(cfg.AutoPilots)), int64(cfg.Selection))
+	return appendStrings(dst, cfg.FixedResources)
 }
 
 // appendReport leads with the bytes of its pilot IDs, the report's arena.
@@ -260,11 +256,11 @@ func appendDescriptor(dst []byte, d *Descriptor) ([]byte, error) {
 	if d.Strategy != nil {
 		dst = appendStrategy(dst, d.Strategy)
 	}
-	dst, err := appendStrategyConfig(dst, &d.Config)
-	if err == nil && d.Adaptive != nil {
-		dst, err = appendWireJSON(dst, d.Adaptive)
+	dst = appendStrategyConfig(dst, &d.Config)
+	if d.Adaptive != nil {
+		return appendWireJSON(dst, d.Adaptive)
 	}
-	return dst, err
+	return dst, nil
 }
 
 func (c *binaryCodec) AppendRequest(dst []byte, req *request) ([]byte, error) {
@@ -313,7 +309,7 @@ func (c *binaryCodec) AppendRequest(dst []byte, req *request) ([]byte, error) {
 		dst = appendWorkload(dst, req.Workload)
 	}
 	if err == nil && req.Config != nil {
-		dst, err = appendStrategyConfig(dst, req.Config)
+		dst = appendStrategyConfig(dst, req.Config)
 	}
 	if err == nil && req.Chaos != nil {
 		dst, err = appendWireJSON(dst, req.Chaos)
@@ -531,9 +527,8 @@ func (c *binaryCodec) readStrategy(r *binReader, s *core.Strategy) {
 
 func (c *binaryCodec) readStrategyConfig(r *binReader, cfg *core.StrategyConfig) {
 	cfg.Binding, cfg.Scheduler, cfg.Pilots, cfg.AutoPilots = core.Binding(r.varint()), core.SchedulerKind(r.varint()), r.int(), r.varint() != 0
-	cfg.MaxPilots, cfg.Selection, cfg.DispatchOverhead = r.int(), core.Selection(r.varint()), r.dur()
+	cfg.Selection = core.Selection(r.varint())
 	cfg.FixedResources = r.strs(nil, c.intern)
-	cfg.WalltimeSlack = r.float()
 }
 
 // readReport reads a report: its pilot IDs are this job's alone, so they
@@ -721,8 +716,15 @@ func (r *binReader) count(size int) int {
 }
 
 // list reads a list or map count (length plus one on the wire), -1 for nil.
+// The length, not the wire value, is held to the payload, so an empty list
+// may end it.
 func (r *binReader) list(size int) int {
-	return r.count(size) - 1
+	n := r.uvarint()
+	if n > uint64(len(r.data)/size)+1 {
+		r.fail("count %d exceeds the payload", n-1)
+		return -1
+	}
+	return int(n) - 1
 }
 
 // bytes reads one length-prefixed field, borrowing from the payload.

@@ -11,8 +11,6 @@ import (
 // JSON) and what a client can pin for debugging.
 type jsonCodec struct{}
 
-func (jsonCodec) Name() string { return CodecJSON }
-
 func (jsonCodec) AppendRequest(dst []byte, req *request) ([]byte, error) {
 	return appendJSONValue(dst, req)
 }

@@ -315,7 +315,7 @@ func TestDecodeRequestCopiesOutOfTheFrame(t *testing.T) {
 	}
 	want := &Descriptor{Key: 7, MigratedFrom: 1, Descriptor: core.Descriptor{
 		Workload: w, Strategy: &core.Strategy{Pilots: 2, Resources: []string{"stampede", "gordon"}},
-		Config: core.StrategyConfig{FixedResources: []string{"comet"}, WalltimeSlack: 1.15},
+		Config: core.StrategyConfig{FixedResources: []string{"comet"}},
 	}}
 	frame, err := newBinaryCodec().AppendRequest(nil, &request{ID: 1, Op: opEnact, Desc: want, Report: &core.Report{PilotWaits: map[string]time.Duration{"s0-j7.p0": time.Minute}}})
 	if err != nil {

@@ -19,11 +19,11 @@ func roundTripRequest(t *testing.T, c codec, in *request) request {
 	t.Helper()
 	buf, err := c.AppendRequest(nil, in)
 	if err != nil {
-		t.Fatalf("%s: encode request: %v", c.Name(), err)
+		t.Fatalf("%T: encode request: %v", c, err)
 	}
 	var out request
 	if err := c.DecodeRequest(buf, &out); err != nil {
-		t.Fatalf("%s: decode request: %v", c.Name(), err)
+		t.Fatalf("%T: decode request: %v", c, err)
 	}
 	return out
 }
@@ -35,11 +35,11 @@ func roundTripResponse(t *testing.T, c codec, in *response) (response, []sinkCal
 	t.Helper()
 	buf, err := c.AppendResponse(nil, in)
 	if err != nil {
-		t.Fatalf("%s: encode response: %v", c.Name(), err)
+		t.Fatalf("%T: encode response: %v", c, err)
 	}
 	out, calls, err := decodeResponse(c, buf)
 	if err != nil {
-		t.Fatalf("%s: decode response: %v", c.Name(), err)
+		t.Fatalf("%T: decode response: %v", c, err)
 	}
 	return out, calls
 }
@@ -89,8 +89,8 @@ func fuzzPayloads(tasks uint8, name string, d, e int64, f float64, shape uint32)
 	desc := &Descriptor{Key: int(d), MigratedFrom: int(e), Descriptor: core.Descriptor{
 		Workload: w,
 		Config: core.StrategyConfig{
-			Binding: core.EarlyBinding, Pilots: int(tasks), AutoPilots: tasks%2 == 1, MaxPilots: int(e),
-			Selection: core.SelectFixed, FixedResources: strs(6, name), WalltimeSlack: f, DispatchOverhead: time.Duration(e),
+			Binding: core.EarlyBinding, Pilots: int(tasks), AutoPilots: tasks%2 == 1,
+			Selection: core.SelectFixed, FixedResources: strs(6, name),
 		},
 	}}
 	if tasks%3 == 0 {
@@ -154,7 +154,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		int64(1<<31), true, int64(1<<62), int64(-1<<62), byte(2),
 		uint8(0), "", 0.0, uint32(0))
 	f.Add(uint64(2), "feedback", int64(1), int64(1), "", "d", "s1-j2",
-		"", "", "", int64(1<<53+1), "", "", "binary/2",
+		"", "", "", int64(1<<53+1), "", "", "binary/3",
 		int64(-1<<53-3), false, int64(1), int64(-1<<60), byte(3),
 		uint8(17), "stage-ø<&>", 1.7e308, uint32(0x9999))
 	f.Fuzz(func(t *testing.T, id uint64, op string, maxv, key int64,

@@ -165,6 +165,19 @@ func scriptedInit(t *testing.T, answer func(*request) *response, script func(r i
 	})
 }
 
+// TestConnectRejectsUnknownCodec: a codec choice that is neither codec nor
+// empty fails Connect, naming it, before anything is dialed.
+func TestConnectRejectsUnknownCodec(t *testing.T) {
+	never := transportFunc(func(int, func(error)) (Conn, error) {
+		t.Fatal("dialed a worker for an unknown codec")
+		return nil, nil
+	})
+	_, err := Connect(never, WorkerOptions{Codec: "yaml"}, Config{Shard: 0, Seed: 1}, &collectSink{}, nil)
+	if err == nil || !strings.Contains(err.Error(), `"yaml"`) {
+		t.Fatalf("unknown codec: err = %v, want one naming it", err)
+	}
+}
+
 // TestConnectRejectsWorkerWithoutBinary: binary is the wire's data codec, so
 // a peer that does not echo it fails Connect with an error naming the codec —
 // asked for by name or by default alike — instead of leaving the session on
@@ -207,6 +220,23 @@ func TestConnectRejectsWorkerWithoutBinary(t *testing.T) {
 		_, err := Connect(scriptedInit(t, answer, echo), WorkerOptions{Codec: CodecBinary}, Config{Shard: 0, Seed: 1}, &collectSink{}, nil)
 		if err == nil || !strings.Contains(err.Error(), binaryWire) {
 			t.Fatalf("a worker that %s: connect error %v, want one naming %q", name, err, binaryWire)
+		}
+	}
+
+	// A worker built with the previous layout, "binary/2" (a strategy config
+	// of eight fields), refuses "binary/3" as an unknown codec; one that
+	// answered with its own layout name anyway is refused by the parent,
+	// naming both.
+	prev := CodecBinary + "/2"
+	for name, answer := range map[string]func(*request) *response{
+		"refuses the new layout": func(req *request) *response {
+			return &response{ID: req.ID, Err: fmt.Sprintf("backend: worker does not support wire codec %q (supports %q, %q)", req.Codec, CodecJSON, prev)}
+		},
+		"answers with the old layout": func(req *request) *response { return &response{ID: req.ID, Codec: prev} },
+	} {
+		_, err := Connect(scriptedInit(t, answer, echo), WorkerOptions{Codec: CodecBinary}, Config{Shard: 0, Seed: 1}, &collectSink{}, nil)
+		if err == nil || !strings.Contains(err.Error(), binaryWire) || !strings.Contains(err.Error(), prev) {
+			t.Fatalf("a worker that %s: connect error %v, want one naming %q and %q", name, err, binaryWire, prev)
 		}
 	}
 

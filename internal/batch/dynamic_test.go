@@ -19,7 +19,7 @@ func submitJob(t *testing.T, q Queue, id string, nodes int, runtime time.Duratio
 
 func TestSystemOutageKillsRunning(t *testing.T) {
 	eng := sim.NewSim()
-	s := NewSystem(eng, SystemConfig{Name: "m", Nodes: 4}, nil)
+	s := NewSystem(eng, SystemConfig{Name: "m", Nodes: 4})
 
 	running := submitJob(t, s, "a", 2, time.Hour)
 	queued := submitJob(t, s, "b", 4, time.Hour) // blocked behind a
@@ -50,7 +50,7 @@ func TestSystemOutageKillsRunning(t *testing.T) {
 
 func TestSystemDrainOutage(t *testing.T) {
 	eng := sim.NewSim()
-	s := NewSystem(eng, SystemConfig{Name: "m", Nodes: 4}, nil)
+	s := NewSystem(eng, SystemConfig{Name: "m", Nodes: 4})
 	running := submitJob(t, s, "a", 2, 10*time.Minute)
 	eng.RunUntil(sim.Time(time.Minute))
 
@@ -122,7 +122,7 @@ func TestWaitScaleRejectsNonPositive(t *testing.T) {
 
 func TestOfflineIdempotent(t *testing.T) {
 	eng := sim.NewSim()
-	s := NewSystem(eng, SystemConfig{Name: "m", Nodes: 4}, nil)
+	s := NewSystem(eng, SystemConfig{Name: "m", Nodes: 4})
 	s.SetOffline(true)
 	s.SetOffline(true) // second call is a no-op
 	s.SetOnline()

@@ -1,12 +1,11 @@
-// Package batch simulates HPC batch systems: node pools, job queues,
-// scheduling policies (FCFS, EASY backfill, conservative backfill), a
-// background workload generator that keeps the machine realistically loaded,
-// and a calibrated stochastic queue-wait model.
+// Package batch simulates HPC batch systems: node pools, job queues, EASY
+// backfill scheduling, a background workload generator that keeps the
+// machine realistically loaded, and a calibrated stochastic queue-wait model.
 //
 // Two interchangeable implementations of the Queue interface exist:
 //
-//   - System: a full discrete-event batch scheduler where queue waits emerge
-//     from contention with background jobs, and
+//   - System: a full discrete-event batch scheduler (EASY backfilling) where
+//     queue waits emerge from contention with background jobs, and
 //   - Stochastic: a lognormal queue-wait model calibrated per resource,
 //     used by the headline experiments for speed and determinism.
 //
@@ -33,7 +32,7 @@ const (
 	JobCompleted                 // ran to completion within walltime
 	JobKilled                    // exceeded walltime and was terminated
 	JobCanceled                  // canceled while queued or running
-	JobFailed                    // terminated by an injected node failure
+	JobFailed                    // terminated by an outage that kills running jobs
 )
 
 var jobStateNames = map[JobState]string{

@@ -19,7 +19,7 @@ func queues(nodes int) map[string]func() (*sim.Sim, Queue) {
 	return map[string]func() (*sim.Sim, Queue){
 		"system": func() (*sim.Sim, Queue) {
 			eng := sim.NewSim()
-			return eng, NewSystem(eng, SystemConfig{Name: "sys", Nodes: nodes}, nil)
+			return eng, NewSystem(eng, SystemConfig{Name: "sys", Nodes: nodes})
 		},
 		"stochastic": func() (*sim.Sim, Queue) {
 			eng := sim.NewSim()

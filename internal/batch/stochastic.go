@@ -115,12 +115,6 @@ func NewStochastic(eng *sim.Sim, name string, nodes int, model WaitModel, rng *r
 
 var _ Queue = (*Stochastic)(nil)
 
-// Name returns the queue name.
-func (q *Stochastic) Name() string { return q.name }
-
-// Nodes returns the machine size.
-func (q *Stochastic) Nodes() int { return q.nodes }
-
 // Submit implements Queue.
 func (q *Stochastic) Submit(j *Job) error {
 	if err := j.Validate(); err != nil {

@@ -2,9 +2,7 @@ package batch
 
 import (
 	"fmt"
-	"math/rand"
 	"slices"
-	"time"
 
 	"aimes/internal/sim"
 )
@@ -15,29 +13,22 @@ type SystemConfig struct {
 	Name string
 	// Nodes is the machine size.
 	Nodes int
-	// Policy is the scheduling policy; nil defaults to EASY backfilling.
-	Policy Policy
-	// FailureProb is the per-job probability of an injected node failure
-	// killing the job at a uniform point of its runtime.
-	FailureProb float64
 }
 
-// System is a discrete-event batch scheduler: jobs queue, a policy decides
-// starts, nodes are held for the effective runtime, and walltime limits are
-// enforced. Queue waits emerge from contention.
+// System is a discrete-event batch scheduler: jobs queue, EASY backfilling
+// decides starts, nodes are held for the effective runtime, and walltime
+// limits are enforced. Queue waits emerge from contention.
 type System struct {
-	eng    *sim.Sim
-	cfg    SystemConfig
-	rng    *rand.Rand
-	policy Policy
+	eng *sim.Sim
+	cfg SystemConfig
 
 	free    int
 	queue   []*Job
 	running []*Job
 	offline bool
 
-	// dispatch's scratch, reused from one dispatch to the next: the policy's
-	// picks and the jobs they name.
+	// dispatch's scratch, reused from one dispatch to the next: EASY's picks
+	// and the jobs they name.
 	picks   []int
 	started []*Job
 
@@ -50,23 +41,14 @@ type System struct {
 	busyNodeSecs float64
 }
 
-// NewSystem creates a batch system on the given engine. rng drives failure
-// injection; it may be nil when FailureProb is zero.
-func NewSystem(eng *sim.Sim, cfg SystemConfig, rng *rand.Rand) *System {
+// NewSystem creates a batch system on the given engine.
+func NewSystem(eng *sim.Sim, cfg SystemConfig) *System {
 	if cfg.Nodes <= 0 {
 		panic(fmt.Sprintf("batch: system %q has %d nodes", cfg.Name, cfg.Nodes))
-	}
-	if cfg.Policy == nil {
-		cfg.Policy = EASY{}
-	}
-	if cfg.FailureProb > 0 && rng == nil {
-		panic("batch: failure injection requires an RNG")
 	}
 	return &System{
 		eng:       eng,
 		cfg:       cfg,
-		rng:       rng,
-		policy:    cfg.Policy,
 		free:      cfg.Nodes,
 		created:   eng.Now(),
 		lastEvent: eng.Now(),
@@ -74,12 +56,6 @@ func NewSystem(eng *sim.Sim, cfg SystemConfig, rng *rand.Rand) *System {
 }
 
 var _ Queue = (*System)(nil)
-
-// Name returns the configured system name.
-func (s *System) Name() string { return s.cfg.Name }
-
-// Nodes returns the machine size.
-func (s *System) Nodes() int { return s.cfg.Nodes }
 
 // Submit implements Queue.
 func (s *System) Submit(j *Job) error {
@@ -150,7 +126,7 @@ func (s *System) Snapshot() Snapshot {
 	}
 }
 
-// dispatch runs the policy and starts selected jobs. It tolerates reentrant
+// dispatch runs EASY and starts the jobs it selects. It tolerates reentrant
 // calls from job callbacks by deferring to the outermost invocation. An
 // offline system queues submissions without starting anything.
 func (s *System) dispatch() {
@@ -165,7 +141,7 @@ func (s *System) dispatch() {
 	defer func() { s.dispatching = false }()
 	for {
 		s.redispatch = false
-		s.picks = s.policy.AppendPicks(s.picks[:0], s.queue, s.free, s.eng.Now(), s.running)
+		s.picks = EASY{}.AppendPicks(s.picks[:0], s.queue, s.free, s.eng.Now(), s.running)
 		if len(s.picks) > 0 {
 			s.start(s.picks)
 		}
@@ -180,7 +156,7 @@ func (s *System) start(picks []int) {
 	started := s.started[:0]
 	for _, i := range picks {
 		if i < 0 || i >= len(s.queue) || s.queue[i] == nil {
-			panic(fmt.Sprintf("batch: policy %s returned bad selection %v", s.policy.Name(), picks))
+			panic(fmt.Sprintf("batch: EASY returned bad selection %v", picks))
 		}
 		started = append(started, s.queue[i])
 		s.queue[i] = nil // picked
@@ -194,7 +170,7 @@ func (s *System) start(picks []int) {
 			continue // canceled by the Started callback of a job before it
 		}
 		if j.Nodes > s.free {
-			panic(fmt.Sprintf("batch: policy %s overcommitted %s", s.policy.Name(), s.cfg.Name))
+			panic(fmt.Sprintf("batch: EASY overcommitted %s", s.cfg.Name))
 		}
 		s.accrue()
 		s.free -= j.Nodes
@@ -202,21 +178,12 @@ func (s *System) start(picks []int) {
 		j.Started = now
 		s.running = append(s.running, j)
 
-		hold := j.effectiveRuntime()
-		terminal := JobCompleted
+		j.endState = JobCompleted
 		if j.Runtime > j.Walltime {
-			terminal = JobKilled
+			j.endState = JobKilled
 		}
-		if s.cfg.FailureProb > 0 && s.rng.Float64() < s.cfg.FailureProb {
-			failAt := time.Duration(s.rng.Float64() * float64(hold))
-			if failAt < hold {
-				hold = failAt
-				terminal = JobFailed
-			}
-		}
-		j.endState = terminal
 		j.ev.Init((*systemHold)(j))
-		s.eng.Arm(&j.ev, hold)
+		s.eng.Arm(&j.ev, j.effectiveRuntime())
 		if j.Observer != nil {
 			j.Observer.Started(j)
 		}

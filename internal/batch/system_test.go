@@ -1,19 +1,16 @@
 package batch
 
 import (
-	"math/rand"
-	"strings"
 	"testing"
 	"time"
 
 	"aimes/internal/sim"
 )
 
-func newTestSystem(t *testing.T, nodes int, policy Policy) (*sim.Sim, *System) {
+func newTestSystem(t *testing.T, nodes int) (*sim.Sim, *System) {
 	t.Helper()
 	eng := sim.NewSim()
-	sys := NewSystem(eng, SystemConfig{Name: "test", Nodes: nodes, Policy: policy}, nil)
-	return eng, sys
+	return eng, NewSystem(eng, SystemConfig{Name: "test", Nodes: nodes})
 }
 
 func mkJob(id string, nodes int, runtime, walltime time.Duration) *Job {
@@ -39,7 +36,7 @@ func (o observe) Ended(j *Job) {
 }
 
 func TestSystemRunsSingleJob(t *testing.T) {
-	eng, sys := newTestSystem(t, 4, FCFS{})
+	eng, sys := newTestSystem(t, 4)
 	j := mkJob("a", 2, 10*time.Second, 20*time.Second)
 	var started, ended sim.Time
 	j.Observer = observe{
@@ -65,7 +62,7 @@ func TestSystemRunsSingleJob(t *testing.T) {
 }
 
 func TestSystemEnforcesWalltime(t *testing.T) {
-	eng, sys := newTestSystem(t, 4, FCFS{})
+	eng, sys := newTestSystem(t, 4)
 	j := mkJob("a", 1, time.Hour, 30*time.Second)
 	if err := sys.Submit(j); err != nil {
 		t.Fatal(err)
@@ -80,7 +77,7 @@ func TestSystemEnforcesWalltime(t *testing.T) {
 }
 
 func TestSystemQueuesWhenFull(t *testing.T) {
-	eng, sys := newTestSystem(t, 4, FCFS{})
+	eng, sys := newTestSystem(t, 4)
 	a := mkJob("a", 4, 100*time.Second, 200*time.Second)
 	b := mkJob("b", 4, 50*time.Second, 100*time.Second)
 	if err := sys.Submit(a); err != nil {
@@ -99,14 +96,14 @@ func TestSystemQueuesWhenFull(t *testing.T) {
 }
 
 func TestSystemRejectsOversizedJob(t *testing.T) {
-	_, sys := newTestSystem(t, 4, FCFS{})
+	_, sys := newTestSystem(t, 4)
 	if err := sys.Submit(mkJob("big", 8, time.Second, time.Minute)); err == nil {
 		t.Fatal("oversized job accepted")
 	}
 }
 
 func TestSystemRejectsInvalidJobs(t *testing.T) {
-	_, sys := newTestSystem(t, 4, FCFS{})
+	_, sys := newTestSystem(t, 4)
 	cases := []*Job{
 		mkJob("zero-nodes", 0, time.Second, time.Minute),
 		mkJob("zero-wall", 1, time.Second, 0),
@@ -120,7 +117,7 @@ func TestSystemRejectsInvalidJobs(t *testing.T) {
 }
 
 func TestSystemRejectsResubmission(t *testing.T) {
-	eng, sys := newTestSystem(t, 4, FCFS{})
+	eng, sys := newTestSystem(t, 4)
 	j := mkJob("a", 1, time.Second, time.Minute)
 	if err := sys.Submit(j); err != nil {
 		t.Fatal(err)
@@ -132,7 +129,7 @@ func TestSystemRejectsResubmission(t *testing.T) {
 }
 
 func TestSystemCancelQueued(t *testing.T) {
-	eng, sys := newTestSystem(t, 2, FCFS{})
+	eng, sys := newTestSystem(t, 2)
 	a := mkJob("a", 2, 100*time.Second, 200*time.Second)
 	b := mkJob("b", 2, 10*time.Second, 20*time.Second)
 	var aEnded, bEnded int
@@ -161,7 +158,7 @@ func TestSystemCancelQueued(t *testing.T) {
 }
 
 func TestSystemCancelRunningFreesNodes(t *testing.T) {
-	eng, sys := newTestSystem(t, 2, FCFS{})
+	eng, sys := newTestSystem(t, 2)
 	a := mkJob("a", 2, 1000*time.Second, 2000*time.Second)
 	b := mkJob("b", 2, 10*time.Second, 20*time.Second)
 	if err := sys.Submit(a); err != nil {
@@ -188,7 +185,7 @@ func TestSystemCancelRunningFreesNodes(t *testing.T) {
 }
 
 func TestSystemCancelTerminalIsNoop(t *testing.T) {
-	eng, sys := newTestSystem(t, 2, FCFS{})
+	eng, sys := newTestSystem(t, 2)
 	j := mkJob("a", 1, time.Second, time.Minute)
 	if err := sys.Submit(j); err != nil {
 		t.Fatal(err)
@@ -199,25 +196,8 @@ func TestSystemCancelTerminalIsNoop(t *testing.T) {
 	}
 }
 
-func TestFCFSHeadOfLineBlocking(t *testing.T) {
-	eng, sys := newTestSystem(t, 4, FCFS{})
-	a := mkJob("a", 4, 100*time.Second, 100*time.Second)
-	big := mkJob("big", 4, 10*time.Second, 10*time.Second)
-	small := mkJob("small", 1, 10*time.Second, 10*time.Second)
-	for _, j := range []*Job{a, big, small} {
-		if err := sys.Submit(j); err != nil {
-			t.Fatal(err)
-		}
-	}
-	eng.Run()
-	// Under strict FCFS, small must not start before big even though it fits.
-	if small.Started < big.Started {
-		t.Fatalf("FCFS allowed backfill: small@%v big@%v", small.Started, big.Started)
-	}
-}
-
 func TestEASYBackfillsShortNarrowJob(t *testing.T) {
-	eng, sys := newTestSystem(t, 4, EASY{})
+	eng, sys := newTestSystem(t, 4)
 	// a holds the whole machine for 100s. big (head) must wait for it.
 	// small fits in zero extra nodes? No: free=0 while a runs; so nothing
 	// backfills until a ends. Instead: a holds 3 nodes, big needs 4,
@@ -240,7 +220,7 @@ func TestEASYBackfillsShortNarrowJob(t *testing.T) {
 }
 
 func TestEASYDoesNotDelayReservation(t *testing.T) {
-	eng, sys := newTestSystem(t, 4, EASY{})
+	eng, sys := newTestSystem(t, 4)
 	a := mkJob("a", 3, 100*time.Second, 100*time.Second)
 	big := mkJob("big", 4, 10*time.Second, 10*time.Second)
 	// long would fit now (1 free node) but its walltime crosses the shadow
@@ -262,7 +242,7 @@ func TestEASYDoesNotDelayReservation(t *testing.T) {
 }
 
 func TestEASYBackfillIntoExtraNodes(t *testing.T) {
-	eng, sys := newTestSystem(t, 8, EASY{})
+	eng, sys := newTestSystem(t, 8)
 	a := mkJob("a", 6, 100*time.Second, 100*time.Second)
 	big := mkJob("big", 4, 10*time.Second, 10*time.Second)
 	// shadow = 100s, at which 6+2 free ≥ 4, extra = 4. long needs 2 ≤ extra,
@@ -282,45 +262,8 @@ func TestEASYBackfillIntoExtraNodes(t *testing.T) {
 	}
 }
 
-func TestConservativeBackfill(t *testing.T) {
-	eng, sys := newTestSystem(t, 4, Conservative{})
-	a := mkJob("a", 3, 100*time.Second, 100*time.Second)
-	big := mkJob("big", 4, 10*time.Second, 10*time.Second)
-	short := mkJob("short", 1, 20*time.Second, 30*time.Second)
-	for _, j := range []*Job{a, big, short} {
-		if err := sys.Submit(j); err != nil {
-			t.Fatal(err)
-		}
-	}
-	eng.Run()
-	if short.Started != 0 {
-		t.Fatalf("conservative did not backfill short: started %v", short.Started)
-	}
-	if big.Started != sim.Time(100*time.Second) {
-		t.Fatalf("big started at %v, want 100s", big.Started)
-	}
-}
-
-func TestConservativeNeverDelaysAnyReservation(t *testing.T) {
-	eng, sys := newTestSystem(t, 4, Conservative{})
-	a := mkJob("a", 4, 50*time.Second, 50*time.Second)
-	b := mkJob("b", 2, 50*time.Second, 50*time.Second)
-	c := mkJob("c", 2, 200*time.Second, 200*time.Second)
-	// c fits alongside b at t=50; conservative must reserve it there and all
-	// three must start at their reservations.
-	for _, j := range []*Job{a, b, c} {
-		if err := sys.Submit(j); err != nil {
-			t.Fatal(err)
-		}
-	}
-	eng.Run()
-	if b.Started != sim.Time(50*time.Second) || c.Started != sim.Time(50*time.Second) {
-		t.Fatalf("b@%v c@%v, want both at 50s", b.Started, c.Started)
-	}
-}
-
 func TestSystemSnapshot(t *testing.T) {
-	eng, sys := newTestSystem(t, 4, FCFS{})
+	eng, sys := newTestSystem(t, 4)
 	a := mkJob("a", 3, 100*time.Second, 100*time.Second)
 	b := mkJob("b", 2, 10*time.Second, 60*time.Second)
 	if err := sys.Submit(a); err != nil {
@@ -349,10 +292,10 @@ func TestSystemSnapshot(t *testing.T) {
 	}
 }
 
-// TestSystemWaitHistory: on one node under FCFS, three 10-second jobs
+// TestSystemWaitHistory: on one node, three 10-second jobs
 // submitted together wait 0, 10 and 20 seconds.
 func TestSystemWaitHistory(t *testing.T) {
-	eng, sys := newTestSystem(t, 1, FCFS{})
+	eng, sys := newTestSystem(t, 1)
 	var jobs []*Job
 	for i := 0; i < 3; i++ {
 		j := mkJob("j", 1, 10*time.Second, 20*time.Second)
@@ -369,144 +312,40 @@ func TestSystemWaitHistory(t *testing.T) {
 	}
 }
 
-func TestSystemFailureInjection(t *testing.T) {
-	eng := sim.NewSim()
-	rng := rand.New(rand.NewSource(1))
-	sys := NewSystem(eng, SystemConfig{Name: "flaky", Nodes: 64, FailureProb: 0.5}, rng)
-	failed, completed := 0, 0
-	for i := 0; i < 200; i++ {
-		j := mkJob("j", 1, 100*time.Second, 200*time.Second)
-		j.Observer = observe{ended: func(j *Job) {
-			switch j.State {
-			case JobFailed:
-				failed++
-			case JobCompleted:
-				completed++
-			}
-		}}
-		if err := sys.Submit(j); err != nil {
-			t.Fatal(err)
-		}
-	}
-	eng.Run()
-	if failed == 0 || completed == 0 {
-		t.Fatalf("failed=%d completed=%d, want both nonzero", failed, completed)
-	}
-	if failed < 50 || failed > 150 {
-		t.Fatalf("failed=%d out of plausible range for p=0.5", failed)
-	}
-}
-
 func TestJobStateStrings(t *testing.T) {
 	if JobCompleted.String() != "COMPLETED" || JobState(99).String() == "" {
 		t.Fatal("state strings broken")
 	}
 }
 
-// White-box tests for the conservative-backfill availability profile.
-func TestProfileBreakpointInsertion(t *testing.T) {
-	now := sim.Time(0)
-	running := []*Job{
-		{Nodes: 2, Started: 0, Walltime: 100 * time.Second},
-		{Nodes: 3, Started: 0, Walltime: 200 * time.Second},
-	}
-	p := newProfile(now, 5, running)
-	// Availability: [0,100)=5, [100,200)=7, [200,∞)=10.
-	if got := p.earliest(6, 10*time.Second); got != sim.Time(100*time.Second) {
-		t.Fatalf("earliest(6) = %v, want 100s", got)
-	}
-	if got := p.earliest(10, 10*time.Second); got != sim.Time(200*time.Second) {
-		t.Fatalf("earliest(10) = %v, want 200s", got)
-	}
-	if got := p.earliest(5, time.Hour); got != 0 {
-		t.Fatalf("earliest(5) = %v, want now", got)
-	}
-}
-
-func TestProfileReserveBlocksLaterJobs(t *testing.T) {
-	p := newProfile(0, 4, nil)
-	p.reserve(0, 4, 50*time.Second)
-	if got := p.earliest(1, 10*time.Second); got != sim.Time(50*time.Second) {
-		t.Fatalf("earliest after full reservation = %v, want 50s", got)
-	}
-	// A reservation spanning a breakpoint splits segments correctly.
-	p.reserve(sim.Time(50*time.Second), 2, 25*time.Second)
-	if got := p.earliest(3, 10*time.Second); got != sim.Time(75*time.Second) {
-		t.Fatalf("earliest(3) = %v, want 75s", got)
-	}
-	if got := p.earliest(2, 10*time.Second); got != sim.Time(50*time.Second) {
-		t.Fatalf("earliest(2) = %v, want 50s", got)
-	}
-}
-
-func TestProfileInfeasibleRequest(t *testing.T) {
-	p := newProfile(0, 4, nil)
-	if got := p.earliest(5, time.Second); got != sim.Forever {
-		t.Fatalf("infeasible request = %v, want Forever", got)
-	}
-	// Reserving an infeasible (Forever) start is a no-op.
-	p.reserve(sim.Forever, 5, time.Second)
-	if got := p.earliest(4, time.Second); got != 0 {
-		t.Fatalf("profile corrupted by Forever reservation: %v", got)
-	}
-}
-
 // Regression: a running job whose walltime expires at the current instant
-// (end event not yet fired) must not be counted as freed by the policies.
-// Found by TestSystemConservationProperty with these exact inputs.
-func TestConservativeNoOvercommitAtWalltimeBoundary(t *testing.T) {
-	prop := systemConservationProp(t)
-	if !prop(0x7942dbbeab1e2e84, 0xea, 0x71) {
-		t.Fatal("conservation violated")
-	}
-}
-
-// A direct construction of the same scenario: job A is killed exactly at its
-// walltime; at that instant another event triggers a dispatch before A's end
-// event fires. The policy must not start jobs into A's still-held nodes.
+// (end event not yet fired) must not be counted as freed. Job A is killed
+// exactly at its walltime; at that instant another event triggers a dispatch
+// before A's end event fires. EASY must not start jobs into A's still-held
+// nodes.
 func TestPoliciesIgnoreExpiredButRunningJobs(t *testing.T) {
-	for _, policy := range []Policy{FCFS{}, EASY{}, Conservative{}} {
-		eng := sim.NewSim()
-		sys := NewSystem(eng, SystemConfig{Name: "edge", Nodes: 4, Policy: policy}, nil)
-		// A runs to exactly its walltime.
-		a := mkJob("a", 4, time.Hour, 100*time.Second)
-		if err := sys.Submit(a); err != nil {
-			t.Fatal(err)
-		}
-		// B arrives exactly when A's walltime expires, via an event scheduled
-		// before A started (so its seq orders it first at t=100s).
-		b := mkJob("b", 4, 10*time.Second, 60*time.Second)
-		eng.Schedule(100*time.Second, func() {
-			if err := sys.Submit(b); err != nil {
-				t.Error(err)
-			}
-		})
-		eng.Run()
-		if a.State != JobKilled {
-			t.Fatalf("%s: a state %v", policy.Name(), a.State)
-		}
-		if b.State != JobCompleted {
-			t.Fatalf("%s: b state %v", policy.Name(), b.State)
-		}
-		if b.Started < a.Ended {
-			t.Fatalf("%s: b started %v before a freed nodes at %v", policy.Name(), b.Started, a.Ended)
-		}
+	eng, sys := newTestSystem(t, 4)
+	// A runs to exactly its walltime.
+	a := mkJob("a", 4, time.Hour, 100*time.Second)
+	if err := sys.Submit(a); err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestPolicyByName: each configuration name, and no name, resolves to the
-// policy whose Name it is, and an unknown name is refused.
-func TestPolicyByName(t *testing.T) {
-	for name, want := range map[string]string{"": "easy", "easy": "easy", "fcfs": "fcfs", "conservative": "conservative"} {
-		p, err := PolicyByName(name)
-		if err != nil {
-			t.Fatalf("policy %q: %v", name, err)
+	// B arrives exactly when A's walltime expires, via an event scheduled
+	// before A started (so its seq orders it first at t=100s).
+	b := mkJob("b", 4, 10*time.Second, 60*time.Second)
+	eng.Schedule(100*time.Second, func() {
+		if err := sys.Submit(b); err != nil {
+			t.Error(err)
 		}
-		if got := p.Name(); got != want {
-			t.Errorf("policy %q resolves to %q, want %q", name, got, want)
-		}
+	})
+	eng.Run()
+	if a.State != JobKilled {
+		t.Fatalf("a state %v", a.State)
 	}
-	if _, err := PolicyByName("lottery"); err == nil || !strings.Contains(err.Error(), "lottery") {
-		t.Fatalf("unknown policy: err = %v, want one naming it", err)
+	if b.State != JobCompleted {
+		t.Fatalf("b state %v", b.State)
+	}
+	if b.Started < a.Ended {
+		t.Fatalf("b started %v before a freed nodes at %v", b.Started, a.Ended)
 	}
 }

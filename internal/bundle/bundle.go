@@ -65,10 +65,6 @@ func NewResource(s *site.Site) *Resource {
 // Name returns the resource name.
 func (r *Resource) Name() string { return r.s.Name() }
 
-// Site exposes the underlying site (used by the execution layer to reach the
-// SAGA adaptor; bundles themselves never submit work).
-func (r *Resource) Site() *site.Site { return r.s }
-
 // Compute performs an on-demand compute query.
 func (r *Resource) Compute() ComputeInfo {
 	cfg := r.s.Config()

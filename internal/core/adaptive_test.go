@@ -192,7 +192,7 @@ func TestDeriveAutoPilots(t *testing.T) {
 		}
 	}
 	w := botWorkload(t, 128, 7)
-	s, err := Derive(w, e.bndl, StrategyConfig{
+	s, err := Derive(w, e.bndl, dispatch, StrategyConfig{
 		Binding:    LateBinding,
 		Scheduler:  SchedBackfill,
 		AutoPilots: true,

@@ -19,6 +19,10 @@ import (
 	"aimes/internal/trace"
 )
 
+// dispatch is the agent dispatch overhead the tests derive with: the
+// default pilot configuration's, which newEnv's manager pays.
+var dispatch = pilot.DefaultConfig().AgentDispatchOverhead
+
 // env assembles a complete simulated environment around the default
 // five-resource testbed.
 type env struct {
@@ -97,7 +101,7 @@ func botWorkload(t *testing.T, n int, seed int64) *skeleton.Workload {
 func TestDeriveEarlyStrategyFollowsTableI(t *testing.T) {
 	e := newEnv(t, 1)
 	w := botWorkload(t, 128, 1)
-	s, err := Derive(w, e.bndl, StrategyConfig{
+	s, err := Derive(w, e.bndl, dispatch, StrategyConfig{
 		Binding: EarlyBinding, Scheduler: SchedDirect, Pilots: 1, Selection: SelectRandom,
 	}, rand.New(rand.NewSource(2)))
 	if err != nil {
@@ -121,7 +125,7 @@ func TestDeriveEarlyStrategyFollowsTableI(t *testing.T) {
 func TestDeriveLateStrategyFollowsTableI(t *testing.T) {
 	e := newEnv(t, 1)
 	w := botWorkload(t, 2048, 1)
-	s, err := Derive(w, e.bndl, StrategyConfig{
+	s, err := Derive(w, e.bndl, dispatch, StrategyConfig{
 		Binding: LateBinding, Scheduler: SchedBackfill, Pilots: 3, Selection: SelectRandom,
 	}, rand.New(rand.NewSource(2)))
 	if err != nil {
@@ -142,7 +146,7 @@ func TestDeriveLateStrategyFollowsTableI(t *testing.T) {
 		seen[r] = true
 	}
 	// Late walltime ≈ 3× the early per-pilot budget.
-	early, _ := Derive(w, e.bndl, StrategyConfig{
+	early, _ := Derive(w, e.bndl, dispatch, StrategyConfig{
 		Binding: EarlyBinding, Pilots: 1, Selection: SelectRandom,
 	}, rand.New(rand.NewSource(2)))
 	if s.PilotWalltime < 2*early.PilotWalltime {
@@ -155,22 +159,22 @@ func TestDeriveRejects(t *testing.T) {
 	e := newEnv(t, 1)
 	w := botWorkload(t, 8, 1)
 	empty := &skeleton.Workload{Name: "empty"}
-	if _, err := Derive(empty, e.bndl, StrategyConfig{}, rand.New(rand.NewSource(1))); err == nil {
+	if _, err := Derive(empty, e.bndl, dispatch, StrategyConfig{}, rand.New(rand.NewSource(1))); err == nil {
 		t.Fatal("empty workload derived")
 	}
 	// More pilots than feasible resources.
-	if _, err := Derive(w, e.bndl, StrategyConfig{Pilots: 6, Selection: SelectRandom},
+	if _, err := Derive(w, e.bndl, dispatch, StrategyConfig{Pilots: 6, Selection: SelectRandom},
 		rand.New(rand.NewSource(1))); err == nil {
 		t.Fatal("6 pilots on 5 resources derived")
 	}
 	// Fixed selection with too few resources.
-	if _, err := Derive(w, e.bndl, StrategyConfig{
+	if _, err := Derive(w, e.bndl, dispatch, StrategyConfig{
 		Pilots: 2, Selection: SelectFixed, FixedResources: []string{"stampede"},
 	}, nil); err == nil {
 		t.Fatal("underspecified fixed selection derived")
 	}
 	// Random selection without an RNG.
-	if _, err := Derive(w, e.bndl, StrategyConfig{Pilots: 1, Selection: SelectRandom}, nil); err == nil {
+	if _, err := Derive(w, e.bndl, dispatch, StrategyConfig{Pilots: 1, Selection: SelectRandom}, nil); err == nil {
 		t.Fatal("random selection without RNG derived")
 	}
 }
@@ -188,7 +192,7 @@ func TestDerivePredictedWaitSelection(t *testing.T) {
 		}
 	}
 	w := botWorkload(t, 64, 1)
-	s, err := Derive(w, e.bndl, StrategyConfig{
+	s, err := Derive(w, e.bndl, dispatch, StrategyConfig{
 		Binding: LateBinding, Scheduler: SchedBackfill, Pilots: 3,
 		Selection: SelectByPredictedWait,
 	}, nil)
@@ -206,7 +210,7 @@ func TestDerivePredictedWaitSelection(t *testing.T) {
 func TestExecuteEarlyBindingEndToEnd(t *testing.T) {
 	e := newEnv(t, 3)
 	w := botWorkload(t, 64, 3)
-	s, err := Derive(w, e.bndl, StrategyConfig{
+	s, err := Derive(w, e.bndl, dispatch, StrategyConfig{
 		Binding: EarlyBinding, Scheduler: SchedDirect, Pilots: 1, Selection: SelectRandom,
 	}, rand.New(rand.NewSource(3)))
 	if err != nil {
@@ -242,7 +246,7 @@ func TestExecuteEarlyBindingEndToEnd(t *testing.T) {
 func TestExecuteLateBindingEndToEnd(t *testing.T) {
 	e := newEnv(t, 4)
 	w := botWorkload(t, 128, 4)
-	s, err := Derive(w, e.bndl, StrategyConfig{
+	s, err := Derive(w, e.bndl, dispatch, StrategyConfig{
 		Binding: LateBinding, Scheduler: SchedBackfill, Pilots: 3, Selection: SelectRandom,
 	}, rand.New(rand.NewSource(4)))
 	if err != nil {
@@ -271,7 +275,7 @@ func runStrategy(t *testing.T, seed int64, n int, cfg StrategyConfig) *Report {
 	t.Helper()
 	e := newEnv(t, seed)
 	w := botWorkload(t, n, seed)
-	s, err := Derive(w, e.bndl, cfg, rand.New(rand.NewSource(seed+1)))
+	s, err := Derive(w, e.bndl, dispatch, cfg, rand.New(rand.NewSource(seed+1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +327,7 @@ func TestLateBindingBeatsEarlyBinding(t *testing.T) {
 func TestReportSummaryOutput(t *testing.T) {
 	e := newEnv(t, 5)
 	w := botWorkload(t, 8, 5)
-	s, err := Derive(w, e.bndl, StrategyConfig{
+	s, err := Derive(w, e.bndl, dispatch, StrategyConfig{
 		Binding: EarlyBinding, Pilots: 1, Selection: SelectRandom,
 	}, rand.New(rand.NewSource(5)))
 	if err != nil {
@@ -413,7 +417,7 @@ func TestStrategyStringMatchesSprintf(t *testing.T) {
 func TestUnitsByResourceBreakdown(t *testing.T) {
 	e := newEnv(t, 90)
 	w := botWorkload(t, 48, 90)
-	s, err := Derive(w, e.bndl, StrategyConfig{
+	s, err := Derive(w, e.bndl, dispatch, StrategyConfig{
 		Binding: LateBinding, Scheduler: SchedBackfill, Pilots: 3, Selection: SelectRandom,
 	}, rand.New(rand.NewSource(90)))
 	if err != nil {
@@ -438,7 +442,7 @@ func TestUnitsByResourceBreakdown(t *testing.T) {
 func TestPrepareEnactBoundary(t *testing.T) {
 	e := newEnv(t, 5)
 	w := botWorkload(t, 8, 5)
-	s, err := Derive(w, e.bndl, StrategyConfig{
+	s, err := Derive(w, e.bndl, dispatch, StrategyConfig{
 		Binding: LateBinding, Scheduler: SchedBackfill, Pilots: 2,
 	}, e.mgr.rng)
 	if err != nil {
@@ -482,7 +486,7 @@ func TestPrepareEnactBoundary(t *testing.T) {
 func TestCancelPreparedExecution(t *testing.T) {
 	e := newEnv(t, 6)
 	w := botWorkload(t, 5, 6)
-	s, err := Derive(w, e.bndl, StrategyConfig{
+	s, err := Derive(w, e.bndl, dispatch, StrategyConfig{
 		Binding: LateBinding, Scheduler: SchedBackfill, Pilots: 1,
 	}, e.mgr.rng)
 	if err != nil {

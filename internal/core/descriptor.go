@@ -37,12 +37,9 @@ func (m *Manager) Resolve(d *Descriptor) (Strategy, error) {
 	return m.Derive(d.Workload, d.Config)
 }
 
-// Derive derives a strategy against the manager's bundle and randomness.
-// An unset DispatchOverhead is the manager's own agent dispatch overhead,
-// so the derived walltime covers the launch cost its pilots will pay.
+// Derive derives a strategy against the manager's bundle and randomness,
+// with the manager's own agent dispatch overhead, so the derived walltime
+// covers the launch cost its pilots will pay.
 func (m *Manager) Derive(w *skeleton.Workload, cfg StrategyConfig) (Strategy, error) {
-	if cfg.DispatchOverhead <= 0 {
-		cfg.DispatchOverhead = m.cfg.AgentDispatchOverhead
-	}
-	return Derive(w, m.bundle, cfg, m.rng)
+	return Derive(w, m.bundle, m.cfg.AgentDispatchOverhead, cfg, m.rng)
 }

@@ -311,7 +311,7 @@ func disturbedRun(t *testing.T, seed int64) (*Execution, *trace.Recorder) {
 	}
 	e := newEnvWith(t, seed, pcfg)
 	w := botWorkload(t, 16<<rng.Intn(4), seed)
-	s, err := Derive(w, e.bndl, StrategyConfig{
+	s, err := Derive(w, e.bndl, dispatch, StrategyConfig{
 		Binding: LateBinding, Scheduler: SchedBackfill, Pilots: 1 + rng.Intn(3), Selection: SelectRandom,
 	}, e.mgr.rng)
 	if err != nil {
@@ -395,7 +395,7 @@ func TestConcurrentExecutionsOnSharedRecorder(t *testing.T) {
 		var execs [2]*Execution
 		start := func(k int) {
 			w := botWorkload(t, 64, int64(k+1))
-			s, err := Derive(w, e.bndl, StrategyConfig{
+			s, err := Derive(w, e.bndl, dispatch, StrategyConfig{
 				Binding: LateBinding, Scheduler: SchedBackfill, Pilots: 3, Selection: SelectRandom,
 			}, e.mgr.rng)
 			if err != nil {

@@ -34,7 +34,7 @@ func runWithSentinel(t *testing.T, e *env, log *trace.Log, n int, seed int64, co
 	runtime.SetFinalizer(rec.sentinel, func(*[16]byte) { collected.Store(true) })
 
 	w := botWorkload(t, n, seed)
-	s, err := Derive(w, e.bndl, StrategyConfig{
+	s, err := Derive(w, e.bndl, dispatch, StrategyConfig{
 		Binding: LateBinding, Scheduler: SchedBackfill, Pilots: 3, Selection: SelectRandom,
 	}, e.mgr.rng)
 	if err != nil {

@@ -126,19 +126,14 @@ type StrategyConfig struct {
 	// semi-empirical TTC heuristic over bundle wait history (see
 	// ChoosePilotCount). Requires primed predictive history.
 	AutoPilots bool
-	// MaxPilots bounds AutoPilots (default: bundle size).
-	MaxPilots int
 	// Selection picks the resource-selection policy.
 	Selection Selection
 	// FixedResources lists resources for SelectFixed.
 	FixedResources []string
-	// WalltimeSlack inflates the derived walltime as a safety margin
-	// (default 1.15).
-	WalltimeSlack float64
-	// DispatchOverhead is the per-unit middleware overhead used in the Trp
-	// estimate; it should match the pilot system's configuration.
-	DispatchOverhead time.Duration
 }
+
+// walltimeSlack inflates the derived walltime as a safety margin.
+const walltimeSlack = 1.15
 
 // Strategy is a fully derived execution strategy: the concrete realization
 // of every decision, ready for enactment.
@@ -199,25 +194,20 @@ func (s Strategy) Validate() error {
 // Pilot size follows Table I: the workload's peak core demand divided evenly
 // across pilots. Walltime follows Table I with Tx estimated as the longest
 // task duration (full-concurrency estimate), Ts from bundle network
-// queries, Trp from the per-unit dispatch overhead; late binding multiplies
-// by the pilot count because in the worst case one pilot executes the whole
-// workload in waves.
-func Derive(w *skeleton.Workload, b *bundle.Bundle, cfg StrategyConfig, rng *rand.Rand) (Strategy, error) {
+// queries, Trp from the per-unit dispatch overhead the enacting pilots pay;
+// late binding multiplies by the pilot count because in the worst case one
+// pilot executes the whole workload in waves. AutoPilots chooses among up to
+// the bundle's size of pilots.
+func Derive(w *skeleton.Workload, b *bundle.Bundle, dispatch time.Duration, cfg StrategyConfig, rng *rand.Rand) (Strategy, error) {
 	if w.TotalTasks() == 0 {
 		return Strategy{}, fmt.Errorf("core: empty workload")
 	}
 	if cfg.Pilots <= 0 {
 		if cfg.AutoPilots {
-			cfg.Pilots = ChoosePilotCount(w, b, cfg.MaxPilots)
+			cfg.Pilots = ChoosePilotCount(w, b, 0)
 		} else {
 			cfg.Pilots = 1
 		}
-	}
-	if cfg.WalltimeSlack <= 0 {
-		cfg.WalltimeSlack = 1.15
-	}
-	if cfg.DispatchOverhead <= 0 {
-		cfg.DispatchOverhead = pilot.DefaultConfig().AgentDispatchOverhead
 	}
 
 	// Decision 4: pilot size = peak demand / pilots, rounded up.
@@ -237,12 +227,12 @@ func Derive(w *skeleton.Workload, b *bundle.Bundle, cfg StrategyConfig, rng *ran
 	// the longest task duration, matching Table I.
 	estTx := estimateTx(w)
 	estTs := estimateStaging(w, b, resources)
-	estTrp := time.Duration(w.TotalTasks()) * cfg.DispatchOverhead
+	estTrp := time.Duration(w.TotalTasks()) * dispatch
 	per := estTx + estTs + estTrp
 	if cfg.Binding == LateBinding {
 		per *= time.Duration(cfg.Pilots)
 	}
-	walltime := time.Duration(float64(per)*cfg.WalltimeSlack) + 5*time.Minute
+	walltime := time.Duration(float64(per)*walltimeSlack) + 5*time.Minute
 
 	s := Strategy{
 		Binding:       cfg.Binding,

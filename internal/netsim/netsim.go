@@ -92,9 +92,6 @@ func (l *Link) SetBandwidth(bandwidth float64) {
 	l.reschedule()
 }
 
-// Name returns the link name.
-func (l *Link) Name() string { return l.name }
-
 // Active reports the number of transfers currently moving bytes.
 func (l *Link) Active() int { return len(l.active) }
 
@@ -115,9 +112,6 @@ type Transfer struct {
 	inFlight  bool        // from StartInto until the last byte arrives or Cancel
 	latEvent  sim.Event   // the link latency elapsing; its handler is the transfer
 }
-
-// Size returns the transfer payload in bytes.
-func (t *Transfer) Size() int64 { return t.size }
 
 // Start begins a transfer of size bytes. onDone fires when the last byte
 // arrives. Zero-size transfers still pay the link latency.

@@ -152,14 +152,13 @@ func (a *agent) completed(u *Unit) {
 	u.um.capacityFreed()
 }
 
-// failed restarts a unit (up to its restart budget) or fails it.
+// maxRestarts is every unit's budget of automatic restarts after failures.
+const maxRestarts = 3
+
+// failed restarts a unit (up to maxRestarts) or fails it.
 func (a *agent) failed(u *Unit) {
 	u.attempts++
-	max := u.desc.MaxRestarts
-	if max == 0 {
-		max = a.sys.cfg.DefaultMaxRestarts
-	}
-	if int(u.attempts) <= max {
+	if u.attempts <= maxRestarts {
 		// Inputs are already on the resource: requeue on this agent.
 		u.transition(UnitAgentQueued, "restart")
 		a.enqueue(u)

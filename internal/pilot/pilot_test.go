@@ -158,7 +158,7 @@ func TestEarlyBindingExecutesWorkload(t *testing.T) {
 	}
 	for _, u := range um.units {
 		if u.State() != UnitDone {
-			t.Fatalf("unit %s state %v", u.Name(), u.State())
+			t.Fatalf("unit %s state %v", u.desc.Name, u.State())
 		}
 		if u.Pilot() != p {
 			t.Fatal("unit not bound to the single pilot")
@@ -221,7 +221,7 @@ func TestLateBindingBackfillUsesFirstActivePilot(t *testing.T) {
 	h.eng.Run()
 	for _, u := range um.units {
 		if u.State() != UnitDone {
-			t.Fatalf("unit %s state %v", u.Name(), u.State())
+			t.Fatalf("unit %s state %v", u.desc.Name, u.State())
 		}
 		if u.Pilot().Resource() != "alpha" {
 			t.Fatalf("unit ran on %s, want alpha (first active)", u.Pilot().Resource())
@@ -246,7 +246,7 @@ func TestLateBindingSpillsToLaterPilots(t *testing.T) {
 	byResource := map[string]int{}
 	for _, u := range um.units {
 		if u.State() != UnitDone {
-			t.Fatalf("unit %s state %v", u.Name(), u.State())
+			t.Fatalf("unit %s state %v", u.desc.Name, u.State())
 		}
 		byResource[u.Pilot().Resource()]++
 	}
@@ -318,7 +318,7 @@ func TestUnitFailureRestarts(t *testing.T) {
 	restarts := 0
 	for _, u := range um.units {
 		if u.State() != UnitDone {
-			t.Fatalf("unit %s state %v (restarts should recover p=0.4)", u.Name(), u.State())
+			t.Fatalf("unit %s state %v (restarts should recover p=0.4)", u.desc.Name, u.State())
 		}
 		restarts += u.Attempts()
 	}
@@ -330,7 +330,6 @@ func TestUnitFailureRestarts(t *testing.T) {
 func TestUnitFailureBudgetExhausted(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.UnitFailureProb = 1.0 // every attempt fails
-	cfg.DefaultMaxRestarts = 2
 	h := newHarness(t, cfg, 11)
 	um := NewUnitManager(h.sys, Direct{}, 0)
 	p, _ := h.pm.Submit(PilotDescription{Resource: "alpha", Cores: 8, Walltime: 12 * time.Hour})
@@ -342,10 +341,10 @@ func TestUnitFailureBudgetExhausted(t *testing.T) {
 	h.eng.Run()
 	for _, u := range um.units {
 		if u.State() != UnitFailed {
-			t.Fatalf("unit %s state %v, want FAILED", u.Name(), u.State())
+			t.Fatalf("unit %s state %v, want FAILED", u.desc.Name, u.State())
 		}
-		if u.Attempts() != 3 {
-			t.Fatalf("attempts %d, want 3 (1 + 2 restarts)", u.Attempts())
+		if u.Attempts() != 1+maxRestarts {
+			t.Fatalf("attempts %d, want %d (1 + %d restarts)", u.Attempts(), 1+maxRestarts, maxRestarts)
 		}
 	}
 }
@@ -369,7 +368,7 @@ func TestPilotWalltimeReschedulesUnits(t *testing.T) {
 	}
 	for _, u := range um.units {
 		if u.State() != UnitDone {
-			t.Fatalf("unit %s state %v", u.Name(), u.State())
+			t.Fatalf("unit %s state %v", u.desc.Name, u.State())
 		}
 		if u.Pilot() != pb {
 			t.Fatal("unit did not migrate to beta after alpha retired")
@@ -388,7 +387,7 @@ func TestAllPilotsGoneFailsUnits(t *testing.T) {
 	h.eng.Run()
 	for _, u := range um.units {
 		if u.State() != UnitFailed {
-			t.Fatalf("unit %s state %v, want FAILED when no pilots remain", u.Name(), u.State())
+			t.Fatalf("unit %s state %v, want FAILED when no pilots remain", u.desc.Name, u.State())
 		}
 	}
 	if !finished(um) {
@@ -507,7 +506,7 @@ func TestSubmitIsAllOrNothing(t *testing.T) {
 		}
 		for _, u := range um.units {
 			if u.State() != UnitDone {
-				t.Fatalf("unit %s ended %v", u.Name(), u.State())
+				t.Fatalf("unit %s ended %v", u.desc.Name, u.State())
 			}
 		}
 		if got := len(h.rec.ByState(UnitNew.String())); got != 3+1 { // the units and the pilot
@@ -529,7 +528,7 @@ func TestUnitCancel(t *testing.T) {
 	h.eng.Run()
 	for _, u := range um.units {
 		if u.State() != UnitCanceled {
-			t.Fatalf("unit %s state %v, want CANCELED", u.Name(), u.State())
+			t.Fatalf("unit %s state %v, want CANCELED", u.desc.Name, u.State())
 		}
 	}
 }
@@ -597,7 +596,7 @@ func TestWorkloadConservationProperty(t *testing.T) {
 		terminal := 0
 		for _, u := range um.units {
 			if !u.State().Final() {
-				t.Fatalf("seed %d: unit %s in state %v", seed, u.Name(), u.State())
+				t.Fatalf("seed %d: unit %s in state %v", seed, u.desc.Name, u.State())
 			}
 			terminal++
 		}
@@ -692,7 +691,7 @@ func TestMulticoreUnitsAgentBackfill(t *testing.T) {
 	}
 	for _, u := range um.units {
 		if u.State() != UnitDone {
-			t.Fatalf("unit %s state %v", u.Name(), u.State())
+			t.Fatalf("unit %s state %v", u.desc.Name, u.State())
 		}
 	}
 }

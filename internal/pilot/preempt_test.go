@@ -52,7 +52,7 @@ func TestPreemptReschedulesUnits(t *testing.T) {
 		case UnitFailed:
 			failed++
 		default:
-			t.Fatalf("unit %s left in state %v", u.Name(), u.State())
+			t.Fatalf("unit %s left in state %v", u.desc.Name, u.State())
 		}
 	}
 	if done != 16 || failed != 0 {
@@ -98,7 +98,7 @@ func TestPreemptBeforeActivation(t *testing.T) {
 		if u.State() == UnitDone {
 			done++
 		} else {
-			t.Fatalf("unit %s stranded in %v", u.Name(), u.State())
+			t.Fatalf("unit %s stranded in %v", u.desc.Name, u.State())
 		}
 	}
 	if done != 8 {

@@ -83,7 +83,6 @@ func TestReadyListMatchesScan(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
 				cfg := DefaultConfig()
 				cfg.UnitFailureProb = 0.15
-				cfg.DefaultMaxRestarts = 2
 				h := newHarness(t, cfg, seed)
 				um := NewUnitManager(h.sys, sched, 0)
 
@@ -146,7 +145,7 @@ func TestReadyListMatchesScan(t *testing.T) {
 				}
 				for _, u := range um.units {
 					if !u.State().Final() {
-						t.Fatalf("unit %s left in %v", u.Name(), u.State())
+						t.Fatalf("unit %s left in %v", u.desc.Name, u.State())
 					}
 				}
 			})
@@ -169,7 +168,7 @@ func sameUnits(a, b []*Unit) bool {
 func unitNames(us []*Unit) []string {
 	out := make([]string, len(us))
 	for i, u := range us {
-		out[i] = u.Name()
+		out[i] = u.desc.Name
 	}
 	return out
 }

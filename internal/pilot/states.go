@@ -106,8 +106,6 @@ type PilotDescription struct {
 	Cores int
 	// Walltime is the requested duration.
 	Walltime time.Duration
-	// Project is the allocation to charge (informational).
-	Project string
 }
 
 // Validate reports a descriptive error for malformed descriptions.
@@ -148,8 +146,6 @@ type UnitDescription struct {
 	// Deps name units that must reach DONE before this unit becomes
 	// eligible (multistage workflows).
 	Deps []string
-	// MaxRestarts bounds automatic restarts after failures (default 3).
-	MaxRestarts int
 }
 
 // Validate reports a descriptive error for malformed descriptions.
@@ -171,19 +167,5 @@ func (d UnitDescription) Validate() error {
 			return fmt.Errorf("pilot: unit %q has negative input size", d.Name)
 		}
 	}
-	if d.MaxRestarts < 0 {
-		return fmt.Errorf("pilot: unit %q has negative restart limit", d.Name)
-	}
 	return nil
-}
-
-// ExternalInputBytes totals the origin-staged inputs.
-func (d UnitDescription) ExternalInputBytes() int64 {
-	var n int64
-	for _, f := range d.Inputs {
-		if f.Producer == "" {
-			n += f.Bytes
-		}
-	}
-	return n
 }

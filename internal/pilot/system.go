@@ -22,15 +22,12 @@ type Config struct {
 	// UnitFailureProb is the per-execution-attempt probability that a unit
 	// fails at a uniform point of its duration (restarted automatically).
 	UnitFailureProb float64
-	// DefaultMaxRestarts applies when a UnitDescription leaves MaxRestarts 0.
-	DefaultMaxRestarts int
 }
 
 // DefaultConfig returns the calibrated middleware overheads.
 func DefaultConfig() Config {
 	return Config{
 		AgentDispatchOverhead: 350 * time.Millisecond,
-		DefaultMaxRestarts:    3,
 	}
 }
 
@@ -58,9 +55,6 @@ type System struct {
 // zero.
 func NewSystem(eng *sim.Sim, session *saga.Session, links LinkResolver,
 	rec trace.Sink, cfg Config, rng *rand.Rand) *System {
-	if cfg.DefaultMaxRestarts <= 0 {
-		cfg.DefaultMaxRestarts = 3
-	}
 	if cfg.UnitFailureProb > 0 && rng == nil {
 		panic("pilot: failure injection requires an RNG")
 	}
@@ -122,9 +116,6 @@ func (p *Pilot) State() PilotState { return p.state }
 
 // Resource returns the target resource name.
 func (p *Pilot) Resource() string { return p.desc.Resource }
-
-// SubmittedAt returns the submission time.
-func (p *Pilot) SubmittedAt() sim.Time { return p.submittedAt }
 
 // ActiveAt returns when the pilot became active (zero if never).
 func (p *Pilot) ActiveAt() sim.Time { return p.activeAt }
@@ -207,13 +198,11 @@ func (pm *PilotManager) Submit(desc PilotDescription) (*Pilot, error) {
 	p.transition(PilotNew, newDetail(desc))
 
 	jd := saga.Description{
-		Executable: "aimes-agent",
-		Cores:      desc.Cores,
-		Walltime:   desc.Walltime,
+		Cores:    desc.Cores,
+		Walltime: desc.Walltime,
 		// The agent process runs until the resource kills it or the
 		// application cancels the pilot.
 		Runtime: desc.Walltime + time.Hour,
-		Project: desc.Project,
 	}
 	job, err := svc.Submit(jd, func(j saga.Job, st saga.State) {
 		pm.onJobState(p, j, st)

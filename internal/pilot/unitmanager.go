@@ -45,9 +45,6 @@ type Unit struct {
 	dependents []*Unit
 }
 
-// Name returns the unit name from its description.
-func (u *Unit) Name() string { return u.desc.Name }
-
 // Description returns the unit description.
 func (u *Unit) Description() UnitDescription { return *u.desc }
 
@@ -344,9 +341,6 @@ func (p *placement) Fire() {
 	um.place()
 }
 
-// Scheduler returns the active unit scheduler.
-func (um *UnitManager) Scheduler() Scheduler { return um.scheduler }
-
 // AddPilot registers a pilot with the manager and reacts to its state
 // changes. A pilot serves one unit manager.
 func (um *UnitManager) AddPilot(p *Pilot) {
@@ -359,13 +353,6 @@ func (um *UnitManager) AddPilot(p *Pilot) {
 	if p.State() == PilotActive {
 		um.pilotChanged(p)
 	}
-}
-
-// Pilots returns registered pilots.
-func (um *UnitManager) Pilots() []*Pilot {
-	cp := make([]*Pilot, len(um.pilots))
-	copy(cp, um.pilots)
-	return cp
 }
 
 // All iterates over the managed units in submission order without copying

@@ -16,7 +16,6 @@ type batchJob struct {
 	inner   batch.Job // on the queue once its state leaves batch.JobNew
 	sent    sim.Event // the submission latency elapsing
 	adaptor *BatchAdaptor
-	desc    Description
 	state   State
 	detail  string
 	cb      StateCallback
@@ -25,10 +24,8 @@ type batchJob struct {
 	cancelPending bool
 }
 
-func (j *batchJob) ID() string               { return j.inner.ID }
-func (j *batchJob) Detail() string           { return j.detail }
-func (j *batchJob) Description() Description { return j.desc }
-func (j *batchJob) Resource() string         { return j.adaptor.Resource() }
+func (j *batchJob) ID() string     { return j.inner.ID }
+func (j *batchJob) Detail() string { return j.detail }
 
 func (j *batchJob) transition(state State, detail string) {
 	j.state = state
@@ -92,7 +89,6 @@ func (a *BatchAdaptor) Submit(d Description, cb StateCallback) (Job, error) {
 	a.seq++
 	j := &batchJob{
 		adaptor: a,
-		desc:    d,
 		state:   New,
 		cb:      cb,
 	}

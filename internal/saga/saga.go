@@ -29,10 +29,6 @@ func (s State) Final() bool { return s == Done || s == Canceled || s == Failed }
 // Description is a SAGA-style job description. Cores are converted to whole
 // nodes by resource adaptors according to site geometry.
 type Description struct {
-	// Executable names the payload (informational in simulation).
-	Executable string
-	// Arguments are passed to the executable (informational).
-	Arguments []string
 	// Cores is the total core request.
 	Cores int
 	// Walltime is the requested (and enforced) time limit.
@@ -40,8 +36,6 @@ type Description struct {
 	// Runtime is the payload's actual compute duration; for pilot agents it
 	// exceeds Walltime, meaning "run until killed or canceled".
 	Runtime time.Duration
-	// Project is the allocation to charge (informational).
-	Project string
 }
 
 // Validate reports a descriptive error for malformed descriptions.
@@ -64,10 +58,6 @@ type Job interface {
 	ID() string
 	// Detail explains terminal states (e.g. "walltime").
 	Detail() string
-	// Description returns the submitted description.
-	Description() Description
-	// Resource names the service the job went to.
-	Resource() string
 }
 
 // StateCallback observes job state transitions. Callbacks fire on engine

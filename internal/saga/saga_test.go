@@ -32,10 +32,9 @@ func stateOf(j Job) State { return j.(*batchJob).state }
 
 func pilotDesc(cores int, wall time.Duration) Description {
 	return Description{
-		Executable: "pilot-agent",
-		Cores:      cores,
-		Walltime:   wall,
-		Runtime:    wall + time.Hour, // runs until killed or canceled
+		Cores:    cores,
+		Walltime: wall,
+		Runtime:  wall + time.Hour, // runs until killed or canceled
 	}
 }
 
@@ -44,7 +43,7 @@ func TestBatchAdaptorLifecycle(t *testing.T) {
 	a := NewBatchAdaptor(eng, testSite(t, eng))
 	var states []State
 	job, err := a.Submit(Description{
-		Executable: "task", Cores: 16, Walltime: time.Hour, Runtime: 30 * time.Minute,
+		Cores: 16, Walltime: time.Hour, Runtime: 30 * time.Minute,
 	}, func(_ Job, s State) { states = append(states, s) })
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +115,7 @@ func TestBatchAdaptorCoreToNodeRounding(t *testing.T) {
 func TestBatchAdaptorSubmitFromCallback(t *testing.T) {
 	eng := sim.NewSim()
 	a := NewBatchAdaptor(eng, testSite(t, eng))
-	desc := Description{Executable: "step", Cores: 1, Walltime: time.Hour, Runtime: time.Minute}
+	desc := Description{Cores: 1, Walltime: time.Hour, Runtime: time.Minute}
 	var second Job
 	_, err := a.Submit(desc, func(_ Job, s State) {
 		if s != Done {

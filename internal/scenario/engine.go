@@ -171,7 +171,7 @@ func (s *Scenario) siteConfigs() ([]site.Config, error) {
 		}
 	}
 	if s.Testbed.BackgroundUtil > 0 {
-		configs = site.EmergentTestbed(configs, s.Testbed.BackgroundUtil, "")
+		configs = site.EmergentTestbed(configs, s.Testbed.BackgroundUtil)
 	}
 	return configs, nil
 }

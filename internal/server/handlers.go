@@ -72,7 +72,7 @@ func writeInfo(w http.ResponseWriter, code int, info client.JobInfo) {
 func writeAPIError(w http.ResponseWriter, err error) {
 	var ae *apiError
 	if errors.As(err, &ae) {
-		writeError(w, ae.code, ae.msg)
+		writeError(w, ae.code, ae.Error())
 		return
 	}
 	writeError(w, http.StatusInternalServerError, err.Error())

@@ -91,6 +91,47 @@ func TestSubmitBodyLimits(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsBadRequests: a submission the daemon can read but not
+// admit — an unknown placement or migrate policy, or a strategy config the
+// environment's Validate refuses — is a 400 whose ErrorBody names the cause.
+func TestSubmitRejectsBadRequests(t *testing.T) {
+	env, err := aimes.NewEnv(aimes.WithSeed(3), aimes.WithShards(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	auth, err := NewAuth(map[string]Tenant{"tok": {Name: "alice"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(Config{Env: env, Auth: auth})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown(context.Background())
+	h := srv.Handler()
+	for _, tc := range []struct {
+		name  string
+		edit  func(*client.SubmitRequest)
+		cause string
+	}{
+		{"placement", func(r *client.SubmitRequest) { r.Placement = "nearest" }, `"nearest"`},
+		{"migrate", func(r *client.SubmitRequest) { r.Migrate = "sometimes" }, `"sometimes"`},
+		{"negative pilots", func(r *client.SubmitRequest) { r.Config.Pilots = -2 }, "pilot count -2 is negative"},
+	} {
+		req := bagRequest(t, 4, 60, 1)
+		tc.edit(req)
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rr := post(h, body)
+		var eb client.ErrorBody
+		if err := json.Unmarshal(rr.Body.Bytes(), &eb); rr.Code != http.StatusBadRequest || err != nil || !strings.Contains(eb.Error, tc.cause) {
+			t.Errorf("%s: status %d, body %q; want 400 naming %s", tc.name, rr.Code, rr.Body, tc.cause)
+		}
+	}
+}
+
 // TestSubmitHandlerAllocations pins one submission's cost on the daemon, from
 // the request's body to the reply's: reading and parsing the body, admitting
 // the job (its record, its pump, the shard's enactment, about 55 objects) and

@@ -48,9 +48,8 @@ func TestJobConfigAppliesEveryRequestField(t *testing.T) {
 	if err := json.Unmarshal([]byte(`{
 	  "workload": {},
 	  "config": {
-	    "Binding": 1, "Scheduler": 2, "Pilots": 3, "AutoPilots": true, "MaxPilots": 4,
-	    "Selection": 2, "FixedResources": ["stampede", "comet"], "WalltimeSlack": 1.5,
-	    "DispatchOverhead": 250000000
+	    "Binding": 1, "Scheduler": 2, "Pilots": 3, "AutoPilots": true,
+	    "Selection": 2, "FixedResources": ["stampede", "comet"]
 	  },
 	  "strategy": {
 	    "Binding": 1, "Scheduler": 2, "Pilots": 2, "Resources": ["stampede", "comet"],

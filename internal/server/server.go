@@ -111,6 +111,3 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	return err
 }
-
-// Draining reports whether Shutdown has begun.
-func (s *Server) Draining() bool { return s.draining.Load() }

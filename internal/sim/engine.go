@@ -75,10 +75,6 @@ type Event struct {
 // Init fixes what the event runs when it fires; its owner calls it once.
 func (e *Event) Init(h Handler) { e.h = h }
 
-// When reports the virtual time at which the event fires (or would have
-// fired, if canceled).
-func (e *Event) When() Time { return e.when }
-
 // Sim is the deterministic discrete-event engine. It is not safe for
 // concurrent use: one goroutine at a time owns a Sim, and all scheduled
 // callbacks run on that goroutine inside Run/Step/AdvanceTo. Callbacks

@@ -16,9 +16,6 @@ type RNG struct {
 // NewRNG returns a root generator for the given seed.
 func NewRNG(seed int64) *RNG { return &RNG{seed: seed} }
 
-// Seed returns the root seed.
-func (r *RNG) Seed() int64 { return r.seed }
-
 // Stream returns an independent *rand.Rand derived from the root seed and the
 // stream name. The same (seed, name) pair always yields the same sequence.
 func (r *RNG) Stream(name string) *rand.Rand {

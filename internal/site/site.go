@@ -21,8 +21,9 @@ const (
 	// Modeled queues sample waits from a calibrated lognormal WaitModel
 	// (fast, deterministic; used by the headline experiments).
 	Modeled QueueMode = iota
-	// Emergent queues run the full batch-scheduler simulation under
-	// background load (used by the cross-validation ablation).
+	// Emergent queues run the full batch-scheduler simulation, EASY
+	// backfilling, under background load (used by the cross-validation
+	// ablation).
 	Emergent
 )
 
@@ -43,9 +44,6 @@ type Config struct {
 	Mode QueueMode `json:"mode"`
 	// WaitModel parameterizes modeled waits.
 	WaitModel batch.WaitModel `json:"wait_model"`
-	// Policy names the batch policy for emergent mode: "fcfs", "easy",
-	// "conservative", or "" for the default, EASY (batch.PolicyByName).
-	Policy string `json:"policy,omitempty"`
 	// BackgroundUtil is the target background utilization for emergent mode.
 	BackgroundUtil float64 `json:"background_util,omitempty"`
 	// SubmitLatency is the job-submission overhead (client → resource RM),
@@ -57,9 +55,6 @@ type Config struct {
 	NetLatency time.Duration `json:"net_latency"`
 	// StorageGB is the scratch capacity exposed through bundles.
 	StorageGB float64 `json:"storage_gb"`
-	// FailureProb is the per-job probability of an injected failure
-	// (emergent mode only; unit-level failures are injected by the agent).
-	FailureProb float64 `json:"failure_prob,omitempty"`
 }
 
 // Validate reports a descriptive error for malformed configurations.
@@ -72,9 +67,6 @@ func (c Config) Validate() error {
 	}
 	if c.BandwidthMBps <= 0 {
 		return fmt.Errorf("site %s: bandwidth %g MB/s must be positive", c.Name, c.BandwidthMBps)
-	}
-	if _, err := batch.PolicyByName(c.Policy); err != nil {
-		return fmt.Errorf("site %s: %w", c.Name, err)
 	}
 	if c.Mode == Modeled {
 		if err := c.WaitModel.Validate(); err != nil {
@@ -112,16 +104,7 @@ func New(eng *sim.Sim, cfg Config, rng *sim.RNG) (*Site, error) {
 	case Modeled:
 		s.queue = batch.NewStochastic(eng, cfg.Name, cfg.Nodes, cfg.WaitModel, rng.Stream("queue"))
 	case Emergent:
-		policy, err := batch.PolicyByName(cfg.Policy)
-		if err != nil {
-			return nil, fmt.Errorf("site %s: %w", cfg.Name, err)
-		}
-		sys := batch.NewSystem(eng, batch.SystemConfig{
-			Name:        cfg.Name,
-			Nodes:       cfg.Nodes,
-			Policy:      policy,
-			FailureProb: cfg.FailureProb,
-		}, rng.Stream("failures"))
+		sys := batch.NewSystem(eng, batch.SystemConfig{Name: cfg.Name, Nodes: cfg.Nodes})
 		if err := batch.StartBackground(eng, sys, cfg.Nodes,
 			batch.DefaultBackground(cfg.Nodes, cfg.BackgroundUtil), rng.Stream("background")); err != nil {
 			return nil, err
@@ -267,13 +250,12 @@ func DefaultTestbed() []Config {
 }
 
 // EmergentTestbed converts configs to emergent-queue mode with the given
-// background utilization and policy name, for the cross-validation ablation.
-func EmergentTestbed(configs []Config, util float64, policy string) []Config {
+// background utilization, for the cross-validation ablation.
+func EmergentTestbed(configs []Config, util float64) []Config {
 	out := make([]Config, len(configs))
 	for i, c := range configs {
 		c.Mode = Emergent
 		c.BackgroundUtil = util
-		c.Policy = policy
 		// Emergent mode needs a tractable machine size: scale node counts
 		// down while keeping heterogeneity ratios.
 		if c.Nodes > 1024 {

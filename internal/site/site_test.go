@@ -1,7 +1,6 @@
 package site
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -30,7 +29,6 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Nodes = 0 },
 		func(c *Config) { c.CoresPerNode = 0 },
 		func(c *Config) { c.BandwidthMBps = 0 },
-		func(c *Config) { c.Policy = "shortest-first" },
 		func(c *Config) { c.WaitModel.MedianWait = 0 },
 		func(c *Config) { c.Mode = Emergent; c.BackgroundUtil = 0 },
 		func(c *Config) { c.Mode = Emergent; c.BackgroundUtil = 1.5 },
@@ -77,6 +75,9 @@ func TestNewEmergentSite(t *testing.T) {
 	s, err := New(eng, cfg, sim.NewRNG(2))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if _, ok := s.Queue().(*batch.System); !ok {
+		t.Fatalf("emergent queue is %T, want the batch system", s.Queue())
 	}
 	// Run a few hours: background jobs must be flowing.
 	eng.RunUntil(sim.Time(6 * time.Hour))
@@ -134,7 +135,7 @@ func TestDefaultTestbedHeterogeneous(t *testing.T) {
 }
 
 func TestEmergentTestbedConversion(t *testing.T) {
-	cfgs := EmergentTestbed(DefaultTestbed(), 0.85, "easy")
+	cfgs := EmergentTestbed(DefaultTestbed(), 0.85)
 	for _, c := range cfgs {
 		if c.Mode != Emergent {
 			t.Fatal("mode not converted")
@@ -145,27 +146,5 @@ func TestEmergentTestbedConversion(t *testing.T) {
 		if err := c.Validate(); err != nil {
 			t.Fatal(err)
 		}
-	}
-}
-
-// TestPolicyByName: every policy name, and no name, builds an emergent
-// site on the batch system, and an unknown name is refused. Which policy each
-// name resolves to is batch's TestPolicyByName; that the site's batch system
-// runs it is TestBackendParityConservativePolicy's check: each policy's job
-// reports differently from EASY's.
-func TestPolicyByName(t *testing.T) {
-	for _, name := range []string{"", "easy", "fcfs", "conservative"} {
-		cfg := EmergentTestbed(DefaultTestbed()[2:3], 0.7, name)[0]
-		s, err := New(sim.NewSim(), cfg, sim.NewRNG(1))
-		if err != nil {
-			t.Fatalf("policy %q: %v", name, err)
-		}
-		if _, ok := s.Queue().(*batch.System); !ok {
-			t.Errorf("policy %q: queue is %T, want the batch system", name, s.Queue())
-		}
-	}
-	cfg := EmergentTestbed(DefaultTestbed()[2:3], 0.7, "lottery")[0]
-	if _, err := New(sim.NewSim(), cfg, sim.NewRNG(1)); err == nil || !strings.Contains(err.Error(), "lottery") {
-		t.Fatalf("unknown policy: err = %v, want one naming it", err)
 	}
 }

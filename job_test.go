@@ -234,7 +234,6 @@ func TestRealTimeJobsAndCancel(t *testing.T) {
 		aimes.WithSites(fastSites()...),
 		aimes.WithPilotConfig(aimes.PilotConfig{
 			AgentDispatchOverhead: 2 * time.Millisecond,
-			DefaultMaxRestarts:    3,
 		}),
 	)
 	if err != nil {
@@ -354,7 +353,7 @@ func TestRealTimeMatchesVirtualTime(t *testing.T) {
 		env, err := aimes.NewEnv(append(clock,
 			aimes.WithSeed(11),
 			aimes.WithSites(fastSites()...),
-			aimes.WithPilotConfig(aimes.PilotConfig{AgentDispatchOverhead: 2 * time.Millisecond, DefaultMaxRestarts: 3}),
+			aimes.WithPilotConfig(aimes.PilotConfig{AgentDispatchOverhead: 2 * time.Millisecond}),
 		)...)
 		if err != nil {
 			t.Fatal(err)
@@ -404,7 +403,6 @@ func TestSubmitContextCancelsJob(t *testing.T) {
 		aimes.WithSites(fastSites()...),
 		aimes.WithPilotConfig(aimes.PilotConfig{
 			AgentDispatchOverhead: 2 * time.Millisecond,
-			DefaultMaxRestarts:    3,
 		}),
 	)
 	if err != nil {

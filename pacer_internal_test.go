@@ -77,7 +77,7 @@ func TestRealTimeEmergentWarmup(t *testing.T) {
 	cfg := site.DefaultTestbed()[0]
 	cfg.Nodes = 64
 	began := time.Now()
-	env, err := NewEnv(WithRealTime(), WithSeed(3), WithSites(site.EmergentTestbed([]SiteConfig{cfg}, 0.7, "")...))
+	env, err := NewEnv(WithRealTime(), WithSeed(3), WithSites(site.EmergentTestbed([]SiteConfig{cfg}, 0.7)...))
 	if err != nil {
 		t.Fatal(err)
 	}

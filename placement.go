@@ -1,9 +1,11 @@
 package aimes
 
 import (
+	"math"
 	"time"
 
 	"aimes/internal/backend"
+	"aimes/internal/shard"
 )
 
 // ShardLoad is one shard's point-in-time load snapshot (see Loads).
@@ -73,14 +75,18 @@ func (e *Environment) Loads() []ShardLoad {
 
 // placementModel adapts the environment's cost model to the picker's
 // PlacementModel seam: predicted completion of placing a job of the given
-// demand (core-seconds) on shard k, given k's live reserved backlog. Reads
-// are lock-free (model fits and pendingCost are atomics); Pick calls it
-// under the submission lock, where pending reservations are stable.
+// demand (core-seconds) on shard k, given k's live reserved backlog, or +Inf
+// when k is shunned. Reads are lock-free (model fits, pendingCost and the
+// seals are atomics); Pick calls it under the submission lock, where pending
+// reservations are stable.
 type placementModel struct {
 	env *Environment
 }
 
 func (p *placementModel) PredictedCompletion(k int, cost float64) float64 {
+	if p.env.shunned(k) {
+		return math.Inf(1)
+	}
 	return p.env.model.Predict(k, cost,
 		float64(p.env.shards[k].pendingCost.Load())/1000).Total
 }
@@ -120,32 +126,45 @@ func (e *Environment) loadFunc() func(int) float64 {
 	}
 }
 
-// leastLoadedShard snapshots the weighted loads under the submission lock
-// and returns the least loaded shard index, preferring unsealed shards: a
-// sealed shard hosts a pinned tenant whose determinism contract must not
-// depend on load-derived placements landing there (and consuming its
-// namespace sequence and randomness). Only when every shard is sealed does
-// the overall minimum win.
+// placementLoad is the signal least-loaded placement ranks: loadFunc's,
+// snapshotted on first use (round-robin and pinned submissions never pay
+// the O(shards) scan), with a shunned shard at +Inf. Call it and the
+// function it returns under the submission lock.
+func (e *Environment) placementLoad() func(int) float64 {
+	var load func(int) float64
+	return func(k int) float64 {
+		if e.shunned(k) {
+			return math.Inf(1)
+		}
+		if load == nil {
+			load = e.loadFunc()
+		}
+		return load(k)
+	}
+}
+
+// shunned reports whether load-derived placement passes over shard k: it is
+// sealed and some shard is not. A sealed shard hosts a pinned tenant whose
+// determinism contract must not depend on load-derived placements landing
+// there (and consuming its namespace sequence and randomness); only when
+// every shard is sealed does the overall minimum win.
+func (e *Environment) shunned(k int) bool {
+	if !e.stealer.Sealed(k) {
+		return false
+	}
+	for i := range e.shards {
+		if !e.stealer.Sealed(i) {
+			return true
+		}
+	}
+	return false
+}
+
+// leastLoadedShard is the shard a least-loaded submission would be placed
+// on now.
 func (e *Environment) leastLoadedShard() int {
 	e.jobMu.Lock()
 	defer e.jobMu.Unlock()
-	load := e.loadFunc()
-	best, bestLoad := -1, 0.0
-	anyBest, anyLoad := 0, load(0)
-	for k := 0; k < len(e.shards); k++ {
-		l := load(k)
-		if l < anyLoad {
-			anyBest, anyLoad = k, l
-		}
-		if e.stealer.Sealed(k) {
-			continue
-		}
-		if best < 0 || l < bestLoad {
-			best, bestLoad = k, l
-		}
-	}
-	if best < 0 {
-		return anyBest
-	}
-	return best
+	k, _ := e.picker.Pick(shard.LeastLoaded, 0, 0, e.placementLoad())
+	return k
 }

@@ -689,3 +689,45 @@ func TestConcurrentLeastLoadedReservation(t *testing.T) {
 	}
 	waitAllDeadline(t, jobs, 60*time.Second)
 }
+
+// TestLoadPlacementSkipsSealedShard: least-loaded and predictive placement
+// pass over a shard a pinned, non-migratable tenant has sealed, even when it
+// is the emptier one, as migration and RunStaged's re-placement do: a
+// load-derived job landing there would consume the pinned tenant's
+// namespace sequence and randomness.
+func TestLoadPlacementSkipsSealedShard(t *testing.T) {
+	env, err := aimes.NewEnv(aimes.WithSeed(91), aimes.WithShards(2), aimes.WithWorkStealing())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer env.Close()
+	submit := func(n int, cfg aimes.JobConfig) *aimes.Job {
+		t.Helper()
+		w, err := aimes.GenerateWorkload(aimes.BagOfTasks(n, aimes.UniformDuration()), int64(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, err := env.Submit(context.Background(), w, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j
+	}
+	jobs := []*aimes.Job{
+		// Shard 0: one small pinned tenant, which seals it.
+		submit(2, aimes.JobConfig{StrategyConfig: stealCfg, Placement: aimes.PlacePinned, Shard: 0}),
+		// Shard 1: a large job pinned there, free to migrate.
+		submit(256, aimes.JobConfig{StrategyConfig: stealCfg, Placement: aimes.PlacePinned, Shard: 1, Migrate: aimes.MigrateAllow}),
+	}
+	if loads := env.Loads(); loads[0].Load >= loads[1].Load {
+		t.Fatalf("loads %v: want the sealed shard 0 the emptier", loads)
+	}
+	for _, p := range []aimes.Placement{aimes.PlaceLeastLoaded, aimes.PlacePredictive} {
+		j := submit(8, aimes.JobConfig{StrategyConfig: stealCfg, Placement: p})
+		if j.Shard() != 1 {
+			t.Errorf("%v job placed on the sealed shard %d, want shard 1", p, j.Shard())
+		}
+		jobs = append(jobs, j)
+	}
+	waitAllDeadline(t, jobs, 60*time.Second)
+}

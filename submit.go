@@ -74,16 +74,7 @@ func (e *Environment) Submit(ctx context.Context, w *Workload, cfg JobConfig) (*
 	// lock is never held across the shard's derive/enact critical section,
 	// so a busy shard cannot stall submissions to the others.
 	e.jobMu.Lock()
-	// The weighted-load snapshot is built lazily: the picker only consults
-	// it for least-loaded placement, and round-robin/pinned submissions
-	// should not pay the O(shards) scan under the hottest lock.
-	var load func(int) float64
-	k, err := e.picker.Pick(cfg.Placement, cfg.Shard, float64(cost)/1000, func(k int) float64 {
-		if load == nil {
-			load = e.loadFunc()
-		}
-		return load(k)
-	})
+	k, err := e.picker.Pick(cfg.Placement, cfg.Shard, float64(cost)/1000, e.placementLoad())
 	if err != nil {
 		e.jobMu.Unlock()
 		return nil, err
