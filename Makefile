@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race wall-clock uncovered orphans vet lint bench profile experiments model-check scenarios scenario-matrix smoke worker-smoke worker-tcp-smoke server-smoke fleet-smoke ci
+.PHONY: build test race wall-clock uncovered orphans vet lint bench soak profile experiments model-check scenarios scenario-matrix smoke worker-smoke worker-tcp-smoke server-smoke fleet-smoke ci
 
 build:
 	$(GO) build ./...
@@ -46,11 +46,20 @@ lint:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 
-# The paper-figure, ablation and leaf micro-benchmarks, once each. The
-# repository's benchmark — end-to-end metrics and the per-layer ledger — is
-# the bench/ program (see bench/README.md): go run ./bench -workload <name>.
+# The paper-figure, ablation and leaf micro-benchmarks, once each, and the
+# soak. The repository's benchmark — end-to-end metrics and the per-layer
+# ledger — is the bench/ program (see bench/README.md): go run ./bench
+# -workload <name>.
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
+
+# The daemon under sustained load (BenchmarkSoak, a minute or two): 8 000 jobs
+# through a loopback aimes-server on two local shards, then on two TCP worker
+# shards; fails when the live heap outgrows the shards' trace windows,
+# goroutines leak, the windows never evict, a stalled subscriber's drop count
+# is inexact, retention does not trim, or throughput decays.
+soak:
+	$(GO) test -run '^$$' -bench '^BenchmarkSoak$$' -benchtime 1x .
 
 # Where the time and the allocations go: CPU and allocation profiles of one
 # root benchmark, BENCH=<regexp>, as top-30 text tables in profile/

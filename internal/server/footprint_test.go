@@ -3,12 +3,16 @@ package server
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
+	"weak"
 
 	"aimes"
 	"aimes/client"
@@ -19,7 +23,7 @@ import (
 var lateBackfill = aimes.StrategyConfig{Binding: aimes.LateBinding, Scheduler: aimes.SchedBackfill, Pilots: 2}
 
 // bagRequest is a submission of an n-task bag of tasks lasting seconds each.
-func bagRequest(t *testing.T, n int, seconds float64, seed int64) *client.SubmitRequest {
+func bagRequest(t testing.TB, n int, seconds float64, seed int64) *client.SubmitRequest {
 	t.Helper()
 	w, err := aimes.GenerateWorkload(aimes.AppSpec{
 		Name:   "bag",
@@ -35,9 +39,22 @@ func bagRequest(t *testing.T, n int, seconds float64, seed int64) *client.Submit
 	return &client.SubmitRequest{Workload: buf.Bytes(), Config: lateBackfill}
 }
 
-// TestRegistryTrimReleasesEvicted: retention trims filter the submission
-// order in place; the vacated tail of the backing array must not keep the
-// evicted records — each with its job, workload and report — reachable.
+// wallClockSite is a small site whose pilots wait tens of milliseconds in
+// its queue: wall-clock jobs of millisecond tasks end within a second.
+func wallClockSite(name string) aimes.SiteConfig {
+	return aimes.SiteConfig{
+		Name: name, Nodes: 8, CoresPerNode: 4, Architecture: "beowulf",
+		WaitModel: batch.WaitModel{MedianWait: 30 * time.Millisecond, Sigma: 0.4,
+			MinWait: 10 * time.Millisecond, MaxWait: 150 * time.Millisecond},
+		SubmitLatency: 2 * time.Millisecond,
+		BandwidthMBps: 1000, NetLatency: time.Millisecond, StorageGB: 10,
+	}
+}
+
+// TestRegistryTrimReleasesEvicted: an evicted record — with its job and
+// report — must become garbage. Retention trims reslice the order and filter
+// it in place, and neither the vacated head nor the vacated tail of the
+// backing array may keep an evicted record reachable.
 func TestRegistryTrimReleasesEvicted(t *testing.T) {
 	env, err := aimes.NewEnv(aimes.WithSeed(5), aimes.WithShards(1))
 	if err != nil {
@@ -46,6 +63,7 @@ func TestRegistryTrimReleasesEvicted(t *testing.T) {
 	defer env.Close()
 	const retain = 4
 	r := newRegistry(env, newMetrics(), retain)
+	var recs []weak.Pointer[jobRecord]
 	for i := 0; i < 3*retain; i++ {
 		req := bagRequest(t, 4, 900, int64(i))
 		w, err := skeleton.ParseWorkload(req.Workload)
@@ -57,20 +75,118 @@ func TestRegistryTrimReleasesEvicted(t *testing.T) {
 			t.Fatal(err)
 		}
 		<-rec.job.Done()
+		recs = append(recs, weak.Make(rec))
 	}
 	r.wg.Wait() // every pump has settled its job, trimming as it went
+	runtime.GC()
+	runtime.GC()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if len(r.order) != retain || len(r.jobs) != retain {
 		t.Fatalf("registry retains %d jobs in order, %d by ID; want %d", len(r.order), len(r.jobs), retain)
 	}
-	if cap(r.order) == len(r.order) {
-		t.Fatal("no spare capacity behind the order slice: the test exercises nothing")
-	}
-	for i, rec := range r.order[len(r.order):cap(r.order)] {
-		if rec != nil {
-			t.Errorf("spare slot %d behind the order slice still holds evicted job %s", i, rec.id)
+	for i, p := range recs {
+		rec := p.Value()
+		if kept := i >= len(recs)-retain; kept != (rec != nil) {
+			t.Errorf("record %d of %d: reachable %v, want %v", i, len(recs), rec != nil, kept)
 		}
+	}
+}
+
+// TestRegistryTrimSkipsLiveHead: retention evicts the oldest finished jobs
+// and never a live one, also when a live job heads the submission order —
+// the one case where a trim cannot just cut a finished prefix — and exactly
+// the bound's worth of jobs stay.
+func TestRegistryTrimSkipsLiveHead(t *testing.T) {
+	// A wall-clock shard: the head's hour-long task stays live while the
+	// millisecond jobs behind it end.
+	env, err := aimes.NewEnv(aimes.WithRealTime(), aimes.WithSeed(7), aimes.WithSites(wallClockSite("left"), wallClockSite("right")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer env.Close()
+	const retain = 3
+	r := newRegistry(env, newMetrics(), retain)
+	submit := func(req *client.SubmitRequest) *jobRecord {
+		t.Helper()
+		w, err := skeleton.ParseWorkload(req.Workload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := r.submit(Tenant{Name: "solo"}, w, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rec
+	}
+	head := submit(bagRequest(t, 1, 3600, 0))
+	var finished []*jobRecord
+	for i := 1; i <= 2*retain; i++ {
+		rec := submit(bagRequest(t, 1, 0.001, int64(i)))
+		<-rec.job.Done()
+		r.settle(rec)
+		finished = append(finished, rec)
+	}
+	r.mu.Lock()
+	order := slices.Clone(r.order)
+	held := len(r.jobs)
+	r.mu.Unlock()
+	want := append([]*jobRecord{head}, finished[len(finished)-(retain-1):]...)
+	if !slices.Equal(order, want) || held != retain {
+		ids := func(recs []*jobRecord) (out []string) {
+			for _, rec := range recs {
+				out = append(out, rec.id)
+			}
+			return out
+		}
+		t.Errorf("registry holds %v (%d by ID), want the live head and the newest finished %v", ids(order), held, ids(want))
+	}
+	if head.job.State().Final() {
+		t.Fatalf("the head ended (%v) before the test did", head.job.State())
+	}
+	head.job.Cancel("test over")
+	r.wg.Wait()
+}
+
+// BenchmarkRegistrySettle is one completion's accounts in a full registry —
+// the settle every finished job takes under the lock every handler takes —
+// at the default retention and at aimes-server -retain 65536.
+func BenchmarkRegistrySettle(b *testing.B) {
+	env, err := aimes.NewEnv(aimes.WithSeed(5), aimes.WithShards(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer env.Close()
+	req := bagRequest(b, 1, 1, 0)
+	w, err := skeleton.ParseWorkload(req.Workload)
+	if err != nil {
+		b.Fatal(err)
+	}
+	j, err := env.Submit(context.Background(), w, aimes.JobConfig{StrategyConfig: lateBackfill})
+	if err != nil {
+		b.Fatal(err)
+	}
+	j.Wait(context.Background())
+	for _, retain := range []int{4096, 65536} {
+		b.Run(fmt.Sprintf("retain=%d", retain), func(b *testing.B) {
+			r := newRegistry(env, newMetrics(), retain)
+			// Every record shares the one finished job: a settle reads
+			// nothing of it but its state.
+			add := func(i int) *jobRecord {
+				rec := &jobRecord{id: strconv.Itoa(i), tenant: "solo", job: j}
+				r.jobs[rec.id] = rec
+				r.order = append(r.order, rec)
+				r.live[rec.tenant] = append(r.live[rec.tenant], rec)
+				return rec
+			}
+			for i := range retain {
+				r.settle(add(i))
+			}
+			b.ResetTimer()
+			for i := range b.N {
+				r.settle(add(retain + i))
+			}
+		})
 	}
 }
 
@@ -130,7 +246,8 @@ func daemon(t *testing.T, env *aimes.Environment) (c *client.Client, idle func()
 // TestDaemonFootprint is the daemon's per-job cost, as the reduced form of a
 // soak: a job in flight costs one goroutine (its pump), a wall-clock shard
 // with events pending one more (its pacer), a finished job costs none, and a
-// retained job holds what it logged plus its report — no fixed-size buffer.
+// retained job holds its outcome and what it logged — no fixed-size buffer,
+// and not its workload.
 func TestDaemonFootprint(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	defer cancel()
@@ -138,16 +255,7 @@ func TestDaemonFootprint(t *testing.T) {
 	// In flight: 200 jobs of minute-long tasks on a wall-clock environment
 	// stay in flight until canceled.
 	t.Run("goroutines", func(t *testing.T) {
-		site := func(name string) aimes.SiteConfig {
-			return aimes.SiteConfig{
-				Name: name, Nodes: 8, CoresPerNode: 4, Architecture: "beowulf",
-				WaitModel: batch.WaitModel{MedianWait: 30 * time.Millisecond, Sigma: 0.4,
-					MinWait: 10 * time.Millisecond, MaxWait: 150 * time.Millisecond},
-				SubmitLatency: 2 * time.Millisecond,
-				BandwidthMBps: 1000, NetLatency: time.Millisecond, StorageGB: 10,
-			}
-		}
-		env, err := aimes.NewEnv(aimes.WithRealTime(), aimes.WithSeed(7), aimes.WithSites(site("left"), site("right")))
+		env, err := aimes.NewEnv(aimes.WithRealTime(), aimes.WithSeed(7), aimes.WithSites(wallClockSite("left"), wallClockSite("right")))
 		if err != nil {
 			t.Fatal(err)
 		}

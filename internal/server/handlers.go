@@ -231,5 +231,6 @@ func (s *Server) handleEnvEvents(w http.ResponseWriter, r *http.Request, tn Tena
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.met.render(w, s.env, s.reg.inflight())
+	inflight, held := s.reg.counts()
+	s.met.render(w, s.env, inflight, held)
 }

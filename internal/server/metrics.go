@@ -163,8 +163,9 @@ func (m *metrics) addSSE(stream string, c sseCounters) {
 }
 
 // render writes the full exposition. env supplies live per-shard state and
-// steal counters; inflight is the registry's live-job count per tenant.
-func (m *metrics) render(w io.Writer, env *aimes.Environment, inflight map[string]int) {
+// steal counters; inflight is the registry's live-job count per tenant, held
+// its count of records.
+func (m *metrics) render(w io.Writer, env *aimes.Environment, inflight map[string]int, held int) {
 	m.mu.Lock()
 	now := time.Now()
 	m.pruneLocked(now)
@@ -215,6 +216,8 @@ func (m *metrics) render(w io.Writer, env *aimes.Environment, inflight map[strin
 	for _, name := range names {
 		fmt.Fprintf(w, "aimes_jobs_inflight{tenant=\"%s\"} %d\n", labelEscape(name), inflight[name])
 	}
+
+	fmt.Fprintf(w, "# HELP aimes_registry_jobs Jobs the registry holds for reattach, live and finished; finished ones are evicted oldest first beyond the retention bound.\n# TYPE aimes_registry_jobs gauge\naimes_registry_jobs %d\n", held)
 
 	fmt.Fprintf(w, "# HELP aimes_jobs_per_second Job completions per second over the trailing %s.\n# TYPE aimes_jobs_per_second gauge\naimes_jobs_per_second %g\n", rateWindow, rate)
 

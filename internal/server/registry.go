@@ -185,11 +185,24 @@ func (r *registry) info(rec *jobRecord) client.JobInfo {
 }
 
 // trimLocked evicts the oldest finished jobs beyond the retention bound.
-// Live jobs are never evicted. (DeleteFunc clears the vacated tail, so the
-// evicted records are not kept reachable from the slice's spare capacity.)
+// Live jobs are never evicted. Jobs mostly end in submission order, so the
+// excess is a finished prefix of the order, resliced off in time independent
+// of the bound; only a live job at the head costs a pass over the whole
+// order. Vacated slots are cleared either way, so the backing array does not
+// keep evicted records reachable.
 func (r *registry) trimLocked() {
 	excess := len(r.order) - r.retain
 	if r.retain <= 0 || excess <= 0 {
+		return
+	}
+	n := 0
+	for n < excess && r.order[n].job.State().Final() {
+		delete(r.jobs, r.order[n].id)
+		n++
+	}
+	clear(r.order[:n])
+	r.order = r.order[n:]
+	if excess -= n; excess == 0 {
 		return
 	}
 	r.order = slices.DeleteFunc(r.order, func(rec *jobRecord) bool {
@@ -231,15 +244,16 @@ func (r *registry) list(tn Tenant) []client.JobInfo {
 	return out
 }
 
-// inflight counts live jobs per tenant (for /metrics gauges).
-func (r *registry) inflight() map[string]int {
+// counts reads the registry's /metrics gauges: live jobs per tenant, and
+// the records it holds, live and finished.
+func (r *registry) counts() (inflight map[string]int, held int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make(map[string]int, len(r.live))
+	inflight = make(map[string]int, len(r.live))
 	for tn, recs := range r.live {
-		out[tn] = len(recs)
+		inflight[tn] = len(recs)
 	}
-	return out
+	return inflight, len(r.jobs)
 }
 
 // info snapshots the job for the wire. The state is read first: states only

@@ -1,12 +1,20 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
+	"fmt"
+	"net/http/httptest"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
+	"weak"
 
 	"aimes"
 	"aimes/client"
+	"aimes/internal/skeleton"
 )
 
 // unset lists the zero-valued leaf fields reachable from v, by path. Nil
@@ -82,5 +90,91 @@ func TestJobConfigAppliesEveryRequestField(t *testing.T) {
 		if _, err := jobConfig(&bad); err == nil {
 			t.Errorf("unknown %s policy accepted", name)
 		}
+	}
+}
+
+// retaining stands up a daemon that keeps retain jobs, on one local shard,
+// for tenant "solo" on token "tok".
+func retaining(t *testing.T, retain int) (*Server, *client.Client) {
+	t.Helper()
+	env, err := aimes.NewEnv(aimes.WithSeed(5), aimes.WithShards(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	auth, err := NewAuth(map[string]Tenant{"tok": {Name: "solo"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(Config{Env: env, Auth: auth, Retain: retain})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		hs.Close()
+		srv.Shutdown(context.Background())
+	})
+	return srv, client.New(hs.URL, "tok")
+}
+
+// TestRegistryJobsGauge: aimes_registry_jobs counts the records the registry
+// holds, live and finished, and stops at the retention bound.
+func TestRegistryJobsGauge(t *testing.T) {
+	const retain = 3
+	_, c := retaining(t, retain)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	for i := 1; i <= 2*retain; i++ {
+		info, err := c.SubmitRaw(ctx, bagRequest(t, 4, 60, int64(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Wait(ctx, info.ID); err != nil {
+			t.Fatal(err)
+		}
+		metrics, err := c.Metrics(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("\naimes_registry_jobs %d\n", min(i, retain))
+		if !strings.Contains(metrics, want) || !strings.Contains(metrics, "# TYPE aimes_registry_jobs gauge\n") {
+			t.Fatalf("after %d jobs /metrics lacks %q\n%s", i, want[1:], metrics)
+		}
+	}
+}
+
+// TestFinishedJobReleasesItsWorkload is the daemon's half of the root
+// package's test of that name: a job the registry retains after it ended
+// holds its outcome — reattach still reads the report — and not the
+// workload the submit handler parsed.
+func TestFinishedJobReleasesItsWorkload(t *testing.T) {
+	srv, c := retaining(t, 8)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	// submit is the submit handler past its body: parse, then register.
+	submit := func() (string, weak.Pointer[aimes.Workload]) {
+		req := bagRequest(t, 4, 60, 1)
+		w, err := skeleton.ParseWorkload(req.Workload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := srv.reg.submit(Tenant{Name: "solo"}, w, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rec.id, weak.Make(w)
+	}
+	id, w := submit()
+	if _, err := c.Wait(ctx, id); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.GC()
+	if w.Value() != nil {
+		t.Error("a retained finished job still holds its workload")
+	}
+	info, err := c.Job(ctx, id)
+	if err != nil || info.State != "done" || info.Report == nil || info.Report.UnitsDone != 4 {
+		t.Errorf("reattach to the retained job: %+v (%v)", info, err)
 	}
 }

@@ -166,8 +166,11 @@ type JobConfig struct {
 // Job is an asynchronous handle on one submitted workload. All methods are
 // safe for concurrent use.
 type Job struct {
-	id         int
-	env        *Environment
+	id  int
+	env *Environment
+	// w is read only before the job ends — to enact it, or to account a
+	// queued job's units as canceled — and complete drops it: a finished job
+	// keeps its outcome, not its workload.
 	w          *Workload
 	cfg        JobConfig
 	cost       int64 // expected work, milli-core-seconds
@@ -488,6 +491,7 @@ func (j *Job) complete(r *Report, err error) {
 	}
 	j.completed = true
 	j.report, j.err = r, err
+	j.w = nil
 	st := JobDone
 	switch {
 	case j.cancelReason != "":

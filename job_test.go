@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"weak"
 
 	"aimes"
 	"aimes/internal/batch"
@@ -516,4 +517,98 @@ func leastJobCost(t *testing.T, units int, sc aimes.StrategyConfig) (objects, by
 		objects, bytes = min(objects, o), min(bytes, b)
 	}
 	return objects, bytes
+}
+
+// TestFinishedJobReleasesItsWorkload: a finished job keeps its outcome, not
+// its workload. Whether it ended done, canceled while still queued or failed,
+// the handle — which a daemon's registry keeps long after the end — must not
+// keep the submitted workload reachable once the submitter has dropped it.
+func TestFinishedJobReleasesItsWorkload(t *testing.T) {
+	ctx := context.Background()
+	// submit hands env a fresh 16-task workload and keeps only a weak
+	// pointer to it: the job is left holding the one strong reference.
+	submit := func(t *testing.T, env *aimes.Environment, seed int64, cfg aimes.JobConfig) (*aimes.Job, weak.Pointer[aimes.Workload]) {
+		t.Helper()
+		w, err := aimes.GenerateWorkload(aimes.BagOfTasks(16, aimes.UniformDuration()), seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, err := env.Submit(ctx, w, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j, weak.Make(w)
+	}
+	released := func(t *testing.T, j *aimes.Job, w weak.Pointer[aimes.Workload], want aimes.JobState) {
+		t.Helper()
+		j.Wait(ctx)
+		if got := j.State(); got != want {
+			t.Fatalf("job ended %v, want %v", got, want)
+		}
+		runtime.GC()
+		runtime.GC()
+		if w.Value() != nil {
+			t.Errorf("a %v job still holds its workload", want)
+		}
+		if j.Report() == nil && j.Err() == nil {
+			t.Errorf("a %v job kept neither a report nor an error", want)
+		}
+	}
+	late := aimes.StrategyConfig{Binding: aimes.LateBinding, Scheduler: aimes.SchedBackfill, Pilots: 2}
+
+	t.Run("done", func(t *testing.T) {
+		env, err := aimes.NewEnv(aimes.WithSeed(3), aimes.WithShards(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer env.Close()
+		j, w := submit(t, env, 1, aimes.JobConfig{StrategyConfig: late})
+		released(t, j, w, aimes.JobDone)
+	})
+
+	t.Run("canceled while queued", func(t *testing.T) {
+		env, err := aimes.NewEnv(aimes.WithSeed(3), aimes.WithShards(2), aimes.WithWorkStealing())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer env.Close()
+		pinned := aimes.JobConfig{StrategyConfig: late, Placement: aimes.PlacePinned, Migrate: aimes.MigrateNever}
+		var ahead []*aimes.Job
+		for {
+			j, w := submit(t, env, int64(10+len(ahead)), pinned)
+			if j.State() != aimes.JobQueued {
+				ahead = append(ahead, j)
+				if len(ahead) > 64 {
+					t.Fatal("64 jobs enacted with none queued behind the admission window")
+				}
+				continue
+			}
+			j.Cancel("released")
+			released(t, j, w, aimes.JobCanceled)
+			if r := j.Report(); r == nil || r.UnitsCanceled != 16 {
+				t.Errorf("queued cancel report: %+v", r)
+			}
+			break
+		}
+		for _, j := range ahead {
+			j.Wait(ctx)
+		}
+	})
+
+	// Failed: its worker died under it. (A job failed because its engine
+	// drained with it wedged is another matter: its pilots still sit in an
+	// offline site's queue, and they hold its execution.)
+	t.Run("failed", func(t *testing.T) {
+		addr, secret := tcpWorkerHost(t)
+		env, err := aimes.NewEnv(append(tcpWorkers(1, addr, secret), aimes.WithSeed(3))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer env.Close()
+		j, w := submit(t, env, 2, aimes.JobConfig{StrategyConfig: late})
+		if err := env.KillWorker(0); err != nil {
+			t.Fatal(err)
+		}
+		released(t, j, w, aimes.JobFailed)
+	})
 }

@@ -367,6 +367,7 @@ func TestServerQuotaAndMetrics(t *testing.T) {
 		`aimes_jobs_rejected_total{tenant="bob"} 0`,
 		`aimes_jobs_inflight{tenant="alice"} 1`,
 		`aimes_jobs_inflight{tenant="bob"} 1`,
+		"\naimes_registry_jobs 2\n",
 		`aimes_shard_running{shard="0"}`,
 		`aimes_trace_retained_records{shard="0"}`,
 		`aimes_steal_migrations_total 0`,
