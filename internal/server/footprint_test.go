@@ -219,15 +219,16 @@ func settleGoroutines(limit int) int {
 	}
 }
 
-// daemon stands up a server over env for one unlimited tenant on a loopback
+// daemon stands up a server over env that retains retain jobs (0: the
+// default) for one unlimited tenant, "soak" on token "tok", on a loopback
 // listener, with a client whose idle connections idle() closes.
-func daemon(t *testing.T, env *aimes.Environment) (c *client.Client, idle func()) {
+func daemon(t *testing.T, env *aimes.Environment, retain int) (srv *Server, c *client.Client, idle func()) {
 	t.Helper()
 	auth, err := NewAuth(map[string]Tenant{"tok": {Name: "soak"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(Config{Env: env, Auth: auth})
+	srv, err = New(Config{Env: env, Auth: auth, Retain: retain})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +241,7 @@ func daemon(t *testing.T, env *aimes.Environment) (c *client.Client, idle func()
 		defer cancel()
 		srv.Shutdown(ctx)
 	})
-	return client.New(hs.URL, "tok").WithHTTPClient(&http.Client{Transport: tr}), tr.CloseIdleConnections
+	return srv, client.New(hs.URL, "tok").WithHTTPClient(&http.Client{Transport: tr}), tr.CloseIdleConnections
 }
 
 // TestDaemonFootprint is the daemon's per-job cost, as the reduced form of a
@@ -259,7 +260,7 @@ func TestDaemonFootprint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, idle := daemon(t, env)
+		_, c, idle := daemon(t, env, 0)
 		if _, err := c.List(ctx); err != nil { // the listener and the first connection exist before the baseline
 			t.Fatal(err)
 		}
@@ -302,7 +303,7 @@ func TestDaemonFootprint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, idle := daemon(t, env)
+		_, c, idle := daemon(t, env, 0)
 		const jobs, clients = 2000, 8
 		reqs := make([]*client.SubmitRequest, 16)
 		for i := range reqs {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"net/http/httptest"
 	"reflect"
 	"runtime"
 	"strings"
@@ -93,35 +92,15 @@ func TestJobConfigAppliesEveryRequestField(t *testing.T) {
 	}
 }
 
-// retaining stands up a daemon that keeps retain jobs, on one local shard,
-// for tenant "solo" on token "tok".
-func retaining(t *testing.T, retain int) (*Server, *client.Client) {
-	t.Helper()
-	env, err := aimes.NewEnv(aimes.WithSeed(5), aimes.WithShards(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	auth, err := NewAuth(map[string]Tenant{"tok": {Name: "solo"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := New(Config{Env: env, Auth: auth, Retain: retain})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() {
-		hs.Close()
-		srv.Shutdown(context.Background())
-	})
-	return srv, client.New(hs.URL, "tok")
-}
-
 // TestRegistryJobsGauge: aimes_registry_jobs counts the records the registry
 // holds, live and finished, and stops at the retention bound.
 func TestRegistryJobsGauge(t *testing.T) {
 	const retain = 3
-	_, c := retaining(t, retain)
+	env, err := aimes.NewEnv(aimes.WithSeed(5), aimes.WithShards(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, c, _ := daemon(t, env, retain)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	for i := 1; i <= 2*retain; i++ {
@@ -148,7 +127,11 @@ func TestRegistryJobsGauge(t *testing.T) {
 // holds its outcome — reattach still reads the report — and not the
 // workload the submit handler parsed.
 func TestFinishedJobReleasesItsWorkload(t *testing.T) {
-	srv, c := retaining(t, 8)
+	env, err := aimes.NewEnv(aimes.WithSeed(5), aimes.WithShards(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, c, _ := daemon(t, env, 8)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	// submit is the submit handler past its body: parse, then register.
@@ -158,7 +141,7 @@ func TestFinishedJobReleasesItsWorkload(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec, err := srv.reg.submit(Tenant{Name: "solo"}, w, req)
+		rec, err := srv.reg.submit(Tenant{Name: "soak"}, w, req)
 		if err != nil {
 			t.Fatal(err)
 		}

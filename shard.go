@@ -323,6 +323,7 @@ func (sh *shardEnv) pump(j *Job) (stalled bool) {
 		// Queued behind a wedged window: the running jobs hold every
 		// admission slot but nothing scheduled can make them progress.
 		if !j.migratable {
+			sh.adm.withdraw(j)
 			j.complete(nil, fmt.Errorf("aimes: shard s%d drained with the job still queued behind %d wedged jobs", sh.id, sh.adm.running))
 			return false
 		}

@@ -50,7 +50,14 @@ const (
 //   - the last decile of completions runs at least half as fast as the first.
 //
 // It takes a minute or two: run it with make soak, not go test ./....
+// The stalled subscriber connects from stallingIP, so it needs a host that
+// answers on all of 127/8, as Linux does.
 func BenchmarkSoak(b *testing.B) {
+	if ln, err := net.Listen("tcp", net.JoinHostPort(stallingIP.String(), "0")); err != nil {
+		b.Fatalf("the stalled subscriber connects from %v, which this host does not answer on (Linux answers on all of 127/8): %v", stallingIP, err)
+	} else {
+		ln.Close()
+	}
 	small := make([]*aimes.Workload, 16)
 	for i := range small {
 		small[i] = soakWorkload(b, 8+i%9, int64(i))

@@ -440,6 +440,24 @@ func TestPinnedSealingBlocksMigrants(t *testing.T) {
 // waiter must fail it with that diagnosis rather than spin; the wedged
 // tenants then fail with the backend's own.
 func TestStalledJobWithNoOpenShardFails(t *testing.T) {
+	stallBehindWedgedWindow(t, skewedJob(), "behind 4 wedged jobs and no open shard")
+}
+
+// TestStalledPinnedJobFailsWithoutEnacting is the same wedge with a fifth
+// job that may not migrate. Its waiter fails it where it queued, and it must
+// leave the queue as it does: when the wedged tenants then fail, their freed
+// slots must not admit a job that has already ended.
+func TestStalledPinnedJobFailsWithoutEnacting(t *testing.T) {
+	stallBehindWedgedWindow(t, aimes.JobConfig{StrategyConfig: stealCfg, Placement: aimes.PlacePinned, Shard: 0},
+		"behind 4 wedged jobs")
+}
+
+// stallBehindWedgedWindow queues fifth behind shard 0's wedged window with
+// shard 1 sealed, and checks that it fails with wantErr, never enacted, that
+// shard 0's queue is then empty, and that the wedged tenants fail with the
+// backend's diagnostic.
+func stallBehindWedgedWindow(t *testing.T, fifth aimes.JobConfig, wantErr string) {
+	t.Helper()
 	env, err := aimes.NewEnv(aimes.WithSeed(808), aimes.WithShards(2), aimes.WithWorkStealing())
 	if err != nil {
 		t.Fatal(err)
@@ -469,7 +487,7 @@ func TestStalledJobWithNoOpenShardFails(t *testing.T) {
 		}
 		wedged = append(wedged, j)
 	}
-	stalled, err := env.Submit(ctx, w, skewedJob())
+	stalled, err := env.Submit(ctx, w, fifth)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -478,8 +496,8 @@ func TestStalledJobWithNoOpenShardFails(t *testing.T) {
 	}
 
 	_, err = stalled.Wait(ctx)
-	if err == nil || !strings.Contains(err.Error(), "behind 4 wedged jobs and no open shard") {
-		t.Fatalf("stalled job ended with %v, want the no-open-shard diagnosis", err)
+	if err == nil || !strings.Contains(err.Error(), wantErr) {
+		t.Fatalf("stalled job ended with %v, want %q", err, wantErr)
 	}
 	if stalled.State() != aimes.JobFailed || stalled.Migrated() || stalled.Namespace() != "" {
 		t.Fatalf("stalled job: state %v, migrated %v, namespace %q; want failed where it queued, never enacted",
@@ -495,6 +513,9 @@ func TestStalledJobWithNoOpenShardFails(t *testing.T) {
 	}
 	if r, err := sealer.Wait(ctx); err != nil || r.UnitsDone != 4 {
 		t.Fatalf("the other shard's tenant: %+v, %v", r, err)
+	}
+	if l := env.Loads()[0]; l.Queued != 0 || l.Running != 0 {
+		t.Fatalf("shard 0 at the end: %d queued, %d running; want an empty shard", l.Queued, l.Running)
 	}
 }
 
