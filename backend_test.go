@@ -19,6 +19,7 @@ import (
 	"aimes"
 	"aimes/internal/backend"
 	"aimes/internal/site"
+	"aimes/internal/skeleton"
 )
 
 // TestMain lets this test binary serve as its own worker pool: a child
@@ -646,5 +647,92 @@ func TestStagedPlacementFollowsLoad(t *testing.T) {
 				i, k, history, prevWaits)
 		}
 		prevWaits += len(r.PilotWaits)
+	}
+}
+
+// lateBackfill3 is the strategy the jobs of TestRejectedWorkloadLeavesShardUntouched derive from.
+var lateBackfill3 = aimes.StrategyConfig{Binding: aimes.LateBinding, Scheduler: aimes.SchedBackfill, Pilots: 3}
+
+// runAfterRejected submits bad with badCfg to a fresh one-shard environment
+// seeded 11, requires it to be rejected, then runs a 32-task bag and returns
+// that job's outcome and the shard's whole trace. A nil bad skips the
+// rejected submission.
+func runAfterRejected(t *testing.T, bad *aimes.Workload, badCfg aimes.StrategyConfig, opts ...aimes.Option) (jobOutcome, []aimes.TraceRecord) {
+	t.Helper()
+	env, err := aimes.NewEnv(append([]aimes.Option{aimes.WithSeed(11), aimes.WithShards(1)}, opts...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer env.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	if bad != nil {
+		if j, err := env.Submit(ctx, bad, aimes.JobConfig{StrategyConfig: badCfg}); err == nil {
+			t.Fatalf("job %d with a rejectable workload or config was accepted", j.ID())
+		}
+	}
+	w, err := aimes.GenerateWorkload(aimes.BagOfTasks(32, aimes.UniformDuration()), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := env.Submit(ctx, w, aimes.JobConfig{StrategyConfig: lateBackfill3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := j.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	return outcomeOf(j), env.Recorder().Records()
+}
+
+// TestRejectedWorkloadLeavesShardUntouched: a job whose tasks the unit
+// checks reject — a duplicate ID, a task without cores, an output file of
+// negative size beside a larger one, an unknown dependency — is refused
+// before the shard derives anything for it, like a job Environment.Validate
+// refuses: the next job's report and trace are those of a shard that never
+// saw it, on a local shard and on a worker shard.
+func TestRejectedWorkloadLeavesShardUntouched(t *testing.T) {
+	bag := func(edit func(w *aimes.Workload)) *aimes.Workload {
+		w, err := aimes.GenerateWorkload(aimes.BagOfTasks(8, aimes.UniformDuration()), 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		edit(w)
+		return w
+	}
+	bad := map[string]*aimes.Workload{
+		"duplicate id": bag(func(w *aimes.Workload) { w.Tasks[7].ID = w.Tasks[0].ID }),
+		"no cores":     bag(func(w *aimes.Workload) { w.Tasks[3].Cores = 0 }),
+		"output sizes +10 and -5": bag(func(w *aimes.Workload) {
+			id := w.Tasks[2].ID
+			w.Tasks[2].Outputs = []skeleton.File{{Name: id + ".a", Bytes: 10, Producer: id}, {Name: id + ".b", Bytes: -5, Producer: id}}
+		}),
+		"unknown dependency": bag(func(w *aimes.Workload) { w.Tasks[5].Deps = []string{"ghost"} }),
+		"negative pilots":    bag(func(*aimes.Workload) {}), // refused by Environment.Validate
+	}
+	backends := map[string][]aimes.Option{"local": nil}
+	if !testing.Short() {
+		backends["stdio worker"] = processWorkers(1)
+	}
+	for name, opts := range backends {
+		t.Run(name, func(t *testing.T) {
+			want, wantTrace := runAfterRejected(t, nil, lateBackfill3, opts...)
+			if want.Report == nil || want.Report.UnitsDone != 32 {
+				t.Fatalf("the job alone: %+v", want)
+			}
+			for what, w := range bad {
+				badCfg := lateBackfill3
+				if what == "negative pilots" {
+					badCfg.Pilots = -1
+				}
+				got, gotTrace := runAfterRejected(t, w, badCfg, opts...)
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("after a job with %s: TTC %v on %v, alone %v on %v", what,
+						got.Report.TTC, got.Strategy.Resources, want.Report.TTC, want.Strategy.Resources)
+				} else if !reflect.DeepEqual(gotTrace, wantTrace) {
+					t.Errorf("after a job with %s: %d trace records, alone %d", what, len(gotTrace), len(wantTrace))
+				}
+			}
+		})
 	}
 }

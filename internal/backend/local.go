@@ -126,27 +126,25 @@ func (j *jobTrace) Record(t sim.Time, entity, state, detail string) {
 	j.sink.JobTrace(j.key, j.ns, trace.Record{Time: t, Entity: entity, State: state, Detail: detail})
 }
 
-// Enact implements Backend. The internal order — resolve, namespace, trace
-// sink, MIGRATED record, prepare, enact, sequence bump — mirrors the pre-seam
-// enactment exactly.
+// Enact implements Backend. The internal order — namespace, trace sink,
+// prepare, MIGRATED record, enact (which derives first), sequence bump —
+// keeps the randomness and the records of the pre-seam enactment, and
+// prepares first so that a job whose descriptor or tasks are rejected leaves
+// the stack as it found it.
 func (l *Local) Enact(d *Descriptor) (*Enacted, error) {
-	s, err := l.mgr.Resolve(&d.Descriptor)
-	if err != nil {
-		return nil, err
-	}
 	ns := shard.Namespace(l.id, l.jobSeq+1)
 	key := d.Key
 	rec := &jobTrace{sink: l.sink, key: key, ns: ns}
-	if d.MigratedFrom >= 0 {
-		rec.Record(l.eng.Now(), "em", trace.StateMigrated, fmt.Sprintf("from s%d", d.MigratedFrom))
-	}
 
 	// The prepared→enacted crossing stays explicit: right up to Enact the job
 	// held no engine state, which is why queued jobs can migrate between
 	// backends.
-	exec, err := l.mgr.Prepare(d.Workload, s, core.ExecOptions{Recorder: rec, Namespace: ns, Adaptive: d.Adaptive})
+	exec, err := l.mgr.Prepare(&d.Descriptor, core.ExecOptions{Recorder: rec, Namespace: ns})
 	if err != nil {
 		return nil, err
+	}
+	if d.MigratedFrom >= 0 {
+		rec.Record(l.eng.Now(), "em", trace.StateMigrated, fmt.Sprintf("from s%d", d.MigratedFrom))
 	}
 	if err := exec.Enact(); err != nil {
 		return nil, err
@@ -159,7 +157,7 @@ func (l *Local) Enact(d *Descriptor) (*Enacted, error) {
 		delete(l.traces, key)
 		l.sink.JobDone(key, r)
 	})
-	return &Enacted{Namespace: ns, Strategy: s}, nil
+	return &Enacted{Namespace: ns, Strategy: exec.Strategy()}, nil
 }
 
 // Step implements Backend.

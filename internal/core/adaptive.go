@@ -48,7 +48,7 @@ func (c AdaptiveConfig) Validate() error {
 }
 
 // adapt arms runtime adaptation on a just-enacted execution (Enact's last
-// step, for ExecOptions.Adaptive). Extra pilots appear in the report's
+// step, for Descriptor.Adaptive). Extra pilots appear in the report's
 // ExtraPilots count and in the trace as "em"/"ADAPTED" records.
 func (e *Execution) adapt(acfg AdaptiveConfig) {
 	if acfg.MaxExtraPilots == 0 {

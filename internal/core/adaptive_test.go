@@ -63,10 +63,10 @@ func TestAdaptiveAddsPilotWhenStuck(t *testing.T) {
 		PilotCores:    16,
 		PilotWalltime: 8 * time.Hour,
 	}
-	exec := e.enact(t, w, s, ExecOptions{Recorder: e.rec, Adaptive: &AdaptiveConfig{
+	exec := e.enact(t, &Descriptor{Workload: w, Strategy: &s, Adaptive: &AdaptiveConfig{
 		Patience:       10 * time.Minute,
 		MaxExtraPilots: 2,
-	}})
+	}}, ExecOptions{Recorder: e.rec})
 	e.eng.Run()
 	if !exec.done {
 		t.Fatal("execution incomplete")
@@ -100,10 +100,10 @@ func TestAdaptiveDoesNotFireWhenHealthy(t *testing.T) {
 		PilotCores:    16,
 		PilotWalltime: 2 * time.Hour,
 	}
-	exec := e.enact(t, w, s, ExecOptions{Recorder: e.rec, Adaptive: &AdaptiveConfig{
+	exec := e.enact(t, &Descriptor{Workload: w, Strategy: &s, Adaptive: &AdaptiveConfig{
 		Patience:       30 * time.Minute, // fast activates at ~2m
 		MaxExtraPilots: 2,
-	}})
+	}}, ExecOptions{Recorder: e.rec})
 	e.eng.Run()
 	if exec.report.ExtraPilots != 0 {
 		t.Fatalf("extra pilots = %d, want 0", exec.report.ExtraPilots)
@@ -124,10 +124,10 @@ func TestAdaptiveBudgetExhausts(t *testing.T) {
 	// Patience so short that both adaptation rounds fire before any
 	// activation; only one other resource exists, so exactly one extra
 	// pilot can be added.
-	exec := e.enact(t, w, s, ExecOptions{Recorder: e.rec, Adaptive: &AdaptiveConfig{
+	exec := e.enact(t, &Descriptor{Workload: w, Strategy: &s, Adaptive: &AdaptiveConfig{
 		Patience:       30 * time.Second,
 		MaxExtraPilots: 5,
-	}})
+	}}, ExecOptions{Recorder: e.rec})
 	e.eng.Run()
 	if exec.report.ExtraPilots != 1 {
 		t.Fatalf("extra pilots = %d, want 1 (pool exhausted)", exec.report.ExtraPilots)
@@ -141,12 +141,12 @@ func TestAdaptiveConfigValidation(t *testing.T) {
 		Binding: LateBinding, Scheduler: SchedBackfill, Pilots: 1,
 		Resources: []string{"fast"}, PilotCores: 8, PilotWalltime: time.Hour,
 	}
-	if _, err := e.mgr.Prepare(w, s, ExecOptions{Recorder: e.rec, Adaptive: &AdaptiveConfig{Patience: 0}}); err == nil {
+	if _, err := e.mgr.Prepare(&Descriptor{Workload: w, Strategy: &s, Adaptive: &AdaptiveConfig{Patience: 0}}, ExecOptions{Recorder: e.rec}); err == nil {
 		t.Fatal("zero patience accepted")
 	}
-	if _, err := e.mgr.Prepare(w, s, ExecOptions{Recorder: e.rec, Adaptive: &AdaptiveConfig{
+	if _, err := e.mgr.Prepare(&Descriptor{Workload: w, Strategy: &s, Adaptive: &AdaptiveConfig{
 		Patience: time.Minute, MaxExtraPilots: -1,
-	}}); err == nil {
+	}}, ExecOptions{Recorder: e.rec}); err == nil {
 		t.Fatal("negative budget accepted")
 	}
 	if e.eng.Pending() != 0 || e.rec.Len() != 0 {

@@ -55,11 +55,16 @@ func newEnvWith(t *testing.T, seed int64, pcfg pilot.Config) *env {
 	return &env{eng: eng, tb: tb, bndl: b, mgr: mgr, rec: trace.NewRecorder()}
 }
 
+// pinned is the descriptor of w enacted with the pre-derived strategy s.
+func pinned(w *skeleton.Workload, s Strategy) *Descriptor {
+	return &Descriptor{Workload: w, Strategy: &s}
+}
+
 // enact takes one execution down the manager's only path: Prepare, then
 // Enact.
-func (e *env) enact(t *testing.T, w *skeleton.Workload, s Strategy, opts ExecOptions) *Execution {
+func (e *env) enact(t *testing.T, d *Descriptor, opts ExecOptions) *Execution {
 	t.Helper()
-	ex, err := e.mgr.Prepare(w, s, opts)
+	ex, err := e.mgr.Prepare(d, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +91,7 @@ func (e *env) wait(t *testing.T, ex *Execution) *Report {
 // for the report.
 func (e *env) run(t *testing.T, w *skeleton.Workload, s Strategy) *Report {
 	t.Helper()
-	return e.wait(t, e.enact(t, w, s, ExecOptions{Recorder: e.rec}))
+	return e.wait(t, e.enact(t, pinned(w, s), ExecOptions{Recorder: e.rec}))
 }
 
 func botWorkload(t *testing.T, n int, seed int64) *skeleton.Workload {
@@ -349,17 +354,17 @@ func TestReportSummaryOutput(t *testing.T) {
 func TestExecuteValidatesStrategy(t *testing.T) {
 	e := newEnv(t, 6)
 	w := botWorkload(t, 8, 6)
-	if _, err := e.mgr.Prepare(w, Strategy{}, ExecOptions{Recorder: e.rec}); err == nil {
+	if _, err := e.mgr.Prepare(pinned(w, Strategy{}), ExecOptions{Recorder: e.rec}); err == nil {
 		t.Fatal("zero strategy accepted")
 	}
 	bad := Strategy{
 		Binding: EarlyBinding, Scheduler: SchedDirect, Pilots: 1,
 		Resources: []string{"atlantis"}, PilotCores: 8, PilotWalltime: time.Hour,
 	}
-	if _, err := e.mgr.Prepare(w, bad, ExecOptions{}); err == nil {
+	if _, err := e.mgr.Prepare(pinned(w, bad), ExecOptions{}); err == nil {
 		t.Fatal("execution without a trace sink accepted")
 	}
-	ex, err := e.mgr.Prepare(w, bad, ExecOptions{Recorder: e.rec})
+	ex, err := e.mgr.Prepare(pinned(w, bad), ExecOptions{Recorder: e.rec})
 	if err == nil {
 		err = ex.Enact()
 	}
@@ -448,7 +453,7 @@ func TestPrepareEnactBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exec, err := e.mgr.Prepare(w, s, ExecOptions{Recorder: e.rec})
+	exec, err := e.mgr.Prepare(pinned(w, s), ExecOptions{Recorder: e.rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,7 +497,7 @@ func TestCancelPreparedExecution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exec, err := e.mgr.Prepare(w, s, ExecOptions{Recorder: e.rec})
+	exec, err := e.mgr.Prepare(pinned(w, s), ExecOptions{Recorder: e.rec})
 	if err != nil {
 		t.Fatal(err)
 	}

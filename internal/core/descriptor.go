@@ -25,18 +25,6 @@ type Descriptor struct {
 	Adaptive *AdaptiveConfig `json:"adaptive,omitempty"`
 }
 
-// Resolve returns the strategy a descriptor enacts on this manager: the
-// pre-derived one verbatim, or a fresh derivation against the manager's
-// bundle and randomness. Resolving against different managers legitimately
-// yields different strategies — that is the re-derivation half of the
-// migration-safe handoff.
-func (m *Manager) Resolve(d *Descriptor) (Strategy, error) {
-	if d.Strategy != nil {
-		return *d.Strategy, nil
-	}
-	return m.Derive(d.Workload, d.Config)
-}
-
 // Derive derives a strategy against the manager's bundle and randomness,
 // with the manager's own agent dispatch overhead, so the derived walltime
 // covers the launch cost its pilots will pay.

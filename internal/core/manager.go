@@ -45,23 +45,25 @@ type ExecOptions struct {
 	Recorder trace.Sink
 	// Namespace scopes pilot IDs, e.g. "s0-j3" → "pilot.stampede.s0-j3-1".
 	Namespace string
-	// Adaptive, when non-nil, arms runtime strategy adaptation as the last
-	// step of Enact. Prepare validates it.
-	Adaptive *AdaptiveConfig
 }
 
 // Execution is one workload's enactment handle. It is created in a prepared
 // state (Prepare) that holds no engine state at all, and crosses into the
-// enacted state exactly once (Enact) when pilots are submitted and events
-// scheduled. Only work on the prepared side of that line may still be handed
-// to a different shard's manager.
+// enacted state exactly once (Enact) when its strategy is resolved, pilots are
+// submitted and events scheduled. Only work on the prepared side of that line
+// may still be handed to a different shard's manager.
 type Execution struct {
-	m           *Manager
-	rec         trace.Sink
-	ns          string
-	adaptive    *AdaptiveConfig
-	workload    *skeleton.Workload
+	m        *Manager
+	rec      trace.Sink
+	ns       string
+	adaptive *AdaptiveConfig
+	workload *skeleton.Workload
+	names    skeleton.Index // the workload's tasks, checked
+	// strategy is the pre-derived strategy, or the one Enact derives from
+	// config when derive is set.
 	strategy    Strategy
+	config      StrategyConfig
+	derive      bool
 	enacted     bool
 	pm          *pilot.PilotManager
 	um          *pilot.UnitManager
@@ -149,43 +151,75 @@ func CanceledReport(w *skeleton.Workload) *Report {
 	}
 }
 
-// Prepare validates a workload, a strategy and the execution's options and
-// returns a prepared Execution without enacting it: no pilots are submitted,
-// nothing is scheduled on the engine, no randomness is drawn and nothing is
-// recorded, so a prepared execution may still be discarded — and the
-// workload re-prepared against a different manager — at zero cost. That
-// queued-vs-enacted boundary is what makes cross-shard job migration safe:
-// only work that never touched an engine is handed off.
-func (m *Manager) Prepare(w *skeleton.Workload, s Strategy, opts ExecOptions) (*Execution, error) {
-	if opts.Adaptive != nil {
-		if err := opts.Adaptive.Validate(); err != nil {
+// Prepare validates a job descriptor — its adaptation policy, its pre-derived
+// strategy if it has one, and every task of its workload (skeleton.Index) —
+// and the execution's options, and returns a prepared Execution without
+// enacting it: no strategy is derived, no pilots are submitted, nothing is
+// scheduled on the engine, no randomness is drawn and nothing is recorded, so
+// a job Prepare rejects leaves the manager as it found it, and a prepared
+// execution may still be discarded — and the workload re-prepared against a
+// different manager — at zero cost. That queued-vs-enacted boundary is what
+// makes cross-shard job migration safe: only work that never touched an
+// engine is handed off. The execution keeps the descriptor's workload, which
+// the caller must not modify until the execution is done.
+func (m *Manager) Prepare(d *Descriptor, opts ExecOptions) (*Execution, error) {
+	if d.Adaptive != nil {
+		if err := d.Adaptive.Validate(); err != nil {
 			return nil, err
 		}
 	}
-	if err := s.Validate(); err != nil {
-		return nil, err
+	if d.Strategy != nil {
+		if err := d.Strategy.Validate(); err != nil {
+			return nil, err
+		}
 	}
+	w := d.Workload
 	if w.TotalTasks() == 0 {
 		return nil, fmt.Errorf("core: empty workload")
 	}
 	if opts.Recorder == nil {
 		return nil, fmt.Errorf("core: execution without a trace sink (ExecOptions.Recorder)")
 	}
-	return &Execution{m: m, rec: opts.Recorder, ns: opts.Namespace, adaptive: opts.Adaptive, workload: w, strategy: s}, nil
+	names := make(skeleton.Index, len(w.Tasks))
+	if err := names.Add(w.Tasks); err != nil {
+		return nil, err
+	}
+	e := &Execution{m: m, rec: opts.Recorder, ns: opts.Namespace, adaptive: d.Adaptive,
+		workload: w, names: names, config: d.Config, derive: d.Strategy == nil}
+	if !e.derive {
+		e.strategy = *d.Strategy
+	}
+	return e, nil
 }
 
-// Enact crosses a prepared execution into the enacted state: pilots are
-// described and submitted in randomized order (Figure 1 steps 4–5), units are
-// scheduled onto them (step 6), adaptation is armed when the options ask for
-// it, and from here on the execution is bound to its manager's engine:
-// outputs are staged back and all pilots canceled as the engine is stepped,
-// and completion is observed through Done or OnComplete. Enacting twice is an
-// error.
+// Strategy returns the strategy the execution enacts: the pre-derived one,
+// or once Enact has derived it, the derived one.
+func (e *Execution) Strategy() Strategy { return e.strategy }
+
+// Enact crosses a prepared execution into the enacted state: the strategy is
+// derived against the manager's bundle and randomness unless it came
+// pre-derived, pilots are described and submitted in randomized order
+// (Figure 1 steps 4–5), units are scheduled onto them (step 6), adaptation is
+// armed when the descriptor asks for it, and from here on the execution is
+// bound to its manager's engine: outputs are staged back and all pilots
+// canceled as the engine is stepped, and completion is observed through Done
+// or OnComplete. Enacting twice is an error.
 func (e *Execution) Enact() error {
 	if e.enacted {
 		return fmt.Errorf("core: execution already enacted")
 	}
-	m, s := e.m, e.strategy
+	m := e.m
+	if e.derive {
+		s, err := m.Derive(e.workload, e.config)
+		if err == nil {
+			err = s.Validate()
+		}
+		if err != nil {
+			return err
+		}
+		e.strategy, e.derive = s, false
+	}
+	s := e.strategy
 	e.enacted = true
 	e.started = m.eng.Now()
 	e.rec.Record(m.eng.Now(), "em", "ENACTING", s.String())
@@ -217,9 +251,8 @@ func (e *Execution) Enact() error {
 		e.um.AddPilot(p)
 	}
 
-	descs := unitDescriptions(e.workload)
 	e.um.OnCompletion(func() { e.finish() })
-	if err := e.um.Submit(descs); err != nil {
+	if err := e.um.Submit(e.workload.Tasks, e.names); err != nil {
 		e.pm.CancelAll()
 		return err
 	}
@@ -258,35 +291,6 @@ func (e *Execution) IncompleteError() error {
 		units[u.State().String()]++
 	}
 	return fmt.Errorf("core: engine drained but workload incomplete (pilots %v, units %v)", pilots, units)
-}
-
-// unitDescriptions converts skeleton tasks to compute-unit descriptions. The
-// unit manager keeps the slice: each unit points at its element.
-func unitDescriptions(w *skeleton.Workload) []pilot.UnitDescription {
-	descs := make([]pilot.UnitDescription, 0, len(w.Tasks))
-	files := 0
-	for _, t := range w.Tasks {
-		files += len(t.Inputs)
-	}
-	// Every unit's inputs are carved from one slab; the capped slices keep
-	// an append to one unit's list out of the next unit's.
-	slab := make([]pilot.InputFile, 0, files)
-	for _, t := range w.Tasks {
-		first := len(slab)
-		for _, f := range t.Inputs {
-			slab = append(slab, pilot.InputFile{Bytes: f.Bytes, Producer: f.Producer})
-		}
-		inputs := slab[first:len(slab):len(slab)]
-		descs = append(descs, pilot.UnitDescription{
-			Name:        t.ID,
-			Cores:       t.Cores,
-			Duration:    t.Duration,
-			Inputs:      inputs,
-			OutputBytes: t.OutputBytes(),
-			Deps:        t.Deps,
-		})
-	}
-	return descs
 }
 
 // FeedbackWaits replays a report's observed pilot queue waits into the

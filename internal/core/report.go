@@ -42,7 +42,7 @@ type Report struct {
 	// PilotsActivated counts pilots that became active before completion.
 	PilotsActivated int
 	// ExtraPilots counts pilots added by runtime adaptation
-	// (ExecOptions.Adaptive).
+	// (Descriptor.Adaptive).
 	ExtraPilots int
 
 	// Throughput is completed units per hour of TTC.
@@ -95,8 +95,8 @@ func buildReport(e *Execution) *Report {
 		switch u.State() {
 		case pilot.UnitDone:
 			r.UnitsDone++
-			d := u.Description()
-			r.BusyCoreHours += d.Duration.Hours() * float64(d.Cores)
+			t := u.Task()
+			r.BusyCoreHours += t.Duration.Hours() * float64(t.Cores)
 			if p := u.Pilot(); p != nil {
 				r.UnitsByResource[p.Resource()]++
 			}

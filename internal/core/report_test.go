@@ -323,7 +323,7 @@ func disturbedRun(t *testing.T, seed int64) (*Execution, *trace.Recorder) {
 		MaxExtraPilots:    1,
 		ReplaceLostPilots: rng.Intn(2) == 0,
 	}
-	ex := e.enact(t, w, s, ExecOptions{Recorder: rec, Adaptive: &acfg})
+	ex := e.enact(t, &Descriptor{Workload: w, Strategy: &s, Adaptive: &acfg}, ExecOptions{Recorder: rec})
 	if rng.Intn(3) > 0 {
 		after := time.Duration(rng.Intn(40)) * time.Second
 		for _, p := range ex.Pilots() {
@@ -405,7 +405,7 @@ func TestConcurrentExecutionsOnSharedRecorder(t *testing.T) {
 			if private {
 				opts.Recorder = trace.NewRecorder()
 			}
-			execs[k] = e.enact(t, w, s, opts)
+			execs[k] = e.enact(t, pinned(w, s), opts)
 		}
 		start(0)
 		e.eng.At(sim.Time(5*time.Minute), func() {

@@ -40,7 +40,7 @@ func runWithSentinel(t *testing.T, e *env, log *trace.Log, n int, seed int64, co
 	if err != nil {
 		t.Fatal(err)
 	}
-	if report := e.wait(t, e.enact(t, w, s, ExecOptions{Recorder: rec})); report.UnitsDone != n {
+	if report := e.wait(t, e.enact(t, pinned(w, s), ExecOptions{Recorder: rec})); report.UnitsDone != n {
 		t.Fatalf("job of %d tasks finished %d", n, report.UnitsDone)
 	}
 }

@@ -93,7 +93,7 @@ func (a *agent) pickNext() *Unit {
 	q, free := a.backlog, a.freeCores()
 	for i := a.head; i < len(q); i++ {
 		u := q[i]
-		if u.state == UnitAgentQueued && u.desc.Cores > free {
+		if u.state == UnitAgentQueued && u.task.Cores > free {
 			continue
 		}
 		copy(q[a.head+1:i+1], q[a.head:i])
@@ -108,10 +108,10 @@ func (a *agent) pickNext() *Unit {
 
 // launch begins executing a unit.
 func (a *agent) launch(u *Unit) {
-	a.used += u.desc.Cores
+	a.used += u.task.Cores
 	u.transition(UnitExecuting, "")
 
-	duration := u.desc.Duration
+	duration := u.task.Duration
 	fails := false
 	if a.sys.cfg.UnitFailureProb > 0 && a.sys.rng.Float64() < a.sys.cfg.UnitFailureProb {
 		failAt := time.Duration(a.sys.rng.Float64() * float64(duration))
@@ -136,7 +136,7 @@ func (x *execution) Fire() {
 	a.running[u.execSlot].execSlot = u.execSlot
 	a.running[last] = nil
 	a.running = a.running[:last]
-	a.used -= u.desc.Cores
+	a.used -= u.task.Cores
 	if u.execFails {
 		a.failed(u)
 	} else {
@@ -186,7 +186,7 @@ func (a *agent) shutdown(cause string) {
 	a.running = nil
 	for _, u := range victims {
 		a.sys.eng.Cancel(&u.execEv)
-		a.used -= u.desc.Cores
+		a.used -= u.task.Cores
 	}
 	// running is in no meaningful order; sort for deterministic replay.
 	slices.SortFunc(victims, func(x, y *Unit) int { return strings.Compare(x.id, y.id) })

@@ -5,6 +5,8 @@ import (
 	"slices"
 	"testing"
 	"time"
+
+	"aimes/internal/skeleton"
 )
 
 // pickNextScan is the scan agent.pickNext replaced, on a plain slice: the
@@ -16,7 +18,7 @@ func pickNextScan(backlog *[]*Unit, free int) *Unit {
 			*backlog = append((*backlog)[:i], (*backlog)[i+1:]...)
 			return pickNextScan(backlog, free)
 		}
-		if u.desc.Cores <= free {
+		if u.task.Cores <= free {
 			*backlog = append((*backlog)[:i], (*backlog)[i+1:]...)
 			return u
 		}
@@ -39,7 +41,7 @@ func TestPickNextMatchesScan(t *testing.T) {
 		for step := 0; step < 400; step++ {
 			switch r := rng.Intn(10); {
 			case r < 4:
-				u := &Unit{state: UnitAgentQueued, desc: &UnitDescription{Cores: []int{1, 1, 1, 2, 4, 8}[rng.Intn(6)]}}
+				u := &Unit{state: UnitAgentQueued, task: &skeleton.Task{Cores: []int{1, 1, 1, 2, 4, 8}[rng.Intn(6)]}}
 				all = append(all, u)
 				a.enqueue(u)
 				old = append(old, u)
@@ -106,9 +108,9 @@ func TestPlaceRoundTripAllocatesNothing(t *testing.T) {
 func TestUnitTripAllocatesItsStateOnly(t *testing.T) {
 	const units, ceiling = 512, 0.5
 	h := newHarness(t, DefaultConfig(), 1)
-	descs := unitDescs(units, time.Minute)
-	for i := range descs {
-		descs[i].Name = "bag-" + nameOf(i)
+	tasks := unitTasks(units, time.Minute)
+	for i := range tasks {
+		tasks[i].ID = "bag-" + nameOf(i)
 	}
 	done := 0
 	perRun := testing.AllocsPerRun(5, func() {
@@ -119,7 +121,7 @@ func TestUnitTripAllocatesItsStateOnly(t *testing.T) {
 		}
 		um.AddPilot(p)
 		um.OnCompletion(func() { h.pm.Cancel(p) })
-		if err := um.Submit(descs); err != nil {
+		if err := um.Submit(tasks, nil); err != nil {
 			t.Fatal(err)
 		}
 		h.eng.Run()

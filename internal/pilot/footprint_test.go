@@ -12,9 +12,9 @@ import (
 
 // TestUnitFootprint pins the size of a unit and of the two structs every unit
 // embeds. A job allocates one Unit per task in one slab, so every byte here
-// is paid per task: a unit points at its description (a copy of it would add
-// 88 bytes), its transfer keeps no timestamps and its event's slot shares a
-// word with the canceled flag.
+// is paid per task: a unit points at its task in the caller's workload (a
+// copy of a unit description would add 88 bytes), its transfer keeps no
+// timestamps and its event's slot shares a word with the canceled flag.
 func TestUnitFootprint(t *testing.T) {
 	for _, c := range []struct {
 		name      string

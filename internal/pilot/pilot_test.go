@@ -10,6 +10,7 @@ import (
 	"aimes/internal/saga"
 	"aimes/internal/sim"
 	"aimes/internal/site"
+	"aimes/internal/skeleton"
 	"aimes/internal/trace"
 )
 
@@ -59,15 +60,15 @@ func newHarness(t *testing.T, cfg Config, seed int64) *harness {
 	return &harness{eng: eng, tb: tb, sess: sess, sys: sys, rec: rec, pm: NewPilotManager(sys, 0)}
 }
 
-func unitDescs(n int, dur time.Duration) []UnitDescription {
-	out := make([]UnitDescription, n)
+func unitTasks(n int, dur time.Duration) []skeleton.Task {
+	out := make([]skeleton.Task, n)
 	for i := range out {
-		out[i] = UnitDescription{
-			Name:        nameOf(i),
-			Cores:       1,
-			Duration:    dur,
-			Inputs:      []InputFile{{Bytes: 1 << 20}},
-			OutputBytes: 2 << 10,
+		out[i] = skeleton.Task{
+			ID:       nameOf(i),
+			Cores:    1,
+			Duration: dur,
+			Inputs:   []skeleton.File{{Bytes: 1 << 20}},
+			Outputs:  []skeleton.File{{Bytes: 2 << 10}},
 		}
 	}
 	return out
@@ -149,7 +150,7 @@ func TestEarlyBindingExecutesWorkload(t *testing.T) {
 		completed = h.eng.Now()
 		h.pm.CancelAll()
 	})
-	if err := um.Submit(unitDescs(16, 10*time.Minute)); err != nil {
+	if err := um.Submit(unitTasks(16, 10*time.Minute), nil); err != nil {
 		t.Fatal(err)
 	}
 	h.eng.Run()
@@ -158,7 +159,7 @@ func TestEarlyBindingExecutesWorkload(t *testing.T) {
 	}
 	for _, u := range um.units {
 		if u.State() != UnitDone {
-			t.Fatalf("unit %s state %v", u.desc.Name, u.State())
+			t.Fatalf("unit %s state %v", u.task.ID, u.State())
 		}
 		if u.Pilot() != p {
 			t.Fatal("unit not bound to the single pilot")
@@ -181,7 +182,7 @@ func TestEarlyBindingStagingOverlapsQueueWait(t *testing.T) {
 	um := NewUnitManager(h.sys, Direct{}, 0)
 	p, _ := h.pm.Submit(PilotDescription{Resource: "alpha", Cores: 8, Walltime: 2 * time.Hour})
 	um.AddPilot(p)
-	if err := um.Submit(unitDescs(8, time.Minute)); err != nil {
+	if err := um.Submit(unitTasks(8, time.Minute), nil); err != nil {
 		t.Fatal(err)
 	}
 	h.eng.Run()
@@ -215,13 +216,13 @@ func TestLateBindingBackfillUsesFirstActivePilot(t *testing.T) {
 	um.OnCompletion(func() { h.pm.CancelAll() })
 	// 8 units of 30s: all fit on the first pilot (alpha) and finish before
 	// beta (121s) activates.
-	if err := um.Submit(unitDescs(8, 30*time.Second)); err != nil {
+	if err := um.Submit(unitTasks(8, 30*time.Second), nil); err != nil {
 		t.Fatal(err)
 	}
 	h.eng.Run()
 	for _, u := range um.units {
 		if u.State() != UnitDone {
-			t.Fatalf("unit %s state %v", u.desc.Name, u.State())
+			t.Fatalf("unit %s state %v", u.task.ID, u.State())
 		}
 		if u.Pilot().Resource() != "alpha" {
 			t.Fatalf("unit ran on %s, want alpha (first active)", u.Pilot().Resource())
@@ -239,14 +240,14 @@ func TestLateBindingSpillsToLaterPilots(t *testing.T) {
 	um.OnCompletion(func() { h.pm.CancelAll() })
 	// 8 long units on 4-core pilots: alpha takes 4; when beta activates it
 	// takes the rest.
-	if err := um.Submit(unitDescs(8, time.Hour)); err != nil {
+	if err := um.Submit(unitTasks(8, time.Hour), nil); err != nil {
 		t.Fatal(err)
 	}
 	h.eng.Run()
 	byResource := map[string]int{}
 	for _, u := range um.units {
 		if u.State() != UnitDone {
-			t.Fatalf("unit %s state %v", u.desc.Name, u.State())
+			t.Fatalf("unit %s state %v", u.task.ID, u.State())
 		}
 		byResource[u.Pilot().Resource()]++
 	}
@@ -263,7 +264,7 @@ func TestRoundRobinDistributesEvenly(t *testing.T) {
 		um.AddPilot(p)
 	}
 	um.OnCompletion(func() { h.pm.CancelAll() })
-	if err := um.Submit(unitDescs(9, time.Minute)); err != nil {
+	if err := um.Submit(unitTasks(9, time.Minute), nil); err != nil {
 		t.Fatal(err)
 	}
 	h.eng.Run()
@@ -286,7 +287,7 @@ func TestAgentDispatchOverheadSerializes(t *testing.T) {
 	p, _ := h.pm.Submit(PilotDescription{Resource: "alpha", Cores: 64, Walltime: 2 * time.Hour})
 	um.AddPilot(p)
 	um.OnCompletion(func() { h.pm.CancelAll() })
-	if err := um.Submit(unitDescs(10, time.Minute)); err != nil {
+	if err := um.Submit(unitTasks(10, time.Minute), nil); err != nil {
 		t.Fatal(err)
 	}
 	h.eng.Run()
@@ -311,14 +312,14 @@ func TestUnitFailureRestarts(t *testing.T) {
 	p, _ := h.pm.Submit(PilotDescription{Resource: "alpha", Cores: 32, Walltime: 12 * time.Hour})
 	um.AddPilot(p)
 	um.OnCompletion(func() { h.pm.CancelAll() })
-	if err := um.Submit(unitDescs(32, 10*time.Minute)); err != nil {
+	if err := um.Submit(unitTasks(32, 10*time.Minute), nil); err != nil {
 		t.Fatal(err)
 	}
 	h.eng.Run()
 	restarts := 0
 	for _, u := range um.units {
 		if u.State() != UnitDone {
-			t.Fatalf("unit %s state %v (restarts should recover p=0.4)", u.desc.Name, u.State())
+			t.Fatalf("unit %s state %v (restarts should recover p=0.4)", u.task.ID, u.State())
 		}
 		restarts += u.Attempts()
 	}
@@ -335,13 +336,13 @@ func TestUnitFailureBudgetExhausted(t *testing.T) {
 	p, _ := h.pm.Submit(PilotDescription{Resource: "alpha", Cores: 8, Walltime: 12 * time.Hour})
 	um.AddPilot(p)
 	um.OnCompletion(func() { h.pm.CancelAll() })
-	if err := um.Submit(unitDescs(4, time.Minute)); err != nil {
+	if err := um.Submit(unitTasks(4, time.Minute), nil); err != nil {
 		t.Fatal(err)
 	}
 	h.eng.Run()
 	for _, u := range um.units {
 		if u.State() != UnitFailed {
-			t.Fatalf("unit %s state %v, want FAILED", u.desc.Name, u.State())
+			t.Fatalf("unit %s state %v, want FAILED", u.task.ID, u.State())
 		}
 		if u.Attempts() != 1+maxRestarts {
 			t.Fatalf("attempts %d, want %d (1 + %d restarts)", u.Attempts(), 1+maxRestarts, maxRestarts)
@@ -359,7 +360,7 @@ func TestPilotWalltimeReschedulesUnits(t *testing.T) {
 	um.AddPilot(pa)
 	um.AddPilot(pb)
 	um.OnCompletion(func() { h.pm.CancelAll() })
-	if err := um.Submit(unitDescs(8, time.Hour)); err != nil {
+	if err := um.Submit(unitTasks(8, time.Hour), nil); err != nil {
 		t.Fatal(err)
 	}
 	h.eng.Run()
@@ -368,7 +369,7 @@ func TestPilotWalltimeReschedulesUnits(t *testing.T) {
 	}
 	for _, u := range um.units {
 		if u.State() != UnitDone {
-			t.Fatalf("unit %s state %v", u.desc.Name, u.State())
+			t.Fatalf("unit %s state %v", u.task.ID, u.State())
 		}
 		if u.Pilot() != pb {
 			t.Fatal("unit did not migrate to beta after alpha retired")
@@ -381,13 +382,13 @@ func TestAllPilotsGoneFailsUnits(t *testing.T) {
 	um := NewUnitManager(h.sys, Backfill{}, 0)
 	p, _ := h.pm.Submit(PilotDescription{Resource: "alpha", Cores: 8, Walltime: 10 * time.Minute})
 	um.AddPilot(p)
-	if err := um.Submit(unitDescs(8, 2*time.Hour)); err != nil {
+	if err := um.Submit(unitTasks(8, 2*time.Hour), nil); err != nil {
 		t.Fatal(err)
 	}
 	h.eng.Run()
 	for _, u := range um.units {
 		if u.State() != UnitFailed {
-			t.Fatalf("unit %s state %v, want FAILED when no pilots remain", u.desc.Name, u.State())
+			t.Fatalf("unit %s state %v, want FAILED when no pilots remain", u.task.ID, u.State())
 		}
 	}
 	if !finished(um) {
@@ -401,13 +402,13 @@ func TestUnitDependencies(t *testing.T) {
 	p, _ := h.pm.Submit(PilotDescription{Resource: "alpha", Cores: 8, Walltime: 2 * time.Hour})
 	um.AddPilot(p)
 	um.OnCompletion(func() { h.pm.CancelAll() })
-	descs := []UnitDescription{
-		{Name: "producer", Cores: 1, Duration: 10 * time.Minute,
-			Inputs: []InputFile{{Bytes: 1 << 20}}, OutputBytes: 1 << 20},
-		{Name: "consumer", Cores: 1, Duration: time.Minute,
-			Inputs: []InputFile{{Bytes: 1 << 20, Producer: "producer"}}, OutputBytes: 1 << 10},
+	tasks := []skeleton.Task{
+		{ID: "producer", Cores: 1, Duration: 10 * time.Minute,
+			Inputs: []skeleton.File{{Bytes: 1 << 20}}, Outputs: []skeleton.File{{Bytes: 1 << 20}}},
+		{ID: "consumer", Cores: 1, Duration: time.Minute,
+			Inputs: []skeleton.File{{Bytes: 1 << 20, Producer: "producer"}}, Outputs: []skeleton.File{{Bytes: 1 << 10}}},
 	}
-	if err := um.Submit(descs); err != nil {
+	if err := um.Submit(tasks, nil); err != nil {
 		t.Fatal(err)
 	}
 	h.eng.Run()
@@ -417,7 +418,7 @@ func TestUnitDependencies(t *testing.T) {
 	if consExec.Time <= prodDone.Time {
 		t.Fatalf("consumer executed at %v before producer done at %v", consExec.Time, prodDone.Time)
 	}
-	if um.byName["consumer"].State() != UnitDone {
+	if um.unit("consumer").State() != UnitDone {
 		t.Fatal("consumer did not finish")
 	}
 }
@@ -428,13 +429,13 @@ func TestSamePilotDependencySkipsStaging(t *testing.T) {
 	p, _ := h.pm.Submit(PilotDescription{Resource: "alpha", Cores: 8, Walltime: 2 * time.Hour})
 	um.AddPilot(p)
 	um.OnCompletion(func() { h.pm.CancelAll() })
-	descs := []UnitDescription{
-		{Name: "producer", Cores: 1, Duration: time.Minute,
-			Inputs: []InputFile{{Bytes: 1 << 20}}, OutputBytes: 1 << 30}, // 1 GB output
-		{Name: "consumer", Cores: 1, Duration: time.Minute,
-			Inputs: []InputFile{{Bytes: 1 << 30, Producer: "producer"}}},
+	tasks := []skeleton.Task{
+		{ID: "producer", Cores: 1, Duration: time.Minute,
+			Inputs: []skeleton.File{{Bytes: 1 << 20}}, Outputs: []skeleton.File{{Bytes: 1 << 30}}}, // 1 GB output
+		{ID: "consumer", Cores: 1, Duration: time.Minute,
+			Inputs: []skeleton.File{{Bytes: 1 << 30, Producer: "producer"}}},
 	}
-	if err := um.Submit(descs); err != nil {
+	if err := um.Submit(tasks, nil); err != nil {
 		t.Fatal(err)
 	}
 	h.eng.Run()
@@ -452,20 +453,33 @@ func TestSamePilotDependencySkipsStaging(t *testing.T) {
 func TestUnitManagerValidation(t *testing.T) {
 	h := newHarness(t, DefaultConfig(), 16)
 	um := NewUnitManager(h.sys, Direct{}, 0)
-	if err := um.Submit([]UnitDescription{{Name: "", Cores: 1}}); err == nil {
+	if err := um.Submit([]skeleton.Task{{ID: "", Cores: 1}}, nil); err == nil {
 		t.Fatal("anonymous unit accepted")
 	}
-	if err := um.Submit([]UnitDescription{{Name: "a", Cores: 0}}); err == nil {
+	if err := um.Submit([]skeleton.Task{{ID: "a", Cores: 0}}, nil); err == nil {
 		t.Fatal("zero-core unit accepted")
 	}
-	if err := um.Submit([]UnitDescription{{Name: "a", Cores: 1, Deps: []string{"ghost"}}}); err == nil {
+	if err := um.Submit([]skeleton.Task{{ID: "a", Cores: 1, Deps: []string{"ghost"}}}, nil); err == nil {
 		t.Fatal("dangling dependency accepted")
 	}
-	if err := um.Submit([]UnitDescription{{Name: "a", Cores: 1}}); err != nil {
+	if err := um.Submit([]skeleton.Task{{ID: "a", Cores: 1}}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := um.Submit([]UnitDescription{{Name: "a", Cores: 1}}); err == nil {
+	if err := um.Submit([]skeleton.Task{{ID: "a", Cores: 1}}, nil); err == nil {
 		t.Fatal("duplicate unit accepted")
+	}
+	// An index is handed over only with a manager's first submission, and
+	// must hold exactly its tasks.
+	b := []skeleton.Task{{ID: "b", Cores: 1}}
+	if err := um.Submit(b, skeleton.Index{"b": 0}); err == nil {
+		t.Fatal("an index handed to a manager with units accepted")
+	}
+	fresh := NewUnitManager(h.sys, Direct{}, 0)
+	if err := fresh.Submit(b, skeleton.Index{"a": 0, "b": 1}); err == nil || len(fresh.units) != 0 {
+		t.Fatal("an index of other tasks accepted")
+	}
+	if err := fresh.Submit(b, skeleton.Index{"b": 0}); err != nil || fresh.unit("b").Task() != &b[0] {
+		t.Fatalf("a first submission with its index: %v", err)
 	}
 }
 
@@ -474,22 +488,23 @@ func TestUnitManagerValidation(t *testing.T) {
 // submitted — leaves no unit, no ready entry, no name and no record behind,
 // and a valid batch after it, reusing its names, runs exactly its own units.
 func TestSubmitIsAllOrNothing(t *testing.T) {
-	for _, bad := range []UnitDescription{
-		{Name: nameOf(2), Cores: 0},
-		{Name: nameOf(0), Cores: 1},
-		{Name: nameOf(2), Cores: 1, Deps: []string{nameOf(0), "ghost"}},
-		{Name: nameOf(2), Cores: 1, Deps: []string{""}},
-		{Name: nameOf(2), Cores: 1, Inputs: []InputFile{{Bytes: 1, Producer: "ghost"}}},
+	for _, bad := range []skeleton.Task{
+		{ID: nameOf(2), Cores: 0},
+		{ID: nameOf(0), Cores: 1},
+		{ID: nameOf(2), Cores: 1, Deps: []string{nameOf(0), "ghost"}},
+		{ID: nameOf(2), Cores: 1, Deps: []string{""}},
+		{ID: nameOf(2), Cores: 1, Inputs: []skeleton.File{{Bytes: 1, Producer: "ghost"}}},
+		{ID: nameOf(2), Cores: 1, Outputs: []skeleton.File{{Bytes: 10}, {Bytes: -5}}},
 	} {
 		h := newHarness(t, DefaultConfig(), 18)
 		um := NewUnitManager(h.sys, Backfill{}, 0)
-		batch := append(unitDescs(2, time.Minute), bad)
-		if err := um.Submit(batch); err == nil {
+		batch := append(unitTasks(2, time.Minute), bad)
+		if err := um.Submit(batch, nil); err == nil {
 			t.Fatalf("batch ending in %+v accepted", bad)
 		}
-		if len(um.units) != 0 || len(um.ready) != 0 || len(um.byName) != 0 || h.rec.Len() != 0 {
+		if len(um.units) != 0 || len(um.ready) != 0 || len(um.names) != 0 || h.rec.Len() != 0 {
 			t.Fatalf("rejected batch left %d units, %d ready, %d names and %d records",
-				len(um.units), len(um.ready), len(um.byName), h.rec.Len())
+				len(um.units), len(um.ready), len(um.names), h.rec.Len())
 		}
 		p, err := h.pm.Submit(PilotDescription{Resource: "alpha", Cores: 8, Walltime: time.Hour})
 		if err != nil {
@@ -497,7 +512,7 @@ func TestSubmitIsAllOrNothing(t *testing.T) {
 		}
 		um.AddPilot(p)
 		um.OnCompletion(func() { h.pm.Cancel(p) })
-		if err := um.Submit(unitDescs(3, time.Minute)); err != nil {
+		if err := um.Submit(unitTasks(3, time.Minute), nil); err != nil {
 			t.Fatal(err)
 		}
 		h.eng.Run()
@@ -506,7 +521,7 @@ func TestSubmitIsAllOrNothing(t *testing.T) {
 		}
 		for _, u := range um.units {
 			if u.State() != UnitDone {
-				t.Fatalf("unit %s ended %v", u.desc.Name, u.State())
+				t.Fatalf("unit %s ended %v", u.task.ID, u.State())
 			}
 		}
 		if got := len(h.rec.ByState(UnitNew.String())); got != 3+1 { // the units and the pilot
@@ -520,7 +535,7 @@ func TestUnitCancel(t *testing.T) {
 	um := NewUnitManager(h.sys, Direct{}, 0)
 	p, _ := h.pm.Submit(PilotDescription{Resource: "alpha", Cores: 8, Walltime: 2 * time.Hour})
 	um.AddPilot(p)
-	if err := um.Submit(unitDescs(4, time.Hour)); err != nil {
+	if err := um.Submit(unitTasks(4, time.Hour), nil); err != nil {
 		t.Fatal(err)
 	}
 	h.eng.Schedule(30*time.Second, func() { um.CancelAll() })
@@ -528,7 +543,7 @@ func TestUnitCancel(t *testing.T) {
 	h.eng.Run()
 	for _, u := range um.units {
 		if u.State() != UnitCanceled {
-			t.Fatalf("unit %s state %v, want CANCELED", u.desc.Name, u.State())
+			t.Fatalf("unit %s state %v, want CANCELED", u.task.ID, u.State())
 		}
 	}
 }
@@ -575,18 +590,18 @@ func TestWorkloadConservationProperty(t *testing.T) {
 			um.AddPilot(p)
 		}
 		n := 1 + rng.Intn(40)
-		descs := make([]UnitDescription, n)
-		for i := range descs {
-			descs[i] = UnitDescription{
-				Name:        nameOf(i),
-				Cores:       1 + rng.Intn(3),
-				Duration:    time.Duration(1+rng.Intn(20)) * time.Minute,
-				Inputs:      []InputFile{{Bytes: int64(rng.Intn(1 << 20))}},
-				OutputBytes: int64(rng.Intn(4096)),
+		tasks := make([]skeleton.Task, n)
+		for i := range tasks {
+			tasks[i] = skeleton.Task{
+				ID:       nameOf(i),
+				Cores:    1 + rng.Intn(3),
+				Duration: time.Duration(1+rng.Intn(20)) * time.Minute,
+				Inputs:   []skeleton.File{{Bytes: int64(rng.Intn(1 << 20))}},
+				Outputs:  []skeleton.File{{Bytes: int64(rng.Intn(4096))}},
 			}
 		}
 		um.OnCompletion(func() { h.pm.CancelAll() })
-		if err := um.Submit(descs); err != nil {
+		if err := um.Submit(tasks, nil); err != nil {
 			t.Fatal(err)
 		}
 		h.eng.Run()
@@ -596,7 +611,7 @@ func TestWorkloadConservationProperty(t *testing.T) {
 		terminal := 0
 		for _, u := range um.units {
 			if !u.State().Final() {
-				t.Fatalf("seed %d: unit %s in state %v", seed, u.desc.Name, u.State())
+				t.Fatalf("seed %d: unit %s in state %v", seed, u.task.ID, u.State())
 			}
 			terminal++
 		}
@@ -621,7 +636,7 @@ func TestTraceSpanConsistencyProperty(t *testing.T) {
 		um.AddPilot(p)
 	}
 	um.OnCompletion(func() { h.pm.CancelAll() })
-	if err := um.Submit(unitDescs(24, 5*time.Minute)); err != nil {
+	if err := um.Submit(unitTasks(24, 5*time.Minute), nil); err != nil {
 		t.Fatal(err)
 	}
 	h.eng.Run()
@@ -674,12 +689,12 @@ func TestMulticoreUnitsAgentBackfill(t *testing.T) {
 	p, _ := h.pm.Submit(PilotDescription{Resource: "alpha", Cores: 4, Walltime: 2 * time.Hour})
 	um.AddPilot(p)
 	um.OnCompletion(func() { h.pm.CancelAll() })
-	descs := []UnitDescription{
-		{Name: "wide-a", Cores: 2, Duration: 30 * time.Minute},
-		{Name: "wide-b", Cores: 3, Duration: 10 * time.Minute}, // cannot fit with wide-a
-		{Name: "narrow", Cores: 1, Duration: 5 * time.Minute},  // fits alongside wide-a
+	tasks := []skeleton.Task{
+		{ID: "wide-a", Cores: 2, Duration: 30 * time.Minute},
+		{ID: "wide-b", Cores: 3, Duration: 10 * time.Minute}, // cannot fit with wide-a
+		{ID: "narrow", Cores: 1, Duration: 5 * time.Minute},  // fits alongside wide-a
 	}
-	if err := um.Submit(descs); err != nil {
+	if err := um.Submit(tasks, nil); err != nil {
 		t.Fatal(err)
 	}
 	h.eng.Run()
@@ -691,7 +706,7 @@ func TestMulticoreUnitsAgentBackfill(t *testing.T) {
 	}
 	for _, u := range um.units {
 		if u.State() != UnitDone {
-			t.Fatalf("unit %s state %v", u.desc.Name, u.State())
+			t.Fatalf("unit %s state %v", u.task.ID, u.State())
 		}
 	}
 }

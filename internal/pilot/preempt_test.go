@@ -27,7 +27,7 @@ func TestPreemptReschedulesUnits(t *testing.T) {
 		um.AddPilot(p)
 		pilots = append(pilots, p)
 	}
-	if err := um.Submit(unitDescs(16, 10*time.Minute)); err != nil {
+	if err := um.Submit(unitTasks(16, 10*time.Minute), nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -52,7 +52,7 @@ func TestPreemptReschedulesUnits(t *testing.T) {
 		case UnitFailed:
 			failed++
 		default:
-			t.Fatalf("unit %s left in state %v", u.desc.Name, u.State())
+			t.Fatalf("unit %s left in state %v", u.task.ID, u.State())
 		}
 	}
 	if done != 16 || failed != 0 {
@@ -83,7 +83,7 @@ func TestPreemptBeforeActivation(t *testing.T) {
 		pilots = append(pilots, p)
 	}
 	// Round-robin binds half the units to each pilot at submission.
-	if err := um.Submit(unitDescs(8, time.Minute)); err != nil {
+	if err := um.Submit(unitTasks(8, time.Minute), nil); err != nil {
 		t.Fatal(err)
 	}
 	// Beta activates at ~121s; preempt it at 30s, long before activation,
@@ -98,7 +98,7 @@ func TestPreemptBeforeActivation(t *testing.T) {
 		if u.State() == UnitDone {
 			done++
 		} else {
-			t.Fatalf("unit %s stranded in %v", u.desc.Name, u.State())
+			t.Fatalf("unit %s stranded in %v", u.task.ID, u.State())
 		}
 	}
 	if done != 8 {

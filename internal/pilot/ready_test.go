@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"aimes/internal/skeleton"
 )
 
 // eligibleScan is the scan the incremental ready list replaced: every unit
@@ -17,11 +19,11 @@ func eligibleScan(um *UnitManager) []*Unit {
 			continue
 		}
 		ok := true
-		for _, dep := range u.desc.Deps {
-			if d := um.byName[dep]; d == nil || d.state != UnitDone {
-				ok = false
-				break
-			}
+		for _, dep := range u.task.Deps {
+			ok = ok && um.unit(dep).state == UnitDone
+		}
+		for _, f := range u.task.Inputs {
+			ok = ok && (f.Producer == "" || um.unit(f.Producer).state == UnitDone)
 		}
 		if ok {
 			out = append(out, u)
@@ -33,18 +35,18 @@ func eligibleScan(um *UnitManager) []*Unit {
 // randomDAG draws n units named prefix+index whose dependencies — explicit,
 // through produced inputs, or both, sometimes repeated — point at earlier
 // units of the same batch or at names in earlier.
-func randomDAG(rng *rand.Rand, prefix string, n int, earlier []string) []UnitDescription {
+func randomDAG(rng *rand.Rand, prefix string, n int, earlier []string) []skeleton.Task {
 	names := append([]string(nil), earlier...)
-	descs := make([]UnitDescription, n)
-	for i := range descs {
-		d := UnitDescription{
-			Name:        fmt.Sprintf("%s%03d", prefix, i),
-			Cores:       []int{1, 1, 1, 2, 4}[rng.Intn(5)],
-			Duration:    time.Duration(1+rng.Intn(600)) * time.Second,
-			OutputBytes: int64(rng.Intn(2)) << 20,
+	tasks := make([]skeleton.Task, n)
+	for i := range tasks {
+		d := skeleton.Task{
+			ID:       fmt.Sprintf("%s%03d", prefix, i),
+			Cores:    []int{1, 1, 1, 2, 4}[rng.Intn(5)],
+			Duration: time.Duration(1+rng.Intn(600)) * time.Second,
+			Outputs:  []skeleton.File{{Bytes: int64(rng.Intn(2)) << 20}},
 		}
 		if rng.Intn(2) == 0 {
-			d.Inputs = append(d.Inputs, InputFile{Bytes: int64(rng.Intn(4)) << 20})
+			d.Inputs = append(d.Inputs, skeleton.File{Bytes: int64(rng.Intn(4)) << 20})
 		}
 		if len(names) > 0 && rng.Intn(3) == 0 {
 			for k := rng.Intn(3); k >= 0; k-- {
@@ -53,17 +55,17 @@ func randomDAG(rng *rand.Rand, prefix string, n int, earlier []string) []UnitDes
 				case 0:
 					d.Deps = append(d.Deps, dep)
 				case 1:
-					d.Inputs = append(d.Inputs, InputFile{Bytes: 1 << 18, Producer: dep})
+					d.Inputs = append(d.Inputs, skeleton.File{Bytes: 1 << 18, Producer: dep})
 				default:
 					d.Deps = append(d.Deps, dep)
-					d.Inputs = append(d.Inputs, InputFile{Bytes: 1 << 18, Producer: dep})
+					d.Inputs = append(d.Inputs, skeleton.File{Bytes: 1 << 18, Producer: dep})
 				}
 			}
 		}
-		descs[i] = d
-		names = append(names, d.Name)
+		tasks[i] = d
+		names = append(names, d.ID)
 	}
-	return descs
+	return tasks
 }
 
 // TestReadyListMatchesScan drives seeded random DAGs through restarts,
@@ -116,16 +118,16 @@ func TestReadyListMatchesScan(t *testing.T) {
 				h.eng.Schedule(time.Duration(200+rng.Intn(1200))*time.Second, func() { um.AddPilot(late) })
 
 				first := randomDAG(rng, "a", 40+rng.Intn(60), nil)
-				if err := um.Submit(first); err != nil {
+				if err := um.Submit(first, nil); err != nil {
 					t.Fatal(err)
 				}
 				var names []string
 				for _, d := range first {
-					names = append(names, d.Name)
+					names = append(names, d.ID)
 				}
 				second := randomDAG(rng, "b", 20+rng.Intn(20), names)
 				h.eng.Schedule(time.Duration(rng.Intn(1800))*time.Second, func() {
-					if err := um.Submit(second); err != nil {
+					if err := um.Submit(second, nil); err != nil {
 						t.Error(err)
 					}
 				})
@@ -133,9 +135,9 @@ func TestReadyListMatchesScan(t *testing.T) {
 					h.pm.Preempt(pilots[0], "reclaimed")
 				})
 				for k := rng.Intn(8); k > 0; k-- {
-					victim := first[rng.Intn(len(first))].Name
+					victim := first[rng.Intn(len(first))].ID
 					h.eng.Schedule(time.Duration(rng.Intn(2400))*time.Second, func() {
-						um.Cancel(um.byName[victim])
+						um.Cancel(um.unit(victim))
 					})
 				}
 				h.eng.Run()
@@ -145,7 +147,7 @@ func TestReadyListMatchesScan(t *testing.T) {
 				}
 				for _, u := range um.units {
 					if !u.State().Final() {
-						t.Fatalf("unit %s left in %v", u.desc.Name, u.State())
+						t.Fatalf("unit %s left in %v", u.task.ID, u.State())
 					}
 				}
 			})
@@ -168,29 +170,36 @@ func sameUnits(a, b []*Unit) bool {
 func unitNames(us []*Unit) []string {
 	out := make([]string, len(us))
 	for i, u := range us {
-		out[i] = u.desc.Name
+		out[i] = u.task.ID
 	}
 	return out
 }
 
-// TestSubmitDependencyOrder pins the order Submit gives a unit's
-// dependencies: explicit Deps first, then input producers, each once.
+// TestSubmitDependencyOrder pins how Submit resolves a unit's dependencies:
+// explicit Deps, then input producers, each once — counted in the unit and
+// listed once with each producer — without writing the caller's tasks.
 func TestSubmitDependencyOrder(t *testing.T) {
 	h := newHarness(t, DefaultConfig(), 1)
 	um := NewUnitManager(h.sys, Backfill{}, 0)
-	descs := []UnitDescription{
-		{Name: "p", Cores: 1}, {Name: "q", Cores: 1}, {Name: "r", Cores: 1},
-		{Name: "u", Cores: 1, Deps: []string{"r", "p", "r"},
-			Inputs: []InputFile{{Bytes: 1}, {Bytes: 1, Producer: "q"}, {Bytes: 1, Producer: "p"}}},
+	tasks := []skeleton.Task{
+		{ID: "p", Cores: 1}, {ID: "q", Cores: 1}, {ID: "r", Cores: 1},
+		{ID: "u", Cores: 1, Deps: []string{"r", "p", "r"},
+			Inputs: []skeleton.File{{Bytes: 1}, {Bytes: 1, Producer: "q"}, {Bytes: 1, Producer: "p"}}},
 	}
-	if err := um.Submit(descs); err != nil {
+	if err := um.Submit(tasks, nil); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := um.byName["u"].Description().Deps, []string{"r", "p", "q"}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("deps = %v, want %v", got, want)
+	u := um.unit("u")
+	if u.openDeps != 3 {
+		t.Fatalf("u waits for %d dependencies, want 3", u.openDeps)
 	}
-	if got := um.byName["p"].Description().Deps; len(got) != 0 {
-		t.Fatalf("independent unit has deps %v", got)
+	for _, id := range []string{"p", "q", "r"} {
+		if got := um.unit(id).dependents; len(got) != 1 || got[0] != u {
+			t.Fatalf("%s's dependents = %v, want [u]", id, unitNames(got))
+		}
+	}
+	if got, want := tasks[3].Deps, []string{"r", "p", "r"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("Submit rewrote the caller's deps to %v", got)
 	}
 }
 
@@ -209,8 +218,8 @@ func backfillFullScan(ready []*Unit, pilots []*Pilot, committed map[*Pilot]int) 
 			if p.State() != PilotActive {
 				continue
 			}
-			if free[p] >= u.desc.Cores {
-				free[p] -= u.desc.Cores
+			if free[p] >= u.task.Cores {
+				free[p] -= u.task.Cores
 				out = append(out, Assignment{Unit: u, Pilot: p})
 				break
 			}
@@ -237,7 +246,7 @@ func TestBackfillEarlyExitMatchesFullScan(t *testing.T) {
 		}
 		ready := make([]*Unit, rng.Intn(40))
 		for i := range ready {
-			ready[i] = &Unit{desc: &UnitDescription{Cores: 1 + rng.Intn(1+rng.Intn(20))}}
+			ready[i] = &Unit{task: &skeleton.Task{Cores: 1 + rng.Intn(1+rng.Intn(20))}}
 		}
 		got, want := Backfill{}.Place(nil, ready, pilots, committed), backfillFullScan(ready, pilots, committed)
 		if !reflect.DeepEqual(got, want) {

@@ -121,51 +121,3 @@ func (d PilotDescription) Validate() error {
 	}
 	return nil
 }
-
-// InputFile describes one unit input.
-type InputFile struct {
-	// Bytes is the file size.
-	Bytes int64
-	// Producer is the unit that writes the file, or "" for files staged from
-	// the user's origin.
-	Producer string
-}
-
-// UnitDescription requests one compute unit (the paper's "task").
-type UnitDescription struct {
-	// Name is unique within the unit manager, e.g. the skeleton task ID.
-	Name string
-	// Cores is the unit's core requirement (1 for the paper's workloads).
-	Cores int
-	// Duration is the compute time (skeleton executables sleep).
-	Duration time.Duration
-	// Inputs are the files staged to the unit's sandbox before execution.
-	Inputs []InputFile
-	// OutputBytes is the payload staged back to the origin afterwards.
-	OutputBytes int64
-	// Deps name units that must reach DONE before this unit becomes
-	// eligible (multistage workflows).
-	Deps []string
-}
-
-// Validate reports a descriptive error for malformed descriptions.
-func (d UnitDescription) Validate() error {
-	if d.Name == "" {
-		return fmt.Errorf("pilot: unit description needs a name")
-	}
-	if d.Cores <= 0 {
-		return fmt.Errorf("pilot: unit %q requests %d cores", d.Name, d.Cores)
-	}
-	if d.Duration < 0 {
-		return fmt.Errorf("pilot: unit %q has negative duration", d.Name)
-	}
-	if d.OutputBytes < 0 {
-		return fmt.Errorf("pilot: unit %q has negative output size", d.Name)
-	}
-	for _, f := range d.Inputs {
-		if f.Bytes < 0 {
-			return fmt.Errorf("pilot: unit %q has negative input size", d.Name)
-		}
-	}
-	return nil
-}

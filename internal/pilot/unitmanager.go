@@ -11,12 +11,13 @@ import (
 
 	"aimes/internal/netsim"
 	"aimes/internal/sim"
+	"aimes/internal/skeleton"
 )
 
 // Unit is one compute unit under management.
 type Unit struct {
-	desc  *UnitDescription // the element of the slice Submit was given
-	id    string           // trace entity: "unit.<name>"
+	task  *skeleton.Task // the element of the slice Submit was given
+	id    string         // trace entity: "unit.<task ID>"
 	state UnitState
 	um    *UnitManager
 
@@ -45,8 +46,8 @@ type Unit struct {
 	dependents []*Unit
 }
 
-// Description returns the unit description.
-func (u *Unit) Description() UnitDescription { return *u.desc }
+// Task returns the task the unit runs, which belongs to the caller of Submit.
+func (u *Unit) Task() *skeleton.Task { return u.task }
 
 // State returns the current state.
 func (u *Unit) State() UnitState { return u.state }
@@ -87,18 +88,19 @@ func (u *Unit) finalize(state UnitState, detail string) {
 // pilotCommitRelease releases the unit's core commitment on its pilot.
 func (u *Unit) pilotCommitRelease() {
 	if u.committed && u.pilot != nil {
-		u.um.committed[u.pilot] -= u.desc.Cores
+		u.um.committed[u.pilot] -= u.task.Cores
 		u.committed = false
 	}
 }
 
 // stageOutput starts the output transfer back to the origin.
 func (u *Unit) stageOutput() {
-	if u.desc.OutputBytes <= 0 {
+	bytes := u.task.OutputBytes()
+	if bytes <= 0 {
 		u.finalize(UnitDone, "")
 		return
 	}
-	um, bytes := u.um, u.desc.OutputBytes
+	um := u.um
 	if d := &um.outDetail; d.text == "" || d.bytes != bytes {
 		var buf [32]byte
 		d.bytes, d.text = bytes, string(append(strconv.AppendInt(buf[:0], bytes, 10), " bytes"...))
@@ -215,12 +217,12 @@ func (Backfill) Place(dst []Assignment, ready []*Unit, pilots []*Pilot, committe
 			break
 		}
 		for i := range slots {
-			if slots[i].free >= u.desc.Cores {
+			if slots[i].free >= u.task.Cores {
 				if len(dst) == 0 { // at most one unit per free core fits
 					dst = slices.Grow(dst, min(len(ready), total))
 				}
-				slots[i].free -= u.desc.Cores
-				total -= u.desc.Cores
+				slots[i].free -= u.task.Cores
+				total -= u.task.Cores
 				dst = append(dst, Assignment{Unit: u, Pilot: slots[i].pilot})
 				break
 			}
@@ -237,7 +239,7 @@ type UnitManager struct {
 	scheduler Scheduler
 	pilots    []*Pilot
 	units     []*Unit
-	byName    map[string]*Unit
+	names     skeleton.Index // each unit's position in units, by task ID
 	committed map[*Pilot]int
 
 	// ready holds, in submission order, the units in UnitScheduling with no
@@ -364,47 +366,57 @@ func (um *UnitManager) OnCompletion(fn func()) {
 	um.onDone = append(um.onDone, fn)
 }
 
-// Submit accepts unit descriptions for execution: all of them, or none and
-// an error. Each unit points at its element of descs, into which Submit writes
-// the unit's resolved dependencies, so the caller must not modify descs
-// afterwards. The units of one call are carved from one slab and their trace
-// ids from one string, so while any of them is reachable all are.
-func (um *UnitManager) Submit(descs []UnitDescription) error {
-	if um.byName == nil {
-		um.byName = make(map[string]*Unit, len(descs))
-	}
-	slab := make([]Unit, len(descs))
-	idBytes := 0
-	for i := range descs {
-		if err := um.admissible(&descs[i]); err != nil {
-			for _, d := range descs[:i] {
-				delete(um.byName, d.Name)
-			}
+// Submit accepts tasks for execution: all of them, or none and an error.
+// Each unit points at its element of tasks, which Submit never writes, so the
+// caller must not modify tasks while the units run. names is nil, and Submit
+// checks and indexes the tasks itself (skeleton.Index.Add), or, on a manager
+// with no units yet, the index the caller already added exactly tasks to,
+// which the manager keeps as its own: the execution manager checks a
+// workload before it derives a strategy for it, so no job indexes its tasks
+// twice. The units of one call are carved from one slab and their trace ids
+// from one string, so while any of them is reachable all are.
+func (um *UnitManager) Submit(tasks []skeleton.Task, names skeleton.Index) error {
+	switch {
+	case names == nil:
+		if um.names == nil {
+			um.names = make(skeleton.Index, len(tasks))
+		}
+		if err := um.names.Add(tasks); err != nil {
 			return err
 		}
-		um.byName[descs[i].Name] = &slab[i]
-		idBytes += len("unit.") + len(descs[i].Name)
+	case len(um.units) != 0 || len(names) != len(tasks):
+		return fmt.Errorf("pilot: Submit of %d tasks given an index of %d on a manager with %d units", len(tasks), len(names), len(um.units))
+	default:
+		um.names = names
 	}
-	um.units = slices.Grow(um.units, len(descs))
-	um.ready = slices.Grow(um.ready, len(descs))
+	slab := make([]Unit, len(tasks))
+	idBytes := 0
+	for i := range tasks {
+		idBytes += len("unit.") + len(tasks[i].ID)
+	}
+	um.units = slices.Grow(um.units, len(tasks))
+	um.ready = slices.Grow(um.ready, len(tasks))
 	var ids strings.Builder
 	ids.Grow(idBytes)
-	for _, d := range descs {
+	for i := range tasks {
 		ids.WriteString("unit.")
-		ids.WriteString(d.Name)
+		ids.WriteString(tasks[i].ID)
 	}
 	id := ids.String()
-	for i := range descs {
-		d, u := &descs[i], &slab[i]
-		d.Deps = dependencies(d)
-		u.desc, u.um, u.index = d, um, int32(len(um.units))
-		n := len("unit.") + len(d.Name)
+	for i := range tasks {
+		t, u := &tasks[i], &slab[i]
+		u.task, u.um, u.index = t, um, int32(len(um.units))
+		n := len("unit.") + len(t.ID)
 		u.id, id = id[:n], id[n:]
 		u.execEv.Init((*execution)(u))
-		for _, dep := range d.Deps {
-			if producer := um.byName[dep]; producer.state != UnitDone {
-				u.openDeps++
-				producer.dependents = append(producer.dependents, u)
+		// A unit waits for its explicit dependencies, then for the producers
+		// of its inputs, each once.
+		for _, dep := range t.Deps {
+			um.dependOn(u, dep)
+		}
+		for k := range t.Inputs {
+			if producer := t.Inputs[k].Producer; producer != "" {
+				um.dependOn(u, producer)
 			}
 		}
 		um.units = append(um.units, u)
@@ -418,57 +430,19 @@ func (um *UnitManager) Submit(descs []UnitDescription) error {
 	return nil
 }
 
-// admissible reports why d cannot join the units submitted so far, or nil.
-func (um *UnitManager) admissible(d *UnitDescription) error {
-	if err := d.Validate(); err != nil {
-		return err
-	}
-	if _, dup := um.byName[d.Name]; dup {
-		return fmt.Errorf("pilot: duplicate unit %q", d.Name)
-	}
-	known := func(dep string) error {
-		if _, ok := um.byName[dep]; ok {
-			return nil
-		}
-		return fmt.Errorf("pilot: unit %q depends on unknown unit %q (submit producers first)", d.Name, dep)
-	}
-	for _, dep := range d.Deps {
-		if err := known(dep); err != nil {
-			return err
-		}
-	}
-	for _, f := range d.Inputs {
-		if f.Producer == "" {
-			continue
-		}
-		if err := known(f.Producer); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// unit returns the submitted unit whose task has the given ID.
+func (um *UnitManager) unit(id string) *Unit { return um.units[um.names[id]] }
 
-// dependencies returns the units d waits for: its explicit Deps, then the
-// producers of its inputs, each once.
-func dependencies(d *UnitDescription) []string {
-	names := d.Deps[:len(d.Deps):len(d.Deps)] // appending copies: d.Deps is the caller's
-	for _, f := range d.Inputs {
-		if f.Producer != "" {
-			names = append(names, f.Producer)
-		}
+// dependOn makes u wait for the unit whose task has the given ID, unless that
+// unit is done or u already waits for it. A unit's dependencies are wired one
+// after another, so if u is on the producer's list at all it is last there.
+func (um *UnitManager) dependOn(u *Unit, id string) {
+	p := um.unit(id)
+	if p.state == UnitDone || len(p.dependents) > 0 && p.dependents[len(p.dependents)-1] == u {
+		return
 	}
-	if len(names) == 0 {
-		return nil
-	}
-	seen := make(map[string]bool, len(names))
-	deps := make([]string, 0, len(names))
-	for _, dep := range names {
-		if !seen[dep] {
-			seen[dep] = true
-			deps = append(deps, dep)
-		}
-	}
-	return deps
+	u.openDeps++
+	p.dependents = append(p.dependents, u)
 }
 
 // CancelAll cancels every non-final unit.
@@ -553,7 +527,7 @@ func (um *UnitManager) bind(u *Unit, p *Pilot) {
 	}
 	u.pilot = p
 	u.committed = true
-	um.committed[p] += u.desc.Cores
+	um.committed[p] += u.task.Cores
 
 	bytes := um.stageInBytes(u, p)
 	if d := &um.inDetail; d.pilot != p || d.bytes != bytes {
@@ -576,13 +550,8 @@ func (um *UnitManager) bind(u *Unit, p *Pilot) {
 // filesystem).
 func (um *UnitManager) stageInBytes(u *Unit, p *Pilot) int64 {
 	var n int64
-	for _, f := range u.desc.Inputs {
-		if f.Producer == "" {
-			n += f.Bytes
-			continue
-		}
-		producer := um.byName[f.Producer]
-		if producer == nil || producer.pilot != p {
+	for _, f := range u.task.Inputs {
+		if f.Producer == "" || um.unit(f.Producer).pilot != p {
 			n += f.Bytes
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -441,4 +442,43 @@ func ExampleGenerate() {
 	fmt.Println(w.Summary())
 	// Output:
 	// bot-4: 4 tasks, 1 stages, mean task 900s, 4.0 MB in / 8.0 KB out
+}
+
+// TestIndexAdd: Add indexes a batch after the tasks already held, or rejects
+// it whole — every output file is checked, not only their sum, and a
+// dependency or producer must come before its consumer.
+func TestIndexAdd(t *testing.T) {
+	x := Index{}
+	first := []Task{{ID: "p", Cores: 1, Outputs: []File{{Name: "p.out", Bytes: 1, Producer: "p"}}}}
+	if err := x.Add(first); err != nil {
+		t.Fatal(err)
+	}
+	ok := Task{ID: "q", Cores: 1, Deps: []string{"p"}, Inputs: []File{{Name: "p.out", Bytes: 1, Producer: "p"}}}
+	for name, bad := range map[string]Task{
+		"empty id":               {Cores: 1},
+		"duplicate id":           {ID: "p", Cores: 1},
+		"no cores":               {ID: "r", Cores: 0},
+		"negative duration":      {ID: "r", Cores: 1, Duration: -1},
+		"negative input":         {ID: "r", Cores: 1, Inputs: []File{{Name: "in", Bytes: -1}}},
+		"outputs +10 and -5":     {ID: "r", Cores: 1, Outputs: []File{{Name: "a", Bytes: 10}, {Name: "b", Bytes: -5}}},
+		"unknown dependency":     {ID: "r", Cores: 1, Deps: []string{"ghost"}},
+		"unknown producer":       {ID: "r", Cores: 1, Inputs: []File{{Name: "in", Bytes: 1, Producer: "ghost"}}},
+		"dependency on itself":   {ID: "r", Cores: 1, Deps: []string{"r"}},
+		"dependency on a later":  {ID: "r", Cores: 1, Deps: []string{"s"}},
+		"duplicate in the batch": {ID: "q", Cores: 1},
+	} {
+		batch := []Task{ok, bad, {ID: "s", Cores: 1}}
+		if err := x.Add(batch); err == nil {
+			t.Fatalf("%s: batch accepted", name)
+		}
+		if len(x) != 1 {
+			t.Fatalf("%s: a rejected batch left %d names, want 1", name, len(x))
+		}
+	}
+	if err := x.Add([]Task{ok, {ID: "s", Cores: 1, Deps: []string{"q", "p"}}}); err != nil {
+		t.Fatal(err)
+	}
+	if want := (Index{"p": 0, "q": 1, "s": 2}); !reflect.DeepEqual(x, want) {
+		t.Fatalf("index %v, want %v", x, want)
+	}
 }

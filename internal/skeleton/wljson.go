@@ -213,10 +213,10 @@ func ParseWorkloadJSON(r io.Reader) (*Workload, error) {
 }
 
 // ParseWorkload reads an interchange document and validates its structural
-// integrity (unique task IDs, resolvable dependencies, non-negative sizes);
-// nothing may follow the document but whitespace. The compact form
-// AppendMiddlewareJSON writes is read by JSONReader.Workload; anything else,
-// an indented document included, is decoded by encoding/json.
+// integrity (Index.Add: unique task IDs, dependencies on earlier tasks,
+// non-negative sizes); nothing may follow the document but whitespace. The
+// compact form AppendMiddlewareJSON writes is read by JSONReader.Workload;
+// anything else, an indented document included, is decoded by encoding/json.
 func ParseWorkload(b []byte) (*Workload, error) {
 	r := JSONReader{b}
 	w, err := r.Workload()
@@ -285,8 +285,7 @@ func seconds(s float64) time.Duration {
 }
 
 // validate checks what both readers leave unchecked: a name, at least one
-// task, unique non-empty task IDs, positive cores, non-negative durations and
-// sizes, and dependencies and producers that name tasks of the workload.
+// task, and the rules of an executable task (Index.Add).
 func validate(w *Workload) error {
 	if w.Name == "" {
 		return fmt.Errorf("skeleton: workload JSON needs a name")
@@ -294,47 +293,7 @@ func validate(w *Workload) error {
 	if len(w.Tasks) == 0 {
 		return fmt.Errorf("skeleton: workload %q has no tasks", w.Name)
 	}
-	ids := make(map[string]bool, len(w.Tasks))
-	for i := range w.Tasks {
-		t := &w.Tasks[i]
-		if t.ID == "" {
-			return fmt.Errorf("skeleton: task without id")
-		}
-		if ids[t.ID] {
-			return fmt.Errorf("skeleton: duplicate task id %q", t.ID)
-		}
-		ids[t.ID] = true
-		if t.Cores <= 0 {
-			return fmt.Errorf("skeleton: task %q requests %d cores", t.ID, t.Cores)
-		}
-		if t.Duration < 0 {
-			return fmt.Errorf("skeleton: task %q has negative duration", t.ID)
-		}
-		for _, f := range t.Inputs {
-			if f.Bytes < 0 {
-				return fmt.Errorf("skeleton: task %q input %q has negative size", t.ID, f.Name)
-			}
-		}
-		for _, f := range t.Outputs {
-			if f.Bytes < 0 {
-				return fmt.Errorf("skeleton: task %q output %q has negative size", t.ID, f.Name)
-			}
-		}
-	}
-	for i := range w.Tasks {
-		t := &w.Tasks[i]
-		for _, dep := range t.Deps {
-			if !ids[dep] {
-				return fmt.Errorf("skeleton: task %q depends on unknown task %q", t.ID, dep)
-			}
-		}
-		for _, f := range t.Inputs {
-			if f.Producer != "" && !ids[f.Producer] {
-				return fmt.Errorf("skeleton: task %q input produced by unknown task %q", t.ID, f.Producer)
-			}
-		}
-	}
-	return nil
+	return make(Index, len(w.Tasks)).Add(w.Tasks)
 }
 
 // Workload reads, at r's position, an interchange document in exactly the

@@ -61,6 +61,70 @@ func (t Task) OutputBytes() int64 {
 	return n
 }
 
+// Index maps the ID of each task it holds to the task's position among them.
+// Add is the one place the rules of an executable task are checked, so every
+// task an Index holds obeys them: the interchange reader checks a document
+// with one, and the execution manager indexes a workload with one before it
+// decides anything about the job, then hands it to the unit manager.
+type Index map[string]int32
+
+// Add checks tasks and indexes them in order after the tasks x already holds.
+// A task needs an ID that x does not hold yet, at least one core, a
+// non-negative duration, files of non-negative size, and dependencies and
+// input producers that name a task indexed before it. Either every task is
+// added or, with the first violation's error, none is.
+func (x Index) Add(tasks []Task) error {
+	for i := range tasks {
+		if err := x.check(&tasks[i]); err != nil {
+			for _, t := range tasks[:i] {
+				delete(x, t.ID)
+			}
+			return err
+		}
+		n := int32(len(x))
+		x[tasks[i].ID] = n
+	}
+	return nil
+}
+
+// check reports the first rule t breaks as the next task of x, or nil.
+func (x Index) check(t *Task) error {
+	if t.ID == "" {
+		return fmt.Errorf("skeleton: task without id")
+	}
+	if _, dup := x[t.ID]; dup {
+		return fmt.Errorf("skeleton: duplicate task id %q", t.ID)
+	}
+	if t.Cores <= 0 {
+		return fmt.Errorf("skeleton: task %q requests %d cores", t.ID, t.Cores)
+	}
+	if t.Duration < 0 {
+		return fmt.Errorf("skeleton: task %q has negative duration", t.ID)
+	}
+	for _, f := range t.Inputs {
+		if f.Bytes < 0 {
+			return fmt.Errorf("skeleton: task %q input %q has negative size", t.ID, f.Name)
+		}
+		if f.Producer == "" {
+			continue
+		}
+		if _, known := x[f.Producer]; !known {
+			return fmt.Errorf("skeleton: task %q input produced by unknown task %q (producers come first)", t.ID, f.Producer)
+		}
+	}
+	for _, f := range t.Outputs {
+		if f.Bytes < 0 {
+			return fmt.Errorf("skeleton: task %q output %q has negative size", t.ID, f.Name)
+		}
+	}
+	for _, dep := range t.Deps {
+		if _, known := x[dep]; !known {
+			return fmt.Errorf("skeleton: task %q depends on unknown task %q (producers come first)", t.ID, dep)
+		}
+	}
+	return nil
+}
+
 // Workload is a fully generated skeleton application: concrete tasks with
 // durations, files and dependencies. Workloads are deterministic for a fixed
 // (AppSpec, seed) pair, making experiments reproducible.
