@@ -121,7 +121,7 @@ func TestUnitTripAllocatesItsStateOnly(t *testing.T) {
 		}
 		um.AddPilot(p)
 		um.OnCompletion(func() { h.pm.Cancel(p) })
-		if err := um.Submit(tasks, nil); err != nil {
+		if err := um.Submit(indexed(t, tasks)); err != nil {
 			t.Fatal(err)
 		}
 		h.eng.Run()

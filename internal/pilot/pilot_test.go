@@ -74,6 +74,17 @@ func unitTasks(n int, dur time.Duration) []skeleton.Task {
 	return out
 }
 
+// indexed checks and indexes tasks for a unit manager with no units yet, as
+// the execution manager does before it submits a workload's tasks.
+func indexed(t testing.TB, tasks []skeleton.Task) ([]skeleton.Task, skeleton.Index) {
+	t.Helper()
+	x := make(skeleton.Index, len(tasks))
+	if err := x.Add(tasks); err != nil {
+		t.Fatal(err)
+	}
+	return tasks, x
+}
+
 func nameOf(i int) string {
 	return string([]byte{'u', byte('0' + i/100), byte('0' + (i/10)%10), byte('0' + i%10)})
 }
@@ -150,7 +161,7 @@ func TestEarlyBindingExecutesWorkload(t *testing.T) {
 		completed = h.eng.Now()
 		h.pm.CancelAll()
 	})
-	if err := um.Submit(unitTasks(16, 10*time.Minute), nil); err != nil {
+	if err := um.Submit(indexed(t, unitTasks(16, 10*time.Minute))); err != nil {
 		t.Fatal(err)
 	}
 	h.eng.Run()
@@ -182,7 +193,7 @@ func TestEarlyBindingStagingOverlapsQueueWait(t *testing.T) {
 	um := NewUnitManager(h.sys, Direct{}, 0)
 	p, _ := h.pm.Submit(PilotDescription{Resource: "alpha", Cores: 8, Walltime: 2 * time.Hour})
 	um.AddPilot(p)
-	if err := um.Submit(unitTasks(8, time.Minute), nil); err != nil {
+	if err := um.Submit(indexed(t, unitTasks(8, time.Minute))); err != nil {
 		t.Fatal(err)
 	}
 	h.eng.Run()
@@ -216,7 +227,7 @@ func TestLateBindingBackfillUsesFirstActivePilot(t *testing.T) {
 	um.OnCompletion(func() { h.pm.CancelAll() })
 	// 8 units of 30s: all fit on the first pilot (alpha) and finish before
 	// beta (121s) activates.
-	if err := um.Submit(unitTasks(8, 30*time.Second), nil); err != nil {
+	if err := um.Submit(indexed(t, unitTasks(8, 30*time.Second))); err != nil {
 		t.Fatal(err)
 	}
 	h.eng.Run()
@@ -240,7 +251,7 @@ func TestLateBindingSpillsToLaterPilots(t *testing.T) {
 	um.OnCompletion(func() { h.pm.CancelAll() })
 	// 8 long units on 4-core pilots: alpha takes 4; when beta activates it
 	// takes the rest.
-	if err := um.Submit(unitTasks(8, time.Hour), nil); err != nil {
+	if err := um.Submit(indexed(t, unitTasks(8, time.Hour))); err != nil {
 		t.Fatal(err)
 	}
 	h.eng.Run()
@@ -264,7 +275,7 @@ func TestRoundRobinDistributesEvenly(t *testing.T) {
 		um.AddPilot(p)
 	}
 	um.OnCompletion(func() { h.pm.CancelAll() })
-	if err := um.Submit(unitTasks(9, time.Minute), nil); err != nil {
+	if err := um.Submit(indexed(t, unitTasks(9, time.Minute))); err != nil {
 		t.Fatal(err)
 	}
 	h.eng.Run()
@@ -287,7 +298,7 @@ func TestAgentDispatchOverheadSerializes(t *testing.T) {
 	p, _ := h.pm.Submit(PilotDescription{Resource: "alpha", Cores: 64, Walltime: 2 * time.Hour})
 	um.AddPilot(p)
 	um.OnCompletion(func() { h.pm.CancelAll() })
-	if err := um.Submit(unitTasks(10, time.Minute), nil); err != nil {
+	if err := um.Submit(indexed(t, unitTasks(10, time.Minute))); err != nil {
 		t.Fatal(err)
 	}
 	h.eng.Run()
@@ -312,7 +323,7 @@ func TestUnitFailureRestarts(t *testing.T) {
 	p, _ := h.pm.Submit(PilotDescription{Resource: "alpha", Cores: 32, Walltime: 12 * time.Hour})
 	um.AddPilot(p)
 	um.OnCompletion(func() { h.pm.CancelAll() })
-	if err := um.Submit(unitTasks(32, 10*time.Minute), nil); err != nil {
+	if err := um.Submit(indexed(t, unitTasks(32, 10*time.Minute))); err != nil {
 		t.Fatal(err)
 	}
 	h.eng.Run()
@@ -336,7 +347,7 @@ func TestUnitFailureBudgetExhausted(t *testing.T) {
 	p, _ := h.pm.Submit(PilotDescription{Resource: "alpha", Cores: 8, Walltime: 12 * time.Hour})
 	um.AddPilot(p)
 	um.OnCompletion(func() { h.pm.CancelAll() })
-	if err := um.Submit(unitTasks(4, time.Minute), nil); err != nil {
+	if err := um.Submit(indexed(t, unitTasks(4, time.Minute))); err != nil {
 		t.Fatal(err)
 	}
 	h.eng.Run()
@@ -360,7 +371,7 @@ func TestPilotWalltimeReschedulesUnits(t *testing.T) {
 	um.AddPilot(pa)
 	um.AddPilot(pb)
 	um.OnCompletion(func() { h.pm.CancelAll() })
-	if err := um.Submit(unitTasks(8, time.Hour), nil); err != nil {
+	if err := um.Submit(indexed(t, unitTasks(8, time.Hour))); err != nil {
 		t.Fatal(err)
 	}
 	h.eng.Run()
@@ -382,7 +393,7 @@ func TestAllPilotsGoneFailsUnits(t *testing.T) {
 	um := NewUnitManager(h.sys, Backfill{}, 0)
 	p, _ := h.pm.Submit(PilotDescription{Resource: "alpha", Cores: 8, Walltime: 10 * time.Minute})
 	um.AddPilot(p)
-	if err := um.Submit(unitTasks(8, 2*time.Hour), nil); err != nil {
+	if err := um.Submit(indexed(t, unitTasks(8, 2*time.Hour))); err != nil {
 		t.Fatal(err)
 	}
 	h.eng.Run()
@@ -408,7 +419,7 @@ func TestUnitDependencies(t *testing.T) {
 		{ID: "consumer", Cores: 1, Duration: time.Minute,
 			Inputs: []skeleton.File{{Bytes: 1 << 20, Producer: "producer"}}, Outputs: []skeleton.File{{Bytes: 1 << 10}}},
 	}
-	if err := um.Submit(tasks, nil); err != nil {
+	if err := um.Submit(indexed(t, tasks)); err != nil {
 		t.Fatal(err)
 	}
 	h.eng.Run()
@@ -435,7 +446,7 @@ func TestSamePilotDependencySkipsStaging(t *testing.T) {
 		{ID: "consumer", Cores: 1, Duration: time.Minute,
 			Inputs: []skeleton.File{{Bytes: 1 << 30, Producer: "producer"}}},
 	}
-	if err := um.Submit(tasks, nil); err != nil {
+	if err := um.Submit(indexed(t, tasks)); err != nil {
 		t.Fatal(err)
 	}
 	h.eng.Run()
@@ -450,57 +461,54 @@ func TestSamePilotDependencySkipsStaging(t *testing.T) {
 	}
 }
 
+// TestUnitManagerValidation: Submit takes the index of the manager's units
+// so far plus the submitted tasks, and no other; what makes a task
+// executable is skeleton.Index.Add's to check (skeleton's TestIndexAdd).
 func TestUnitManagerValidation(t *testing.T) {
 	h := newHarness(t, DefaultConfig(), 16)
 	um := NewUnitManager(h.sys, Direct{}, 0)
-	if err := um.Submit([]skeleton.Task{{ID: "", Cores: 1}}, nil); err == nil {
-		t.Fatal("anonymous unit accepted")
+	a, b := []skeleton.Task{{ID: "a", Cores: 1}}, []skeleton.Task{{ID: "b", Cores: 1}}
+	if err := um.Submit(a, skeleton.Index{}); err == nil {
+		t.Fatal("an index without the submitted task accepted")
 	}
-	if err := um.Submit([]skeleton.Task{{ID: "a", Cores: 0}}, nil); err == nil {
-		t.Fatal("zero-core unit accepted")
+	if err := um.Submit(a, skeleton.Index{"a": 0, "z": 1}); err == nil {
+		t.Fatal("an index of another task too accepted")
 	}
-	if err := um.Submit([]skeleton.Task{{ID: "a", Cores: 1, Deps: []string{"ghost"}}}, nil); err == nil {
-		t.Fatal("dangling dependency accepted")
-	}
-	if err := um.Submit([]skeleton.Task{{ID: "a", Cores: 1}}, nil); err != nil {
+	x := skeleton.Index{}
+	if err := x.Add(a); err != nil {
 		t.Fatal(err)
 	}
-	if err := um.Submit([]skeleton.Task{{ID: "a", Cores: 1}}, nil); err == nil {
-		t.Fatal("duplicate unit accepted")
+	if err := um.Submit(a, x); err != nil {
+		t.Fatal(err)
 	}
-	// An index is handed over only with a manager's first submission, and
-	// must hold exactly its tasks.
-	b := []skeleton.Task{{ID: "b", Cores: 1}}
 	if err := um.Submit(b, skeleton.Index{"b": 0}); err == nil {
-		t.Fatal("an index handed to a manager with units accepted")
+		t.Fatal("an index without the manager's units accepted")
 	}
-	fresh := NewUnitManager(h.sys, Direct{}, 0)
-	if err := fresh.Submit(b, skeleton.Index{"a": 0, "b": 1}); err == nil || len(fresh.units) != 0 {
-		t.Fatal("an index of other tasks accepted")
+	if err := x.Add(b); err != nil {
+		t.Fatal(err)
 	}
-	if err := fresh.Submit(b, skeleton.Index{"b": 0}); err != nil || fresh.unit("b").Task() != &b[0] {
-		t.Fatalf("a first submission with its index: %v", err)
+	if err := um.Submit(b, x); err != nil {
+		t.Fatal(err)
+	}
+	if um.unit("a").Task() != &a[0] || um.unit("b").Task() != &b[0] {
+		t.Fatal("a unit does not point at its task")
 	}
 }
 
-// TestSubmitIsAllOrNothing: a batch whose last description is rejected —
-// invalid, a duplicate within the batch, or a dependency on a unit never
-// submitted — leaves no unit, no ready entry, no name and no record behind,
-// and a valid batch after it, reusing its names, runs exactly its own units.
+// TestSubmitIsAllOrNothing: a batch handed an index that does not hold
+// exactly its tasks — one short, one over, or none — leaves no unit, no ready
+// entry, no name and no record behind, and a valid batch after it, reusing
+// its names, runs exactly its own units.
 func TestSubmitIsAllOrNothing(t *testing.T) {
-	for _, bad := range []skeleton.Task{
-		{ID: nameOf(2), Cores: 0},
-		{ID: nameOf(0), Cores: 1},
-		{ID: nameOf(2), Cores: 1, Deps: []string{nameOf(0), "ghost"}},
-		{ID: nameOf(2), Cores: 1, Deps: []string{""}},
-		{ID: nameOf(2), Cores: 1, Inputs: []skeleton.File{{Bytes: 1, Producer: "ghost"}}},
-		{ID: nameOf(2), Cores: 1, Outputs: []skeleton.File{{Bytes: 10}, {Bytes: -5}}},
-	} {
+	for _, size := range []int{2, 4, -1} {
 		h := newHarness(t, DefaultConfig(), 18)
 		um := NewUnitManager(h.sys, Backfill{}, 0)
-		batch := append(unitTasks(2, time.Minute), bad)
-		if err := um.Submit(batch, nil); err == nil {
-			t.Fatalf("batch ending in %+v accepted", bad)
+		var index skeleton.Index // none for size -1
+		if size >= 0 {
+			_, index = indexed(t, unitTasks(size, time.Minute))
+		}
+		if err := um.Submit(unitTasks(3, time.Minute), index); err == nil {
+			t.Fatalf("batch of 3 tasks accepted with an index of %d", len(index))
 		}
 		if len(um.units) != 0 || len(um.ready) != 0 || len(um.names) != 0 || h.rec.Len() != 0 {
 			t.Fatalf("rejected batch left %d units, %d ready, %d names and %d records",
@@ -512,7 +520,7 @@ func TestSubmitIsAllOrNothing(t *testing.T) {
 		}
 		um.AddPilot(p)
 		um.OnCompletion(func() { h.pm.Cancel(p) })
-		if err := um.Submit(unitTasks(3, time.Minute), nil); err != nil {
+		if err := um.Submit(indexed(t, unitTasks(3, time.Minute))); err != nil {
 			t.Fatal(err)
 		}
 		h.eng.Run()
@@ -535,7 +543,7 @@ func TestUnitCancel(t *testing.T) {
 	um := NewUnitManager(h.sys, Direct{}, 0)
 	p, _ := h.pm.Submit(PilotDescription{Resource: "alpha", Cores: 8, Walltime: 2 * time.Hour})
 	um.AddPilot(p)
-	if err := um.Submit(unitTasks(4, time.Hour), nil); err != nil {
+	if err := um.Submit(indexed(t, unitTasks(4, time.Hour))); err != nil {
 		t.Fatal(err)
 	}
 	h.eng.Schedule(30*time.Second, func() { um.CancelAll() })
@@ -601,7 +609,7 @@ func TestWorkloadConservationProperty(t *testing.T) {
 			}
 		}
 		um.OnCompletion(func() { h.pm.CancelAll() })
-		if err := um.Submit(tasks, nil); err != nil {
+		if err := um.Submit(indexed(t, tasks)); err != nil {
 			t.Fatal(err)
 		}
 		h.eng.Run()
@@ -636,7 +644,7 @@ func TestTraceSpanConsistencyProperty(t *testing.T) {
 		um.AddPilot(p)
 	}
 	um.OnCompletion(func() { h.pm.CancelAll() })
-	if err := um.Submit(unitTasks(24, 5*time.Minute), nil); err != nil {
+	if err := um.Submit(indexed(t, unitTasks(24, 5*time.Minute))); err != nil {
 		t.Fatal(err)
 	}
 	h.eng.Run()
@@ -694,7 +702,7 @@ func TestMulticoreUnitsAgentBackfill(t *testing.T) {
 		{ID: "wide-b", Cores: 3, Duration: 10 * time.Minute}, // cannot fit with wide-a
 		{ID: "narrow", Cores: 1, Duration: 5 * time.Minute},  // fits alongside wide-a
 	}
-	if err := um.Submit(tasks, nil); err != nil {
+	if err := um.Submit(indexed(t, tasks)); err != nil {
 		t.Fatal(err)
 	}
 	h.eng.Run()

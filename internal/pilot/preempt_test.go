@@ -27,7 +27,7 @@ func TestPreemptReschedulesUnits(t *testing.T) {
 		um.AddPilot(p)
 		pilots = append(pilots, p)
 	}
-	if err := um.Submit(unitTasks(16, 10*time.Minute), nil); err != nil {
+	if err := um.Submit(indexed(t, unitTasks(16, 10*time.Minute))); err != nil {
 		t.Fatal(err)
 	}
 
@@ -83,7 +83,7 @@ func TestPreemptBeforeActivation(t *testing.T) {
 		pilots = append(pilots, p)
 	}
 	// Round-robin binds half the units to each pilot at submission.
-	if err := um.Submit(unitTasks(8, time.Minute), nil); err != nil {
+	if err := um.Submit(indexed(t, unitTasks(8, time.Minute))); err != nil {
 		t.Fatal(err)
 	}
 	// Beta activates at ~121s; preempt it at 30s, long before activation,

@@ -118,7 +118,8 @@ func TestReadyListMatchesScan(t *testing.T) {
 				h.eng.Schedule(time.Duration(200+rng.Intn(1200))*time.Second, func() { um.AddPilot(late) })
 
 				first := randomDAG(rng, "a", 40+rng.Intn(60), nil)
-				if err := um.Submit(first, nil); err != nil {
+				_, x := indexed(t, first)
+				if err := um.Submit(first, x); err != nil {
 					t.Fatal(err)
 				}
 				var names []string
@@ -127,7 +128,10 @@ func TestReadyListMatchesScan(t *testing.T) {
 				}
 				second := randomDAG(rng, "b", 20+rng.Intn(20), names)
 				h.eng.Schedule(time.Duration(rng.Intn(1800))*time.Second, func() {
-					if err := um.Submit(second, nil); err != nil {
+					if err := x.Add(second); err != nil {
+						t.Fatal(err)
+					}
+					if err := um.Submit(second, x); err != nil {
 						t.Error(err)
 					}
 				})
@@ -186,7 +190,7 @@ func TestSubmitDependencyOrder(t *testing.T) {
 		{ID: "u", Cores: 1, Deps: []string{"r", "p", "r"},
 			Inputs: []skeleton.File{{Bytes: 1}, {Bytes: 1, Producer: "q"}, {Bytes: 1, Producer: "p"}}},
 	}
-	if err := um.Submit(tasks, nil); err != nil {
+	if err := um.Submit(indexed(t, tasks)); err != nil {
 		t.Fatal(err)
 	}
 	u := um.unit("u")

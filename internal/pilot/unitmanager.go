@@ -367,28 +367,19 @@ func (um *UnitManager) OnCompletion(fn func()) {
 }
 
 // Submit accepts tasks for execution: all of them, or none and an error.
-// Each unit points at its element of tasks, which Submit never writes, so the
-// caller must not modify tasks while the units run. names is nil, and Submit
-// checks and indexes the tasks itself (skeleton.Index.Add), or, on a manager
-// with no units yet, the index the caller already added exactly tasks to,
-// which the manager keeps as its own: the execution manager checks a
-// workload before it derives a strategy for it, so no job indexes its tasks
-// twice. The units of one call are carved from one slab and their trace ids
-// from one string, so while any of them is reachable all are.
+// names is the index the caller checked and indexed the tasks into
+// (skeleton.Index.Add) after the manager's units so far, and the manager keeps
+// it as its own: the execution manager checks a workload before it derives a
+// strategy for it, so no job indexes its tasks twice. Each unit points at its
+// element of tasks, which Submit never writes, so the caller must not modify
+// tasks while the units run. The units of one call are carved from one slab
+// and their trace ids from one string, so while any of them is reachable all
+// are.
 func (um *UnitManager) Submit(tasks []skeleton.Task, names skeleton.Index) error {
-	switch {
-	case names == nil:
-		if um.names == nil {
-			um.names = make(skeleton.Index, len(tasks))
-		}
-		if err := um.names.Add(tasks); err != nil {
-			return err
-		}
-	case len(um.units) != 0 || len(names) != len(tasks):
-		return fmt.Errorf("pilot: Submit of %d tasks given an index of %d on a manager with %d units", len(tasks), len(names), len(um.units))
-	default:
-		um.names = names
+	if len(names) != len(um.units)+len(tasks) {
+		return fmt.Errorf("pilot: Submit of %d tasks to a manager with %d units given an index of %d", len(tasks), len(um.units), len(names))
 	}
+	um.names = names
 	slab := make([]Unit, len(tasks))
 	idBytes := 0
 	for i := range tasks {

@@ -462,6 +462,7 @@ func TestIndexAdd(t *testing.T) {
 		"negative input":         {ID: "r", Cores: 1, Inputs: []File{{Name: "in", Bytes: -1}}},
 		"outputs +10 and -5":     {ID: "r", Cores: 1, Outputs: []File{{Name: "a", Bytes: 10}, {Name: "b", Bytes: -5}}},
 		"unknown dependency":     {ID: "r", Cores: 1, Deps: []string{"ghost"}},
+		"empty dependency":       {ID: "r", Cores: 1, Deps: []string{""}},
 		"unknown producer":       {ID: "r", Cores: 1, Inputs: []File{{Name: "in", Bytes: 1, Producer: "ghost"}}},
 		"dependency on itself":   {ID: "r", Cores: 1, Deps: []string{"r"}},
 		"dependency on a later":  {ID: "r", Cores: 1, Deps: []string{"s"}},

@@ -26,6 +26,10 @@ import (
 // the job's lifetime: if ctx is canceled while the job runs, the job is
 // canceled. Waiting and job lifetime are otherwise independent — pass
 // context.Background() for an unbounded job.
+//
+// The job reads w until it finishes — its units point into w.Tasks — so w
+// must not be modified until then. Jobs only read it: one workload may be
+// submitted to any number of concurrent jobs.
 func (e *Environment) Submit(ctx context.Context, w *Workload, cfg JobConfig) (*Job, error) {
 	if ctx == nil {
 		ctx = context.Background()
