@@ -10,7 +10,7 @@ test:
 
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=3 -run '^TestCursorMatchesOracle$$' ./internal/trace/
+	$(GO) test -race -count=3 -run '^(TestCursorMatchesOracle|FuzzLogRecords)$$' ./internal/trace/
 	$(GO) test -race -count=3 -run '^(TestRunningNeverExceedsAdmitWindow|TestSealedShardKeepsConstantWindow|TestLoadPlacementSkipsSealedShard)$$' .
 
 # The tests whose outcome depends on the wall clock — WithRealTime's pacer,

@@ -19,18 +19,39 @@ const logSegment = 1024
 // window — fits in an entry's 32 bits.
 const maxLogSegs = math.MaxInt32 / logSegment
 
-// entry is one stored record, the stream (job) that produced it, and the
-// distance from it to that stream's next record (0 while it is the newest):
-// the thread a stream cursor follows, so it never looks at another job's
-// records. The record's state is stored as its code in the stream's
-// vocabulary (Stream.code), the rest as itself; record rebuilds the Record.
+// entry is one stored record's time and entity, the stream (job) that
+// produced it, the distance from it to that stream's next record (0 while it
+// is the newest) — the thread a stream cursor follows, so it never looks at
+// another job's records — and one code word for its state and detail.
+//
+// The word is inline when both are in the stream's vocabularies: the state's
+// code in the low byte, the detail's code above it (0: no detail). A record
+// whose state or detail misses a full vocabulary is out of line: outOfLine
+// set, and below it the index of its (state, detail) pair in its segment's
+// side table. Log.record rebuilds the Record.
 type entry struct {
-	time           sim.Time
-	entity, detail string
-	s              *Stream
-	next           int32
-	state          uint32
+	time   sim.Time
+	entity string
+	s      *Stream
+	next   int32
+	code   uint32
 }
+
+const (
+	detailShift = 8
+	stateMask   = 1<<detailShift - 1
+	outOfLine   = 1 << 31
+)
+
+// segment is logSegment entries and the side table of their out-of-line
+// records, allocated on the first one and dropped when the segment is
+// evicted.
+type segment struct {
+	entries *[logSegment]entry
+	side    []sidePair
+}
+
+type sidePair struct{ state, detail string }
 
 // Log is an append-only, retention-bounded store of raw (unqualified) trace
 // records — the one copy of every record of one shard. It keeps the most
@@ -41,7 +62,7 @@ type entry struct {
 // holds its own lock for one append or for copying one batch out.
 type Log struct {
 	mu      sync.Mutex
-	segs    [][]entry // a ring once it holds maxSegs; position p is segs[p/logSegment%maxSegs][p%logSegment]
+	segs    []segment // a ring once it holds maxSegs; position p is in segs[p/logSegment%maxSegs]
 	maxSegs int
 	base    int64     // position of the oldest retained record = records evicted
 	end     int64     // position the next record gets
@@ -79,44 +100,46 @@ type Stream struct {
 	first   int64 // position of record evicted+1 (meaningful while evicted < n)
 	last    int64 // position of record n
 
-	// The stream's state vocabulary, append-only, guarded by log.mu: code i
-	// is states[i] below len(states), spill[i-len(states)] above. A job of
-	// the engine uses about a dozen states, so only a producer that sends
-	// more (a worker may send any string) allocates.
-	states  [16]string
-	nstates int
-	spill   []string
+	// The stream's state and detail vocabularies, append-only, guarded by
+	// log.mu: state code i is states[i], detail code i is details[i-1]. A
+	// job of the benchmark's workloads uses at most 13 states (a migrated
+	// one) and 10 details (its pilots' descriptions and batch job ids, its
+	// staging sizes), so only a producer that sends more — a worker may send
+	// any string, a job with sampled file sizes one size per unit — stores
+	// records out of line.
+	states            [13]string
+	details           [11]string
+	nstates, ndetails uint8
 }
 
-// code returns the code of state in the stream's vocabulary, adding it if it
-// is new. The engine's state strings are static and a worker session interns
-// its own, so a known state usually compares equal by pointer.
-func (s *Stream) code(state string) uint32 {
-	for i, v := range s.states[:s.nstates] {
-		if v == state {
-			return uint32(i)
-		}
+// code returns the code word of a record of the stream with this state and
+// detail, adding either to its vocabulary if it is new and there is room;
+// ok is false when one of them misses a full vocabulary. The engine's state
+// strings are static and its details shared, so a known one usually
+// compares equal by pointer.
+func (s *Stream) code(state, detail string) (code uint32, ok bool) {
+	st, ok := intern(s.states[:], &s.nstates, state)
+	if detail == "" {
+		return st, ok
 	}
-	for i, v := range s.spill {
-		if v == state {
-			return uint32(len(s.states) + i)
-		}
-	}
-	if s.nstates < len(s.states) {
-		s.states[s.nstates] = state
-		s.nstates++
-		return uint32(s.nstates - 1)
-	}
-	s.spill = append(s.spill, state)
-	return uint32(len(s.states) + len(s.spill) - 1)
+	d, dok := intern(s.details[:], &s.ndetails, detail)
+	return st | (d+1)<<detailShift, ok && dok
 }
 
-// state returns the state a code stands for.
-func (s *Stream) state(code uint32) string {
-	if code < uint32(len(s.states)) {
-		return s.states[code]
+// intern returns v's index among the first *n strings of vocab, appending it
+// if it is not there and vocab has room.
+func intern(vocab []string, n *uint8, v string) (uint32, bool) {
+	for i, w := range vocab[:*n] {
+		if w == v {
+			return uint32(i), true
+		}
 	}
-	return s.spill[code-uint32(len(s.states))]
+	if int(*n) == len(vocab) {
+		return 0, false
+	}
+	vocab[*n] = v
+	*n++
+	return uint32(*n - 1), true
 }
 
 // End marks the stream complete and wakes its cursors, which report done once
@@ -144,31 +167,35 @@ func wake(readers ...*Cursor) {
 }
 
 func (l *Log) at(pos int64) *entry {
-	return &l.segs[pos/logSegment%int64(l.maxSegs)][pos%logSegment]
+	return &l.segs[pos/logSegment%int64(l.maxSegs)].entries[pos%logSegment]
 }
 
 // Append stores one record of stream s, whose job has namespace ns, and wakes
 // the cursors of s and the log's Tail cursors; it never waits for one. It
-// allocates only when it opens a new segment below the retention; at the
-// retention the oldest segment is evicted and its memory becomes the new tail.
+// allocates only when it opens a new segment below the retention or stores a
+// segment's first out-of-line record; at the retention the oldest segment is
+// evicted and its memory becomes the new tail.
 func (l *Log) Append(s *Stream, ns string, rec Record) {
 	l.mu.Lock()
 	pos := l.end
 	slot := int(pos / logSegment % int64(l.maxSegs))
 	if pos%logSegment == 0 {
 		if slot == len(l.segs) {
-			l.segs = append(l.segs, make([]entry, logSegment))
+			l.segs = append(l.segs, segment{entries: new([logSegment]entry)})
 		} else {
 			// Evict the oldest segment. Each stream's records leave in
 			// order, so an evicted entry is its stream's oldest retained one.
-			for i := range l.segs[slot] {
-				e := &l.segs[slot][i]
+			g := &l.segs[slot]
+			for i := range g.entries {
+				e := &g.entries[i]
 				e.s.first = l.base + int64(i) + int64(e.next)
 				e.s.evicted++
 			}
+			g.side = nil
 			l.base += logSegment
 		}
 	}
+	g := &l.segs[slot]
 	s.ns = ns
 	if s.evicted == s.n {
 		s.first = pos
@@ -178,7 +205,12 @@ func (l *Log) Append(s *Stream, ns string, rec Record) {
 	}
 	s.n++
 	s.last = pos
-	l.segs[slot][pos%logSegment] = entry{time: rec.Time, entity: rec.Entity, detail: rec.Detail, s: s, state: s.code(rec.State)}
+	code, ok := s.code(rec.State, rec.Detail)
+	if !ok {
+		code = outOfLine | uint32(len(g.side))
+		g.side = append(g.side, sidePair{rec.State, rec.Detail})
+	}
+	g.entries[pos%logSegment] = entry{time: rec.Time, entity: rec.Entity, s: s, code: code}
 	l.end++
 	wake(l.readers...)
 	l.mu.Unlock()
@@ -211,19 +243,32 @@ func (l *Log) Snapshot(dst []Record) []Record {
 	defer l.mu.Unlock()
 	dst = slices.Grow(dst, int(l.end-l.base))
 	for pos := l.base; pos < l.end; pos++ {
-		dst = append(dst, l.at(pos).qualified())
+		dst = append(dst, l.qualified(pos))
 	}
 	return dst
 }
 
-// record rebuilds the stored record, its entity raw. The caller holds the
-// log's lock, which guards the stream's vocabulary.
-func (e *entry) record() Record {
-	return Record{Time: e.time, Entity: e.entity, State: e.s.state(e.state), Detail: e.detail}
+// record rebuilds the record at pos, its entity raw, and returns it with its
+// entry. The caller holds the log's lock, which guards the stream's
+// vocabularies and the segment's side table.
+func (l *Log) record(pos int64) (Record, *entry) {
+	g := &l.segs[pos/logSegment%int64(l.maxSegs)]
+	e := &g.entries[pos%logSegment]
+	rec := Record{Time: e.time, Entity: e.entity}
+	if e.code&outOfLine != 0 {
+		p := &g.side[e.code&^outOfLine]
+		rec.State, rec.Detail = p.state, p.detail
+		return rec, e
+	}
+	rec.State = e.s.states[e.code&stateMask]
+	if d := e.code >> detailShift; d > 0 {
+		rec.Detail = e.s.details[d-1]
+	}
+	return rec, e
 }
 
-func (e *entry) qualified() Record {
-	rec := e.record()
+func (l *Log) qualified(pos int64) Record {
+	rec, e := l.record(pos)
 	rec.Entity = QualifyEntity(rec.Entity, e.s.ns)
 	return rec
 }
@@ -327,7 +372,7 @@ func (c *Cursor) readLog(l *Log, pos *int64, buf []Record) int {
 	}
 	n := int(min(int64(len(buf)), l.end-*pos))
 	for k := range buf[:n] {
-		buf[k] = l.at(*pos + int64(k)).qualified()
+		buf[k] = l.qualified(*pos + int64(k))
 	}
 	*pos += int64(n)
 	return n
@@ -362,8 +407,8 @@ func (c *Cursor) readStream(buf []Record, closed bool) (n int, seq int64, done b
 			pos += int64(l.at(pos).next)
 		}
 		for k := range buf[:n] {
-			e := l.at(pos)
-			buf[k] = e.record()
+			var e *entry
+			buf[k], e = l.record(pos)
 			c.prev, pos = pos, pos+int64(e.next)
 		}
 		c.seq += int64(n)

@@ -71,16 +71,84 @@ func TestLogRetentionCap(t *testing.T) {
 }
 
 // TestLogEntryFootprint pins what one stored record costs: an entry is the
-// record's time, entity and detail, its stream, and two 32-bit words — the
-// link and the state's code in the stream's vocabulary — 56 bytes, where a
-// state string of its own made it 72. The stream, one per job, carries that
-// vocabulary: sixteen states inline.
+// record's time and entity, its stream, and two 32-bit words — the link and
+// one code word for the state and the detail in the stream's vocabularies —
+// 40 bytes; it was 56 with the detail a string of its own, 72 with the state
+// one too. The stream, one per job, carries the vocabularies: thirteen
+// states and eleven details inline, 496 bytes (392 with sixteen states and
+// no details).
 func TestLogEntryFootprint(t *testing.T) {
-	if got := unsafe.Sizeof(entry{}); got > 56 {
-		t.Errorf("a log entry is %d bytes, want at most 56", got)
+	if got := unsafe.Sizeof(entry{}); got > 40 {
+		t.Errorf("a log entry is %d bytes, want at most 40", got)
 	}
-	if got := unsafe.Sizeof(Stream{}); got > 392 {
-		t.Errorf("a Stream is %d bytes, want at most 392", got)
+	if got := unsafe.Sizeof(Stream{}); got > 496 {
+		t.Errorf("a Stream is %d bytes, want at most 496", got)
+	}
+}
+
+// TestVocabularyOverflow feeds one stream far more distinct states and
+// details than its inline vocabularies hold — forty states in turn, and
+// every other record a size of its own, as a job with sampled file sizes
+// sends — over several evicted segments. Every record reads back exactly;
+// the vocabularies stay at their fixed size, holding the first states and
+// details used; each record that misses one goes to its segment's side table
+// as one pair, and nothing else does, so an append's cost does not grow with
+// the number of distinct strings.
+func TestVocabularyOverflow(t *testing.T) {
+	const total, retain = 5 * logSegment, 2 * logSegment
+	l, s := NewLog(retain), new(Stream)
+	rec := func(i int) Record {
+		r := Record{Time: sim.Time(i), Entity: "unit.x", State: fmt.Sprintf("S%02d", i%40)}
+		if i%2 == 1 {
+			r.Detail = fmt.Sprintf("%d bytes", i/2)
+		}
+		return r
+	}
+	// The first states and sizes fit, as many as the vocabularies hold.
+	missed := func(i int) bool { return i%40 >= len(s.states) || i/2 >= len(s.details) && i%2 == 1 }
+	var want []Record
+	misses := 0 // in the newest segment
+	for i := range total {
+		l.Append(s, "s0-j1", rec(i))
+		want = append(want, rec(i))
+		want[i].Entity = "unit.s0-j1.x"
+		if i%logSegment == 0 {
+			misses = 0
+		}
+		if missed(i) {
+			misses++
+		}
+		if g := &l.segs[i/logSegment%l.maxSegs]; len(g.side) != misses {
+			t.Fatalf("after record %d: its segment's side table holds %d pairs for %d misses", i, len(g.side), misses)
+		}
+	}
+	if int(s.nstates) != len(s.states) || int(s.ndetails) != len(s.details) {
+		t.Fatalf("vocabularies hold %d states and %d details, want full at %d and %d", s.nstates, s.ndetails, len(s.states), len(s.details))
+	}
+	for i, v := range s.states {
+		if v != rec(i).State {
+			t.Fatalf("state code %d is %q, want the %dth state used, %q", i, v, i, rec(i).State)
+		}
+	}
+	for i, v := range s.details {
+		if v != rec(2*i+1).Detail {
+			t.Fatalf("detail code %d is %q, want the %dth detail used, %q", i+1, v, i, rec(2*i+1).Detail)
+		}
+	}
+	if got := l.Snapshot(nil); !slices.Equal(got, want[total-retain:]) {
+		t.Fatalf("snapshot of %d records differs from the last %d appended", len(got), retain)
+	}
+	c := s.Cursor(1)
+	s.End()
+	var got []Record
+	for r := range c.C() {
+		got = append(got, r)
+	}
+	for i := range got {
+		got[i].Entity = QualifyEntity(got[i].Entity, "s0-j1")
+	}
+	if !slices.Equal(got, want[total-retain:]) || c.Dropped() != total-retain {
+		t.Fatalf("stream cursor read %d records and dropped %d, want the last %d and %d", len(got), c.Dropped(), retain, total-retain)
 	}
 }
 

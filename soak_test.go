@@ -22,13 +22,13 @@ import (
 )
 
 // Soak sizes: jobs per phase, the size of every ninth job, and what one
-// shard's trace window holds at its bound (2^20 log entries of 56 bytes, the
+// shard's trace window holds at its bound (2^20 log entries of 40 bytes, the
 // README's retention bullet; TestLogEntryFootprint pins the entry).
 const (
 	soakJobs        = 8000
 	soakBigTasks    = 2048
 	soakRetain      = 4096 // aimes-server's default -retain
-	soakWindowBytes = 1 << 20 * 56
+	soakWindowBytes = 1 << 20 * 40
 )
 
 // BenchmarkSoak runs the daemon the way aimes-server does — server.New on a

@@ -10,7 +10,8 @@ import (
 // traceRetention is the number of most recent trace records a shard keeps.
 // The largest single-environment trace in the repository (a paper-matrix
 // epoch, ~115 k records on one shard) is 9x under it; at the bound a shard's
-// log holds 2^20 entries of 56 bytes, about 59 MB.
+// log holds 2^20 entries of 40 bytes, about 42 MB, each record's state and
+// detail stored as codes in its job's vocabularies.
 const traceRetention = 1 << 20
 
 // traceHub is the environment's trace store: one trace.Log per shard — the
