@@ -11,7 +11,7 @@ test:
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=3 -run '^(TestCursorMatchesOracle|FuzzLogRecords)$$' ./internal/trace/
-	$(GO) test -race -count=3 -run '^(TestRunningNeverExceedsAdmitWindow|TestSealedShardKeepsConstantWindow|TestLoadPlacementSkipsSealedShard)$$' .
+	$(GO) test -race -count=3 -run '^(TestRunningNeverExceedsAdmitWindow|TestSealedShardKeepsConstantWindow|TestLoadPlacementSkipsSealedShard|TestPendingCostDrainsToZero)$$' .
 
 # The tests whose outcome depends on the wall clock — WithRealTime's pacer,
 # a Submit context expiring, monitors against a live waiter — race-enabled,
@@ -109,9 +109,11 @@ scenarios: build
 # CI gate over the scenario corpus: every example scenario runs with
 # `run -assert` on both the local and the worker backend, and the
 # deliberately failing fixture must fail naming its assertion index
-# (see scripts/scenario_matrix.sh).
+# (see scripts/scenario_matrix.sh); then the race-enabled scenario chaos
+# tests (kill-worker respawn and containment).
 scenario-matrix:
 	./scripts/scenario_matrix.sh
+	./scripts/go_test_run.sh 'TestKillWorker|TestRunRejects|TestRunEmergentTestbed' ./internal/scenario/ ./cmd/aimes-scenario/
 
 # Smoke-run every example program under a timeout.
 smoke:
@@ -123,12 +125,13 @@ smoke:
 
 # Worker-backend smoke: build the standalone shard worker, run the
 # self-hosted workers example under a timeout, and run the race-enabled
-# backend parity + crash-containment tests (each spawns real worker
-# processes via the test binary's WorkerMain self-exec).
+# backend parity, crash-containment, rejected- and shared-workload tests
+# (each spawns real worker processes via the test binary's WorkerMain
+# self-exec).
 worker-smoke:
 	$(GO) build -o /tmp/aimes-worker ./cmd/aimes-worker
 	timeout 120 $(GO) run ./examples/workers
-	./scripts/go_test_run.sh 'TestBackendParity|TestBackendParityEmergentTestbed|TestWorker|TestInitFrameCarriesEveryConfigField|TestFramesCarryEveryPayloadField|TestConnectRejectsWorkerWithoutBinary|TestConnectRejectsUnknownCodec' . ./internal/backend/
+	./scripts/go_test_run.sh 'TestBackendParity|TestBackendParityEmergentTestbed|TestWorker|TestInitFrameCarriesEveryConfigField|TestFramesCarryEveryPayloadField|TestConnectRejectsWorkerWithoutBinary|TestConnectRejectsUnknownCodec|TestRejectedWorkloadLeavesShardUntouched|TestEnactSharesTheWorkload' . ./internal/backend/ ./internal/core/
 
 # TCP-transport smoke: host shards with a real `aimes-worker serve` process
 # on a loopback port and run the parity matrix and crash containment against
@@ -140,15 +143,18 @@ worker-tcp-smoke:
 # the local and TCP-worker backends — two quota-limited tenants, a 429
 # quota rejection, SSE event streaming, reconnect-and-wait by job ID,
 # /metrics counters, and a graceful SIGTERM drain
-# (see scripts/server_smoke.sh).
+# (see scripts/server_smoke.sh); then the race-enabled server tests.
 server-smoke:
 	timeout 300 ./scripts/server_smoke.sh
+	./scripts/go_test_run.sh 'TestServer|TestCloseVsSubmitWait|TestDrainVsSubmit|TestDaemonFootprint|TestRegistryTrimReleasesEvicted|TestRegistryTrimSkipsLiveHead|TestRegistryJobsGauge|TestFinishedJobReleasesItsWorkload|TestFanout|TestSubmitBodyLimits|TestSubmitRejectsBadRequests|TestLoadTokenFile|TestConcurrentStreamsShareOneTable' . ./internal/server/ ./client/
 
 # Worker-fleet smoke: two real `aimes-worker serve` hosts behind one
 # aimes-server, kill -9 of one host mid-run — queued jobs replay on a
 # respawned worker placed on the survivor, enacted jobs fail, the restart
-# is visible in /metrics (see scripts/fleet_smoke.sh).
+# is visible in /metrics (see scripts/fleet_smoke.sh); then the
+# race-enabled fleet tests.
 fleet-smoke:
 	timeout 300 ./scripts/fleet_smoke.sh
+	./scripts/go_test_run.sh 'TestRespawn|TestReplay|TestMaxRestarts|TestFleet|TestWorkerPool|TestPing|TestPool' ./...
 
 ci: lint race wall-clock uncovered orphans experiments model-check scenarios scenario-matrix worker-smoke worker-tcp-smoke server-smoke fleet-smoke

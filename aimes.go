@@ -6,7 +6,7 @@
 // multiple dynamic resources:
 //
 //   - Skeletons describe applications (stages, tasks, durations, files),
-//   - Bundles characterize resources (query, predict, monitor, discover),
+//   - Bundles characterize resources (query, predict, monitor),
 //   - Pilots decouple resource acquisition from task execution, and
 //   - Execution Strategies make the coupling decisions explicit: binding,
 //     unit scheduler, pilot count, pilot size, walltime, resource choice.
@@ -259,16 +259,6 @@ type Environment struct {
 	// on every shard and backend, so validation never crosses the seam.
 	resources []string
 
-	// mirror lazily builds a local stack mirroring the workers' site
-	// configuration, backing Bundle/NewMonitor on worker environments
-	// (static view: the workers' live wait histories stay in the workers).
-	// Built like shard 0, never enacted on, and only if one of those
-	// accessors is actually called — the common Submit/Wait path never pays
-	// for it. Construction cannot realistically fail (the same configuration
-	// already built every worker's stack); if it somehow does, the stack is
-	// nil. Unused on local environments, which expose shard 0's real stack.
-	mirror func() *backend.Local
-
 	// steal enables cross-shard work stealing (WithWorkStealing on a
 	// multi-shard virtual-time environment): Submit keeps at most the
 	// admission window's worth of jobs enacted per shard and queues the
@@ -362,13 +352,6 @@ func NewEnv(opts ...Option) (*Environment, error) {
 		}
 		env.shards = append(env.shards, sh)
 	}
-	env.mirror = sync.OnceValue(func() *backend.Local {
-		// No sink: a stack that never enacts never emits.
-		l, _ := backend.NewLocal(backend.Config{
-			Shard: 0, Seed: shard.Seed(o.seed, 0), Sites: o.sites, Pilot: o.pilot,
-		}, nil)
-		return l
-	})
 	return env, nil
 }
 
@@ -470,29 +453,13 @@ func (e *Environment) shardAt(k int) (*shardEnv, error) {
 	return e.shards[k], nil
 }
 
-// queryStack is the in-process stack behind Bundle and NewMonitor: shard 0's
-// on the local backend, the mirror (nil if it could not be built) on the
-// worker backend.
-func (e *Environment) queryStack() *backend.Local {
-	if e.kind == BackendWorker {
-		return e.mirror()
-	}
-	return e.shards[0].local
-}
-
-// Bundle exposes the environment's resource bundle for queries, monitoring
-// and discovery. On the local backend this is shard 0's live bundle (all
-// shards share the same site configurations; their predictive wait
-// histories diverge independently as jobs run — use ShardBundle for a
-// specific shard's view). On the worker backend it is a local mirror of the
-// testbed: correct configurations, but the live wait histories stay in the
-// worker processes (Derive crosses the wire and does see them).
-func (e *Environment) Bundle() *Bundle {
-	if l := e.queryStack(); l != nil {
-		return l.Bundle()
-	}
-	return nil
-}
+// Bundle exposes shard 0's live resource bundle for queries, prediction and
+// monitoring: ShardBundle(0). All shards share the same site
+// configurations; their predictive wait histories diverge independently as
+// jobs run — use ShardBundle for a specific shard's view. A worker
+// environment has no in-process bundle: Bundle returns nil (Derive crosses
+// the wire and does see the workers' live wait histories).
+func (e *Environment) Bundle() *Bundle { return e.ShardBundle(0) }
 
 // ShardBundle exposes shard k's live resource bundle, or nil when k is out
 // of range or the shard runs out of process (worker backend).
@@ -524,12 +491,10 @@ func (e *Environment) Derive(w *Workload, cfg StrategyConfig) (s Strategy, err e
 // that on a virtual-time shard time only advances while one of its jobs
 // runs and a client waits on it). It, Monitor.Subscribe and Monitor.Stop are
 // safe to call while jobs run; a subscriber runs under the shard's
-// serialization and must not call them. On the worker backend the monitor
-// attaches to the environment's static mirror — its engine never advances,
-// so threshold subscriptions never fire; monitor inside the worker
-// processes is future work.
+// serialization and must not call them. A worker environment has no
+// in-process engine or bundle to monitor: NewMonitor returns nil.
 func (e *Environment) NewMonitor(interval time.Duration) *Monitor {
-	l := e.queryStack()
+	l := e.shards[0].local
 	if l == nil {
 		return nil
 	}

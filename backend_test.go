@@ -7,6 +7,7 @@ package aimes_test
 
 import (
 	"context"
+	"fmt"
 	"net"
 	"os"
 	"reflect"
@@ -189,6 +190,25 @@ func tcpWorkerHost(t *testing.T) (addr, secret string) {
 	go backend.ServeListener(ln, backend.ServeConfig{Secret: secret})
 	t.Cleanup(func() { ln.Close() })
 	return ln.Addr().String(), secret
+}
+
+// TestListenAndServeRefusesToStart: a TCP worker host needs an address and
+// a shared secret. Without an address it fails before listening; without a
+// secret it binds, logs where, and refuses to serve.
+func TestListenAndServeRefusesToStart(t *testing.T) {
+	if err := backend.ListenAndServe("", backend.ServeConfig{Secret: "s"}); err == nil || !strings.Contains(err.Error(), "empty listen address") {
+		t.Fatalf("empty address: %v", err)
+	}
+	var logged []string
+	err := backend.ListenAndServe("127.0.0.1:0", backend.ServeConfig{Logf: func(format string, args ...any) {
+		logged = append(logged, fmt.Sprintf(format, args...))
+	}})
+	if err == nil || !strings.Contains(err.Error(), "without a shared secret") {
+		t.Fatalf("no secret: %v", err)
+	}
+	if len(logged) != 1 || !strings.Contains(logged[0], "listening on 127.0.0.1:") {
+		t.Fatalf("logged %q, want one listening line", logged)
+	}
 }
 
 // processWorkers runs n shards as self-hosted child worker processes (the
@@ -465,11 +485,11 @@ func TestWorkerBackendValidation(t *testing.T) {
 	if got := len(env.Resources()); got == 0 {
 		t.Fatal("worker environment reports no resources")
 	}
-	if env.Bundle() == nil {
-		t.Fatal("worker environment has no mirror bundle")
+	if env.Bundle() != nil || env.ShardBundle(0) != nil {
+		t.Fatal("worker environment exposed an in-process bundle")
 	}
-	if env.ShardBundle(0) != nil {
-		t.Fatal("worker shard exposed an in-process bundle")
+	if env.NewMonitor(time.Minute) != nil {
+		t.Fatal("worker environment started an in-process monitor")
 	}
 	// Derive crosses the wire to the worker's live bundle.
 	w, err := aimes.GenerateWorkload(aimes.BagOfTasks(4, aimes.UniformDuration()), 7)

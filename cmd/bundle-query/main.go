@@ -1,12 +1,10 @@
-// Command bundle-query exercises the Bundle abstraction's three interfaces
+// Command bundle-query exercises the Bundle abstraction's query interface
 // against the simulated testbed: on-demand queries of compute/network/
-// storage characterizations, predictive queue-wait bounds, and discovery by
-// requirement expression.
+// storage characterizations and predictive queue-wait bounds.
 //
 // Usage:
 //
 //	bundle-query                                  # characterize all resources
-//	bundle-query -match 'cores >= 50000 && utilization < 0.9'
 //	bundle-query -predict -history 256            # QBETS-style wait bounds
 package main
 
@@ -25,38 +23,25 @@ import (
 
 func main() {
 	var (
-		match   = flag.String("match", "", "discovery expression, e.g. 'arch == \"cray\"'")
 		predict = flag.Bool("predict", false, "print predictive queue-wait bounds")
 		history = flag.Int("history", 128, "archived wait observations to replay per resource")
 		seed    = flag.Int64("seed", 1, "simulation seed")
 	)
 	flag.Parse()
 
-	if err := run(os.Stdout, *match, *predict, *history, *seed); err != nil {
+	if err := run(os.Stdout, *predict, *history, *seed); err != nil {
 		fmt.Fprintln(os.Stderr, "bundle-query:", err)
 		os.Exit(1)
 	}
 }
 
-func run(out io.Writer, match string, predict bool, history int, seed int64) error {
+func run(out io.Writer, predict bool, history int, seed int64) error {
 	env, err := aimes.NewEnv(aimes.WithSeed(seed))
 	if err != nil {
 		return err
 	}
 	b := env.Bundle()
 	primeHistory(b, history, seed)
-
-	if match != "" {
-		resources, err := b.Match(match)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "%d resource(s) match %q:\n", len(resources), match)
-		for _, r := range resources {
-			fmt.Fprintln(out, " ", r.Name())
-		}
-		return nil
-	}
 
 	tw := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	if predict {

@@ -2,15 +2,17 @@ package main
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestCharacterizeAll: with no flags, every resource of the default testbed
 // gets a row with its compute, network and storage characterization.
 func TestCharacterizeAll(t *testing.T) {
 	var out bytes.Buffer
-	if err := run(&out, "", false, 128, 1); err != nil {
+	if err := run(&out, false, 128, 1); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
@@ -23,34 +25,35 @@ func TestCharacterizeAll(t *testing.T) {
 	}
 }
 
-// TestMatch: the discovery query combines comparisons with && and !, and
-// compares strings as well as numbers.
-func TestMatch(t *testing.T) {
-	var out bytes.Buffer
-	if err := run(&out, `cores >= 50000 && !(arch == "cray")`, false, 128, 1); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := out.String(), "1 resource(s) match \"cores >= 50000 && !(arch == \\\"cray\\\")\":\n  stampede\n"; got != want {
-		t.Fatalf("output %q, want %q", got, want)
-	}
-}
-
-// TestMatchUnknownField: a requirement naming an unknown field fails with
-// the same message every time, listing the known fields in order.
-func TestMatchUnknownField(t *testing.T) {
-	var first error
-	for i := 0; i < 2; i++ {
-		err := run(&bytes.Buffer{}, "corez > 1", false, 128, 1)
-		if err == nil {
-			t.Fatal("unknown field accepted")
+// TestPredict: with archived history every resource gets a median and a p90
+// wait bound, the median no later than the p90, over all the observations;
+// with none, every bound is "-" and the observation count is 0.
+func TestPredict(t *testing.T) {
+	for _, history := range []int{128, 0} {
+		var out bytes.Buffer
+		if err := run(&out, true, history, 1); err != nil {
+			t.Fatal(err)
 		}
-		if i == 0 {
-			first = err
-		} else if err.Error() != first.Error() {
-			t.Fatalf("messages differ between runs:\n%v\n%v", first, err)
+		lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+		if len(lines) != 6 || !strings.HasPrefix(lines[0], "resource") {
+			t.Fatalf("history %d: want a header and five rows:\n%s", history, out.String())
 		}
-	}
-	if !strings.Contains(first.Error(), "(known: arch, bandwidth_mbps, cores, cores_per_node, free_nodes, median_wait_s, name, net_latency_ms, nodes, queued_jobs, storage_gb, utilization)") {
-		t.Fatalf("known fields not listed in order: %v", first)
+		for _, line := range lines[1:] {
+			row := strings.Fields(line)
+			if len(row) != 4 || row[3] != strconv.Itoa(history) {
+				t.Fatalf("history %d: row %q, want four fields ending in %d", history, line, history)
+			}
+			if history == 0 {
+				if row[1] != "-" || row[2] != "-" {
+					t.Fatalf("row %q: bounds without history", line)
+				}
+				continue
+			}
+			med, err1 := time.ParseDuration(row[1])
+			p90, err2 := time.ParseDuration(row[2])
+			if err1 != nil || err2 != nil || med <= 0 || med > p90 {
+				t.Fatalf("row %q: want two bounds with median <= p90", line)
+			}
+		}
 	}
 }

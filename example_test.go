@@ -103,22 +103,3 @@ func ExampleEnvironment_RunStaged() {
 	// stage solve: 8 units done
 	// workflow: 16 units done, TTC is the sum of the stages: true
 }
-
-// ExampleBundle_Match exercises the discovery interface's requirement
-// language over the default testbed.
-func ExampleBundle_Match() {
-	env, err := aimes.NewEnv(aimes.WithSeed(1))
-	if err != nil {
-		log.Fatal(err)
-	}
-	matched, err := env.Bundle().Match(`arch == "cray" || nodes < 300`)
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, r := range matched {
-		fmt.Println(r.Name())
-	}
-	// Output:
-	// blacklight
-	// hopper
-}

@@ -88,9 +88,9 @@ type WorkerPool struct {
 // from the queue is batch-granular over the wire (a completion admits the
 // next queued job when the step batch returns, not mid-batch), so
 // stealing-mode trajectories may differ between backends — pinned,
-// non-migratable tenants are unaffected; and Bundle/NewMonitor expose a
-// static local mirror of the testbed rather than the workers' live wait
-// histories (Derive and staged-execution feedback do cross the wire).
+// non-migratable tenants are unaffected; and a worker environment has no
+// in-process bundle or monitor: Bundle and NewMonitor return nil (Derive and
+// staged-execution feedback do cross the wire to the workers' live bundles).
 //
 // Mutually exclusive with WithRealTime.
 func WithWorkerPool(p WorkerPool) Option {

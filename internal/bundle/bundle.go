@@ -1,13 +1,11 @@
 // Package bundle implements the paper's Bundle abstraction: a uniform
 // characterization of heterogeneous resources across compute, network and
-// storage categories, exposed through three interfaces — querying (on-demand
-// and predictive modes), monitoring (threshold subscriptions) and discovery
-// (requirement-expression matching over the bundle, Match — the paper's
-// "future work" interface; tailored bundles are not built).
+// storage categories, exposed through two interfaces — querying (on-demand
+// and predictive modes) and monitoring (threshold subscriptions). The
+// paper's "future work" discovery interface is not built.
 package bundle
 
 import (
-	"fmt"
 	"time"
 
 	"aimes/internal/site"
@@ -176,52 +174,4 @@ func (b *Bundle) QueryAll() []ComputeInfo {
 		out = append(out, r.Compute())
 	}
 	return out
-}
-
-// env builds the discovery-expression environment for a resource.
-func (r *Resource) env() map[string]value {
-	cfg := r.s.Config()
-	snap := r.s.Queue().Snapshot()
-	medianWait := 0.0
-	if med, ok := QuantileBound(r.history, 0.5, 0.95); ok {
-		medianWait = med
-	}
-	return map[string]value{
-		"name":           strVal(cfg.Name),
-		"arch":           strVal(cfg.Architecture),
-		"nodes":          numVal(float64(cfg.Nodes)),
-		"cores_per_node": numVal(float64(cfg.CoresPerNode)),
-		"cores":          numVal(float64(cfg.Cores())),
-		"free_nodes":     numVal(float64(snap.FreeNodes)),
-		"queued_jobs":    numVal(float64(snap.QueuedJobs)),
-		"utilization":    numVal(snap.Utilization),
-		"bandwidth_mbps": numVal(cfg.BandwidthMBps),
-		"net_latency_ms": numVal(float64(cfg.NetLatency) / float64(time.Millisecond)),
-		"storage_gb":     numVal(cfg.StorageGB),
-		"median_wait_s":  numVal(medianWait),
-	}
-}
-
-// Match implements the discovery interface: it returns the resources whose
-// characterization satisfies the requirement expression, e.g.
-//
-//	cores >= 1024 && arch == "cray" && median_wait_s < 1800
-//
-// in registration order. A parse error is returned verbatim.
-func (b *Bundle) Match(expr string) ([]*Resource, error) {
-	ast, err := ParseExpr(expr)
-	if err != nil {
-		return nil, err
-	}
-	var out []*Resource
-	for _, r := range b.Resources() {
-		ok, err := ast.Eval(r.env())
-		if err != nil {
-			return nil, fmt.Errorf("bundle: evaluating %q against %s: %w", expr, r.Name(), err)
-		}
-		if ok {
-			out = append(out, r)
-		}
-	}
-	return out, nil
 }

@@ -24,8 +24,9 @@ type shardEnv struct {
 	env *Environment
 	be  backend.Backend
 
-	// local is the in-process stack (nil on worker shards), kept for what
-	// never crosses the seam: Bundle, NewMonitor and the wall-clock pacer.
+	// local is the in-process stack, kept for what never crosses the seam:
+	// Bundle, NewMonitor and the wall-clock pacer. It is nil on worker
+	// shards, which have no in-process bundle or monitor.
 	local *backend.Local
 
 	// cfg is the backend configuration the shard was built from — kept so a

@@ -4,6 +4,7 @@ import (
 	"context"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -44,6 +45,82 @@ func TestPendingCostMigrationRule(t *testing.T) {
 	}
 	origin.pendingCost.Store(0)
 	dest.pendingCost.Store(0)
+}
+
+// TestPendingCostDrainsToZero: a shard's pendingCost is reserved on
+// Submit, moved with each migration and released once at each job's end, so
+// however tenants place, migrate and cancel, a drained environment holds
+// none and owns no job. Four concurrent tenants — least-loaded, predictive
+// and two pinned to shard 0 but migratable — submit to three stealing
+// shards; one job in three is cancelled, the tenants wait on half of their
+// jobs, and Drain finishes the rest.
+func TestPendingCostDrainsToZero(t *testing.T) {
+	const perTenant = 32
+	e, err := NewEnv(WithSeed(41), WithShards(3), WithWorkStealing())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	tenants := []JobConfig{
+		{Placement: PlaceLeastLoaded},
+		{Placement: PlacePredictive},
+		{Placement: PlacePinned, Shard: 0, Migrate: MigrateAllow},
+		{Placement: PlacePinned, Shard: 0, Migrate: MigrateAllow},
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, len(tenants))
+	for ti, cfg := range tenants {
+		cfg.StrategyConfig = StrategyConfig{Binding: LateBinding, Scheduler: SchedBackfill, Pilots: 1}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var jobs []*Job
+			for i := 0; i < perTenant; i++ {
+				w, err := GenerateWorkload(BagOfTasks(4+4*(i%3), UniformDuration()), int64(100*ti+i))
+				if err != nil {
+					errs <- err
+					return
+				}
+				j, err := e.Submit(ctx, w, cfg)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if i%3 == 2 {
+					j.Cancel("tenant cancel")
+				}
+				jobs = append(jobs, j)
+			}
+			for i := 0; i < len(jobs); i += 2 {
+				if _, err := jobs[i].Wait(ctx); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if err := e.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for k, sh := range e.shards {
+		var live int
+		sh.sync(func() { live = len(sh.jobs) })
+		if p := sh.pendingCost.Load(); p != 0 || live != 0 {
+			t.Errorf("shard %d after Drain: pendingCost %d, %d jobs; want 0 and none", k, p, live)
+		}
+	}
+	s := e.StealStats()
+	if s.Migrations == 0 {
+		t.Fatal("no job migrated: the test did not exercise the handoff")
+	}
+	t.Logf("%d migrations", s.Migrations)
 }
 
 // TestStealVetoIsCounted: a queued job's waiter finds a
