@@ -131,7 +131,7 @@ smoke:
 worker-smoke:
 	$(GO) build -o /tmp/aimes-worker ./cmd/aimes-worker
 	timeout 120 $(GO) run ./examples/workers
-	./scripts/go_test_run.sh 'TestBackendParity|TestBackendParityEmergentTestbed|TestWorker|TestInitFrameCarriesEveryConfigField|TestFramesCarryEveryPayloadField|TestConnectRejectsWorkerWithoutBinary|TestConnectRejectsUnknownCodec|TestRejectedWorkloadLeavesShardUntouched|TestEnactSharesTheWorkload' . ./internal/backend/ ./internal/core/
+	./scripts/go_test_run.sh 'TestBackendParity|TestBackendParityEmergentTestbed|TestWorker|TestInitFrameCarriesEveryConfigField|TestFramesCarryEveryPayloadField|TestConnectRejectsWorkerWithoutBinary|TestConnectRejectsUnknownCodec|TestRejectedWorkloadLeavesShardUntouched|TestEnactSharesTheWorkload|TestEveryJobFeedsItsShardBundle' . ./internal/backend/ ./internal/core/
 
 # TCP-transport smoke: host shards with a real `aimes-worker serve` process
 # on a loopback port and run the parity matrix and crash containment against

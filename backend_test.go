@@ -1,7 +1,8 @@
 // Backend-seam battery: the local-vs-worker parity matrix (the same seeded,
 // pinned multi-tenant scenario must produce identical reports on both
 // backends), worker crash containment (a killed worker fails only its own
-// shard's jobs, descriptively), and steal-aware staged placement with coherent wait feedback. (The trace views
+// shard's jobs, descriptively), the wait feedback every finished job leaves
+// in its shard's bundle, and steal-aware staged placement. (The trace views
 // and live subscriptions are in trace_test.go.)
 package aimes_test
 
@@ -11,6 +12,7 @@ import (
 	"net"
 	"os"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -19,6 +21,7 @@ import (
 
 	"aimes"
 	"aimes/internal/backend"
+	"aimes/internal/bundle"
 	"aimes/internal/site"
 	"aimes/internal/skeleton"
 )
@@ -107,11 +110,12 @@ func runParityScenario(t *testing.T, opts ...aimes.Option) []jobOutcome {
 	return out
 }
 
-// runParityEdgeCases drives the three backend operations the steady-state
-// scenario never sends — Cancel, Feedback, Incomplete — at points that do not
-// depend on pump granularity, and returns the outcomes in a fixed order: a
-// job canceled while enacted (before anyone steps its shard), the stages and
-// the total of a staged execution (Feedback between stages), and an
+// runParityEdgeCases drives the backend operations the steady-state
+// scenario never sends — Cancel, Incomplete — at points that do not depend
+// on pump granularity, and returns the outcomes in a fixed order: a job
+// canceled while enacted (before anyone steps its shard), the stages and
+// the total of a staged execution (each stage pinned to its predecessor's
+// shard), and an
 // early-binding job wedged by an outage that never recovers (the engine
 // drains, and the diagnostic names the states it wedged in).
 func runParityEdgeCases(t *testing.T, opts ...aimes.Option) []jobOutcome {
@@ -334,6 +338,90 @@ func TestBackendParityEmergentTestbed(t *testing.T) {
 				t.Errorf("traces diverge across backends: %d records (local) vs %d (worker)", len(localTrace), len(workerTrace))
 			}
 		})
+	}
+}
+
+// runPredictiveSequence runs fourteen 8-task jobs one after another, pinned to
+// shard 1 of two, each selecting its resources by predicted wait, calls
+// check after each, and returns their outcomes.
+func runPredictiveSequence(t *testing.T, check func(*aimes.Environment, []jobOutcome), opts ...aimes.Option) []jobOutcome {
+	t.Helper()
+	env, err := aimes.NewEnv(append([]aimes.Option{aimes.WithSeed(31), aimes.WithShards(2)}, opts...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer env.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	cfg := aimes.StrategyConfig{Binding: aimes.LateBinding, Scheduler: aimes.SchedBackfill, Pilots: 2,
+		Selection: aimes.SelectByPredictedWait}
+	var out []jobOutcome
+	for i := 0; i < 14; i++ {
+		w, err := aimes.GenerateWorkload(aimes.BagOfTasks(8, aimes.UniformDuration()), int64(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, err := env.Submit(ctx, w, aimes.JobConfig{StrategyConfig: cfg, Placement: aimes.PlacePinned, Shard: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := j.Wait(ctx); err != nil {
+			t.Fatalf("job %d: %v", i, err)
+		}
+		out = append(out, outcomeOf(j))
+		check(env, out)
+	}
+	return out
+}
+
+// TestEveryJobFeedsItsShardBundle: every finished job feeds its activated
+// pilots' queue waits into its own shard's bundle, so predictive selection
+// sees a history outside RunStaged too. After each job, shard 1's bundle
+// holds exactly the waits of the jobs that finished there, resource by
+// resource, and shard 0's holds none; the selection moves once the first
+// resources have a history; and worker shards, whose bundles are fed the
+// same way in their own processes, run the same sequence.
+func TestEveryJobFeedsItsShardBundle(t *testing.T) {
+	local := runPredictiveSequence(t, func(env *aimes.Environment, done []jobOutcome) {
+		t.Helper()
+		waits := make(map[string][]float64)
+		for _, o := range done {
+			for id, wait := range o.Report.PilotWaits {
+				res := strings.Split(id, ".")[1] // pilot.<resource>.<namespace>-<n>
+				waits[res] = append(waits[res], wait.Seconds())
+			}
+		}
+		for _, res := range env.ShardBundle(0).Resources() {
+			if n := res.HistoryLen(); n != 0 {
+				t.Fatalf("after %d jobs on shard 1, shard 0's %s holds %d waits", len(done), res.Name(), n)
+			}
+		}
+		for _, res := range env.ShardBundle(1).Resources() {
+			want := waits[res.Name()]
+			if n := res.HistoryLen(); n != len(want) {
+				t.Fatalf("after %d jobs, %s holds %d waits, want the %d its activated pilots observed", len(done), res.Name(), n, len(want))
+			}
+			slices.Sort(want)
+			got, ok := res.Predict(0.5, 0.95)
+			bound, wantOK := bundle.QuantileBound(want, 0.5, 0.95)
+			if ok != wantOK || got != time.Duration(bound*float64(time.Second)) {
+				t.Fatalf("after %d jobs, %s predicts %v (%v), want %gs (%v) from its pilots' waits", len(done), res.Name(), got, ok, bound, wantOK)
+			}
+		}
+	})
+	first := local[0].Strategy.Resources
+	if moved := slices.ContainsFunc(local, func(o jobOutcome) bool { return !slices.Equal(o.Strategy.Resources, first) }); !moved {
+		t.Fatalf("every job selected %v: predictive selection never saw a history", first)
+	}
+	if testing.Short() {
+		t.Skip("spawns worker processes")
+	}
+	worker := runPredictiveSequence(t, func(*aimes.Environment, []jobOutcome) {}, processWorkers(2)...)
+	for i := range local {
+		if !reflect.DeepEqual(local[i], worker[i]) {
+			t.Fatalf("job %d diverges across backends:\nlocal:  %+v %+v\nworker: %+v %+v",
+				i, local[i], local[i].Report, worker[i], worker[i].Report)
+		}
 	}
 }
 
@@ -596,8 +684,8 @@ func shardOfReport(t *testing.T, r *aimes.Report) int {
 // TestStagedPlacementFollowsLoad forces a staged execution's first stage to
 // migrate off an overloaded, sealed shard and checks the steal-aware
 // placement contract: the run completes, the migration happened, later
-// stages run off the overloaded shard, and every stage's shard absorbed the
-// wait feedback of all earlier stages (the coherence regression).
+// stages, following their predecessor, run off the overloaded shard, and
+// every stage's shard holds the pilot waits of the stages that ran there.
 func TestStagedPlacementFollowsLoad(t *testing.T) {
 	const nShards = 3
 	env, err := aimes.NewEnv(aimes.WithSeed(4242), aimes.WithShards(nShards), aimes.WithWorkStealing())
@@ -646,27 +734,24 @@ func TestStagedPlacementFollowsLoad(t *testing.T) {
 	if got := env.StealStats().Migrations; got < 1 {
 		t.Fatalf("first stage never migrated off the overloaded shard (migrations %d)", got)
 	}
-	prevWaits := 0
+	waits := make(map[int]int)
 	for i, r := range stages {
 		k := shardOfReport(t, r)
 		if k == 0 {
 			t.Fatalf("stage %d executed on the overloaded sealed shard 0", i)
 		}
-		// Coherence: the shard a stage ran on must hold the wait history of
-		// every earlier stage (replayed before its derivation, or on
-		// landing), so staged feedback survives the hop.
-		b := env.ShardBundle(k)
+		waits[k] += len(r.PilotWaits)
+	}
+	// Every finished stage fed its activated pilots' waits into the bundle
+	// of the shard it ran on.
+	for k, want := range waits {
 		history := 0
-		for _, name := range env.Resources() {
-			if res := b.Resource(name); res != nil {
-				history += res.HistoryLen()
-			}
+		for _, res := range env.ShardBundle(k).Resources() {
+			history += res.HistoryLen()
 		}
-		if history < prevWaits {
-			t.Fatalf("stage %d shard s%d absorbed %d wait observations, want at least %d (feedback incoherent across the hop)",
-				i, k, history, prevWaits)
+		if history < want {
+			t.Fatalf("shard s%d holds %d wait observations, want at least the %d of its stages", k, history, want)
 		}
-		prevWaits += len(r.PilotWaits)
 	}
 }
 

@@ -84,13 +84,16 @@ type WorkerPool struct {
 //
 // Determinism: the same seeded, pinned workload produces reports identical
 // to the local backend's — each worker hosts the identical shard stack with
-// the identical derived seed. Two caveats: with WithWorkStealing, admission
-// from the queue is batch-granular over the wire (a completion admits the
-// next queued job when the step batch returns, not mid-batch), so
+// the identical derived seed. Three caveats: with WithWorkStealing,
+// admission from the queue is batch-granular over the wire (a completion
+// admits the next queued job when the step batch returns, not mid-batch), so
 // stealing-mode trajectories may differ between backends — pinned,
-// non-migratable tenants are unaffected; and a worker environment has no
-// in-process bundle or monitor: Bundle and NewMonitor return nil (Derive and
-// staged-execution feedback do cross the wire to the workers' live bundles).
+// non-migratable tenants are unaffected; a worker environment has no
+// in-process bundle or monitor: Bundle and NewMonitor return nil (each job
+// feeds its pilots' waits into its worker's bundle, and Derive crosses the
+// wire to it); and a respawned worker's bundle starts empty, so a derivation
+// that reads the wait history may choose otherwise after a respawn than in
+// an undisturbed run.
 //
 // Mutually exclusive with WithRealTime.
 func WithWorkerPool(p WorkerPool) Option {

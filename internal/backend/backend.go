@@ -93,10 +93,6 @@ type Backend interface {
 	// drained with the job unfinished (which pilot and unit states it
 	// wedged in).
 	Incomplete(key int) error
-	// Feedback replays a report's observed pilot queue waits into the
-	// backend's bundle history, so later derivations see fresher forecasts
-	// (the staged-execution feedback loop).
-	Feedback(r *core.Report) error
 	// Derive makes the strategy decisions for a workload against the
 	// backend's bundle without enacting anything. It consumes backend
 	// randomness exactly as an enacting derivation would.

@@ -201,7 +201,7 @@ func TestFramesCarryEveryPayloadField(t *testing.T) {
 	if p.Desc.Adaptive == nil || len(p.Desc.Workload.Tasks[1].Deps) != 2 || len(p.Report.PilotWaits) != 2 || p.Report.Strategy.EstTrp == 0 {
 		t.Fatalf("fillValue left a field unset: %+v", p)
 	}
-	req := &request{ID: 1, Op: opEnact, Desc: &p.Desc, Report: &p.Report, Workload: &p.Workload, Config: &p.Config}
+	req := &request{ID: 1, Op: opEnact, Desc: &p.Desc, Workload: &p.Workload, Config: &p.Config}
 	resp := &response{ID: 1, Enacted: &p.Enacted, Strategy: &p.Strategy, Events: []wireEvent{{Kind: eventDone, Key: 3, Report: &p.Report}}}
 	show := func(v any) string {
 		b, _ := json.Marshal(v)
@@ -239,16 +239,11 @@ func TestFramesCarryEveryPayloadField(t *testing.T) {
 	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		p.Report.Efficiency = f
 		for _, c := range []codec{jsonCodec{}, newBinaryCodec()} {
-			if _, err := c.AppendRequest(nil, req); err == nil {
-				t.Errorf("report %v: %T encoded the request", f, c)
+			if _, err := c.AppendResponse(nil, resp); err == nil {
+				t.Errorf("report %v: %T encoded the done event", f, c)
 			}
 		}
 		p.Report.Efficiency = 1.5
-	}
-	for _, c := range []codec{jsonCodec{}, newBinaryCodec()} {
-		if _, err := c.AppendResponse(nil, &response{Events: []wireEvent{{Kind: eventDone, Report: &core.Report{Throughput: math.NaN()}}}}); err == nil {
-			t.Errorf("%T encoded a NaN report in a done event", c)
-		}
 	}
 }
 
@@ -372,9 +367,6 @@ func TestServeProtocol(t *testing.T) {
 	}
 	if resp := call(&request{Op: opDerive}); resp.Err == "" {
 		t.Fatal("derive without a config succeeded")
-	}
-	if resp := call(&request{Op: opFeedback}); resp.Err == "" {
-		t.Fatal("feedback without a report succeeded")
 	}
 	w, err := skeleton.Generate(skeleton.BagOfTasks(3, skeleton.Constant(30)), 1)
 	if err != nil {

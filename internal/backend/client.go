@@ -191,12 +191,6 @@ func (w *Worker) Incomplete(key int) error {
 	return errors.New(resp.Diag)
 }
 
-// Feedback implements Backend.
-func (w *Worker) Feedback(r *core.Report) error {
-	var resp response
-	return w.call(&request{Op: opFeedback, Report: r}, &resp)
-}
-
 // Derive implements Backend.
 func (w *Worker) Derive(wl *skeleton.Workload, cfg core.StrategyConfig) (core.Strategy, error) {
 	var resp response

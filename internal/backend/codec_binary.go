@@ -66,17 +66,17 @@ func (c *binaryCodec) intern(b []byte) string {
 
 // Request opcodes: an op's index here is its byte on the wire. Zero is
 // reserved for the string fallback so an op outside the table still
-// round-trips; 8 was the retired appseed op and stays unassigned.
+// round-trips; 6 and 8 were the retired feedback and appseed ops and stay
+// unassigned.
 var opNames = [...]string{
 	1: opInit, 2: opEnact, 3: opStep, 4: opCancel, 5: opIncomplete,
-	6: opFeedback, 7: opDerive, 9: opClose, 10: opPing, 11: opInject,
+	7: opDerive, 9: opClose, 10: opPing, 11: opInject,
 }
 
 // Presence bits for request pointer fields.
 const (
 	reqHasInit = 1 << iota
 	reqHasDesc
-	reqHasReport
 	reqHasWorkload
 	reqHasConfig
 	reqHasChaos
@@ -278,9 +278,6 @@ func (c *binaryCodec) AppendRequest(dst []byte, req *request) ([]byte, error) {
 	if req.Desc != nil {
 		bits |= reqHasDesc
 	}
-	if req.Report != nil {
-		bits |= reqHasReport
-	}
 	if req.Workload != nil {
 		bits |= reqHasWorkload
 	}
@@ -301,9 +298,6 @@ func (c *binaryCodec) AppendRequest(dst []byte, req *request) ([]byte, error) {
 	}
 	if err == nil && req.Desc != nil {
 		dst, err = appendDescriptor(dst, req.Desc)
-	}
-	if err == nil && req.Report != nil {
-		dst, err = appendReport(dst, req.Report)
 	}
 	if err == nil && req.Workload != nil {
 		dst = appendWorkload(dst, req.Workload)
@@ -339,9 +333,6 @@ func (c *binaryCodec) DecodeRequest(data []byte, req *request) error {
 	}
 	if bits&reqHasDesc != 0 {
 		req.Desc = c.readDescriptor(&r)
-	}
-	if bits&reqHasReport != 0 {
-		req.Report = c.readReport(&r)
 	}
 	if bits&reqHasWorkload != 0 {
 		req.Workload = r.workload()

@@ -276,11 +276,14 @@ func TestDecodeResponseForgedCount(t *testing.T) {
 }
 
 // TestDecodeRequestForgedCount is the worker's side: a forged task, file,
-// string, list, map or arena count in a workload or a report costs at most
-// the payload it claims.
+// string, list or arena count in a workload, or resource count in a
+// pre-derived strategy, costs at most the payload it claims. (A report
+// crosses only in a done event: TestDecodeResponseForgedCount.)
 func TestDecodeRequestForgedCount(t *testing.T) {
 	derive := []byte{wireCode(opNames[:], opDerive), 1, reqHasWorkload, 0, 0, 0, 0}
-	feedback := []byte{wireCode(opNames[:], opFeedback), 1, reqHasReport, 0, 0, 0, 0}
+	// An enact frame whose descriptor (key 0, no origin) has no workload, a
+	// pre-derived strategy and no adaptive config.
+	enact := []byte{wireCode(opNames[:], opEnact), 1, reqHasDesc, 0, 0, 0, 0, 0, 0, 0, 1, 0}
 	decode := func(frame []byte) error {
 		var req request
 		return newBinaryCodec().DecodeRequest(frame, &req)
@@ -297,14 +300,15 @@ func TestDecodeRequestForgedCount(t *testing.T) {
 		{"stage list beyond the string total", at(derive, 1, 0, 0, 0, 0), nil, 1, false},
 		{"stage list within a forged string total", at(derive, 1, 0), binary.AppendUvarint([]byte{0, 0}, 1<<20), 1, false},
 		{"file list beyond the file total", at(derive, append([]byte{2}, task...)...), nil, 3, false},
-		{"strategy resources", at(feedback, 0, 0, 0, 0), nil, 1, false},
-		{"report pilot waits", at(feedback, make([]byte, 20)...), nil, 2, false},
+		{"strategy resources", at(enact, 0, 0, 0), nil, 1, false},
 	})
 }
 
 // TestDecodeRequestCopiesOutOfTheFrame: the host reads the next request into
 // the same buffer, so nothing a decoded descriptor holds may alias it. The
-// workload's files, deps and single lists all outgrow a decode chunk.
+// workload's files, deps and single lists all outgrow a decode chunk. The
+// parent reuses its frame buffers too, so the same holds for the report a
+// done event carries.
 func TestDecodeRequestCopiesOutOfTheFrame(t *testing.T) {
 	w, err := skeleton.Generate(skeleton.AppSpec{Name: "all-to-all", Stages: []skeleton.StageSpec{
 		{Name: "map", Tasks: decodeChunk + 100, DurationS: skeleton.Constant(60), InputBytes: skeleton.Constant(1 << 10), OutputBytes: skeleton.Constant(1 << 10), Inputs: skeleton.MapExternal},
@@ -317,7 +321,7 @@ func TestDecodeRequestCopiesOutOfTheFrame(t *testing.T) {
 		Workload: w, Strategy: &core.Strategy{Pilots: 2, Resources: []string{"stampede", "gordon"}},
 		Config: core.StrategyConfig{FixedResources: []string{"comet"}},
 	}}
-	frame, err := newBinaryCodec().AppendRequest(nil, &request{ID: 1, Op: opEnact, Desc: want, Report: &core.Report{PilotWaits: map[string]time.Duration{"s0-j7.p0": time.Minute}}})
+	frame, err := newBinaryCodec().AppendRequest(nil, &request{ID: 1, Op: opEnact, Desc: want})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,8 +330,23 @@ func TestDecodeRequestCopiesOutOfTheFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	clear(frame)
-	if !reflect.DeepEqual(req.Desc, want) || req.Report.PilotWaits["s0-j7.p0"] != time.Minute {
+	if !reflect.DeepEqual(req.Desc, want) {
 		t.Fatalf("overwriting the frame changed the decoded request: %+v", req.Desc)
+	}
+
+	report := &core.Report{Strategy: *want.Strategy, UnitsDone: 3,
+		PilotWaits: map[string]time.Duration{"pilot.stampede.s0-j7-1": time.Minute, "pilot.gordon.s0-j7-2": time.Hour}}
+	frame, err = newBinaryCodec().AppendResponse(nil, &response{ID: 1, Events: []wireEvent{{Kind: eventDone, Key: 7, Report: report}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, calls, err := decodeResponse(newBinaryCodec(), frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clear(frame)
+	if len(calls) != 1 || !reflect.DeepEqual(calls[0].report, report) {
+		t.Fatalf("overwriting the frame changed the decoded done event: %+v", calls)
 	}
 }
 

@@ -154,7 +154,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		int64(1<<31), true, int64(1<<62), int64(-1<<62), byte(2),
 		uint8(0), "", 0.0, uint32(0))
 	f.Add(uint64(2), "feedback", int64(1), int64(1), "", "d", "s1-j2",
-		"", "", "", int64(1<<53+1), "", "", "binary/3",
+		"", "", "", int64(1<<53+1), "", "", "binary/4",
 		int64(-1<<53-3), false, int64(1), int64(-1<<60), byte(3),
 		uint8(17), "stage-ø<&>", 1.7e308, uint32(0x9999))
 	f.Fuzz(func(t *testing.T, id uint64, op string, maxv, key int64,
@@ -175,7 +175,6 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		if blobs&1 != 0 {
 			req.Init = &Config{Shard: int(key), Seed: seed, Sites: site.DefaultTestbed()[:1]}
 			req.Desc = desc
-			req.Report = report
 			req.Workload = desc.Workload
 			req.Config = &desc.Config
 			req.Chaos = &ChaosEvent{

@@ -183,12 +183,6 @@ func (l *Local) Incomplete(key int) error {
 	return exec.IncompleteError()
 }
 
-// Feedback implements Backend.
-func (l *Local) Feedback(r *core.Report) error {
-	l.mgr.FeedbackWaits(r)
-	return nil
-}
-
 // Derive implements Backend.
 func (l *Local) Derive(w *skeleton.Workload, cfg core.StrategyConfig) (core.Strategy, error) {
 	return l.mgr.Derive(w, cfg)

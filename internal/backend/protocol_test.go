@@ -223,11 +223,11 @@ func TestConnectRejectsWorkerWithoutBinary(t *testing.T) {
 		}
 	}
 
-	// A worker built with the previous layout, "binary/2" (a strategy config
-	// of eight fields), refuses "binary/3" as an unknown codec; one that
-	// answered with its own layout name anyway is refused by the parent,
-	// naming both.
-	prev := CodecBinary + "/2"
+	// A worker built with the previous layout, "binary/3" (a feedback op
+	// whose request carried a report), refuses "binary/4" as an unknown
+	// codec; one that answered with its own layout name anyway is refused by
+	// the parent, naming both.
+	prev := CodecBinary + "/3"
 	for name, answer := range map[string]func(*request) *response{
 		"refuses the new layout": func(req *request) *response {
 			return &response{ID: req.ID, Err: fmt.Sprintf("backend: worker does not support wire codec %q (supports %q, %q)", req.Codec, CodecJSON, prev)}

@@ -84,7 +84,6 @@ const (
 	opStep       = "step"
 	opCancel     = "cancel"
 	opIncomplete = "incomplete"
-	opFeedback   = "feedback"
 	opDerive     = "derive"
 	opClose      = "close"
 	opPing       = "ping"
@@ -110,7 +109,6 @@ type request struct {
 	Max      int                  `json:"max,omitempty"`
 	Key      int                  `json:"key,omitempty"`
 	Reason   string               `json:"reason,omitempty"`
-	Report   *core.Report         `json:"report,omitempty"`
 	Workload *skeleton.Workload   `json:"workload,omitempty"`
 	Config   *core.StrategyConfig `json:"strategy_config,omitempty"`
 	Chaos    *ChaosEvent          `json:"chaos,omitempty"`

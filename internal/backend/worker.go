@@ -205,14 +205,6 @@ func (h *host) handleOp(req *request, resp *response) {
 		if err := h.local.Incomplete(req.Key); err != nil {
 			resp.Diag = err.Error()
 		}
-	case opFeedback:
-		if req.Report == nil {
-			resp.Err = "backend: feedback frame without a report"
-			return
-		}
-		if err := h.local.Feedback(req.Report); err != nil {
-			resp.Err = err.Error()
-		}
 	case opDerive:
 		if req.Workload == nil || req.Config == nil {
 			resp.Err = "backend: derive frame without a workload and strategy config"

@@ -6,6 +6,7 @@
 package bundle
 
 import (
+	"slices"
 	"time"
 
 	"aimes/internal/site"
@@ -50,14 +51,22 @@ type StorageInfo struct {
 // attached to a site. It does not own the resource — multiple bundles may
 // share a site.
 type Resource struct {
-	s       *site.Site
-	history []float64 // queue waits in seconds, oldest first
-	maxHist int
+	s *site.Site
+	// waits is the predictive history, queue waits in seconds: a FIFO of
+	// the last maxHistory observations, oldest at next once it is full.
+	// sorted holds the same waits in ascending order, so a prediction
+	// indexes it instead of sorting a copy. The two share one array.
+	waits  []float64
+	next   int
+	sorted []float64
 }
+
+// maxHistory caps a resource's wait history; the oldest wait is evicted.
+const maxHistory = 4096
 
 // NewResource attaches a characterization agent to a site.
 func NewResource(s *site.Site) *Resource {
-	return &Resource{s: s, maxHist: 4096}
+	return &Resource{s: s}
 }
 
 // Name returns the resource name.
@@ -110,23 +119,40 @@ func (r *Resource) EstimateTransfer(bytes int64) time.Duration {
 }
 
 // ObserveWait records one observed queue wait (seconds) into the predictive
-// history. The execution manager feeds pilot waits back.
+// history. Every execution feeds its activated pilots' waits back when it
+// finishes.
 func (r *Resource) ObserveWait(seconds float64) {
-	r.history = append(r.history, seconds)
-	if len(r.history) > r.maxHist {
-		r.history = r.history[len(r.history)-r.maxHist:]
+	if n := len(r.waits); n == maxHistory {
+		old := r.waits[r.next]
+		r.waits[r.next] = seconds
+		r.next = (r.next + 1) % maxHistory
+		i, _ := slices.BinarySearch(r.sorted, old)
+		r.sorted = slices.Delete(r.sorted, i, i+1)
+	} else {
+		if n == cap(r.waits) {
+			// Both lists grow in one allocation: most environments see a
+			// few dozen waits per resource (bench's paper-matrix counts
+			// allocations per job).
+			c := min(max(16, 2*n), maxHistory)
+			buf := make([]float64, 2*c)
+			r.waits = append(buf[:0:c], r.waits...)
+			r.sorted = append(buf[c:c], r.sorted...)
+		}
+		r.waits = append(r.waits, seconds)
 	}
+	i, _ := slices.BinarySearch(r.sorted, seconds)
+	r.sorted = slices.Insert(r.sorted, i, seconds)
 }
 
 // HistoryLen reports the number of recorded wait observations.
-func (r *Resource) HistoryLen() int { return len(r.history) }
+func (r *Resource) HistoryLen() int { return len(r.waits) }
 
 // Predict implements the predictive query mode for queue waits: the QBETS-
 // style conservative empirical quantile (see predictor.go). It returns the
 // predicted bound for the given quantile at the given confidence, and false
 // when the history is too thin to predict.
 func (r *Resource) Predict(quantile, confidence float64) (time.Duration, bool) {
-	secs, ok := QuantileBound(r.history, quantile, confidence)
+	secs, ok := QuantileBound(r.sorted, quantile, confidence)
 	if !ok {
 		return 0, false
 	}

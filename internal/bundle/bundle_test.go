@@ -2,6 +2,8 @@ package bundle
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -116,6 +118,73 @@ func TestObserveWaitBoundsHistory(t *testing.T) {
 	}
 }
 
+// TestSortedHistoryMatchesReference: random waits, with repeats, well past
+// the cap give every quantile bound a sorted copy of the last 4 096
+// observations gives, so the history kept sorted on insert evicts the
+// oldest wait and nothing else.
+func TestSortedHistoryMatchesReference(t *testing.T) {
+	eng := sim.NewSim()
+	r := New(testSites(t, eng)).Resource("gordon")
+	rng := rand.New(rand.NewSource(7))
+	var all []float64
+	check := func() {
+		t.Helper()
+		ref := slices.Clone(all[max(0, len(all)-4096):])
+		slices.Sort(ref)
+		if r.HistoryLen() != len(ref) {
+			t.Fatalf("after %d waits: history %d, want %d", len(all), r.HistoryLen(), len(ref))
+		}
+		for _, q := range []float64{0.1, 0.5, 0.9, 0.99} {
+			got, ok := r.Predict(q, 0.95)
+			want, wantOK := QuantileBound(ref, q, 0.95)
+			if ok != wantOK || got != time.Duration(want*float64(time.Second)) {
+				t.Fatalf("after %d waits: Predict(%g) = %v, %v; reference %gs, %v", len(all), q, got, ok, want, wantOK)
+			}
+		}
+	}
+	for len(all) < 3*4096+123 {
+		w := float64(rng.Intn(3000))
+		if rng.Intn(4) == 0 {
+			w = rng.ExpFloat64() * 900
+		}
+		all = append(all, w)
+		r.ObserveWait(w)
+		if len(all) <= 40 || len(all)%997 == 0 || len(all) == 4096 || len(all) == 4097 {
+			check()
+		}
+	}
+	check()
+}
+
+// TestPredictAllocatesNothing: a prediction on a full history indexes the
+// sorted waits; it neither copies (32 KB a call) nor sorts them.
+func TestPredictAllocatesNothing(t *testing.T) {
+	eng := sim.NewSim()
+	r := New(testSites(t, eng)).Resource("gordon")
+	for i := 0; i < 4096; i++ {
+		r.ObserveWait(float64((i * 7919) % 4096))
+	}
+	if n := testing.AllocsPerRun(100, func() { r.Predict(0.5, 0.95) }); n != 0 {
+		t.Fatalf("Predict allocates %g objects a call, want 0", n)
+	}
+}
+
+func BenchmarkPredict(b *testing.B) {
+	eng := sim.NewSim()
+	tb, err := site.NewTestbed(eng, site.DefaultTestbed(), sim.NewRNG(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := New(tb.Sites()).Resource("gordon")
+	for i := 0; i < 4096; i++ {
+		r.ObserveWait(float64((i * 7919) % 4096))
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		r.Predict(0.5, 0.95)
+	}
+}
+
 func TestSetupTimeInComputeInfo(t *testing.T) {
 	eng := sim.NewSim()
 	b := New(testSites(t, eng))
@@ -129,6 +198,8 @@ func TestSetupTimeInComputeInfo(t *testing.T) {
 	}
 }
 
+// QuantileBound's input is a history in ascending order, as Resource keeps
+// it; its tests give it sorted input.
 func TestQuantileBoundEdgeCases(t *testing.T) {
 	if _, ok := QuantileBound(nil, 0.5, 0.95); ok {
 		t.Fatal("empty history predicted")

@@ -1,13 +1,11 @@
 package bundle
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // QuantileBound is the predictive core of the bundle's queue-wait forecasts,
 // a simplified QBETS (Queue Bounds Estimation from Time Series, Nurmi,
-// Brevik & Wolski): given a history of observed waits, it returns a value w
+// Brevik & Wolski): given a history of observed waits in ascending order
+// (Resource keeps its history sorted on insert), it returns a value w
 // such that, under an i.i.d. assumption, the true q-quantile of the wait
 // distribution is below w with the requested confidence.
 //
@@ -19,8 +17,8 @@ import (
 // The second return value is false when fewer than 8 observations exist —
 // the paper's observation that queue-wait prediction "is extremely hard"
 // starts with having no data.
-func QuantileBound(history []float64, quantile, confidence float64) (float64, bool) {
-	n := len(history)
+func QuantileBound(sorted []float64, quantile, confidence float64) (float64, bool) {
+	n := len(sorted)
 	if n < 8 {
 		return 0, false
 	}
@@ -33,10 +31,6 @@ func QuantileBound(history []float64, quantile, confidence float64) (float64, bo
 	if confidence <= 0 || confidence >= 1 {
 		confidence = 0.95
 	}
-	sorted := make([]float64, n)
-	copy(sorted, history)
-	sort.Float64s(sorted)
-
 	z := normalQuantile(confidence)
 	nf := float64(n)
 	k := int(math.Ceil(nf*quantile + z*math.Sqrt(nf*quantile*(1-quantile))))

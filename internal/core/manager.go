@@ -262,13 +262,21 @@ func (e *Execution) Enact() error {
 	return nil
 }
 
-// finish cancels pilots, assembles the report and fires callbacks.
+// finish cancels pilots, assembles the report, feeds each activated pilot's
+// queue wait into the bundle's predictive history in submission order, and
+// fires callbacks. The execution has made its last decision by then, so the
+// waits it observed reach only the derivations of later jobs.
 func (e *Execution) finish() {
 	e.pm.CancelAll()
 	e.ended = e.m.eng.Now()
 	e.done = true
 	e.rec.Record(e.ended, "em", "DONE", "")
 	e.report = buildReport(e)
+	for p := range e.pm.All() {
+		if res := e.m.bundle.Resource(p.Resource()); res != nil && p.ActiveAt() > 0 {
+			res.ObserveWait(p.Wait().Seconds())
+		}
+	}
 	for _, fn := range e.onDone {
 		fn(e.report)
 	}
@@ -291,15 +299,4 @@ func (e *Execution) IncompleteError() error {
 		units[u.State().String()]++
 	}
 	return fmt.Errorf("core: engine drained but workload incomplete (pilots %v, units %v)", pilots, units)
-}
-
-// FeedbackWaits replays a report's observed pilot queue waits into the
-// bundle's predictive history, so later derivations see fresher forecasts —
-// the feedback loop staged execution (and any long-lived environment) uses.
-func (m *Manager) FeedbackWaits(r *Report) {
-	for pilotID, wait := range r.PilotWaits {
-		if res := m.bundle.Resource(resourceOf(pilotID)); res != nil {
-			res.ObserveWait(wait.Seconds())
-		}
-	}
 }

@@ -70,19 +70,3 @@ func stageWorkload(w *skeleton.Workload, stage string) *skeleton.Workload {
 	}
 	return sub
 }
-
-// resourceOf extracts the resource name from a pilot ID "pilot.<name>.<n>"
-// (or its namespaced form "pilot.<name>.<ns>-<n>").
-func resourceOf(pilotID string) string {
-	const prefix = "pilot."
-	if len(pilotID) <= len(prefix) {
-		return pilotID
-	}
-	rest := pilotID[len(prefix):]
-	for i := len(rest) - 1; i >= 0; i-- {
-		if rest[i] == '.' {
-			return rest[:i]
-		}
-	}
-	return rest
-}

@@ -46,20 +46,6 @@ func TestStageWorkloadDecomposition(t *testing.T) {
 	}
 }
 
-func TestResourceOf(t *testing.T) {
-	cases := map[string]string{
-		"pilot.stampede.3": "stampede",
-		"pilot.comet.12":   "comet",
-		"pilot.x":          "x",
-		"odd":              "odd",
-	}
-	for in, want := range cases {
-		if got := resourceOf(in); got != want {
-			t.Fatalf("resourceOf(%q) = %q, want %q", in, got, want)
-		}
-	}
-}
-
 // cloneWorkload deep-copies w, keeping nil lists nil.
 func cloneWorkload(w *skeleton.Workload) *skeleton.Workload {
 	c := *w

@@ -56,7 +56,7 @@ const (
 	// single pilot).
 	SchedDirect SchedulerKind = iota
 	// SchedRoundRobin distributes units evenly at submission time (early
-	// binding, multiple pilots; kept for ablations).
+	// binding, multiple pilots).
 	SchedRoundRobin
 	// SchedBackfill assigns units to active pilots with free capacity (late
 	// binding).

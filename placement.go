@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"aimes/internal/backend"
-	"aimes/internal/shard"
 )
 
 // ShardLoad is one shard's point-in-time load snapshot (see Loads).
@@ -158,13 +157,4 @@ func (e *Environment) shunned(k int) bool {
 		}
 	}
 	return false
-}
-
-// leastLoadedShard is the shard a least-loaded submission would be placed
-// on now.
-func (e *Environment) leastLoadedShard() int {
-	e.jobMu.Lock()
-	defer e.jobMu.Unlock()
-	k, _ := e.picker.Pick(shard.LeastLoaded, 0, 0, e.placementLoad())
-	return k
 }
