@@ -65,18 +65,20 @@ soak:
 
 # Where the time and the allocations go: CPU and allocation profiles of one
 # root benchmark, BENCH=<regexp>, as top-30 text tables in profile/
-# (git-ignored). The default is the paper's matrix (Table I experiments 1-4 x
-# sizes 8..2048; BenchmarkFigure2 runs it, BenchmarkTableI only its 8-task
-# column): the path the benchmark's paper-matrix workload measures — the
-# harness runs every cell as NewEnv, Submit, Wait, so the tables show
-# shardEnv.pump, StepN and trace.Log.Append — plus what the harness adds per
-# run: a fresh environment and the workload's generation.
+# (git-ignored). The default, BenchmarkPaperMatrixJob, is what the benchmark's
+# paper-matrix workload times: the Table I experiments 1-4 x sizes 8..2048,
+# one job per iteration on one local shard, with the workloads generated and
+# each environment built while the timer is stopped, so the tables show
+# Submit, shardEnv.pump, StepN, the pilot layer and trace.Log.Append.
+# BENCH=BenchmarkFigure2 BENCHTIME=3x is the whole paper matrix as the
+# experiment harness runs it, where a fresh environment and the workload's
+# generation per run dominate the bytes.
 # BENCH=BenchmarkServiceJobSSE is the service-stream path (client, daemon, SSE)
 # and BENCH=BenchmarkWorkerJob the parent side of fleet-mixed's wire; those
 # want BENCHTIME=500x or so. A perf change names its layer from these tables,
 # before and after. bench/ itself has no profile flag.
-BENCH ?= BenchmarkFigure2$$
-BENCHTIME ?= 3x
+BENCH ?= BenchmarkPaperMatrixJob$$
+BENCHTIME ?= 720x
 profile:
 	mkdir -p profile
 	$(GO) test -run '^$$' -bench '$(BENCH)' -benchtime $(BENCHTIME) \

@@ -218,6 +218,59 @@ func BenchmarkSingleRun2048(b *testing.B) {
 	}
 }
 
+// BenchmarkPaperMatrixJob is what the benchmark's paper-matrix workload times,
+// one job per iteration: the Table I experiments x sizes 8..2048, in that
+// order, submitted and waited for one at a time on one local shard. As there,
+// the workloads are generated and each run of the 36 jobs gets a fresh
+// environment with the timer stopped, so `make profile` shows the job's own
+// path (Submit, the shard's pump, the pilot layer, the trace log) and not the
+// workload generator or the environment's setup.
+func BenchmarkPaperMatrixJob(b *testing.B) {
+	type job struct {
+		w   *aimes.Workload
+		cfg aimes.JobConfig
+	}
+	var mix []job
+	for _, def := range experiments.TableI {
+		for _, n := range experiments.Sizes {
+			w, err := aimes.GenerateWorkload(aimes.BagOfTasks(n, def.Duration.Spec()), int64(len(mix)+1))
+			if err != nil {
+				b.Fatal(err)
+			}
+			mix = append(mix, job{w, aimes.JobConfig{StrategyConfig: def.StrategyConfig()}})
+		}
+	}
+	var env *aimes.Environment
+	defer func() {
+		if env != nil {
+			env.Close()
+		}
+	}()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		js := mix[i%len(mix)]
+		if i%len(mix) == 0 {
+			b.StopTimer()
+			if env != nil {
+				env.Close()
+			}
+			var err error
+			if env, err = aimes.NewEnv(aimes.WithSeed(int64(i)), aimes.WithShards(1)); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		j, err := env.Submit(context.Background(), js.w, js.cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if r, err := j.Wait(context.Background()); err != nil || r.UnitsDone != len(js.w.Tasks) {
+			b.Fatalf("job %d: %+v, %v", i, r, err)
+		}
+	}
+}
+
 // BenchmarkServiceJobSSE is the service path one job at a time — client →
 // httptest daemon → 2 local shards, a 12-task job submitted and followed over
 // SSE to its terminal snapshot — so `make profile BENCH=BenchmarkServiceJobSSE`

@@ -104,14 +104,21 @@ func (l *Link) Estimate(size int64) time.Duration {
 
 // Transfer is one data movement over a link. Its holder may embed it and
 // start it again once it has finished or been canceled (Link.StartInto).
+// While no transfer is in flight, the holder may also arm the transfer's
+// timer with a handler of its own (Timer).
 type Transfer struct {
-	link      *Link
-	size      int64
+	link      *Link // from StartInto until the last byte arrives or Cancel; nil otherwise
 	remaining float64
 	done      sim.Handler // fired when the last byte arrives; may be nil
-	inFlight  bool        // from StartInto until the last byte arrives or Cancel
 	latEvent  sim.Event   // the link latency elapsing; its handler is the transfer
 }
+
+// Timer returns the event that times the transfer's link latency. A holder
+// that never stages while it does something else timed can reuse it: it may
+// Init and arm it while no transfer is in flight, and must let it fire or
+// cancel it before it starts one, or StartInto panics. StartInto gives the
+// event its own handler again.
+func (t *Transfer) Timer() *sim.Event { return &t.latEvent }
 
 // Start begins a transfer of size bytes. onDone fires when the last byte
 // arrives. Zero-size transfers still pay the link latency.
@@ -134,10 +141,10 @@ func (l *Link) StartInto(t *Transfer, size int64, done sim.Handler) {
 	if size < 0 {
 		panic(fmt.Sprintf("netsim: negative transfer size %d", size))
 	}
-	if t.inFlight {
+	if t.link != nil {
 		panic(fmt.Sprintf("netsim: link %q: transfer started while still in flight", l.name))
 	}
-	t.link, t.size, t.remaining, t.done, t.inFlight = l, size, float64(size), done, true
+	t.link, t.remaining, t.done = l, float64(size), done
 	t.latEvent.Init((*arrival)(t))
 	l.eng.Arm(&t.latEvent, l.latency)
 }
@@ -190,10 +197,10 @@ func (l *Link) admitPending() {
 // Cancel aborts a transfer; its onDone never fires. It reports whether the
 // transfer was in flight: waiting out the latency, pending or active.
 func (l *Link) Cancel(t *Transfer) bool {
-	if t == nil || !t.inFlight {
+	if t == nil || t.link == nil {
 		return false
 	}
-	t.inFlight = false
+	t.link = nil
 	if l.eng.Cancel(&t.latEvent) {
 		return true
 	}
@@ -262,7 +269,7 @@ func (l *Link) finish(t *Transfer) {
 		}
 	}
 	t.remaining = 0
-	t.inFlight = false
+	t.link = nil
 	l.reschedule()
 	l.admitPending()
 	if t.done != nil {

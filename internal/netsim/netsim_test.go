@@ -304,3 +304,56 @@ func TestPendingFIFOAllocatesNothing(t *testing.T) {
 		t.Errorf("a round of %d transfers allocates %.0f objects, want 0", n, allocs)
 	}
 }
+
+// TestTransferTimerSharing holds the contract a holder that times its own work
+// on a transfer's timer relies on: while the timer is armed a transfer cannot
+// start, and once a transfer has finished or been canceled the timer is the
+// holder's again.
+func TestTransferTimerSharing(t *testing.T) {
+	eng := sim.NewSim()
+	l := NewLink(eng, "wan", mb, 10*time.Millisecond)
+	fired := 0
+	own := sim.Func(func() { fired++ })
+	var x Transfer
+	arm := func(what string) {
+		t.Helper()
+		ev := x.Timer()
+		ev.Init(own)
+		eng.Arm(ev, time.Second)
+		eng.Run()
+		if fired != 1 {
+			t.Fatalf("%s: the holder's timer fired %d times, want 1", what, fired)
+		}
+		fired = 0
+	}
+
+	arm("a fresh transfer")
+	l.StartInto(&x, mb, nil)
+	eng.Run()
+	arm("a finished transfer")
+	l.StartInto(&x, mb, nil)
+	eng.RunUntil(eng.Now().Add(time.Millisecond)) // waiting out the latency
+	if !l.Cancel(&x) {
+		t.Fatal("cancel of a transfer in its latency failed")
+	}
+	arm("a transfer canceled in its latency")
+	l.StartInto(&x, mb, nil)
+	eng.RunUntil(eng.Now().Add(100 * time.Millisecond)) // moving bytes
+	if l.Active() != 1 || !l.Cancel(&x) {
+		t.Fatal("cancel of an active transfer failed")
+	}
+	arm("a transfer canceled while active")
+
+	ev := x.Timer()
+	ev.Init(own)
+	eng.Arm(ev, time.Second)
+	if l.Cancel(&x) || eng.Pending() != 1 {
+		t.Fatal("Cancel of a transfer not in flight touched the holder's armed timer")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("StartInto with the holder's timer armed did not panic")
+		}
+	}()
+	l.StartInto(&x, mb, nil)
+}

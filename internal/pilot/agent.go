@@ -122,10 +122,15 @@ func (a *agent) launch(u *Unit) {
 	}
 	u.execFails, u.execSlot = fails, int32(len(a.running))
 	a.running = append(a.running, u)
-	a.sys.eng.Arm(&u.execEv, duration)
+	// A running unit stages nothing, so its staging transfer's timer is free
+	// to end the run.
+	ev := u.xfer.Timer()
+	ev.Init((*execution)(u))
+	a.sys.eng.Arm(ev, duration)
 }
 
-// execution is a Unit as the handler of its execution event.
+// execution is a Unit as the handler of the event that ends its run: its
+// staging transfer's timer.
 type execution Unit
 
 func (x *execution) Fire() {
@@ -185,7 +190,7 @@ func (a *agent) shutdown(cause string) {
 	victims := a.running
 	a.running = nil
 	for _, u := range victims {
-		a.sys.eng.Cancel(&u.execEv)
+		a.sys.eng.Cancel(u.xfer.Timer())
 		a.used -= u.task.Cores
 	}
 	// running is in no meaningful order; sort for deterministic replay.

@@ -101,10 +101,11 @@ func TestPlaceRoundTripAllocatesNothing(t *testing.T) {
 // execution and output staging on one 64-core pilot. Per unit that allocates
 // nothing: the place its freed core triggers (the bag is eight times the
 // pilot) appends to the manager's one assignment list. Everything is per
-// Submit — the slab of units with their events and transfers inside, the
-// string their trace ids are cut from, the manager's pre-sized slices and
-// map — or the amortized growth of the recorder: no event, no transfer, no
-// closure, no detail. (0.1 objects per unit measured; a list per place is 1.)
+// Submit — the slab of units with their transfers (and so the timers their
+// runs end on) inside, the string their trace ids are cut from, the
+// manager's pre-sized slices and map — or the amortized growth of the
+// recorder: no event, no transfer, no closure, no detail. (0.1 objects per
+// unit measured; a list per place is 1.)
 func TestUnitTripAllocatesItsStateOnly(t *testing.T) {
 	const units, ceiling = 512, 0.5
 	h := newHarness(t, DefaultConfig(), 1)

@@ -11,18 +11,20 @@ import (
 )
 
 // TestUnitFootprint pins the size of a unit and of the two structs every unit
-// embeds. A job allocates one Unit per task in one slab, so every byte here
-// is paid per task: a unit points at its task in the caller's workload (a
-// copy of a unit description would add 88 bytes), its transfer keeps no
-// timestamps and its event's slot shares a word with the canceled flag.
+// embeds, its transfer and, inside that, an event. A job allocates one Unit
+// per task in one slab, so every byte here is paid per task: a unit points at
+// its task in the caller's workload (a copy of a unit description would add
+// 88 bytes), its run ends on its transfer's timer (an event of its own was 40
+// bytes), its dependents are a list head into its manager's edges (a slice
+// was 24 bytes), and its transfer keeps no size, no flag and no timestamps.
 func TestUnitFootprint(t *testing.T) {
 	for _, c := range []struct {
 		name      string
 		size, max uintptr
 	}{
-		{"pilot.Unit", unsafe.Sizeof(Unit{}), 224},
+		{"pilot.Unit", unsafe.Sizeof(Unit{}), 136},
 		{"sim.Event", unsafe.Sizeof(sim.Event{}), 40},
-		{"netsim.Transfer", unsafe.Sizeof(netsim.Transfer{}), 88},
+		{"netsim.Transfer", unsafe.Sizeof(netsim.Transfer{}), 72},
 	} {
 		if c.size > c.max {
 			t.Errorf("%s is %d bytes, want at most %d", c.name, c.size, c.max)

@@ -179,6 +179,15 @@ func unitNames(us []*Unit) []string {
 	return out
 }
 
+// dependentsOf reads a unit's list of dependents out of its manager's edges.
+func dependentsOf(um *UnitManager, u *Unit) []*Unit {
+	var out []*Unit
+	for e := u.dependents; e != 0; e = um.edges[e-1].next {
+		out = append(out, um.units[um.edges[e-1].unit])
+	}
+	return out
+}
+
 // TestSubmitDependencyOrder pins how Submit resolves a unit's dependencies:
 // explicit Deps, then input producers, each once — counted in the unit and
 // listed once with each producer — without writing the caller's tasks.
@@ -198,7 +207,7 @@ func TestSubmitDependencyOrder(t *testing.T) {
 		t.Fatalf("u waits for %d dependencies, want 3", u.openDeps)
 	}
 	for _, id := range []string{"p", "q", "r"} {
-		if got := um.unit(id).dependents; len(got) != 1 || got[0] != u {
+		if got := dependentsOf(um, um.unit(id)); len(got) != 1 || got[0] != u {
 			t.Fatalf("%s's dependents = %v, want [u]", id, unitNames(got))
 		}
 	}

@@ -58,7 +58,7 @@ func (s PilotState) Final() bool {
 }
 
 // UnitState enumerates the compute-unit lifecycle.
-type UnitState int
+type UnitState int8
 
 // Unit lifecycle states.
 const (

@@ -14,36 +14,35 @@ import (
 	"aimes/internal/skeleton"
 )
 
-// Unit is one compute unit under management.
+// Unit is one compute unit under management. A job's units are one slab, so
+// every byte here is paid per task.
 type Unit struct {
 	task  *skeleton.Task // the element of the slice Submit was given
 	id    string         // trace entity: "unit.<task ID>"
-	state UnitState
 	um    *UnitManager
+	pilot *Pilot
 
-	pilot    *Pilot
-	attempts int32
+	state UnitState
 	// committed reports whether this unit currently counts against its
 	// pilot's committed cores.
 	committed bool
 	// execFails reports whether the unit's run ends in an injected failure.
 	execFails bool
+	attempts  int32
 
 	// xfer is the unit's staging transfer, input or output: a unit never
-	// stages both ways at once.
+	// stages both ways at once, and never stages while it runs, so its run
+	// on its pilot's agent ends on the transfer's timer (see agent.launch).
 	xfer netsim.Transfer
-
-	// The unit's run on its pilot's agent: the event that ends it and the
-	// unit's index in agent.running.
-	execEv   sim.Event
+	// execSlot is the unit's index in agent.running while it runs.
 	execSlot int32
 
 	// Ready-set bookkeeping (see UnitManager.ready): the unit's submission
-	// index, how many of its dependencies are not DONE yet, and the units
-	// waiting on this one.
+	// index, how many of its dependencies are not DONE yet, and the head of
+	// the list of units waiting on this one (UnitManager.edges).
 	index      int32
 	openDeps   int32
-	dependents []*Unit
+	dependents edgeRef
 }
 
 // Task returns the task the unit runs, which belongs to the caller of Submit.
@@ -249,6 +248,10 @@ type UnitManager struct {
 	// says there are some.
 	ready      []*Unit
 	readyStale bool
+	// edges holds every unit's list of dependents, newest first: a unit's
+	// dependents field refers to its first edge, and each edge to the next.
+	// A bag of tasks has none.
+	edges []edge
 	// onPlace, when set by a test, sees the ready list of every place.
 	onPlace func(ready []*Unit)
 	// assign is place's scratch, reused from one place to the next: a
@@ -277,6 +280,17 @@ type UnitManager struct {
 		text  string
 	}
 }
+
+// edge is one entry of a list of dependents: the dependent's index in
+// UnitManager.units and the list's next edge.
+type edge struct {
+	unit int32
+	next edgeRef
+}
+
+// edgeRef refers to an edge: its index in UnitManager.edges plus one, 0 at
+// the end of a list (so a unit's zero value has no dependents).
+type edgeRef int32
 
 // cover accumulates the union of the spans a set of units spends in a state,
 // at the transitions into and out of it. Engines fire in time order and
@@ -399,7 +413,6 @@ func (um *UnitManager) Submit(tasks []skeleton.Task, names skeleton.Index) error
 		u.task, u.um, u.index = t, um, int32(len(um.units))
 		n := len("unit.") + len(t.ID)
 		u.id, id = id[:n], id[n:]
-		u.execEv.Init((*execution)(u))
 		// A unit waits for its explicit dependencies, then for the producers
 		// of its inputs, each once.
 		for _, dep := range t.Deps {
@@ -426,14 +439,15 @@ func (um *UnitManager) unit(id string) *Unit { return um.units[um.names[id]] }
 
 // dependOn makes u wait for the unit whose task has the given ID, unless that
 // unit is done or u already waits for it. A unit's dependencies are wired one
-// after another, so if u is on the producer's list at all it is last there.
+// after another, so if u is on the producer's list at all it is its head.
 func (um *UnitManager) dependOn(u *Unit, id string) {
 	p := um.unit(id)
-	if p.state == UnitDone || len(p.dependents) > 0 && p.dependents[len(p.dependents)-1] == u {
+	if p.state == UnitDone || p.dependents != 0 && um.edges[p.dependents-1].unit == u.index {
 		return
 	}
 	u.openDeps++
-	p.dependents = append(p.dependents, u)
+	um.edges = append(um.edges, edge{unit: u.index, next: p.dependents})
+	p.dependents = edgeRef(len(um.edges))
 }
 
 // CancelAll cancels every non-final unit.
@@ -624,13 +638,16 @@ func (um *UnitManager) unitFinal(u *Unit) {
 	u.pilotCommitRelease()
 	um.doneCount++
 	if u.state == UnitDone {
-		for _, d := range u.dependents {
+		// makeReady inserts by submission index, so the order of the list
+		// does not matter.
+		for e := u.dependents; e != 0; e = um.edges[e-1].next {
+			d := um.units[um.edges[e-1].unit]
 			d.openDeps--
 			if d.openDeps == 0 && d.state == UnitScheduling {
 				um.makeReady(d)
 			}
 		}
-		u.dependents = nil
+		u.dependents = 0
 		um.schedulePlace()
 	}
 	if um.doneCount == len(um.units) {

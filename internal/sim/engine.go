@@ -66,13 +66,13 @@ type Event struct {
 	seq  uint64
 	h    Handler
 	// slot is where Sim queued the event: i+1 at heap[i], -(i+1) at lane[i],
-	// 0 when it is not queued (so the zero Event is idle). An int32 shares a
-	// word with canceled: every unit embeds two events.
-	slot     int32
-	canceled bool
+	// 0 when it is not queued — never armed, fired or canceled (so the zero
+	// Event is idle).
+	slot int32
 }
 
-// Init fixes what the event runs when it fires; its owner calls it once.
+// Init fixes what the event runs when it fires. Its owner calls it before the
+// first Arm, and may call it again whenever the event is not pending.
 func (e *Event) Init(h Handler) { e.h = h }
 
 // Sim is the deterministic discrete-event engine. It is not safe for
@@ -144,7 +144,7 @@ func (s *Sim) armAt(ev *Event, t Time) {
 	if t < s.now {
 		t = s.now
 	}
-	ev.when, ev.seq, ev.canceled = t, s.seq, false
+	ev.when, ev.seq = t, s.seq
 	s.seq++
 	s.pending++
 	if t == s.now {
@@ -163,17 +163,16 @@ func (s *Sim) armAt(ev *Event, t Time) {
 // already-canceled event is a no-op. Cancel reports whether the event was
 // pending.
 func (s *Sim) Cancel(ev *Event) bool {
-	if ev == nil || ev.canceled {
+	if ev == nil {
 		return false
 	}
-	ev.canceled = true
 	switch {
 	case ev.slot > 0:
 		s.remove(int(ev.slot) - 1)
 	case ev.slot < 0:
 		s.lane[-int(ev.slot)-1] = nil
 	default:
-		return false // already fired
+		return false // not queued: fired, canceled or never armed
 	}
 	ev.slot = 0
 	s.pending--

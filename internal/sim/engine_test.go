@@ -81,15 +81,19 @@ func TestSimCancel(t *testing.T) {
 	if !s.Cancel(ev) {
 		t.Fatal("Cancel returned false for pending event")
 	}
+	pending := s.Pending()
 	if s.Cancel(ev) {
 		t.Fatal("second Cancel returned true")
+	}
+	if s.Pending() != pending {
+		t.Fatalf("second Cancel moved Pending from %d to %d", pending, s.Pending())
 	}
 	s.Run()
 	if fired {
 		t.Fatal("canceled event fired")
 	}
-	if !ev.canceled {
-		t.Fatal("event not marked canceled")
+	if s.Cancel(ev) {
+		t.Fatal("Cancel after Run returned true")
 	}
 }
 

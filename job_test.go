@@ -443,15 +443,16 @@ func TestSubmitContextCancelsJob(t *testing.T) {
 // inside the slab, their staging details shared, every place of the job
 // appends to one assignment list, and the report is accumulated where the
 // units change state, not replayed from a second copy of the trace — and at
-// most 675 bytes (618 measured, 643 under -race, plus 5%; 713 while a log
-// entry held its detail as a string, the bound 760; 836 while each job copied
-// its tasks into unit descriptions, 932 with a state string in every log
-// entry, 1 102 while a unit held a copy of its description; the bound was
-// 880), close to half of which is the shard log's entries: seven records of
-// 40 B per unit. The least of three jobs counts, so another test's leftovers
-// cannot fail it.
+// most 591 bytes (538 measured, 563 under -race, plus 5%; 618 while a unit
+// was 224 bytes, with an event of its own and a slice of dependents, the
+// bound 675; 713 while a log entry held its detail as a string, the bound
+// 760; 836 while each job copied its tasks into unit descriptions, 932 with
+// a state string in every log entry, 1 102 while a unit held a copy of its
+// description; the bound was 880), over half of which is the shard log's
+// entries: seven records of 40 B per unit. The least of three jobs counts,
+// so another test's leftovers cannot fail it.
 func TestJobAllocationBudget(t *testing.T) {
-	const units, maxObjects, maxBytes = 512, 0.6, 675.0
+	const units, maxObjects, maxBytes = 512, 0.6, 591.0
 	objects, bytes := leastJobCost(t, units, aimes.StrategyConfig{
 		Binding: aimes.LateBinding, Scheduler: aimes.SchedBackfill, Pilots: 3})
 	objects, bytes = objects/units, bytes/units
