@@ -180,7 +180,7 @@ func (m *Manager) Prepare(d *Descriptor, opts ExecOptions) (*Execution, error) {
 	if opts.Recorder == nil {
 		return nil, fmt.Errorf("core: execution without a trace sink (ExecOptions.Recorder)")
 	}
-	names := make(skeleton.Index, len(w.Tasks))
+	var names skeleton.Index
 	if err := names.Add(w.Tasks); err != nil {
 		return nil, err
 	}

@@ -136,17 +136,29 @@ type execution Unit
 func (x *execution) Fire() {
 	u := (*Unit)(x)
 	a := &u.pilot.agent
+	a.vacate(u)
+	if u.execFails {
+		a.failed(u)
+	} else {
+		a.completed(u)
+	}
+	a.kick()
+}
+
+// vacate takes an executing unit off the run list and gives back its cores.
+func (a *agent) vacate(u *Unit) {
 	last := len(a.running) - 1
 	a.running[u.execSlot] = a.running[last]
 	a.running[u.execSlot].execSlot = u.execSlot
 	a.running[last] = nil
 	a.running = a.running[:last]
 	a.used -= u.task.Cores
-	if u.execFails {
-		a.failed(u)
-	} else {
-		a.completed(u)
-	}
+}
+
+// abort ends an executing unit's run before its time: the unit is canceled.
+func (a *agent) abort(u *Unit) {
+	a.sys.eng.Cancel(u.xfer.Timer())
+	a.vacate(u)
 	a.kick()
 }
 

@@ -6,7 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"aimes/internal/sim"
 	"aimes/internal/skeleton"
+	"aimes/internal/trace"
 )
 
 // pickNextScan is the scan agent.pickNext replaced, on a plain slice: the
@@ -139,5 +141,57 @@ func TestUnitTripAllocatesItsStateOnly(t *testing.T) {
 		t.Errorf("one unit's trip allocates %.1f objects, want at most %.1f", perUnit, ceiling)
 	} else {
 		t.Logf("%.1f allocations per unit", perUnit)
+	}
+}
+
+// TestCancelExecutingUnit: canceling a unit while it runs ends its run — its
+// trace ends at CANCELED, it is counted once, and its cores go back to the
+// agent, which launches the unit queued behind it then and there, not when
+// the canceled run would have ended.
+func TestCancelExecutingUnit(t *testing.T) {
+	for _, queued := range []int{0, 1} {
+		h := newHarness(t, DefaultConfig(), 4)
+		um := NewUnitManager(h.sys, Direct{}, 0)
+		p, err := h.pm.Submit(PilotDescription{Resource: "alpha", Cores: 2, Walltime: 2 * time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		um.AddPilot(p)
+		um.OnCompletion(func() { h.pm.CancelAll() })
+		if err := um.Submit(indexed(t, unitTasks(2+queued, 10*time.Minute))); err != nil {
+			t.Fatal(err)
+		}
+		victim := um.unit(nameOf(0))
+		h.eng.Schedule(5*time.Minute, func() {
+			if victim.State() != UnitExecuting {
+				t.Fatalf("the unit is %v at 5 min, want EXECUTING", victim.State())
+			}
+			um.Cancel(victim)
+			if a := &p.agent; a.used != 1 || len(a.running) != 1 {
+				t.Errorf("after the cancel the agent uses %d cores and runs %d units, want 1 and 1", a.used, len(a.running))
+			}
+		})
+		h.eng.Run()
+		var last trace.Record
+		for _, r := range h.rec.Records() {
+			if r.Entity == victim.id {
+				last = r
+			}
+		}
+		if last.State != UnitCanceled.String() || last.Time != sim.Time(5*time.Minute) {
+			t.Errorf("%d queued: the canceled unit's last record is %s at %v, want CANCELED at 5m0s", queued, last.State, last.Time)
+		}
+		if !finished(um) || um.doneCount != len(um.units) {
+			t.Errorf("%d queued: %d of %d units counted final", queued, um.doneCount, len(um.units))
+		}
+		if queued > 0 {
+			started, _ := h.rec.First(um.unit(nameOf(2)).id, UnitExecuting.String())
+			if started.Time > sim.Time(6*time.Minute) {
+				t.Errorf("the queued unit started at %v, want right after the cancel at 5m0s", started.Time)
+			}
+		}
+		if p.agent.used != 0 {
+			t.Fatalf("%d queued: the agent still uses %d cores", queued, p.agent.used)
+		}
 	}
 }

@@ -78,7 +78,7 @@ func unitTasks(n int, dur time.Duration) []skeleton.Task {
 // the execution manager does before it submits a workload's tasks.
 func indexed(t testing.TB, tasks []skeleton.Task) ([]skeleton.Task, skeleton.Index) {
 	t.Helper()
-	x := make(skeleton.Index, len(tasks))
+	var x skeleton.Index
 	if err := x.Add(tasks); err != nil {
 		t.Fatal(err)
 	}
@@ -471,7 +471,7 @@ func TestUnitManagerValidation(t *testing.T) {
 	if err := um.Submit(a, skeleton.Index{}); err == nil {
 		t.Fatal("an index without the submitted task accepted")
 	}
-	if err := um.Submit(a, skeleton.Index{"a": 0, "z": 1}); err == nil {
+	if _, az := indexed(t, []skeleton.Task{a[0], {ID: "z", Cores: 1}}); um.Submit(a, az) == nil {
 		t.Fatal("an index of another task too accepted")
 	}
 	x := skeleton.Index{}
@@ -481,7 +481,7 @@ func TestUnitManagerValidation(t *testing.T) {
 	if err := um.Submit(a, x); err != nil {
 		t.Fatal(err)
 	}
-	if err := um.Submit(b, skeleton.Index{"b": 0}); err == nil {
+	if _, bx := indexed(t, b); um.Submit(b, bx) == nil {
 		t.Fatal("an index without the manager's units accepted")
 	}
 	if err := x.Add(b); err != nil {
@@ -508,11 +508,11 @@ func TestSubmitIsAllOrNothing(t *testing.T) {
 			_, index = indexed(t, unitTasks(size, time.Minute))
 		}
 		if err := um.Submit(unitTasks(3, time.Minute), index); err == nil {
-			t.Fatalf("batch of 3 tasks accepted with an index of %d", len(index))
+			t.Fatalf("batch of 3 tasks accepted with an index of %d", index.Len())
 		}
-		if len(um.units) != 0 || len(um.ready) != 0 || len(um.names) != 0 || h.rec.Len() != 0 {
+		if len(um.units) != 0 || len(um.ready) != 0 || um.names.Len() != 0 || h.rec.Len() != 0 {
 			t.Fatalf("rejected batch left %d units, %d ready, %d names and %d records",
-				len(um.units), len(um.ready), len(um.names), h.rec.Len())
+				len(um.units), len(um.ready), um.names.Len(), h.rec.Len())
 		}
 		p, err := h.pm.Submit(PilotDescription{Resource: "alpha", Cores: 8, Walltime: time.Hour})
 		if err != nil {

@@ -217,23 +217,24 @@ func TestSubmitDependencyOrder(t *testing.T) {
 }
 
 // backfillFullScan is Backfill.Place as it was before it stopped at the
-// first moment no active pilot had a free core.
-func backfillFullScan(ready []*Unit, pilots []*Pilot, committed map[*Pilot]int) []Assignment {
-	var out []Assignment
+// first moment no active pilot had a free core: the pilot it would bind each
+// unit of ready to, nil for none.
+func backfillFullScan(ready []*Unit, pilots []*Pilot, committed map[*Pilot]int) []*Pilot {
+	out := make([]*Pilot, len(ready))
 	free := make(map[*Pilot]int, len(pilots))
 	for _, p := range pilots {
 		if p.State() == PilotActive {
 			free[p] = p.desc.Cores - committed[p]
 		}
 	}
-	for _, u := range ready {
+	for i, u := range ready {
 		for _, p := range pilots {
 			if p.State() != PilotActive {
 				continue
 			}
 			if free[p] >= u.task.Cores {
 				free[p] -= u.task.Cores
-				out = append(out, Assignment{Unit: u, Pilot: p})
+				out[i] = p
 				break
 			}
 		}
@@ -243,27 +244,41 @@ func backfillFullScan(ready []*Unit, pilots []*Pilot, committed map[*Pilot]int) 
 
 // TestBackfillEarlyExitMatchesFullScan compares the two on random inputs,
 // including over-committed pilots, pilots in every state, more active pilots
-// than the stack buffer holds and units wider than any pilot.
+// than the stack buffer holds and units wider than any pilot. Place binds as
+// it decides, so each unit's pilot afterwards is what it decided.
 func TestBackfillEarlyExitMatchesFullScan(t *testing.T) {
+	h := newHarness(t, DefaultConfig(), 1)
 	rng := rand.New(rand.NewSource(20260928))
 	states := []PilotState{PilotNew, PilotPending, PilotActive, PilotActive, PilotActive, PilotDone, PilotFailed}
 	for round := 0; round < 2000; round++ {
-		pilots := make([]*Pilot, rng.Intn(12))
-		committed := make(map[*Pilot]int)
-		for i := range pilots {
-			p := &Pilot{state: states[rng.Intn(len(states))], desc: PilotDescription{Cores: 1 + rng.Intn(16)}}
-			pilots[i] = p
+		um := NewUnitManager(h.sys, Backfill{}, 0)
+		um.pilots = make([]*Pilot, rng.Intn(12))
+		for i := range um.pilots {
+			p := &Pilot{state: states[rng.Intn(len(states))], desc: PilotDescription{Resource: "alpha", Cores: 1 + rng.Intn(16)}}
+			um.pilots[i] = p
 			if rng.Intn(2) == 0 {
-				committed[p] = rng.Intn(p.desc.Cores + 3)
+				um.committed[p] = rng.Intn(p.desc.Cores + 3)
 			}
 		}
 		ready := make([]*Unit, rng.Intn(40))
 		for i := range ready {
-			ready[i] = &Unit{task: &skeleton.Task{Cores: 1 + rng.Intn(1+rng.Intn(20))}}
+			task := &skeleton.Task{Cores: 1 + rng.Intn(1+rng.Intn(20)), Inputs: []skeleton.File{{Bytes: 1}}}
+			ready[i] = &Unit{task: task, um: um, state: UnitScheduling}
 		}
-		got, want := Backfill{}.Place(nil, ready, pilots, committed), backfillFullScan(ready, pilots, committed)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("round %d: early exit assigns %d units, full scan %d", round, len(got), len(want))
+		want := backfillFullScan(ready, um.pilots, um.committed)
+		bound := Backfill{}.Place(um, ready)
+		got := make([]*Pilot, len(ready))
+		n, m := 0, 0
+		for i, u := range ready {
+			if got[i] = u.Pilot(); got[i] != nil {
+				n++
+			}
+			if want[i] != nil {
+				m++
+			}
+		}
+		if !reflect.DeepEqual(got, want) || bound != n {
+			t.Fatalf("round %d: early exit binds %d units (reports %d), full scan %d", round, n, bound, m)
 		}
 	}
 }

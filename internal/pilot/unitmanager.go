@@ -121,46 +121,34 @@ func (s *staging) Fire() {
 	u.um.staged(u)
 }
 
-// Scheduler places eligible units onto pilots. Implementations must not
-// mutate their arguments. The paper's execution strategies differ exactly
-// here: early binding uses Direct (one pilot, bound before activation);
-// late binding uses Backfill (units flow to whichever active pilot has free
-// capacity).
+// Scheduler places eligible units onto pilots. The paper's execution
+// strategies differ exactly here: early binding uses Direct (one pilot, bound
+// before activation); late binding uses Backfill (units flow to whichever
+// active pilot has free capacity).
 type Scheduler interface {
-	// Place appends unit→pilot assignments to dst, which it is given empty,
-	// and returns it. Units left unassigned remain eligible for the next
-	// call.
-	Place(dst []Assignment, ready []*Unit, pilots []*Pilot, committed map[*Pilot]int) []Assignment
+	// Place binds units of ready to um's pilots as it decides
+	// (UnitManager.bind), in the order of ready, and returns how many it
+	// bound; it changes nothing else. Units left unbound remain eligible for
+	// the next call.
+	Place(um *UnitManager, ready []*Unit) int
 }
 
-// Assignment binds one unit to one pilot.
-type Assignment struct {
-	Unit  *Unit
-	Pilot *Pilot
-}
-
-// Direct assigns every unit to the first non-final pilot immediately — the
+// Direct binds every unit to the first non-final pilot immediately — the
 // paper's early-binding scheduler (experiments 1 and 2 use it with a single
 // pilot).
 type Direct struct{}
 
 // Place implements Scheduler.
-func (Direct) Place(dst []Assignment, ready []*Unit, pilots []*Pilot, _ map[*Pilot]int) []Assignment {
-	var target *Pilot
-	for _, p := range pilots {
+func (Direct) Place(um *UnitManager, ready []*Unit) int {
+	for _, p := range um.pilots {
 		if !p.State().Final() {
-			target = p
-			break
+			for _, u := range ready {
+				um.bind(u, p)
+			}
+			return len(ready)
 		}
 	}
-	if target == nil {
-		return dst
-	}
-	dst = slices.Grow(dst, len(ready))
-	for _, u := range ready {
-		dst = append(dst, Assignment{Unit: u, Pilot: target})
-	}
-	return dst
+	return 0
 }
 
 // RoundRobin distributes units evenly across non-final pilots at submission
@@ -169,21 +157,20 @@ func (Direct) Place(dst []Assignment, ready []*Unit, pilots []*Pilot, _ map[*Pil
 type RoundRobin struct{}
 
 // Place implements Scheduler.
-func (RoundRobin) Place(dst []Assignment, ready []*Unit, pilots []*Pilot, _ map[*Pilot]int) []Assignment {
+func (RoundRobin) Place(um *UnitManager, ready []*Unit) int {
 	var alive []*Pilot
-	for _, p := range pilots {
+	for _, p := range um.pilots {
 		if !p.State().Final() {
 			alive = append(alive, p)
 		}
 	}
 	if len(alive) == 0 {
-		return dst
+		return 0
 	}
-	dst = slices.Grow(dst, len(ready))
 	for i, u := range ready {
-		dst = append(dst, Assignment{Unit: u, Pilot: alive[i%len(alive)]})
+		um.bind(u, alive[i%len(alive)])
 	}
-	return dst
+	return len(ready)
 }
 
 // Backfill is the paper's late-binding scheduler: units stay with the unit
@@ -193,7 +180,7 @@ func (RoundRobin) Place(dst []Assignment, ready []*Unit, pilots []*Pilot, _ map[
 type Backfill struct{}
 
 // Place implements Scheduler.
-func (Backfill) Place(dst []Assignment, ready []*Unit, pilots []*Pilot, committed map[*Pilot]int) []Assignment {
+func (Backfill) Place(um *UnitManager, ready []*Unit) int {
 	type slot struct {
 		pilot *Pilot
 		free  int
@@ -201,15 +188,17 @@ func (Backfill) Place(dst []Assignment, ready []*Unit, pilots []*Pilot, committe
 	var buf [8]slot
 	slots := buf[:0]
 	total := 0 // free cores over all active pilots
-	for _, p := range pilots {
+	// Binding commits cores, so the free cores are read before any is bound.
+	for _, p := range um.pilots {
 		if p.State() == PilotActive {
-			free := p.desc.Cores - committed[p]
+			free := p.desc.Cores - um.committed[p]
 			slots = append(slots, slot{p, free})
 			if free > 0 {
 				total += free
 			}
 		}
 	}
+	bound := 0
 	for _, u := range ready {
 		if total <= 0 {
 			// Every unit needs at least one core: nothing further fits.
@@ -217,17 +206,15 @@ func (Backfill) Place(dst []Assignment, ready []*Unit, pilots []*Pilot, committe
 		}
 		for i := range slots {
 			if slots[i].free >= u.task.Cores {
-				if len(dst) == 0 { // at most one unit per free core fits
-					dst = slices.Grow(dst, min(len(ready), total))
-				}
 				slots[i].free -= u.task.Cores
 				total -= u.task.Cores
-				dst = append(dst, Assignment{Unit: u, Pilot: slots[i].pilot})
+				um.bind(u, slots[i].pilot)
+				bound++
 				break
 			}
 		}
 	}
-	return dst
+	return bound
 }
 
 // UnitManager accepts units, schedules them over pilots, manages data
@@ -254,10 +241,6 @@ type UnitManager struct {
 	edges []edge
 	// onPlace, when set by a test, sees the ready list of every place.
 	onPlace func(ready []*Unit)
-	// assign is place's scratch, reused from one place to the next: a
-	// late-binding job places once per freed core, and a list per place
-	// would make its allocation count follow its event order.
-	assign []Assignment
 
 	placeEv     sim.Event // the coalesced place, due now while placeQueued
 	placeQueued bool
@@ -390,8 +373,8 @@ func (um *UnitManager) OnCompletion(fn func()) {
 // and their trace ids from one string, so while any of them is reachable all
 // are.
 func (um *UnitManager) Submit(tasks []skeleton.Task, names skeleton.Index) error {
-	if len(names) != len(um.units)+len(tasks) {
-		return fmt.Errorf("pilot: Submit of %d tasks to a manager with %d units given an index of %d", len(tasks), len(um.units), len(names))
+	if names.Len() != len(um.units)+len(tasks) {
+		return fmt.Errorf("pilot: Submit of %d tasks to a manager with %d units given an index of %d", len(tasks), len(um.units), names.Len())
 	}
 	um.names = names
 	slab := make([]Unit, len(tasks))
@@ -435,7 +418,10 @@ func (um *UnitManager) Submit(tasks []skeleton.Task, names skeleton.Index) error
 }
 
 // unit returns the submitted unit whose task has the given ID.
-func (um *UnitManager) unit(id string) *Unit { return um.units[um.names[id]] }
+func (um *UnitManager) unit(id string) *Unit {
+	i, _ := um.names.Lookup(id)
+	return um.units[i]
+}
 
 // dependOn makes u wait for the unit whose task has the given ID, unless that
 // unit is done or u already waits for it. A unit's dependencies are wired one
@@ -457,16 +443,21 @@ func (um *UnitManager) CancelAll() {
 	}
 }
 
-// Cancel terminates one unit.
+// Cancel terminates one unit. A running unit's run ends, and its cores go
+// back to its agent.
 func (um *UnitManager) Cancel(u *Unit) {
 	if u.state.Final() {
 		return
 	}
-	u.abandonStaging()
-	u.pilotCommitRelease()
-	if u.state == UnitScheduling {
+	switch u.state {
+	case UnitScheduling:
 		um.readyStale = true
+	case UnitExecuting:
+		u.pilot.agent.abort(u)
+	default:
+		u.abandonStaging()
 	}
+	u.pilotCommitRelease()
 	u.finalize(UnitCanceled, "")
 }
 
@@ -479,7 +470,7 @@ func (um *UnitManager) schedulePlace() {
 	um.sys.eng.Arm(&um.placeEv, 0)
 }
 
-// place runs the scheduler over the ready units and enacts its assignments.
+// place runs the scheduler over the ready units, which binds those it places.
 func (um *UnitManager) place() {
 	if um.readyStale {
 		um.compactReady()
@@ -492,19 +483,15 @@ func (um *UnitManager) place() {
 		um.failIfOrphaned()
 		return
 	}
-	assignments := um.scheduler.Place(um.assign[:0], ready, um.pilots, um.committed)
-	um.assign = assignments
-	for _, as := range assignments {
-		um.bind(as.Unit, as.Pilot)
-	}
-	// At most len(assignments) units were bound. The schedulers assign in
-	// ready order, so they are normally the head of the list; when the head
-	// holds that many bound units, those are all of them.
+	bound := um.scheduler.Place(um, ready)
+	// The schedulers bind in ready order, so the bound units are normally the
+	// head of the list; when the head holds that many bound units, those are
+	// all of them.
 	n := 0
-	for n < len(assignments) && n < len(ready) && ready[n].state != UnitScheduling {
+	for n < bound && n < len(ready) && ready[n].state != UnitScheduling {
 		n++
 	}
-	if n == len(assignments) {
+	if n == bound {
 		um.ready = ready[n:]
 	} else {
 		um.compactReady()

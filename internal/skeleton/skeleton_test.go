@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -472,14 +471,24 @@ func TestIndexAdd(t *testing.T) {
 		if err := x.Add(batch); err == nil {
 			t.Fatalf("%s: batch accepted", name)
 		}
-		if len(x) != 1 {
-			t.Fatalf("%s: a rejected batch left %d names, want 1", name, len(x))
+		if x.Len() != 1 {
+			t.Fatalf("%s: a rejected batch left %d names, want 1", name, x.Len())
 		}
 	}
 	if err := x.Add([]Task{ok, {ID: "s", Cores: 1, Deps: []string{"q", "p"}}}); err != nil {
 		t.Fatal(err)
 	}
-	if want := (Index{"p": 0, "q": 1, "s": 2}); !reflect.DeepEqual(x, want) {
-		t.Fatalf("index %v, want %v", x, want)
+	if x.Len() != 3 {
+		t.Fatalf("index holds %d tasks, want 3", x.Len())
+	}
+	for id, want := range map[string]int32{"p": 0, "q": 1, "s": 2} {
+		if got, ok := x.Lookup(id); !ok || got != want {
+			t.Fatalf("Lookup(%q) = %d, %v; want %d, true", id, got, ok, want)
+		}
+	}
+	for _, id := range []string{"", "r", "ghost"} {
+		if got, ok := x.Lookup(id); ok {
+			t.Fatalf("Lookup(%q) = %d, true; want none", id, got)
+		}
 	}
 }

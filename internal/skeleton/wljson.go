@@ -293,7 +293,8 @@ func validate(w *Workload) error {
 	if len(w.Tasks) == 0 {
 		return fmt.Errorf("skeleton: workload %q has no tasks", w.Name)
 	}
-	return make(Index, len(w.Tasks)).Add(w.Tasks)
+	var x Index
+	return x.Add(w.Tasks)
 }
 
 // Workload reads, at r's position, an interchange document in exactly the

@@ -222,10 +222,11 @@ func TestParseWorkloadJSONRejects(t *testing.T) {
 // TestParseWorkloadJSONAllocations pins the submit path's codec. The
 // daemon's reader costs a fixed handful of objects per document whatever its
 // size — the workload, the task slice, the file slab, the string arena and
-// the ID set — on the bag-of-tasks documents the service benchmark submits
-// (one input and one output per task): 5 at 8 tasks and 8 at 16, where the
-// encoding/json decode cost 10.5 per task and 9.1. The client's appender
-// costs its one buffer.
+// the ID index's slot table — on the bag-of-tasks documents the service
+// benchmark submits (one input and one output per task): 6 at 8 tasks and 6
+// at 16 (5 and 8 while the index was a map, which at 8 entries lived on the
+// stack), where the encoding/json decode cost 10.5 per task and 9.1. The
+// client's appender costs its one buffer.
 func TestParseWorkloadJSONAllocations(t *testing.T) {
 	for _, n := range []int{8, 16} {
 		w, err := Generate(BagOfTasks(n, Constant(60)), 3)

@@ -2,7 +2,9 @@ package skeleton
 
 import (
 	"fmt"
+	"hash/maphash"
 	"io"
+	"math/bits"
 	"math/rand"
 	"sort"
 	"strings"
@@ -66,33 +68,122 @@ func (t Task) OutputBytes() int64 {
 // task an Index holds obeys them: the interchange reader checks a document
 // with one, and the execution manager indexes a workload with one before it
 // decides anything about the job, then hands it to the unit manager.
-type Index map[string]int32
+//
+// It is an open-addressed table with linear probing over the indexed task
+// slices themselves, so it holds no strings: a slot is the position plus one
+// of the task whose ID hashes there, 0 when empty. The zero Index is empty,
+// and an index of one batch allocates nothing but its slots. Copies share the
+// slots, so once Add is called on one copy, only that copy is valid.
+type Index struct {
+	slots []int32  // a power of two long, at least twice the tasks held
+	first []Task   // the first batch
+	more  [][]Task // the later batches, in order
+	n     int32    // the tasks held
+}
+
+// indexSeed hashes the IDs of every Index. Nothing walks the slots in order,
+// so where a task lands never shows.
+var indexSeed = maphash.MakeSeed()
+
+// Len returns the number of tasks x holds.
+func (x *Index) Len() int { return int(x.n) }
+
+// Lookup returns the position of the task with the given ID and true, or -1
+// and false if x holds none.
+func (x *Index) Lookup(id string) (int32, bool) {
+	if len(x.slots) == 0 {
+		return -1, false
+	}
+	p := x.slots[x.slot(id)]
+	return p - 1, p != 0
+}
+
+// slot returns the slot holding the task with the given ID, or else the empty
+// slot where it would go. x must have slots.
+func (x *Index) slot(id string) uint64 {
+	mask := uint64(len(x.slots) - 1)
+	s := maphash.String(indexSeed, id) & mask
+	for p := x.slots[s]; p != 0 && x.task(p-1).ID != id; p = x.slots[s] {
+		s = (s + 1) & mask
+	}
+	return s
+}
+
+// task returns the task at position p.
+func (x *Index) task(p int32) *Task {
+	if int(p) < len(x.first) {
+		return &x.first[p]
+	}
+	p -= int32(len(x.first))
+	for _, b := range x.more {
+		if int(p) < len(b) {
+			return &b[p]
+		}
+		p -= int32(len(b))
+	}
+	panic("skeleton: index position out of range")
+}
+
+// reserve makes room for n tasks in all: a table at least twice n long, to
+// which the tasks held so far move.
+func (x *Index) reserve(n int) {
+	if 2*n <= len(x.slots) {
+		return
+	}
+	old := x.slots
+	x.slots = make([]int32, 1<<bits.Len(uint(2*n-1)))
+	for _, p := range old {
+		if p != 0 {
+			x.slots[x.slot(x.task(p-1).ID)] = p
+		}
+	}
+}
 
 // Add checks tasks and indexes them in order after the tasks x already holds.
 // A task needs an ID that x does not hold yet, at least one core, a
 // non-negative duration, files of non-negative size, and dependencies and
 // input producers that name a task indexed before it. Either every task is
-// added or, with the first violation's error, none is.
-func (x Index) Add(tasks []Task) error {
+// added or, with the first violation's error, none is. x keeps tasks, which
+// the caller must not modify while x is in use.
+func (x *Index) Add(tasks []Task) error {
+	if len(tasks) == 0 {
+		return nil
+	}
+	x.reserve(int(x.n) + len(tasks))
+	if x.n == 0 {
+		x.first = tasks
+	} else {
+		x.more = append(x.more, tasks)
+	}
 	for i := range tasks {
-		if err := x.check(&tasks[i]); err != nil {
-			for _, t := range tasks[:i] {
-				delete(x, t.ID)
+		s := x.slot(tasks[i].ID)
+		if err := x.check(&tasks[i], x.slots[s] != 0); err != nil {
+			// Undone newest first, each task is again the last of its
+			// probe sequence, so clearing its slot restores the table.
+			for j := i - 1; j >= 0; j-- {
+				x.slots[x.slot(tasks[j].ID)] = 0
+			}
+			x.n -= int32(i)
+			if x.n == 0 {
+				x.first = nil
+			} else {
+				x.more = x.more[:len(x.more)-1]
 			}
 			return err
 		}
-		n := int32(len(x))
-		x[tasks[i].ID] = n
+		x.n++
+		x.slots[s] = x.n
 	}
 	return nil
 }
 
-// check reports the first rule t breaks as the next task of x, or nil.
-func (x Index) check(t *Task) error {
+// check reports the first rule t breaks as the next task of x, or nil; dup
+// says whether x holds t's ID already.
+func (x *Index) check(t *Task, dup bool) error {
 	if t.ID == "" {
 		return fmt.Errorf("skeleton: task without id")
 	}
-	if _, dup := x[t.ID]; dup {
+	if dup {
 		return fmt.Errorf("skeleton: duplicate task id %q", t.ID)
 	}
 	if t.Cores <= 0 {
@@ -108,7 +199,7 @@ func (x Index) check(t *Task) error {
 		if f.Producer == "" {
 			continue
 		}
-		if _, known := x[f.Producer]; !known {
+		if _, known := x.Lookup(f.Producer); !known {
 			return fmt.Errorf("skeleton: task %q input produced by unknown task %q (producers come first)", t.ID, f.Producer)
 		}
 	}
@@ -118,7 +209,7 @@ func (x Index) check(t *Task) error {
 		}
 	}
 	for _, dep := range t.Deps {
-		if _, known := x[dep]; !known {
+		if _, known := x.Lookup(dep); !known {
 			return fmt.Errorf("skeleton: task %q depends on unknown task %q (producers come first)", t.ID, dep)
 		}
 	}
