@@ -6,11 +6,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/url"
 	"strings"
 
 	"aimes"
+	"aimes/internal/bufpool"
 )
 
 // Client talks to one aimes-server daemon on behalf of one tenant. It is
@@ -106,12 +108,14 @@ func (c *Client) Job(ctx context.Context, id string) (*JobInfo, error) {
 // List returns every job the tenant has submitted that the daemon still
 // retains (live jobs plus recently finished ones), oldest first.
 func (c *Client) List(ctx context.Context) ([]JobInfo, error) {
-	b, err := c.do(ctx, http.MethodGet, "/v1/jobs", nil)
-	if err != nil {
+	buf := replies.Get()
+	defer replies.Put(buf)
+	var err error
+	if *buf, err = c.do(ctx, http.MethodGet, "/v1/jobs", nil, *buf); err != nil {
 		return nil, err
 	}
 	var jobs []JobInfo
-	if err := json.Unmarshal(b, &jobs); err != nil {
+	if err := json.Unmarshal(*buf, &jobs); err != nil {
 		return nil, fmt.Errorf("client: decoding GET /v1/jobs response: %w", err)
 	}
 	return jobs, nil
@@ -222,48 +226,53 @@ func (c *Client) request(ctx context.Context, method, path string, body []byte) 
 	return req, nil
 }
 
-// info issues one request whose reply is a job snapshot.
+// replies lends the buffers replies are read into.
+var replies bufpool.Pool
+
+// info issues one request whose reply is a job snapshot. The reply is read
+// into a pooled buffer, returned once decoded: the snapshot's strings are
+// interned or copied, so nothing it holds aliases the buffer.
 func (c *Client) info(ctx context.Context, method, path string, body []byte) (*JobInfo, error) {
-	b, err := c.do(ctx, method, path, body)
-	if err != nil {
+	buf := replies.Get()
+	defer replies.Put(buf)
+	var err error
+	if *buf, err = c.do(ctx, method, path, body, *buf); err != nil {
 		return nil, err
 	}
-	info, err := c.tab.decodeInfo(b)
+	info, err := c.tab.decodeInfo(*buf)
 	if err != nil {
 		return nil, fmt.Errorf("client: decoding %s %s response: %w", method, path, err)
 	}
 	return info, nil
 }
 
-// do issues one request and returns the body of a 2xx response, read whole.
-// Non-2xx responses decode the ErrorBody and return a *StatusError.
-func (c *Client) do(ctx context.Context, method, path string, body []byte) ([]byte, error) {
+// do issues one request and appends the body of a 2xx response, read whole,
+// to buf. Non-2xx responses decode the ErrorBody and return a *StatusError.
+func (c *Client) do(ctx context.Context, method, path string, body, buf []byte) ([]byte, error) {
 	req, err := c.request(ctx, method, path, body)
 	if err != nil {
-		return nil, err
+		return buf, err
 	}
 	resp, err := c.http.Do(req)
 	if err != nil {
-		return nil, err
+		return buf, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode/100 != 2 {
 		b, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
 		var eb ErrorBody
 		if json.Unmarshal(b, &eb) == nil && eb.Error != "" {
-			return nil, &StatusError{Code: resp.StatusCode, Message: eb.Error}
+			return buf, &StatusError{Code: resp.StatusCode, Message: eb.Error}
 		}
-		return nil, &StatusError{Code: resp.StatusCode, Message: strings.TrimSpace(string(b))}
+		return buf, &StatusError{Code: resp.StatusCode, Message: strings.TrimSpace(string(b))}
 	}
-	var b []byte
-	if n := resp.ContentLength; n >= 0 && n <= 1<<20 { // a longer one is read as it comes
-		b = make([]byte, n)
-		_, err = io.ReadFull(resp.Body, b)
-	} else {
-		b, err = io.ReadAll(resp.Body)
+	limit := math.MaxInt // to EOF; the transport reports a short body as io.ErrUnexpectedEOF
+	if n := resp.ContentLength; n >= 0 {
+		limit = int(n)
 	}
+	b, err := bufpool.Append(buf, resp.Body, limit)
 	if err != nil {
-		return nil, fmt.Errorf("client: reading %s %s response: %w", method, path, err)
+		return b, fmt.Errorf("client: reading %s %s response: %w", method, path, err)
 	}
 	return b, nil
 }

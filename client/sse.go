@@ -106,7 +106,11 @@ func (c *Client) stream(ctx context.Context, path string) (*EventStream, error) 
 	go func() {
 		defer resp.Body.Close()
 		defer close(s.ch)
-		err := s.consume(ctx, bufio.NewReader(resp.Body))
+		br := readers.Get().(*bufio.Reader)
+		br.Reset(resp.Body)
+		err := s.consume(ctx, br)
+		br.Reset(nil) // keep no reference to the connection
+		readers.Put(br)
 		s.mu.Lock()
 		if err != nil && ctx.Err() == nil {
 			s.err = err
@@ -115,6 +119,10 @@ func (c *Client) stream(ctx context.Context, path string) (*EventStream, error) 
 	}()
 	return s, nil
 }
+
+// readers lends the streams their line readers, as net/http lends its own:
+// a stream's 4 KiB buffer serves the next stream once it ends.
+var readers = sync.Pool{New: func() any { return bufio.NewReader(nil) }}
 
 // consume parses the SSE wire format: "event:"/"data:" lines accumulate
 // until a blank line dispatches them; ":" lines are heartbeat comments.

@@ -7,10 +7,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -261,6 +263,47 @@ func follow(t *testing.T, c *Client, id string) ([]Event, *JobInfo) {
 		t.Errorf("job %s: %v", id, es.Err())
 	}
 	return got, es.Final()
+}
+
+// roundTripFunc answers requests in memory.
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
+// TestSecondStreamAllocatesNoReader pins the line reader a stream reads its
+// body through: a stream opened after another has ended reads through that
+// one's 4 KiB reader, lent by the pool, and allocates none in the 4096-byte
+// size class, where nothing else a stream allocates falls. It counts the
+// fewest of ten streams, since the race detector's sync.Pool drops a quarter
+// of what it is given. The replies come from memory, so no connection's
+// buffers are counted.
+func TestSecondStreamAllocatesNoReader(t *testing.T) {
+	stream, _ := captured(t)
+	c := New("http://daemon.invalid", "").WithHTTPClient(&http.Client{Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
+		return &http.Response{StatusCode: http.StatusOK, Header: http.Header{}, Body: io.NopCloser(bytes.NewReader(stream)), Request: r}, nil
+	})})
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	class := -1
+	for i, c := range m.BySize {
+		if c.Size == 4096 {
+			class = i
+		}
+	}
+	follow(t, c, "j-1") // the first stream: it allocates the reader
+	fewest := uint64(math.MaxUint64)
+	for range 10 {
+		runtime.ReadMemStats(&m)
+		before := m.BySize[class].Mallocs
+		if events, final := follow(t, c, "j-1"); len(events) != 39 || final == nil {
+			t.Fatalf("the stream delivered %d events and final snapshot %v, want 39 and one", len(events), final)
+		}
+		runtime.ReadMemStats(&m)
+		fewest = min(fewest, m.BySize[class].Mallocs-before)
+	}
+	if fewest != 0 {
+		t.Errorf("every stream after the first allocated %d objects of 4096 bytes, want none: its reader is the first's", fewest)
+	}
 }
 
 // TestConcurrentStreamsShareOneTable: streams a Client reads at the same time

@@ -5,15 +5,21 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"time"
 
 	"aimes/client"
+	"aimes/internal/bufpool"
 	"aimes/internal/skeleton"
 )
 
 // maxSubmitBody bounds a submit request's body (workload JSON included).
 const maxSubmitBody = 64 << 20
+
+// bodies lends the buffers submit bodies are read into and replies encoded
+// into.
+var bodies bufpool.Pool
 
 // infoSizeHint is about what one job snapshot takes with its report.
 const infoSizeHint = 1024
@@ -46,25 +52,32 @@ func (s *Server) tenant(h func(http.ResponseWriter, *http.Request, Tenant)) http
 }
 
 // writeJSON writes body and the newline json.Encoder ends a value with; after
-// an error encoding it, like json.Encoder, nothing.
-func writeJSON(w http.ResponseWriter, code int, body []byte, err error) {
+// an error encoding it, like json.Encoder, nothing. body is a pooled buffer,
+// returned to the pool once written (w keeps none of it).
+func writeJSON(w http.ResponseWriter, code int, body *[]byte, err error) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	if err == nil {
-		w.Write(append(body, '\n'))
+		*body = append(*body, '\n')
+		w.Write(*body)
 	}
+	bodies.Put(body)
 }
 
 func writeError(w http.ResponseWriter, code int, msg string) {
 	if code == http.StatusTooManyRequests {
 		w.Header().Set("Retry-After", "1")
 	}
-	writeJSON(w, code, append(skeleton.AppendJSONString([]byte(`{"error":`), msg), '}'), nil)
+	body := bodies.Get()
+	*body = append(skeleton.AppendJSONString(append(*body, `{"error":`...), msg), '}')
+	writeJSON(w, code, body, nil)
 }
 
 // writeInfo writes one job snapshot.
 func writeInfo(w http.ResponseWriter, code int, info client.JobInfo) {
-	body, err := client.AppendJobInfo(make([]byte, 0, infoSizeHint), &info)
+	body := bodies.Get()
+	var err error
+	*body, err = client.AppendJobInfo(*body, &info)
 	writeJSON(w, code, body, err)
 }
 
@@ -83,7 +96,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, tn Tenant)
 		writeError(w, http.StatusServiceUnavailable, "server is draining (shutting down); no new jobs are admitted")
 		return
 	}
-	body, err := readBody(w, r)
+	body := bodies.Get()
+	defer bodies.Put(body) // the request's last reader is s.reg.submit
+	var err error
+	*body, err = readBody(w, r, *body)
 	var tooLarge *http.MaxBytesError
 	switch {
 	case errors.As(err, &tooLarge):
@@ -93,7 +109,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, tn Tenant)
 		writeError(w, http.StatusBadRequest, "submit: bad request body: "+err.Error())
 		return
 	}
-	req, wl, err := client.ParseSubmitRequest(body)
+	// req.Workload aliases body; wl, and every string in req, does not.
+	req, wl, err := client.ParseSubmitRequest(*body)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "submit: "+err.Error())
 		return
@@ -109,34 +126,39 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, tn Tenant)
 	writeInfo(w, http.StatusCreated, s.reg.info(rec))
 }
 
-// readBody reads a submit body whole, at most maxSubmitBody bytes of it: into
-// a buffer of its Content-Length when it declares one, else as it comes.
-func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+// readBody appends a submit body, whole, to buf: at most maxSubmitBody bytes,
+// and exactly its Content-Length when it declares one. buf grows as the bytes
+// arrive, so a body that declares more than it sends costs about what it sent.
+func readBody(w http.ResponseWriter, r *http.Request, buf []byte) ([]byte, error) {
 	switch n := r.ContentLength; {
 	case n > maxSubmitBody:
-		return nil, &http.MaxBytesError{Limit: maxSubmitBody}
+		return buf, &http.MaxBytesError{Limit: maxSubmitBody}
 	case n >= 0:
-		b := make([]byte, n)
-		_, err := io.ReadFull(r.Body, b)
+		b, err := bufpool.Append(buf, r.Body, int(n))
+		if err == nil && len(b) < len(buf)+int(n) {
+			err = io.ErrUnexpectedEOF
+		}
 		return b, err
 	}
-	return io.ReadAll(http.MaxBytesReader(w, r.Body, maxSubmitBody))
+	return bufpool.Append(buf, http.MaxBytesReader(w, r.Body, maxSubmitBody), maxSubmitBody+1)
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request, tn Tenant) {
 	infos := s.reg.list(tn)
 	sortInfos(infos)
-	body := append(make([]byte, 0, len(infos)*infoSizeHint+2), '[')
+	body := bodies.Get()
+	b := append(slices.Grow(*body, len(infos)*infoSizeHint+2), '[')
 	var err error
 	for i := range infos {
 		if i > 0 {
-			body = append(body, ',')
+			b = append(b, ',')
 		}
-		if body, err = client.AppendJobInfo(body, &infos[i]); err != nil {
+		if b, err = client.AppendJobInfo(b, &infos[i]); err != nil {
 			break
 		}
 	}
-	writeJSON(w, http.StatusOK, append(body, ']'), err)
+	*body = append(b, ']')
+	writeJSON(w, http.StatusOK, body, err)
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request, tn Tenant) {

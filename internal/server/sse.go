@@ -1,13 +1,14 @@
 package server
 
 import (
-	"bytes"
 	"net/http"
+	"slices"
 	"strconv"
 	"time"
 
 	"aimes"
 	"aimes/client"
+	"aimes/internal/bufpool"
 )
 
 // appendEvent appends ev as an SSE event named name, its id ev.Seq when set
@@ -20,6 +21,10 @@ func appendEvent(dst []byte, name string, ev *client.Event) []byte {
 	return append(client.AppendEvent(dst, ev), "\n\n"...)
 }
 
+// batches lends the streams their batch buffers, kept apart from bodies: a
+// batch of 64 events is ten times the size of a reply.
+var batches bufpool.Pool
+
 // eventSizeHint is about what one encoded event takes: a job ID, an entity, a
 // state and sometimes a detail come to 130–190 bytes.
 const eventSizeHint = 192
@@ -28,11 +33,12 @@ const eventSizeHint = 192
 // daemon stops, or — job streams only — the job has ended and its last event
 // and the terminal "done" snapshot were written. sub is a cursor over the
 // shard logs, so nothing is held here beyond one batch (at most 64 records):
-// each is encoded into one reused buffer, after a "dropped" event with the
-// cumulative count whenever the cursor found records already evicted, and
-// costs one Write, one Flush and one metrics update, whatever its size. rec
-// is the job whose events sub reads ("job" events, Seq as the SSE id), or nil
-// for the environment-wide trace ("trace" events, no id).
+// each is encoded into one buffer, lent by the pool for the stream's life,
+// after a "dropped" event with the cumulative count whenever the cursor found
+// records already evicted, and costs one Write, one Flush and one metrics
+// update, whatever its size. rec is the job whose events sub reads ("job"
+// events, Seq as the SSE id), or nil for the environment-wide trace ("trace"
+// events, no id).
 func (s *Server) stream(w http.ResponseWriter, r *http.Request, sub *aimes.TraceSub, rec *jobRecord) {
 	defer sub.Close()
 	f, ok := w.(http.Flusher)
@@ -55,13 +61,13 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request, sub *aimes.Trace
 	heartbeat := time.NewTicker(15 * time.Second)
 	defer heartbeat.Stop()
 	var buf [64]aimes.TraceRecord
-	var out bytes.Buffer // one iteration's bytes: written and flushed once
+	out := batches.Get() // one iteration's bytes: written and flushed once
+	defer batches.Put(out)
 	var dropped int64
 	for {
 		n, seq, done := sub.Read(buf[:])
 		c := sseCounters{events: int64(n), flushes: 1}
-		out.Grow(n*eventSizeHint + infoSizeHint) // one allocation for the largest batch and the end
-		b := out.AvailableBuffer()
+		b := slices.Grow(*out, n*eventSizeHint+infoSizeHint) // room for the largest batch and the end
 		if d := sub.Dropped(); d > dropped {
 			c.dropped, dropped = d-dropped, d
 			b = append(strconv.AppendInt(append(b, "event: dropped\ndata: {\"count\":"...), d, 10), "}\n\n"...)
@@ -79,14 +85,13 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request, sub *aimes.Trace
 				b = append(e, "\n\n"...)
 			}
 		}
-		out.Write(b)
-		if c.bytes = int64(out.Len()); c.bytes > 0 {
-			if _, err := w.Write(out.Bytes()); err != nil {
+		*out = b[:0]
+		if c.bytes = int64(len(b)); c.bytes > 0 {
+			if _, err := w.Write(b); err != nil {
 				return
 			}
 			f.Flush()
 			s.met.addSSE(kind, c)
-			out.Reset()
 		}
 		if done {
 			return
@@ -97,7 +102,7 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request, sub *aimes.Trace
 		select {
 		case <-sub.Ready():
 		case <-heartbeat.C:
-			out.WriteString(": ping\n\n")
+			*out = append(*out, ": ping\n\n"...)
 		case <-r.Context().Done():
 			return
 		case <-s.stop:
