@@ -11,7 +11,7 @@ test:
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=3 -run '^(TestCursorMatchesOracle|FuzzLogRecords)$$' ./internal/trace/
-	$(GO) test -race -count=3 -run '^(TestRunningNeverExceedsAdmitWindow|TestSealedShardKeepsConstantWindow|TestLoadPlacementSkipsSealedShard|TestPendingCostDrainsToZero)$$' .
+	$(GO) test -race -count=3 -run '^(TestRunningNeverExceedsAdmitWindow|TestSealedShardKeepsConstantWindow|TestLoadPlacementSkipsSealedShard|TestPendingCostDrainsToZero|TestDrainFailsWedgedWindowThenAdmits|TestDrainVerdictIgnoresWhoWaits|TestFinishedJobReleasesItsWorkload)$$' .
 	$(GO) test -race -count=3 -run '^(TestPooledBodyNeverReachesALiveJob|TestConcurrentFollowersReadOwnEvents)$$' ./internal/server/
 
 # The tests whose outcome depends on the wall clock — WithRealTime's pacer,

@@ -15,13 +15,13 @@ const admitWindow = 4
 // awaiting enactment — still pure descriptors, which is what makes them
 // migratable — the count of enacted, unfinished ones, and the window between
 // the two. Every path that moves a job into, out of, or past the queue goes
-// through it: Submit and the migration landing offer, cancel, stall failure,
+// through it: Submit and the migration landing offer, cancel, a failed step,
 // the migration's pop and a terminal worker death withdraw, a completion is
-// done, and a respawn's replay is hold, release. So the queue and the
-// stealer's count of stealable jobs cannot drift apart, and "may this shard
-// enact now?" is open and nothing else. Without work stealing the window is
-// unbounded and the queue stays empty. All of it is guarded by the shard's
-// engine serialization.
+// done, and a respawn's replay and a drain verdict are hold, release. So the
+// queue and the stealer's count of stealable jobs cannot drift apart, and
+// "may this shard enact now?" is open and nothing else. Without work
+// stealing the window is unbounded and the queue stays empty. All of it is
+// guarded by the shard's engine serialization.
 type admission struct {
 	sh *shardEnv
 
@@ -104,7 +104,9 @@ func (a *admission) done() {
 // hold shuts the gate until release: newcomers queue and nothing queued is
 // enacted, whatever the window says. The fleet's death handler holds it
 // while it fails the dead worker's enacted jobs, whose completions would
-// otherwise admit the replay candidates against the corpse.
+// otherwise admit the replay candidates against the corpse; the drain
+// verdict holds it while it fails the wedged jobs, so the queue is admitted
+// once, after the last.
 func (a *admission) hold() { a.held = true }
 
 // release reopens the gate and admits whatever queued up behind it — after
@@ -116,11 +118,6 @@ func (a *admission) release() {
 
 // depth is the number of queued jobs.
 func (a *admission) depth() int { return len(a.queue) }
-
-// stranded reports queued jobs with nothing enacted: no completion is coming
-// to admit them, so a pump that finds the engine drained admits before it
-// judges anyone stalled.
-func (a *admission) stranded() bool { return a.running == 0 && len(a.queue) > 0 }
 
 // stealable returns the oldest queued job work stealing may still move — not
 // yet hopped, not canceled — or nil.

@@ -228,6 +228,81 @@ func tcpWorkers(n int, addr, secret string) []aimes.Option {
 	})}
 }
 
+// TestDrainVerdictIgnoresWhoWaits wedges three jobs on one shard and waits
+// on the last first, then, on a fresh environment, on the first first. Which
+// waiter saw the drain does not matter: all three jobs fail at that one
+// verdict with the same diagnostics, and a job submitted after it reports
+// and traces bit-identically. On a stdio worker shard the verdict crosses
+// the wire as incomplete plus cancel.
+func TestDrainVerdictIgnoresWhoWaits(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts []aimes.Option
+	}{
+		{"local", nil},
+		{"stdio worker", processWorkers(1)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.opts != nil && testing.Short() {
+				t.Skip("spawns a worker process")
+			}
+			type outcome struct {
+				Diagnostics []string
+				Later       jobOutcome
+				Events      []aimes.Event
+			}
+			drain := func(first int) outcome {
+				env, err := aimes.NewEnv(append([]aimes.Option{aimes.WithSeed(41)}, tc.opts...)...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer env.Close()
+				ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+				defer cancel()
+				w, err := aimes.GenerateWorkload(aimes.BagOfTasks(8, aimes.UniformDuration()), 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wedged := submitWedged(t, env, w, 3)
+				if _, err := wedged[first].Wait(ctx); err == nil {
+					t.Fatalf("job %d survived an outage that never recovers", wedged[first].ID())
+				}
+				var o outcome
+				for _, j := range wedged {
+					if j.State() != aimes.JobFailed {
+						t.Fatalf("job %d is %v after job %d's waiter saw the drain; want failed at the same verdict",
+							j.ID(), j.State(), wedged[first].ID())
+					}
+					o.Diagnostics = append(o.Diagnostics, j.Err().Error())
+				}
+				later, err := env.Submit(ctx, w, aimes.JobConfig{
+					StrategyConfig: aimes.StrategyConfig{Binding: aimes.LateBinding, Scheduler: aimes.SchedBackfill, Pilots: 2},
+					Placement:      aimes.PlacePinned, Shard: 0,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := later.Wait(ctx); err != nil {
+					t.Fatalf("the later job: %v", err)
+				}
+				o.Later = outcomeOf(later)
+				o.Events = slices.Collect(later.Events())
+				return o
+			}
+			last, first := drain(2), drain(0)
+			if !reflect.DeepEqual(last.Diagnostics, first.Diagnostics) {
+				t.Fatalf("diagnostics differ with who waits:\n%q\n%q", last.Diagnostics, first.Diagnostics)
+			}
+			if !reflect.DeepEqual(last.Later, first.Later) {
+				t.Fatalf("the later job differs with who waited:\n%+v\n%+v", last.Later, first.Later)
+			}
+			if len(last.Events) == 0 || !slices.Equal(last.Events, first.Events) {
+				t.Fatalf("the later job's trace differs with who waited: %d and %d events", len(last.Events), len(first.Events))
+			}
+		})
+	}
+}
+
 // TestBackendParity is the acceptance matrix for the backend seam: the same
 // seeded, pinned workload mix must produce identical per-job outcomes —
 // strategies, TTC decompositions, pilot waits, allocation accounting, final

@@ -62,7 +62,8 @@ type Sink interface {
 	JobTrace(key int, ns string, rec trace.Record)
 	// JobDone delivers job key's final report. Failure to make progress is
 	// not reported here: the environment observes a drained engine through
-	// Step and asks Incomplete for the diagnostic.
+	// Step, asks Incomplete for the diagnostic, fails the job, and then
+	// cancels it — so the JobDone that cancel sends finds the job ended.
 	JobDone(key int, report *core.Report)
 }
 
@@ -91,7 +92,8 @@ type Backend interface {
 	Cancel(key int, reason string) error
 	// Incomplete returns the diagnostic for job key after the engine
 	// drained with the job unfinished (which pilot and unit states it
-	// wedged in).
+	// wedged in). The environment cancels the job right after it asks, so
+	// the backend releases the execution and its pilots.
 	Incomplete(key int) error
 	// Derive makes the strategy decisions for a workload against the
 	// backend's bundle without enacting anything. It consumes backend

@@ -36,9 +36,11 @@ const (
 	// JobDone is a completed job with a report (individual units may still
 	// have failed; see Report.UnitsFailed).
 	JobDone
-	// JobFailed is a job that cannot complete (e.g. the engine drained with
-	// the workload incomplete, or the job's worker process died); Err holds
-	// the cause.
+	// JobFailed is a job that cannot complete; Err holds the cause. Either
+	// its worker process died, or its shard's engine drained with it enacted
+	// and unfinished: the drain fails every such job on the shard at once,
+	// with the backend's diagnostic of where it wedged, and withdraws its
+	// pilots, so a failed job holds nothing on its shard.
 	JobFailed
 	// JobCanceled is a job ended by Cancel; the report accounts the
 	// canceled units.
@@ -355,33 +357,11 @@ func (j *Job) Wait(ctx context.Context) (*Report, error) {
 			return nil, ctx.Err()
 		default:
 		}
-		sh := j.sh.Load()
-		if e.steal && j.State() == JobQueued {
-			if e.migrateJob(j, false) {
-				continue // pump the new shard next iteration
-			}
+		if e.steal && j.State() == JobQueued && e.migrateJob(j) {
+			continue // pump the new shard next iteration
 		}
-		if sh.pump(j) {
-			// Stalled: the shard drained with our migratable job still
-			// queued behind a wedged admission window. Force it onto any
-			// open shard; if every other shard is sealed, it can never start.
-			if !e.migrateJob(j, true) {
-				j.failStalled(sh)
-			}
-		}
+		j.sh.Load().pump(j)
 	}
-}
-
-// failStalled ends a queued job that can never start: its shard's engine
-// drained with the admission window wedged, and no open shard can take it.
-// The no-op guards make it safe against racing migrations and cancels.
-func (j *Job) failStalled(sh *shardEnv) {
-	sh.sync(func() {
-		if j.sh.Load() != sh || j.State() != JobQueued || !sh.adm.withdraw(j) {
-			return // an in-flight handoff, an admit pass or a cancel owns the job now
-		}
-		j.complete(nil, fmt.Errorf("aimes: shard s%d drained with the job still queued behind %d wedged jobs and no open shard to migrate to", sh.id, sh.adm.running))
-	})
 }
 
 // Cancel aborts a job: a queued job completes immediately with every unit

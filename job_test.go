@@ -527,9 +527,11 @@ func leastJobCost(t *testing.T, units int, sc aimes.StrategyConfig) (objects, by
 }
 
 // TestFinishedJobReleasesItsWorkload: a finished job keeps its outcome, not
-// its workload. Whether it ended done, canceled while still queued or failed,
-// the handle — which a daemon's registry keeps long after the end — must not
-// keep the submitted workload reachable once the submitter has dropped it.
+// its workload. Whether it ended done, canceled while still queued, failed
+// with its worker, or failed wedged when its engine drained, the handle —
+// which a daemon's registry keeps long after the end — must not keep the
+// submitted workload reachable once the submitter has dropped it, and on a
+// local shard no site queue may still hold an ended job's pilot.
 func TestFinishedJobReleasesItsWorkload(t *testing.T) {
 	ctx := context.Background()
 	// submit hands env a fresh 16-task workload and keeps only a weak
@@ -561,6 +563,18 @@ func TestFinishedJobReleasesItsWorkload(t *testing.T) {
 			t.Errorf("a %v job kept neither a report nor an error", want)
 		}
 	}
+	// noQueuedPilots checks, once every job has ended, that no site queue
+	// of a local shard holds a pilot.
+	noQueuedPilots := func(t *testing.T, env *aimes.Environment) {
+		t.Helper()
+		for k := range env.Shards() {
+			for _, name := range env.Resources() {
+				if n := env.ShardBundle(k).Resource(name).Compute().QueuedJobs; n != 0 {
+					t.Errorf("shard %d: %s's queue holds %d pilots after every job ended", k, name, n)
+				}
+			}
+		}
+	}
 	late := aimes.StrategyConfig{Binding: aimes.LateBinding, Scheduler: aimes.SchedBackfill, Pilots: 2}
 
 	t.Run("done", func(t *testing.T) {
@@ -571,6 +585,7 @@ func TestFinishedJobReleasesItsWorkload(t *testing.T) {
 		defer env.Close()
 		j, w := submit(t, env, 1, aimes.JobConfig{StrategyConfig: late})
 		released(t, j, w, aimes.JobDone)
+		noQueuedPilots(t, env)
 	})
 
 	t.Run("canceled while queued", func(t *testing.T) {
@@ -600,11 +615,10 @@ func TestFinishedJobReleasesItsWorkload(t *testing.T) {
 		for _, j := range ahead {
 			j.Wait(ctx)
 		}
+		noQueuedPilots(t, env)
 	})
 
-	// Failed: its worker died under it. (A job failed because its engine
-	// drained with it wedged is another matter: its pilots still sit in an
-	// offline site's queue, and they hold its execution.)
+	// Failed: its worker died under it.
 	t.Run("failed", func(t *testing.T) {
 		addr, secret := tcpWorkerHost(t)
 		env, err := aimes.NewEnv(append(tcpWorkers(1, addr, secret), aimes.WithSeed(3))...)
@@ -617,5 +631,25 @@ func TestFinishedJobReleasesItsWorkload(t *testing.T) {
 			t.Fatal(err)
 		}
 		released(t, j, w, aimes.JobFailed)
+	})
+
+	// Wedged: three jobs whose only pilot sits in an offline site's queue
+	// when the engine drains. Waiting on the first ends all three.
+	t.Run("wedged", func(t *testing.T) {
+		env, err := aimes.NewEnv(aimes.WithSeed(3), aimes.WithShards(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer env.Close()
+		wedgeStampede(t, env)
+		jobs := make([]*aimes.Job, 3)
+		ws := make([]weak.Pointer[aimes.Workload], 3)
+		for i := range jobs {
+			jobs[i], ws[i] = submit(t, env, int64(20+i), wedgedJob)
+		}
+		for i, j := range jobs {
+			released(t, j, ws[i], aimes.JobFailed)
+		}
+		noQueuedPilots(t, env)
 	})
 }

@@ -258,10 +258,9 @@ const workerPumpBatch = 512
 // steps — and only this job's shard, so waiters on different shards fire
 // events truly in parallel. All access to one shard's backend runs under its
 // mutex; concurrent waiters of the same shard take turns firing batches, and
-// any waiter's step may complete any tenant's job on that shard. It reports
-// whether the job is stalled: the engine drained with the (migratable) job
-// still queued, so the waiter must migrate it or give up.
-func (sh *shardEnv) pump(j *Job) (stalled bool) {
+// any waiter's step may complete any tenant's job on that shard. A step that
+// finds the engine drained ends in the shard's drain verdict.
+func (sh *shardEnv) pump(j *Job) {
 	e := sh.env
 	if !e.steal {
 		sh.mu.Lock()
@@ -272,70 +271,63 @@ func (sh *shardEnv) pump(j *Job) (stalled bool) {
 		sh.mu.Lock()
 	}
 	defer sh.mu.Unlock()
-	if !j.ownedByLocked(sh) {
-		return false // migrated (or mid-handoff) while we waited for the lock
-	}
-	if j.finished() {
-		return false
+	if !j.ownedByLocked(sh) || j.finished() {
+		return // migrated (or mid-handoff) while we waited for the lock, or over
 	}
 	// The non-blocking query half of the pump seam: a quiescent engine is
-	// already drained-but-blocked, so the waiter reaches the verdict below —
-	// admit, migrate, or fail — without going through a no-op step batch.
-	drained := !sh.be.Runnable()
-	if !drained {
-		var err error
-		_, drained, err = sh.stepBatch()
-		if err != nil {
-			// The backend is gone (a worker crash mid-step). A still-queued
-			// job is a pure descriptor: while the fleet can respawn the
-			// worker, leave it queued for replay on the replacement (same
-			// shard seed) and let the next Wait iteration pump the fresh
-			// backend. Otherwise fail this job with the cause, out of the
-			// queue first if it never enacted. The death handler fails the
-			// shard's other jobs; their waiters observe it on their own next
-			// pump.
-			if j.State() == JobQueued {
-				if e.fleet.parked(sh) {
-					return false
-				}
-				sh.adm.withdraw(j)
+	// already drained, so the waiter reaches the verdict without going
+	// through a no-op step batch.
+	if !sh.be.Runnable() {
+		sh.drained()
+		return
+	}
+	_, drained, err := sh.stepBatch()
+	if err != nil {
+		// The backend is gone (a worker crash mid-step). A still-queued job
+		// is a pure descriptor: while the fleet can respawn the worker, leave
+		// it queued for replay on the replacement (same shard seed) and let
+		// the next Wait iteration pump the fresh backend. Otherwise fail this
+		// job with the cause, out of the queue first if it never enacted.
+		// The death handler fails the shard's other jobs; their waiters
+		// observe it on their own next pump.
+		if j.State() == JobQueued {
+			if e.fleet.parked(sh) {
+				return
 			}
-			j.complete(nil, fmt.Errorf("aimes: shard s%d: %w", sh.id, err))
-			return false
-		}
-	}
-	if !drained || j.finished() {
-		return false
-	}
-	if !j.ownedByLocked(sh) {
-		// A handoff completed while we were firing events (its phase 1 ran
-		// before we took the lock): the drain verdict below would judge the
-		// wrong shard. The next Wait iteration pumps the job's new home.
-		return false
-	}
-	// The shard's engine drained with this job incomplete.
-	if sh.adm.stranded() {
-		// Quiet engine with a free window: admit queued jobs (ours may be
-		// among them) and keep pumping.
-		sh.adm.admit()
-		return false
-	}
-	if j.State() == JobQueued {
-		// Queued behind a wedged window: the running jobs hold every
-		// admission slot but nothing scheduled can make them progress.
-		if !j.migratable {
 			sh.adm.withdraw(j)
-			j.complete(nil, fmt.Errorf("aimes: shard s%d drained with the job still queued behind %d wedged jobs", sh.id, sh.adm.running))
-			return false
 		}
-		return true
+		j.complete(nil, fmt.Errorf("aimes: shard s%d: %w", sh.id, err))
+		return
 	}
-	// Nothing scheduled can make this enacted job progress: fail it with the
-	// backend's diagnostic state summary. Other live jobs on the shard fail
-	// the same way when their waiters observe the drain; new submissions
-	// refill the queue first.
-	j.complete(nil, sh.be.Incomplete(j.id))
-	return false
+	if drained {
+		sh.drained()
+	}
+}
+
+// drained is the verdict on a shard whose engine ran out of events: nothing
+// scheduled can make an enacted job progress, so every one it holds is
+// wedged. They fail in ID order with the backend's diagnostic, each canceled
+// right after so the backend finishes its execution — its pilots leave
+// their site queues and the backend drops it; the job has completed first,
+// so the completion the cancel sends is a no-op. The gate is held until the
+// last has failed, then admits the queue once. With nothing enacted it only
+// admits. Runs under mu.
+func (sh *shardEnv) drained() {
+	if sh.adm.running == 0 {
+		sh.adm.admit()
+		return
+	}
+	jobs := sh.liveJobs(nil)
+	sortJobs(jobs)
+	sh.adm.hold()
+	for _, j := range jobs {
+		if j.State() != JobRunning {
+			continue
+		}
+		j.complete(nil, sh.be.Incomplete(j.id))
+		_ = sh.be.Cancel(j.id, "engine drained") // a dead worker's error reaches its death handler
+	}
+	sh.adm.release()
 }
 
 // stepBatch fires up to one batch of events on the shard's backend (the

@@ -63,10 +63,8 @@ func (e *Environment) migrationCandidate(origin *shardEnv, cost int64) bool {
 // re-derives namespace and randomness when it enacts (see enact); the
 // job itself crosses shards as a pure descriptor, which is why the handoff
 // routes through any backend — in-process or worker — unchanged. Sealed
-// shards are never chosen. forced relaxes the load-balance margin for
-// liveness (a job queued behind a wedged admission window must move or
-// fail).
-func (e *Environment) migrateJob(j *Job, forced bool) bool {
+// shards are never chosen.
+func (e *Environment) migrateJob(j *Job) bool {
 	if !e.steal || !j.migratable {
 		return false
 	}
@@ -77,7 +75,7 @@ func (e *Environment) migrateJob(j *Job, forced bool) bool {
 		return false // one hop per job: stolen work is not re-stolen
 	}
 	origin := j.sh.Load()
-	if !forced && !e.migrationCandidate(origin, j.cost) {
+	if !e.migrationCandidate(origin, j.cost) {
 		return false
 	}
 
@@ -101,7 +99,7 @@ func (e *Environment) migrateJob(j *Job, forced bool) bool {
 		e.jobMu.Unlock()
 		return false
 	}
-	if !forced && !pays(origin.pendingCost.Load(), least, j.cost) {
+	if !pays(origin.pendingCost.Load(), least, j.cost) {
 		e.jobMu.Unlock()
 		e.stealer.CountVeto()
 		return false
@@ -170,7 +168,7 @@ func (e *Environment) stealForward() {
 	j := sh.adm.stealable()
 	sh.mu.Unlock()
 	if j != nil {
-		e.migrateJob(j, false)
+		e.migrateJob(j)
 	}
 }
 
@@ -197,8 +195,8 @@ func (e *Environment) helpPump(own *shardEnv) {
 		return
 	}
 	fired, drained, err := sh.stepBatch()
-	if err == nil && drained && sh.adm.stranded() {
-		sh.adm.admit()
+	if err == nil && drained {
+		sh.drained()
 	}
 	sh.mu.Unlock()
 	if fired > 0 {

@@ -162,7 +162,7 @@ func TestStealVetoIsCounted(t *testing.T) {
 	// the migration run until it waits for that lock, past its pre-check.
 	e.jobMu.Lock()
 	moved := make(chan bool)
-	go func() { moved <- e.migrateJob(j, false) }()
+	go func() { moved <- e.migrateJob(j) }()
 	for !blockedIn("aimes.(*Environment).migrateJob", "[sync.Mutex.Lock") {
 		runtime.Gosched()
 	}

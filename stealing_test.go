@@ -432,91 +432,100 @@ func TestPinnedSealingBlocksMigrants(t *testing.T) {
 	}
 }
 
-// TestStalledJobWithNoOpenShardFails wedges a sealed shard's whole admission
-// window — four early-binding tenants whose only pilot sits in a queue an
-// outage took offline for good — and queues a migratable job behind it while
-// the only other shard is sealed too. The engine drains with the job still a
-// descriptor: nothing can ever admit it and no shard can take it, so its
-// waiter must fail it with that diagnosis rather than spin; the wedged
-// tenants then fail with the backend's own.
-func TestStalledJobWithNoOpenShardFails(t *testing.T) {
-	stallBehindWedgedWindow(t, skewedJob(), "behind 4 wedged jobs and no open shard")
+// TestDrainFailsWedgedWindowThenAdmits wedges a sealed shard's whole
+// admission window — four early-binding tenants whose only pilot sits in a
+// queue an outage took offline for good — and queues a fifth job behind it
+// while the only other shard is sealed too, once migratable and once pinned.
+// The engine drains with the fifth still a descriptor. One drain verdict
+// fails all four tenants with the backend's diagnostic before anyone waits
+// on them; only then is the fifth admitted, and it ends on its own merits.
+// Nothing is left on the shard.
+func TestDrainFailsWedgedWindowThenAdmits(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		fifth aimes.JobConfig
+	}{
+		{"migratable", skewedJob()},
+		{"pinned", aimes.JobConfig{StrategyConfig: stealCfg, Placement: aimes.PlacePinned, Shard: 0}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			env, err := aimes.NewEnv(aimes.WithSeed(808), aimes.WithShards(2), aimes.WithWorkStealing())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer env.Close()
+			w, err := aimes.GenerateWorkload(aimes.BagOfTasks(4, aimes.UniformDuration()), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+			sealer, err := env.Submit(ctx, w, aimes.JobConfig{StrategyConfig: stealCfg, Placement: aimes.PlacePinned, Shard: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			wedged := submitWedged(t, env, w, 4)
+			fifth, err := env.Submit(ctx, w, tc.fifth)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fifth.State() != aimes.JobQueued {
+				t.Fatalf("fifth job on the sealed shard is %v, want queued behind its window of 4", fifth.State())
+			}
+
+			r, err := fifth.Wait(ctx)
+			if fifth.Namespace() == "" || fifth.Migrated() {
+				t.Fatalf("fifth job: namespace %q, migrated %v; want enacted where it queued", fifth.Namespace(), fifth.Migrated())
+			}
+			if err != nil || r.UnitsDone != 4 {
+				t.Fatalf("fifth job: %+v, %v; want its 4 units done on the sites the outage spared", r, err)
+			}
+			for i, j := range wedged {
+				if j.State() != aimes.JobFailed || !strings.Contains(j.Err().Error(), "incomplete") {
+					t.Fatalf("wedged tenant %d is %v (%v) when the job queued behind it has ended; want failed with the backend's drained-but-incomplete diagnostic",
+						i, j.State(), j.Err())
+				}
+			}
+			if r, err := sealer.Wait(ctx); err != nil || r.UnitsDone != 4 {
+				t.Fatalf("the other shard's tenant: %+v, %v", r, err)
+			}
+			if l := env.Loads()[0]; l.Queued != 0 || l.Running != 0 {
+				t.Fatalf("shard 0 at the end: %d queued, %d running; want an empty shard", l.Queued, l.Running)
+			}
+		})
+	}
 }
 
-// TestStalledPinnedJobFailsWithoutEnacting is the same wedge with a fifth
-// job that may not migrate. Its waiter fails it where it queued, and it must
-// leave the queue as it does: when the wedged tenants then fail, their freed
-// slots must not admit a job that has already ended.
-func TestStalledPinnedJobFailsWithoutEnacting(t *testing.T) {
-	stallBehindWedgedWindow(t, aimes.JobConfig{StrategyConfig: stealCfg, Placement: aimes.PlacePinned, Shard: 0},
-		"behind 4 wedged jobs")
+// wedgedJob is an early-binding job pinned to shard 0 whose only pilot goes
+// to stampede: behind wedgeStampede's outage it can never finish, and the
+// engine drains with it enacted.
+var wedgedJob = aimes.JobConfig{
+	StrategyConfig: aimes.StrategyConfig{Binding: aimes.EarlyBinding, Scheduler: aimes.SchedDirect, Pilots: 1,
+		Selection: aimes.SelectFixed, FixedResources: []string{"stampede"}},
+	Placement: aimes.PlacePinned, Shard: 0,
 }
 
-// stallBehindWedgedWindow queues fifth behind shard 0's wedged window with
-// shard 1 sealed, and checks that it fails with wantErr, never enacted, that
-// shard 0's queue is then empty, and that the wedged tenants fail with the
-// backend's diagnostic.
-func stallBehindWedgedWindow(t *testing.T, fifth aimes.JobConfig, wantErr string) {
+// wedgeStampede takes shard 0's stampede offline for good 20 s from now.
+func wedgeStampede(t *testing.T, env *aimes.Environment) {
 	t.Helper()
-	env, err := aimes.NewEnv(aimes.WithSeed(808), aimes.WithShards(2), aimes.WithWorkStealing())
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := aimes.GenerateWorkload(aimes.BagOfTasks(4, aimes.UniformDuration()), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	sealer, err := env.Submit(ctx, w, aimes.JobConfig{StrategyConfig: stealCfg, Placement: aimes.PlacePinned, Shard: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if err := env.InjectChaos(0, aimes.ChaosEvent{Action: "outage", Target: "stampede", After: 20 * time.Second}); err != nil {
 		t.Fatal(err)
 	}
-	var wedged []*aimes.Job
-	for i := 0; i < 4; i++ {
-		j, err := env.Submit(ctx, w, aimes.JobConfig{
-			StrategyConfig: aimes.StrategyConfig{Binding: aimes.EarlyBinding, Scheduler: aimes.SchedDirect, Pilots: 1,
-				Selection: aimes.SelectFixed, FixedResources: []string{"stampede"}},
-			Placement: aimes.PlacePinned, Shard: 0,
-		})
+}
+
+// submitWedged wedges stampede and submits n wedgedJobs of w.
+func submitWedged(t *testing.T, env *aimes.Environment, w *aimes.Workload, n int) []*aimes.Job {
+	t.Helper()
+	wedgeStampede(t, env)
+	var jobs []*aimes.Job
+	for range n {
+		j, err := env.Submit(context.Background(), w, wedgedJob)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wedged = append(wedged, j)
+		jobs = append(jobs, j)
 	}
-	stalled, err := env.Submit(ctx, w, fifth)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stalled.State() != aimes.JobQueued {
-		t.Fatalf("fifth job on the sealed shard is %v, want queued behind its window of 4", stalled.State())
-	}
-
-	_, err = stalled.Wait(ctx)
-	if err == nil || !strings.Contains(err.Error(), wantErr) {
-		t.Fatalf("stalled job ended with %v, want %q", err, wantErr)
-	}
-	if stalled.State() != aimes.JobFailed || stalled.Migrated() || stalled.Namespace() != "" {
-		t.Fatalf("stalled job: state %v, migrated %v, namespace %q; want failed where it queued, never enacted",
-			stalled.State(), stalled.Migrated(), stalled.Namespace())
-	}
-	if l := env.Loads()[0]; l.Queued != 0 || l.Running != 4 {
-		t.Fatalf("shard 0 after the failure: %d queued, %d running; want 0 and the 4 wedged tenants", l.Queued, l.Running)
-	}
-	for i, j := range wedged {
-		if _, err := j.Wait(ctx); err == nil || !strings.Contains(err.Error(), "incomplete") {
-			t.Fatalf("wedged tenant %d ended with %v, want the backend's drained-but-incomplete diagnostic", i, err)
-		}
-	}
-	if r, err := sealer.Wait(ctx); err != nil || r.UnitsDone != 4 {
-		t.Fatalf("the other shard's tenant: %+v, %v", r, err)
-	}
-	if l := env.Loads()[0]; l.Queued != 0 || l.Running != 0 {
-		t.Fatalf("shard 0 at the end: %d queued, %d running; want an empty shard", l.Queued, l.Running)
-	}
+	return jobs
 }
 
 // TestQueuedJobCancel cancels jobs that are still queued behind the
