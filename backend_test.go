@@ -231,9 +231,9 @@ func tcpWorkers(n int, addr, secret string) []aimes.Option {
 // TestDrainVerdictIgnoresWhoWaits wedges three jobs on one shard and waits
 // on the last first, then, on a fresh environment, on the first first. Which
 // waiter saw the drain does not matter: all three jobs fail at that one
-// verdict with the same diagnostics, and a job submitted after it reports
-// and traces bit-identically. On a stdio worker shard the verdict crosses
-// the wire as incomplete plus cancel.
+// verdict with the same diagnostics and traces that end in final states, and
+// a job submitted after it reports and traces bit-identically. On a stdio
+// worker shard the verdict crosses the wire as incomplete plus cancel.
 func TestDrainVerdictIgnoresWhoWaits(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -274,6 +274,7 @@ func TestDrainVerdictIgnoresWhoWaits(t *testing.T) {
 							j.ID(), j.State(), wedged[first].ID())
 					}
 					o.Diagnostics = append(o.Diagnostics, j.Err().Error())
+					tracedToFinalStates(t, j)
 				}
 				later, err := env.Submit(ctx, w, aimes.JobConfig{
 					StrategyConfig: aimes.StrategyConfig{Binding: aimes.LateBinding, Scheduler: aimes.SchedBackfill, Pilots: 2},

@@ -1,15 +1,18 @@
 package client
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"net/url"
 	"strings"
+	"sync"
 
 	"aimes"
 	"aimes/internal/bufpool"
@@ -18,23 +21,31 @@ import (
 // Client talks to one aimes-server daemon on behalf of one tenant. It is
 // safe for concurrent use. The zero value is not usable; construct with New.
 type Client struct {
-	base  string
-	token string
-	http  *http.Client
-	tab   internTable
+	base string
+	auth []string // the Authorization header's value, built once; nil without a token
+	http *http.Client
+	tab  internTable
+
+	mu     sync.Mutex
+	parked parked // the latest Submit's event stream, until its job's Wait or Events claims it
 }
 
 // New returns a client for the daemon at base (e.g. "http://127.0.0.1:9470")
 // authenticating with the tenant's bearer token. The default http.Client is
 // used; see WithHTTPClient to override (timeouts, transports).
 func New(base, token string) *Client {
-	return &Client{base: strings.TrimRight(base, "/"), token: token, http: http.DefaultClient}
+	c := &Client{base: strings.TrimRight(base, "/"), http: http.DefaultClient}
+	if token != "" {
+		c.auth = []string{"Bearer " + token}
+	}
+	return c
 }
 
 // WithHTTPClient returns a copy of c that issues requests through hc —
-// note that SSE streams and long-polling waits outlive any hc.Timeout.
+// note that SSE streams and long-polling waits outlive any hc.Timeout. The
+// copy holds no stream of c's submissions.
 func (c *Client) WithHTTPClient(hc *http.Client) *Client {
-	return &Client{base: c.base, token: c.token, http: hc}
+	return &Client{base: c.base, auth: c.auth, http: hc}
 }
 
 // SubmitOptions mirrors the execution knobs of aimes.JobConfig for a remote
@@ -53,9 +64,19 @@ type SubmitOptions struct {
 // in the middleware interchange format, compact, and the request around it,
 // into one buffer, so the daemon executes exactly the tasks w describes. A
 // quota rejection surfaces as a *StatusError with code 429.
+//
+// The daemon answers with the job's event stream, opened by the admission
+// snapshot Submit returns. The Client holds the rest of that stream for the
+// next Wait, or Events from the start, on this job, which then takes no
+// request of its own. It holds one such stream, its latest Submit's: a later
+// Submit closes it, and every other call makes its own request, as it would
+// without one. Canceling ctx after Submit returned leaves the stream open;
+// the claiming call's context governs it. SubmitRaw never holds a stream.
 func (c *Client) Submit(ctx context.Context, w *aimes.Workload, opts SubmitOptions) (*JobInfo, error) {
 	req := opts.request()
-	return c.submit(ctx, submitHead(w), &req)
+	body := wire{out: submitHead(w)}
+	body.submission(&req)
+	return c.submitStream(ctx, body.out)
 }
 
 // submitHead starts a submission of w with its document, appended first into
@@ -89,15 +110,138 @@ func (c *Client) SubmitRaw(ctx context.Context, req *SubmitRequest) (*JobInfo, e
 	if err != nil {
 		return nil, fmt.Errorf("client: encoding submit request: %w", err)
 	}
-	return c.submit(ctx, append([]byte(workloadKey), doc...), req)
+	body := wire{out: append([]byte(workloadKey), doc...)}
+	body.submission(req)
+	return c.info(ctx, http.MethodPost, "/v1/jobs", body.out)
 }
 
-// submit appends the rest of req to body, which holds its workload, and
-// posts it.
-func (c *Client) submit(ctx context.Context, body []byte, req *SubmitRequest) (*JobInfo, error) {
-	w := wire{out: body}
-	w.submission(req)
-	return c.info(ctx, http.MethodPost, "/v1/jobs", w.out)
+// submitStream posts a submission that asks for the job's event stream,
+// decodes its opening "submitted" snapshot and parks the rest for the job's
+// Wait or Events. A daemon that answers with the plain snapshot parks nothing.
+func (c *Client) submitStream(ctx context.Context, body []byte) (*JobInfo, error) {
+	// The request outlives ctx once Submit has returned; until then ctx ends it.
+	rctx, cancel := context.WithCancel(context.WithoutCancel(ctx))
+	stop := context.AfterFunc(ctx, cancel)
+	info, p, err := c.postStream(rctx, body)
+	if !stop() && err != nil {
+		if ue, ok := err.(*url.Error); ok {
+			ue.Err = ctx.Err() // the cause, not the request's own cancellation
+		}
+	}
+	if p.body == nil || rctx.Err() != nil { // nothing to park, or ctx ended it
+		p.close()
+		cancel()
+		return info, err
+	}
+	p.id, p.cancel = info.ID, cancel
+	c.mu.Lock()
+	old := c.parked
+	c.parked = p
+	c.mu.Unlock()
+	old.close()
+	return info, nil
+}
+
+// postStream is submitStream's request. p holds the stream past the snapshot,
+// or no body when the daemon answered plain JSON.
+func (c *Client) postStream(ctx context.Context, body []byte) (info *JobInfo, p parked, err error) {
+	const method, path = http.MethodPost, "/v1/jobs"
+	req, err := c.request(ctx, method, path, body)
+	if err != nil {
+		return nil, p, err
+	}
+	req.Header["Accept"] = eventStreamType
+	resp, err := c.http.Do(req)
+	if err != nil {
+		return nil, p, err
+	}
+	buf := replies.Get()
+	defer replies.Put(buf)
+	if resp.StatusCode/100 != 2 || resp.Header.Get("Content-Type") != "text/event-stream" {
+		defer resp.Body.Close()
+		if *buf, err = readReply(resp, method, path, *buf); err != nil {
+			return nil, p, err
+		}
+		info, err = c.decodeReply(*buf, method, path)
+		return info, p, err
+	}
+	p = parked{body: resp.Body, in: readers.Get().(*bufio.Reader)}
+	p.in.Reset(resp.Body)
+	var spill []byte
+	ok, data, err := nextEvent(p.in, &spill, "submitted", *buf)
+	*buf = data
+	if err == nil && !ok {
+		err = errors.New("the stream does not open with a submitted event")
+	}
+	if err == nil {
+		info, err = c.tab.decodeInfo(data)
+	}
+	if err != nil {
+		p.close()
+		return nil, parked{}, fmt.Errorf("client: reading %s %s response: %w", method, path, err)
+	}
+	return info, p, nil
+}
+
+// parked is an open event stream: a submission's past its "submitted"
+// snapshot, which the Client holds for the first Wait or Events on its job,
+// or one an EventStream reads.
+type parked struct {
+	id     string
+	body   io.ReadCloser // nil: nothing parked
+	in     *bufio.Reader // reads body; lent by readers
+	cancel context.CancelFunc
+}
+
+// close ends the stream and gives its reader back.
+func (p *parked) close() {
+	if p.body == nil {
+		return
+	}
+	if p.cancel != nil {
+		p.cancel()
+	}
+	p.body.Close()
+	p.in.Reset(nil) // keep no reference to the connection
+	readers.Put(p.in)
+}
+
+// claim takes the parked stream if it is job id's.
+func (c *Client) claim(id string) (parked, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	p := c.parked
+	if p.body == nil || p.id != id {
+		return parked{}, false
+	}
+	c.parked = parked{}
+	return p, true
+}
+
+// waitStream reads p up to its "done" event and decodes that snapshot, no
+// other event.
+func (c *Client) waitStream(ctx context.Context, p *parked) (*JobInfo, error) {
+	defer p.close()
+	stop := context.AfterFunc(ctx, p.cancel)
+	defer stop()
+	buf := replies.Get()
+	defer replies.Put(buf)
+	var spill []byte
+	for {
+		done, data, err := nextEvent(p.in, &spill, "done", *buf)
+		*buf = data
+		if err != nil {
+			return nil, err
+		}
+		if done {
+			drain(p.in)
+			info, err := c.tab.decodeInfo(data)
+			if err != nil {
+				return nil, fmt.Errorf("client: bad done event %q: %w", data, err)
+			}
+			return info, nil
+		}
+	}
 }
 
 // Job fetches the current snapshot of one job.
@@ -134,24 +278,39 @@ func (c *Client) Cancel(ctx context.Context, id, reason string) (*JobInfo, error
 
 // Wait blocks until the job reaches a final state and returns its report —
 // the remote analogue of aimes.Job.Wait. A failed or canceled job returns a
-// descriptive error. Wait long-polls, so it survives proxies and can be
-// called afresh after a disconnect: any client that still has the job ID
+// descriptive error. Wait reads the job's stream when this Client's latest
+// Submit holds it, and otherwise long-polls, so it survives proxies and can
+// be called afresh after a disconnect: any client that still has the job ID
 // can reattach and collect the final report.
 func (c *Client) Wait(ctx context.Context, id string) (*aimes.Report, error) {
+	if p, ok := c.claim(id); ok {
+		info, err := c.waitStream(ctx, &p)
+		if err == nil {
+			return waitResult(id, info)
+		}
+		if ctx.Err() != nil {
+			return nil, ctx.Err()
+		}
+		// The stream broke: long-poll instead.
+	}
 	path := "/v1/jobs/" + url.PathEscape(id) + "?wait=30s"
 	for {
 		info, err := c.info(ctx, http.MethodGet, path, nil)
 		if err != nil {
 			return nil, err
 		}
-		if !info.Final {
-			continue
+		if info.Final {
+			return waitResult(id, info)
 		}
-		if info.Error != "" {
-			return info.Report, fmt.Errorf("client: job %s %s: %s", id, info.State, info.Error)
-		}
-		return info.Report, nil
 	}
+}
+
+// waitResult is Wait's answer from the job's final snapshot.
+func waitResult(id string, info *JobInfo) (*aimes.Report, error) {
+	if info.Error != "" {
+		return info.Report, fmt.Errorf("client: job %s %s: %s", id, info.State, info.Error)
+	}
+	return info.Report, nil
 }
 
 // Metrics scrapes the daemon's /metrics endpoint and returns the raw
@@ -208,6 +367,13 @@ func asStatusError(err error, out **StatusError) bool {
 	return false
 }
 
+// Header values shared by every request: a transport reads them, never
+// writes them.
+var (
+	jsonType        = []string{"application/json"}
+	eventStreamType = []string{"text/event-stream"}
+)
+
 func (c *Client) request(ctx context.Context, method, path string, body []byte) (*http.Request, error) {
 	var rd io.Reader
 	if body != nil {
@@ -217,11 +383,11 @@ func (c *Client) request(ctx context.Context, method, path string, body []byte) 
 	if err != nil {
 		return nil, err
 	}
-	if c.token != "" {
-		req.Header.Set("Authorization", "Bearer "+c.token)
+	if c.auth != nil {
+		req.Header["Authorization"] = c.auth
 	}
 	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
+		req.Header["Content-Type"] = jsonType
 	}
 	return req, nil
 }
@@ -239,7 +405,12 @@ func (c *Client) info(ctx context.Context, method, path string, body []byte) (*J
 	if *buf, err = c.do(ctx, method, path, body, *buf); err != nil {
 		return nil, err
 	}
-	info, err := c.tab.decodeInfo(*buf)
+	return c.decodeReply(*buf, method, path)
+}
+
+// decodeReply decodes a snapshot a request's reply carries.
+func (c *Client) decodeReply(b []byte, method, path string) (*JobInfo, error) {
+	info, err := c.tab.decodeInfo(b)
 	if err != nil {
 		return nil, fmt.Errorf("client: decoding %s %s response: %w", method, path, err)
 	}
@@ -247,7 +418,7 @@ func (c *Client) info(ctx context.Context, method, path string, body []byte) (*J
 }
 
 // do issues one request and appends the body of a 2xx response, read whole,
-// to buf. Non-2xx responses decode the ErrorBody and return a *StatusError.
+// to buf.
 func (c *Client) do(ctx context.Context, method, path string, body, buf []byte) ([]byte, error) {
 	req, err := c.request(ctx, method, path, body)
 	if err != nil {
@@ -258,6 +429,12 @@ func (c *Client) do(ctx context.Context, method, path string, body, buf []byte) 
 		return buf, err
 	}
 	defer resp.Body.Close()
+	return readReply(resp, method, path, buf)
+}
+
+// readReply appends the body of a 2xx response, read whole, to buf.
+// Non-2xx responses decode the ErrorBody and return a *StatusError.
+func readReply(resp *http.Response, method, path string, buf []byte) ([]byte, error) {
 	if resp.StatusCode/100 != 2 {
 		b, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
 		var eb ErrorBody

@@ -61,8 +61,17 @@ func (s *EventStream) Close() { s.cancel() }
 // skipped server-side; pass 0 (or 1) for everything the server still retains
 // — the whole job, unless the shard has logged 2^20 newer records since, when
 // the gap is surfaced through Dropped. The stream ends with the job: C closes
-// and Final carries the terminal snapshot including the report.
+// and Final carries the terminal snapshot including the report. From the
+// start, it is the stream this Client's latest Submit holds when that was
+// this job's, and costs no request.
 func (c *Client) Events(ctx context.Context, id string, from int64) (*EventStream, error) {
+	if from <= 1 {
+		if p, ok := c.claim(id); ok {
+			ctx, cancel := context.WithCancel(ctx)
+			context.AfterFunc(ctx, p.cancel) // the caller's end is the request's
+			return c.follow(ctx, cancel, p), nil
+		}
+	}
 	path := "/v1/jobs/" + url.PathEscape(id) + "/events"
 	if from > 0 {
 		path += "?from=" + strconv.FormatInt(from, 10)
@@ -86,7 +95,7 @@ func (c *Client) stream(ctx context.Context, path string) (*EventStream, error) 
 		cancel()
 		return nil, err
 	}
-	req.Header.Set("Accept", "text/event-stream")
+	req.Header["Accept"] = eventStreamType
 	resp, err := c.http.Do(req)
 	if err != nil {
 		cancel()
@@ -101,23 +110,42 @@ func (c *Client) stream(ctx context.Context, path string) (*EventStream, error) 
 		}
 		return nil, &StatusError{Code: resp.StatusCode, Message: resp.Status}
 	}
+	p := parked{body: resp.Body, in: readers.Get().(*bufio.Reader), cancel: cancel}
+	p.in.Reset(resp.Body)
+	return c.follow(ctx, cancel, p), nil
+}
+
+// follow delivers the events of stream p to a new EventStream, which ctx
+// ends and cancel closes. Past the "done" event it reads to the body's end,
+// which the daemon sends right after, so that the connection goes back to
+// the transport's pool.
+func (c *Client) follow(ctx context.Context, cancel context.CancelFunc, p parked) *EventStream {
 	s := &EventStream{ch: make(chan Event, 64), cancel: cancel, tab: &c.tab}
 	s.C = s.ch
 	go func() {
-		defer resp.Body.Close()
-		defer close(s.ch)
-		br := readers.Get().(*bufio.Reader)
-		br.Reset(resp.Body)
-		err := s.consume(ctx, br)
-		br.Reset(nil) // keep no reference to the connection
-		readers.Put(br)
+		defer cancel()
+		err := s.consume(ctx, p.in)
 		s.mu.Lock()
 		if err != nil && ctx.Err() == nil {
 			s.err = err
 		}
 		s.mu.Unlock()
+		close(s.ch)
+		if err == nil {
+			drain(p.in)
+		}
+		p.close()
 	}()
-	return s, nil
+	return s
+}
+
+// drain reads a stream past its "done" event to the end of its body.
+func drain(r *bufio.Reader) {
+	for range 4 { // the daemon sends nothing more; another server may
+		if _, err := r.Discard(r.Buffered() + 1); err != nil {
+			return
+		}
+	}
 }
 
 // readers lends the streams their line readers, as net/http lends its own:
@@ -131,20 +159,10 @@ var readers = sync.Pool{New: func() any { return bufio.NewReader(nil) }}
 func (s *EventStream) consume(ctx context.Context, r *bufio.Reader) error {
 	var event, data, spill []byte
 	for {
-		line, err := r.ReadSlice('\n')
-		if err == bufio.ErrBufferFull { // a line longer than r's buffer
-			spill = spill[:0]
-			for err == bufio.ErrBufferFull {
-				spill = append(spill, line...)
-				line, err = r.ReadSlice('\n')
-			}
-			spill = append(spill, line...)
-			line = spill
-		}
+		line, err := readLine(r, &spill)
 		if err != nil {
 			return err
 		}
-		line = bytes.TrimRight(line, "\r\n")
 		switch {
 		case len(line) == 0:
 			if err := s.dispatch(ctx, event, data); err != nil {
@@ -156,14 +174,65 @@ func (s *EventStream) consume(ctx context.Context, r *bufio.Reader) error {
 			event, data = event[:0], data[:0]
 		case line[0] == ':':
 			// heartbeat comment
-		case bytes.HasPrefix(line, []byte("event:")):
-			event = append(event[:0], bytes.TrimSpace(line[len("event:"):])...)
-		case bytes.HasPrefix(line, []byte("data:")):
+		case bytes.HasPrefix(line, eventField):
+			event = append(event[:0], bytes.TrimSpace(line[len(eventField):])...)
+		case bytes.HasPrefix(line, dataField):
 			if len(data) > 0 {
 				data = append(data, '\n')
 			}
-			data = append(data, bytes.TrimSpace(line[len("data:"):])...)
+			data = append(data, bytes.TrimSpace(line[len(dataField):])...)
 		}
+	}
+}
+
+var eventField, dataField = []byte("event:"), []byte("data:")
+
+// readLine reads r's next line without its line ending: in place, or, when
+// it is longer than r's buffer, into *spill.
+func readLine(r *bufio.Reader, spill *[]byte) ([]byte, error) {
+	line, err := r.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		*spill = (*spill)[:0]
+		for err == bufio.ErrBufferFull {
+			*spill = append(*spill, line...)
+			line, err = r.ReadSlice('\n')
+		}
+		line = append(*spill, line...)
+		*spill = line
+	}
+	if err != nil {
+		return nil, err
+	}
+	return bytes.TrimRight(line, "\r\n"), nil
+}
+
+// nextEvent reads the next event off r and reports whether it is named
+// name; data, emptied first, receives its data. Nothing else is kept or
+// decoded.
+func nextEvent(r *bufio.Reader, spill *[]byte, name string, data []byte) (bool, []byte, error) {
+	data = data[:0]
+	named, started := false, false
+	for {
+		line, err := readLine(r, spill)
+		switch {
+		case err != nil:
+			return false, data, err
+		case len(line) == 0:
+			if started {
+				return named, data, nil
+			}
+			continue // the end of a heartbeat
+		case line[0] == ':':
+			continue // heartbeat comment
+		case bytes.HasPrefix(line, eventField):
+			named = string(bytes.TrimSpace(line[len(eventField):])) == name
+		case bytes.HasPrefix(line, dataField):
+			if len(data) > 0 {
+				data = append(data, '\n')
+			}
+			data = append(data, bytes.TrimSpace(line[len(dataField):])...)
+		}
+		started = true
 	}
 }
 

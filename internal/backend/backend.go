@@ -62,8 +62,9 @@ type Sink interface {
 	JobTrace(key int, ns string, rec trace.Record)
 	// JobDone delivers job key's final report. Failure to make progress is
 	// not reported here: the environment observes a drained engine through
-	// Step, asks Incomplete for the diagnostic, fails the job, and then
-	// cancels it — so the JobDone that cancel sends finds the job ended.
+	// Step, asks Incomplete for the diagnostic and cancels the job: the
+	// cancel's records reach the job's trace, and the JobDone it sends fails
+	// the job with that diagnostic.
 	JobDone(key int, report *core.Report)
 }
 

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"slices"
 	"strconv"
+	"strings"
 	"time"
 
 	"aimes/client"
@@ -91,10 +92,34 @@ func writeAPIError(w http.ResponseWriter, err error) {
 	writeError(w, http.StatusInternalServerError, err.Error())
 }
 
+// handleSubmit admits a job and answers 201 with its snapshot or, when the
+// request accepts text/event-stream, with the job's event stream: an opening
+// "submitted" event carrying the snapshot, then what GET /v1/jobs/{id}/events
+// sends from Seq 1.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, tn Tenant) {
+	start := time.Now()
+	rec := s.admit(w, r, tn)
+	if rec == nil {
+		return
+	}
+	if s.logf != nil {
+		s.logf("job %s: tenant %s submitted (state %s, shard %d)", rec.id, tn.Name, rec.job.State(), rec.job.Shard())
+	}
+	info := s.reg.info(rec)
+	if strings.Contains(r.Header.Get("Accept"), "text/event-stream") {
+		s.openStream(w, r, rec.job.Subscribe(0), rec, &info, start)
+		return
+	}
+	writeInfo(w, http.StatusCreated, info)
+}
+
+// admit reads, parses and admits a submission, or answers the error and
+// returns nil. The body buffer goes back to the pool before admit returns:
+// nothing the admitted job holds aliases it.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, tn Tenant) *jobRecord {
 	if s.draining.Load() {
 		writeError(w, http.StatusServiceUnavailable, "server is draining (shutting down); no new jobs are admitted")
-		return
+		return nil
 	}
 	body := bodies.Get()
 	defer bodies.Put(body) // the request's last reader is s.reg.submit
@@ -104,26 +129,23 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, tn Tenant)
 	switch {
 	case errors.As(err, &tooLarge):
 		writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("submit: request body larger than the limit of %d MiB", maxSubmitBody>>20))
-		return
+		return nil
 	case err != nil:
 		writeError(w, http.StatusBadRequest, "submit: bad request body: "+err.Error())
-		return
+		return nil
 	}
 	// req.Workload aliases body; wl, and every string in req, does not.
 	req, wl, err := client.ParseSubmitRequest(*body)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "submit: "+err.Error())
-		return
+		return nil
 	}
 	rec, err := s.reg.submit(tn, wl, req)
 	if err != nil {
 		writeAPIError(w, err)
-		return
+		return nil
 	}
-	if s.logf != nil {
-		s.logf("job %s: tenant %s submitted (state %s, shard %d)", rec.id, tn.Name, rec.job.State(), rec.job.Shard())
-	}
-	writeInfo(w, http.StatusCreated, s.reg.info(rec))
+	return rec
 }
 
 // readBody appends a submit body, whole, to buf: at most maxSubmitBody bytes,

@@ -62,27 +62,37 @@ type histogram struct {
 }
 
 // timed wraps the daemon's mux to add each request's duration to the
-// histogram of the route pattern it matched, but for the SSE streams, which
-// last as long as their job or subscriber.
+// histogram of the route pattern it matched, but for event streams, which
+// last as long as their job or subscriber: a streamed submit is observed by
+// its stream, when the submission's answer is flushed (Server.openStream).
 func (m *metrics) timed(mux http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		mux.ServeHTTP(w, r)
-		if r.Pattern == "" || strings.HasSuffix(r.Pattern, "/events") {
+		if strings.HasSuffix(r.Pattern, "/events") || w.Header().Get("Content-Type") == "text/event-stream" {
 			return
 		}
-		d := time.Since(start).Seconds()
-		i, _ := slices.BinarySearch(requestBuckets[:], d) // the first bound d does not exceed
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		h := m.requests[r.Pattern]
-		if h == nil {
-			h = new(histogram)
-			m.requests[r.Pattern] = h
-		}
-		h.counts[i]++
-		h.sum += d
+		m.observe(r.Pattern, time.Since(start))
 	})
+}
+
+// observe adds one request's duration to its route's histogram; a request
+// that matched no route is left out.
+func (m *metrics) observe(route string, d time.Duration) {
+	if route == "" {
+		return
+	}
+	sec := d.Seconds()
+	i, _ := slices.BinarySearch(requestBuckets[:], sec) // the first bound sec does not exceed
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	h := m.requests[route]
+	if h == nil {
+		h = new(histogram)
+		m.requests[route] = h
+	}
+	h.counts[i]++
+	h.sum += sec
 }
 
 // processMetrics are the process's heap and goroutines, read at scrape time

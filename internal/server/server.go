@@ -9,7 +9,10 @@
 //
 // The HTTP surface (all /v1 routes require "Authorization: Bearer <token>"):
 //
-//	POST   /v1/jobs             submit (client.SubmitRequest) -> 201 client.JobInfo
+//	POST   /v1/jobs             submit (client.SubmitRequest) -> 201 client.JobInfo;
+//	                            with Accept: text/event-stream, 201 and the job's
+//	                            SSE stream: "submitted" (client.JobInfo), then
+//	                            what GET /v1/jobs/{id}/events sends
 //	GET    /v1/jobs             list the tenant's retained jobs
 //	GET    /v1/jobs/{id}        job snapshot; ?wait=30s long-polls for finality
 //	DELETE /v1/jobs/{id}        cancel (?reason=...)

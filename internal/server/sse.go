@@ -40,6 +40,14 @@ const eventSizeHint = 192
 // events, Seq as the SSE id), or nil for the environment-wide trace ("trace"
 // events, no id).
 func (s *Server) stream(w http.ResponseWriter, r *http.Request, sub *aimes.TraceSub, rec *jobRecord) {
+	s.openStream(w, r, sub, rec, nil, time.Time{})
+}
+
+// openStream is stream, opened by a submission when submitted is not nil: the
+// status is 201 and the first batch starts with a "submitted" event carrying
+// the admission snapshot. The request's duration, from start, is observed as
+// that batch is flushed — the submit's answer — not when the job ends.
+func (s *Server) openStream(w http.ResponseWriter, r *http.Request, sub *aimes.TraceSub, rec *jobRecord, submitted *client.JobInfo, start time.Time) {
 	defer sub.Close()
 	f, ok := w.(http.Flusher)
 	if !ok {
@@ -51,8 +59,12 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request, sub *aimes.Trace
 	h.Set("Cache-Control", "no-cache")
 	h.Set("Connection", "keep-alive")
 	h.Set("X-Accel-Buffering", "no") // defeat proxy buffering
-	w.WriteHeader(http.StatusOK)
-	f.Flush()
+	if submitted == nil {
+		w.WriteHeader(http.StatusOK)
+		f.Flush()
+	} else {
+		w.WriteHeader(http.StatusCreated) // flushed with the snapshot
+	}
 
 	name, kind := "trace", "env"
 	if rec != nil {
@@ -68,6 +80,11 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request, sub *aimes.Trace
 		n, seq, done := sub.Read(buf[:])
 		c := sseCounters{events: int64(n), flushes: 1}
 		b := slices.Grow(*out, n*eventSizeHint+infoSizeHint) // room for the largest batch and the end
+		if submitted != nil {
+			if e, err := client.AppendJobInfo(append(b, "event: submitted\ndata: "...), submitted); err == nil {
+				b = append(e, "\n\n"...)
+			}
+		}
 		if d := sub.Dropped(); d > dropped {
 			c.dropped, dropped = d-dropped, d
 			b = append(strconv.AppendInt(append(b, "event: dropped\ndata: {\"count\":"...), d, 10), "}\n\n"...)
@@ -87,6 +104,10 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request, sub *aimes.Trace
 		}
 		*out = b[:0]
 		if c.bytes = int64(len(b)); c.bytes > 0 {
+			if submitted != nil { // before the client can read its answer
+				s.met.observe(r.Pattern, time.Since(start))
+				submitted = nil
+			}
 			if _, err := w.Write(b); err != nil {
 				return
 			}

@@ -202,7 +202,7 @@ type Job struct {
 	migratedFrom int  // origin shard of the hop, -1 when never migrated
 	completed    bool
 	report       *Report
-	err          error
+	err          error // set ahead of completion by the drain verdict
 	cancelReason string
 	done         chan struct{}
 }
@@ -470,6 +470,9 @@ func (j *Job) complete(r *Report, err error) {
 		return
 	}
 	j.completed = true
+	if j.err != nil { // failed by the drain verdict, completed by its cancel
+		r, err = nil, j.err
+	}
 	j.report, j.err = r, err
 	j.w = nil
 	st := JobDone

@@ -634,7 +634,9 @@ func TestFinishedJobReleasesItsWorkload(t *testing.T) {
 	})
 
 	// Wedged: three jobs whose only pilot sits in an offline site's queue
-	// when the engine drains. Waiting on the first ends all three.
+	// when the engine drains. Waiting on the first ends all three, each
+	// failed with the backend's diagnostic and a trace that ends with every
+	// pilot and unit in a final state.
 	t.Run("wedged", func(t *testing.T) {
 		env, err := aimes.NewEnv(aimes.WithSeed(3), aimes.WithShards(1))
 		if err != nil {
@@ -649,7 +651,33 @@ func TestFinishedJobReleasesItsWorkload(t *testing.T) {
 		}
 		for i, j := range jobs {
 			released(t, j, ws[i], aimes.JobFailed)
+			if err := j.Err(); err == nil || !strings.Contains(err.Error(), "incomplete") {
+				t.Errorf("job %d failed with %v, want the backend's drained-but-incomplete diagnostic", j.ID(), err)
+			}
+			tracedToFinalStates(t, j)
 		}
 		noQueuedPilots(t, env)
 	})
+}
+
+// tracedToFinalStates checks that an ended job's trace leaves none of its
+// pilots and units mid-flight: each one's last recorded state is final.
+func tracedToFinalStates(t *testing.T, j *aimes.Job) {
+	t.Helper()
+	last := make(map[string]string)
+	for ev := range j.Events() {
+		if strings.HasPrefix(ev.Entity, "pilot.") || strings.HasPrefix(ev.Entity, "unit.") {
+			last[ev.Entity] = ev.State
+		}
+	}
+	if len(last) == 0 {
+		t.Fatalf("job %d traced no pilot or unit", j.ID())
+	}
+	for entity, state := range last {
+		switch state {
+		case "DONE", "FAILED", "CANCELED":
+		default:
+			t.Errorf("job %d: %s's trace ends %s", j.ID(), entity, state)
+		}
+	}
 }

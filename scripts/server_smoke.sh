@@ -3,8 +3,8 @@
 # both the local and TCP-worker backends: build the shipped binaries, start
 # the daemon on an ephemeral port with two quota-limited tenants, and drive
 # the HTTP surface with curl — admission vs 429 quota rejection, tenant
-# isolation, SSE event streaming, reconnect-and-wait by job ID, Prometheus
-# counters, the -pprof heap profile (local leg), and a graceful SIGTERM
+# isolation, SSE event streaming, reconnect-and-wait by job ID, a submit
+# answered with its job's event stream, Prometheus counters, the -pprof heap profile (local leg), and a graceful SIGTERM
 # drain.
 set -eu
 cd "$(dirname "$0")/.."
@@ -134,6 +134,19 @@ run_leg() { # run_leg LABEL [extra aimes-server flags...]
         fail "$label: metrics missing alice's quota rejection"
     grep -q 'aimes_jobs_completed_total{tenant="bob"} 1' "$work/metrics.txt" ||
         fail "$label: metrics missing bob's completion"
+
+    # A submit that accepts text/event-stream is answered with the job's SSE
+    # stream: the submitted snapshot, the job's events with their sequence
+    # ids, then done.
+    curl -sN --max-time 30 -H "$bob" -H 'Accept: text/event-stream' -X POST \
+        --data-binary @"$work/small.json" "$base/v1/jobs" >"$work/submit-sse.txt" ||
+        fail "$label: streamed submit: curl exited $?"
+    first=$(grep '^event: ' "$work/submit-sse.txt" | head -n 1)
+    last=$(grep '^event: ' "$work/submit-sse.txt" | tail -n 1)
+    [ "$first" = "event: submitted" ] || fail "$label: streamed submit opens with '$first', want 'event: submitted'"
+    [ "$last" = "event: done" ] || fail "$label: streamed submit ends with '$last', want 'event: done'"
+    grep -q '^id: ' "$work/submit-sse.txt" || fail "$label: streamed submit's events carry no sequence ids"
+    echo "[$label] streamed submit: submitted, $(grep -c '^event: job' "$work/submit-sse.txt") job events, done"
 
     # Profiles on demand: -pprof serves net/http/pprof on a listener of its
     # own, never on the API's.

@@ -306,12 +306,12 @@ func (sh *shardEnv) pump(j *Job) {
 
 // drained is the verdict on a shard whose engine ran out of events: nothing
 // scheduled can make an enacted job progress, so every one it holds is
-// wedged. They fail in ID order with the backend's diagnostic, each canceled
-// right after so the backend finishes its execution — its pilots leave
-// their site queues and the backend drops it; the job has completed first,
-// so the completion the cancel sends is a no-op. The gate is held until the
-// last has failed, then admits the queue once. With nothing enacted it only
-// admits. Runs under mu.
+// wedged. They fail in ID order with the backend's diagnostic, each through
+// a cancel, so the backend finishes its execution — its pilots leave their
+// site queues, the cancel's records reach the job's trace, and the backend
+// drops it — and the completion that cancel sends fails the job with the
+// diagnostic. The gate is held until the last has failed, then admits the
+// queue once. With nothing enacted it only admits. Runs under mu.
 func (sh *shardEnv) drained() {
 	if sh.adm.running == 0 {
 		sh.adm.admit()
@@ -324,8 +324,12 @@ func (sh *shardEnv) drained() {
 		if j.State() != JobRunning {
 			continue
 		}
-		j.complete(nil, sh.be.Incomplete(j.id))
+		diag := sh.be.Incomplete(j.id)
+		j.mu.Lock()
+		j.err = diag // the outcome the cancel's completion takes
+		j.mu.Unlock()
 		_ = sh.be.Cancel(j.id, "engine drained") // a dead worker's error reaches its death handler
+		j.complete(nil, diag)                    // when no completion came back
 	}
 	sh.adm.release()
 }
