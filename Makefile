@@ -74,10 +74,12 @@ soak:
 # BENCH=BenchmarkFigure2 BENCHTIME=3x is the whole paper matrix as the
 # experiment harness runs it, where a fresh environment and the workload's
 # generation per run dominate the bytes.
-# BENCH=BenchmarkServiceJobSSE is the service-stream path (client, daemon, SSE)
-# and BENCH=BenchmarkWorkerJob the parent side of fleet-mixed's wire; those
-# want BENCHTIME=500x or so. A perf change names its layer from these tables,
-# before and after. bench/ itself has no profile flag.
+# BENCH=BenchmarkServiceJobSSE BENCHTIME=500x is the service-stream path
+# (client, daemon, SSE). BENCH=BenchmarkWorkerJob BENCHTIME=300x profiles the
+# parent's share of fleet-mixed: one stdio worker shard, the descriptors
+# encoded and every Step response decoded and dispatched on this side (the
+# worker child's own time is not in it). A perf change names its layer from
+# these tables, before and after. bench/ itself has no profile flag.
 BENCH ?= BenchmarkPaperMatrixJob$$
 BENCHTIME ?= 720x
 profile:

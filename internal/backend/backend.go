@@ -131,4 +131,9 @@ type Config struct {
 	Sites []site.Config `json:"sites"`
 	// Pilot overrides the default middleware configuration when non-nil.
 	Pilot *pilot.Config `json:"pilot,omitempty"`
+	// JobSeq is how many jobs the shard enacted before this stack was
+	// built: its first job is "s<shard>-j<JobSeq+1>". A respawned worker
+	// is dialed with its predecessors' count, so it continues their
+	// numbering instead of reusing their namespaces.
+	JobSeq int `json:"job_seq,omitempty"`
 }

@@ -19,7 +19,7 @@ const (
 // layout version, so a parent and a worker built with different payload
 // layouts fail the init exchange instead of misreading a job's frames. Bump
 // it with every layout change.
-const binaryWire = CodecBinary + "/4"
+const binaryWire = CodecBinary + "/5"
 
 // A codec encodes request and response payloads (the bytes inside a frame).
 // Encoders append to a caller-owned buffer so the hot path reuses one

@@ -10,33 +10,61 @@ import (
 	"time"
 
 	"aimes/internal/core"
+	"aimes/internal/sim"
 	"aimes/internal/skeleton"
 	"aimes/internal/trace"
 )
 
 // binaryCodec is the compact payload encoding, negotiated at init. Every
-// per-job payload has a native layout — a Step response's trace records
-// (trace.WireRecord's wire form), the descriptor with its workload, the
-// strategy, the strategy config, the report: varints, length-prefixed
-// strings, floats as their 8 bytes of bits, and lists and maps as their
-// count plus one (0 is nil, so nil and empty both survive) with map entries
-// sorted. Only the init Config, chaos events and the rare AdaptiveConfig
-// ride as length-prefixed JSON blobs. When the job payloads were JSON blobs
-// too, a 512-task descriptor cost 0.37 ms to encode and 2.25 ms and 3 616
-// allocations to decode (128 KB); in this layout it is 0.04 ms, and 0.12 ms
-// and 7 allocations (46 KB), on a 2-CPU x86-64 Linux machine.
-// FuzzCodecRoundTrip holds both codecs to the same decoded values.
+// per-job payload has a native layout — a Step response's events, the
+// descriptor with its workload, the strategy, the strategy config, the
+// report: varints, length-prefixed strings, floats as their 8 bytes of bits,
+// and lists and maps as their count plus one (0 is nil, so nil and empty
+// both survive) with map entries sorted. Only the init Config, chaos events
+// and the rare AdaptiveConfig ride as length-prefixed JSON blobs. When the
+// job payloads were JSON blobs too, a 512-task descriptor cost 0.37 ms to
+// encode and 2.25 ms and 3 616 allocations to decode (128 KB); in this
+// layout it is 0.04 ms, and 0.12 ms and 7 allocations (46 KB), on a 2-CPU
+// x86-64 Linux machine. FuzzCodecRoundTrip holds both codecs to the same
+// decoded values.
 //
-// A binaryCodec instance is stateful — the decode side interns entity,
-// state, detail, namespace and resource strings, because a shard emits the
-// same few dozen of them millions of times — so each session side owns a
-// fresh instance, and on the parent every use of it (a response's fields, a
-// chunk of its events) runs under the session's lock. Strings unique to one
-// payload (a workload's task and file names, a report's pilot IDs) are
-// carved from one arena per payload instead, and nothing a decode returns
-// aliases the frame.
+// A response's events carry each string once. The layout of a response is
+//
+//	id, err, diag, codec, flags, fired, [enacted], [strategy], event count
+//	string table: count, then each distinct string of the events
+//	events:       kind, key, namespace, bits, [record], [report]
+//	record:       time delta, entity, state, detail
+//
+// where namespace, entity, state and detail are uvarint indices into the
+// frame's table (0 is the empty string, 1 its first entry) and a record's
+// time is a zigzag varint delta from the frame's previous record (from 0).
+// The table is scoped to the frame, never to a stream, so every frame
+// decodes on its own: the parent dispatches a frame a chunk at a time, and a
+// nested call may read other frames between two of its chunks. In the
+// 512-record frame BenchmarkStepFrameDecode records, a record takes 18.1
+// bytes: 8.5 for its event and 9.6 of table.
+//
+// A binaryCodec instance is stateful, so each session side owns a fresh
+// instance. The host builds each response's table in a map it clears
+// between frames. The parent resolves a table once per frame, through an
+// intern table of entity, state, detail, namespace and resource strings
+// (a shard emits the same few dozen of them millions of times), so
+// dispatching a record costs no hash lookup; a string new to the session
+// is copied into the codec's arena, 4 KB chunks that only ever append, not
+// allocated on its own. On the parent every use of the codec (a response's
+// fields, a chunk of its events) runs under the session's lock. Strings
+// unique to one payload (a workload's task and file names, a report's
+// pilot IDs) are carved from one arena per payload instead, and nothing a
+// decode returns aliases the frame.
 type binaryCodec struct {
 	strings map[string]string
+	arena   strings.Builder // the intern table's strings, a chunk at a time
+
+	// The host's side: the table of the response being encoded (index
+	// maps a string to its entry, 1-based) and its events' bytes.
+	index map[string]uint64
+	table []string
+	body  []byte
 }
 
 func newBinaryCodec() *binaryCodec {
@@ -47,8 +75,12 @@ func newBinaryCodec() *binaryCodec {
 // resets it rather than growing without bound.
 const internMax = 4096
 
+// arenaChunk is the size of one chunk of the intern table's arena.
+const arenaChunk = 4 << 10
+
 // intern returns a canonical string for b without allocating on a hit (the
 // map[string]string lookup keyed by string(b) does not materialize the key).
+// A miss copies b into the arena.
 func (c *binaryCodec) intern(b []byte) string {
 	if len(b) == 0 {
 		return ""
@@ -59,9 +91,30 @@ func (c *binaryCodec) intern(b []byte) string {
 	if len(c.strings) >= internMax {
 		c.strings = make(map[string]string, 64)
 	}
-	s := string(b)
+	if c.arena.Cap()-c.arena.Len() < len(b) {
+		c.arena = strings.Builder{}
+		c.arena.Grow(max(arenaChunk, len(b)))
+	}
+	start := c.arena.Len()
+	c.arena.Write(b)
+	s := c.arena.String()[start:]
 	c.strings[s] = s
 	return s
+}
+
+// ref returns s's index in the table of the response being encoded,
+// adding it on first use.
+func (c *binaryCodec) ref(s string) uint64 {
+	if s == "" {
+		return 0
+	}
+	if i, ok := c.index[s]; ok {
+		return i
+	}
+	c.table = append(c.table, s)
+	i := uint64(len(c.table))
+	c.index[s] = i
+	return i
 }
 
 // Request opcodes: an op's index here is its byte on the wire. Zero is
@@ -373,9 +426,34 @@ func (c *binaryCodec) AppendResponse(dst []byte, resp *response) ([]byte, error)
 		dst = appendStrategy(dst, resp.Strategy)
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(resp.Events)))
+	if len(resp.Events) == 0 {
+		return dst, nil
+	}
+	body, err := c.appendEvents(c.body[:0], resp.Events)
+	c.body = body
+	if err != nil {
+		return dst, err
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(c.table)))
+	for _, s := range c.table {
+		dst = appendWireString(dst, s)
+	}
+	return append(dst, body...), nil
+}
+
+// appendEvents appends events in their frame form and leaves the strings
+// they refer to in c.table, in order of first use.
+func (c *binaryCodec) appendEvents(dst []byte, events []wireEvent) ([]byte, error) {
+	if c.index == nil {
+		c.index = make(map[string]uint64, 256)
+	}
+	clear(c.index)
+	c.table = c.table[:0]
+	var at int64 // the previous record's time
+	lastNS, nsRef := "", uint64(0)
 	var err error
-	for i := range resp.Events {
-		ev := &resp.Events[i]
+	for i := range events {
+		ev := &events[i]
 		if code := wireCode(eventNames[:], ev.Kind); code != 0 {
 			dst = append(dst, code)
 		} else {
@@ -383,7 +461,10 @@ func (c *binaryCodec) AppendResponse(dst []byte, resp *response) ([]byte, error)
 			dst = appendWireString(dst, ev.Kind)
 		}
 		dst = binary.AppendVarint(dst, int64(ev.Key))
-		dst = appendWireString(dst, ev.NS)
+		if ev.NS != lastNS {
+			lastNS, nsRef = ev.NS, c.ref(ev.NS)
+		}
+		dst = binary.AppendUvarint(dst, nsRef)
 		var ebits byte
 		if ev.Rec != nil {
 			ebits |= evHasRec
@@ -392,8 +473,12 @@ func (c *binaryCodec) AppendResponse(dst []byte, resp *response) ([]byte, error)
 			ebits |= evHasReport
 		}
 		dst = append(dst, ebits)
-		if ev.Rec != nil {
-			dst = ev.Rec.AppendWire(dst)
+		if rec := ev.Rec; rec != nil {
+			dst = binary.AppendVarint(dst, int64(rec.Time)-at)
+			at = int64(rec.Time)
+			dst = binary.AppendUvarint(dst, c.ref(rec.Entity))
+			dst = binary.AppendUvarint(dst, c.ref(rec.State))
+			dst = binary.AppendUvarint(dst, c.ref(rec.Detail))
 		}
 		if ev.Report != nil {
 			if dst, err = appendReport(dst, ev.Report); err != nil {
@@ -439,15 +524,25 @@ func (c *binaryCodec) DecodeResponse(data []byte, resp *response) error {
 	if max := uint64(len(r.data)/4 + 1); n > max {
 		return fmt.Errorf("backend: decoding frame: event count %d exceeds payload", n)
 	}
+	// The table goes into the storage the call brought along with its
+	// frame, grown as entries are read: each takes at least its length
+	// byte, so a forged count is refused before anything is reserved.
+	table := resp.tail.table[:0]
+	for k := r.count(1); k > 0 && r.err == nil; k-- {
+		table = append(table, c.intern(r.bytes()))
+	}
+	if r.err != nil {
+		return r.err
+	}
 	resp.Events = nil
-	resp.tail = eventTail{left: int(n), bin: c, rd: binReader{data: r.data}}
+	resp.tail = eventTail{left: int(n), bin: c, table: table, rd: binReader{data: r.data}}
 	return nil
 }
 
 // readEvents decodes the next up to len(dst) of t's events into dst, and
-// after the last one checks that the frame ends there. Its strings are
-// interned and its records copied out of the frame; only a completion's
-// report is allocated. On an error no event of dst is valid.
+// after the last one checks that the frame ends there. Its strings are the
+// frame's table entries, resolved when the frame was read; only a
+// completion's report is allocated. On an error no event of dst is valid.
 func (c *binaryCodec) readEvents(t *eventTail, dst []event) (int, error) {
 	r := &t.rd
 	n := min(t.left, len(dst))
@@ -460,15 +555,12 @@ func (c *binaryCodec) readEvents(t *eventTail, dst []event) (int, error) {
 			return 0, fmt.Errorf("backend: decoding frame: unknown event kind %d", code)
 		}
 		ev.key = int(r.varint())
-		ev.ns = c.intern(r.bytes())
+		ev.ns = t.str()
 		ev.rec, ev.report = trace.Record{}, nil
 		ebits := r.byte()
-		if ebits&evHasRec != 0 && r.err == nil {
-			rest, err := (*trace.WireRecord)(&ev.rec).DecodeWire(r.data, c.intern)
-			if err != nil {
-				return 0, err
-			}
-			r.data = rest
+		if ebits&evHasRec != 0 {
+			t.at += r.varint()
+			ev.rec = trace.Record{Time: sim.Time(t.at), Entity: t.str(), State: t.str(), Detail: t.str()}
 		} else if code == kindTrace {
 			code = 0
 		}
@@ -486,6 +578,19 @@ func (c *binaryCodec) readEvents(t *eventTail, dst []event) (int, error) {
 		}
 	}
 	return n, nil
+}
+
+// str reads a string's index into the frame's table.
+func (t *eventTail) str() string {
+	i := t.rd.uvarint()
+	if i > uint64(len(t.table)) {
+		t.rd.fail("string %d past the frame's %d-entry table", i, len(t.table))
+		return ""
+	}
+	if i == 0 {
+		return ""
+	}
+	return t.table[i-1]
 }
 
 func (c *binaryCodec) readDescriptor(r *binReader) *Descriptor {

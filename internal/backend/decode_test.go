@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -43,6 +44,44 @@ func traceResponse(t testing.TB, n int, id uint64) []byte {
 		t.Fatal(err)
 	}
 	return buf
+}
+
+// jobResponse encodes a Step response for job shaped like a real job's
+// first frame: n trace records whose namespace, two pilot IDs and their
+// batch jobs' details no other job uses, among units named as every job's
+// are, and one completion. It also returns the bytes of the strings no
+// other job uses.
+func jobResponse(t testing.TB, n, job int) ([]byte, int) {
+	t.Helper()
+	ns := fmt.Sprintf("s0-j%d", job)
+	pilots := []string{fmt.Sprintf("pilot.stampede.%s-1", ns), fmt.Sprintf("pilot.comet.%s-2", ns)}
+	fresh := []string{ns, pilots[0], pilots[1], fmt.Sprintf("stampede.%04d", job), fmt.Sprintf("comet.%04d", job),
+		pilots[0] + ", 1048576 bytes", pilots[1] + ", 1048576 bytes"}
+	resp := &response{ID: 0, Fired: n, Drained: true}
+	for i := 0; i < n; i++ {
+		rec := &trace.WireRecord{Time: sim.Time(i) * 1e9}
+		switch {
+		case i < 4:
+			rec.Entity, rec.State, rec.Detail = pilots[i%2], []string{"NEW", "LAUNCHING"}[i/2], fresh[3+i%2]
+		default:
+			rec.Entity = fmt.Sprintf("unit.stage-0.%05d", i%96)
+			rec.State = []string{"SCHEDULING", "STAGING_INPUT", "EXECUTING", "DONE"}[i%4]
+			if rec.State == "STAGING_INPUT" {
+				rec.Detail = fresh[5+i%2]
+			}
+		}
+		resp.Events = append(resp.Events, wireEvent{Kind: eventTrace, Key: job, NS: ns, Rec: rec})
+	}
+	resp.Events = append(resp.Events, wireEvent{Kind: eventDone, Key: job, Report: &core.Report{UnitsDone: n}})
+	buf, err := newBinaryCodec().AppendResponse(nil, resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := 0
+	for _, s := range fresh {
+		text += len(s)
+	}
+	return buf, text
 }
 
 // sinkCall is one callback a sink received.
@@ -147,7 +186,8 @@ func cannedWorker(t *testing.T, reply *atomic.Pointer[[]byte]) Transport {
 // Step through Worker.call — request, frame, fields, every event decoded
 // and dispatched — allocates nothing but the completion's report, whether
 // it carries 512 records or 4 096, once the read buffer has grown and the
-// intern table has seen the shard's vocabulary.
+// intern table has seen the shard's vocabulary; and a Step that brings
+// strings new to the session costs at most one allocation more on average.
 func TestWorkerStepAllocatesOnlyItsReport(t *testing.T) {
 	var reply atomic.Pointer[[]byte]
 	sink := &countSink{}
@@ -179,6 +219,39 @@ func TestWorkerStepAllocatesOnlyItsReport(t *testing.T) {
 			t.Errorf("a %d-record Step costs %.0f allocations, want its report's %.0f", n, got, report)
 		}
 	}
+
+	// Each Step of a real job brings strings new to the session. They are
+	// copied into the codec's arena, so beyond its report a Step costs at
+	// most one allocation on average: its share of the arena chunks and of
+	// the intern table's growth, not one allocation per new string.
+	const steps = 64
+	frames := make([][]byte, steps)
+	text := 0
+	for i := range frames {
+		payload, fresh := jobResponse(t, 512, 100+i)
+		frames[i], text = cannedFrame(t, payload), text+fresh
+	}
+	rep, err := appendReport(nil, &core.Report{UnitsDone: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newBinaryCodec()
+	report := testing.AllocsPerRun(20, func() { c.readReport(&binReader{data: rep}) })
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range frames {
+		reply.Store(&frames[i])
+		if _, _, err := w.Step(512); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	extra := float64(after.Mallocs-before.Mallocs)/steps - report
+	t.Logf("%d Steps of fresh jobs (%d new bytes, %d arena chunks): %.2f allocations each beyond the report's %.0f",
+		steps, text, (text+arenaChunk-1)/arenaChunk, extra, report)
+	if extra > 1 {
+		t.Errorf("a Step of a fresh job costs %.2f allocations beyond its report's %.0f, want at most one", extra, report)
+	}
 }
 
 // TestHostStepAllocatesPerBatch pins the worker side of the wire: a Step's
@@ -201,6 +274,65 @@ func TestHostStepAllocatesPerBatch(t *testing.T) {
 	if small, large := step(512), step(4096); small != large {
 		t.Errorf("a Step response allocates %.0f objects at 512 records and %.0f at 4096, want the same", small, large)
 	}
+}
+
+// recordedStep returns the binary payload of a Step response as a shard
+// sends it: 512 trace events that three jobs of 8, 64 and 512 tasks, run
+// together on one Local, recorded after their first 256.
+func recordedStep(t testing.TB) []byte {
+	t.Helper()
+	var sink bufSink
+	l, err := NewLocal(Config{Seed: 7741}, &sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for key, n := range []int{8, 64, 512} {
+		w, err := skeleton.Generate(skeleton.BagOfTasks(n, skeleton.Constant(600)), int64(key))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := l.Enact(&Descriptor{Key: key + 1, MigratedFrom: -1, Descriptor: core.Descriptor{
+			Workload: w,
+			Config:   core.StrategyConfig{Binding: core.LateBinding, Scheduler: core.SchedBackfill, Pilots: 2},
+		}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for len(sink.events) < 256+512 {
+		if _, drained, _ := l.Step(64); drained {
+			t.Fatalf("the jobs traced %d events, want %d", len(sink.events), 256+512)
+		}
+	}
+	payload, err := newBinaryCodec().AppendResponse(nil, &response{Fired: 512, Events: sink.events[256 : 256+512]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return payload
+}
+
+// BenchmarkStepFrameDecode decodes a recorded 512-record Step response and
+// dispatches its events, as the parent does with every Step of a worker
+// shard, with a warm intern table and the frame's storage reused; it
+// reports the time and the wire bytes per record.
+func BenchmarkStepFrameDecode(b *testing.B) {
+	frame := recordedStep(b)
+	c, s, sink := newBinaryCodec(), &session{}, &countSink{}
+	var buf frameBuf
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		resp := response{tail: eventTail{table: buf.table}}
+		if err := c.DecodeResponse(frame, &resp); err != nil {
+			b.Fatal(err)
+		}
+		resp.tail.frame = frame
+		if err := s.dispatch(&resp.tail, sink); err != nil {
+			b.Fatal(err)
+		}
+		buf, s.frames = s.frames[0], s.frames[:0]
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*512), "ns/record")
+	b.ReportMetric(float64(len(frame))/512, "B/record")
 }
 
 // allocated reports the bytes decode allocates and its verdict.
@@ -260,19 +392,75 @@ func TestDecodeResponseForgedCount(t *testing.T) {
 	header := func(bits byte) []byte {
 		return []byte{1, 0, 0, 0, bits, 0} // ID 1; Err, Diag, Codec empty; flags; Fired 0
 	}
-	// One done event (kind, key 0, no namespace) whose report has an empty
-	// arena, a zero strategy (nil resources) and ten zero scalars.
-	report := append(header(0), 1, kindDone, 0, 0, evHasReport)
+	// One done event (an empty string table; kind, key 0, no namespace)
+	// whose report has an empty arena, a zero strategy (nil resources) and
+	// ten zero scalars.
+	report := append(header(0), 1, 0, kindDone, 0, 0, evHasReport)
 	decode := func(frame []byte) error {
 		_, _, err := decodeResponse(newBinaryCodec(), frame)
 		return err
 	}
 	checkForgedCounts(t, decode, []forgedCount{
 		{"event count", header(0), nil, 4, false},
+		{"string table", append(header(0), 1), nil, 1, false},
 		{"enacted resources", append(header(respHasEnacted), 0, 0, 0, 0), nil, 1, false},
 		{"report pilot waits", append(slices.Clone(report), make([]byte, 20)...), nil, 2, false},
 		{"report arena", report, nil, 1, true},
 	})
+}
+
+// TestForgedStringTableFailsSession: a Step response whose events name a
+// string its table does not hold, or whose table claims more entries than
+// the frame holds, fails the session with the decoder's error, reaches no
+// sink and panics nowhere.
+func TestForgedStringTableFailsSession(t *testing.T) {
+	// A Step response (ID 0, no Err, Diag or Codec, no flags, fired 1)
+	// carrying one event, then its string table and its trace event:
+	// kind, key 1, namespace, a record flag, time delta 0, and the entity,
+	// state and detail.
+	frame := func(table []string, ns, entity, state, detail byte) []byte {
+		b := []byte{0, 0, 0, 0, 0, 2, 1}
+		b = binary.AppendUvarint(b, uint64(len(table)))
+		for _, s := range table {
+			b = appendWireString(b, s)
+		}
+		return append(b, kindTrace, 2, ns, evHasRec, 0, entity, state, detail)
+	}
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+		want    string
+	}{
+		{"well formed", frame([]string{"s0-j1", "unit.0001", "DONE"}, 1, 2, 3, 0), ""},
+		{"index past the table", frame([]string{"s0-j1", "unit.0001", "DONE"}, 1, 2, 4, 0), "string 4 past the frame's 3-entry table"},
+		{"empty table", frame(nil, 1, 0, 0, 0), "string 1 past the frame's 0-entry table"},
+		{"table count beyond the payload", append([]byte{0, 0, 0, 0, 0, 2, 1, 200, 1}, frame(nil, 0, 0, 0, 0)[8:]...), "count 200 exceeds the payload"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := cannedFrame(t, tc.payload)
+			var reply atomic.Pointer[[]byte]
+			reply.Store(&f)
+			sink := &callSink{}
+			w, err := Connect(cannedWorker(t, &reply), WorkerOptions{}, Config{Seed: 1}, sink, func(error) {})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.Kill()
+			_, _, err = w.Step(1)
+			if tc.want == "" {
+				if err != nil || len(sink.calls) != 1 || sink.calls[0].rec.State != "DONE" || sink.calls[0].ns != "s0-j1" {
+					t.Fatalf("Step = %v, calls %+v", err, sink.calls)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), "decoding frame: "+tc.want) {
+				t.Fatalf("Step = %v, want the decoder's %q", err, tc.want)
+			}
+			if !w.Dead() || len(sink.calls) != 0 {
+				t.Fatalf("after a forged table: dead %v, sink calls %+v", w.Dead(), sink.calls)
+			}
+		})
+	}
 }
 
 // TestDecodeRequestForgedCount is the worker's side: a forged task, file,
@@ -383,12 +571,12 @@ func (s *nestingSink) JobDone(key int, report *core.Report) {
 }
 
 // TestNestedEnactKeepsOuterBatch pins why the call dispatching a response
-// owns its frame and its decode chunk: a dispatched JobDone enacts the next
-// job, a nested exchange on the same session that reads a frame and runs
-// the decoder again, and the rest of the outer batch must still reach the
-// sink as the worker sent it. The JSON codec decodes a response whole, so
-// it is the reference: both codecs must deliver the same callbacks in the
-// same order.
+// owns its frame, its string table and its decode chunk: a dispatched
+// JobDone enacts the next job, a nested exchange on the same session that
+// reads a frame and runs the decoder again, and the rest of the outer batch
+// must still reach the sink as the worker sent it. The JSON codec decodes a
+// response whole, so it is the reference: both codecs must deliver the same
+// callbacks in the same order.
 func TestNestedEnactKeepsOuterBatch(t *testing.T) {
 	desc := func(key, tasks int, seconds float64) *Descriptor {
 		w, err := skeleton.Generate(skeleton.BagOfTasks(tasks, skeleton.Constant(seconds)), int64(key))
@@ -400,9 +588,11 @@ func TestNestedEnactKeepsOuterBatch(t *testing.T) {
 			Config:   core.StrategyConfig{Binding: core.LateBinding, Scheduler: core.SchedBackfill, Pilots: 2},
 		}}
 	}
-	run := func(codec string) *nestingSink {
+	var read bytes.Buffer // what the binary session read, frame by frame
+	run := func(codec string, batch int) *nestingSink {
 		sink := &nestingSink{next: desc(3, 128, 120)}
-		w, err := Connect(pipeWorker(t), WorkerOptions{Codec: codec}, Config{Shard: 0, Seed: 11}, sink, nil)
+		read.Reset()
+		w, err := Connect(tapTransport{pipeWorker(t), &read}, WorkerOptions{Codec: codec}, Config{Shard: 0, Seed: 11}, sink, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -413,11 +603,8 @@ func TestNestedEnactKeepsOuterBatch(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		// Short batches and a nested enact whose response (a 128-task job's
-		// opening records) is longer than any of them: whatever the nested
-		// decode reuses, it overwrites past the interrupted batch's position.
 		for i := 0; i < 10000 && len(sink.done) < 3; i++ {
-			if _, _, err := w.Step(64); err != nil {
+			if _, _, err := w.Step(batch); err != nil {
 				t.Fatal(err)
 			}
 			sink.nested = false // only the interrupted batch counts
@@ -427,24 +614,91 @@ func TestNestedEnactKeepsOuterBatch(t *testing.T) {
 		}
 		return sink
 	}
-	bin, ref := run(CodecBinary), run(CodecJSON)
-	if bin.after == 0 {
-		t.Fatal("the nested enact interrupted no batch: the test exercises nothing")
-	}
-	if !reflect.DeepEqual(bin.keys, ref.keys) || !reflect.DeepEqual(bin.ns, ref.ns) || !reflect.DeepEqual(bin.traces, ref.traces) {
-		for i := range ref.traces {
-			if i >= len(bin.traces) || bin.traces[i] != ref.traces[i] || bin.keys[i] != ref.keys[i] || bin.ns[i] != ref.ns[i] {
-				t.Fatalf("record %d of %d: binary delivered job %d %q %+v, want job %d %q %+v", i, len(ref.traces),
-					bin.keys[i], bin.ns[i], bin.traces[i], ref.keys[i], ref.ns[i], ref.traces[i])
+	// Short batches, and a nested enact whose response (a 128-task job's
+	// opening records) is longer than any of them: whatever the nested
+	// decode reuses, it overwrites past the interrupted batch's position.
+	// Long batches, whose interrupted frame still has whole chunks to decode
+	// after the nested call returns, with its own string table: the nested
+	// frame's table numbers other strings, so a decode that read the rest
+	// of the batch through the nested table would hand it the wrong ones.
+	for _, batch := range []int{64, 512} {
+		bin := run(CodecBinary, batch)
+		outer, nested := nestedTables(t, read.Bytes(), "s0-j3")
+		ref := run(CodecJSON, batch)
+		if bin.after == 0 || batch > eventChunk && bin.after <= eventChunk {
+			t.Fatalf("batch %d: %d records of the interrupted batch followed the nested enact: the test exercises nothing", batch, bin.after)
+		}
+		if len(outer) == 0 || len(nested) == 0 || outer[0] == nested[0] {
+			t.Fatalf("batch %d: the interrupted frame's table %q and the nested enact's %q start alike: the test exercises nothing", batch, outer, nested)
+		}
+		if !reflect.DeepEqual(bin.keys, ref.keys) || !reflect.DeepEqual(bin.ns, ref.ns) || !reflect.DeepEqual(bin.traces, ref.traces) {
+			for i := range ref.traces {
+				if i >= len(bin.traces) || bin.traces[i] != ref.traces[i] || bin.keys[i] != ref.keys[i] || bin.ns[i] != ref.ns[i] {
+					t.Fatalf("batch %d, record %d of %d: binary delivered job %d %q %+v, want job %d %q %+v", batch, i, len(ref.traces),
+						bin.keys[i], bin.ns[i], bin.traces[i], ref.keys[i], ref.ns[i], ref.traces[i])
+				}
+			}
+			t.Fatalf("batch %d: binary delivered %d records, JSON %d", batch, len(bin.traces), len(ref.traces))
+		}
+		for key, r := range ref.done {
+			if !reflect.DeepEqual(bin.done[key], r) {
+				t.Errorf("batch %d, job %d: report differs across codecs", batch, key)
 			}
 		}
-		t.Fatalf("binary delivered %d records, JSON %d", len(bin.traces), len(ref.traces))
 	}
-	for key, r := range ref.done {
-		if !reflect.DeepEqual(bin.done[key], r) {
-			t.Errorf("job %d: report differs across codecs", key)
+}
+
+// tapTransport copies every byte its connection reads into read.
+type tapTransport struct {
+	Transport
+	read *bytes.Buffer
+}
+
+func (t tapTransport) Dial(shard int, onDeath func(error)) (Conn, error) {
+	c, err := t.Transport.Dial(shard, onDeath)
+	if err != nil {
+		return nil, err
+	}
+	return &tapConn{Conn: c, read: t.read}, nil
+}
+
+type tapConn struct {
+	Conn
+	read *bytes.Buffer
+}
+
+func (c *tapConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.read.Write(p[:n])
+	return n, err
+}
+
+// nestedTables splits what a binary session read into frames, finds the
+// enact response that assigned namespace ns, and returns the string table of
+// the frame before it (the Step whose dispatch made the nested call) and
+// its own.
+func nestedTables(t *testing.T, read []byte, ns string) (outer, nested []string) {
+	t.Helper()
+	var frames [][]byte
+	for len(read) >= 4 {
+		n := binary.BigEndian.Uint32(read)
+		frames, read = append(frames, read[4:4+n]), read[4+n:]
+	}
+	for i := 2; i < len(frames); i++ { // frames[0] answers the JSON init
+		var resp response
+		if err := newBinaryCodec().DecodeResponse(frames[i], &resp); err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if resp.Enacted != nil && resp.Enacted.Namespace == ns {
+			var prev response
+			if err := newBinaryCodec().DecodeResponse(frames[i-1], &prev); err != nil {
+				t.Fatalf("frame %d: %v", i-1, err)
+			}
+			return prev.tail.table, resp.tail.table
 		}
 	}
+	t.Fatalf("no enact response assigned %s", ns)
+	return nil, nil
 }
 
 // nestAtSink records every callback and, at its nest-th completion, enacts

@@ -157,6 +157,16 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		"", "", "", int64(1<<53+1), "", "", "binary/4",
 		int64(-1<<53-3), false, int64(1), int64(-1<<60), byte(3),
 		uint8(17), "stage-ø<&>", 1.7e308, uint32(0x9999))
+	// A frame whose 40 records repeat one string in every field, and one
+	// whose records each use strings no other record does.
+	f.Add(uint64(3), "step", int64(512), int64(1), "", "t", "same",
+		"same", "same", "same", int64(1e12), "", "", "",
+		int64(40), false, int64(1), int64(-1e9), byte(2),
+		uint8(40), "bot", 1.0, uint32(0xffffffff))
+	f.Add(uint64(4), "step", int64(512), int64(2), "", "t", "s0-j4",
+		"pilot.comet.s0-j4-2", "PENDING", "comet.0004", int64(7e11), "", "", "",
+		int64(40), true, int64(1), int64(3e9), byte(6),
+		uint8(40), "bot", 2.0, uint32(0xffffffff))
 	f.Fuzz(func(t *testing.T, id uint64, op string, maxv, key int64,
 		reason, kind, ns, entity, state, detail string, tns int64,
 		errS, diag, codecName string, fired int64, drained bool,
@@ -200,6 +210,18 @@ func FuzzCodecRoundTrip(f *testing.F) {
 				{Kind: kind, Key: int(key), NS: ns, Rec: &rec},
 				{Kind: eventDone, Key: int(key), Report: report},
 				{Kind: eventTrace, Key: 0},
+			}
+			// More records, tasks%64 of them, going back in time by now:
+			// each the first one's strings again, or, with blobs&4, strings
+			// no other record uses.
+			for i := range int(tasks % 64) {
+				r := rec
+				r.Time -= sim.Time(int64(i+1) * now)
+				if blobs&4 != 0 {
+					sfx := fmt.Sprintf(".%d", i)
+					r.Entity, r.State, r.Detail = entity+sfx, state+sfx, detail+sfx
+				}
+				resp.Events = append(resp.Events, wireEvent{Kind: eventTrace, Key: int(key) + i, NS: ns, Rec: &r})
 			}
 			resp.Enacted = &Enacted{Namespace: ns, Strategy: report.Strategy}
 			resp.Strategy = &report.Strategy

@@ -89,6 +89,7 @@ func NewLocal(cfg Config, sink Sink) (*Local, error) {
 		id: cfg.Shard, eng: eng, testbed: tb, bndl: b,
 		mgr:    core.NewManager(eng, b, sess, links, pcfg, rng),
 		sink:   sink,
+		jobSeq: cfg.JobSeq,
 		execs:  make(map[int]*core.Execution),
 		traces: make(map[int]*jobTrace),
 	}

@@ -507,7 +507,7 @@ func TestTruncatedChunkFailsSessionOnce(t *testing.T) {
 	}
 	defer w.Kill()
 	_, _, err = w.Step(64)
-	if want := "backend: trace: wire record: truncated detail"; err == nil || err.Error() != want {
+	if want := "backend: backend: decoding frame: truncated uvarint"; err == nil || err.Error() != want {
 		t.Fatalf("Step over a truncated frame: %v, want %q", err, want)
 	}
 	if sink.traces != eventChunk || sink.done != 0 {

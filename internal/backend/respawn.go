@@ -24,10 +24,12 @@ func (p *Pool) CanRespawn(shard int) bool {
 }
 
 // Respawn replaces shard's dead worker with a fresh one dialed from the
-// same Config — critically, the same per-shard seed, so the replacement
+// shard's Config — critically, the same per-shard seed, so the replacement
 // builds a bit-identical engine stack and a descriptor replayed onto it as
 // the first enactment behaves exactly as a first submission on a fresh
-// shard. The shard's home endpoint is tried first; if it refuses (the whole
+// shard. The caller sets cfg.JobSeq to the jobs the shard enacted, so the
+// replacement's namespaces continue the dead worker's sequence. The
+// shard's home endpoint is tried first; if it refuses (the whole
 // host died, not just one worker), placement fails over to the next
 // non-cordoned endpoint, which is what lets a two-host fleet survive losing
 // one host entirely.

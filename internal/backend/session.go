@@ -36,10 +36,11 @@ type session struct {
 	// through the codec interface into an allocation per call.
 	req  request
 	resp response
-	// frames are read buffers no call owns. A call owns the one its
+	// frames are read buffers no call owns, each with the storage for the
+	// string table of the frame read into it. A call owns the one its
 	// response was read into until it has dispatched the last event, so a
 	// nested call reads into another; keepFrames of them are kept.
-	frames [][]byte
+	frames []frameBuf
 
 	roundTrips, sent, received, events atomic.Int64
 
@@ -51,6 +52,12 @@ type session struct {
 // keepFrames is how many read buffers a session keeps between calls: one
 // for a call, one for a call nested in its dispatch.
 const keepFrames = 2
+
+// frameBuf is a read buffer and its frame's string table.
+type frameBuf struct {
+	data  []byte
+	table []string
+}
 
 // WireStats counts one worker session's traffic from the parent's side. The
 // session adds to it once per exchange, never per record.
@@ -119,10 +126,12 @@ func (s *session) exchange(req *request, resp *response) error {
 	s.nextID++
 	s.req = *req
 	s.req.ID = s.nextID
-	var frame []byte
+	var buf frameBuf
 	if n := len(s.frames); n > 0 {
-		frame, s.frames = s.frames[n-1], s.frames[:n-1]
+		buf, s.frames = s.frames[n-1], s.frames[:n-1]
 	}
+	frame := buf.data
+	s.resp.tail.table = buf.table
 
 	var err error
 	s.wbuf = s.wbuf[:4]
@@ -151,10 +160,9 @@ func (s *session) exchange(req *request, resp *response) error {
 	s.sent.Add(int64(len(s.wbuf)))
 	s.received.Add(int64(4 + len(frame)))
 	s.events.Add(int64(resp.tail.left))
+	resp.tail.frame = frame
 	if resp.tail.left == 0 {
-		s.putFrame(frame)
-	} else {
-		resp.tail.frame = frame
+		s.putFrame(&resp.tail)
 	}
 	s.mu.Unlock()
 	return nil
@@ -173,8 +181,7 @@ func (s *session) dispatch(t *eventTail, sink Sink) error {
 		s.mu.Lock()
 		n, err := t.next(chunk[:])
 		if err != nil || t.left == 0 {
-			s.putFrame(t.frame)
-			t.frame = nil
+			s.putFrame(t)
 		}
 		if err != nil {
 			err = s.failLocked(err)
@@ -200,11 +207,14 @@ func (s *session) dispatch(t *eventTail, sink Sink) error {
 // eventChunk is how many events dispatch decodes at a time.
 const eventChunk = 64
 
-// putFrame keeps a read buffer for a later call. The caller holds mu.
-func (s *session) putFrame(frame []byte) {
-	if frame != nil && len(s.frames) < keepFrames {
-		s.frames = append(s.frames, frame[:0])
+// putFrame keeps t's read buffer and table storage for a later call, and
+// takes them from t. The caller holds mu.
+func (s *session) putFrame(t *eventTail) {
+	if t.frame != nil && len(s.frames) < keepFrames {
+		clear(t.table)
+		s.frames = append(s.frames, frameBuf{t.frame[:0], t.table[:0]})
 	}
+	t.frame, t.table = nil, nil
 }
 
 // fail marks the session dead for cause and notifies the death callback,

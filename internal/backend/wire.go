@@ -172,14 +172,19 @@ type event struct {
 type eventTail struct {
 	left  int    // events not yet handed out
 	frame []byte // the read buffer the call owns until left is 0
+	// table is the frame's strings (binary), in storage the call owns
+	// with its frame.
+	table []string
 	bin   *binaryCodec
 	rd    binReader   // binary: the frame from the next event on
+	at    int64       // binary: the time of the previous record
 	list  []wireEvent // JSON: the events not yet handed out
 }
 
 // next fills dst with up to len(dst) of the tail's events and reports how
-// many. A binary tail decodes them under the caller's session lock (its
-// intern table is the session's); on a decode error none of them is valid.
+// many. A binary tail decodes them under the caller's session lock (a
+// completion's report interns through the session's codec); on a decode
+// error none of them is valid.
 func (t *eventTail) next(dst []event) (int, error) {
 	if t.bin != nil {
 		return t.bin.readEvents(t, dst)

@@ -77,10 +77,7 @@ var unitLifecycle = lifecycleOf("unit.", pilot.UnitNew, map[pilot.UnitState][]pi
 // previous record: a first record in another state than the model's first,
 // a state the model does not know, a move the model does not allow, or any
 // record after a final state. Other entities ("em", "chaos") are skipped.
-// With reborn, a record in the model's first state starts a new path for its
-// entity: a respawned worker numbers its jobs from s<k>-j1 again, so after a
-// respawn one entity name can carry two jobs' paths.
-func illegalPaths(recs []trace.Record, reborn bool) []string {
+func illegalPaths(recs []trace.Record) []string {
 	var bad []string
 	last := make(map[string]string)
 	for _, r := range recs {
@@ -91,9 +88,6 @@ func illegalPaths(recs []trace.Record, reborn bool) []string {
 			continue
 		}
 		prev, seen := last[r.Entity]
-		if reborn && r.State == l.first {
-			seen = false
-		}
 		last[r.Entity] = r.State
 		if _, known := l.moves[r.State]; !known {
 			bad = append(bad, fmt.Sprintf("%s: unknown state %s at %v", r.Entity, r.State, r.Time))
@@ -140,7 +134,7 @@ func TestScenarioTracesFollowStateModels(t *testing.T) {
 			if len(recs) == 0 {
 				t.Fatal("the run traced nothing")
 			}
-			for _, line := range illegalPaths(recs, o.Fleet.Restarts > 0) {
+			for _, line := range illegalPaths(recs) {
 				t.Error(line)
 			}
 		})
@@ -217,7 +211,7 @@ func TestCanceledExecutingUnitFollowsStateModel(t *testing.T) {
 			t.Errorf("unit %s ended the run %v", u.Task().ID, u.State())
 		}
 	}
-	for _, line := range illegalPaths(rec.Records(), false) {
+	for _, line := range illegalPaths(rec.Records()) {
 		t.Error(line)
 	}
 
@@ -226,7 +220,7 @@ func TestCanceledExecutingUnitFollowsStateModel(t *testing.T) {
 		pilot.UnitExecuting, pilot.UnitCanceled, pilot.UnitStagingOutput, pilot.UnitDone} {
 		armed = append(armed, trace.Record{Entity: entity, State: s.String()})
 	}
-	if bad := illegalPaths(armed, false); len(bad) != 1 || !strings.Contains(bad[0], "CANCELED → STAGING_OUTPUT") {
+	if bad := illegalPaths(armed); len(bad) != 1 || !strings.Contains(bad[0], "CANCELED → STAGING_OUTPUT") {
 		t.Errorf("the checker reads STAGING_OUTPUT and DONE after CANCELED as %q, want one illegal move out of CANCELED", bad)
 	}
 }

@@ -8,8 +8,7 @@ import (
 	"aimes/internal/sim"
 )
 
-// WireRecord is Record on the worker-backend wire. The default, binary codec
-// writes it with AppendWire and reads it with DecodeWire. Its JSON form, the
+// WireRecord is Record on the worker-backend wire. Its JSON form, the
 // pinned JSON codec's, is the compact array [time_ns, entity, state, detail],
 // with the detail element omitted when empty: trace records dominate the
 // byte volume of the worker protocol — every pilot and unit transition
@@ -58,13 +57,12 @@ func (r *WireRecord) UnmarshalJSON(data []byte) error {
 // Record converts back to the canonical struct form.
 func (r WireRecord) Record() Record { return Record(r) }
 
-// AppendWire appends the record in its binary wire form: a zigzag-varint
-// time followed by length-prefixed entity, state and detail strings (detail
-// keeps its length prefix even when empty, so the frame stays
-// self-describing). This is the hot element of the worker protocol's binary
-// codec — trace records dominate the byte volume of every Step response —
-// so the encoding carries no field names, no quoting, and no per-record
-// framing beyond the four fields themselves.
+// AppendWire appends the record in a self-contained binary form: a
+// zigzag-varint time followed by length-prefixed entity, state and detail
+// strings (detail keeps its length prefix even when empty). No worker frame
+// carries it — the binary codec writes a record as indices into its frame's
+// string table (internal/backend/codec_binary.go) — but the benchmark's
+// trace.wire_* probes time it.
 func (r WireRecord) AppendWire(dst []byte) []byte {
 	dst = binary.AppendVarint(dst, int64(r.Time))
 	dst = binary.AppendUvarint(dst, uint64(len(r.Entity)))
@@ -76,13 +74,10 @@ func (r WireRecord) AppendWire(dst []byte) []byte {
 	return dst
 }
 
-// DecodeWire decodes one binary wire record from the front of data,
-// returning the unconsumed remainder. intern, when non-nil, converts the
-// entity, state and detail byte slices to strings — the decode side of the
-// worker protocol passes a bounded deduplicating interner, because a shard
-// emits the same few dozen entity and state strings millions of times, and
-// the details too: three records in ten carry one, out of a handful of
-// memoised texts.
+// DecodeWire decodes one record in AppendWire's form from the front of
+// data, returning the unconsumed remainder. intern, when non-nil, converts
+// the entity, state and detail byte slices to strings (a deduplicating
+// interner, say); nil copies them.
 func (r *WireRecord) DecodeWire(data []byte, intern func([]byte) string) ([]byte, error) {
 	if intern == nil {
 		intern = func(b []byte) string { return string(b) }

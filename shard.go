@@ -31,9 +31,13 @@ type shardEnv struct {
 
 	// cfg is the backend configuration the shard was built from — kept so a
 	// respawn dials the replacement with the identical per-shard seed.
-	// restarts counts successful respawns of this shard's worker.
+	// restarts counts successful respawns of this shard's worker, and
+	// enacted the jobs enacted on any of its backends (guarded by the
+	// shard's engine serialization), so a replacement continues the
+	// namespace sequence.
 	cfg      backend.Config
 	restarts atomic.Int32
+	enacted  int
 	// pastWire is the wire traffic of the shard's dead workers, which
 	// wire adds to the live one's. Guarded by mu.
 	pastWire backend.WireStats

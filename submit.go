@@ -176,6 +176,7 @@ func (e *Environment) enact(sh *shardEnv, j *Job) error {
 		return err
 	}
 	sh.adm.running++
+	sh.enacted++
 	j.mu.Lock()
 	j.ns = res.Namespace
 	j.strategy = res.Strategy
