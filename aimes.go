@@ -72,11 +72,10 @@
 // the shard's engine stack. BackendLocal (the default) runs shards
 // in-process; BackendWorker (WithWorkerPool) runs each shard out of process —
 // a child OS process on stdio or a connection to a TCP worker host — speaking
-// a length-framed protocol whose codec is negotiated at connect (compact
-// binary by default, JSON on request; see WithWireCodec), so a multi-tenant
-// workload scales past one process's heap and GC. The same seeded, pinned
-// workload produces identical reports on both backends; see WithWorkerPool
-// for the caveats.
+// a length-framed protocol whose compact binary layout is agreed at
+// connect, so a multi-tenant workload scales past one process's heap and
+// GC. The same seeded, pinned workload produces identical reports on both
+// backends; see WithWorkerPool for the caveats.
 //
 // See examples/ for complete programs and cmd/aimes-experiments for the paper
 // reproduction.

@@ -308,8 +308,8 @@ func TestDrainVerdictIgnoresWhoWaits(t *testing.T) {
 // seeded, pinned workload mix must produce identical per-job outcomes —
 // strategies, TTC decompositions, pilot waits, allocation accounting, final
 // states and diagnostics — on the in-process backend and on worker shards
-// over every transport × codec combination, for the steady-state scenario
-// and for the edge cases that send the remaining wire operations.
+// over each transport, for the steady-state scenario and for the edge cases
+// that send the remaining wire operations.
 func TestBackendParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker processes")
@@ -324,10 +324,8 @@ func TestBackendParity(t *testing.T) {
 		name string
 		opts []aimes.Option
 	}{
-		{"stdio/json", append(processWorkers(3), aimes.WithWireCodec(aimes.CodecJSON))},
-		{"stdio/binary", append(processWorkers(3), aimes.WithWireCodec(aimes.CodecBinary))},
-		{"tcp/json", append(tcpWorkers(3, addr, secret), aimes.WithWireCodec(aimes.CodecJSON))},
-		{"tcp/binary", append(tcpWorkers(3, addr, secret), aimes.WithWireCodec(aimes.CodecBinary))},
+		{"stdio", processWorkers(3)},
+		{"tcp", tcpWorkers(3, addr, secret)},
 	}
 	for _, combo := range combos {
 		t.Run(combo.name, func(t *testing.T) {
@@ -501,16 +499,18 @@ func TestEveryJobFeedsItsShardBundle(t *testing.T) {
 	}
 }
 
-// TestWireCodecValidation covers the negotiation's refusal paths: an
-// unknown codec name is rejected at NewEnv before anything spawns, and on
-// the wire an init requesting a codec the worker lacks is answered with a
-// descriptive error (see TestHostRejectsUnknownCodec in internal/backend
-// for the host side).
+// TestWireCodecValidation covers the refusal paths before anything spawns:
+// binary is the wire's one codec, so any other name — JSON, which the wire
+// once carried after its handshake, included — is rejected at NewEnv with
+// an error naming both (see TestHostRejectsUnknownCodec in internal/backend
+// for the host side of the handshake).
 func TestWireCodecValidation(t *testing.T) {
-	if _, err := aimes.NewEnv(aimes.WithShards(1), aimes.WithWireCodec("yaml")); err == nil {
-		t.Fatal("unknown wire codec accepted")
-	} else if !strings.Contains(err.Error(), "yaml") {
-		t.Fatalf("unknown-codec error does not name the codec: %v", err)
+	for _, name := range []string{"yaml", "json"} {
+		if _, err := aimes.NewEnv(aimes.WithShards(1), aimes.WithWireCodec(name)); err == nil {
+			t.Fatalf("wire codec %q accepted", name)
+		} else if !strings.Contains(err.Error(), strconv.Quote(name)) || !strings.Contains(err.Error(), `"binary"`) {
+			t.Fatalf("codec %q: the error does not name it and binary: %v", name, err)
+		}
 	}
 	// Secretless TCP config must fail fast and say what to set.
 	t.Setenv("AIMES_WORKER_SECRET", "")

@@ -61,7 +61,6 @@ func main() {
 		workerEndpoints  = flag.String("worker-endpoints", "", "comma-separated TCP worker hosts (aimes-worker serve) to run shards on instead of in process; shards spread across them round-robin")
 		workerSecret     = flag.String("worker-secret", "", "shared handshake secret for TCP worker hosts (prefer -worker-secret-file)")
 		workerSecretFile = flag.String("worker-secret-file", "", "file holding the TCP worker handshake secret")
-		wireCodec        = flag.String("wire-codec", "", "worker wire codec: json, or binary (the default)")
 		maxRestarts      = flag.Int("max-restarts", 0, "per-shard worker respawn budget: a dead worker is redialed with the same shard seed and its queued jobs replayed (0 = a dead worker terminally fails its shard's jobs)")
 		healthInterval   = flag.Duration("health-interval", 0, "worker liveness-probe period, e.g. 2s (0 = probe only on use)")
 
@@ -95,9 +94,6 @@ func main() {
 	}
 	if *steal {
 		opts = append(opts, aimes.WithWorkStealing())
-	}
-	if *wireCodec != "" {
-		opts = append(opts, aimes.WithWireCodec(*wireCodec))
 	}
 	secret := *workerSecret
 	if secret == "" && *workerSecretFile != "" {

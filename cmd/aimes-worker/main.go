@@ -5,9 +5,9 @@
 // process of the parent environment — the stdio transport. The parent
 // sends the shard configuration (seed, testbed, middleware overheads) in
 // the first frame, then drives enactment and stepping; trace events and
-// completion reports stream back on every response, in the JSON or binary
-// codec negotiated at init. Logs go to stderr, which the parent passes
-// through. This mode is never run by hand:
+// completion reports stream back on every response, in the binary layout
+// agreed at init. Logs go to stderr, which the parent passes through. This
+// mode is never run by hand:
 //
 //	env, _ := aimes.NewEnv(aimes.WithShards(4),
 //		aimes.WithWorkerPool(aimes.WorkerPool{Command: []string{"aimes-worker"}}))

@@ -103,7 +103,7 @@ func WithWorkerPool(p WorkerPool) Option {
 // buildPoolConfig turns WithWorkerPool's configuration into the fleet
 // configuration the backend pool dials from.
 func buildPoolConfig(o *envOptions) (backend.PoolConfig, error) {
-	cfg := backend.PoolConfig{Options: backend.WorkerOptions{Codec: o.wireCodec}}
+	var cfg backend.PoolConfig
 	p := o.pool
 	cfg.MaxRestarts, cfg.HealthInterval = p.MaxRestarts, p.HealthInterval
 	if cfg.MaxRestarts < 0 {
@@ -271,7 +271,7 @@ func (f *fleet) shardDied(sh *shardEnv, cause error) {
 	sh.sync(func() {
 		jobs := sh.liveJobs(nil)
 		sortJobs(jobs) // deterministic failure order (map iteration is not)
-		fail := func(queued bool) {
+		fail := func(queued bool, err error) {
 			for _, j := range jobs {
 				// Mid-handoff jobs belong to their migrator; the two passes
 				// split the rest into enacted and descriptor-only.
@@ -281,7 +281,7 @@ func (f *fleet) shardDied(sh *shardEnv, cause error) {
 				if queued {
 					sh.adm.withdraw(j)
 				}
-				j.complete(nil, fmt.Errorf("aimes: shard s%d: %v", sh.id, cause))
+				j.complete(nil, err)
 			}
 		}
 
@@ -289,7 +289,7 @@ func (f *fleet) shardDied(sh *shardEnv, cause error) {
 		// frees a slot, and the queue — the replay candidates — must not be
 		// admitted against the dead backend.
 		sh.adm.hold()
-		fail(false)
+		fail(false, fmt.Errorf("aimes: shard s%d: %w", sh.id, cause))
 
 		var w *backend.Worker
 		err := fmt.Errorf("environment closing")
@@ -300,9 +300,9 @@ func (f *fleet) shardDied(sh *shardEnv, cause error) {
 		}
 		if err != nil {
 			// Terminal: no replacement worker, so the queued jobs fail with
-			// the original crash cause — the contained failure MaxRestarts 0
-			// always produces.
-			fail(true)
+			// the original crash cause and the reason there is none — the
+			// contained failure MaxRestarts 0 always produces.
+			fail(true, fmt.Errorf("aimes: shard s%d: %w (no respawn: %w)", sh.id, cause, err))
 		} else {
 			// The replacement runs the identical stack from the identical
 			// seed: swap it in, and reopening the gate replays the queue

@@ -487,8 +487,42 @@ func TestWorkerPoolValidation(t *testing.T) {
 	if err := env.DrainEndpoint("x"); err == nil {
 		t.Fatal("drain on the local backend succeeded")
 	}
-	var exhausted error = backend.ErrRestartsExhausted
-	if !errors.Is(exhausted, backend.ErrRestartsExhausted) {
-		t.Fatal("sentinel identity broken")
+}
+
+// TestQueuedJobWrapsRespawnRefusal: with no restart budget, a kill fails the
+// shard's queued job terminally, and its error wraps both the worker's death
+// and Respawn's refusal, so errors.Is finds ErrRestartsExhausted in it.
+func TestQueuedJobWrapsRespawnRefusal(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns worker processes")
+	}
+	env := fleetEnv(t, 2, 0, 911)
+	fillers := sealAndFill(t, env, 0)
+	w, cfg := probeWorkload(t)
+	probe, err := env.Submit(context.Background(), w, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if probe.State() != aimes.JobQueued {
+		t.Fatalf("probe %v, want queued behind the full window", probe.State())
+	}
+	if err := env.KillWorker(0); err != nil {
+		t.Fatal(err)
+	}
+	// Nothing pumps the shard, so only the death handler can end the probe.
+	select {
+	case <-probe.Done():
+	case <-time.After(60 * time.Second):
+		t.Fatal("the queued job outlived its shard's terminal death")
+	}
+	if err := probe.Err(); !errors.Is(err, backend.ErrRestartsExhausted) || !strings.Contains(err.Error(), "s0") {
+		t.Fatalf("queued job on an exhausted shard: %v, want one naming s0 and wrapping %v", err, backend.ErrRestartsExhausted)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	for i, f := range fillers {
+		if _, err := f.Wait(ctx); err == nil || errors.Is(err, backend.ErrRestartsExhausted) {
+			t.Fatalf("enacted filler %d: %v, want the worker's death alone", i, err)
+		}
 	}
 }

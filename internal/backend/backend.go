@@ -9,8 +9,8 @@
 // synchronous calls, so a shard can live in the same process (Local, the
 // default, bit-identical to the pre-seam engine stack) or out of process
 // (Worker): a child OS process on stdio or a TCP worker host, speaking a
-// length-framed protocol whose payload codec is negotiated at connect —
-// compact binary by default, JSON on request (see wire.go for the layers).
+// length-framed protocol whose compact binary layout is agreed at connect
+// (see wire.go for the layers).
 // The environment keeps all cross-shard state — queues, windows, migration,
 // load accounting — on its side of the seam, which is why the two-phase
 // descriptor handoff of cross-shard work stealing routes through any

@@ -9,6 +9,7 @@ import (
 	"io"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -20,8 +21,9 @@ import (
 )
 
 // writeFrame and readFrame are the tests' own hand-rolled JSON framing — an
-// independent implementation of the wire's bootstrap encoding, so the serve
-// loop is exercised by a peer that shares no session-layer code with it.
+// independent implementation of the init exchange's encoding, so the serve
+// loop's handshake is exercised by a peer that shares no session-layer code
+// with it.
 func writeFrame(w io.Writer, v any) error {
 	body, err := json.Marshal(v)
 	if err != nil {
@@ -51,7 +53,7 @@ func readFrame(r io.Reader, v any) error {
 func TestFrameRoundTrip(t *testing.T) {
 	in := request{ID: 42, Op: opStep, Max: 64}
 	buf := make([]byte, 4, 256)
-	buf, err := jsonCodec{}.AppendRequest(buf, &in)
+	buf, err := newBinaryCodec().AppendRequest(buf, &in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,11 +65,19 @@ func TestFrameRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out request
-	if err := (jsonCodec{}).DecodeRequest(payload, &out); err != nil {
+	if err := newBinaryCodec().DecodeRequest(payload, &out); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(in, out) {
 		t.Fatalf("round trip %+v → %+v", in, out)
+	}
+	// An op outside the opcode table neither encodes nor decodes: older
+	// layouts' name escape (opcode 0, then the op's name) is gone.
+	if _, err := newBinaryCodec().AppendRequest(nil, &request{Op: "feedback"}); err == nil {
+		t.Fatal("a retired op encoded")
+	}
+	if err := newBinaryCodec().DecodeRequest(append([]byte{0, 4}, opStep...), &out); err == nil || !strings.Contains(err.Error(), "unknown opcode 0") {
+		t.Fatalf("an opcode name escape: %v, want an unknown-opcode error", err)
 	}
 	// A truncated stream surfaces as an error, not a hang or a zero value.
 	if _, err := readFrameInto(bufio.NewReader(bytes.NewReader(buf[:len(buf)-3])), nil, DefaultMaxFrame); err == nil {
@@ -80,13 +90,13 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 	// A frame over the limit fails on both the write and the read side (a
 	// small one here; sessions and hosts pass DefaultMaxFrame).
-	if err := finishFrame(buf, 8); err == nil {
+	if err := finishFrame(buf, 4); err == nil {
 		t.Fatal("oversized frame encoded under a small limit")
 	}
 	if err := finishFrame(buf, DefaultMaxFrame); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := readFrameInto(bufio.NewReader(bytes.NewReader(buf)), nil, 8); err == nil {
+	if _, err := readFrameInto(bufio.NewReader(bytes.NewReader(buf)), nil, 4); err == nil {
 		t.Fatal("oversized frame read under a small limit")
 	}
 }
@@ -184,9 +194,9 @@ func lists(v reflect.Value, out *[]reflect.Value) {
 // TestFramesCarryEveryPayloadField is the job half of the wire parity
 // contract: the descriptor (workload, strategy, config, adaptive), the
 // enact result, the derived strategy, the strategy config and the report,
-// every field set by reflection, cross both codecs and arrive equal — and
-// again with each slice and map in turn nil, then empty. A value JSON
-// cannot encode (NaN, ±Inf) is an encode error in both.
+// every field set by reflection, cross the binary codec and arrive equal —
+// and again with each slice and map in turn nil, then empty. A value JSON
+// cannot encode (NaN, ±Inf) is an encode error too.
 func TestFramesCarryEveryPayloadField(t *testing.T) {
 	var p struct {
 		Desc     Descriptor
@@ -202,22 +212,20 @@ func TestFramesCarryEveryPayloadField(t *testing.T) {
 		t.Fatalf("fillValue left a field unset: %+v", p)
 	}
 	req := &request{ID: 1, Op: opEnact, Desc: &p.Desc, Workload: &p.Workload, Config: &p.Config}
-	resp := &response{ID: 1, Enacted: &p.Enacted, Strategy: &p.Strategy, Events: []wireEvent{{Kind: eventDone, Key: 3, Report: &p.Report}}}
+	resp := &response{ID: 1, Enacted: &p.Enacted, Strategy: &p.Strategy, Events: []wireEvent{{Kind: kindDone, Key: 3, Report: &p.Report}}}
 	show := func(v any) string {
 		b, _ := json.Marshal(v)
 		return string(b)
 	}
 	check := func(variant string) {
 		t.Helper()
-		for _, c := range []codec{jsonCodec{}, newBinaryCodec()} {
-			if got := roundTripRequest(t, c, req); !reflect.DeepEqual(&got, req) {
-				t.Fatalf("%s over %T: the worker decoded\n%s\nwant\n%s", variant, c, show(got), show(req))
-			}
-			want := *resp
-			want.Events = nil
-			if got, calls := roundTripResponse(t, c, resp); !reflect.DeepEqual(got, want) || !reflect.DeepEqual(calls, wantCalls(resp.Events)) {
-				t.Fatalf("%s over %T: the parent decoded\n%s\nand dispatched %+v\nwant\n%s", variant, c, show(got), calls, show(resp))
-			}
+		if got := roundTripRequest(t, newBinaryCodec(), req); !reflect.DeepEqual(&got, req) {
+			t.Fatalf("%s: the worker decoded\n%s\nwant\n%s", variant, show(got), show(req))
+		}
+		want := *resp
+		want.Events = nil
+		if got, calls := roundTripResponse(t, newBinaryCodec(), resp); !reflect.DeepEqual(got, want) || !reflect.DeepEqual(calls, wantCalls(resp.Events)) {
+			t.Fatalf("%s: the parent decoded\n%s\nand dispatched %+v\nwant\n%s", variant, show(got), calls, show(resp))
 		}
 	}
 	check("every field")
@@ -238,10 +246,8 @@ func TestFramesCarryEveryPayloadField(t *testing.T) {
 
 	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		p.Report.Efficiency = f
-		for _, c := range []codec{jsonCodec{}, newBinaryCodec()} {
-			if _, err := c.AppendResponse(nil, resp); err == nil {
-				t.Errorf("report %v: %T encoded the done event", f, c)
-			}
+		if _, err := newBinaryCodec().AppendResponse(nil, resp); err == nil {
+			t.Errorf("report %v: the done event encoded", f)
 		}
 		p.Report.Efficiency = 1.5
 	}
@@ -327,52 +333,107 @@ func TestLocalBackendLifecycle(t *testing.T) {
 	}
 }
 
+// rawPeer drives a serve loop frame by frame over in-memory pipes, sharing
+// no session code with the parent's: JSON until an init response echoes the
+// binary layout, binary from the next frame on.
+type rawPeer struct {
+	t      *testing.T
+	w      *io.PipeWriter
+	in     *bufio.Reader
+	bin    codec
+	id     uint64
+	served chan error
+}
+
+func servePeer(t *testing.T) *rawPeer {
+	cr, sw := io.Pipe() // peer reads ← worker writes
+	sr, cw := io.Pipe() // worker reads ← peer writes
+	p := &rawPeer{t: t, w: cw, in: bufio.NewReader(cr), served: make(chan error, 1)}
+	go func() { p.served <- Serve(sr, sw) }()
+	return p
+}
+
+// call sends req under the next ID and returns the response and the sink
+// calls its events make.
+func (p *rawPeer) call(req *request) (*response, []sinkCall) {
+	p.t.Helper()
+	p.id++
+	req.ID = p.id
+	var resp response
+	var calls []sinkCall
+	if p.bin == nil {
+		if err := writeFrame(p.w, req); err != nil {
+			p.t.Fatal(err)
+		}
+		if err := readFrame(p.in, &resp); err != nil {
+			p.t.Fatal(err)
+		}
+		if req.Op == opInit && resp.Codec == binaryWire {
+			p.bin = newBinaryCodec()
+		}
+	} else {
+		frame, err := p.bin.AppendRequest(make([]byte, 4), req)
+		if err == nil {
+			err = finishFrame(frame, DefaultMaxFrame)
+		}
+		if err == nil {
+			_, err = p.w.Write(frame)
+		}
+		var payload []byte
+		if err == nil {
+			payload, err = readFrameInto(p.in, nil, DefaultMaxFrame)
+		}
+		if err == nil {
+			resp, calls, err = decodeResponse(p.bin, payload)
+		}
+		if err != nil {
+			p.t.Fatal(err)
+		}
+	}
+	if resp.ID != p.id {
+		p.t.Fatalf("response %d for request %d", resp.ID, p.id)
+	}
+	return &resp, calls
+}
+
+// close sends the close frame and checks that the serve loop ends cleanly.
+func (p *rawPeer) close() {
+	p.t.Helper()
+	p.call(&request{Op: opClose})
+	select {
+	case err := <-p.served:
+		if err != nil {
+			p.t.Fatalf("serve: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		p.t.Fatal("serve did not return after close")
+	}
+}
+
 // TestServeProtocol runs the worker serve loop over in-memory pipes and
 // checks init, enact, step-to-done, and close — the protocol exercised
 // without processes.
 func TestServeProtocol(t *testing.T) {
-	cr, cw := io.Pipe() // client reads ← worker writes
-	wr, ww := io.Pipe() // worker reads ← client writes
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- Serve(wr, cw) }()
-
-	var id uint64
-	call := func(req *request) *response {
-		t.Helper()
-		id++
-		req.ID = id
-		if err := writeFrame(ww, req); err != nil {
-			t.Fatal(err)
-		}
-		var resp response
-		if err := readFrame(cr, &resp); err != nil {
-			t.Fatal(err)
-		}
-		if resp.ID != id {
-			t.Fatalf("response %d for request %d", resp.ID, id)
-		}
-		return &resp
-	}
-
-	if resp := call(&request{Op: opStep, Max: 1}); resp.Err == "" {
+	p := servePeer(t)
+	if resp, _ := p.call(&request{Op: opStep, Max: 1}); resp.Err == "" {
 		t.Fatal("operation before init succeeded")
 	}
-	if resp := call(&request{Op: opInit, Init: &Config{Shard: 0, Seed: 42}}); resp.Err != "" {
-		t.Fatalf("init: %s", resp.Err)
+	if resp, _ := p.call(&request{Op: opInit, Init: &Config{Shard: 0, Seed: 42}, Codec: binaryWire}); resp.Err != "" || p.bin == nil {
+		t.Fatalf("init: %q, echoed %q", resp.Err, resp.Codec)
 	}
 	// Payload-carrying ops with the payload missing must answer with a
 	// protocol error, not crash the worker.
-	if resp := call(&request{Op: opEnact}); resp.Err == "" {
+	if resp, _ := p.call(&request{Op: opEnact}); resp.Err == "" {
 		t.Fatal("enact without a descriptor succeeded")
 	}
-	if resp := call(&request{Op: opDerive}); resp.Err == "" {
+	if resp, _ := p.call(&request{Op: opDerive}); resp.Err == "" {
 		t.Fatal("derive without a config succeeded")
 	}
 	w, err := skeleton.Generate(skeleton.BagOfTasks(3, skeleton.Constant(30)), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp := call(&request{Op: opEnact, Desc: &Descriptor{
+	resp, calls := p.call(&request{Op: opEnact, Desc: &Descriptor{
 		Key: 1, MigratedFrom: -1,
 		Descriptor: core.Descriptor{
 			Workload: w,
@@ -385,24 +446,18 @@ func TestServeProtocol(t *testing.T) {
 	if resp.Enacted == nil || resp.Enacted.Namespace != "s0-j1" {
 		t.Fatalf("enacted %+v", resp.Enacted)
 	}
-	sawEnacting := false
-	for _, ev := range resp.Events {
-		if ev.Kind == eventTrace && ev.Rec != nil && ev.Rec.State == "ENACTING" {
-			sawEnacting = true
-		}
-	}
-	if !sawEnacting {
+	if !slices.ContainsFunc(calls, func(c sinkCall) bool { return !c.done && c.rec.State == "ENACTING" }) {
 		t.Fatal("enact response carried no ENACTING trace event")
 	}
 	var done *core.Report
 	for i := 0; i < 10000 && done == nil; i++ {
-		resp := call(&request{Op: opStep, Max: 64})
+		resp, calls := p.call(&request{Op: opStep, Max: 64})
 		if resp.Err != "" {
 			t.Fatalf("step: %s", resp.Err)
 		}
-		for _, ev := range resp.Events {
-			if ev.Kind == eventDone && ev.Key == 1 {
-				done = ev.Report
+		for _, c := range calls {
+			if c.done && c.key == 1 {
+				done = c.report
 			}
 		}
 		if resp.Drained {
@@ -412,13 +467,5 @@ func TestServeProtocol(t *testing.T) {
 	if done == nil || done.UnitsDone != 3 {
 		t.Fatalf("completion over the wire: %+v", done)
 	}
-	call(&request{Op: opClose})
-	select {
-	case err := <-serveErr:
-		if err != nil {
-			t.Fatalf("serve: %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("serve did not return after close")
-	}
+	p.close()
 }

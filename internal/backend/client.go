@@ -12,10 +12,10 @@ import (
 
 // Worker is the out-of-process execution backend: one shard hosted behind a
 // Transport (a spawned child process over stdio, or a TCP worker host on
-// another machine), with the Backend interface proxied across a framed,
-// codec-negotiated session. Every response's events are replayed into the
-// sink before the originating call returns, so the environment observes the
-// same callback ordering as with Local.
+// another machine), with the Backend interface proxied across a framed
+// session whose binary layout is agreed at init. Every response's events
+// are replayed into the sink before the originating call returns, so the
+// environment observes the same callback ordering as with Local.
 //
 // A dead worker is surfaced, never waited on: an in-flight call fails when
 // the connection breaks, every later call fails fast, and the death
@@ -34,15 +34,18 @@ var _ Backend = (*Worker)(nil)
 // WorkerOptions tunes the session Connect builds; the zero value is the
 // production default.
 type WorkerOptions struct {
-	// Codec selects the wire codec: CodecJSON pins JSON; "" and CodecBinary
-	// both mean binary, and Connect fails against a worker that does not
-	// echo it.
+	// Codec is the wire codec: "" or CodecBinary, which mean the same.
+	//
+	// Deprecated: binary is the only codec, so there is nothing to choose.
+	// The field stays for the benchmark's callers until ROADMAP item 1 A2
+	// removes it with them.
 	Codec string
 }
 
-// Connect dials a shard worker over tr, performs the init exchange
-// (including codec negotiation, which always happens in JSON), and returns
-// the connected backend. onDeath, when non-nil, runs exactly once if the
+// Connect dials a shard worker over tr, performs the init exchange (in
+// JSON, agreeing on the binary layout every later frame is written in), and
+// returns the connected backend. A worker that does not echo the layout's
+// versioned name fails it. onDeath, when non-nil, runs exactly once if the
 // worker dies before Close — whether the transport observes it out of band
 // (a child process exiting) or a call finds the connection broken.
 func Connect(tr Transport, opt WorkerOptions, cfg Config, sink Sink, onDeath func(error)) (*Worker, error) {
@@ -57,17 +60,9 @@ func Connect(tr Transport, opt WorkerOptions, cfg Config, sink Sink, onDeath fun
 	s.attach(conn)
 	w := &Worker{shard: cfg.Shard, s: s, sink: sink}
 
-	// Ask for binary, by its versioned wire name, unless the caller pinned
-	// JSON, which is what the session speaks until told otherwise and so
-	// needs neither request nor echo.
-	wantBinary := opt.Codec != CodecJSON
-	req := &request{Op: opInit, Init: &cfg}
-	if wantBinary {
-		req.Codec = binaryWire
-	}
 	var resp response
-	err = w.callTimeout(req, &resp, spawnTimeout)
-	if err == nil && wantBinary && resp.Codec != binaryWire {
+	err = w.callTimeout(&request{Op: opInit, Init: &cfg, Codec: binaryWire}, &resp, spawnTimeout)
+	if err == nil && resp.Codec != binaryWire {
 		err = fmt.Errorf("worker did not accept the %q wire codec (echoed %q)", binaryWire, resp.Codec)
 	}
 	if err != nil {
@@ -75,9 +70,7 @@ func Connect(tr Transport, opt WorkerOptions, cfg Config, sink Sink, onDeath fun
 		_ = conn.Kill()       // also unblocks a still-pending init read
 		return nil, fmt.Errorf("backend: initializing worker for shard %d: %w", cfg.Shard, err)
 	}
-	if wantBinary {
-		s.use(newBinaryCodec())
-	}
+	s.use(newBinaryCodec())
 	return w, nil
 }
 

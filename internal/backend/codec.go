@@ -2,18 +2,14 @@ package backend
 
 import "fmt"
 
-// Wire codec names, as they appear in the init negotiation. These are part
-// of the protocol: a client requests one by name and the worker echoes the
-// name it accepted.
-const (
-	// CodecJSON is the field-named JSON payload encoding — debuggable with a
-	// pipe tee, and what every session speaks during the init exchange.
-	CodecJSON = "json"
-	// CodecBinary is the compact binary payload encoding: varint integers,
-	// length-prefixed strings, native binary trace records, descriptors,
-	// workloads, strategies and reports.
-	CodecBinary = "binary"
-)
+// CodecBinary is the wire's one data codec: varint integers,
+// length-prefixed strings, native binary trace records, descriptors,
+// workloads, strategies and reports.
+//
+// Deprecated: binary is the only codec, so there is nothing to choose. The
+// name stays for the benchmark's callers until ROADMAP item 1 A2 removes it
+// with them.
+const CodecBinary = "binary"
 
 // binaryWire is the name binary is negotiated under: CodecBinary plus its
 // layout version, so a parent and a worker built with different payload
@@ -36,12 +32,11 @@ type codec interface {
 	DecodeResponse(data []byte, resp *response) error
 }
 
-// CheckCodec accepts a configuration's codec choice: a concrete codec name,
-// or empty for the default, binary.
+// CheckCodec accepts a configuration's codec choice: binary, by name or
+// empty for the default. ROADMAP item 1 A2 removes it with the choice.
 func CheckCodec(name string) error {
-	switch name {
-	case "", CodecJSON, CodecBinary:
+	if name == "" || name == CodecBinary {
 		return nil
 	}
-	return fmt.Errorf("unknown wire codec %q (want %q, %q, or empty for the default, binary)", name, CodecJSON, CodecBinary)
+	return fmt.Errorf("unknown wire codec %q (the one codec is %q; empty means it too)", name, CodecBinary)
 }

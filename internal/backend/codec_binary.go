@@ -15,18 +15,19 @@ import (
 	"aimes/internal/trace"
 )
 
-// binaryCodec is the compact payload encoding, negotiated at init. Every
-// per-job payload has a native layout — a Step response's events, the
-// descriptor with its workload, the strategy, the strategy config, the
-// report: varints, length-prefixed strings, floats as their 8 bytes of bits,
-// and lists and maps as their count plus one (0 is nil, so nil and empty
-// both survive) with map entries sorted. Only the init Config, chaos events
-// and the rare AdaptiveConfig ride as length-prefixed JSON blobs. When the
-// job payloads were JSON blobs too, a 512-task descriptor cost 0.37 ms to
-// encode and 2.25 ms and 3 616 allocations to decode (128 KB); in this
-// layout it is 0.04 ms, and 0.12 ms and 7 allocations (46 KB), on a 2-CPU
-// x86-64 Linux machine. FuzzCodecRoundTrip holds both codecs to the same
-// decoded values.
+// binaryCodec is the wire's one data codec: the JSON init exchange agrees
+// on its layout version (binaryWire), and every frame after the init
+// response is written in it. Every per-job payload has a native layout — a
+// Step response's events, the descriptor with its workload, the strategy,
+// the strategy config, the report: varints, length-prefixed strings, floats
+// as their 8 bytes of bits, and lists and maps as their count plus one (0
+// is nil, so nil and empty both survive) with map entries sorted. Only the
+// init Config, chaos events and the rare AdaptiveConfig ride as
+// length-prefixed JSON blobs. When the job payloads were JSON blobs too, a
+// 512-task descriptor cost 0.37 ms to encode and 2.25 ms and 3 616
+// allocations to decode (128 KB); in this layout it is 0.04 ms, and 0.12 ms
+// and 7 allocations (46 KB), on a 2-CPU x86-64 Linux machine.
+// FuzzCodecRoundTrip holds a round trip to the value that went in.
 //
 // A response's events carry each string once. The layout of a response is
 //
@@ -35,8 +36,9 @@ import (
 //	events:       kind, key, namespace, bits, [record], [report]
 //	record:       time delta, entity, state, detail
 //
-// where namespace, entity, state and detail are uvarint indices into the
-// frame's table (0 is the empty string, 1 its first entry) and a record's
+// where a kind is kindTrace, whose event always has a record, or kindDone;
+// namespace, entity, state and detail are uvarint indices into the frame's
+// table (0 is the empty string, 1 its first entry) and a record's
 // time is a zigzag varint delta from the frame's previous record (from 0).
 // The table is scoped to the frame, never to a stream, so every frame
 // decodes on its own: the parent dispatches a frame a chunk at a time, and a
@@ -118,12 +120,21 @@ func (c *binaryCodec) ref(s string) uint64 {
 }
 
 // Request opcodes: an op's index here is its byte on the wire. Zero is
-// reserved for the string fallback so an op outside the table still
-// round-trips; 6 and 8 were the retired feedback and appseed ops and stay
+// no op; 6 and 8 were the retired feedback and appseed ops and stay
 // unassigned.
 var opNames = [...]string{
 	1: opInit, 2: opEnact, 3: opStep, 4: opCancel, 5: opIncomplete,
 	7: opDerive, 9: opClose, 10: opPing, 11: opInject,
+}
+
+// opcode returns op's byte on the wire, or 0 for an op outside opNames.
+func opcode(op string) byte {
+	for i, n := range opNames {
+		if n == op {
+			return byte(i)
+		}
+	}
+	return 0
 }
 
 // Presence bits for request pointer fields.
@@ -317,12 +328,11 @@ func appendDescriptor(dst []byte, d *Descriptor) ([]byte, error) {
 }
 
 func (c *binaryCodec) AppendRequest(dst []byte, req *request) ([]byte, error) {
-	if code := wireCode(opNames[:], req.Op); code != 0 {
-		dst = append(dst, code)
-	} else {
-		dst = append(dst, 0)
-		dst = appendWireString(dst, req.Op)
+	code := opcode(req.Op)
+	if code == 0 {
+		return dst, fmt.Errorf("backend: encoding frame: unknown operation %q", req.Op)
 	}
+	dst = append(dst, code)
 	dst = binary.AppendUvarint(dst, req.ID)
 	var bits byte
 	if req.Init != nil {
@@ -366,13 +376,10 @@ func (c *binaryCodec) AppendRequest(dst []byte, req *request) ([]byte, error) {
 
 func (c *binaryCodec) DecodeRequest(data []byte, req *request) error {
 	r := binReader{data: data}
-	code := r.byte()
-	if code == 0 {
-		req.Op = string(r.bytes())
-	} else if known(opNames[:], code) {
+	if code := r.byte(); int(code) < len(opNames) && opNames[code] != "" {
 		req.Op = opNames[code]
-	} else if r.err == nil {
-		return fmt.Errorf("backend: decoding frame: unknown opcode %d", code)
+	} else {
+		r.fail("unknown opcode %d", code)
 	}
 	req.ID = r.uvarint()
 	bits := r.byte()
@@ -454,12 +461,7 @@ func (c *binaryCodec) appendEvents(dst []byte, events []wireEvent) ([]byte, erro
 	var err error
 	for i := range events {
 		ev := &events[i]
-		if code := wireCode(eventNames[:], ev.Kind); code != 0 {
-			dst = append(dst, code)
-		} else {
-			dst = append(dst, 0)
-			dst = appendWireString(dst, ev.Kind)
-		}
+		dst = append(dst, ev.Kind)
 		dst = binary.AppendVarint(dst, int64(ev.Key))
 		if ev.NS != lastNS {
 			lastNS, nsRef = ev.NS, c.ref(ev.NS)
@@ -548,11 +550,9 @@ func (c *binaryCodec) readEvents(t *eventTail, dst []event) (int, error) {
 	n := min(t.left, len(dst))
 	for i := range n {
 		ev := &dst[i]
-		code := r.byte()
-		if code == 0 {
-			code = wireCode(eventNames[:], string(r.bytes()))
-		} else if !known(eventNames[:], code) && r.err == nil {
-			return 0, fmt.Errorf("backend: decoding frame: unknown event kind %d", code)
+		ev.kind = r.byte()
+		if ev.kind != kindTrace && ev.kind != kindDone {
+			r.fail("unknown event kind %d", ev.kind)
 		}
 		ev.key = int(r.varint())
 		ev.ns = t.str()
@@ -561,8 +561,8 @@ func (c *binaryCodec) readEvents(t *eventTail, dst []event) (int, error) {
 		if ebits&evHasRec != 0 {
 			t.at += r.varint()
 			ev.rec = trace.Record{Time: sim.Time(t.at), Entity: t.str(), State: t.str(), Detail: t.str()}
-		} else if code == kindTrace {
-			code = 0
+		} else if ev.kind == kindTrace {
+			r.fail("trace event without a record")
 		}
 		if ebits&evHasReport != 0 {
 			ev.report = c.readReport(r)
@@ -570,7 +570,6 @@ func (c *binaryCodec) readEvents(t *eventTail, dst []event) (int, error) {
 		if r.err != nil {
 			return 0, r.err
 		}
-		ev.kind = code
 	}
 	if t.left -= n; t.left == 0 {
 		if err := r.finish(); err != nil {

@@ -5,10 +5,10 @@ import (
 	"fmt"
 )
 
-// jsonCodec is the original payload encoding: one field-named JSON document
-// per frame. It is stateless and a pipe tee of the stream is human-readable
-// — which is why it is the negotiation bootstrap (init frames are always
-// JSON) and what a client can pin for debugging.
+// jsonCodec is the init exchange's encoding: one field-named JSON document
+// per frame. It is stateless, so it is what two peers speak before they
+// have agreed on anything — the init request and response, and a ping
+// answered before init. Every frame after the init response is binary.
 type jsonCodec struct{}
 
 func (jsonCodec) AppendRequest(dst []byte, req *request) ([]byte, error) {
@@ -26,13 +26,16 @@ func (jsonCodec) AppendResponse(dst []byte, resp *response) ([]byte, error) {
 	return appendJSONValue(dst, resp)
 }
 
-// DecodeResponse decodes the whole response, and hands its event list to
-// the same dispatch loop the binary codec's frames go through.
+// DecodeResponse decodes the whole response. Events ride binary frames
+// only, so a JSON response that carries any is refused.
 func (jsonCodec) DecodeResponse(data []byte, resp *response) error {
 	if err := json.Unmarshal(data, resp); err != nil {
 		return fmt.Errorf("backend: decoding frame: %w", err)
 	}
-	resp.tail = eventTail{left: len(resp.Events), list: resp.Events}
+	if n := len(resp.Events); n > 0 {
+		resp.Events = nil
+		return fmt.Errorf("backend: decoding frame: a JSON response carries %d events", n)
+	}
 	return nil
 }
 

@@ -28,7 +28,7 @@ func traceResponse(t testing.TB, n int, id uint64) []byte {
 	t.Helper()
 	resp := &response{ID: id, Fired: n, Drained: true}
 	for i := 0; i < n; i++ {
-		rec := &trace.WireRecord{
+		rec := &trace.Record{
 			Time:   sim.Time(i) * 1e9,
 			Entity: fmt.Sprintf("unit.task-%02d", i%48),
 			State:  []string{"SCHEDULING", "STAGING_INPUT", "EXECUTING", "DONE"}[i%4],
@@ -36,9 +36,9 @@ func traceResponse(t testing.TB, n int, id uint64) []byte {
 		if i%3 == 0 {
 			rec.Detail = fmt.Sprintf("pilot=s0-j1.p%d", i%5)
 		}
-		resp.Events = append(resp.Events, wireEvent{Kind: eventTrace, Key: 1 + i%2, NS: "s0-j1", Rec: rec})
+		resp.Events = append(resp.Events, wireEvent{Kind: kindTrace, Key: 1 + i%2, NS: "s0-j1", Rec: rec})
 	}
-	resp.Events = append(resp.Events, wireEvent{Kind: eventDone, Key: 1, Report: &core.Report{UnitsDone: n}})
+	resp.Events = append(resp.Events, wireEvent{Kind: kindDone, Key: 1, Report: &core.Report{UnitsDone: n}})
 	buf, err := newBinaryCodec().AppendResponse(nil, resp)
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +59,7 @@ func jobResponse(t testing.TB, n, job int) ([]byte, int) {
 		pilots[0] + ", 1048576 bytes", pilots[1] + ", 1048576 bytes"}
 	resp := &response{ID: 0, Fired: n, Drained: true}
 	for i := 0; i < n; i++ {
-		rec := &trace.WireRecord{Time: sim.Time(i) * 1e9}
+		rec := &trace.Record{Time: sim.Time(i) * 1e9}
 		switch {
 		case i < 4:
 			rec.Entity, rec.State, rec.Detail = pilots[i%2], []string{"NEW", "LAUNCHING"}[i/2], fresh[3+i%2]
@@ -70,9 +70,9 @@ func jobResponse(t testing.TB, n, job int) ([]byte, int) {
 				rec.Detail = fresh[5+i%2]
 			}
 		}
-		resp.Events = append(resp.Events, wireEvent{Kind: eventTrace, Key: job, NS: ns, Rec: rec})
+		resp.Events = append(resp.Events, wireEvent{Kind: kindTrace, Key: job, NS: ns, Rec: rec})
 	}
-	resp.Events = append(resp.Events, wireEvent{Kind: eventDone, Key: job, Report: &core.Report{UnitsDone: n}})
+	resp.Events = append(resp.Events, wireEvent{Kind: kindDone, Key: job, Report: &core.Report{UnitsDone: n}})
 	buf, err := newBinaryCodec().AppendResponse(nil, resp)
 	if err != nil {
 		t.Fatal(err)
@@ -105,15 +105,14 @@ func (s *callSink) JobDone(key int, report *core.Report) {
 }
 
 // wantCalls is what dispatching events must call, in order: JobTrace for a
-// trace event with a record, JobDone for a done event, nothing for the rest.
+// trace event, JobDone for a done event.
 func wantCalls(events []wireEvent) []sinkCall {
 	var out []sinkCall
 	for _, ev := range events {
-		switch {
-		case ev.Kind == eventTrace && ev.Rec != nil:
-			out = append(out, sinkCall{key: ev.Key, ns: ev.NS, rec: ev.Rec.Record()})
-		case ev.Kind == eventDone:
+		if ev.Kind == kindDone {
 			out = append(out, sinkCall{done: true, key: ev.Key, report: ev.Report})
+		} else {
+			out = append(out, sinkCall{key: ev.Key, ns: ev.NS, rec: *ev.Rec})
 		}
 	}
 	return out
@@ -163,7 +162,7 @@ func cannedFrame(t testing.TB, payload []byte) []byte {
 // request with the frame reply holds, its ID patched in: a peer that
 // allocates nothing per exchange, so an allocation count sees the parent.
 func cannedWorker(t *testing.T, reply *atomic.Pointer[[]byte]) Transport {
-	return scriptedInit(t, func(req *request) *response { return &response{ID: req.ID, Codec: req.Codec} },
+	return scriptedInit(t, acceptInit,
 		func(r io.Reader, w *io.PipeWriter) {
 			in := bufio.NewReader(r)
 			var buf []byte
@@ -412,29 +411,34 @@ func TestDecodeResponseForgedCount(t *testing.T) {
 // TestForgedStringTableFailsSession: a Step response whose events name a
 // string its table does not hold, or whose table claims more entries than
 // the frame holds, fails the session with the decoder's error, reaches no
-// sink and panics nowhere.
+// sink and panics nowhere. So does one using the name escapes of older
+// layouts — a kind 0 followed by the kind's name — or a trace event without
+// its record, neither of which a worker that passed the handshake writes.
 func TestForgedStringTableFailsSession(t *testing.T) {
 	// A Step response (ID 0, no Err, Diag or Codec, no flags, fired 1)
-	// carrying one event, then its string table and its trace event:
-	// kind, key 1, namespace, a record flag, time delta 0, and the entity,
-	// state and detail.
-	frame := func(table []string, ns, entity, state, detail byte) []byte {
+	// carrying one event, then its string table and the event: for a trace
+	// event, its kind, key 1, namespace, a record flag, time delta 0, and
+	// the entity, state and detail.
+	frame := func(table []string, event ...byte) []byte {
 		b := []byte{0, 0, 0, 0, 0, 2, 1}
 		b = binary.AppendUvarint(b, uint64(len(table)))
 		for _, s := range table {
 			b = appendWireString(b, s)
 		}
-		return append(b, kindTrace, 2, ns, evHasRec, 0, entity, state, detail)
+		return append(b, event...)
 	}
+	table := []string{"s0-j1", "unit.0001", "DONE"}
 	for _, tc := range []struct {
 		name    string
 		payload []byte
 		want    string
 	}{
-		{"well formed", frame([]string{"s0-j1", "unit.0001", "DONE"}, 1, 2, 3, 0), ""},
-		{"index past the table", frame([]string{"s0-j1", "unit.0001", "DONE"}, 1, 2, 4, 0), "string 4 past the frame's 3-entry table"},
-		{"empty table", frame(nil, 1, 0, 0, 0), "string 1 past the frame's 0-entry table"},
-		{"table count beyond the payload", append([]byte{0, 0, 0, 0, 0, 2, 1, 200, 1}, frame(nil, 0, 0, 0, 0)[8:]...), "count 200 exceeds the payload"},
+		{"well formed", frame(table, kindTrace, 2, 1, evHasRec, 0, 2, 3, 0), ""},
+		{"index past the table", frame(table, kindTrace, 2, 1, evHasRec, 0, 2, 4, 0), "string 4 past the frame's 3-entry table"},
+		{"empty table", frame(nil, kindTrace, 2, 1, evHasRec, 0, 0, 0, 0), "string 1 past the frame's 0-entry table"},
+		{"table count beyond the payload", append(frame(nil)[:7], 200, 1, kindTrace, 2, 0, evHasRec, 0, 0, 0, 0), "count 200 exceeds the payload"},
+		{"kind name escape", frame(table, 0, 1, 't', 2, 1, evHasRec, 0, 2, 3, 0), "unknown event kind 0"},
+		{"trace event without its record", frame(table, kindTrace, 2, 1, 0), "trace event without a record"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			f := cannedFrame(t, tc.payload)
@@ -468,10 +472,10 @@ func TestForgedStringTableFailsSession(t *testing.T) {
 // pre-derived strategy, costs at most the payload it claims. (A report
 // crosses only in a done event: TestDecodeResponseForgedCount.)
 func TestDecodeRequestForgedCount(t *testing.T) {
-	derive := []byte{wireCode(opNames[:], opDerive), 1, reqHasWorkload, 0, 0, 0, 0}
+	derive := []byte{opcode(opDerive), 1, reqHasWorkload, 0, 0, 0, 0}
 	// An enact frame whose descriptor (key 0, no origin) has no workload, a
 	// pre-derived strategy and no adaptive config.
-	enact := []byte{wireCode(opNames[:], opEnact), 1, reqHasDesc, 0, 0, 0, 0, 0, 0, 0, 1, 0}
+	enact := []byte{opcode(opEnact), 1, reqHasDesc, 0, 0, 0, 0, 0, 0, 0, 1, 0}
 	decode := func(frame []byte) error {
 		var req request
 		return newBinaryCodec().DecodeRequest(frame, &req)
@@ -524,7 +528,7 @@ func TestDecodeRequestCopiesOutOfTheFrame(t *testing.T) {
 
 	report := &core.Report{Strategy: *want.Strategy, UnitsDone: 3,
 		PilotWaits: map[string]time.Duration{"pilot.stampede.s0-j7-1": time.Minute, "pilot.gordon.s0-j7-2": time.Hour}}
-	frame, err = newBinaryCodec().AppendResponse(nil, &response{ID: 1, Events: []wireEvent{{Kind: eventDone, Key: 7, Report: report}}})
+	frame, err = newBinaryCodec().AppendResponse(nil, &response{ID: 1, Events: []wireEvent{{Kind: kindDone, Key: 7, Report: report}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -538,45 +542,55 @@ func TestDecodeRequestCopiesOutOfTheFrame(t *testing.T) {
 	}
 }
 
-// nestingSink enacts a queued descriptor from inside the first JobDone it is
-// handed — what the environment's admission does when a completion frees a
-// window slot — and counts the records of the interrupted batch that arrive
-// after the nested call returned.
+// nestingSink records every callback and, at its nest-th completion (from
+// 0), enacts next from inside the callback — what the environment's
+// admission does when a completion frees a window slot: a nested call on
+// the same session. It counts the records that arrive after the nested call
+// returned while nested is set.
 type nestingSink struct {
-	collectSink
-	keys   []int
+	callSink
 	w      *Worker
 	next   *Descriptor
+	nest   int
+	dones  int
 	nested bool
 	after  int
 	err    error
 }
 
 func (s *nestingSink) JobTrace(key int, ns string, rec trace.Record) {
-	s.collectSink.JobTrace(key, ns, rec)
-	s.keys = append(s.keys, key)
+	s.callSink.JobTrace(key, ns, rec)
 	if s.nested {
 		s.after++
 	}
 }
 
 func (s *nestingSink) JobDone(key int, report *core.Report) {
-	s.collectSink.JobDone(key, report)
-	if s.next != nil {
-		d := s.next
-		s.next = nil
-		_, s.err = s.w.Enact(d)
+	s.callSink.JobDone(key, report)
+	if s.dones++; s.dones-1 == s.nest {
+		_, s.err = s.w.Enact(s.next)
 		s.nested = true
 	}
+}
+
+// firstDiff fails the test at the first call got and want differ in.
+func firstDiff(t *testing.T, what string, got, want []sinkCall) {
+	t.Helper()
+	for i := range want {
+		if i >= len(got) || !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("%s: call %d of %d is %+v, want %+v", what, i, len(want), got[min(i, len(got)-1)], want[i])
+		}
+	}
+	t.Fatalf("%s: %d calls, want %d", what, len(got), len(want))
 }
 
 // TestNestedEnactKeepsOuterBatch pins why the call dispatching a response
 // owns its frame, its string table and its decode chunk: a dispatched
 // JobDone enacts the next job, a nested exchange on the same session that
 // reads a frame and runs the decoder again, and the rest of the outer batch
-// must still reach the sink as the worker sent it. The JSON codec decodes a
-// response whole, so it is the reference: both codecs must deliver the same
-// callbacks in the same order.
+// must still reach the sink as the worker sent it. The reference is the
+// same bytes decoded a frame at a time, each whole and on its own, with the
+// nested enact's calls after the completion that made it.
 func TestNestedEnactKeepsOuterBatch(t *testing.T) {
 	desc := func(key, tasks int, seconds float64) *Descriptor {
 		w, err := skeleton.Generate(skeleton.BagOfTasks(tasks, skeleton.Constant(seconds)), int64(key))
@@ -588,32 +602,6 @@ func TestNestedEnactKeepsOuterBatch(t *testing.T) {
 			Config:   core.StrategyConfig{Binding: core.LateBinding, Scheduler: core.SchedBackfill, Pilots: 2},
 		}}
 	}
-	var read bytes.Buffer // what the binary session read, frame by frame
-	run := func(codec string, batch int) *nestingSink {
-		sink := &nestingSink{next: desc(3, 128, 120)}
-		read.Reset()
-		w, err := Connect(tapTransport{pipeWorker(t), &read}, WorkerOptions{Codec: codec}, Config{Shard: 0, Seed: 11}, sink, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer w.Close()
-		sink.w = w
-		for _, d := range []*Descriptor{desc(1, 2, 30), desc(2, 48, 900)} {
-			if _, err := w.Enact(d); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for i := 0; i < 10000 && len(sink.done) < 3; i++ {
-			if _, _, err := w.Step(batch); err != nil {
-				t.Fatal(err)
-			}
-			sink.nested = false // only the interrupted batch counts
-		}
-		if sink.err != nil || len(sink.done) != 3 {
-			t.Fatalf("%s: %d jobs done, nested enact: %v", codec, len(sink.done), sink.err)
-		}
-		return sink
-	}
 	// Short batches, and a nested enact whose response (a 128-task job's
 	// opening records) is longer than any of them: whatever the nested
 	// decode reuses, it overwrites past the interrupted batch's position.
@@ -622,127 +610,110 @@ func TestNestedEnactKeepsOuterBatch(t *testing.T) {
 	// frame's table numbers other strings, so a decode that read the rest
 	// of the batch through the nested table would hand it the wrong ones.
 	for _, batch := range []int{64, 512} {
-		bin := run(CodecBinary, batch)
-		outer, nested := nestedTables(t, read.Bytes(), "s0-j3")
-		ref := run(CodecJSON, batch)
-		if bin.after == 0 || batch > eventChunk && bin.after <= eventChunk {
-			t.Fatalf("batch %d: %d records of the interrupted batch followed the nested enact: the test exercises nothing", batch, bin.after)
+		var read bytes.Buffer // what the session read, frame by frame
+		sink := &nestingSink{next: desc(3, 128, 120)}
+		w, err := Connect(tapTransport{pipeWorker(t), &read, new(atomic.Int64)}, WorkerOptions{}, Config{Shard: 0, Seed: 11}, sink, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if len(outer) == 0 || len(nested) == 0 || outer[0] == nested[0] {
+		sink.w = w
+		for _, d := range []*Descriptor{desc(1, 2, 30), desc(2, 48, 900)} {
+			if _, err := w.Enact(d); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 10000 && sink.dones < 3; i++ {
+			if _, _, err := w.Step(batch); err != nil {
+				t.Fatal(err)
+			}
+			sink.nested = false // only the interrupted batch counts
+		}
+		w.Close()
+		if sink.err != nil || sink.dones != 3 {
+			t.Fatalf("batch %d: %d jobs done, nested enact: %v", batch, sink.dones, sink.err)
+		}
+		if sink.after == 0 || batch > eventChunk && sink.after <= eventChunk {
+			t.Fatalf("batch %d: %d records of the interrupted batch followed the nested enact: the test exercises nothing", batch, sink.after)
+		}
+
+		calls, tables, k := replayFrames(t, read.Bytes(), "s0-j3")
+		if outer, nested := tables[k-1], tables[k]; len(outer) == 0 || len(nested) == 0 || outer[0] == nested[0] {
 			t.Fatalf("batch %d: the interrupted frame's table %q and the nested enact's %q start alike: the test exercises nothing", batch, outer, nested)
 		}
-		if !reflect.DeepEqual(bin.keys, ref.keys) || !reflect.DeepEqual(bin.ns, ref.ns) || !reflect.DeepEqual(bin.traces, ref.traces) {
-			for i := range ref.traces {
-				if i >= len(bin.traces) || bin.traces[i] != ref.traces[i] || bin.keys[i] != ref.keys[i] || bin.ns[i] != ref.ns[i] {
-					t.Fatalf("batch %d, record %d of %d: binary delivered job %d %q %+v, want job %d %q %+v", batch, i, len(ref.traces),
-						bin.keys[i], bin.ns[i], bin.traces[i], ref.keys[i], ref.ns[i], ref.traces[i])
-				}
+		var want []sinkCall
+		for i, c := range calls {
+			switch i {
+			case k - 1:
+				first := slices.IndexFunc(c, func(c sinkCall) bool { return c.done })
+				want = append(append(append(want, c[:first+1]...), calls[k]...), c[first+1:]...)
+			case k:
+			default:
+				want = append(want, c...)
 			}
-			t.Fatalf("batch %d: binary delivered %d records, JSON %d", batch, len(bin.traces), len(ref.traces))
 		}
-		for key, r := range ref.done {
-			if !reflect.DeepEqual(bin.done[key], r) {
-				t.Errorf("batch %d, job %d: report differs across codecs", batch, key)
-			}
+		if !reflect.DeepEqual(sink.calls, want) {
+			firstDiff(t, fmt.Sprintf("batch %d", batch), sink.calls, want)
 		}
 	}
 }
 
-// tapTransport copies every byte its connection reads into read.
-type tapTransport struct {
-	Transport
-	read *bytes.Buffer
-}
-
-func (t tapTransport) Dial(shard int, onDeath func(error)) (Conn, error) {
-	c, err := t.Transport.Dial(shard, onDeath)
-	if err != nil {
-		return nil, err
-	}
-	return &tapConn{Conn: c, read: t.read}, nil
-}
-
-type tapConn struct {
-	Conn
-	read *bytes.Buffer
-}
-
-func (c *tapConn) Read(p []byte) (int, error) {
-	n, err := c.Conn.Read(p)
-	c.read.Write(p[:n])
-	return n, err
-}
-
-// nestedTables splits what a binary session read into frames, finds the
-// enact response that assigned namespace ns, and returns the string table of
-// the frame before it (the Step whose dispatch made the nested call) and
-// its own.
-func nestedTables(t *testing.T, read []byte, ns string) (outer, nested []string) {
+// replayFrames splits what a session read into frames and decodes each
+// after the init response on its own, whole, with a codec of its own. It
+// returns each frame's sink calls and string table (none for the init
+// response), and the index of the enact response that assigned
+// namespace ns.
+func replayFrames(t *testing.T, read []byte, ns string) (calls [][]sinkCall, tables [][]string, nested int) {
 	t.Helper()
-	var frames [][]byte
-	for len(read) >= 4 {
+	nested = -1
+	for i := 0; len(read) >= 4; i++ {
 		n := binary.BigEndian.Uint32(read)
-		frames, read = append(frames, read[4:4+n]), read[4+n:]
-	}
-	for i := 2; i < len(frames); i++ { // frames[0] answers the JSON init
+		frame := read[4 : 4+n]
+		read = read[4+n:]
+		if i == 0 { // the JSON init response
+			calls, tables = append(calls, nil), append(tables, nil)
+			continue
+		}
 		var resp response
-		if err := newBinaryCodec().DecodeResponse(frames[i], &resp); err != nil {
+		if err := newBinaryCodec().DecodeResponse(frame, &resp); err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
+		table := slices.Clone(resp.tail.table)
+		var sink callSink
+		if err := (&session{}).dispatch(&resp.tail, &sink); err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		calls, tables = append(calls, sink.calls), append(tables, table)
 		if resp.Enacted != nil && resp.Enacted.Namespace == ns {
-			var prev response
-			if err := newBinaryCodec().DecodeResponse(frames[i-1], &prev); err != nil {
-				t.Fatalf("frame %d: %v", i-1, err)
-			}
-			return prev.tail.table, resp.tail.table
+			nested = i
 		}
 	}
-	t.Fatalf("no enact response assigned %s", ns)
-	return nil, nil
-}
-
-// nestAtSink records every callback and, at its nest-th completion, enacts
-// a job from inside the callback — a nested call on the same session.
-type nestAtSink struct {
-	callSink
-	w     *Worker
-	nest  int
-	dones int
-	err   error
-}
-
-func (s *nestAtSink) JobDone(key int, report *core.Report) {
-	s.callSink.JobDone(key, report)
-	if s.dones++; s.dones-1 == s.nest {
-		_, s.err = s.w.Enact(&Descriptor{Key: 9, MigratedFrom: -1})
+	if nested < 1 {
+		t.Fatalf("no enact response assigned %s", ns)
 	}
+	return calls, tables, nested
 }
 
-// TestChunkedDispatchMatchesJSON is the dispatch loop's differential test.
-// Seeded Step batches of 0, K−1, K, K+1 and 4 096 events (K = eventChunk) —
-// records, completions, and events the sink is not given — cross a binary
-// session and a JSON one. Both must make the callbacks the events call for,
-// in order. A completion at a random place in the first chunk of the
-// largest batch enacts a job from inside its callback: that nested call's
-// reply is longer than the chunk, and the outer call has the rest of its
-// chunk to dispatch and most of its frame still to decode, so a nested call
-// that read into the outer call's frame, or decoded into its chunk, would
-// hand the rest of the batch over corrupted.
-func TestChunkedDispatchMatchesJSON(t *testing.T) {
+// TestChunkedDispatchMatchesEvents is the dispatch loop's differential
+// test. Seeded Step batches of 0, K−1, K, K+1 and 4 096 events (K =
+// eventChunk) — records and completions — cross a binary session, which
+// must make the callbacks the events call for, in order. A completion at a
+// random place in the first chunk of the largest batch enacts a job from
+// inside its callback: that nested call's reply is longer than the chunk,
+// and the outer call has the rest of its chunk to dispatch and most of its
+// frame still to decode, so a nested call that read into the outer call's
+// frame, or decoded into its chunk, would hand the rest of the batch over
+// corrupted.
+func TestChunkedDispatchMatchesEvents(t *testing.T) {
 	rng := rand.New(rand.NewSource(20261016))
 	states := []string{"SCHEDULING", "STAGING_INPUT", "EXECUTING", "DONE"}
 	events := func(n int) []wireEvent {
 		evs := make([]wireEvent, n)
 		for i := range evs {
-			ev := wireEvent{Kind: eventTrace, Key: 1 + rng.Intn(4), NS: fmt.Sprintf("s0-j%d", 1+rng.Intn(4))}
-			switch r := rng.Intn(100); {
-			case r < 3:
-				ev.Kind, ev.Report = eventDone, &core.Report{UnitsDone: rng.Intn(100)}
-			case r == 3:
-				ev.Kind = "x" // a kind this build does not know
-			case r == 4: // a trace event without its record
-			default:
-				ev.Rec = &trace.WireRecord{Time: sim.Time(rng.Int63n(1e12)), Entity: fmt.Sprintf("unit.%04d", rng.Intn(64)), State: states[rng.Intn(len(states))]}
+			ev := wireEvent{Kind: kindTrace, Key: 1 + rng.Intn(4), NS: fmt.Sprintf("s0-j%d", 1+rng.Intn(4))}
+			if rng.Intn(100) < 3 {
+				ev.Kind, ev.Report = kindDone, &core.Report{UnitsDone: rng.Intn(100)}
+			} else {
+				ev.Rec = &trace.Record{Time: sim.Time(rng.Int63n(1e12)), Entity: fmt.Sprintf("unit.%04d", rng.Intn(64)), State: states[rng.Intn(len(states))]}
 				if rng.Intn(3) == 0 {
 					ev.Rec.Detail = fmt.Sprintf("pilot=s0-j1.p%d", rng.Intn(5))
 				}
@@ -760,7 +731,7 @@ func TestChunkedDispatchMatchesJSON(t *testing.T) {
 	// The completion that nests sits at a random place in the largest
 	// batch's first chunk, short of its end.
 	big, pos := batches[len(batches)-1], rng.Intn(eventChunk-1)
-	big[pos] = wireEvent{Kind: eventDone, Key: 1, Report: &core.Report{UnitsDone: pos}}
+	big[pos] = wireEvent{Kind: kindDone, Key: 1, Report: &core.Report{UnitsDone: pos}}
 
 	// The reference: every event's call, in order, with the enact's calls
 	// spliced in after the completion that nests it.
@@ -771,51 +742,42 @@ func TestChunkedDispatchMatchesJSON(t *testing.T) {
 			if bi == len(batches)-1 && ei == pos {
 				nest, splice = dones, len(want)+1
 			}
-			for _, c := range wantCalls(b[ei : ei+1]) {
-				want = append(want, c)
-				if c.done {
-					dones++
-				}
+			if b[ei].Kind == kindDone {
+				dones++
 			}
+			want = append(want, wantCalls(b[ei:ei+1])...)
 		}
 	}
 	want = slices.Insert(want, splice, wantCalls(enacted)...)
 
-	for _, name := range []string{CodecBinary, CodecJSON} {
-		step := 0
-		tr := scriptedWorker(t, func(req *request) *response {
-			switch req.Op {
-			case opEnact:
-				return &response{Enacted: &Enacted{Namespace: "s0-j9"}, Events: enacted}
-			case opStep:
-				b := batches[step]
-				step++
-				return &response{Fired: len(b), Events: b}
-			}
-			return &response{}
-		})
-		sink := &nestAtSink{nest: nest}
-		w, err := Connect(tr, WorkerOptions{Codec: name}, Config{Seed: 1}, sink, nil)
-		if err != nil {
-			t.Fatal(err)
+	step := 0
+	tr := scriptedWorker(t, func(req *request) *response {
+		switch req.Op {
+		case opEnact:
+			return &response{Enacted: &Enacted{Namespace: "s0-j9"}, Events: enacted}
+		case opStep:
+			b := batches[step]
+			step++
+			return &response{Fired: len(b), Events: b}
 		}
-		sink.w = w
-		for _, b := range batches {
-			if fired, _, err := w.Step(len(b)); err != nil || fired != len(b) {
-				t.Fatalf("%s: Step = %d, %v", name, fired, err)
-			}
+		return &response{}
+	})
+	sink := &nestingSink{nest: nest, next: &Descriptor{Key: 9, MigratedFrom: -1}}
+	w, err := Connect(tr, WorkerOptions{}, Config{Seed: 1}, sink, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink.w = w
+	for _, b := range batches {
+		if fired, _, err := w.Step(len(b)); err != nil || fired != len(b) {
+			t.Fatalf("Step = %d, %v", fired, err)
 		}
-		w.Kill()
-		if sink.err != nil {
-			t.Fatalf("%s: nested enact: %v", name, sink.err)
-		}
-		if !reflect.DeepEqual(sink.calls, want) {
-			for i := range want {
-				if i >= len(sink.calls) || !reflect.DeepEqual(sink.calls[i], want[i]) {
-					t.Fatalf("%s: call %d of %d is %+v, want %+v", name, i, len(want), sink.calls[min(i, len(sink.calls)-1)], want[i])
-				}
-			}
-			t.Fatalf("%s: %d calls, want %d", name, len(sink.calls), len(want))
-		}
+	}
+	w.Kill()
+	if sink.err != nil {
+		t.Fatalf("nested enact: %v", sink.err)
+	}
+	if !reflect.DeepEqual(sink.calls, want) {
+		firstDiff(t, "dispatch", sink.calls, want)
 	}
 }

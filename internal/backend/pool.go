@@ -49,8 +49,6 @@ type PoolConfig struct {
 	// Endpoints are the places shards may run. Shard k starts on endpoint
 	// k mod len(Endpoints); respawn and drain may move it elsewhere.
 	Endpoints []Endpoint
-	// Options tunes every session the pool dials (codec, frame limit).
-	Options WorkerOptions
 	// MaxRestarts bounds respawns per shard. 0 disables respawn — a dead
 	// worker terminally fails its shard's jobs, the pre-fleet behavior.
 	MaxRestarts int
@@ -156,7 +154,7 @@ func (p *Pool) place(shard, preferred int, cfg Config, sink Sink, onDeath func(e
 	var firstErr error
 	for _, k := range cands {
 		ep := p.cfg.Endpoints[k]
-		w, err := Connect(ep.transport(), p.cfg.Options, cfg, sink, onDeath)
+		w, err := Connect(ep.transport(), WorkerOptions{}, cfg, sink, onDeath)
 		if err != nil {
 			p.mu.Lock()
 			p.eps[k].unhealthy = true

@@ -2,7 +2,6 @@ package backend
 
 import (
 	"errors"
-	"io"
 	"net"
 	"strings"
 	"testing"
@@ -13,37 +12,17 @@ import (
 // init (a liveness probe needs no engine), after init, and without ever
 // emitting events or touching job state.
 func TestPingOpcode(t *testing.T) {
-	cr, cw := io.Pipe()
-	wr, ww := io.Pipe()
-	go Serve(wr, cw)
-
-	var id uint64
-	call := func(req *request) *response {
-		t.Helper()
-		id++
-		req.ID = id
-		if err := writeFrame(ww, req); err != nil {
-			t.Fatal(err)
-		}
-		var resp response
-		if err := readFrame(cr, &resp); err != nil {
-			t.Fatal(err)
-		}
-		if resp.ID != id {
-			t.Fatalf("response %d for request %d", resp.ID, id)
-		}
-		return &resp
-	}
-
-	if resp := call(&request{Op: opPing}); resp.Err != "" {
+	p := servePeer(t)
+	if resp, _ := p.call(&request{Op: opPing}); resp.Err != "" {
 		t.Fatalf("pre-init ping refused: %s", resp.Err)
 	}
-	if resp := call(&request{Op: opInit, Init: &Config{Shard: 0, Seed: 42}}); resp.Err != "" {
+	if resp, _ := p.call(&request{Op: opInit, Init: &Config{Shard: 0, Seed: 42}, Codec: binaryWire}); resp.Err != "" {
 		t.Fatalf("init: %s", resp.Err)
 	}
-	if resp := call(&request{Op: opPing}); resp.Err != "" {
-		t.Fatalf("post-init ping refused: %s", resp.Err)
+	if resp, calls := p.call(&request{Op: opPing}); resp.Err != "" || len(calls) != 0 {
+		t.Fatalf("post-init ping: %q, %d events", resp.Err, len(calls))
 	}
+	p.close()
 }
 
 // TestWorkerPingAndDead checks the client half of the probe: Ping succeeds

@@ -2,6 +2,7 @@ package backend
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -62,10 +63,10 @@ func pipeWorker(t *testing.T) Transport {
 }
 
 // TestConnectNegotiatesBinary drives the real client against the real serve
-// loop in-memory: the default codec choice lands on binary, and the session
-// works end to end over it.
+// loop in-memory: either spelling of the one codec lands on binary, and the
+// session works end to end over it.
 func TestConnectNegotiatesBinary(t *testing.T) {
-	for _, choice := range []string{"", CodecBinary, CodecJSON} {
+	for _, choice := range []string{"", CodecBinary} {
 		w, err := Connect(pipeWorker(t), WorkerOptions{Codec: choice}, Config{Shard: 2, Seed: 7}, &collectSink{}, nil)
 		if err != nil {
 			t.Fatalf("codec %q: %v", choice, err)
@@ -79,35 +80,21 @@ func TestConnectNegotiatesBinary(t *testing.T) {
 	}
 }
 
-// TestHostRejectsUnknownCodec checks the negotiation's server half: an init
-// requesting a codec this worker cannot speak is answered with a
-// descriptive error — in JSON, so the client can read the verdict — and the
-// worker stays alive for a corrected init.
+// TestHostRejectsUnknownCodec checks the negotiation's server half: an
+// init requesting anything but the binary layout's versioned name — none,
+// JSON, a bare or older binary name — is answered with a descriptive error,
+// in JSON so the client can read the verdict, and the worker stays alive
+// for a corrected init.
 func TestHostRejectsUnknownCodec(t *testing.T) {
-	cr, sw := io.Pipe()
-	sr, cw := io.Pipe()
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- Serve(sr, sw) }()
-
-	call := func(req *request) *response {
-		t.Helper()
-		if err := writeFrame(cw, req); err != nil {
-			t.Fatal(err)
-		}
-		var resp response
-		if err := readFrame(cr, &resp); err != nil {
-			t.Fatal(err)
-		}
-		return &resp
-	}
+	p := servePeer(t)
 	// The bare binary name is a parent built before the layouts were
 	// versioned: it would misread this worker's frames.
-	for _, name := range []string{"yaml", CodecBinary} {
-		resp := call(&request{ID: 1, Op: opInit, Init: &Config{Seed: 1}, Codec: name})
+	for _, name := range []string{"", "json", "yaml", CodecBinary, CodecBinary + "/4"} {
+		resp, _ := p.call(&request{Op: opInit, Init: &Config{Seed: 1}, Codec: name})
 		if resp.Err == "" {
 			t.Fatalf("codec %q accepted", name)
 		}
-		for _, want := range []string{strconv.Quote(name), CodecJSON, binaryWire} {
+		for _, want := range []string{strconv.Quote(name), binaryWire} {
 			if !strings.Contains(resp.Err, want) {
 				t.Errorf("rejection %q does not mention %q", resp.Err, want)
 			}
@@ -116,35 +103,17 @@ func TestHostRejectsUnknownCodec(t *testing.T) {
 			t.Fatalf("rejection echoed codec %q", resp.Codec)
 		}
 	}
-	// The worker survives the refusal: a corrected init succeeds and the
-	// echo confirms the accepted codec.
-	resp := call(&request{ID: 2, Op: opInit, Init: &Config{Seed: 1}, Codec: CodecJSON})
-	if resp.Err != "" {
-		t.Fatalf("corrected init failed: %s", resp.Err)
+	// The worker survives the refusal: a corrected init succeeds, the echo
+	// confirms the layout, and the close after it goes out in binary.
+	resp, _ := p.call(&request{Op: opInit, Init: &Config{Seed: 1}, Codec: binaryWire})
+	if resp.Err != "" || resp.Codec != binaryWire {
+		t.Fatalf("corrected init: %q, echoed %q, want %q", resp.Err, resp.Codec, binaryWire)
 	}
-	if resp.Codec != CodecJSON {
-		t.Fatalf("echoed codec %q, want %q", resp.Codec, CodecJSON)
-	}
-	call(&request{ID: 3, Op: opClose})
-	select {
-	case err := <-serveErr:
-		if err != nil {
-			t.Fatalf("serve: %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("serve did not return after close")
-	}
+	p.close()
 }
 
-// scriptedServer answers the init exchange in plain JSON without echoing a
-// codec — a peer that is not this tree's worker — and then hands the stream
-// to script.
-func scriptedServer(t *testing.T, script func(r io.Reader, w *io.PipeWriter)) Transport {
-	t.Helper()
-	return scriptedInit(t, func(req *request) *response { return &response{ID: req.ID} }, script)
-}
-
-// scriptedInit is scriptedServer with the init answer given by answer.
+// scriptedInit answers the init exchange in JSON with what answer returns
+// for the request, and then hands the stream to script.
 func scriptedInit(t *testing.T, answer func(*request) *response, script func(r io.Reader, w *io.PipeWriter)) Transport {
 	t.Helper()
 	return transportFunc(func(int, func(error)) (Conn, error) {
@@ -165,87 +134,94 @@ func scriptedInit(t *testing.T, answer func(*request) *response, script func(r i
 	})
 }
 
-// TestConnectRejectsUnknownCodec: a codec choice that is neither codec nor
-// empty fails Connect, naming it, before anything is dialed.
+// acceptInit answers an init as this tree's worker does, echoing the layout
+// asked for.
+func acceptInit(req *request) *response { return &response{ID: req.ID, Codec: req.Codec} }
+
+// TestConnectRejectsUnknownCodec: a codec choice that is neither binary nor
+// empty fails Connect, naming it and binary, before anything is dialed.
 func TestConnectRejectsUnknownCodec(t *testing.T) {
 	never := transportFunc(func(int, func(error)) (Conn, error) {
 		t.Fatal("dialed a worker for an unknown codec")
 		return nil, nil
 	})
-	_, err := Connect(never, WorkerOptions{Codec: "yaml"}, Config{Shard: 0, Seed: 1}, &collectSink{}, nil)
-	if err == nil || !strings.Contains(err.Error(), `"yaml"`) {
-		t.Fatalf("unknown codec: err = %v, want one naming it", err)
+	for _, name := range []string{"yaml", "json"} {
+		_, err := Connect(never, WorkerOptions{Codec: name}, Config{Shard: 0, Seed: 1}, &collectSink{}, nil)
+		if err == nil || !strings.Contains(err.Error(), strconv.Quote(name)) || !strings.Contains(err.Error(), strconv.Quote(CodecBinary)) {
+			t.Fatalf("codec %q: err = %v, want one naming it and %q", name, err, CodecBinary)
+		}
 	}
 }
 
 // TestConnectRejectsWorkerWithoutBinary: binary is the wire's data codec, so
 // a peer that does not echo it fails Connect with an error naming the codec —
 // asked for by name or by default alike — instead of leaving the session on
-// JSON; a client that pinned JSON asked for nothing and still connects.
+// JSON.
 func TestConnectRejectsWorkerWithoutBinary(t *testing.T) {
-	echo := func(r io.Reader, w *io.PipeWriter) {
-		for {
-			var req request
-			if err := readFrame(r, &req); err != nil {
-				return
-			}
-			if err := writeFrame(w, &response{ID: req.ID, Fired: 424242}); err != nil {
-				return
-			}
+	refuse := func(supports string) func(*request) *response {
+		return func(req *request) *response {
+			return &response{ID: req.ID, Err: fmt.Sprintf("backend: worker does not support wire codec %q (supports %q, %q)", req.Codec, "json", supports)}
 		}
 	}
-	for _, name := range []string{"", CodecBinary} {
-		_, err := Connect(scriptedServer(t, echo), WorkerOptions{Codec: name}, Config{Shard: 0, Seed: 1}, &collectSink{}, nil)
-		if err == nil {
-			t.Fatalf("codec %q connected to a worker that never echoed %q", name, CodecBinary)
-		}
-		if !strings.Contains(err.Error(), CodecBinary) {
-			t.Fatalf("codec %q: failure does not name the codec: %v", name, err)
-		}
+	echo := func(name string) func(*request) *response {
+		return func(req *request) *response { return &response{ID: req.ID, Codec: name} }
 	}
-
-	// A worker built before the payload layouts were versioned knows binary
-	// by its bare name only. It refuses the versioned name as it would any
-	// unknown codec, and one that echoed the bare name anyway is refused by
-	// the parent: the pair fails at the handshake, not mid-job.
-	for name, answer := range map[string]func(*request) *response{
-		"refuses": func(req *request) *response {
-			if req.Codec == CodecBinary {
-				return &response{ID: req.ID, Codec: CodecBinary}
-			}
-			return &response{ID: req.ID, Err: fmt.Sprintf("backend: worker does not support wire codec %q (supports %q, %q)", req.Codec, CodecJSON, CodecBinary)}
-		},
-		"echoes the bare name": func(req *request) *response { return &response{ID: req.ID, Codec: CodecBinary} },
-	} {
-		_, err := Connect(scriptedInit(t, answer, echo), WorkerOptions{Codec: CodecBinary}, Config{Shard: 0, Seed: 1}, &collectSink{}, nil)
-		if err == nil || !strings.Contains(err.Error(), binaryWire) {
-			t.Fatalf("a worker that %s: connect error %v, want one naming %q", name, err, binaryWire)
-		}
-	}
-
-	// A worker built with the previous layout, "binary/3" (a feedback op
-	// whose request carried a report), refuses "binary/4" as an unknown
-	// codec; one that answered with its own layout name anyway is refused by
-	// the parent, naming both.
 	prev := CodecBinary + "/3"
-	for name, answer := range map[string]func(*request) *response{
-		"refuses the new layout": func(req *request) *response {
-			return &response{ID: req.ID, Err: fmt.Sprintf("backend: worker does not support wire codec %q (supports %q, %q)", req.Codec, CodecJSON, prev)}
-		},
-		"answers with the old layout": func(req *request) *response { return &response{ID: req.ID, Codec: prev} },
+	for _, tc := range []struct {
+		name   string
+		answer func(*request) *response
+		also   string // what the error names beside binaryWire
+	}{
+		// A peer that knows no binary accepts the init and echoes nothing.
+		{"echoes nothing", echo(""), binaryWire},
+		// A worker built before the payload layouts were versioned knows
+		// binary by its bare name only. It refuses the versioned name as it
+		// would any unknown codec, and one that echoed the bare name anyway
+		// is refused by the parent: the pair fails at the handshake, not
+		// mid-job.
+		{"refuses the versioned name", refuse(CodecBinary), binaryWire},
+		{"echoes the bare name", echo(CodecBinary), binaryWire},
+		// A worker built with an older layout, "binary/3" (a feedback op
+		// whose request carried a report), refuses this one as an unknown
+		// codec; one that answered with its own layout name anyway is
+		// refused by the parent, naming both.
+		{"refuses the new layout", refuse(prev), prev},
+		{"answers with the old layout", echo(prev), prev},
 	} {
-		_, err := Connect(scriptedInit(t, answer, echo), WorkerOptions{Codec: CodecBinary}, Config{Shard: 0, Seed: 1}, &collectSink{}, nil)
-		if err == nil || !strings.Contains(err.Error(), binaryWire) || !strings.Contains(err.Error(), prev) {
-			t.Fatalf("a worker that %s: connect error %v, want one naming %q and %q", name, err, binaryWire, prev)
+		for _, name := range []string{"", CodecBinary} {
+			_, err := Connect(scriptedInit(t, tc.answer, func(io.Reader, *io.PipeWriter) {}), WorkerOptions{Codec: name}, Config{Shard: 0, Seed: 1}, &collectSink{}, nil)
+			if err == nil || !strings.Contains(err.Error(), binaryWire) || !strings.Contains(err.Error(), tc.also) {
+				t.Fatalf("a worker that %s, codec %q: connect error %v, want one naming %q and %q", tc.name, name, err, binaryWire, tc.also)
+			}
 		}
 	}
+}
 
-	w, err := Connect(scriptedServer(t, echo), WorkerOptions{Codec: CodecJSON}, Config{Shard: 0, Seed: 1}, &collectSink{}, nil)
-	if err != nil {
-		t.Fatalf("pinned-JSON connect: %v", err)
+// TestConnectRejectsJSONWorker: a worker that accepts the init but keeps
+// the session on JSON — echoing "json", as one built when JSON could be
+// pinned would — fails Connect with an error naming the binary layout.
+func TestConnectRejectsJSONWorker(t *testing.T) {
+	answer := func(req *request) *response { return &response{ID: req.ID, Codec: "json"} }
+	_, err := Connect(scriptedInit(t, answer, func(io.Reader, *io.PipeWriter) {}), WorkerOptions{}, Config{Shard: 0, Seed: 1}, &collectSink{}, nil)
+	if err == nil || !strings.Contains(err.Error(), binaryWire) || !strings.Contains(err.Error(), `"json"`) {
+		t.Fatalf("a JSON worker: connect error %v, want one naming %q and %q", err, binaryWire, "json")
 	}
-	if fired, _, err := w.Step(1); err != nil || fired != 424242 {
-		t.Fatalf("pinned-JSON call: %d, %v", fired, err)
+}
+
+// TestConnectRejectsInitWithEvents: events ride binary frames only, so an
+// init response that carries any — even one echoing the binary layout —
+// fails Connect as a corrupt frame, and none of them reaches the sink.
+func TestConnectRejectsInitWithEvents(t *testing.T) {
+	answer := func(req *request) *response {
+		return &response{ID: req.ID, Codec: req.Codec, Events: []wireEvent{{Kind: kindTrace, Key: 1, NS: "s0-j1", Rec: &trace.Record{Entity: "em", State: "NEW"}}}}
+	}
+	sink := &callSink{}
+	_, err := Connect(scriptedInit(t, answer, func(io.Reader, *io.PipeWriter) {}), WorkerOptions{}, Config{Shard: 0, Seed: 1}, sink, nil)
+	if err == nil || !strings.Contains(err.Error(), "decoding frame: a JSON response carries 1 events") {
+		t.Fatalf("an init response with events: connect error %v, want a decoding error", err)
+	}
+	if len(sink.calls) != 0 {
+		t.Fatalf("the init response's events reached the sink: %+v", sink.calls)
 	}
 }
 
@@ -292,15 +268,13 @@ func TestFrameCorruptionFailsShardNotProcess(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var deaths atomic.Int32
 			onDeath := func(error) { deaths.Add(1) }
-			tr := scriptedServer(t, func(r io.Reader, w *io.PipeWriter) {
-				var req request
-				if err := readFrame(r, &req); err != nil {
+			tr := scriptedInit(t, acceptInit, func(r io.Reader, w *io.PipeWriter) {
+				if _, err := readFrameInto(bufio.NewReader(r), nil, DefaultMaxFrame); err != nil {
 					return
 				}
 				tc.corrupt(w)
 			})
-			// Pin JSON so the scripted init exchange is the whole negotiation.
-			wk, err := Connect(tr, WorkerOptions{Codec: CodecJSON}, Config{Shard: 3, Seed: 1}, &collectSink{}, onDeath)
+			wk, err := Connect(tr, WorkerOptions{}, Config{Shard: 3, Seed: 1}, &collectSink{}, onDeath)
 			if err != nil {
 				t.Fatalf("connect: %v", err)
 			}
@@ -379,18 +353,13 @@ func TestTCPHandshake(t *testing.T) {
 	}
 }
 
-// scriptedWorker accepts whichever codec the client asks for at init, then
-// answers every request with what reply returns for it, encoded in that
-// codec under the request's ID. One Connect per transport.
+// scriptedWorker accepts the binary layout at init, then answers every
+// request with what reply returns for it, encoded under the request's ID.
+// One Connect per transport.
 func scriptedWorker(t *testing.T, reply func(req *request) *response) Transport {
 	t.Helper()
-	var c codec = jsonCodec{}
-	return scriptedInit(t, func(req *request) *response {
-		if req.Codec == binaryWire {
-			c = newBinaryCodec()
-		}
-		return &response{ID: req.ID, Codec: req.Codec}
-	}, func(r io.Reader, w *io.PipeWriter) {
+	c := newBinaryCodec()
+	return scriptedInit(t, acceptInit, func(r io.Reader, w *io.PipeWriter) {
 		in := bufio.NewReader(r)
 		var buf []byte
 		for {
@@ -439,9 +408,9 @@ func awaitDeaths(t *testing.T, deaths *atomic.Int32) {
 // strategy is a protocol violation. The session dies, the death callback
 // runs once, nothing reaches the sink, and later calls fail fast.
 func TestPingWithPayloadKillsSession(t *testing.T) {
-	rec := &trace.WireRecord{Entity: "unit.0001", State: "DONE"}
+	rec := &trace.Record{Entity: "unit.0001", State: "DONE"}
 	for name, payload := range map[string]response{
-		"events":   {Events: []wireEvent{{Kind: eventTrace, Key: 1, NS: "s0-j1", Rec: rec}}},
+		"events":   {Events: []wireEvent{{Kind: kindTrace, Key: 1, NS: "s0-j1", Rec: rec}}},
 		"enacted":  {Enacted: &Enacted{Namespace: "s0-j1"}},
 		"strategy": {Strategy: &core.Strategy{Pilots: 1}},
 	} {
@@ -489,8 +458,8 @@ func TestPingWithPayloadKillsSession(t *testing.T) {
 func TestTruncatedChunkFailsSessionOnce(t *testing.T) {
 	resp := &response{Fired: 1}
 	for i := range eventChunk + 10 {
-		rec := &trace.WireRecord{Time: sim.Time(i), Entity: "unit.0001", State: "EXECUTING", Detail: "pilot=s0-j1.p0"}
-		resp.Events = append(resp.Events, wireEvent{Kind: eventTrace, Key: 1, NS: "s0-j1", Rec: rec})
+		rec := &trace.Record{Time: sim.Time(i), Entity: "unit.0001", State: "EXECUTING", Detail: "pilot=s0-j1.p0"}
+		resp.Events = append(resp.Events, wireEvent{Kind: kindTrace, Key: 1, NS: "s0-j1", Rec: rec})
 	}
 	payload, err := newBinaryCodec().AppendResponse(nil, resp)
 	if err != nil {
@@ -507,7 +476,7 @@ func TestTruncatedChunkFailsSessionOnce(t *testing.T) {
 	}
 	defer w.Kill()
 	_, _, err = w.Step(64)
-	if want := "backend: backend: decoding frame: truncated uvarint"; err == nil || err.Error() != want {
+	if want := "backend: decoding frame: truncated uvarint"; err == nil || err.Error() != want {
 		t.Fatalf("Step over a truncated frame: %v, want %q", err, want)
 	}
 	if sink.traces != eventChunk || sink.done != 0 {
@@ -522,32 +491,34 @@ func TestTruncatedChunkFailsSessionOnce(t *testing.T) {
 	}
 }
 
-// countingTransport counts the bytes its connections move, each way.
-type countingTransport struct {
+// tapTransport copies what its connections read into read, and counts what
+// they write.
+type tapTransport struct {
 	Transport
-	read, written *atomic.Int64
+	read    *bytes.Buffer
+	written *atomic.Int64
 }
 
-func (t countingTransport) Dial(shard int, onDeath func(error)) (Conn, error) {
+func (t tapTransport) Dial(shard int, onDeath func(error)) (Conn, error) {
 	c, err := t.Transport.Dial(shard, onDeath)
 	if err != nil {
 		return nil, err
 	}
-	return &countingConn{Conn: c, t: t}, nil
+	return &tapConn{Conn: c, t: t}, nil
 }
 
-type countingConn struct {
+type tapConn struct {
 	Conn
-	t countingTransport
+	t tapTransport
 }
 
-func (c *countingConn) Read(p []byte) (int, error) {
+func (c *tapConn) Read(p []byte) (int, error) {
 	n, err := c.Conn.Read(p)
-	c.t.read.Add(int64(n))
+	c.t.read.Write(p[:n])
 	return n, err
 }
 
-func (c *countingConn) Write(p []byte) (int, error) {
+func (c *tapConn) Write(p []byte) (int, error) {
 	n, err := c.Conn.Write(p)
 	c.t.written.Add(int64(n))
 	return n, err
@@ -557,16 +528,17 @@ func (c *countingConn) Write(p []byte) (int, error) {
 // connection under it moved, from the handshake on, and count every round
 // trip and every event the sink was given.
 func TestWireStatsMatchTransport(t *testing.T) {
-	var read, written atomic.Int64
+	var read bytes.Buffer
+	var written atomic.Int64
 	sink := &collectSink{}
-	w, err := Connect(countingTransport{pipeWorker(t), &read, &written}, WorkerOptions{}, Config{Seed: 3}, sink, nil)
+	w, err := Connect(tapTransport{pipeWorker(t), &read, &written}, WorkerOptions{}, Config{Seed: 3}, sink, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w.Close()
 	check := func(when string, roundTrips int64) {
 		t.Helper()
-		want := WireStats{RoundTrips: roundTrips, BytesSent: written.Load(), BytesReceived: read.Load(), Events: int64(len(sink.traces) + len(sink.done))}
+		want := WireStats{RoundTrips: roundTrips, BytesSent: written.Load(), BytesReceived: int64(read.Len()), Events: int64(len(sink.traces) + len(sink.done))}
 		if got := w.WireStats(); got != want {
 			t.Fatalf("%s: session counted %+v, the connection %+v", when, got, want)
 		}
@@ -601,7 +573,7 @@ func TestWireStatsMatchTransport(t *testing.T) {
 func TestPingDuringDispatch(t *testing.T) {
 	batch := make([]wireEvent, 5*eventChunk+7)
 	for i := range batch {
-		batch[i] = wireEvent{Kind: eventTrace, Key: 1, NS: "s0-j1", Rec: &trace.WireRecord{Time: sim.Time(i), Entity: fmt.Sprintf("unit.%04d", i%48), State: "EXECUTING"}}
+		batch[i] = wireEvent{Kind: kindTrace, Key: 1, NS: "s0-j1", Rec: &trace.Record{Time: sim.Time(i), Entity: fmt.Sprintf("unit.%04d", i%48), State: "EXECUTING"}}
 	}
 	tr := scriptedWorker(t, func(req *request) *response {
 		if req.Op == opStep {

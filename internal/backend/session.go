@@ -5,18 +5,20 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
 
 // session is the client half of the protocol's session layer: one
-// correlated request/response wire over a Conn, in whatever codec the init
-// exchange negotiated. It owns ID assignment and correlation, the frame
-// buffers, the dead-session state, the wire counters, and the once-only
-// death notification that both in-band failures (a broken write, a desync,
-// a corrupt frame) and out-of-band ones (the process transport's watcher)
-// funnel into. What it does not know about is Backend semantics — request
-// construction and the drain cache live in Worker, one layer up.
+// correlated request/response wire over a Conn, in JSON for the init
+// exchange and in the binary layout it agreed on after it. It owns ID
+// assignment and correlation, the frame buffers, the dead-session state,
+// the wire counters, and the once-only death notification that both
+// in-band failures (a broken write, a desync, a corrupt frame) and
+// out-of-band ones (the process transport's watcher) funnel into. What it
+// does not know about is Backend semantics — request construction and the
+// drain cache live in Worker, one layer up.
 type session struct {
 	shard int
 	conn  Conn
@@ -179,7 +181,7 @@ func (s *session) dispatch(t *eventTail, sink Sink) error {
 	var chunk [eventChunk]event
 	for t.left > 0 {
 		s.mu.Lock()
-		n, err := t.next(chunk[:])
+		n, err := t.bin.readEvents(t, chunk[:])
 		if err != nil || t.left == 0 {
 			s.putFrame(t)
 		}
@@ -228,15 +230,20 @@ func (s *session) fail(cause error) error {
 }
 
 // failLocked records cause as the session's death unless it already died,
-// and returns the sticky error. The caller holds mu, and notifies on a fresh
+// and returns the sticky error, which names the package once: a cause the
+// package wrote already does. The caller holds mu, and notifies on a fresh
 // goroutine once it is released: the caller may hold its shard's lock, and
 // the death handler takes it to fail the shard's jobs.
 func (s *session) failLocked(cause error) error {
 	if s.dead == nil {
-		if errors.Is(cause, io.EOF) || errors.Is(cause, io.ErrUnexpectedEOF) {
-			cause = fmt.Errorf("worker for shard %d closed its connection", s.shard)
+		switch {
+		case errors.Is(cause, io.EOF) || errors.Is(cause, io.ErrUnexpectedEOF):
+			s.dead = fmt.Errorf("backend: worker for shard %d closed its connection", s.shard)
+		case strings.HasPrefix(cause.Error(), "backend: "):
+			s.dead = cause
+		default:
+			s.dead = fmt.Errorf("backend: %w", cause)
 		}
-		s.dead = fmt.Errorf("backend: %w", cause)
 	}
 	return s.dead
 }

@@ -16,9 +16,9 @@ import (
 //   - Transport (transport.go): a byte stream to the worker — child-process
 //     stdio pipes, or TCP with a shared-secret handshake.
 //   - Frames (this file): 4-byte big-endian payload length + one payload.
-//   - Codec (codec.go): the payload encoding — the compact binary form, or
-//     field-named JSON when the client pins it — agreed in the init exchange,
-//     which itself is always JSON.
+//   - Codec (codec.go): the payload encoding. The init exchange is JSON
+//     (codec_json.go), and agrees on the versioned binary layout
+//     (codec_binary.go) that every later frame is written in.
 //   - Session (session.go): request/response correlation, ordered event
 //     replay, crash detection.
 //
@@ -30,12 +30,12 @@ import (
 
 // DefaultMaxFrame bounds a single frame, on both ends of every connection.
 // Sizing: the largest legitimate frames are an enact request
-// carrying a workload descriptor (a 2048-task bag of tasks is 0.5 MB in the
-// JSON codec, 0.18 MB in the binary one) and a Step response whose events carry
-// a full wire batch of trace records (a 512-event batch is well under
-// 100 KB in either codec). 256 MiB leaves two-plus orders of magnitude of
-// headroom over both while still catching a corrupt or hostile length
-// prefix before it turns into a multi-gigabyte allocation.
+// carrying a workload descriptor (a 2048-task bag of tasks is 0.18 MB) and a
+// Step response whose events carry a full wire batch of trace records (a
+// 512-record batch is about 9 KB, 18.1 bytes a record). 256 MiB leaves
+// three orders of magnitude of headroom over both while still catching a
+// corrupt or hostile length prefix before it turns into a multi-gigabyte
+// allocation.
 const DefaultMaxFrame = 256 << 20
 
 // finishFrame patches the 4-byte length header reserved at the front of buf
@@ -98,11 +98,12 @@ type request struct {
 	// Init is the shard's Config as it is; plain data all the way down, so
 	// there is no wire form of it to keep in step.
 	Init *Config `json:"init,omitempty"`
-	// Codec rides the init request: the wire codec the client asks for on
-	// every frame after the init exchange (the exchange itself is always
-	// JSON, which is what lets the two sides agree at all). A worker that
-	// does not recognize the name rejects the init with a descriptive error
-	// rather than answering in a codec the client may not speak.
+	// Codec rides the init request: the versioned binary layout the client
+	// writes and reads every frame after the init exchange in (the exchange
+	// itself is JSON, which is what lets the two sides agree at all). A
+	// worker that does not know the name rejects the init with a
+	// descriptive error rather than answering in a layout the client may
+	// not read.
 	Codec string `json:"codec,omitempty"`
 
 	Desc     *Descriptor          `json:"desc,omitempty"`
@@ -115,45 +116,20 @@ type request struct {
 }
 
 // wireEvent is one ordered asynchronous output riding a response, as the
-// worker encodes it and the JSON codec decodes it.
+// worker encodes it.
 type wireEvent struct {
-	Kind   string            `json:"k"` // "t" (trace) or "d" (done)
-	Key    int               `json:"j"`
-	NS     string            `json:"ns,omitempty"`
-	Rec    *trace.WireRecord `json:"r,omitempty"`
-	Report *core.Report      `json:"rep,omitempty"`
+	Kind   byte // kindTrace or kindDone
+	Key    int
+	NS     string
+	Rec    *trace.Record // a trace event's record
+	Report *core.Report  // a done event's report
 }
 
-const (
-	eventTrace = "t"
-	eventDone  = "d"
-)
-
-// Event kinds as the parent dispatches them, and as the binary codec writes
-// them. Zero is an event the sink is not given: a kind this build does not
-// know, or a trace event without a record.
+// Event kinds, as the binary codec writes them.
 const (
 	kindTrace byte = 1
 	kindDone  byte = 2
 )
-
-// eventNames maps an event kind to its name.
-var eventNames = [...]string{kindTrace: eventTrace, kindDone: eventDone}
-
-// wireCode returns name's index in names, or 0 when it has none.
-func wireCode(names []string, name string) byte {
-	for i, n := range names {
-		if n != "" && n == name {
-			return byte(i)
-		}
-	}
-	return 0
-}
-
-// known reports whether code names an entry of names.
-func known(names []string, code byte) bool {
-	return int(code) < len(names) && names[code] != ""
-}
 
 // event is one response event decoded for dispatch, into storage the
 // dispatching call owns (see session.dispatch).
@@ -166,42 +142,17 @@ type event struct {
 }
 
 // eventTail is what a response's call still has to dispatch once the codec
-// has decoded the response's fields: the binary codec leaves the events in
-// the frame, for readEvents to decode a chunk at a time; the JSON codec
-// leaves the list it decoded whole.
+// has decoded the response's fields: its events, left in the frame for
+// readEvents to decode a chunk at a time.
 type eventTail struct {
 	left  int    // events not yet handed out
 	frame []byte // the read buffer the call owns until left is 0
-	// table is the frame's strings (binary), in storage the call owns
-	// with its frame.
+	// table is the frame's strings, in storage the call owns with its
+	// frame.
 	table []string
 	bin   *binaryCodec
-	rd    binReader   // binary: the frame from the next event on
-	at    int64       // binary: the time of the previous record
-	list  []wireEvent // JSON: the events not yet handed out
-}
-
-// next fills dst with up to len(dst) of the tail's events and reports how
-// many. A binary tail decodes them under the caller's session lock (a
-// completion's report interns through the session's codec); on a decode
-// error none of them is valid.
-func (t *eventTail) next(dst []event) (int, error) {
-	if t.bin != nil {
-		return t.bin.readEvents(t, dst)
-	}
-	n := min(t.left, len(dst))
-	for i := range n {
-		w := &t.list[i]
-		ev := event{kind: wireCode(eventNames[:], w.Kind), key: w.Key, ns: w.NS, report: w.Report}
-		if w.Rec != nil {
-			ev.rec = w.Rec.Record()
-		} else if ev.kind == kindTrace {
-			ev.kind = 0
-		}
-		dst[i] = ev
-	}
-	t.list, t.left = t.list[n:], t.left-n
-	return n, nil
+	rd    binReader // the frame from the next event on
+	at    int64     // the time of the previous record
 }
 
 // response is one worker→parent frame, answering the request with the same
@@ -223,7 +174,7 @@ type response struct {
 	// the init exchange. Only the init response carries it.
 	Codec string `json:"codec,omitempty"`
 
-	// tail is what the parent's decode leaves of Events for the call to
-	// dispatch; the worker's encode never looks at it.
+	// tail is what the parent's binary decode leaves of Events for the
+	// call to dispatch; the worker's encode never looks at it.
 	tail eventTail
 }

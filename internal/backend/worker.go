@@ -29,16 +29,16 @@ type bufSink struct {
 	// recs holds the records events point into. A pointer taken before recs
 	// grows stays valid: the old array keeps its values until the batch is
 	// encoded.
-	recs []trace.WireRecord
+	recs []trace.Record
 }
 
 func (s *bufSink) JobTrace(key int, ns string, rec trace.Record) {
-	s.recs = append(s.recs, trace.WireRecord(rec))
-	s.events = append(s.events, wireEvent{Kind: eventTrace, Key: key, NS: ns, Rec: &s.recs[len(s.recs)-1]})
+	s.recs = append(s.recs, rec)
+	s.events = append(s.events, wireEvent{Kind: kindTrace, Key: key, NS: ns, Rec: &s.recs[len(s.recs)-1]})
 }
 
 func (s *bufSink) JobDone(key int, report *core.Report) {
-	s.events = append(s.events, wireEvent{Kind: eventDone, Key: key, Report: report})
+	s.events = append(s.events, wireEvent{Kind: kindDone, Key: key, Report: report})
 }
 
 // reset empties the sink once its batch is encoded, keeping the storage and
@@ -49,11 +49,11 @@ func (s *bufSink) reset() {
 }
 
 // host is the server half of the session layer: one shard worker serving
-// strictly-alternating request/response frames over a byte stream, in
-// whatever codec the init exchange negotiated. It hosts a Local backend
-// built from the init frame and executes operations strictly in arrival
-// order (the engine is single-threaded by design; serialization is the
-// parent's job).
+// strictly-alternating request/response frames over a byte stream, in JSON
+// until its init response and in the binary layout after it. It hosts a
+// Local backend built from the init frame and executes operations strictly
+// in arrival order (the engine is single-threaded by design; serialization
+// is the parent's job).
 type host struct {
 	in    *bufio.Reader
 	out   io.Writer
@@ -127,9 +127,9 @@ func (h *host) run() error {
 		if err := h.writeResponse(&resp); err != nil {
 			return err
 		}
-		// A negotiated codec switch applies to the frames after the init
-		// response — the response itself goes out in the codec the request
-		// arrived in, or the client could not read the verdict.
+		// The switch to binary applies to the frames after the init
+		// response — the response itself goes out in JSON, as the request
+		// arrived, or the client could not read the verdict.
 		h.cod = next
 		if closing {
 			return nil
@@ -137,10 +137,10 @@ func (h *host) run() error {
 	}
 }
 
-// handleInit builds the shard stack and negotiates the codec, returning the
-// codec for every frame after this response. An unknown codec name is
-// rejected descriptively before any stack is built: answering in a codec
-// the client may not speak would strand it.
+// handleInit builds the shard stack and agrees on the binary layout,
+// returning the codec for every frame after this response. A request for
+// any other layout is rejected descriptively before any stack is built:
+// answering in a layout the client may not read would strand it.
 func (h *host) handleInit(req *request, resp *response) codec {
 	if h.local != nil {
 		resp.Err = "backend: worker already initialized"
@@ -150,27 +150,20 @@ func (h *host) handleInit(req *request, resp *response) codec {
 		resp.Err = "backend: init frame without a config"
 		return h.cod
 	}
-	switch req.Codec {
-	case "", CodecJSON:
-		resp.Codec = CodecJSON
-	case binaryWire:
-		resp.Codec = binaryWire
-	default:
-		resp.Err = fmt.Sprintf("backend: worker does not support wire codec %q (supports %q, %q)", req.Codec, CodecJSON, binaryWire)
+	if req.Codec != binaryWire {
+		resp.Err = fmt.Sprintf("backend: worker does not support wire codec %q (supports %q)", req.Codec, binaryWire)
 		return h.cod
 	}
 	var err error
 	if h.local, err = NewLocal(*req.Init, &h.sink); err != nil {
-		resp.Err, resp.Codec = err.Error(), ""
+		resp.Err = err.Error()
 		return h.cod
 	}
 	if h.sever != nil {
 		h.local.SetSever(h.sever)
 	}
-	if resp.Codec == binaryWire {
-		return newBinaryCodec()
-	}
-	return h.cod
+	resp.Codec = binaryWire
+	return newBinaryCodec()
 }
 
 // handleOp executes one post-init operation against the shard stack.

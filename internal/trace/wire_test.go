@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"encoding/json"
 	"testing"
 
 	"aimes/internal/sim"
@@ -13,37 +12,33 @@ func TestWireRecordRoundTrip(t *testing.T) {
 		{Time: sim.Time(1234567890), Entity: "pilot.stampede.s0-j1-1", State: "ACTIVE"},
 		{Time: sim.Forever, Entity: "unit.t0001", State: "DONE", Detail: "with, comma"},
 	}
+	var buf []byte
 	for _, rec := range cases {
-		buf, err := json.Marshal(WireRecord(rec))
-		if err != nil {
-			t.Fatalf("marshal %+v: %v", rec, err)
-		}
+		buf = WireRecord(rec).AppendWire(buf)
+	}
+	buf = append(buf, 0xff) // what follows the records is handed back
+	for _, rec := range cases {
 		var back WireRecord
-		if err := json.Unmarshal(buf, &back); err != nil {
-			t.Fatalf("unmarshal %s: %v", buf, err)
+		rest, err := back.DecodeWire(buf, nil)
+		if err != nil {
+			t.Fatalf("decode %+v: %v", rec, err)
 		}
-		if back.Record() != rec {
-			t.Fatalf("round trip %+v → %s → %+v", rec, buf, back.Record())
+		if Record(back) != rec {
+			t.Fatalf("round trip %+v → %+v", rec, Record(back))
 		}
+		buf = rest
 	}
-}
-
-func TestWireRecordCompactsEmptyDetail(t *testing.T) {
-	buf, err := json.Marshal(WireRecord{Time: 5, Entity: "em", State: "DONE"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := `[5,"em","DONE"]`
-	if string(buf) != want {
-		t.Fatalf("compact form %s, want %s", buf, want)
+	if len(buf) != 1 || buf[0] != 0xff {
+		t.Fatalf("after the records, %x remains, want ff", buf)
 	}
 }
 
 func TestWireRecordRejectsMalformed(t *testing.T) {
-	for _, bad := range []string{`{}`, `[1,"e"]`, `[1,"e","s","d","x"]`, `["t","e","s"]`} {
+	whole := WireRecord{Time: 5, Entity: "em", State: "DONE", Detail: "d"}.AppendWire(nil)
+	for n := range len(whole) {
 		var r WireRecord
-		if err := json.Unmarshal([]byte(bad), &r); err == nil {
-			t.Fatalf("malformed wire record %s decoded without error", bad)
+		if _, err := r.DecodeWire(whole[:n], nil); err == nil {
+			t.Fatalf("a record cut to %d of its %d bytes decoded without error", n, len(whole))
 		}
 	}
 }

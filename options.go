@@ -102,24 +102,24 @@ const (
 	// to the environments of releases before the backend seam existed.
 	BackendLocal BackendKind = "local"
 	// BackendWorker runs every shard out of process — a child OS process or
-	// a connection to a TCP worker host — speaking the framed wire protocol
-	// (see WithWireCodec). Selected by WithWorkerPool.
+	// a connection to a TCP worker host — speaking the framed wire
+	// protocol. Selected by WithWorkerPool.
 	BackendWorker BackendKind = "worker"
 )
 
-// Wire codecs for WithWireCodec.
-const (
-	// CodecJSON pins the field-named JSON payload encoding — debuggable
-	// with a pipe tee.
-	CodecJSON = backend.CodecJSON
-	// CodecBinary is the compact binary payload encoding, the default.
-	CodecBinary = backend.CodecBinary
-)
+// CodecBinary is the worker wire's one data codec.
+//
+// Deprecated: binary is the only codec, so there is nothing to choose. The
+// name stays for the benchmark's callers until ROADMAP item 1 A2 removes it
+// with them.
+const CodecBinary = backend.CodecBinary
 
-// WithWireCodec selects the worker wire codec. The default (empty string)
-// and CodecBinary both mean the binary codec, and NewEnv fails against a
-// worker that does not accept it; pass CodecJSON to pin the debuggable
-// encoding. No effect on the local backend.
+// WithWireCodec names the worker wire codec: "" or CodecBinary, which mean
+// the same; NewEnv refuses any other name. No effect on the local backend.
+//
+// Deprecated: binary is the only codec, so there is nothing to choose. The
+// option stays for the benchmark's callers until ROADMAP item 1 A2 removes
+// it with them.
 func WithWireCodec(name string) Option {
 	return func(o *envOptions) { o.wireCodec = name }
 }

@@ -2,9 +2,9 @@
 # worker_tcp_smoke.sh — end-to-end smoke of the TCP worker transport: build
 # the standalone worker, host shards with `aimes-worker serve` on a loopback
 # port, and run the race-enabled backend parity matrix against the live host
-# ($AIMES_TEST_WORKER_ADDR routes the tcp/* parity subtests at it instead of
+# ($AIMES_TEST_WORKER_ADDR routes the tcp parity subtests at it instead of
 # the tests' in-process listener). Proves the shipped binary, the handshake,
-# and both codecs agree with local shards over a real socket.
+# and the binary wire agree with local shards over a real socket.
 set -eu
 cd "$(dirname "$0")/.."
 GO=${GO:-go}
