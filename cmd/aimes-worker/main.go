@@ -3,11 +3,13 @@
 //
 // With no arguments it serves one shard on stdin/stdout as a child OS
 // process of the parent environment — the stdio transport. The parent
-// sends the shard configuration (seed, testbed, middleware overheads) in
-// the first frame, then drives enactment and stepping; trace events and
-// completion reports stream back on every response, in the binary layout
-// agreed at init. Logs go to stderr, which the parent passes through. This
-// mode is never run by hand:
+// opens with the handshake, one JSON frame carrying the shard
+// configuration (seed, testbed, middleware overheads) and the versioned
+// binary layout it speaks; the worker answers with the layout echoed, or
+// with a refusal naming the one it supports. Every later frame is binary:
+// the parent drives enactment and stepping, and trace events and
+// completion reports stream back on every response. Logs go to stderr,
+// which the parent passes through. This mode is never run by hand:
 //
 //	env, _ := aimes.NewEnv(aimes.WithShards(4),
 //		aimes.WithWorkerPool(aimes.WorkerPool{Command: []string{"aimes-worker"}}))

@@ -119,8 +119,8 @@ type Backend interface {
 
 // Config assembles one shard's stack, locally or in a worker process. It is
 // plain data all the way down and is itself the init frame's payload (see
-// request.Init): what NewLocal is given here, a worker's NewLocal is given
-// there (TestInitFrameCarriesEveryConfigField).
+// initRequest.Init): what NewLocal is given here, a worker's NewLocal is
+// given there (TestInitFrameCarriesEveryConfigField).
 type Config struct {
 	// Shard is the shard index; it names the namespace ("s<shard>-j<seq>").
 	Shard int `json:"shard"`

@@ -21,7 +21,7 @@ import (
 )
 
 // writeFrame and readFrame are the tests' own hand-rolled JSON framing — an
-// independent implementation of the init exchange's encoding, so the serve
+// independent implementation of the handshake's encoding, so the serve
 // loop's handshake is exercised by a peer that shares no session-layer code
 // with it.
 func writeFrame(w io.Writer, v any) error {
@@ -71,13 +71,18 @@ func TestFrameRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(in, out) {
 		t.Fatalf("round trip %+v → %+v", in, out)
 	}
-	// An op outside the opcode table neither encodes nor decodes: older
-	// layouts' name escape (opcode 0, then the op's name) is gone.
-	if _, err := newBinaryCodec().AppendRequest(nil, &request{Op: "feedback"}); err == nil {
-		t.Fatal("a retired op encoded")
-	}
-	if err := newBinaryCodec().DecodeRequest(append([]byte{0, 4}, opStep...), &out); err == nil || !strings.Contains(err.Error(), "unknown opcode 0") {
-		t.Fatalf("an opcode name escape: %v, want an unknown-opcode error", err)
+	// An opcode outside the ops neither encodes nor decodes: no op (0),
+	// the init op's retired 1 (the init rides the JSON handshake) and one
+	// past the last.
+	for _, code := range []byte{0, 1, opClose + 1} {
+		if _, err := newBinaryCodec().AppendRequest(nil, &request{Op: code}); err == nil {
+			t.Fatalf("opcode %d encoded", code)
+		}
+		frame := []byte{code, 1, 0, 0, 0, 0} // ID 1, no payloads, max, key and reason empty
+		want := fmt.Sprintf("unknown opcode %d", code)
+		if err := newBinaryCodec().DecodeRequest(frame, &out); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("opcode %d: %v, want %q", code, err, want)
+		}
 	}
 	// A truncated stream surfaces as an error, not a hang or a zero value.
 	if _, err := readFrameInto(bufio.NewReader(bytes.NewReader(buf[:len(buf)-3])), nil, DefaultMaxFrame); err == nil {
@@ -144,7 +149,8 @@ func fillValue(t *testing.T, v reflect.Value, n *int) {
 // TestInitFrameCarriesEveryConfigField is the worker half of the in-process
 // → wire parity contract: a Config with every field set — site.Config,
 // batch.WaitModel and pilot.Config included, found by reflection — goes
-// through the init request as the worker decodes it, and must arrive equal.
+// through the handshake's init request as the worker decodes it, and must
+// arrive equal.
 // So does the difference between no site list (the default testbed) and an
 // empty one. A field that is not plain data cannot be added to any of the
 // four structs without failing here.
@@ -160,11 +166,17 @@ func TestInitFrameCarriesEveryConfigField(t *testing.T) {
 		"nil sites":   {Shard: 1, Seed: 2},
 		"empty sites": {Shard: 1, Seed: 2, Sites: []site.Config{}},
 	} {
-		for _, c := range []codec{jsonCodec{}, newBinaryCodec()} {
-			got := roundTripRequest(t, c, &request{ID: 1, Op: opInit, Init: &want, Codec: CodecBinary})
-			if got.Init == nil || !reflect.DeepEqual(*got.Init, want) {
-				t.Errorf("%s over %T: the worker decoded\n%+v\nwant\n%+v", name, c, got.Init, want)
-			}
+		in := initRequest{ID: 1, Op: initOp, Init: &want, Codec: binaryWire}
+		frame, err := appendJSON(nil, &in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got initRequest
+		if err := decodeJSON(frame, &got); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(got, in) {
+			t.Errorf("%s: the worker decoded\n%+v\nwant\n%+v", name, got.Init, want)
 		}
 	}
 }
@@ -219,12 +231,12 @@ func TestFramesCarryEveryPayloadField(t *testing.T) {
 	}
 	check := func(variant string) {
 		t.Helper()
-		if got := roundTripRequest(t, newBinaryCodec(), req); !reflect.DeepEqual(&got, req) {
+		if got := roundTripRequest(t, req); !reflect.DeepEqual(&got, req) {
 			t.Fatalf("%s: the worker decoded\n%s\nwant\n%s", variant, show(got), show(req))
 		}
 		want := *resp
 		want.Events = nil
-		if got, calls := roundTripResponse(t, newBinaryCodec(), resp); !reflect.DeepEqual(got, want) || !reflect.DeepEqual(calls, wantCalls(resp.Events)) {
+		if got, calls := roundTripResponse(t, resp); !reflect.DeepEqual(got, want) || !reflect.DeepEqual(calls, wantCalls(resp.Events)) {
 			t.Fatalf("%s: the parent decoded\n%s\nand dispatched %+v\nwant\n%s", variant, show(got), calls, show(resp))
 		}
 	}
@@ -334,13 +346,13 @@ func TestLocalBackendLifecycle(t *testing.T) {
 }
 
 // rawPeer drives a serve loop frame by frame over in-memory pipes, sharing
-// no session code with the parent's: JSON until an init response echoes the
-// binary layout, binary from the next frame on.
+// no session code with the parent's: JSON init frames until the worker
+// accepts one, binary frames after that.
 type rawPeer struct {
 	t      *testing.T
 	w      *io.PipeWriter
 	in     *bufio.Reader
-	bin    codec
+	bin    *binaryCodec // set once an init is accepted
 	id     uint64
 	served chan error
 }
@@ -353,42 +365,55 @@ func servePeer(t *testing.T) *rawPeer {
 	return p
 }
 
-// call sends req under the next ID and returns the response and the sink
-// calls its events make.
-func (p *rawPeer) call(req *request) (*response, []sinkCall) {
+// init sends req as a JSON init frame under the next ID and returns the
+// answer; an answer echoing the binary layout switches the peer to binary.
+func (p *rawPeer) init(req *initRequest) *initResponse {
 	p.t.Helper()
 	p.id++
 	req.ID = p.id
+	var resp initResponse
+	if err := writeFrame(p.w, req); err != nil {
+		p.t.Fatal(err)
+	}
+	if err := readFrame(p.in, &resp); err != nil {
+		p.t.Fatal(err)
+	}
+	if resp.ID != p.id {
+		p.t.Fatalf("response %d for init %d", resp.ID, p.id)
+	}
+	if resp.Codec == binaryWire {
+		p.bin = newBinaryCodec()
+	}
+	return &resp
+}
+
+// call sends req in binary under the next ID and returns the response and
+// the sink calls its events make.
+func (p *rawPeer) call(req *request) (*response, []sinkCall) {
+	p.t.Helper()
+	if p.bin == nil {
+		p.t.Fatal("a binary call before an accepted init")
+	}
+	p.id++
+	req.ID = p.id
+	frame, err := p.bin.AppendRequest(make([]byte, 4), req)
+	if err == nil {
+		err = finishFrame(frame, DefaultMaxFrame)
+	}
+	if err == nil {
+		_, err = p.w.Write(frame)
+	}
+	var payload []byte
+	if err == nil {
+		payload, err = readFrameInto(p.in, nil, DefaultMaxFrame)
+	}
 	var resp response
 	var calls []sinkCall
-	if p.bin == nil {
-		if err := writeFrame(p.w, req); err != nil {
-			p.t.Fatal(err)
-		}
-		if err := readFrame(p.in, &resp); err != nil {
-			p.t.Fatal(err)
-		}
-		if req.Op == opInit && resp.Codec == binaryWire {
-			p.bin = newBinaryCodec()
-		}
-	} else {
-		frame, err := p.bin.AppendRequest(make([]byte, 4), req)
-		if err == nil {
-			err = finishFrame(frame, DefaultMaxFrame)
-		}
-		if err == nil {
-			_, err = p.w.Write(frame)
-		}
-		var payload []byte
-		if err == nil {
-			payload, err = readFrameInto(p.in, nil, DefaultMaxFrame)
-		}
-		if err == nil {
-			resp, calls, err = decodeResponse(p.bin, payload)
-		}
-		if err != nil {
-			p.t.Fatal(err)
-		}
+	if err == nil {
+		resp, calls, err = decodeResponse(p.bin, payload)
+	}
+	if err != nil {
+		p.t.Fatal(err)
 	}
 	if resp.ID != p.id {
 		p.t.Fatalf("response %d for request %d", resp.ID, p.id)
@@ -415,10 +440,7 @@ func (p *rawPeer) close() {
 // without processes.
 func TestServeProtocol(t *testing.T) {
 	p := servePeer(t)
-	if resp, _ := p.call(&request{Op: opStep, Max: 1}); resp.Err == "" {
-		t.Fatal("operation before init succeeded")
-	}
-	if resp, _ := p.call(&request{Op: opInit, Init: &Config{Shard: 0, Seed: 42}, Codec: binaryWire}); resp.Err != "" || p.bin == nil {
+	if resp := p.init(&initRequest{Op: initOp, Init: &Config{Shard: 0, Seed: 42}, Codec: binaryWire}); resp.Err != "" || p.bin == nil {
 		t.Fatalf("init: %q, echoed %q", resp.Err, resp.Codec)
 	}
 	// Payload-carrying ops with the payload missing must answer with a

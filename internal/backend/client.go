@@ -42,12 +42,13 @@ type WorkerOptions struct {
 	Codec string
 }
 
-// Connect dials a shard worker over tr, performs the init exchange (in
-// JSON, agreeing on the binary layout every later frame is written in), and
-// returns the connected backend. A worker that does not echo the layout's
-// versioned name fails it. onDeath, when non-nil, runs exactly once if the
-// worker dies before Close — whether the transport observes it out of band
-// (a child process exiting) or a call finds the connection broken.
+// Connect dials a shard worker over tr, performs the handshake (one JSON
+// init frame each way, agreeing on the binary layout every later frame is
+// written in), and returns the connected backend. A worker that refuses the
+// init or does not echo the layout's versioned name fails it. onDeath, when
+// non-nil, runs exactly once if the worker dies before Close — whether the
+// transport observes it out of band (a child process exiting) or a call
+// finds the connection broken.
 func Connect(tr Transport, opt WorkerOptions, cfg Config, sink Sink, onDeath func(error)) (*Worker, error) {
 	if err := CheckCodec(opt.Codec); err != nil {
 		return nil, fmt.Errorf("backend: %w", err)
@@ -60,17 +61,20 @@ func Connect(tr Transport, opt WorkerOptions, cfg Config, sink Sink, onDeath fun
 	s.attach(conn)
 	w := &Worker{shard: cfg.Shard, s: s, sink: sink}
 
-	var resp response
-	err = w.callTimeout(&request{Op: opInit, Init: &cfg, Codec: binaryWire}, &resp, spawnTimeout)
-	if err == nil && resp.Codec != binaryWire {
-		err = fmt.Errorf("worker did not accept the %q wire codec (echoed %q)", binaryWire, resp.Codec)
+	var ack initResponse
+	err = w.within(spawnTimeout, func() error { return s.handshake(&cfg, &ack) })
+	switch {
+	case err != nil:
+	case ack.Err != "":
+		err = errors.New(ack.Err)
+	case ack.Codec != binaryWire:
+		err = fmt.Errorf("worker did not accept the %q wire codec (echoed %q)", binaryWire, ack.Codec)
 	}
 	if err != nil {
 		s.closing.Store(true) // suppress the death callback for a spawn that never worked
 		_ = conn.Kill()       // also unblocks a still-pending init read
 		return nil, fmt.Errorf("backend: initializing worker for shard %d: %w", cfg.Shard, err)
 	}
-	s.use(newBinaryCodec())
 	return w, nil
 }
 
@@ -105,7 +109,7 @@ func (w *Worker) call(req *request, resp *response) error {
 	return nil
 }
 
-// spawnTimeout bounds the init exchange: a worker command that is not
+// spawnTimeout bounds the handshake: a worker command that is not
 // actually a worker (a wrapper script that hangs, a non-protocol binary
 // reading stdin) must fail the spawn, not hang NewEnv forever.
 const spawnTimeout = 30 * time.Second
@@ -113,17 +117,17 @@ const spawnTimeout = 30 * time.Second
 // closeTimeout bounds the orderly-close exchange before the kill fallback.
 const closeTimeout = 5 * time.Second
 
-// callTimeout is call with a deadline for exchanges against a worker that
-// may not be speaking the protocol at all (init) or may be wedged (close).
+// within runs exchange with a deadline, for a worker that may not be
+// speaking the protocol at all (the handshake) or may be wedged (close).
 // On timeout the pending read stays blocked until the caller kills the
-// connection, which unblocks it and lets the call goroutine exit.
-func (w *Worker) callTimeout(req *request, resp *response, d time.Duration) error {
+// connection, which unblocks it and lets the exchange's goroutine exit, so
+// a caller reads what the exchange decoded only when within did not time
+// out.
+func (w *Worker) within(d time.Duration, exchange func() error) error {
 	ch := make(chan error, 1)
-	var r response
-	go func() { ch <- w.call(req, &r) }()
+	go func() { ch <- exchange() }()
 	select {
 	case err := <-ch:
-		*resp = r
 		return err
 	case <-time.After(d):
 		return fmt.Errorf("worker for shard %d did not answer within %v", w.shard, d)
@@ -209,8 +213,10 @@ func (w *Worker) Runnable() bool { return !w.drained.Load() }
 // either way.
 func (w *Worker) Close() error {
 	w.s.closing.Store(true)
-	var resp response
-	_ = w.callTimeout(&request{Op: opClose}, &resp, closeTimeout)
+	_ = w.within(closeTimeout, func() error {
+		var resp response
+		return w.call(&request{Op: opClose}, &resp)
+	})
 	_ = w.s.conn.CloseWrite()
 	return w.s.conn.Close()
 }

@@ -15,23 +15,27 @@ import (
 	"aimes/internal/trace"
 )
 
-// binaryCodec is the wire's one data codec: the JSON init exchange agrees
-// on its layout version (binaryWire), and every frame after the init
-// response is written in it. Every per-job payload has a native layout — a
+// binaryCodec is the wire's one data codec: the JSON handshake agrees on
+// its layout version (binaryWire), and every frame after the init response
+// is written in it. Every per-job payload has a native layout — a
 // Step response's events, the descriptor with its workload, the strategy,
 // the strategy config, the report: varints, length-prefixed strings, floats
 // as their 8 bytes of bits, and lists and maps as their count plus one (0
-// is nil, so nil and empty both survive) with map entries sorted. Only the
-// init Config, chaos events and the rare AdaptiveConfig ride as
-// length-prefixed JSON blobs. When the job payloads were JSON blobs too, a
-// 512-task descriptor cost 0.37 ms to encode and 2.25 ms and 3 616
-// allocations to decode (128 KB); in this layout it is 0.04 ms, and 0.12 ms
-// and 7 allocations (46 KB), on a 2-CPU x86-64 Linux machine.
+// is nil, so nil and empty both survive) with map entries sorted. Only
+// chaos events and the rare AdaptiveConfig ride as length-prefixed JSON
+// blobs. When the job payloads were JSON blobs too, a 512-task descriptor
+// cost 0.37 ms to encode and 2.25 ms and 3 616 allocations to decode
+// (128 KB); in this layout it is 0.04 ms, and 0.12 ms and 7 allocations
+// (46 KB), on a 2-CPU x86-64 Linux machine.
 // FuzzCodecRoundTrip holds a round trip to the value that went in.
+//
+// A request is
+//
+//	op, id, flags, max, key, reason, [descriptor], [workload], [config], [chaos]
 //
 // A response's events carry each string once. The layout of a response is
 //
-//	id, err, diag, codec, flags, fired, [enacted], [strategy], event count
+//	id, err, diag, flags, fired, [enacted], [strategy], event count
 //	string table: count, then each distinct string of the events
 //	events:       kind, key, namespace, bits, [record], [report]
 //	record:       time delta, entity, state, detail
@@ -119,28 +123,9 @@ func (c *binaryCodec) ref(s string) uint64 {
 	return i
 }
 
-// Request opcodes: an op's index here is its byte on the wire. Zero is
-// no op; 6 and 8 were the retired feedback and appseed ops and stay
-// unassigned.
-var opNames = [...]string{
-	1: opInit, 2: opEnact, 3: opStep, 4: opCancel, 5: opIncomplete,
-	7: opDerive, 9: opClose, 10: opPing, 11: opInject,
-}
-
-// opcode returns op's byte on the wire, or 0 for an op outside opNames.
-func opcode(op string) byte {
-	for i, n := range opNames {
-		if n == op {
-			return byte(i)
-		}
-	}
-	return 0
-}
-
 // Presence bits for request pointer fields.
 const (
-	reqHasInit = 1 << iota
-	reqHasDesc
+	reqHasDesc = 1 << iota
 	reqHasWorkload
 	reqHasConfig
 	reqHasChaos
@@ -328,16 +313,12 @@ func appendDescriptor(dst []byte, d *Descriptor) ([]byte, error) {
 }
 
 func (c *binaryCodec) AppendRequest(dst []byte, req *request) ([]byte, error) {
-	code := opcode(req.Op)
-	if code == 0 {
-		return dst, fmt.Errorf("backend: encoding frame: unknown operation %q", req.Op)
+	if req.Op < opEnact || req.Op > opClose {
+		return dst, fmt.Errorf("backend: encoding frame: unknown operation %d", req.Op)
 	}
-	dst = append(dst, code)
+	dst = append(dst, req.Op)
 	dst = binary.AppendUvarint(dst, req.ID)
 	var bits byte
-	if req.Init != nil {
-		bits |= reqHasInit
-	}
 	if req.Desc != nil {
 		bits |= reqHasDesc
 	}
@@ -354,12 +335,8 @@ func (c *binaryCodec) AppendRequest(dst []byte, req *request) ([]byte, error) {
 	dst = binary.AppendVarint(dst, int64(req.Max))
 	dst = binary.AppendVarint(dst, int64(req.Key))
 	dst = appendWireString(dst, req.Reason)
-	dst = appendWireString(dst, req.Codec)
 	var err error
-	if req.Init != nil {
-		dst, err = appendWireJSON(dst, req.Init)
-	}
-	if err == nil && req.Desc != nil {
+	if req.Desc != nil {
 		dst, err = appendDescriptor(dst, req.Desc)
 	}
 	if err == nil && req.Workload != nil {
@@ -376,21 +353,14 @@ func (c *binaryCodec) AppendRequest(dst []byte, req *request) ([]byte, error) {
 
 func (c *binaryCodec) DecodeRequest(data []byte, req *request) error {
 	r := binReader{data: data}
-	if code := r.byte(); int(code) < len(opNames) && opNames[code] != "" {
-		req.Op = opNames[code]
-	} else {
-		r.fail("unknown opcode %d", code)
+	if req.Op = r.byte(); req.Op < opEnact || req.Op > opClose {
+		r.fail("unknown opcode %d", req.Op)
 	}
 	req.ID = r.uvarint()
 	bits := r.byte()
 	req.Max = int(r.varint())
 	req.Key = int(r.varint())
 	req.Reason = string(r.bytes())
-	req.Codec = string(r.bytes())
-	if bits&reqHasInit != 0 {
-		req.Init = new(Config)
-		r.json(req.Init)
-	}
 	if bits&reqHasDesc != 0 {
 		req.Desc = c.readDescriptor(&r)
 	}
@@ -412,7 +382,6 @@ func (c *binaryCodec) AppendResponse(dst []byte, resp *response) ([]byte, error)
 	dst = binary.AppendUvarint(dst, resp.ID)
 	dst = appendWireString(dst, resp.Err)
 	dst = appendWireString(dst, resp.Diag)
-	dst = appendWireString(dst, resp.Codec)
 	var bits byte
 	if resp.Drained {
 		bits |= respDrained
@@ -504,7 +473,6 @@ func (c *binaryCodec) DecodeResponse(data []byte, resp *response) error {
 	resp.ID = r.uvarint()
 	resp.Err = string(r.bytes())
 	resp.Diag = string(r.bytes())
-	resp.Codec = string(r.bytes())
 	bits := r.byte()
 	resp.Drained = bits&respDrained != 0
 	resp.Fired = int(r.varint())

@@ -120,7 +120,7 @@ func wantCalls(events []wireEvent) []sinkCall {
 
 // decodeResponse is the parent's path from a read frame to the sink: c
 // decodes the fields, and a session dispatches the events.
-func decodeResponse(c codec, frame []byte) (response, []sinkCall, error) {
+func decodeResponse(c *binaryCodec, frame []byte) (response, []sinkCall, error) {
 	var resp response
 	if err := c.DecodeResponse(frame, &resp); err != nil {
 		return resp, nil, err
@@ -158,7 +158,7 @@ func cannedFrame(t testing.TB, payload []byte) []byte {
 	return frame
 }
 
-// cannedWorker accepts the binary codec at init and then answers every
+// cannedWorker accepts the binary layout at the handshake and then answers every
 // request with the frame reply holds, its ID patched in: a peer that
 // allocates nothing per exchange, so an allocation count sees the parent.
 func cannedWorker(t *testing.T, reply *atomic.Pointer[[]byte]) Transport {
@@ -258,7 +258,7 @@ func TestWorkerStepAllocatesOnlyItsReport(t *testing.T) {
 // frame buffer, so once those have grown a response costs the same objects
 // whether it carries 512 records or 4 096.
 func TestHostStepAllocatesPerBatch(t *testing.T) {
-	h := &host{out: io.Discard, cod: newBinaryCodec(), wbuf: make([]byte, 0, 4096)}
+	h := newHost(nil, io.Discard, nil)
 	step := func(n int) float64 {
 		return testing.AllocsPerRun(10, func() {
 			for i := 0; i < n; i++ {
@@ -389,7 +389,7 @@ func checkForgedCounts(t *testing.T, decode func([]byte) error, cases []forgedCo
 // decoded into the dispatching call's own array.
 func TestDecodeResponseForgedCount(t *testing.T) {
 	header := func(bits byte) []byte {
-		return []byte{1, 0, 0, 0, bits, 0} // ID 1; Err, Diag, Codec empty; flags; Fired 0
+		return []byte{1, 0, 0, bits, 0} // ID 1; Err and Diag empty; flags; Fired 0
 	}
 	// One done event (an empty string table; kind, key 0, no namespace)
 	// whose report has an empty arena, a zero strategy (nil resources) and
@@ -415,12 +415,12 @@ func TestDecodeResponseForgedCount(t *testing.T) {
 // layouts — a kind 0 followed by the kind's name — or a trace event without
 // its record, neither of which a worker that passed the handshake writes.
 func TestForgedStringTableFailsSession(t *testing.T) {
-	// A Step response (ID 0, no Err, Diag or Codec, no flags, fired 1)
+	// A Step response (ID 0, no Err or Diag, no flags, fired 1)
 	// carrying one event, then its string table and the event: for a trace
 	// event, its kind, key 1, namespace, a record flag, time delta 0, and
 	// the entity, state and detail.
 	frame := func(table []string, event ...byte) []byte {
-		b := []byte{0, 0, 0, 0, 0, 2, 1}
+		b := []byte{0, 0, 0, 0, 2, 1}
 		b = binary.AppendUvarint(b, uint64(len(table)))
 		for _, s := range table {
 			b = appendWireString(b, s)
@@ -436,7 +436,7 @@ func TestForgedStringTableFailsSession(t *testing.T) {
 		{"well formed", frame(table, kindTrace, 2, 1, evHasRec, 0, 2, 3, 0), ""},
 		{"index past the table", frame(table, kindTrace, 2, 1, evHasRec, 0, 2, 4, 0), "string 4 past the frame's 3-entry table"},
 		{"empty table", frame(nil, kindTrace, 2, 1, evHasRec, 0, 0, 0, 0), "string 1 past the frame's 0-entry table"},
-		{"table count beyond the payload", append(frame(nil)[:7], 200, 1, kindTrace, 2, 0, evHasRec, 0, 0, 0, 0), "count 200 exceeds the payload"},
+		{"table count beyond the payload", append(frame(nil)[:6], 200, 1, kindTrace, 2, 0, evHasRec, 0, 0, 0, 0), "count 200 exceeds the payload"},
 		{"kind name escape", frame(table, 0, 1, 't', 2, 1, evHasRec, 0, 2, 3, 0), "unknown event kind 0"},
 		{"trace event without its record", frame(table, kindTrace, 2, 1, 0), "trace event without a record"},
 	} {
@@ -472,10 +472,10 @@ func TestForgedStringTableFailsSession(t *testing.T) {
 // pre-derived strategy, costs at most the payload it claims. (A report
 // crosses only in a done event: TestDecodeResponseForgedCount.)
 func TestDecodeRequestForgedCount(t *testing.T) {
-	derive := []byte{opcode(opDerive), 1, reqHasWorkload, 0, 0, 0, 0}
+	derive := []byte{opDerive, 1, reqHasWorkload, 0, 0, 0}
 	// An enact frame whose descriptor (key 0, no origin) has no workload, a
 	// pre-derived strategy and no adaptive config.
-	enact := []byte{opcode(opEnact), 1, reqHasDesc, 0, 0, 0, 0, 0, 0, 0, 1, 0}
+	enact := []byte{opEnact, 1, reqHasDesc, 0, 0, 0, 0, 0, 0, 1, 0}
 	decode := func(frame []byte) error {
 		var req request
 		return newBinaryCodec().DecodeRequest(frame, &req)

@@ -10,37 +10,37 @@ import (
 
 	"aimes/internal/core"
 	"aimes/internal/sim"
-	"aimes/internal/site"
 	"aimes/internal/skeleton"
 	"aimes/internal/trace"
 )
 
-// roundTrip pushes v through one codec and returns the decoded copy.
-func roundTripRequest(t *testing.T, c codec, in *request) request {
+// roundTripRequest pushes in through the binary codec and returns the
+// decoded copy.
+func roundTripRequest(t *testing.T, in *request) request {
 	t.Helper()
-	buf, err := c.AppendRequest(nil, in)
+	buf, err := newBinaryCodec().AppendRequest(nil, in)
 	if err != nil {
-		t.Fatalf("%T: encode request: %v", c, err)
+		t.Fatalf("encode request: %v", err)
 	}
 	var out request
-	if err := c.DecodeRequest(buf, &out); err != nil {
-		t.Fatalf("%T: decode request: %v", c, err)
+	if err := newBinaryCodec().DecodeRequest(buf, &out); err != nil {
+		t.Fatalf("decode request: %v", err)
 	}
 	return out
 }
 
-// roundTripResponse pushes in through one codec and the parent's dispatch
-// path, returning the decoded fields (Events left nil) and the callbacks
-// the events made.
-func roundTripResponse(t *testing.T, c codec, in *response) (response, []sinkCall) {
+// roundTripResponse pushes in through the binary codec and the parent's
+// dispatch path, returning the decoded fields (Events left nil) and the
+// callbacks the events made.
+func roundTripResponse(t *testing.T, in *response) (response, []sinkCall) {
 	t.Helper()
-	buf, err := c.AppendResponse(nil, in)
+	buf, err := newBinaryCodec().AppendResponse(nil, in)
 	if err != nil {
-		t.Fatalf("%T: encode response: %v", c, err)
+		t.Fatalf("encode response: %v", err)
 	}
-	out, calls, err := decodeResponse(c, buf)
+	out, calls, err := decodeResponse(newBinaryCodec(), buf)
 	if err != nil {
-		t.Fatalf("%T: decode response: %v", c, err)
+		t.Fatalf("decode response: %v", err)
 	}
 	return out, calls
 }
@@ -126,56 +126,48 @@ func fuzzPayloads(tasks uint8, name string, d, e int64, f float64, shape uint32)
 // callbacks the parent's dispatch makes from them. The fuzzer drives every
 // frame shape: each known op, with and without structured payloads (their
 // task counts, durations, names, floats and nil-versus-empty lists fuzzed
-// too), responses with trace/done event batches, negotiation echoes, and
-// the error paths. A value JSON cannot encode (NaN, ±Inf in a report) is
-// refused.
+// too), responses with trace/done event batches, and the error paths. A
+// value JSON cannot encode (NaN, ±Inf in a report) is refused.
 func FuzzCodecRoundTrip(f *testing.F) {
-	var ops []string
-	for _, op := range opNames {
-		if op != "" {
-			ops = append(ops, op)
-		}
-	}
 	kinds := []byte{kindTrace, kindDone}
 	f.Add(uint64(1), byte(2), int64(64), int64(3), "deadline", byte(0), "s0-j7",
 		"pilot.stampede", "PENDING_ACTIVE", "cores=128", int64(1234567890),
-		"", "", "binary", int64(5), true, int64(99), int64(7), byte(3),
+		"", "", int64(5), true, int64(7), byte(3),
 		uint8(8), "bot-8", 1.15, uint32(0xffffffff))
 	f.Add(uint64(1<<40), byte(1), int64(-1), int64(-9), "", byte(1), "",
 		"unit.0042", "EXECUTING", "", int64(-50), "backend: boom",
-		"no job 99 on this shard", "json", int64(0), false, int64(-1), int64(0), byte(1),
+		"no job 99 on this shard", int64(0), false, int64(0), byte(1),
 		uint8(30), `q"uo\te`, -0.5, uint32(0x5555aaaa))
 	f.Add(uint64(0), byte(0), int64(0), int64(0), "  ", byte(0), "ns",
-		"", "", "\x00\x01\xc3\xa9\xff", int64(1), "é", "ø", "yaml",
-		int64(1<<31), true, int64(1<<62), int64(-1<<62), byte(2),
+		"", "", "\x00\x01\xc3\xa9\xff", int64(1), "é", "ø",
+		int64(1<<31), true, int64(-1<<62), byte(2),
 		uint8(0), "\xfe", 0.0, uint32(0))
 	f.Add(uint64(2), byte(8), int64(1), int64(1), "", byte(1), "s1-j2",
-		"", "", "", int64(1<<53+1), "", "", "binary/4",
-		int64(-1<<53-3), false, int64(1), int64(-1<<60), byte(3),
+		"", "", "", int64(1<<53+1), "", "",
+		int64(-1<<53-3), false, int64(-1<<60), byte(3),
 		uint8(17), "stage-ø<&>", 1.7e308, uint32(0x9999))
 	// A frame whose 40 records repeat one string in every field, and one
 	// whose records each use strings no other record does.
 	f.Add(uint64(3), byte(2), int64(512), int64(1), "", byte(0), "same",
-		"same", "same", "same", int64(1e12), "", "", "",
-		int64(40), false, int64(1), int64(-1e9), byte(2),
+		"same", "same", "same", int64(1e12), "", "",
+		int64(40), false, int64(-1e9), byte(2),
 		uint8(40), "bot", 1.0, uint32(0xffffffff))
 	f.Add(uint64(4), byte(2), int64(512), int64(2), "", byte(0), "s0-j4",
-		"pilot.comet.s0-j4-2", "PENDING", "comet.0004", int64(7e11), "", "", "",
-		int64(40), true, int64(1), int64(3e9), byte(6),
+		"pilot.comet.s0-j4-2", "PENDING", "comet.0004", int64(7e11), "", "",
+		int64(40), true, int64(3e9), byte(6),
 		uint8(40), "bot", 2.0, uint32(0xffffffff))
 	f.Fuzz(func(t *testing.T, id uint64, opCode byte, maxv, key int64,
 		reason string, kindCode byte, ns, entity, state, detail string, tns int64,
-		errS, diag, codecName string, fired int64, drained bool,
-		seed, now int64, blobs byte, tasks uint8, name string, fl float64, shape uint32) {
-		op, kind := ops[int(opCode)%len(ops)], kinds[kindCode%2]
+		errS, diag string, fired int64, drained bool,
+		now int64, blobs byte, tasks uint8, name string, fl float64, shape uint32) {
+		op, kind := opEnact+opCode%(opClose-opEnact+1), kinds[kindCode%2]
 		desc, report := fuzzPayloads(tasks, name, tns, now, fl, shape)
 		finite := true
 		for _, v := range []float64{report.Throughput, report.CoreHours, report.BusyCoreHours, report.Efficiency} {
 			finite = finite && !math.IsNaN(v) && !math.IsInf(v, 0)
 		}
-		req := &request{ID: id, Op: op, Max: int(maxv), Key: int(key), Reason: reason, Codec: codecName}
+		req := &request{ID: id, Op: op, Max: int(maxv), Key: int(key), Reason: reason}
 		if blobs&1 != 0 {
-			req.Init = &Config{Shard: int(key), Seed: seed, Sites: site.DefaultTestbed()[:1]}
 			req.Desc = desc
 			req.Workload = desc.Workload
 			req.Config = &desc.Config
@@ -187,12 +179,12 @@ func FuzzCodecRoundTrip(f *testing.F) {
 				WaitFactor: float64(fired), Jobs: int(maxv), Duration: time.Duration(now),
 			}
 		}
-		if got := roundTripRequest(t, newBinaryCodec(), req); !reflect.DeepEqual(&got, req) {
+		if got := roundTripRequest(t, req); !reflect.DeepEqual(&got, req) {
 			t.Fatalf("request changed in a round trip:\nsent:    %+v\ndecoded: %+v", req, &got)
 		}
 
 		resp := &response{
-			ID: id, Err: errS, Diag: diag, Codec: codecName,
+			ID: id, Err: errS, Diag: diag,
 			Fired: int(fired), Drained: drained,
 		}
 		if blobs&2 != 0 {
@@ -225,7 +217,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		if blobs&2 != 0 && !finite {
 			t.Fatalf("a report holding %v encoded", report)
 		}
-		got, calls := roundTripResponse(t, newBinaryCodec(), resp)
+		got, calls := roundTripResponse(t, resp)
 		want := *resp
 		want.Events = nil
 		if !reflect.DeepEqual(got, want) {

@@ -8,15 +8,11 @@ import (
 	"time"
 )
 
-// TestPingOpcode drives the raw serve loop: ping must be answered before
-// init (a liveness probe needs no engine), after init, and without ever
-// emitting events or touching job state.
+// TestPingOpcode drives the raw serve loop: ping must be answered after
+// init without ever emitting events or touching job state.
 func TestPingOpcode(t *testing.T) {
 	p := servePeer(t)
-	if resp, _ := p.call(&request{Op: opPing}); resp.Err != "" {
-		t.Fatalf("pre-init ping refused: %s", resp.Err)
-	}
-	if resp, _ := p.call(&request{Op: opInit, Init: &Config{Shard: 0, Seed: 42}, Codec: binaryWire}); resp.Err != "" {
+	if resp := p.init(&initRequest{Op: initOp, Init: &Config{Shard: 0, Seed: 42}, Codec: binaryWire}); resp.Err != "" {
 		t.Fatalf("init: %s", resp.Err)
 	}
 	if resp, calls := p.call(&request{Op: opPing}); resp.Err != "" || len(calls) != 0 {

@@ -3,6 +3,7 @@ package backend
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -88,9 +89,10 @@ func TestConnectNegotiatesBinary(t *testing.T) {
 func TestHostRejectsUnknownCodec(t *testing.T) {
 	p := servePeer(t)
 	// The bare binary name is a parent built before the layouts were
-	// versioned: it would misread this worker's frames.
-	for _, name := range []string{"", "json", "yaml", CodecBinary, CodecBinary + "/4"} {
-		resp, _ := p.call(&request{Op: opInit, Init: &Config{Seed: 1}, Codec: name})
+	// versioned, and binary/5 one built before the handshake left the
+	// binary frames: either would misread this worker's frames.
+	for _, name := range []string{"", "json", "yaml", CodecBinary, CodecBinary + "/4", CodecBinary + "/5"} {
+		resp := p.init(&initRequest{Op: initOp, Init: &Config{Seed: 1}, Codec: name})
 		if resp.Err == "" {
 			t.Fatalf("codec %q accepted", name)
 		}
@@ -105,23 +107,88 @@ func TestHostRejectsUnknownCodec(t *testing.T) {
 	}
 	// The worker survives the refusal: a corrected init succeeds, the echo
 	// confirms the layout, and the close after it goes out in binary.
-	resp, _ := p.call(&request{Op: opInit, Init: &Config{Seed: 1}, Codec: binaryWire})
+	resp := p.init(&initRequest{Op: initOp, Init: &Config{Seed: 1}, Codec: binaryWire})
 	if resp.Err != "" || resp.Codec != binaryWire {
 		t.Fatalf("corrected init: %q, echoed %q, want %q", resp.Err, resp.Codec, binaryWire)
 	}
 	p.close()
 }
 
-// scriptedInit answers the init exchange in JSON with what answer returns
-// for the request, and then hands the stream to script.
-func scriptedInit(t *testing.T, answer func(*request) *response, script func(r io.Reader, w *io.PipeWriter)) Transport {
+// TestHostAcceptsOnlyInit: until it accepts an init, the host reads JSON
+// init frames only. A frame that is anything else — a ping, a step, an init
+// without a config or with a field the handshake does not have, or not one
+// JSON document — is answered under its ID with a descriptive error and
+// builds no stack, and the stream's end then ends the serve loop cleanly.
+func TestHostAcceptsOnlyInit(t *testing.T) {
+	codec := strconv.Quote(binaryWire)
+	frames := []struct {
+		payload string
+		id      uint64
+		want    string
+	}{
+		{`{"id":1,"op":"ping"}`, 1, `expected an init frame, got op "ping"`},
+		{`{"id":2,"op":"step","max":64}`, 2, `unknown field "max"`},
+		{`{"id":3,"op":"init","codec":` + codec + `}`, 3, "init frame without a config"},
+		{`{"id":4,"op":"init","init":{"seed":1},"codec":` + codec + `,"events":[]}`, 4, `unknown field "events"`},
+		{`{"id":5,"op":"init","init":{"seed":1,"testbed":"x"},"codec":` + codec + `}`, 5, `unknown field "testbed"`},
+		{`{"id":6,"op":"init","init":{"seed":1},"codec":` + codec + `} {}`, 6, "data after the JSON document"},
+		{`{}`, 0, `expected an init frame, got op ""`},
+		{"\x03", 0, "invalid character"}, // a binary step's opcode
+	}
+	var in, out bytes.Buffer
+	for _, f := range frames {
+		in.Write(binary.BigEndian.AppendUint32(nil, uint32(len(f.payload))))
+		in.WriteString(f.payload)
+	}
+	h := newHost(&in, &out, nil)
+	if err := h.run(); err != nil || h.local != nil {
+		t.Fatalf("serving refused frames: %v, stack built %v; want the stream's end and no stack", err, h.local != nil)
+	}
+	for _, f := range frames {
+		var resp initResponse
+		if err := readFrame(&out, &resp); err != nil {
+			t.Fatalf("%s: %v", f.payload, err)
+		}
+		if resp.ID != f.id || resp.Codec != "" || !strings.HasPrefix(resp.Err, "backend: ") || !strings.Contains(resp.Err, f.want) {
+			t.Errorf("%s answered %+v, want a refusal under ID %d naming %q", f.payload, resp, f.id, f.want)
+		}
+	}
+	if out.Len() != 0 {
+		t.Fatalf("%d bytes after the answers", out.Len())
+	}
+}
+
+// TestHostRefusesInitAfterHandshake: once the host accepted an init it
+// reads binary frames only, so another JSON init is not a request at all —
+// its first byte is no opcode — and it ends the session with a decoding
+// error instead of a second stack.
+func TestHostRefusesInitAfterHandshake(t *testing.T) {
+	var in, out bytes.Buffer
+	for range 2 {
+		if err := writeFrame(&in, &initRequest{ID: 1, Op: initOp, Init: &Config{Seed: 1}, Codec: binaryWire}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	err := serveStream(&in, &out, nil)
+	if want := "backend: decoding frame: unknown opcode 123"; err == nil || err.Error() != want {
+		t.Fatalf("a second init: %v, want %q", err, want)
+	}
+	var resp initResponse
+	if err := readFrame(&out, &resp); err != nil || resp.Codec != binaryWire || out.Len() != 0 {
+		t.Fatalf("the first init's answer %+v (%v), then %d bytes", resp, err, out.Len())
+	}
+}
+
+// scriptedInit answers the handshake in JSON with what answer returns for
+// the init request, and then hands the stream to script.
+func scriptedInit[A any](t *testing.T, answer func(*initRequest) A, script func(r io.Reader, w *io.PipeWriter)) Transport {
 	t.Helper()
 	return transportFunc(func(int, func(error)) (Conn, error) {
 		cr, sw := io.Pipe()
 		sr, cw := io.Pipe()
 		go func() {
-			var req request
-			if err := readFrame(sr, &req); err != nil || req.Op != opInit {
+			var req initRequest
+			if err := readFrame(sr, &req); err != nil || req.Op != initOp {
 				sw.CloseWithError(fmt.Errorf("scripted server: bad init: %v", err))
 				return
 			}
@@ -136,7 +203,9 @@ func scriptedInit(t *testing.T, answer func(*request) *response, script func(r i
 
 // acceptInit answers an init as this tree's worker does, echoing the layout
 // asked for.
-func acceptInit(req *request) *response { return &response{ID: req.ID, Codec: req.Codec} }
+func acceptInit(req *initRequest) *initResponse {
+	return &initResponse{ID: req.ID, Codec: req.Codec}
+}
 
 // TestConnectRejectsUnknownCodec: a codec choice that is neither binary nor
 // empty fails Connect, naming it and binary, before anything is dialed.
@@ -154,22 +223,22 @@ func TestConnectRejectsUnknownCodec(t *testing.T) {
 }
 
 // TestConnectRejectsWorkerWithoutBinary: binary is the wire's data codec, so
-// a peer that does not echo it fails Connect with an error naming the codec —
-// asked for by name or by default alike — instead of leaving the session on
-// JSON.
+// a peer that does not echo its layout fails Connect with an error naming
+// the layout — asked for by name or by default alike — and, for a peer of
+// another layout, that layout too.
 func TestConnectRejectsWorkerWithoutBinary(t *testing.T) {
-	refuse := func(supports string) func(*request) *response {
-		return func(req *request) *response {
-			return &response{ID: req.ID, Err: fmt.Sprintf("backend: worker does not support wire codec %q (supports %q, %q)", req.Codec, "json", supports)}
+	refuse := func(supports string) func(*initRequest) *initResponse {
+		return func(req *initRequest) *initResponse {
+			return &initResponse{ID: req.ID, Err: fmt.Sprintf("backend: worker does not support wire codec %q (supports %q)", req.Codec, supports)}
 		}
 	}
-	echo := func(name string) func(*request) *response {
-		return func(req *request) *response { return &response{ID: req.ID, Codec: name} }
+	echo := func(name string) func(*initRequest) *initResponse {
+		return func(req *initRequest) *initResponse { return &initResponse{ID: req.ID, Codec: name} }
 	}
-	prev := CodecBinary + "/3"
+	prev, last := CodecBinary+"/3", CodecBinary+"/5"
 	for _, tc := range []struct {
 		name   string
-		answer func(*request) *response
+		answer func(*initRequest) *initResponse
 		also   string // what the error names beside binaryWire
 	}{
 		// A peer that knows no binary accepts the init and echoes nothing.
@@ -187,6 +256,10 @@ func TestConnectRejectsWorkerWithoutBinary(t *testing.T) {
 		// refused by the parent, naming both.
 		{"refuses the new layout", refuse(prev), prev},
 		{"answers with the old layout", echo(prev), prev},
+		// A binary/5 worker, the last whose binary requests had room for an
+		// init, refuses this layout; one that echoed its own is refused.
+		{"refuses this layout as binary/5 does", refuse(last), last},
+		{"echoes binary/5", echo(last), last},
 	} {
 		for _, name := range []string{"", CodecBinary} {
 			_, err := Connect(scriptedInit(t, tc.answer, func(io.Reader, *io.PipeWriter) {}), WorkerOptions{Codec: name}, Config{Shard: 0, Seed: 1}, &collectSink{}, nil)
@@ -201,7 +274,7 @@ func TestConnectRejectsWorkerWithoutBinary(t *testing.T) {
 // the session on JSON — echoing "json", as one built when JSON could be
 // pinned would — fails Connect with an error naming the binary layout.
 func TestConnectRejectsJSONWorker(t *testing.T) {
-	answer := func(req *request) *response { return &response{ID: req.ID, Codec: "json"} }
+	answer := func(req *initRequest) *initResponse { return &initResponse{ID: req.ID, Codec: "json"} }
 	_, err := Connect(scriptedInit(t, answer, func(io.Reader, *io.PipeWriter) {}), WorkerOptions{}, Config{Shard: 0, Seed: 1}, &collectSink{}, nil)
 	if err == nil || !strings.Contains(err.Error(), binaryWire) || !strings.Contains(err.Error(), `"json"`) {
 		t.Fatalf("a JSON worker: connect error %v, want one naming %q and %q", err, binaryWire, "json")
@@ -212,12 +285,16 @@ func TestConnectRejectsJSONWorker(t *testing.T) {
 // init response that carries any — even one echoing the binary layout —
 // fails Connect as a corrupt frame, and none of them reaches the sink.
 func TestConnectRejectsInitWithEvents(t *testing.T) {
-	answer := func(req *request) *response {
-		return &response{ID: req.ID, Codec: req.Codec, Events: []wireEvent{{Kind: kindTrace, Key: 1, NS: "s0-j1", Rec: &trace.Record{Entity: "em", State: "NEW"}}}}
+	type withEvents struct {
+		initResponse
+		Events []wireEvent `json:"events"`
+	}
+	answer := func(req *initRequest) *withEvents {
+		return &withEvents{*acceptInit(req), []wireEvent{{Kind: kindTrace, Key: 1, NS: "s0-j1", Rec: &trace.Record{Entity: "em", State: "NEW"}}}}
 	}
 	sink := &callSink{}
 	_, err := Connect(scriptedInit(t, answer, func(io.Reader, *io.PipeWriter) {}), WorkerOptions{}, Config{Shard: 0, Seed: 1}, sink, nil)
-	if err == nil || !strings.Contains(err.Error(), "decoding frame: a JSON response carries 1 events") {
+	if err == nil || !strings.Contains(err.Error(), `decoding frame: json: unknown field "events"`) {
 		t.Fatalf("an init response with events: connect error %v, want a decoding error", err)
 	}
 	if len(sink.calls) != 0 {

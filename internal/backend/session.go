@@ -11,19 +11,18 @@ import (
 )
 
 // session is the client half of the protocol's session layer: one
-// correlated request/response wire over a Conn, in JSON for the init
-// exchange and in the binary layout it agreed on after it. It owns ID
-// assignment and correlation, the frame buffers, the dead-session state,
-// the wire counters, and the once-only death notification that both
-// in-band failures (a broken write, a desync, a corrupt frame) and
-// out-of-band ones (the process transport's watcher) funnel into. What it
-// does not know about is Backend semantics — request construction and the
-// drain cache live in Worker, one layer up.
+// correlated request/response wire over a Conn, a JSON handshake and then
+// the binary layout it agreed on. It owns ID assignment and correlation,
+// the frame buffers, the dead-session state, the wire counters, and the
+// once-only death notification that both in-band failures (a broken write,
+// a desync, a corrupt frame) and out-of-band ones (the process transport's
+// watcher) funnel into. What it does not know about is Backend semantics —
+// request construction and the drain cache live in Worker, one layer up.
 type session struct {
 	shard int
 	conn  Conn
 	in    *bufio.Reader
-	cod   codec
+	bin   *binaryCodec
 
 	// mu serializes the wire (encode, write, read, decode) and every use of
 	// the codec's intern table. It is never held while a response's events
@@ -33,11 +32,6 @@ type session struct {
 	nextID uint64
 	dead   error
 	wbuf   []byte // one frame, header-first; reused across calls
-	// req and resp are the codec's side of one exchange: the caller's
-	// request is copied in and its response copied out, so neither escapes
-	// through the codec interface into an allocation per call.
-	req  request
-	resp response
 	// frames are read buffers no call owns, each with the storage for the
 	// string table of the frame read into it. A call owns the one its
 	// response was read into until it has dispatched the last event, so a
@@ -73,7 +67,7 @@ type WireStats struct {
 func newSession(shard int, onDeath func(error)) *session {
 	return &session{
 		shard:   shard,
-		cod:     jsonCodec{},
+		bin:     newBinaryCodec(),
 		onDeath: onDeath,
 		wbuf:    make([]byte, 0, 4096),
 	}
@@ -112,6 +106,37 @@ func (s *session) notifyDeath(cause error) {
 	})
 }
 
+// handshake performs the init exchange, the session's one JSON round trip:
+// it sends cfg and the binary layout, and decodes the worker's answer into
+// ack. It is correlated, counted and failed like any other exchange.
+func (s *session) handshake(cfg *Config, ack *initResponse) error {
+	s.mu.Lock()
+	if s.dead != nil {
+		err := s.dead
+		s.mu.Unlock()
+		return err
+	}
+	s.nextID++
+	var frame []byte
+	var err error
+	if s.wbuf, err = appendJSON(s.wbuf[:4], &initRequest{ID: s.nextID, Op: initOp, Init: cfg, Codec: binaryWire}); err == nil {
+		if frame, err = s.roundTrip(nil); err == nil {
+			err = decodeJSON(frame, ack)
+		}
+	}
+	if err == nil && ack.ID != s.nextID {
+		err = fmt.Errorf("worker response %d for request %d (protocol desync)", ack.ID, s.nextID)
+	}
+	if err != nil {
+		return s.failUnlock(err)
+	}
+	s.roundTrips.Add(1)
+	s.sent.Add(int64(len(s.wbuf)))
+	s.received.Add(int64(4 + len(frame)))
+	s.mu.Unlock()
+	return nil
+}
+
 // exchange performs one correlated round trip: assign the next ID, encode
 // and write the request as a single frame (one Write — one pipe syscall,
 // one TCP segment), read the response and decode its fields, verify
@@ -126,37 +151,26 @@ func (s *session) exchange(req *request, resp *response) error {
 		return err
 	}
 	s.nextID++
-	s.req = *req
-	s.req.ID = s.nextID
+	req.ID = s.nextID
 	var buf frameBuf
 	if n := len(s.frames); n > 0 {
 		buf, s.frames = s.frames[n-1], s.frames[:n-1]
 	}
-	frame := buf.data
-	s.resp.tail.table = buf.table
+	resp.tail.table = buf.table
 
+	frame := buf.data
 	var err error
-	s.wbuf = s.wbuf[:4]
-	if s.wbuf, err = s.cod.AppendRequest(s.wbuf, &s.req); err == nil {
-		if err = finishFrame(s.wbuf, DefaultMaxFrame); err == nil {
-			if _, err = s.conn.Write(s.wbuf); err == nil {
-				if frame, err = readFrameInto(s.in, frame, DefaultMaxFrame); err == nil {
-					err = s.cod.DecodeResponse(frame, &s.resp)
-				}
-			}
+	if s.wbuf, err = s.bin.AppendRequest(s.wbuf[:4], req); err == nil {
+		if frame, err = s.roundTrip(frame); err == nil {
+			err = s.bin.DecodeResponse(frame, resp)
 		}
 	}
-	id := s.req.ID
-	*resp, s.req, s.resp = s.resp, request{}, response{}
-	if err == nil && resp.ID != id {
-		err = fmt.Errorf("worker response %d for request %d (protocol desync)", resp.ID, id)
+	if err == nil && resp.ID != req.ID {
+		err = fmt.Errorf("worker response %d for request %d (protocol desync)", resp.ID, req.ID)
 	}
 	if err != nil {
 		resp.tail = eventTail{}
-		err = s.failLocked(err)
-		s.mu.Unlock()
-		go s.notifyDeath(err)
-		return err
+		return s.failUnlock(err)
 	}
 	s.roundTrips.Add(1)
 	s.sent.Add(int64(len(s.wbuf)))
@@ -168,6 +182,18 @@ func (s *session) exchange(req *request, resp *response) error {
 	}
 	s.mu.Unlock()
 	return nil
+}
+
+// roundTrip finishes the request frame in wbuf, writes it and reads the
+// response's payload into frame's storage. The caller holds mu.
+func (s *session) roundTrip(frame []byte) ([]byte, error) {
+	if err := finishFrame(s.wbuf, DefaultMaxFrame); err != nil {
+		return frame, err
+	}
+	if _, err := s.conn.Write(s.wbuf); err != nil {
+		return frame, err
+	}
+	return readFrameInto(s.in, frame, DefaultMaxFrame)
 }
 
 // dispatch hands a response's events to sink in wire order, a chunk at a
@@ -186,13 +212,9 @@ func (s *session) dispatch(t *eventTail, sink Sink) error {
 			s.putFrame(t)
 		}
 		if err != nil {
-			err = s.failLocked(err)
+			return s.failUnlock(err)
 		}
 		s.mu.Unlock()
-		if err != nil {
-			go s.notifyDeath(err)
-			return err
-		}
 		for i := range chunk[:n] {
 			ev := &chunk[i]
 			switch ev.kind {
@@ -223,6 +245,11 @@ func (s *session) putFrame(t *eventTail) {
 // returning the sticky error every later call fails fast with.
 func (s *session) fail(cause error) error {
 	s.mu.Lock()
+	return s.failUnlock(cause)
+}
+
+// failUnlock is fail for a caller that holds mu, which it releases.
+func (s *session) failUnlock(cause error) error {
 	err := s.failLocked(cause)
 	s.mu.Unlock()
 	go s.notifyDeath(err)
@@ -266,12 +293,4 @@ func (s *session) deadErr() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.dead
-}
-
-// use switches the session's codec — once, between the init exchange and
-// the first regular call, on the name the worker echoed.
-func (s *session) use(c codec) {
-	s.mu.Lock()
-	s.cod = c
-	s.mu.Unlock()
 }

@@ -16,9 +16,10 @@ import (
 //   - Transport (transport.go): a byte stream to the worker — child-process
 //     stdio pipes, or TCP with a shared-secret handshake.
 //   - Frames (this file): 4-byte big-endian payload length + one payload.
-//   - Codec (codec.go): the payload encoding. The init exchange is JSON
-//     (codec_json.go), and agrees on the versioned binary layout
-//     (codec_binary.go) that every later frame is written in.
+//   - Handshake (codec.go): the session's first exchange, one JSON init
+//     frame each way, agrees on the versioned binary layout.
+//   - Codec (codec_binary.go): the binary layout every later frame's
+//     payload is written in.
 //   - Session (session.go): request/response correlation, ordered event
 //     replay, crash detection.
 //
@@ -77,42 +78,32 @@ func readFrameInto(r *bufio.Reader, buf []byte, limit int) ([]byte, error) {
 	return buf, nil
 }
 
-// Request operations.
+// Request operations, as their byte on the wire: opEnact through opClose,
+// which the codec's range check takes to be the last. Zero is no op, and 1
+// was the init op's until the init exchange became the JSON handshake: a
+// binary frame carrying either is refused.
 const (
-	opInit       = "init"
-	opEnact      = "enact"
-	opStep       = "step"
-	opCancel     = "cancel"
-	opIncomplete = "incomplete"
-	opDerive     = "derive"
-	opClose      = "close"
-	opPing       = "ping"
-	opInject     = "inject"
+	opEnact byte = 2 + iota
+	opStep
+	opCancel
+	opIncomplete
+	opDerive
+	opInject
+	opPing
+	opClose
 )
 
-// request is one parent→worker frame.
+// request is one parent→worker frame after the handshake.
 type request struct {
-	ID uint64 `json:"id"`
-	Op string `json:"op"`
-
-	// Init is the shard's Config as it is; plain data all the way down, so
-	// there is no wire form of it to keep in step.
-	Init *Config `json:"init,omitempty"`
-	// Codec rides the init request: the versioned binary layout the client
-	// writes and reads every frame after the init exchange in (the exchange
-	// itself is JSON, which is what lets the two sides agree at all). A
-	// worker that does not know the name rejects the init with a
-	// descriptive error rather than answering in a layout the client may
-	// not read.
-	Codec string `json:"codec,omitempty"`
-
-	Desc     *Descriptor          `json:"desc,omitempty"`
-	Max      int                  `json:"max,omitempty"`
-	Key      int                  `json:"key,omitempty"`
-	Reason   string               `json:"reason,omitempty"`
-	Workload *skeleton.Workload   `json:"workload,omitempty"`
-	Config   *core.StrategyConfig `json:"strategy_config,omitempty"`
-	Chaos    *ChaosEvent          `json:"chaos,omitempty"`
+	ID       uint64
+	Op       byte
+	Desc     *Descriptor
+	Max      int
+	Key      int
+	Reason   string
+	Workload *skeleton.Workload
+	Config   *core.StrategyConfig
+	Chaos    *ChaosEvent
 }
 
 // wireEvent is one ordered asynchronous output riding a response, as the
@@ -160,19 +151,15 @@ type eventTail struct {
 // call failed, the worker is fine. Transport failures have no frame: the
 // pipe breaks.
 type response struct {
-	ID     uint64      `json:"id"`
-	Err    string      `json:"err,omitempty"`
-	Events []wireEvent `json:"events,omitempty"`
+	ID     uint64
+	Err    string
+	Events []wireEvent
 
-	Enacted  *Enacted       `json:"enacted,omitempty"`
-	Fired    int            `json:"fired,omitempty"`
-	Drained  bool           `json:"drained,omitempty"`
-	Strategy *core.Strategy `json:"strategy,omitempty"`
-	Diag     string         `json:"diag,omitempty"`
-
-	// Codec echoes the wire codec the worker accepted for every frame after
-	// the init exchange. Only the init response carries it.
-	Codec string `json:"codec,omitempty"`
+	Enacted  *Enacted
+	Fired    int
+	Drained  bool
+	Strategy *core.Strategy
+	Diag     string
 
 	// tail is what the parent's binary decode leaves of Events for the
 	// call to dispatch; the worker's encode never looks at it.

@@ -49,15 +49,15 @@ func (s *bufSink) reset() {
 }
 
 // host is the server half of the session layer: one shard worker serving
-// strictly-alternating request/response frames over a byte stream, in JSON
-// until its init response and in the binary layout after it. It hosts a
-// Local backend built from the init frame and executes operations strictly
-// in arrival order (the engine is single-threaded by design; serialization
-// is the parent's job).
+// strictly-alternating request/response frames over a byte stream, JSON
+// init frames until it accepts one and the binary layout after that. It
+// hosts a Local backend built from the accepted init frame and executes
+// operations strictly in arrival order (the engine is single-threaded by
+// design; serialization is the parent's job).
 type host struct {
 	in    *bufio.Reader
 	out   io.Writer
-	cod   codec
+	bin   *binaryCodec
 	sink  bufSink
 	local *Local
 	sever func()
@@ -86,14 +86,17 @@ func severStreams(r io.Reader, w io.Writer) func() {
 }
 
 func serveStream(r io.Reader, w io.Writer, sever func()) error {
-	h := &host{
+	return newHost(r, w, sever).run()
+}
+
+func newHost(r io.Reader, w io.Writer, sever func()) *host {
+	return &host{
 		in:    bufio.NewReaderSize(r, 1<<16),
 		out:   w,
-		cod:   jsonCodec{},
+		bin:   newBinaryCodec(),
 		wbuf:  make([]byte, 0, 4096),
 		sever: sever,
 	}
-	return h.run()
 }
 
 func (h *host) run() error {
@@ -105,73 +108,68 @@ func (h *host) run() error {
 			}
 			return err
 		}
+		if h.local == nil {
+			if err := h.handshake(); err != nil {
+				return err
+			}
+			continue
+		}
 		var req request
-		if err := h.cod.DecodeRequest(h.rbuf, &req); err != nil {
+		if err := h.bin.DecodeRequest(h.rbuf, &req); err != nil {
 			return err
 		}
 		resp := response{ID: req.ID}
-		next := h.cod
-		closing := false
 		switch req.Op {
-		case opInit:
-			next = h.handleInit(&req, &resp)
-		case opClose:
-			closing = true
-		case opPing:
-			// Liveness probe: answered before and after init, touching no
-			// engine state and producing no events — the response itself is
-			// the proof of life the fleet prober wants.
+		case opClose, opPing:
+			// A ping is a liveness probe: it touches no engine state and
+			// produces no events — the response itself is the proof of
+			// life the fleet prober wants.
 		default:
 			h.handleOp(&req, &resp)
 		}
-		if err := h.writeResponse(&resp); err != nil {
+		if err := h.writeResponse(&resp); err != nil || req.Op == opClose {
 			return err
 		}
-		// The switch to binary applies to the frames after the init
-		// response — the response itself goes out in JSON, as the request
-		// arrived, or the client could not read the verdict.
-		h.cod = next
-		if closing {
-			return nil
-		}
 	}
 }
 
-// handleInit builds the shard stack and agrees on the binary layout,
-// returning the codec for every frame after this response. A request for
-// any other layout is rejected descriptively before any stack is built:
-// answering in a layout the client may not read would strand it.
-func (h *host) handleInit(req *request, resp *response) codec {
-	if h.local != nil {
-		resp.Err = "backend: worker already initialized"
-		return h.cod
-	}
-	if req.Init == nil {
-		resp.Err = "backend: init frame without a config"
-		return h.cod
-	}
-	if req.Codec != binaryWire {
-		resp.Err = fmt.Sprintf("backend: worker does not support wire codec %q (supports %q)", req.Codec, binaryWire)
-		return h.cod
-	}
-	var err error
-	if h.local, err = NewLocal(*req.Init, &h.sink); err != nil {
+// handshake answers the frame in rbuf, which is a JSON init frame until the
+// host accepts one: it builds the shard stack and echoes the binary layout.
+// A frame that is not an init for that layout with a config is refused
+// descriptively before any stack is built, and the host reads the next
+// frame as another init: answering in a layout the client may not read
+// would strand it.
+func (h *host) handshake() error {
+	var req initRequest
+	err := decodeJSON(h.rbuf, &req)
+	resp := initResponse{ID: req.ID}
+	switch {
+	case err != nil:
 		resp.Err = err.Error()
-		return h.cod
+	case req.Op != initOp:
+		resp.Err = fmt.Sprintf("backend: expected an init frame, got op %q", req.Op)
+	case req.Init == nil:
+		resp.Err = "backend: init frame without a config"
+	case req.Codec != binaryWire:
+		resp.Err = fmt.Sprintf("backend: worker does not support wire codec %q (supports %q)", req.Codec, binaryWire)
+	default:
+		if h.local, err = NewLocal(*req.Init, &h.sink); err != nil {
+			resp.Err = err.Error()
+			break
+		}
+		if h.sever != nil {
+			h.local.SetSever(h.sever)
+		}
+		resp.Codec = binaryWire
 	}
-	if h.sever != nil {
-		h.local.SetSever(h.sever)
+	if h.wbuf, err = appendJSON(h.wbuf[:4], &resp); err != nil {
+		return err
 	}
-	resp.Codec = binaryWire
-	return newBinaryCodec()
+	return h.write()
 }
 
-// handleOp executes one post-init operation against the shard stack.
+// handleOp executes one operation against the shard stack.
 func (h *host) handleOp(req *request, resp *response) {
-	if h.local == nil {
-		resp.Err = "backend: operation before init"
-		return
-	}
 	switch req.Op {
 	case opEnact:
 		if req.Desc == nil {
@@ -217,8 +215,6 @@ func (h *host) handleOp(req *request, resp *response) {
 		if err := h.local.Inject(*req.Chaos); err != nil {
 			resp.Err = err.Error()
 		}
-	default:
-		resp.Err = fmt.Sprintf("backend: unknown operation %q", req.Op)
 	}
 }
 
@@ -228,15 +224,20 @@ func (h *host) handleOp(req *request, resp *response) {
 func (h *host) writeResponse(resp *response) error {
 	var err error
 	resp.Events = h.sink.events
-	h.wbuf, err = h.cod.AppendResponse(h.wbuf[:4], resp)
+	h.wbuf, err = h.bin.AppendResponse(h.wbuf[:4], resp)
 	h.sink.reset()
 	if err != nil {
 		return err
 	}
+	return h.write()
+}
+
+// write sends the frame in wbuf.
+func (h *host) write() error {
 	if err := finishFrame(h.wbuf, DefaultMaxFrame); err != nil {
 		return err
 	}
-	_, err = h.out.Write(h.wbuf)
+	_, err := h.out.Write(h.wbuf)
 	return err
 }
 
