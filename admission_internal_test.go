@@ -154,7 +154,7 @@ type admitProbe struct {
 	over       []int // running+1 at each admission past the window
 }
 
-func (p *admitProbe) Enact(d *backend.Descriptor) (*backend.Enacted, error) {
+func (p *admitProbe) Enact(d *backend.Descriptor) (backend.Enacted, error) {
 	p.admissions++
 	n := p.sh.adm.running + 1
 	p.peak = max(p.peak, n)

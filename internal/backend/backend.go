@@ -23,7 +23,6 @@ import (
 	"aimes/internal/pilot"
 	"aimes/internal/site"
 	"aimes/internal/skeleton"
-	"aimes/internal/trace"
 )
 
 // Descriptor is one job crossing the seam: the core descriptor plus the
@@ -54,19 +53,16 @@ type Enacted struct {
 // produced the event, for Worker while dispatching a response, before the
 // originating call returns. Either way the events of one shard arrive in
 // order, on the goroutine driving that shard.
-type Sink interface {
-	// JobTrace delivers one raw (unqualified) trace record of job key. ns is
-	// the job's namespace, so the receiver can entity-qualify records for
-	// aggregate traces without waiting for Enact to return — records flow
-	// during Enact itself.
-	JobTrace(key int, ns string, rec trace.Record)
-	// JobDone delivers job key's final report. Failure to make progress is
-	// not reported here: the environment observes a drained engine through
-	// Step, asks Incomplete for the diagnostic and cancels the job: the
-	// cancel's records reach the job's trace, and the JobDone it sends fails
-	// the job with that diagnostic.
-	JobDone(key int, report *core.Report)
-}
+//
+// JobTrace delivers one raw (unqualified) trace record of job key. ns is the
+// job's namespace, so the receiver can entity-qualify records for aggregate
+// traces without waiting for Enact to return — records flow during Enact
+// itself. JobDone delivers job key's final report. Failure to make progress
+// is not reported there: the environment observes a drained engine through
+// Step, asks Incomplete for the diagnostic and cancels the job: the cancel's
+// records reach the job's trace, and the JobDone it sends fails the job with
+// that diagnostic.
+type Sink = core.Sink
 
 // Backend is one shard's execution substrate. All methods except Dead and
 // Close must be called under the shard's serialization (the environment's
@@ -82,7 +78,7 @@ type Backend interface {
 	// (unless pre-derived), assigns the shard-local namespace, submits
 	// pilots and schedules units. Trace records (ENACTING, MIGRATED, pilot
 	// submissions) flow to the sink before Enact returns.
-	Enact(d *Descriptor) (*Enacted, error)
+	Enact(d *Descriptor) (Enacted, error)
 	// Step fires up to max engine events, reporting how many fired and
 	// whether the event queue drained. Completions and trace records flow
 	// to the sink before Step returns.

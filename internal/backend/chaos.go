@@ -88,13 +88,13 @@ func (l *Local) chaosRecord(action, target, detail string) {
 	if target != "" {
 		msg = target + ": " + detail
 	}
-	keys := make([]int, 0, len(l.traces))
-	for k := range l.traces {
+	keys := make([]int, 0, len(l.execs))
+	for k := range l.execs {
 		keys = append(keys, k)
 	}
 	sort.Ints(keys)
 	for _, k := range keys {
-		l.traces[k].Record(l.eng.Now(), "chaos", strings.ToUpper(action), msg)
+		l.execs[k].Trace().Record(l.eng.Now(), "chaos", strings.ToUpper(action), msg)
 	}
 }
 

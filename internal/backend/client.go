@@ -135,16 +135,16 @@ func (w *Worker) within(d time.Duration, exchange func() error) error {
 }
 
 // Enact implements Backend.
-func (w *Worker) Enact(d *Descriptor) (*Enacted, error) {
+func (w *Worker) Enact(d *Descriptor) (Enacted, error) {
 	w.drained.Store(false)
 	var resp response
 	if err := w.call(&request{Op: opEnact, Desc: d}, &resp); err != nil {
-		return nil, err
+		return Enacted{}, err
 	}
 	if resp.Enacted == nil {
-		return nil, fmt.Errorf("backend: worker enacted without a result")
+		return Enacted{}, fmt.Errorf("backend: worker enacted without a result")
 	}
-	return resp.Enacted, nil
+	return *resp.Enacted, nil
 }
 
 // Step implements Backend. The drain verdict comes from the cache rather

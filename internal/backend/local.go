@@ -34,13 +34,12 @@ type Local struct {
 	mgr     *core.Manager
 	sink    Sink
 
-	jobSeq int
-	execs  map[int]*core.Execution
-	// traces keeps each live job's way into the sink so injected chaos
-	// (chaos.go) can log applied faults into the job traces; surgeSeq numbers
-	// emergent surge jobs; sever, when set by a worker serve loop, cuts the
-	// hosting transport for the kill-worker action.
-	traces   map[int]*jobTrace
+	// execs holds the live jobs: Cancel, Incomplete and injected chaos
+	// (chaos.go, which logs applied faults into their traces) find them
+	// here. surgeSeq numbers emergent surge jobs; sever, when set by a worker
+	// serve loop, cuts the hosting transport for the kill-worker action.
+	jobSeq   int
+	execs    map[int]*core.Execution
 	surgeSeq int
 	sever    func()
 }
@@ -91,7 +90,6 @@ func NewLocal(cfg Config, sink Sink) (*Local, error) {
 		sink:   sink,
 		jobSeq: cfg.JobSeq,
 		execs:  make(map[int]*core.Execution),
-		traces: make(map[int]*jobTrace),
 	}
 	// Emergent queues need a warm-up so the background load has filled the
 	// machines before the first job arrives; otherwise pilots land on empty
@@ -113,52 +111,45 @@ func (l *Local) Bundle() *bundle.Bundle { return l.bndl }
 // wall-clock shard's pacer drives it).
 func (l *Local) Engine() *sim.Sim { return l.eng }
 
-// jobTrace is one job's trace.Sink: every record the job's execution, pilots
-// and units write goes straight to Sink.JobTrace under the job's key and
-// namespace. Nothing is kept here — the report is accumulated, not replayed
+// jobSink is a Local as its executions' core.Sink: every record a job's
+// execution, pilots and units write goes straight to Sink.JobTrace under the
+// job's key and namespace, and its report to Sink.JobDone once the job is
+// forgotten. Nothing is kept here — the report is accumulated, not replayed
 // (core.buildReport) — so the shard's log is a record's only copy.
-type jobTrace struct {
-	sink Sink
-	key  int
-	ns   string
+type jobSink Local
+
+func (j *jobSink) JobTrace(key int, ns string, rec trace.Record) { j.sink.JobTrace(key, ns, rec) }
+
+func (j *jobSink) JobDone(key int, r *core.Report) {
+	delete(j.execs, key)
+	j.sink.JobDone(key, r)
 }
 
-func (j *jobTrace) Record(t sim.Time, entity, state, detail string) {
-	j.sink.JobTrace(j.key, j.ns, trace.Record{Time: t, Entity: entity, State: state, Detail: detail})
-}
-
-// Enact implements Backend. The internal order — namespace, trace sink,
-// prepare, MIGRATED record, enact (which derives first), sequence bump —
-// keeps the randomness and the records of the pre-seam enactment, and
-// prepares first so that a job whose descriptor or tasks are rejected leaves
-// the stack as it found it.
-func (l *Local) Enact(d *Descriptor) (*Enacted, error) {
+// Enact implements Backend. The internal order — namespace, prepare,
+// MIGRATED record, enact (which derives first), sequence bump — keeps the
+// randomness and the records of the pre-seam enactment, and prepares first
+// so that a job whose descriptor or tasks are rejected leaves the stack as
+// it found it.
+func (l *Local) Enact(d *Descriptor) (Enacted, error) {
 	ns := shard.Namespace(l.id, l.jobSeq+1)
 	key := d.Key
-	rec := &jobTrace{sink: l.sink, key: key, ns: ns}
 
 	// The prepared→enacted crossing stays explicit: right up to Enact the job
 	// held no engine state, which is why queued jobs can migrate between
 	// backends.
-	exec, err := l.mgr.Prepare(&d.Descriptor, core.ExecOptions{Recorder: rec, Namespace: ns})
+	exec, err := l.mgr.Prepare(&d.Descriptor, core.ExecOptions{Sink: (*jobSink)(l), Key: key, Namespace: ns})
 	if err != nil {
-		return nil, err
+		return Enacted{}, err
 	}
 	if d.MigratedFrom >= 0 {
-		rec.Record(l.eng.Now(), "em", trace.StateMigrated, fmt.Sprintf("from s%d", d.MigratedFrom))
+		exec.Trace().Record(l.eng.Now(), "em", trace.StateMigrated, fmt.Sprintf("from s%d", d.MigratedFrom))
 	}
 	if err := exec.Enact(); err != nil {
-		return nil, err
+		return Enacted{}, err
 	}
 	l.jobSeq++
 	l.execs[key] = exec
-	l.traces[key] = rec
-	exec.OnComplete(func(r *core.Report) {
-		delete(l.execs, key)
-		delete(l.traces, key)
-		l.sink.JobDone(key, r)
-	})
-	return &Enacted{Namespace: ns, Strategy: exec.Strategy()}, nil
+	return Enacted{Namespace: ns, Strategy: exec.Strategy()}, nil
 }
 
 // Step implements Backend.

@@ -700,3 +700,55 @@ func TestPingDuringDispatch(t *testing.T) {
 		}
 	}
 }
+
+// TestSeveredSessionEndsCleanly: the kill-worker action cuts the host's own
+// streams, so the failure of its next read or write is the end it asked for:
+// serveStream returns nil, and a worker process exits 0 without an error
+// line. A write that fails with no sever is still a fault.
+func TestSeveredSessionEndsCleanly(t *testing.T) {
+	t.Run("kill-worker", func(t *testing.T) {
+		served := make(chan error, 1)
+		tr := transportFunc(func(int, func(error)) (Conn, error) {
+			cr, sw := io.Pipe()
+			sr, cw := io.Pipe()
+			go func() { served <- serveStream(sr, sw, severStreams(sr, sw)) }()
+			return &testConn{r: cr, w: cw}, nil
+		})
+		w, err := Connect(tr, WorkerOptions{}, Config{Seed: 1}, &callSink{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Kill()
+		if err := w.Inject(ChaosEvent{Action: ChaosKillWorker}); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := w.Step(16); err == nil {
+			t.Fatal("a step through a severed worker succeeded")
+		}
+		select {
+		case err := <-served:
+			if err != nil {
+				t.Fatalf("a severed session ended with %v, want nil", err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("the severed session never ended")
+		}
+	})
+	t.Run("write failure", func(t *testing.T) {
+		var in bytes.Buffer
+		if err := writeFrame(&in, &initRequest{ID: 1, Op: initOp, Init: &Config{Seed: 1}, Codec: binaryWire}); err != nil {
+			t.Fatal(err)
+		}
+		err := serveStream(&in, failingWriter{}, func() {})
+		if err == nil || !strings.Contains(err.Error(), "file already closed") {
+			t.Fatalf("a failed write without a sever ended the session with %v, want its error", err)
+		}
+	})
+}
+
+// failingWriter fails every write, as a closed stdout does.
+type failingWriter struct{}
+
+func (failingWriter) Write([]byte) (int, error) {
+	return 0, errors.New("write /dev/stdout: file already closed")
+}

@@ -61,8 +61,11 @@ type host struct {
 	sink  bufSink
 	local *Local
 	sever func()
-	wbuf  []byte
-	rbuf  []byte
+	// severed says the kill-worker action cut the streams: the failure of
+	// the next read or write is the end of the session it asked for.
+	severed bool
+	wbuf    []byte
+	rbuf    []byte
 }
 
 // Serve runs one shard worker over a request/response byte stream — the
@@ -103,7 +106,7 @@ func (h *host) run() error {
 	for {
 		var err error
 		if h.rbuf, err = readFrameInto(h.in, h.rbuf, DefaultMaxFrame); err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+			if h.severed || errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 				return nil
 			}
 			return err
@@ -127,10 +130,20 @@ func (h *host) run() error {
 		default:
 			h.handleOp(&req, &resp)
 		}
-		if err := h.writeResponse(&resp); err != nil || req.Op == opClose {
+		err = h.writeResponse(&resp)
+		if h.severed {
+			return nil
+		}
+		if err != nil || req.Op == opClose {
 			return err
 		}
 	}
+}
+
+// severSelf is the kill-worker action of a hosted shard.
+func (h *host) severSelf() {
+	h.severed = true
+	h.sever()
 }
 
 // handshake answers the frame in rbuf, which is a JSON init frame until the
@@ -158,7 +171,7 @@ func (h *host) handshake() error {
 			break
 		}
 		if h.sever != nil {
-			h.local.SetSever(h.sever)
+			h.local.SetSever(h.severSelf)
 		}
 		resp.Codec = binaryWire
 	}
@@ -180,7 +193,7 @@ func (h *host) handleOp(req *request, resp *response) {
 		if err != nil {
 			resp.Err = err.Error()
 		} else {
-			resp.Enacted = en
+			resp.Enacted = &en
 		}
 	case opStep:
 		fired, drained, err := h.local.Step(req.Max)

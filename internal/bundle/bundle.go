@@ -6,6 +6,7 @@
 package bundle
 
 import (
+	"iter"
 	"slices"
 	"time"
 
@@ -164,7 +165,7 @@ func (r *Resource) Predict(quantile, confidence float64) (time.Duration, bool) {
 // and monitoring".
 type Bundle struct {
 	resources map[string]*Resource
-	order     []string
+	list      []*Resource // in registration order
 }
 
 // New builds a bundle over the given sites.
@@ -173,7 +174,7 @@ func New(sites []*site.Site) *Bundle {
 	for _, s := range sites {
 		r := NewResource(s)
 		b.resources[s.Name()] = r
-		b.order = append(b.order, s.Name())
+		b.list = append(b.list, r)
 	}
 	return b
 }
@@ -182,21 +183,18 @@ func New(sites []*site.Site) *Bundle {
 func (b *Bundle) Resource(name string) *Resource { return b.resources[name] }
 
 // Resources returns all entries in registration order.
-func (b *Bundle) Resources() []*Resource {
-	out := make([]*Resource, 0, len(b.order))
-	for _, n := range b.order {
-		out = append(out, b.resources[n])
-	}
-	return out
-}
+func (b *Bundle) Resources() []*Resource { return slices.Clone(b.list) }
+
+// All iterates over the entries in registration order without copying them.
+func (b *Bundle) All() iter.Seq[*Resource] { return slices.Values(b.list) }
 
 // Size reports the number of resources.
-func (b *Bundle) Size() int { return len(b.order) }
+func (b *Bundle) Size() int { return len(b.list) }
 
 // QueryAll performs an on-demand compute query across the whole bundle.
 func (b *Bundle) QueryAll() []ComputeInfo {
 	out := make([]ComputeInfo, 0, b.Size())
-	for _, r := range b.Resources() {
+	for _, r := range b.list {
 		out = append(out, r.Compute())
 	}
 	return out

@@ -61,7 +61,7 @@ func (e *Execution) adapt(acfg AdaptiveConfig) {
 		}
 		e.replaceBudget = acfg.MaxReplacements
 		e.watchForLoss = true
-		for _, p := range e.pm.Pilots() {
+		for p := range e.pm.All() {
 			e.watchPilot(p)
 		}
 	}
@@ -91,9 +91,9 @@ func (e *Execution) pilotLost(p *pilot.Pilot) {
 	e.replaceBudget--
 	if e.addPilot() {
 		e.extraPilots++
-		e.rec.Record(e.m.eng.Now(), "em", "REPLANNED", "replaced lost "+p.ID())
+		e.trace.Record(e.m.eng.Now(), "em", "REPLANNED", "replaced lost "+p.ID())
 	} else {
-		e.rec.Record(e.m.eng.Now(), "em", "REPLAN_FAILED", "no resource left for "+p.ID())
+		e.trace.Record(e.m.eng.Now(), "em", "REPLAN_FAILED", "no resource left for "+p.ID())
 	}
 }
 
@@ -118,7 +118,7 @@ func (e *Execution) scheduleAdaptation(acfg AdaptiveConfig, budget int) {
 }
 
 func (e *Execution) anyPilotActive() bool {
-	for _, p := range e.pm.Pilots() {
+	for p := range e.pm.All() {
 		if p.State() == pilot.PilotActive {
 			return true
 		}
@@ -131,7 +131,7 @@ func (e *Execution) anyPilotActive() bool {
 // reports whether a pilot was added.
 func (e *Execution) addPilot() bool {
 	used := map[string]bool{}
-	for _, p := range e.pm.Pilots() {
+	for p := range e.pm.All() {
 		used[p.Resource()] = true
 	}
 	type candidate struct {
@@ -139,7 +139,7 @@ func (e *Execution) addPilot() bool {
 		wait time.Duration
 	}
 	var pool []candidate
-	for _, r := range e.m.bundle.Resources() {
+	for r := range e.m.bundle.All() {
 		if used[r.Name()] {
 			continue
 		}
@@ -165,14 +165,14 @@ func (e *Execution) addPilot() bool {
 		Walltime: e.strategy.PilotWalltime,
 	})
 	if err != nil {
-		e.rec.Record(e.m.eng.Now(), "em", "ADAPT_FAILED", err.Error())
+		e.trace.Record(e.m.eng.Now(), "em", "ADAPT_FAILED", err.Error())
 		return false
 	}
 	e.um.AddPilot(p)
 	if e.watchForLoss {
 		e.watchPilot(p)
 	}
-	e.rec.Record(e.m.eng.Now(), "em", "ADAPTED", "extra pilot on "+target)
+	e.trace.Record(e.m.eng.Now(), "em", "ADAPTED", "extra pilot on "+target)
 	return true
 }
 
@@ -196,7 +196,7 @@ func ChoosePilotCount(w *skeleton.Workload, b *bundle.Bundle, maxPilots int) int
 		maxPilots = b.Size()
 	}
 	var hists []waitHist
-	for _, r := range b.Resources() {
+	for r := range b.All() {
 		if med, ok := r.Predict(0.5, 0.95); ok {
 			hists = append(hists, waitHist{name: r.Name(), median: med.Seconds(), waits: historyOf(r)})
 		}

@@ -66,7 +66,7 @@ func TestAdaptiveAddsPilotWhenStuck(t *testing.T) {
 	exec := e.enact(t, &Descriptor{Workload: w, Strategy: &s, Adaptive: &AdaptiveConfig{
 		Patience:       10 * time.Minute,
 		MaxExtraPilots: 2,
-	}}, ExecOptions{Recorder: e.rec})
+	}}, ExecOptions{Sink: recorderSink{e.rec}})
 	e.eng.Run()
 	if !exec.done {
 		t.Fatal("execution incomplete")
@@ -103,7 +103,7 @@ func TestAdaptiveDoesNotFireWhenHealthy(t *testing.T) {
 	exec := e.enact(t, &Descriptor{Workload: w, Strategy: &s, Adaptive: &AdaptiveConfig{
 		Patience:       30 * time.Minute, // fast activates at ~2m
 		MaxExtraPilots: 2,
-	}}, ExecOptions{Recorder: e.rec})
+	}}, ExecOptions{Sink: recorderSink{e.rec}})
 	e.eng.Run()
 	if exec.report.ExtraPilots != 0 {
 		t.Fatalf("extra pilots = %d, want 0", exec.report.ExtraPilots)
@@ -127,7 +127,7 @@ func TestAdaptiveBudgetExhausts(t *testing.T) {
 	exec := e.enact(t, &Descriptor{Workload: w, Strategy: &s, Adaptive: &AdaptiveConfig{
 		Patience:       30 * time.Second,
 		MaxExtraPilots: 5,
-	}}, ExecOptions{Recorder: e.rec})
+	}}, ExecOptions{Sink: recorderSink{e.rec}})
 	e.eng.Run()
 	if exec.report.ExtraPilots != 1 {
 		t.Fatalf("extra pilots = %d, want 1 (pool exhausted)", exec.report.ExtraPilots)
@@ -141,12 +141,12 @@ func TestAdaptiveConfigValidation(t *testing.T) {
 		Binding: LateBinding, Scheduler: SchedBackfill, Pilots: 1,
 		Resources: []string{"fast"}, PilotCores: 8, PilotWalltime: time.Hour,
 	}
-	if _, err := e.mgr.Prepare(&Descriptor{Workload: w, Strategy: &s, Adaptive: &AdaptiveConfig{Patience: 0}}, ExecOptions{Recorder: e.rec}); err == nil {
+	if _, err := e.mgr.Prepare(&Descriptor{Workload: w, Strategy: &s, Adaptive: &AdaptiveConfig{Patience: 0}}, ExecOptions{Sink: recorderSink{e.rec}}); err == nil {
 		t.Fatal("zero patience accepted")
 	}
 	if _, err := e.mgr.Prepare(&Descriptor{Workload: w, Strategy: &s, Adaptive: &AdaptiveConfig{
 		Patience: time.Minute, MaxExtraPilots: -1,
-	}}, ExecOptions{Recorder: e.rec}); err == nil {
+	}}, ExecOptions{Sink: recorderSink{e.rec}}); err == nil {
 		t.Fatal("negative budget accepted")
 	}
 	if e.eng.Pending() != 0 || e.rec.Len() != 0 {

@@ -30,8 +30,26 @@ type env struct {
 	tb   *site.Testbed
 	bndl *bundle.Bundle
 	mgr  *Manager
-	rec  *trace.Recorder // what run hands its execution as ExecOptions.Recorder
+	rec  *trace.Recorder // where run's execution records, through recorderSink
 }
+
+// recorderSink is an ExecOptions.Sink that writes its executions' records to
+// rec and drops their reports, which the tests read off the executions.
+type recorderSink struct{ rec trace.Sink }
+
+func (s recorderSink) JobTrace(_ int, _ string, r trace.Record) {
+	s.rec.Record(r.Time, r.Entity, r.State, r.Detail)
+}
+
+func (recorderSink) JobDone(int, *Report) {}
+
+// reportSink is a recorderSink that also keeps the last report it was given.
+type reportSink struct {
+	recorderSink
+	report *Report
+}
+
+func (s *reportSink) JobDone(_ int, r *Report) { s.report = r }
 
 func newEnv(t *testing.T, seed int64) *env {
 	t.Helper()
@@ -91,7 +109,7 @@ func (e *env) wait(t *testing.T, ex *Execution) *Report {
 // for the report.
 func (e *env) run(t *testing.T, w *skeleton.Workload, s Strategy) *Report {
 	t.Helper()
-	return e.wait(t, e.enact(t, pinned(w, s), ExecOptions{Recorder: e.rec}))
+	return e.wait(t, e.enact(t, pinned(w, s), ExecOptions{Sink: recorderSink{e.rec}}))
 }
 
 func botWorkload(t *testing.T, n int, seed int64) *skeleton.Workload {
@@ -354,7 +372,7 @@ func TestReportSummaryOutput(t *testing.T) {
 func TestExecuteValidatesStrategy(t *testing.T) {
 	e := newEnv(t, 6)
 	w := botWorkload(t, 8, 6)
-	if _, err := e.mgr.Prepare(pinned(w, Strategy{}), ExecOptions{Recorder: e.rec}); err == nil {
+	if _, err := e.mgr.Prepare(pinned(w, Strategy{}), ExecOptions{Sink: recorderSink{e.rec}}); err == nil {
 		t.Fatal("zero strategy accepted")
 	}
 	bad := Strategy{
@@ -364,7 +382,7 @@ func TestExecuteValidatesStrategy(t *testing.T) {
 	if _, err := e.mgr.Prepare(pinned(w, bad), ExecOptions{}); err == nil {
 		t.Fatal("execution without a trace sink accepted")
 	}
-	ex, err := e.mgr.Prepare(pinned(w, bad), ExecOptions{Recorder: e.rec})
+	ex, err := e.mgr.Prepare(pinned(w, bad), ExecOptions{Sink: recorderSink{e.rec}})
 	if err == nil {
 		err = ex.Enact()
 	}
@@ -453,7 +471,7 @@ func TestPrepareEnactBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exec, err := e.mgr.Prepare(pinned(w, s), ExecOptions{Recorder: e.rec})
+	exec, err := e.mgr.Prepare(pinned(w, s), ExecOptions{Sink: recorderSink{e.rec}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,8 +484,11 @@ func TestPrepareEnactBoundary(t *testing.T) {
 	if got := e.rec.Len(); got != 0 {
 		t.Fatalf("preparation recorded %d trace records", got)
 	}
-	if exec.Pilots() != nil || exec.um != nil {
-		t.Fatal("prepared execution exposes pilots or units")
+	if exec.Pilots() != nil {
+		t.Fatal("prepared execution exposes pilots")
+	}
+	for range exec.um.All() {
+		t.Fatal("prepared execution exposes units")
 	}
 	if err := exec.Enact(); err != nil {
 		t.Fatal(err)
@@ -497,13 +518,13 @@ func TestCancelPreparedExecution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exec, err := e.mgr.Prepare(pinned(w, s), ExecOptions{Recorder: e.rec})
+	sink := &reportSink{recorderSink: recorderSink{e.rec}}
+	exec, err := e.mgr.Prepare(pinned(w, s), ExecOptions{Sink: sink})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got *Report
-	exec.OnComplete(func(r *Report) { got = r })
 	exec.Cancel("tenant gave up")
+	got := sink.report
 	if !exec.done || !exec.canceled {
 		t.Fatal("canceled prepared execution not done")
 	}

@@ -37,14 +37,36 @@ func NewManager(eng *sim.Sim, b *bundle.Bundle, session *saga.Session,
 	return &Manager{eng: eng, bundle: b, session: session, links: links, cfg: cfg, rng: rng}
 }
 
+// Sink receives what executions report, each under the key its ExecOptions
+// gave it: every trace record as it is written, and the final report once.
+// A backend passes one Sink to all of its executions.
+type Sink interface {
+	JobTrace(key int, ns string, rec trace.Record)
+	JobDone(key int, report *Report)
+}
+
 // ExecOptions scopes one execution inside a shared environment.
 type ExecOptions struct {
-	// Recorder receives this execution's trace and is required. A backend
-	// passes a sink that forwards each record to its shard's log and keeps
-	// none: no report needs a trace to replay (see buildReport).
-	Recorder trace.Sink
+	// Sink receives this execution's trace and its report, and is required.
+	// A backend's forwards each record to its shard's log and keeps none:
+	// no report needs a trace to replay (see buildReport).
+	Sink Sink
+	// Key is the execution's name to Sink.
+	Key int
 	// Namespace scopes pilot IDs, e.g. "s0-j3" → "pilot.stampede.s0-j3-1".
 	Namespace string
+}
+
+// jobTrace is an execution's trace.Sink: each record goes to the
+// execution's Sink under its key and namespace.
+type jobTrace struct {
+	sink Sink
+	key  int
+	ns   string
+}
+
+func (j *jobTrace) Record(t sim.Time, entity, state, detail string) {
+	j.sink.JobTrace(j.key, j.ns, trace.Record{Time: t, Entity: entity, State: state, Detail: detail})
 }
 
 // Execution is one workload's enactment handle. It is created in a prepared
@@ -52,10 +74,15 @@ type ExecOptions struct {
 // enacted state exactly once (Enact) when its strategy is resolved, pilots are
 // submitted and events scheduled. Only work on the prepared side of that line
 // may still be handed to a different shard's manager.
+//
+// An enacted job's engine state is the execution itself, its pilots' slab,
+// its units' slab and the strings its pilots and units are named by: the
+// pilot system, the managers and the trace sink are fields here, not
+// objects of their own. Nothing that outlives the job — the shard's log, the
+// report, a site's queue — may point into it.
 type Execution struct {
 	m        *Manager
-	rec      trace.Sink
-	ns       string
+	trace    jobTrace
 	adaptive *AdaptiveConfig
 	workload *skeleton.Workload
 	names    skeleton.Index // the workload's tasks, checked
@@ -65,34 +92,30 @@ type Execution struct {
 	config      StrategyConfig
 	derive      bool
 	enacted     bool
-	pm          *pilot.PilotManager
-	um          *pilot.UnitManager
 	started     sim.Time
 	ended       sim.Time
 	done        bool
 	canceled    bool
 	extraPilots int
-	onDone      []func(*Report)
 	report      *Report
 
 	// Lost-pilot replanning (AdaptiveConfig.ReplaceLostPilots).
 	watchForLoss  bool
 	replaceBudget int
+
+	// Set up by Enact.
+	sys pilot.System
+	pm  pilot.PilotManager
+	um  pilot.UnitManager
 }
 
-// OnComplete registers a callback fired once with the final report.
-func (e *Execution) OnComplete(fn func(*Report)) {
-	if e.done {
-		fn(e.report)
-		return
-	}
-	e.onDone = append(e.onDone, fn)
-}
+// Trace is the sink the execution, its pilots and its units record to.
+func (e *Execution) Trace() trace.Sink { return &e.trace }
 
 // Pilots returns the execution's pilots (initial and adaptation-added) in
 // submission order; nil before enactment.
 func (e *Execution) Pilots() []*pilot.Pilot {
-	if e.pm == nil {
+	if !e.enacted {
 		return nil
 	}
 	return e.pm.Pilots()
@@ -123,17 +146,14 @@ func (e *Execution) Cancel(reason string) {
 		return
 	}
 	e.canceled = true
-	e.rec.Record(e.m.eng.Now(), "em", "CANCELED", reason)
+	e.trace.Record(e.m.eng.Now(), "em", "CANCELED", reason)
 	if !e.enacted {
 		e.ended = e.m.eng.Now()
 		e.done = true
-		e.rec.Record(e.ended, "em", "DONE", "")
+		e.trace.Record(e.ended, "em", "DONE", "")
 		e.report = CanceledReport(e.workload)
 		e.report.Strategy = e.strategy
-		for _, fn := range e.onDone {
-			fn(e.report)
-		}
-		e.onDone = nil
+		e.trace.sink.JobDone(e.trace.key, e.report)
 		return
 	}
 	// Canceling the last unit fires the unit manager's completion callback,
@@ -177,15 +197,15 @@ func (m *Manager) Prepare(d *Descriptor, opts ExecOptions) (*Execution, error) {
 	if w.TotalTasks() == 0 {
 		return nil, fmt.Errorf("core: empty workload")
 	}
-	if opts.Recorder == nil {
-		return nil, fmt.Errorf("core: execution without a trace sink (ExecOptions.Recorder)")
+	if opts.Sink == nil {
+		return nil, fmt.Errorf("core: execution without a sink (ExecOptions.Sink)")
 	}
 	var names skeleton.Index
 	if err := names.Add(w.Tasks); err != nil {
 		return nil, err
 	}
-	e := &Execution{m: m, rec: opts.Recorder, ns: opts.Namespace, adaptive: d.Adaptive,
-		workload: w, names: names, config: d.Config, derive: d.Strategy == nil}
+	e := &Execution{m: m, trace: jobTrace{sink: opts.Sink, key: opts.Key, ns: opts.Namespace},
+		adaptive: d.Adaptive, workload: w, names: names, config: d.Config, derive: d.Strategy == nil}
 	if !e.derive {
 		e.strategy = *d.Strategy
 	}
@@ -202,8 +222,8 @@ func (e *Execution) Strategy() Strategy { return e.strategy }
 // (Figure 1 steps 4–5), units are scheduled onto them (step 6), adaptation is
 // armed when the descriptor asks for it, and from here on the execution is
 // bound to its manager's engine: outputs are staged back and all pilots
-// canceled as the engine is stepped, and completion is observed through Done
-// or OnComplete. Enacting twice is an error.
+// canceled as the engine is stepped, and the report goes to the sink's
+// JobDone. Enacting twice is an error.
 func (e *Execution) Enact() error {
 	if e.enacted {
 		return fmt.Errorf("core: execution already enacted")
@@ -222,36 +242,33 @@ func (e *Execution) Enact() error {
 	s := e.strategy
 	e.enacted = true
 	e.started = m.eng.Now()
-	e.rec.Record(m.eng.Now(), "em", "ENACTING", s.String())
+	e.trace.Record(m.eng.Now(), "em", "ENACTING", s.String())
 
-	sys := pilot.NewSystem(m.eng, m.session, m.links, e.rec, m.cfg, m.rng)
-	if e.ns != "" {
-		sys.SetNamespace(e.ns)
+	e.sys.Init(m.eng, m.session, m.links, &e.trace, m.cfg, m.rng)
+	if e.trace.ns != "" {
+		e.sys.SetNamespace(e.trace.ns)
 	}
-	e.pm = pilot.NewPilotManager(sys, len(s.Resources))
-	e.um = pilot.NewUnitManager(sys, s.Scheduler.build(), len(s.Resources))
+	e.pm.Init(&e.sys)
+	e.um.Init(&e.sys, s.Scheduler.build())
 
 	// Randomize pilot submission order to decorrelate from resource order,
 	// as the paper's experiments did.
-	order := make([]string, len(s.Resources))
-	copy(order, s.Resources)
+	var buf [8]string
+	order := append(buf[:0], s.Resources...)
 	if m.rng != nil {
 		m.rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 	}
-	for _, resource := range order {
-		p, err := e.pm.Submit(pilot.PilotDescription{
-			Resource: resource,
-			Cores:    s.PilotCores,
-			Walltime: s.PilotWalltime,
-		})
-		if err != nil {
-			e.pm.CancelAll()
-			return fmt.Errorf("core: submitting pilot to %s: %w", resource, err)
-		}
+	if err := e.pm.Launch(order, s.PilotCores, s.PilotWalltime); err != nil {
+		// The pilots launched before the one that failed stay with pm.
+		failed := order[len(e.pm.Pilots())]
+		e.pm.CancelAll()
+		return fmt.Errorf("core: submitting pilot to %s: %w", failed, err)
+	}
+	for p := range e.pm.All() {
 		e.um.AddPilot(p)
 	}
 
-	e.um.OnCompletion(func() { e.finish() })
+	e.um.OnCompletion((*finishing)(e))
 	if err := e.um.Submit(e.workload.Tasks, e.names); err != nil {
 		e.pm.CancelAll()
 		return err
@@ -262,25 +279,31 @@ func (e *Execution) Enact() error {
 	return nil
 }
 
+// finishing is an Execution as the handler of its units' completion.
+type finishing Execution
+
+func (f *finishing) Fire() { (*Execution)(f).finish() }
+
 // finish cancels pilots, assembles the report, feeds each activated pilot's
 // queue wait into the bundle's predictive history in submission order, and
-// fires callbacks. The execution has made its last decision by then, so the
-// waits it observed reach only the derivations of later jobs.
+// hands the report to the sink. The execution has made its last decision by
+// then, so the waits it observed reach only the derivations of later jobs.
 func (e *Execution) finish() {
 	e.pm.CancelAll()
 	e.ended = e.m.eng.Now()
 	e.done = true
-	e.rec.Record(e.ended, "em", "DONE", "")
+	e.trace.Record(e.ended, "em", "DONE", "")
 	e.report = buildReport(e)
+	// The engine may still hold an event of the job's, its units' place
+	// among them, which keeps the execution until it fires: not the
+	// workload, whose submitter may be long gone.
+	e.workload = nil
 	for p := range e.pm.All() {
 		if res := e.m.bundle.Resource(p.Resource()); res != nil && p.ActiveAt() > 0 {
 			res.ObserveWait(p.Wait().Seconds())
 		}
 	}
-	for _, fn := range e.onDone {
-		fn(e.report)
-	}
-	e.onDone = nil
+	e.trace.sink.JobDone(e.trace.key, e.report)
 }
 
 // IncompleteError describes an execution stuck after the engine drained:

@@ -323,7 +323,7 @@ func disturbedRun(t *testing.T, seed int64) (*Execution, *trace.Recorder) {
 		MaxExtraPilots:    1,
 		ReplaceLostPilots: rng.Intn(2) == 0,
 	}
-	ex := e.enact(t, &Descriptor{Workload: w, Strategy: &s, Adaptive: &acfg}, ExecOptions{Recorder: rec})
+	ex := e.enact(t, &Descriptor{Workload: w, Strategy: &s, Adaptive: &acfg}, ExecOptions{Sink: recorderSink{rec}})
 	if rng.Intn(3) > 0 {
 		after := time.Duration(rng.Intn(40)) * time.Second
 		for _, p := range ex.Pilots() {
@@ -401,9 +401,9 @@ func TestConcurrentExecutionsOnSharedRecorder(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			opts := ExecOptions{Recorder: shared}
+			opts := ExecOptions{Sink: recorderSink{shared}}
 			if private {
-				opts.Recorder = trace.NewRecorder()
+				opts.Sink = recorderSink{trace.NewRecorder()}
 			}
 			execs[k] = e.enact(t, pinned(w, s), opts)
 		}

@@ -85,7 +85,7 @@ func TestEnactSharesTheWorkload(t *testing.T) {
 	var execs [2]*Execution
 	for k, e := range envs {
 		d := &Descriptor{Workload: w, Config: StrategyConfig{Binding: LateBinding, Scheduler: SchedBackfill, Pilots: 2}}
-		if execs[k], err = e.mgr.Prepare(d, ExecOptions{Recorder: e.rec}); err != nil {
+		if execs[k], err = e.mgr.Prepare(d, ExecOptions{Sink: recorderSink{e.rec}}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -9,9 +9,9 @@
 // assembled from what its pilot and unit managers accumulated while it ran
 // (buildReport): pilot activation times, unit end states, and the unit
 // manager's execution and staging covers. The trace an execution writes
-// (ExecOptions.Recorder, a trace.Sink) is for whoever reads it afterwards;
-// an execution enacted by a backend writes it straight to the shard's log
-// and holds no recorder of its own.
+// (to its ExecOptions.Sink, with the report) is for whoever reads it
+// afterwards; an execution enacted by a backend writes it straight to the
+// shard's log and keeps no record of its own.
 package core
 
 import (
@@ -265,9 +265,9 @@ func selectResources(b *bundle.Bundle, cfg StrategyConfig, pilotCores int, rng *
 		name string
 		wait time.Duration
 	}
-	resources := b.Resources()
-	pool := make([]candidate, 0, len(resources))
-	for _, r := range resources {
+	var buf [8]candidate
+	pool := buf[:0]
+	for r := range b.All() {
 		info := r.Compute()
 		if info.TotalCores < pilotCores {
 			continue

@@ -83,7 +83,7 @@ func TestPickNextMatchesScan(t *testing.T) {
 // event on the engine's same-instant lane.
 func TestPlaceRoundTripAllocatesNothing(t *testing.T) {
 	h := newHarness(t, DefaultConfig(), 1)
-	um := NewUnitManager(h.sys, Backfill{}, 0)
+	um := new(UnitManager).Init(h.sys, Backfill{})
 	round := func() {
 		um.schedulePlace()
 		um.schedulePlace() // coalesced
@@ -117,13 +117,13 @@ func TestUnitTripAllocatesItsStateOnly(t *testing.T) {
 	}
 	done := 0
 	perRun := testing.AllocsPerRun(5, func() {
-		um := NewUnitManager(h.sys, Backfill{}, 0)
+		um := new(UnitManager).Init(h.sys, Backfill{})
 		p, err := h.pm.Submit(PilotDescription{Resource: "alpha", Cores: 64, Walltime: 24 * time.Hour})
 		if err != nil {
 			t.Fatal(err)
 		}
 		um.AddPilot(p)
-		um.OnCompletion(func() { h.pm.Cancel(p) })
+		um.OnCompletion(sim.Func(func() { h.pm.Cancel(p) }))
 		if err := um.Submit(indexed(t, tasks)); err != nil {
 			t.Fatal(err)
 		}
@@ -151,13 +151,13 @@ func TestUnitTripAllocatesItsStateOnly(t *testing.T) {
 func TestCancelExecutingUnit(t *testing.T) {
 	for _, queued := range []int{0, 1} {
 		h := newHarness(t, DefaultConfig(), 4)
-		um := NewUnitManager(h.sys, Direct{}, 0)
+		um := new(UnitManager).Init(h.sys, Direct{})
 		p, err := h.pm.Submit(PilotDescription{Resource: "alpha", Cores: 2, Walltime: 2 * time.Hour})
 		if err != nil {
 			t.Fatal(err)
 		}
 		um.AddPilot(p)
-		um.OnCompletion(func() { h.pm.CancelAll() })
+		um.OnCompletion(sim.Func(h.pm.CancelAll))
 		if err := um.Submit(indexed(t, unitTasks(2+queued, 10*time.Minute))); err != nil {
 			t.Fatal(err)
 		}

@@ -39,12 +39,12 @@ func TestPilotFormattersMatchSprintf(t *testing.T) {
 	for _, ns := range []string{"", "s1-j42"} {
 		for _, resource := range []string{"stampede", "x", "a-resource-name-long-enough-to-outgrow-the-stack-buffer"} {
 			s := &System{ns: ns}
-			for s.seq = 1; s.seq <= 1000; s.seq++ {
-				want := fmt.Sprintf("pilot.%s.%d", resource, s.seq)
+			for seq := 1; seq <= 1000; seq++ {
+				want := fmt.Sprintf("pilot.%s.%d", resource, seq)
 				if ns != "" {
-					want = fmt.Sprintf("pilot.%s.%s-%d", resource, ns, s.seq)
+					want = fmt.Sprintf("pilot.%s.%s-%d", resource, ns, seq)
 				}
-				if got := s.pilotID(resource); got != want {
+				if got := string(s.appendPilotID(nil, resource, seq)); got != want {
 					t.Fatalf("pilotID = %q, Sprintf gives %q", got, want)
 				}
 			}
@@ -53,7 +53,7 @@ func TestPilotFormattersMatchSprintf(t *testing.T) {
 	for _, cores := range []int{1, 8, 64, 2048, 1 << 40, -1} {
 		for _, wt := range []time.Duration{0, 500 * time.Millisecond, 90 * time.Second, 36 * time.Hour} {
 			d := PilotDescription{Cores: cores, Walltime: wt}
-			if got, want := newDetail(d), fmt.Sprintf("cores=%d walltime=%s", d.Cores, d.Walltime); got != want {
+			if got, want := string(appendNewDetail(nil, d)), fmt.Sprintf("cores=%d walltime=%s", d.Cores, d.Walltime); got != want {
 				t.Fatalf("newDetail = %q, Sprintf gives %q", got, want)
 			}
 		}

@@ -1,9 +1,12 @@
 package pilot
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
+	"unsafe"
 
 	"aimes/internal/batch"
 	"aimes/internal/netsim"
@@ -56,8 +59,8 @@ func newHarness(t *testing.T, cfg Config, seed int64) *harness {
 	}
 	links := func(resource string) *netsim.Link { return tb.Site(resource).Link() }
 	rec := trace.NewRecorder()
-	sys := NewSystem(eng, sess, links, rec, cfg, rand.New(rand.NewSource(seed)))
-	return &harness{eng: eng, tb: tb, sess: sess, sys: sys, rec: rec, pm: NewPilotManager(sys, 0)}
+	sys := new(System).Init(eng, sess, links, rec, cfg, rand.New(rand.NewSource(seed)))
+	return &harness{eng: eng, tb: tb, sess: sess, sys: sys, rec: rec, pm: new(PilotManager).Init(sys)}
 }
 
 func unitTasks(n int, dur time.Duration) []skeleton.Task {
@@ -150,17 +153,17 @@ func TestPilotValidation(t *testing.T) {
 
 func TestEarlyBindingExecutesWorkload(t *testing.T) {
 	h := newHarness(t, DefaultConfig(), 4)
-	um := NewUnitManager(h.sys, Direct{}, 0)
+	um := new(UnitManager).Init(h.sys, Direct{})
 	p, err := h.pm.Submit(PilotDescription{Resource: "alpha", Cores: 16, Walltime: 2 * time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
 	um.AddPilot(p)
 	completed := sim.Time(0)
-	um.OnCompletion(func() {
+	um.OnCompletion(sim.Func(func() {
 		completed = h.eng.Now()
 		h.pm.CancelAll()
-	})
+	}))
 	if err := um.Submit(indexed(t, unitTasks(16, 10*time.Minute))); err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +193,7 @@ func TestEarlyBindingExecutesWorkload(t *testing.T) {
 
 func TestEarlyBindingStagingOverlapsQueueWait(t *testing.T) {
 	h := newHarness(t, DefaultConfig(), 5)
-	um := NewUnitManager(h.sys, Direct{}, 0)
+	um := new(UnitManager).Init(h.sys, Direct{})
 	p, _ := h.pm.Submit(PilotDescription{Resource: "alpha", Cores: 8, Walltime: 2 * time.Hour})
 	um.AddPilot(p)
 	if err := um.Submit(indexed(t, unitTasks(8, time.Minute))); err != nil {
@@ -215,7 +218,7 @@ func TestEarlyBindingStagingOverlapsQueueWait(t *testing.T) {
 
 func TestLateBindingBackfillUsesFirstActivePilot(t *testing.T) {
 	h := newHarness(t, DefaultConfig(), 6)
-	um := NewUnitManager(h.sys, Backfill{}, 0)
+	um := new(UnitManager).Init(h.sys, Backfill{})
 	// Three pilots on sites with waits 60s, 120s, 180s.
 	for _, r := range []string{"alpha", "beta", "gamma"} {
 		p, err := h.pm.Submit(PilotDescription{Resource: r, Cores: 8, Walltime: 2 * time.Hour})
@@ -224,7 +227,7 @@ func TestLateBindingBackfillUsesFirstActivePilot(t *testing.T) {
 		}
 		um.AddPilot(p)
 	}
-	um.OnCompletion(func() { h.pm.CancelAll() })
+	um.OnCompletion(sim.Func(h.pm.CancelAll))
 	// 8 units of 30s: all fit on the first pilot (alpha) and finish before
 	// beta (121s) activates.
 	if err := um.Submit(indexed(t, unitTasks(8, 30*time.Second))); err != nil {
@@ -243,12 +246,12 @@ func TestLateBindingBackfillUsesFirstActivePilot(t *testing.T) {
 
 func TestLateBindingSpillsToLaterPilots(t *testing.T) {
 	h := newHarness(t, DefaultConfig(), 7)
-	um := NewUnitManager(h.sys, Backfill{}, 0)
+	um := new(UnitManager).Init(h.sys, Backfill{})
 	for _, r := range []string{"alpha", "beta"} {
 		p, _ := h.pm.Submit(PilotDescription{Resource: r, Cores: 4, Walltime: 3 * time.Hour})
 		um.AddPilot(p)
 	}
-	um.OnCompletion(func() { h.pm.CancelAll() })
+	um.OnCompletion(sim.Func(h.pm.CancelAll))
 	// 8 long units on 4-core pilots: alpha takes 4; when beta activates it
 	// takes the rest.
 	if err := um.Submit(indexed(t, unitTasks(8, time.Hour))); err != nil {
@@ -269,12 +272,12 @@ func TestLateBindingSpillsToLaterPilots(t *testing.T) {
 
 func TestRoundRobinDistributesEvenly(t *testing.T) {
 	h := newHarness(t, DefaultConfig(), 8)
-	um := NewUnitManager(h.sys, RoundRobin{}, 0)
+	um := new(UnitManager).Init(h.sys, RoundRobin{})
 	for _, r := range []string{"alpha", "beta", "gamma"} {
 		p, _ := h.pm.Submit(PilotDescription{Resource: r, Cores: 8, Walltime: 2 * time.Hour})
 		um.AddPilot(p)
 	}
-	um.OnCompletion(func() { h.pm.CancelAll() })
+	um.OnCompletion(sim.Func(h.pm.CancelAll))
 	if err := um.Submit(indexed(t, unitTasks(9, time.Minute))); err != nil {
 		t.Fatal(err)
 	}
@@ -294,10 +297,10 @@ func TestAgentDispatchOverheadSerializes(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.AgentDispatchOverhead = time.Second
 	h := newHarness(t, cfg, 9)
-	um := NewUnitManager(h.sys, Direct{}, 0)
+	um := new(UnitManager).Init(h.sys, Direct{})
 	p, _ := h.pm.Submit(PilotDescription{Resource: "alpha", Cores: 64, Walltime: 2 * time.Hour})
 	um.AddPilot(p)
-	um.OnCompletion(func() { h.pm.CancelAll() })
+	um.OnCompletion(sim.Func(h.pm.CancelAll))
 	if err := um.Submit(indexed(t, unitTasks(10, time.Minute))); err != nil {
 		t.Fatal(err)
 	}
@@ -319,10 +322,10 @@ func TestUnitFailureRestarts(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.UnitFailureProb = 0.4
 	h := newHarness(t, cfg, 10)
-	um := NewUnitManager(h.sys, Direct{}, 0)
+	um := new(UnitManager).Init(h.sys, Direct{})
 	p, _ := h.pm.Submit(PilotDescription{Resource: "alpha", Cores: 32, Walltime: 12 * time.Hour})
 	um.AddPilot(p)
-	um.OnCompletion(func() { h.pm.CancelAll() })
+	um.OnCompletion(sim.Func(h.pm.CancelAll))
 	if err := um.Submit(indexed(t, unitTasks(32, 10*time.Minute))); err != nil {
 		t.Fatal(err)
 	}
@@ -343,10 +346,10 @@ func TestUnitFailureBudgetExhausted(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.UnitFailureProb = 1.0 // every attempt fails
 	h := newHarness(t, cfg, 11)
-	um := NewUnitManager(h.sys, Direct{}, 0)
+	um := new(UnitManager).Init(h.sys, Direct{})
 	p, _ := h.pm.Submit(PilotDescription{Resource: "alpha", Cores: 8, Walltime: 12 * time.Hour})
 	um.AddPilot(p)
-	um.OnCompletion(func() { h.pm.CancelAll() })
+	um.OnCompletion(sim.Func(h.pm.CancelAll))
 	if err := um.Submit(indexed(t, unitTasks(4, time.Minute))); err != nil {
 		t.Fatal(err)
 	}
@@ -363,14 +366,14 @@ func TestUnitFailureBudgetExhausted(t *testing.T) {
 
 func TestPilotWalltimeReschedulesUnits(t *testing.T) {
 	h := newHarness(t, DefaultConfig(), 12)
-	um := NewUnitManager(h.sys, Backfill{}, 0)
+	um := new(UnitManager).Init(h.sys, Backfill{})
 	// alpha activates first with a walltime too short for the units; beta
 	// must pick them up after alpha retires.
 	pa, _ := h.pm.Submit(PilotDescription{Resource: "alpha", Cores: 8, Walltime: 10 * time.Minute})
 	pb, _ := h.pm.Submit(PilotDescription{Resource: "beta", Cores: 8, Walltime: 3 * time.Hour})
 	um.AddPilot(pa)
 	um.AddPilot(pb)
-	um.OnCompletion(func() { h.pm.CancelAll() })
+	um.OnCompletion(sim.Func(h.pm.CancelAll))
 	if err := um.Submit(indexed(t, unitTasks(8, time.Hour))); err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +393,7 @@ func TestPilotWalltimeReschedulesUnits(t *testing.T) {
 
 func TestAllPilotsGoneFailsUnits(t *testing.T) {
 	h := newHarness(t, DefaultConfig(), 13)
-	um := NewUnitManager(h.sys, Backfill{}, 0)
+	um := new(UnitManager).Init(h.sys, Backfill{})
 	p, _ := h.pm.Submit(PilotDescription{Resource: "alpha", Cores: 8, Walltime: 10 * time.Minute})
 	um.AddPilot(p)
 	if err := um.Submit(indexed(t, unitTasks(8, 2*time.Hour))); err != nil {
@@ -409,10 +412,10 @@ func TestAllPilotsGoneFailsUnits(t *testing.T) {
 
 func TestUnitDependencies(t *testing.T) {
 	h := newHarness(t, DefaultConfig(), 14)
-	um := NewUnitManager(h.sys, Backfill{}, 0)
+	um := new(UnitManager).Init(h.sys, Backfill{})
 	p, _ := h.pm.Submit(PilotDescription{Resource: "alpha", Cores: 8, Walltime: 2 * time.Hour})
 	um.AddPilot(p)
-	um.OnCompletion(func() { h.pm.CancelAll() })
+	um.OnCompletion(sim.Func(h.pm.CancelAll))
 	tasks := []skeleton.Task{
 		{ID: "producer", Cores: 1, Duration: 10 * time.Minute,
 			Inputs: []skeleton.File{{Bytes: 1 << 20}}, Outputs: []skeleton.File{{Bytes: 1 << 20}}},
@@ -436,10 +439,10 @@ func TestUnitDependencies(t *testing.T) {
 
 func TestSamePilotDependencySkipsStaging(t *testing.T) {
 	h := newHarness(t, DefaultConfig(), 15)
-	um := NewUnitManager(h.sys, Direct{}, 0)
+	um := new(UnitManager).Init(h.sys, Direct{})
 	p, _ := h.pm.Submit(PilotDescription{Resource: "alpha", Cores: 8, Walltime: 2 * time.Hour})
 	um.AddPilot(p)
-	um.OnCompletion(func() { h.pm.CancelAll() })
+	um.OnCompletion(sim.Func(h.pm.CancelAll))
 	tasks := []skeleton.Task{
 		{ID: "producer", Cores: 1, Duration: time.Minute,
 			Inputs: []skeleton.File{{Bytes: 1 << 20}}, Outputs: []skeleton.File{{Bytes: 1 << 30}}}, // 1 GB output
@@ -466,7 +469,7 @@ func TestSamePilotDependencySkipsStaging(t *testing.T) {
 // executable is skeleton.Index.Add's to check (skeleton's TestIndexAdd).
 func TestUnitManagerValidation(t *testing.T) {
 	h := newHarness(t, DefaultConfig(), 16)
-	um := NewUnitManager(h.sys, Direct{}, 0)
+	um := new(UnitManager).Init(h.sys, Direct{})
 	a, b := []skeleton.Task{{ID: "a", Cores: 1}}, []skeleton.Task{{ID: "b", Cores: 1}}
 	if err := um.Submit(a, skeleton.Index{}); err == nil {
 		t.Fatal("an index without the submitted task accepted")
@@ -502,7 +505,7 @@ func TestUnitManagerValidation(t *testing.T) {
 func TestSubmitIsAllOrNothing(t *testing.T) {
 	for _, size := range []int{2, 4, -1} {
 		h := newHarness(t, DefaultConfig(), 18)
-		um := NewUnitManager(h.sys, Backfill{}, 0)
+		um := new(UnitManager).Init(h.sys, Backfill{})
 		var index skeleton.Index // none for size -1
 		if size >= 0 {
 			_, index = indexed(t, unitTasks(size, time.Minute))
@@ -519,7 +522,7 @@ func TestSubmitIsAllOrNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 		um.AddPilot(p)
-		um.OnCompletion(func() { h.pm.Cancel(p) })
+		um.OnCompletion(sim.Func(func() { h.pm.Cancel(p) }))
 		if err := um.Submit(indexed(t, unitTasks(3, time.Minute))); err != nil {
 			t.Fatal(err)
 		}
@@ -540,7 +543,7 @@ func TestSubmitIsAllOrNothing(t *testing.T) {
 
 func TestUnitCancel(t *testing.T) {
 	h := newHarness(t, DefaultConfig(), 17)
-	um := NewUnitManager(h.sys, Direct{}, 0)
+	um := new(UnitManager).Init(h.sys, Direct{})
 	p, _ := h.pm.Submit(PilotDescription{Resource: "alpha", Cores: 8, Walltime: 2 * time.Hour})
 	um.AddPilot(p)
 	if err := um.Submit(indexed(t, unitTasks(4, time.Hour))); err != nil {
@@ -583,7 +586,7 @@ func TestWorkloadConservationProperty(t *testing.T) {
 			cfg.UnitFailureProb = 0.2
 		}
 		h := newHarness(t, cfg, 100+seed)
-		um := NewUnitManager(h.sys, schedulers[int(seed)%len(schedulers)], 0)
+		um := new(UnitManager).Init(h.sys, schedulers[int(seed)%len(schedulers)])
 		pilots := 1 + rng.Intn(3)
 		resources := []string{"alpha", "beta", "gamma"}
 		for i := 0; i < pilots; i++ {
@@ -608,7 +611,7 @@ func TestWorkloadConservationProperty(t *testing.T) {
 				Outputs:  []skeleton.File{{Bytes: int64(rng.Intn(4096))}},
 			}
 		}
-		um.OnCompletion(func() { h.pm.CancelAll() })
+		um.OnCompletion(sim.Func(h.pm.CancelAll))
 		if err := um.Submit(indexed(t, tasks)); err != nil {
 			t.Fatal(err)
 		}
@@ -638,12 +641,12 @@ func TestWorkloadConservationProperty(t *testing.T) {
 // EXECUTING record is followed by another record for the same unit.
 func TestTraceSpanConsistencyProperty(t *testing.T) {
 	h := newHarness(t, DefaultConfig(), 999)
-	um := NewUnitManager(h.sys, Backfill{}, 0)
+	um := new(UnitManager).Init(h.sys, Backfill{})
 	for _, r := range []string{"alpha", "beta"} {
 		p, _ := h.pm.Submit(PilotDescription{Resource: r, Cores: 8, Walltime: 2 * time.Hour})
 		um.AddPilot(p)
 	}
-	um.OnCompletion(func() { h.pm.CancelAll() })
+	um.OnCompletion(sim.Func(h.pm.CancelAll))
 	if err := um.Submit(indexed(t, unitTasks(24, 5*time.Minute))); err != nil {
 		t.Fatal(err)
 	}
@@ -693,10 +696,10 @@ func TestMulticoreUnitsAgentBackfill(t *testing.T) {
 	// A 3-core unit at the head must not starve 1-core units that fit
 	// alongside already-running work (in-agent backfill).
 	h := newHarness(t, DefaultConfig(), 201)
-	um := NewUnitManager(h.sys, Direct{}, 0)
+	um := new(UnitManager).Init(h.sys, Direct{})
 	p, _ := h.pm.Submit(PilotDescription{Resource: "alpha", Cores: 4, Walltime: 2 * time.Hour})
 	um.AddPilot(p)
-	um.OnCompletion(func() { h.pm.CancelAll() })
+	um.OnCompletion(sim.Func(h.pm.CancelAll))
 	tasks := []skeleton.Task{
 		{ID: "wide-a", Cores: 2, Duration: 30 * time.Minute},
 		{ID: "wide-b", Cores: 3, Duration: 10 * time.Minute}, // cannot fit with wide-a
@@ -721,3 +724,59 @@ func TestMulticoreUnitsAgentBackfill(t *testing.T) {
 
 // finished reports whether every unit of um is terminal.
 func finished(um *UnitManager) bool { return len(um.units) > 0 && um.doneCount == len(um.units) }
+
+// TestLaunchMatchesSubmits: Launch submits its pilots as Submit would one
+// after another — the same records, pilot IDs, NEW details and SAGA job IDs,
+// a resource named twice included — and stops where Submit would, at a
+// resource the session lacks or a size no machine holds; the pilots' names
+// are cut from one string.
+func TestLaunchMatchesSubmits(t *testing.T) {
+	for _, c := range []struct {
+		resources []string
+		cores     int
+	}{
+		{[]string{"beta", "alpha", "beta", "gamma"}, 8},
+		{[]string{"alpha", "nope", "beta"}, 8},
+		{[]string{"alpha"}, 1 << 20},
+		{[]string{"alpha"}, 0},
+	} {
+		launched, submitted := newHarness(t, DefaultConfig(), 3), newHarness(t, DefaultConfig(), 3)
+		for _, h := range []*harness{launched, submitted} {
+			h.sys.SetNamespace("s0-j7")
+			if _, err := h.pm.Submit(PilotDescription{Resource: "alpha", Cores: 2, Walltime: time.Hour}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		launchErr := launched.pm.Launch(c.resources, c.cores, time.Hour)
+		var submitErr error
+		for _, r := range c.resources {
+			if _, submitErr = submitted.pm.Submit(PilotDescription{Resource: r, Cores: c.cores, Walltime: time.Hour}); submitErr != nil {
+				break
+			}
+		}
+		if fmt.Sprint(launchErr) != fmt.Sprint(submitErr) {
+			t.Fatalf("%v: Launch fails with %v, Submit with %v", c.resources, launchErr, submitErr)
+		}
+		if got, want := launched.rec.Records(), submitted.rec.Records(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v: Launch records\n%v\nSubmit records\n%v", c.resources, got, want)
+		}
+		// After the first pilot, Submit's own, each pilot follows the one
+		// before it in memory, and its ID the job ID before it.
+		follows := func(a, b string) bool {
+			return unsafe.Pointer(unsafe.StringData(b)) == unsafe.Add(unsafe.Pointer(unsafe.StringData(a)), len(a))
+		}
+		pilots := launched.pm.Pilots()[1:]
+		for i, p := range pilots {
+			if !follows(p.ID(), p.job.ID()) {
+				t.Fatalf("%v: pilot %s's job ID is not cut from its string", c.resources, p.ID())
+			}
+			if i == 0 {
+				continue
+			}
+			prev := pilots[i-1]
+			if !follows(prev.job.ID(), p.ID()) || unsafe.Add(unsafe.Pointer(prev), unsafe.Sizeof(*p)) != unsafe.Pointer(p) {
+				t.Fatalf("%v: pilot %s is not in its predecessor's slab and string", c.resources, p.ID())
+			}
+		}
+	}
+}

@@ -16,7 +16,7 @@ import (
 // ends PilotFailed with its reason preserved.
 func TestPreemptReschedulesUnits(t *testing.T) {
 	h := newHarness(t, DefaultConfig(), 3)
-	um := NewUnitManager(h.sys, Backfill{}, 0)
+	um := new(UnitManager).Init(h.sys, Backfill{})
 
 	// Two pilots: alpha activates at ~61s, beta at ~121s (deterministic
 	// sigma-0 waits). 16 one-core units of 10m keep alpha busy well past
@@ -74,7 +74,7 @@ func TestPreemptReschedulesUnits(t *testing.T) {
 // it (early binding) must be reclaimed and rescheduled rather than stranded.
 func TestPreemptBeforeActivation(t *testing.T) {
 	h := newHarness(t, DefaultConfig(), 4)
-	um := NewUnitManager(h.sys, RoundRobin{}, 0)
+	um := new(UnitManager).Init(h.sys, RoundRobin{})
 
 	var pilots []*Pilot
 	for _, r := range []string{"alpha", "beta"} {
@@ -183,7 +183,7 @@ func TestPreemptSweepSharedTimer(t *testing.T) {
 		cfg.UnitFailureProb = 0.3
 		cfg.AgentDispatchOverhead = 15 * time.Second // so units wait in the agent's queue
 		h := newHarness(t, cfg, int64(1000+sweep))
-		um := NewUnitManager(h.sys, Backfill{}, 0)
+		um := new(UnitManager).Init(h.sys, Backfill{})
 		var pilots []*Pilot
 		for _, r := range []string{"alpha", "beta"} {
 			p, err := h.pm.Submit(PilotDescription{Resource: r, Cores: 8, Walltime: 6 * time.Hour})
@@ -212,12 +212,12 @@ func TestPreemptSweepSharedTimer(t *testing.T) {
 			h.pm.Preempt(victim, "sweep")
 		})
 		completions, doneAt := 0, sim.Time(-1)
-		um.OnCompletion(func() {
+		um.OnCompletion(sim.Func(func() {
 			completions++
 			h.pm.CancelAll()
 			h.eng.Cancel(preempt)
 			doneAt = h.eng.Now()
-		})
+		}))
 		if err := um.Submit(indexed(t, tasks)); err != nil {
 			t.Fatal(err)
 		}

@@ -86,7 +86,7 @@ func TestReadyListMatchesScan(t *testing.T) {
 				cfg := DefaultConfig()
 				cfg.UnitFailureProb = 0.15
 				h := newHarness(t, cfg, seed)
-				um := NewUnitManager(h.sys, sched, 0)
+				um := new(UnitManager).Init(h.sys, sched)
 
 				places, offered := 0, 0
 				um.onPlace = func(ready []*Unit) {
@@ -193,7 +193,7 @@ func dependentsOf(um *UnitManager, u *Unit) []*Unit {
 // listed once with each producer — without writing the caller's tasks.
 func TestSubmitDependencyOrder(t *testing.T) {
 	h := newHarness(t, DefaultConfig(), 1)
-	um := NewUnitManager(h.sys, Backfill{}, 0)
+	um := new(UnitManager).Init(h.sys, Backfill{})
 	tasks := []skeleton.Task{
 		{ID: "p", Cores: 1}, {ID: "q", Cores: 1}, {ID: "r", Cores: 1},
 		{ID: "u", Cores: 1, Deps: []string{"r", "p", "r"},
@@ -219,12 +219,12 @@ func TestSubmitDependencyOrder(t *testing.T) {
 // backfillFullScan is Backfill.Place as it was before it stopped at the
 // first moment no active pilot had a free core: the pilot it would bind each
 // unit of ready to, nil for none.
-func backfillFullScan(ready []*Unit, pilots []*Pilot, committed map[*Pilot]int) []*Pilot {
+func backfillFullScan(ready []*Unit, pilots []*Pilot) []*Pilot {
 	out := make([]*Pilot, len(ready))
 	free := make(map[*Pilot]int, len(pilots))
 	for _, p := range pilots {
 		if p.State() == PilotActive {
-			free[p] = p.desc.Cores - committed[p]
+			free[p] = p.desc.Cores - p.committed
 		}
 	}
 	for i, u := range ready {
@@ -251,13 +251,13 @@ func TestBackfillEarlyExitMatchesFullScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260928))
 	states := []PilotState{PilotNew, PilotPending, PilotActive, PilotActive, PilotActive, PilotDone, PilotFailed}
 	for round := 0; round < 2000; round++ {
-		um := NewUnitManager(h.sys, Backfill{}, 0)
+		um := new(UnitManager).Init(h.sys, Backfill{})
 		um.pilots = make([]*Pilot, rng.Intn(12))
 		for i := range um.pilots {
 			p := &Pilot{state: states[rng.Intn(len(states))], desc: PilotDescription{Resource: "alpha", Cores: 1 + rng.Intn(16)}}
 			um.pilots[i] = p
 			if rng.Intn(2) == 0 {
-				um.committed[p] = rng.Intn(p.desc.Cores + 3)
+				p.committed = rng.Intn(p.desc.Cores + 3)
 			}
 		}
 		ready := make([]*Unit, rng.Intn(40))
@@ -265,7 +265,7 @@ func TestBackfillEarlyExitMatchesFullScan(t *testing.T) {
 			task := &skeleton.Task{Cores: 1 + rng.Intn(1+rng.Intn(20)), Inputs: []skeleton.File{{Bytes: 1}}}
 			ready[i] = &Unit{task: task, um: um, state: UnitScheduling}
 		}
-		want := backfillFullScan(ready, um.pilots, um.committed)
+		want := backfillFullScan(ready, um.pilots)
 		bound := Backfill{}.Place(um, ready)
 		got := make([]*Pilot, len(ready))
 		n, m := 0, 0

@@ -37,7 +37,9 @@ func DefaultConfig() Config {
 type LinkResolver func(resource string) *netsim.Link
 
 // System bundles the shared dependencies of pilot and unit managers: the
-// engine, the SAGA session, staging links, instrumentation and RNG.
+// engine, the SAGA session, staging links, instrumentation and RNG. The
+// system, its managers and the recorder can live in one struct of their
+// caller's (core.Execution), so each is initialized in place (Init).
 type System struct {
 	eng     *sim.Sim
 	session *saga.Session
@@ -49,16 +51,17 @@ type System struct {
 	ns      string // pilot-ID namespace, e.g. "s0-j3" (empty outside multi-tenant runs)
 }
 
-// NewSystem creates the shared pilot-system context. rec receives every
-// pilot and unit transition; it may be shared with the execution manager so
-// the whole run lands in one trace. rng may be nil when UnitFailureProb is
-// zero.
-func NewSystem(eng *sim.Sim, session *saga.Session, links LinkResolver,
+// Init makes s the shared pilot-system context and returns it. rec receives
+// every pilot and unit transition; it may be shared with the execution
+// manager so the whole run lands in one trace. rng may be nil when
+// UnitFailureProb is zero.
+func (s *System) Init(eng *sim.Sim, session *saga.Session, links LinkResolver,
 	rec trace.Sink, cfg Config, rng *rand.Rand) *System {
 	if cfg.UnitFailureProb > 0 && rng == nil {
 		panic("pilot: failure injection requires an RNG")
 	}
-	return &System{eng: eng, session: session, links: links, rec: rec, cfg: cfg, rng: rng}
+	*s = System{eng: eng, session: session, links: links, rec: rec, cfg: cfg, rng: rng}
+	return s
 }
 
 // SetNamespace scopes pilot IDs to a tenant: with namespace "s0-j3" pilots
@@ -69,22 +72,23 @@ func NewSystem(eng *sim.Sim, session *saga.Session, links LinkResolver,
 // recover the resource name keep working.
 func (s *System) SetNamespace(ns string) { s.ns = ns }
 
-// pilotID builds the namespaced trace identity of the seq'th pilot.
-func (s *System) pilotID(resource string) string {
-	var buf [64]byte
-	id := append(append(append(buf[:0], "pilot."...), resource...), '.')
+// appendPilotID appends the namespaced trace identity of the seq'th pilot.
+func (s *System) appendPilotID(dst []byte, resource string, seq int) []byte {
+	id := append(append(append(dst, "pilot."...), resource...), '.')
 	if s.ns != "" {
 		id = append(append(id, s.ns...), '-')
 	}
-	return string(strconv.AppendInt(id, int64(s.seq), 10))
+	return strconv.AppendInt(id, int64(seq), 10)
 }
 
-// Pilot is one resource placeholder.
+// Pilot is one resource placeholder. It carries its SAGA job and its agent,
+// so a pilot is one object, and the pilots one PilotManager.Launch submits
+// are one slab.
 type Pilot struct {
 	id    string
 	desc  PilotDescription
 	state PilotState
-	job   saga.Job
+	job   saga.Job // submitted once the pilot leaves PilotNew
 	sys   *System
 	agent agent // started when the pilot becomes active
 
@@ -93,9 +97,11 @@ type Pilot struct {
 	endedAt     sim.Time
 
 	// um, the unit manager the pilot serves, and then onState (OnState's
-	// callbacks) see every transition.
-	um      *UnitManager
-	onState []func(*Pilot)
+	// callbacks) see every transition. committed is the cores the units um
+	// bound to the pilot hold.
+	um        *UnitManager
+	committed int
+	onState   []func(*Pilot)
 	// walltimeEv retires the pilot just before the resource would kill it.
 	walltimeEv sim.Event
 }
@@ -158,12 +164,15 @@ func (p *Pilot) transition(state PilotState, detail string) {
 type PilotManager struct {
 	sys    *System
 	pilots []*Pilot
+	first  [4]*Pilot // pilots' first array
 }
 
-// NewPilotManager returns a manager on the shared system context, with room
-// for the given number of pilots.
-func NewPilotManager(sys *System, pilots int) *PilotManager {
-	return &PilotManager{sys: sys, pilots: make([]*Pilot, 0, pilots)}
+// Init makes pm a manager with no pilots on the shared system context and
+// returns it.
+func (pm *PilotManager) Init(sys *System) *PilotManager {
+	*pm = PilotManager{sys: sys}
+	pm.pilots = pm.first[:0]
+	return pm
 }
 
 // All iterates over the pilots in submission order without copying them; the
@@ -180,22 +189,72 @@ func (pm *PilotManager) Pilots() []*Pilot {
 // Submit describes and launches a pilot. The returned pilot transitions
 // asynchronously; observe it via UnitManager callbacks or the trace.
 func (pm *PilotManager) Submit(desc PilotDescription) (*Pilot, error) {
-	if err := desc.Validate(); err != nil {
+	if err := pm.Launch([]string{desc.Resource}, desc.Cores, desc.Walltime); err != nil {
 		return nil, err
 	}
-	svc, err := pm.sys.session.Service(desc.Resource)
-	if err != nil {
-		return nil, err
+	return pm.pilots[len(pm.pilots)-1], nil
+}
+
+// Launch describes and submits one pilot of the given size on each resource,
+// in order, as Submit would one after another, and stops at the first that
+// fails with its error. The pilots are carved from one slab, and their IDs,
+// their NEW records' detail and their SAGA job IDs are cut from one string.
+func (pm *PilotManager) Launch(resources []string, cores int, walltime time.Duration) error {
+	desc := PilotDescription{Cores: cores, Walltime: walltime}
+	// The names are known up to the first resource the session lacks, which
+	// fails before it gets a pilot.
+	var svcBuf [8]saga.Service
+	svcs := svcBuf[:0]
+	for _, r := range resources {
+		svc, err := pm.sys.session.Service(r)
+		if err != nil {
+			break
+		}
+		svcs = append(svcs, svc)
 	}
+	var textBuf [512]byte
+	var endBuf [16]int
+	text := appendNewDetail(textBuf[:0], desc)
+	ends := append(endBuf[:0], len(text))
+	for i, svc := range svcs {
+		ahead := 0 // the jobs this call submits to svc before this one
+		for _, prev := range svcs[:i] {
+			if prev == svc {
+				ahead++
+			}
+		}
+		text = pm.sys.appendPilotID(text, resources[i], pm.sys.seq+1+i)
+		ends = append(ends, len(text))
+		text = saga.AppendJobID(text, resources[i], svc.NextSeq()+ahead)
+		ends = append(ends, len(text))
+	}
+	names := string(text)
+	detail := names[:ends[0]]
+
+	slab := make([]Pilot, len(svcs))
+	for i, r := range resources {
+		desc.Resource = r
+		if err := desc.Validate(); err != nil {
+			return err
+		}
+		if i == len(svcs) {
+			_, err := pm.sys.session.Service(r)
+			return err
+		}
+		id, jobID := names[ends[2*i]:ends[2*i+1]], names[ends[2*i+1]:ends[2*i+2]]
+		if err := pm.launch(&slab[i], desc, svcs[i], id, detail, jobID); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// launch submits p, a zero Pilot, with its ID, NEW detail and SAGA job ID.
+func (pm *PilotManager) launch(p *Pilot, desc PilotDescription, svc saga.Service, id, detail, jobID string) error {
 	pm.sys.seq++
-	p := &Pilot{
-		id:          pm.sys.pilotID(desc.Resource),
-		desc:        desc,
-		sys:         pm.sys,
-		submittedAt: pm.sys.eng.Now(),
-	}
+	p.id, p.desc, p.sys, p.submittedAt = id, desc, pm.sys, pm.sys.eng.Now()
 	p.walltimeEv.Init((*walltime)(p))
-	p.transition(PilotNew, newDetail(desc))
+	p.transition(PilotNew, detail)
 
 	jd := saga.Description{
 		Cores:    desc.Cores,
@@ -203,28 +262,29 @@ func (pm *PilotManager) Submit(desc PilotDescription) (*Pilot, error) {
 		// The agent process runs until the resource kills it or the
 		// application cancels the pilot.
 		Runtime: desc.Walltime + time.Hour,
+		ID:      jobID,
 	}
-	job, err := svc.Submit(jd, func(j saga.Job, st saga.State) {
-		pm.onJobState(p, j, st)
-	})
-	if err != nil {
+	if err := svc.Submit(&p.job, jd, (*pilotJob)(p)); err != nil {
 		p.transition(PilotFailed, err.Error())
-		return nil, err
+		return err
 	}
-	p.job = job
-	p.transition(PilotLaunching, job.ID())
+	p.transition(PilotLaunching, p.job.ID())
 	pm.pilots = append(pm.pilots, p)
-	return p, nil
+	return nil
 }
 
-// newDetail is a pilot's NEW record detail, e.g. "cores=8 walltime=1h0m0s".
-func newDetail(d PilotDescription) string {
-	var buf [64]byte
-	b := strconv.AppendInt(append(buf[:0], "cores="...), int64(d.Cores), 10)
-	return string(append(append(b, " walltime="...), d.Walltime.String()...))
+// appendNewDetail appends a pilot's NEW record detail, e.g. "cores=8
+// walltime=1h0m0s".
+func appendNewDetail(dst []byte, d PilotDescription) []byte {
+	b := strconv.AppendInt(append(dst, "cores="...), int64(d.Cores), 10)
+	return append(append(b, " walltime="...), d.Walltime.String()...)
 }
 
-func (pm *PilotManager) onJobState(p *Pilot, _ saga.Job, st saga.State) {
+// pilotJob is a Pilot as the observer of its SAGA job.
+type pilotJob Pilot
+
+func (pj *pilotJob) JobState(_ *saga.Job, st saga.State) {
+	p := (*Pilot)(pj)
 	switch st {
 	case saga.Pending:
 		if p.state == PilotLaunching {
@@ -234,7 +294,7 @@ func (pm *PilotManager) onJobState(p *Pilot, _ saga.Job, st saga.State) {
 		if p.state.Final() {
 			return
 		}
-		p.activeAt = pm.sys.eng.Now()
+		p.activeAt = p.sys.eng.Now()
 		p.agent.start(p)
 		// Retire the pilot cleanly a moment before the resource's walltime
 		// kill, as real agents do.
@@ -242,7 +302,7 @@ func (pm *PilotManager) onJobState(p *Pilot, _ saga.Job, st saga.State) {
 		if p.desc.Walltime <= margin {
 			margin = p.desc.Walltime / 2
 		}
-		pm.sys.eng.Arm(&p.walltimeEv, p.desc.Walltime-margin)
+		p.sys.eng.Arm(&p.walltimeEv, p.desc.Walltime-margin)
 		p.transition(PilotActive, "")
 	case saga.Done:
 		if !p.state.Final() {
@@ -256,7 +316,7 @@ func (pm *PilotManager) onJobState(p *Pilot, _ saga.Job, st saga.State) {
 		}
 	case saga.Failed:
 		if !p.state.Final() {
-			if p.job != nil && p.job.Detail() == "walltime" {
+			if p.job.Detail() == "walltime" {
 				// The resource killed the agent at walltime: a normal pilot
 				// retirement, not an application failure.
 				p.shutdownAgent("retired")
@@ -280,10 +340,8 @@ func (p *Pilot) end(state PilotState, detail, cause string) {
 	}
 	p.shutdownAgent(cause)
 	p.transition(state, detail)
-	if p.job != nil {
-		if svc, err := p.sys.session.Service(p.desc.Resource); err == nil {
-			svc.Cancel(p.job)
-		}
+	if svc, err := p.sys.session.Service(p.desc.Resource); err == nil {
+		svc.Cancel(&p.job)
 	}
 }
 

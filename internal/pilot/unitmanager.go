@@ -87,7 +87,7 @@ func (u *Unit) finalize(state UnitState, detail string) {
 // pilotCommitRelease releases the unit's core commitment on its pilot.
 func (u *Unit) pilotCommitRelease() {
 	if u.committed && u.pilot != nil {
-		u.um.committed[u.pilot] -= u.task.Cores
+		u.pilot.committed -= u.task.Cores
 		u.committed = false
 	}
 }
@@ -191,7 +191,7 @@ func (Backfill) Place(um *UnitManager, ready []*Unit) int {
 	// Binding commits cores, so the free cores are read before any is bound.
 	for _, p := range um.pilots {
 		if p.State() == PilotActive {
-			free := p.desc.Cores - um.committed[p]
+			free := p.desc.Cores - p.committed
 			slots = append(slots, slot{p, free})
 			if free > 0 {
 				total += free
@@ -224,9 +224,9 @@ type UnitManager struct {
 	sys       *System
 	scheduler Scheduler
 	pilots    []*Pilot
+	first     [4]*Pilot // pilots' first array
 	units     []*Unit
 	names     skeleton.Index // each unit's position in units, by task ID
-	committed map[*Pilot]int
 
 	// ready holds, in submission order, the units in UnitScheduling with no
 	// open dependency — what the scheduler is offered. It is maintained at
@@ -245,7 +245,7 @@ type UnitManager struct {
 	placeEv     sim.Event // the coalesced place, due now while placeQueued
 	placeQueued bool
 	doneCount   int
-	onDone      []func()
+	onDone      sim.Handler
 
 	// execCover and stageCover cover the time at least one unit spent in
 	// UnitExecuting and in either staging state: the report's Tx and Ts.
@@ -318,15 +318,11 @@ func (um *UnitManager) Covered() (executing, staging time.Duration) {
 	return um.execCover.total.Duration(), um.stageCover.total.Duration()
 }
 
-// NewUnitManager creates a unit manager with the given scheduler, with room
-// for the given number of pilots.
-func NewUnitManager(sys *System, sched Scheduler, pilots int) *UnitManager {
-	um := &UnitManager{
-		sys:       sys,
-		scheduler: sched,
-		pilots:    make([]*Pilot, 0, pilots),
-		committed: make(map[*Pilot]int),
-	}
+// Init makes um a unit manager with no units and no pilots on the shared
+// system context, placing with the given scheduler, and returns it.
+func (um *UnitManager) Init(sys *System, sched Scheduler) *UnitManager {
+	*um = UnitManager{sys: sys, scheduler: sched}
+	um.pilots = um.first[:0]
 	um.placeEv.Init((*placement)(um))
 	return um
 }
@@ -358,10 +354,8 @@ func (um *UnitManager) AddPilot(p *Pilot) {
 // them; the caller must not submit while it does.
 func (um *UnitManager) All() iter.Seq[*Unit] { return slices.Values(um.units) }
 
-// OnCompletion registers a callback fired once when every unit is terminal.
-func (um *UnitManager) OnCompletion(fn func()) {
-	um.onDone = append(um.onDone, fn)
-}
+// OnCompletion sets the handler fired once when every unit is terminal.
+func (um *UnitManager) OnCompletion(h sim.Handler) { um.onDone = h }
 
 // Submit accepts tasks for execution: all of them, or none and an error.
 // names is the index the caller checked and indexed the tasks into
@@ -519,7 +513,7 @@ func (um *UnitManager) bind(u *Unit, p *Pilot) {
 	}
 	u.pilot = p
 	u.committed = true
-	um.committed[p] += u.task.Cores
+	p.committed += u.task.Cores
 
 	bytes := um.stageInBytes(u, p)
 	if d := &um.inDetail; d.pilot != p || d.bytes != bytes {
@@ -637,11 +631,9 @@ func (um *UnitManager) unitFinal(u *Unit) {
 		u.dependents = 0
 		um.schedulePlace()
 	}
-	if um.doneCount == len(um.units) {
-		for _, fn := range um.onDone {
-			fn()
-		}
+	if h := um.onDone; h != nil && um.doneCount == len(um.units) {
 		um.onDone = nil
+		h.Fire()
 	}
 }
 

@@ -9,39 +9,48 @@ import (
 	"aimes/internal/site"
 )
 
-// batchJob implements Job for the batch adaptor. It carries the job it puts
-// on the site's queue, and observes it there, and the event that models the
-// submission round trip.
-type batchJob struct {
+// Job is a job submitted through a Service. Its storage belongs to the
+// submitter, who keeps it until the job is final, so a job costs no
+// allocation of its own: a pilot carries its job inside it. It holds the
+// batch job it puts on the site's queue, and observes it there, and the
+// event that models the submission round trip.
+type Job struct {
 	inner   batch.Job // on the queue once its state leaves batch.JobNew
 	sent    sim.Event // the submission latency elapsing
 	adaptor *BatchAdaptor
 	state   State
 	detail  string
-	cb      StateCallback
+	obs     Observer
 	// cancelPending marks a job canceled during the submission latency
 	// window, before the batch system knows about it.
 	cancelPending bool
 }
 
-func (j *batchJob) ID() string     { return j.inner.ID }
-func (j *batchJob) Detail() string { return j.detail }
+// ID is unique within the service.
+func (j *Job) ID() string { return j.inner.ID }
 
-func (j *batchJob) transition(state State, detail string) {
+// Detail explains terminal states (e.g. "walltime").
+func (j *Job) Detail() string { return j.detail }
+
+func (j *Job) transition(state State, detail string) {
 	j.state = state
 	j.detail = detail
-	if j.cb != nil {
-		j.cb(j, state)
+	if j.obs != nil {
+		j.obs.JobState(j, state)
 	}
 }
 
+// queued is a Job as the observer of its batch job.
+type queued Job
+
 // Started implements batch.Observer.
-func (j *batchJob) Started(*batch.Job) {
-	j.transition(Running, "")
+func (q *queued) Started(*batch.Job) {
+	(*Job)(q).transition(Running, "")
 }
 
 // Ended implements batch.Observer.
-func (j *batchJob) Ended(bj *batch.Job) {
+func (q *queued) Ended(bj *batch.Job) {
+	j := (*Job)(q)
 	switch bj.State {
 	case batch.JobCompleted:
 		j.transition(Done, "")
@@ -76,52 +85,55 @@ var _ Service = (*BatchAdaptor)(nil)
 func (a *BatchAdaptor) Resource() string { return a.site.Name() }
 
 // Submit implements Service.
-func (a *BatchAdaptor) Submit(d Description, cb StateCallback) (Job, error) {
+func (a *BatchAdaptor) Submit(j *Job, d Description, obs Observer) error {
 	if err := d.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	cfg := a.site.Config()
 	nodes := cfg.NodesFor(d.Cores)
 	if nodes > cfg.Nodes {
-		return nil, fmt.Errorf("saga: %s: %d cores (%d nodes) exceed machine size %d nodes",
+		return fmt.Errorf("saga: %s: %d cores (%d nodes) exceed machine size %d nodes",
 			cfg.Name, d.Cores, nodes, cfg.Nodes)
 	}
 	a.seq++
-	j := &batchJob{
-		adaptor: a,
-		state:   New,
-		cb:      cb,
+	var buf [64]byte
+	id := d.ID
+	if want := AppendJobID(buf[:0], cfg.Name, a.seq); string(want) != id {
+		id = string(want)
 	}
+	*j = Job{adaptor: a, state: New, obs: obs}
 	j.inner = batch.Job{
-		ID:       jobID(cfg.Name, a.seq),
+		ID:       id,
 		Nodes:    nodes,
 		Runtime:  d.Runtime,
 		Walltime: d.Walltime,
-		Observer: j,
+		Observer: (*queued)(j),
 	}
 	// The submission latency models the client → resource-manager round
 	// trip; the job reaches the remote queue only after it elapses.
 	j.sent.Init((*submission)(j))
 	a.eng.Arm(&j.sent, cfg.SubmitLatency)
-	return j, nil
+	return nil
 }
 
-// jobID is the ID of an adaptor's seq'th job, "<resource>.<seq>" with seq
-// zero-padded to four digits.
-func jobID(resource string, seq int) string {
-	var buf [64]byte
-	id := append(append(buf[:0], resource...), '.')
+// NextSeq implements Service.
+func (a *BatchAdaptor) NextSeq() int { return a.seq + 1 }
+
+// AppendJobID appends the ID of the seq'th job a service of the resource
+// accepts, "<resource>.<seq>" with seq zero-padded to four digits.
+func AppendJobID(dst []byte, resource string, seq int) []byte {
+	id := append(append(dst, resource...), '.')
 	for p := 1000; p > 1 && seq < p; p /= 10 {
 		id = append(id, '0')
 	}
-	return string(strconv.AppendInt(id, int64(seq), 10))
+	return strconv.AppendInt(id, int64(seq), 10)
 }
 
-// submission is a batchJob as the handler of its submission latency event.
-type submission batchJob
+// submission is a Job as the handler of its submission latency event.
+type submission Job
 
 func (s *submission) Fire() {
-	j := (*batchJob)(s)
+	j := (*Job)(s)
 	a := j.adaptor
 	if j.cancelPending {
 		j.transition(Canceled, "canceled before submission")
@@ -141,9 +153,8 @@ func (s *submission) Fire() {
 }
 
 // Cancel implements Service.
-func (a *BatchAdaptor) Cancel(job Job) bool {
-	j, ok := job.(*batchJob)
-	if !ok || j.adaptor != a {
+func (a *BatchAdaptor) Cancel(j *Job) bool {
+	if j.adaptor != a {
 		return false
 	}
 	if j.state.Final() {

@@ -36,6 +36,10 @@ type Description struct {
 	// Runtime is the payload's actual compute duration; for pilot agents it
 	// exceeds Walltime, meaning "run until killed or canceled".
 	Runtime time.Duration
+	// ID, when set, is the ID the caller expects the job to get
+	// (Service.NextSeq), in storage of its own. The service names the job
+	// itself either way, and uses this string only when it is that name.
+	ID string
 }
 
 // Validate reports a descriptive error for malformed descriptions.
@@ -52,30 +56,28 @@ func (d Description) Validate() error {
 	return nil
 }
 
-// Job is a submitted job handle.
-type Job interface {
-	// ID is unique within the service.
-	ID() string
-	// Detail explains terminal states (e.g. "walltime").
-	Detail() string
-}
-
-// StateCallback observes job state transitions. Callbacks fire on engine
+// Observer follows a job's state transitions. JobState runs on engine
 // callbacks, in transition order.
-type StateCallback func(job Job, state State)
+type Observer interface {
+	JobState(j *Job, state State)
+}
 
 // Service submits jobs to one resource.
 type Service interface {
 	// Resource names the target resource.
 	Resource() string
-	// Submit accepts a job for execution. The callback (may be nil) fires on
-	// every subsequent state change, including the synchronous transition to
-	// Pending. Submit returns an error for invalid or unsatisfiable
-	// descriptions.
-	Submit(d Description, cb StateCallback) (Job, error)
+	// Submit accepts a job for execution into j, an unsubmitted (zero) Job
+	// the caller owns and keeps until the job is final. The observer (may be
+	// nil) sees every subsequent state change. Submit returns an error for
+	// invalid or unsatisfiable descriptions.
+	Submit(j *Job, d Description, obs Observer) error
+	// NextSeq is the sequence number of the next job the service accepts,
+	// which names it (AppendJobID), for callers that cut the IDs of many
+	// jobs from one string (Description.ID).
+	NextSeq() int
 	// Cancel terminates a job. It reports false for unknown or already
 	// terminal jobs.
-	Cancel(j Job) bool
+	Cancel(j *Job) bool
 }
 
 // Session is a registry of services, the entry point mirroring a SAGA

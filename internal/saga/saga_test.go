@@ -1,8 +1,10 @@
 package saga
 
 import (
+	"fmt"
 	"testing"
 	"time"
+	"unsafe"
 
 	"aimes/internal/batch"
 	"aimes/internal/sim"
@@ -28,7 +30,21 @@ func testSite(t *testing.T, eng *sim.Sim) *site.Site {
 }
 
 // stateOf reads the adaptor job's current state.
-func stateOf(j Job) State { return j.(*batchJob).state }
+func stateOf(j *Job) State { return j.state }
+
+// observeFunc adapts a function to Observer.
+type observeFunc func(*Job, State)
+
+func (f observeFunc) JobState(j *Job, s State) { f(j, s) }
+
+// submit submits a job into storage of its own.
+func submit(a *BatchAdaptor, d Description, obs Observer) (*Job, error) {
+	j := new(Job)
+	if err := a.Submit(j, d, obs); err != nil {
+		return nil, err
+	}
+	return j, nil
+}
 
 func pilotDesc(cores int, wall time.Duration) Description {
 	return Description{
@@ -42,9 +58,9 @@ func TestBatchAdaptorLifecycle(t *testing.T) {
 	eng := sim.NewSim()
 	a := NewBatchAdaptor(eng, testSite(t, eng))
 	var states []State
-	job, err := a.Submit(Description{
+	job, err := submit(a, Description{
 		Cores: 16, Walltime: time.Hour, Runtime: 30 * time.Minute,
-	}, func(_ Job, s State) { states = append(states, s) })
+	}, observeFunc(func(_ *Job, s State) { states = append(states, s) }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +78,7 @@ func TestBatchAdaptorLifecycle(t *testing.T) {
 		}
 	}
 	// Submitted at 0, the job reaches the queue after the latency.
-	bj := &job.(*batchJob).inner
+	bj := &job.inner
 	if bj.Submitted < sim.Time(2*time.Second) {
 		t.Fatal("submission latency not applied")
 	}
@@ -74,7 +90,7 @@ func TestBatchAdaptorLifecycle(t *testing.T) {
 func TestBatchAdaptorWalltimeKill(t *testing.T) {
 	eng := sim.NewSim()
 	a := NewBatchAdaptor(eng, testSite(t, eng))
-	job, err := a.Submit(pilotDesc(16, 30*time.Minute), nil)
+	job, err := submit(a, pilotDesc(16, 30*time.Minute), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,11 +103,11 @@ func TestBatchAdaptorWalltimeKill(t *testing.T) {
 func TestBatchAdaptorRejects(t *testing.T) {
 	eng := sim.NewSim()
 	a := NewBatchAdaptor(eng, testSite(t, eng))
-	if _, err := a.Submit(Description{Cores: 0, Walltime: time.Hour}, nil); err == nil {
+	if _, err := submit(a, Description{Cores: 0, Walltime: time.Hour}, nil); err == nil {
 		t.Fatal("zero cores accepted")
 	}
 	// 64 nodes × 16 cores = 1024 max.
-	if _, err := a.Submit(pilotDesc(2048, time.Hour), nil); err == nil {
+	if _, err := submit(a, pilotDesc(2048, time.Hour), nil); err == nil {
 		t.Fatal("oversized request accepted")
 	}
 }
@@ -102,10 +118,10 @@ func TestBatchAdaptorCoreToNodeRounding(t *testing.T) {
 	a := NewBatchAdaptor(eng, s)
 	// 17 cores on 16-core nodes must round to 2 nodes: a request for
 	// 1023 + 17 = 1040 cores (66 nodes) must fail on the 64-node machine.
-	if _, err := a.Submit(pilotDesc(1040, time.Hour), nil); err == nil {
+	if _, err := submit(a, pilotDesc(1040, time.Hour), nil); err == nil {
 		t.Fatal("node rounding not applied")
 	}
-	if _, err := a.Submit(pilotDesc(1024, time.Hour), nil); err != nil {
+	if _, err := submit(a, pilotDesc(1024, time.Hour), nil); err != nil {
 		t.Fatalf("full-machine request rejected: %v", err)
 	}
 }
@@ -116,16 +132,16 @@ func TestBatchAdaptorSubmitFromCallback(t *testing.T) {
 	eng := sim.NewSim()
 	a := NewBatchAdaptor(eng, testSite(t, eng))
 	desc := Description{Cores: 1, Walltime: time.Hour, Runtime: time.Minute}
-	var second Job
-	_, err := a.Submit(desc, func(_ Job, s State) {
+	var second *Job
+	_, err := submit(a, desc, observeFunc(func(_ *Job, s State) {
 		if s != Done {
 			return
 		}
 		var err error
-		if second, err = a.Submit(desc, nil); err != nil {
+		if second, err = submit(a, desc, nil); err != nil {
 			t.Error(err)
 		}
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +155,7 @@ func TestBatchAdaptorCancelBeforeSubmissionCompletes(t *testing.T) {
 	eng := sim.NewSim()
 	a := NewBatchAdaptor(eng, testSite(t, eng))
 	var final State
-	job, err := a.Submit(pilotDesc(16, time.Hour), func(_ Job, s State) { final = s })
+	job, err := submit(a, pilotDesc(16, time.Hour), observeFunc(func(_ *Job, s State) { final = s }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +169,7 @@ func TestBatchAdaptorCancelBeforeSubmissionCompletes(t *testing.T) {
 	if final != Canceled || stateOf(job) != Canceled {
 		t.Fatalf("final state %v, want CANCELED", final)
 	}
-	if job.(*batchJob).inner.State != batch.JobNew {
+	if job.inner.State != batch.JobNew {
 		t.Fatal("canceled job reached the queue")
 	}
 }
@@ -161,7 +177,7 @@ func TestBatchAdaptorCancelBeforeSubmissionCompletes(t *testing.T) {
 func TestBatchAdaptorCancelQueuedJob(t *testing.T) {
 	eng := sim.NewSim()
 	a := NewBatchAdaptor(eng, testSite(t, eng))
-	job, err := a.Submit(pilotDesc(16, time.Hour), nil)
+	job, err := submit(a, pilotDesc(16, time.Hour), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +197,7 @@ func TestBatchAdaptorCancelQueuedJob(t *testing.T) {
 func TestBatchAdaptorCancelRunning(t *testing.T) {
 	eng := sim.NewSim()
 	a := NewBatchAdaptor(eng, testSite(t, eng))
-	job, err := a.Submit(pilotDesc(16, 10*time.Hour), func(j Job, s State) {
+	job, err := submit(a, pilotDesc(16, 10*time.Hour), observeFunc(func(j *Job, s State) {
 		if s == Running {
 			// Cancel as soon as it starts.
 			eng.Schedule(time.Minute, func() {
@@ -190,7 +206,7 @@ func TestBatchAdaptorCancelRunning(t *testing.T) {
 				}
 			})
 		}
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +214,7 @@ func TestBatchAdaptorCancelRunning(t *testing.T) {
 	if stateOf(job) != Canceled {
 		t.Fatalf("state %v, want CANCELED", stateOf(job))
 	}
-	if bj := &job.(*batchJob).inner; bj.Ended.Sub(bj.Started) != time.Minute {
+	if bj := &job.inner; bj.Ended.Sub(bj.Started) != time.Minute {
 		t.Fatalf("ran for %v, want 1m", bj.Ended.Sub(bj.Started))
 	}
 }
@@ -226,5 +242,38 @@ func TestSessionRegistry(t *testing.T) {
 func TestStateFinal(t *testing.T) {
 	if !Failed.Final() || !Done.Final() || !Canceled.Final() || Running.Final() || Pending.Final() || New.Final() {
 		t.Fatal("Final() wrong")
+	}
+}
+
+// TestSubmitNamesJobs: the service names every job "<resource>.<seq>", seq
+// zero-padded to four digits; a job submitted with that name in its
+// description keeps the caller's string, and one submitted with any other
+// gets the service's own.
+func TestSubmitNamesJobs(t *testing.T) {
+	for _, seq := range []int{1, 9, 10, 999, 1000, 12345} {
+		if got, want := string(AppendJobID(nil, "stampede", seq)), fmt.Sprintf("stampede.%04d", seq); got != want {
+			t.Fatalf("AppendJobID = %q, Sprintf gives %q", got, want)
+		}
+	}
+	eng := sim.NewSim()
+	a := NewBatchAdaptor(eng, testSite(t, eng))
+	d := pilotDesc(16, time.Hour)
+	d.ID = string(AppendJobID(nil, "stampede", a.NextSeq()))
+	j, err := submit(a, d, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j.ID() != "stampede.0001" || unsafe.StringData(j.ID()) != unsafe.StringData(d.ID) {
+		t.Fatalf("job named %q, not the caller's %q", j.ID(), d.ID)
+	}
+	for _, id := range []string{"stampede.0001", ""} {
+		d.ID = id
+		j, err := submit(a, d, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf("stampede.%04d", a.seq); j.ID() != want {
+			t.Fatalf("submitted as %q, the job is named %q, want %q", id, j.ID(), want)
+		}
 	}
 }

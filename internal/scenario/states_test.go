@@ -158,15 +158,15 @@ func TestCanceledExecutingUnitFollowsStateModel(t *testing.T) {
 	}
 	links := func(resource string) *netsim.Link { return tb.Site(resource).Link() }
 	rec := trace.NewRecorder()
-	sys := pilot.NewSystem(eng, sess, links, rec, pilot.DefaultConfig(), rand.New(rand.NewSource(7)))
-	pm := pilot.NewPilotManager(sys, 1)
+	sys := new(pilot.System).Init(eng, sess, links, rec, pilot.DefaultConfig(), rand.New(rand.NewSource(7)))
+	pm := new(pilot.PilotManager).Init(sys)
 	p, err := pm.Submit(pilot.PilotDescription{Resource: "stampede", Cores: 2, Walltime: 12 * time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
-	um := pilot.NewUnitManager(sys, pilot.Direct{}, 1)
+	um := new(pilot.UnitManager).Init(sys, pilot.Direct{})
 	um.AddPilot(p)
-	um.OnCompletion(pm.CancelAll)
+	um.OnCompletion(sim.Func(pm.CancelAll))
 	tasks := make([]skeleton.Task, 3)
 	for i := range tasks {
 		tasks[i] = skeleton.Task{ID: fmt.Sprintf("t%d", i), Cores: 1, Duration: 10 * time.Minute,

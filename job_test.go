@@ -468,14 +468,18 @@ func TestJobAllocationBudget(t *testing.T) {
 
 // TestSmallJobAllocationBudget pins what a small job costs whole, where the
 // per-unit budget above cannot see what a job pays per pilot: 16 units on two
-// late-binding pilots, at most 55 objects. That is 50 measured, 52 under
-// -race as CI runs it, plus 5%; it was 54 (57 under -race, bound 60) while
-// the task index was a map, 56 (59 to 61 under -race, bound 64) while each
-// job copied its tasks into unit descriptions, and 96 while the batch
-// queues, the SAGA adaptor, the agent and the staging link allocated per
-// event and per queue growth.
+// late-binding pilots, at most 29 objects. That is 24 measured, 26 to 28
+// under -race as CI runs it, plus 5%, since a job's engine state is one slab
+// — the execution with its pilot system, managers and trace sink, its
+// pilots with their SAGA jobs, and their names cut from one string. It was
+// 50 (52 under -race, bound 55) while each of those was an object of its
+// own, with a closure per pilot and per callback; 54 (57 under -race, bound
+// 60) while the task index was a map, 56 (59 to 61 under -race, bound 64)
+// while each job copied its tasks into unit descriptions, and 96 while the
+// batch queues, the SAGA adaptor, the agent and the staging link allocated
+// per event and per queue growth.
 func TestSmallJobAllocationBudget(t *testing.T) {
-	const maxObjects = 55.0
+	const maxObjects = 29.0
 	objects, bytes := leastJobCost(t, 16, aimes.StrategyConfig{
 		Binding: aimes.LateBinding, Scheduler: aimes.SchedBackfill, Pilots: 2})
 	t.Logf("%.0f objects and %.0f bytes per job", objects, bytes)
@@ -679,5 +683,26 @@ func tracedToFinalStates(t *testing.T, j *aimes.Job) {
 		default:
 			t.Errorf("job %d: %s's trace ends %s", j.ID(), entity, state)
 		}
+	}
+}
+
+// TestPilotAllocationBudget pins what a job pays per pilot: the 16-unit job
+// of the pin above at one pilot and at four, at most 3.9 objects per extra
+// pilot. That is 3 measured, 2.33 to 3.67 under -race, plus 5%: the pilot
+// is an element of its job's slab and its names part of one string, so
+// what remains is its agent's lists and the details of the staging records
+// its units write. It was 9 while each pilot was an object of its own, with
+// a SAGA job, a closure and three strings.
+func TestPilotAllocationBudget(t *testing.T) {
+	const maxPerPilot = 3.9
+	sc := aimes.StrategyConfig{Binding: aimes.LateBinding, Scheduler: aimes.SchedBackfill}
+	sc.Pilots = 1
+	one, _ := leastJobCost(t, 16, sc)
+	sc.Pilots = 4
+	four, _ := leastJobCost(t, 16, sc)
+	perPilot := (four - one) / 3
+	t.Logf("%.0f objects at one pilot, %.0f at four: %.2f per extra pilot", one, four, perPilot)
+	if perPilot > maxPerPilot {
+		t.Errorf("a job allocates %.2f objects per extra pilot, want at most %.0f", perPilot, maxPerPilot)
 	}
 }
