@@ -232,8 +232,12 @@ func owner(stk [32]uintptr) (string, bool) {
 
 // funcPackage is the import path of a function's package, read off its
 // symbol name: "aimes/internal/pilot.(*PilotManager).Submit" is in
-// "aimes/internal/pilot".
+// "aimes/internal/pilot". A generic function's type arguments, which may
+// name other packages, are cut first.
 func funcPackage(fn string) string {
+	if i := strings.IndexByte(fn, '['); i >= 0 {
+		fn = fn[:i]
+	}
 	slash := strings.LastIndexByte(fn, '/') + 1
 	if dot := strings.IndexByte(fn[slash:], '.'); dot >= 0 {
 		return fn[:slash+dot]
