@@ -6,6 +6,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"net/http/httptest"
 	"os"
 	"runtime"
 	"runtime/debug"
@@ -15,6 +16,8 @@ import (
 	"testing"
 
 	"aimes"
+	"aimes/client"
+	"aimes/internal/server"
 )
 
 var updateLedger = flag.Bool("update", false, "rewrite testdata/alloc_ledger.txt from this run")
@@ -23,19 +26,23 @@ var updateLedger = flag.Bool("update", false, "rewrite testdata/alloc_ledger.txt
 // and by the package of the innermost frame inside module aimes.
 const ledgerPath = "testdata/alloc_ledger.txt"
 
-// ledgerShapes are the job shapes of the allocation pins: a small job, where
-// what a job pays per pilot and per execution shows, and a 512-unit job,
-// where what it pays per unit does. Each runs warm jobs one at a time on a
-// fresh one-shard environment.
+// ledgerShapes are the job shapes of the allocation pins — a small job,
+// where what a job pays per pilot and per execution shows, and a 512-unit
+// job, where what it pays per unit does, each on a fresh one-shard
+// environment — and the service path's job, BenchmarkServiceJobSSE's. Each
+// runs warm jobs one at a time.
 var ledgerShapes = []ledgerShape{
-	{"16x2", 16, 2, 200},
-	{"512x3", 512, 3, 20},
+	{"16x2", 200, localJob(16, 2)},
+	{"512x3", 20, localJob(512, 3)},
+	{"service", 200, serviceJob},
 }
 
 type ledgerShape struct {
-	name          string
-	units, pilots int
-	jobs          int
+	name string
+	jobs int
+	// open sets the shape up and returns one job's run and what tears the
+	// set-up down.
+	open func(t *testing.T) (run func(), close func())
 }
 
 // Two rows name no package. The runtime records a small pointer-free
@@ -77,7 +84,7 @@ func TestAllocationLedger(t *testing.T) {
 
 	got := map[string]float64{}
 	for _, s := range ledgerShapes {
-		for pkg, n := range ledgerRun(t, s.units, s.pilots, s.jobs) {
+		for pkg, n := range ledgerRun(t, s) {
 			got[s.name+" "+pkg] = n
 		}
 	}
@@ -129,32 +136,85 @@ func TestAllocationLedger(t *testing.T) {
 	}
 }
 
-// ledgerRun runs jobs of a bag of units on late-binding pilots and returns
-// the objects each package allocated per job, with tinyRow and outsideRow.
-// Two jobs run first, so what the environment sets up lazily is not
-// counted, and the workload is built once, outside the window.
-func ledgerRun(t *testing.T, units, pilots, jobs int) map[string]float64 {
-	t.Helper()
-	env, err := aimes.NewEnv(aimes.WithSeed(7), aimes.WithShards(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer env.Close()
-	w, err := aimes.GenerateWorkload(aimes.BagOfTasks(units, aimes.UniformDuration()), 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := aimes.JobConfig{StrategyConfig: aimes.StrategyConfig{
-		Binding: aimes.LateBinding, Scheduler: aimes.SchedBackfill, Pilots: pilots}}
-	run := func() {
-		j, err := env.Submit(context.Background(), w, cfg)
+// localJob is a shape of one bag of units on late-binding pilots, run on a
+// fresh one-shard environment; the workload is built once, outside the
+// window.
+func localJob(units, pilots int) func(*testing.T) (func(), func()) {
+	return func(t *testing.T) (func(), func()) {
+		env, err := aimes.NewEnv(aimes.WithSeed(7), aimes.WithShards(1))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r, err := j.Wait(context.Background()); err != nil || r.UnitsDone != units {
-			t.Fatalf("job ended %v with %+v", err, r)
+		w, err := aimes.GenerateWorkload(aimes.BagOfTasks(units, aimes.UniformDuration()), 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := aimes.JobConfig{StrategyConfig: aimes.StrategyConfig{
+			Binding: aimes.LateBinding, Scheduler: aimes.SchedBackfill, Pilots: pilots}}
+		run := func() {
+			j, err := env.Submit(context.Background(), w, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r, err := j.Wait(context.Background()); err != nil || r.UnitsDone != units {
+				t.Fatalf("job ended %v with %+v", err, r)
+			}
+		}
+		return run, func() { env.Close() }
+	}
+}
+
+// serviceJob is BenchmarkServiceJobSSE's job: a client submits a 12-task bag
+// to an httptest daemon over 2 local shards and follows the job's events
+// over SSE to its terminal snapshot.
+func serviceJob(t *testing.T) (func(), func()) {
+	env, err := aimes.NewEnv(aimes.WithSeed(7741), aimes.WithShards(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	auth, err := server.NewAuth(map[string]server.Tenant{"tok": {Name: "ledger"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := server.New(server.Config{Env: env, Auth: auth})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv.Handler())
+	w, err := aimes.GenerateWorkload(aimes.BagOfTasks(12, aimes.UniformDuration()), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, ctx := client.New(hs.URL, "tok"), context.Background()
+	opt := client.SubmitOptions{Config: aimes.StrategyConfig{Binding: aimes.LateBinding, Scheduler: aimes.SchedBackfill, Pilots: 2}}
+	run := func() {
+		info, err := c.Submit(ctx, w, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		es, err := c.Events(ctx, info.ID, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for range es.C {
+		}
+		if fin := es.Final(); fin == nil || fin.Report == nil || fin.Report.UnitsDone != 12 {
+			t.Fatalf("job %s: final snapshot %+v (%v)", info.ID, fin, es.Err())
 		}
 	}
+	return run, func() {
+		hs.Close()
+		srv.Shutdown(context.Background())
+	}
+}
+
+// ledgerRun runs the shape's jobs and returns the objects each package
+// allocated per job, with tinyRow and outsideRow. Two jobs run first, so
+// what the set-up leaves to be done lazily is not counted.
+func ledgerRun(t *testing.T, s ledgerShape) map[string]float64 {
+	t.Helper()
+	run, closeShape := s.open(t)
+	defer closeShape()
 	run()
 	run()
 	// No collection runs inside the window, so the pools keep what they
@@ -165,7 +225,7 @@ func ledgerRun(t *testing.T, units, pilots, jobs int) map[string]float64 {
 	before := allocsByStack()
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	for range jobs {
+	for range s.jobs {
 		run()
 	}
 	runtime.ReadMemStats(&m1)
@@ -176,12 +236,12 @@ func ledgerRun(t *testing.T, units, pilots, jobs int) map[string]float64 {
 	for stk, n := range after {
 		if n -= before[stk]; n != 0 {
 			if pkg, ok := owner(stk); ok {
-				perPkg[pkg] += float64(n) / float64(jobs)
+				perPkg[pkg] += float64(n) / float64(s.jobs)
 				tiny -= float64(n)
 			}
 		}
 	}
-	perPkg[tinyRow] = tiny / float64(jobs)
+	perPkg[tinyRow] = tiny / float64(s.jobs)
 	return perPkg
 }
 
@@ -272,12 +332,13 @@ func formatLedger(l map[string]float64) []byte {
 	var b bytes.Buffer
 	b.WriteString("# Objects allocated per job, by the package of the innermost frame of\n")
 	b.WriteString("# the allocation's stack inside module aimes (TestAllocationLedger).\n")
-	b.WriteString("# Shapes: <units>x<late-binding pilots>, warm jobs on one local shard.\n")
+	b.WriteString("# Shapes: <units>x<late-binding pilots>, warm jobs on one local shard;\n")
+	b.WriteString("# service, a 12-task job from a client through aimes-server over SSE.\n")
 	b.WriteString("# Rewrite: go test -run TestAllocationLedger -update .\n")
 	b.WriteString(toolchainLine())
 	for _, row := range ledgerRows(l) {
 		shape, pkg, _ := strings.Cut(row, " ")
-		fmt.Fprintf(&b, "%-6s %-22s %9.2f\n", shape, pkg, l[row])
+		fmt.Fprintf(&b, "%-7s %-22s %9.2f\n", shape, pkg, l[row])
 	}
 	total := ledgerTotals(l)
 	for _, s := range ledgerShapes {
