@@ -12,7 +12,7 @@ race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=3 -run '^(TestCursorMatchesOracle|FuzzLogRecords)$$' ./internal/trace/
 	$(GO) test -race -count=3 -run '^(TestRunningNeverExceedsAdmitWindow|TestSealedShardKeepsConstantWindow|TestLoadPlacementSkipsSealedShard|TestPendingCostDrainsToZero|TestDrainFailsWedgedWindowThenAdmits|TestDrainVerdictIgnoresWhoWaits|TestFinishedJobReleasesItsWorkload)$$' .
-	$(GO) test -race -count=3 -run '^(TestPooledBodyNeverReachesALiveJob|TestConcurrentFollowersReadOwnEvents)$$' ./internal/server/
+	$(GO) test -race -count=3 -run '^(TestPooledBodyNeverReachesALiveJob|TestConcurrentFollowersReadOwnEvents|TestStreamedSubmitContract|TestIdleStreamsShareOneHeartbeat)$$' ./internal/server/
 
 # The tests whose outcome depends on the wall clock — WithRealTime's pacer,
 # a Submit context expiring, monitors against a live waiter — race-enabled,

@@ -257,6 +257,50 @@ func TestMultistageAppThroughFacade(t *testing.T) {
 	}
 }
 
+// TestNarrowUnitsBackfillPastWideOnes: late binding offers a pilot's free
+// cores to the units behind a wide one that does not fit. Seven-core tasks
+// leave 96-core pilots four cores short of the next one, and the one-core
+// units their first wave makes ready take them while wide units still wait.
+func TestNarrowUnitsBackfillPastWideOnes(t *testing.T) {
+	app := aimes.AppSpec{
+		Name: "wide-narrow",
+		Stages: []aimes.StageSpec{
+			{Name: "wide", Tasks: 24, CoresPerTask: 7, DurationS: aimes.ConstantSpec(300), OutputBytes: aimes.ConstantSpec(1 << 10)},
+			{Name: "narrow", Tasks: 24, DurationS: aimes.ConstantSpec(60), OutputBytes: aimes.ConstantSpec(1 << 10), Inputs: aimes.MapOneToOne},
+		},
+	}
+	env, err := aimes.NewEnv(aimes.WithSeed(11), aimes.WithShards(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer env.Close()
+	w, err := aimes.GenerateWorkload(app, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := env.Submit(context.Background(), w, aimes.JobConfig{StrategyConfig: aimes.StrategyConfig{
+		Binding: aimes.LateBinding, Scheduler: aimes.SchedBackfill, Pilots: 2, Selection: aimes.SelectRandom}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r, err := j.Wait(context.Background()); err != nil || r.UnitsDone != 48 {
+		t.Fatalf("report %+v, %v; want 48 units done", r, err)
+	}
+	var firstNarrow, lastWide time.Duration
+	for ev := range j.Events() {
+		switch {
+		case ev.State != "EXECUTING":
+		case strings.HasPrefix(ev.Entity, "unit.narrow.") && firstNarrow == 0:
+			firstNarrow = ev.Time
+		case strings.HasPrefix(ev.Entity, "unit.wide."):
+			lastWide = ev.Time
+		}
+	}
+	if firstNarrow == 0 || firstNarrow >= lastWide {
+		t.Fatalf("the first one-core unit executed at %v, the last seven-core one at %v: no narrow unit passed a waiting wide one", firstNarrow, lastWide)
+	}
+}
+
 func TestMonitorThroughFacade(t *testing.T) {
 	env, err := aimes.NewEnv(aimes.WithSeed(13))
 	if err != nil {

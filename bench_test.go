@@ -274,47 +274,58 @@ func BenchmarkPaperMatrixJob(b *testing.B) {
 // BenchmarkServiceJobSSE is the service path one job at a time — client →
 // httptest daemon → 2 local shards, a 12-task job submitted and followed over
 // SSE to its terminal snapshot — so `make profile BENCH=BenchmarkServiceJobSSE`
-// shows what the benchmark's service-stream workload pays per job.
+// shows what the benchmark's service-stream workload pays per job. The
+// allocation ledger's service shape runs the same job.
 func BenchmarkServiceJobSSE(b *testing.B) {
-	env, err := aimes.NewEnv(aimes.WithSeed(7741), aimes.WithShards(2))
-	if err != nil {
-		b.Fatal(err)
-	}
-	auth, err := server.NewAuth(map[string]server.Tenant{"tok": {Name: "bench"}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	srv, err := server.New(server.Config{Env: env, Auth: auth})
-	if err != nil {
-		b.Fatal(err)
-	}
-	hs := httptest.NewServer(srv.Handler())
-	defer func() {
-		hs.Close()
-		srv.Shutdown(context.Background())
-	}()
-	w, err := aimes.GenerateWorkload(aimes.BagOfTasks(12, aimes.UniformDuration()), 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	c, ctx := client.New(hs.URL, "tok"), context.Background()
-	opt := client.SubmitOptions{Config: aimes.StrategyConfig{Binding: aimes.LateBinding, Scheduler: aimes.SchedBackfill, Pilots: 2}}
+	run, teardown := serviceJob(b)
+	defer teardown()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		run()
+	}
+}
+
+// serviceJob sets up BenchmarkServiceJobSSE's job and returns one run of it
+// and what tears the set-up down.
+func serviceJob(tb testing.TB) (run, teardown func()) {
+	env, err := aimes.NewEnv(aimes.WithSeed(7741), aimes.WithShards(2))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	auth, err := server.NewAuth(map[string]server.Tenant{"tok": {Name: "bench"}})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	srv, err := server.New(server.Config{Env: env, Auth: auth})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	hs := httptest.NewServer(srv.Handler())
+	w, err := aimes.GenerateWorkload(aimes.BagOfTasks(12, aimes.UniformDuration()), 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	c, ctx := client.New(hs.URL, "tok"), context.Background()
+	opt := client.SubmitOptions{Config: aimes.StrategyConfig{Binding: aimes.LateBinding, Scheduler: aimes.SchedBackfill, Pilots: 2}}
+	run = func() {
 		info, err := c.Submit(ctx, w, opt)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		es, err := c.Events(ctx, info.ID, 0)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		for range es.C {
 		}
 		if fin := es.Final(); fin == nil || fin.Report == nil || fin.Report.UnitsDone != 12 {
-			b.Fatalf("job %s: final snapshot %+v (%v)", info.ID, fin, es.Err())
+			tb.Fatalf("job %s: final snapshot %+v (%v)", info.ID, fin, es.Err())
 		}
+	}
+	return run, func() {
+		hs.Close()
+		srv.Shutdown(context.Background())
 	}
 }
 

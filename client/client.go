@@ -1,7 +1,6 @@
 package client
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -118,12 +117,21 @@ func (c *Client) SubmitRaw(ctx context.Context, req *SubmitRequest) (*JobInfo, e
 // submitStream posts a submission that asks for the job's event stream,
 // decodes its opening "submitted" snapshot and parks the rest for the job's
 // Wait or Events. A daemon that answers with the plain snapshot parks nothing.
+// The request's context is derived once, and parked with the stream.
 func (c *Client) submitStream(ctx context.Context, body []byte) (*JobInfo, error) {
-	// The request outlives ctx once Submit has returned; until then ctx ends it.
-	rctx, cancel := context.WithCancel(context.WithoutCancel(ctx))
-	stop := context.AfterFunc(ctx, cancel)
+	// The request outlives ctx once Submit has returned; until then ctx ends
+	// it, when it can end.
+	parent, canEnd := ctx, ctx.Done() != nil
+	if canEnd {
+		parent = context.WithoutCancel(ctx)
+	}
+	rctx, cancel := context.WithCancel(parent)
+	var stop func() bool
+	if canEnd {
+		stop = context.AfterFunc(ctx, cancel)
+	}
 	info, p, err := c.postStream(rctx, body)
-	if !stop() && err != nil {
+	if canEnd && !stop() && err != nil {
 		if ue, ok := err.(*url.Error); ok {
 			ue.Err = ctx.Err() // the cause, not the request's own cancellation
 		}
@@ -133,7 +141,7 @@ func (c *Client) submitStream(ctx context.Context, body []byte) (*JobInfo, error
 		cancel()
 		return info, err
 	}
-	p.id, p.cancel = info.ID, cancel
+	p.id, p.ctx, p.cancel = info.ID, rctx, cancel
 	c.mu.Lock()
 	old := c.parked
 	c.parked = p
@@ -155,21 +163,18 @@ func (c *Client) postStream(ctx context.Context, body []byte) (info *JobInfo, p 
 	if err != nil {
 		return nil, p, err
 	}
-	buf := replies.Get()
-	defer replies.Put(buf)
 	if resp.StatusCode/100 != 2 || resp.Header.Get("Content-Type") != "text/event-stream" {
 		defer resp.Body.Close()
+		buf := replies.Get()
+		defer replies.Put(buf)
 		if *buf, err = readReply(resp, method, path, *buf); err != nil {
 			return nil, p, err
 		}
 		info, err = c.decodeReply(*buf, method, path)
 		return info, p, err
 	}
-	p = parked{body: resp.Body, in: readers.Get().(*bufio.Reader)}
-	p.in.Reset(resp.Body)
-	var spill []byte
-	ok, data, err := nextEvent(p.in, &spill, "submitted", *buf)
-	*buf = data
+	p = parked{body: resp.Body, in: lendReader(resp.Body)}
+	ok, data, err := p.in.next("submitted")
 	if err == nil && !ok {
 		err = errors.New("the stream does not open with a submitted event")
 	}
@@ -189,8 +194,9 @@ func (c *Client) postStream(ctx context.Context, body []byte) (info *JobInfo, p 
 type parked struct {
 	id     string
 	body   io.ReadCloser // nil: nothing parked
-	in     *bufio.Reader // reads body; lent by readers
-	cancel context.CancelFunc
+	in     *lineReader   // reads body; lent by readers
+	ctx    context.Context
+	cancel context.CancelFunc // ends ctx, and with it the request
 }
 
 // close ends the stream and gives its reader back.
@@ -202,8 +208,16 @@ func (p *parked) close() {
 		p.cancel()
 	}
 	p.body.Close()
-	p.in.Reset(nil) // keep no reference to the connection
-	readers.Put(p.in)
+	p.in.release()
+}
+
+// endWith makes the end of ctx the end of the stream's request, when ctx can
+// end, and returns what detaches it again; nil when it cannot.
+func (p *parked) endWith(ctx context.Context) func() bool {
+	if ctx.Done() == nil {
+		return nil
+	}
+	return context.AfterFunc(ctx, p.cancel)
 }
 
 // claim takes the parked stream if it is job id's.
@@ -222,19 +236,16 @@ func (c *Client) claim(id string) (parked, bool) {
 // other event.
 func (c *Client) waitStream(ctx context.Context, p *parked) (*JobInfo, error) {
 	defer p.close()
-	stop := context.AfterFunc(ctx, p.cancel)
-	defer stop()
-	buf := replies.Get()
-	defer replies.Put(buf)
-	var spill []byte
+	if stop := p.endWith(ctx); stop != nil {
+		defer stop()
+	}
 	for {
-		done, data, err := nextEvent(p.in, &spill, "done", *buf)
-		*buf = data
+		done, data, err := p.in.next("done")
 		if err != nil {
 			return nil, err
 		}
 		if done {
-			drain(p.in)
+			p.in.drain()
 			info, err := c.tab.decodeInfo(data)
 			if err != nil {
 				return nil, fmt.Errorf("client: bad done event %q: %w", data, err)

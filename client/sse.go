@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -21,9 +22,10 @@ type EventStream struct {
 	// stream is Closed, the context is canceled, or the connection drops.
 	C <-chan Event
 
-	ch     chan Event
-	cancel context.CancelFunc
-	tab    *internTable // the Client's
+	ch   chan Event
+	p    parked       // the stream read; its cancel is Close
+	stop func() bool  // detaches the caller's context from p; nil when none was attached
+	tab  *internTable // the Client's
 
 	mu      sync.Mutex
 	err     error
@@ -55,7 +57,7 @@ func (s *EventStream) Err() error {
 }
 
 // Close tears the stream down. C closes shortly after.
-func (s *EventStream) Close() { s.cancel() }
+func (s *EventStream) Close() { s.p.cancel() }
 
 // Events subscribes to one job's event stream. Events with Seq < from are
 // skipped server-side; pass 0 (or 1) for everything the server still retains
@@ -63,13 +65,12 @@ func (s *EventStream) Close() { s.cancel() }
 // the gap is surfaced through Dropped. The stream ends with the job: C closes
 // and Final carries the terminal snapshot including the report. From the
 // start, it is the stream this Client's latest Submit holds when that was
-// this job's, and costs no request.
+// this job's, and costs no request: the stream keeps the request's context,
+// which ctx's end, when it can end, cancels.
 func (c *Client) Events(ctx context.Context, id string, from int64) (*EventStream, error) {
 	if from <= 1 {
 		if p, ok := c.claim(id); ok {
-			ctx, cancel := context.WithCancel(ctx)
-			context.AfterFunc(ctx, p.cancel) // the caller's end is the request's
-			return c.follow(ctx, cancel, p), nil
+			return c.follow(p, p.endWith(ctx)), nil
 		}
 	}
 	path := "/v1/jobs/" + url.PathEscape(id) + "/events"
@@ -110,37 +111,79 @@ func (c *Client) stream(ctx context.Context, path string) (*EventStream, error) 
 		}
 		return nil, &StatusError{Code: resp.StatusCode, Message: resp.Status}
 	}
-	p := parked{body: resp.Body, in: readers.Get().(*bufio.Reader), cancel: cancel}
-	p.in.Reset(resp.Body)
-	return c.follow(ctx, cancel, p), nil
+	p := parked{body: resp.Body, in: lendReader(resp.Body), ctx: ctx, cancel: cancel}
+	return c.follow(p, nil), nil
 }
 
-// follow delivers the events of stream p to a new EventStream, which ctx
-// ends and cancel closes. Past the "done" event it reads to the body's end,
-// which the daemon sends right after, so that the connection goes back to
-// the transport's pool.
-func (c *Client) follow(ctx context.Context, cancel context.CancelFunc, p parked) *EventStream {
-	s := &EventStream{ch: make(chan Event, 64), cancel: cancel, tab: &c.tab}
+// follow delivers the events of stream p to a new EventStream, which p's
+// context ends and its cancel closes; stop, when not nil, is called once the
+// stream has ended. Past the "done" event it reads to the body's end, which
+// the daemon sends right after, so that the connection goes back to the
+// transport's pool.
+func (c *Client) follow(p parked, stop func() bool) *EventStream {
+	s := &EventStream{ch: make(chan Event, 64), p: p, stop: stop, tab: &c.tab}
 	s.C = s.ch
-	go func() {
-		defer cancel()
-		err := s.consume(ctx, p.in)
-		s.mu.Lock()
-		if err != nil && ctx.Err() == nil {
-			s.err = err
-		}
-		s.mu.Unlock()
-		close(s.ch)
-		if err == nil {
-			drain(p.in)
-		}
-		p.close()
-	}()
+	go s.run()
 	return s
 }
 
+// run is a followed stream's goroutine.
+func (s *EventStream) run() {
+	if s.stop != nil {
+		defer s.stop()
+	}
+	err := s.consume(s.p.ctx, s.p.in)
+	s.mu.Lock()
+	if err != nil && s.p.ctx.Err() == nil {
+		s.err = err
+	}
+	s.mu.Unlock()
+	close(s.ch)
+	if err == nil {
+		s.p.in.drain()
+	}
+	s.p.close()
+}
+
+// lineReader reads a stream's lines, and holds what outlives one line: the
+// current event's name and data, and a line longer than the reader's buffer.
+// Lent with its buffers by readers, as net/http lends its own readers: a
+// stream's 4 KiB buffer serves the next stream once it ends.
+type lineReader struct {
+	*bufio.Reader
+	event, data, spill []byte
+}
+
+var readers = sync.Pool{New: func() any { return &lineReader{Reader: bufio.NewReader(nil)} }}
+
+// lendReader returns a pooled line reader of body.
+func lendReader(body io.Reader) *lineReader {
+	r := readers.Get().(*lineReader)
+	r.Reset(body)
+	return r
+}
+
+// release gives r back to readers, with its buffers unless a long line grew
+// one past maxPooledLine.
+func (r *lineReader) release() {
+	r.Reset(nil) // keep no reference to the connection
+	r.event, r.data, r.spill = pooledLine(r.event), pooledLine(r.data), pooledLine(r.spill)
+	readers.Put(r)
+}
+
+// maxPooledLine is the largest buffer a released reader keeps.
+const maxPooledLine = 64 << 10
+
+// pooledLine is b emptied, or nil when it is too large to keep.
+func pooledLine(b []byte) []byte {
+	if cap(b) > maxPooledLine {
+		return nil
+	}
+	return b[:0]
+}
+
 // drain reads a stream past its "done" event to the end of its body.
-func drain(r *bufio.Reader) {
+func (r *lineReader) drain() {
 	for range 4 { // the daemon sends nothing more; another server may
 		if _, err := r.Discard(r.Buffered() + 1); err != nil {
 			return
@@ -148,57 +191,58 @@ func drain(r *bufio.Reader) {
 	}
 }
 
-// readers lends the streams their line readers, as net/http lends its own:
-// a stream's 4 KiB buffer serves the next stream once it ends.
-var readers = sync.Pool{New: func() any { return bufio.NewReader(nil) }}
-
 // consume parses the SSE wire format: "event:"/"data:" lines accumulate
 // until a blank line dispatches them; ":" lines are heartbeat comments.
 // Lines are read in place (ReadSlice) and what outlives one — the event
-// name, the data — is copied into buffers reused for the whole stream.
-func (s *EventStream) consume(ctx context.Context, r *bufio.Reader) error {
-	var event, data, spill []byte
+// name, the data — is copied into r's buffers.
+func (s *EventStream) consume(ctx context.Context, r *lineReader) error {
+	r.event, r.data = r.event[:0], r.data[:0]
 	for {
-		line, err := readLine(r, &spill)
+		line, err := r.line()
 		if err != nil {
 			return err
 		}
 		switch {
 		case len(line) == 0:
-			if err := s.dispatch(ctx, event, data); err != nil {
+			if err := s.dispatch(ctx, r.event, r.data); err != nil {
 				if err == errStreamDone {
 					return nil
 				}
 				return err
 			}
-			event, data = event[:0], data[:0]
+			r.event, r.data = r.event[:0], r.data[:0]
 		case line[0] == ':':
 			// heartbeat comment
 		case bytes.HasPrefix(line, eventField):
-			event = append(event[:0], bytes.TrimSpace(line[len(eventField):])...)
+			r.event = append(r.event[:0], bytes.TrimSpace(line[len(eventField):])...)
 		case bytes.HasPrefix(line, dataField):
-			if len(data) > 0 {
-				data = append(data, '\n')
-			}
-			data = append(data, bytes.TrimSpace(line[len(dataField):])...)
+			r.appendData(line)
 		}
 	}
 }
 
 var eventField, dataField = []byte("event:"), []byte("data:")
 
-// readLine reads r's next line without its line ending: in place, or, when
-// it is longer than r's buffer, into *spill.
-func readLine(r *bufio.Reader, spill *[]byte) ([]byte, error) {
+// appendData appends a "data:" line's value to the event's data.
+func (r *lineReader) appendData(line []byte) {
+	if len(r.data) > 0 {
+		r.data = append(r.data, '\n')
+	}
+	r.data = append(r.data, bytes.TrimSpace(line[len(dataField):])...)
+}
+
+// line reads the next line without its line ending: in place, or, when it
+// is longer than the buffer, into r.spill.
+func (r *lineReader) line() ([]byte, error) {
 	line, err := r.ReadSlice('\n')
 	if err == bufio.ErrBufferFull {
-		*spill = (*spill)[:0]
+		r.spill = r.spill[:0]
 		for err == bufio.ErrBufferFull {
-			*spill = append(*spill, line...)
+			r.spill = append(r.spill, line...)
 			line, err = r.ReadSlice('\n')
 		}
-		line = append(*spill, line...)
-		*spill = line
+		line = append(r.spill, line...)
+		r.spill = line
 	}
 	if err != nil {
 		return nil, err
@@ -206,20 +250,19 @@ func readLine(r *bufio.Reader, spill *[]byte) ([]byte, error) {
 	return bytes.TrimRight(line, "\r\n"), nil
 }
 
-// nextEvent reads the next event off r and reports whether it is named
-// name; data, emptied first, receives its data. Nothing else is kept or
-// decoded.
-func nextEvent(r *bufio.Reader, spill *[]byte, name string, data []byte) (bool, []byte, error) {
-	data = data[:0]
+// next reads the next event and reports whether it is named name; its data,
+// in r.data, is returned. Nothing else is kept or decoded.
+func (r *lineReader) next(name string) (bool, []byte, error) {
+	r.data = r.data[:0]
 	named, started := false, false
 	for {
-		line, err := readLine(r, spill)
+		line, err := r.line()
 		switch {
 		case err != nil:
-			return false, data, err
+			return false, r.data, err
 		case len(line) == 0:
 			if started {
-				return named, data, nil
+				return named, r.data, nil
 			}
 			continue // the end of a heartbeat
 		case line[0] == ':':
@@ -227,10 +270,7 @@ func nextEvent(r *bufio.Reader, spill *[]byte, name string, data []byte) (bool, 
 		case bytes.HasPrefix(line, eventField):
 			named = string(bytes.TrimSpace(line[len(eventField):])) == name
 		case bytes.HasPrefix(line, dataField):
-			if len(data) > 0 {
-				data = append(data, '\n')
-			}
-			data = append(data, bytes.TrimSpace(line[len(dataField):])...)
+			r.appendData(line)
 		}
 		started = true
 	}

@@ -49,7 +49,7 @@ func collect(t *testing.T, stream []byte, bufSize int) (*EventStream, []Event, e
 			got = append(got, ev)
 		}
 	}()
-	err := s.consume(context.Background(), bufio.NewReaderSize(bytes.NewReader(stream), bufSize))
+	err := s.consume(context.Background(), &lineReader{Reader: bufio.NewReaderSize(bytes.NewReader(stream), bufSize)})
 	close(s.ch)
 	<-drained
 	return s, got, err
@@ -139,10 +139,11 @@ func TestEventStreamAllocatesNothingPerEvent(t *testing.T) {
 	}()
 	// One stream read twice: the first pass warms the table consume keeps
 	// for the whole stream, so the run's average is the steady state plus
-	// what a stream costs once (its buffers and its table).
+	// what a stream costs once (its table; its buffers come with the reader,
+	// as the pool lends them).
 	twice := append(append([]byte(nil), stream.Bytes()...), stream.Bytes()...)
 	rd := bytes.NewReader(nil)
-	br := bufio.NewReader(rd)
+	br := &lineReader{Reader: bufio.NewReader(rd)}
 	perStream := testing.AllocsPerRun(10, func() {
 		rd.Reset(twice)
 		br.Reset(rd)
@@ -369,7 +370,7 @@ func TestSecondStreamInternsOnlyNewStrings(t *testing.T) {
 		}
 	}()
 	rd := bytes.NewReader(nil)
-	br := bufio.NewReader(rd)
+	br := &lineReader{Reader: bufio.NewReader(rd)}
 	read := func(stream []byte) {
 		rd.Reset(stream)
 		br.Reset(rd)

@@ -410,6 +410,58 @@ func TestAllPilotsGoneFailsUnits(t *testing.T) {
 	}
 }
 
+// TestFinishedManagerArmsNoPlace: once every unit is final the unit manager
+// has nothing to place, so nothing of it stays armed on the engine to keep
+// the manager reachable — not the place its last unit's end would trigger,
+// not one its pilots' cancellation would, and not one queued before its
+// units were canceled.
+func TestFinishedManagerArmsNoPlace(t *testing.T) {
+	// armed reports whether um's place event is pending, disarming it.
+	armed := func(h *harness, um *UnitManager) bool { return h.eng.Cancel(&um.placeEv) }
+
+	t.Run("done", func(t *testing.T) {
+		h := newHarness(t, DefaultConfig(), 6)
+		um := new(UnitManager).Init(h.sys, Backfill{})
+		for _, r := range []string{"alpha", "beta"} {
+			p, err := h.pm.Submit(PilotDescription{Resource: r, Cores: 8, Walltime: 2 * time.Hour})
+			if err != nil {
+				t.Fatal(err)
+			}
+			um.AddPilot(p)
+		}
+		done := false
+		um.OnCompletion(sim.Func(func() {
+			done = true
+			h.pm.CancelAll()
+		}))
+		if err := um.Submit(indexed(t, unitTasks(16, 30*time.Second))); err != nil {
+			t.Fatal(err)
+		}
+		for h.eng.Step() {
+			if done && armed(h, um) {
+				t.Fatalf("at %v, with every unit final, the place event is armed", h.eng.Now())
+			}
+		}
+		if !done {
+			t.Fatal("the units never completed")
+		}
+	})
+
+	t.Run("canceled", func(t *testing.T) {
+		h := newHarness(t, DefaultConfig(), 17)
+		um := new(UnitManager).Init(h.sys, Direct{})
+		p, _ := h.pm.Submit(PilotDescription{Resource: "alpha", Cores: 8, Walltime: 2 * time.Hour})
+		um.AddPilot(p)
+		if err := um.Submit(indexed(t, unitTasks(4, time.Hour))); err != nil {
+			t.Fatal(err)
+		}
+		um.CancelAll() // Submit queued a place
+		if armed(h, um) {
+			t.Fatal("every unit was canceled with a place queued, and the place is still armed")
+		}
+	})
+}
+
 func TestUnitDependencies(t *testing.T) {
 	h := newHarness(t, DefaultConfig(), 14)
 	um := new(UnitManager).Init(h.sys, Backfill{})

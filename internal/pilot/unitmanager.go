@@ -455,9 +455,12 @@ func (um *UnitManager) Cancel(u *Unit) {
 	u.finalize(UnitCanceled, "")
 }
 
-// schedulePlace coalesces placement triggers within one timestamp.
+// schedulePlace coalesces placement triggers within one timestamp. Once
+// every unit is final there is nothing to place, and an armed place would
+// keep the manager, and the execution around it, reachable from the engine
+// until it fired.
 func (um *UnitManager) schedulePlace() {
-	if um.placeQueued {
+	if um.placeQueued || um.doneCount == len(um.units) {
 		return
 	}
 	um.placeQueued = true
@@ -631,7 +634,14 @@ func (um *UnitManager) unitFinal(u *Unit) {
 		u.dependents = 0
 		um.schedulePlace()
 	}
-	if h := um.onDone; h != nil && um.doneCount == len(um.units) {
+	if um.doneCount < len(um.units) {
+		return
+	}
+	if um.placeQueued { // armed before the last unit ended: nothing is left to place
+		um.sys.eng.Cancel(&um.placeEv)
+		um.placeQueued = false
+	}
+	if h := um.onDone; h != nil {
 		um.onDone = nil
 		h.Fire()
 	}

@@ -124,14 +124,13 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, tn Tenant) *jobRe
 	body := bodies.Get()
 	defer bodies.Put(body) // the request's last reader is s.reg.submit
 	var err error
-	*body, err = readBody(w, r, *body)
-	var tooLarge *http.MaxBytesError
-	switch {
-	case errors.As(err, &tooLarge):
-		writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("submit: request body larger than the limit of %d MiB", maxSubmitBody>>20))
-		return nil
-	case err != nil:
-		writeError(w, http.StatusBadRequest, "submit: bad request body: "+err.Error())
+	if *body, err = readBody(w, r, *body); err != nil {
+		var tooLarge *http.MaxBytesError // escapes, so it is declared on the error path only
+		if errors.As(err, &tooLarge) {
+			writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("submit: request body larger than the limit of %d MiB", maxSubmitBody>>20))
+		} else {
+			writeError(w, http.StatusBadRequest, "submit: bad request body: "+err.Error())
+		}
 		return nil
 	}
 	// req.Workload aliases body; wl, and every string in req, does not.

@@ -282,13 +282,17 @@ func (rec *jobRecord) info() client.JobInfo {
 	return info
 }
 
-// newJobID mints an opaque, unguessable job handle.
+// newJobID mints an opaque, unguessable job handle: "j-" and 12 random bytes
+// in hex, built on the stack and allocated once, as the string.
 func newJobID() string {
 	var b [12]byte
 	if _, err := rand.Read(b[:]); err != nil {
 		panic(fmt.Sprintf("server: crypto/rand failed: %v", err))
 	}
-	return "j-" + hex.EncodeToString(b[:])
+	var id [2 + 2*len(b)]byte
+	copy(id[:], "j-")
+	hex.Encode(id[2:], b[:])
+	return string(id[:])
 }
 
 // sortInfos orders job snapshots by submission time then ID (stable for

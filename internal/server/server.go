@@ -65,6 +65,7 @@ type Server struct {
 	draining atomic.Bool
 	stop     chan struct{} // closed after drain: terminates SSE streams
 	stopOnce sync.Once
+	beat     heartbeat // the waiting SSE streams' pings
 }
 
 // New builds a server around cfg.Env.
@@ -108,7 +109,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		// All jobs final: wait for the pumps to settle their accounts.
 		s.reg.wg.Wait()
 	}
-	s.stopOnce.Do(func() { close(s.stop) })
+	s.stopOnce.Do(func() {
+		close(s.stop)
+		s.beat.stop()
+	})
 	if cerr := s.env.Close(); err == nil {
 		err = cerr
 	}

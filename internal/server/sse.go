@@ -1,9 +1,11 @@
 package server
 
 import (
+	"cmp"
 	"net/http"
 	"slices"
 	"strconv"
+	"sync"
 	"time"
 
 	"aimes"
@@ -70,8 +72,6 @@ func (s *Server) openStream(w http.ResponseWriter, r *http.Request, sub *aimes.T
 	if rec != nil {
 		name, kind = "job", "job"
 	}
-	heartbeat := time.NewTicker(15 * time.Second)
-	defer heartbeat.Stop()
 	var buf [64]aimes.TraceRecord
 	out := batches.Get() // one iteration's bytes: written and flushed once
 	defer batches.Put(out)
@@ -122,7 +122,7 @@ func (s *Server) openStream(w http.ResponseWriter, r *http.Request, sub *aimes.T
 		}
 		select {
 		case <-sub.Ready():
-		case <-heartbeat.C:
+		case <-s.beat.wait():
 			*out = append(*out, ": ping\n\n"...)
 		case <-r.Context().Done():
 			return
@@ -130,4 +130,58 @@ func (s *Server) openStream(w http.ResponseWriter, r *http.Request, sub *aimes.T
 			return
 		}
 	}
+}
+
+// heartbeatPeriod is the longest a waiting stream goes without a byte: then
+// it is sent a ": ping" comment, so that no proxy times it out.
+const heartbeatPeriod = 15 * time.Second
+
+// heartbeat is a Server's one clock for its waiting streams: a channel closed
+// at the next beat, which the first stream to wait after it replaces. Its
+// timer is armed only while a stream waits, so the streams share one timer,
+// and it starts no goroutine but the timer's own as it fires.
+type heartbeat struct {
+	period time.Duration // 0: heartbeatPeriod; tests set a shorter one
+
+	mu    sync.Mutex
+	next  chan struct{} // closed at the next beat; nil when no stream waits
+	timer *time.Timer   // closes next; made by the first wait, reset by later ones
+	done  bool          // stopped: the timer is not armed again
+}
+
+// wait returns a channel closed at the next beat, arming the timer when no
+// stream waits yet; once stopped, a channel that never closes.
+func (h *heartbeat) wait() <-chan struct{} {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.next == nil && !h.done {
+		h.next = make(chan struct{})
+		period := cmp.Or(h.period, heartbeatPeriod)
+		if h.timer == nil {
+			h.timer = time.AfterFunc(period, h.beat)
+		} else {
+			h.timer.Reset(period)
+		}
+	}
+	return h.next
+}
+
+// beat wakes every waiting stream.
+func (h *heartbeat) beat() {
+	h.mu.Lock()
+	if h.next != nil {
+		close(h.next)
+		h.next = nil
+	}
+	h.mu.Unlock()
+}
+
+// stop disarms the timer for good.
+func (h *heartbeat) stop() {
+	h.mu.Lock()
+	h.done = true
+	if h.timer != nil {
+		h.timer.Stop()
+	}
+	h.mu.Unlock()
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -369,5 +370,96 @@ func TestSSEMetricsCountBatches(t *testing.T) {
 		if !strings.Contains(page, line+"\n") {
 			t.Errorf("/metrics lacks %q", line)
 		}
+	}
+}
+
+// TestIdleStreamsShareOneHeartbeat: a job stream with nothing to send gets a
+// ": ping" comment once a heartbeat period has passed; the streams of a
+// daemon wait on one timer, so a stream opened half a period after another
+// is pinged at the same beat, not a period after it opened; and Shutdown
+// leaves no timer armed and no goroutine behind.
+func TestIdleStreamsShareOneHeartbeat(t *testing.T) {
+	const period = 600 * time.Millisecond
+	base := quietGoroutines()
+	env, err := aimes.NewEnv(aimes.WithRealTime(), aimes.WithSeed(7), aimes.WithSites(wallClockSite("left"), wallClockSite("right")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	auth, err := NewAuth(map[string]Tenant{"tok": {Name: "alice"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(Config{Env: env, Auth: auth})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.beat.period = period
+	hs := httptest.NewServer(srv.Handler())
+	tr := &http.Transport{}
+	c := client.New(hs.URL, "tok").WithHTTPClient(&http.Client{Transport: tr})
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+
+	// An hour-long task: once its pilots are active the job logs nothing.
+	info, err := c.SubmitRaw(ctx, bagRequest(t, 1, 3600, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(500 * time.Millisecond) // the pilots wait at most 150 ms
+	// pings opens the job's stream and sends the time of each ping it reads.
+	pings := func() (chan time.Time, time.Time, io.Closer) {
+		req, _ := http.NewRequestWithContext(ctx, "GET", hs.URL+"/v1/jobs/"+info.ID+"/events", nil)
+		req.Header.Set("Authorization", "Bearer tok")
+		opened := time.Now()
+		resp, err := tr.RoundTrip(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		at := make(chan time.Time, 8)
+		go func() {
+			defer close(at)
+			lines := bufio.NewScanner(resp.Body)
+			for lines.Scan() {
+				if lines.Text() == ": ping" {
+					at <- time.Now()
+				}
+			}
+		}()
+		return at, opened, resp.Body
+	}
+	first, firstOpened, firstBody := pings()
+	time.Sleep(period / 2)
+	second, secondOpened, secondBody := pings()
+	a, b := <-first, <-second
+	if d := a.Sub(firstOpened); d < period*3/4 || d > 3*period {
+		t.Errorf("the first stream was pinged %v after it opened, want about %v", d, period)
+	}
+	if d := b.Sub(secondOpened); d > period*3/4 {
+		t.Errorf("the second stream was pinged %v after it opened, a period of its own: it did not wait on the first one's beat", d)
+	}
+	if d := b.Sub(a).Abs(); d > period/4 {
+		t.Errorf("the two streams were pinged %v apart, want one beat", d)
+	}
+	if _, ok := <-second; !ok {
+		t.Error("the second stream ended before its second ping")
+	}
+	firstBody.Close()
+	secondBody.Close()
+
+	if _, err := c.Cancel(ctx, info.ID, "test over"); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	hs.Close()
+	tr.CloseIdleConnections()
+	srv.beat.mu.Lock()
+	if srv.beat.timer == nil || srv.beat.timer.Stop() {
+		t.Error("after Shutdown the heartbeat's timer is armed (or was never made)")
+	}
+	srv.beat.mu.Unlock()
+	if n := settleGoroutines(base); n > base {
+		t.Errorf("%d goroutines after Shutdown, %d before the daemon", n, base)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -137,12 +138,12 @@ func TestStreamedSubmitContract(t *testing.T) {
 		}
 		return streamDaemon(t, env, map[string]Tenant{"tok": {Name: "alice"}}, wrap)
 	}
-	wallClock := func(t *testing.T, quota Quota) string {
+	wallClock := func(t *testing.T, quota Quota, wrap func(http.Handler) http.Handler) string {
 		env, err := aimes.NewEnv(aimes.WithRealTime(), aimes.WithSeed(7), aimes.WithSites(wallClockSite("left"), wallClockSite("right")))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return streamDaemon(t, env, map[string]Tenant{"tok": {Name: "alice", Quota: quota}}, nil)
+		return streamDaemon(t, env, map[string]Tenant{"tok": {Name: "alice", Quota: quota}}, wrap)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
@@ -319,7 +320,17 @@ func TestStreamedSubmitContract(t *testing.T) {
 	})
 
 	t.Run("contexts", func(t *testing.T) {
-		base := wallClock(t, Quota{})
+		// posts counts the submissions whose handler, the stream, still runs.
+		var posts atomic.Int64
+		base := wallClock(t, Quota{}, func(h http.Handler) http.Handler {
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.Method == http.MethodPost {
+					posts.Add(1)
+					defer posts.Add(-1)
+				}
+				h.ServeHTTP(w, r)
+			})
+		})
 		c, tr := countedClient(base, "tok")
 		// Canceling Submit's context once it returned leaves the stream.
 		sctx, scancel := context.WithCancel(ctx)
@@ -358,10 +369,44 @@ func TestStreamedSubmitContract(t *testing.T) {
 			}
 		}
 		requests(t, tr, 7, "two Cancels and two long-polled Waits")
+
+		// A caller's context that cannot end leaves the stream its request's
+		// own: Close on a claimed stream still ends the request, and the
+		// daemon's stream returns, with the job still running.
+		bg := context.Background()
+		long3, err := c.Submit(bg, bag(t, 1, 3600, 4), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		es = mustEvents(t, c, bg, long3.ID, 0)
+		requests(t, tr, 8, "Events on the held stream under context.Background()")
+		es.Close()
+		for range es.C {
+		}
+		if es.Final() != nil || es.Err() != nil {
+			t.Fatalf("a closed stream reports final %+v, error %v", es.Final(), es.Err())
+		}
+		for deadline := time.Now().Add(10 * time.Second); posts.Load() > 0; time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d submissions still stream after their claimed streams were closed or canceled", posts.Load())
+			}
+		}
+		// And a Wait on a held stream still completes.
+		short, err := c.Submit(bg, bag(t, 1, 0.2, 5), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r, err := c.Wait(bg, short.ID); err != nil || r == nil || r.UnitsDone != 1 {
+			t.Fatalf("Wait under context.Background(): %+v, %v", r, err)
+		}
+		if _, err := c.Cancel(ctx, long3.ID, "test over"); err != nil {
+			t.Fatal(err)
+		}
+		requests(t, tr, 10, "a Submit and Wait on its held stream, and a Cancel")
 	})
 
 	t.Run("quota", func(t *testing.T) {
-		base := wallClock(t, Quota{MaxInFlight: 1})
+		base := wallClock(t, Quota{MaxInFlight: 1}, nil)
 		c, tr := countedClient(base, "tok")
 		long := submit(t, c, bag(t, 1, 3600, 1))
 		if _, err := c.Submit(ctx, bag(t, 1, 1, 2), opts); !client.IsQuotaError(err) {

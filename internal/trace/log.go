@@ -88,8 +88,8 @@ type Stream struct {
 	// log. It is never held together with the log's lock.
 	mu      sync.Mutex
 	log     *Log
-	ended   bool
-	readers []*Cursor
+	reader  *Cursor   // the first cursor attached, while it is; costs no slice
+	readers []*Cursor // the others
 
 	missed atomic.Int64 // records its cursors found evicted, all together
 
@@ -110,6 +110,8 @@ type Stream struct {
 	states            [13]string
 	details           [11]string
 	nstates, ndetails uint8
+
+	ended bool // guarded by mu, with the attachment state
 }
 
 // code returns the code word of a record of the stream with this state and
@@ -147,8 +149,16 @@ func intern(vocab []string, n *uint8, v string) (uint32, bool) {
 func (s *Stream) End() {
 	s.mu.Lock()
 	s.ended = true
-	wake(s.readers...)
+	s.wakeCursors()
 	s.mu.Unlock()
+}
+
+// wakeCursors wakes the stream's cursors; s.mu held.
+func (s *Stream) wakeCursors() {
+	if s.reader != nil {
+		wake(s.reader)
+	}
+	wake(s.readers...)
 }
 
 // Missed reports how many of the stream's records its cursors, all together,
@@ -217,7 +227,7 @@ func (l *Log) Append(s *Stream, ns string, rec Record) {
 
 	s.mu.Lock()
 	s.log = l
-	wake(s.readers...)
+	s.wakeCursors()
 	s.mu.Unlock()
 }
 
@@ -301,7 +311,11 @@ type Cursor struct {
 func (s *Stream) Cursor(from int64) *Cursor {
 	c := &Cursor{wake: make(chan struct{}, 1), s: s, seq: max(1, from), prev: -1}
 	s.mu.Lock()
-	s.readers = append(s.readers, c)
+	if s.reader == nil {
+		s.reader = c
+	} else {
+		s.readers = append(s.readers, c)
+	}
 	s.mu.Unlock()
 	return c
 }
@@ -328,7 +342,11 @@ func (c *Cursor) Close() {
 	is := func(o *Cursor) bool { return o == c }
 	if s := c.s; s != nil {
 		s.mu.Lock()
-		s.readers = slices.DeleteFunc(s.readers, is)
+		if s.reader == c {
+			s.reader = nil
+		} else {
+			s.readers = slices.DeleteFunc(s.readers, is)
+		}
 		s.mu.Unlock()
 	}
 	for _, l := range c.logs {

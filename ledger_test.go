@@ -6,7 +6,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"net/http/httptest"
 	"os"
 	"runtime"
 	"runtime/debug"
@@ -16,8 +15,6 @@ import (
 	"testing"
 
 	"aimes"
-	"aimes/client"
-	"aimes/internal/server"
 )
 
 var updateLedger = flag.Bool("update", false, "rewrite testdata/alloc_ledger.txt from this run")
@@ -42,7 +39,7 @@ type ledgerShape struct {
 	jobs int
 	// open sets the shape up and returns one job's run and what tears the
 	// set-up down.
-	open func(t *testing.T) (run func(), close func())
+	open func(testing.TB) (run, teardown func())
 }
 
 // Two rows name no package. The runtime records a small pointer-free
@@ -139,8 +136,8 @@ func TestAllocationLedger(t *testing.T) {
 // localJob is a shape of one bag of units on late-binding pilots, run on a
 // fresh one-shard environment; the workload is built once, outside the
 // window.
-func localJob(units, pilots int) func(*testing.T) (func(), func()) {
-	return func(t *testing.T) (func(), func()) {
+func localJob(units, pilots int) func(testing.TB) (func(), func()) {
+	return func(t testing.TB) (func(), func()) {
 		env, err := aimes.NewEnv(aimes.WithSeed(7), aimes.WithShards(1))
 		if err != nil {
 			t.Fatal(err)
@@ -164,57 +161,13 @@ func localJob(units, pilots int) func(*testing.T) (func(), func()) {
 	}
 }
 
-// serviceJob is BenchmarkServiceJobSSE's job: a client submits a 12-task bag
-// to an httptest daemon over 2 local shards and follows the job's events
-// over SSE to its terminal snapshot.
-func serviceJob(t *testing.T) (func(), func()) {
-	env, err := aimes.NewEnv(aimes.WithSeed(7741), aimes.WithShards(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	auth, err := server.NewAuth(map[string]server.Tenant{"tok": {Name: "ledger"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := server.New(server.Config{Env: env, Auth: auth})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs := httptest.NewServer(srv.Handler())
-	w, err := aimes.GenerateWorkload(aimes.BagOfTasks(12, aimes.UniformDuration()), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, ctx := client.New(hs.URL, "tok"), context.Background()
-	opt := client.SubmitOptions{Config: aimes.StrategyConfig{Binding: aimes.LateBinding, Scheduler: aimes.SchedBackfill, Pilots: 2}}
-	run := func() {
-		info, err := c.Submit(ctx, w, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		es, err := c.Events(ctx, info.ID, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for range es.C {
-		}
-		if fin := es.Final(); fin == nil || fin.Report == nil || fin.Report.UnitsDone != 12 {
-			t.Fatalf("job %s: final snapshot %+v (%v)", info.ID, fin, es.Err())
-		}
-	}
-	return run, func() {
-		hs.Close()
-		srv.Shutdown(context.Background())
-	}
-}
-
 // ledgerRun runs the shape's jobs and returns the objects each package
 // allocated per job, with tinyRow and outsideRow. Two jobs run first, so
 // what the set-up leaves to be done lazily is not counted.
 func ledgerRun(t *testing.T, s ledgerShape) map[string]float64 {
 	t.Helper()
-	run, closeShape := s.open(t)
-	defer closeShape()
+	run, teardown := s.open(t)
+	defer teardown()
 	run()
 	run()
 	// No collection runs inside the window, so the pools keep what they
