@@ -25,6 +25,10 @@ type Client struct {
 	http *http.Client
 	tab  internTable
 
+	// base plus each fixed path, built once: the submissions' and the
+	// listing's URL, and the metrics'.
+	jobsURL, metricsURL string
+
 	mu     sync.Mutex
 	parked parked // the latest Submit's event stream, until its job's Wait or Events claims it
 }
@@ -33,7 +37,8 @@ type Client struct {
 // authenticating with the tenant's bearer token. The default http.Client is
 // used; see WithHTTPClient to override (timeouts, transports).
 func New(base, token string) *Client {
-	c := &Client{base: strings.TrimRight(base, "/"), http: http.DefaultClient}
+	base = strings.TrimRight(base, "/")
+	c := &Client{base: base, jobsURL: base + "/v1/jobs", metricsURL: base + "/metrics", http: http.DefaultClient}
 	if token != "" {
 		c.auth = []string{"Bearer " + token}
 	}
@@ -44,7 +49,7 @@ func New(base, token string) *Client {
 // note that SSE streams and long-polling waits outlive any hc.Timeout. The
 // copy holds no stream of c's submissions.
 func (c *Client) WithHTTPClient(hc *http.Client) *Client {
-	return &Client{base: c.base, auth: c.auth, http: hc}
+	return &Client{base: c.base, jobsURL: c.jobsURL, metricsURL: c.metricsURL, auth: c.auth, http: hc}
 }
 
 // SubmitOptions mirrors the execution knobs of aimes.JobConfig for a remote
@@ -179,7 +184,7 @@ func (c *Client) postStream(ctx context.Context, body []byte) (info *JobInfo, p 
 		err = errors.New("the stream does not open with a submitted event")
 	}
 	if err == nil {
-		info, err = c.tab.decodeInfo(data)
+		info, err = c.tab.decodeInfo(data, "")
 	}
 	if err != nil {
 		p.close()
@@ -246,7 +251,7 @@ func (c *Client) waitStream(ctx context.Context, p *parked) (*JobInfo, error) {
 		}
 		if done {
 			p.in.drain()
-			info, err := c.tab.decodeInfo(data)
+			info, err := c.tab.decodeInfo(data, p.id)
 			if err != nil {
 				return nil, fmt.Errorf("client: bad done event %q: %w", data, err)
 			}
@@ -385,12 +390,23 @@ var (
 	eventStreamType = []string{"text/event-stream"}
 )
 
+// url is the URL of path on the daemon.
+func (c *Client) url(path string) string {
+	switch path {
+	case "/v1/jobs":
+		return c.jobsURL
+	case "/metrics":
+		return c.metricsURL
+	}
+	return c.base + path
+}
+
 func (c *Client) request(ctx context.Context, method, path string, body []byte) (*http.Request, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
+	req, err := http.NewRequestWithContext(ctx, method, c.url(path), rd)
 	if err != nil {
 		return nil, err
 	}
@@ -421,7 +437,7 @@ func (c *Client) info(ctx context.Context, method, path string, body []byte) (*J
 
 // decodeReply decodes a snapshot a request's reply carries.
 func (c *Client) decodeReply(b []byte, method, path string) (*JobInfo, error) {
-	info, err := c.tab.decodeInfo(b)
+	info, err := c.tab.decodeInfo(b, "")
 	if err != nil {
 		return nil, fmt.Errorf("client: decoding %s %s response: %w", method, path, err)
 	}

@@ -303,7 +303,7 @@ func (s *EventStream) dispatch(ctx context.Context, event, data []byte) error {
 		s.dropped = d.Count
 		s.mu.Unlock()
 	case "done":
-		info, err := s.tab.decodeInfo(data)
+		info, err := s.tab.decodeInfo(data, s.p.id)
 		if err != nil {
 			return fmt.Errorf("client: bad done event %q: %w", data, err)
 		}
@@ -360,8 +360,10 @@ func (t *internTable) decodeEvent(b []byte, ev *Event) bool {
 
 // decodeInfo decodes a job snapshot — a reply's body, a "done" event's data —
 // in the form AppendJobInfo writes it, or, in any other, with encoding/json.
-func (t *internTable) decodeInfo(b []byte) (*JobInfo, error) {
-	info := new(JobInfo)
+// id is the ID of the job the caller expects, if it knows it ("" if not): a
+// snapshot of that job takes the caller's string rather than a copy.
+func (t *internTable) decodeInfo(b []byte, id string) (*JobInfo, error) {
+	info := &JobInfo{ID: id}
 	t.mu.Lock()
 	r := reader(b, t)
 	r.jobInfo(info)

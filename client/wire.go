@@ -235,9 +235,11 @@ func (w *wire) str(key string, p *string, repeats bool) {
 		w.out = skeleton.AppendJSONString(w.out, *p)
 	case w.ok:
 		var raw []byte
-		if raw, w.ok = w.in.Str(); repeats && w.tab != nil {
+		switch raw, w.ok = w.in.Str(); {
+		case string(raw) == *p: // *p holds the text already: a job ID its reader knows
+		case repeats && w.tab != nil:
 			*p = w.tab.intern(raw)
-		} else {
+		default:
 			*p = string(raw)
 		}
 	}

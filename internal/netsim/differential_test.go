@@ -33,7 +33,7 @@ func newSubject(bandwidth float64, latency time.Duration) subject {
 		setBW:  l.SetBandwidth,
 		setMax: l.SetMaxConcurrent,
 		counters: func() string {
-			return fmt.Sprintf("active=%d pending=%d", l.Active(), queued(l))
+			return fmt.Sprintf("active=%d pending=%d latent=%d", l.Active(), queued(l), l.latent)
 		},
 	}
 }
@@ -88,7 +88,7 @@ func newRefSubject(bandwidth float64, latency time.Duration) subject {
 		setBW:  l.SetBandwidth,
 		setMax: l.SetMaxConcurrent,
 		counters: func() string {
-			return fmt.Sprintf("active=%d pending=%d", len(l.active), len(l.pending))
+			return fmt.Sprintf("active=%d pending=%d latent=%d", len(l.active), len(l.pending), l.latent)
 		},
 	}
 }

@@ -33,11 +33,14 @@ type Link struct {
 	// is cleared (slices.Delete does): a stale pointer in a backing array
 	// would pin the transfer's done handler — a unit — and, through it, the
 	// whole unit graph of a job that finished long ago. pending[pendHead:]
-	// is the FIFO of transfers waiting for a slot; it keeps a small array
-	// from one burst to the next (keepPending).
+	// is the FIFO of transfers waiting for a slot. It keeps a small array
+	// from one burst to the next (keepPending), and when it is full it grows
+	// once, to hold every transfer still waiting out its latency too: the
+	// rest of the burst. latent counts those.
 	active     []*Transfer
 	pending    []*Transfer
 	pendHead   int
+	latent     int
 	lastUpdate sim.Time
 
 	// next is the active transfer that finishes first at the current fair
@@ -147,6 +150,7 @@ func (l *Link) StartInto(t *Transfer, size int64, done sim.Handler) {
 	t.link, t.remaining, t.done = l, float64(size), done
 	t.latEvent.Init((*arrival)(t))
 	l.eng.Arm(&t.latEvent, l.latency)
+	l.latent++
 }
 
 // arrival is a Transfer as the handler of its latency event.
@@ -155,11 +159,16 @@ type arrival Transfer
 func (a *arrival) Fire() {
 	t := (*Transfer)(a)
 	l := t.link
+	l.latent--
 	if l.maxActive > 0 && len(l.active) >= l.maxActive {
-		if l.pendHead > 0 && len(l.pending) == cap(l.pending) { // room at the front: slide down
-			n := copy(l.pending, l.pending[l.pendHead:])
-			clear(l.pending[n:])
-			l.pending, l.pendHead = l.pending[:n], 0
+		if len(l.pending) == cap(l.pending) {
+			if l.pendHead > 0 { // room at the front: slide down
+				n := copy(l.pending, l.pending[l.pendHead:])
+				clear(l.pending[n:])
+				l.pending, l.pendHead = l.pending[:n], 0
+			} else { // full: grow once, for this transfer and every one still on its way
+				l.pending = slices.Grow(l.pending, 1+l.latent)
+			}
 		}
 		l.pending = append(l.pending, t)
 		return
@@ -202,6 +211,7 @@ func (l *Link) Cancel(t *Transfer) bool {
 	}
 	t.link = nil
 	if l.eng.Cancel(&t.latEvent) {
+		l.latent--
 		return true
 	}
 	if i := slices.Index(l.pending[l.pendHead:], t); i >= 0 {

@@ -262,10 +262,11 @@ type fifoProbe struct {
 func (p *fifoProbe) Fire() { *p.log = append(*p.log, p.id) }
 
 // TestPendingFIFOAllocatesNothing sends 1 000 equal transfers through a link
-// that moves two at a time, in waves of 125 (a drained link keeps room for
-// up to keepPending), canceling every seventh pending one: the rest finish
-// in the order they were started, and once the first round has sized the
-// link's queues a round allocates nothing.
+// that moves two at a time, in waves of 125, canceling every seventh pending
+// one: the rest finish in the order they were started, and once the first
+// round has sized the link's queues a round allocates nothing. The first
+// wave's first waiting transfer sizes the pending array for its whole wave,
+// and a drained link keeps an array of up to keepPending for the next one.
 func TestPendingFIFOAllocatesNothing(t *testing.T) {
 	const n, wave, latency = 1000, 125, 10 * time.Millisecond
 	eng := sim.NewSim()
@@ -302,6 +303,87 @@ func TestPendingFIFOAllocatesNothing(t *testing.T) {
 	round()
 	if allocs := testing.AllocsPerRun(3, round); allocs != 0 {
 		t.Errorf("a round of %d transfers allocates %.0f objects, want 0", n, allocs)
+	}
+}
+
+// TestPendingGrowsOncePerBurst sends a burst of 1 000 transfers through a
+// fresh link that moves two at a time, beside the reference link driven the
+// same way. Every eleventh is canceled while it waits out the latency and
+// every seventh of the rest while it waits for a slot. After every engine
+// step the link agrees with the reference on how many transfers are on their
+// way, waiting and moving; the pending array is allocated once, when the
+// first transfer finds both slots taken, with room for the whole burst; and
+// once the burst has drained the link drops it, being larger than
+// keepPending.
+func TestPendingGrowsOncePerBurst(t *testing.T) {
+	const n, latency = 1000, 10 * time.Millisecond
+	eng, refEng := sim.NewSim(), sim.NewSim()
+	l, ref := NewLink(eng, "wan", 1e6, latency), newRefLink(refEng, 1e6, latency)
+	l.SetMaxConcurrent(2)
+	ref.SetMaxConcurrent(2)
+	probes, refs := make([]fifoProbe, n), make([]*refTransfer, n)
+	var done, refDone []int
+	for i := range probes {
+		probes[i].id, probes[i].log = i, &done
+		l.StartInto(&probes[i].xfer, 1000, &probes[i])
+		refs[i] = ref.Start(1000, func() { refDone = append(refDone, i) })
+	}
+	canceled := 0
+	cancelAt := func(at time.Duration, victim func(i int) bool) {
+		eng.At(sim.Time(0).Add(at), func() {
+			for i := range probes {
+				if victim(i) && !l.Cancel(&probes[i].xfer) {
+					t.Errorf("cancel of transfer %d at %v failed", i, at)
+				}
+			}
+		})
+		refEng.At(sim.Time(0).Add(at), func() {
+			for i := range refs {
+				if victim(i) {
+					ref.Cancel(refs[i])
+					canceled++
+				}
+			}
+		})
+	}
+	inLatency := func(i int) bool { return i%11 == 5 }
+	cancelAt(latency/2, inLatency)
+	// A transfer takes 2 ms at half the link, so at 1 ms past the latency
+	// every one but the first two is pending.
+	cancelAt(latency+time.Millisecond, func(i int) bool { return i >= 2 && i%7 == 3 && !inLatency(i) })
+
+	grows, lastCap, peak := 0, 0, 0
+	for step := 0; ; step++ {
+		g, w := eng.Step(), refEng.Step()
+		if g != w {
+			t.Fatalf("step %d: link stepped=%v, reference stepped=%v", step, g, w)
+		}
+		if !g {
+			break
+		}
+		if eng.Now() != refEng.Now() || l.latent != ref.latent || queued(l) != len(ref.pending) || l.Active() != len(ref.active) {
+			t.Fatalf("step %d: link at %v with %d on their way, %d pending, %d active; reference at %v with %d, %d, %d",
+				step, eng.Now(), l.latent, queued(l), l.Active(), refEng.Now(), ref.latent, len(ref.pending), len(ref.active))
+		}
+		if c := cap(l.pending); c != lastCap {
+			if c > 0 {
+				grows++
+			}
+			lastCap = c
+		}
+		peak = max(peak, queued(l))
+	}
+	if grows != 1 {
+		t.Errorf("the pending array grew %d times in one burst, want 1", grows)
+	}
+	if want := n - 2 - (n+5)/11; peak != want {
+		t.Errorf("at most %d transfers waited, want %d", peak, want)
+	}
+	if l.pending != nil || l.latent != 0 {
+		t.Errorf("a drained link keeps a pending array of %d and counts %d transfers on their way, want none of either", cap(l.pending), l.latent)
+	}
+	if !slices.Equal(done, refDone) || len(done) != n-canceled {
+		t.Errorf("%d transfers finished, the reference's %d; %d were canceled of %d", len(done), len(refDone), canceled, n)
 	}
 }
 

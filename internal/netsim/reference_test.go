@@ -19,6 +19,7 @@ type refLink struct {
 
 	active     []*refTransfer
 	pending    []*refTransfer
+	latent     int // transfers waiting out the latency
 	lastUpdate sim.Time
 }
 
@@ -49,8 +50,10 @@ func (l *refLink) SetBandwidth(bandwidth float64) {
 
 func (l *refLink) Start(size int64, onDone func()) *refTransfer {
 	t := &refTransfer{size: size, remaining: float64(size), onDone: onDone}
+	l.latent++
 	t.latEvent = l.eng.Schedule(l.latency, func() {
 		t.latEvent = nil
+		l.latent--
 		if l.maxActive > 0 && len(l.active) >= l.maxActive {
 			l.pending = append(l.pending, t)
 			return
@@ -82,6 +85,7 @@ func (l *refLink) Cancel(t *refTransfer) bool {
 	if t.latEvent != nil {
 		l.eng.Cancel(t.latEvent)
 		t.latEvent = nil
+		l.latent--
 		return true
 	}
 	for i, p := range l.pending {

@@ -293,6 +293,64 @@ func TestRoundRobinDistributesEvenly(t *testing.T) {
 	}
 }
 
+// stagingSink keeps the detail of every STAGING_INPUT record as the unit
+// manager gave it.
+type stagingSink struct{ details map[string]string }
+
+func (s *stagingSink) Record(_ sim.Time, entity, state, detail string) {
+	if state == UnitStagingInput.String() {
+		s.details[entity] = detail
+	}
+}
+
+// TestStagingDetailsPerPilot binds units in turn to three pilots, the first
+// half of them with one input size and the rest with another: every unit's
+// STAGING_INPUT record names its pilot and its bytes as it always did, and
+// each (pilot, bytes) pair's text is built once, however the binds of the
+// pilots interleave.
+func TestStagingDetailsPerPilot(t *testing.T) {
+	h := newHarness(t, DefaultConfig(), 8)
+	sink := &stagingSink{details: map[string]string{}}
+	h.sys.rec = sink
+	um := new(UnitManager).Init(h.sys, RoundRobin{})
+	for _, r := range []string{"alpha", "beta", "gamma"} {
+		p, _ := h.pm.Submit(PilotDescription{Resource: r, Cores: 8, Walltime: 2 * time.Hour})
+		um.AddPilot(p)
+	}
+	um.OnCompletion(sim.Func(h.pm.CancelAll))
+	const n = 30
+	tasks := unitTasks(n, time.Minute)
+	for i := n / 2; i < n; i++ {
+		tasks[i].Inputs[0].Bytes = 3 << 20
+	}
+	if err := um.Submit(indexed(t, tasks)); err != nil {
+		t.Fatal(err)
+	}
+	h.eng.Run()
+	texts := map[string]map[*byte]bool{} // each detail text's distinct copies
+	for _, u := range um.units {
+		if u.State() != UnitDone {
+			t.Fatalf("unit %s state %v", u.task.ID, u.State())
+		}
+		d, ok := sink.details[u.id]
+		if want := fmt.Sprintf("%s, %d bytes", u.Pilot().ID(), u.task.Inputs[0].Bytes); !ok || d != want {
+			t.Fatalf("%s's staging detail %q, want %q", u.id, d, want)
+		}
+		if texts[d] == nil {
+			texts[d] = map[*byte]bool{}
+		}
+		texts[d][unsafe.StringData(d)] = true
+	}
+	if len(texts) != 6 {
+		t.Fatalf("%d distinct details, want one per pilot and input size, 6", len(texts))
+	}
+	for d, copies := range texts {
+		if len(copies) != 1 {
+			t.Errorf("detail %q was built %d times, want once", d, len(copies))
+		}
+	}
+}
+
 func TestAgentDispatchOverheadSerializes(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.AgentDispatchOverhead = time.Second

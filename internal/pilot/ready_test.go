@@ -253,6 +253,7 @@ func TestBackfillEarlyExitMatchesFullScan(t *testing.T) {
 	for round := 0; round < 2000; round++ {
 		um := new(UnitManager).Init(h.sys, Backfill{})
 		um.pilots = make([]*Pilot, rng.Intn(12))
+		um.inDetails = make([]stageDetail, len(um.pilots))
 		for i := range um.pilots {
 			p := &Pilot{state: states[rng.Intn(len(states))], desc: PilotDescription{Resource: "alpha", Cores: 1 + rng.Intn(16)}}
 			um.pilots[i] = p

@@ -225,6 +225,11 @@ type UnitManager struct {
 	scheduler Scheduler
 	pilots    []*Pilot
 	first     [4]*Pilot // pilots' first array
+	// inDetails[i] is the detail of pilots[i]'s last STAGING_INPUT record.
+	// The units of a bag move the same payload, so nearly every unit bound to
+	// a pilot reuses its detail, however the pilots' binds interleave.
+	inDetails []stageDetail
+	inFirst   [4]stageDetail // inDetails' first array
 	units     []*Unit
 	names     skeleton.Index // each unit's position in units, by task ID
 
@@ -232,9 +237,9 @@ type UnitManager struct {
 	// open dependency — what the scheduler is offered. It is maintained at
 	// the transitions that change it, never rebuilt from units. Units
 	// finalized while waiting stay in it until the next place; readyStale
-	// says there are some.
-	ready      []*Unit
-	readyStale bool
+	// says there are some (it sits beside placeQueued, where it costs no
+	// padding).
+	ready []*Unit
 	// edges holds every unit's list of dependents, newest first: a unit's
 	// dependents field refers to its first edge, and each edge to the next.
 	// A bag of tasks has none.
@@ -244,6 +249,7 @@ type UnitManager struct {
 
 	placeEv     sim.Event // the coalesced place, due now while placeQueued
 	placeQueued bool
+	readyStale  bool
 	doneCount   int
 	onDone      sim.Handler
 
@@ -251,17 +257,14 @@ type UnitManager struct {
 	// UnitExecuting and in either staging state: the report's Tx and Ts.
 	execCover, stageCover cover
 
-	// The details of the last STAGING_INPUT and STAGING_OUTPUT records. The
-	// units of a bag move the same payload, so nearly every unit reuses them.
-	inDetail struct {
-		pilot *Pilot
-		bytes int64
-		text  string
-	}
-	outDetail struct {
-		bytes int64
-		text  string
-	}
+	// The detail of the last STAGING_OUTPUT record, which names no pilot.
+	outDetail stageDetail
+}
+
+// stageDetail is the detail of a staging record that moved bytes bytes.
+type stageDetail struct {
+	bytes int64
+	text  string
 }
 
 // edge is one entry of a list of dependents: the dependent's index in
@@ -322,7 +325,7 @@ func (um *UnitManager) Covered() (executing, staging time.Duration) {
 // system context, placing with the given scheduler, and returns it.
 func (um *UnitManager) Init(sys *System, sched Scheduler) *UnitManager {
 	*um = UnitManager{sys: sys, scheduler: sched}
-	um.pilots = um.first[:0]
+	um.pilots, um.inDetails = um.first[:0], um.inFirst[:0]
 	um.placeEv.Init((*placement)(um))
 	return um
 }
@@ -343,6 +346,7 @@ func (um *UnitManager) AddPilot(p *Pilot) {
 		panic("pilot: " + p.id + " added to a second unit manager")
 	}
 	um.pilots = append(um.pilots, p)
+	um.inDetails = append(um.inDetails, stageDetail{})
 	p.um = um
 	// If the pilot is already active (added late), pick up queued units.
 	if p.State() == PilotActive {
@@ -376,8 +380,14 @@ func (um *UnitManager) Submit(tasks []skeleton.Task, names skeleton.Index) error
 	for i := range tasks {
 		idBytes += len("unit.") + len(tasks[i].ID)
 	}
-	um.units = slices.Grow(um.units, len(tasks))
-	um.ready = slices.Grow(um.ready, len(tasks))
+	if um.units == nil { // the job's first submission: both lists from one array
+		n := len(tasks)
+		lists := make([]*Unit, 2*n)
+		um.units, um.ready = lists[:0:n], lists[n:n]
+	} else {
+		um.units = slices.Grow(um.units, len(tasks))
+		um.ready = slices.Grow(um.ready, len(tasks))
+	}
 	var ids strings.Builder
 	ids.Grow(idBytes)
 	for i := range tasks {
@@ -519,13 +529,14 @@ func (um *UnitManager) bind(u *Unit, p *Pilot) {
 	p.committed += u.task.Cores
 
 	bytes := um.stageInBytes(u, p)
-	if d := &um.inDetail; d.pilot != p || d.bytes != bytes {
+	d := &um.inDetails[slices.Index(um.pilots, p)]
+	if d.text == "" || d.bytes != bytes {
 		var buf [96]byte
 		text := append(append(buf[:0], p.id...), ", "...)
 		text = append(strconv.AppendInt(text, bytes, 10), " bytes"...)
-		d.pilot, d.bytes, d.text = p, bytes, string(text)
+		d.bytes, d.text = bytes, string(text)
 	}
-	u.transition(UnitStagingInput, um.inDetail.text)
+	u.transition(UnitStagingInput, d.text)
 	if bytes <= 0 {
 		um.staged(u)
 		return
