@@ -380,14 +380,11 @@ func (um *UnitManager) Submit(tasks []skeleton.Task, names skeleton.Index) error
 	for i := range tasks {
 		idBytes += len("unit.") + len(tasks[i].ID)
 	}
-	if um.units == nil { // the job's first submission: both lists from one array
-		n := len(tasks)
-		lists := make([]*Unit, 2*n)
-		um.units, um.ready = lists[:0:n], lists[n:n]
-	} else {
-		um.units = slices.Grow(um.units, len(tasks))
-		um.ready = slices.Grow(um.ready, len(tasks))
-	}
+	// Both lists come from one array, sized for every unit so far.
+	n := len(um.units) + len(tasks)
+	lists := make([]*Unit, 2*n)
+	um.units = append(lists[:0:n], um.units...)
+	um.ready = append(lists[n:n], um.ready...)
 	var ids strings.Builder
 	ids.Grow(idBytes)
 	for i := range tasks {
