@@ -160,6 +160,6 @@ server-smoke:
 # race-enabled fleet tests.
 fleet-smoke:
 	timeout 300 ./scripts/fleet_smoke.sh
-	./scripts/go_test_run.sh 'TestRespawn|TestReplay|TestMaxRestarts|TestFleet|TestWorkerPool|TestPing|TestPool' ./...
+	./scripts/go_test_run.sh 'TestRespawn|TestReplay|TestMaxRestarts|TestFleet|TestWorkerPool|TestPing|TestPool|TestDrainEndpoint|TestQueuedJobWrapsRespawnRefusal|TestFailedConnect' ./...
 
 ci: lint race wall-clock uncovered orphans experiments model-check scenarios scenario-matrix worker-smoke worker-tcp-smoke server-smoke fleet-smoke

@@ -251,9 +251,13 @@ func (f *fleet) parked(sh *shardEnv) bool {
 	return sh.be.Dead() && f.pool.CanRespawn(sh.id)
 }
 
-// shardDied is the worker death handler, run once per dead session (from
-// the transport watcher, a failed call's notification goroutine, or a
-// failed liveness probe — the session funnels them into one notification).
+// shardDied is the worker death handler, run once per dead session, by
+// whichever reporter — a failed call, a failed liveness probe or the
+// transport watcher — decided the death, with the session's one verdict
+// (backend.ErrWorkerLost: "backend: worker for shard N lost" for a lost
+// connection). Each job it fails reads "aimes: shard sN: " and that
+// verdict, whoever reported first; a session that never finished its
+// handshake has no handler, so a failed respawn never runs it.
 //
 // Under the shard's serialization it fails every ENACTED job the shard
 // still owns — their engine state died with the worker and cannot be
@@ -397,7 +401,9 @@ func (e *Environment) DrainEndpoint(name string) error {
 //
 // A killed child process trips the transport watcher at once; a killed TCP
 // connection surfaces on the shard's next wire operation or liveness
-// probe. KillWorker errors on local shards and out-of-range indices.
+// probe. Whichever sees it first, the enacted jobs read one error, "aimes:
+// shard sK: backend: worker for shard K lost" (backend.ErrWorkerLost).
+// KillWorker errors on local shards and out-of-range indices.
 func (e *Environment) KillWorker(k int) error {
 	if _, err := e.shardAt(k); err != nil {
 		return err

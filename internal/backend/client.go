@@ -18,9 +18,9 @@ import (
 // environment observes the same callback ordering as with Local.
 //
 // A dead worker is surfaced, never waited on: an in-flight call fails when
-// the connection breaks, every later call fails fast, and the death
-// callback passed at connect time runs once so the environment can fail the
-// shard's jobs instead of hanging their waiters.
+// the connection breaks, every later call fails fast with its verdict, and
+// the death callback passed at connect time runs once with it so the
+// environment can fail the shard's jobs instead of hanging their waiters.
 type Worker struct {
 	shard int
 	s     *session
@@ -46,15 +46,15 @@ type WorkerOptions struct {
 // init frame each way, agreeing on the binary layout every later frame is
 // written in), and returns the connected backend. A worker that refuses the
 // init or does not echo the layout's versioned name fails it. onDeath, when
-// non-nil, runs exactly once if the worker dies before Close — whether the
-// transport observes it out of band (a child process exiting) or a call
-// finds the connection broken.
+// non-nil, runs exactly once if the worker dies between a successful
+// handshake and Close, with the one verdict of whichever reporter saw the
+// death first: a call, the health probe or the transport's watcher.
 func Connect(tr Transport, opt WorkerOptions, cfg Config, sink Sink, onDeath func(error)) (*Worker, error) {
 	if err := CheckCodec(opt.Codec); err != nil {
 		return nil, fmt.Errorf("backend: %w", err)
 	}
-	s := newSession(cfg.Shard, onDeath)
-	conn, err := tr.Dial(cfg.Shard, s.peerDied)
+	s := newSession(cfg.Shard)
+	conn, err := tr.Dial(cfg.Shard, func(cause error) { s.fail(cause) })
 	if err != nil {
 		return nil, err
 	}
@@ -69,10 +69,11 @@ func Connect(tr Transport, opt WorkerOptions, cfg Config, sink Sink, onDeath fun
 		err = errors.New(ack.Err)
 	case ack.Codec != binaryWire:
 		err = fmt.Errorf("worker did not accept the %q wire codec (echoed %q)", binaryWire, ack.Codec)
+	default:
+		err = s.arm(onDeath)
 	}
 	if err != nil {
-		s.closing.Store(true) // suppress the death callback for a spawn that never worked
-		_ = conn.Kill()       // also unblocks a still-pending init read
+		_ = conn.Kill() // also unblocks a still-pending init read
 		return nil, fmt.Errorf("backend: initializing worker for shard %d: %w", cfg.Shard, err)
 	}
 	return w, nil
@@ -222,10 +223,9 @@ func (w *Worker) Close() error {
 }
 
 // Kill severs the worker's connection immediately — the chaos hook behind
-// Environment.KillWorker and the crash tests. A killed child process trips
-// the transport watcher and the death callback runs exactly as for a
-// spontaneous crash; a killed TCP connection surfaces on the shard's next
-// wire operation, which notifies the same callback in-band.
+// Environment.KillWorker and the crash tests. The death is a crash's: the
+// first to see it (a child process's watcher, the next call or probe)
+// runs the death callback once, with "backend: worker for shard N lost".
 func (w *Worker) Kill() error { return w.s.conn.Kill() }
 
 // Dead implements Backend: whether the worker's session has failed. Once
@@ -242,14 +242,14 @@ func (w *Worker) Dead() bool { return w.s.deadErr() != nil }
 // not replay events outside the shard's serialization anyway. Concurrency
 // is safe — the session serializes the wire — and a broken connection
 // surfaces here exactly as on any other exchange: the session goes dead and
-// the death callback fires once.
+// the death callback fires once, with the session's one verdict.
 func (w *Worker) Ping() error {
 	var resp response
 	if err := w.s.exchange(&request{Op: opPing}, &resp); err != nil {
 		return err
 	}
 	if resp.tail.left > 0 || resp.Enacted != nil || resp.Strategy != nil {
-		return w.s.fail(fmt.Errorf("worker for shard %d answered a ping with events or a result (protocol violation)", w.shard))
+		return w.s.fail(violation{fmt.Errorf("backend: worker for shard %d answered a ping with events or a result (protocol violation)", w.shard)})
 	}
 	return nil
 }

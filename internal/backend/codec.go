@@ -66,7 +66,7 @@ type initResponse struct {
 func appendJSON(dst []byte, v any) ([]byte, error) {
 	body, err := json.Marshal(v)
 	if err != nil {
-		return dst, fmt.Errorf("backend: encoding frame: %w", err)
+		return dst, violation{fmt.Errorf("backend: encoding frame: %w", err)}
 	}
 	return append(dst, body...), nil
 }
@@ -84,7 +84,7 @@ func decodeJSON(data []byte, v any) error {
 		}
 	}
 	if err != nil {
-		return fmt.Errorf("backend: decoding frame: %w", err)
+		return violation{fmt.Errorf("backend: decoding frame: %w", err)}
 	}
 	return nil
 }

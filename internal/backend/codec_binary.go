@@ -153,7 +153,7 @@ func appendWireString(dst []byte, s string) []byte {
 func appendWireJSON(dst []byte, v any) ([]byte, error) {
 	body, err := json.Marshal(v)
 	if err != nil {
-		return dst, fmt.Errorf("backend: encoding frame: %w", err)
+		return dst, violation{fmt.Errorf("backend: encoding frame: %w", err)}
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(body)))
 	return append(dst, body...), nil
@@ -171,7 +171,7 @@ func appendInts(dst []byte, vs ...int64) []byte {
 func appendFloats(dst []byte, fs ...float64) ([]byte, error) {
 	for _, f := range fs {
 		if math.IsNaN(f) || math.IsInf(f, 0) {
-			return dst, fmt.Errorf("backend: encoding frame: unsupported value %v", f)
+			return dst, violation{fmt.Errorf("backend: encoding frame: unsupported value %v", f)}
 		}
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(f))
 	}
@@ -314,7 +314,7 @@ func appendDescriptor(dst []byte, d *Descriptor) ([]byte, error) {
 
 func (c *binaryCodec) AppendRequest(dst []byte, req *request) ([]byte, error) {
 	if req.Op < opEnact || req.Op > opClose {
-		return dst, fmt.Errorf("backend: encoding frame: unknown operation %d", req.Op)
+		return dst, violation{fmt.Errorf("backend: encoding frame: unknown operation %d", req.Op)}
 	}
 	dst = append(dst, req.Op)
 	dst = binary.AppendUvarint(dst, req.ID)
@@ -492,7 +492,7 @@ func (c *binaryCodec) DecodeResponse(data []byte, resp *response) error {
 	// count the payload cannot hold is refused here. Nothing is reserved
 	// from it either way.
 	if max := uint64(len(r.data)/4 + 1); n > max {
-		return fmt.Errorf("backend: decoding frame: event count %d exceeds payload", n)
+		return violation{fmt.Errorf("backend: decoding frame: event count %d exceeds payload", n)}
 	}
 	// The table goes into the storage the call brought along with its
 	// frame, grown as entries are read: each takes at least its length
@@ -714,7 +714,7 @@ type binReader struct {
 
 func (r *binReader) fail(format string, args ...any) {
 	if r.err == nil {
-		r.err = fmt.Errorf("backend: decoding frame: "+format, args...)
+		r.err = violation{fmt.Errorf("backend: decoding frame: "+format, args...)}
 	}
 }
 
@@ -830,7 +830,7 @@ func (r *binReader) json(v any) {
 		return
 	}
 	if err := json.Unmarshal(b, v); err != nil {
-		r.err = fmt.Errorf("backend: decoding frame: %w", err)
+		r.err = violation{fmt.Errorf("backend: decoding frame: %w", err)}
 	}
 }
 
@@ -839,7 +839,7 @@ func (r *binReader) finish() error {
 		return r.err
 	}
 	if len(r.data) != 0 {
-		return fmt.Errorf("backend: decoding frame: %d trailing bytes", len(r.data))
+		return violation{fmt.Errorf("backend: decoding frame: %d trailing bytes", len(r.data))}
 	}
 	return nil
 }

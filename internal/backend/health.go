@@ -3,9 +3,9 @@ package backend
 import "time"
 
 // startProber runs shard's liveness loop: one goroutine per live worker,
-// one ping per HealthInterval. A failed ping marks the session dead inside
-// the exchange itself, so the worker's death callback fires through the
-// same once-only path as an in-band call failure — the prober's job is
+// one ping per HealthInterval. A failed ping reports to the session's fail
+// inside the exchange itself, like any call, so a death it decides runs
+// the worker's death callback with the same verdict — the prober's job is
 // only to make sure a silent peer (a hung host, a half-open TCP
 // connection) is discovered between calls instead of on the next one.
 //

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os/exec"
 	"reflect"
 	"strconv"
 	"strings"
@@ -305,8 +306,10 @@ func TestConnectRejectsInitWithEvents(t *testing.T) {
 // TestFrameCorruptionFailsShardNotProcess is the containment half of the
 // framing contract: a worker that answers with a truncated or oversized
 // frame kills that session — the call errors, later calls fail fast, the
-// death callback fires once so the environment fails the shard's jobs —
-// and nothing panics or exits the parent process.
+// death callback fires once with the same verdict so the environment fails
+// the shard's jobs — and nothing panics or exits the parent process. A
+// stream that ends is the connection's verdict, its detail unwrapped; a
+// frame the package refuses keeps its own text. Both are ErrWorkerLost.
 func TestFrameCorruptionFailsShardNotProcess(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -321,7 +324,7 @@ func TestFrameCorruptionFailsShardNotProcess(t *testing.T) {
 				w.Write(make([]byte, 10))
 				w.Close()
 			},
-			want: "closed its connection",
+			want: "backend: worker for shard 3 lost",
 		},
 		{
 			// Header promises more than the frame limit allows.
@@ -344,7 +347,11 @@ func TestFrameCorruptionFailsShardNotProcess(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var deaths atomic.Int32
-			onDeath := func(error) { deaths.Add(1) }
+			var cause atomic.Value
+			onDeath := func(err error) {
+				cause.Store(err)
+				deaths.Add(1)
+			}
 			tr := scriptedInit(t, acceptInit, func(r io.Reader, w *io.PipeWriter) {
 				if _, err := readFrameInto(bufio.NewReader(r), nil, DefaultMaxFrame); err != nil {
 					return
@@ -359,8 +366,11 @@ func TestFrameCorruptionFailsShardNotProcess(t *testing.T) {
 			if err == nil {
 				t.Fatal("corrupt frame answered a Step without error")
 			}
-			if !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("error %q does not contain %q", err, tc.want)
+			if !strings.Contains(err.Error(), tc.want) || !errors.Is(err, ErrWorkerLost) {
+				t.Fatalf("error %q does not contain %q or is not ErrWorkerLost", err, tc.want)
+			}
+			if tc.name == "truncated" && (err.Error() != tc.want || !errors.Is(err, io.ErrUnexpectedEOF)) {
+				t.Fatalf("truncated frame: %q, want the verdict %q wrapping %v", err, tc.want, io.ErrUnexpectedEOF)
 			}
 			// The session is dead, not wedged: later calls fail fast with the
 			// same cause instead of touching the broken stream.
@@ -376,7 +386,60 @@ func TestFrameCorruptionFailsShardNotProcess(t *testing.T) {
 			if got := deaths.Load(); got != 1 {
 				t.Fatalf("death callback ran %d times, want 1", got)
 			}
+			if got := cause.Load(); got != err {
+				t.Fatalf("death callback given %v, want the call's verdict %v", got, err)
+			}
 		})
+	}
+}
+
+// eofConn is a worker connection that takes every write and answers EOF.
+type eofConn struct{}
+
+func (eofConn) Read([]byte) (int, error)    { return 0, io.EOF }
+func (eofConn) Write(p []byte) (int, error) { return len(p), nil }
+func (eofConn) CloseWrite() error           { return nil }
+func (eofConn) Close() error                { return nil }
+func (eofConn) Kill() error                 { return nil }
+
+// TestFailedConnectRunsNoDeathCallback: a Connect that fails never runs the
+// death callback, whoever reports the failure — the handshake's own read
+// (a connection that answers EOF) or the watcher of a child process that
+// exits before its init (false). In the fleet the callback is the shard's
+// death handler, and a failed Connect is a placement that fails over to
+// the next endpoint.
+func TestFailedConnectRunsNoDeathCallback(t *testing.T) {
+	var deaths atomic.Int32
+	onDeath := func(error) { deaths.Add(1) }
+	eof := transportFunc(func(int, func(error)) (Conn, error) { return eofConn{}, nil })
+	for range 2000 {
+		if _, err := Connect(eof, WorkerOptions{}, Config{Seed: 1}, &collectSink{}, onDeath); !errors.Is(err, ErrWorkerLost) {
+			t.Fatalf("connect over a connection that answers EOF: %v, want %v", err, ErrWorkerLost)
+		}
+	}
+	if testing.Short() {
+		t.Skip("spawns processes")
+	}
+	bin, err := exec.LookPath("false")
+	if err != nil {
+		t.Skip("no false command")
+	}
+	reported := make(chan struct{}, 1)
+	quits := transportFunc(func(shard int, onDeath func(error)) (Conn, error) {
+		return (&ProcessTransport{Argv: []string{bin}}).Dial(shard, func(err error) {
+			onDeath(err)
+			reported <- struct{}{}
+		})
+	})
+	for range 200 {
+		if _, err := Connect(quits, WorkerOptions{}, Config{Seed: 1}, &collectSink{}, onDeath); err == nil {
+			t.Fatal("connect to a process that exits at once succeeded")
+		}
+		<-reported // the watcher has reported the exit
+	}
+	time.Sleep(50 * time.Millisecond) // a callback either reporter started has run
+	if n := deaths.Load(); n != 0 {
+		t.Fatalf("%d failed Connects ran the death callback, want none", n)
 	}
 }
 

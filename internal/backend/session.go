@@ -4,8 +4,6 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"io"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -13,11 +11,10 @@ import (
 // session is the client half of the protocol's session layer: one
 // correlated request/response wire over a Conn, a JSON handshake and then
 // the binary layout it agreed on. It owns ID assignment and correlation,
-// the frame buffers, the dead-session state, the wire counters, and the
-// once-only death notification that both in-band failures (a broken write,
-// a desync, a corrupt frame) and out-of-band ones (the process transport's
-// watcher) funnel into. What it does not know about is Backend semantics —
-// request construction and the drain cache live in Worker, one layer up.
+// the frame buffers, the wire counters, and the death verdict that in-band
+// failures (a broken write, a desync, a corrupt frame, a failed probe) and
+// the process transport's watcher all report through fail. Backend
+// semantics — request construction, the drain cache — live in Worker.
 type session struct {
 	shard int
 	conn  Conn
@@ -28,10 +25,11 @@ type session struct {
 	// the codec's intern table. It is never held while a response's events
 	// are handed to the sink: a sink callback may legally issue a nested
 	// call, or another goroutine a ping, between two chunks.
-	mu     sync.Mutex
-	nextID uint64
-	dead   error
-	wbuf   []byte // one frame, header-first; reused across calls
+	mu      sync.Mutex
+	nextID  uint64
+	dead    error // the death verdict, set once by fail
+	onDeath func(error)
+	wbuf    []byte // one frame, header-first; reused across calls
 	// frames are read buffers no call owns, each with the storage for the
 	// string table of the frame read into it. A call owns the one its
 	// response was read into until it has dispatched the last event, so a
@@ -40,10 +38,23 @@ type session struct {
 
 	roundTrips, sent, received, events atomic.Int64
 
-	closing   atomic.Bool
-	onDeath   func(error)
-	deathOnce sync.Once
+	closing atomic.Bool // an orderly Close is under way: its death is no one's news
 }
+
+// ErrWorkerLost is the kind of a dead worker session's verdict. A lost
+// connection reads "backend: worker for shard N lost" and unwraps to its
+// first reporter's transport detail; a violation keeps its own text.
+var ErrWorkerLost = errors.New("backend: worker lost")
+
+// lostError is the verdict on a session whose connection failed.
+type lostError struct {
+	shard  int
+	detail error
+}
+
+func (e *lostError) Error() string        { return fmt.Sprintf("backend: worker for shard %d lost", e.shard) }
+func (e *lostError) Unwrap() error        { return e.detail }
+func (e *lostError) Is(target error) bool { return target == ErrWorkerLost }
 
 // keepFrames is how many read buffers a session keeps between calls: one
 // for a call, one for a call nested in its dispatch.
@@ -64,46 +75,32 @@ type WireStats struct {
 	Events        int64 // events the responses carried: trace records and completions
 }
 
-func newSession(shard int, onDeath func(error)) *session {
+func newSession(shard int) *session {
 	return &session{
-		shard:   shard,
-		bin:     newBinaryCodec(),
-		onDeath: onDeath,
-		wbuf:    make([]byte, 0, 4096),
+		shard: shard,
+		bin:   newBinaryCodec(),
+		wbuf:  make([]byte, 0, 4096),
 	}
 }
 
 // attach binds the dialed connection; it must run before the first
-// exchange. (The session exists first because the transport's watcher needs
-// peerDied at dial time.)
+// exchange. (The session exists first because the transport's watcher
+// reports to its fail at dial time.)
 func (s *session) attach(c Conn) {
 	s.conn = c
 	s.in = bufio.NewReaderSize(c, 1<<16)
 }
 
-// peerDied is the transport's out-of-band death callback (a child process
-// exiting). It runs on the watcher goroutine, so notifying synchronously is
-// safe — no caller lock is held there.
-func (s *session) peerDied(cause error) {
-	if s.closing.Load() {
-		return
-	}
+// arm sets the death callback once the handshake has succeeded: a spawn
+// that never connected dies without one. A session already dead returns
+// its verdict.
+func (s *session) arm(onDeath func(error)) error {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.dead == nil {
-		s.dead = cause
+		s.onDeath = onDeath
 	}
-	s.mu.Unlock()
-	s.notifyDeath(cause)
-}
-
-// notifyDeath runs the death callback at most once, and not at all during
-// an orderly close — a clean shutdown never fails jobs.
-func (s *session) notifyDeath(cause error) {
-	s.deathOnce.Do(func() {
-		if s.onDeath != nil && !s.closing.Load() {
-			s.onDeath(cause)
-		}
-	})
+	return s.dead
 }
 
 // handshake performs the init exchange, the session's one JSON round trip:
@@ -125,7 +122,7 @@ func (s *session) handshake(cfg *Config, ack *initResponse) error {
 		}
 	}
 	if err == nil && ack.ID != s.nextID {
-		err = fmt.Errorf("worker response %d for request %d (protocol desync)", ack.ID, s.nextID)
+		err = violation{fmt.Errorf("backend: worker response %d for request %d (protocol desync)", ack.ID, s.nextID)}
 	}
 	if err != nil {
 		return s.failUnlock(err)
@@ -166,7 +163,7 @@ func (s *session) exchange(req *request, resp *response) error {
 		}
 	}
 	if err == nil && resp.ID != req.ID {
-		err = fmt.Errorf("worker response %d for request %d (protocol desync)", resp.ID, req.ID)
+		err = violation{fmt.Errorf("backend: worker response %d for request %d (protocol desync)", resp.ID, req.ID)}
 	}
 	if err != nil {
 		resp.tail = eventTail{}
@@ -241,38 +238,33 @@ func (s *session) putFrame(t *eventTail) {
 	t.frame, t.table = nil, nil
 }
 
-// fail marks the session dead for cause and notifies the death callback,
-// returning the sticky error every later call fails fast with.
+// fail is how a session dies, whoever reports it: a failed exchange (a
+// probe's included) or the transport's watcher. The first report sets the
+// verdict — a violation as it stands, any other cause as the connection's
+// detail — and alone notifies the death callback with it. It returns the
+// verdict.
 func (s *session) fail(cause error) error {
 	s.mu.Lock()
 	return s.failUnlock(cause)
 }
 
-// failUnlock is fail for a caller that holds mu, which it releases.
+// failUnlock is fail for a caller that holds mu, which it releases. The
+// callback runs on a fresh goroutine, since the reporter may hold its
+// shard's lock, which the death handler takes; never for an orderly Close.
 func (s *session) failUnlock(cause error) error {
-	err := s.failLocked(cause)
-	s.mu.Unlock()
-	go s.notifyDeath(err)
-	return err
-}
-
-// failLocked records cause as the session's death unless it already died,
-// and returns the sticky error, which names the package once: a cause the
-// package wrote already does. The caller holds mu, and notifies on a fresh
-// goroutine once it is released: the caller may hold its shard's lock, and
-// the death handler takes it to fail the shard's jobs.
-func (s *session) failLocked(cause error) error {
-	if s.dead == nil {
-		switch {
-		case errors.Is(cause, io.EOF) || errors.Is(cause, io.ErrUnexpectedEOF):
-			s.dead = fmt.Errorf("backend: worker for shard %d closed its connection", s.shard)
-		case strings.HasPrefix(cause.Error(), "backend: "):
-			s.dead = cause
-		default:
-			s.dead = fmt.Errorf("backend: %w", cause)
+	first := s.dead == nil
+	if first {
+		s.dead = cause
+		if _, ok := cause.(violation); !ok {
+			s.dead = &lostError{shard: s.shard, detail: cause}
 		}
 	}
-	return s.dead
+	err, onDeath := s.dead, s.onDeath
+	s.mu.Unlock()
+	if first && onDeath != nil && !s.closing.Load() {
+		go onDeath(err)
+	}
+	return err
 }
 
 // stats snapshots the session's wire counters.
@@ -285,7 +277,7 @@ func (s *session) stats() WireStats {
 	}
 }
 
-// deadErr reports the sticky dead-session error, nil while the wire is
+// deadErr reports the session's death verdict, nil while the wire is
 // healthy. It is the fleet layer's cheap liveness witness: a non-nil result
 // means the death callback has run (or is about to), so callers can route
 // work away from this session without risking another doomed exchange.

@@ -19,10 +19,10 @@ import (
 // is transport-agnostic.
 type Transport interface {
 	// Dial connects one shard's worker. onDeath, when non-nil, is invoked at
-	// most once from a watcher goroutine if the transport observes the peer
-	// die out of band (a child process exiting); transports with no such
-	// signal never invoke it and death surfaces in-band, on the next wire
-	// operation. shard is for diagnostics only.
+	// most once from a watcher goroutine with the transport's detail when
+	// it observes the peer end out of band (a child process exiting);
+	// transports with no such signal never invoke it and death surfaces
+	// in-band, on the next wire operation. shard is for diagnostics only.
 	Dial(shard int, onDeath func(error)) (Conn, error)
 }
 
@@ -75,24 +75,14 @@ func (t *ProcessTransport) Dial(shard int, onDeath func(error)) (Conn, error) {
 	}
 	c := &procConn{cmd: cmd, stdin: stdin, stdout: stdout, reaped: make(chan struct{})}
 	go func() {
-		// Always reap; the death callback decides (via the session's closing
-		// state) whether the exit was orderly.
+		// Always reap; the session decides whether the exit was orderly.
 		err := cmd.Wait()
 		close(c.reaped)
 		if onDeath != nil {
-			onDeath(fmt.Errorf("worker process for shard %d exited unexpectedly (%v)", shard, exitReason(err)))
+			onDeath(err)
 		}
 	}()
 	return c, nil
-}
-
-// exitReason renders a Wait error readably ("exit status 1", "signal:
-// killed", or "exit status 0" for a silent quit).
-func exitReason(err error) string {
-	if err == nil {
-		return "exit status 0"
-	}
-	return err.Error()
 }
 
 // procConn is a child process's stdio pipe pair.

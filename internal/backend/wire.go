@@ -48,11 +48,19 @@ const DefaultMaxFrame = 256 << 20
 func finishFrame(buf []byte, limit int) error {
 	body := len(buf) - 4
 	if body > limit {
-		return fmt.Errorf("backend: frame of %d bytes exceeds the %d-byte limit", body, limit)
+		return violation{fmt.Errorf("backend: frame of %d bytes exceeds the %d-byte limit", body, limit)}
 	}
 	binary.BigEndian.PutUint32(buf[:4], uint32(body))
 	return nil
 }
+
+// violation is a breach of the wire protocol this package detects in a
+// frame it writes or reads (oversized, unencodable, undecodable, answering
+// another request). A session that meets one dies with it as its verdict,
+// so it is ErrWorkerLost too.
+type violation struct{ error }
+
+func (v violation) Unwrap() []error { return []error{v.error, ErrWorkerLost} }
 
 // readFrameInto reads one length-prefixed frame payload, reusing buf's
 // storage when it is large enough. It returns the payload slice (valid until
@@ -66,7 +74,7 @@ func readFrameInto(r *bufio.Reader, buf []byte, limit int) ([]byte, error) {
 	n := binary.BigEndian.Uint32(hdr)
 	_, _ = r.Discard(4) // cannot fail: Peek buffered the four bytes
 	if n > uint32(limit) {
-		return buf[:0], fmt.Errorf("backend: frame length %d exceeds the %d-byte limit", n, limit)
+		return buf[:0], violation{fmt.Errorf("backend: frame length %d exceeds the %d-byte limit", n, limit)}
 	}
 	if cap(buf) < int(n) {
 		buf = make([]byte, n)

@@ -85,7 +85,7 @@ type Execution struct {
 	trace    jobTrace
 	adaptive *AdaptiveConfig
 	workload *skeleton.Workload
-	names    skeleton.Index // the workload's tasks, checked
+	names    skeleton.Index // the workload's tasks, checked; its unit manager reads it
 	// strategy is the pre-derived strategy, or the one Enact derives from
 	// config when derive is set.
 	strategy    Strategy
@@ -200,12 +200,11 @@ func (m *Manager) Prepare(d *Descriptor, opts ExecOptions) (*Execution, error) {
 	if opts.Sink == nil {
 		return nil, fmt.Errorf("core: execution without a sink (ExecOptions.Sink)")
 	}
-	var names skeleton.Index
-	if err := names.Add(w.Tasks); err != nil {
+	e := &Execution{m: m, trace: jobTrace{sink: opts.Sink, key: opts.Key, ns: opts.Namespace},
+		adaptive: d.Adaptive, workload: w, config: d.Config, derive: d.Strategy == nil}
+	if err := e.names.Add(w.Tasks); err != nil {
 		return nil, err
 	}
-	e := &Execution{m: m, trace: jobTrace{sink: opts.Sink, key: opts.Key, ns: opts.Namespace},
-		adaptive: d.Adaptive, workload: w, names: names, config: d.Config, derive: d.Strategy == nil}
 	if !e.derive {
 		e.strategy = *d.Strategy
 	}
@@ -269,7 +268,7 @@ func (e *Execution) Enact() error {
 	}
 
 	e.um.OnCompletion((*finishing)(e))
-	if err := e.um.Submit(e.workload.Tasks, e.names); err != nil {
+	if err := e.um.Submit(e.workload.Tasks, &e.names); err != nil {
 		e.pm.CancelAll()
 		return err
 	}

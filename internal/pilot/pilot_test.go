@@ -79,9 +79,9 @@ func unitTasks(n int, dur time.Duration) []skeleton.Task {
 
 // indexed checks and indexes tasks for a unit manager with no units yet, as
 // the execution manager does before it submits a workload's tasks.
-func indexed(t testing.TB, tasks []skeleton.Task) ([]skeleton.Task, skeleton.Index) {
+func indexed(t testing.TB, tasks []skeleton.Task) ([]skeleton.Task, *skeleton.Index) {
 	t.Helper()
-	var x skeleton.Index
+	x := new(skeleton.Index)
 	if err := x.Add(tasks); err != nil {
 		t.Fatal(err)
 	}
@@ -581,13 +581,13 @@ func TestUnitManagerValidation(t *testing.T) {
 	h := newHarness(t, DefaultConfig(), 16)
 	um := new(UnitManager).Init(h.sys, Direct{})
 	a, b := []skeleton.Task{{ID: "a", Cores: 1}}, []skeleton.Task{{ID: "b", Cores: 1}}
-	if err := um.Submit(a, skeleton.Index{}); err == nil {
+	if err := um.Submit(a, &skeleton.Index{}); err == nil {
 		t.Fatal("an index without the submitted task accepted")
 	}
 	if _, az := indexed(t, []skeleton.Task{a[0], {ID: "z", Cores: 1}}); um.Submit(a, az) == nil {
 		t.Fatal("an index of another task too accepted")
 	}
-	x := skeleton.Index{}
+	x := &skeleton.Index{}
 	if err := x.Add(a); err != nil {
 		t.Fatal(err)
 	}
@@ -616,16 +616,16 @@ func TestSubmitIsAllOrNothing(t *testing.T) {
 	for _, size := range []int{2, 4, -1} {
 		h := newHarness(t, DefaultConfig(), 18)
 		um := new(UnitManager).Init(h.sys, Backfill{})
-		var index skeleton.Index // none for size -1
+		index := new(skeleton.Index) // none for size -1
 		if size >= 0 {
 			_, index = indexed(t, unitTasks(size, time.Minute))
 		}
 		if err := um.Submit(unitTasks(3, time.Minute), index); err == nil {
 			t.Fatalf("batch of 3 tasks accepted with an index of %d", index.Len())
 		}
-		if len(um.units) != 0 || len(um.ready) != 0 || um.names.Len() != 0 || h.rec.Len() != 0 {
-			t.Fatalf("rejected batch left %d units, %d ready, %d names and %d records",
-				len(um.units), len(um.ready), um.names.Len(), h.rec.Len())
+		if len(um.units) != 0 || len(um.ready) != 0 || um.names != nil || h.rec.Len() != 0 {
+			t.Fatalf("rejected batch left %d units, %d ready, an index (%v) and %d records",
+				len(um.units), len(um.ready), um.names != nil, h.rec.Len())
 		}
 		p, err := h.pm.Submit(PilotDescription{Resource: "alpha", Cores: 8, Walltime: time.Hour})
 		if err != nil {

@@ -231,7 +231,7 @@ type UnitManager struct {
 	inDetails []stageDetail
 	inFirst   [4]stageDetail // inDetails' first array
 	units     []*Unit
-	names     skeleton.Index // each unit's position in units, by task ID
+	names     *skeleton.Index // each unit's position in units, by task ID: the caller's
 
 	// ready holds, in submission order, the units in UnitScheduling with no
 	// open dependency — what the scheduler is offered. It is maintained at
@@ -363,14 +363,15 @@ func (um *UnitManager) OnCompletion(h sim.Handler) { um.onDone = h }
 
 // Submit accepts tasks for execution: all of them, or none and an error.
 // names is the index the caller checked and indexed the tasks into
-// (skeleton.Index.Add) after the manager's units so far, and the manager keeps
-// it as its own: the execution manager checks a workload before it derives a
-// strategy for it, so no job indexes its tasks twice. Each unit points at its
-// element of tasks, which Submit never writes, so the caller must not modify
-// tasks while the units run. The units of one call are carved from one slab
+// (skeleton.Index.Add) after the manager's units so far. The manager reads
+// it, never copies it, for as long as its units run, so the caller keeps it
+// and only adds later batches to it: the execution manager checks a
+// workload before it derives a strategy for it, and its execution holds the
+// job's one index. Each unit points at its element of tasks, which Submit
+// never writes, so the caller must not modify tasks while the units run. The units of one call are carved from one slab
 // and their trace ids from one string, so while any of them is reachable all
 // are.
-func (um *UnitManager) Submit(tasks []skeleton.Task, names skeleton.Index) error {
+func (um *UnitManager) Submit(tasks []skeleton.Task, names *skeleton.Index) error {
 	if names.Len() != len(um.units)+len(tasks) {
 		return fmt.Errorf("pilot: Submit of %d tasks to a manager with %d units given an index of %d", len(tasks), len(um.units), names.Len())
 	}

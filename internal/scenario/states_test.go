@@ -176,7 +176,7 @@ func TestCanceledExecutingUnitFollowsStateModel(t *testing.T) {
 	if err := names.Add(tasks); err != nil {
 		t.Fatal(err)
 	}
-	if err := um.Submit(tasks, names); err != nil {
+	if err := um.Submit(tasks, &names); err != nil {
 		t.Fatal(err)
 	}
 

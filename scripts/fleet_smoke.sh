@@ -3,7 +3,7 @@
 # `aimes-worker serve` hosts behind one aimes-server, a kill -9 of a host
 # mid-run, and the recovery contract checked from the outside — queued jobs
 # replay to completion on a respawned worker placed on the surviving host,
-# already-enacted jobs fail, the restart shows up in /metrics, and the
+# already-enacted jobs fail with the one worker-death verdict, the restart shows up in /metrics, and the
 # severed shard keeps serving new submissions from its new home.
 set -eu
 cd "$(dirname "$0")/.."
@@ -143,7 +143,10 @@ echo "[fleet] killed worker host a (kill -9) with 4 enacted + 2 queued jobs on s
 
 # The enacted jobs fail — their pilots lived in the dead worker — and the
 # queued, never-enacted ones replay on the respawned shard 0, now
-# necessarily hosted on b, and complete.
+# necessarily hosted on b, and complete. A worker's death has one verdict,
+# whichever of the shard's calls or its probe saw the connection go first,
+# so every failed job's error reads the same.
+verdict="aimes: shard s0: backend: worker for shard 0 lost"
 failed=0
 done_=0
 for n in 1 2 3 4 5 6; do
@@ -151,13 +154,17 @@ for n in 1 2 3 4 5 6; do
     [ -n "$id" ] || fail "no job id in submit response for job$n: $(cat "$work/job$n.resp")"
     wait_final "$id" "job$n"
     case $(json_field state <"$work/final-job$n.json") in
-    failed) failed=$((failed + 1)) ;;
+    failed)
+        failed=$((failed + 1))
+        reason=$(json_field error <"$work/final-job$n.json")
+        [ "$reason" = "$verdict" ] || fail "job$n failed with \"$reason\", want \"$verdict\""
+        ;;
     done) done_=$((done_ + 1)) ;;
     esac
 done
 [ "$failed" -eq 4 ] && [ "$done_" -eq 2 ] ||
     fail "shard 0's six jobs ended $failed failed / $done_ done (want 4 enacted failed, 2 queued replayed to done)"
-echo "[fleet] 4 enacted jobs failed as contracted, 2 queued jobs replayed to completion"
+echo "[fleet] 4 enacted jobs failed with \"$verdict\", 2 queued jobs replayed to completion"
 
 # The bystander shard never noticed.
 wait_final "$bystander" bystander
