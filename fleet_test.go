@@ -10,7 +10,9 @@ import (
 	"errors"
 	"net"
 	"reflect"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -304,6 +306,84 @@ func fleetHost(t *testing.T, secret string) (string, net.Listener) {
 	go backend.ServeListener(ln, backend.ServeConfig{Secret: secret})
 	t.Cleanup(func() { ln.Close() })
 	return ln.Addr().String(), ln
+}
+
+// corruptingListener is a TCP worker host's listener whose connections flip
+// one bit of the first response frame they write once corrupt is set: the
+// low bit of its first payload byte, the response's ID.
+type corruptingListener struct {
+	net.Listener
+	corrupt *atomic.Bool
+}
+
+func (l corruptingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return corruptingConn{c, l.corrupt}, nil
+}
+
+type corruptingConn struct {
+	net.Conn
+	corrupt *atomic.Bool
+}
+
+func (c corruptingConn) Write(p []byte) (int, error) {
+	if len(p) > 4 && c.corrupt.CompareAndSwap(true, false) {
+		p = slices.Clone(p)
+		p[4] ^= 1
+	}
+	return c.Conn.Write(p)
+}
+
+// TestCorruptResponseLosesTheWorker serves a TCP worker shard in process,
+// enacts a job on it, and then has the host's connection corrupt one
+// response frame, after the handshake: it answers the next request under
+// another request's ID. The parent takes that for a protocol violation, the
+// session's death verdict, and the enacted job fails with it, an error of
+// the kind backend.ErrWorkerLost, like any other death of its worker.
+func TestCorruptResponseLosesTheWorker(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a TCP worker host")
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var corrupt atomic.Bool
+	go backend.ServeListener(corruptingListener{ln, &corrupt}, backend.ServeConfig{Secret: "corrupt-test-secret"})
+	defer ln.Close()
+	env, err := aimes.NewEnv(aimes.WithSeed(3), aimes.WithShards(1), aimes.WithWorkerPool(aimes.WorkerPool{
+		Endpoints: []aimes.WorkerEndpoint{{Addr: ln.Addr().String()}}, Secret: "corrupt-test-secret",
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer env.Close()
+	w, err := aimes.GenerateWorkload(aimes.BagOfTasks(16, aimes.UniformDuration()), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := env.Submit(context.Background(), w, aimes.JobConfig{
+		StrategyConfig: aimes.StrategyConfig{Binding: aimes.LateBinding, Scheduler: aimes.SchedBackfill, Pilots: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j.State() != aimes.JobRunning {
+		t.Fatalf("job is %v after Submit, want it enacted before the host corrupts a frame", j.State())
+	}
+	corrupt.Store(true)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	_, err = j.Wait(ctx)
+	if corrupt.Load() {
+		t.Fatal("the host wrote no response after the corruption was armed")
+	}
+	if !errors.Is(err, backend.ErrWorkerLost) || !strings.Contains(err.Error(), "protocol desync") {
+		t.Fatalf("job on a worker that answered under another ID ended with %v, want a protocol violation of kind ErrWorkerLost", err)
+	}
+	t.Logf("the job failed with: %v", err)
 }
 
 // TestFleetFailoverAcrossEndpoints runs a two-host TCP fleet, takes one

@@ -61,7 +61,9 @@ type Enacted struct {
 // is not reported there: the environment observes a drained engine through
 // Step, asks Incomplete for the diagnostic and cancels the job: the cancel's
 // records reach the job's trace, and the JobDone it sends fails the job with
-// that diagnostic.
+// that diagnostic. A Sink that is a core.LogSink gets no JobTrace: both
+// backends look a job's stream up through it and append the job's records
+// there.
 type Sink = core.Sink
 
 // Backend is one shard's execution substrate. All methods except Dead and

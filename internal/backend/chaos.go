@@ -8,6 +8,7 @@ import (
 
 	"aimes/internal/batch"
 	"aimes/internal/site"
+	"aimes/internal/trace"
 )
 
 // Chaos actions understood by Inject. The testbed actions mirror the
@@ -94,7 +95,7 @@ func (l *Local) chaosRecord(action, target, detail string) {
 	}
 	sort.Ints(keys)
 	for _, k := range keys {
-		l.execs[k].Trace().Record(l.eng.Now(), "chaos", strings.ToUpper(action), msg)
+		l.execs[k].Trace().Emit(l.eng.Now(), trace.Chaos, strings.ToUpper(action), msg)
 	}
 }
 

@@ -57,14 +57,16 @@ import (
 // (a shard emits the same few dozen of them millions of times), so
 // dispatching a record costs no hash lookup; a string new to the session
 // is copied into the codec's arena, 4 KB chunks that only ever append, not
-// allocated on its own. On the parent every use of the codec (a response's
-// fields, a chunk of its events) runs under the session's lock. Strings
-// unique to one payload (a workload's task and file names, a report's
-// pilot IDs) are carved from one arena per payload instead, and nothing a
-// decode returns aliases the frame.
+// allocated on its own, and listed in the session's trace.Names, so a
+// record's entity reaches the shard's log as its index there. On the parent
+// every use of the codec (a response's fields, a chunk of its events) runs
+// under the session's lock. Strings unique to one payload (a workload's task
+// and file names, a report's pilot IDs) are carved from one arena per
+// payload instead, and nothing a decode returns aliases the frame.
 type binaryCodec struct {
-	strings map[string]string
-	arena   strings.Builder // the intern table's strings, a chunk at a time
+	strings map[string]trace.Entity
+	names   *trace.Names    // the intern table's strings, in order
+	arena   strings.Builder // and their bytes, a chunk at a time
 
 	// The host's side: the table of the response being encoded (index
 	// maps a string to its entry, 1-based) and its events' bytes.
@@ -74,28 +76,25 @@ type binaryCodec struct {
 }
 
 func newBinaryCodec() *binaryCodec {
-	return &binaryCodec{strings: make(map[string]string, 64)}
+	return &binaryCodec{strings: make(map[string]trace.Entity, 64), names: new(trace.Names)}
 }
-
-// internMax caps the intern table; a pathological stream of unique strings
-// resets it rather than growing without bound.
-const internMax = 4096
 
 // arenaChunk is the size of one chunk of the intern table's arena.
 const arenaChunk = 4 << 10
 
-// intern returns a canonical string for b without allocating on a hit (the
-// map[string]string lookup keyed by string(b) does not materialize the key).
-// A miss copies b into the arena.
-func (c *binaryCodec) intern(b []byte) string {
+// intern returns a canonical string for b without allocating on a hit.
+func (c *binaryCodec) intern(b []byte) string { return c.name(b).String() }
+
+// name returns b's entry in the intern table (the zero Entity, "", for no
+// bytes) without allocating on a hit (the map lookup keyed by string(b)
+// does not materialize the key). A miss copies b into the arena; a full
+// table is replaced by an empty one rather than grown without bound.
+func (c *binaryCodec) name(b []byte) trace.Entity {
 	if len(b) == 0 {
-		return ""
+		return trace.Entity{}
 	}
-	if s, ok := c.strings[string(b)]; ok {
-		return s
-	}
-	if len(c.strings) >= internMax {
-		c.strings = make(map[string]string, 64)
+	if e, ok := c.strings[string(b)]; ok {
+		return e
 	}
 	if c.arena.Cap()-c.arena.Len() < len(b) {
 		c.arena = strings.Builder{}
@@ -104,8 +103,13 @@ func (c *binaryCodec) intern(b []byte) string {
 	start := c.arena.Len()
 	c.arena.Write(b)
 	s := c.arena.String()[start:]
-	c.strings[s] = s
-	return s
+	e, ok := c.names.Add(s)
+	if !ok {
+		c.strings, c.names = make(map[string]trace.Entity, 64), new(trace.Names)
+		e, _ = c.names.Add(s)
+	}
+	c.strings[s] = e
+	return e
 }
 
 // ref returns s's index in the table of the response being encoded,
@@ -499,7 +503,7 @@ func (c *binaryCodec) DecodeResponse(data []byte, resp *response) error {
 	// byte, so a forged count is refused before anything is reserved.
 	table := resp.tail.table[:0]
 	for k := r.count(1); k > 0 && r.err == nil; k-- {
-		table = append(table, c.intern(r.bytes()))
+		table = append(table, c.name(r.bytes()))
 	}
 	if r.err != nil {
 		return r.err
@@ -528,7 +532,8 @@ func (c *binaryCodec) readEvents(t *eventTail, dst []event) (int, error) {
 		ebits := r.byte()
 		if ebits&evHasRec != 0 {
 			t.at += r.varint()
-			ev.rec = trace.Record{Time: sim.Time(t.at), Entity: t.str(), State: t.str(), Detail: t.str()}
+			ev.entity = t.entry()
+			ev.rec = trace.Record{Time: sim.Time(t.at), Entity: ev.entity.String(), State: t.str(), Detail: t.str()}
 		} else if ev.kind == kindTrace {
 			r.fail("trace event without a record")
 		}
@@ -548,14 +553,17 @@ func (c *binaryCodec) readEvents(t *eventTail, dst []event) (int, error) {
 }
 
 // str reads a string's index into the frame's table.
-func (t *eventTail) str() string {
+func (t *eventTail) str() string { return t.entry().String() }
+
+// entry reads a string's index into the frame's table and returns the entry.
+func (t *eventTail) entry() trace.Entity {
 	i := t.rd.uvarint()
 	if i > uint64(len(t.table)) {
 		t.rd.fail("string %d past the frame's %d-entry table", i, len(t.table))
-		return ""
+		return trace.Entity{}
 	}
 	if i == 0 {
-		return ""
+		return trace.Entity{}
 	}
 	return t.table[i-1]
 }

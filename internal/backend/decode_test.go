@@ -677,7 +677,10 @@ func replayFrames(t *testing.T, read []byte, ns string) (calls [][]sinkCall, tab
 		if err := newBinaryCodec().DecodeResponse(frame, &resp); err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		table := slices.Clone(resp.tail.table)
+		var table []string
+		for _, e := range resp.tail.table {
+			table = append(table, e.String())
+		}
 		var sink callSink
 		if err := (&session{}).dispatch(&resp.tail, &sink); err != nil {
 			t.Fatalf("frame %d: %v", i, err)

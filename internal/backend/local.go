@@ -112,13 +112,21 @@ func (l *Local) Bundle() *bundle.Bundle { return l.bndl }
 func (l *Local) Engine() *sim.Sim { return l.eng }
 
 // jobSink is a Local as its executions' core.Sink: every record a job's
-// execution, pilots and units write goes straight to Sink.JobTrace under the
-// job's key and namespace, and its report to Sink.JobDone once the job is
+// execution, pilots and units write goes straight to the job's stream when
+// the Local's Sink is a core.LogSink, to Sink.JobTrace under the job's key
+// and namespace otherwise, and its report to Sink.JobDone once the job is
 // forgotten. Nothing is kept here — the report is accumulated, not replayed
 // (core.buildReport) — so the shard's log is a record's only copy.
 type jobSink Local
 
 func (j *jobSink) JobTrace(key int, ns string, rec trace.Record) { j.sink.JobTrace(key, ns, rec) }
+
+func (j *jobSink) JobStream(key int) (*trace.Log, *trace.Stream) {
+	if ls, ok := j.sink.(core.LogSink); ok {
+		return ls.JobStream(key)
+	}
+	return nil, nil
+}
 
 func (j *jobSink) JobDone(key int, r *core.Report) {
 	delete(j.execs, key)
@@ -142,7 +150,7 @@ func (l *Local) Enact(d *Descriptor) (Enacted, error) {
 		return Enacted{}, err
 	}
 	if d.MigratedFrom >= 0 {
-		exec.Trace().Record(l.eng.Now(), "em", trace.StateMigrated, fmt.Sprintf("from s%d", d.MigratedFrom))
+		exec.Trace().Emit(l.eng.Now(), trace.EM, trace.StateMigrated, fmt.Sprintf("from s%d", d.MigratedFrom))
 	}
 	if err := exec.Enact(); err != nil {
 		return Enacted{}, err

@@ -6,6 +6,9 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+
+	"aimes/internal/core"
+	"aimes/internal/trace"
 )
 
 // session is the client half of the protocol's session layer: one
@@ -63,7 +66,7 @@ const keepFrames = 2
 // frameBuf is a read buffer and its frame's string table.
 type frameBuf struct {
 	data  []byte
-	table []string
+	table []trace.Entity
 }
 
 // WireStats counts one worker session's traffic from the parent's side. The
@@ -199,9 +202,18 @@ func (s *session) roundTrip(frame []byte) ([]byte, error) {
 // call alone, so a sink callback's nested call (a completion that admits
 // and enacts the next queued job) reads and decodes into storage of its own
 // and cannot touch the rest of this batch. No event of a chunk that fails to
-// decode is dispatched; the failure kills the session.
+// decode is dispatched; the failure kills the session. A core.LogSink is
+// asked for a job's stream once per run of its records, which go there
+// with their entities as intern table entries.
 func (s *session) dispatch(t *eventTail, sink Sink) error {
 	var chunk [eventChunk]event
+	logs, _ := sink.(core.LogSink)
+	var (
+		key    int
+		bound  bool // key's log and stream are looked up
+		log    *trace.Log
+		stream *trace.Stream
+	)
 	for t.left > 0 {
 		s.mu.Lock()
 		n, err := t.bin.readEvents(t, chunk[:])
@@ -214,11 +226,20 @@ func (s *session) dispatch(t *eventTail, sink Sink) error {
 		s.mu.Unlock()
 		for i := range chunk[:n] {
 			ev := &chunk[i]
-			switch ev.kind {
-			case kindTrace:
-				sink.JobTrace(ev.key, ev.ns, ev.rec)
-			case kindDone:
+			switch {
+			case ev.kind == kindDone:
+				bound = false // the job may be gone, and a nested call may have enacted another
 				sink.JobDone(ev.key, ev.report)
+			case logs == nil:
+				sink.JobTrace(ev.key, ev.ns, ev.rec)
+			default:
+				if !bound || ev.key != key {
+					key, bound = ev.key, true
+					log, stream = logs.JobStream(key)
+				}
+				if stream != nil {
+					log.AppendEntity(stream, ev.ns, ev.rec.Time, ev.entity, ev.rec.State, ev.rec.Detail)
+				}
 			}
 		}
 	}

@@ -137,6 +137,7 @@ type event struct {
 	key    int
 	ns     string
 	rec    trace.Record
+	entity trace.Entity // rec's entity, as the session's intern table holds it
 	report *core.Report
 }
 
@@ -146,9 +147,9 @@ type event struct {
 type eventTail struct {
 	left  int    // events not yet handed out
 	frame []byte // the read buffer the call owns until left is 0
-	// table is the frame's strings, in storage the call owns with its
-	// frame.
-	table []string
+	// table is the frame's strings, as the session's intern table holds
+	// them, in storage the call owns with its frame.
+	table []trace.Entity
 	bin   *binaryCodec
 	rd    binReader // the frame from the next event on
 	at    int64     // the time of the previous record

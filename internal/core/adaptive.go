@@ -10,6 +10,7 @@ import (
 	"aimes/internal/pilot"
 	"aimes/internal/skeleton"
 	"aimes/internal/stats"
+	"aimes/internal/trace"
 )
 
 // AdaptiveConfig extends an execution with runtime strategy adaptation — the
@@ -91,9 +92,9 @@ func (e *Execution) pilotLost(p *pilot.Pilot) {
 	e.replaceBudget--
 	if e.addPilot() {
 		e.extraPilots++
-		e.trace.Record(e.m.eng.Now(), "em", "REPLANNED", "replaced lost "+p.ID())
+		e.trace.Emit(e.m.eng.Now(), trace.EM, "REPLANNED", "replaced lost "+p.ID())
 	} else {
-		e.trace.Record(e.m.eng.Now(), "em", "REPLAN_FAILED", "no resource left for "+p.ID())
+		e.trace.Emit(e.m.eng.Now(), trace.EM, "REPLAN_FAILED", "no resource left for "+p.ID())
 	}
 }
 
@@ -165,14 +166,14 @@ func (e *Execution) addPilot() bool {
 		Walltime: e.strategy.PilotWalltime,
 	})
 	if err != nil {
-		e.trace.Record(e.m.eng.Now(), "em", "ADAPT_FAILED", err.Error())
+		e.trace.Emit(e.m.eng.Now(), trace.EM, "ADAPT_FAILED", err.Error())
 		return false
 	}
 	e.um.AddPilot(p)
 	if e.watchForLoss {
 		e.watchPilot(p)
 	}
-	e.trace.Record(e.m.eng.Now(), "em", "ADAPTED", "extra pilot on "+target)
+	e.trace.Emit(e.m.eng.Now(), trace.EM, "ADAPTED", "extra pilot on "+target)
 	return true
 }
 

@@ -45,6 +45,16 @@ type Sink interface {
 	JobDone(key int, report *Report)
 }
 
+// A LogSink is a Sink that stores every record in a trace log, one stream
+// per job: an execution asks it for its job's stream once, and appends its
+// records there itself, each entity coded against the names the job holds.
+type LogSink interface {
+	Sink
+	// JobStream returns the log and the stream of job key, or a nil stream
+	// when the sink keeps no job of that key (whose records it would drop).
+	JobStream(key int) (*trace.Log, *trace.Stream)
+}
+
 // ExecOptions scopes one execution inside a shared environment.
 type ExecOptions struct {
 	// Sink receives this execution's trace and its report, and is required.
@@ -57,16 +67,23 @@ type ExecOptions struct {
 	Namespace string
 }
 
-// jobTrace is an execution's trace.Sink: each record goes to the
-// execution's Sink under its key and namespace.
+// jobTrace is an execution's trace.Sink: each record goes to the job's
+// stream when the execution's Sink is a LogSink that keeps the job, and to
+// the Sink under the job's key and namespace otherwise.
 type jobTrace struct {
-	sink Sink
-	key  int
-	ns   string
+	sink   Sink
+	key    int
+	ns     string
+	log    *trace.Log
+	stream *trace.Stream
 }
 
-func (j *jobTrace) Record(t sim.Time, entity, state, detail string) {
-	j.sink.JobTrace(j.key, j.ns, trace.Record{Time: t, Entity: entity, State: state, Detail: detail})
+func (j *jobTrace) Emit(t sim.Time, entity trace.Entity, state, detail string) {
+	if j.stream != nil {
+		j.log.AppendEntity(j.stream, j.ns, t, entity, state, detail)
+		return
+	}
+	j.sink.JobTrace(j.key, j.ns, trace.Record{Time: t, Entity: entity.String(), State: state, Detail: detail})
 }
 
 // Execution is one workload's enactment handle. It is created in a prepared
@@ -146,11 +163,11 @@ func (e *Execution) Cancel(reason string) {
 		return
 	}
 	e.canceled = true
-	e.trace.Record(e.m.eng.Now(), "em", "CANCELED", reason)
+	e.trace.Emit(e.m.eng.Now(), trace.EM, "CANCELED", reason)
 	if !e.enacted {
 		e.ended = e.m.eng.Now()
 		e.done = true
-		e.trace.Record(e.ended, "em", "DONE", "")
+		e.trace.Emit(e.ended, trace.EM, "DONE", "")
 		e.report = CanceledReport(e.workload)
 		e.report.Strategy = e.strategy
 		e.trace.sink.JobDone(e.trace.key, e.report)
@@ -202,6 +219,9 @@ func (m *Manager) Prepare(d *Descriptor, opts ExecOptions) (*Execution, error) {
 	}
 	e := &Execution{m: m, trace: jobTrace{sink: opts.Sink, key: opts.Key, ns: opts.Namespace},
 		adaptive: d.Adaptive, workload: w, config: d.Config, derive: d.Strategy == nil}
+	if ls, ok := opts.Sink.(LogSink); ok {
+		e.trace.log, e.trace.stream = ls.JobStream(opts.Key)
+	}
 	if err := e.names.Add(w.Tasks); err != nil {
 		return nil, err
 	}
@@ -241,7 +261,7 @@ func (e *Execution) Enact() error {
 	s := e.strategy
 	e.enacted = true
 	e.started = m.eng.Now()
-	e.trace.Record(m.eng.Now(), "em", "ENACTING", s.String())
+	e.trace.Emit(m.eng.Now(), trace.EM, "ENACTING", s.String())
 
 	e.sys.Init(m.eng, m.session, m.links, &e.trace, m.cfg, m.rng)
 	if e.trace.ns != "" {
@@ -291,7 +311,7 @@ func (e *Execution) finish() {
 	e.pm.CancelAll()
 	e.ended = e.m.eng.Now()
 	e.done = true
-	e.trace.Record(e.ended, "em", "DONE", "")
+	e.trace.Emit(e.ended, trace.EM, "DONE", "")
 	e.report = buildReport(e)
 	// The engine may still hold an event of the job's, its units' place
 	// among them, which keeps the execution until it fires: not the

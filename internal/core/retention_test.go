@@ -9,16 +9,20 @@ import (
 	"aimes/internal/trace"
 )
 
-// logSink is an execution's sink as a backend makes it: every record goes
-// to a log that outlives the job, and the sink keeps none; the report goes to
-// whoever ran the job. It also carries the job's sentinel.
+// logSink is an execution's sink as an environment's shard is: it names the
+// job's stream in a log that outlives the job, where the execution appends
+// every record itself, coded against the job's names, and the sink keeps
+// none; the report goes to whoever ran the job. It also carries the job's
+// sentinel.
 type logSink struct {
 	log      *trace.Log
 	stream   *trace.Stream // the log keeps it with every record: not part of the sink
 	sentinel *[16]byte
 }
 
-func (s *logSink) JobTrace(_ int, _ string, r trace.Record) { s.log.Append(s.stream, "", r) }
+func (s *logSink) JobStream(int) (*trace.Log, *trace.Stream) { return s.log, s.stream }
+
+func (s *logSink) JobTrace(int, string, trace.Record) { panic("a LogSink's records go to its stream") }
 
 func (s *logSink) JobDone(int, *Report) {}
 
@@ -57,7 +61,8 @@ func runWithSentinel(t *testing.T, e *env, log *trace.Log, n int, seed int64, co
 // other: one stale pointer into any — a transfer left in a link's queue, an
 // event in a vacated slot of the engine's, a pilot's batch job on a queue, a
 // report holding a pilot — pins them all. The log keeps every record all
-// along; a record holds strings, not units.
+// along; a record is codes against strings its stream keeps — the job's
+// unit ids, its pilots' names — never against units.
 func TestFinishedJobIsCollectable(t *testing.T) {
 	e := newEnv(t, 11)
 	log := trace.NewLog(1 << 20)

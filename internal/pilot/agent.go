@@ -206,7 +206,7 @@ func (a *agent) shutdown(cause string) {
 		a.used -= u.task.Cores
 	}
 	// running is in no meaningful order; sort for deterministic replay.
-	slices.SortFunc(victims, func(x, y *Unit) int { return strings.Compare(x.id, y.id) })
+	slices.SortFunc(victims, func(x, y *Unit) int { return strings.Compare(x.task.ID, y.task.ID) })
 	for _, u := range a.backlog[a.head:] {
 		if u.state == UnitAgentQueued {
 			victims = append(victims, u)
@@ -214,6 +214,6 @@ func (a *agent) shutdown(cause string) {
 	}
 	a.backlog, a.head = nil, 0
 	for _, u := range victims {
-		u.um.returnUnit(u, "pilot "+a.pilot.id+" "+cause)
+		u.um.returnUnit(u, "pilot "+a.pilot.ID()+" "+cause)
 	}
 }

@@ -174,7 +174,7 @@ func TestCancelExecutingUnit(t *testing.T) {
 		h.eng.Run()
 		var last trace.Record
 		for _, r := range h.rec.Records() {
-			if r.Entity == victim.id {
+			if r.Entity == victim.name().String() {
 				last = r
 			}
 		}
@@ -185,7 +185,7 @@ func TestCancelExecutingUnit(t *testing.T) {
 			t.Errorf("%d queued: %d of %d units counted final", queued, um.doneCount, len(um.units))
 		}
 		if queued > 0 {
-			started, _ := h.rec.First(um.unit(nameOf(2)).id, UnitExecuting.String())
+			started, _ := h.rec.First(um.unit(nameOf(2)).name().String(), UnitExecuting.String())
 			if started.Time > sim.Time(6*time.Minute) {
 				t.Errorf("the queued unit started at %v, want right after the cancel at 5m0s", started.Time)
 			}

@@ -297,9 +297,9 @@ func TestRoundRobinDistributesEvenly(t *testing.T) {
 // manager gave it.
 type stagingSink struct{ details map[string]string }
 
-func (s *stagingSink) Record(_ sim.Time, entity, state, detail string) {
+func (s *stagingSink) Emit(_ sim.Time, entity trace.Entity, state, detail string) {
 	if state == UnitStagingInput.String() {
-		s.details[entity] = detail
+		s.details[entity.String()] = detail
 	}
 }
 
@@ -332,9 +332,9 @@ func TestStagingDetailsPerPilot(t *testing.T) {
 		if u.State() != UnitDone {
 			t.Fatalf("unit %s state %v", u.task.ID, u.State())
 		}
-		d, ok := sink.details[u.id]
+		d, ok := sink.details[u.name().String()]
 		if want := fmt.Sprintf("%s, %d bytes", u.Pilot().ID(), u.task.Inputs[0].Bytes); !ok || d != want {
-			t.Fatalf("%s's staging detail %q, want %q", u.id, d, want)
+			t.Fatalf("%s's staging detail %q, want %q", u.name().String(), d, want)
 		}
 		if texts[d] == nil {
 			texts[d] = map[*byte]bool{}

@@ -252,6 +252,7 @@ func TestBackfillEarlyExitMatchesFullScan(t *testing.T) {
 	states := []PilotState{PilotNew, PilotPending, PilotActive, PilotActive, PilotActive, PilotDone, PilotFailed}
 	for round := 0; round < 2000; round++ {
 		um := new(UnitManager).Init(h.sys, Backfill{})
+		um.ids = "unit." // every unit's, its task has no ID
 		um.pilots = make([]*Pilot, rng.Intn(12))
 		um.inDetails = make([]stageDetail, len(um.pilots))
 		for i := range um.pilots {

@@ -85,7 +85,7 @@ func (s *System) appendPilotID(dst []byte, resource string, seq int) []byte {
 // so a pilot is one object, and the pilots one PilotManager.Launch submits
 // are one slab.
 type Pilot struct {
-	id    string
+	name  trace.Entity // "pilot.<resource>.<n>", cut from its launch's names
 	desc  PilotDescription
 	state PilotState
 	job   saga.Job // submitted once the pilot leaves PilotNew
@@ -112,7 +112,7 @@ type walltime Pilot
 func (w *walltime) Fire() { (*Pilot)(w).end(PilotDone, "walltime", "retired") }
 
 // ID returns the pilot identifier, e.g. "pilot.stampede.0".
-func (p *Pilot) ID() string { return p.id }
+func (p *Pilot) ID() string { return p.name.String() }
 
 // Description returns the pilot description.
 func (p *Pilot) Description() PilotDescription { return p.desc }
@@ -146,7 +146,7 @@ func (p *Pilot) OnState(fn func(*Pilot)) {
 
 func (p *Pilot) transition(state PilotState, detail string) {
 	p.state = state
-	p.sys.rec.Record(p.sys.eng.Now(), p.id, state.String(), detail)
+	p.sys.rec.Emit(p.sys.eng.Now(), p.name, state.String(), detail)
 	if state.Final() {
 		p.endedAt = p.sys.eng.Now()
 		p.sys.eng.Cancel(&p.walltimeEv)
@@ -241,18 +241,18 @@ func (pm *PilotManager) Launch(resources []string, cores int, walltime time.Dura
 			_, err := pm.sys.session.Service(r)
 			return err
 		}
-		id, jobID := names[ends[2*i]:ends[2*i+1]], names[ends[2*i+1]:ends[2*i+2]]
-		if err := pm.launch(&slab[i], desc, svcs[i], id, detail, jobID); err != nil {
+		name := trace.Carved(names, ends[2*i], ends[2*i+1]-ends[2*i])
+		if err := pm.launch(&slab[i], desc, svcs[i], name, detail, names[ends[2*i+1]:ends[2*i+2]]); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// launch submits p, a zero Pilot, with its ID, NEW detail and SAGA job ID.
-func (pm *PilotManager) launch(p *Pilot, desc PilotDescription, svc saga.Service, id, detail, jobID string) error {
+// launch submits p, a zero Pilot, with its name, NEW detail and SAGA job ID.
+func (pm *PilotManager) launch(p *Pilot, desc PilotDescription, svc saga.Service, name trace.Entity, detail, jobID string) error {
 	pm.sys.seq++
-	p.id, p.desc, p.sys, p.submittedAt = id, desc, pm.sys, pm.sys.eng.Now()
+	p.name, p.desc, p.sys, p.submittedAt = name, desc, pm.sys, pm.sys.eng.Now()
 	p.walltimeEv.Init((*walltime)(p))
 	p.transition(PilotNew, detail)
 

@@ -12,13 +12,13 @@ import (
 	"aimes/internal/netsim"
 	"aimes/internal/sim"
 	"aimes/internal/skeleton"
+	"aimes/internal/trace"
 )
 
 // Unit is one compute unit under management. A job's units are one slab, so
 // every byte here is paid per task.
 type Unit struct {
 	task  *skeleton.Task // the element of the slice Submit was given
-	id    string         // trace entity: "unit.<task ID>"
 	um    *UnitManager
 	pilot *Pilot
 
@@ -36,6 +36,10 @@ type Unit struct {
 	xfer netsim.Transfer
 	// execSlot is the unit's index in agent.running while it runs.
 	execSlot int32
+
+	// idOff is where the unit's trace entity, "unit.<task ID>", starts in
+	// its manager's ids.
+	idOff uint32
 
 	// Ready-set bookkeeping (see UnitManager.ready): the unit's submission
 	// index, how many of its dependencies are not DONE yet, and the head of
@@ -57,6 +61,11 @@ func (u *Unit) Pilot() *Pilot { return u.pilot }
 // Attempts reports how many failed execution attempts occurred.
 func (u *Unit) Attempts() int { return int(u.attempts) }
 
+// name is the unit's trace entity, cut from its manager's ids.
+func (u *Unit) name() trace.Entity {
+	return trace.Carved(u.um.ids, int(u.idOff), len("unit.")+len(u.task.ID))
+}
+
 // transition is the only writer of unit.* records, and so also where the
 // manager's Tx and Ts accumulators (UnitManager.Covered) are kept.
 func (u *Unit) transition(state UnitState, detail string) {
@@ -68,7 +77,7 @@ func (u *Unit) transition(state UnitState, detail string) {
 		c.enter(now)
 	}
 	u.state = state
-	um.sys.rec.Record(now, u.id, state.String(), detail)
+	um.sys.rec.Emit(now, u.name(), state.String(), detail)
 }
 
 // abandonStaging cancels the unit's staging transfer if one is in flight.
@@ -232,6 +241,9 @@ type UnitManager struct {
 	inFirst   [4]stageDetail // inDetails' first array
 	units     []*Unit
 	names     *skeleton.Index // each unit's position in units, by task ID: the caller's
+	// ids is every unit's trace entity, in submission order: the one string
+	// a job's unit records are coded against.
+	ids string
 
 	// ready holds, in submission order, the units in UnitScheduling with no
 	// open dependency — what the scheduler is offered. It is maintained at
@@ -343,7 +355,7 @@ func (p *placement) Fire() {
 // changes. A pilot serves one unit manager.
 func (um *UnitManager) AddPilot(p *Pilot) {
 	if p.um != nil {
-		panic("pilot: " + p.id + " added to a second unit manager")
+		panic("pilot: " + p.ID() + " added to a second unit manager")
 	}
 	um.pilots = append(um.pilots, p)
 	um.inDetails = append(um.inDetails, stageDetail{})
@@ -368,9 +380,10 @@ func (um *UnitManager) OnCompletion(h sim.Handler) { um.onDone = h }
 // and only adds later batches to it: the execution manager checks a
 // workload before it derives a strategy for it, and its execution holds the
 // job's one index. Each unit points at its element of tasks, which Submit
-// never writes, so the caller must not modify tasks while the units run. The units of one call are carved from one slab
-// and their trace ids from one string, so while any of them is reachable all
-// are.
+// never writes, so the caller must not modify tasks while the units run. The
+// units of one call are carved from one slab, and every unit's trace id so
+// far from one string (a later call copies the earlier ids into its own), so
+// while any unit of a call is reachable all are.
 func (um *UnitManager) Submit(tasks []skeleton.Task, names *skeleton.Index) error {
 	if names.Len() != len(um.units)+len(tasks) {
 		return fmt.Errorf("pilot: Submit of %d tasks to a manager with %d units given an index of %d", len(tasks), len(um.units), names.Len())
@@ -387,17 +400,18 @@ func (um *UnitManager) Submit(tasks []skeleton.Task, names *skeleton.Index) erro
 	um.units = append(lists[:0:n], um.units...)
 	um.ready = append(lists[n:n], um.ready...)
 	var ids strings.Builder
-	ids.Grow(idBytes)
+	ids.Grow(len(um.ids) + idBytes)
+	ids.WriteString(um.ids)
 	for i := range tasks {
 		ids.WriteString("unit.")
 		ids.WriteString(tasks[i].ID)
 	}
-	id := ids.String()
+	off := len(um.ids)
+	um.ids = ids.String()
 	for i := range tasks {
 		t, u := &tasks[i], &slab[i]
-		u.task, u.um, u.index = t, um, int32(len(um.units))
-		n := len("unit.") + len(t.ID)
-		u.id, id = id[:n], id[n:]
+		u.task, u.um, u.index, u.idOff = t, um, int32(len(um.units)), uint32(off)
+		off += len("unit.") + len(t.ID)
 		// A unit waits for its explicit dependencies, then for the producers
 		// of its inputs, each once.
 		for _, dep := range t.Deps {
@@ -530,7 +544,7 @@ func (um *UnitManager) bind(u *Unit, p *Pilot) {
 	d := &um.inDetails[slices.Index(um.pilots, p)]
 	if d.text == "" || d.bytes != bytes {
 		var buf [96]byte
-		text := append(append(buf[:0], p.id...), ", "...)
+		text := append(append(buf[:0], p.ID()...), ", "...)
 		text = append(strconv.AppendInt(text, bytes, 10), " bytes"...)
 		d.bytes, d.text = bytes, string(text)
 	}
@@ -604,7 +618,7 @@ func (um *UnitManager) reclaimBound(p *Pilot) {
 		switch u.state {
 		case UnitStagingInput, UnitAgentQueued:
 			u.abandonStaging()
-			um.returnUnit(u, "pilot "+p.id+" "+cause)
+			um.returnUnit(u, "pilot "+p.ID()+" "+cause)
 		}
 	}
 }

@@ -14,7 +14,8 @@ import (
 // The cursor's reference model: every append in order, and from it — by brute
 // force over positions — what a reader at a given point must be handed. The
 // log's own bookkeeping (thread links, per-stream eviction counts, the ring,
-// the streams' vocabularies, the segments' side tables) is nowhere in it.
+// the stream table, the streams' vocabularies and names, the segments' side
+// tables) is nowhere in it.
 type cursorOracle struct {
 	maxSegs  int
 	appended [][2]int64    // by position: the stream and the sequence number of each append
@@ -24,17 +25,20 @@ type cursorOracle struct {
 
 // oraclePools sizes the pools one stream's records draw from: the first
 // states of oracleStates and the first details of oracleDetails, or with
-// details < 0 a detail of the record's own.
-type oraclePools struct{ states, details int }
+// details < 0 a detail of the record's own, and the first entities of
+// oracleEntities.
+type oraclePools struct{ states, details, entities int }
 
-// drawPools picks a stream's pools: some fit its inline vocabularies, some
-// fill one exactly, some overflow one or both by one or by many, some repeat
-// a few details, some carry none or a detail per record.
+// drawPools picks a stream's pools: some fit its inline vocabularies and
+// names, some fill one exactly, some overflow one or more by one or by many,
+// some repeat a few details, some carry none or a detail per record.
 func drawPools(rng *rand.Rand) oraclePools {
 	var s Stream
 	states := []int{1, 5, len(s.states), len(s.states) + 1, len(oracleStates)}
 	details := []int{0, 3, len(s.details), len(s.details) + 1, len(oracleDetails), -1}
-	return oraclePools{states: states[rng.Intn(len(states))], details: details[rng.Intn(len(details))]}
+	entities := []int{1, 4, fullArenas, fullArenas + 1, len(oracleEntities)}
+	return oraclePools{states: states[rng.Intn(len(states))], details: details[rng.Intn(len(details))],
+		entities: entities[rng.Intn(len(entities))]}
 }
 
 func streamNS(k int) string { return fmt.Sprintf("s0-j%d", k) }
@@ -46,6 +50,38 @@ var (
 	oracleStates  = oraclePool("STATE_%02d", 19)
 	oracleDetails = oraclePool("detail %d", 25)
 )
+
+// oracleEntities is the pool the streams draw entities from, in the order a
+// stream meets them: static names, names carved from six arenas, entries of
+// two Names tables and strings of their own, one too long to code. The
+// first fullArenas of them fill a stream's arenas exactly (two arenas, the
+// string "unit.x" and a name of the second table, which a stream that holds
+// the first codes as a string of its own); every later arena overflows.
+var oracleEntities, fullArenas = func() ([]Entity, int) {
+	var arenas [6]string
+	for i := range arenas {
+		for j := range 5 {
+			arenas[i] += fmt.Sprintf("unit.a%d.%d", i, j)
+		}
+	}
+	carved := func(i, j int) Entity {
+		n := len(arenas[i]) / 5
+		return Carved(arenas[i], j*n, n)
+	}
+	var tables [2]Names
+	for i := range tables {
+		for j := range 3 {
+			tables[i].Add(fmt.Sprintf("pilot.t%d.%d", i, j))
+		}
+	}
+	table := func(i, j int) Entity { return Entity{names: &tables[i], off: uint32(j)} }
+	pool := []Entity{
+		EM, carved(0, 0), table(0, 0), carved(1, 3), Chaos, table(0, 2), carved(0, 4), Named("unit.x"),
+		carved(1, 1), table(1, 1), carved(0, 2),
+		carved(2, 0), Named(strings.Repeat("long", 64)), carved(3, 2), carved(4, 1), Named("em.free"), carved(5, 4), table(1, 0),
+	}
+	return pool, 11
+}()
 
 func oraclePool(format string, n int) []string {
 	pool := make([]string, n)
@@ -61,10 +97,11 @@ func oraclePool(format string, n int) []string {
 // one code stands for different states in different streams; one record in
 // three has no detail, the others one from the stream's detail pool — the
 // j-th of them the pool's 7j-th, so the detail vocabulary fills in an order
-// of its own and meets the whole pool — or one of their own.
+// of its own and meets the whole pool — or one of their own. Its entity is
+// the stream's entity (entity).
 func (o *cursorOracle) record(k int, seq int64) Record {
 	p := o.pools[k]
-	rec := Record{Time: sim.Time(o.streams[k][seq-1]), Entity: "unit.x",
+	rec := Record{Time: sim.Time(o.streams[k][seq-1]), Entity: o.entity(k, seq).String(),
 		State: oracleStates[seq*int64(k+1)%int64(p.states)]}
 	switch {
 	case seq%3 == 0 || p.details == 0:
@@ -74,6 +111,17 @@ func (o *cursorOracle) record(k int, seq int64) Record {
 		rec.Detail = oracleDetails[(seq-seq/3)*7%int64(p.details)]
 	}
 	return rec
+}
+
+// entity is stream k's seq-th record's entity: the pool in order for as
+// long as the stream has met fewer than all of its pool, then a step of k+2
+// through it each time.
+func (o *cursorOracle) entity(k int, seq int64) Entity {
+	n := int64(o.pools[k].entities)
+	if seq <= n {
+		return oracleEntities[seq-1]
+	}
+	return oracleEntities[seq*int64(k+2)%n]
 }
 
 // qualified is the record at log position p as a tail cursor or Snapshot
@@ -89,13 +137,36 @@ func (o *cursorOracle) append(l *Log, streams []*Stream, k int) {
 	o.streams[k] = append(o.streams[k], int64(len(o.appended)))
 	seq := int64(len(o.streams[k]))
 	o.appended = append(o.appended, [2]int64{int64(k), seq})
-	rec := o.record(k, seq)
+	rec, e := o.record(k, seq), o.entity(k, seq)
 	if seq%5 == 0 {
 		// The same text in a string of its own, as a respawned worker's
-		// session interns it afresh.
+		// session interns it afresh; an arena copied likewise.
 		rec.State, rec.Detail = strings.Clone(rec.State), strings.Clone(rec.Detail)
+		if e.names == nil {
+			e.arena = strings.Clone(e.arena)
+		}
 	}
-	l.Append(streams[k], streamNS(k), rec)
+	l.AppendEntity(streams[k], streamNS(k), rec.Time, e, rec.State, rec.Detail)
+}
+
+// codable reports whether a stream whose names end up as s's codes e,
+// whatever the order they filled in: e is static, of the stream's table, or
+// a name short enough in an arena the stream holds or has room for. A
+// stream's names only grow, so one that has no room for e at the end had
+// none when e was appended.
+func codable(s *Stream, e Entity) bool {
+	switch {
+	case e.names == &static:
+		return true
+	case e.names == s.names && e.names != nil:
+		return true
+	case e.names != nil:
+		e = Named(e.String())
+	}
+	if e.n >= 1<<lenBits {
+		return false
+	}
+	return int(s.narenas) < len(s.arenas) || slices.Contains(s.arenas[:], e.arena)
 }
 
 // base is the oldest retained position: whole segments leave, oldest first,
@@ -124,9 +195,9 @@ func (o *cursorOracle) checkSnapshot(t *testing.T, l *Log) {
 // states and non-empty details its records used, in order of first use, each
 // once — a copy of a known text gets the known code — as many as fit; and
 // each retained out-of-line record to be one whose state or detail misses a
-// full vocabulary, stored as the next pair of its segment's side table,
-// which holds nothing else. It counts the retained records by the path that
-// coded them.
+// full vocabulary or whose entity its stream cannot code, stored as the next
+// record of its segment's side table, which holds nothing else. It counts
+// the retained records by the path that coded them.
 func (o *cursorOracle) checkVocabulary(t *testing.T, l *Log, streams []*Stream) (paths codingPaths) {
 	t.Helper()
 	firstUsed := func(vocab []string, text string) []string {
@@ -163,33 +234,38 @@ func (o *cursorOracle) checkVocabulary(t *testing.T, l *Log, streams []*Stream) 
 				paths[min(1, e.code>>detailShift)]++
 				continue
 			}
-			s, p := e.s, g.side[e.code&^outOfLine]
+			s, p := l.streams[e.stream], g.side[e.code&^outOfLine]
+			k := int(o.appended[pos+i][0])
 			stateMiss := int(s.nstates) == len(s.states) && !slices.Contains(s.states[:], p.state)
 			detailMiss := p.detail != "" && int(s.ndetails) == len(s.details) && !slices.Contains(s.details[:], p.detail)
+			entityMiss := !codable(s, o.entity(k, o.appended[pos+i][1]))
 			if stateMiss {
 				paths[2]++
 			}
 			if detailMiss {
 				paths[3]++
 			}
-			if !stateMiss && !detailMiss {
-				t.Fatalf("position %d: (%q, %q) is out of line, but its stream's vocabularies hold it or have room", pos+i, p.state, p.detail)
+			if entityMiss {
+				paths[4]++
+			}
+			if !stateMiss && !detailMiss && !entityMiss {
+				t.Fatalf("position %d: (%q, %q, %q) is out of line, but its stream's vocabularies and names hold it or have room", pos+i, p.entity, p.state, p.detail)
 			}
 			if e.code&^outOfLine != next {
-				t.Fatalf("position %d: out-of-line pair %d of its segment, want %d", pos+i, e.code&^outOfLine, next)
+				t.Fatalf("position %d: out-of-line record %d of its segment, want %d", pos+i, e.code&^outOfLine, next)
 			}
 			next++
 		}
 		if int(next) != len(g.side) {
-			t.Fatalf("segment at %d: side table of %d pairs for %d out-of-line records", pos, len(g.side), next)
+			t.Fatalf("segment at %d: side table of %d records for %d out-of-line records", pos, len(g.side), next)
 		}
 	}
 	return paths
 }
 
 // codingPaths counts records coded inline without a detail, inline with one,
-// out of line for their state, and out of line for their detail.
-type codingPaths [4]int
+// out of line for their state, for their detail, and for their entity.
+type codingPaths [5]int
 
 func (p *codingPaths) add(q codingPaths) {
 	for i := range p {
@@ -386,30 +462,34 @@ var fuzzTexts = []string{"", "NEW", "DONE", "EXECUTING", "STAGING_INPUT", "pilot
 // FuzzLogRecords appends records a script describes to three streams of a
 // log that retains two segments. Each step of the script is one byte — the
 // stream, and how many times in a row (1 to 128, so a short script evicts)
-// the record is appended — then its state and its detail, each one byte: a
-// text from a small pool ("" among them), one of 64 short ones, the next
-// bytes of the script, or a long one; a script stops once four retentions
-// are appended. Snapshot must return the retained records byte for byte;
-// per stream, a cursor reading after every step must return all of them,
-// and one attached at the end the retained ones, the rest counted dropped.
+// the record is appended — then its entity, its state and its detail, each
+// one byte. An entity is one of oracleEntities (static names, names carved
+// from arenas, entries of two tables, strings of their own), a name carved
+// from the next bytes of the script, one of 64 short strings of their own or
+// the next bytes as one; a state or a detail is a text from a small pool (""
+// among them), one of 64 short ones, the next bytes of the script, or a long
+// one. A script stops once four retentions are appended. Snapshot must
+// return the retained records byte for byte; per stream, a cursor reading
+// after every step must return all of them, and one attached at the end the
+// retained ones, the rest counted dropped.
 func FuzzLogRecords(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{0, 0, 0, 1, 4, 8, 2, 3, 3})
-	f.Add([]byte{0x20, 0x06, 0x04, 'a', 'b', 0x41, 0x06, 0x00, 0x02, 0x0c, 0x01})
+	f.Add([]byte{0, 0, 0, 0, 1, 4, 4, 8, 2, 8, 3, 3})
+	f.Add([]byte{0x20, 0x02, 'u', 0x06, 0x04, 'a', 'b', 0x41, 0x01, 0x06, 0x00, 0x02, 0x0c, 0x01})
 	var steps []byte
 	for i := range 60 {
-		steps = append(steps, byte(0xe0+i%3), byte(1+4*i%256), byte(4*(i%7)))
+		steps = append(steps, byte(0xe0+i%3), byte(4*(i%len(oracleEntities))), byte(1+4*i%256), byte(4*(i%7)))
 	}
-	f.Add(steps) // 60 × 128 records: many distinct states, a few details, several evictions
+	f.Add(steps) // 60 × 128 records: the entity pool, many distinct states, a few details, several evictions
 	steps = nil
 	for i := range 80 {
 		detail := byte(1 + 4*i%256) // a short one of its own, or every third step a long one
 		if i%3 == 0 {
 			detail = byte(3 + 4*(i%5))
 		}
-		steps = append(steps, byte(0xa0+i%3), 0x04, detail)
+		steps = append(steps, byte(0xa0+i%3), byte(1+4*i%256), 0x04, detail)
 	}
-	f.Add(steps) // 80 × 32 records: one state, a detail per step
+	f.Add(steps) // 80 × 32 records: an entity, one state, a detail per step
 	f.Fuzz(func(t *testing.T, script []byte) {
 		const retain = 2 * logSegment
 		next := func() byte {
@@ -436,6 +516,27 @@ func FuzzLogRecords(f *testing.F) {
 				return strings.Repeat("long", 64+int(c/4))
 			}
 		}
+		var arena strings.Builder // the names the script carves, one arena per script
+		entity := func() Entity {
+			c := next()
+			switch c % 4 {
+			case 0:
+				return oracleEntities[int(c/4)%len(oracleEntities)]
+			case 1:
+				return Named(fmt.Sprintf("u%d", c/4))
+			case 2:
+				n := min(int(c/4), len(script))
+				off := arena.Len()
+				arena.Write(script[:n])
+				script = script[n:]
+				return Carved(arena.String(), off, n)
+			default:
+				n := min(int(c/4), len(script))
+				s := string(script[:n])
+				script = script[n:]
+				return Named(s)
+			}
+		}
 		l := NewLog(retain)
 		var (
 			streams  [3]Stream
@@ -451,10 +552,11 @@ func FuzzLogRecords(f *testing.F) {
 		for len(script) > 0 && len(all) < 4*retain { // enough to evict; the rest of a long script is ignored
 			step := next()
 			k, reps := int(step%3), 1<<(step>>5)
+			e := entity()
 			state, detail := text(), text()
 			for range reps {
-				rec := Record{Time: sim.Time(len(all)), Entity: "unit.x", State: state, Detail: detail}
-				l.Append(&streams[k], streamNS(k), rec)
+				rec := Record{Time: sim.Time(len(all)), Entity: e.String(), State: state, Detail: detail}
+				l.AppendEntity(&streams[k], streamNS(k), rec.Time, e, state, detail)
 				appended[k] = append(appended[k], rec)
 				rec.Entity = QualifyEntity(rec.Entity, streamNS(k))
 				all = append(all, rec)

@@ -19,28 +19,40 @@ const logSegment = 1024
 // window — fits in an entry's 32 bits.
 const maxLogSegs = math.MaxInt32 / logSegment
 
-// entry is one stored record's time and entity, the stream (job) that
-// produced it, the distance from it to that stream's next record (0 while it
+// entry is one stored record: its time, its stream's index in the log's
+// stream table, the distance from it to that stream's next record (0 while it
 // is the newest) — the thread a stream cursor follows, so it never looks at
-// another job's records — and one code word for its state and detail.
+// another job's records — one code word for its state and detail, and one
+// for its entity. It holds no pointer, so the collector never scans a
+// segment and an append pays no write barrier.
 //
-// The word is inline when both are in the stream's vocabularies: the state's
-// code in the low byte, the detail's code above it (0: no detail). A record
-// whose state or detail misses a full vocabulary is out of line: outOfLine
-// set, and below it the index of its (state, detail) pair in its segment's
-// side table. Log.record rebuilds the Record.
+// The state/detail word is inline when both are in the stream's
+// vocabularies: the state's code in the low byte, the detail's code above it
+// (0: no detail). The entity code's top bits say where the name is — one of
+// the stream's arenas (then the name's offset in it above its length), the
+// stream's Names table or the static names (then its index). A record whose
+// state or detail misses a full vocabulary, or whose entity the stream's
+// names cannot code, is out of line: outOfLine set in the state/detail word,
+// and below it the index of its strings in its segment's side table.
+// Log.record rebuilds the Record.
 type entry struct {
 	time   sim.Time
-	entity string
-	s      *Stream
+	stream uint32
 	next   int32
 	code   uint32
+	entity uint32
 }
 
 const (
 	detailShift = 8
 	stateMask   = 1<<detailShift - 1
 	outOfLine   = 1 << 31
+
+	slotShift  = 29 // an entity code's top three bits: where its name is
+	payload    = 1<<slotShift - 1
+	lenBits    = 8 // a carved name: its offset in the arena above its length
+	namesSlot  = 6
+	staticSlot = 7
 )
 
 // segment is logSegment entries and the side table of their out-of-line
@@ -48,10 +60,10 @@ const (
 // evicted.
 type segment struct {
 	entries *[logSegment]entry
-	side    []sidePair
+	side    []sideRecord
 }
 
-type sidePair struct{ state, detail string }
+type sideRecord struct{ entity, state, detail string }
 
 // Log is an append-only, retention-bounded store of raw (unqualified) trace
 // records — the one copy of every record of one shard. It keeps the most
@@ -67,16 +79,26 @@ type Log struct {
 	base    int64     // position of the oldest retained record = records evicted
 	end     int64     // position the next record gets
 	readers []*Cursor // Tail cursors, woken by every append
+
+	// streams is the stream table an entry's index points into; index 0 is
+	// never used. A stream holds its index from its first record until it
+	// has ended and its last record is evicted; free lists the indices
+	// released since, for the next streams to bind.
+	streams []*Stream
+	free    []uint32
 }
 
 // NewLog returns an empty log retaining the most recent retain records,
-// rounded up to whole segments and capped at about 2^31 records.
+// rounded up to whole segments and capped at about 2^31 records. Its stream
+// table starts with room for sixteen streams per segment, up to 4 096; it
+// grows only when more streams than that hold records at once.
 func NewLog(retain int) *Log {
 	segs := retain / logSegment
 	if retain%logSegment > 0 {
 		segs++
 	}
-	return &Log{maxSegs: min(max(1, segs), maxLogSegs)}
+	segs = min(max(1, segs), maxLogSegs)
+	return &Log{maxSegs: segs, streams: make([]*Stream, 1, 1+min(16*segs, 4096))}
 }
 
 // Stream is one job's thread through a Log: its records carry dense 1-based
@@ -107,10 +129,25 @@ type Stream struct {
 	// staging sizes), so only a producer that sends more — a worker may send
 	// any string, a job with sampled file sizes one size per unit — stores
 	// records out of line.
-	states            [13]string
-	details           [11]string
-	nstates, ndetails uint8
+	states  [13]string
+	details [11]string
 
+	// The stream's names, append-only, guarded by log.mu: the arenas its
+	// carved entities are cut from and the one Names table its interned
+	// entities come from. A local job uses two arenas (its units' ids, its
+	// pilots' names) and one more per pilot an adaptation adds; a worker
+	// job one table.
+	arenas [4]string
+	names  *Names
+
+	// cursors counts the attached cursors: an append to a bound stream
+	// takes mu only while there are some, to wake them.
+	cursors atomic.Int32
+	id      uint32 // the index in log.streams; 0 while unbound. Guarded by log.mu.
+
+	nstates, ndetails, narenas uint8
+
+	over  bool // ended, as the log knows it; guarded by log.mu
 	ended bool // guarded by mu, with the attachment state
 }
 
@@ -126,6 +163,43 @@ func (s *Stream) code(state, detail string) (code uint32, ok bool) {
 	}
 	d, dok := intern(s.details[:], &s.ndetails, detail)
 	return st | (d+1)<<detailShift, ok && dok
+}
+
+// entityCode returns the code of entity e in the stream's names, adding its
+// arena or table if it is new and there is room; ok is false when the
+// stream cannot code it. An entity of a table the stream does not hold is
+// coded as a string of its own. A producer passes the same arena string for
+// every name it cuts from it, so a known arena compares equal by pointer.
+func (s *Stream) entityCode(e Entity) (code uint32, ok bool) {
+	switch {
+	case e.names == &static:
+		return staticSlot<<slotShift | e.off, true
+	case e.names == nil:
+	case s.names == nil || s.names == e.names:
+		s.names = e.names
+		return namesSlot<<slotShift | e.off, true
+	default:
+		e = Named(e.String())
+	}
+	if e.n >= 1<<lenBits || e.off >= 1<<(slotShift-lenBits) {
+		return 0, false
+	}
+	a, ok := intern(s.arenas[:], &s.narenas, e.arena)
+	return a<<slotShift | e.off<<lenBits | e.n, ok
+}
+
+// entity returns the name an entity code of the stream stands for.
+func (s *Stream) entity(code uint32) string {
+	v := code & payload
+	switch slot := code >> slotShift; slot {
+	case staticSlot:
+		return static.at(v)
+	case namesSlot:
+		return s.names.at(v)
+	default:
+		off := v >> lenBits
+		return s.arenas[slot][off : off+v&(1<<lenBits-1)]
+	}
 }
 
 // intern returns v's index among the first *n strings of vocab, appending it
@@ -145,12 +219,53 @@ func intern(vocab []string, n *uint8, v string) (uint32, bool) {
 }
 
 // End marks the stream complete and wakes its cursors, which report done once
-// they have delivered the last record.
+// they have delivered the last record. Its log releases its index once the
+// last of its records is evicted.
 func (s *Stream) End() {
 	s.mu.Lock()
 	s.ended = true
+	l := s.log
 	s.wakeCursors()
 	s.mu.Unlock()
+	if l != nil {
+		l.ended(s)
+	}
+}
+
+// ended records that s has ended, and releases its index if none of its
+// records is retained.
+func (l *Log) ended(s *Stream) {
+	l.mu.Lock()
+	s.over = true
+	if s.id != 0 && s.evicted == s.n {
+		l.release(s)
+	}
+	l.mu.Unlock()
+}
+
+// bind gives s an index in the stream table. The caller holds l.mu.
+func (l *Log) bind(s *Stream) {
+	if n := len(l.free); n > 0 {
+		s.id, l.free = l.free[n-1], l.free[:n-1]
+		l.streams[s.id] = s
+		return
+	}
+	s.id = uint32(len(l.streams))
+	l.streams = append(l.streams, s)
+}
+
+// release frees the index of s, an ended stream none of whose records is
+// retained, and its names and vocabularies, which no record reads any more:
+// a finished job's handle keeps its stream, not the strings its records
+// were coded against. The caller holds l.mu.
+func (l *Log) release(s *Stream) {
+	l.streams[s.id] = nil
+	l.free = append(l.free, s.id)
+	s.id = 0
+	clear(s.states[:])
+	clear(s.details[:])
+	clear(s.arenas[:])
+	s.names, s.nstates, s.ndetails, s.narenas = nil, 0, 0, 0
 }
 
 // wakeCursors wakes the stream's cursors; s.mu held.
@@ -180,12 +295,20 @@ func (l *Log) at(pos int64) *entry {
 	return &l.segs[pos/logSegment%int64(l.maxSegs)].entries[pos%logSegment]
 }
 
-// Append stores one record of stream s, whose job has namespace ns, and wakes
-// the cursors of s and the log's Tail cursors; it never waits for one. It
-// allocates only when it opens a new segment below the retention or stores a
-// segment's first out-of-line record; at the retention the oldest segment is
-// evicted and its memory becomes the new tail.
+// Append stores one record of stream s, whose job has namespace ns, its
+// entity a string of its own (Named); AppendEntity is the general form.
 func (l *Log) Append(s *Stream, ns string, rec Record) {
+	l.AppendEntity(s, ns, rec.Time, Named(rec.Entity), rec.State, rec.Detail)
+}
+
+// AppendEntity stores one record of stream s, whose job has namespace ns,
+// and wakes the cursors of s and the log's Tail cursors; it never waits for
+// one. It takes the stream's lock only to bind the stream or while a cursor
+// is attached to it. It allocates only when it opens a new segment below the
+// retention, stores a segment's first out-of-line record, or outgrows the
+// stream table; at the retention the oldest segment is evicted and its
+// memory becomes the new tail.
+func (l *Log) AppendEntity(s *Stream, ns string, t sim.Time, entity Entity, state, detail string) {
 	l.mu.Lock()
 	pos := l.end
 	slot := int(pos / logSegment % int64(l.maxSegs))
@@ -198,15 +321,25 @@ func (l *Log) Append(s *Stream, ns string, rec Record) {
 			g := &l.segs[slot]
 			for i := range g.entries {
 				e := &g.entries[i]
-				e.s.first = l.base + int64(i) + int64(e.next)
-				e.s.evicted++
+				es := l.streams[e.stream]
+				es.first = l.base + int64(i) + int64(e.next)
+				es.evicted++
+				if es.over && es.evicted == es.n {
+					l.release(es)
+				}
 			}
 			g.side = nil
 			l.base += logSegment
 		}
 	}
 	g := &l.segs[slot]
-	s.ns = ns
+	bind := s.id == 0
+	if bind {
+		l.bind(s)
+	}
+	if s.ns != ns {
+		s.ns = ns
+	}
 	if s.evicted == s.n {
 		s.first = pos
 	} else {
@@ -215,20 +348,40 @@ func (l *Log) Append(s *Stream, ns string, rec Record) {
 	}
 	s.n++
 	s.last = pos
-	code, ok := s.code(rec.State, rec.Detail)
-	if !ok {
-		code = outOfLine | uint32(len(g.side))
-		g.side = append(g.side, sidePair{rec.State, rec.Detail})
+	code, ok := s.code(state, detail)
+	ent, eok := s.entityCode(entity)
+	if !ok || !eok {
+		code, ent = outOfLine|uint32(len(g.side)), 0
+		g.side = append(g.side, sideRecord{entity.String(), state, detail})
 	}
-	g.entries[pos%logSegment] = entry{time: rec.Time, entity: rec.Entity, s: s, code: code}
+	g.entries[pos%logSegment] = entry{time: t, stream: s.id, code: code, entity: ent}
 	l.end++
 	wake(l.readers...)
 	l.mu.Unlock()
 
-	s.mu.Lock()
-	s.log = l
-	s.wakeCursors()
-	s.mu.Unlock()
+	// A cursor attached after the load below finds this record when it
+	// first reads, under l.mu; one attached before is counted.
+	if bind || s.cursors.Load() > 0 {
+		s.mu.Lock()
+		s.log = l
+		ended := s.ended
+		s.wakeCursors()
+		s.mu.Unlock()
+		if bind && ended {
+			l.ended(s) // a record after End
+		}
+	}
+}
+
+// OutOfLine reports how many of the retained records are stored out of line.
+func (l *Log) OutOfLine() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := 0
+	for _, g := range l.segs {
+		n += len(g.side)
+	}
+	return n
 }
 
 // Dropped reports how many records were evicted to keep the retention.
@@ -259,27 +412,29 @@ func (l *Log) Snapshot(dst []Record) []Record {
 }
 
 // record rebuilds the record at pos, its entity raw, and returns it with its
-// entry. The caller holds the log's lock, which guards the stream's
-// vocabularies and the segment's side table.
-func (l *Log) record(pos int64) (Record, *entry) {
+// entry and stream. The caller holds the log's lock, which guards the
+// stream's vocabularies and names and the segment's side table.
+func (l *Log) record(pos int64) (Record, *entry, *Stream) {
 	g := &l.segs[pos/logSegment%int64(l.maxSegs)]
 	e := &g.entries[pos%logSegment]
-	rec := Record{Time: e.time, Entity: e.entity}
+	s := l.streams[e.stream]
+	rec := Record{Time: e.time}
 	if e.code&outOfLine != 0 {
 		p := &g.side[e.code&^outOfLine]
-		rec.State, rec.Detail = p.state, p.detail
-		return rec, e
+		rec.Entity, rec.State, rec.Detail = p.entity, p.state, p.detail
+		return rec, e, s
 	}
-	rec.State = e.s.states[e.code&stateMask]
+	rec.Entity = s.entity(e.entity)
+	rec.State = s.states[e.code&stateMask]
 	if d := e.code >> detailShift; d > 0 {
-		rec.Detail = e.s.details[d-1]
+		rec.Detail = s.details[d-1]
 	}
-	return rec, e
+	return rec, e, s
 }
 
 func (l *Log) qualified(pos int64) Record {
-	rec, e := l.record(pos)
-	rec.Entity = QualifyEntity(rec.Entity, e.s.ns)
+	rec, _, s := l.record(pos)
+	rec.Entity = QualifyEntity(rec.Entity, s.ns)
 	return rec
 }
 
@@ -316,6 +471,7 @@ func (s *Stream) Cursor(from int64) *Cursor {
 	} else {
 		s.readers = append(s.readers, c)
 	}
+	s.cursors.Add(1)
 	s.mu.Unlock()
 	return c
 }
@@ -347,6 +503,7 @@ func (c *Cursor) Close() {
 		} else {
 			s.readers = slices.DeleteFunc(s.readers, is)
 		}
+		s.cursors.Add(-1)
 		s.mu.Unlock()
 	}
 	for _, l := range c.logs {
@@ -426,7 +583,7 @@ func (c *Cursor) readStream(buf []Record, closed bool) (n int, seq int64, done b
 		}
 		for k := range buf[:n] {
 			var e *entry
-			buf[k], e = l.record(pos)
+			buf[k], e, _ = l.record(pos)
 			c.prev, pos = pos, pos+int64(e.next)
 		}
 		c.seq += int64(n)

@@ -3,8 +3,12 @@ package trace
 import (
 	"fmt"
 	"math"
+	"reflect"
+	"runtime"
 	"slices"
+	"sync"
 	"testing"
+	"time"
 	"unsafe"
 
 	"aimes/internal/sim"
@@ -71,19 +75,48 @@ func TestLogRetentionCap(t *testing.T) {
 }
 
 // TestLogEntryFootprint pins what one stored record costs: an entry is the
-// record's time and entity, its stream, and two 32-bit words — the link and
-// one code word for the state and the detail in the stream's vocabularies —
-// 40 bytes; it was 56 with the detail a string of its own, 72 with the state
-// one too. The stream, one per job, carries the vocabularies: thirteen
-// states and eleven details inline, 496 bytes (392 with sixteen states and
-// no details).
+// record's time and four 32-bit words — its stream's index in the log's
+// stream table, the link, one code word for the state and the detail in the
+// stream's vocabularies and one for the entity in the stream's names — 24
+// bytes and no pointer, so a segment is a block the collector never scans.
+// It was 40 with the entity a string and the stream a pointer, 56 with the
+// detail a string of its own, 72 with the state one too. The stream, one per
+// job, carries the vocabularies and the names: thirteen states, eleven
+// details and four arenas inline, 576 bytes (496 without the names, 392
+// with sixteen states and no details).
 func TestLogEntryFootprint(t *testing.T) {
-	if got := unsafe.Sizeof(entry{}); got > 40 {
-		t.Errorf("a log entry is %d bytes, want at most 40", got)
+	if got := unsafe.Sizeof(entry{}); got > 24 {
+		t.Errorf("a log entry is %d bytes, want at most 24", got)
 	}
-	if got := unsafe.Sizeof(Stream{}); got > 496 {
-		t.Errorf("a Stream is %d bytes, want at most 496", got)
+	typ := reflect.TypeOf(entry{})
+	for i := range typ.NumField() {
+		if f := typ.Field(i); !pointerFree(f.Type) {
+			t.Errorf("log entry field %s is a %s, which holds a pointer", f.Name, f.Type)
+		}
 	}
+	if got := unsafe.Sizeof(Stream{}); got > 576 {
+		t.Errorf("a Stream is %d bytes, want at most 576", got)
+	}
+}
+
+// pointerFree reports whether a value of type t holds no pointer.
+func pointerFree(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return true
+	case reflect.Array:
+		return t.Len() == 0 || pointerFree(t.Elem())
+	case reflect.Struct:
+		for i := range t.NumField() {
+			if !pointerFree(t.Field(i).Type) {
+				return false
+			}
+		}
+		return true
+	}
+	return false
 }
 
 // TestVocabularyOverflow feeds one stream far more distinct states and
@@ -92,7 +125,7 @@ func TestLogEntryFootprint(t *testing.T) {
 // sends — over several evicted segments. Every record reads back exactly;
 // the vocabularies stay at their fixed size, holding the first states and
 // details used; each record that misses one goes to its segment's side table
-// as one pair, and nothing else does, so an append's cost does not grow with
+// as one record, and nothing else does, so an append's cost does not grow with
 // the number of distinct strings.
 func TestVocabularyOverflow(t *testing.T) {
 	const total, retain = 5 * logSegment, 2 * logSegment
@@ -119,7 +152,7 @@ func TestVocabularyOverflow(t *testing.T) {
 			misses++
 		}
 		if g := &l.segs[i/logSegment%l.maxSegs]; len(g.side) != misses {
-			t.Fatalf("after record %d: its segment's side table holds %d pairs for %d misses", i, len(g.side), misses)
+			t.Fatalf("after record %d: its segment's side table holds %d records for %d misses", i, len(g.side), misses)
 		}
 	}
 	if int(s.nstates) != len(s.states) || int(s.ndetails) != len(s.details) {
@@ -195,5 +228,128 @@ func TestLogAppendAllocs(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(1, fill(NewLog(2*logSegment))); got != 0 {
 		t.Fatalf("log at its retention: %v allocs for %d appends, want 0", got, segs*logSegment)
+	}
+}
+
+// TestStreamIndicesAreReused runs 200 jobs of 100 records one after another
+// through a log that retains two segments, each stream ended after its last
+// record: a stream's index is released once it has ended and its last
+// record is evicted, so the table holds only as many streams as the window
+// spans, and every retained record still resolves to its own job's stream;
+// a released stream lets go of its names and vocabularies.
+// A stream that has not ended keeps its index with none of its records
+// retained, and a cursor attached to a released stream counts all of its
+// records dropped.
+func TestStreamIndicesAreReused(t *testing.T) {
+	const jobs, per = 200, 100
+	l := NewLog(2 * logSegment)
+	open := new(Stream) // never ends
+	l.Append(open, "s0-j0", Record{State: "S"})
+	streams := make([]*Stream, jobs)
+	for j := range streams {
+		s := new(Stream)
+		streams[j] = s
+		for i := range per {
+			l.Append(s, fmt.Sprintf("s0-j%d", j+1), Record{Time: sim.Time(j*per + i), Entity: "em", State: "S"})
+		}
+		s.End()
+		// The window spans whole jobs, one part of a job at each end, the
+		// open stream and the unused index 0.
+		if most := 2*logSegment/per + 4; len(l.streams) > most {
+			t.Fatalf("after job %d: the stream table holds %d indices, want at most %d", j, len(l.streams), most)
+		}
+	}
+	if open.id == 0 || l.streams[open.id] != open {
+		t.Fatalf("a stream that has not ended lost its index %d", open.id)
+	}
+	for _, rec := range l.Snapshot(nil) {
+		if want := fmt.Sprintf("em.s0-j%d", int(rec.Time)/per+1); rec.Entity != want {
+			t.Fatalf("record at %v reads entity %q, want %q", rec.Time, rec.Entity, want)
+		}
+	}
+	if s := streams[0]; s.id != 0 || s.narenas+s.nstates != 0 || s.arenas[0] != "" || s.states[0] != "" {
+		t.Fatalf("the first job's stream still holds index %d, %d arenas and %d states with none of its records retained", s.id, s.narenas, s.nstates)
+	}
+	c := streams[0].Cursor(1)
+	if n, _, done := c.Read(make([]Record, 8)); n != 0 || !done || c.Dropped() != per {
+		t.Fatalf("a cursor on a released stream read %d records, done %v, dropped %d; want 0, true, %d", n, done, c.Dropped(), per)
+	}
+}
+
+// TestCursorsAttachWhileAppending attaches cursors to a bound stream at
+// different moments while one writer appends to it, which takes the
+// stream's lock only while a cursor is attached. Every cursor delivers every
+// record from the first, in order, and is woken after each append it has
+// not read: one that waits longer than a generous bound after its last wake
+// has lost one. The stream never ends, so only appends wake them. Run it
+// under -race.
+func TestCursorsAttachWhileAppending(t *testing.T) {
+	const total, readers = 20_000, 8
+	l, s := NewLog(total+logSegment), new(Stream)
+	l.Append(s, "s0-j1", Record{Time: 0, Entity: "em", State: "S"})
+	var wg sync.WaitGroup
+	for r := range readers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for l.Retained() < int64(r*total/readers) {
+				runtime.Gosched()
+			}
+			c := s.Cursor(1)
+			defer c.Close()
+			var buf [64]Record
+			for next := int64(1); next <= total; {
+				n, seq, _ := c.Read(buf[:])
+				if n > 0 && seq != next {
+					t.Errorf("reader %d: a batch from seq %d after %d records", r, seq, next-1)
+					return
+				}
+				for i, rec := range buf[:n] {
+					if rec.Time != sim.Time(next-1+int64(i)) {
+						t.Errorf("reader %d: seq %d holds the record of %v", r, next+int64(i), rec.Time)
+						return
+					}
+				}
+				if next += int64(n); next <= total && n < len(buf) {
+					select {
+					case <-c.Ready():
+					case <-time.After(20 * time.Second):
+						t.Errorf("reader %d: no wake for 20 s with %d of %d records read", r, next-1, total)
+						return
+					}
+				}
+			}
+		}()
+	}
+	for i := 1; i < total; i++ {
+		l.Append(s, "s0-j1", Record{Time: sim.Time(i), Entity: "em", State: "S"})
+	}
+	wg.Wait()
+}
+
+// BenchmarkLogAppend appends one record through a bound stream, as a job's
+// execution does: its entity carved from the job's unit ids, its state in
+// the stream's vocabulary. With a cursor attached the append also takes the
+// stream's lock to wake it. The log retains every record, so B/op is an
+// entry's share of its segment.
+func BenchmarkLogAppend(b *testing.B) {
+	for _, attached := range []bool{false, true} {
+		name := "bare"
+		if attached {
+			name = "cursor"
+		}
+		b.Run(name, func(b *testing.B) {
+			l, s := NewLog(b.N+logSegment), new(Stream)
+			if attached {
+				defer s.Cursor(1).Close()
+			}
+			ids := "unit.t0000unit.t0001unit.t0002unit.t0003"
+			l.AppendEntity(s, "s0-j3", 0, Carved(ids, 0, 10), "NEW", "")
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := range b.N {
+				l.AppendEntity(s, "s0-j3", sim.Time(i), Carved(ids, i%4*10, 10), "EXECUTING", "")
+			}
+		})
 	}
 }

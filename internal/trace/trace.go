@@ -30,9 +30,10 @@ type Record struct {
 	Detail string   `json:"detail,omitempty"`
 }
 
-// Sink is where the middleware writes its state transitions.
+// Sink is where the middleware writes its state transitions, each entity as
+// its producer keeps it.
 type Sink interface {
-	Record(t sim.Time, entity, state, detail string)
+	Emit(t sim.Time, entity Entity, state, detail string)
 }
 
 // Recorder accumulates state-transition records. It is not safe for
@@ -51,6 +52,11 @@ func RecorderOf(recs []Record) *Recorder { return &Recorder{records: recs} }
 // Record appends a state transition at time t.
 func (r *Recorder) Record(t sim.Time, entity, state, detail string) {
 	r.records = append(r.records, Record{Time: t, Entity: entity, State: state, Detail: detail})
+}
+
+// Emit implements Sink.
+func (r *Recorder) Emit(t sim.Time, entity Entity, state, detail string) {
+	r.Record(t, entity.String(), state, detail)
 }
 
 // Len reports the number of records.

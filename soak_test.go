@@ -21,9 +21,13 @@ import (
 	"aimes/internal/server"
 )
 
-// Soak sizes: jobs per phase, the size of every ninth job, and what one
-// shard's trace window holds at its bound (2^20 log entries of 40 bytes, the
-// README's retention bullet; TestLogEntryFootprint pins the entry).
+// Soak sizes: jobs per phase, the size of every ninth job, and the trace
+// window the live-heap bound is built on: 2^20 log entries of 40 bytes, what
+// one shard's window held before an entry became 24 bytes
+// (TestLogEntryFootprint). At 24 bytes the bound, 1.3 × two windows, would
+// be 65.4 MB, under the 67–68 MB the daemon now keeps: the ~18 MB beyond
+// the windows — the registry's jobs, their reports, and the unit ids the
+// windows' records are coded against — does not shrink with the entry.
 const (
 	soakJobs        = 8000
 	soakBigTasks    = 2048

@@ -2,6 +2,7 @@ package aimes
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"aimes/internal/trace"
@@ -51,4 +52,48 @@ func TestJobTraceAllocatesNothingPerRecord(t *testing.T) {
 		t.Errorf("the environment's reader got %d records, want %d; dropped %d + %d", n, runs+1, sub.Dropped(), all.Dropped())
 	}
 	j.Cancel("measured")
+}
+
+// TestWorkerRecordsStayInline runs one 64-task job on a stdio worker shard,
+// fleet-mixed's path, and the same job on a local shard. On the worker
+// shard every record's entity reaches the log as an entry of the session's
+// intern table, which its stream holds, so no record is stored out of line;
+// nor is one on the local shard, whose records are coded against the job's
+// unit ids and its pilots' names. Job.Events reads the same events on both.
+func TestWorkerRecordsStayInline(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns a worker process")
+	}
+	run := func(opts ...Option) []Event {
+		env, err := NewEnv(append(opts, WithSeed(7))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer env.Close()
+		w, err := GenerateWorkload(BagOfTasks(64, UniformDuration()), 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, err := env.Submit(context.Background(), w, JobConfig{
+			StrategyConfig: StrategyConfig{Binding: LateBinding, Scheduler: SchedBackfill, Pilots: 3}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := j.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		var evs []Event
+		for ev := range j.Events() {
+			evs = append(evs, ev)
+		}
+		if n := env.shards[0].log.OutOfLine(); n != 0 {
+			t.Errorf("%d of the job's %d records are stored out of line", n, len(evs))
+		}
+		return evs
+	}
+	worker := run(WithWorkerPool(WorkerPool{}))
+	local := run()
+	if len(worker) < 7*64 || !reflect.DeepEqual(worker, local) {
+		t.Fatalf("the job's events on a worker shard (%d) differ from those on a local shard (%d)", len(worker), len(local))
+	}
 }

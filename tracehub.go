@@ -10,8 +10,9 @@ import (
 // traceRetention is the number of most recent trace records a shard keeps.
 // The largest single-environment trace in the repository (a paper-matrix
 // epoch, ~115 k records on one shard) is 9x under it; at the bound a shard's
-// log holds 2^20 entries of 40 bytes, about 42 MB, each record's state and
-// detail stored as codes in its job's vocabularies.
+// log holds 2^20 pointer-free entries of 24 bytes, about 25 MB, each
+// record's state and detail stored as codes in its job's vocabularies and
+// its entity as a code against the names its job holds.
 const traceRetention = 1 << 20
 
 // traceHub is the environment's trace store: one trace.Log per shard — the
@@ -46,13 +47,24 @@ func (h *traceHub) view(lo, hi int) *Recorder {
 	return trace.RecorderOf(recs)
 }
 
-// JobTrace implements backend.Sink: it stores one raw trace record of a job
-// in the shard log, threaded into the job's stream. Nothing else happens per
-// record: every consumer reads the log through a cursor of its own. It runs
-// under the shard's engine serialization.
-func (sh *shardEnv) JobTrace(key int, ns string, rec trace.Record) {
+// JobStream implements core.LogSink: a job's records go to its stream in
+// the shard log, which the backend looks up once per job (on a worker shard,
+// once per run of one job's records in a response), not once per record.
+// Nothing else happens per record: every consumer reads the log through a
+// cursor of its own. It runs under the shard's engine serialization.
+func (sh *shardEnv) JobStream(key int) (*trace.Log, *trace.Stream) {
 	if j := sh.jobs[key]; j != nil {
-		sh.log.Append(j.stream, ns, rec)
+		return sh.log, j.stream
+	}
+	return nil, nil
+}
+
+// JobTrace implements backend.Sink for a backend that does not look the
+// job's stream up: it stores one raw trace record of a job in the shard log,
+// threaded into the job's stream.
+func (sh *shardEnv) JobTrace(key int, ns string, rec trace.Record) {
+	if log, s := sh.JobStream(key); s != nil {
+		log.Append(s, ns, rec)
 	}
 }
 
