@@ -430,6 +430,58 @@ func TestGenerateDeterminismProperty(t *testing.T) {
 	}
 }
 
+// TestGenerateCarvesNames: a task's ID is its stage's name and its index in
+// at least five digits, its external input is named after it with ".in" and
+// its output with ".out", produced by it, whether the names come from one
+// string per stage or not; each file list is capped at its length, so
+// appending to one task's files never writes into its neighbour's. A bag of
+// tasks is 11 objects whatever its size (14 090 for 2 048 tasks while every
+// task had an ID, two names and two file lists of its own).
+func TestGenerateCarvesNames(t *testing.T) {
+	for _, i := range []int{0, 42, 99999, 100000, 1234567} {
+		var b strings.Builder
+		writeTaskID(&b, "stage-0", i)
+		want := fmt.Sprintf("%s.%05d", "stage-0", i)
+		if s := (stageNames{stage: "stage-0"}); b.String() != want || s.idLen(i) != len(want) {
+			t.Fatalf("task %d: ID %q of length %d, want %q", i, b.String(), s.idLen(i), want)
+		}
+	}
+	app := multistageApp()
+	app.Stages = append(app.Stages, StageSpec{Name: "sink", Tasks: 3, DurationS: Constant(1), Inputs: MapScatter})
+	w, err := Generate(app, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, task := range w.Tasks {
+		if want := fmt.Sprintf("%s.%05d", task.Stage, task.Index); task.ID != want {
+			t.Fatalf("task ID %q, want %q", task.ID, want)
+		}
+		for _, f := range task.Inputs {
+			if f.External() && f.Name != task.ID+".in" {
+				t.Fatalf("%s: external input %q", task.ID, f.Name)
+			}
+		}
+		for _, f := range task.Outputs {
+			if f.Name != task.ID+".out" || f.Producer != task.ID {
+				t.Fatalf("%s: output %+v", task.ID, f)
+			}
+		}
+		if cap(task.Inputs) != len(task.Inputs) || cap(task.Outputs) != len(task.Outputs) {
+			t.Fatalf("%s: file lists of capacity %d and %d hold %d and %d", task.ID,
+				cap(task.Inputs), cap(task.Outputs), len(task.Inputs), len(task.Outputs))
+		}
+	}
+	if sink := w.StageTasks("sink"); len(sink[0].Outputs) != 0 {
+		t.Fatalf("a stage without outputs has %d", len(sink[0].Outputs))
+	}
+	for _, n := range []int{1, 2048} {
+		app := BagOfTasks(n, UniformDuration())
+		if got := testing.AllocsPerRun(10, func() { Generate(app, 1) }); got > 11 {
+			t.Errorf("a bag of %d tasks is %v objects, want at most 11", n, got)
+		}
+	}
+}
+
 // ExampleGenerate shows deterministic workload materialization from the
 // paper's bag-of-tasks spec.
 func ExampleGenerate() {

@@ -7,6 +7,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -301,7 +302,9 @@ func (w *Workload) StageTasks(stage string) []Task {
 }
 
 // Generate materializes the application with the given seed. Identical
-// (spec, seed) pairs yield identical workloads.
+// (spec, seed) pairs yield identical workloads. The tasks are one slice, and
+// each stage's names and its own files (external inputs, outputs) one string
+// and one slab, so a workload is a few objects per stage whatever its size.
 func Generate(app AppSpec, seed int64) (*Workload, error) {
 	if err := app.Validate(); err != nil {
 		return nil, err
@@ -309,6 +312,13 @@ func Generate(app AppSpec, seed int64) (*Workload, error) {
 	rng := rand.New(rand.NewSource(seed))
 	stages := app.expandIterations()
 	w := &Workload{Name: app.Name}
+	total := 0
+	for _, st := range stages {
+		total += st.Tasks
+	}
+	if total > 0 {
+		w.Tasks = make([]Task, 0, total)
+	}
 	var prev []Task // previous stage's tasks
 
 	for si, st := range stages {
@@ -321,16 +331,18 @@ func Generate(app AppSpec, seed int64) (*Workload, error) {
 		outDist := st.OutputBytes.dist()
 		inDist := st.InputBytes.dist()
 
-		cur := make([]Task, st.Tasks)
+		cur := w.Tasks[len(w.Tasks) : len(w.Tasks)+st.Tasks]
+		names, files := newStageNames(st), stageFiles(st)
 		for i := range cur {
-			id := fmt.Sprintf("%s.%05d", st.Name, i)
+			id, inName, outName := names.next(i)
 			task := Task{ID: id, Stage: st.Name, Index: i, Cores: cores}
 
 			// Inputs per the stage mapping.
 			switch st.Inputs {
 			case MapExternal:
 				size := sampleSize(st.InputBytes, inDist, rng, 0, 0)
-				task.Inputs = []File{{Name: id + ".in", Bytes: size}}
+				files[0] = File{Name: inName, Bytes: size}
+				task.Inputs, files = files[:1:1], files[1:]
 			case MapOneToOne:
 				p := prev[i%len(prev)]
 				task.Inputs = inherit(p)
@@ -372,14 +384,110 @@ func Generate(app AppSpec, seed int64) (*Workload, error) {
 			if !st.OutputBytes.Zero() {
 				size := sampleSize(st.OutputBytes, outDist, rng,
 					float64(inBytes), task.Duration.Seconds())
-				task.Outputs = []File{{Name: id + ".out", Bytes: size, Producer: id}}
+				files[0] = File{Name: outName, Bytes: size, Producer: id}
+				task.Outputs, files = files[:1:1], files[1:]
 			}
 			cur[i] = task
 		}
-		w.Tasks = append(w.Tasks, cur...)
+		w.Tasks = w.Tasks[:len(w.Tasks)+st.Tasks]
 		prev = cur
 	}
 	return w, nil
+}
+
+// stageNames cuts the IDs and file names of a stage's tasks from one string,
+// in task order. Task i's part is its ID and ".in" if its input is external,
+// then its ID and ".out" if it has an output, or its ID alone if neither.
+type stageNames struct {
+	rest, stage string
+	ext, out    bool
+}
+
+func newStageNames(st StageSpec) stageNames {
+	s := stageNames{stage: st.Name, ext: st.Inputs == MapExternal, out: !st.OutputBytes.Zero()}
+	size := 0
+	for i := range st.Tasks {
+		n := s.idLen(i)
+		if s.ext {
+			size += n + len(".in")
+		}
+		if s.out {
+			size += n + len(".out")
+		}
+		if !s.ext && !s.out {
+			size += n
+		}
+	}
+	var b strings.Builder
+	b.Grow(size)
+	for i := range st.Tasks {
+		if s.ext {
+			writeTaskID(&b, st.Name, i)
+			b.WriteString(".in")
+		}
+		if s.out {
+			writeTaskID(&b, st.Name, i)
+			b.WriteString(".out")
+		}
+		if !s.ext && !s.out {
+			writeTaskID(&b, st.Name, i)
+		}
+	}
+	s.rest = b.String()
+	return s
+}
+
+// writeTaskID writes the ID of task i of the named stage, as "%s.%05d"
+// formats it.
+func writeTaskID(b *strings.Builder, stage string, i int) {
+	var digits [20]byte
+	d := strconv.AppendInt(digits[:0], int64(i), 10)
+	b.WriteString(stage)
+	b.WriteByte('.')
+	for range 5 - len(d) {
+		b.WriteByte('0')
+	}
+	b.Write(d)
+}
+
+// idLen is the length of task i's ID: the stage's name, a dot and the index
+// in at least five digits.
+func (s *stageNames) idLen(i int) int {
+	n := len(s.stage) + 1 + 5
+	for d := 100000; i >= d; d *= 10 {
+		n++
+	}
+	return n
+}
+
+// next cuts task i's part off and returns its ID and its file names ("" for
+// a file it does not have).
+func (s *stageNames) next(i int) (id, in, out string) {
+	n := s.idLen(i)
+	id = s.rest[:n]
+	if s.ext {
+		in, s.rest = s.rest[:n+len(".in")], s.rest[n+len(".in"):]
+	}
+	if s.out {
+		out, s.rest = s.rest[:n+len(".out")], s.rest[n+len(".out"):]
+	}
+	if !s.ext && !s.out {
+		s.rest = s.rest[n:]
+	}
+	return id, in, out
+}
+
+// stageFiles returns the slab stage st's tasks take their external input and
+// their output from, one File each.
+func stageFiles(st StageSpec) []File {
+	n := 0
+	if st.Inputs == MapExternal {
+		n += st.Tasks
+	}
+	if !st.OutputBytes.Zero() {
+		n += st.Tasks
+	}
+	return make([]File, n)
 }
 
 // inherit converts a producer's outputs into consumer inputs.

@@ -14,8 +14,8 @@ import (
 // The cursor's reference model: every append in order, and from it — by brute
 // force over positions — what a reader at a given point must be handed. The
 // log's own bookkeeping (thread links, per-stream eviction counts, the ring,
-// the stream table, the streams' vocabularies and names, the segments' side
-// tables) is nowhere in it.
+// the streams' vocabularies and names, the segments' side tables) is nowhere
+// in it.
 type cursorOracle struct {
 	maxSegs  int
 	appended [][2]int64    // by position: the stream and the sequence number of each append
@@ -234,7 +234,7 @@ func (o *cursorOracle) checkVocabulary(t *testing.T, l *Log, streams []*Stream) 
 				paths[min(1, e.code>>detailShift)]++
 				continue
 			}
-			s, p := l.streams[e.stream], g.side[e.code&^outOfLine]
+			s, p := e.s, g.side[e.code&^outOfLine]
 			k := int(o.appended[pos+i][0])
 			stateMiss := int(s.nstates) == len(s.states) && !slices.Contains(s.states[:], p.state)
 			detailMiss := p.detail != "" && int(s.ndetails) == len(s.details) && !slices.Contains(s.details[:], p.detail)

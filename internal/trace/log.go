@@ -19,12 +19,14 @@ const logSegment = 1024
 // window — fits in an entry's 32 bits.
 const maxLogSegs = math.MaxInt32 / logSegment
 
-// entry is one stored record: its time, its stream's index in the log's
-// stream table, the distance from it to that stream's next record (0 while it
-// is the newest) — the thread a stream cursor follows, so it never looks at
-// another job's records — one code word for its state and detail, and one
-// for its entity. It holds no pointer, so the collector never scans a
-// segment and an append pays no write barrier.
+// entry is one stored record: its time, its stream, the distance from it to
+// that stream's next record (0 while it is the newest) — the thread a stream
+// cursor follows, so it never looks at another job's records — one code word
+// for its state and detail, and one for its entity. Its one pointer is its
+// stream, so the collector scans a segment: with 24-byte entries that held a
+// stream index instead, segments were never scanned, and the benchmark's
+// paper-matrix median job latency read 24–39% higher than with 40-byte
+// entries (TestLogEntryFootprint).
 //
 // The state/detail word is inline when both are in the stream's
 // vocabularies: the state's code in the low byte, the detail's code above it
@@ -37,7 +39,7 @@ const maxLogSegs = math.MaxInt32 / logSegment
 // Log.record rebuilds the Record.
 type entry struct {
 	time   sim.Time
-	stream uint32
+	s      *Stream
 	next   int32
 	code   uint32
 	entity uint32
@@ -79,26 +81,16 @@ type Log struct {
 	base    int64     // position of the oldest retained record = records evicted
 	end     int64     // position the next record gets
 	readers []*Cursor // Tail cursors, woken by every append
-
-	// streams is the stream table an entry's index points into; index 0 is
-	// never used. A stream holds its index from its first record until it
-	// has ended and its last record is evicted; free lists the indices
-	// released since, for the next streams to bind.
-	streams []*Stream
-	free    []uint32
 }
 
 // NewLog returns an empty log retaining the most recent retain records,
-// rounded up to whole segments and capped at about 2^31 records. Its stream
-// table starts with room for sixteen streams per segment, up to 4 096; it
-// grows only when more streams than that hold records at once.
+// rounded up to whole segments and capped at about 2^31 records.
 func NewLog(retain int) *Log {
 	segs := retain / logSegment
 	if retain%logSegment > 0 {
 		segs++
 	}
-	segs = min(max(1, segs), maxLogSegs)
-	return &Log{maxSegs: segs, streams: make([]*Stream, 1, 1+min(16*segs, 4096))}
+	return &Log{maxSegs: min(max(1, segs), maxLogSegs)}
 }
 
 // Stream is one job's thread through a Log: its records carry dense 1-based
@@ -143,10 +135,10 @@ type Stream struct {
 	// cursors counts the attached cursors: an append to a bound stream
 	// takes mu only while there are some, to wake them.
 	cursors atomic.Int32
-	id      uint32 // the index in log.streams; 0 while unbound. Guarded by log.mu.
 
 	nstates, ndetails, narenas uint8
 
+	bound bool // has had a record; guarded by log.mu
 	over  bool // ended, as the log knows it; guarded by log.mu
 	ended bool // guarded by mu, with the attachment state
 }
@@ -219,7 +211,7 @@ func intern(vocab []string, n *uint8, v string) (uint32, bool) {
 }
 
 // End marks the stream complete and wakes its cursors, which report done once
-// they have delivered the last record. Its log releases its index once the
+// they have delivered the last record. Its log releases its names once the
 // last of its records is evicted.
 func (s *Stream) End() {
 	s.mu.Lock()
@@ -232,36 +224,22 @@ func (s *Stream) End() {
 	}
 }
 
-// ended records that s has ended, and releases its index if none of its
+// ended records that s has ended, and releases its names if none of its
 // records is retained.
 func (l *Log) ended(s *Stream) {
 	l.mu.Lock()
 	s.over = true
-	if s.id != 0 && s.evicted == s.n {
-		l.release(s)
+	if s.bound && s.evicted == s.n {
+		s.release()
 	}
 	l.mu.Unlock()
 }
 
-// bind gives s an index in the stream table. The caller holds l.mu.
-func (l *Log) bind(s *Stream) {
-	if n := len(l.free); n > 0 {
-		s.id, l.free = l.free[n-1], l.free[:n-1]
-		l.streams[s.id] = s
-		return
-	}
-	s.id = uint32(len(l.streams))
-	l.streams = append(l.streams, s)
-}
-
-// release frees the index of s, an ended stream none of whose records is
-// retained, and its names and vocabularies, which no record reads any more:
-// a finished job's handle keeps its stream, not the strings its records
-// were coded against. The caller holds l.mu.
-func (l *Log) release(s *Stream) {
-	l.streams[s.id] = nil
-	l.free = append(l.free, s.id)
-	s.id = 0
+// release frees the names and vocabularies of s, an ended stream none of
+// whose records is retained, which no record reads any more: a finished
+// job's handle keeps its stream, not the strings its records were coded
+// against. The caller holds the log's lock.
+func (s *Stream) release() {
 	clear(s.states[:])
 	clear(s.details[:])
 	clear(s.arenas[:])
@@ -305,9 +283,9 @@ func (l *Log) Append(s *Stream, ns string, rec Record) {
 // and wakes the cursors of s and the log's Tail cursors; it never waits for
 // one. It takes the stream's lock only to bind the stream or while a cursor
 // is attached to it. It allocates only when it opens a new segment below the
-// retention, stores a segment's first out-of-line record, or outgrows the
-// stream table; at the retention the oldest segment is evicted and its
-// memory becomes the new tail.
+// retention or stores a segment's first out-of-line record; at the
+// retention the oldest segment is evicted and its memory becomes the new
+// tail.
 func (l *Log) AppendEntity(s *Stream, ns string, t sim.Time, entity Entity, state, detail string) {
 	l.mu.Lock()
 	pos := l.end
@@ -321,11 +299,11 @@ func (l *Log) AppendEntity(s *Stream, ns string, t sim.Time, entity Entity, stat
 			g := &l.segs[slot]
 			for i := range g.entries {
 				e := &g.entries[i]
-				es := l.streams[e.stream]
+				es := e.s
 				es.first = l.base + int64(i) + int64(e.next)
 				es.evicted++
 				if es.over && es.evicted == es.n {
-					l.release(es)
+					es.release()
 				}
 			}
 			g.side = nil
@@ -333,10 +311,8 @@ func (l *Log) AppendEntity(s *Stream, ns string, t sim.Time, entity Entity, stat
 		}
 	}
 	g := &l.segs[slot]
-	bind := s.id == 0
-	if bind {
-		l.bind(s)
-	}
+	bind := !s.bound
+	s.bound = true
 	if s.ns != ns {
 		s.ns = ns
 	}
@@ -354,7 +330,7 @@ func (l *Log) AppendEntity(s *Stream, ns string, t sim.Time, entity Entity, stat
 		code, ent = outOfLine|uint32(len(g.side)), 0
 		g.side = append(g.side, sideRecord{entity.String(), state, detail})
 	}
-	g.entries[pos%logSegment] = entry{time: t, stream: s.id, code: code, entity: ent}
+	g.entries[pos%logSegment] = entry{time: t, s: s, code: code, entity: ent}
 	l.end++
 	wake(l.readers...)
 	l.mu.Unlock()
@@ -417,7 +393,7 @@ func (l *Log) Snapshot(dst []Record) []Record {
 func (l *Log) record(pos int64) (Record, *entry, *Stream) {
 	g := &l.segs[pos/logSegment%int64(l.maxSegs)]
 	e := &g.entries[pos%logSegment]
-	s := l.streams[e.stream]
+	s := e.s
 	rec := Record{Time: e.time}
 	if e.code&outOfLine != 0 {
 		p := &g.side[e.code&^outOfLine]

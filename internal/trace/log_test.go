@@ -75,22 +75,23 @@ func TestLogRetentionCap(t *testing.T) {
 }
 
 // TestLogEntryFootprint pins what one stored record costs: an entry is the
-// record's time and four 32-bit words — its stream's index in the log's
-// stream table, the link, one code word for the state and the detail in the
-// stream's vocabularies and one for the entity in the stream's names — 24
-// bytes and no pointer, so a segment is a block the collector never scans.
-// It was 40 with the entity a string and the stream a pointer, 56 with the
-// detail a string of its own, 72 with the state one too. The stream, one per
-// job, carries the vocabularies and the names: thirteen states, eleven
-// details and four arenas inline, 576 bytes (496 without the names, 392
-// with sixteen states and no details).
+// record's time, its stream and three 32-bit words — the link, one code word
+// for the state and the detail in the stream's vocabularies and one for the
+// entity in the stream's names — 32 bytes, of which the stream is the one
+// pointer. It was 40 with the entity a string, 56 with the detail a string
+// of its own, 72 with the state one too. A 24-byte entry with a 32-bit
+// stream index instead of the pointer made segments blocks the collector
+// never scans, and paper-matrix's median job latency rose 24–39% with them.
+// The stream, one per job, carries the vocabularies and the names: thirteen
+// states, eleven details and four arenas inline, 576 bytes (496 without the
+// names, 392 with sixteen states and no details).
 func TestLogEntryFootprint(t *testing.T) {
-	if got := unsafe.Sizeof(entry{}); got > 24 {
-		t.Errorf("a log entry is %d bytes, want at most 24", got)
+	if got := unsafe.Sizeof(entry{}); got > 32 {
+		t.Errorf("a log entry is %d bytes, want at most 32", got)
 	}
 	typ := reflect.TypeOf(entry{})
 	for i := range typ.NumField() {
-		if f := typ.Field(i); !pointerFree(f.Type) {
+		if f := typ.Field(i); f.Name != "s" && !pointerFree(f.Type) {
 			t.Errorf("log entry field %s is a %s, which holds a pointer", f.Name, f.Type)
 		}
 	}
@@ -231,16 +232,13 @@ func TestLogAppendAllocs(t *testing.T) {
 	}
 }
 
-// TestStreamIndicesAreReused runs 200 jobs of 100 records one after another
-// through a log that retains two segments, each stream ended after its last
-// record: a stream's index is released once it has ended and its last
-// record is evicted, so the table holds only as many streams as the window
-// spans, and every retained record still resolves to its own job's stream;
-// a released stream lets go of its names and vocabularies.
-// A stream that has not ended keeps its index with none of its records
-// retained, and a cursor attached to a released stream counts all of its
-// records dropped.
-func TestStreamIndicesAreReused(t *testing.T) {
+// TestReleasedStreamDropsItsNames runs 200 jobs of 100 records one after
+// another through a log that retains two segments, each stream ended after
+// its last record: every retained record still resolves to its own job's
+// stream, a stream that has ended lets go of its names and vocabularies once
+// its last record is evicted, one that has not ended keeps them, and a
+// cursor attached to a released stream counts all of its records dropped.
+func TestReleasedStreamDropsItsNames(t *testing.T) {
 	const jobs, per = 200, 100
 	l := NewLog(2 * logSegment)
 	open := new(Stream) // never ends
@@ -253,22 +251,17 @@ func TestStreamIndicesAreReused(t *testing.T) {
 			l.Append(s, fmt.Sprintf("s0-j%d", j+1), Record{Time: sim.Time(j*per + i), Entity: "em", State: "S"})
 		}
 		s.End()
-		// The window spans whole jobs, one part of a job at each end, the
-		// open stream and the unused index 0.
-		if most := 2*logSegment/per + 4; len(l.streams) > most {
-			t.Fatalf("after job %d: the stream table holds %d indices, want at most %d", j, len(l.streams), most)
-		}
 	}
-	if open.id == 0 || l.streams[open.id] != open {
-		t.Fatalf("a stream that has not ended lost its index %d", open.id)
+	if open.nstates != 1 || open.states[0] != "S" {
+		t.Fatalf("a stream that has not ended lost its states: %d, %q", open.nstates, open.states[0])
 	}
 	for _, rec := range l.Snapshot(nil) {
 		if want := fmt.Sprintf("em.s0-j%d", int(rec.Time)/per+1); rec.Entity != want {
 			t.Fatalf("record at %v reads entity %q, want %q", rec.Time, rec.Entity, want)
 		}
 	}
-	if s := streams[0]; s.id != 0 || s.narenas+s.nstates != 0 || s.arenas[0] != "" || s.states[0] != "" {
-		t.Fatalf("the first job's stream still holds index %d, %d arenas and %d states with none of its records retained", s.id, s.narenas, s.nstates)
+	if s := streams[0]; s.narenas+s.nstates != 0 || s.arenas[0] != "" || s.states[0] != "" {
+		t.Fatalf("the first job's stream still holds %d arenas and %d states with none of its records retained", s.narenas, s.nstates)
 	}
 	c := streams[0].Cursor(1)
 	if n, _, done := c.Read(make([]Record, 8)); n != 0 || !done || c.Dropped() != per {

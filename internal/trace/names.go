@@ -4,7 +4,7 @@ package trace
 // longer string the producer holds for the job (an arena: its units' ids, a
 // pilot launch's names), an entry of a Names table, or a string of its own.
 // A Log stores the first two as a 32-bit code against the arena or the
-// table, which its stream keeps, so a stored record holds no pointer.
+// table, which its stream keeps, so a stored record holds no string.
 type Entity struct {
 	arena  string // a carved name is arena[off : off+n]
 	names  *Names // an interned name is entry off of names

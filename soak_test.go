@@ -23,11 +23,12 @@ import (
 
 // Soak sizes: jobs per phase, the size of every ninth job, and the trace
 // window the live-heap bound is built on: 2^20 log entries of 40 bytes, what
-// one shard's window held before an entry became 24 bytes
-// (TestLogEntryFootprint). At 24 bytes the bound, 1.3 × two windows, would
-// be 65.4 MB, under the 67–68 MB the daemon now keeps: the ~18 MB beyond
-// the windows — the registry's jobs, their reports, and the unit ids the
-// windows' records are coded against — does not shrink with the entry.
+// one shard's window held before an entry became 32 bytes
+// (TestLogEntryFootprint). The bound, 1.3 × two windows, does not follow the
+// entry down: the ~18 MB the daemon keeps beyond the windows — the
+// registry's jobs, their reports, and the unit ids the windows' records are
+// coded against — does not shrink with it (with 24-byte entries the daemon
+// kept 67–68 MB, over the 65.4 MB such a bound would have been).
 const (
 	soakJobs        = 8000
 	soakBigTasks    = 2048

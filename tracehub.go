@@ -10,9 +10,9 @@ import (
 // traceRetention is the number of most recent trace records a shard keeps.
 // The largest single-environment trace in the repository (a paper-matrix
 // epoch, ~115 k records on one shard) is 9x under it; at the bound a shard's
-// log holds 2^20 pointer-free entries of 24 bytes, about 25 MB, each
-// record's state and detail stored as codes in its job's vocabularies and
-// its entity as a code against the names its job holds.
+// log holds 2^20 entries of 32 bytes, about 34 MB, each record's state and
+// detail stored as codes in its job's vocabularies and its entity as a code
+// against the names its job holds.
 const traceRetention = 1 << 20
 
 // traceHub is the environment's trace store: one trace.Log per shard — the
